@@ -1,19 +1,23 @@
 # Build, verify, and benchmark targets. `make verify` is the full gate
-# (format, vet, build, race-enabled tests); `make bench` records the E11
-# end-to-end measurements to BENCH_E11.json, the E14 grid-pruning
-# ablation to BENCH_E14.json, the E15 parallelism ablation to
-# BENCH_E15.json, the E16 session-concurrency sweep to BENCH_E16.json,
-# and the E17 streaming append sweep to BENCH_E17.json, the E18
-# sliding-window expiry sweep to BENCH_E18.json, the E19 retraction
-# sweep to BENCH_E19.json, the E20 plaintext-packing ablation to
-# BENCH_E20.json, the E21 packed-uplink ablation to BENCH_E21.json, and
-# the E22 shard-scaling sweep to BENCH_E22.json so the performance
-# trajectory is tracked PR over PR. Every bench file is stamped with the
-# commit hash and Go version.
+# (format, vet, build, race-enabled tests); `make bench` records every
+# experiment suite in BENCH_SUITES to its BENCH_E<NN>.json (E11 end-to-end,
+# E14 grid pruning, E15 worker width, E16 session concurrency, E17
+# streaming appends, E18 sliding-window expiry, E19 retraction, E20
+# plaintext packing, E21 packed uplink, E22 shard scaling) so the
+# performance trajectory is tracked PR over PR; `make bench-e<NN>` records
+# one. Every bench file is stamped with the commit hash and Go version.
+# The whole-stack benchmark with regression bounds is bench/ (see
+# bench/README.md), not these suites.
 
 GO ?= go
 
-.PHONY: all build test race vet fmt verify bench bench-e17 bench-e18 bench-e19 bench-e20 bench-e21 bench-e22 fuzz clean
+BENCH_SUITES := 11 14 15 16 17 18 19 20 21 22
+# Suites whose headline number is the full-size (n=48) workload rather
+# than the quick smoke.
+BENCH_FULL := 20 21
+BENCH_TARGETS := $(addprefix bench-e,$(BENCH_SUITES))
+
+.PHONY: all build test race vet fmt verify bench $(BENCH_TARGETS) fuzz clean
 
 all: build
 
@@ -35,63 +39,11 @@ fmt:
 
 verify: fmt vet build race
 
-# Quick-mode bench: small n, both batching, pruning, and packing modes
-# plus the worker-width and session-concurrency sweeps, JSON rows.
-bench:
-	$(GO) run ./cmd/ppdbscan bench -quick -out BENCH_E11.json
-	@cat BENCH_E11.json
-	$(GO) run ./cmd/ppdbscan bench -suite e14 -quick -out BENCH_E14.json
-	@cat BENCH_E14.json
-	$(GO) run ./cmd/ppdbscan bench -suite e15 -quick -out BENCH_E15.json
-	@cat BENCH_E15.json
-	$(GO) run ./cmd/ppdbscan bench -suite e16 -quick -out BENCH_E16.json
-	@cat BENCH_E16.json
-	$(GO) run ./cmd/ppdbscan bench -suite e17 -quick -out BENCH_E17.json
-	@cat BENCH_E17.json
-	$(GO) run ./cmd/ppdbscan bench -suite e18 -quick -out BENCH_E18.json
-	@cat BENCH_E18.json
-	$(GO) run ./cmd/ppdbscan bench -suite e19 -quick -out BENCH_E19.json
-	@cat BENCH_E19.json
-	$(GO) run ./cmd/ppdbscan bench -suite e20 -quick -out BENCH_E20.json
-	@cat BENCH_E20.json
-	$(GO) run ./cmd/ppdbscan bench -suite e21 -quick -out BENCH_E21.json
-	@cat BENCH_E21.json
-	$(GO) run ./cmd/ppdbscan bench -suite e22 -quick -out BENCH_E22.json
-	@cat BENCH_E22.json
+bench: $(BENCH_TARGETS)
 
-# Streaming append sweep only (BENCH_E17.json).
-bench-e17:
-	$(GO) run ./cmd/ppdbscan bench -suite e17 -quick -out BENCH_E17.json
-	@cat BENCH_E17.json
-
-# Sliding-window expiry sweep only (BENCH_E18.json).
-bench-e18:
-	$(GO) run ./cmd/ppdbscan bench -suite e18 -quick -out BENCH_E18.json
-	@cat BENCH_E18.json
-
-# Retraction sweep only (BENCH_E19.json).
-bench-e19:
-	$(GO) run ./cmd/ppdbscan bench -suite e19 -quick -out BENCH_E19.json
-	@cat BENCH_E19.json
-
-# Plaintext-packing ablation only (BENCH_E20.json). Full-size rows: the
-# packing gain is the headline number, so this one records the n=48
-# workload rather than the quick smoke.
-bench-e20:
-	$(GO) run ./cmd/ppdbscan bench -suite e20 -out BENCH_E20.json
-	@cat BENCH_E20.json
-
-# Packed-uplink ablation only (BENCH_E21.json). Full-size rows like
-# bench-e20: the uplink reduction is the headline number.
-bench-e21:
-	$(GO) run ./cmd/ppdbscan bench -suite e21 -out BENCH_E21.json
-	@cat BENCH_E21.json
-
-# Shard-scaling sweep only (BENCH_E22.json): dispatcher + N single-slot
-# shards, aggregate runs/sec strictly increasing 1→2→4.
-bench-e22:
-	$(GO) run ./cmd/ppdbscan bench -suite e22 -quick -out BENCH_E22.json
-	@cat BENCH_E22.json
+$(BENCH_TARGETS): bench-e%:
+	$(GO) run ./cmd/ppdbscan bench -suite e$* $(if $(filter $*,$(BENCH_FULL)),,-quick) -out BENCH_E$*.json
+	@cat BENCH_E$*.json
 
 # Short fuzz pass over the wire, batch-frame, mux-frame, and spatial-grid
 # codecs.
@@ -107,4 +59,4 @@ fuzz:
 	$(GO) test ./internal/compare -run NONE -fuzz FuzzPackedUplink -fuzztime 10s
 
 clean:
-	rm -f BENCH_E11.json BENCH_E14.json BENCH_E15.json BENCH_E16.json BENCH_E17.json BENCH_E18.json BENCH_E19.json BENCH_E20.json BENCH_E21.json BENCH_E22.json
+	rm -f $(foreach s,$(BENCH_SUITES),BENCH_E$(s).json)

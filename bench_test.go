@@ -1,10 +1,11 @@
 // Package repro_test holds the benchmark harness: one benchmark per
-// evaluation artifact of the paper (DESIGN.md §3, experiments E1–E11).
+// evaluation artifact of the paper (experiments E1–E11 of
+// internal/experiments).
 // Each benchmark executes one representative unit of the corresponding
 // experiment and reports the domain metric (bytes on the wire, secure
 // comparisons, ARI) alongside wall time. The full sweep tables are
-// produced by `go run ./cmd/ppdbscan experiments` and archived in
-// EXPERIMENTS.md.
+// produced by `go run ./cmd/ppdbscan experiments` (README, "Experiments
+// and benchmarks").
 package repro_test
 
 import (

@@ -107,8 +107,9 @@ E14 is the grid-pruning ablation: -pruning grid (default) buckets each
 party's data into an Eps-width candidate index so secure region queries
 touch only neighboring cells; -pruning off keeps the paper's exhaustive
 candidate sets for A/B comparison. E15 is the parallelism ablation:
--parallel W > 1 multiplexes W worker channels over the connection and
-dispatches independent secure region queries concurrently. E17 is the
+-parallel W is the width of the one wave scheduler: W > 1 multiplexes W
+worker channels over the connection and runs up to W independent secure
+region queries per wave concurrently. E17 is the
 streaming ablation: client/loadgen -appends K -append-batch B feed a
 live session new points between runs; re-clustering reuses the session's
 cross-run comparison cache and exchanges only index deltas. E18 is the
@@ -162,7 +163,7 @@ func addProtocolFlags(fs *flag.FlagSet) *protocolFlags {
 	fs.StringVar(&p.batching, "batching", "batched", "comparison round structure: batched|sequential")
 	fs.StringVar(&p.packing, "packing", "slots", "plaintext encoding: slots (slot-packed ciphertext frames)|full (slots plus the packed comparison uplink)|off (one value per ciphertext)")
 	fs.StringVar(&p.pruning, "pruning", "grid", "candidate-set structure: grid (Eps-grid candidate index)|off (exhaustive)")
-	fs.IntVar(&p.parallel, "parallel", 1, "query scheduler worker width W (1 = sequential; >1 multiplexes W channels)")
+	fs.IntVar(&p.parallel, "parallel", 1, "wave scheduler width W: up to W secure queries per wave (1 = one-worker waves on the bare connection; >1 multiplexes W channels)")
 	fs.Int64Var(&p.seed, "seed", 1, "seed for datasets and permutations")
 	return p
 }

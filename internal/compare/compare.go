@@ -12,9 +12,10 @@
 //     costs O(1) ciphertexts per call. Bob homomorphically computes
 //     t = r·(b−a) + r′ with r random and 0 ≤ r′ < r, so sign(t) =
 //     sign(b−a); Alice decrypts t and learns the sign plus roughly
-//     log₂|b−a| masked magnitude bits. DESIGN.md documents this bounded
-//     leakage; the engine exists to make n-scaling experiments tractable
-//     and to serve as the E8 ablation baseline.
+//     log₂|b−a| masked magnitude bits. internal/privacy pins this bounded
+//     leakage (TestMaskedEngineMagnitudeLeakIsDetectable); the engine
+//     exists to make n-scaling experiments tractable and to serve as the
+//     E8 ablation baseline.
 //
 // Engines are stateful about keys but stateless across calls; each call
 // performs one complete comparison sub-protocol on the supplied connection.

@@ -463,40 +463,24 @@ func arbitraryRunOnce(t *Session, as *aStream) (*Result, error) {
 		})
 		s.cmpCached.Add(1)
 	}
-	var labels []int
-	var clusters int
-	switch {
-	case s.parallel() > 1:
-		labels, clusters, err = LockstepClusterParallelCached(n, s.cfg.MinPts, s.parallel(),
-			as.cache, onCached,
-			PrunedLocalDecider(cellRows, onPruned),
-			func(ch int, pairs [][2]int) ([]bool, error) { return a.batchLE(t.conns[ch], pairs, engA, engB) })
-	case s.batched():
-		oracle := func(pairs [][2]int) ([]bool, error) {
-			return a.batchLE(t.conns[0], pairs, engA, engB)
-		}
-		if s.pruneOn {
-			oracle = PrunedBatchOracle(cellRows, onPruned, oracle)
-		}
-		labels, clusters, err = LockstepClusterBatchCached(n, s.cfg.MinPts, as.cache, onCached, oracle)
-	default:
-		pairLE := func(i, j int) (bool, error) {
-			ownSum, err := a.localAndCrossSum(t.conns[0], i, j)
+	batchOn := func(ch int, pairs [][2]int) ([]bool, error) { return a.batchLE(t.conns[ch], pairs, engA, engB) }
+	if !s.batched() {
+		batchOn = PerPairOracle(func(i, j int) (bool, error) {
+			conn := t.conns[0]
+			ownSum, err := a.localAndCrossSum(conn, i, j)
 			if err != nil {
 				return false, err
 			}
-			setTag(t.conns[0], "adp.cmp")
+			setTag(conn, "adp.cmp")
 			s.led(func(l *Ledger) { l.PairDecisions++ })
 			if role == RoleAlice {
-				return distLessEqDriver(t.conns[0], engA, ownSum)
+				return engA.Less(conn, ownSum)
 			}
-			return distLessEqResponder(t.conns[0], engB, s, ownSum)
-		}
-		if s.pruneOn {
-			pairLE = PrunedPairOracle(cellRows, onPruned, pairLE)
-		}
-		labels, clusters, err = LockstepClusterCached(n, s.cfg.MinPts, as.cache, onCached, pairLE)
+			return engB.Less(conn, s.responderOperand(engB.Bound(), ownSum))
+		})
 	}
+	labels, clusters, err := LockstepCluster(n, s.cfg.MinPts, s.parallel(),
+		as.cache, onCached, PrunedLocalDecider(cellRows, onPruned), batchOn)
 	if err != nil {
 		return nil, err
 	}

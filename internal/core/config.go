@@ -54,7 +54,8 @@ type Config struct {
 
 	// ShareMaskBits sizes the §5 distance-share masks: v_i is uniform in
 	// [0, 2^ShareMaskBits). Larger masks hide shares better but enlarge
-	// the YMPP comparison domain (see DESIGN.md).
+	// the YMPP comparison domain (session.engines rejects one beyond
+	// yao.MaxDomain).
 	ShareMaskBits int
 
 	// Selection picks the §5 k-th order statistic algorithm: the O(kn)
@@ -105,21 +106,16 @@ type Config struct {
 	// runs unpacked.
 	Packing PackMode
 
-	// Parallel is the query scheduler's worker width W. With W = 1 (the
-	// default) every sub-protocol runs on the session's single,
-	// unmultiplexed connection in the strictly sequential lockstep order —
-	// the exact sub-protocol schedule and frame sequence of the
-	// pre-scheduler code path (relative to other v4 builds; the handshake
-	// itself gained the Parallel field and the session control ops, so v3
-	// binaries do not interoperate). With W > 1 the session multiplexes W logical
-	// channels over the connection (transport.Mux) and dispatches
-	// independent secure region queries — HDP/enhanced core queries, and
-	// lockstep pair batches for the vertical/arbitrary families — across
-	// the W workers, overlapping their round trips. Labels and non-index
-	// Ledgers are identical to the sequential schedule (the parallel
-	// equivalence harness enforces this); only frame interleaving changes.
-	// Both parties must agree (handshake-checked). W > 1 requires the
-	// batched round structure.
+	// Parallel is W, the width of the one wave scheduler every family runs
+	// on (parallel.go): each wave dispatches up to W independent secure
+	// sub-protocols — HDP/enhanced core queries, or lockstep pair batches
+	// for the vertical/arbitrary families — one per worker channel,
+	// overlapping their round trips. W = 1 (the default) is a one-worker
+	// wave on the session's bare connection; W > 1 multiplexes W logical
+	// channels over it (transport.Mux). Labels and non-index Ledgers do
+	// not depend on W (the parallel equivalence harness enforces this);
+	// only frame interleaving does. Both parties must agree
+	// (handshake-checked). W > 1 requires the batched round structure.
 	Parallel int
 
 	// ServerWorkers bounds this session's crypto worker fan-out when no

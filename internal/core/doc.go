@@ -46,10 +46,10 @@
 //	│  vertical/arbitrary)  one Run = one clustering             │
 //	├────────────────────────────────────────────────────────────┤
 //	│ query scheduler       Config.Parallel: waves of W          │
-//	│ (parallel.go)         independent region queries /         │
-//	│                       lockstep pair batches, one worker    │
-//	│                       channel each; W=1 → the sequential   │
-//	│                       lockstep schedule                    │
+//	│ (parallel.go,         independent region queries /         │
+//	│  lockstep.go)         lockstep pair batches, one worker    │
+//	│                       channel each; W=1 → one-worker waves │
+//	│                       on the bare connection               │
 //	├────────────────────────────────────────────────────────────┤
 //	│ core.Session          keygen + handshake + grid-index      │
 //	│ (sess.go)             exchange once; many Run calls;       │
@@ -83,25 +83,27 @@
 // one-time index disclosure of a long-lived session is reported once, via
 // Session.SetupLeakage.
 //
-// # Long-lived sessions and the parallel scheduler
+// # Long-lived sessions and the wave scheduler
 //
-// Config.Parallel = W > 1 turns the hand-rolled lockstep loops into a
-// shared wave scheduler: the horizontal families prefetch the remote
-// decisions of up to W seed-queue points concurrently (every queued point
-// is queried eventually, so prefetching reorders nothing), and the
-// lockstep families claim each still-undecided pair for exactly one of W
-// concurrent worker batches. Schedules are pure functions of shared
-// protocol state, so jointly-computed oracles stay in lock step; labels,
-// Ledgers, and comparison totals are identical to W=1 (the parallel
-// equivalence harness enforces this), and W=1 itself runs the exact
-// sequential sub-protocol schedule of the pre-scheduler code path over an
-// unmultiplexed connection (the handshake version and session control
-// ops changed, so the claim is schedule identity, not cross-release wire
-// compatibility). The win is round-trip
-// overlap — experiment E15 measures it over a simulated WAN. With
-// Selection=quickselect the per-channel permutation streams can shift
-// OrderBits relative to the shared sequential stream (labels and CoreBits
-// are unaffected); the scan default is permutation-invariant.
+// There is one cluster-expansion driver per protocol shape, and
+// Config.Parallel = W is its width. WaveDrive (parallel.go) is Algorithm
+// 4 for the horizontal shape — basic, enhanced, and the multiparty mesh:
+// it prefetches the remote decisions of up to W seed-queue points
+// concurrently (every queued point is queried eventually, so prefetching
+// reorders nothing). LockstepCluster (lockstep.go) is Algorithm 6 for the
+// pair shape — vertical, arbitrary, and the multiparty ring: it claims
+// each still-undecided pair for exactly one of up to W concurrent worker
+// batches. The comparison and multiplication leaves under them are the
+// only thing that varies by family and by Config.Batching. Schedules are
+// pure functions of shared protocol state, so jointly-computed oracles
+// stay in lock step, and labels, Ledgers, and comparison totals do not
+// depend on W (the parallel equivalence harness enforces this). W = 1 is
+// a one-worker wave, run inline on the session's bare connection; W > 1
+// multiplexes W channels over it. The win is round-trip overlap —
+// experiment E15 measures it over a simulated WAN. Responder workers draw
+// their permutations per channel, so with Selection=quickselect OrderBits
+// can shift with W (labels and CoreBits are unaffected); the scan default
+// is permutation-invariant.
 //
 // # Concurrent sessions and the shared crypto pool
 //
@@ -156,7 +158,7 @@
 //     BatchLess — three frames per step regardless of how many predicates
 //     it settles. An HDP region query costs ≤ 3 hdp.cmp frames instead of
 //     3·nPeer; a lockstep neighborhood (vertical/arbitrary, via
-//     LockstepClusterBatch) costs a constant number of vdp.cmp/adp.cmp
+//     LockstepCluster) costs a constant number of vdp.cmp/adp.cmp
 //     frames instead of 3 per pair; the enhanced selection runs tournament
 //     (scan) or per-pivot (quickselect) batches. Underneath, all Paillier
 //     work rides the parallel pool (paillier.EncryptBatch/DecryptBatch on

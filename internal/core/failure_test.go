@@ -35,25 +35,53 @@ func (a *abruptCloseConn) Recv() ([]byte, error) {
 	return a.Conn.Recv()
 }
 
-func TestHorizontalPeerDisappearsMidProtocol(t *testing.T) {
+// runWithDroppedConn runs a two-party protocol in which Alice's
+// connection drops after afterMsgs received frames, at scheduler width w.
+// Both parties must come back in bounded time, each with an error that
+// names the closed connection — at every width a failed responder worker
+// closes the session's channels (parallelServe's failAll), so neither
+// side is left blocked in Recv.
+func runWithDroppedConn(t *testing.T, name string, w, afterMsgs int, alice, bob func(transport.Conn, Config) error) {
+	t.Helper()
 	cfg := testCfg(compare.EngineMasked)
-	for _, afterMsgs := range []int{0, 1, 2, 5} {
-		ca, cb := transport.Pipe()
-		flaky := &abruptCloseConn{Conn: ca, remaining: afterMsgs}
-		errc := make(chan error, 2)
-		go func() {
-			_, err := HorizontalAlice(flaky, cfg, testAlicePts)
-			ca.Close()
-			errc <- err
-		}()
-		go func() {
-			_, err := HorizontalBob(cb, cfg, testBobPts)
-			cb.Close()
-			errc <- err
-		}()
-		err1, err2 := <-errc, <-errc
-		if err1 == nil && err2 == nil {
-			t.Errorf("afterMsgs=%d: both parties succeeded despite dropped connection", afterMsgs)
+	cfg.Parallel = w
+	ca, cb := transport.Pipe()
+	flaky := &abruptCloseConn{Conn: ca, remaining: afterMsgs}
+	errc := make(chan error, 2)
+	go func() {
+		err := alice(flaky, cfg)
+		ca.Close()
+		errc <- err
+	}()
+	go func() {
+		err := bob(cb, cfg)
+		cb.Close()
+		errc <- err
+	}()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errc:
+			if !errors.Is(err, transport.ErrClosed) {
+				t.Errorf("%s W=%d afterMsgs=%d: err = %v, want transport.ErrClosed", name, w, afterMsgs, err)
+			}
+		case <-timeoutAfterProtocol(t):
+			t.Fatalf("%s W=%d afterMsgs=%d: protocol hung after the connection dropped", name, w, afterMsgs)
+		}
+	}
+}
+
+func TestHorizontalPeerDisappearsMidProtocol(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		for _, afterMsgs := range []int{0, 1, 2, 5} {
+			runWithDroppedConn(t, "horizontal", w, afterMsgs,
+				func(c transport.Conn, cfg Config) error {
+					_, err := HorizontalAlice(c, cfg, testAlicePts)
+					return err
+				},
+				func(c transport.Conn, cfg Config) error {
+					_, err := HorizontalBob(c, cfg, testBobPts)
+					return err
+				})
 		}
 	}
 }
@@ -135,25 +163,17 @@ func TestPayloadCorruptionDoesNotHang(t *testing.T) {
 }
 
 func TestVerticalPeerDisappears(t *testing.T) {
-	cfg := testCfg(compare.EngineMasked)
-	attrsA := [][]float64{{1}, {2}, {3}, {4}}
-	attrsB := [][]float64{{1}, {2}, {3}, {4}}
-	ca, cb := transport.Pipe()
-	flaky := &abruptCloseConn{Conn: ca, remaining: 3}
-	errc := make(chan error, 2)
-	go func() {
-		_, err := VerticalAlice(flaky, cfg, attrsA)
-		ca.Close()
-		errc <- err
-	}()
-	go func() {
-		_, err := VerticalBob(cb, cfg, attrsB)
-		cb.Close()
-		errc <- err
-	}()
-	err1, err2 := <-errc, <-errc
-	if err1 == nil && err2 == nil {
-		t.Error("both parties succeeded despite dropped connection")
+	attrs := [][]float64{{1}, {2}, {3}, {4}}
+	for _, w := range []int{1, 4} {
+		runWithDroppedConn(t, "vertical", w, 3,
+			func(c transport.Conn, cfg Config) error {
+				_, err := VerticalAlice(c, cfg, attrs)
+				return err
+			},
+			func(c transport.Conn, cfg Config) error {
+				_, err := VerticalBob(c, cfg, attrs)
+				return err
+			})
 	}
 }
 

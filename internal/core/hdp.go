@@ -133,7 +133,7 @@ func hdpCompareDriver(conn transport.Conn, s *session, eng compare.Alice, p []in
 		}
 	} else {
 		for i := 0; i < nCand; i++ {
-			in, err := distLessEqDriver(conn, eng, ownSum)
+			in, err := eng.Less(conn, ownSum)
 			if err != nil {
 				return 0, fmt.Errorf("core: hdp comparison %d: %w", i, err)
 			}

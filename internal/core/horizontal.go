@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/compare"
-	"repro/internal/dbscan"
 	"repro/internal/fixedpoint"
 	"repro/internal/partition"
 	"repro/internal/spatial"
@@ -14,9 +13,8 @@ import (
 
 // Op codes for the driver→responder control channel of the horizontal
 // protocols. The driver announces each region query (or enhanced core
-// query) before the corresponding sub-protocols begin; opDone releases the
-// responder at the end of a pass (sent on every worker channel when the
-// parallel scheduler is active).
+// query) before the corresponding sub-protocols begin; opDone, sent on
+// every worker channel, releases the responder at the end of a pass.
 const (
 	opQuery uint64 = 1
 	opDone  uint64 = 2
@@ -57,8 +55,8 @@ type hStream struct {
 	peerGenCnt  []int // per-generation peer point counts (dead gens zeroed)
 	nPeer       int   // live peer count (Σ peerGenCnt)
 
-	// mu guards the caches: parallel waves (Config.Parallel > 1) decide
-	// distinct points concurrently but share the maps.
+	// mu guards the caches: a wave's workers decide distinct points
+	// concurrently but share the maps.
 	mu       sync.Mutex
 	hdp      *CountCache
 	enhCache map[int]enhEntry
@@ -563,81 +561,34 @@ func encodeHBatch(s *session, values [][]float64) ([][]int64, error) {
 // by replacing Alice for Bob" — Algorithm 3).
 func horizontalRunOnce(t *Session, hs *hStream, fam hFamily) (*Result, error) {
 	s := t.s
-	var drive func() ([]int, int, error)
-	var respond func() error
-	if s.parallel() > 1 {
-		drive = func() ([]int, int, error) { return parallelHPassDriver(s, t.conns, hs, fam) }
-		respond = func() error { return parallelHPassResponder(s, t.conns, hs, fam) }
-	} else {
-		seqDriver, seqResponder := basicPassDriver, basicPassResponder
-		if fam == hEnhanced {
-			seqDriver, seqResponder = enhancedPassDriver, enhancedPassResponder
-		}
-		drive = func() ([]int, int, error) { return seqDriver(s, t.conns[0], hs) }
-		respond = func() error { return seqResponder(s, t.conns[0], hs) }
-	}
-
 	var labels []int
 	var clusters int
 	var err error
 	if s.role == RoleAlice {
-		labels, clusters, err = drive()
-		if err != nil {
+		if labels, clusters, err = hPassDriver(s, t.conns, hs, fam); err != nil {
 			return nil, err
 		}
-		if err := respond(); err != nil {
+		if err := hPassResponder(s, t.conns, hs, fam); err != nil {
 			return nil, err
 		}
 	} else {
-		if err := respond(); err != nil {
+		if err := hPassResponder(s, t.conns, hs, fam); err != nil {
 			return nil, err
 		}
-		labels, clusters, err = drive()
-		if err != nil {
+		if labels, clusters, err = hPassDriver(s, t.conns, hs, fam); err != nil {
 			return nil, err
 		}
 	}
 	return t.result(labels, clusters), nil
 }
 
-// basicPassDriver implements Algorithm 3/4 from the driving party's side.
-func basicPassDriver(s *session, conn transport.Conn, hs *hStream) ([]int, int, error) {
-	engA, _, err := s.distEngines()
-	if err != nil {
-		return nil, 0, err
-	}
+// hPassDriver is the driving pass of the horizontal family (Algorithm 3/4,
+// and Algorithm 7/8 for the enhanced protocol — the control flow is the
+// same, only the core decision differs): WaveDrive over the session's
+// worker channels, worker slot w's decision running over channel w.
+func hPassDriver(s *session, conns []transport.Conn, hs *hStream, fam hFamily) ([]int, int, error) {
 	h := &hPass{s: s, hs: hs, own: hs.enc, nPeer: hs.nPeer}
-
-	labels := make([]int, len(h.own))
-	for i := range labels {
-		labels[i] = dbscan.Unclassified
-	}
-	clusterID := 0
-	for i := range h.own {
-		if labels[i] != dbscan.Unclassified {
-			continue
-		}
-		expanded, err := h.expandCluster(conn, i, clusterID+1, labels, engA)
-		if err != nil {
-			return nil, 0, err
-		}
-		if expanded {
-			clusterID++
-		}
-	}
-	setTag(conn, "hdp.op")
-	if err := transport.SendMsg(conn, transport.NewBuilder().PutUint(opDone)); err != nil {
-		return nil, 0, err
-	}
-	return labels, clusterID, nil
-}
-
-// parallelHPassDriver is the scheduler-backed driving pass shared by the
-// basic and enhanced protocols: the per-query decision runs over whichever
-// worker channel the wave assigned.
-func parallelHPassDriver(s *session, conns []transport.Conn, hs *hStream, fam hFamily) ([]int, int, error) {
-	h := &hPass{s: s, hs: hs, own: hs.enc, nPeer: hs.nPeer}
-	var decide decideFn
+	var decide func(w, point, ownCount int) (bool, error)
 	var opTag string
 	switch fam {
 	case hBasic:
@@ -646,8 +597,8 @@ func parallelHPassDriver(s *session, conns []transport.Conn, hs *hStream, fam hF
 			return nil, 0, err
 		}
 		opTag = "hdp.op"
-		decide = func(conn transport.Conn, point, ownCount int) (bool, error) {
-			count, err := h.remoteCount(conn, point, engA)
+		decide = func(w, point, ownCount int) (bool, error) {
+			count, err := h.remoteCount(conns[w], point, engA)
 			if err != nil {
 				return false, err
 			}
@@ -659,11 +610,11 @@ func parallelHPassDriver(s *session, conns []transport.Conn, hs *hStream, fam hF
 			return nil, 0, err
 		}
 		opTag = "enh.op"
-		decide = func(conn transport.Conn, point, ownCount int) (bool, error) {
-			return enhancedIsCore(h, conn, point, ownCount, shareA, finalA)
+		decide = func(w, point, ownCount int) (bool, error) {
+			return enhancedIsCore(h, conns[w], point, ownCount, shareA, finalA)
 		}
 	}
-	labels, clusters, err := parallelDrive(conns, h.own, h.localRegionQuery, decide)
+	labels, clusters, err := WaveDrive(len(h.own), len(conns), h.localRegionQuery, decide)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -673,9 +624,9 @@ func parallelHPassDriver(s *session, conns []transport.Conn, hs *hStream, fam hF
 	return labels, clusters, nil
 }
 
-// parallelHPassResponder serves a driving pass across the session's
-// worker channels, one responder worker per channel.
-func parallelHPassResponder(s *session, conns []transport.Conn, hs *hStream, fam hFamily) error {
+// hPassResponder serves a driving pass across the session's worker
+// channels, one responder worker per channel.
+func hPassResponder(s *session, conns []transport.Conn, hs *hStream, fam hFamily) error {
 	switch fam {
 	case hBasic:
 		_, engB, err := s.distEngines()
@@ -852,77 +803,4 @@ func (h *hPass) remoteCount(conn transport.Conn, i int, eng compare.Alice) (int,
 		h.hs.hdpExtend(i, g, g+1, fresh)
 	}
 	return count, nil
-}
-
-// expandCluster is Algorithm 4. Only the driver's own points enter the
-// seed queue; the peer's points contribute to the MinPts counts only.
-func (h *hPass) expandCluster(conn transport.Conn, point, clusterID int, labels []int, eng compare.Alice) (bool, error) {
-	seedsA := h.localRegionQuery(point)
-	countB, err := h.remoteCount(conn, point, eng)
-	if err != nil {
-		return false, err
-	}
-	if len(seedsA)+countB < h.s.cfg.MinPts {
-		labels[point] = dbscan.Noise
-		return false, nil
-	}
-	for _, sd := range seedsA {
-		labels[sd] = clusterID
-	}
-	queue := make([]int, 0, len(seedsA))
-	for _, sd := range seedsA {
-		if sd != point {
-			queue = append(queue, sd)
-		}
-	}
-	for len(queue) > 0 {
-		current := queue[0]
-		queue = queue[1:]
-		resultA := h.localRegionQuery(current)
-		countB, err := h.remoteCount(conn, current, eng)
-		if err != nil {
-			return false, err
-		}
-		if len(resultA)+countB < h.s.cfg.MinPts {
-			continue
-		}
-		for _, r := range resultA {
-			if labels[r] == dbscan.Unclassified || labels[r] == dbscan.Noise {
-				if labels[r] == dbscan.Unclassified {
-					queue = append(queue, r)
-				}
-				labels[r] = clusterID
-			}
-		}
-	}
-	return true, nil
-}
-
-// basicPassResponder serves the peer's Algorithm 3/4 pass.
-func basicPassResponder(s *session, conn transport.Conn, hs *hStream) error {
-	_, engB, err := s.distEngines()
-	if err != nil {
-		return err
-	}
-	for {
-		setTag(conn, "hdp.op")
-		r, err := transport.RecvMsg(conn)
-		if err != nil {
-			return fmt.Errorf("core: responder recv op: %w", err)
-		}
-		op := r.Uint()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		switch op {
-		case opQuery:
-			if err := serveBasicQuery(s, conn, s.rng, engB, hs, r); err != nil {
-				return err
-			}
-		case opDone:
-			return nil
-		default:
-			return fmt.Errorf("core: responder got unexpected op %d", op)
-		}
-	}
 }

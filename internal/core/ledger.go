@@ -19,7 +19,7 @@ import (
 //     distances: OrderBits and CoreBits.
 //   - DotProducts counts HDP invocations in which the zero-sum masks
 //     cancelled, handing the responder the exact cross dot product — the
-//     soundness gap discussed in DESIGN.md §4.
+//     soundness gap noted in the MP-phase description of hdp.go.
 //
 // # Accounting under grid pruning
 //

@@ -9,13 +9,16 @@ import (
 	"repro/internal/transport"
 )
 
-// The parallel query scheduler (Config.Parallel = W > 1). One shared
-// wave-based scheduler replaces the hand-rolled lockstep loops of every
-// protocol family: independent secure sub-protocols — HDP region queries
-// and enhanced core queries for the horizontal family, lockstep pair
-// batches for the vertical/arbitrary families and the multiparty ring —
-// are dispatched across W worker channels of the session's multiplexed
-// connection and execute concurrently, overlapping their round trips.
+// The wave scheduler. Every protocol family, the ring and the mesh expand
+// clusters on it, through one driver per protocol shape: WaveDrive (below)
+// for the horizontal shape — HDP region queries and enhanced core queries
+// — and LockstepCluster (lockstep.go) for the pair shape — lockstep pair
+// batches of the vertical/arbitrary families and the multiparty ring.
+// Config.Parallel = W is its width: independent secure sub-protocols are
+// dispatched in waves of up to W across the session's W worker channels
+// and overlap their round trips. W = 1 is a one-worker wave: it runs
+// inline on the calling goroutine over the session's single bare
+// connection, with no multiplexer and no pipelining.
 //
 // Soundness rests on two invariants:
 //
@@ -26,14 +29,14 @@ import (
 //     families every participant runs the same wave schedule and the
 //     worker-channel traffic pairs up exactly.
 //   - Query independence. A wave only prefetches work whose execution is
-//     already inevitable in the sequential schedule: every point entering
-//     Algorithm 4's seed queue is eventually queried exactly once, and a
-//     lockstep wave claims each undecided pair for exactly one worker
-//     batch. The multiset of executed sub-protocols — and therefore every
+//     already inevitable at any width: every entry of Algorithm 4's
+//     seed queue is eventually queried exactly once, and a lockstep wave
+//     claims each undecided pair for exactly one worker batch. The
+//     multiset of executed sub-protocols — and therefore every
 //     count-based Ledger class, the comparison totals, and the labels —
-//     is identical to the W = 1 schedule; only frame interleaving and the
-//     responder's permutation draws differ. The parallel equivalence
-//     harness enforces this.
+//     does not depend on W; only frame interleaving and the responder's
+//     permutation draws do. The parallel equivalence harness enforces
+//     this.
 //
 // Compute discipline: wave workers are I/O waiters — they MUST all run
 // concurrently (each worker channel's traffic pairs with the peer's
@@ -46,11 +49,13 @@ import (
 // (Config.ServerWorkers) instead of fanning out W·GOMAXPROCS goroutines
 // per session.
 
-// runWave executes one wave of up to W jobs concurrently. It returns the
-// first root-cause error: when one worker fails and tears the channels
-// down (parallelServe's failAll), its siblings fail with induced
-// connection-closed errors, so non-ErrClosed errors take precedence.
-func runWave(n int, f func(t int) error) error {
+// RunWave executes one wave of n jobs concurrently (a single job runs
+// inline, with no goroutine). It returns the first root-cause error: when
+// one worker fails and tears the channels down (parallelServe's failAll),
+// its siblings fail with induced connection-closed errors, so
+// non-ErrClosed errors take precedence. Exported for the mesh's
+// per-edge responder workers.
+func RunWave(n int, f func(t int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -83,34 +88,23 @@ func runWave(n int, f func(t int) error) error {
 	return closed
 }
 
-// decideFn answers the remote half of one core decision for the driver's
-// point index over one worker connection: given ownCount own-side
-// neighbours, is the point a core point? Basic HDP implements it with a
-// region-query count, the enhanced protocol with its share–select–compare
-// core bit.
-type decideFn func(conn transport.Conn, point, ownCount int) (bool, error)
-
-// parallelDrive runs one driving pass of the horizontal family with
-// wave-prefetched remote queries, dispatching each wave slot onto its
-// worker channel.
-func parallelDrive(conns []transport.Conn, own [][]int64, localRQ func(int) []int, decide decideFn) ([]int, int, error) {
-	return WaveDrive(len(own), len(conns), localRQ, func(w, point, ownCount int) (bool, error) {
-		return decide(conns[w], point, ownCount)
-	})
-}
-
-// WaveDrive runs a full Algorithm 3/4 driving pass over n own points
-// with the wave scheduler: the cluster-seed decision runs alone (its
-// successor is unknown until it settles), then each expansion round
-// takes up to `workers` queue items — all of which the sequential
-// schedule would query anyway — and decides them concurrently, one
-// worker slot each. Queue pops, label writes, and appends happen in
-// the sequential order, so labels match the workers = 1 pass exactly.
-// decide answers the remote half of one core decision on worker slot w
-// (the two-party family maps a slot to one mux channel; the multiparty
-// mesh maps it to channel w of every mesh edge). Exported for the mesh
-// driving pass; two-party families use the parallelDrive wrapper.
+// WaveDrive runs a full Algorithm 3/4 driving pass over n own points —
+// the one cluster-expansion loop of the horizontal shape: the
+// cluster-seed decision runs alone (its successor is unknown until it
+// settles), then each expansion round takes up to `workers` queue items —
+// all of which Algorithm 4 queries at any width — and decides them
+// concurrently, one worker slot each. Queue pops, label writes, and
+// appends happen in Algorithm 4's order, so labels do not depend on
+// workers. decide answers the remote half of one core decision on worker
+// slot w: given ownCount own-side neighbours, is the point a core point?
+// The two-party families map a slot to one session channel (a
+// region-query count for basic HDP, the share–select–compare core bit for
+// the enhanced protocol); the multiparty mesh maps it to channel w of
+// every mesh edge.
 func WaveDrive(n, workers int, localRQ func(int) []int, decide func(worker, point, ownCount int) (bool, error)) ([]int, int, error) {
+	if workers < 1 {
+		return nil, 0, fmt.Errorf("core: worker width %d < 1", workers)
+	}
 	labels := make([]int, n)
 	for i := range labels {
 		labels[i] = dbscan.Unclassified
@@ -131,20 +125,19 @@ func WaveDrive(n, workers int, localRQ func(int) []int, decide func(worker, poin
 	return labels, clusterID, nil
 }
 
-// waveExpand is Algorithm 4's expansion with wave prefetch, plus
-// wave pipelining for W > 1: while wave k's workers wait on their
-// replies, the same goroutines issue the uplinks of wave k+1's queries.
-// The pipelined queries are sound for the same reason the wave itself
-// is: after wave k is popped, the head of the remaining queue is a
-// prefix of wave k+1 no matter what wave k decides — Algorithm 4
-// queries every queued point exactly once, label state never cancels a
-// queued query, and discoveries only append. Core-ness depends only on
-// the point and its local neighbour count, so a prefetched decision
-// equals the sequential one; its labels are applied in sequential
-// order on the next iteration. The query multiset, comparison counts,
-// and every Ledger class are unchanged — only round trips overlap. At
-// W = 1 no pipelining happens and the wire behavior is byte-identical
-// to the legacy path.
+// waveExpand is Algorithm 4's expansion with wave prefetch, plus wave
+// pipelining for W > 1: while wave k's workers wait on their replies, the
+// same goroutines issue the uplinks of wave k+1's queries. The pipelined
+// queries are sound for the same reason the wave itself is: after wave k
+// is popped, the head of the remaining queue is a prefix of wave k+1 no
+// matter what wave k decides — Algorithm 4 queries every queued point
+// exactly once, label state never cancels a queued query, and
+// discoveries only append. Core-ness depends only on the point and its
+// local neighbour count, so a prefetched decision equals the in-order
+// one; its labels are applied in queue order on the next iteration. The
+// query multiset, comparison counts, and every Ledger class are
+// unchanged — only round trips overlap. At W = 1 there is nothing to
+// pipeline: each wave is one query, decided inline.
 func waveExpand(workers int, localRQ func(int) []int, decide func(worker, point, ownCount int) (bool, error), point, clusterID int, labels []int) (bool, error) {
 	seeds := localRQ(point)
 	core, err := decide(0, point, len(seeds))
@@ -208,7 +201,7 @@ func waveExpand(workers int, localRQ func(int) []int, decide func(worker, point,
 			}
 		}
 		nxtCores := make([]bool, len(nxt))
-		if err := runWave(w, func(t int) error {
+		if err := RunWave(w, func(t int) error {
 			if fresh[t] {
 				c, err := decide(t, wave[t], len(rqs[t]))
 				if err != nil {
@@ -263,7 +256,7 @@ func parallelServe(s *session, conns []transport.Conn, opTag string, serve serve
 			}
 		})
 	}
-	return runWave(len(conns), func(w int) error {
+	return RunWave(len(conns), func(w int) error {
 		rng, err := s.channelRng(w)
 		if err != nil {
 			failAll()
@@ -303,197 +296,4 @@ func sendDoneAll(conns []transport.Conn, tag string) error {
 		}
 	}
 	return nil
-}
-
-// ---- Parallel lockstep ----
-
-// LockstepClusterParallel is LockstepClusterBatch with the neighborhood's
-// pair batches dispatched across W worker channels and the upcoming queue
-// items' batches prefetched into the same wave. decideLocal, when
-// non-nil, settles a pair without the oracle (the grid-pruning shortcut);
-// batchOn runs one worker's batch on the given channel. Every participant
-// derives identical waves, batches, and channel assignments from the
-// shared deterministic state, so the jointly-computed oracles stay in
-// lock step; the decided-pair multiset — and with it the labels and every
-// count-based Ledger class — matches the sequential driver's exactly.
-func LockstepClusterParallel(n, minPts, w int,
-	decideLocal func(pr [2]int) (value, decided bool),
-	batchOn func(ch int, pairs [][2]int) ([]bool, error)) ([]int, int, error) {
-	return LockstepClusterParallelCached(n, minPts, w, nil, nil, decideLocal, batchOn)
-}
-
-// LockstepClusterParallelCached is LockstepClusterParallel seeded with a
-// cross-run PairCache (see LockstepClusterBatchCached for the cache
-// contract). Prior hits are folded in while batches are built — before a
-// pair could be claimed for a worker — and oracle results are written
-// back after each wave, both on the scheduling goroutine, so the cache
-// needs no locking and every participant derives identical waves from
-// its identical prior.
-//
-// Unlike waveExpand, lockstep waves keep a hard barrier: the next
-// wave's batches are built from the decided-pair cache the current wave
-// writes, so pipelining wave k+1's uplink before wave k settles would
-// change the batch contents (re-deciding already-settled pairs) and
-// break the decided-pair multiset equivalence with the sequential
-// driver. Both participants must also assemble identical batches, which
-// they can only do from identical post-wave cache state.
-func LockstepClusterParallelCached(n, minPts, w int,
-	prior *PairCache, onCached func(pr [2]int, in bool),
-	decideLocal func(pr [2]int) (value, decided bool),
-	batchOn func(ch int, pairs [][2]int) ([]bool, error)) ([]int, int, error) {
-	if minPts < 1 {
-		return nil, 0, fmt.Errorf("core: MinPts %d < 1", minPts)
-	}
-	if w < 1 {
-		return nil, 0, fmt.Errorf("core: worker width %d < 1", w)
-	}
-	cache := make(map[[2]int]bool)
-
-	// buildBatch collects point p's still-undecided pairs, settling
-	// locally-decidable ones and skipping pairs already claimed by an
-	// earlier batch of the same wave.
-	claimed := make(map[[2]int]bool)
-	buildBatch := func(p int) [][2]int {
-		var live [][2]int
-		for j := 0; j < n; j++ {
-			if j == p {
-				continue
-			}
-			a, b := p, j
-			if a > b {
-				a, b = b, a
-			}
-			key := [2]int{a, b}
-			if _, ok := cache[key]; ok || claimed[key] {
-				continue
-			}
-			if decideLocal != nil {
-				if v, ok := decideLocal(key); ok {
-					cache[key] = v
-					continue
-				}
-			}
-			if prior != nil {
-				if v, ok := prior.m[key]; ok {
-					cache[key] = v
-					if onCached != nil {
-						onCached(key, v)
-					}
-					continue
-				}
-			}
-			claimed[key] = true
-			live = append(live, key)
-		}
-		return live
-	}
-
-	// wave decides the missing pairs of up to W points concurrently, one
-	// worker channel per point, in wave order.
-	wave := func(points []int) error {
-		batches := make([][][2]int, len(points))
-		for t, p := range points {
-			batches[t] = buildBatch(p)
-		}
-		results := make([][]bool, len(points))
-		if err := runWave(len(points), func(t int) error {
-			if len(batches[t]) == 0 {
-				return nil
-			}
-			res, err := batchOn(t, batches[t])
-			if err != nil {
-				return err
-			}
-			if len(res) != len(batches[t]) {
-				return fmt.Errorf("core: parallel oracle returned %d results for %d pairs", len(res), len(batches[t]))
-			}
-			results[t] = res
-			return nil
-		}); err != nil {
-			return err
-		}
-		for t, batch := range batches {
-			for u, key := range batch {
-				cache[key] = results[t][u]
-				if prior != nil {
-					prior.m[key] = results[t][u]
-				}
-				delete(claimed, key)
-			}
-		}
-		return nil
-	}
-
-	neighborsOf := func(i int) []int {
-		out := []int{}
-		for j := 0; j < n; j++ {
-			if j == i {
-				out = append(out, j) // a point is always in its own neighbourhood
-				continue
-			}
-			a, b := i, j
-			if a > b {
-				a, b = b, a
-			}
-			if cache[[2]int{a, b}] {
-				out = append(out, j)
-			}
-		}
-		return out
-	}
-
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = dbscan.Unclassified
-	}
-	clusterID := 0
-	for i := 0; i < n; i++ {
-		if labels[i] != dbscan.Unclassified {
-			continue
-		}
-		if err := wave([]int{i}); err != nil {
-			return nil, 0, err
-		}
-		seeds := neighborsOf(i)
-		if len(seeds) < minPts {
-			labels[i] = dbscan.Noise
-			continue
-		}
-		clusterID++
-		for _, sd := range seeds {
-			labels[sd] = clusterID
-		}
-		queue := make([]int, 0, len(seeds))
-		for _, sd := range seeds {
-			if sd != i {
-				queue = append(queue, sd)
-			}
-		}
-		for len(queue) > 0 {
-			step := w
-			if step > len(queue) {
-				step = len(queue)
-			}
-			items := queue[:step:step]
-			queue = queue[step:]
-			if err := wave(items); err != nil {
-				return nil, 0, err
-			}
-			for _, cur := range items {
-				result := neighborsOf(cur)
-				if len(result) < minPts {
-					continue
-				}
-				for _, r := range result {
-					if labels[r] == dbscan.Unclassified || labels[r] == dbscan.Noise {
-						if labels[r] == dbscan.Unclassified {
-							queue = append(queue, r)
-						}
-						labels[r] = clusterID
-					}
-				}
-			}
-		}
-	}
-	return labels, clusterID, nil
 }

@@ -1,22 +1,26 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/compare"
+	"repro/internal/dbscan"
+	"repro/internal/fixedpoint"
 	"repro/internal/metrics"
 	"repro/internal/transport"
 )
 
 // The parallel equivalence harness: every protocol family must produce
 // identical labels, cluster counts, full leakage Ledgers, and secure-
-// comparison totals whether its queries run on the single sequential
-// connection (W = 1) or across the scheduler's worker channels (W > 1).
-// The scheduler only prefetches work the sequential schedule would
-// execute anyway, so the executed sub-protocol multiset — and every
-// count-based observable — is invariant; this test pins that contract
-// across W and both pruning modes.
+// comparison totals whether its queries run as one-worker waves on the
+// bare connection (W = 1) or across W multiplexed worker channels. The
+// scheduler only prefetches work Algorithm 4 executes at any width, so
+// the executed sub-protocol multiset — and every count-based observable
+// — is invariant; this test pins that contract across W and both
+// pruning modes.
 
 func parallelCfg(engine compare.EngineKind, w int, pruning PruneMode) Config {
 	cfg := testCfg(engine)
@@ -95,58 +99,118 @@ func TestParallelRejectsSequentialBatching(t *testing.T) {
 	}
 }
 
-// TestLockstepClusterParallelMatchesBatch drives the parallel lockstep
-// scheduler against a local oracle and checks labels plus the decided-
-// pair multiset against the plain batch driver.
-func TestLockstepClusterParallelMatchesBatch(t *testing.T) {
-	pts := [][]int64{{0, 0}, {1, 0}, {0, 1}, {5, 5}, {6, 5}, {5, 6}, {3, 3}, {9, 9}, {9, 8}, {8, 9}}
-	le := func(i, j int) bool {
-		dx := pts[i][0] - pts[j][0]
-		dy := pts[i][1] - pts[j][1]
-		return dx*dx+dy*dy <= 2
-	}
-	countSeq := map[[2]int]int{}
-	seqLabels, seqClusters, err := LockstepClusterBatch(len(pts), 3, func(pairs [][2]int) ([]bool, error) {
-		out := make([]bool, len(pairs))
-		for t, pr := range pairs {
-			countSeq[pr]++
-			out[t] = le(pr[0], pr[1])
+// TestDriversMatchPlaintextOracles is the differential test of the two
+// cluster-expansion drivers against real oracles: over random integer
+// point sets, MinPts values and wave widths, LockstepCluster's labels
+// equal plain DBSCAN's (dbscan.ClusterInt), WaveDrive's equal the
+// Algorithm 3/4 simulation's (SimulateHorizontalPass), every pair is
+// decided exactly once, and every point is queried at least once and
+// equally often at every width. (Not exactly once: Algorithm 4 queues a
+// new cluster's whole seed set, so a point an earlier seed query left as
+// noise or border is queried again — at every width alike.)
+func TestDriversMatchPlaintextOracles(t *testing.T) {
+	const epsSq = 8
+	rng := rand.New(rand.NewSource(20120330))
+	randomPts := func(n int) [][]int64 {
+		pts := make([][]int64, n)
+		for i := range pts {
+			pts[i] = []int64{rng.Int63n(12), rng.Int63n(12)}
 		}
-		return out, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		return pts
 	}
-	for _, w := range []int{1, 2, 3, 8} {
-		countPar := map[[2]int]int{}
-		var mu sync.Mutex // batchOn runs on concurrent workers
-		parLabels, parClusters, err := LockstepClusterParallel(len(pts), 3, w, nil,
-			func(ch int, pairs [][2]int) ([]bool, error) {
-				mu.Lock()
-				defer mu.Unlock()
-				out := make([]bool, len(pairs))
-				for t, pr := range pairs {
-					countPar[pr]++
-					out[t] = le(pr[0], pr[1])
+	for trial := 0; trial < 12; trial++ {
+		pts := randomPts(4 + rng.Intn(28))
+		peer := randomPts(rng.Intn(20))
+		for _, minPts := range []int{1, 2, 4, 7} {
+			want, err := dbscan.ClusterInt(pts, epsSq, minPts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantPass, wantPassK := SimulateHorizontalPass(pts, peer, epsSq, minPts)
+			var queriedAtOne []int
+			for _, w := range []int{1, 2, 3, 8} {
+				name := fmt.Sprintf("trial %d n=%d MinPts=%d W=%d", trial, len(pts), minPts, w)
+				var mu sync.Mutex // the hooks run on concurrent wave workers
+
+				pairs := map[[2]int]int{}
+				plain := plainBatchOracle(pts, epsSq)
+				labels, k, err := LockstepCluster(len(pts), minPts, w, nil, nil, nil,
+					func(ch int, batch [][2]int) ([]bool, error) {
+						mu.Lock()
+						for _, pr := range batch {
+							pairs[pr]++
+						}
+						mu.Unlock()
+						return plain(ch, batch)
+					})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-				return out, nil
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !metrics.ExactMatch(parLabels, seqLabels) || parClusters != seqClusters {
-			t.Errorf("W=%d: labels %v (%d clusters) vs sequential %v (%d)", w, parLabels, parClusters, seqLabels, seqClusters)
-		}
-		if len(countPar) != len(countSeq) {
-			t.Errorf("W=%d: decided %d distinct pairs, sequential %d", w, len(countPar), len(countSeq))
-		}
-		for pr, n := range countPar {
-			if n != 1 {
-				t.Errorf("W=%d: pair %v decided %d times", w, pr, n)
+				if !metrics.ExactMatch(labels, want.Labels) || k != want.NumClusters {
+					t.Errorf("%s: lockstep labels %v (%d clusters), DBSCAN %v (%d)", name, labels, k, want.Labels, want.NumClusters)
+				}
+				// Lockstep DBSCAN queries every point, so every pair is decided.
+				if n := len(pts); len(pairs) != n*(n-1)/2 {
+					t.Errorf("%s: %d distinct pairs decided, want %d", name, len(pairs), n*(n-1)/2)
+				}
+				for pr, c := range pairs {
+					if c != 1 {
+						t.Errorf("%s: pair %v decided %d times", name, pr, c)
+					}
+				}
+
+				queried := make([]int, len(pts))
+				localRQ := func(i int) []int {
+					var out []int
+					for j := range pts {
+						if fixedpoint.DistSq(pts[i], pts[j]) <= epsSq {
+							out = append(out, j)
+						}
+					}
+					return out
+				}
+				passLabels, passK, err := WaveDrive(len(pts), w, localRQ, func(worker, point, ownCount int) (bool, error) {
+					if worker < 0 || worker >= w {
+						return false, fmt.Errorf("worker slot %d outside [0,%d)", worker, w)
+					}
+					mu.Lock()
+					queried[point]++
+					mu.Unlock()
+					remote := 0
+					for _, q := range peer {
+						if fixedpoint.DistSq(pts[point], q) <= epsSq {
+							remote++
+						}
+					}
+					return ownCount+remote >= minPts, nil
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !metrics.ExactMatch(passLabels, wantPass) || passK != wantPassK {
+					t.Errorf("%s: wave labels %v (%d clusters), simulation %v (%d)", name, passLabels, passK, wantPass, wantPassK)
+				}
+				if w == 1 {
+					queriedAtOne = queried
+				}
+				for i, c := range queried {
+					if c < 1 || c != queriedAtOne[i] {
+						t.Errorf("%s: point %d queried %d times, %d at W=1", name, i, c, queriedAtOne[i])
+					}
+				}
 			}
-			if countSeq[pr] != 1 {
-				t.Errorf("W=%d: pair %v not in sequential decision set", w, pr)
-			}
+		}
+	}
+}
+
+// TestWaveDriveRejectsBadWidth: a width below one would take empty waves
+// off a non-empty queue forever; it must be an error instead.
+func TestWaveDriveRejectsBadWidth(t *testing.T) {
+	for _, w := range []int{0, -1} {
+		_, _, err := WaveDrive(2, w, func(int) []int { return []int{0, 1} },
+			func(int, int, int) (bool, error) { return true, nil })
+		if err == nil {
+			t.Errorf("worker width %d accepted", w)
 		}
 	}
 }

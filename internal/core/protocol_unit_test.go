@@ -67,10 +67,14 @@ func TestHDPSingleQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rngB, err := sB.channelRng(0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var got int
 		errc := make(chan error, 1)
 		go func() {
-			errc <- hdpQueryResponder(cb, sB, sB.rng, engB, responderPts)
+			errc <- hdpQueryResponder(cb, sB, rngB, engB, responderPts)
 		}()
 		got, err = hdpQueryDriver(ca, sA, engA, driverPt, len(responderPts))
 		if err != nil {

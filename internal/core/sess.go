@@ -34,11 +34,12 @@ import (
 // (HorizontalAlice et al.) fold SetupLeakage back into their single
 // Result for continuity with the per-run API.
 //
-// When Config.Parallel > 1 the session multiplexes W worker channels
-// over the connection (transport.Mux) at construction, before the
-// handshake — both parties must therefore agree on Parallel out of band,
-// and the handshake (which runs on worker channel 0) verifies the
-// agreement like every other parameter.
+// The session's W = Config.Parallel worker channels are fixed at
+// construction, before the handshake: the bare connection for W = 1, W
+// multiplexed channels (transport.Mux) otherwise — both parties must
+// therefore agree on Parallel out of band, and the handshake (which runs
+// on worker channel 0) verifies the agreement like every other
+// parameter.
 
 // Session op codes on the control channel (worker channel 0).
 const (
@@ -146,8 +147,7 @@ type Session struct {
 }
 
 // sessionChannels prepares the session's worker connections: the bare
-// connection itself for W = 1 (today's byte-identical wire behavior), or
-// W multiplexed channels for the parallel scheduler.
+// connection itself for W = 1, or W multiplexed channels.
 func sessionChannels(conn transport.Conn, w int) (*transport.Mux, []transport.Conn) {
 	if w <= 1 {
 		return nil, []transport.Conn{conn}

@@ -25,10 +25,10 @@ import (
 // query as a single BatchLess — 3 vdp.cmp frames per neighborhood, O(n)
 // round trips for the whole run instead of the sequential O(n²). The
 // per-pair payloads, the decided predicates, and the PairDecisions Ledger
-// count are identical in both modes. Under the parallel scheduler
-// (Config.Parallel = W > 1) the batches of up to W upcoming neighborhoods
-// ride separate worker channels concurrently (LockstepClusterParallel),
-// overlapping their round trips with identical decided pairs.
+// count are identical in both modes. The batches of up to W =
+// Config.Parallel upcoming neighborhoods ride separate worker channels
+// concurrently (LockstepCluster), overlapping their round trips with
+// identical decided pairs.
 //
 // This is the one-shot form; NewVerticalSession establishes a long-lived
 // session whose index exchange and keys serve many Run calls.
@@ -392,16 +392,17 @@ func verticalRunOnce(t *Session, vs *vStream) (*Result, error) {
 	}
 	// Fixed comparison roles for the whole run: Alice always holds the
 	// left value (her partial sum PA), Bob the right (Eps² − PB).
-	pairLEBatchOn := func(conn transport.Conn, pairs [][2]int) ([]bool, error) {
+	batchOn := func(ch int, pairs [][2]int) ([]bool, error) {
+		conn := t.conns[ch]
 		setTag(conn, "vdp.cmp")
 		s.led(func(l *Ledger) { l.PairDecisions += len(pairs) })
 		vals := make([]int64, len(pairs))
-		for t, pr := range pairs {
+		for u, pr := range pairs {
 			partial := partialDistSq(enc, pr[0], pr[1])
 			if role == RoleAlice {
-				vals[t] = partial
+				vals[u] = partial
 			} else {
-				vals[t] = s.responderOperand(engB.Bound(), partial)
+				vals[u] = s.responderOperand(engB.Bound(), partial)
 			}
 		}
 		if role == RoleAlice {
@@ -409,36 +410,20 @@ func verticalRunOnce(t *Session, vs *vStream) (*Result, error) {
 		}
 		return engB.BatchLess(conn, vals)
 	}
-
-	var labels []int
-	var clusters int
-	switch {
-	case s.parallel() > 1:
-		labels, clusters, err = LockstepClusterParallelCached(len(enc), s.cfg.MinPts, s.parallel(),
-			vs.cache, onCached,
-			PrunedLocalDecider(cellRows, onPruned),
-			func(ch int, pairs [][2]int) ([]bool, error) { return pairLEBatchOn(t.conns[ch], pairs) })
-	case s.batched():
-		oracle := func(pairs [][2]int) ([]bool, error) { return pairLEBatchOn(t.conns[0], pairs) }
-		if s.pruneOn {
-			oracle = PrunedBatchOracle(cellRows, onPruned, oracle)
-		}
-		labels, clusters, err = LockstepClusterBatchCached(len(enc), s.cfg.MinPts, vs.cache, onCached, oracle)
-	default:
-		pairLE := func(i, j int) (bool, error) {
-			setTag(t.conns[0], "vdp.cmp")
+	if !s.batched() {
+		batchOn = PerPairOracle(func(i, j int) (bool, error) {
+			conn := t.conns[0]
+			setTag(conn, "vdp.cmp")
 			s.led(func(l *Ledger) { l.PairDecisions++ })
 			partial := partialDistSq(enc, i, j)
 			if role == RoleAlice {
-				return distLessEqDriver(t.conns[0], engA, partial)
+				return engA.Less(conn, partial)
 			}
-			return distLessEqResponder(t.conns[0], engB, s, partial)
-		}
-		if s.pruneOn {
-			pairLE = PrunedPairOracle(cellRows, onPruned, pairLE)
-		}
-		labels, clusters, err = LockstepClusterCached(len(enc), s.cfg.MinPts, vs.cache, onCached, pairLE)
+			return engB.Less(conn, s.responderOperand(engB.Bound(), partial))
+		})
 	}
+	labels, clusters, err := LockstepCluster(len(enc), s.cfg.MinPts, s.parallel(),
+		vs.cache, onCached, PrunedLocalDecider(cellRows, onPruned), batchOn)
 	if err != nil {
 		return nil, err
 	}

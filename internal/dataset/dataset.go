@@ -7,7 +7,7 @@
 //
 // Every generator is deterministic in its seed. Points can be quantized
 // onto a small integer grid (Quantize) so that fixed-point protocol
-// decisions are exact — see DESIGN.md, "YMPP domain".
+// decisions are exact and the YMPP comparison domain stays small.
 package dataset
 
 import (

@@ -8,7 +8,7 @@
 // It is the correctness oracle for every privacy-preserving protocol in
 // internal/core: the vertical and arbitrary protocols must reproduce its
 // labelling exactly, and the horizontal protocols are measured against it
-// (DESIGN.md experiment E6).
+// (experiment E6 of internal/experiments).
 package dbscan
 
 import (

@@ -34,7 +34,8 @@ func qualityCfg(eps float64, minPts int, maxCoord int64, seed int64) core.Config
 //   - vertical and arbitrary must match exactly;
 //   - horizontal (basic and enhanced) must match the Algorithm 3/4
 //     per-party semantics exactly, and is compared to full DBSCAN via ARI
-//     to expose the bridged-data divergence DESIGN.md §4 predicts.
+//     to expose the bridged-data divergence its own-points-only
+//     expansion implies (see core.HorizontalAlice).
 func runE6(w io.Writer, opt Options) error {
 	n := 60
 	if opt.Quick {
@@ -137,7 +138,7 @@ func runE6(w io.Writer, opt Options) error {
 	fmt.Fprintln(w, "matchesSpec: exact agreement with the protocol's functional specification")
 	fmt.Fprintln(w, "(Algorithm 3/4 simulation for horizontal, full DBSCAN for vertical/arbitrary).")
 	fmt.Fprintln(w, "The bridged rows show Algorithm 3/4's own semantics diverging from full DBSCAN")
-	fmt.Fprintln(w, "when density chains pass through the other party's points (DESIGN.md §4).")
+	fmt.Fprintln(w, "when density chains pass through the other party's points.")
 	return nil
 }
 

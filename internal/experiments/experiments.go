@@ -1,11 +1,11 @@
-// Package experiments regenerates every evaluation artifact of the paper
-// (DESIGN.md §3): the Figure 1 privacy attack, the partition-model checks,
+// Package experiments regenerates every evaluation artifact of the
+// paper: the Figure 1 privacy attack, the partition-model checks,
 // the communication-complexity measurements of §4.2.2/§4.3.2/§5.1, the
 // correctness comparisons against single-party DBSCAN, and the ablations
 // (comparison engines, selection strategies, key sizes, end-to-end
 // scaling). Each experiment writes a self-describing table to an
-// io.Writer; EXPERIMENTS.md archives the outputs next to the paper's
-// claims.
+// io.Writer (README, "Experiments and benchmarks", lists how to run
+// them).
 package experiments
 
 import (

@@ -17,7 +17,7 @@
 // process holding many sessions passes its shared bounded pool; a nil
 // pool keeps the per-call GOMAXPROCS fan-out.
 //
-// Fidelity note (documented in DESIGN.md): Algorithm 2 step 3 literally
+// Fidelity note: Algorithm 2 step 3 literally
 // says Alice sends the encryption nonce r to Bob. Publishing a Paillier
 // nonce lets the peer invert the ciphertext (x = (c·r^{−n} − 1)/n for
 // g = n+1), which would void the protocol's own privacy claim, so — as in

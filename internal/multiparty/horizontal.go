@@ -2,7 +2,6 @@ package multiparty
 
 import (
 	"crypto/rand"
-	"errors"
 	"fmt"
 	"io"
 	"math/big"
@@ -11,7 +10,6 @@ import (
 
 	"repro/internal/compare"
 	"repro/internal/core"
-	"repro/internal/dbscan"
 	"repro/internal/encoding"
 	"repro/internal/fixedpoint"
 	"repro/internal/mpc"
@@ -28,7 +26,7 @@ import (
 // neighbours|. As in the two-party protocol, expansion walks only the
 // driver's own points and cluster ids are local to each party.
 //
-// Disclosure note (DESIGN.md): pairwise composition reveals per-peer
+// Disclosure note: pairwise composition reveals per-peer
 // neighbour counts to the driver (finer-grained than the two-party
 // protocol's single count), plus the HDP dot products to each responder —
 // the natural cost of composing the paper's two-party building block.
@@ -531,9 +529,8 @@ func newMeshState(party HorizontalParty, cfg Config, points [][]float64) (*hStat
 		m:           m,
 		ownGenStart: []int{0},
 	}
-	// Per-edge worker channels: with W > 1 every mesh edge is multiplexed
-	// exactly like a ring edge (edgeChannels), so the wave scheduler can
-	// run W independent query streams per peer.
+	// Per-edge worker channels (edgeChannels, exactly like a ring edge):
+	// the wave scheduler runs W independent query streams per peer.
 	h.chans = make([][]transport.Conn, party.K)
 	for q := 0; q < party.K; q++ {
 		if q == party.Index {
@@ -579,10 +576,9 @@ type hState struct {
 
 	sessions []*pairSession // indexed by peer
 	// chans[q] are the per-worker channels of the edge to peer q: the bare
-	// connection alone for W = 1 (byte-identical legacy wire behavior), or
-	// the W channels of the multiplexed edge (chans[q][0] carries the
-	// handshake, control ops, and streaming exchanges; wave worker t
-	// queries peer q on chans[q][t]).
+	// connection alone for W = 1, or the W channels of the multiplexed edge
+	// (chans[q][0] carries the handshake, control ops, and streaming
+	// exchanges; wave worker t queries peer q on chans[q][t]).
 	chans   [][]transport.Conn
 	queries atomic.Int64 // region queries issued (wave workers count concurrently)
 	cached  atomic.Int64 // membership predicates served from cache this run
@@ -844,45 +840,23 @@ const (
 	hOpDone  uint64 = 2
 )
 
-// drive runs this party's Algorithm 3/4 pass, querying every peer. With
-// Config.Parallel = W > 1 the pass runs on the shared wave scheduler
-// (core.WaveDrive): each wave decides up to W queue items concurrently —
-// worker t querying every peer on channel t of its mesh edge — and wave
-// k's workers pipeline wave k+1's queries while waiting on replies,
-// exactly as in the two-party horizontal family. The query multiset, the
-// per-peer counts, and every disclosure class are identical to the
-// sequential pass; only round trips overlap.
+// drive runs this party's Algorithm 3/4 pass, querying every peer, on the
+// shared wave scheduler (core.WaveDrive) at width W = Config.Parallel:
+// each wave decides up to W queue items concurrently — worker t querying
+// every peer on channel t of its mesh edge — and wave k's workers
+// pipeline wave k+1's queries while waiting on replies, exactly as in the
+// two-party horizontal family. The query multiset, the per-peer counts,
+// and every disclosure class do not depend on W; only round trips
+// overlap.
 func (h *hState) drive() ([]int, int, error) {
-	var labels []int
-	var clusterID int
-	var err error
-	if h.cfg.Parallel > 1 {
-		labels, clusterID, err = core.WaveDrive(len(h.enc), h.cfg.Parallel, h.localRegionQuery,
-			func(t, point, ownCount int) (bool, error) {
-				remote, err := h.totalCountOn(t, point)
-				if err != nil {
-					return false, err
-				}
-				return ownCount+remote >= h.cfg.MinPts, nil
-			})
-	} else {
-		labels = make([]int, len(h.enc))
-		for i := range labels {
-			labels[i] = dbscan.Unclassified
-		}
-		for i := range h.enc {
-			if labels[i] != dbscan.Unclassified {
-				continue
+	labels, clusterID, err := core.WaveDrive(len(h.enc), h.cfg.Parallel, h.localRegionQuery,
+		func(t, point, ownCount int) (bool, error) {
+			remote, err := h.totalCountOn(t, point)
+			if err != nil {
+				return false, err
 			}
-			var expanded bool
-			if expanded, err = h.expand(i, clusterID+1, labels); err != nil {
-				break
-			}
-			if expanded {
-				clusterID++
-			}
-		}
-	}
+			return ownCount+remote >= h.cfg.MinPts, nil
+		})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -1094,101 +1068,31 @@ func (h *hState) queryGen(sess *pairSession, conn transport.Conn, x []int64, g, 
 	return count, nil
 }
 
-// expand is Algorithm 4 with multi-peer counts (the sequential W = 1
-// driving pass; W > 1 drives through core.WaveDrive instead).
-func (h *hState) expand(point, clusterID int, labels []int) (bool, error) {
-	seeds := h.localRegionQuery(point)
-	remote, err := h.totalCountOn(0, point)
-	if err != nil {
-		return false, err
-	}
-	if len(seeds)+remote < h.cfg.MinPts {
-		labels[point] = dbscan.Noise
-		return false, nil
-	}
-	for _, s := range seeds {
-		labels[s] = clusterID
-	}
-	queue := make([]int, 0, len(seeds))
-	for _, s := range seeds {
-		if s != point {
-			queue = append(queue, s)
-		}
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		result := h.localRegionQuery(cur)
-		remote, err := h.totalCountOn(0, cur)
-		if err != nil {
-			return false, err
-		}
-		if len(result)+remote < h.cfg.MinPts {
-			continue
-		}
-		for _, r := range result {
-			if labels[r] == dbscan.Unclassified || labels[r] == dbscan.Noise {
-				if labels[r] == dbscan.Unclassified {
-					queue = append(queue, r)
-				}
-				labels[r] = clusterID
-			}
-		}
-	}
-	return true, nil
-}
-
-// respond serves the driving party's pass. With W > 1 one responder
-// worker loops on each channel of the muxed edge — the driver's wave
-// worker t sends on channel t, so each channel's traffic stays strictly
-// sequential. The comparison engines and the permutation source are
-// stateless per call over the session's locked randomness, so sharing
-// them across responder workers changes only which draw lands on which
-// query — permutations hide slot assignment, never counts. On a worker
-// error every channel of the edge is closed so siblings blocked in Recv
-// unwind instead of deadlocking; the root-cause error wins over the
-// induced connection-closed ones.
+// respond serves the driving party's pass: one responder worker loops on
+// each channel of the edge — the driver's wave worker t sends on channel
+// t, so each channel's traffic stays strictly sequential. The comparison
+// engines and the permutation source are stateless per call over the
+// session's locked randomness, so sharing them across responder workers
+// changes only which draw lands on which query — permutations hide slot
+// assignment, never counts. On a worker error every channel of the edge
+// is closed so siblings blocked in Recv unwind instead of deadlocking;
+// core.RunWave reports the root-cause error over the induced
+// connection-closed ones.
 func (h *hState) respond(driver int) error {
 	sess := h.sessions[driver]
 	chans := h.chans[driver]
-	if len(chans) == 1 {
-		return h.respondOn(sess, chans[0], driver)
-	}
 	var closeOnce sync.Once
-	failAll := func() {
-		closeOnce.Do(func() {
-			for _, c := range chans {
-				c.Close()
-			}
-		})
-	}
-	errs := make([]error, len(chans))
-	var wg sync.WaitGroup
-	for t := range chans {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			if err := h.respondOn(sess, chans[t], driver); err != nil {
-				failAll()
-				errs[t] = err
-			}
-		}(t)
-	}
-	wg.Wait()
-	var closed error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, transport.ErrClosed) {
-			if closed == nil {
-				closed = err
-			}
-			continue
+	return core.RunWave(len(chans), func(t int) error {
+		err := h.respondOn(sess, chans[t], driver)
+		if err != nil {
+			closeOnce.Do(func() {
+				for _, c := range chans {
+					c.Close()
+				}
+			})
 		}
 		return err
-	}
-	return closed
+	})
 }
 
 // respondOn serves queries arriving on one worker channel until the

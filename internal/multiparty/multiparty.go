@@ -33,8 +33,7 @@
 // ciphertexts under the coordinator's key; the coordinator sees masked
 // sums t = dist² + v; the last party knows the masks. Each pairwise bit
 // is public to all parties (as in Theorem 10). Intermediate parties must
-// not collude with the coordinator (standard for ring aggregation;
-// documented in DESIGN.md).
+// not collude with the coordinator (standard for ring aggregation).
 package multiparty
 
 import (
@@ -99,16 +98,18 @@ type Config struct {
 	// horizontal mesh's padded occupancy directories).
 	PruneQuantum int
 
-	// Parallel mirrors core.Config.Parallel: with W > 1 every ring edge is
-	// multiplexed into W worker channels (transport.Mux) and the shared
-	// parallel lockstep scheduler circulates up to W independent pair
-	// batches around the ring concurrently — per-worker accumulation,
-	// comparison, and broadcast — overlapping their round trips. In the
-	// horizontal mesh W > 1 fans each region query's per-peer HDP
-	// sub-queries out concurrently across the mesh edges. All parties must
+	// Parallel mirrors core.Config.Parallel: W is the width of the one
+	// wave scheduler. The ring runs core.LockstepCluster, circulating up
+	// to W independent pair batches concurrently — per-worker
+	// accumulation, comparison, and broadcast — and the mesh runs
+	// core.WaveDrive, deciding up to W queue points per wave, worker t on
+	// channel t of every mesh edge. W = 1 is a one-worker wave on each
+	// edge's bare connection; W > 1 multiplexes every edge into W worker
+	// channels (transport.Mux) and additionally fans each mesh region
+	// query's per-peer HDP sub-queries out concurrently. All parties must
 	// agree (checked by the ring token / mesh handshake); W > 1 requires
-	// the batched round structure. Labels and disclosure counts are
-	// identical to the sequential schedule.
+	// the batched round structure. Labels and disclosure counts do not
+	// depend on W.
 	Parallel int
 
 	// Pool, when non-nil, routes this party's Paillier/RSA batch

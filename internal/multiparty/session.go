@@ -326,27 +326,12 @@ func (rs *RingSession) Run() (*Result, error) {
 		rs.cached.Add(1)
 	}
 
-	var labels []int
-	var clusters int
-	var err error
-	switch {
-	case cfg.Parallel > 1:
-		labels, clusters, err = core.LockstepClusterParallelCached(len(st.enc), cfg.MinPts, cfg.Parallel,
-			rs.cache, onCached,
-			core.PrunedLocalDecider(rs.cellRows, onPruned), st.pairLEBatchOn)
-	case cfg.Batching == core.BatchModeBatched:
-		oracle := func(pairs [][2]int) ([]bool, error) { return st.pairLEBatchOn(0, pairs) }
-		if rs.cellRows != nil {
-			oracle = core.PrunedBatchOracle(rs.cellRows, onPruned, oracle)
-		}
-		labels, clusters, err = core.LockstepClusterBatchCached(len(st.enc), cfg.MinPts, rs.cache, onCached, oracle)
-	default:
-		oracle := st.pairLE
-		if rs.cellRows != nil {
-			oracle = core.PrunedPairOracle(rs.cellRows, onPruned, oracle)
-		}
-		labels, clusters, err = core.LockstepClusterCached(len(st.enc), cfg.MinPts, rs.cache, onCached, oracle)
+	batchOn := st.pairLEBatchOn
+	if cfg.Batching != core.BatchModeBatched {
+		batchOn = core.PerPairOracle(st.pairLE)
 	}
+	labels, clusters, err := core.LockstepCluster(len(st.enc), cfg.MinPts, cfg.Parallel,
+		rs.cache, onCached, core.PrunedLocalDecider(rs.cellRows, onPruned), batchOn)
 	if err != nil {
 		return nil, err
 	}

@@ -157,9 +157,10 @@ func TestMultiplicationProtocolViewIndistinguishable(t *testing.T) {
 
 // The masked comparison engine's documented leak: the decryptor's view
 // t = r(b−a)+r′ depends detectably on the magnitude |b−a|. This is the
-// quantitative content of the DESIGN.md §4 caveat — the extension engine
-// trades this bounded leak for O(1) cost, and the test pins the trade-off
-// down so it can't silently regress into being called leak-free.
+// quantitative content of the caveat in internal/compare's package doc —
+// the extension engine trades this bounded leak for O(1) cost, and the
+// test pins the trade-off down so it can't silently regress into being
+// called leak-free.
 func TestMaskedEngineMagnitudeLeakIsDetectable(t *testing.T) {
 	const samples = 20000
 	rng := mrand.New(mrand.NewSource(9))

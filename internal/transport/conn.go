@@ -3,7 +3,7 @@
 // (in-process pipes and TCP framing), a compact wire codec for protocol
 // messages, and instrumented connections that attribute bytes and messages
 // to protocol tags. The instrumentation is what the communication-complexity
-// experiments (DESIGN.md E3–E5) read.
+// experiments (E3–E5 of internal/experiments) read.
 package transport
 
 import (
