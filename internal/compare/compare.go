@@ -217,6 +217,83 @@ func addSent(c *atomic.Int64, n int) {
 	}
 }
 
+// Edge is the key material and agreed parameters of one comparison edge —
+// the one place engines are constructed. Key/RSAKey are this party's
+// private halves (its Alice engines decrypt under them); Pub/RSAPub are
+// the peer's public halves (its Bob engines answer under them). A party
+// holding only one side of the edge leaves the other side nil and gets a
+// nil engine for it. Packed turns on slot-packed replies, Uplink the
+// packed comparison uplink as well; both ends derive identical packers
+// because they are functions of the key, the bound and MaskBits alone.
+// Up/Down, when non-nil, receive the masked engines' ciphertext counts
+// (Alice's request leg, Bob's reply leg).
+type Edge struct {
+	Kind           EngineKind
+	MaskBits       int
+	Packed, Uplink bool
+	Key            *paillier.PrivateKey
+	RSAKey         *yao.RSAKey
+	Pub            *paillier.PublicKey
+	RSAPub         *yao.RSAPublicKey
+	Random         io.Reader
+	Pool           *paillier.Pool
+	Up, Down       *atomic.Int64
+}
+
+// Engines builds the edge's comparator pair over [0, bound].
+func (e Edge) Engines(bound int64) (Alice, Bob, error) {
+	var a Alice
+	var b Bob
+	switch e.Kind {
+	case EngineYMPP:
+		if bound+2 > yao.MaxDomain {
+			return nil, nil, fmt.Errorf("compare: comparison domain %d exceeds YMPP limit %d; use the masked engine or a smaller grid", bound+2, int64(yao.MaxDomain))
+		}
+		if e.RSAKey != nil {
+			a = &YMPPAlice{Key: e.RSAKey, Max: bound, Random: e.Random, Pool: e.Pool}
+		}
+		if e.RSAPub != nil {
+			b = &YMPPBob{Pub: e.RSAPub, Max: bound, Random: e.Random}
+		}
+	case EngineMasked:
+		// packers sizes the reply and uplink packers under one key.
+		packers := func(pub *paillier.PublicKey) (cp, up *encoding.Packer, err error) {
+			limit := new(big.Int).Lsh(big.NewInt(bound+2), uint(e.MaskBits))
+			if limit.Cmp(pub.PlaintextBound()) >= 0 {
+				return nil, nil, fmt.Errorf("compare: bound %d with %d mask bits overflows the %d-bit Paillier plaintext space", bound, e.MaskBits, pub.Bits())
+			}
+			if e.Packed {
+				if cp, err = encoding.NewComparePacker(pub.PlaintextBound(), bound, e.MaskBits); err != nil {
+					return nil, nil, fmt.Errorf("compare: comparison packer: %w", err)
+				}
+			}
+			if e.Uplink {
+				if up, err = encoding.NewUplinkComparePacker(pub.PlaintextBound(), bound, e.MaskBits); err != nil {
+					return nil, nil, fmt.Errorf("compare: uplink comparison packer: %w", err)
+				}
+			}
+			return cp, up, nil
+		}
+		if e.Key != nil {
+			cp, up, err := packers(&e.Key.PublicKey)
+			if err != nil {
+				return nil, nil, err
+			}
+			a = &MaskedAlice{Key: e.Key, Max: bound, Random: e.Random, Pool: e.Pool, Packer: cp, UplinkPacker: up, Sent: e.Up}
+		}
+		if e.Pub != nil {
+			cp, up, err := packers(e.Pub)
+			if err != nil {
+				return nil, nil, err
+			}
+			b = &MaskedBob{Pub: e.Pub, Max: bound, MaskBits: e.MaskBits, Random: e.Random, Pool: e.Pool, Packer: cp, UplinkPacker: up, Sent: e.Down}
+		}
+	default:
+		return nil, nil, fmt.Errorf("compare: unknown engine %q", e.Kind)
+	}
+	return a, b, nil
+}
+
 // NewMaskedPair builds both sides of a masked engine from one Paillier key
 // pair, validating that masked values cannot wrap the plaintext space:
 // 2^κ·(bound+1) must stay below n/2.
@@ -227,13 +304,11 @@ func NewMaskedPair(key *paillier.PrivateKey, bound int64, maskBits int) (*Masked
 	if bound < 0 {
 		return nil, nil, fmt.Errorf("compare: negative bound %d", bound)
 	}
-	limit := new(big.Int).Lsh(big.NewInt(bound+2), uint(maskBits))
-	if limit.Cmp(key.PlaintextBound()) >= 0 {
-		return nil, nil, fmt.Errorf("compare: bound %d with %d mask bits overflows %d-bit Paillier plaintext space",
-			bound, maskBits, key.Bits())
+	a, b, err := Edge{Kind: EngineMasked, MaskBits: maskBits, Key: key, Pub: &key.PublicKey}.Engines(bound)
+	if err != nil {
+		return nil, nil, err
 	}
-	return &MaskedAlice{Key: key, Max: bound},
-		&MaskedBob{Pub: &key.PublicKey, Max: bound, MaskBits: maskBits}, nil
+	return a.(*MaskedAlice), b.(*MaskedBob), nil
 }
 
 func (a *MaskedAlice) run(conn transport.Conn, v int64, pred byte) (bool, error) {

@@ -45,8 +45,8 @@ func ArbitraryBob(conn transport.Conn, cfg Config, values [][]float64, owners []
 // keys, ownership verification, and (under grid pruning) the cell-matrix
 // exchange happen once; each Run executes one lockstep clustering.
 func NewArbitrarySession(conn transport.Conn, cfg Config, role Role, values [][]float64, owners [][]partition.Owner) (*Session, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	cfg, err := cfg.Normalize()
+	if err != nil {
 		return nil, err
 	}
 	if len(values) == 0 {
@@ -65,8 +65,7 @@ func NewArbitrarySession(conn transport.Conn, cfg Config, role Role, values [][]
 	if err != nil {
 		return nil, err
 	}
-	mux, conns := sessionChannels(conn, cfg.Parallel)
-	s, peer, err := newSession(conns[0], cfg, role, "arbitrary", m, len(values))
+	s, peer, err := establish(conn, cfg, role, "arbitrary", m, len(values))
 	if err != nil {
 		return nil, err
 	}
@@ -76,6 +75,10 @@ func NewArbitrarySession(conn transport.Conn, cfg Config, role Role, values [][]
 	if err := s.setDimension(m); err != nil {
 		return nil, err
 	}
+	if err := s.productPackers(); err != nil {
+		return nil, fmt.Errorf("core: product packer: %w", err)
+	}
+	conns := s.Conns
 	if err := verifyOwnership(conns[0], owners); err != nil {
 		return nil, err
 	}
@@ -96,7 +99,7 @@ func NewArbitrarySession(conn transport.Conn, cfg Config, role Role, values [][]
 		}
 	}
 	as := &aStream{a: a, cellRows: cellRows, batches: []int{len(values)}, cache: NewPairCache()}
-	t := &Session{s: s, peer: peer, mux: mux, conns: conns, proto: "arbitrary"}
+	t := &Session{s: s, proto: "arbitrary"}
 	t.idleCtl, _ = conn.(idleController)
 	t.setup = s.takeLedger()
 	t.runOnce = func() (*Result, error) { return arbitraryRunOnce(t, as) }
@@ -134,7 +137,7 @@ func arbitraryExpireInit(t *Session, as *aStream, gens int) (sent bool, err erro
 	if gens < 1 || gens > live {
 		return false, fmt.Errorf("core: expire %d of %d live generations", gens, live)
 	}
-	ctrl := t.conns[0]
+	ctrl := t.s.Conns[0]
 	setTag(ctrl, "session.op")
 	msg := transport.NewBuilder().PutUint(sessOpExpire)
 	spatial.TombstoneDelta{From: as.dead, N: gens}.Encode(msg)
@@ -182,7 +185,7 @@ func arbitraryRetractInit(t *Session, as *aStream, ids []int) (sent bool, err er
 	if err := spatial.ValidateRetractIDs(ids, len(as.a.enc)); err != nil {
 		return false, fmt.Errorf("core: retract: %w", err)
 	}
-	ctrl := t.conns[0]
+	ctrl := t.s.Conns[0]
 	setTag(ctrl, "session.op")
 	msg := transport.NewBuilder().PutUint(sessOpRetract)
 	spatial.PointTombstone{IDs: ids}.Encode(msg)
@@ -268,7 +271,7 @@ func arbitraryAppendInit(t *Session, as *aStream, values [][]float64, owners [][
 	if err != nil {
 		return false, err
 	}
-	ctrl := t.conns[0]
+	ctrl := t.s.Conns[0]
 	setTag(ctrl, "session.op")
 	msg := transport.NewBuilder().PutUint(sessOpAppend).PutUint(uint64(len(batch)))
 	msg.PutBytes(flattenOwners(owners))
@@ -330,7 +333,7 @@ func arbitraryAppendServe(t *Session, as *aStream, r *transport.Reader) error {
 	if err != nil {
 		return err
 	}
-	ctrl := t.conns[0]
+	ctrl := t.s.Conns[0]
 	setTag(ctrl, "session.op")
 	msg := transport.NewBuilder().PutUint(uint64(len(batch)))
 	appendACoords(s, msg, batch, owners)
@@ -358,7 +361,7 @@ func flattenOwners(owners [][]partition.Owner) []byte {
 // appendACoords attaches the 1-D cell coordinates of the cells this party
 // owns among the appended records, ascending (record, attribute) order —
 // the per-record payload of the construction-time adp.idx exchange.
-func appendACoords(s *session, msg *transport.Builder, batch [][]int64, owners [][]partition.Owner) {
+func appendACoords(s *Pair, msg *transport.Builder, batch [][]int64, owners [][]partition.Owner) {
 	if !s.pruneOn {
 		return
 	}
@@ -441,7 +444,7 @@ func arbitraryRunOnce(t *Session, as *aStream) (*Result, error) {
 	role := s.role
 	a := as.a
 	cellRows := as.cellRows
-	engA, engB, err := s.distEngines()
+	engA, engB, err := s.DistEngines()
 	if err != nil {
 		return nil, err
 	}
@@ -463,10 +466,10 @@ func arbitraryRunOnce(t *Session, as *aStream) (*Result, error) {
 		})
 		s.cmpCached.Add(1)
 	}
-	batchOn := func(ch int, pairs [][2]int) ([]bool, error) { return a.batchLE(t.conns[ch], pairs, engA, engB) }
+	batchOn := func(ch int, pairs [][2]int) ([]bool, error) { return a.batchLE(t.s.Conns[ch], pairs, engA, engB) }
 	if !s.batched() {
 		batchOn = PerPairOracle(func(i, j int) (bool, error) {
-			conn := t.conns[0]
+			conn := t.s.Conns[0]
 			ownSum, err := a.localAndCrossSum(conn, i, j)
 			if err != nil {
 				return false, err
@@ -479,7 +482,7 @@ func arbitraryRunOnce(t *Session, as *aStream) (*Result, error) {
 			return engB.Less(conn, s.responderOperand(engB.Bound(), ownSum))
 		})
 	}
-	labels, clusters, err := LockstepCluster(n, s.cfg.MinPts, s.parallel(),
+	labels, clusters, err := LockstepCluster(n, s.cfg.MinPts, s.cfg.Parallel,
 		as.cache, onCached, PrunedLocalDecider(cellRows, onPruned), batchOn)
 	if err != nil {
 		return nil, err
@@ -546,7 +549,7 @@ func verifyOwnership(conn transport.Conn, owners [][]partition.Owner) error {
 // computation; connections are supplied per call so the parallel
 // scheduler can run batches on any worker channel.
 type adpState struct {
-	s      *session
+	s      *Pair
 	role   Role
 	enc    [][]int64
 	owners [][]partition.Owner
@@ -605,7 +608,7 @@ func (a *adpState) localAndCrossSum(conn transport.Conn, i, j int) (int64, error
 	// HDP to let Bob get" the horizontal part).
 	setTag(conn, "adp.mp")
 	if a.role == RoleAlice {
-		masks, err := mpc.ZeroSumMasks(a.s.random, len(mixedVals), a.s.maskBound())
+		masks, err := mpc.ZeroSumMasks(a.s.random, len(mixedVals), a.s.zeroSumBound())
 		if err != nil {
 			return 0, err
 		}
@@ -649,10 +652,7 @@ func (a *adpState) batchLE(conn transport.Conn, pairs [][2]int, engA compare.Ali
 		if a.role == RoleAlice {
 			ys := make([]int64, 0, totalMixed)
 			vs := make([]*big.Int, 0, totalMixed)
-			mb := s.maskBound()
-			if s.packing() {
-				mb = s.packedMaskBound()
-			}
+			mb := s.zeroSumBound()
 			for _, mixedVals := range mixedPerPair {
 				if len(mixedVals) == 0 {
 					continue
@@ -664,13 +664,9 @@ func (a *adpState) batchLE(conn transport.Conn, pairs [][2]int, engA compare.Ali
 				ys = append(ys, mixedVals...)
 				vs = append(vs, masks...)
 			}
-			if s.packing() {
+			if pk := s.mpPeer; pk != nil {
 				// Scatter shape: the per-element scalars differ, so only
 				// the reply direction packs.
-				pk, err := s.productPacker(s.peerPai, s.cfg.MaxCoord*s.cfg.MaxCoord)
-				if err != nil {
-					return nil, err
-				}
 				if err := mpc.SenderScatterMultiply(conn, s.peerPai, ys, vs, pk, s.random, s.pool); err != nil {
 					return nil, fmt.Errorf("core: adp packed multiplication: %w", err)
 				}
@@ -690,11 +686,7 @@ func (a *adpState) batchLE(conn transport.Conn, pairs [][2]int, engA compare.Ali
 			}
 			var us []*big.Int
 			var err error
-			if s.packing() {
-				pk, perr := s.productPacker(&s.paiKey.PublicKey, s.cfg.MaxCoord*s.cfg.MaxCoord)
-				if perr != nil {
-					return nil, perr
-				}
+			if pk := s.mpOwn; pk != nil {
 				us, err = mpc.ReceiverScatterMultiply(conn, s.paiKey, xs, pk, s.random, s.pool)
 				if err != nil {
 					return nil, fmt.Errorf("core: adp packed multiplication: %w", err)

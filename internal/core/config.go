@@ -54,7 +54,7 @@ type Config struct {
 
 	// ShareMaskBits sizes the §5 distance-share masks: v_i is uniform in
 	// [0, 2^ShareMaskBits). Larger masks hide shares better but enlarge
-	// the YMPP comparison domain (session.engines rejects one beyond
+	// the YMPP comparison domain (compare.Edge rejects one beyond
 	// yao.MaxDomain).
 	ShareMaskBits int
 
@@ -192,6 +192,13 @@ func (c Config) withDefaults() Config {
 		c.Parallel = 1
 	}
 	return c
+}
+
+// Normalize fills in defaults and validates the result — the form every
+// session constructor (two-party, ring and mesh) works on.
+func (c Config) Normalize() (Config, error) {
+	c = c.withDefaults()
+	return c, c.validate()
 }
 
 // validate checks the filled-in configuration.
@@ -333,8 +340,9 @@ func (c Config) Codec() (*fixedpoint.Codec, error) {
 	return c.withDefaults().codec()
 }
 
-// encodePoints encodes and range-checks a party's raw points.
-func (c Config) encodePoints(points [][]float64) ([][]int64, error) {
+// EncodePoints fixed-point encodes a party's raw points and rejects any
+// that land outside [0, MaxCoord].
+func (c Config) EncodePoints(points [][]float64) ([][]int64, error) {
 	codec, err := c.codec()
 	if err != nil {
 		return nil, err

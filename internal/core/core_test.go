@@ -44,7 +44,7 @@ var (
 
 func encodeAll(t *testing.T, cfg Config, pts [][]float64) [][]int64 {
 	t.Helper()
-	enc, err := cfg.withDefaults().encodePoints(pts)
+	enc, err := cfg.withDefaults().EncodePoints(pts)
 	if err != nil {
 		t.Fatal(err)
 	}

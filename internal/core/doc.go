@@ -51,14 +51,21 @@
 //	│                       channel each; W=1 → one-worker waves │
 //	│                       on the bare connection               │
 //	├────────────────────────────────────────────────────────────┤
-//	│ core.Session          keygen + handshake + grid-index      │
-//	│ (sess.go)             exchange once; many Run calls;       │
-//	│                       Append absorbs new points (index     │
-//	│                       deltas only on the wire) and the     │
+//	│ core.Session          lifecycle on one Pair: many Run      │
+//	│ (sess.go)             calls; Append / Expire / Retract     │
+//	│                       (index deltas only on the wire); the │
 //	│                       cross-run comparison cache makes     │
-//	│                       re-clustering O(Δ·candidates);       │
-//	│                       setup vs per-run Ledger split;       │
+//	│                       re-clustering O(Δ·candidates); setup │
+//	│                       vs per-run Ledger split;             │
 //	│                       concurrent-misuse guards             │
+//	├────────────────────────────────────────────────────────────┤
+//	│ core.Pair             one edge's keys, agreed parameters   │
+//	│ (pair.go, params.go,  (core.Params, handshake v9), worker  │
+//	│  gens.go, hdp.go)     channels, pool and counters; the HDP │
+//	│                       steps and index exchange over        │
+//	│                       OwnGens / PeerGens generation        │
+//	│                       tables. A Session wraps one Pair; a  │
+//	│                       k-party mesh holds one per peer      │
 //	├────────────────────────────────────────────────────────────┤
 //	│ crypto pool           paillier.Pool: bounded worker slots  │
 //	│ (internal/paillier)   for all batch encryption/decryption/ │
@@ -82,6 +89,29 @@
 // protocol disclosed beyond its output, mirroring Theorems 9–11; the
 // one-time index disclosure of a long-lived session is reported once, via
 // Session.SetupLeakage.
+//
+// # Pairs and the handshake
+//
+// Everything two parties share lives in one Pair (pair.go): establish
+// splits the connection into its W worker channels, generates the
+// Paillier and RSA keys, and swaps one handshake frame — version 9:
+// proto, role, the agreed parameters, data dimensions, public keys.
+// The agreed parameters are one codec, Params (params.go: Eps² …
+// Parallel in wire order, Encode / DecodeParams / Diff); Diff returns
+// an ErrHandshake that names the first field the parties disagree on.
+// There is one such stack, not one per topology: a multiparty mesh edge
+// is a Pair (NewPair, proto "mesh", lower party index as RoleAlice)
+// running the same op frames, index exchange and HDP steps (HDPCount /
+// HDPServe) as a two-party horizontal Session, and the multiparty ring
+// embeds Params in its circulating token (ring handshake v8). Comparison
+// engines come from the one constructor compare.Edge — Pair.engines and
+// the ring's coordinator/last-party pair both call it. The horizontal
+// shape's generational state splits by whose points it describes
+// (gens.go): one OwnGens per party (encoded points, generation starts,
+// the one spatial.Stack), one PeerGens per peer (per-generation counts,
+// disclosed directories, the cross-run caches), with the Append / Expire
+// / Retract arithmetic written once — a two-party session is 1 own + 1
+// peer, a k-party mesh 1 own + k−1 peers.
 //
 // # Long-lived sessions and the wave scheduler
 //

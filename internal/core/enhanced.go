@@ -53,7 +53,7 @@ func EnhancedHorizontalBob(conn transport.Conn, cfg Config, points [][]float64) 
 // enhancedEngines builds the two comparator pairs the §5 protocol needs:
 // share-difference comparisons over [0, 2(bound+V)] and the final
 // threshold comparison over [0, bound+V].
-func (s *session) enhancedEngines() (shareA compare.Alice, shareB compare.Bob, finalA compare.Alice, finalB compare.Bob, err error) {
+func (s *Pair) enhancedEngines() (shareA compare.Alice, shareB compare.Bob, finalA compare.Alice, finalB compare.Bob, err error) {
 	shareA, shareB, err = s.engines(2 * (s.bound + s.shareV))
 	if err != nil {
 		return nil, nil, nil, nil, err
@@ -79,29 +79,27 @@ func (s *session) enhancedEngines() (shareA compare.Alice, shareB compare.Bob, f
 // A cached skip issues no frames at all — like the trivial local cases —
 // so the enhanced protocol's mechanical OrderBits/CoreBits record at most
 // a fresh run's (the pruning-equivalence convention).
-func enhancedIsCore(h *hPass, conn transport.Conn, point, ownCount int, shareA compare.Alice, finalA compare.Alice) (bool, error) {
-	s := h.s
+func enhancedIsCore(s *Pair, hs *hStream, conn transport.Conn, point, ownCount int, shareA compare.Alice, finalA compare.Alice) (bool, error) {
+	own, nPeer := hs.own.Enc, hs.peer.N
 	k := s.cfg.MinPts - ownCount
 	if k <= 0 {
 		return true, nil
 	}
-	if h.hs != nil {
-		if e, ok := h.hs.getEnh(point); ok {
-			if e.core || (e.ownN == len(h.own) && e.peerN == h.nPeer) {
-				s.cmpCached.Add(1)
-				return e.core, nil
-			}
+	if e, ok := hs.peer.getEnh(point); ok {
+		if e.core || (e.ownN == len(own) && e.peerN == nPeer) {
+			s.cmpCached.Add(1)
+			return e.core, nil
 		}
 	}
 	var cells [][]int64
-	nCand := h.nPeer
+	nCand := nPeer
 	usePrune := false
 	if s.pruneOn {
-		c, total := s.candidateCells(h.own[point], 0, len(s.peerDirs))
+		c, total := s.candidateCells(hs.peer, own[point], 0, len(hs.peer.dirs))
 		// Prune only when the padded candidate set is actually smaller;
 		// otherwise fall back to the exhaustive query (flagged on the op
 		// frame) so pruning never enlarges the selection.
-		if total < h.nPeer {
+		if total < nPeer {
 			if k > total {
 				return false, nil
 			}
@@ -109,7 +107,7 @@ func enhancedIsCore(h *hPass, conn transport.Conn, point, ownCount int, shareA c
 			cells, nCand = c, total
 		}
 	}
-	if !usePrune && k > h.nPeer {
+	if !usePrune && k > nPeer {
 		return false, nil
 	}
 	setTag(conn, "enh.op")
@@ -126,7 +124,7 @@ func enhancedIsCore(h *hPass, conn transport.Conn, point, ownCount int, shareA c
 
 	// Share phase: u_i = Dist²(A, B_i) + v_i.
 	setTag(conn, "enh.share")
-	a := extendedQueryVector(h.own[point])
+	a := extendedQueryVector(own[point])
 	var usBig []*big.Int
 	var err error
 	if s.packing() {
@@ -206,33 +204,23 @@ func enhancedIsCore(h *hPass, conn transport.Conn, point, ownCount int, shareA c
 		}
 	}
 	s.led(func(l *Ledger) { l.CoreBits++ })
-	h.putEnhCache(point, core)
+	// Only network-decided bits are cached (locally decided ones are free
+	// to re-derive); the entry carries the dataset sizes so a false bit is
+	// reused only while both datasets are unchanged.
+	hs.peer.putEnh(point, enhEntry{core: core, ownN: len(own), peerN: nPeer})
 	return core, nil
-}
-
-// putEnhCache records a network-decided core bit for cross-run reuse
-// (locally decided bits are free to re-derive and are not cached); the
-// entry carries the dataset sizes so a false bit is reused only while
-// both datasets are unchanged.
-func (h *hPass) putEnhCache(point int, core bool) {
-	if h.hs != nil {
-		h.hs.putEnh(point, core, len(h.own), h.nPeer)
-	}
 }
 
 // serveEnhancedCore parses one announced core query (k plus the pruning
 // fields) and answers it.
-func serveEnhancedCore(s *session, conn transport.Conn, rng permSource, shareB, finalB compare.Bob, own [][]int64, r *transport.Reader) error {
+func serveEnhancedCore(s *Pair, conn transport.Conn, rng PermSource, shareB, finalB compare.Bob, own *OwnGens, r *transport.Reader) error {
 	k := int(r.Uint())
 	if r.Err() != nil {
 		return r.Err()
 	}
-	pts, nDummy := own, 0
-	if s.pruneOn {
-		var err error
-		if pts, nDummy, err = s.readPrunedOp(r, own, 0, s.ownStack.Gens()); err != nil {
-			return err
-		}
+	pts, nDummy, err := s.ReadPrunedOp(r, own, 0, own.Gens())
+	if err != nil {
+		return err
 	}
 	return enhancedServeCore(s, conn, rng, pts, nDummy, k, shareB, finalB)
 }
@@ -241,7 +229,7 @@ func serveEnhancedCore(s *session, conn transport.Conn, rng permSource, shareB, 
 // points plus nDummy padding entries. A dummy's data vector pins its
 // shared distance to the domain bound — strictly beyond Eps² whenever
 // pruning is active — so dummies can never be selected as within range.
-func enhancedServeCore(s *session, conn transport.Conn, rng permSource, pts [][]int64, nDummy, k int, shareB compare.Bob, finalB compare.Bob) error {
+func enhancedServeCore(s *Pair, conn transport.Conn, rng PermSource, pts [][]int64, nDummy, k int, shareB compare.Bob, finalB compare.Bob) error {
 	n := len(pts) + nDummy
 	if k < 1 || k > n {
 		return fmt.Errorf("core: driver requested k=%d of %d points", k, n)

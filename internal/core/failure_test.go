@@ -39,7 +39,7 @@ func (a *abruptCloseConn) Recv() ([]byte, error) {
 // connection drops after afterMsgs received frames, at scheduler width w.
 // Both parties must come back in bounded time, each with an error that
 // names the closed connection — at every width a failed responder worker
-// closes the session's channels (parallelServe's failAll), so neither
+// closes the session's channels (Pair.Serve's failAll), so neither
 // side is left blocked in Recv.
 func runWithDroppedConn(t *testing.T, name string, w, afterMsgs int, alice, bob func(transport.Conn, Config) error) {
 	t.Helper()

@@ -49,36 +49,26 @@ import (
 // (Algorithm 4's SetOfPointsOfBobPermutation), so the driver learns only
 // how many peer points are in range, not which.
 
-// hdpQueryDriver runs the driver side of one exhaustive region query and
-// returns how many responder points are within Eps of p.
-func hdpQueryDriver(conn transport.Conn, s *session, eng compare.Alice, p []int64, nPeer int) (int, error) {
-	if nPeer == 0 {
+// HDPCount runs the driver side of one region sub-query of point p: it
+// announces the query with its op frame (QueryFrame; nil skips the
+// announcement), then runs the MP + comparison phases over the nCand
+// candidate instances the frame committed to (none: no further frames)
+// and counts the in-range results. eng is the pair's Alice-side
+// split-threshold comparator (DistEngines).
+func (s *Pair) HDPCount(conn transport.Conn, eng compare.Alice, op *transport.Builder, p []int64, nCand int) (int, error) {
+	if op != nil {
+		setTag(conn, "hdp.op")
+		if err := transport.SendMsg(conn, op); err != nil {
+			return 0, err
+		}
+	}
+	if nCand == 0 {
 		return 0, nil
 	}
-	count, err := hdpCompareDriver(conn, s, eng, p, nPeer)
-	if err != nil {
-		return 0, err
-	}
-	s.led(func(l *Ledger) {
-		l.NeighborCounts++
-		l.MembershipBits += nPeer
-	})
-	return count, nil
-}
-
-// hdpCompareDriver runs the MP + comparison phases of one region query
-// over nCand candidate instances and counts the in-range results.
-func hdpCompareDriver(conn transport.Conn, s *session, eng compare.Alice, p []int64, nCand int) (int, error) {
 	setTag(conn, "hdp.mp")
-	// Batched MP: sender role. Masks are zero-sum within each candidate;
-	// the packed path draws them from the handshake-derivable bound that
-	// sizes the slot width (packedMaskBound), the unpacked path keeps the
-	// legacy 2^62 magnitude.
+	// Batched MP: sender role. Masks are zero-sum within each candidate.
 	m := len(p)
-	mb := s.maskBound()
-	if s.packing() {
-		mb = s.packedMaskBound()
-	}
+	mb := s.zeroSumBound()
 	vs := make([]*big.Int, 0, nCand*m)
 	for i := 0; i < nCand; i++ {
 		masks, err := mpc.ZeroSumMasks(s.random, m, mb)
@@ -87,13 +77,9 @@ func hdpCompareDriver(conn transport.Conn, s *session, eng compare.Alice, p []in
 		}
 		vs = append(vs, masks...)
 	}
-	if s.packing() {
+	if pk := s.mpPeer; pk != nil {
 		// Grid shape: p's coordinate y_k is constant down column k, so
 		// both directions pack rows into slot groups.
-		pk, err := s.productPacker(s.peerPai, s.cfg.MaxCoord*s.cfg.MaxCoord)
-		if err != nil {
-			return 0, err
-		}
 		if err := mpc.SenderGridMultiply(conn, s.peerPai, p, vs, nCand, m, pk, s.random, s.pool); err != nil {
 			return 0, fmt.Errorf("core: hdp packed multiplication: %w", err)
 		}
@@ -111,6 +97,9 @@ func hdpCompareDriver(conn transport.Conn, s *session, eng compare.Alice, p []in
 		s.ctsDown.Add(int64(nCand * m))
 	}
 
+	// Comparison phase: we hold the left value Σp², identical for every
+	// instance of the query — under "full" packing the grouped uplink
+	// collapses the batch to one ciphertext.
 	setTag(conn, "hdp.cmp")
 	var ownSum int64
 	for _, x := range p {
@@ -145,29 +134,17 @@ func hdpCompareDriver(conn transport.Conn, s *session, eng compare.Alice, p []in
 	return count, nil
 }
 
-// hdpQueryResponder serves the responder side of one exhaustive region
-// query over its own points. The driver's point never leaves the driver;
-// the responder learns, per its own point, whether some driver point is
-// within Eps (Algorithm 4 note: "Bob only knows there is a record owned
-// by Alice in the neighborhood").
-func hdpQueryResponder(conn transport.Conn, s *session, rng permSource, eng compare.Bob, own [][]int64) error {
-	if len(own) == 0 {
-		return nil
-	}
-	if err := hdpServeCompare(conn, s, rng, eng, own, 0); err != nil {
-		return err
-	}
-	s.led(func(l *Ledger) { l.DotProducts += len(own) })
-	return nil
-}
-
-// hdpServeCompare serves the MP + comparison phases over the given real
-// candidate points plus nDummy always-out-of-range padding entries, all
-// freshly permuted together. Dummies enter the MP with zero coordinates
-// and answer every comparison with the out-of-domain operand 0, so they
-// are never counted in range and are indistinguishable from real
-// candidates on the wire.
-func hdpServeCompare(conn transport.Conn, s *session, rng permSource, eng compare.Bob, pts [][]int64, nDummy int) error {
+// HDPServe serves the responder side of the MP + comparison phases over
+// the given real candidate points plus nDummy always-out-of-range padding
+// entries, all freshly permuted together. The driver's point never leaves
+// the driver; the responder learns, per its own point, whether some
+// driver point is within Eps (Algorithm 4 note: "Bob only knows there is
+// a record owned by Alice in the neighborhood"). Dummies enter the MP
+// with zero coordinates and answer every comparison with the
+// out-of-domain operand 0, so they are never counted in range and are
+// indistinguishable from real candidates on the wire. eng is the pair's
+// Bob-side split-threshold comparator (DistEngines).
+func (s *Pair) HDPServe(conn transport.Conn, rng PermSource, eng compare.Bob, pts [][]int64, nDummy int) error {
 	total := len(pts) + nDummy
 	if total == 0 {
 		return nil
@@ -186,11 +163,7 @@ func hdpServeCompare(conn transport.Conn, s *session, rng permSource, eng compar
 	}
 	var us []*big.Int
 	var err error
-	if s.packing() {
-		pk, perr := s.productPacker(&s.paiKey.PublicKey, s.cfg.MaxCoord*s.cfg.MaxCoord)
-		if perr != nil {
-			return perr
-		}
+	if pk := s.mpOwn; pk != nil {
 		us, err = mpc.ReceiverGridMultiply(conn, s.paiKey, xs, total, m, pk, s.random, s.pool)
 		if err != nil {
 			return fmt.Errorf("core: hdp packed multiplication: %w", err)

@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/compare"
-	"repro/internal/fixedpoint"
 	"repro/internal/partition"
 	"repro/internal/spatial"
 	"repro/internal/transport"
@@ -16,7 +14,7 @@ import (
 // query) before the corresponding sub-protocols begin; opDone, sent on
 // every worker channel, releases the responder at the end of a pass.
 const (
-	opQuery uint64 = 1
+	OpQuery uint64 = 1 // exported: mesh edges carry the same HDP op frames
 	opDone  uint64 = 2
 	opCore  uint64 = 3
 )
@@ -29,227 +27,11 @@ const (
 	hEnhanced                // §5, Algorithms 7–8 (core-point bits)
 )
 
-// hStream is the horizontal family's mutable session state: both parties'
-// generation structure (appends extend it, expiries tombstone its oldest
-// prefix) plus the cross-run comparison caches that make incremental runs
-// cheap.
-//
-// Cache soundness rests on distance immutability and count monotonicity:
-// appends only add points, so (a) the number of peer points within Eps of
-// an unchanged point, restricted to an unchanged peer generation range,
-// never changes — the hdp CountCache's per-run segments are permanently
-// valid for the ranges they cover — and (b) neighbour counts only grow
-// under appends, so a core bit that was true stays true, while a false
-// bit is reusable only while both datasets are unchanged (enhCache
-// entries carry the sizes they were decided under). Expiry breaks the
-// monotone direction — removing points can flip a true core bit false —
-// so Expire clears enhCache entirely, drops hdp segments that include
-// dead generations, and remaps both sides' point indices onto the
-// compacted live window.
+// hStream is the horizontal family's mutable session state: the two-party
+// instance of the generation tables (gens.go) — one own side, one peer.
 type hStream struct {
-	fam hFamily
-	enc [][]int64 // own live points, window generations, append order
-
-	dead        int   // expired generations (both sides expire in lockstep)
-	ownGenStart []int // per-generation start in enc (dead gens clamped to 0)
-	peerGenCnt  []int // per-generation peer point counts (dead gens zeroed)
-	nPeer       int   // live peer count (Σ peerGenCnt)
-
-	// mu guards the caches: a wave's workers decide distinct points
-	// concurrently but share the maps.
-	mu       sync.Mutex
-	hdp      *CountCache
-	enhCache map[int]enhEntry
-}
-
-// enhEntry caches one driver point's core bit plus the dataset sizes it
-// was decided under (see hStream's monotonicity note).
-type enhEntry struct {
-	core  bool
-	ownN  int
-	peerN int
-}
-
-func newHStream(fam hFamily, enc [][]int64, nPeer int) *hStream {
-	return &hStream{
-		fam:         fam,
-		enc:         enc,
-		ownGenStart: []int{0},
-		peerGenCnt:  []int{nPeer},
-		nPeer:       nPeer,
-		hdp:         NewCountCache(),
-		enhCache:    make(map[int]enhEntry),
-	}
-}
-
-// peerGens reports the number of peer generations, dead ones included —
-// generation numbering is absolute for the session's life.
-func (hs *hStream) peerGens() int { return len(hs.peerGenCnt) }
-
-// peerSuffix counts the live peer points in generations [from, …).
-func (hs *hStream) peerSuffix(from int) int {
-	n := 0
-	for g := from; g < len(hs.peerGenCnt); g++ {
-		n += hs.peerGenCnt[g]
-	}
-	return n
-}
-
-// ownSpanEnd returns the enc index one past generation to-1 — the end of
-// the own-point span [ownGenStart[from], ownSpanEnd(to)).
-func (hs *hStream) ownSpanEnd(to int) int {
-	if to >= len(hs.ownGenStart) {
-		return len(hs.enc)
-	}
-	return hs.ownGenStart[to]
-}
-
-// appendLocal absorbs one append on this side's bookkeeping.
-func (hs *hStream) appendLocal(ownBatch [][]int64, peerCount int) {
-	hs.ownGenStart = append(hs.ownGenStart, len(hs.enc))
-	hs.enc = append(hs.enc, ownBatch...)
-	hs.peerGenCnt = append(hs.peerGenCnt, peerCount)
-	hs.nPeer += peerCount
-}
-
-// expireLocal absorbs one expiry on this side's bookkeeping: the gens
-// oldest live generations die. Dead generations keep their slots (the
-// numbering is absolute) but answer as empty; the surviving own points
-// compact to the front of enc and every cache is invalidated or remapped
-// accordingly.
-func (hs *hStream) expireLocal(gens int) {
-	end := hs.dead + gens
-	for g := hs.dead; g < end; g++ {
-		hs.nPeer -= hs.peerGenCnt[g]
-		hs.peerGenCnt[g] = 0
-	}
-	ownRemoved := len(hs.enc)
-	if end < len(hs.ownGenStart) {
-		ownRemoved = hs.ownGenStart[end]
-	}
-	hs.enc = hs.enc[ownRemoved:]
-	for g := range hs.ownGenStart {
-		if g < end {
-			hs.ownGenStart[g] = 0
-		} else {
-			hs.ownGenStart[g] -= ownRemoved
-		}
-	}
-	hs.dead = end
-	hs.mu.Lock()
-	hs.hdp.Remap(ownRemoved)
-	// Expiry can flip a true core bit false (counts shrink) and a false
-	// bit's recorded sizes no longer describe the window: clear it all.
-	hs.enhCache = make(map[int]enhEntry)
-	hs.mu.Unlock()
-}
-
-// ownExpired reports how many own points the gens oldest live
-// generations hold — what expireLocal would compact away.
-func (hs *hStream) ownExpired(gens int) int {
-	end := hs.dead + gens
-	if end < len(hs.ownGenStart) {
-		return hs.ownGenStart[end]
-	}
-	return len(hs.enc)
-}
-
-// retractLocal absorbs one retraction on this side's bookkeeping: our
-// own retracted rows leave enc (the live numbering compacts onto exactly
-// the numbering a fresh session over the survivors would use), the
-// peer's retracted points decrement their generations' live counts, and
-// every cache entry touching a retracted point dies — our hdp entries
-// remap by survivor rank, cached segments covering a peer generation
-// that lost points are dropped for re-derivation, and the enhanced core
-// bits, which are not monotone under deletion, clear entirely. Both id
-// lists are validated (strictly ascending, in live range) before this is
-// called.
-func (hs *hStream) retractLocal(ownIDs, peerIDs []int) {
-	if len(ownIDs) == 0 && len(peerIDs) == 0 {
-		return
-	}
-	if len(ownIDs) > 0 {
-		remap := retractRemap(ownIDs)
-		out := hs.enc[:0]
-		for i, row := range hs.enc {
-			if _, ok := remap(i); ok {
-				out = append(out, row)
-			}
-		}
-		hs.enc = out
-		for g, start := range hs.ownGenStart {
-			if g < hs.dead {
-				continue
-			}
-			hs.ownGenStart[g] = start - countBelow(ownIDs, start)
-		}
-	}
-	// Map each retracted peer id (pre-retraction live numbering, which
-	// concatenates the live generations in order) to its generation.
-	dec := make(map[int]int)
-	g, cum := 0, 0
-	for _, id := range peerIDs {
-		for g < len(hs.peerGenCnt) && id >= cum+hs.peerGenCnt[g] {
-			cum += hs.peerGenCnt[g]
-			g++
-		}
-		dec[g]++
-	}
-	affected := make(map[int]bool, len(dec))
-	for g, d := range dec {
-		hs.peerGenCnt[g] -= d
-		hs.nPeer -= d
-		affected[g] = true
-	}
-	hs.mu.Lock()
-	hs.hdp.RetractOwn(ownIDs)
-	hs.hdp.DropGens(affected)
-	// Deletion can flip a true core bit false and invalidates every
-	// entry's recorded dataset sizes: clear it all, as expiry does.
-	hs.enhCache = make(map[int]enhEntry)
-	hs.mu.Unlock()
-}
-
-// countBelow reports how many of the sorted ids are strictly below v.
-func countBelow(ids []int, v int) int {
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ids[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// hdpCovered reads the hdp cache for point i: the cached count over the
-// live generation prefix plus the first uncovered generation.
-func (hs *hStream) hdpCovered(i int) (count, upto int) {
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
-	return hs.hdp.Covered(i, hs.dead)
-}
-
-// hdpExtend records a fresh count for point i over generations [from, to).
-func (hs *hStream) hdpExtend(i, from, to, count int) {
-	hs.mu.Lock()
-	hs.hdp.Extend(i, from, to, count)
-	hs.mu.Unlock()
-}
-
-func (hs *hStream) getEnh(i int) (enhEntry, bool) {
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
-	e, ok := hs.enhCache[i]
-	return e, ok
-}
-
-func (hs *hStream) putEnh(i int, core bool, ownN, peerN int) {
-	hs.mu.Lock()
-	hs.enhCache[i] = enhEntry{core: core, ownN: ownN, peerN: peerN}
-	hs.mu.Unlock()
+	own  *OwnGens
+	peer *PeerGens
 }
 
 // HorizontalAlice runs the §4.2 protocol (Algorithms 3–4) as Alice over
@@ -292,44 +74,20 @@ func NewEnhancedHorizontalSession(conn transport.Conn, cfg Config, role Role, po
 // newHorizontalSession is the shared session establishment of the
 // horizontal family.
 func newHorizontalSession(conn transport.Conn, cfg Config, role Role, points [][]float64, proto string, fam hFamily) (*Session, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if len(points) == 0 {
-		return nil, fmt.Errorf("core: %s protocol requires at least one point per party", proto)
-	}
-	enc, err := cfg.encodePoints(points)
+	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	dim := len(enc[0])
-	for i, p := range enc {
-		if len(p) != dim {
-			return nil, fmt.Errorf("core: point %d has %d attributes, want %d", i, len(p), dim)
-		}
-	}
-	mux, conns := sessionChannels(conn, cfg.Parallel)
-	s, peer, err := newSession(conns[0], cfg, role, proto, dim, len(enc))
+	own, err := NewOwnGens(cfg, points)
 	if err != nil {
 		return nil, err
 	}
-	if peer.Dim != dim {
-		return nil, fmt.Errorf("%w: record dimension %d vs %d", ErrHandshake, dim, peer.Dim)
-	}
-	if peer.Count == 0 {
-		return nil, fmt.Errorf("core: peer holds no points")
-	}
-	if err := s.setDimension(dim); err != nil {
+	s, peer, err := newHPair(conn, cfg, role, proto, own, fam == hBasic)
+	if err != nil {
 		return nil, err
 	}
-	if s.pruneOn {
-		if err := s.exchangeIndex(conns[0], enc); err != nil {
-			return nil, err
-		}
-	}
-	hs := newHStream(fam, enc, peer.Count)
-	t := &Session{s: s, peer: peer, mux: mux, conns: conns, proto: proto}
+	hs := &hStream{own: own, peer: peer}
+	t := &Session{s: s, proto: proto}
 	t.idleCtl, _ = conn.(idleController)
 	t.setup = s.takeLedger()
 	t.runOnce = func() (*Result, error) { return horizontalRunOnce(t, hs, fam) }
@@ -344,6 +102,48 @@ func newHorizontalSession(conn transport.Conn, cfg Config, role Role, points [][
 	return t, nil
 }
 
+// NewPair establishes one HDP edge over a party's own generation table:
+// worker channels, keys and the v9 handshake (proto names the protocol;
+// role breaks the symmetry — it decides who sends first in every frame
+// swap, so a mesh maps the lower party index to RoleAlice), the common
+// record dimension, the masked-product packers, and — under grid pruning
+// — the candidate-index exchange. cfg must be normalised. The returned
+// PeerGens is this edge's view of the peer.
+func NewPair(conn transport.Conn, cfg Config, role Role, proto string, own *OwnGens) (*Pair, *PeerGens, error) {
+	return newHPair(conn, cfg, role, proto, own, true)
+}
+
+// newHPair is NewPair for the whole horizontal shape; hdp says whether the
+// edge will run HDP's masked products (the enhanced family runs none, and
+// must not fail on packers it never uses).
+func newHPair(conn transport.Conn, cfg Config, role Role, proto string, own *OwnGens, hdp bool) (*Pair, *PeerGens, error) {
+	s, peer, err := establish(conn, cfg, role, proto, own.dim, len(own.Enc))
+	if err != nil {
+		return nil, nil, err
+	}
+	if peer.Dim != own.dim {
+		return nil, nil, fmt.Errorf("%w: record dimension %d vs %d", ErrHandshake, own.dim, peer.Dim)
+	}
+	if peer.Count == 0 {
+		return nil, nil, fmt.Errorf("core: peer holds no points")
+	}
+	if err := s.setDimension(own.dim); err != nil {
+		return nil, nil, err
+	}
+	if hdp {
+		if err := s.productPackers(); err != nil {
+			return nil, nil, fmt.Errorf("core: product packer: %w", err)
+		}
+	}
+	pg := newPeerGens(peer.Count)
+	if s.pruneOn {
+		if err := s.exchangeIndex(s.Conns[0], own, pg); err != nil {
+			return nil, nil, err
+		}
+	}
+	return s, pg, nil
+}
+
 // horizontalExpireInit is the initiating side of one horizontal-family
 // expiry: announce the tombstone (which generations die — their contents
 // were disclosed at append time, so the tombstone itself adds only the
@@ -351,14 +151,14 @@ func newHorizontalSession(conn transport.Conn, cfg Config, role Role, points [][
 // side holds the same generation ledger, so the tombstone either applies
 // identically there or surfaces as a protocol error on its next decode.
 func horizontalExpireInit(t *Session, hs *hStream, gens int) (sent bool, err error) {
-	live := hs.peerGens() - hs.dead
+	live := hs.own.Gens() - hs.own.Dead
 	if gens < 1 || gens > live {
 		return false, fmt.Errorf("core: expire %d of %d live generations", gens, live)
 	}
-	ctrl := t.conns[0]
+	ctrl := t.s.Conns[0]
 	setTag(ctrl, "session.op")
 	msg := transport.NewBuilder().PutUint(sessOpExpire)
-	spatial.TombstoneDelta{From: hs.dead, N: gens}.Encode(msg)
+	spatial.TombstoneDelta{From: hs.own.Dead, N: gens}.Encode(msg)
 	if err := transport.SendMsg(ctrl, msg); err != nil {
 		return true, fmt.Errorf("core: session expire op: %w", err)
 	}
@@ -368,8 +168,7 @@ func horizontalExpireInit(t *Session, hs *hStream, gens int) (sent bool, err err
 // horizontalExpireServe is the serving side: validate the announced
 // tombstone against our own generation ledger and apply it.
 func horizontalExpireServe(t *Session, hs *hStream, r *transport.Reader) error {
-	live := hs.peerGens() - hs.dead
-	td, err := spatial.DecodeTombstoneDelta(r, hs.dead, live)
+	td, err := spatial.DecodeTombstoneDelta(r, hs.own.Dead, hs.own.Gens()-hs.own.Dead)
 	if err != nil {
 		return fmt.Errorf("core: session expire op: %w", err)
 	}
@@ -377,22 +176,18 @@ func horizontalExpireServe(t *Session, hs *hStream, r *transport.Reader) error {
 }
 
 // finishHExpire runs the symmetric tail of an expiry on either side:
-// tombstone the own index generations, husk the peer's dead directories
-// (their cells no longer answer candidate queries), and compact the
-// stream state + caches. The Ledger records one IndexTombstones entry
-// per dead generation — the only disclosure an expiry makes.
+// tombstone the own generations (index included), husk the peer's dead
+// directories (their cells no longer answer candidate queries), and
+// compact the caches. The Ledger records one IndexTombstones entry per
+// dead generation — the only disclosure an expiry makes.
 func finishHExpire(t *Session, hs *hStream, gens int) error {
-	s := t.s
-	if s.pruneOn {
-		if _, err := s.ownStack.Expire(gens); err != nil {
-			return fmt.Errorf("core: expire index: %w", err)
-		}
-		for g := hs.dead; g < hs.dead+gens; g++ {
-			s.peerDirs[g] = spatial.Directory{Dim: s.dim}
-		}
+	from := hs.own.Dead
+	removed, err := hs.own.Expire(gens)
+	if err != nil {
+		return err
 	}
-	hs.expireLocal(gens)
-	s.led(func(l *Ledger) { l.IndexTombstones += gens })
+	hs.peer.Expire(from, gens, removed)
+	t.s.led(func(l *Ledger) { l.IndexTombstones += gens })
 	return nil
 }
 
@@ -402,10 +197,10 @@ func finishHExpire(t *Session, hs *hStream, gens int) error {
 // points in return, and apply both. Invalid ids fail locally before any
 // frame is sent, so they do not poison the session.
 func horizontalRetractInit(t *Session, hs *hStream, ids []int) (sent bool, err error) {
-	if err := spatial.ValidateRetractIDs(ids, len(hs.enc)); err != nil {
+	if err := spatial.ValidateRetractIDs(ids, len(hs.own.Enc)); err != nil {
 		return false, fmt.Errorf("core: retract: %w", err)
 	}
-	ctrl := t.conns[0]
+	ctrl := t.s.Conns[0]
 	setTag(ctrl, "session.op")
 	msg := transport.NewBuilder().PutUint(sessOpRetract)
 	spatial.PointTombstone{IDs: ids}.Encode(msg)
@@ -416,7 +211,7 @@ func horizontalRetractInit(t *Session, hs *hStream, ids []int) (sent bool, err e
 	if err != nil {
 		return true, fmt.Errorf("core: session retract reply: %w", err)
 	}
-	peerTomb, err := spatial.DecodePointTombstone(r, hs.nPeer)
+	peerTomb, err := spatial.DecodePointTombstone(r, hs.peer.N)
 	if err != nil {
 		return true, fmt.Errorf("core: session retract reply: %w", err)
 	}
@@ -427,7 +222,7 @@ func horizontalRetractInit(t *Session, hs *hStream, ids []int) (sent bool, err e
 // tombstone against the peer's live count, ask the session's retract
 // source for our own retraction ids, reply with them, and apply both.
 func horizontalRetractServe(t *Session, hs *hStream, r *transport.Reader) error {
-	peerTomb, err := spatial.DecodePointTombstone(r, hs.nPeer)
+	peerTomb, err := spatial.DecodePointTombstone(r, hs.peer.N)
 	if err != nil {
 		return fmt.Errorf("core: session retract op: %w", err)
 	}
@@ -435,10 +230,10 @@ func horizontalRetractServe(t *Session, hs *hStream, r *transport.Reader) error 
 	if err != nil {
 		return fmt.Errorf("core: retract source: %w", err)
 	}
-	if err := spatial.ValidateRetractIDs(ownIDs, len(hs.enc)); err != nil {
+	if err := spatial.ValidateRetractIDs(ownIDs, len(hs.own.Enc)); err != nil {
 		return fmt.Errorf("core: retract source: %w", err)
 	}
-	ctrl := t.conns[0]
+	ctrl := t.s.Conns[0]
 	setTag(ctrl, "session.op")
 	msg := transport.NewBuilder()
 	spatial.PointTombstone{IDs: ownIDs}.Encode(msg)
@@ -456,14 +251,11 @@ func horizontalRetractServe(t *Session, hs *hStream, r *transport.Reader) error 
 // per retracted point on both sides — the only disclosure a retraction
 // makes.
 func finishHRetract(t *Session, hs *hStream, ownIDs, peerIDs []int) error {
-	s := t.s
-	if s.pruneOn && len(ownIDs) > 0 {
-		if err := s.ownStack.Retract(ownIDs); err != nil {
-			return fmt.Errorf("core: retract index: %w", err)
-		}
+	if err := hs.own.Retract(ownIDs); err != nil {
+		return err
 	}
-	hs.retractLocal(ownIDs, peerIDs)
-	s.led(func(l *Ledger) { l.IndexRetractions += len(ownIDs) + len(peerIDs) })
+	hs.peer.Retract(ownIDs, peerIDs)
+	t.s.led(func(l *Ledger) { l.IndexRetractions += len(ownIDs) + len(peerIDs) })
 	return nil
 }
 
@@ -471,15 +263,14 @@ func finishHRetract(t *Session, hs *hStream, ownIDs, peerIDs []int) error {
 // append: announce our batch size, learn the peer's, and (under pruning)
 // swap index deltas. The batches themselves never cross the wire.
 func horizontalAppendInit(t *Session, hs *hStream, values [][]float64, owners [][]partition.Owner) (sent bool, err error) {
-	s := t.s
 	if owners != nil {
 		return false, fmt.Errorf("core: %s protocol takes Append, not AppendOwned", t.proto)
 	}
-	batch, err := encodeHBatch(s, values)
+	batch, err := hs.own.Encode(values)
 	if err != nil {
 		return false, err
 	}
-	ctrl := t.conns[0]
+	ctrl := t.s.Conns[0]
 	setTag(ctrl, "session.op")
 	msg := transport.NewBuilder().PutUint(sessOpAppend).PutUint(uint64(len(batch)))
 	if err := transport.SendMsg(ctrl, msg); err != nil {
@@ -503,7 +294,6 @@ func horizontalAppendInit(t *Session, hs *hStream, values [][]float64, owners []
 // append; ask the session's append source for our own batch, reply with
 // its size, and complete the index-delta exchange.
 func horizontalAppendServe(t *Session, hs *hStream, r *transport.Reader) error {
-	s := t.s
 	peerCount := int(r.Uint())
 	if err := r.Err(); err != nil {
 		return err
@@ -515,11 +305,11 @@ func horizontalAppendServe(t *Session, hs *hStream, r *transport.Reader) error {
 	if err != nil {
 		return fmt.Errorf("core: append source: %w", err)
 	}
-	batch, err := encodeHBatch(s, values)
+	batch, err := hs.own.Encode(values)
 	if err != nil {
 		return err
 	}
-	ctrl := t.conns[0]
+	ctrl := t.s.Conns[0]
 	setTag(ctrl, "session.op")
 	if err := transport.SendMsg(ctrl, transport.NewBuilder().PutUint(uint64(len(batch)))); err != nil {
 		return fmt.Errorf("core: session append reply: %w", err)
@@ -528,32 +318,19 @@ func horizontalAppendServe(t *Session, hs *hStream, r *transport.Reader) error {
 }
 
 // finishHAppend runs the symmetric tail of an append on either side:
-// index-delta swap under pruning, then local bookkeeping.
+// own-side bookkeeping, index-delta swap under pruning, then the peer's.
 func finishHAppend(t *Session, hs *hStream, batch [][]int64, peerCount int) error {
-	s := t.s
-	if s.pruneOn {
-		if err := s.appendIndexDelta(t.conns[0], batch); err != nil {
+	delta, err := hs.own.Append(batch)
+	if err != nil {
+		return err
+	}
+	if t.s.pruneOn {
+		if err := t.s.appendIndexDelta(t.s.Conns[0], hs.own.Gens(), delta, hs.peer); err != nil {
 			return err
 		}
 	}
-	hs.appendLocal(batch, peerCount)
+	hs.peer.Append(peerCount)
 	return nil
-}
-
-// encodeHBatch validates and fixed-point encodes one appended batch of
-// this party's points (possibly empty) against the session's established
-// dimension.
-func encodeHBatch(s *session, values [][]float64) ([][]int64, error) {
-	batch, err := s.cfg.encodePoints(values)
-	if err != nil {
-		return nil, err
-	}
-	for i, p := range batch {
-		if len(p) != s.dim {
-			return nil, fmt.Errorf("core: appended point %d has %d attributes, want %d", i, len(p), s.dim)
-		}
-	}
-	return batch, nil
 }
 
 // horizontalRunOnce is one two-pass execution: Alice drives pass 1 while
@@ -565,17 +342,17 @@ func horizontalRunOnce(t *Session, hs *hStream, fam hFamily) (*Result, error) {
 	var clusters int
 	var err error
 	if s.role == RoleAlice {
-		if labels, clusters, err = hPassDriver(s, t.conns, hs, fam); err != nil {
+		if labels, clusters, err = hPassDriver(s, hs, fam); err != nil {
 			return nil, err
 		}
-		if err := hPassResponder(s, t.conns, hs, fam); err != nil {
+		if err := hPassResponder(s, hs, fam); err != nil {
 			return nil, err
 		}
 	} else {
-		if err := hPassResponder(s, t.conns, hs, fam); err != nil {
+		if err := hPassResponder(s, hs, fam); err != nil {
 			return nil, err
 		}
-		if labels, clusters, err = hPassDriver(s, t.conns, hs, fam); err != nil {
+		if labels, clusters, err = hPassDriver(s, hs, fam); err != nil {
 			return nil, err
 		}
 	}
@@ -586,19 +363,19 @@ func horizontalRunOnce(t *Session, hs *hStream, fam hFamily) (*Result, error) {
 // and Algorithm 7/8 for the enhanced protocol — the control flow is the
 // same, only the core decision differs): WaveDrive over the session's
 // worker channels, worker slot w's decision running over channel w.
-func hPassDriver(s *session, conns []transport.Conn, hs *hStream, fam hFamily) ([]int, int, error) {
-	h := &hPass{s: s, hs: hs, own: hs.enc, nPeer: hs.nPeer}
+func hPassDriver(s *Pair, hs *hStream, fam hFamily) ([]int, int, error) {
+	conns := s.Conns
 	var decide func(w, point, ownCount int) (bool, error)
 	var opTag string
 	switch fam {
 	case hBasic:
-		engA, _, err := s.distEngines()
+		engA, _, err := s.DistEngines()
 		if err != nil {
 			return nil, 0, err
 		}
 		opTag = "hdp.op"
 		decide = func(w, point, ownCount int) (bool, error) {
-			count, err := h.remoteCount(conns[w], point, engA)
+			count, err := remoteCount(s, hs, conns[w], point, engA)
 			if err != nil {
 				return false, err
 			}
@@ -611,44 +388,36 @@ func hPassDriver(s *session, conns []transport.Conn, hs *hStream, fam hFamily) (
 		}
 		opTag = "enh.op"
 		decide = func(w, point, ownCount int) (bool, error) {
-			return enhancedIsCore(h, conns[w], point, ownCount, shareA, finalA)
+			return enhancedIsCore(s, hs, conns[w], point, ownCount, shareA, finalA)
 		}
 	}
-	labels, clusters, err := WaveDrive(len(h.own), len(conns), h.localRegionQuery, decide)
+	localRQ := func(i int) []int { return hs.own.RegionQuery(i, s.epsSq) }
+	labels, clusters, err := WaveDrive(len(hs.own.Enc), len(conns), localRQ, decide)
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := sendDoneAll(conns, opTag); err != nil {
-		return nil, 0, err
-	}
-	return labels, clusters, nil
+	return labels, clusters, s.SendDone(opTag)
 }
 
 // hPassResponder serves a driving pass across the session's worker
 // channels, one responder worker per channel.
-func hPassResponder(s *session, conns []transport.Conn, hs *hStream, fam hFamily) error {
+func hPassResponder(s *Pair, hs *hStream, fam hFamily) error {
 	switch fam {
 	case hBasic:
-		_, engB, err := s.distEngines()
+		_, engB, err := s.DistEngines()
 		if err != nil {
 			return err
 		}
-		return parallelServe(s, conns, "hdp.op", func(conn transport.Conn, rng permSource, op uint64, r *transport.Reader) error {
-			if op != opQuery {
-				return fmt.Errorf("core: responder got unexpected op %d", op)
-			}
-			return serveBasicQuery(s, conn, rng, engB, hs, r)
+		return s.Serve("hdp.op", OpQuery, func(conn transport.Conn, rng PermSource, r *transport.Reader) error {
+			return serveBasicQuery(s, conn, rng, engB, hs.own, r)
 		})
 	case hEnhanced:
 		_, shareB, _, finalB, err := s.enhancedEngines()
 		if err != nil {
 			return err
 		}
-		return parallelServe(s, conns, "enh.op", func(conn transport.Conn, rng permSource, op uint64, r *transport.Reader) error {
-			if op != opCore {
-				return fmt.Errorf("core: enhanced responder got unexpected op %d", op)
-			}
-			return serveEnhancedCore(s, conn, rng, shareB, finalB, hs.enc, r)
+		return s.Serve("enh.op", opCore, func(conn transport.Conn, rng PermSource, r *transport.Reader) error {
+			return serveEnhancedCore(s, conn, rng, shareB, finalB, hs.own, r)
 		})
 	}
 	return fmt.Errorf("core: unknown horizontal family %d", fam)
@@ -665,57 +434,29 @@ func hPassResponder(s *session, conns []transport.Conn, hs *hStream, fam hFamily
 // query, on the sub-query that closes the sweep (toGen == gens) — every
 // sweep ends there, including fully-cached ones whose single parity
 // frame carries an empty span and no crypto at all.
-func serveBasicQuery(s *session, conn transport.Conn, rng permSource, engB compare.Bob, hs *hStream, r *transport.Reader) error {
-	own := hs.enc
+func serveBasicQuery(s *Pair, conn transport.Conn, rng PermSource, engB compare.Bob, own *OwnGens, r *transport.Reader) error {
 	fromGen := int(r.Uint())
 	toGen := int(r.Uint())
 	if err := r.Err(); err != nil {
 		return err
 	}
-	gens := len(hs.ownGenStart)
+	gens := own.Gens()
 	if fromGen < 0 || toGen > gens || fromGen > toGen {
 		return fmt.Errorf("core: query span %d..%d of %d generations", fromGen, toGen, gens)
 	}
 	if toGen == gens {
-		defer s.led(func(l *Ledger) { l.DotProducts += len(own) })
+		defer s.led(func(l *Ledger) { l.DotProducts += len(own.Enc) })
 	}
 	if fromGen == toGen {
 		// Empty span: the sweep-closing parity frame of a fully-cached
 		// query. Nothing to serve.
 		return nil
 	}
-	if s.pruneOn {
-		pts, nDummy, err := s.readPrunedOp(r, own, fromGen, toGen)
-		if err != nil {
-			return err
-		}
-		return hdpServeCompare(conn, s, rng, engB, pts, nDummy)
+	pts, nDummy, err := s.ReadPrunedOp(r, own, fromGen, toGen)
+	if err != nil {
+		return err
 	}
-	span := own[hs.ownGenStart[fromGen]:hs.ownSpanEnd(toGen)]
-	if len(span) == 0 {
-		return nil
-	}
-	return hdpServeCompare(conn, s, rng, engB, span, 0)
-}
-
-// hPass bundles the state one driving pass needs.
-type hPass struct {
-	s     *session
-	hs    *hStream
-	own   [][]int64
-	nPeer int
-}
-
-// localRegionQuery returns the indices of the driver's own points within
-// Eps of point i, including i itself (SetOfPointsOfAlice.regionQuery).
-func (h *hPass) localRegionQuery(i int) []int {
-	var out []int
-	for j := range h.own {
-		if fixedpoint.DistSq(h.own[i], h.own[j]) <= h.s.epsSq {
-			out = append(out, j)
-		}
-	}
-	return out
+	return s.HDPServe(conn, rng, engB, pts, nDummy)
 }
 
 // remoteCount counts the peer's points within Eps of our point i via HDP
@@ -740,67 +481,42 @@ func (h *hPass) localRegionQuery(i int) []int {
 // generation — an empty-span parity frame when everything is cached — so
 // the responder's query-level accounting, and with it the Ledger budget,
 // stays identical to a fresh session's.
-func (h *hPass) remoteCount(conn transport.Conn, i int, eng compare.Alice) (int, error) {
-	s := h.s
-	if h.nPeer == 0 {
+func remoteCount(s *Pair, hs *hStream, conn transport.Conn, i int, eng compare.Alice) (int, error) {
+	peer := hs.peer
+	if peer.N == 0 {
 		return 0, nil
 	}
-	base, fromGen := h.hs.hdpCovered(i)
-	gens := h.hs.peerGens()
-	prefix := h.nPeer - h.hs.peerSuffix(fromGen)
+	count, fromGen := peer.Covered(i, hs.own.Dead)
+	gens := len(peer.Count)
 	s.led(func(l *Ledger) {
 		l.NeighborCounts++
-		l.MembershipBits += h.nPeer
+		l.MembershipBits += peer.N
 	})
-	s.cmpCached.Add(int64(prefix))
+	s.cmpCached.Add(int64(peer.N - peer.Suffix(fromGen)))
 
-	p := h.own[i]
-	count := base
+	p := hs.own.Enc[i]
 	if fromGen == gens {
 		// Fully cached: announce the empty-span query for budget parity,
 		// run nothing.
 		setTag(conn, "hdp.op")
-		msg := transport.NewBuilder().PutUint(opQuery).PutUint(uint64(gens)).PutUint(uint64(gens))
-		if err := transport.SendMsg(conn, msg); err != nil {
-			return 0, err
-		}
-		return count, nil
+		msg := transport.NewBuilder().PutUint(OpQuery).PutUint(uint64(gens)).PutUint(uint64(gens))
+		return count, transport.SendMsg(conn, msg)
 	}
 	for g := fromGen; g < gens; g++ {
-		genCnt := h.hs.peerGenCnt[g]
-		if genCnt == 0 && g < gens-1 {
-			// A dead or empty generation needs no wire work; record the
-			// zero segment so the sweep stays contiguous. The final
-			// generation always goes to the wire — its sub-query closes
-			// the sweep for the responder's budget parity.
-			h.hs.hdpExtend(i, g, g+1, 0)
-			continue
-		}
-		setTag(conn, "hdp.op")
-		msg := transport.NewBuilder().PutUint(opQuery).PutUint(uint64(g)).PutUint(uint64(g + 1))
-		nCand := genCnt
-		if s.pruneOn {
-			cells, total := s.candidateCells(p, g, g+1)
-			usePrune := total < genCnt
-			msg.PutBool(usePrune)
-			if usePrune {
-				nCand = total
-				spatial.EncodeCells(msg, cells)
-			}
-		}
-		if err := transport.SendMsg(conn, msg); err != nil {
-			return 0, err
-		}
 		fresh := 0
-		if nCand > 0 {
+		// A dead or empty generation needs no wire work; record the zero
+		// segment so the sweep stays contiguous. The final generation
+		// always goes to the wire — its sub-query closes the sweep for the
+		// responder's budget parity.
+		if peer.Count[g] > 0 || g == gens-1 {
+			msg, nCand := s.QueryFrame(peer, p, g)
 			var err error
-			fresh, err = hdpCompareDriver(conn, s, eng, p, nCand)
-			if err != nil {
+			if fresh, err = s.HDPCount(conn, eng, msg, p, nCand); err != nil {
 				return 0, err
 			}
 		}
 		count += fresh
-		h.hs.hdpExtend(i, g, g+1, fresh)
+		peer.Extend(i, g, g+1, fresh)
 	}
 	return count, nil
 }

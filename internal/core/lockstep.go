@@ -197,7 +197,7 @@ func LockstepCluster(n, minPts, w int,
 			batches[t] = buildBatch(p)
 		}
 		results := make([][]bool, len(points))
-		if err := RunWave(len(points), func(t int) error {
+		if err := runWave(len(points), func(t int) error {
 			if len(batches[t]) == 0 {
 				return nil
 			}

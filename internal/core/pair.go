@@ -55,14 +55,20 @@ func (r Role) peer() Role {
 // the Packing plaintext-encoding parameter (slot-packed ciphertext
 // frames); version 9 added the packed comparison uplink ("full"
 // packing, a per-batch moded wire form) and the uplink/downlink
-// ciphertext split.
+// ciphertext split. Mesh edges (internal/multiparty) speak the same
+// frame with proto "mesh".
 const handshakeVersion = 9
 
 // ErrHandshake reports parameter disagreement between the parties.
 var ErrHandshake = errors.New("core: handshake parameter mismatch")
 
-// session holds the per-run cryptographic state of one party.
-type session struct {
+// Pair is one party's half of one two-party edge: the keys, agreed
+// parameters, worker channels, crypto pool, randomness and per-run
+// counters every sub-protocol of the edge runs on. A two-party Session
+// is a lifecycle on top of one Pair; a k-party mesh
+// (internal/multiparty) holds one Pair per peer and drives the same HDP
+// steps (hdp.go) over each.
+type Pair struct {
 	cfg    Config
 	role   Role
 	epsSq  int64
@@ -70,12 +76,17 @@ type session struct {
 	bound  int64 // inclusive max of any pairwise dist² = m·MaxCoord²
 	shareV int64 // §5 share mask magnitude: v ∈ [0, shareV)
 
+	// Conns are the edge's W = Config.Parallel worker channels: the bare
+	// connection for W = 1, W multiplexed channels otherwise. Conns[0]
+	// carries the handshake, control ops and index exchanges.
+	Conns []transport.Conn
+
 	paiKey  *paillier.PrivateKey
 	rsaKey  *yao.RSAKey
 	peerPai *paillier.PublicKey
 	peerRSA *yao.RSAPublicKey
 
-	// pool is the crypto worker pool every batch op of this session runs
+	// pool is the crypto worker pool every batch op of this pair runs
 	// on: the process-shared bounded pool on a multi-session server
 	// (Config.Pool, injected by SessionManager.Configure), or nil for the
 	// solo-session GOMAXPROCS fan-out.
@@ -84,20 +95,20 @@ type session struct {
 	random io.Reader
 
 	// Grid-pruning state (Config.Pruning): cellW is the Eps-grid cell
-	// width; pruneOn reports whether pruning is active for this session —
+	// width; pruneOn reports whether pruning is active for this pair —
 	// requested by config AND geometrically useful (epsSq < bound; at
 	// epsSq = bound a single cell covers the whole domain and dummy
-	// padding could not stay strictly out of range). The horizontal-family
-	// index state is generational to support streaming appends: ownStack
-	// holds this party's per-generation grids and directories (generation
-	// 0 is the construction-time dataset, one more per append), and
-	// peerDirs mirrors the peer's disclosed per-generation directories.
-	// Both are populated by exchangeIndex and extended by the index-delta
-	// exchange of each append.
-	cellW    int64
-	pruneOn  bool
-	ownStack *spatial.Stack
-	peerDirs []spatial.Directory
+	// padding could not stay strictly out of range). The generational
+	// index state itself lives in OwnGens / PeerGens (gens.go).
+	cellW   int64
+	pruneOn bool
+
+	// mpPeer / mpOwn size the slot-packed masked-product frames (nil
+	// with packing off): mpPeer the frames sent under the peer's key,
+	// mpOwn the frames served under our own. Derived once per pair by
+	// productPackers; both ends agree because the geometry is a function
+	// of the exchanged keys and handshake-agreed parameters.
+	mpPeer, mpOwn *encoding.Packer
 
 	// cmpCount tallies secure comparison instances executed by this party;
 	// cmpCached tallies predicates answered from the session's cross-run
@@ -115,8 +126,8 @@ type session struct {
 	// feeds CiphertextsUplink/CiphertextsDownlink, the quantities the
 	// "slots" and "full" packing modes shrink on opposite legs. YMPP RSA
 	// payloads are not counted. Comparison-engine traffic is counted by
-	// the engines themselves (compare.MaskedAlice/MaskedBob.Sent hooks)
-	// because the "full" uplink cost depends on runtime batch content.
+	// the engines themselves (compare.Edge Up/Down hooks) because the
+	// "full" uplink cost depends on runtime batch content.
 	ctsUp   atomic.Int64
 	ctsDown atomic.Int64
 
@@ -127,7 +138,7 @@ type session struct {
 }
 
 // led applies one ledger update under the session's ledger lock.
-func (s *session) led(f func(l *Ledger)) {
+func (s *Pair) led(f func(l *Ledger)) {
 	s.ledMu.Lock()
 	f(&s.ledger)
 	s.ledMu.Unlock()
@@ -135,7 +146,7 @@ func (s *session) led(f func(l *Ledger)) {
 
 // takeLedger returns the accumulated ledger and resets it — the per-run /
 // setup split the long-lived Session uses.
-func (s *session) takeLedger() Ledger {
+func (s *Pair) takeLedger() Ledger {
 	s.ledMu.Lock()
 	defer s.ledMu.Unlock()
 	l := s.ledger
@@ -143,30 +154,41 @@ func (s *session) takeLedger() Ledger {
 	return l
 }
 
-// parallel reports the scheduler width W (≥ 1).
-func (s *session) parallel() int { return s.cfg.Parallel }
-
-// permSource supplies the per-query candidate permutations (Algorithm
-// 4's SetOfPointsOfBobPermutation). The production source is a
-// crypto/rand-backed Fisher–Yates shuffle (see perm.go) — response
-// permutations are responder-hiding state, so they must not come from a
-// generator whose future output is predictable from observations — never
-// math/rand. Seeded sessions (tests) substitute a deterministic
-// splitmix64-backed source.
-type permSource interface {
-	Perm(n int) []int
+// ResetRun zeroes the per-run accounting (comparison and ciphertext
+// counters, the ledger) at the start of a run.
+func (s *Pair) ResetRun() {
+	s.cmpCount.Store(0)
+	s.cmpCached.Store(0)
+	s.ctsUp.Store(0)
+	s.ctsDown.Store(0)
+	s.takeLedger()
 }
 
+// EpsSq returns the integer threshold dist² is compared against (Eps²,
+// clamped to the dist² bound).
+func (s *Pair) EpsSq() int64 { return s.epsSq }
+
+// PruneOn reports whether the edge runs grid-pruned queries and index
+// exchanges.
+func (s *Pair) PruneOn() bool { return s.pruneOn }
+
+// Ciphertexts reports the Paillier ciphertexts this party put on the
+// edge since ResetRun, split by leg.
+func (s *Pair) Ciphertexts() (up, down int64) { return s.ctsUp.Load(), s.ctsDown.Load() }
+
 // channelRng derives the permutation source of one responder worker
-// channel. Worker channels consume permutations concurrently, so each
-// gets its own source; permutations only hide which peer point answered
-// which slot, so labels and count-based Ledger classes do not depend on
-// how the draws are split.
-func (s *session) channelRng(ch int) (permSource, error) {
+// channel (Algorithm 4's SetOfPointsOfBobPermutation). Worker channels
+// consume permutations concurrently, so each gets its own source;
+// permutations only hide which peer point answered which slot, so labels
+// and count-based Ledger classes do not depend on how the draws are
+// split. Seeded sessions (tests) get a deterministic source; production
+// draws from the pair's crypto randomness, never math/rand — response
+// permutations are responder-hiding state.
+func (s *Pair) channelRng(ch int) PermSource {
 	if s.cfg.Seed != 0 {
-		return newSeededPerm(uint64(s.cfg.Seed+int64(s.role)+1) + 7919*uint64(ch+1)), nil
+		return newSeededPerm(uint64(s.cfg.Seed+int64(s.role)+1) + 7919*uint64(ch+1))
 	}
-	return cryptoPerm{r: s.random}, nil
+	return cryptoPerm{r: s.random}
 }
 
 // peerInfo is what the handshake learns about the other side.
@@ -175,16 +197,34 @@ type peerInfo struct {
 	Count int // peer's record count
 }
 
-// newSession generates keys, exchanges public keys, and verifies that both
-// parties agree on every protocol parameter. proto names the protocol
-// ("horizontal", "vertical", ...) so mismatched invocations fail fast.
-// ownDim/ownCount describe this party's data and are shared with the peer.
-func newSession(conn transport.Conn, cfg Config, role Role, proto string, ownDim, ownCount int) (*session, peerInfo, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, peerInfo{}, err
+// Channels splits one edge into its W worker channels: the bare
+// connection itself for W = 1, or W multiplexed channels (transport.Mux).
+func Channels(conn transport.Conn, w int) []transport.Conn {
+	if w <= 1 {
+		return []transport.Conn{conn}
 	}
-	epsSq, err := cfg.epsSquared()
+	m := transport.NewMux(conn)
+	conns := make([]transport.Conn, w)
+	for i := range conns {
+		conns[i] = m.Channel(uint32(i))
+	}
+	return conns
+}
+
+// handshakeMsg encodes one party's handshake frame.
+func handshakeMsg(proto string, role Role, p Params, ownDim, ownCount int, paiPub, rsaN, rsaE []byte) *transport.Builder {
+	b := transport.NewBuilder().PutUint(handshakeVersion).PutString(proto).PutUint(uint64(role))
+	return p.Encode(b).PutUint(uint64(ownDim)).PutUint(uint64(ownCount)).PutBytes(paiPub).PutBytes(rsaN).PutBytes(rsaE)
+}
+
+// establish splits conn into the edge's worker channels, generates keys,
+// exchanges public keys, and verifies that both parties agree on every
+// protocol parameter. cfg must be normalised (Config.Normalize). proto
+// names the protocol ("horizontal", "vertical", "mesh", ...) so
+// mismatched invocations fail fast. ownDim/ownCount describe this
+// party's data and are shared with the peer.
+func establish(conn transport.Conn, cfg Config, role Role, proto string, ownDim, ownCount int) (*Pair, peerInfo, error) {
+	params, err := cfg.Params()
 	if err != nil {
 		return nil, peerInfo{}, err
 	}
@@ -206,7 +246,7 @@ func newSession(conn transport.Conn, cfg Config, role Role, proto string, ownDim
 	if pool == nil && cfg.ServerWorkers > 0 {
 		pool = paillier.NewPool(cfg.ServerWorkers)
 	}
-	s := &session{cfg: cfg, role: role, epsSq: epsSq, random: random, pool: pool}
+	s := &Pair{cfg: cfg, role: role, epsSq: params.EpsSq, random: random, pool: pool, Conns: Channels(conn, cfg.Parallel)}
 	s.paiKey, err = paillier.GenerateKey(random, cfg.PaillierBits)
 	if err != nil {
 		return nil, peerInfo{}, err
@@ -216,29 +256,10 @@ func newSession(conn transport.Conn, cfg Config, role Role, proto string, ownDim
 		return nil, peerInfo{}, err
 	}
 
+	conn = s.Conns[0]
 	setTag(conn, "handshake")
 	rsaN, rsaE := yao.MarshalRSAPublicKey(&s.rsaKey.RSAPublicKey)
-	msg := transport.NewBuilder().
-		PutUint(handshakeVersion).
-		PutString(proto).
-		PutUint(uint64(role)).
-		PutInt(epsSq).
-		PutUint(uint64(cfg.MinPts)).
-		PutInt(cfg.MaxCoord).
-		PutString(string(cfg.Engine)).
-		PutUint(uint64(cfg.CmpMaskBits)).
-		PutUint(uint64(cfg.ShareMaskBits)).
-		PutString(string(cfg.Selection)).
-		PutString(string(cfg.Batching)).
-		PutString(string(cfg.Packing)).
-		PutString(string(cfg.Pruning)).
-		PutUint(uint64(cfg.PruneQuantum)).
-		PutUint(uint64(cfg.Parallel)).
-		PutUint(uint64(ownDim)).
-		PutUint(uint64(ownCount)).
-		PutBytes(paillier.MarshalPublicKey(&s.paiKey.PublicKey)).
-		PutBytes(rsaN).
-		PutBytes(rsaE)
+	msg := handshakeMsg(proto, role, params, ownDim, ownCount, paillier.MarshalPublicKey(&s.paiKey.PublicKey), rsaN, rsaE)
 	if err := transport.SendMsg(conn, msg); err != nil {
 		return nil, peerInfo{}, fmt.Errorf("core: handshake send: %w", err)
 	}
@@ -249,20 +270,8 @@ func newSession(conn transport.Conn, cfg Config, role Role, proto string, ownDim
 	pVersion := r.Uint()
 	pProto := r.String()
 	pRole := Role(r.Uint())
-	pEpsSq := r.Int()
-	pMinPts := int(r.Uint())
-	pMaxCoord := r.Int()
-	pEngine := r.String()
-	pCmpMask := int(r.Uint())
-	pShareMask := int(r.Uint())
-	pSelection := r.String()
-	pBatching := r.String()
-	pPacking := r.String()
-	pPruning := r.String()
-	pQuantum := int(r.Uint())
-	pParallel := int(r.Uint())
-	pDim := int(r.Uint())
-	pCount := int(r.Uint())
+	pParams := DecodeParams(r)
+	peer := peerInfo{Dim: int(r.Uint()), Count: int(r.Uint())}
 	paiB := r.Bytes()
 	rsaNB := r.Bytes()
 	rsaEB := r.Bytes()
@@ -277,30 +286,9 @@ func newSession(conn transport.Conn, cfg Config, role Role, proto string, ownDim
 		return nil, peerInfo{}, fmt.Errorf("%w: protocol %q vs %q", ErrHandshake, proto, pProto)
 	case pRole != role.peer():
 		return nil, peerInfo{}, fmt.Errorf("%w: both parties claim role %v", ErrHandshake, role)
-	case pEpsSq != epsSq:
-		return nil, peerInfo{}, fmt.Errorf("%w: Eps² %d vs %d", ErrHandshake, epsSq, pEpsSq)
-	case pMinPts != cfg.MinPts:
-		return nil, peerInfo{}, fmt.Errorf("%w: MinPts %d vs %d", ErrHandshake, cfg.MinPts, pMinPts)
-	case pMaxCoord != cfg.MaxCoord:
-		return nil, peerInfo{}, fmt.Errorf("%w: MaxCoord %d vs %d", ErrHandshake, cfg.MaxCoord, pMaxCoord)
-	case pEngine != string(cfg.Engine):
-		return nil, peerInfo{}, fmt.Errorf("%w: engine %q vs %q", ErrHandshake, cfg.Engine, pEngine)
-	case pCmpMask != cfg.CmpMaskBits:
-		return nil, peerInfo{}, fmt.Errorf("%w: CmpMaskBits %d vs %d", ErrHandshake, cfg.CmpMaskBits, pCmpMask)
-	case pShareMask != cfg.ShareMaskBits:
-		return nil, peerInfo{}, fmt.Errorf("%w: ShareMaskBits %d vs %d", ErrHandshake, cfg.ShareMaskBits, pShareMask)
-	case pSelection != string(cfg.Selection):
-		return nil, peerInfo{}, fmt.Errorf("%w: selection %q vs %q", ErrHandshake, cfg.Selection, pSelection)
-	case pBatching != string(cfg.Batching):
-		return nil, peerInfo{}, fmt.Errorf("%w: batching %q vs %q", ErrHandshake, cfg.Batching, pBatching)
-	case pPacking != string(cfg.Packing):
-		return nil, peerInfo{}, fmt.Errorf("%w: packing %q vs %q", ErrHandshake, cfg.Packing, pPacking)
-	case pPruning != string(cfg.Pruning):
-		return nil, peerInfo{}, fmt.Errorf("%w: pruning %q vs %q", ErrHandshake, cfg.Pruning, pPruning)
-	case pQuantum != cfg.PruneQuantum:
-		return nil, peerInfo{}, fmt.Errorf("%w: prune quantum %d vs %d", ErrHandshake, cfg.PruneQuantum, pQuantum)
-	case pParallel != cfg.Parallel:
-		return nil, peerInfo{}, fmt.Errorf("%w: parallel width %d vs %d", ErrHandshake, cfg.Parallel, pParallel)
+	}
+	if err := params.Diff(pParams); err != nil {
+		return nil, peerInfo{}, err
 	}
 
 	s.peerPai, err = paillier.UnmarshalPublicKey(paiB)
@@ -313,13 +301,13 @@ func newSession(conn transport.Conn, cfg Config, role Role, proto string, ownDim
 	}
 
 	s.shareV = int64(1) << uint(cfg.ShareMaskBits)
-	return s, peerInfo{Dim: pDim, Count: pCount}, nil
+	return s, peer, nil
 }
 
 // setDimension fixes the virtual-record dimension m and derives the
 // comparison bound; protocols call it after interpreting the handshake
 // dims (horizontal: m = own = peer; vertical: m = own + peer).
-func (s *session) setDimension(m int) error {
+func (s *Pair) setDimension(m int) error {
 	if m < 1 {
 		return fmt.Errorf("core: record dimension %d < 1", m)
 	}
@@ -343,130 +331,87 @@ func (s *session) setDimension(m int) error {
 	return nil
 }
 
-// maskBound returns the HDP zero-sum mask magnitude: masks are drawn in
-// (−2^b, 2^b) with b sized so that masked per-coordinate products stay far
-// inside the Paillier plaintext space.
-func (s *session) maskBound() *big.Int {
-	return new(big.Int).Lsh(big.NewInt(1), 62)
+// zeroSumBound returns the zero-sum mask magnitude of the masked-product
+// phases. Unpacked, masks are drawn in (−2^62, 2^62), far inside the
+// Paillier plaintext space. The packed path needs a bound both parties
+// can derive from handshake-agreed parameters so they size identical
+// slots, and one that scales with the data so S slots plus their mask
+// headroom fit the plaintext space: B = MaxCoord²·2^CmpMaskBits, which
+// still hides each product statistically (|x·y| ≤ MaxCoord² and the mask
+// is 2^κ times larger).
+func (s *Pair) zeroSumBound() *big.Int {
+	if !s.packing() {
+		return new(big.Int).Lsh(big.NewInt(1), 62)
+	}
+	b := big.NewInt(s.cfg.MaxCoord * s.cfg.MaxCoord)
+	return b.Lsh(b, uint(s.cfg.CmpMaskBits))
 }
 
-// packing reports whether this session runs its batch Paillier rounds
+// productPackers derives the pair's masked-product packers (a no-op with
+// packing off): each slot holds x·y + Σ masks with |x·y| ≤ MaxCoord² and
+// up to s.dim zero-sum mask terms of magnitude zeroSumBound (the last
+// ZeroSumMasks share is the negated sum of the others, so it can reach
+// (m−1)·B). The HDP and arbitrary-partition establishments call it once,
+// after setDimension.
+func (s *Pair) productPackers() (err error) {
+	if !s.packing() {
+		return nil
+	}
+	maxProduct := s.cfg.MaxCoord * s.cfg.MaxCoord
+	if s.mpPeer, err = encoding.NewProductPacker(s.peerPai.PlaintextBound(), maxProduct, s.zeroSumBound(), s.dim); err == nil {
+		s.mpOwn, err = encoding.NewProductPacker(s.paiKey.PlaintextBound(), maxProduct, s.zeroSumBound(), s.dim)
+	}
+	return err
+}
+
+// packing reports whether this pair runs its batch Paillier rounds
 // over slot-packed plaintexts (Config.Packing "slots" or "full" — full
 // is a strict superset of slots).
-func (s *session) packing() bool {
+func (s *Pair) packing() bool {
 	return s.cfg.Packing == PackSlots || s.cfg.Packing == PackFull
 }
-
-// fullPacking reports whether the session additionally packs the
-// comparison uplink (Config.Packing "full"): comparison engines choose
-// the moded uplink wire form per batch, and the comparison-heavy
-// protocol sites may switch to derived-base batches that send no uplink
-// ciphertexts at all.
-func (s *session) fullPacking() bool { return s.cfg.Packing == PackFull }
 
 // derivedCompare reports whether protocol sites may run derived-base
 // comparison batches (zero uplink ciphertexts, the responder re-derives
 // E(operand) from ciphertexts it already holds): full packing with the
 // masked engine. YMPP sends no Paillier comparison payloads, so there
 // is nothing to derive away.
-func (s *session) derivedCompare() bool {
-	return s.fullPacking() && s.cfg.Engine == compare.EngineMasked
-}
-
-// packedMaskBound is the zero-sum mask magnitude on the packed
-// masked-product path: B = MaxCoord²·2^CmpMaskBits. The unpacked path
-// keeps its fixed 2^62 bound; the packed path needs a bound both
-// parties can derive from handshake-agreed parameters so they size
-// identical slots, and one that scales with the data so S slots plus
-// their mask headroom fit the plaintext space. B still hides each
-// product statistically: |x·y| ≤ MaxCoord² and the mask is 2^κ times
-// larger.
-func (s *session) packedMaskBound() *big.Int {
-	b := big.NewInt(s.cfg.MaxCoord * s.cfg.MaxCoord)
-	return b.Lsh(b, uint(s.cfg.CmpMaskBits))
-}
-
-// productPacker sizes slots for masked per-coordinate products under
-// pub's plaintext space: each slot holds x·y + Σ masks with |x·y| ≤
-// maxProduct and up to s.dim zero-sum mask terms of magnitude
-// packedMaskBound (the last ZeroSumMasks share is the negated sum of
-// the others, so it can reach (m−1)·B).
-func (s *session) productPacker(pub *paillier.PublicKey, maxProduct int64) (*encoding.Packer, error) {
-	return encoding.NewProductPacker(pub.PlaintextBound(), maxProduct, s.packedMaskBound(), s.dim)
+func (s *Pair) derivedCompare() bool {
+	return s.cfg.Packing == PackFull && s.cfg.Engine == compare.EngineMasked
 }
 
 // dotPacker sizes slots for the §5 masked dot products: every reply
 // value lands in [0, bound + shareV), non-negative by construction.
-func (s *session) dotPacker(pub *paillier.PublicKey) (*encoding.Packer, error) {
+func (s *Pair) dotPacker(pub *paillier.PublicKey) (*encoding.Packer, error) {
 	return encoding.NewSumPacker(pub.PlaintextBound(), s.bound+s.shareV)
 }
 
 // engines builds a matched comparator pair for the given inclusive input
-// bound. The "alice" side (left-value holder, decryptor) uses this party's
-// private keys; the "bob" side uses the peer's public keys — so in any
-// sub-protocol, the party holding the left value uses its cmpAlice and the
-// peer simultaneously uses its cmpBob. Both halves are wrapped in counters
-// feeding Result.SecureComparisons.
-func (s *session) engines(bound int64) (compare.Alice, compare.Bob, error) {
-	switch s.cfg.Engine {
-	case compare.EngineYMPP:
-		if bound+2 > yao.MaxDomain {
-			return nil, nil, fmt.Errorf("core: comparison domain %d exceeds YMPP limit %d; use Engine=masked or a smaller grid", bound+2, int64(yao.MaxDomain))
-		}
-		return &countingAlice{inner: &compare.YMPPAlice{Key: s.rsaKey, Max: bound, Random: s.random, Pool: s.pool}, n: &s.cmpCount},
-			&countingBob{inner: &compare.YMPPBob{Pub: s.peerRSA, Max: bound, Random: s.random}, n: &s.cmpCount}, nil
-	case compare.EngineMasked:
-		limit := new(big.Int).Lsh(big.NewInt(bound+2), uint(s.cfg.CmpMaskBits))
-		if limit.Cmp(s.paiKey.PlaintextBound()) >= 0 || limit.Cmp(s.peerPai.PlaintextBound()) >= 0 {
-			return nil, nil, fmt.Errorf("core: bound %d with %d mask bits overflows the Paillier plaintext space", bound, s.cfg.CmpMaskBits)
-		}
-		// This party's Alice engine sends the request leg (uplink); its Bob
-		// engine sends reply legs (downlink). The engines count their own
-		// wire traffic — under "full" packing the uplink ciphertext count
-		// depends on the runtime batch content, so only the engine knows it.
-		aliceEng := &compare.MaskedAlice{Key: s.paiKey, Max: bound, Random: s.random, Pool: s.pool, Sent: &s.ctsUp}
-		bobEng := &compare.MaskedBob{Pub: s.peerPai, Max: bound, MaskBits: s.cfg.CmpMaskBits, Random: s.random, Pool: s.pool, Sent: &s.ctsDown}
-		if s.packing() {
-			// Each party's Alice engine pairs with the peer's Bob engine,
-			// so both packers over one key agree: Alice derives from her
-			// own modulus, the peer's Bob from its view of that same
-			// public key, and the slot geometry is otherwise a function of
-			// handshake-agreed parameters (bound, CmpMaskBits).
-			ap, err := encoding.NewComparePacker(s.paiKey.PlaintextBound(), bound, s.cfg.CmpMaskBits)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: comparison packer: %w", err)
-			}
-			bp, err := encoding.NewComparePacker(s.peerPai.PlaintextBound(), bound, s.cfg.CmpMaskBits)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: comparison packer: %w", err)
-			}
-			aliceEng.Packer, bobEng.Packer = ap, bp
-		}
-		if s.fullPacking() {
-			// Uplink packers size the wider slots derived-base replies
-			// need (both operands signed, mask folded into the slot); the
-			// moded uplink wire form engages whenever they are non-nil.
-			aup, err := encoding.NewUplinkComparePacker(s.paiKey.PlaintextBound(), bound, s.cfg.CmpMaskBits)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: uplink comparison packer: %w", err)
-			}
-			bup, err := encoding.NewUplinkComparePacker(s.peerPai.PlaintextBound(), bound, s.cfg.CmpMaskBits)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: uplink comparison packer: %w", err)
-			}
-			aliceEng.UplinkPacker, bobEng.UplinkPacker = aup, bup
-		}
-		return &countingAlice{inner: aliceEng, n: &s.cmpCount},
-			&countingBob{inner: bobEng, n: &s.cmpCount}, nil
+// bound (compare.Edge is the one engine constructor). The "alice" side
+// (left-value holder, decryptor) uses this party's private keys; the
+// "bob" side uses the peer's public keys — so in any sub-protocol, the
+// party holding the left value uses its cmpAlice and the peer
+// simultaneously uses its cmpBob. Both halves are wrapped in counters
+// feeding Result.SecureComparisons; the masked engines count their own
+// wire traffic into ctsUp (Alice's request leg) and ctsDown (Bob's
+// replies).
+func (s *Pair) engines(bound int64) (compare.Alice, compare.Bob, error) {
+	a, b, err := compare.Edge{
+		Kind: s.cfg.Engine, MaskBits: s.cfg.CmpMaskBits, Packed: s.packing(), Uplink: s.cfg.Packing == PackFull,
+		Key: s.paiKey, RSAKey: s.rsaKey, Pub: s.peerPai, RSAPub: s.peerRSA,
+		Random: s.random, Pool: s.pool, Up: &s.ctsUp, Down: &s.ctsDown,
+	}.Engines(bound)
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil, nil, fmt.Errorf("core: unknown engine %q", s.cfg.Engine)
+	return &countingAlice{inner: a, n: &s.cmpCount}, &countingBob{inner: b, n: &s.cmpCount}, nil
 }
 
 // countingAlice/countingBob wrap a comparison engine and tally executed
 // instances (one per predicate, so a batch of k counts k) into the
 // session's cmpCount — the Result.SecureComparisons metric. Ciphertext
 // accounting lives in the engines themselves (MaskedAlice/MaskedBob
-// Sent hooks wired by engines()); YMPP engines send no Paillier
+// Sent hooks wired by compare.Edge); YMPP engines send no Paillier
 // payloads and count nothing.
 type countingAlice struct {
 	inner compare.Alice
@@ -496,7 +441,7 @@ func (c *countingAlice) BatchLess(conn transport.Conn, as []int64) ([]bool, erro
 // BatchLessEqDerived forwards a derived-base batch (operands already
 // held encrypted by the peer; zero uplink ciphertexts). Only masked
 // engines with an UplinkPacker support it; callers gate on
-// session.fullPacking(), so a failed assertion is a programming error.
+// Pair.derivedCompare(), so a failed assertion is a programming error.
 func (c *countingAlice) BatchLessEqDerived(conn transport.Conn, as []int64) ([]bool, error) {
 	d, ok := c.inner.(compare.DerivedAlice)
 	if !ok {
@@ -570,23 +515,23 @@ func (c *countingBob) BatchLessDerived(conn transport.Conn, bs []int64, base fun
 func (c *countingBob) Bound() int64 { return c.inner.Bound() }
 func (c *countingBob) Name() string { return c.inner.Name() }
 
-// distEngines returns comparators for the split-threshold predicate
+// DistEngines returns comparators for the split-threshold predicate
 // a + b ≤ Eps² (driver holds a ∈ [0, bound], responder holds b ∈ [−bound,
 // bound]). Implemented as strict Less over [0, bound+1] with the responder
 // clamping Eps² − b + 1 into the domain, which preserves the predicate
 // because a never exceeds bound.
-func (s *session) distEngines() (compare.Alice, compare.Bob, error) {
+func (s *Pair) DistEngines() (compare.Alice, compare.Bob, error) {
 	return s.engines(s.bound + 1)
 }
 
 // batched reports whether this session uses the batched round structure.
-func (s *session) batched() bool { return s.cfg.Batching == BatchModeBatched }
+func (s *Pair) batched() bool { return s.cfg.Batching == BatchModeBatched }
 
 // responderOperand maps the responder's additive share into the strict
 // Less embedding of a + b ≤ Eps²: j = clamp(Eps² − b + 1, [0, bound]).
 // The clamp preserves the predicate because the driver's a never exceeds
 // the distance bound.
-func (s *session) responderOperand(bound, peerSum int64) int64 {
+func (s *Pair) responderOperand(bound, peerSum int64) int64 {
 	j := s.epsSq - peerSum + 1
 	if j < 0 {
 		j = 0

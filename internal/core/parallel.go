@@ -44,18 +44,17 @@ import (
 // lockstep families) and are therefore never scheduled on the crypto
 // pool. The CPU-heavy work inside a wave — batch encryption, decryption,
 // homomorphic arithmetic — reaches the pool through the engine and mpc
-// handles that carry session.pool: on a multi-session server all W
+// handles that carry the Pair's pool: on a multi-session server all W
 // workers of all sessions contend for one bounded pool
 // (Config.ServerWorkers) instead of fanning out W·GOMAXPROCS goroutines
 // per session.
 
-// RunWave executes one wave of n jobs concurrently (a single job runs
+// runWave executes one wave of n jobs concurrently (a single job runs
 // inline, with no goroutine). It returns the first root-cause error: when
-// one worker fails and tears the channels down (parallelServe's failAll),
+// one worker fails and tears the channels down (Pair.Serve's failAll),
 // its siblings fail with induced connection-closed errors, so
-// non-ErrClosed errors take precedence. Exported for the mesh's
-// per-edge responder workers.
-func RunWave(n int, f func(t int) error) error {
+// non-ErrClosed errors take precedence.
+func runWave(n int, f func(t int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -201,7 +200,7 @@ func waveExpand(workers int, localRQ func(int) []int, decide func(worker, point,
 			}
 		}
 		nxtCores := make([]bool, len(nxt))
-		if err := RunWave(w, func(t int) error {
+		if err := runWave(w, func(t int) error {
 			if fresh[t] {
 				c, err := decide(t, wave[t], len(rqs[t]))
 				if err != nil {
@@ -240,14 +239,13 @@ func waveExpand(workers int, localRQ func(int) []int, decide func(worker, point,
 	return true, nil
 }
 
-// serveFn answers one already-parsed op frame on a responder worker
-// channel; rng is the worker's permutation source.
-type serveFn func(conn transport.Conn, rng permSource, op uint64, r *transport.Reader) error
-
-// parallelServe runs W responder workers, one per channel, each looping
-// until its channel's opDone. On a worker error every worker channel is
-// closed so siblings blocked in Recv unwind instead of deadlocking.
-func parallelServe(s *session, conns []transport.Conn, opTag string, serve serveFn) error {
+// Serve runs the pair's W responder workers, one per channel, each
+// answering a driving pass's op frames — all of the one kind op — with
+// serve (rng is the worker's permutation source) until its channel's done
+// op. On a worker error every worker channel is closed so siblings
+// blocked in Recv unwind instead of deadlocking.
+func (s *Pair) Serve(opTag string, op uint64, serve func(conn transport.Conn, rng PermSource, r *transport.Reader) error) error {
+	conns := s.Conns
 	var closeOnce sync.Once
 	failAll := func() {
 		closeOnce.Do(func() {
@@ -256,12 +254,8 @@ func parallelServe(s *session, conns []transport.Conn, opTag string, serve serve
 			}
 		})
 	}
-	return RunWave(len(conns), func(w int) error {
-		rng, err := s.channelRng(w)
-		if err != nil {
-			failAll()
-			return err
-		}
+	return runWave(len(conns), func(w int) error {
+		rng := s.channelRng(w)
 		conn := conns[w]
 		for {
 			setTag(conn, opTag)
@@ -270,15 +264,17 @@ func parallelServe(s *session, conns []transport.Conn, opTag string, serve serve
 				failAll()
 				return fmt.Errorf("core: responder recv op: %w", err)
 			}
-			op := r.Uint()
-			if r.Err() != nil {
-				failAll()
-				return r.Err()
-			}
-			if op == opDone {
+			switch got := r.Uint(); {
+			case r.Err() != nil:
+				err = r.Err()
+			case got == opDone:
 				return nil
+			case got != op:
+				err = fmt.Errorf("core: responder got unexpected op %d on %s", got, opTag)
+			default:
+				err = serve(conn, rng, r)
 			}
-			if err := serve(conn, rng, op, r); err != nil {
+			if err != nil {
 				failAll()
 				return err
 			}
@@ -286,10 +282,10 @@ func parallelServe(s *session, conns []transport.Conn, opTag string, serve serve
 	})
 }
 
-// sendDoneAll releases every responder worker at the end of a driving
+// SendDone releases the peer's responder workers at the end of a driving
 // pass.
-func sendDoneAll(conns []transport.Conn, tag string) error {
-	for _, c := range conns {
+func (s *Pair) SendDone(tag string) error {
+	for _, c := range s.Conns {
 		setTag(c, tag)
 		if err := transport.SendMsg(c, transport.NewBuilder().PutUint(opDone)); err != nil {
 			return err

@@ -13,26 +13,30 @@ import (
 
 // newTestSessions builds a connected Alice/Bob session pair directly,
 // bypassing the public protocol entry points, for sub-protocol unit tests.
-func newTestSessions(t *testing.T, cfg Config, dim int) (*session, *session, transport.Conn, transport.Conn) {
+func newTestSessions(t *testing.T, cfg Config, dim int) (*Pair, *Pair, transport.Conn, transport.Conn) {
 	t.Helper()
 	cfg = cfg.withDefaults()
 	ca, cb := transport.Pipe()
 	type out struct {
-		s   *session
+		s   *Pair
 		err error
 	}
 	ch := make(chan out, 2)
-	go func() {
-		s, _, err := newSession(ca, cfg, RoleAlice, "unit", dim, 1)
+	setup := func(conn transport.Conn, role Role) (*Pair, error) {
+		s, _, err := establish(conn, cfg, role, "unit", dim, 1)
 		if err == nil {
 			err = s.setDimension(dim)
 		}
+		if err == nil {
+			err = s.productPackers()
+		}
+		return s, err
+	}
+	go func() {
+		s, err := setup(ca, RoleAlice)
 		ch <- out{s, err}
 	}()
-	sB, _, errB := newSession(cb, cfg, RoleBob, "unit", dim, 1)
-	if errB == nil {
-		errB = sB.setDimension(dim)
-	}
+	sB, errB := setup(cb, RoleBob)
 	resA := <-ch
 	if resA.err != nil || errB != nil {
 		t.Fatalf("session setup: alice=%v bob=%v", resA.err, errB)
@@ -59,24 +63,20 @@ func TestHDPSingleQuery(t *testing.T) {
 			}
 		}
 
-		engA, _, err := sA.distEngines()
+		engA, _, err := sA.DistEngines()
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, engB, err := sB.distEngines()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rngB, err := sB.channelRng(0)
+		_, engB, err := sB.DistEngines()
 		if err != nil {
 			t.Fatal(err)
 		}
 		var got int
 		errc := make(chan error, 1)
 		go func() {
-			errc <- hdpQueryResponder(cb, sB, rngB, engB, responderPts)
+			errc <- sB.HDPServe(cb, sB.channelRng(0), engB, responderPts, 0)
 		}()
-		got, err = hdpQueryDriver(ca, sA, engA, driverPt, len(responderPts))
+		got, err = sA.HDPCount(ca, engA, nil, driverPt, len(responderPts))
 		if err != nil {
 			t.Fatalf("%s: driver: %v", engine, err)
 		}
@@ -95,11 +95,11 @@ func TestHDPZeroPeerPoints(t *testing.T) {
 	sA, _, ca, cb := newTestSessions(t, cfg, 2)
 	defer ca.Close()
 	defer cb.Close()
-	engA, _, err := sA.distEngines()
+	engA, _, err := sA.DistEngines()
 	if err != nil {
 		t.Fatal(err)
 	}
-	count, err := hdpQueryDriver(ca, sA, engA, []int64{1, 1}, 0)
+	count, err := sA.HDPCount(ca, engA, nil, []int64{1, 1}, 0)
 	if err != nil || count != 0 {
 		t.Errorf("zero-peer query: count=%d err=%v", count, err)
 	}
@@ -148,8 +148,8 @@ func TestHorizontalPropertyRandomGrids(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		encA, _ := cfg.withDefaults().encodePoints(aPts)
-		encB, _ := cfg.withDefaults().encodePoints(bPts)
+		encA, _ := cfg.withDefaults().EncodePoints(aPts)
+		encB, _ := cfg.withDefaults().EncodePoints(bPts)
 		epsSq, _ := cfg.withDefaults().epsSquared()
 		wantA, _, wantB, _ := SimulateHorizontal(encA, encB, epsSq, cfg.MinPts)
 		return metrics.ExactMatch(ra.Labels, wantA) && metrics.ExactMatch(rb.Labels, wantB)
@@ -199,8 +199,8 @@ func TestEnhancedPropertyAgreesWithBasic(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		encA, _ := cfg.withDefaults().encodePoints(aPts)
-		encB, _ := cfg.withDefaults().encodePoints(bPts)
+		encA, _ := cfg.withDefaults().EncodePoints(aPts)
+		encB, _ := cfg.withDefaults().EncodePoints(bPts)
 		epsSq, _ := cfg.withDefaults().epsSquared()
 		wantA, _, _, _ := SimulateHorizontal(encA, encB, epsSq, cfg.MinPts)
 		return metrics.ExactMatch(ea.Labels, wantA)

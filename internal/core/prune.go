@@ -33,12 +33,14 @@ import (
 // disclosure is accounted in the Ledger's Index* classes; the non-index
 // classes keep their decision-level budgets (see Ledger docs).
 
-// swapMsg exchanges one frame with the peer without a simultaneous-send
-// deadlock: Alice sends first while Bob receives first, so arbitrarily
-// large index frames never block both directions at once (the in-process
-// pipe is buffered, a TCP socket is not).
-func swapMsg(conn transport.Conn, role Role, msg *transport.Builder) (*transport.Reader, error) {
-	if role == RoleAlice {
+// SwapMsg exchanges one frame with the peer, accounted to the given Meter
+// tag, without a simultaneous-send deadlock: Alice sends first while Bob
+// receives first, so arbitrarily large index frames never block both
+// directions at once (the in-process pipe is buffered, a TCP socket is
+// not).
+func (s *Pair) SwapMsg(conn transport.Conn, tag string, msg *transport.Builder) (*transport.Reader, error) {
+	setTag(conn, tag)
+	if s.role == RoleAlice {
 		if err := transport.SendMsg(conn, msg); err != nil {
 			return nil, err
 		}
@@ -54,23 +56,16 @@ func swapMsg(conn transport.Conn, role Role, msg *transport.Builder) (*transport
 	return r, nil
 }
 
-// exchangeIndex runs the horizontal-family index exchange: both parties
-// bucket their construction-time dataset as generation 0 of their
-// spatial.Stack, send its padded directory, and record what the peer
-// disclosed. Appends extend both sides one generation at a time via
-// appendIndexDelta.
-func (s *session) exchangeIndex(conn transport.Conn, enc [][]int64) error {
-	setTag(conn, "hdp.idx")
-	st, err := spatial.NewStack(s.cellW, s.dim, s.cfg.PruneQuantum)
+// exchangeIndex runs the horizontal-shape index exchange: each party
+// sends the padded directory of its construction-time dataset (generation
+// 0 of its spatial.Stack) and records what the peer disclosed. Appends
+// extend both sides one generation at a time via appendIndexDelta.
+func (s *Pair) exchangeIndex(conn transport.Conn, own *OwnGens, peer *PeerGens) error {
+	ownDir, err := own.index(s.cellW)
 	if err != nil {
 		return fmt.Errorf("core: index build: %w", err)
 	}
-	ownDir, err := st.Append(enc)
-	if err != nil {
-		return fmt.Errorf("core: index build: %w", err)
-	}
-	s.ownStack = st
-	r, err := swapMsg(conn, s.role, ownDir.Encode(transport.NewBuilder()))
+	r, err := s.SwapMsg(conn, "hdp.idx", ownDir.Encode(transport.NewBuilder()))
 	if err != nil {
 		return fmt.Errorf("core: index exchange: %w", err)
 	}
@@ -78,7 +73,7 @@ func (s *session) exchangeIndex(conn transport.Conn, enc [][]int64) error {
 	if err != nil {
 		return fmt.Errorf("core: index decode: %w", err)
 	}
-	s.peerDirs = []spatial.Directory{peerDir}
+	peer.dirs = []spatial.Directory{peerDir}
 	s.led(func(l *Ledger) {
 		l.IndexCells += len(peerDir.Cells)
 		l.IndexPaddedPoints += peerDir.PaddedTotal()
@@ -86,30 +81,28 @@ func (s *session) exchangeIndex(conn transport.Conn, enc [][]int64) error {
 	return nil
 }
 
-// appendIndexDelta runs one streaming index round: each party appends its
-// batch as the next generation of its own stack and the parties swap
-// GridDeltas naming only the touched cells. The received delta extends
-// peerDirs; the disclosure is recorded in the delta-index classes.
-func (s *session) appendIndexDelta(conn transport.Conn, batch [][]int64) error {
-	setTag(conn, "hdp.idx")
-	ownDelta, err := s.ownStack.Append(batch)
-	if err != nil {
-		return fmt.Errorf("core: index delta build: %w", err)
-	}
-	gen := s.ownStack.Gens()
-	msg := spatial.GridDelta{Gen: gen, Dir: ownDelta}.Encode(transport.NewBuilder())
-	r, err := swapMsg(conn, s.role, msg)
+// appendIndexDelta runs one streaming index round: the parties swap
+// GridDeltas naming only the cells their gen-th generation touched.
+func (s *Pair) appendIndexDelta(conn transport.Conn, gen int, delta spatial.Directory, peer *PeerGens) error {
+	r, err := s.SwapMsg(conn, "hdp.idx", spatial.GridDelta{Gen: gen, Dir: delta}.Encode(transport.NewBuilder()))
 	if err != nil {
 		return fmt.Errorf("core: index delta exchange: %w", err)
 	}
-	peerDelta, err := spatial.DecodeGridDelta(r, s.dim, s.cfg.PruneQuantum, len(s.peerDirs)+1)
+	return s.ReadIndexDelta(r, peer)
+}
+
+// ReadIndexDelta decodes the peer's GridDelta for its next generation and
+// extends our view of its directories; the disclosure is recorded in the
+// delta-index Ledger classes.
+func (s *Pair) ReadIndexDelta(r *transport.Reader, peer *PeerGens) error {
+	d, err := spatial.DecodeGridDelta(r, s.dim, s.cfg.PruneQuantum, len(peer.dirs)+1)
 	if err != nil {
 		return fmt.Errorf("core: index delta decode: %w", err)
 	}
-	s.peerDirs = append(s.peerDirs, peerDelta.Dir)
+	peer.dirs = append(peer.dirs, d.Dir)
 	s.led(func(l *Ledger) {
-		l.IndexDeltaCells += len(peerDelta.Dir.Cells)
-		l.IndexPaddedPoints += peerDelta.Dir.PaddedTotal()
+		l.IndexDeltaCells += len(d.Dir.Cells)
+		l.IndexPaddedPoints += d.Dir.PaddedTotal()
 	})
 	return nil
 }
@@ -118,62 +111,73 @@ func (s *session) appendIndexDelta(conn transport.Conn, batch [][]int64) error {
 // peer's generations [from, to): their occupied cells adjacent to p's
 // cell, plus the stacked padded occupancy total (the exact number of
 // MP/comparison instances the query will run). The full index is
-// (0, len(peerDirs)); a query whose prefix is answered by the cross-run
-// cache starts at the first uncached generation, and the per-generation
-// sub-queries of a sliding-window sweep bound both ends so cached
-// segments align with generation boundaries.
-func (s *session) candidateCells(p []int64, from, to int) (cells [][]int64, total int) {
-	return spatial.CandidatesSpan(s.peerDirs, from, to, spatial.Bucket(p, s.cellW))
+// (0, len(peer.dirs)); the per-generation sub-queries of an HDP sweep
+// bound both ends so cached segments align with generation boundaries.
+func (s *Pair) candidateCells(peer *PeerGens, p []int64, from, to int) (cells [][]int64, total int) {
+	return spatial.CandidatesSpan(peer.dirs, from, to, spatial.Bucket(p, s.cellW))
 }
 
-// readQueryCells is the responder-side half: parse an announced candidate
-// list, resolve it against our own generations [from, to)
-// (spatial.Stack.ResolveSpan does the validation), and return the real
-// member points (generation-major) plus how many dummy entries pad the
-// batch to the disclosed stacked counts.
-func (s *session) readQueryCells(r *transport.Reader, own [][]int64, from, to int) (pts [][]int64, nDummy int, err error) {
+// QueryFrame builds the op frame of one HDP sub-query — our point p
+// against the peer's generation g, announced as the span [g, g+1) — and
+// reports how many candidate instances it commits both sides to. Under
+// grid pruning the frame names the candidate cells out of the peer's
+// generation-g directory and the query runs over their padded occupancy;
+// when padding would make that at least as large as the generation
+// itself the frame flags the exhaustive fallback instead, so a pruned
+// sweep never compares more than an unpruned one. Whether a frame
+// announcing zero candidates is sent at all is the caller's policy.
+func (s *Pair) QueryFrame(peer *PeerGens, p []int64, g int) (*transport.Builder, int) {
+	msg := transport.NewBuilder().PutUint(OpQuery).PutUint(uint64(g)).PutUint(uint64(g + 1))
+	nCand := peer.Count[g]
+	if s.pruneOn {
+		cells, total := s.candidateCells(peer, p, g, g+1)
+		usePrune := total < nCand
+		msg.PutBool(usePrune)
+		if usePrune {
+			nCand = total
+			spatial.EncodeCells(msg, cells)
+		}
+	}
+	return msg, nCand
+}
+
+// ReadPrunedOp resolves the candidates of a region or core query op frame
+// scoped to our own generations [from, to): the candidate points
+// (generation-major) plus how many dummy entries pad the batch to the
+// disclosed stacked counts. With pruning off that is the span itself.
+// With pruning on the driver appended the exhaustive-fallback flag and,
+// for pruned queries, the candidate cells (spatial.Stack.ResolveSpan
+// validates them); on fallback the result is again the span with no
+// dummies. The flag itself is an index signal (it tells the responder
+// whether the query's candidate cells cover at least the exhaustive
+// span), so it is accounted in IndexQueryCells alongside any announced
+// cells.
+func (s *Pair) ReadPrunedOp(r *transport.Reader, own *OwnGens, from, to int) (pts [][]int64, nDummy int, err error) {
+	if !s.pruneOn {
+		return own.Span(from, to), 0, nil
+	}
+	pruned := r.Bool()
+	if err := r.Err(); err != nil {
+		return nil, 0, err
+	}
+	if !pruned {
+		s.led(func(l *Ledger) { l.IndexQueryCells++ })
+		return own.Span(from, to), 0, nil
+	}
 	cells, err := spatial.DecodeCells(r, s.dim)
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: query cells: %w", err)
 	}
-	members, nDummy, err := s.ownStack.ResolveSpan(from, to, cells)
+	members, nDummy, err := own.stack.ResolveSpan(from, to, cells)
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: query cells: %w", err)
 	}
 	pts = make([][]int64, len(members))
 	for i, j := range members {
-		pts[i] = own[j]
+		pts[i] = own.Enc[j]
 	}
-	s.led(func(l *Ledger) { l.IndexQueryCells += len(cells) })
+	s.led(func(l *Ledger) { l.IndexQueryCells += 1 + len(cells) })
 	return pts, nDummy, nil
-}
-
-// readPrunedOp parses the pruning fields a driver appends to a region or
-// core query op frame when pruning is on: the exhaustive-fallback flag
-// and, for pruned queries, the candidate cells. Returns the candidate
-// points plus dummy count — on fallback, the own points of generations
-// [from, to) with no dummies. The flag itself is an index signal (it
-// tells the responder whether the query's candidate cells cover at least
-// the exhaustive span), so it is accounted in IndexQueryCells alongside
-// any announced cells.
-func (s *session) readPrunedOp(r *transport.Reader, own [][]int64, from, to int) (pts [][]int64, nDummy int, err error) {
-	pruned := r.Bool()
-	if err := r.Err(); err != nil {
-		return nil, 0, err
-	}
-	s.led(func(l *Ledger) { l.IndexQueryCells++ })
-	if !pruned {
-		start, err := s.ownStack.GenStart(from)
-		if err != nil {
-			return nil, 0, fmt.Errorf("core: query watermark: %w", err)
-		}
-		end, err := s.ownStack.GenStart(to)
-		if err != nil {
-			return nil, 0, fmt.Errorf("core: query watermark: %w", err)
-		}
-		return own[start:end], 0, nil
-	}
-	return s.readQueryCells(r, own, from, to)
 }
 
 // ---- Lockstep cell matrices ----
@@ -182,13 +186,12 @@ func (s *session) readPrunedOp(r *transport.Reader, own [][]int64, from, to int)
 // discloses the cell coordinates of every record over its own columns
 // (tag vdp.idx) and both assemble the full per-record cell rows, Alice's
 // columns leading — matching the virtual record layout.
-func verticalCellMatrix(conn transport.Conn, s *session, enc [][]int64, role Role, peerDim int) ([][]int64, error) {
-	setTag(conn, "vdp.idx")
+func verticalCellMatrix(conn transport.Conn, s *Pair, enc [][]int64, role Role, peerDim int) ([][]int64, error) {
 	own := make([][]int64, len(enc))
 	for i, p := range enc {
 		own[i] = spatial.Bucket(p, s.cellW)
 	}
-	r, err := swapMsg(conn, role, spatial.EncodeCells(transport.NewBuilder(), own))
+	r, err := s.SwapMsg(conn, "vdp.idx", spatial.EncodeCells(transport.NewBuilder(), own))
 	if err != nil {
 		return nil, fmt.Errorf("core: vdp index exchange: %w", err)
 	}
@@ -217,8 +220,7 @@ func verticalCellMatrix(conn transport.Conn, s *session, enc [][]int64, role Rol
 // party discloses, in ascending (record, attribute) order, the 1-D cell
 // coordinate of every value it owns (tag adp.idx); the public ownership
 // matrix routes the received stream into the full per-record cell rows.
-func arbitraryCellMatrix(conn transport.Conn, s *session, enc [][]int64, owners [][]partition.Owner, role Role) ([][]int64, error) {
-	setTag(conn, "adp.idx")
+func arbitraryCellMatrix(conn transport.Conn, s *Pair, enc [][]int64, owners [][]partition.Owner, role Role) ([][]int64, error) {
 	mine := partition.Alice
 	if role == RoleBob {
 		mine = partition.Bob
@@ -234,7 +236,7 @@ func arbitraryCellMatrix(conn transport.Conn, s *session, enc [][]int64, owners 
 			}
 		}
 	}
-	r, err := swapMsg(conn, role, transport.NewBuilder().PutInts(ownCoords))
+	r, err := s.SwapMsg(conn, "adp.idx", transport.NewBuilder().PutInts(ownCoords))
 	if err != nil {
 		return nil, fmt.Errorf("core: adp index exchange: %w", err)
 	}

@@ -91,10 +91,7 @@ type idleController interface{ SetIdleArmed(bool) }
 // matching sessions concurrently (the constructor performs the blocking
 // handshake and index exchange).
 type Session struct {
-	s     *session
-	peer  peerInfo
-	mux   *transport.Mux
-	conns []transport.Conn // worker channels; conns[0] carries control ops
+	s     *Pair // s.Conns[0] carries the control ops
 	proto string
 
 	setup   Ledger // one-time disclosures recorded at construction
@@ -144,20 +141,6 @@ type Session struct {
 	runs    atomic.Int64
 	running atomic.Bool
 	closed  atomic.Bool
-}
-
-// sessionChannels prepares the session's worker connections: the bare
-// connection itself for W = 1, or W multiplexed channels.
-func sessionChannels(conn transport.Conn, w int) (*transport.Mux, []transport.Conn) {
-	if w <= 1 {
-		return nil, []transport.Conn{conn}
-	}
-	m := transport.NewMux(conn)
-	conns := make([]transport.Conn, w)
-	for i := range conns {
-		conns[i] = m.Channel(uint32(i))
-	}
-	return m, conns
 }
 
 // AppendRequest describes a peer-initiated append the serving party must
@@ -441,7 +424,7 @@ func (t *Session) Run() (*Result, error) {
 	if t.closed.Load() {
 		return nil, ErrSessionClosed
 	}
-	ctrl := t.conns[0]
+	ctrl := t.s.Conns[0]
 	setTag(ctrl, "session.op")
 	if t.s.role == RoleAlice {
 		if err := transport.SendMsg(ctrl, transport.NewBuilder().PutUint(sessOpRun)); err != nil {
@@ -509,11 +492,7 @@ func (t *Session) Run() (*Result, error) {
 	}
 	// Per-run accounting starts clean; the setup ledger was moved aside at
 	// construction.
-	t.s.cmpCount.Store(0)
-	t.s.cmpCached.Store(0)
-	t.s.ctsUp.Store(0)
-	t.s.ctsDown.Store(0)
-	t.s.takeLedger()
+	t.s.ResetRun()
 	res, err := t.runOnce()
 	if err != nil {
 		// A failed run leaves the peer at an unknown point of the protocol;
@@ -541,7 +520,7 @@ func (t *Session) Close() error {
 		return nil
 	}
 	if t.s.role == RoleAlice {
-		ctrl := t.conns[0]
+		ctrl := t.s.Conns[0]
 		setTag(ctrl, "session.op")
 		if err := transport.SendMsg(ctrl, transport.NewBuilder().PutUint(sessOpClose)); err != nil {
 			return fmt.Errorf("core: session close op: %w", err)
@@ -562,11 +541,11 @@ func (t *Session) SetupLeakage() Ledger { return t.setup }
 func (t *Session) Runs() int { return int(t.runs.Load()) }
 
 // Parallel reports the session's scheduler width W.
-func (t *Session) Parallel() int { return t.s.parallel() }
+func (t *Session) Parallel() int { return t.s.cfg.Parallel }
 
 // result assembles a Result from the session's per-run accounting.
 func (t *Session) result(labels []int, clusters int) *Result {
-	up, down := t.s.ctsUp.Load(), t.s.ctsDown.Load()
+	up, down := t.s.Ciphertexts()
 	return &Result{
 		Labels:              labels,
 		NumClusters:         clusters,

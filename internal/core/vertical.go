@@ -45,14 +45,14 @@ func VerticalBob(conn transport.Conn, cfg Config, attrs [][]float64) (*Result, e
 // keys, and (under grid pruning) the per-record cell-matrix exchange
 // happen once; each Run executes one lockstep clustering.
 func NewVerticalSession(conn transport.Conn, cfg Config, role Role, attrs [][]float64) (*Session, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	cfg, err := cfg.Normalize()
+	if err != nil {
 		return nil, err
 	}
 	if len(attrs) == 0 {
 		return nil, fmt.Errorf("core: vertical protocol requires at least one record")
 	}
-	enc, err := cfg.encodePoints(attrs)
+	enc, err := cfg.EncodePoints(attrs)
 	if err != nil {
 		return nil, err
 	}
@@ -62,8 +62,7 @@ func NewVerticalSession(conn transport.Conn, cfg Config, role Role, attrs [][]fl
 			return nil, fmt.Errorf("core: record %d has %d attributes, want %d", i, len(p), ownDim)
 		}
 	}
-	mux, conns := sessionChannels(conn, cfg.Parallel)
-	s, peer, err := newSession(conns[0], cfg, role, "vertical", ownDim, len(enc))
+	s, peer, err := establish(conn, cfg, role, "vertical", ownDim, len(enc))
 	if err != nil {
 		return nil, err
 	}
@@ -86,13 +85,13 @@ func NewVerticalSession(conn transport.Conn, cfg Config, role Role, attrs [][]fl
 	// Append extends it by the new rows only.
 	var cellRows [][]int64
 	if s.pruneOn {
-		cellRows, err = verticalCellMatrix(conns[0], s, enc, role, peer.Dim)
+		cellRows, err = verticalCellMatrix(s.Conns[0], s, enc, role, peer.Dim)
 		if err != nil {
 			return nil, err
 		}
 	}
 	vs := &vStream{enc: enc, cellRows: cellRows, peerDim: peer.Dim, batches: []int{len(enc)}, cache: NewPairCache()}
-	t := &Session{s: s, peer: peer, mux: mux, conns: conns, proto: "vertical"}
+	t := &Session{s: s, proto: "vertical"}
 	t.idleCtl, _ = conn.(idleController)
 	t.setup = s.takeLedger()
 	t.runOnce = func() (*Result, error) { return verticalRunOnce(t, vs) }
@@ -136,7 +135,7 @@ func verticalAppendInit(t *Session, vs *vStream, values [][]float64, owners [][]
 	if err != nil {
 		return false, err
 	}
-	ctrl := t.conns[0]
+	ctrl := t.s.Conns[0]
 	setTag(ctrl, "session.op")
 	msg := transport.NewBuilder().PutUint(sessOpAppend).PutUint(uint64(len(batch)))
 	appendVCoords(s, msg, batch)
@@ -173,7 +172,7 @@ func verticalAppendServe(t *Session, vs *vStream, r *transport.Reader) error {
 	if err != nil {
 		return err
 	}
-	ctrl := t.conns[0]
+	ctrl := t.s.Conns[0]
 	setTag(ctrl, "session.op")
 	msg := transport.NewBuilder().PutUint(uint64(len(batch)))
 	appendVCoords(s, msg, batch)
@@ -186,7 +185,7 @@ func verticalAppendServe(t *Session, vs *vStream, r *transport.Reader) error {
 // appendVCoords attaches this party's own-column cell coordinates of the
 // appended rows when pruning is on (tagged index disclosure, exactly the
 // per-row payload of the construction-time exchange).
-func appendVCoords(s *session, msg *transport.Builder, batch [][]int64) {
+func appendVCoords(s *Pair, msg *transport.Builder, batch [][]int64) {
 	if !s.pruneOn {
 		return
 	}
@@ -241,7 +240,7 @@ func verticalExpireInit(t *Session, vs *vStream, gens int) (sent bool, err error
 	if gens < 1 || gens > live {
 		return false, fmt.Errorf("core: expire %d of %d live generations", gens, live)
 	}
-	ctrl := t.conns[0]
+	ctrl := t.s.Conns[0]
 	setTag(ctrl, "session.op")
 	msg := transport.NewBuilder().PutUint(sessOpExpire)
 	spatial.TombstoneDelta{From: vs.dead, N: gens}.Encode(msg)
@@ -289,7 +288,7 @@ func verticalRetractInit(t *Session, vs *vStream, ids []int) (sent bool, err err
 	if err := spatial.ValidateRetractIDs(ids, len(vs.enc)); err != nil {
 		return false, fmt.Errorf("core: retract: %w", err)
 	}
-	ctrl := t.conns[0]
+	ctrl := t.s.Conns[0]
 	setTag(ctrl, "session.op")
 	msg := transport.NewBuilder().PutUint(sessOpRetract)
 	spatial.PointTombstone{IDs: ids}.Encode(msg)
@@ -359,8 +358,8 @@ func finishVRetract(t *Session, vs *vStream, ids []int) {
 
 // encodeVBatch validates and encodes appended rows of this party's
 // columns.
-func encodeVBatch(s *session, values [][]float64, ownDim int) ([][]int64, error) {
-	batch, err := s.cfg.encodePoints(values)
+func encodeVBatch(s *Pair, values [][]float64, ownDim int) ([][]int64, error) {
+	batch, err := s.cfg.EncodePoints(values)
 	if err != nil {
 		return nil, err
 	}
@@ -381,7 +380,7 @@ func verticalRunOnce(t *Session, vs *vStream) (*Result, error) {
 	role := s.role
 	enc := vs.enc
 	cellRows := vs.cellRows
-	engA, engB, err := s.distEngines()
+	engA, engB, err := s.DistEngines()
 	if err != nil {
 		return nil, err
 	}
@@ -393,7 +392,7 @@ func verticalRunOnce(t *Session, vs *vStream) (*Result, error) {
 	// Fixed comparison roles for the whole run: Alice always holds the
 	// left value (her partial sum PA), Bob the right (Eps² − PB).
 	batchOn := func(ch int, pairs [][2]int) ([]bool, error) {
-		conn := t.conns[ch]
+		conn := t.s.Conns[ch]
 		setTag(conn, "vdp.cmp")
 		s.led(func(l *Ledger) { l.PairDecisions += len(pairs) })
 		vals := make([]int64, len(pairs))
@@ -412,7 +411,7 @@ func verticalRunOnce(t *Session, vs *vStream) (*Result, error) {
 	}
 	if !s.batched() {
 		batchOn = PerPairOracle(func(i, j int) (bool, error) {
-			conn := t.conns[0]
+			conn := t.s.Conns[0]
 			setTag(conn, "vdp.cmp")
 			s.led(func(l *Ledger) { l.PairDecisions++ })
 			partial := partialDistSq(enc, i, j)
@@ -422,7 +421,7 @@ func verticalRunOnce(t *Session, vs *vStream) (*Result, error) {
 			return engB.Less(conn, s.responderOperand(engB.Bound(), partial))
 		})
 	}
-	labels, clusters, err := LockstepCluster(len(enc), s.cfg.MinPts, s.parallel(),
+	labels, clusters, err := LockstepCluster(len(enc), s.cfg.MinPts, s.cfg.Parallel,
 		vs.cache, onCached, PrunedLocalDecider(cellRows, onPruned), batchOn)
 	if err != nil {
 		return nil, err

@@ -170,22 +170,118 @@ func TestTwoPartyMeshMatchesCoreHorizontal(t *testing.T) {
 	}
 }
 
-func TestHorizontalMeshHandshakeMismatch(t *testing.T) {
-	cfgs := sameCfgs(3, Config{
-		Eps: 2, MinPts: 3, MaxCoord: 7,
-		PaillierBits: 256, RSABits: 256,
-		Engine: compare.EngineMasked,
-	})
-	cfgs[2].MinPts = 4
-	_, errs := runMesh(t, cfgs, threePartyPoints)
+// agreedParams is one row per agreed parameter (core.Params): set gives
+// every party the same base value, and the disagreeing party (odd) a
+// different one. Both the mesh edges' handshake and the ring token must
+// reject every row at establishment.
+var agreedParams = []struct {
+	name string
+	set  func(c *Config, odd bool)
+}{
+	{"Eps", func(c *Config, odd bool) {
+		if odd {
+			c.Eps++
+		}
+	}},
+	{"MinPts", func(c *Config, odd bool) {
+		if odd {
+			c.MinPts++
+		}
+	}},
+	{"MaxCoord", func(c *Config, odd bool) {
+		if odd {
+			c.MaxCoord = 31
+		}
+	}},
+	{"Engine", func(c *Config, odd bool) {
+		if odd {
+			c.Engine = compare.EngineYMPP
+		}
+	}},
+	{"CmpMaskBits", func(c *Config, odd bool) {
+		if odd {
+			c.CmpMaskBits = 20
+		}
+	}},
+	{"ShareMaskBits", func(c *Config, odd bool) {
+		if odd {
+			c.ShareMaskBits = 6
+		}
+	}},
+	{"Batching", func(c *Config, odd bool) {
+		c.Packing = core.PackOff
+		if odd {
+			c.Batching = core.BatchModeSequential
+		}
+	}},
+	{"Packing", func(c *Config, odd bool) {
+		if odd {
+			c.Packing = core.PackFull
+		}
+	}},
+	{"Pruning", func(c *Config, odd bool) {
+		if odd {
+			c.Pruning = core.PruneOff
+		}
+	}},
+	{"PruneQuantum", func(c *Config, odd bool) {
+		if odd {
+			c.PruneQuantum = 8
+		}
+	}},
+	{"Parallel", func(c *Config, odd bool) {
+		// Both widths multiplex their edges, so the handshake itself (on
+		// channel 0) gets to compare them.
+		c.Parallel = 2
+		if odd {
+			c.Parallel = 4
+		}
+	}},
+}
+
+// mismatchedCfgs builds k configurations for one agreedParams row, party
+// odd disagreeing.
+func mismatchedCfgs(k, odd int, base Config, set func(c *Config, odd bool)) []Config {
+	cfgs := sameCfgs(k, base)
+	for p := range cfgs {
+		set(&cfgs[p], p == odd)
+	}
+	return cfgs
+}
+
+// checkHandshakeRejected asserts the outcome every agreedParams row must
+// have: some party reports ErrHandshake, and the disagreeing party comes
+// back with an error and no result (gotResult reports whether party p
+// returned labels). The runners close every connection as each party
+// returns, so a hang would show up as the test timing out.
+func checkHandshakeRejected(t *testing.T, errs []error, odd int, gotResult func(p int) bool) {
+	t.Helper()
 	found := false
 	for _, err := range errs {
-		if errors.Is(err, ErrHandshake) {
-			found = true
-		}
+		found = found || errors.Is(err, ErrHandshake)
 	}
 	if !found {
 		t.Errorf("no party reported ErrHandshake: %v", errs)
+	}
+	if !errors.Is(ErrHandshake, core.ErrHandshake) {
+		t.Error("multiparty.ErrHandshake is not core.ErrHandshake")
+	}
+	if errs[odd] == nil || gotResult(odd) {
+		t.Errorf("disagreeing party %d returned labels (err = %v)", odd, errs[odd])
+	}
+}
+
+func TestHorizontalMeshHandshakeMismatch(t *testing.T) {
+	base := Config{
+		Eps: 2, MinPts: 3, MaxCoord: 7,
+		PaillierBits: 256, RSABits: 256,
+		Engine: compare.EngineMasked,
+	}
+	for _, row := range agreedParams {
+		t.Run(row.name, func(t *testing.T) {
+			results, errs := runMesh(t, mismatchedCfgs(3, 2, base, row.set), threePartyPoints)
+			checkHandshakeRejected(t, errs, 2, func(p int) bool { return results[p] != nil })
+		})
 	}
 }
 

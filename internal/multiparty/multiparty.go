@@ -27,6 +27,20 @@
 // (party 1 is both accumulator and masker), which the tests use for
 // cross-validation.
 //
+// # What is shared with core
+//
+// Neither topology carries its own copy of a two-party building block.
+// The horizontal mesh (horizontal.go) is the paper's HDP sub-protocol on
+// each of its k·(k−1)/2 edges, and an edge is a core.Pair: core's v9
+// handshake, index exchange, op frames and MP + comparison steps. The
+// ring is its own protocol, but its token carries core.Params (ring
+// handshake v8) — so every agreed parameter, CmpMaskBits and
+// ShareMaskBits included, is compared at establishment by the same
+// Params.Diff — its coordinator↔last comparison engines come from
+// compare.Edge, the one engine constructor, and its edges split into
+// worker channels with core.Channels. Config converts to core.Config and
+// is normalised there.
+//
 // # Disclosure
 //
 // Beyond the output labels, each party sees only re-randomized
@@ -38,7 +52,6 @@ package multiparty
 
 import (
 	"crypto/rand"
-	"errors"
 	"fmt"
 	"io"
 	"math/big"
@@ -47,15 +60,15 @@ import (
 	"repro/internal/compare"
 	"repro/internal/core"
 	"repro/internal/encoding"
-	"repro/internal/fixedpoint"
 	"repro/internal/paillier"
 	"repro/internal/spatial"
 	"repro/internal/transport"
 	"repro/internal/yao"
 )
 
-// Config mirrors core.Config for the k-party setting. All parties must
-// agree on every field; the ring handshake verifies this.
+// Config carries the parameters of the k-party protocols. All parties
+// must agree on every field but Pool and Random; the ring token and the
+// mesh edges' handshakes verify this through core.Params.
 type Config struct {
 	Eps      float64
 	MinPts   int
@@ -69,142 +82,65 @@ type Config struct {
 	CmpMaskBits   int
 	ShareMaskBits int // mask magnitude for the ring sums: v ∈ [0, 2^bits)
 
-	// Batching mirrors core.Config.Batching: under the default batched
-	// mode one ring circulation carries the ciphertexts of a whole
-	// lockstep neighborhood and the coordinator↔last comparison is one
-	// BatchLessEq, so a neighborhood costs O(k) messages instead of
-	// O(k·n). Sequential mode keeps one circulation per pair.
+	// Batching: under the default batched mode one ring circulation
+	// carries the ciphertexts of a whole lockstep neighborhood and the
+	// coordinator↔last comparison is one BatchLessEq, so a neighborhood
+	// costs O(k) messages instead of O(k·n). Sequential mode keeps one
+	// circulation per pair.
 	Batching core.BatchMode
 
-	// Packing mirrors core.Config.Packing: under the default "slots" mode
-	// a ring circulation packs S masked sums per Paillier plaintext
-	// (internal/encoding), so a batch of n pairs costs ⌈n/S⌉ ciphertexts
-	// per hop instead of n, and the masked comparison engine packs its
-	// reply direction the same way. "full" additionally turns on the
-	// masked engine's packed comparison uplink (per-batch moded wire
-	// form, never more ciphertexts than "slots"). "off" keeps one
-	// ciphertext per value. All parties must agree (ring token); any
-	// packing requires the batched round structure.
+	// Packing: under the default "slots" mode a ring circulation packs S
+	// masked sums per Paillier plaintext (internal/encoding), so a batch
+	// of n pairs costs ⌈n/S⌉ ciphertexts per hop instead of n, and the
+	// masked comparison engine packs its reply direction the same way.
+	// "full" additionally turns on the masked engine's packed comparison
+	// uplink (per-batch moded wire form, never more ciphertexts than
+	// "slots"). "off" keeps one ciphertext per value. Any packing requires
+	// the batched round structure.
 	Packing core.PackMode
 
-	// Pruning mirrors core.Config.Pruning: under the default grid mode
-	// each party discloses the Eps-grid cell coordinates of every record
-	// over its own columns (two ring circulations, tag ring.idx); all
-	// parties assemble the same full cell matrix and decide non-adjacent
-	// pairs out of range locally, so those pairs never circulate.
-	Pruning core.PruneMode
-
-	// PruneQuantum mirrors core.Config.PruneQuantum (used by the
-	// horizontal mesh's padded occupancy directories).
+	// Pruning: under the default grid mode each ring party discloses the
+	// Eps-grid cell coordinates of every record over its own columns (two
+	// ring circulations, tag ring.idx); all parties assemble the same full
+	// cell matrix and decide non-adjacent pairs out of range locally, so
+	// those pairs never circulate. Mesh edges exchange padded occupancy
+	// directories instead, at PruneQuantum granularity.
+	Pruning      core.PruneMode
 	PruneQuantum int
 
-	// Parallel mirrors core.Config.Parallel: W is the width of the one
-	// wave scheduler. The ring runs core.LockstepCluster, circulating up
-	// to W independent pair batches concurrently — per-worker
-	// accumulation, comparison, and broadcast — and the mesh runs
-	// core.WaveDrive, deciding up to W queue points per wave, worker t on
-	// channel t of every mesh edge. W = 1 is a one-worker wave on each
-	// edge's bare connection; W > 1 multiplexes every edge into W worker
-	// channels (transport.Mux) and additionally fans each mesh region
-	// query's per-peer HDP sub-queries out concurrently. All parties must
-	// agree (checked by the ring token / mesh handshake); W > 1 requires
-	// the batched round structure. Labels and disclosure counts do not
-	// depend on W.
+	// Parallel is W, the width of the one wave scheduler. The ring runs
+	// core.LockstepCluster, circulating up to W independent pair batches
+	// concurrently — per-worker accumulation, comparison, and broadcast —
+	// and the mesh runs core.WaveDrive, deciding up to W queue points per
+	// wave, worker t on channel t of every mesh edge. W = 1 is a
+	// one-worker wave on each edge's bare connection; W > 1 multiplexes
+	// every edge into W worker channels (transport.Mux) and additionally
+	// fans each mesh region query's per-peer HDP sub-queries out
+	// concurrently. W > 1 requires the batched round structure. Labels and
+	// disclosure counts do not depend on W.
 	Parallel int
 
 	// Pool, when non-nil, routes this party's Paillier/RSA batch
 	// arithmetic over a process-shared bounded worker pool instead of a
 	// per-call GOMAXPROCS fan-out — the knob a host process serving many
 	// concurrent clustering sessions uses to keep the CPU subscribed
-	// rather than oversubscribed. Local resource only; the ring handshake
-	// does not (and must not) compare it.
+	// rather than oversubscribed. Local resource only; never compared.
 	Pool *paillier.Pool
 
 	Random io.Reader
 }
 
-func (c Config) withDefaults() Config {
-	if c.Scale == 0 {
-		c.Scale = 1
-	}
-	if c.MaxCoord == 0 {
-		c.MaxCoord = core.DefaultMaxCoord
-	}
-	if c.PaillierBits == 0 {
-		c.PaillierBits = core.DefaultPaillierBits
-	}
-	if c.RSABits == 0 {
-		c.RSABits = core.DefaultRSABits
-	}
-	if c.Engine == "" {
-		c.Engine = compare.EngineYMPP
-	}
-	if c.CmpMaskBits == 0 {
-		c.CmpMaskBits = core.DefaultCmpMaskBits
-	}
-	if c.ShareMaskBits == 0 {
-		c.ShareMaskBits = core.DefaultShareMaskBits
-	}
-	if c.Batching == "" {
-		c.Batching = core.BatchModeBatched
-	}
-	if c.Packing == "" {
-		if c.Batching == core.BatchModeSequential {
-			c.Packing = core.PackOff
-		} else {
-			c.Packing = core.PackSlots
-		}
-	}
-	if c.Pruning == "" {
-		c.Pruning = core.PruneGrid
-	}
-	if c.PruneQuantum == 0 {
-		c.PruneQuantum = core.DefaultPruneQuantum
-	}
-	if c.Parallel == 0 {
-		c.Parallel = 1
-	}
-	return c
-}
-
-func (c Config) validate() error {
-	if !(c.Eps > 0) {
-		return fmt.Errorf("multiparty: Eps must be positive, got %v", c.Eps)
-	}
-	if c.MinPts < 1 {
-		return fmt.Errorf("multiparty: MinPts must be ≥ 1, got %d", c.MinPts)
-	}
-	if c.MaxCoord < 1 {
-		return fmt.Errorf("multiparty: MaxCoord must be ≥ 1, got %d", c.MaxCoord)
-	}
-	if c.ShareMaskBits < 1 || c.ShareMaskBits > 50 {
-		return fmt.Errorf("multiparty: ShareMaskBits %d outside [1,50]", c.ShareMaskBits)
-	}
-	if _, err := compare.ParseEngine(string(c.Engine)); err != nil {
-		return err
-	}
-	if _, err := core.ParseBatchMode(string(c.Batching)); err != nil {
-		return err
-	}
-	if _, err := core.ParsePruneMode(string(c.Pruning)); err != nil {
-		return err
-	}
-	if _, err := core.ParsePackMode(string(c.Packing)); err != nil {
-		return err
-	}
-	if c.Packing != core.PackOff && c.Batching != core.BatchModeBatched {
-		return fmt.Errorf("multiparty: Packing %q requires Batching %q", c.Packing, core.BatchModeBatched)
-	}
-	if c.PruneQuantum < 1 {
-		return fmt.Errorf("multiparty: PruneQuantum must be ≥ 1, got %d", c.PruneQuantum)
-	}
-	if c.Parallel < 1 || c.Parallel > transport.MaxMuxChannels {
-		return fmt.Errorf("multiparty: Parallel %d outside [1,%d]", c.Parallel, transport.MaxMuxChannels)
-	}
-	if c.Parallel > 1 && c.Batching != core.BatchModeBatched {
-		return fmt.Errorf("multiparty: Parallel %d requires Batching %q", c.Parallel, core.BatchModeBatched)
-	}
-	return nil
+// core converts to the two-party configuration — defaults filled in and
+// validated by core's normaliser — that the ring state, every mesh edge
+// and the agreed-parameter codec work on.
+func (c Config) core() (core.Config, error) {
+	return core.Config{
+		Eps: c.Eps, MinPts: c.MinPts, Scale: c.Scale, Offset: c.Offset, MaxCoord: c.MaxCoord,
+		PaillierBits: c.PaillierBits, RSABits: c.RSABits, Engine: c.Engine,
+		CmpMaskBits: c.CmpMaskBits, ShareMaskBits: c.ShareMaskBits,
+		Batching: c.Batching, Packing: c.Packing, Pruning: c.Pruning, PruneQuantum: c.PruneQuantum,
+		Parallel: c.Parallel, Pool: c.Pool, Random: c.Random,
+	}.Normalize()
 }
 
 // Party describes one participant's position in the ring.
@@ -261,8 +197,10 @@ type Result struct {
 	CiphertextsDownlink int64
 }
 
-// ErrHandshake reports ring-wide parameter disagreement.
-var ErrHandshake = errors.New("multiparty: handshake parameter mismatch")
+// ErrHandshake reports parameter disagreement, ring-wide or on a mesh
+// edge. It is core.ErrHandshake, so errors.Is works through either
+// package.
+var ErrHandshake = core.ErrHandshake
 
 // ringHandshakeVersion guards against protocol drift between binaries;
 // version 2 added the Pruning parameters to the token; version 3 added
@@ -272,41 +210,25 @@ var ErrHandshake = errors.New("multiparty: handshake parameter mismatch")
 // (point-level retraction); version 6 added the Packing
 // plaintext-encoding parameter (slot-packed ring circulations);
 // version 7 added the packed comparison uplink ("full" packing, a
-// per-batch moded wire form) and the uplink/downlink ciphertext split.
-const ringHandshakeVersion = 7
+// per-batch moded wire form) and the uplink/downlink ciphertext split;
+// version 8 replaced the token's own parameter list with core.Params,
+// which also carries CmpMaskBits and ShareMaskBits.
+const ringHandshakeVersion = 8
 
 // handshakeToken travels once around the ring accumulating checks.
 type handshakeToken struct {
-	version  int
-	epsSq    int64
-	minPts   int
-	maxCoord int64
-	engine   string
-	batching string
-	packing  string
-	pruning  string
-	quantum  int
-	parallel int
-	count    int // record count, must be identical everywhere
-	dimSum   int // Σ attribute counts
-	k        int
-	paiPub   []byte
-	rsaN     []byte
-	rsaE     []byte
+	version int
+	params  core.Params
+	count   int // record count, must be identical everywhere
+	dimSum  int // Σ attribute counts
+	k       int
+	paiPub  []byte
+	rsaN    []byte
+	rsaE    []byte
 }
 
 func encodeToken(t handshakeToken) *transport.Builder {
-	return transport.NewBuilder().
-		PutUint(uint64(t.version)).
-		PutInt(t.epsSq).
-		PutUint(uint64(t.minPts)).
-		PutInt(t.maxCoord).
-		PutString(t.engine).
-		PutString(t.batching).
-		PutString(t.packing).
-		PutString(t.pruning).
-		PutUint(uint64(t.quantum)).
-		PutUint(uint64(t.parallel)).
+	return t.params.Encode(transport.NewBuilder().PutUint(uint64(t.version))).
 		PutUint(uint64(t.count)).
 		PutUint(uint64(t.dimSum)).
 		PutUint(uint64(t.k)).
@@ -317,19 +239,11 @@ func encodeToken(t handshakeToken) *transport.Builder {
 
 func decodeToken(r *transport.Reader) (handshakeToken, error) {
 	t := handshakeToken{
-		version:  int(r.Uint()),
-		epsSq:    r.Int(),
-		minPts:   int(r.Uint()),
-		maxCoord: r.Int(),
-		engine:   r.String(),
-		batching: r.String(),
-		packing:  r.String(),
-		pruning:  r.String(),
-		quantum:  int(r.Uint()),
-		parallel: int(r.Uint()),
-		count:    int(r.Uint()),
-		dimSum:   int(r.Uint()),
-		k:        int(r.Uint()),
+		version: int(r.Uint()),
+		params:  core.DecodeParams(r),
+		count:   int(r.Uint()),
+		dimSum:  int(r.Uint()),
+		k:       int(r.Uint()),
 	}
 	t.paiPub = append([]byte{}, r.Bytes()...)
 	t.rsaN = append([]byte{}, r.Bytes()...)
@@ -357,53 +271,28 @@ func newRingState(party Party, cfg Config, attrs [][]float64) (*state, [][]int64
 	if err := party.validate(); err != nil {
 		return nil, nil, err
 	}
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	cc, err := cfg.core()
+	if err != nil {
 		return nil, nil, err
 	}
 	if len(attrs) == 0 {
 		return nil, nil, fmt.Errorf("multiparty: party %d holds no records", party.Index)
 	}
-	ownDim := len(attrs[0])
-	for i, row := range attrs {
-		if len(row) != ownDim {
-			return nil, nil, fmt.Errorf("multiparty: record %d has %d attributes, want %d", i, len(row), ownDim)
-		}
+	st := &state{party: party, cfg: cc, random: cc.Random, pool: cc.Pool}
+	if st.enc, err = st.encode(attrs, len(attrs[0])); err != nil {
+		return nil, nil, err
 	}
-	if ownDim < 1 {
+	if len(attrs[0]) < 1 {
 		return nil, nil, fmt.Errorf("multiparty: party %d owns no attributes", party.Index)
 	}
-
-	codec, err := fixedpoint.New(cfg.Scale, cfg.Offset)
-	if err != nil {
-		return nil, nil, err
+	if st.random == nil {
+		st.random = rand.Reader
 	}
-	enc, err := codec.EncodePoints(attrs)
-	if err != nil {
-		return nil, nil, err
+	if cc.Parallel > 1 {
+		st.random = transport.LockedReader(st.random)
 	}
-	for i, row := range enc {
-		for j, v := range row {
-			if v > cfg.MaxCoord {
-				return nil, nil, fmt.Errorf("multiparty: record %d attribute %d encodes to %d > MaxCoord %d", i, j, v, cfg.MaxCoord)
-			}
-		}
-	}
-	epsSq, err := codec.EpsSquared(cfg.Eps)
-	if err != nil {
-		return nil, nil, err
-	}
-	random := cfg.Random
-	if random == nil {
-		random = rand.Reader
-	}
-
-	if cfg.Parallel > 1 {
-		random = transport.LockedReader(random)
-	}
-	st := &state{party: party, cfg: cfg, enc: enc, epsSq: epsSq, random: random, pool: cfg.Pool}
-	st.prevs = edgeChannels(party.Prev, cfg.Parallel)
-	st.nexts = edgeChannels(party.Next, cfg.Parallel)
+	st.prevs = core.Channels(party.Prev, cc.Parallel)
+	st.nexts = core.Channels(party.Next, cc.Parallel)
 	if err := st.handshake(); err != nil {
 		return nil, nil, err
 	}
@@ -424,21 +313,27 @@ func newRingState(party Party, cfg Config, attrs [][]float64) (*state, [][]int64
 	return st, cellRows, nil
 }
 
+// encode fixed-point encodes and range-checks a batch of this party's
+// column slices, each ownDim wide.
+func (st *state) encode(attrs [][]float64, ownDim int) ([][]int64, error) {
+	for i, row := range attrs {
+		if len(row) != ownDim {
+			return nil, fmt.Errorf("multiparty: record %d has %d attributes, want %d", i, len(row), ownDim)
+		}
+	}
+	return st.cfg.EncodePoints(attrs)
+}
+
 // pruneOn mirrors the two-party criterion: requested and geometrically
 // useful.
 func (st *state) pruneOn() bool {
 	return st.cfg.Pruning == core.PruneGrid && st.epsSq < st.bound
 }
 
-// codec rebuilds the fixed-point codec of the session's configuration.
-func (st *state) codec() (*fixedpoint.Codec, error) {
-	return fixedpoint.New(st.cfg.Scale, st.cfg.Offset)
-}
-
 // state is one party's runtime for the ring protocol.
 type state struct {
 	party  Party
-	cfg    Config
+	cfg    core.Config
 	enc    [][]int64
 	epsSq  int64
 	random io.Reader
@@ -483,28 +378,6 @@ type state struct {
 	idxCoords int // cell coordinates received in the index circulation
 }
 
-// packing reports whether any slot packing is on for this session.
-func (st *state) packing() bool {
-	return st.cfg.Packing == core.PackSlots || st.cfg.Packing == core.PackFull
-}
-
-// fullPacking reports whether the packed comparison uplink is on too.
-func (st *state) fullPacking() bool { return st.cfg.Packing == core.PackFull }
-
-// edgeChannels splits one ring edge into W worker channels (or returns
-// the bare edge for W = 1).
-func edgeChannels(conn transport.Conn, w int) []transport.Conn {
-	if w <= 1 {
-		return []transport.Conn{conn}
-	}
-	m := transport.NewMux(conn)
-	out := make([]transport.Conn, w)
-	for i := range out {
-		out[i] = m.Channel(uint32(i))
-	}
-	return out
-}
-
 func (st *state) isCoordinator() bool { return st.party.Index == 0 }
 func (st *state) isLast() bool        { return st.party.Index == st.party.K-1 }
 
@@ -514,8 +387,12 @@ func (st *state) isLast() bool        { return st.party.Index == st.party.K-1 }
 func (st *state) handshake() error {
 	p := st.party
 	prev, next := st.prevs[0], st.nexts[0]
+	params, err := st.cfg.Params()
+	if err != nil {
+		return err
+	}
+	st.epsSq = params.EpsSq // finishDims clamps it once the total dimension is known
 	if st.isCoordinator() {
-		var err error
 		st.paiKey, err = paillier.GenerateKey(st.random, st.cfg.PaillierBits)
 		if err != nil {
 			return err
@@ -528,22 +405,14 @@ func (st *state) handshake() error {
 		st.rsaPub = &st.rsaKey.RSAPublicKey
 		rsaN, rsaE := yao.MarshalRSAPublicKey(st.rsaPub)
 		tok := handshakeToken{
-			version:  ringHandshakeVersion,
-			epsSq:    st.epsSq,
-			minPts:   st.cfg.MinPts,
-			maxCoord: st.cfg.MaxCoord,
-			engine:   string(st.cfg.Engine),
-			batching: string(st.cfg.Batching),
-			packing:  string(st.cfg.Packing),
-			pruning:  string(st.cfg.Pruning),
-			quantum:  st.cfg.PruneQuantum,
-			parallel: st.cfg.Parallel,
-			count:    len(st.enc),
-			dimSum:   len(st.enc[0]),
-			k:        p.K,
-			paiPub:   paillier.MarshalPublicKey(st.paiPub),
-			rsaN:     rsaN,
-			rsaE:     rsaE,
+			version: ringHandshakeVersion,
+			params:  params,
+			count:   len(st.enc),
+			dimSum:  len(st.enc[0]),
+			k:       p.K,
+			paiPub:  paillier.MarshalPublicKey(st.paiPub),
+			rsaN:    rsaN,
+			rsaE:    rsaE,
 		}
 		if err := transport.SendMsg(next, encodeToken(tok)); err != nil {
 			return fmt.Errorf("multiparty: handshake send: %w", err)
@@ -578,28 +447,13 @@ func (st *state) handshake() error {
 	switch {
 	case tok.version != ringHandshakeVersion:
 		return fmt.Errorf("%w: version %d vs %d", ErrHandshake, ringHandshakeVersion, tok.version)
-	case tok.epsSq != st.epsSq:
-		return fmt.Errorf("%w: Eps² %d vs %d", ErrHandshake, st.epsSq, tok.epsSq)
-	case tok.minPts != st.cfg.MinPts:
-		return fmt.Errorf("%w: MinPts %d vs %d", ErrHandshake, st.cfg.MinPts, tok.minPts)
-	case tok.maxCoord != st.cfg.MaxCoord:
-		return fmt.Errorf("%w: MaxCoord %d vs %d", ErrHandshake, st.cfg.MaxCoord, tok.maxCoord)
-	case tok.engine != string(st.cfg.Engine):
-		return fmt.Errorf("%w: engine %q vs %q", ErrHandshake, st.cfg.Engine, tok.engine)
-	case tok.batching != string(st.cfg.Batching):
-		return fmt.Errorf("%w: batching %q vs %q", ErrHandshake, st.cfg.Batching, tok.batching)
-	case tok.packing != string(st.cfg.Packing):
-		return fmt.Errorf("%w: packing %q vs %q", ErrHandshake, st.cfg.Packing, tok.packing)
-	case tok.pruning != string(st.cfg.Pruning):
-		return fmt.Errorf("%w: pruning %q vs %q", ErrHandshake, st.cfg.Pruning, tok.pruning)
-	case tok.quantum != st.cfg.PruneQuantum:
-		return fmt.Errorf("%w: prune quantum %d vs %d", ErrHandshake, st.cfg.PruneQuantum, tok.quantum)
-	case tok.parallel != st.cfg.Parallel:
-		return fmt.Errorf("%w: parallel width %d vs %d", ErrHandshake, st.cfg.Parallel, tok.parallel)
 	case tok.count != len(st.enc):
 		return fmt.Errorf("%w: record count %d vs %d", ErrHandshake, len(st.enc), tok.count)
 	case tok.k != st.party.K:
 		return fmt.Errorf("%w: ring size %d vs %d", ErrHandshake, st.party.K, tok.k)
+	}
+	if err := params.Diff(tok.params); err != nil {
+		return err
 	}
 	st.paiPub, err = paillier.UnmarshalPublicKey(tok.paiPub)
 	if err != nil {
@@ -740,57 +594,32 @@ func (st *state) circulateCells(own [][]int64) ([][]int64, error) {
 }
 
 // buildEngines constructs the coordinator↔last comparison pair over the
-// masked-sum domain [0, bound + V).
-func (st *state) buildEngines() error {
+// masked-sum domain [0, bound + V) with the shared engine constructor:
+// the coordinator holds the private keys (the Alice side), every other
+// party their public halves — both comparison roles live on the
+// coordinator's key, so both endpoints derive the same packers — and
+// only the last party's Bob engine is ever used.
+func (st *state) buildEngines() (err error) {
 	bound := st.bound + st.shareV
-	switch st.cfg.Engine {
-	case compare.EngineYMPP:
-		if bound+2 > yao.MaxDomain {
-			return fmt.Errorf("multiparty: comparison domain %d exceeds YMPP limit; use Engine=masked", bound+2)
-		}
-		if st.isCoordinator() {
-			st.cmpA = &compare.YMPPAlice{Key: st.rsaKey, Max: bound, Random: st.random, Pool: st.pool}
-		}
-		if st.isLast() {
-			st.cmpB = &compare.YMPPBob{Pub: st.rsaPub, Max: bound, Random: st.random}
-		}
-	case compare.EngineMasked:
-		limit := new(big.Int).Lsh(big.NewInt(bound+2), uint(st.cfg.CmpMaskBits))
-		if limit.Cmp(st.paiPub.PlaintextBound()) >= 0 {
-			return fmt.Errorf("multiparty: bound %d with %d mask bits overflows the Paillier plaintext space", bound, st.cfg.CmpMaskBits)
-		}
-		// Both comparison roles live on the coordinator's key, so both
-		// endpoints derive the same reply packer (and, under "full"
-		// packing, the same widened uplink packer).
-		var cp, up *encoding.Packer
-		if st.packing() {
-			var err error
-			if cp, err = encoding.NewComparePacker(st.paiPub.PlaintextBound(), bound, st.cfg.CmpMaskBits); err != nil {
-				return fmt.Errorf("multiparty: comparison packer: %w", err)
-			}
-			if st.fullPacking() {
-				if up, err = encoding.NewUplinkComparePacker(st.paiPub.PlaintextBound(), bound, st.cfg.CmpMaskBits); err != nil {
-					return fmt.Errorf("multiparty: uplink packer: %w", err)
-				}
-			}
-		}
-		if st.isCoordinator() {
-			st.cmpA = &compare.MaskedAlice{Key: st.paiKey, Max: bound, Random: st.random, Pool: st.pool, Packer: cp, UplinkPacker: up, Sent: &st.ctsUp}
-		}
-		if st.isLast() {
-			st.cmpB = &compare.MaskedBob{Pub: st.paiPub, Max: bound, MaskBits: st.cfg.CmpMaskBits, Random: st.random, Pool: st.pool, Packer: cp, UplinkPacker: up, Sent: &st.ctsDown}
-		}
-	default:
-		return fmt.Errorf("multiparty: unknown engine %q", st.cfg.Engine)
+	packed := st.cfg.Packing != core.PackOff
+	edge := compare.Edge{
+		Kind: st.cfg.Engine, MaskBits: st.cfg.CmpMaskBits, Packed: packed, Uplink: st.cfg.Packing == core.PackFull,
+		Random: st.random, Pool: st.pool, Up: &st.ctsUp, Down: &st.ctsDown,
 	}
-	if st.packing() {
+	if st.isCoordinator() {
+		edge.Key, edge.RSAKey = st.paiKey, st.rsaKey
+	} else {
+		edge.Pub, edge.RSAPub = st.paiPub, st.rsaPub
+	}
+	if st.cmpA, st.cmpB, err = edge.Engines(bound); err != nil {
+		return err
+	}
+	if packed {
 		// The ring accumulation packs under the coordinator's key; every
 		// slot's final value is one masked sum in [0, bound + V).
-		rp, err := encoding.NewSumPacker(st.paiPub.PlaintextBound(), bound)
-		if err != nil {
+		if st.ringPack, err = encoding.NewSumPacker(st.paiPub.PlaintextBound(), bound); err != nil {
 			return fmt.Errorf("multiparty: ring packer: %w", err)
 		}
-		st.ringPack = rp
 	}
 	return nil
 }

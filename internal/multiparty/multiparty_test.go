@@ -1,7 +1,6 @@
 package multiparty
 
 import (
-	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -191,32 +190,26 @@ func TestTwoPartyRingMatchesCoreVertical(t *testing.T) {
 }
 
 func TestHandshakeRejectsDisagreement(t *testing.T) {
-	points := gridData(t, 10, 3, 3)
-	slices := splitColumns(points, 3)
-	parties := NewLocalRing(3)
-	cfgs := []Config{testCfg(compare.EngineMasked), testCfg(compare.EngineMasked), testCfg(compare.EngineMasked)}
-	cfgs[1].Eps = 5 // party 1 disagrees
-
-	errs := make([]error, 3)
-	var wg sync.WaitGroup
-	for p := 0; p < 3; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			_, errs[p] = Run(parties[p], cfgs[p], slices[p])
-			parties[p].Next.Close()
-			parties[p].Prev.Close()
-		}(p)
-	}
-	wg.Wait()
-	found := false
-	for _, err := range errs {
-		if errors.Is(err, ErrHandshake) {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no party reported ErrHandshake: %v", errs)
+	slices := splitColumns(gridData(t, 10, 3, 3), 3)
+	for _, row := range agreedParams {
+		t.Run(row.name, func(t *testing.T) {
+			cfgs := mismatchedCfgs(3, 1, testCfg(compare.EngineMasked), row.set)
+			parties := NewLocalRing(3)
+			results := make([]*Result, 3)
+			errs := make([]error, 3)
+			var wg sync.WaitGroup
+			for p := 0; p < 3; p++ {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					results[p], errs[p] = Run(parties[p], cfgs[p], slices[p])
+					parties[p].Next.Close()
+					parties[p].Prev.Close()
+				}(p)
+			}
+			wg.Wait()
+			checkHandshakeRejected(t, errs, 1, func(p int) bool { return results[p] != nil })
+		})
 	}
 }
 

@@ -53,26 +53,9 @@ func (rs *RingSession) Runs() int { return rs.runs }
 // involving new records.
 func (rs *RingSession) Append(attrs [][]float64) error {
 	st := rs.st
-	ownDim := len(st.enc[0])
-	for i, row := range attrs {
-		if len(row) != ownDim {
-			return fmt.Errorf("multiparty: appended record %d has %d attributes, want %d", i, len(row), ownDim)
-		}
-	}
-	codec, err := st.codec()
+	enc, err := st.encode(attrs, len(st.enc[0]))
 	if err != nil {
 		return err
-	}
-	enc, err := codec.EncodePoints(attrs)
-	if err != nil {
-		return err
-	}
-	for i, row := range enc {
-		for j, v := range row {
-			if v > st.cfg.MaxCoord {
-				return fmt.Errorf("multiparty: appended record %d attribute %d encodes to %d > MaxCoord %d", i, j, v, st.cfg.MaxCoord)
-			}
-		}
 	}
 	if err := st.circulateCount(len(enc)); err != nil {
 		return err
