@@ -143,21 +143,19 @@ func (b *MaskedBob) packedReplies(pk *encoding.Packer, n int, rMasks, plains []*
 	}
 	cts := make([]*big.Int, groups)
 	if err := paillier.ParallelFor(b.Pool, groups, func(g int) error {
-		ct := term2s[g]
-		for s := 0; s < pk.GroupLen(n, g); s++ {
+		// E(a_t)^(−r_t·2^{w·s}) places −r_t·a_t into slot s.
+		slots := make([][]paillier.SlotTerm, pk.GroupLen(n, g))
+		for s := range slots {
 			t := g*pk.Slots() + s
 			ca, err := base(t)
 			if err != nil {
 				return err
 			}
-			// E(a_t)^(−r_t·2^{w·s}) places −r_t·a_t into slot s.
-			term, err := b.Pub.Mul(ca, new(big.Int).Neg(pk.Shift(rMasks[t], s)))
-			if err != nil {
-				return err
-			}
-			if ct, err = b.Pub.Add(ct, term); err != nil {
-				return err
-			}
+			slots[s] = []paillier.SlotTerm{{Base: ca, Scalar: new(big.Int).Neg(rMasks[t])}}
+		}
+		ct, err := b.Pub.SlotFold(term2s[g], pk.Width(), slots)
+		if err != nil {
+			return fmt.Errorf("compare: folding reply group %d: %w", g, err)
 		}
 		cts[g] = ct
 		return nil

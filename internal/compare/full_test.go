@@ -1,11 +1,13 @@
 package compare
 
 import (
+	"errors"
 	"math/big"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/encoding"
+	"repro/internal/paillier"
 	"repro/internal/transport"
 )
 
@@ -417,4 +419,34 @@ func FuzzPackedUplink(f *testing.F) {
 			t.Fatalf("fuzz batch sent up=%d down=%d for n=%d (slots=%d)", up, down, n, ae.Packer.Slots())
 		}
 	})
+}
+
+// TestFullUplinkNonUnitIsTypedError plays a hostile Alice whose uplink
+// ciphertext is a multiple of a prime factor of n (n itself: p·q) — in
+// range, but not a unit mod n². Bob must scale it by −r_t, which needs
+// its inverse; the slot fold has to answer with paillier.ErrNotInvertible
+// rather than dereference a nil inverse.
+func TestFullUplinkNonUnitIsTypedError(t *testing.T) {
+	const bound = 20
+	_, be := fullPair(t, bound, 32)
+	_, key := keys(t)
+	good, err := key.Encrypt(nil, big.NewInt(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bobErr error
+	_ = transport.Run2(
+		func(c transport.Conn) error {
+			msg := transport.NewBuilder().PutUint(uint64(predLessEq)).PutUint(uint64(modePerInstance)).
+				PutBigs([]*big.Int{good, new(big.Int).Set(key.N)})
+			return transport.SendMsg(c, msg)
+		},
+		func(c transport.Conn) error {
+			_, bobErr = be.BatchLessEq(c, []int64{5, 7})
+			return bobErr
+		},
+	)
+	if !errors.Is(bobErr, paillier.ErrNotInvertible) {
+		t.Fatalf("bob's error = %v, want paillier.ErrNotInvertible", bobErr)
+	}
 }

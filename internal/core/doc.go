@@ -71,7 +71,12 @@
 //	│ (internal/paillier)   for all batch encryption/decryption/ │
 //	│                       homomorphic arithmetic and YMPP's    │
 //	│                       decryption ranges; process-shared    │
-//	│                       across sessions, nil = GOMAXPROCS    │
+//	│                       across sessions, nil = GOMAXPROCS.   │
+//	│                       The key owner decrypts AND encrypts  │
+//	│                       by CRT (same nonce distribution, a   │
+//	│                       quarter of the work); a peer pays    │
+//	│                       r^n. Every packed reply is folded by │
+//	│                       one kernel, paillier.SlotFold        │
 //	├────────────────────────────────────────────────────────────┤
 //	│ transport mux         transport.Mux: W channel-tagged      │
 //	│ (internal/transport)  logical channels over one Conn,      │

@@ -295,16 +295,12 @@ func (p *Packer) UnpackInt64(packed *big.Int, count int) ([]int64, error) {
 	return vals, nil
 }
 
-// Shift returns v·2^{w·slot}: the scalar that, multiplied into a
-// ciphertext homomorphically, places the ciphertext's value (times v)
-// into the given slot of a packed result.
+// Shift returns v·2^{w·slot}: the scalar that places a value (times v)
+// into the given slot of a packed result. Homomorphic placement does not
+// go through it — paillier.SlotFold takes the width and the unshifted
+// scalars, so the shifted exponents are never materialised.
 func (p *Packer) Shift(v *big.Int, slot int) *big.Int {
 	return new(big.Int).Lsh(v, p.width*uint(slot))
-}
-
-// ShiftInt64 is Shift for an int64 scalar.
-func (p *Packer) ShiftInt64(v int64, slot int) *big.Int {
-	return p.Shift(big.NewInt(v), slot)
 }
 
 // FoldShift folds per-slot contributions into one raw packed integer,

@@ -161,8 +161,8 @@ func TestShiftPlacesSlot(t *testing.T) {
 	}
 	// x·Shift(y, s) must equal a packed value whose slot s holds x·y
 	// (unbiased), the sender-side slot-placement identity.
-	x, y := big.NewInt(777), int64(-12)
-	prod := new(big.Int).Mul(x, p.ShiftInt64(y, 3))
+	x, y := big.NewInt(777), big.NewInt(-12)
+	prod := new(big.Int).Mul(x, p.Shift(y, 3))
 	bias3 := new(big.Int)
 	for s := 0; s <= 3; s++ {
 		bias3.Or(bias3, p.Shift(p.Bias(), s))

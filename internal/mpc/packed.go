@@ -254,19 +254,15 @@ func SenderScatterMultiply(conn transport.Conn, pub *paillier.PublicKey, ys []in
 	}
 	replies := make([]*big.Int, groups)
 	if err := paillier.ParallelFor(pool, groups, func(g int) error {
-		acc := masks[g]
-		for s := 0; s < pk.GroupLen(len(ys), g); s++ {
+		slots := make([][]paillier.SlotTerm, pk.GroupLen(len(ys), g))
+		for s := range slots {
 			t := g*pk.Slots() + s
-			if ys[t] == 0 {
-				continue // slot keeps v_t + bias
-			}
-			term, err := pub.Mul(cts[t], pk.ShiftInt64(ys[t], s))
-			if err != nil {
-				return fmt.Errorf("mpc: scatter homomorphic multiply [%d]: %w", t, err)
-			}
-			if acc, err = pub.Add(acc, term); err != nil {
-				return fmt.Errorf("mpc: scatter homomorphic add [%d]: %w", t, err)
-			}
+			// A zero y_t folds nothing in: the slot keeps v_t + bias.
+			slots[s] = []paillier.SlotTerm{{Base: cts[t], Scalar: big.NewInt(ys[t])}}
+		}
+		acc, err := pub.SlotFold(masks[g], pk.Width(), slots)
+		if err != nil {
+			return fmt.Errorf("mpc: scatter fold group %d: %w", g, err)
 		}
 		replies[g] = acc
 		return nil
@@ -368,21 +364,17 @@ func SenderDotManyPacked(conn transport.Conn, pub *paillier.PublicKey, bs [][]in
 	}
 	replies := make([]*big.Int, groups)
 	if err := paillier.ParallelFor(pool, groups, func(g int) error {
-		acc := masks[g]
-		for s := 0; s < pk.GroupLen(len(bs), g); s++ {
+		slots := make([][]paillier.SlotTerm, pk.GroupLen(len(bs), g))
+		for s := range slots {
 			i := g*pk.Slots() + s
+			slots[s] = make([]paillier.SlotTerm, len(cts))
 			for k, ct := range cts {
-				if bs[i][k] == 0 {
-					continue
-				}
-				term, err := pub.Mul(ct, pk.Shift(big.NewInt(bs[i][k]), s))
-				if err != nil {
-					return fmt.Errorf("mpc: packed dot multiply [%d,%d]: %w", i, k, err)
-				}
-				if acc, err = pub.Add(acc, term); err != nil {
-					return fmt.Errorf("mpc: packed dot add [%d,%d]: %w", i, k, err)
-				}
+				slots[s][k] = paillier.SlotTerm{Base: ct, Scalar: big.NewInt(bs[i][k])}
 			}
+		}
+		acc, err := pub.SlotFold(masks[g], pk.Width(), slots)
+		if err != nil {
+			return fmt.Errorf("mpc: packed dot fold group %d: %w", g, err)
 		}
 		replies[g] = acc
 		return nil
@@ -476,16 +468,13 @@ func SenderDotManyPackedRetain(conn transport.Conn, pub *paillier.PublicKey, bs 
 	}
 	replies := make([]*big.Int, groups)
 	if err := paillier.ParallelFor(pool, groups, func(g int) error {
-		acc := biases[g]
-		for s := 0; s < pk.GroupLen(len(bs), g); s++ {
-			i := g*pk.Slots() + s
-			term, err := pub.Mul(ds[i], pk.Shift(big.NewInt(1), s))
-			if err != nil {
-				return fmt.Errorf("mpc: retained dot shift [%d]: %w", i, err)
-			}
-			if acc, err = pub.Add(acc, term); err != nil {
-				return fmt.Errorf("mpc: retained dot fold [%d]: %w", i, err)
-			}
+		slots := make([][]paillier.SlotTerm, pk.GroupLen(len(bs), g))
+		for s := range slots {
+			slots[s] = []paillier.SlotTerm{{Base: ds[g*pk.Slots()+s], Scalar: big.NewInt(1)}}
+		}
+		acc, err := pub.SlotFold(biases[g], pk.Width(), slots)
+		if err != nil {
+			return fmt.Errorf("mpc: retained dot fold group %d: %w", g, err)
 		}
 		replies[g] = acc
 		return nil

@@ -7,7 +7,7 @@ import (
 
 // Batch operations: the parallel Paillier layer. One protocol message in
 // the batched sub-protocols carries many independent ciphertexts, and the
-// per-ciphertext work — the r^n and c^{p−1} modular exponentiations — is
+// per-ciphertext work — the nonce and c^{p−1} modular exponentiations — is
 // embarrassingly parallel. Every batch op takes an explicit *Pool handle:
 // a server process shares one bounded Pool across all of its sessions
 // (core.SessionManager), while a nil pool keeps the legacy per-call
@@ -20,27 +20,24 @@ import (
 // random sampling happens sequentially on the calling goroutine; only the
 // deterministic big-integer arithmetic fans out to the pool.
 
-// EncryptBatch encrypts every plaintext under pk with fresh nonces.
-// Nonce sampling is sequential (random need not be goroutine-safe); the
-// modular exponentiations run on the worker pool.
-func (pk *PublicKey) EncryptBatch(pool *Pool, random io.Reader, ms []*big.Int) ([]*big.Int, error) {
+// encryptBatch is EncryptBatch for either key type: encode and draw the
+// nonce seeds sequentially, raise them on the worker pool.
+func encryptBatch(k noncer, pk *PublicKey, pool *Pool, random io.Reader, ms []*big.Int) ([]*big.Int, error) {
 	enc := make([]*big.Int, len(ms))
-	rs := make([]*big.Int, len(ms))
+	seeds := make([]nonceSeed, len(ms))
 	for i, m := range ms {
 		e, err := pk.Encode(m)
 		if err != nil {
 			return nil, err
 		}
 		enc[i] = e
-		r, err := pk.randomUnit(random)
-		if err != nil {
+		if seeds[i], err = k.drawNonce(random); err != nil {
 			return nil, err
 		}
-		rs[i] = r
 	}
 	out := make([]*big.Int, len(ms))
 	if err := ParallelFor(pool, len(ms), func(i int) error {
-		out[i] = pk.encryptEncoded(enc[i], rs[i])
+		out[i] = pk.encryptEncoded(enc[i], k.raiseNonce(seeds[i]))
 		return nil
 	}); err != nil {
 		return nil, err
@@ -48,14 +45,36 @@ func (pk *PublicKey) EncryptBatch(pool *Pool, random io.Reader, ms []*big.Int) (
 	return out, nil
 }
 
+// EncryptBatch encrypts every plaintext under pk with fresh nonces.
+// Nonce sampling is sequential (random need not be goroutine-safe); the
+// modular exponentiations run on the worker pool.
+func (pk *PublicKey) EncryptBatch(pool *Pool, random io.Reader, ms []*big.Int) ([]*big.Int, error) {
+	return encryptBatch(pk, pk, pool, random, ms)
+}
+
+// EncryptBatch is PublicKey.EncryptBatch with the owner's CRT nonces.
+func (sk *PrivateKey) EncryptBatch(pool *Pool, random io.Reader, ms []*big.Int) ([]*big.Int, error) {
+	return encryptBatch(sk, &sk.PublicKey, pool, random, ms)
+}
+
 // EncryptInt64Batch is EncryptBatch over int64 plaintexts — the common
 // case for protocol values.
 func (pk *PublicKey) EncryptInt64Batch(pool *Pool, random io.Reader, vs []int64) ([]*big.Int, error) {
+	return pk.EncryptBatch(pool, random, bigs(vs))
+}
+
+// EncryptInt64Batch is PublicKey.EncryptInt64Batch with the owner's CRT
+// nonces.
+func (sk *PrivateKey) EncryptInt64Batch(pool *Pool, random io.Reader, vs []int64) ([]*big.Int, error) {
+	return sk.EncryptBatch(pool, random, bigs(vs))
+}
+
+func bigs(vs []int64) []*big.Int {
 	ms := make([]*big.Int, len(vs))
 	for i, v := range vs {
 		ms[i] = big.NewInt(v)
 	}
-	return pk.EncryptBatch(pool, random, ms)
+	return ms
 }
 
 // DecryptBatch decrypts every ciphertext on the worker pool.

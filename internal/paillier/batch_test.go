@@ -3,7 +3,9 @@ package paillier
 import (
 	"crypto/rand"
 	"errors"
+	"io"
 	"math/big"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -52,6 +54,52 @@ func TestEncryptDecryptBatchRoundTrip(t *testing.T) {
 				t.Errorf("DecryptBatch = %v, %v; want 0, 1", plain[0], plain[1])
 			}
 		})
+	}
+}
+
+// serialReader fails the test when two Reads overlap: the batch contract
+// is that the caller's reader is only ever used sequentially, on the
+// calling goroutine, while the pool does the arithmetic.
+type serialReader struct {
+	t      *testing.T
+	inRead atomic.Bool
+}
+
+func (r *serialReader) Read(p []byte) (int, error) {
+	if !r.inRead.CompareAndSwap(false, true) {
+		r.t.Error("random source read concurrently")
+	}
+	defer r.inRead.Store(false)
+	runtime.Gosched() // widen the window a concurrent reader would hit
+	return rand.Read(p)
+}
+
+// TestEncryptBatchReadsRandomSequentially covers both nonce paths: the
+// owner's CRT draw and the peer's r are sampled before the fan-out.
+func TestEncryptBatchReadsRandomSequentially(t *testing.T) {
+	key := batchTestKey(t)
+	vs := make([]int64, 32)
+	for i := range vs {
+		vs[i] = int64(i - 16)
+	}
+	pool := NewPool(4)
+	for name, encrypt := range map[string]func(*Pool, io.Reader, []int64) ([]*big.Int, error){
+		"owner":  key.EncryptInt64Batch,
+		"public": key.PublicKey.EncryptInt64Batch,
+	} {
+		cts, err := encrypt(pool, &serialReader{t: t}, vs)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ms, err := key.DecryptSignedBatch(pool, cts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, v := range vs {
+			if ms[i].Int64() != v {
+				t.Errorf("%s batch[%d]: decrypted %v, want %d", name, i, ms[i], v)
+			}
+		}
 	}
 }
 

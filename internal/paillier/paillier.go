@@ -13,8 +13,25 @@
 // for masked negative intermediate values.
 //
 // The implementation uses the standard g = n+1 choice, which makes g^m a
-// single modular multiplication (1 + m·n mod n²), and CRT-accelerated
-// decryption.
+// single modular multiplication (1 + m·n mod n²), and the key owner's
+// factorisation wherever it helps: decryption is CRT-accelerated, and so
+// is encryption by the party that holds the *PrivateKey.
+//
+// A ciphertext is g^m·y with y a uniform n-th residue mod n². A peer that
+// holds only the *PublicKey (UnmarshalPublicKey) draws r ∈ Z*_n and pays
+// the full y = r^n mod n². The owner instead draws x_p ∈ Z*_p, x_q ∈ Z*_q
+// and combines x_p^p mod p² with x_q^q mod q² by CRT: two half-size
+// exponents over half-size moduli, about a quarter of the work. The
+// distribution is unchanged, not merely close: key generation enforces
+// gcd(n, φ(n)) = 1, so r ↦ r^n is a bijection from Z*_n onto the n-th
+// residues, the n-th residues mod p² are exactly the p-th powers (q is a
+// unit mod p(p−1)), and x ↦ x^p mod p² depends only on x mod p and is a
+// bijection from Z*_p onto them. Both paths therefore sample the same
+// uniform distribution over the same group, and no hardness assumption
+// moves. Which path runs is decided by the receiver's type alone —
+// Encrypt, EncryptBatch and EncryptInt64Batch on *PrivateKey shadow those
+// of the embedded PublicKey — so taking &key.PublicKey opts back into the
+// peer's r^n.
 package paillier
 
 import (
@@ -46,12 +63,17 @@ type PrivateKey struct {
 	qSquared   *big.Int
 	hp, hq     *big.Int // CRT decryption precomputation
 	pOrderInv  *big.Int // q⁻¹ mod p for CRT recombination
+	qSqInv     *big.Int // (q²)⁻¹ mod p² for CRT recombination of owner nonces
 	plainBound *big.Int // n/2: |signed plaintext| must stay below this
 }
 
 // MinKeyBits is the smallest accepted modulus size. Test keys of 256 bits
-// are accepted for speed; production use should be ≥1024.
-const MinKeyBits = 256
+// are accepted for speed; production use should be ≥1024. MaxKeyBits is
+// the largest modulus UnmarshalPublicKey accepts from a peer.
+const (
+	MinKeyBits = 256
+	MaxKeyBits = 8192
+)
 
 // GenerateKey creates a Paillier key pair with an n of the given bit size.
 // random is typically crypto/rand.Reader.
@@ -111,7 +133,8 @@ func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
 			continue
 		}
 		key.pOrderInv = new(big.Int).ModInverse(q, p)
-		if key.pOrderInv == nil {
+		key.qSqInv = new(big.Int).ModInverse(key.qSquared, key.pSquared)
+		if key.pOrderInv == nil || key.qSqInv == nil {
 			continue
 		}
 		return key, nil
@@ -133,10 +156,13 @@ func lFunc(u, r *big.Int) *big.Int {
 	return t.Div(t, r)
 }
 
-// Errors returned by encryption and decryption.
+// Errors returned by encryption, decryption, the homomorphic operations
+// and public-key parsing.
 var (
 	ErrMessageRange    = errors.New("paillier: message outside plaintext space")
 	ErrCiphertextRange = errors.New("paillier: ciphertext outside Z_{n²}")
+	ErrNotInvertible   = errors.New("paillier: ciphertext not invertible mod n²")
+	ErrPublicKey       = errors.New("paillier: invalid public key")
 )
 
 // Encode maps a signed plaintext into Z_n (negatives become m+n).
@@ -160,18 +186,102 @@ func (pk *PublicKey) DecodeSigned(m *big.Int) *big.Int {
 	return new(big.Int).Set(m)
 }
 
-// Encrypt encrypts a signed plaintext with fresh randomness from random
-// (crypto/rand.Reader when nil).
-func (pk *PublicKey) Encrypt(random io.Reader, m *big.Int) (*big.Int, error) {
+// nonceSeed is what one nonce draws from the random source: r ∈ Z*_n for
+// a public key, (x_p, x_q) ∈ Z*_p × Z*_q for the key owner.
+type nonceSeed [2]*big.Int
+
+// A noncer produces the uniform n-th residue that blinds a ciphertext, in
+// two steps so that a batch can draw every seed on the calling goroutine
+// (the reader need not be goroutine-safe) and raise them on the pool.
+type noncer interface {
+	drawNonce(random io.Reader) (nonceSeed, error)
+	raiseNonce(seed nonceSeed) *big.Int
+}
+
+// drawNonce samples r ∈ Z*_n.
+func (pk *PublicKey) drawNonce(random io.Reader) (nonceSeed, error) {
+	for {
+		r, err := randomNonzero(random, pk.N)
+		if err != nil {
+			return nonceSeed{}, err
+		}
+		if new(big.Int).GCD(nil, nil, r, pk.N).Cmp(one) == 0 {
+			return nonceSeed{r}, nil
+		}
+	}
+}
+
+// raiseNonce is the peer's r^n mod n².
+func (pk *PublicKey) raiseNonce(seed nonceSeed) *big.Int {
+	return new(big.Int).Exp(seed[0], pk.N, pk.NSquared)
+}
+
+// drawNonce samples x_p ∈ Z*_p and x_q ∈ Z*_q.
+func (sk *PrivateKey) drawNonce(random io.Reader) (nonceSeed, error) {
+	xp, err := randomNonzero(random, sk.p)
+	if err != nil {
+		return nonceSeed{}, err
+	}
+	xq, err := randomNonzero(random, sk.q)
+	if err != nil {
+		return nonceSeed{}, err
+	}
+	return nonceSeed{xp, xq}, nil
+}
+
+// raiseNonce is the owner's CRT(x_p^p mod p², x_q^q mod q²): the same
+// uniform n-th residue as r^n (see the package comment) from two
+// half-size exponentiations.
+func (sk *PrivateKey) raiseNonce(seed nonceSeed) *big.Int {
+	yp := new(big.Int).Exp(seed[0], sk.p, sk.pSquared)
+	yq := new(big.Int).Exp(seed[1], sk.q, sk.qSquared)
+	// CRT: y = yq + q²·((yp−yq)·(q²)⁻¹ mod p²), already below n².
+	yp.Sub(yp, yq)
+	yp.Mul(yp, sk.qSqInv)
+	yp.Mod(yp, sk.pSquared)
+	yp.Mul(yp, sk.qSquared)
+	return yp.Add(yp, yq)
+}
+
+// randomNonzero samples uniformly from [1, n) (crypto/rand.Reader when
+// random is nil).
+func randomNonzero(random io.Reader, n *big.Int) (*big.Int, error) {
+	if random == nil {
+		random = rand.Reader
+	}
+	for {
+		r, err := rand.Int(random, n)
+		if err != nil {
+			return nil, fmt.Errorf("paillier: sampling nonce: %w", err)
+		}
+		if r.Sign() != 0 {
+			return r, nil
+		}
+	}
+}
+
+// encrypt is Encrypt for either key type.
+func encrypt(k noncer, pk *PublicKey, random io.Reader, m *big.Int) (*big.Int, error) {
 	enc, err := pk.Encode(m)
 	if err != nil {
 		return nil, err
 	}
-	r, err := pk.randomUnit(random)
+	seed, err := k.drawNonce(random)
 	if err != nil {
 		return nil, err
 	}
-	return pk.encryptEncoded(enc, r), nil
+	return pk.encryptEncoded(enc, k.raiseNonce(seed)), nil
+}
+
+// Encrypt encrypts a signed plaintext with fresh randomness from random
+// (crypto/rand.Reader when nil), paying the peer's r^n.
+func (pk *PublicKey) Encrypt(random io.Reader, m *big.Int) (*big.Int, error) {
+	return encrypt(pk, pk, random, m)
+}
+
+// Encrypt is PublicKey.Encrypt with the owner's CRT nonce.
+func (sk *PrivateKey) Encrypt(random io.Reader, m *big.Int) (*big.Int, error) {
+	return encrypt(sk, &sk.PublicKey, random, m)
 }
 
 // EncryptWithNonce encrypts with a caller-supplied unit r ∈ Z*_n; used by
@@ -184,35 +294,17 @@ func (pk *PublicKey) EncryptWithNonce(m, r *big.Int) (*big.Int, error) {
 	if r.Sign() <= 0 || r.Cmp(pk.N) >= 0 {
 		return nil, fmt.Errorf("paillier: nonce outside Z*_n")
 	}
-	return pk.encryptEncoded(enc, r), nil
+	return pk.encryptEncoded(enc, pk.raiseNonce(nonceSeed{r})), nil
 }
 
-func (pk *PublicKey) encryptEncoded(m, r *big.Int) *big.Int {
+// encryptEncoded blinds g^m with the n-th residue y.
+func (pk *PublicKey) encryptEncoded(m, y *big.Int) *big.Int {
 	// g^m = (n+1)^m = 1 + m·n (mod n²) for g = n+1.
 	gm := new(big.Int).Mul(m, pk.N)
 	gm.Add(gm, one)
 	gm.Mod(gm, pk.NSquared)
-	rn := new(big.Int).Exp(r, pk.N, pk.NSquared)
-	gm.Mul(gm, rn)
+	gm.Mul(gm, y)
 	return gm.Mod(gm, pk.NSquared)
-}
-
-func (pk *PublicKey) randomUnit(random io.Reader) (*big.Int, error) {
-	if random == nil {
-		random = rand.Reader
-	}
-	for {
-		r, err := rand.Int(random, pk.N)
-		if err != nil {
-			return nil, fmt.Errorf("paillier: sampling nonce: %w", err)
-		}
-		if r.Sign() == 0 {
-			continue
-		}
-		if new(big.Int).GCD(nil, nil, r, pk.N).Cmp(one) == 0 {
-			return r, nil
-		}
-	}
 }
 
 // validCiphertext checks c ∈ [0, n²).
@@ -304,7 +396,7 @@ func (pk *PublicKey) Mul(c, k *big.Int) (*big.Int, error) {
 	if k.Sign() < 0 {
 		inv := new(big.Int).ModInverse(c, pk.NSquared)
 		if inv == nil {
-			return nil, fmt.Errorf("paillier: ciphertext not invertible mod n²")
+			return nil, ErrNotInvertible
 		}
 		return new(big.Int).Exp(inv, new(big.Int).Neg(k), pk.NSquared), nil
 	}
@@ -316,19 +408,13 @@ func (pk *PublicKey) Randomize(random io.Reader, c *big.Int) (*big.Int, error) {
 	if err := pk.validCiphertext(c); err != nil {
 		return nil, err
 	}
-	r, err := pk.randomUnit(random)
+	seed, err := pk.drawNonce(random)
 	if err != nil {
 		return nil, err
 	}
-	rn := new(big.Int).Exp(r, pk.N, pk.NSquared)
-	rn.Mul(rn, c)
-	return rn.Mod(rn, pk.NSquared), nil
-}
-
-// EncryptZero returns a fresh encryption of 0, used for re-randomization by
-// multiplication.
-func (pk *PublicKey) EncryptZero(random io.Reader) (*big.Int, error) {
-	return pk.Encrypt(random, new(big.Int))
+	y := pk.raiseNonce(seed)
+	y.Mul(y, c)
+	return y.Mod(y, pk.NSquared), nil
 }
 
 // PlaintextBound returns n/2: signed plaintexts must have absolute value
@@ -343,11 +429,21 @@ func MarshalPublicKey(pk *PublicKey) []byte {
 	return pk.N.Bytes()
 }
 
-// UnmarshalPublicKey reconstructs a public key from MarshalPublicKey output.
+// UnmarshalPublicKey reconstructs a public key from MarshalPublicKey
+// output. The bytes come from a peer, so the modulus is bounded before it
+// is squared and must be odd: an even n cannot be a product of two odd
+// primes and would take every later math/big operation off its Montgomery
+// path.
 func UnmarshalPublicKey(b []byte) (*PublicKey, error) {
+	if len(b) > MaxKeyBits/8 {
+		return nil, fmt.Errorf("%w: modulus of %d bytes above the %d-bit maximum", ErrPublicKey, len(b), MaxKeyBits)
+	}
 	n := new(big.Int).SetBytes(b)
 	if n.BitLen() < MinKeyBits {
-		return nil, fmt.Errorf("paillier: unmarshaled modulus too small (%d bits)", n.BitLen())
+		return nil, fmt.Errorf("%w: modulus too small (%d bits)", ErrPublicKey, n.BitLen())
+	}
+	if n.Bit(0) == 0 {
+		return nil, fmt.Errorf("%w: even modulus", ErrPublicKey)
 	}
 	return &PublicKey{
 		N:        n,

@@ -1,6 +1,7 @@
 package paillier
 
 import (
+	"bytes"
 	"crypto/rand"
 	"errors"
 	"math/big"
@@ -187,6 +188,105 @@ func TestCRTDecryptMatchesSlowPath(t *testing.T) {
 	}
 }
 
+// nonceOf strips g^m off a ciphertext of m: c·(1 − m·n) mod n², because
+// (1 + m·n)(1 − m·n) ≡ 1 (mod n²).
+func nonceOf(k *PrivateKey, c, m *big.Int) *big.Int {
+	y := new(big.Int).Mul(m, k.N)
+	y.Sub(one, y)
+	y.Mul(y, c)
+	return y.Mod(y, k.NSquared)
+}
+
+// TestOwnerEncryptIsPaillier: a ciphertext made with the owner's CRT
+// nonce is an ordinary Paillier ciphertext — CRT and textbook decryption
+// agree on it, its nonce part is an n-th residue (y^λ ≡ 1 mod n²), and
+// the nonce is fresh per call.
+func TestOwnerEncryptIsPaillier(t *testing.T) {
+	k := testKey(t, 256)
+	seen := map[string]bool{}
+	for i := 0; i < 20; i++ {
+		m, err := rand.Int(rand.Reader, k.PlaintextBound())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c *big.Int
+		if i%2 == 0 {
+			c, err = k.Encrypt(rand.Reader, m)
+		} else {
+			var cs []*big.Int
+			if cs, err = k.EncryptBatch(nil, rand.Reader, []*big.Int{m}); err == nil {
+				c = cs[0]
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast, err := k.Decrypt(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slow := k.decryptSlow(c); fast.Cmp(m) != 0 || slow.Cmp(m) != 0 {
+			t.Fatalf("owner ciphertext of %v decrypts to %v (CRT), %v (textbook)", m, fast, slow)
+		}
+		y := nonceOf(k, c, m)
+		if new(big.Int).Exp(y, k.Lambda, k.NSquared).Cmp(one) != 0 {
+			t.Fatalf("owner nonce %v is not an n-th residue", y)
+		}
+		if seen[y.String()] {
+			t.Fatalf("owner nonce %v repeated", y)
+		}
+		seen[y.String()] = true
+	}
+}
+
+// TestOwnerAndPublicCiphertextsMix: the two encryption paths produce
+// elements of one group, so the homomorphic operations take them in any
+// combination.
+func TestOwnerAndPublicCiphertextsMix(t *testing.T) {
+	k := testKey(t, 256)
+	pub, err := UnmarshalPublicKey(MarshalPublicKey(&k.PublicKey))
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := k.Encrypt(rand.Reader, big.NewInt(-300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := pub.Encrypt(rand.Reader, big.NewInt(41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := pub.Add(own, peer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaled, err := pub.Mul(sum, big.NewInt(-7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shifted, err := pub.AddPlain(scaled, big.NewInt(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := pub.Randomize(rand.Reader, shifted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		c    *big.Int
+		want int64
+	}{{"Add", sum, -259}, {"Mul", scaled, 1813}, {"AddPlain", shifted, 1818}, {"Randomize", again, 1818}} {
+		got, err := k.DecryptSigned(tc.c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Int64() != tc.want {
+			t.Errorf("%s over mixed ciphertexts = %v, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestRandomizePreservesPlaintext(t *testing.T) {
 	k := testKey(t, 256)
 	c, _ := k.Encrypt(rand.Reader, big.NewInt(888))
@@ -200,18 +300,6 @@ func TestRandomizePreservesPlaintext(t *testing.T) {
 	got, _ := k.DecryptSigned(c2)
 	if got.Int64() != 888 {
 		t.Errorf("randomized plaintext = %v", got)
-	}
-}
-
-func TestEncryptZero(t *testing.T) {
-	k := testKey(t, 256)
-	c, err := k.EncryptZero(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := k.Decrypt(c)
-	if got.Sign() != 0 {
-		t.Errorf("EncryptZero decrypts to %v", got)
 	}
 }
 
@@ -255,9 +343,28 @@ func TestPublicKeyMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestUnmarshalPublicKeyRejectsTiny(t *testing.T) {
-	if _, err := UnmarshalPublicKey(big.NewInt(12345).Bytes()); err == nil {
-		t.Error("want error for tiny modulus")
+// TestUnmarshalPublicKeyRejects: a peer's modulus must be at least
+// MinKeyBits, at most MaxKeyBits (checked on the encoding, before anything
+// is squared) and odd.
+func TestUnmarshalPublicKeyRejects(t *testing.T) {
+	k := testKey(t, 256)
+	for _, tc := range []struct {
+		name string
+		b    []byte
+	}{
+		{"tiny", big.NewInt(12345).Bytes()},
+		{"empty", nil},
+		{"even", new(big.Int).Lsh(k.N, 1).Bytes()},
+		{"oversized", bytes.Repeat([]byte{0xff}, MaxKeyBits/8+1)},
+		{"frame-sized", bytes.Repeat([]byte{0xff}, 16<<20)},
+	} {
+		if _, err := UnmarshalPublicKey(tc.b); !errors.Is(err, ErrPublicKey) {
+			t.Errorf("%s: error = %v, want ErrPublicKey", tc.name, err)
+		}
+	}
+	largest := bytes.Repeat([]byte{0xff}, MaxKeyBits/8)
+	if _, err := UnmarshalPublicKey(largest); err != nil {
+		t.Errorf("an odd %d-bit modulus must be accepted: %v", MaxKeyBits, err)
 	}
 }
 
@@ -306,36 +413,5 @@ func TestHomomorphicProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 25}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkEncrypt1024(b *testing.B) { benchEncrypt(b, 1024) }
-func BenchmarkDecrypt1024(b *testing.B) { benchDecrypt(b, 1024) }
-
-func benchEncrypt(b *testing.B, bits int) {
-	k, err := GenerateKey(rand.Reader, bits)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := big.NewInt(123456)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := k.Encrypt(rand.Reader, m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchDecrypt(b *testing.B, bits int) {
-	k, err := GenerateKey(rand.Reader, bits)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, _ := k.Encrypt(rand.Reader, big.NewInt(123456))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := k.Decrypt(c); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
