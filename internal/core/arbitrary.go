@@ -93,162 +93,43 @@ func NewArbitrarySession(conn transport.Conn, cfg Config, role Role, values [][]
 	// AppendOwned extends it by the new records' coordinates only.
 	var cellRows [][]int64
 	if s.pruneOn {
-		cellRows, err = arbitraryCellMatrix(conns[0], s, enc, owners, role)
+		own := aOwnCoords(s, enc, owners)
+		r, err := s.SwapMsg(conns[0], "adp.idx", transport.NewBuilder().PutInts(own))
 		if err != nil {
+			return nil, fmt.Errorf("core: adp index exchange: %w", err)
+		}
+		if cellRows, err = aCellRows(s, r, owners, own); err != nil {
 			return nil, err
 		}
 	}
-	as := &aStream{a: a, cellRows: cellRows, batches: []int{len(values)}, cache: NewPairCache()}
-	t := &Session{s: s, proto: "arbitrary"}
-	t.idleCtl, _ = conn.(idleController)
-	t.setup = s.takeLedger()
+	as := &aStream{RowGens: NewRowGens(len(values), cellRows), a: a}
+	t := newSession(conn, s, "arbitrary")
 	t.runOnce = func() (*Result, error) { return arbitraryRunOnce(t, as) }
 	t.appendInit = func(values [][]float64, owners [][]partition.Owner) (bool, error) {
 		return arbitraryAppendInit(t, as, values, owners)
 	}
 	t.appendServe = func(r *transport.Reader) error { return arbitraryAppendServe(t, as, r) }
-	t.expireInit = func(gens int) (bool, error) { return arbitraryExpireInit(t, as, gens) }
-	t.expireServe = func(r *transport.Reader) error { return arbitraryExpireServe(t, as, r) }
-	t.retractInit = func(ids []int) (bool, error) { return arbitraryRetractInit(t, as, ids) }
-	t.retractServe = func(r *transport.Reader) error { return arbitraryRetractServe(t, as, r) }
+	t.window = as.Window
+	t.expire = func(gens int) error {
+		rows := as.Expire(gens)
+		a.enc, a.owners = a.enc[rows:], a.owners[rows:]
+		return nil
+	}
+	t.rowRetract(as.RowGens, func(ids []int) {
+		a.enc, a.owners = CompactRows(a.enc, ids), CompactRows(a.owners, ids)
+	})
 	return t, nil
 }
 
-// aStream is the arbitrary family's mutable session state: the growing
-// (values, owners) matrices inside adpState, the shared cell matrix under
-// pruning, and the cross-run pair-decision cache (pair bits are public to
-// both parties, so the caches agree and the seeded lockstep drivers stay
-// in lock step). batches records each generation's record count; an
-// expiry compacts the oldest live generations out of every matrix and
-// remaps the cache.
+// aStream is the arbitrary family's mutable session state: the shared-row
+// generation table (cell matrix under pruning and the cross-run pair cache
+// included — pair bits are public to both parties, so the caches agree and
+// the seeded lockstep drivers stay in lock step) plus the matrices that
+// are this family's own, the growing (values, owners) pair inside
+// adpState.
 type aStream struct {
-	a        *adpState
-	cellRows [][]int64
-	batches  []int // record count per generation, dead prefix retained
-	dead     int   // expired generations
-	cache    *PairCache
-}
-
-// arbitraryExpireInit is the initiating side of one arbitrary-partition
-// expiry: announce the tombstone and apply it locally. The records are
-// shared, so both sides compact the same row prefix.
-func arbitraryExpireInit(t *Session, as *aStream, gens int) (sent bool, err error) {
-	live := len(as.batches) - as.dead
-	if gens < 1 || gens > live {
-		return false, fmt.Errorf("core: expire %d of %d live generations", gens, live)
-	}
-	ctrl := t.s.Conns[0]
-	setTag(ctrl, "session.op")
-	msg := transport.NewBuilder().PutUint(sessOpExpire)
-	spatial.TombstoneDelta{From: as.dead, N: gens}.Encode(msg)
-	if err := transport.SendMsg(ctrl, msg); err != nil {
-		return true, fmt.Errorf("core: session expire op: %w", err)
-	}
-	finishAExpire(t, as, gens)
-	return true, nil
-}
-
-// arbitraryExpireServe validates the announced tombstone against this
-// side's generation ledger and applies it.
-func arbitraryExpireServe(t *Session, as *aStream, r *transport.Reader) error {
-	live := len(as.batches) - as.dead
-	td, err := spatial.DecodeTombstoneDelta(r, as.dead, live)
-	if err != nil {
-		return fmt.Errorf("core: session expire op: %w", err)
-	}
-	finishAExpire(t, as, td.N)
-	return nil
-}
-
-// finishAExpire compacts the expired rows out of the value, ownership,
-// and cell matrices and remaps the pair cache — bits touching expired
-// records are invalidated; survivors shift onto the compacted indices.
-func finishAExpire(t *Session, as *aStream, gens int) {
-	rows := 0
-	for g := as.dead; g < as.dead+gens; g++ {
-		rows += as.batches[g]
-	}
-	as.a.enc = as.a.enc[rows:]
-	as.a.owners = as.a.owners[rows:]
-	if as.cellRows != nil {
-		as.cellRows = as.cellRows[rows:]
-	}
-	as.cache.Expire(rows)
-	as.dead += gens
-	t.s.led(func(l *Ledger) { l.IndexTombstones += gens })
-}
-
-// arbitraryRetractInit is the initiating side of one arbitrary-partition
-// retraction: the records are shared, so the initiator's point tombstone
-// binds both sides — no reply is needed, exactly as with expiry.
-func arbitraryRetractInit(t *Session, as *aStream, ids []int) (sent bool, err error) {
-	if err := spatial.ValidateRetractIDs(ids, len(as.a.enc)); err != nil {
-		return false, fmt.Errorf("core: retract: %w", err)
-	}
-	ctrl := t.s.Conns[0]
-	setTag(ctrl, "session.op")
-	msg := transport.NewBuilder().PutUint(sessOpRetract)
-	spatial.PointTombstone{IDs: ids}.Encode(msg)
-	if err := transport.SendMsg(ctrl, msg); err != nil {
-		return true, fmt.Errorf("core: session retract op: %w", err)
-	}
-	finishARetract(t, as, ids)
-	return true, nil
-}
-
-// arbitraryRetractServe validates the announced tombstone against this
-// side's live row count and applies it.
-func arbitraryRetractServe(t *Session, as *aStream, r *transport.Reader) error {
-	tomb, err := spatial.DecodePointTombstone(r, len(as.a.enc))
-	if err != nil {
-		return fmt.Errorf("core: session retract op: %w", err)
-	}
-	finishARetract(t, as, tomb.IDs)
-	return nil
-}
-
-// finishARetract compacts the retracted rows out of the value,
-// ownership, and cell matrices, decrements their generations' live
-// counts, and remaps the pair cache, identically on both sides. The
-// Ledger records one IndexRetractions entry per retracted record.
-func finishARetract(t *Session, as *aStream, ids []int) {
-	if len(ids) == 0 {
-		return
-	}
-	dec := make(map[int]int)
-	g, cum := as.dead, 0
-	for _, id := range ids {
-		for g < len(as.batches) && id >= cum+as.batches[g] {
-			cum += as.batches[g]
-			g++
-		}
-		dec[g]++
-	}
-	for g, d := range dec {
-		as.batches[g] -= d
-	}
-	remap := retractRemap(ids)
-	enc := as.a.enc[:0]
-	owners := as.a.owners[:0]
-	for i := range as.a.enc {
-		if _, ok := remap(i); ok {
-			enc = append(enc, as.a.enc[i])
-			owners = append(owners, as.a.owners[i])
-		}
-	}
-	as.a.enc = enc
-	as.a.owners = owners
-	if as.cellRows != nil {
-		cells := as.cellRows[:0]
-		for i, row := range as.cellRows {
-			if _, ok := remap(i); ok {
-				cells = append(cells, row)
-			}
-		}
-		as.cellRows = cells
-	}
-	as.cache.Retract(ids)
-	t.s.led(func(l *Ledger) { l.IndexRetractions += len(ids) })
+	*RowGens
+	a *adpState
 }
 
 // arbitraryAppendInit announces the appended records — their public
@@ -271,15 +152,13 @@ func arbitraryAppendInit(t *Session, as *aStream, values [][]float64, owners [][
 	if err != nil {
 		return false, err
 	}
-	ctrl := t.s.Conns[0]
-	setTag(ctrl, "session.op")
 	msg := transport.NewBuilder().PutUint(sessOpAppend).PutUint(uint64(len(batch)))
 	msg.PutBytes(flattenOwners(owners))
-	appendACoords(s, msg, batch, owners)
-	if err := transport.SendMsg(ctrl, msg); err != nil {
+	own := appendACoords(s, msg, batch, owners)
+	if err := t.sendOp(msg); err != nil {
 		return true, fmt.Errorf("core: session append op: %w", err)
 	}
-	r, err := transport.RecvMsg(ctrl)
+	r, err := transport.RecvMsg(s.Conns[0])
 	if err != nil {
 		return true, fmt.Errorf("core: session append reply: %w", err)
 	}
@@ -287,7 +166,7 @@ func arbitraryAppendInit(t *Session, as *aStream, values [][]float64, owners [][
 	if err := r.Err(); err != nil {
 		return true, err
 	}
-	return true, finishAAppend(t, as, batch, owners, peerCount, r)
+	return true, finishAAppend(t, as, batch, owners, own, peerCount, r)
 }
 
 // arbitraryAppendServe is the serving side: parse the announced ownership
@@ -333,14 +212,12 @@ func arbitraryAppendServe(t *Session, as *aStream, r *transport.Reader) error {
 	if err != nil {
 		return err
 	}
-	ctrl := t.s.Conns[0]
-	setTag(ctrl, "session.op")
 	msg := transport.NewBuilder().PutUint(uint64(len(batch)))
-	appendACoords(s, msg, batch, owners)
-	if err := transport.SendMsg(ctrl, msg); err != nil {
+	own := appendACoords(s, msg, batch, owners)
+	if err := t.sendOp(msg); err != nil {
 		return fmt.Errorf("core: session append reply: %w", err)
 	}
-	return finishAAppend(t, as, batch, owners, peerCount, r)
+	return finishAAppend(t, as, batch, owners, own, peerCount, r)
 }
 
 // flattenOwners serializes ownership rows for the wire (one byte per
@@ -358,78 +235,86 @@ func flattenOwners(owners [][]partition.Owner) []byte {
 	return flat
 }
 
-// appendACoords attaches the 1-D cell coordinates of the cells this party
-// owns among the appended records, ascending (record, attribute) order —
-// the per-record payload of the construction-time adp.idx exchange.
-func appendACoords(s *Pair, msg *transport.Builder, batch [][]int64, owners [][]partition.Owner) {
-	if !s.pruneOn {
-		return
-	}
-	mine := partition.Alice
-	if s.role == RoleBob {
-		mine = partition.Bob
-	}
+// aOwnCoords lists, in ascending (record, attribute) order, the 1-D cell
+// coordinate of every value this party owns among the given records — the
+// payload of every arbitrary-partition index disclosure.
+func aOwnCoords(s *Pair, enc [][]int64, owners [][]partition.Owner) []int64 {
 	var coords []int64
-	for i := range batch {
-		for k := range batch[i] {
+	mine := s.role.owner()
+	for i := range enc {
+		for k := range enc[i] {
 			if owners[i][k] == mine {
-				coords = append(coords, spatial.BucketCoord(batch[i][k], s.cellW))
+				coords = append(coords, spatial.BucketCoord(enc[i][k], s.cellW))
 			}
 		}
 	}
-	msg.PutInts(coords)
+	return coords
+}
+
+// aCellRows reads the peer's coordinate stream for the same records and
+// routes it, with our own, through the public ownership rows into the
+// full per-record cell rows.
+func aCellRows(s *Pair, r *transport.Reader, owners [][]partition.Owner, own []int64) ([][]int64, error) {
+	theirs := r.Ints()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	want := -len(own)
+	for _, row := range owners {
+		want += len(row)
+	}
+	if len(theirs) != want {
+		return nil, fmt.Errorf("core: adp index carries %d coordinates, want %d", len(theirs), want)
+	}
+	s.led(func(l *Ledger) { l.IndexCellCoords += len(theirs) })
+	full := make([][]int64, len(owners))
+	mine := s.role.owner()
+	for i := range owners {
+		row := make([]int64, len(owners[i]))
+		for k := range row {
+			if owners[i][k] == mine {
+				row[k], own = own[0], own[1:]
+			} else {
+				row[k], theirs = theirs[0], theirs[1:]
+			}
+		}
+		full[i] = row
+	}
+	return full, nil
+}
+
+// appendACoords attaches this party's coordinates of the appended records
+// when pruning is on — the per-record payload of the construction-time
+// adp.idx exchange — and returns them.
+func appendACoords(s *Pair, msg *transport.Builder, batch [][]int64, owners [][]partition.Owner) []int64 {
+	if !s.pruneOn {
+		return nil
+	}
+	own := aOwnCoords(s, batch, owners)
+	msg.PutInts(own)
+	return own
 }
 
 // finishAAppend validates the peer half (the already-parsed count; under
 // pruning its cell coordinates, routed through the appended ownership
 // rows — r is positioned at them) and extends the session state.
-func finishAAppend(t *Session, as *aStream, batch [][]int64, owners [][]partition.Owner, peerCount int, r *transport.Reader) error {
-	s := t.s
-	a := as.a
+func finishAAppend(t *Session, as *aStream, batch [][]int64, owners [][]partition.Owner, own []int64, peerCount int, r *transport.Reader) error {
 	if peerCount != len(batch) {
 		return fmt.Errorf("core: append count %d vs peer %d (arbitrary records are shared)", len(batch), peerCount)
 	}
-	if s.pruneOn {
-		theirs := r.Ints()
-		if err := r.Err(); err != nil {
+	var cells [][]int64
+	if t.s.pruneOn {
+		var err error
+		if cells, err = aCellRows(t.s, r, owners, own); err != nil {
 			return err
 		}
-		mine := partition.Alice
-		if s.role == RoleBob {
-			mine = partition.Bob
-		}
-		theirsWant := 0
-		for i := range owners {
-			for k := range owners[i] {
-				if owners[i][k] != mine {
-					theirsWant++
-				}
-			}
-		}
-		if len(theirs) != theirsWant {
-			return fmt.Errorf("core: adp index delta carries %d coordinates, want %d", len(theirs), theirsWant)
-		}
-		s.led(func(l *Ledger) {
-			l.IndexCellCoords += len(theirs)
-			l.IndexDeltaCells += len(theirs)
-		})
-		ti := 0
-		for i := range batch {
-			row := make([]int64, len(batch[i]))
-			for k := range batch[i] {
-				if owners[i][k] == mine {
-					row[k] = spatial.BucketCoord(batch[i][k], s.cellW)
-				} else {
-					row[k] = theirs[ti]
-					ti++
-				}
-			}
-			as.cellRows = append(as.cellRows, row)
-		}
+		// One delta entry per coordinate the peer disclosed: every cell of
+		// the batch that is not ours.
+		t.s.led(func(l *Ledger) { l.IndexDeltaCells += len(batch)*t.s.dim - len(own) })
 	}
-	a.enc = append(a.enc, batch...)
-	a.owners = append(a.owners, owners...)
-	as.batches = append(as.batches, len(batch))
+	as.a.enc = append(as.a.enc, batch...)
+	as.a.owners = append(as.a.owners, owners...)
+	as.Append(len(batch), cells)
 	return nil
 }
 
@@ -443,7 +328,6 @@ func arbitraryRunOnce(t *Session, as *aStream) (*Result, error) {
 	s := t.s
 	role := s.role
 	a := as.a
-	cellRows := as.cellRows
 	engA, engB, err := s.DistEngines()
 	if err != nil {
 		return nil, err
@@ -483,11 +367,19 @@ func arbitraryRunOnce(t *Session, as *aStream) (*Result, error) {
 		})
 	}
 	labels, clusters, err := LockstepCluster(n, s.cfg.MinPts, s.cfg.Parallel,
-		as.cache, onCached, PrunedLocalDecider(cellRows, onPruned), batchOn)
+		as.Cache, onCached, PrunedLocalDecider(as.CellRows, onPruned), batchOn)
 	if err != nil {
 		return nil, err
 	}
 	return t.result(labels, clusters), nil
+}
+
+// owner is the party's name in the public ownership matrix.
+func (r Role) owner() partition.Owner {
+	if r == RoleBob {
+		return partition.Bob
+	}
+	return partition.Alice
 }
 
 // encodeOwnedCells fixed-point encodes only the cells this party owns;
@@ -497,10 +389,7 @@ func (c Config) encodeOwnedCells(values [][]float64, owners [][]partition.Owner,
 	if err != nil {
 		return nil, err
 	}
-	mine := partition.Alice
-	if role == RoleBob {
-		mine = partition.Bob
-	}
+	mine := role.owner()
 	enc := make([][]int64, len(values))
 	for i, row := range values {
 		er := make([]int64, len(row))
@@ -560,10 +449,7 @@ type adpState struct {
 // this party on one record and the peer on the other, in ascending
 // attribute order — identical on both sides because owners is public).
 func (a *adpState) pairTerms(i, j int) (local int64, mixedVals []int64) {
-	mine := partition.Alice
-	if a.role == RoleBob {
-		mine = partition.Bob
-	}
+	mine := a.role.owner()
 	for k := 0; k < a.s.dim; k++ {
 		oi, oj := a.owners[i][k], a.owners[j][k]
 		switch {

@@ -52,20 +52,24 @@
 //	│                       on the bare connection               │
 //	├────────────────────────────────────────────────────────────┤
 //	│ core.Session          lifecycle on one Pair: many Run      │
-//	│ (sess.go)             calls; Append / Expire / Retract     │
-//	│                       (index deltas only on the wire); the │
+//	│ (sess.go, gens.go)    calls; Append / Expire / Retract     │
+//	│                       (index deltas only on the wire) run  │
+//	│                       through one control-op path (Guard,  │
+//	│                       poison rule, setup Ledger, counter)  │
+//	│                       over three generation tables —       │
+//	│                       OwnGens + PeerGens (horizontal       │
+//	│                       shape), RowGens (shared rows); the   │
 //	│                       cross-run comparison cache makes     │
 //	│                       re-clustering O(Δ·candidates); setup │
-//	│                       vs per-run Ledger split;             │
-//	│                       concurrent-misuse guards             │
+//	│                       vs per-run Ledger split              │
 //	├────────────────────────────────────────────────────────────┤
 //	│ core.Pair             one edge's keys, agreed parameters   │
 //	│ (pair.go, params.go,  (core.Params, handshake v9), worker  │
-//	│  gens.go, hdp.go)     channels, pool and counters; the HDP │
+//	│  hdp.go)              channels, pool and counters; the HDP │
 //	│                       steps and index exchange over        │
-//	│                       OwnGens / PeerGens generation        │
-//	│                       tables. A Session wraps one Pair; a  │
-//	│                       k-party mesh holds one per peer      │
+//	│                       OwnGens / PeerGens. A Session wraps  │
+//	│                       one Pair; a k-party mesh holds one   │
+//	│                       per peer                             │
 //	├────────────────────────────────────────────────────────────┤
 //	│ crypto pool           paillier.Pool: bounded worker slots  │
 //	│ (internal/paillier)   for all batch encryption/decryption/ │
@@ -110,13 +114,22 @@
 // HDPServe) as a two-party horizontal Session, and the multiparty ring
 // embeds Params in its circulating token (ring handshake v8). Comparison
 // engines come from the one constructor compare.Edge — Pair.engines and
-// the ring's coordinator/last-party pair both call it. The horizontal
-// shape's generational state splits by whose points it describes
-// (gens.go): one OwnGens per party (encoded points, generation starts,
-// the one spatial.Stack), one PeerGens per peer (per-generation counts,
-// disclosed directories, the cross-run caches), with the Append / Expire
-// / Retract arithmetic written once — a two-party session is 1 own + 1
-// peer, a k-party mesh 1 own + k−1 peers.
+// the ring's coordinator/last-party pair both call it.
+//
+// Generational state lives in three tables (gens.go), each the only
+// place its shape's Append / Expire / Retract arithmetic is written. The
+// horizontal shape splits by whose points a table describes: one OwnGens
+// per party (encoded points, generation starts, the one spatial.Stack),
+// one PeerGens per peer (per-generation counts, disclosed directories,
+// the cross-run caches) — a two-party session is 1 own + 1 peer, a
+// k-party mesh 1 own + k−1 peers. The shared-row shape — vertical,
+// arbitrary, and the multiparty ring, whose parties all hold the same
+// records and learn the same public bit per record pair — keeps one
+// RowGens: live count per generation (dead prefix retained), the full
+// cell rows under pruning, and the PairCache. The record matrices stay
+// with the family, which follows an expiry with a slice and a retraction
+// with CompactRows; retractCounts is the one place retracted ids become
+// generation decrements, for PeerGens and RowGens alike.
 //
 // # Long-lived sessions and the wave scheduler
 //
@@ -319,6 +332,16 @@
 // spatial.Stack; the delta is recorded in IndexDeltaCells). The data
 // itself never crosses the wire.
 //
+// Append, Expire and Retract are one control-op path (sess.go): the
+// initiating side enters through Session.initiate — the Guard
+// (ErrConcurrentRun while any operation is in flight, ErrSessionClosed
+// once the session ended), the role check, the family's exchange — and
+// the serving side through Run's control loop; both close in
+// Session.absorb (the op's disclosures move to the setup Ledger, its
+// counter ticks), and on both a failure after a frame was sent poisons
+// the session while a purely local validation failure leaves it usable.
+// The same Guard serializes the multiparty RingSession and MeshSession.
+//
 // Re-clustering after an append is incremental because decided
 // predicates are immutable — appends only add points, so a pairwise
 // within-Eps bit, a region count against a fixed peer prefix, and a true
@@ -354,11 +377,16 @@
 // husks, and a dead prefix is physically dropped with live indices
 // rebased, so a long-lived window stays O(window), not O(stream).
 //
-// Only the initiating party may expire (ErrExpireRole); the exchange
-// ships one spatial.TombstoneDelta each way so both sides agree on
-// exactly which prefix died (a disagreement is a loud protocol error,
-// not divergence), and the disclosure is first-class setup-Ledger state
-// (IndexTombstones, one per expired generation on each side).
+// Only the initiating party may expire (ErrExpireRole). Expiry is one
+// announce/validate pair for every family (Session.announceExpire /
+// serveExpire): the initiator ships one spatial.TombstoneDelta pinned to
+// its generation table's dead prefix, the serving side validates it
+// against its own table (a disagreement is a loud protocol error, not
+// divergence), and both apply the family's hook — OwnGens.Expire +
+// PeerGens.Expire for the horizontal shape, RowGens.Expire plus a slice
+// of the record matrices for the shared-row shape. The disclosure is
+// first-class setup-Ledger state (IndexTombstones, one per expired
+// generation on each side).
 //
 // Expiry is the one operation that breaks the append-only monotonicity
 // the cross-run caches rely on, so each cache invalidates exactly the
@@ -392,12 +420,16 @@
 // families (the serving side contributes its own ids through
 // SetRetractSource), shared record rows for the vertical/arbitrary
 // lockstep families. Only the initiating party may call Retract
-// (ErrRetractRole); the exchange ships one validated
-// spatial.PointTombstone each way, ids are range- and order-checked
-// before any frame is sent (a bad argument is a local error, not a
-// poisoned session), and the ring/mesh sessions demand id-for-id
-// agreement (same ids everywhere on the ring, each mesh party
-// retracting its own).
+// (ErrRetractRole); every family opens with Session.announceRetract —
+// ids are range- and order-checked before any frame is sent (a bad
+// argument is a local error, not a poisoned session), then one validated
+// spatial.PointTombstone is announced. The shared-row families stop
+// there (Session.rowRetract: the records are shared, so the initiator's
+// tombstone binds both sides, which compact the same rows and call
+// RowGens.Retract); the horizontal family swaps a second tombstone back,
+// the serving party's own ids. The ring/mesh sessions demand id-for-id
+// agreement (same ids everywhere on the ring, each mesh party retracting
+// its own).
 //
 // A masked slot is not erased from the disclosed index: the directory
 // keeps the padded counts announced at append time, and the slot keeps

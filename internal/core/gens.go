@@ -8,16 +8,18 @@ import (
 	"repro/internal/spatial"
 )
 
-// Generation tables of the horizontal shape. A party's dataset grows by
-// appends (one generation each; generation 0 is the construction-time
-// dataset), shrinks from the old end by expiries and in the middle by
-// retractions. The bookkeeping splits by whose points it describes: one
-// OwnGens per party, one PeerGens per peer — a two-party session is
-// 1 own + 1 peer, a k-party mesh 1 own + k−1 peers, and the lifecycle
-// arithmetic below is written once for both. Generation numbering is
-// absolute for the session's life: expired generations keep their slots
-// as husks (zero counts, empty directories), so both endpoints of an edge
-// agree on any generation watermark.
+// Generation tables. A session's dataset grows by appends (one generation
+// each; generation 0 is the construction-time dataset), shrinks from the
+// old end by expiries and in the middle by retractions, and there is one
+// table per session shape, each the only place its shape's lifecycle
+// arithmetic is written. The horizontal shape splits the bookkeeping by
+// whose points it describes: one OwnGens per party, one PeerGens per peer
+// — a two-party session is 1 own + 1 peer, a k-party mesh 1 own + k−1
+// peers. The shared-row shape (vertical, arbitrary, the k-party ring)
+// holds the same records on every party and keeps one RowGens. Generation
+// numbering is absolute for the session's life: expired generations keep
+// their slots as husks (zero counts, empty directories), so every
+// participant agrees on any generation watermark.
 //
 // Cache soundness rests on distance immutability and count monotonicity:
 // appends only add points, so (a) the number of peer points within Eps of
@@ -75,6 +77,10 @@ func (o *OwnGens) Encode(points [][]float64) ([][]int64, error) {
 
 // Gens reports the number of generations, dead ones included.
 func (o *OwnGens) Gens() int { return len(o.Start) }
+
+// Window reports the expired prefix and the number of live generations —
+// what an expiry tombstone is validated against.
+func (o *OwnGens) Window() (dead, live int) { return o.Dead, len(o.Start) - o.Dead }
 
 // Span returns the live points of generations [from, to).
 func (o *OwnGens) Span(from, to int) [][]int64 {
@@ -169,18 +175,45 @@ func (o *OwnGens) Retract(ids []int) error {
 			return fmt.Errorf("core: retract index: %w", err)
 		}
 	}
-	remap := retractRemap(ids)
-	out := o.Enc[:0]
-	for i, row := range o.Enc {
-		if _, ok := remap(i); ok {
-			out = append(out, row)
-		}
-	}
-	o.Enc = out
+	o.Enc = CompactRows(o.Enc, ids)
 	for g := o.Dead; g < len(o.Start); g++ {
 		o.Start[g] -= countBelow(ids, o.Start[g])
 	}
 	return nil
+}
+
+// CompactRows deletes the rows at the given indices (strictly ascending,
+// in range) from any per-record matrix, in place and in order — the one
+// row compaction every family applies to the matrices it owns.
+func CompactRows[T any](rows []T, ids []int) []T {
+	out, next := rows[:0], 0
+	for i, row := range rows {
+		if next < len(ids) && ids[next] == i {
+			next++
+			continue
+		}
+		out = append(out, row)
+	}
+	return out
+}
+
+// retractCounts is the one place retracted ids become generation
+// decrements: each id (validated: strictly ascending, in the
+// pre-retraction live numbering, which concatenates the live generations
+// in order — dead ones hold zero) lowers its generation's live count. It
+// reports which generations lost records.
+func retractCounts(count []int, ids []int) (affected map[int]bool) {
+	affected = make(map[int]bool)
+	g, end := -1, 0 // end: pre-retraction end of generation g in the live numbering
+	for _, id := range ids {
+		for id >= end {
+			g++
+			end += count[g]
+		}
+		count[g]--
+		affected[g] = true
+	}
+	return affected
 }
 
 // countBelow reports how many of the sorted ids are strictly below v.
@@ -301,26 +334,73 @@ func (p *PeerGens) Retract(ownIDs, peerIDs []int) {
 	if len(ownIDs) == 0 && len(peerIDs) == 0 {
 		return
 	}
-	// Map each retracted peer id (pre-retraction live numbering, which
-	// concatenates the live generations in order) to its generation.
-	dec := make(map[int]int)
-	g, cum := 0, 0
-	for _, id := range peerIDs {
-		for g < len(p.Count) && id >= cum+p.Count[g] {
-			cum += p.Count[g]
-			g++
-		}
-		dec[g]++
-	}
-	affected := make(map[int]bool, len(dec))
-	for g, d := range dec {
-		p.Count[g] -= d
-		p.N -= d
-		affected[g] = true
-	}
+	affected := retractCounts(p.Count, peerIDs)
+	p.N -= len(peerIDs)
 	p.mu.Lock()
 	p.hdp.RetractOwn(ownIDs)
 	p.hdp.DropGens(affected)
 	p.enh = make(map[int]enhEntry)
 	p.mu.Unlock()
+}
+
+// RowGens is the generation table of the shared-row shape: every party
+// holds (its part of) the same records and learns the same public
+// within-Eps bit per record pair, so every party keeps an identical
+// table — the live record count of each generation, the full per-record
+// cell rows under grid pruning, and the cross-run PairCache — and applies
+// every lifecycle step identically. The record matrices themselves stay
+// with the family (their shapes differ); Expire and Retract tell it which
+// rows left and it follows with a slice or CompactRows.
+type RowGens struct {
+	Count    []int     // per-generation live record counts (dead gens zeroed)
+	Dead     int       // expired generations
+	N        int       // live records (Σ Count)
+	CellRows [][]int64 // per-record cell rows; nil with pruning off
+	Cache    *PairCache
+}
+
+// NewRowGens starts the table at generation 0: the n construction-time
+// records and, under grid pruning, their cell rows.
+func NewRowGens(n int, cells [][]int64) *RowGens {
+	return &RowGens{Count: []int{n}, N: n, CellRows: cells, Cache: NewPairCache()}
+}
+
+// Window reports the expired prefix and the number of live generations.
+func (g *RowGens) Window() (dead, live int) { return g.Dead, len(g.Count) - g.Dead }
+
+// Append records the next generation of n records (cells: their cell rows
+// under pruning). Cached bits stay valid — distances are immutable — so
+// the next run pays only for pairs touching the new records.
+func (g *RowGens) Append(n int, cells [][]int64) {
+	g.Count = append(g.Count, n)
+	g.N += n
+	g.CellRows = append(g.CellRows, cells...)
+}
+
+// Expire retires the gens oldest live generations (validated against
+// Window) and returns how many records — the oldest rows of every
+// per-record matrix — left with them. The cache drops every bit touching
+// an expired record and shifts the survivors onto the compacted indices.
+func (g *RowGens) Expire(gens int) (rows int) {
+	for end := g.Dead + gens; g.Dead < end; g.Dead++ {
+		rows += g.Count[g.Dead]
+		g.Count[g.Dead] = 0
+	}
+	g.N -= rows
+	if g.CellRows != nil {
+		g.CellRows = g.CellRows[rows:]
+	}
+	g.Cache.Expire(rows)
+	return rows
+}
+
+// Retract deletes the records at the given live indices (validated:
+// strictly ascending, below N): their generations' counts shrink, the
+// cell rows compact, and the cache drops every bit touching a retracted
+// record while the survivors shift down by rank.
+func (g *RowGens) Retract(ids []int) {
+	retractCounts(g.Count, ids)
+	g.N -= len(ids)
+	g.CellRows = CompactRows(g.CellRows, ids)
+	g.Cache.Retract(ids)
 }

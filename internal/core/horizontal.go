@@ -87,19 +87,36 @@ func newHorizontalSession(conn transport.Conn, cfg Config, role Role, points [][
 		return nil, err
 	}
 	hs := &hStream{own: own, peer: peer}
-	t := &Session{s: s, proto: proto}
-	t.idleCtl, _ = conn.(idleController)
-	t.setup = s.takeLedger()
+	t := newSession(conn, s, proto)
 	t.runOnce = func() (*Result, error) { return horizontalRunOnce(t, hs, fam) }
 	t.appendInit = func(values [][]float64, owners [][]partition.Owner) (bool, error) {
 		return horizontalAppendInit(t, hs, values, owners)
 	}
 	t.appendServe = func(r *transport.Reader) error { return horizontalAppendServe(t, hs, r) }
-	t.expireInit = func(gens int) (bool, error) { return horizontalExpireInit(t, hs, gens) }
-	t.expireServe = func(r *transport.Reader) error { return horizontalExpireServe(t, hs, r) }
+	t.window = own.Window
+	// An expiry tombstones the own generations (index included), husks the
+	// peer's dead directories (their cells no longer answer candidate
+	// queries), and compacts the caches.
+	t.expire = func(gens int) error {
+		from := own.Dead
+		removed, err := own.Expire(gens)
+		if err == nil {
+			peer.Expire(from, gens, removed)
+		}
+		return err
+	}
 	t.retractInit = func(ids []int) (bool, error) { return horizontalRetractInit(t, hs, ids) }
 	t.retractServe = func(r *transport.Reader) error { return horizontalRetractServe(t, hs, r) }
 	return t, nil
+}
+
+// newSession wraps an established Pair as a Session; the establishment
+// disclosures recorded so far become its setup ledger. The family wires
+// the hooks.
+func newSession(conn transport.Conn, s *Pair, proto string) *Session {
+	t := &Session{s: s, proto: proto, setup: s.takeLedger()}
+	t.idleCtl, _ = conn.(idleController)
+	return t
 }
 
 // NewPair establishes one HDP edge over a party's own generation table:
@@ -144,70 +161,16 @@ func newHPair(conn transport.Conn, cfg Config, role Role, proto string, own *Own
 	return s, pg, nil
 }
 
-// horizontalExpireInit is the initiating side of one horizontal-family
-// expiry: announce the tombstone (which generations die — their contents
-// were disclosed at append time, so the tombstone itself adds only the
-// window movement) and apply it locally. Expiry is one-way: the receiving
-// side holds the same generation ledger, so the tombstone either applies
-// identically there or surfaces as a protocol error on its next decode.
-func horizontalExpireInit(t *Session, hs *hStream, gens int) (sent bool, err error) {
-	live := hs.own.Gens() - hs.own.Dead
-	if gens < 1 || gens > live {
-		return false, fmt.Errorf("core: expire %d of %d live generations", gens, live)
-	}
-	ctrl := t.s.Conns[0]
-	setTag(ctrl, "session.op")
-	msg := transport.NewBuilder().PutUint(sessOpExpire)
-	spatial.TombstoneDelta{From: hs.own.Dead, N: gens}.Encode(msg)
-	if err := transport.SendMsg(ctrl, msg); err != nil {
-		return true, fmt.Errorf("core: session expire op: %w", err)
-	}
-	return true, finishHExpire(t, hs, gens)
-}
-
-// horizontalExpireServe is the serving side: validate the announced
-// tombstone against our own generation ledger and apply it.
-func horizontalExpireServe(t *Session, hs *hStream, r *transport.Reader) error {
-	td, err := spatial.DecodeTombstoneDelta(r, hs.own.Dead, hs.own.Gens()-hs.own.Dead)
-	if err != nil {
-		return fmt.Errorf("core: session expire op: %w", err)
-	}
-	return finishHExpire(t, hs, td.N)
-}
-
-// finishHExpire runs the symmetric tail of an expiry on either side:
-// tombstone the own generations (index included), husk the peer's dead
-// directories (their cells no longer answer candidate queries), and
-// compact the caches. The Ledger records one IndexTombstones entry per
-// dead generation — the only disclosure an expiry makes.
-func finishHExpire(t *Session, hs *hStream, gens int) error {
-	from := hs.own.Dead
-	removed, err := hs.own.Expire(gens)
-	if err != nil {
-		return err
-	}
-	hs.peer.Expire(from, gens, removed)
-	t.s.led(func(l *Ledger) { l.IndexTombstones += gens })
-	return nil
-}
-
 // horizontalRetractInit is the initiating side of one horizontal-family
 // retraction: announce the point tombstone of our own retracted live
 // indices, receive the peer's (possibly empty) tombstone of its own
 // points in return, and apply both. Invalid ids fail locally before any
 // frame is sent, so they do not poison the session.
 func horizontalRetractInit(t *Session, hs *hStream, ids []int) (sent bool, err error) {
-	if err := spatial.ValidateRetractIDs(ids, len(hs.own.Enc)); err != nil {
-		return false, fmt.Errorf("core: retract: %w", err)
+	if sent, err := t.announceRetract(ids, len(hs.own.Enc)); err != nil {
+		return sent, err
 	}
-	ctrl := t.s.Conns[0]
-	setTag(ctrl, "session.op")
-	msg := transport.NewBuilder().PutUint(sessOpRetract)
-	spatial.PointTombstone{IDs: ids}.Encode(msg)
-	if err := transport.SendMsg(ctrl, msg); err != nil {
-		return true, fmt.Errorf("core: session retract op: %w", err)
-	}
-	r, err := transport.RecvMsg(ctrl)
+	r, err := transport.RecvMsg(t.s.Conns[0])
 	if err != nil {
 		return true, fmt.Errorf("core: session retract reply: %w", err)
 	}
@@ -233,11 +196,7 @@ func horizontalRetractServe(t *Session, hs *hStream, r *transport.Reader) error 
 	if err := spatial.ValidateRetractIDs(ownIDs, len(hs.own.Enc)); err != nil {
 		return fmt.Errorf("core: retract source: %w", err)
 	}
-	ctrl := t.s.Conns[0]
-	setTag(ctrl, "session.op")
-	msg := transport.NewBuilder()
-	spatial.PointTombstone{IDs: ownIDs}.Encode(msg)
-	if err := transport.SendMsg(ctrl, msg); err != nil {
+	if err := t.sendOp(spatial.PointTombstone{IDs: ownIDs}.Encode(transport.NewBuilder())); err != nil {
 		return fmt.Errorf("core: session retract reply: %w", err)
 	}
 	return finishHRetract(t, hs, ownIDs, peerTomb.IDs)
@@ -270,13 +229,10 @@ func horizontalAppendInit(t *Session, hs *hStream, values [][]float64, owners []
 	if err != nil {
 		return false, err
 	}
-	ctrl := t.s.Conns[0]
-	setTag(ctrl, "session.op")
-	msg := transport.NewBuilder().PutUint(sessOpAppend).PutUint(uint64(len(batch)))
-	if err := transport.SendMsg(ctrl, msg); err != nil {
+	if err := t.sendOp(transport.NewBuilder().PutUint(sessOpAppend).PutUint(uint64(len(batch)))); err != nil {
 		return true, fmt.Errorf("core: session append op: %w", err)
 	}
-	r, err := transport.RecvMsg(ctrl)
+	r, err := transport.RecvMsg(t.s.Conns[0])
 	if err != nil {
 		return true, fmt.Errorf("core: session append reply: %w", err)
 	}
@@ -309,9 +265,7 @@ func horizontalAppendServe(t *Session, hs *hStream, r *transport.Reader) error {
 	if err != nil {
 		return err
 	}
-	ctrl := t.s.Conns[0]
-	setTag(ctrl, "session.op")
-	if err := transport.SendMsg(ctrl, transport.NewBuilder().PutUint(uint64(len(batch)))); err != nil {
+	if err := t.sendOp(transport.NewBuilder().PutUint(uint64(len(batch)))); err != nil {
 		return fmt.Errorf("core: session append reply: %w", err)
 	}
 	return finishHAppend(t, hs, batch, peerCount)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/partition"
 	"repro/internal/spatial"
 	"repro/internal/transport"
 )
@@ -178,92 +177,6 @@ func (s *Pair) ReadPrunedOp(r *transport.Reader, own *OwnGens, from, to int) (pt
 	}
 	s.led(func(l *Ledger) { l.IndexQueryCells += 1 + len(cells) })
 	return pts, nDummy, nil
-}
-
-// ---- Lockstep cell matrices ----
-
-// verticalCellMatrix runs the vertical index exchange: each party
-// discloses the cell coordinates of every record over its own columns
-// (tag vdp.idx) and both assemble the full per-record cell rows, Alice's
-// columns leading — matching the virtual record layout.
-func verticalCellMatrix(conn transport.Conn, s *Pair, enc [][]int64, role Role, peerDim int) ([][]int64, error) {
-	own := make([][]int64, len(enc))
-	for i, p := range enc {
-		own[i] = spatial.Bucket(p, s.cellW)
-	}
-	r, err := s.SwapMsg(conn, "vdp.idx", spatial.EncodeCells(transport.NewBuilder(), own))
-	if err != nil {
-		return nil, fmt.Errorf("core: vdp index exchange: %w", err)
-	}
-	peer, err := spatial.DecodeCells(r, peerDim)
-	if err != nil {
-		return nil, fmt.Errorf("core: vdp index decode: %w", err)
-	}
-	if len(peer) != len(enc) {
-		return nil, fmt.Errorf("core: vdp index has %d rows, want %d", len(peer), len(enc))
-	}
-	s.led(func(l *Ledger) { l.IndexCellCoords += len(peer) * peerDim })
-	full := make([][]int64, len(enc))
-	for i := range enc {
-		row := make([]int64, 0, len(own[i])+peerDim)
-		if role == RoleAlice {
-			row = append(append(row, own[i]...), peer[i]...)
-		} else {
-			row = append(append(row, peer[i]...), own[i]...)
-		}
-		full[i] = row
-	}
-	return full, nil
-}
-
-// arbitraryCellMatrix runs the arbitrary-partition index exchange: each
-// party discloses, in ascending (record, attribute) order, the 1-D cell
-// coordinate of every value it owns (tag adp.idx); the public ownership
-// matrix routes the received stream into the full per-record cell rows.
-func arbitraryCellMatrix(conn transport.Conn, s *Pair, enc [][]int64, owners [][]partition.Owner, role Role) ([][]int64, error) {
-	mine := partition.Alice
-	if role == RoleBob {
-		mine = partition.Bob
-	}
-	var ownCoords []int64
-	theirsWant := 0
-	for i := range enc {
-		for k := range enc[i] {
-			if owners[i][k] == mine {
-				ownCoords = append(ownCoords, spatial.BucketCoord(enc[i][k], s.cellW))
-			} else {
-				theirsWant++
-			}
-		}
-	}
-	r, err := s.SwapMsg(conn, "adp.idx", transport.NewBuilder().PutInts(ownCoords))
-	if err != nil {
-		return nil, fmt.Errorf("core: adp index exchange: %w", err)
-	}
-	theirs := r.Ints()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if len(theirs) != theirsWant {
-		return nil, fmt.Errorf("core: adp index carries %d coordinates, want %d", len(theirs), theirsWant)
-	}
-	s.led(func(l *Ledger) { l.IndexCellCoords += len(theirs) })
-	full := make([][]int64, len(enc))
-	oi, ti := 0, 0
-	for i := range enc {
-		row := make([]int64, len(enc[i]))
-		for k := range enc[i] {
-			if owners[i][k] == mine {
-				row[k] = ownCoords[oi]
-				oi++
-			} else {
-				row[k] = theirs[ti]
-				ti++
-			}
-		}
-		full[i] = row
-	}
-	return full, nil
 }
 
 // ---- Pruned lockstep decisions ----

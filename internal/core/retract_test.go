@@ -527,11 +527,11 @@ func TestRetractMisuse(t *testing.T) {
 				return err
 			}
 			// Retract while a Run/Append/Expire/Close is in flight.
-			sess.running.Store(true)
+			sess.guard.running.Store(true)
 			if err := sess.Retract([]int{0}); !errors.Is(err, ErrConcurrentRun) {
 				t.Errorf("concurrent Retract: %v, want ErrConcurrentRun", err)
 			}
-			sess.running.Store(false)
+			sess.guard.running.Store(false)
 			// Argument validation fails locally — typed, and before any
 			// frame is sent, so the session is not poisoned.
 			over := make([]int, len(testAlicePts)+1)

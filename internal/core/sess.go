@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/partition"
+	"repro/internal/spatial"
 	"repro/internal/transport"
 )
 
@@ -77,6 +78,45 @@ var ErrExpireRole = errors.New("core: only the initiating party may call Expire;
 // retraction ids through SetRetractSource.
 var ErrRetractRole = errors.New("core: only the initiating party may call Retract; the serving party supplies ids via SetRetractSource")
 
+// opRoleErr names the error a serving party gets for driving each
+// lifecycle op itself.
+var opRoleErr = map[uint64]error{
+	sessOpAppend:  ErrAppendRole,
+	sessOpExpire:  ErrExpireRole,
+	sessOpRetract: ErrRetractRole,
+}
+
+// Guard is the misuse guard of a long-lived session, shared by Session
+// and the k-party sessions of internal/multiparty: operations on one
+// session are strictly serial, and a session whose peers may be
+// mid-exchange at an unknown point is closed for good. Atomic, so a server
+// can observe a session while goroutines race operations against it.
+type Guard struct {
+	running atomic.Bool // an operation is in flight
+	closed  atomic.Bool // the session ended or was poisoned
+}
+
+// Do runs one operation under the guard: ErrConcurrentRun while another is
+// in flight, ErrSessionClosed once the session ended. op reports whether
+// it touched the wire before failing — a failure after that leaves the
+// peers inside a partial exchange, where a later frame would land in
+// their sub-protocol reads, so it poisons the session; a purely local
+// validation failure leaves it usable.
+func (g *Guard) Do(op func() (wired bool, err error)) error {
+	if !g.running.CompareAndSwap(false, true) {
+		return ErrConcurrentRun
+	}
+	defer g.running.Store(false)
+	if g.closed.Load() {
+		return ErrSessionClosed
+	}
+	wired, err := op()
+	if err != nil && wired {
+		g.closed.Store(true)
+	}
+	return err
+}
+
 // idleController is implemented by server-side connections whose idle
 // read deadline can be switched off for the duration of a protocol run:
 // a client doing long local cryptography between frames is healthy, not
@@ -97,50 +137,43 @@ type Session struct {
 	setup   Ledger // one-time disclosures recorded at construction
 	runOnce func() (*Result, error)
 
-	// Streaming hooks, wired by the family constructors. appendInit is the
-	// initiating side of one append exchange (announce + swap); its sent
-	// flag reports whether any frame reached the wire, so purely local
-	// validation failures do not poison the session. appendServe is the
-	// serving side, entered from Run's control loop when the peer
-	// announces an append. appendSrc supplies this party's own batch when
-	// the peer initiates (see SetAppendSource).
+	// Lifecycle hooks, wired by the family constructors; every op runs
+	// through initiate on the driving side and Run's control loop on the
+	// serving side (one path: guard, poison rule, setup ledger, counter).
+	// appendInit is the initiating side of one append exchange (announce +
+	// swap); its sent flag reports whether any frame reached the wire.
+	// appendServe is the serving side; appendSrc supplies this party's own
+	// batch when the peer initiates (see SetAppendSource).
 	appendInit  func(values [][]float64, owners [][]partition.Owner) (sent bool, err error)
 	appendServe func(r *transport.Reader) error
 	appendSrc   AppendSource
-	appends     atomic.Int64
 
-	// Expiry hooks mirror the append hooks: expireInit announces and
-	// applies one window expiry from the initiating side, expireServe
-	// validates and applies the tombstone on the serving side. Families
-	// that do not support expiry leave them nil.
-	expireInit  func(gens int) (sent bool, err error)
-	expireServe func(r *transport.Reader) error
-	expires     atomic.Int64
+	// Expiry is one announce/validate pair for every family
+	// (announceExpire/serveExpire below): window reports the family's
+	// generation table position the tombstone is checked against, expire
+	// applies an agreed expiry to the family's state.
+	window func() (dead, live int)
+	expire func(gens int) error
 
-	// Retraction hooks follow the same shape: retractInit announces this
-	// party's point tombstone and swaps for the peer's (possibly empty)
-	// one; retractServe answers a peer-initiated retraction, consulting
-	// retractSrc for this party's own ids. Families that do not support
-	// point-level retraction leave them nil.
+	// Retraction: retractInit announces this party's point tombstone,
+	// retractServe answers a peer-initiated one. The shared-row families
+	// wire the one-way pair of rowRetract; the horizontal family swaps
+	// tombstones both ways, consulting retractSrc for this party's own ids.
 	retractInit  func(ids []int) (sent bool, err error)
 	retractServe func(r *transport.Reader) error
 	retractSrc   RetractSource
-	retracts     atomic.Int64
 
 	// idleCtl, when non-nil, is the serving connection's idle-deadline
 	// switch (see idleController); the Run loop disarms it for the
 	// duration of each protocol run.
 	idleCtl idleController
 
-	// Misuse guards, atomic so a server can observe a session's state
-	// while goroutines race Run/Close against it: runs counts completed
-	// Run calls, running flags an in-flight Run or Close (a concurrent
-	// Run or Close is rejected with ErrConcurrentRun rather than
-	// corrupting the protocol stream), closed latches once the session
-	// ended (Run after Close returns ErrSessionClosed).
-	runs    atomic.Int64
-	running atomic.Bool
-	closed  atomic.Bool
+	// guard serializes Run/Append/Expire/Retract/Close (ErrConcurrentRun)
+	// and latches once the session ended (ErrSessionClosed); runs counts
+	// completed Run calls and ops the absorbed lifecycle ops by op code.
+	guard Guard
+	runs  atomic.Int64
+	ops   [sessOpRetract + 1]atomic.Int64
 }
 
 // AppendRequest describes a peer-initiated append the serving party must
@@ -245,35 +278,41 @@ func (t *Session) AppendOwned(values [][]float64, owners [][]partition.Owner) er
 }
 
 func (t *Session) append(values [][]float64, owners [][]partition.Owner) error {
-	if !t.running.CompareAndSwap(false, true) {
-		return ErrConcurrentRun
-	}
-	defer t.running.Store(false)
-	if t.closed.Load() {
-		return ErrSessionClosed
-	}
-	if t.s.role != RoleAlice {
-		return ErrAppendRole
-	}
-	sent, err := t.appendInit(values, owners)
-	if err != nil {
-		if sent {
-			// The peer is mid-exchange at an unknown point; a later op would
-			// land inside its partial append reads.
-			t.closed.Store(true)
+	return t.initiate(sessOpAppend, func() (bool, error) { return t.appendInit(values, owners) })
+}
+
+// initiate drives one lifecycle op from the initiating party: the guard,
+// the role check, the family's exchange, and absorb.
+func (t *Session) initiate(op uint64, exchange func() (sent bool, err error)) error {
+	return t.guard.Do(func() (bool, error) {
+		if t.s.role != RoleAlice {
+			return false, opRoleErr[op]
 		}
-		return err
-	}
-	// Append disclosures (index deltas) are setup-class state: they are
-	// paid once, not per run, so they accumulate alongside the
-	// construction-time index exchange.
+		sent, err := exchange()
+		if err == nil {
+			t.absorb(op)
+		}
+		return sent, err
+	})
+}
+
+// absorb closes a completed lifecycle op on either side. Its disclosures
+// (index deltas, tombstones) are setup-class state — paid once, not per
+// run — so they accumulate alongside the construction-time index exchange.
+func (t *Session) absorb(op uint64) {
 	t.setup.Add(t.s.takeLedger())
-	t.appends.Add(1)
-	return nil
+	t.ops[op].Add(1)
+}
+
+// sendOp puts one frame on the control channel.
+func (t *Session) sendOp(msg *transport.Builder) error {
+	ctrl := t.s.Conns[0]
+	setTag(ctrl, "session.op")
+	return transport.SendMsg(ctrl, msg)
 }
 
 // Appends reports how many append exchanges this session has absorbed.
-func (t *Session) Appends() int { return int(t.appends.Load()) }
+func (t *Session) Appends() int { return int(t.ops[sessOpAppend].Load()) }
 
 // Expire slides the session's window forward by tombstoning its gens
 // oldest live generations: their points leave both parties' datasets,
@@ -293,32 +332,46 @@ func (t *Session) Appends() int { return int(t.appends.Load()) }
 // live generation leaves a valid empty window; expiring more is an
 // error.
 func (t *Session) Expire(gens int) error {
-	if !t.running.CompareAndSwap(false, true) {
-		return ErrConcurrentRun
+	return t.initiate(sessOpExpire, func() (bool, error) { return t.announceExpire(gens) })
+}
+
+// announceExpire is the initiating side of every family's expiry:
+// announce the tombstone (which generations die — their contents were
+// disclosed at append time, so the tombstone itself adds only the window
+// movement) and apply it locally. Expiry is one-way: the serving side
+// holds the same generation table, so the tombstone either applies
+// identically there or surfaces as a protocol error on its decode.
+func (t *Session) announceExpire(gens int) (sent bool, err error) {
+	dead, live := t.window()
+	if gens < 1 || gens > live {
+		return false, fmt.Errorf("core: expire %d of %d live generations", gens, live)
 	}
-	defer t.running.Store(false)
-	if t.closed.Load() {
-		return ErrSessionClosed
+	msg := transport.NewBuilder().PutUint(sessOpExpire)
+	spatial.TombstoneDelta{From: dead, N: gens}.Encode(msg)
+	if err := t.sendOp(msg); err != nil {
+		return true, fmt.Errorf("core: session expire op: %w", err)
 	}
-	if t.s.role != RoleAlice {
-		return ErrExpireRole
-	}
-	if t.expireInit == nil {
-		return fmt.Errorf("core: %s session does not support expiry", t.proto)
-	}
-	sent, err := t.expireInit(gens)
+	return true, t.applyExpire(gens)
+}
+
+// serveExpire validates the announced tombstone against this side's
+// generation table and applies it.
+func (t *Session) serveExpire(r *transport.Reader) error {
+	dead, live := t.window()
+	td, err := spatial.DecodeTombstoneDelta(r, dead, live)
 	if err != nil {
-		if sent {
-			// The peer may have applied the tombstone we failed to finish;
-			// the generation ledgers can no longer be trusted to agree.
-			t.closed.Store(true)
-		}
+		return fmt.Errorf("core: session expire op: %w", err)
+	}
+	return t.applyExpire(td.N)
+}
+
+// applyExpire runs the family's expiry and records its only disclosure:
+// one IndexTombstones entry per dead generation.
+func (t *Session) applyExpire(gens int) error {
+	if err := t.expire(gens); err != nil {
 		return err
 	}
-	// Expiry disclosures (tombstones) are setup-class state, like the
-	// index deltas of the appends that created the generations.
-	t.setup.Add(t.s.takeLedger())
-	t.expires.Add(1)
+	t.s.led(func(l *Ledger) { l.IndexTombstones += gens })
 	return nil
 }
 
@@ -333,7 +386,7 @@ func (t *Session) WindowAppend(points [][]float64) error {
 }
 
 // Expires reports how many expiries this session has absorbed.
-func (t *Session) Expires() int { return int(t.expires.Load()) }
+func (t *Session) Expires() int { return int(t.ops[sessOpExpire].Load()) }
 
 // Retract deletes individual live records from the session — the
 // point-level generalization of Expire for GDPR-style deletes and fraud
@@ -368,38 +421,56 @@ func (t *Session) Expires() int { return int(t.expires.Load()) }
 // live count) fail with a local validation error before any frame is
 // sent, so they do not poison the session.
 func (t *Session) Retract(ids []int) error {
-	if !t.running.CompareAndSwap(false, true) {
-		return ErrConcurrentRun
+	return t.initiate(sessOpRetract, func() (bool, error) { return t.retractInit(ids) })
+}
+
+// announceRetract opens every family's retraction from the initiating
+// side: validate ids against the live count — a failure here is local, no
+// frame sent — and announce the point tombstone.
+func (t *Session) announceRetract(ids []int, live int) (sent bool, err error) {
+	if err := spatial.ValidateRetractIDs(ids, live); err != nil {
+		return false, fmt.Errorf("core: retract: %w", err)
 	}
-	defer t.running.Store(false)
-	if t.closed.Load() {
-		return ErrSessionClosed
+	msg := transport.NewBuilder().PutUint(sessOpRetract)
+	spatial.PointTombstone{IDs: ids}.Encode(msg)
+	if err := t.sendOp(msg); err != nil {
+		return true, fmt.Errorf("core: session retract op: %w", err)
 	}
-	if t.s.role != RoleAlice {
-		return ErrRetractRole
+	return true, nil
+}
+
+// rowRetract wires the retraction pair of a shared-row family: the
+// records are shared, so the initiator's tombstone binds both sides — no
+// reply, exactly as with expiry — and both compact the same rows: compact
+// drops them from the family's own matrices, g follows with the counts,
+// cell rows and pair cache. The Ledger records one IndexRetractions entry
+// per retracted record.
+func (t *Session) rowRetract(g *RowGens, compact func(ids []int)) {
+	apply := func(ids []int) {
+		compact(ids)
+		g.Retract(ids)
+		t.s.led(func(l *Ledger) { l.IndexRetractions += len(ids) })
 	}
-	if t.retractInit == nil {
-		return fmt.Errorf("core: %s session does not support retraction", t.proto)
-	}
-	sent, err := t.retractInit(ids)
-	if err != nil {
-		if sent {
-			// The peer may have applied a tombstone we failed to finish;
-			// the generation ledgers can no longer be trusted to agree.
-			t.closed.Store(true)
+	t.retractInit = func(ids []int) (bool, error) {
+		sent, err := t.announceRetract(ids, g.N)
+		if err == nil {
+			apply(ids)
 		}
-		return err
+		return sent, err
 	}
-	// Retraction disclosures (point tombstones) are setup-class state,
-	// like the generation tombstones of Expire.
-	t.setup.Add(t.s.takeLedger())
-	t.retracts.Add(1)
-	return nil
+	t.retractServe = func(r *transport.Reader) error {
+		tomb, err := spatial.DecodePointTombstone(r, g.N)
+		if err != nil {
+			return fmt.Errorf("core: session retract op: %w", err)
+		}
+		apply(tomb.IDs)
+		return nil
+	}
 }
 
 // Retracts reports how many retraction exchanges this session has
 // absorbed.
-func (t *Session) Retracts() int { return int(t.retracts.Load()) }
+func (t *Session) Retracts() int { return int(t.ops[sessOpRetract].Load()) }
 
 // setIdleArmed flips the serving connection's idle deadline, when the
 // session sits on one (see idleController).
@@ -416,93 +487,77 @@ func (t *Session) setIdleArmed(on bool) {
 // transparently — this party's AppendSource supplies its own batch — and
 // the wait resumes), or closes (returns ErrSessionClosed).
 // Result.Leakage covers this run only; see SetupLeakage.
-func (t *Session) Run() (*Result, error) {
-	if !t.running.CompareAndSwap(false, true) {
-		return nil, ErrConcurrentRun
-	}
-	defer t.running.Store(false)
-	if t.closed.Load() {
-		return nil, ErrSessionClosed
-	}
-	ctrl := t.s.Conns[0]
-	setTag(ctrl, "session.op")
+func (t *Session) Run() (res *Result, err error) {
+	err = t.guard.Do(func() (bool, error) {
+		res, err = t.run()
+		return true, err
+	})
+	return res, err
+}
+
+// run is Run under the guard; any failure poisons the session — a failed
+// run leaves the peer at an unknown point of the protocol, where a retry
+// would inject a control frame into its in-flight sub-protocol reads.
+func (t *Session) run() (*Result, error) {
 	if t.s.role == RoleAlice {
-		if err := transport.SendMsg(ctrl, transport.NewBuilder().PutUint(sessOpRun)); err != nil {
+		if err := t.sendOp(transport.NewBuilder().PutUint(sessOpRun)); err != nil {
 			return nil, fmt.Errorf("core: session run op: %w", err)
 		}
-	} else {
-		// Waiting for a control op is the one state where peer silence
-		// means a hung client: arm the idle deadline here and disarm it
-		// for the protocol run itself, whose frames may lag behind the
-		// client's local cryptography without the session being idle.
-		// (Each Recv inside an append/expire exchange re-arms the rolling
-		// deadline on its own.)
-		t.setIdleArmed(true)
-	ops:
-		for {
-			r, err := transport.RecvMsg(ctrl)
-			if err != nil {
-				return nil, fmt.Errorf("core: session op recv: %w", err)
-			}
-			op := r.Uint()
-			if r.Err() != nil {
-				return nil, r.Err()
-			}
-			switch op {
-			case sessOpRun:
-				t.setIdleArmed(false)
-				break ops
-			case sessOpClose:
-				t.closed.Store(true)
-				return nil, ErrSessionClosed
-			case sessOpAppend:
-				if err := t.appendServe(r); err != nil {
-					t.closed.Store(true)
-					return nil, err
-				}
-				t.setup.Add(t.s.takeLedger())
-				t.appends.Add(1)
-				setTag(ctrl, "session.op")
-			case sessOpExpire:
-				if t.expireServe == nil {
-					return nil, fmt.Errorf("core: %s session does not support expiry", t.proto)
-				}
-				if err := t.expireServe(r); err != nil {
-					t.closed.Store(true)
-					return nil, err
-				}
-				t.setup.Add(t.s.takeLedger())
-				t.expires.Add(1)
-				setTag(ctrl, "session.op")
-			case sessOpRetract:
-				if t.retractServe == nil {
-					return nil, fmt.Errorf("core: %s session does not support retraction", t.proto)
-				}
-				if err := t.retractServe(r); err != nil {
-					t.closed.Store(true)
-					return nil, err
-				}
-				t.setup.Add(t.s.takeLedger())
-				t.retracts.Add(1)
-				setTag(ctrl, "session.op")
-			default:
-				return nil, fmt.Errorf("core: unexpected session op %d", op)
-			}
-		}
+	} else if err := t.serveOps(); err != nil {
+		return nil, err
 	}
 	// Per-run accounting starts clean; the setup ledger was moved aside at
 	// construction.
 	t.s.ResetRun()
 	res, err := t.runOnce()
 	if err != nil {
-		// A failed run leaves the peer at an unknown point of the protocol;
-		// poison the session so a retry cannot inject a control frame into
-		// the peer's in-flight sub-protocol reads.
-		t.closed.Store(true)
 		return nil, err
 	}
 	t.runs.Add(1)
 	return res, nil
+}
+
+// serveOps is the serving party's control loop: absorb lifecycle ops until
+// the peer announces a run (nil) or closes (ErrSessionClosed).
+func (t *Session) serveOps() error {
+	ctrl := t.s.Conns[0]
+	// Waiting for a control op is the one state where peer silence means a
+	// hung client: arm the idle deadline here and disarm it for the
+	// protocol run itself, whose frames may lag behind the client's local
+	// cryptography without the session being idle. (Each Recv inside a
+	// lifecycle exchange re-arms the rolling deadline on its own.)
+	t.setIdleArmed(true)
+	for {
+		setTag(ctrl, "session.op")
+		r, err := transport.RecvMsg(ctrl)
+		if err != nil {
+			return fmt.Errorf("core: session op recv: %w", err)
+		}
+		op := r.Uint()
+		if r.Err() != nil {
+			return r.Err()
+		}
+		var serve func(*transport.Reader) error
+		switch op {
+		case sessOpRun:
+			t.setIdleArmed(false)
+			return nil
+		case sessOpClose:
+			return ErrSessionClosed
+		case sessOpAppend:
+			serve = t.appendServe
+		case sessOpExpire:
+			serve = t.serveExpire
+		case sessOpRetract:
+			serve = t.retractServe
+		default:
+			return fmt.Errorf("core: unexpected session op %d", op)
+		}
+		if err := serve(r); err != nil {
+			return err
+		}
+		t.absorb(op)
+	}
 }
 
 // Close ends the session. The initiating party notifies the peer (whose
@@ -512,21 +567,19 @@ func (t *Session) Run() (*Result, error) {
 // close op would otherwise be injected into the peer's mid-protocol
 // reads on the control channel.
 func (t *Session) Close() error {
-	if !t.running.CompareAndSwap(false, true) {
-		return ErrConcurrentRun
-	}
-	defer t.running.Store(false)
-	if t.closed.Swap(true) {
-		return nil
-	}
-	if t.s.role == RoleAlice {
-		ctrl := t.s.Conns[0]
-		setTag(ctrl, "session.op")
-		if err := transport.SendMsg(ctrl, transport.NewBuilder().PutUint(sessOpClose)); err != nil {
-			return fmt.Errorf("core: session close op: %w", err)
+	err := t.guard.Do(func() (bool, error) {
+		t.guard.closed.Store(true)
+		if t.s.role == RoleAlice {
+			if err := t.sendOp(transport.NewBuilder().PutUint(sessOpClose)); err != nil {
+				return true, fmt.Errorf("core: session close op: %w", err)
+			}
 		}
+		return false, nil
+	})
+	if errors.Is(err, ErrSessionClosed) {
+		return nil // already closed
 	}
-	return nil
+	return err
 }
 
 // SetupLeakage returns the one-time disclosures of session establishment

@@ -473,11 +473,11 @@ func TestAppendMisuse(t *testing.T) {
 				return err
 			}
 			// Append while a Run/Append/Close is in flight.
-			sess.running.Store(true)
+			sess.guard.running.Store(true)
 			if err := sess.Append([][]float64{{3, 3}}); !errors.Is(err, ErrConcurrentRun) {
 				t.Errorf("concurrent Append: %v, want ErrConcurrentRun", err)
 			}
-			sess.running.Store(false)
+			sess.guard.running.Store(false)
 			// Local validation failures must not poison the session.
 			if err := sess.Append([][]float64{{1, 2, 3}}); err == nil {
 				t.Error("dimension-mismatched append accepted")

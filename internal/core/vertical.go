@@ -85,42 +85,41 @@ func NewVerticalSession(conn transport.Conn, cfg Config, role Role, attrs [][]fl
 	// Append extends it by the new rows only.
 	var cellRows [][]int64
 	if s.pruneOn {
-		cellRows, err = verticalCellMatrix(s.Conns[0], s, enc, role, peer.Dim)
+		own := vBucket(s, enc)
+		r, err := s.SwapMsg(s.Conns[0], "vdp.idx", spatial.EncodeCells(transport.NewBuilder(), own))
 		if err != nil {
+			return nil, fmt.Errorf("core: vdp index exchange: %w", err)
+		}
+		if cellRows, err = vCellRows(s, r, own, peer.Dim); err != nil {
 			return nil, err
 		}
 	}
-	vs := &vStream{enc: enc, cellRows: cellRows, peerDim: peer.Dim, batches: []int{len(enc)}, cache: NewPairCache()}
-	t := &Session{s: s, proto: "vertical"}
-	t.idleCtl, _ = conn.(idleController)
-	t.setup = s.takeLedger()
+	vs := &vStream{RowGens: NewRowGens(len(enc), cellRows), enc: enc, peerDim: peer.Dim}
+	t := newSession(conn, s, "vertical")
 	t.runOnce = func() (*Result, error) { return verticalRunOnce(t, vs) }
 	t.appendInit = func(values [][]float64, owners [][]partition.Owner) (bool, error) {
 		return verticalAppendInit(t, vs, values, owners)
 	}
 	t.appendServe = func(r *transport.Reader) error { return verticalAppendServe(t, vs, r) }
-	t.expireInit = func(gens int) (bool, error) { return verticalExpireInit(t, vs, gens) }
-	t.expireServe = func(r *transport.Reader) error { return verticalExpireServe(t, vs, r) }
-	t.retractInit = func(ids []int) (bool, error) { return verticalRetractInit(t, vs, ids) }
-	t.retractServe = func(r *transport.Reader) error { return verticalRetractServe(t, vs, r) }
+	t.window = vs.Window
+	t.expire = func(gens int) error {
+		vs.enc = vs.enc[vs.Expire(gens):]
+		return nil
+	}
+	t.rowRetract(vs.RowGens, func(ids []int) { vs.enc = CompactRows(vs.enc, ids) })
 	return t, nil
 }
 
-// vStream is the vertical family's mutable session state: the growing
-// record matrix (this party's columns), the shared cell matrix under
-// pruning, and the cross-run pair-decision cache — pair bits are public
-// to both parties (Theorem 10), so both hold identical caches and the
-// seeded lockstep drivers stay in lock step. batches records each
-// generation's record count (the establishment batch first); expiries
-// tombstone the oldest live generations, compact the matrices, and
-// remap the cache onto the surviving rows.
+// vStream is the vertical family's mutable session state: the shared-row
+// generation table (cell matrix under pruning and the cross-run pair cache
+// included — pair bits are public to both parties (Theorem 10), so both
+// hold identical caches and the seeded lockstep drivers stay in lock step)
+// plus the one matrix that is this family's own, the growing record matrix
+// of this party's columns.
 type vStream struct {
-	enc      [][]int64
-	cellRows [][]int64
-	peerDim  int
-	batches  []int // record count per generation, dead prefix retained
-	dead     int   // expired generations
-	cache    *PairCache
+	*RowGens
+	enc     [][]int64
+	peerDim int
 }
 
 // verticalAppendInit announces this party's columns of the appended
@@ -135,14 +134,12 @@ func verticalAppendInit(t *Session, vs *vStream, values [][]float64, owners [][]
 	if err != nil {
 		return false, err
 	}
-	ctrl := t.s.Conns[0]
-	setTag(ctrl, "session.op")
 	msg := transport.NewBuilder().PutUint(sessOpAppend).PutUint(uint64(len(batch)))
-	appendVCoords(s, msg, batch)
-	if err := transport.SendMsg(ctrl, msg); err != nil {
+	own := appendVCoords(s, msg, batch)
+	if err := t.sendOp(msg); err != nil {
 		return true, fmt.Errorf("core: session append op: %w", err)
 	}
-	r, err := transport.RecvMsg(ctrl)
+	r, err := transport.RecvMsg(s.Conns[0])
 	if err != nil {
 		return true, fmt.Errorf("core: session append reply: %w", err)
 	}
@@ -150,7 +147,7 @@ func verticalAppendInit(t *Session, vs *vStream, values [][]float64, owners [][]
 	if err := r.Err(); err != nil {
 		return true, err
 	}
-	return true, finishVAppend(t, vs, batch, peerCount, r)
+	return true, finishVAppend(t, vs, batch, own, peerCount, r)
 }
 
 // verticalAppendServe is the serving side: the source must supply this
@@ -172,188 +169,77 @@ func verticalAppendServe(t *Session, vs *vStream, r *transport.Reader) error {
 	if err != nil {
 		return err
 	}
-	ctrl := t.s.Conns[0]
-	setTag(ctrl, "session.op")
 	msg := transport.NewBuilder().PutUint(uint64(len(batch)))
-	appendVCoords(s, msg, batch)
-	if err := transport.SendMsg(ctrl, msg); err != nil {
+	own := appendVCoords(s, msg, batch)
+	if err := t.sendOp(msg); err != nil {
 		return fmt.Errorf("core: session append reply: %w", err)
 	}
-	return finishVAppend(t, vs, batch, peerCount, r)
+	return finishVAppend(t, vs, batch, own, peerCount, r)
 }
 
-// appendVCoords attaches this party's own-column cell coordinates of the
-// appended rows when pruning is on (tagged index disclosure, exactly the
-// per-row payload of the construction-time exchange).
-func appendVCoords(s *Pair, msg *transport.Builder, batch [][]int64) {
-	if !s.pruneOn {
-		return
-	}
+// vBucket is this party's own-column cell coordinates of a batch of rows
+// — the per-row payload of every vertical index disclosure.
+func vBucket(s *Pair, batch [][]int64) [][]int64 {
 	rows := make([][]int64, len(batch))
 	for i, p := range batch {
 		rows[i] = spatial.Bucket(p, s.cellW)
 	}
-	spatial.EncodeCells(msg, rows)
+	return rows
+}
+
+// vCellRows reads the peer's own-column cell coordinates of the rows we
+// bucketed as own and assembles the full per-record cell rows, Alice's
+// columns leading — matching the virtual record layout.
+func vCellRows(s *Pair, r *transport.Reader, own [][]int64, peerDim int) ([][]int64, error) {
+	peer, err := spatial.DecodeCells(r, peerDim)
+	if err != nil {
+		return nil, fmt.Errorf("core: vdp index decode: %w", err)
+	}
+	if len(peer) != len(own) {
+		return nil, fmt.Errorf("core: vdp index has %d rows, want %d", len(peer), len(own))
+	}
+	s.led(func(l *Ledger) { l.IndexCellCoords += len(peer) * peerDim })
+	full := make([][]int64, len(own))
+	for i := range own {
+		a, b := own[i], peer[i]
+		if s.role == RoleBob {
+			a, b = b, a
+		}
+		full[i] = append(append(make([]int64, 0, len(a)+len(b)), a...), b...)
+	}
+	return full, nil
+}
+
+// appendVCoords attaches this party's own-column cell coordinates of the
+// appended rows when pruning is on (tagged index disclosure, exactly the
+// per-row payload of the construction-time exchange) and returns them.
+func appendVCoords(s *Pair, msg *transport.Builder, batch [][]int64) [][]int64 {
+	if !s.pruneOn {
+		return nil
+	}
+	own := vBucket(s, batch)
+	spatial.EncodeCells(msg, own)
+	return own
 }
 
 // finishVAppend validates the peer half of the exchange (the already-
 // parsed count, and under pruning the peer's cell coordinates of the
 // same rows — r is positioned at them) and extends the session state.
-func finishVAppend(t *Session, vs *vStream, batch [][]int64, peerCount int, r *transport.Reader) error {
-	s := t.s
+func finishVAppend(t *Session, vs *vStream, batch, own [][]int64, peerCount int, r *transport.Reader) error {
 	if peerCount != len(batch) {
 		return fmt.Errorf("core: append count %d vs peer %d (vertical records are shared)", len(batch), peerCount)
 	}
-	if s.pruneOn {
-		peerRows, err := spatial.DecodeCells(r, vs.peerDim)
-		if err != nil {
-			return fmt.Errorf("core: vdp index delta: %w", err)
+	var cells [][]int64
+	if t.s.pruneOn {
+		var err error
+		if cells, err = vCellRows(t.s, r, own, vs.peerDim); err != nil {
+			return err
 		}
-		if len(peerRows) != len(batch) {
-			return fmt.Errorf("core: vdp index delta has %d rows, want %d", len(peerRows), len(batch))
-		}
-		s.led(func(l *Ledger) {
-			l.IndexCellCoords += len(peerRows) * vs.peerDim
-			l.IndexDeltaCells += len(peerRows)
-		})
-		for i, p := range batch {
-			own := spatial.Bucket(p, s.cellW)
-			row := make([]int64, 0, len(own)+vs.peerDim)
-			if s.role == RoleAlice {
-				row = append(append(row, own...), peerRows[i]...)
-			} else {
-				row = append(append(row, peerRows[i]...), own...)
-			}
-			vs.cellRows = append(vs.cellRows, row)
-		}
+		t.s.led(func(l *Ledger) { l.IndexDeltaCells += len(cells) })
 	}
 	vs.enc = append(vs.enc, batch...)
-	vs.batches = append(vs.batches, len(batch))
+	vs.Append(len(batch), cells)
 	return nil
-}
-
-// verticalExpireInit is the initiating side of one vertical expiry:
-// announce the tombstone and apply it locally. The records are shared,
-// so both sides compact the same row prefix.
-func verticalExpireInit(t *Session, vs *vStream, gens int) (sent bool, err error) {
-	live := len(vs.batches) - vs.dead
-	if gens < 1 || gens > live {
-		return false, fmt.Errorf("core: expire %d of %d live generations", gens, live)
-	}
-	ctrl := t.s.Conns[0]
-	setTag(ctrl, "session.op")
-	msg := transport.NewBuilder().PutUint(sessOpExpire)
-	spatial.TombstoneDelta{From: vs.dead, N: gens}.Encode(msg)
-	if err := transport.SendMsg(ctrl, msg); err != nil {
-		return true, fmt.Errorf("core: session expire op: %w", err)
-	}
-	finishVExpire(t, vs, gens)
-	return true, nil
-}
-
-// verticalExpireServe validates the announced tombstone against this
-// side's generation ledger and applies it.
-func verticalExpireServe(t *Session, vs *vStream, r *transport.Reader) error {
-	live := len(vs.batches) - vs.dead
-	td, err := spatial.DecodeTombstoneDelta(r, vs.dead, live)
-	if err != nil {
-		return fmt.Errorf("core: session expire op: %w", err)
-	}
-	finishVExpire(t, vs, td.N)
-	return nil
-}
-
-// finishVExpire compacts the expired rows out of the record and cell
-// matrices and remaps the pair cache — every bit touching an expired
-// record is invalidated; survivors shift onto the compacted indices.
-func finishVExpire(t *Session, vs *vStream, gens int) {
-	rows := 0
-	for g := vs.dead; g < vs.dead+gens; g++ {
-		rows += vs.batches[g]
-	}
-	vs.enc = vs.enc[rows:]
-	if vs.cellRows != nil {
-		vs.cellRows = vs.cellRows[rows:]
-	}
-	vs.cache.Expire(rows)
-	vs.dead += gens
-	t.s.led(func(l *Ledger) { l.IndexTombstones += gens })
-}
-
-// verticalRetractInit is the initiating side of one vertical retraction:
-// the records are shared (column-split), so the initiator's point
-// tombstone binds both sides — no reply is needed, exactly as with
-// expiry. Invalid ids fail locally before any frame is sent.
-func verticalRetractInit(t *Session, vs *vStream, ids []int) (sent bool, err error) {
-	if err := spatial.ValidateRetractIDs(ids, len(vs.enc)); err != nil {
-		return false, fmt.Errorf("core: retract: %w", err)
-	}
-	ctrl := t.s.Conns[0]
-	setTag(ctrl, "session.op")
-	msg := transport.NewBuilder().PutUint(sessOpRetract)
-	spatial.PointTombstone{IDs: ids}.Encode(msg)
-	if err := transport.SendMsg(ctrl, msg); err != nil {
-		return true, fmt.Errorf("core: session retract op: %w", err)
-	}
-	finishVRetract(t, vs, ids)
-	return true, nil
-}
-
-// verticalRetractServe validates the announced tombstone against this
-// side's live row count and applies it.
-func verticalRetractServe(t *Session, vs *vStream, r *transport.Reader) error {
-	tomb, err := spatial.DecodePointTombstone(r, len(vs.enc))
-	if err != nil {
-		return fmt.Errorf("core: session retract op: %w", err)
-	}
-	finishVRetract(t, vs, tomb.IDs)
-	return nil
-}
-
-// finishVRetract compacts the retracted rows out of the record and cell
-// matrices, decrements their generations' live counts, and remaps the
-// pair cache — every bit touching a retracted record is dropped, the
-// survivors shift by rank onto the compacted indices, identically on
-// both sides. The Ledger records one IndexRetractions entry per
-// retracted record.
-func finishVRetract(t *Session, vs *vStream, ids []int) {
-	if len(ids) == 0 {
-		return
-	}
-	// Map each retracted row (live numbering concatenates the live
-	// generations in order, pre-retraction counts) to its generation,
-	// then shrink the affected batches.
-	dec := make(map[int]int)
-	g, cum := vs.dead, 0
-	for _, id := range ids {
-		for g < len(vs.batches) && id >= cum+vs.batches[g] {
-			cum += vs.batches[g]
-			g++
-		}
-		dec[g]++
-	}
-	for g, d := range dec {
-		vs.batches[g] -= d
-	}
-	remap := retractRemap(ids)
-	out := vs.enc[:0]
-	for i, row := range vs.enc {
-		if _, ok := remap(i); ok {
-			out = append(out, row)
-		}
-	}
-	vs.enc = out
-	if vs.cellRows != nil {
-		cells := vs.cellRows[:0]
-		for i, row := range vs.cellRows {
-			if _, ok := remap(i); ok {
-				cells = append(cells, row)
-			}
-		}
-		vs.cellRows = cells
-	}
-	vs.cache.Retract(ids)
-	t.s.led(func(l *Ledger) { l.IndexRetractions += len(ids) })
 }
 
 // encodeVBatch validates and encodes appended rows of this party's
@@ -379,7 +265,6 @@ func verticalRunOnce(t *Session, vs *vStream) (*Result, error) {
 	s := t.s
 	role := s.role
 	enc := vs.enc
-	cellRows := vs.cellRows
 	engA, engB, err := s.DistEngines()
 	if err != nil {
 		return nil, err
@@ -422,7 +307,7 @@ func verticalRunOnce(t *Session, vs *vStream) (*Result, error) {
 		})
 	}
 	labels, clusters, err := LockstepCluster(len(enc), s.cfg.MinPts, s.cfg.Parallel,
-		vs.cache, onCached, PrunedLocalDecider(cellRows, onPruned), batchOn)
+		vs.Cache, onCached, PrunedLocalDecider(vs.CellRows, onPruned), batchOn)
 	if err != nil {
 		return nil, err
 	}

@@ -414,84 +414,102 @@ func TestWindowedEquivalencePruningOff(t *testing.T) {
 	}
 }
 
-// Misuse coverage for the expire op: role, lifecycle, argument, and
-// concurrency guards return the session's typed errors, and an
-// expire-everything window stays usable after a refill.
+// Misuse coverage for the expire op, in every family: role, lifecycle,
+// argument, and concurrency guards return the session's typed errors, and
+// an expire-everything window stays usable — after a refill the next Run
+// labels exactly the refilled generation, as a fresh session over it does.
 func TestExpireMisuse(t *testing.T) {
-	cfg := testCfg(compare.EngineMasked)
-	ca, cb := transport.Pipe()
-	err := transport.RunPair(ca, cb,
-		func(transport.Conn) error {
-			sess, err := NewHorizontalSession(ca, cfg, RoleAlice, testAlicePts)
-			if err != nil {
-				return err
+	for _, wc := range windowCases() {
+		wc := wc
+		t.Run(wc.name, func(t *testing.T) {
+			cfg := testCfg(compare.EngineMasked)
+			if wc.tweak != nil {
+				cfg = wc.tweak(cfg)
 			}
-			// Expire while a Run/Append/Close is in flight.
-			sess.running.Store(true)
-			if err := sess.Expire(1); !errors.Is(err, ErrConcurrentRun) {
-				t.Errorf("concurrent Expire: %v, want ErrConcurrentRun", err)
-			}
-			sess.running.Store(false)
-			// Argument validation fails locally without poisoning the session.
-			if err := sess.Expire(0); err == nil {
-				t.Error("Expire(0) accepted")
-			}
-			if err := sess.Expire(2); err == nil {
-				t.Error("Expire beyond the live window accepted")
-			}
-			// Expiring every live generation leaves a valid empty window;
-			// one more is an error, and a refill restores service.
-			if err := sess.Append([][]float64{{3, 3}}); err != nil {
-				return err
-			}
-			if err := sess.Expire(2); err != nil {
-				t.Errorf("expire-all: %v", err)
-			}
-			if err := sess.Expire(1); err == nil {
-				t.Error("Expire on an empty window accepted")
-			}
-			if err := sess.Append([][]float64{{0, 0}, {1, 0}, {0, 1}}); err != nil {
-				return err
-			}
-			r, err := sess.Run()
-			if err != nil {
-				t.Errorf("Run after expire-all + refill: %v", err)
-			} else if len(r.Labels) != 3 {
-				t.Errorf("refilled window run labelled %d points, want 3", len(r.Labels))
-			}
-			if err := sess.Close(); err != nil {
-				return err
-			}
-			if err := sess.Expire(1); !errors.Is(err, ErrSessionClosed) {
-				t.Errorf("Expire after Close: %v, want ErrSessionClosed", err)
-			}
-			return nil
-		},
-		func(transport.Conn) error {
-			sess, err := NewHorizontalSession(cb, cfg, RoleBob, testBobPts)
-			if err != nil {
-				return err
-			}
-			// The serving party cannot initiate expiries.
-			if err := sess.Expire(1); !errors.Is(err, ErrExpireRole) {
-				t.Errorf("serving-party Expire: %v, want ErrExpireRole", err)
-			}
-			batches := [][][]float64{{{4, 4}}, {{1, 1}}}
-			gen := 0
-			sess.SetAppendSource(func(req AppendRequest) ([][]float64, error) {
-				b := batches[gen]
-				gen++
-				return b, nil
-			})
-			for {
-				if _, err := sess.Run(); errors.Is(err, ErrSessionClosed) {
+			var mu sync.Mutex
+			var ra, rb *Result
+			ca, cb := transport.Pipe()
+			err := transport.RunPair(ca, cb,
+				func(transport.Conn) error {
+					sess, err := wc.newSess(ca, cfg, RoleAlice)
+					if err != nil {
+						return err
+					}
+					// Expire while a Run/Append/Close is in flight.
+					sess.guard.running.Store(true)
+					if err := sess.Expire(1); !errors.Is(err, ErrConcurrentRun) {
+						t.Errorf("concurrent Expire: %v, want ErrConcurrentRun", err)
+					}
+					sess.guard.running.Store(false)
+					// Argument validation fails locally without poisoning the session.
+					if err := sess.Expire(0); err == nil {
+						t.Error("Expire(0) accepted")
+					}
+					if err := sess.Expire(2); err == nil {
+						t.Error("Expire beyond the live window accepted")
+					}
+					// Expiring every live generation leaves a valid empty window;
+					// one more is an error, and a refill restores service.
+					if err := wc.appendGen(sess, 1); err != nil {
+						return err
+					}
+					if err := sess.Expire(2); err != nil {
+						t.Errorf("expire-all: %v", err)
+					}
+					if err := sess.Expire(1); err == nil {
+						t.Error("Expire on an empty window accepted")
+					}
+					if err := wc.appendGen(sess, 2); err != nil {
+						return err
+					}
+					r, err := sess.Run()
+					if err != nil {
+						t.Errorf("Run after expire-all + refill: %v", err)
+					}
+					mu.Lock()
+					ra = r
+					mu.Unlock()
+					if err := sess.Close(); err != nil {
+						return err
+					}
+					if err := sess.Expire(1); !errors.Is(err, ErrSessionClosed) {
+						t.Errorf("Expire after Close: %v, want ErrSessionClosed", err)
+					}
 					return nil
-				} else if err != nil {
-					return err
-				}
+				},
+				func(transport.Conn) error {
+					sess, err := wc.newSess(cb, cfg, RoleBob)
+					if err != nil {
+						return err
+					}
+					// The serving party cannot initiate expiries.
+					if err := sess.Expire(1); !errors.Is(err, ErrExpireRole) {
+						t.Errorf("serving-party Expire: %v, want ErrExpireRole", err)
+					}
+					sess.SetAppendSource(wc.sourceB())
+					for {
+						r, err := sess.Run()
+						if errors.Is(err, ErrSessionClosed) {
+							return nil
+						} else if err != nil {
+							return err
+						}
+						mu.Lock()
+						rb = r
+						mu.Unlock()
+					}
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := wc.fresh(t, cfg, 2, 3)
+			if ra == nil || rb == nil {
+				t.Fatal("refilled window never ran")
+			}
+			if !metrics.ExactMatch(ra.Labels, fresh.ra.Labels) || !metrics.ExactMatch(rb.Labels, fresh.rb.Labels) {
+				t.Errorf("refilled window labels %v / %v, fresh session %v / %v",
+					ra.Labels, rb.Labels, fresh.ra.Labels, fresh.rb.Labels)
 			}
 		})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

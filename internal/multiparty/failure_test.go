@@ -2,6 +2,7 @@ package multiparty
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/compare"
+	"repro/internal/core"
 	"repro/internal/transport"
 )
 
@@ -104,14 +106,134 @@ func TestMeshPeerDisappearsMidRun(t *testing.T) {
 					t.Errorf("W=%d afterMsgs=%d party %d: returned labels", w, afterMsgs, p)
 				}
 			}
-			// Mux readers and responder workers unwind once their edge is
-			// closed; give the scheduler a moment to retire them.
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-				time.Sleep(10 * time.Millisecond)
+			checkNoLeak(t, before, fmt.Sprintf("W=%d afterMsgs=%d", w, afterMsgs))
+		}
+	}
+}
+
+// checkNoLeak fails if more goroutines are alive than before the case
+// started. Mux readers and responder workers unwind once their edge is
+// closed; give the scheduler a moment to retire them.
+func checkNoLeak(t *testing.T, before int, label string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%s: %d goroutines outlive the run (%d before)", label, n, before)
+	}
+}
+
+// Disagreement on the ring: one table over the five users of
+// state.circulate — the handshake token, the cell-row circulation, and
+// the append / expire / retract agreements — with the odd party out at
+// the coordinator, in the middle and at the end of the ring. Every party
+// must come back with an error in bounded time, leak nothing, and (where
+// a session was established) refuse every later call: the ring is
+// desynchronised.
+func TestRingDisagreementFailsEveryParty(t *testing.T) {
+	const k = 3
+	cols := func(g, p int) [][]float64 { return splitColumns(ringWindowGens[g], k)[p] }
+	rows := []struct {
+		name string
+		cfg  func(cfg Config, odd bool) Config            // establishment-time disagreement
+		op   func(rs *RingSession, p int, odd bool) error // disagreement on a live session (two generations)
+	}{
+		{name: "handshake parameter", cfg: func(cfg Config, odd bool) Config {
+			if odd {
+				cfg.MinPts++
 			}
-			if n := runtime.NumGoroutine(); n > before {
-				t.Errorf("W=%d afterMsgs=%d: %d goroutines outlive the run (%d before)", w, afterMsgs, n, before)
+			return cfg
+		}},
+		{name: "cell-row count", op: func(rs *RingSession, p int, odd bool) error {
+			// Unreachable through Append, whose count agreement runs first:
+			// drive the circulation the way Append does.
+			batch := rs.st.enc[:2]
+			if odd {
+				batch = batch[:1]
+			}
+			return rs.guard.Do(func() (bool, error) {
+				_, err := rs.st.circulateCells(batch)
+				return true, err
+			})
+		}},
+		{name: "append count", op: func(rs *RingSession, p int, odd bool) error {
+			batch := cols(2, p)
+			if odd {
+				batch = batch[:1]
+			}
+			return rs.Append(batch)
+		}},
+		{name: "expire generations", op: func(rs *RingSession, p int, odd bool) error {
+			if odd {
+				return rs.Expire(2)
+			}
+			return rs.Expire(1)
+		}},
+		{name: "retract ids", op: func(rs *RingSession, p int, odd bool) error {
+			if odd {
+				return rs.Retract([]int{1})
+			}
+			return rs.Retract([]int{2})
+		}},
+	}
+	for _, w := range []int{1, 4} {
+		for _, row := range rows {
+			for odd := 0; odd < k; odd++ {
+				label := fmt.Sprintf("%s W=%d odd=%d", row.name, w, odd)
+				before := runtime.NumGoroutine()
+				parties := NewLocalRing(k)
+				errs := make([]error, k)
+				var done sync.WaitGroup
+				for p := 0; p < k; p++ {
+					done.Add(1)
+					go func(p int) {
+						defer done.Done()
+						defer parties[p].Next.Close()
+						defer parties[p].Prev.Close()
+						cfg := testCfg(compare.EngineMasked)
+						cfg.Parallel = w
+						if row.cfg != nil {
+							cfg = row.cfg(cfg, p == odd)
+						}
+						rs, err := NewRingSession(parties[p], cfg, cols(0, p))
+						if row.op == nil {
+							if err == nil {
+								errs[p] = errExpected("mismatched establishment succeeded")
+							}
+							return
+						}
+						if err == nil {
+							err = rs.Append(cols(1, p))
+						}
+						if err != nil {
+							errs[p] = err
+							return
+						}
+						if err := row.op(rs, p, p == odd); err == nil {
+							errs[p] = errExpected("disagreement went unnoticed")
+						} else if _, err := rs.Run(); !errors.Is(err, core.ErrSessionClosed) {
+							errs[p] = errExpected("follow-up Run: " + fmt.Sprint(err))
+						}
+					}(p)
+				}
+				finished := make(chan struct{})
+				go func() {
+					done.Wait()
+					close(finished)
+				}()
+				select {
+				case <-finished:
+				case <-time.After(60 * time.Second):
+					t.Fatalf("%s: ring hung", label)
+				}
+				for p, err := range errs {
+					if err != nil {
+						t.Errorf("%s party %d: %v", label, p, err)
+					}
+				}
+				checkNoLeak(t, before, label)
 			}
 		}
 	}

@@ -115,10 +115,13 @@ func RunHorizontal(party HorizontalParty, cfg Config, points [][]float64) (*Hori
 
 // MeshSession is one party's long-lived mesh (k-party horizontal)
 // session: establishment once, many Run calls, Append between them —
-// every party calls the same method sequence concurrently.
+// every party calls the same method sequence concurrently, under the
+// same misuse guard as core.Session and RingSession (one operation at a
+// time; a failure after any edge exchange began closes the session).
 type MeshSession struct {
-	h    *hState
-	runs int
+	h     *hState
+	guard core.Guard
+	runs  int
 }
 
 // NewMeshSession establishes the pairwise key/handshake/index state with
@@ -137,7 +140,15 @@ func (ms *MeshSession) Runs() int { return ms.runs }
 // Run executes one k-pass clustering (each party drives once, in index
 // order) over the session state, reusing every cached region-count
 // prefix.
-func (ms *MeshSession) Run() (*HorizontalResult, error) {
+func (ms *MeshSession) Run() (res *HorizontalResult, err error) {
+	err = ms.guard.Do(func() (bool, error) {
+		res, err = ms.run()
+		return true, err
+	})
+	return res, err
+}
+
+func (ms *MeshSession) run() (*HorizontalResult, error) {
 	h := ms.h
 	h.queries.Store(0)
 	h.cached.Store(0)
@@ -179,37 +190,39 @@ func (ms *MeshSession) Run() (*HorizontalResult, error) {
 // valid because appended generations only extend the suffix.
 func (ms *MeshSession) Append(points [][]float64) error {
 	h := ms.h
-	batch, err := h.own.Encode(points)
-	if err != nil {
-		return err
-	}
-	delta, err := h.own.Append(batch)
-	if err != nil {
-		return err
-	}
-	return h.eachPeer(func(q int, sess *pairSession) error {
-		msg := transport.NewBuilder().PutUint(uint64(len(batch)))
-		if sess.PruneOn() {
-			spatial.GridDelta{Gen: h.own.Gens(), Dir: delta}.Encode(msg)
-		}
-		r, err := sess.SwapMsg(sess.Conns[0], "hdp.idx", msg)
+	return ms.guard.Do(func() (bool, error) {
+		batch, err := h.own.Encode(points)
 		if err != nil {
-			return fmt.Errorf("multiparty: append exchange with %d: %w", q, err)
+			return false, err
 		}
-		peerCount := int(r.Uint())
-		if err := r.Err(); err != nil {
-			return err
+		delta, err := h.own.Append(batch)
+		if err != nil {
+			return false, err
 		}
-		if peerCount < 0 {
-			return fmt.Errorf("multiparty: party %d appends %d points", q, peerCount)
-		}
-		if sess.PruneOn() {
-			if err := sess.ReadIndexDelta(r, sess.peer); err != nil {
-				return fmt.Errorf("multiparty: append delta from %d: %w", q, err)
+		return true, h.eachPeer(func(q int, sess *pairSession) error {
+			msg := transport.NewBuilder().PutUint(uint64(len(batch)))
+			if sess.PruneOn() {
+				spatial.GridDelta{Gen: h.own.Gens(), Dir: delta}.Encode(msg)
 			}
-		}
-		sess.peer.Append(peerCount)
-		return nil
+			r, err := sess.SwapMsg(sess.Conns[0], "hdp.idx", msg)
+			if err != nil {
+				return fmt.Errorf("multiparty: append exchange with %d: %w", q, err)
+			}
+			peerCount := int(r.Uint())
+			if err := r.Err(); err != nil {
+				return err
+			}
+			if peerCount < 0 {
+				return fmt.Errorf("multiparty: party %d appends %d points", q, peerCount)
+			}
+			if sess.PruneOn() {
+				if err := sess.ReadIndexDelta(r, sess.peer); err != nil {
+					return fmt.Errorf("multiparty: append delta from %d: %w", q, err)
+				}
+			}
+			sess.peer.Append(peerCount)
+			return nil
+		})
 	})
 }
 
@@ -223,34 +236,36 @@ func (ms *MeshSession) Append(points [][]float64) error {
 // become husks, generation numbers are never reused).
 func (ms *MeshSession) Expire(gens int) error {
 	h := ms.h
-	dead, live := h.own.Dead, h.own.Gens()-h.own.Dead
-	if gens < 1 || gens > live {
-		return fmt.Errorf("multiparty: expire %d of %d live generations", gens, live)
-	}
-	td := spatial.TombstoneDelta{From: dead, N: gens}
-	if err := h.eachPeer(func(q int, sess *pairSession) error {
-		r, err := sess.SwapMsg(sess.Conns[0], "session.op", td.Encode(transport.NewBuilder()))
+	return ms.guard.Do(func() (bool, error) {
+		dead, live := h.own.Window()
+		if gens < 1 || gens > live {
+			return false, fmt.Errorf("multiparty: expire %d of %d live generations", gens, live)
+		}
+		td := spatial.TombstoneDelta{From: dead, N: gens}
+		if err := h.eachPeer(func(q int, sess *pairSession) error {
+			r, err := sess.SwapMsg(sess.Conns[0], "session.op", td.Encode(transport.NewBuilder()))
+			if err != nil {
+				return fmt.Errorf("multiparty: tombstone exchange with %d: %w", q, err)
+			}
+			peerTd, err := spatial.DecodeTombstoneDelta(r, dead, live)
+			if err != nil {
+				return fmt.Errorf("multiparty: tombstone from %d: %w", q, err)
+			}
+			if peerTd.N != gens {
+				return fmt.Errorf("multiparty: party %d expires %d generations, we expire %d", q, peerTd.N, gens)
+			}
+			return nil
+		}); err != nil {
+			return true, err
+		}
+		removed, err := h.own.Expire(gens)
 		if err != nil {
-			return fmt.Errorf("multiparty: tombstone exchange with %d: %w", q, err)
+			return true, err
 		}
-		peerTd, err := spatial.DecodeTombstoneDelta(r, dead, live)
-		if err != nil {
-			return fmt.Errorf("multiparty: tombstone from %d: %w", q, err)
-		}
-		if peerTd.N != gens {
-			return fmt.Errorf("multiparty: party %d expires %d generations, we expire %d", q, peerTd.N, gens)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	removed, err := h.own.Expire(gens)
-	if err != nil {
-		return err
-	}
-	return h.eachPeer(func(_ int, sess *pairSession) error {
-		sess.peer.Expire(dead, gens, removed)
-		return nil
+		return true, h.eachPeer(func(_ int, sess *pairSession) error {
+			sess.peer.Expire(dead, gens, removed)
+			return nil
+		})
 	})
 }
 
@@ -267,31 +282,33 @@ func (ms *MeshSession) Expire(gens int) error {
 // sit inside them).
 func (ms *MeshSession) Retract(ids []int) error {
 	h := ms.h
-	if err := spatial.ValidateRetractIDs(ids, len(h.own.Enc)); err != nil {
-		return fmt.Errorf("multiparty: retract: %w", err)
-	}
-	peerIDs := make([][]int, h.party.K)
-	if err := h.eachPeer(func(q int, sess *pairSession) error {
-		msg := spatial.PointTombstone{IDs: ids}.Encode(transport.NewBuilder())
-		r, err := sess.SwapMsg(sess.Conns[0], "session.op", msg)
-		if err != nil {
-			return fmt.Errorf("multiparty: retract exchange with %d: %w", q, err)
+	return ms.guard.Do(func() (bool, error) {
+		if err := spatial.ValidateRetractIDs(ids, len(h.own.Enc)); err != nil {
+			return false, fmt.Errorf("multiparty: retract: %w", err)
 		}
-		tomb, err := spatial.DecodePointTombstone(r, sess.peer.N)
-		if err != nil {
-			return fmt.Errorf("multiparty: retract tombstone from %d: %w", q, err)
+		peerIDs := make([][]int, h.party.K)
+		if err := h.eachPeer(func(q int, sess *pairSession) error {
+			msg := spatial.PointTombstone{IDs: ids}.Encode(transport.NewBuilder())
+			r, err := sess.SwapMsg(sess.Conns[0], "session.op", msg)
+			if err != nil {
+				return fmt.Errorf("multiparty: retract exchange with %d: %w", q, err)
+			}
+			tomb, err := spatial.DecodePointTombstone(r, sess.peer.N)
+			if err != nil {
+				return fmt.Errorf("multiparty: retract tombstone from %d: %w", q, err)
+			}
+			peerIDs[q] = tomb.IDs
+			return nil
+		}); err != nil {
+			return true, err
 		}
-		peerIDs[q] = tomb.IDs
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := h.own.Retract(ids); err != nil {
-		return err
-	}
-	return h.eachPeer(func(q int, sess *pairSession) error {
-		sess.peer.Retract(ids, peerIDs[q])
-		return nil
+		if err := h.own.Retract(ids); err != nil {
+			return true, err
+		}
+		return true, h.eachPeer(func(q int, sess *pairSession) error {
+			sess.peer.Retract(ids, peerIDs[q])
+			return nil
+		})
 	})
 }
 

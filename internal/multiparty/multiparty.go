@@ -39,7 +39,15 @@
 // Params.Diff — its coordinator↔last comparison engines come from
 // compare.Edge, the one engine constructor, and its edges split into
 // worker channels with core.Channels. Config converts to core.Config and
-// is normalised there.
+// is normalised there. The long-lived sessions share core's lifecycle
+// state too: a RingSession's window is a core.RowGens (the two-party
+// vertical family's table: per-generation counts, cell rows, PairCache),
+// a MeshSession's is core.OwnGens + one core.PeerGens per peer, and both
+// run every operation under core.Guard. What the ring owns is how k
+// parties agree: state.circulate, the one two-lap token pass, which the
+// handshake, the cell-row circulation and the append / expire / retract
+// agreements each call with the closures that build and check their
+// frames.
 //
 // # Disclosure
 //
@@ -278,11 +286,11 @@ func newRingState(party Party, cfg Config, attrs [][]float64) (*state, [][]int64
 	if len(attrs) == 0 {
 		return nil, nil, fmt.Errorf("multiparty: party %d holds no records", party.Index)
 	}
-	st := &state{party: party, cfg: cc, random: cc.Random, pool: cc.Pool}
-	if st.enc, err = st.encode(attrs, len(attrs[0])); err != nil {
+	st := &state{party: party, cfg: cc, ownDim: len(attrs[0]), random: cc.Random, pool: cc.Pool}
+	if st.enc, err = st.encode(attrs); err != nil {
 		return nil, nil, err
 	}
-	if len(attrs[0]) < 1 {
+	if st.ownDim < 1 {
 		return nil, nil, fmt.Errorf("multiparty: party %d owns no attributes", party.Index)
 	}
 	if st.random == nil {
@@ -306,7 +314,7 @@ func newRingState(party Party, cfg Config, attrs [][]float64) (*state, [][]int64
 	// implies the bit), so PairDecisions is identical across modes.
 	var cellRows [][]int64
 	if st.pruneOn() {
-		if cellRows, err = st.exchangeCells(); err != nil {
+		if cellRows, err = st.circulateCells(st.enc); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -315,10 +323,10 @@ func newRingState(party Party, cfg Config, attrs [][]float64) (*state, [][]int64
 
 // encode fixed-point encodes and range-checks a batch of this party's
 // column slices, each ownDim wide.
-func (st *state) encode(attrs [][]float64, ownDim int) ([][]int64, error) {
+func (st *state) encode(attrs [][]float64) ([][]int64, error) {
 	for i, row := range attrs {
-		if len(row) != ownDim {
-			return nil, fmt.Errorf("multiparty: record %d has %d attributes, want %d", i, len(row), ownDim)
+		if len(row) != st.ownDim {
+			return nil, fmt.Errorf("multiparty: record %d has %d attributes, want %d", i, len(row), st.ownDim)
 		}
 	}
 	return st.cfg.EncodePoints(attrs)
@@ -334,7 +342,8 @@ func (st *state) pruneOn() bool {
 type state struct {
 	party  Party
 	cfg    core.Config
-	enc    [][]int64
+	enc    [][]int64 // live records, this party's columns
+	ownDim int       // this party's column count, fixed at establishment (enc may empty out)
 	epsSq  int64
 	random io.Reader
 	pool   *paillier.Pool
@@ -381,17 +390,69 @@ type state struct {
 func (st *state) isCoordinator() bool { return st.party.Index == 0 }
 func (st *state) isLast() bool        { return st.party.Index == st.party.K-1 }
 
+// lap is one party's step in a circulation: read the frame that arrived
+// from the previous party, verify or fold it, and build the frame to pass
+// on.
+type lap func(r *transport.Reader) (*transport.Builder, error)
+
+// circulate is the ring's one two-lap token pass, on the control edges
+// (what names it in errors). The coordinator sends start; on lap 1 every
+// other party runs lap1 on the arriving frame — verify against its own
+// state, fold its contribution in — and forwards the result; the
+// coordinator's lap1 turns what returns into the final frame and sends
+// that around; on lap 2 every other party absorbs it with lap2 and
+// forwards, and the coordinator drains the return. So nobody acts on a
+// value until every party has checked it, and nobody leaves before every
+// party holds the final frame. A party whose step fails forwards nothing;
+// the others fail on their closed edges.
+func (st *state) circulate(what string, start *transport.Builder, lap1, lap2 lap) error {
+	prev, next := st.prevs[0], st.nexts[0]
+	pass := func(step lap) error {
+		r, err := transport.RecvMsg(prev)
+		if err != nil {
+			return err
+		}
+		msg, err := step(r)
+		if err != nil {
+			return err
+		}
+		return transport.SendMsg(next, msg)
+	}
+	var err error
+	if st.isCoordinator() {
+		if err = transport.SendMsg(next, start); err == nil {
+			if err = pass(lap1); err == nil {
+				_, err = transport.RecvMsg(prev)
+			}
+		}
+	} else if err = pass(lap1); err == nil {
+		err = pass(lap2)
+	}
+	if err != nil {
+		return fmt.Errorf("multiparty: %s: %w", what, err)
+	}
+	return nil
+}
+
+// agree circulates a frame every party must already hold identically —
+// an appended record count, a tombstone: each party checks the
+// coordinator's copy against its own on lap 1 and the release on lap 2,
+// so no party mutates state the others are not mutating too.
+func (st *state) agree(what string, frame *transport.Builder, check func(r *transport.Reader) error) error {
+	step := func(r *transport.Reader) (*transport.Builder, error) { return frame, check(r) }
+	return st.circulate(what, frame, step, step)
+}
+
 // handshake passes a parameter token around the ring twice: first to
 // verify agreement and accumulate the total dimension, then to broadcast
 // the final dimension back out.
 func (st *state) handshake() error {
-	p := st.party
-	prev, next := st.prevs[0], st.nexts[0]
 	params, err := st.cfg.Params()
 	if err != nil {
 		return err
 	}
 	st.epsSq = params.EpsSq // finishDims clamps it once the total dimension is known
+	var m int
 	if st.isCoordinator() {
 		st.paiKey, err = paillier.GenerateKey(st.random, st.cfg.PaillierBits)
 		if err != nil {
@@ -408,75 +469,50 @@ func (st *state) handshake() error {
 			version: ringHandshakeVersion,
 			params:  params,
 			count:   len(st.enc),
-			dimSum:  len(st.enc[0]),
-			k:       p.K,
+			dimSum:  st.ownDim,
+			k:       st.party.K,
 			paiPub:  paillier.MarshalPublicKey(st.paiPub),
 			rsaN:    rsaN,
 			rsaE:    rsaE,
 		}
-		if err := transport.SendMsg(next, encodeToken(tok)); err != nil {
-			return fmt.Errorf("multiparty: handshake send: %w", err)
-		}
-		r, err := transport.RecvMsg(prev)
-		if err != nil {
-			return fmt.Errorf("multiparty: handshake return: %w", err)
-		}
-		got, err := decodeToken(r)
-		if err != nil {
-			return err
-		}
-		// Second lap: broadcast the final total dimension.
-		if err := transport.SendMsg(next, transport.NewBuilder().PutUint(uint64(got.dimSum))); err != nil {
-			return err
-		}
-		if _, err := transport.RecvMsg(prev); err != nil {
-			return err
-		}
-		return st.finishDims(got.dimSum)
+		// The returning token carries the total dimension; lap 2 broadcasts it.
+		err = st.circulate("handshake", encodeToken(tok), func(r *transport.Reader) (*transport.Builder, error) {
+			got, err := decodeToken(r)
+			m = got.dimSum
+			return transport.NewBuilder().PutUint(uint64(m)), err
+		}, nil)
+	} else {
+		// Verify, accumulate own dimension, forward; then learn the total.
+		err = st.circulate("handshake", nil, func(r *transport.Reader) (*transport.Builder, error) {
+			tok, err := decodeToken(r)
+			if err != nil {
+				return nil, err
+			}
+			switch {
+			case tok.version != ringHandshakeVersion:
+				return nil, fmt.Errorf("%w: version %d vs %d", ErrHandshake, ringHandshakeVersion, tok.version)
+			case tok.count != len(st.enc):
+				return nil, fmt.Errorf("%w: record count %d vs %d", ErrHandshake, len(st.enc), tok.count)
+			case tok.k != st.party.K:
+				return nil, fmt.Errorf("%w: ring size %d vs %d", ErrHandshake, st.party.K, tok.k)
+			}
+			if err := params.Diff(tok.params); err != nil {
+				return nil, err
+			}
+			if st.paiPub, err = paillier.UnmarshalPublicKey(tok.paiPub); err != nil {
+				return nil, err
+			}
+			if st.rsaPub, err = yao.UnmarshalRSAPublicKey(tok.rsaN, tok.rsaE); err != nil {
+				return nil, err
+			}
+			tok.dimSum += st.ownDim
+			return encodeToken(tok), nil
+		}, func(r *transport.Reader) (*transport.Builder, error) {
+			m = int(r.Uint())
+			return transport.NewBuilder().PutUint(uint64(m)), r.Err()
+		})
 	}
-
-	// Non-coordinator: verify, accumulate own dimension, forward.
-	r, err := transport.RecvMsg(prev)
 	if err != nil {
-		return fmt.Errorf("multiparty: handshake recv: %w", err)
-	}
-	tok, err := decodeToken(r)
-	if err != nil {
-		return err
-	}
-	switch {
-	case tok.version != ringHandshakeVersion:
-		return fmt.Errorf("%w: version %d vs %d", ErrHandshake, ringHandshakeVersion, tok.version)
-	case tok.count != len(st.enc):
-		return fmt.Errorf("%w: record count %d vs %d", ErrHandshake, len(st.enc), tok.count)
-	case tok.k != st.party.K:
-		return fmt.Errorf("%w: ring size %d vs %d", ErrHandshake, st.party.K, tok.k)
-	}
-	if err := params.Diff(tok.params); err != nil {
-		return err
-	}
-	st.paiPub, err = paillier.UnmarshalPublicKey(tok.paiPub)
-	if err != nil {
-		return err
-	}
-	st.rsaPub, err = yao.UnmarshalRSAPublicKey(tok.rsaN, tok.rsaE)
-	if err != nil {
-		return err
-	}
-	tok.dimSum += len(st.enc[0])
-	if err := transport.SendMsg(next, encodeToken(tok)); err != nil {
-		return err
-	}
-	// Second lap: learn the total dimension, forward it.
-	r2, err := transport.RecvMsg(prev)
-	if err != nil {
-		return err
-	}
-	m := int(r2.Uint())
-	if r2.Err() != nil {
-		return r2.Err()
-	}
-	if err := transport.SendMsg(next, transport.NewBuilder().PutUint(uint64(m))); err != nil {
 		return err
 	}
 	return st.finishDims(m)
@@ -498,98 +534,64 @@ func (st *state) finishDims(m int) error {
 	return nil
 }
 
-// exchangeCells circulates the grid-pruning index around the ring: lap 1
-// accumulates each party's own-column cell coordinates per record (in
-// party order, matching the virtual column order), lap 2 broadcasts the
-// completed matrix, so every party prunes over identical cell rows.
-func (st *state) exchangeCells() ([][]int64, error) {
+// circulateCells circulates the grid-pruning index of one batch of this
+// party's rows (the whole dataset at establishment; just the appended rows
+// for a streaming delta): lap 1 accumulates each party's own-column cell
+// coordinates per record (in party order, matching the virtual column
+// order), lap 2 broadcasts the completed matrix, so every party prunes
+// over identical cell rows. Row-count validation doubles as the ring-wide
+// agreement check that every party appended the same records.
+func (st *state) circulateCells(batch [][]int64) (full [][]int64, err error) {
+	if len(batch) == 0 {
+		return nil, nil
+	}
 	w := spatial.CellWidth(st.epsSq)
-	own := make([][]int64, len(st.enc))
-	for i, row := range st.enc {
+	own := make([][]int64, len(batch))
+	for i, row := range batch {
 		own[i] = spatial.Bucket(row, w)
 	}
-	return st.circulateCells(own)
-}
-
-// circulateCells runs the two-lap cell circulation over one batch of
-// rows (the whole dataset at establishment; just the appended rows for a
-// streaming delta). Row-count validation doubles as the ring-wide
-// agreement check that every party appended the same records.
-func (st *state) circulateCells(own [][]int64) ([][]int64, error) {
-	prev, next := st.prevs[0], st.nexts[0]
-	nRows := len(own)
 	encode := func(rows [][]int64) *transport.Builder {
 		return spatial.EncodeCells(transport.NewBuilder(), rows)
 	}
 	decode := func(r *transport.Reader, dim int) ([][]int64, error) {
 		rows, err := spatial.DecodeCells(r, dim)
 		if err != nil {
-			return nil, fmt.Errorf("multiparty: ring index: %w", err)
+			return nil, err
 		}
-		if len(rows) != nRows {
-			return nil, fmt.Errorf("multiparty: ring index has %d rows, want %d", len(rows), nRows)
+		if len(rows) != len(own) {
+			return nil, fmt.Errorf("%d rows, want %d", len(rows), len(own))
 		}
 		for i, row := range rows {
 			if len(row) != len(rows[0]) {
-				return nil, fmt.Errorf("multiparty: ring index row %d has %d cells, want %d", i, len(row), len(rows[0]))
+				return nil, fmt.Errorf("row %d has %d cells, want %d", i, len(row), len(rows[0]))
 			}
 		}
 		return rows, nil
 	}
-	m := st.m
-	ownDim := len(st.enc[0])
-
-	var full [][]int64
-	if nRows == 0 {
-		return nil, nil
+	learn := func(r *transport.Reader) (*transport.Builder, error) {
+		if full, err = decode(r, st.m); err != nil {
+			return nil, err
+		}
+		return encode(full), nil
 	}
 	if st.isCoordinator() {
-		if err := transport.SendMsg(next, encode(own)); err != nil {
-			return nil, fmt.Errorf("multiparty: ring index send: %w", err)
-		}
-		r, err := transport.RecvMsg(prev)
-		if err != nil {
-			return nil, fmt.Errorf("multiparty: ring index return: %w", err)
-		}
-		if full, err = decode(r, m); err != nil {
-			return nil, err
-		}
-		// Lap 2: broadcast the completed matrix.
-		if err := transport.SendMsg(next, encode(full)); err != nil {
-			return nil, err
-		}
-		if _, err := transport.RecvMsg(prev); err != nil {
-			return nil, err
-		}
+		err = st.circulate("ring index", encode(own), learn, nil)
 	} else {
-		r, err := transport.RecvMsg(prev)
-		if err != nil {
-			return nil, fmt.Errorf("multiparty: ring index recv: %w", err)
-		}
-		soFar, err := decode(r, -1)
-		if err != nil {
-			return nil, err
-		}
-		appended := make([][]int64, nRows)
-		for i := 0; i < nRows; i++ {
-			appended[i] = append(append([]int64{}, soFar[i]...), own[i]...)
-		}
-		if err := transport.SendMsg(next, encode(appended)); err != nil {
-			return nil, err
-		}
-		// Lap 2: learn the full matrix, forward it.
-		r2, err := transport.RecvMsg(prev)
-		if err != nil {
-			return nil, err
-		}
-		if full, err = decode(r2, m); err != nil {
-			return nil, err
-		}
-		if err := transport.SendMsg(next, encode(full)); err != nil {
-			return nil, err
-		}
+		err = st.circulate("ring index", nil, func(r *transport.Reader) (*transport.Builder, error) {
+			soFar, err := decode(r, -1)
+			if err != nil {
+				return nil, err
+			}
+			for i := range own {
+				own[i] = append(append([]int64{}, soFar[i]...), own[i]...)
+			}
+			return encode(own), nil
+		}, learn)
 	}
-	st.idxCoords += nRows * (m - ownDim)
+	if err != nil {
+		return nil, err
+	}
+	st.idxCoords += len(own) * (st.m - st.ownDim)
 	return full, nil
 }
 

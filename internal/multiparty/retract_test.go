@@ -170,6 +170,7 @@ func TestRingRetractMisuse(t *testing.T) {
 	cfg := testCfg(compare.EngineMasked)
 	const k = 3
 	parties := NewLocalRing(k)
+	refilled := make([]*Result, k)
 	errs := make([]error, k)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -209,6 +210,20 @@ func TestRingRetractMisuse(t *testing.T) {
 				mu.Unlock()
 				return
 			}
+			// Retracting every live record leaves a valid empty window that a
+			// refill restores: the next Run labels exactly the new records.
+			if err := rs.Retract(over[:n]); err != nil {
+				errs[p] = err
+				return
+			}
+			if err := rs.Append(splitColumns(ringRetractGens[2], k)[p]); err != nil {
+				errs[p] = err
+				return
+			}
+			if refilled[p], err = rs.Run(); err != nil {
+				errs[p] = err
+				return
+			}
 			// Mismatched id lists: party 2 names a different record. The
 			// circulation must fail on every party before anyone mutates.
 			ids := []int{2}
@@ -225,7 +240,16 @@ func TestRingRetractMisuse(t *testing.T) {
 	wg.Wait()
 	for p, err := range errs {
 		if err != nil {
-			t.Errorf("party %d: %v", p, err)
+			t.Fatalf("party %d: %v", p, err)
+		}
+	}
+	fresh, err := runRing(t, cfg, splitColumns(ringRetractGens[2], k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := range fresh {
+		if !metrics.ExactMatch(refilled[p].Labels, fresh[p].Labels) {
+			t.Errorf("party %d: refilled window labels %v, fresh ring %v", p, refilled[p].Labels, fresh[p].Labels)
 		}
 	}
 }

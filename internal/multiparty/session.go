@@ -3,15 +3,18 @@
 // circulation) from runs exactly like core.Session, and add Append: all
 // k parties call the same method sequence concurrently — Run/Append are
 // ring- (or mesh-) synchronous group operations, the k-party analogue of
-// the two-party control channel. Across runs each session keeps the
-// cross-run comparison caches of the two-party stack: the ring reuses
-// pair bits (public to every party, so all caches agree and the seeded
-// lockstep drivers stay in lock step), the mesh reuses per-(point, peer)
-// region-count prefixes with generation-scoped suffix queries.
+// the two-party control channel — under the same misuse guard
+// (core.Guard). Across runs each session keeps the generation tables and
+// cross-run comparison caches of the two-party stack: the ring a
+// core.RowGens, reusing pair bits (public to every party, so all caches
+// agree and the seeded lockstep drivers stay in lock step), the mesh
+// core.OwnGens / core.PeerGens, reusing per-(point, peer) region-count
+// prefixes with generation-scoped suffix queries.
 package multiparty
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -20,15 +23,17 @@ import (
 )
 
 // RingSession is one party's half of a long-lived ring (k-party
-// vertical) session.
+// vertical) session. Its lifecycle state is the shared-row generation
+// table of the two-party vertical family (core.RowGens: window counts,
+// pruning cell rows, cross-run pair cache); what is the ring's own is how
+// k parties agree on each step — one two-lap circulation (state.circulate)
+// before anyone mutates — and the misuse guard is core.Session's.
 type RingSession struct {
-	st       *state
-	cellRows [][]int64
-	cache    *core.PairCache
-	cached   atomic.Int64
-	runs     int
-	batches  []int // record count of each append generation (establishment is generation 0)
-	dead     int   // generations expired out of the sliding window
+	st     *state
+	rows   *core.RowGens
+	guard  core.Guard
+	cached atomic.Int64
+	runs   int
 }
 
 // NewRingSession establishes the ring session; every party must
@@ -38,11 +43,19 @@ func NewRingSession(party Party, cfg Config, attrs [][]float64) (*RingSession, e
 	if err != nil {
 		return nil, err
 	}
-	return &RingSession{st: st, cellRows: cellRows, cache: core.NewPairCache(), batches: []int{len(st.enc)}}, nil
+	return &RingSession{st: st, rows: core.NewRowGens(len(st.enc), cellRows)}, nil
 }
 
 // Runs reports the completed Run calls.
 func (rs *RingSession) Runs() int { return rs.runs }
+
+// Every operation below is a group operation — all k parties call the
+// same method concurrently — and runs under the guard: a second call
+// while one is in flight returns core.ErrConcurrentRun, and once a call
+// has failed after touching the ring (disagreement, peer gone, bad
+// tombstone) the parties are desynchronised and every later call returns
+// core.ErrSessionClosed. Failures of purely local validation leave the
+// session usable.
 
 // Append absorbs one batch of appended records: every party calls Append
 // concurrently with its own column slice of the same new records (counts
@@ -53,250 +66,115 @@ func (rs *RingSession) Runs() int { return rs.runs }
 // involving new records.
 func (rs *RingSession) Append(attrs [][]float64) error {
 	st := rs.st
-	enc, err := st.encode(attrs, len(st.enc[0]))
-	if err != nil {
-		return err
-	}
-	if err := st.circulateCount(len(enc)); err != nil {
-		return err
-	}
-	if st.pruneOn() && len(enc) > 0 {
-		w := spatial.CellWidth(st.epsSq)
-		own := make([][]int64, len(enc))
-		for i, row := range enc {
-			own[i] = spatial.Bucket(row, w)
-		}
-		rows, err := st.circulateCells(own)
+	return rs.guard.Do(func() (bool, error) {
+		enc, err := st.encode(attrs)
 		if err != nil {
-			return err
+			return false, err
 		}
-		rs.cellRows = append(rs.cellRows, rows...)
-	}
-	st.enc = append(st.enc, enc...)
-	rs.batches = append(rs.batches, len(enc))
-	return nil
+		// No party proceeds into the cell circulation (or grows its matrix)
+		// on a mismatched batch.
+		err = st.agree("append count", transport.NewBuilder().PutUint(uint64(len(enc))), func(r *transport.Reader) error {
+			if got := int(r.Uint()); r.Err() != nil || got != len(enc) {
+				return fmt.Errorf("disagreement: %d vs %d records (records are shared)", len(enc), got)
+			}
+			return nil
+		})
+		if err != nil {
+			return true, err
+		}
+		var cells [][]int64
+		if st.pruneOn() {
+			if cells, err = st.circulateCells(enc); err != nil {
+				return true, err
+			}
+		}
+		st.enc = append(st.enc, enc...)
+		rs.rows.Append(len(enc), cells)
+		return true, nil
+	})
 }
 
 // Expire slides the ring window: the oldest gens append generations —
 // and every record they hold — leave on all parties at once. Every
 // party must call Expire concurrently with the same argument; a
-// spatial.TombstoneDelta circulates like an append count (two laps,
-// coordinator first) so the ring agrees on exactly which generations
-// die before anyone mutates state. Locally the expired records are
-// compacted out of the attribute matrix and the pruning cell rows, and
-// the cross-run pair cache drops every bit touching an expired record
-// while remapping the survivors — all parties hold identical caches, so
-// the seeded lockstep drivers stay in lock step across expiries.
+// spatial.TombstoneDelta circulates so the ring agrees on exactly which
+// generations die before anyone mutates state. Locally the expired
+// records leave the attribute matrix and the generation table, whose
+// pair cache drops every bit touching an expired record while remapping
+// the survivors — all parties hold identical caches, so the seeded
+// lockstep drivers stay in lock step across expiries.
 func (rs *RingSession) Expire(gens int) error {
 	st := rs.st
-	live := len(rs.batches) - rs.dead
-	if gens < 1 || gens > live {
-		return fmt.Errorf("multiparty: expire %d of %d live generations", gens, live)
-	}
-	if err := st.circulateExpire(rs.dead, gens, live); err != nil {
-		return err
-	}
-	rows := 0
-	for g := rs.dead; g < rs.dead+gens; g++ {
-		rows += rs.batches[g]
-		rs.batches[g] = 0
-	}
-	st.enc = st.enc[rows:]
-	if rs.cellRows != nil {
-		rs.cellRows = rs.cellRows[rows:]
-	}
-	rs.cache.Expire(rows)
-	rs.dead += gens
-	return nil
-}
-
-// circulateExpire verifies ring-wide agreement on an expiry: lap 1
-// carries the coordinator's tombstone for everyone to check against its
-// own window position and Expire argument, lap 2 releases the ring, so
-// no party compacts state the others are not also retiring.
-func (st *state) circulateExpire(dead, gens, live int) error {
-	prev, next := st.prevs[0], st.nexts[0]
-	td := spatial.TombstoneDelta{From: dead, N: gens}
-	check := func(r *transport.Reader) error {
-		got, err := spatial.DecodeTombstoneDelta(r, dead, live)
-		if err != nil {
-			return fmt.Errorf("multiparty: expire circulation: %w", err)
+	return rs.guard.Do(func() (bool, error) {
+		dead, live := rs.rows.Window()
+		if gens < 1 || gens > live {
+			return false, fmt.Errorf("multiparty: expire %d of %d live generations", gens, live)
 		}
-		if got.N != gens {
-			return fmt.Errorf("multiparty: expire disagreement: %d vs %d generations", gens, got.N)
-		}
-		return nil
-	}
-	if st.isCoordinator() {
-		if err := transport.SendMsg(next, td.Encode(transport.NewBuilder())); err != nil {
-			return fmt.Errorf("multiparty: expire send: %w", err)
-		}
-		r, err := transport.RecvMsg(prev)
-		if err != nil {
-			return fmt.Errorf("multiparty: expire return: %w", err)
-		}
-		if err := check(r); err != nil {
+		td := spatial.TombstoneDelta{From: dead, N: gens}
+		err := st.agree("expire", td.Encode(transport.NewBuilder()), func(r *transport.Reader) error {
+			got, err := spatial.DecodeTombstoneDelta(r, dead, live)
+			if err == nil && got.N != gens {
+				err = fmt.Errorf("disagreement: %d vs %d generations", gens, got.N)
+			}
 			return err
+		})
+		if err != nil {
+			return true, err
 		}
-		// Lap 2: release the ring.
-		if err := transport.SendMsg(next, td.Encode(transport.NewBuilder())); err != nil {
-			return err
-		}
-		_, err = transport.RecvMsg(prev)
-		return err
-	}
-	r, err := transport.RecvMsg(prev)
-	if err != nil {
-		return fmt.Errorf("multiparty: expire recv: %w", err)
-	}
-	if err := check(r); err != nil {
-		return err
-	}
-	if err := transport.SendMsg(next, td.Encode(transport.NewBuilder())); err != nil {
-		return err
-	}
-	// Lap 2.
-	r2, err := transport.RecvMsg(prev)
-	if err != nil {
-		return err
-	}
-	if err := check(r2); err != nil {
-		return fmt.Errorf("multiparty: expire release mismatch: %w", err)
-	}
-	return transport.SendMsg(next, td.Encode(transport.NewBuilder()))
+		st.enc = st.enc[rs.rows.Expire(gens):]
+		return true, nil
+	})
 }
 
 // Retract removes individual live records from the ring window:
 // records are shared rows under vertical partitioning, so every party
 // must call Retract concurrently with the same strictly ascending list
-// of live record indices. A spatial.PointTombstone circulates like an
-// expiry tombstone (two laps, coordinator first) and each party checks
-// the circulated ids id-for-id against its own argument before anyone
-// mutates state — no party compacts rows the others are keeping.
-// Locally the retracted rows are compacted out of the attribute matrix,
-// the pruning cell rows, and the per-generation window counts
-// (surviving indices renumber immediately), and the cross-run pair
-// cache drops every bit touching a retracted record while remapping the
-// survivors identically on all parties, so the seeded lockstep drivers
-// stay in lock step across retractions.
+// of live record indices. A spatial.PointTombstone circulates and each
+// party checks the circulated ids id-for-id against its own argument
+// before anyone mutates state — no party compacts rows the others are
+// keeping. Locally the retracted rows leave the attribute matrix and the
+// generation table (surviving indices renumber immediately, the pair
+// cache drops every bit touching a retracted record and remaps the
+// survivors identically on all parties).
 func (rs *RingSession) Retract(ids []int) error {
 	st := rs.st
-	if len(ids) == 0 {
-		return fmt.Errorf("multiparty: retract needs at least one record")
-	}
-	if err := spatial.ValidateRetractIDs(ids, len(st.enc)); err != nil {
-		return err
-	}
-	if err := st.circulateRetract(ids, len(st.enc)); err != nil {
-		return err
-	}
-	// Map each id to its live generation using the pre-retraction window
-	// counts, then apply the decrements afterwards (ids are numbered
-	// before any of them are removed).
-	dec := make(map[int]int)
-	g, upto := rs.dead, 0
-	if g < len(rs.batches) {
-		upto = rs.batches[g]
-	}
-	for _, id := range ids {
-		for id >= upto && g < len(rs.batches)-1 {
-			g++
-			upto += rs.batches[g]
+	return rs.guard.Do(func() (bool, error) {
+		if len(ids) == 0 {
+			return false, fmt.Errorf("multiparty: retract needs at least one record")
 		}
-		dec[g]++
-	}
-	for gen, d := range dec {
-		rs.batches[gen] -= d
-	}
-	next := 0
-	enc := st.enc[:0]
-	var cells [][]int64
-	if rs.cellRows != nil {
-		cells = rs.cellRows[:0]
-	}
-	for i, row := range st.enc {
-		if next < len(ids) && ids[next] == i {
-			next++
-			continue
+		if err := spatial.ValidateRetractIDs(ids, rs.rows.N); err != nil {
+			return false, err
 		}
-		enc = append(enc, row)
-		if rs.cellRows != nil {
-			cells = append(cells, rs.cellRows[i])
-		}
-	}
-	st.enc = enc
-	if rs.cellRows != nil {
-		rs.cellRows = cells
-	}
-	rs.cache.Retract(ids)
-	return nil
-}
-
-// circulateRetract verifies ring-wide agreement on a retraction: lap 1
-// carries the coordinator's point tombstone for every party to check
-// id-for-id against its own Retract argument, lap 2 releases the ring.
-func (st *state) circulateRetract(ids []int, total int) error {
-	prev, next := st.prevs[0], st.nexts[0]
-	pt := spatial.PointTombstone{IDs: ids}
-	check := func(r *transport.Reader) error {
-		got, err := spatial.DecodePointTombstone(r, total)
-		if err != nil {
-			return fmt.Errorf("multiparty: retract circulation: %w", err)
-		}
-		if len(got.IDs) != len(ids) {
-			return fmt.Errorf("multiparty: retract disagreement: %d vs %d records (records are shared)", len(ids), len(got.IDs))
-		}
-		for i := range ids {
-			if got.IDs[i] != ids[i] {
-				return fmt.Errorf("multiparty: retract disagreement at position %d: id %d vs %d", i, ids[i], got.IDs[i])
+		pt := spatial.PointTombstone{IDs: ids}
+		err := st.agree("retract", pt.Encode(transport.NewBuilder()), func(r *transport.Reader) error {
+			got, err := spatial.DecodePointTombstone(r, rs.rows.N)
+			if err == nil && !slices.Equal(got.IDs, ids) {
+				err = fmt.Errorf("disagreement: records %v vs %v (records are shared)", ids, got.IDs)
 			}
-		}
-		return nil
-	}
-	if st.isCoordinator() {
-		if err := transport.SendMsg(next, pt.Encode(transport.NewBuilder())); err != nil {
-			return fmt.Errorf("multiparty: retract send: %w", err)
-		}
-		r, err := transport.RecvMsg(prev)
+			return err
+		})
 		if err != nil {
-			return fmt.Errorf("multiparty: retract return: %w", err)
+			return true, err
 		}
-		if err := check(r); err != nil {
-			return err
-		}
-		// Lap 2: release the ring.
-		if err := transport.SendMsg(next, pt.Encode(transport.NewBuilder())); err != nil {
-			return err
-		}
-		_, err = transport.RecvMsg(prev)
-		return err
-	}
-	r, err := transport.RecvMsg(prev)
-	if err != nil {
-		return fmt.Errorf("multiparty: retract recv: %w", err)
-	}
-	if err := check(r); err != nil {
-		return err
-	}
-	if err := transport.SendMsg(next, pt.Encode(transport.NewBuilder())); err != nil {
-		return err
-	}
-	// Lap 2.
-	r2, err := transport.RecvMsg(prev)
-	if err != nil {
-		return err
-	}
-	if err := check(r2); err != nil {
-		return fmt.Errorf("multiparty: retract release mismatch: %w", err)
-	}
-	return transport.SendMsg(next, pt.Encode(transport.NewBuilder()))
+		st.enc = core.CompactRows(st.enc, ids)
+		rs.rows.Retract(ids)
+		return true, nil
+	})
 }
 
 // Run executes one lockstep clustering over the session state, seeded
 // with the cross-run pair cache. Result.PairDecisions covers this run
 // only (cached pairs included — the decision-level budget convention);
 // Result.CachedPairs reports the cache's contribution.
-func (rs *RingSession) Run() (*Result, error) {
+func (rs *RingSession) Run() (res *Result, err error) {
+	err = rs.guard.Do(func() (bool, error) {
+		res, err = rs.run()
+		return true, err
+	})
+	return res, err
+}
+
+func (rs *RingSession) run() (*Result, error) {
 	st := rs.st
 	cfg := st.cfg
 	startPairs := st.pairCount.Load()
@@ -314,7 +192,7 @@ func (rs *RingSession) Run() (*Result, error) {
 		batchOn = core.PerPairOracle(st.pairLE)
 	}
 	labels, clusters, err := core.LockstepCluster(len(st.enc), cfg.MinPts, cfg.Parallel,
-		rs.cache, onCached, core.PrunedLocalDecider(rs.cellRows, onPruned), batchOn)
+		rs.rows.Cache, onCached, core.PrunedLocalDecider(rs.rows.CellRows, onPruned), batchOn)
 	if err != nil {
 		return nil, err
 	}
@@ -331,57 +209,4 @@ func (rs *RingSession) Run() (*Result, error) {
 		CiphertextsUplink:   up,
 		CiphertextsDownlink: down,
 	}, nil
-}
-
-// circulateCount verifies ring-wide agreement on an appended record
-// count: lap 1 carries the coordinator's count for everyone to check,
-// lap 2 acknowledges, so no party proceeds into the cell circulation (or
-// grows its matrix) on a mismatched batch.
-func (st *state) circulateCount(n int) error {
-	prev, next := st.prevs[0], st.nexts[0]
-	if st.isCoordinator() {
-		if err := transport.SendMsg(next, transport.NewBuilder().PutUint(uint64(n))); err != nil {
-			return fmt.Errorf("multiparty: append count send: %w", err)
-		}
-		r, err := transport.RecvMsg(prev)
-		if err != nil {
-			return fmt.Errorf("multiparty: append count return: %w", err)
-		}
-		got := int(r.Uint())
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if got != n {
-			return fmt.Errorf("multiparty: append count disagreement: %d vs %d", n, got)
-		}
-		// Lap 2: release the ring.
-		if err := transport.SendMsg(next, transport.NewBuilder().PutUint(uint64(n))); err != nil {
-			return err
-		}
-		_, err = transport.RecvMsg(prev)
-		return err
-	}
-	r, err := transport.RecvMsg(prev)
-	if err != nil {
-		return fmt.Errorf("multiparty: append count recv: %w", err)
-	}
-	got := int(r.Uint())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if got != n {
-		return fmt.Errorf("multiparty: append count disagreement: %d vs %d (records are shared)", n, got)
-	}
-	if err := transport.SendMsg(next, transport.NewBuilder().PutUint(uint64(n))); err != nil {
-		return err
-	}
-	// Lap 2.
-	r2, err := transport.RecvMsg(prev)
-	if err != nil {
-		return err
-	}
-	if int(r2.Uint()) != n || r2.Err() != nil {
-		return fmt.Errorf("multiparty: append count release mismatch")
-	}
-	return transport.SendMsg(next, transport.NewBuilder().PutUint(uint64(n)))
 }

@@ -1,6 +1,8 @@
 package multiparty
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -133,14 +135,17 @@ func TestRingWindowedEquivalencePruningOff(t *testing.T) {
 }
 
 // Ring expiry misuse: bad arguments fail locally on every party without
-// touching the wire; mismatched arguments across parties fail loudly in
-// the tombstone circulation instead of silently diverging.
+// touching the wire; an expire-everything window stays usable — after a
+// refill the next Run labels exactly the refilled generation, as a fresh
+// ring over it does; mismatched arguments across parties fail loudly in
+// the tombstone circulation instead of silently diverging, and close the
+// session for good.
 func TestRingExpireMisuse(t *testing.T) {
 	cfg := testCfg(compare.EngineMasked)
 	const k = 3
 	parties := NewLocalRing(k)
+	refilled := make([]*Result, k)
 	errs := make([]error, k)
-	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for p := 0; p < k; p++ {
 		wg.Add(1)
@@ -148,46 +153,79 @@ func TestRingExpireMisuse(t *testing.T) {
 			defer wg.Done()
 			defer parties[p].Next.Close()
 			defer parties[p].Prev.Close()
-			rs, err := NewRingSession(parties[p], cfg, splitColumns(ringWindowGens[0], k)[p])
-			if err != nil {
-				errs[p] = err
-				return
-			}
-			// Local validation: no wire traffic, so one party's rejection
-			// cannot wedge the others.
-			if err := rs.Expire(0); err == nil {
-				mu.Lock()
-				errs[p] = errExpected("Expire(0) accepted")
-				mu.Unlock()
-				return
-			}
-			if err := rs.Expire(2); err == nil {
-				mu.Lock()
-				errs[p] = errExpected("Expire beyond the live window accepted")
-				mu.Unlock()
-				return
-			}
-			if err := rs.Append(splitColumns(ringWindowGens[1], k)[p]); err != nil {
-				errs[p] = err
-				return
-			}
-			// Mismatched arguments: party 2 tries to expire both live
-			// generations while the rest expire one. Every party must fail.
-			gens := 1
-			if p == 2 {
-				gens = 2
-			}
-			if err := rs.Expire(gens); err == nil {
-				mu.Lock()
-				errs[p] = errExpected("mismatched Expire succeeded")
-				mu.Unlock()
-			}
+			gen := func(g int) [][]float64 { return splitColumns(ringWindowGens[g], k)[p] }
+			errs[p] = func() error {
+				rs, err := NewRingSession(parties[p], cfg, gen(0))
+				if err != nil {
+					return err
+				}
+				// Local validation: no wire traffic, so one party's rejection
+				// cannot wedge the others.
+				if err := rs.Expire(0); err == nil {
+					return errExpected("Expire(0) accepted")
+				}
+				if err := rs.Expire(2); err == nil {
+					return errExpected("Expire beyond the live window accepted")
+				}
+				// A second call while one is in flight is turned away.
+				var inFlight error
+				rs.guard.Do(func() (bool, error) {
+					_, inFlight = rs.Run()
+					return false, nil
+				})
+				if !errors.Is(inFlight, core.ErrConcurrentRun) {
+					return errExpected("concurrent Run: " + fmt.Sprint(inFlight))
+				}
+				if err := rs.Append(gen(1)); err != nil {
+					return err
+				}
+				// Expiring every live generation leaves a valid empty window;
+				// one more is an error, and a refill restores service.
+				if err := rs.Expire(2); err != nil {
+					return err
+				}
+				if err := rs.Expire(1); err == nil {
+					return errExpected("Expire on an empty window accepted")
+				}
+				if err := rs.Append(gen(2)); err != nil {
+					return err
+				}
+				if refilled[p], err = rs.Run(); err != nil {
+					return err
+				}
+				if err := rs.Append(gen(3)); err != nil {
+					return err
+				}
+				// Mismatched arguments: party 2 tries to expire both live
+				// generations while the rest expire one. Every party must
+				// fail, and must refuse to speak into the ring afterwards.
+				gens := 1
+				if p == 2 {
+					gens = 2
+				}
+				if err := rs.Expire(gens); err == nil {
+					return errExpected("mismatched Expire succeeded")
+				}
+				if _, err := rs.Run(); !errors.Is(err, core.ErrSessionClosed) {
+					return errExpected("Run after a failed circulation: " + fmt.Sprint(err))
+				}
+				return nil
+			}()
 		}(p)
 	}
 	wg.Wait()
 	for p, err := range errs {
 		if err != nil {
-			t.Errorf("party %d: %v", p, err)
+			t.Fatalf("party %d: %v", p, err)
+		}
+	}
+	fresh, err := runRing(t, cfg, splitColumns(ringWindowGens[2], k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := range fresh {
+		if !metrics.ExactMatch(refilled[p].Labels, fresh[p].Labels) {
+			t.Errorf("party %d: refilled window labels %v, fresh ring %v", p, refilled[p].Labels, fresh[p].Labels)
 		}
 	}
 }
@@ -354,6 +392,16 @@ func TestMeshExpireMismatch(t *testing.T) {
 				errs[p] = errExpected("Expire(0) accepted")
 				return
 			}
+			// A second call while one is in flight is turned away.
+			var inFlight error
+			ms.guard.Do(func() (bool, error) {
+				_, inFlight = ms.Run()
+				return false, nil
+			})
+			if !errors.Is(inFlight, core.ErrConcurrentRun) {
+				errs[p] = errExpected("concurrent Run: " + fmt.Sprint(inFlight))
+				return
+			}
 			if err := ms.Append(meshWindowGens[1][p]); err != nil {
 				errs[p] = err
 				return
@@ -365,6 +413,11 @@ func TestMeshExpireMismatch(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), "expire") {
 				errs[p] = err
+				return
+			}
+			// The edges are desynchronised: the session refuses further use.
+			if _, err := ms.Run(); !errors.Is(err, core.ErrSessionClosed) {
+				errs[p] = errExpected("Run after a failed exchange: " + fmt.Sprint(err))
 			}
 		}(p)
 	}
