@@ -64,7 +64,7 @@
 //	│                       vs per-run Ledger split              │
 //	├────────────────────────────────────────────────────────────┤
 //	│ core.Pair             one edge's keys, agreed parameters   │
-//	│ (pair.go, params.go,  (core.Params, handshake v9), worker  │
+//	│ (pair.go, params.go,  (core.Params, handshake v10), worker │
 //	│  hdp.go)              channels, pool and counters; the HDP │
 //	│                       steps and index exchange over        │
 //	│                       OwnGens / PeerGens. A Session wraps  │
@@ -79,8 +79,11 @@
 //	│                       The key owner decrypts AND encrypts  │
 //	│                       by CRT (same nonce distribution, a   │
 //	│                       quarter of the work); a peer pays    │
-//	│                       r^n. Every packed reply is folded by │
-//	│                       one kernel, paillier.SlotFold        │
+//	│                       r^n — once per ciphertext it SENDS:  │
+//	│                       one that stays in the process is     │
+//	│                       paillier.Unblinded (nonce 1). Every  │
+//	│                       packed reply and dot product is      │
+//	│                       folded by one kernel, SlotFold       │
 //	├────────────────────────────────────────────────────────────┤
 //	│ transport mux         transport.Mux: W channel-tagged      │
 //	│ (internal/transport)  logical channels over one Conn,      │
@@ -102,9 +105,14 @@
 // # Pairs and the handshake
 //
 // Everything two parties share lives in one Pair (pair.go): establish
-// splits the connection into its W worker channels, generates the
-// Paillier and RSA keys, and swaps one handshake frame — version 9:
-// proto, role, the agreed parameters, data dimensions, public keys.
+// splits the connection into its W worker channels, generates the keys
+// the agreed engine needs — a Paillier pair always, an RSA pair only
+// under YMPP, the one engine that reads it — and swaps one handshake
+// frame — version 10: proto, role, the agreed parameters, data
+// dimensions, public keys. The two RSA fields travel empty under the
+// masked engine; PeerRSAKey holds a peer to that (a key the engine does
+// not use, or none where it does, is ErrHandshake), and a peer key that
+// does not parse is ErrHandshake wrapping the key package's error.
 // The agreed parameters are one codec, Params (params.go: Eps² …
 // Parallel in wire order, Encode / DecodeParams / Diff); Diff returns
 // an ErrHandshake that names the first field the parties disagree on.
@@ -112,7 +120,8 @@
 // is a Pair (NewPair, proto "mesh", lower party index as RoleAlice)
 // running the same op frames, index exchange and HDP steps (HDPCount /
 // HDPServe) as a two-party horizontal Session, and the multiparty ring
-// embeds Params in its circulating token (ring handshake v8). Comparison
+// embeds Params in its circulating token (ring handshake v9, the same
+// RSA rule for the coordinator's key). Comparison
 // engines come from the one constructor compare.Edge — Pair.engines and
 // the ring's coordinator/last-party pair both call it.
 //
@@ -264,9 +273,17 @@
 // ciphertexts: the responder re-derives each E(a_i) homomorphically
 // from ciphertexts it already holds — the enhanced family's selection
 // and final comparisons, where the share-phase dot products retain
-// exactly those ciphertexts). Derived replies carry signed differences
-// with the κ-bit mask folded into the slot, so they ride a wider-slot
-// uplink Packer (encoding.NewUplinkComparePacker).
+// exactly those ciphertexts). The retained ciphertexts D_i and the
+// constant added to their differences are built without nonces
+// (paillier.Unblinded): they never travel, and each reply computed from
+// them is multiplied by a freshly blinded encryption of its own — the
+// share reply's bias group, the comparison reply's packed mask term — so
+// every ciphertext on the wire has the nonce distribution it always had
+// (package paillier, "When a nonce is owed";
+// TestEnhancedWireCiphertextsAreBlinded opens every reply of a query
+// with the private key and finds a fresh nonce in each). Derived replies
+// carry signed differences with the κ-bit mask folded into the slot, so
+// they ride a wider-slot uplink Packer (encoding.NewUplinkComparePacker).
 //
 // Packing changes the frame layout only: labels, cluster counts, and the
 // full disclosure Ledger are byte-identical to Packing "off" (the packing

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/compare"
 	"repro/internal/mpc"
+	"repro/internal/paillier"
 	"repro/internal/spatial"
 	"repro/internal/transport"
 )
@@ -285,15 +286,15 @@ func enhancedServeCore(s *Pair, conn transport.Conn, rng PermSource, pts [][]int
 
 	setTag(conn, "enh.select")
 	shift := s.bound + s.shareV
-	// encShift (full packing only): E(shift) under the driver's key, the
+	// encShift (full packing only): g^shift under the driver's key, the
 	// constant term of every derived selection operand E(u_x − u_y +
-	// shift). One encryption reused across the whole query — the derived
+	// shift). Unblinded, like the retained ds it is added to: the derived
 	// bases never travel, and every reply is freshly randomized by its own
-	// packed encryption, so reuse discloses nothing.
+	// packed encryption (see "When a nonce is owed" in package paillier).
 	var encShift *big.Int
 	if s.derivedCompare() {
 		var err error
-		if encShift, err = s.peerPai.Encrypt(s.random, big.NewInt(shift)); err != nil {
+		if encShift, err = s.peerPai.Unblinded(big.NewInt(shift)); err != nil {
 			return err
 		}
 	}
@@ -307,16 +308,7 @@ func enhancedServeCore(s *Pair, conn transport.Conn, rng PermSource, pts [][]int
 			}
 			if s.derivedCompare() {
 				base := func(t int) (*big.Int, error) {
-					pr := pairs[t]
-					neg, err := s.peerPai.Mul(ds[pr[1]], big.NewInt(-1))
-					if err != nil {
-						return nil, err
-					}
-					diff, err := s.peerPai.Add(ds[pr[0]], neg)
-					if err != nil {
-						return nil, err
-					}
-					return s.peerPai.Add(diff, encShift)
+					return derivedShareDiff(s.peerPai, ds, encShift, pairs[t])
 				}
 				return shareB.(compare.DerivedBob).BatchLessEqDerived(conn, ops, base)
 			}
@@ -345,6 +337,21 @@ func enhancedServeCore(s *Pair, conn transport.Conn, rng PermSource, pts [][]int
 	}
 	s.led(func(l *Ledger) { l.CoreBits++ })
 	return nil
+}
+
+// derivedShareDiff builds the derived selection operand E(u_x − u_y +
+// shift) for pr = (x, y) from the retained share ciphertexts:
+// ds[x]·ds[y]⁻¹·encShift.
+func derivedShareDiff(pub *paillier.PublicKey, ds []*big.Int, encShift *big.Int, pr [2]int) (*big.Int, error) {
+	neg, err := pub.Mul(ds[pr[1]], big.NewInt(-1))
+	if err != nil {
+		return nil, err
+	}
+	diff, err := pub.Add(ds[pr[0]], neg)
+	if err != nil {
+		return nil, err
+	}
+	return pub.Add(diff, encShift)
 }
 
 // extendedQueryVector builds the §5 query-side vector

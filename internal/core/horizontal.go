@@ -120,7 +120,7 @@ func newSession(conn transport.Conn, s *Pair, proto string) *Session {
 }
 
 // NewPair establishes one HDP edge over a party's own generation table:
-// worker channels, keys and the v9 handshake (proto names the protocol;
+// worker channels, keys and the v10 handshake (proto names the protocol;
 // role breaks the symmetry — it decides who sends first in every frame
 // swap, so a mesh maps the lower party index to RoleAlice), the common
 // record dimension, the masked-product packers, and — under grid pruning

@@ -55,9 +55,10 @@ func (r Role) peer() Role {
 // the Packing plaintext-encoding parameter (slot-packed ciphertext
 // frames); version 9 added the packed comparison uplink ("full"
 // packing, a per-batch moded wire form) and the uplink/downlink
-// ciphertext split. Mesh edges (internal/multiparty) speak the same
-// frame with proto "mesh".
-const handshakeVersion = 9
+// ciphertext split; version 10 made the RSA key conditional on the agreed
+// engine (both RSA fields travel empty unless Engine is "ympp"). Mesh
+// edges (internal/multiparty) speak the same frame with proto "mesh".
+const handshakeVersion = 10
 
 // ErrHandshake reports parameter disagreement between the parties.
 var ErrHandshake = errors.New("core: handshake parameter mismatch")
@@ -81,6 +82,8 @@ type Pair struct {
 	// carries the handshake, control ops and index exchanges.
 	Conns []transport.Conn
 
+	// The RSA halves exist only under the YMPP engine, the one that reads
+	// them; under "masked" they stay nil.
 	paiKey  *paillier.PrivateKey
 	rsaKey  *yao.RSAKey
 	peerPai *paillier.PublicKey
@@ -211,16 +214,18 @@ func Channels(conn transport.Conn, w int) []transport.Conn {
 	return conns
 }
 
-// handshakeMsg encodes one party's handshake frame.
+// handshakeMsg encodes one party's handshake frame. rsaN and rsaE are
+// empty unless p.Engine is YMPP.
 func handshakeMsg(proto string, role Role, p Params, ownDim, ownCount int, paiPub, rsaN, rsaE []byte) *transport.Builder {
 	b := transport.NewBuilder().PutUint(handshakeVersion).PutString(proto).PutUint(uint64(role))
 	return p.Encode(b).PutUint(uint64(ownDim)).PutUint(uint64(ownCount)).PutBytes(paiPub).PutBytes(rsaN).PutBytes(rsaE)
 }
 
-// establish splits conn into the edge's worker channels, generates keys,
-// exchanges public keys, and verifies that both parties agree on every
-// protocol parameter. cfg must be normalised (Config.Normalize). proto
-// names the protocol ("horizontal", "vertical", "mesh", ...) so
+// establish splits conn into the edge's worker channels, generates the
+// keys the agreed engine needs (a Paillier pair always, an RSA pair only
+// under YMPP), exchanges public keys, and verifies that both parties agree
+// on every protocol parameter. cfg must be normalised (Config.Normalize).
+// proto names the protocol ("horizontal", "vertical", "mesh", ...) so
 // mismatched invocations fail fast. ownDim/ownCount describe this
 // party's data and are shared with the peer.
 func establish(conn transport.Conn, cfg Config, role Role, proto string, ownDim, ownCount int) (*Pair, peerInfo, error) {
@@ -251,14 +256,17 @@ func establish(conn transport.Conn, cfg Config, role Role, proto string, ownDim,
 	if err != nil {
 		return nil, peerInfo{}, err
 	}
-	s.rsaKey, err = yao.GenerateRSAKey(random, cfg.RSABits)
-	if err != nil {
-		return nil, peerInfo{}, err
+	ympp := cfg.Engine == compare.EngineYMPP
+	var rsaN, rsaE []byte
+	if ympp {
+		if s.rsaKey, err = yao.GenerateRSAKey(random, cfg.RSABits); err != nil {
+			return nil, peerInfo{}, err
+		}
+		rsaN, rsaE = yao.MarshalRSAPublicKey(&s.rsaKey.RSAPublicKey)
 	}
 
 	conn = s.Conns[0]
 	setTag(conn, "handshake")
-	rsaN, rsaE := yao.MarshalRSAPublicKey(&s.rsaKey.RSAPublicKey)
 	msg := handshakeMsg(proto, role, params, ownDim, ownCount, paillier.MarshalPublicKey(&s.paiKey.PublicKey), rsaN, rsaE)
 	if err := transport.SendMsg(conn, msg); err != nil {
 		return nil, peerInfo{}, fmt.Errorf("core: handshake send: %w", err)
@@ -291,17 +299,37 @@ func establish(conn transport.Conn, cfg Config, role Role, proto string, ownDim,
 		return nil, peerInfo{}, err
 	}
 
-	s.peerPai, err = paillier.UnmarshalPublicKey(paiB)
-	if err != nil {
-		return nil, peerInfo{}, err
+	if s.peerPai, err = paillier.UnmarshalPublicKey(paiB); err != nil {
+		return nil, peerInfo{}, fmt.Errorf("%w: peer key: %w", ErrHandshake, err)
 	}
-	s.peerRSA, err = yao.UnmarshalRSAPublicKey(rsaNB, rsaEB)
-	if err != nil {
+	if s.peerRSA, err = PeerRSAKey(ympp, rsaNB, rsaEB); err != nil {
 		return nil, peerInfo{}, err
 	}
 
 	s.shareV = int64(1) << uint(cfg.ShareMaskBits)
 	return s, peer, nil
+}
+
+// PeerRSAKey parses the RSA fields of a peer's handshake against the
+// agreed engine: under YMPP they must hold a valid public key, under any
+// other engine both must be empty (nil key). Anything else is
+// ErrHandshake. The ring token (internal/multiparty) carries the same two
+// fields under the same rule.
+func PeerRSAKey(ympp bool, nb, eb []byte) (*yao.RSAPublicKey, error) {
+	if !ympp {
+		if len(nb) != 0 || len(eb) != 0 {
+			return nil, fmt.Errorf("%w: peer sent an RSA key the agreed engine does not use", ErrHandshake)
+		}
+		return nil, nil
+	}
+	if len(nb) == 0 || len(eb) == 0 {
+		return nil, fmt.Errorf("%w: peer sent no RSA key under the YMPP engine", ErrHandshake)
+	}
+	pub, err := yao.UnmarshalRSAPublicKey(nb, eb)
+	if err != nil {
+		return nil, fmt.Errorf("%w: peer key: %w", ErrHandshake, err)
+	}
+	return pub, nil
 }
 
 // setDimension fixes the virtual-record dimension m and derives the

@@ -67,14 +67,16 @@ func TestParamsDiffNamesFirstField(t *testing.T) {
 	}
 }
 
-// goldenHandshake is Alice's handshake frame as the commit before
-// core.Params existed put it on the wire (captured off a pipe) for
-// Config{Eps: 2, MinPts: 3, MaxCoord: 7, PaillierBits: 256, RSABits: 256,
-// Engine: masked}, proto "horizontal", 5 points of dimension 2. The
+// goldenHandshake is Alice's handshake frame for Config{Eps: 2, MinPts: 3,
+// MaxCoord: 7, PaillierBits: 256, RSABits: 256, Engine: masked}, proto
+// "horizontal", 5 points of dimension 2: the frame captured off a pipe at
+// the commit before core.Params existed, regenerated for version 10 —
+// the version byte is 10 and, the engine being masked, the two RSA fields
+// that closed the v9 frame (a 32-byte modulus and 65537) are empty. The
 // serving tier's frame and byte counters include this frame, so it must
 // not change shape: re-encoding the same parameters and the frame's own
-// public keys has to reproduce it byte for byte.
-const goldenHandshake = "090a686f72697a6f6e74616c0008030e066d61736b6564280a047363616e076261746368656405736c6f747304677269640401020520e46b588088aca8c20a47af2f5b94a26f587cbc4f46e148fae049e047a54978a120c4cae47f8859417374465188837fb75c0e11a6714a31ede8eb455bc6919144a503010001"
+// public key has to reproduce it byte for byte.
+const goldenHandshake = "0a0a686f72697a6f6e74616c0008030e066d61736b6564280a047363616e076261746368656405736c6f747304677269640401020520e46b588088aca8c20a47af2f5b94a26f587cbc4f46e148fae049e047a54978a10000"
 
 func TestHandshakeFrameGolden(t *testing.T) {
 	want, err := hex.DecodeString(goldenHandshake)
@@ -92,6 +94,9 @@ func TestHandshakeFrameGolden(t *testing.T) {
 	paiPub, rsaN, rsaE := r.Bytes(), r.Bytes(), r.Bytes()
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
+	}
+	if len(rsaN) != 0 || len(rsaE) != 0 {
+		t.Fatalf("golden masked frame carries RSA fields of %d and %d bytes", len(rsaN), len(rsaE))
 	}
 	cfg, err := Config{Eps: 2, MinPts: 3, MaxCoord: 7, PaillierBits: 256, RSABits: 256, Engine: compare.EngineMasked}.Normalize()
 	if err != nil {

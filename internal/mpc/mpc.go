@@ -22,7 +22,9 @@
 // nonce lets the peer invert the ciphertext (x = (c·r^{−n} − 1)/n for
 // g = n+1), which would void the protocol's own privacy claim, so — as in
 // the correctness proof's intent — nonces here stay private and every
-// encryption is fresh.
+// ciphertext a party sends carries a fresh one. (The only ciphertexts
+// built without a nonce are SenderDotManyPackedRetain's retained D_i,
+// which are never sent.)
 package mpc
 
 import (
@@ -216,26 +218,19 @@ func SenderDotMany(conn transport.Conn, pub *paillier.PublicKey, bs [][]int64, v
 		}
 	}
 	// Masks first (sequential randomness), then one worker-pool task per
-	// output ciphertext: E(a·b_i + v_i) = Π_k E(a_k)^{b_ik} · E(v_i).
+	// output ciphertext: E(a·b_i + v_i) = E(v_i) · Π_k E(a_k)^{b_ik}, the
+	// one-slot case of the slot fold — every uplink ciphertext is
+	// range-checked whatever its scalar, and the m+2 small exponents share
+	// one squaring chain.
 	masks, err := pub.EncryptBatch(pool, random, vs)
 	if err != nil {
 		return fmt.Errorf("mpc: encrypting masks: %w", err)
 	}
 	replies := make([]*big.Int, len(bs))
 	if err := paillier.ParallelFor(pool, len(bs), func(i int) error {
-		acc := masks[i]
-		for k, ct := range cts {
-			if bs[i][k] == 0 {
-				continue
-			}
-			term, err := pub.Mul(ct, big.NewInt(bs[i][k]))
-			if err != nil {
-				return fmt.Errorf("mpc: homomorphic multiply [%d,%d]: %w", i, k, err)
-			}
-			acc, err = pub.Add(acc, term)
-			if err != nil {
-				return fmt.Errorf("mpc: homomorphic add [%d,%d]: %w", i, k, err)
-			}
+		acc, err := pub.SlotFold(masks[i], 1, [][]paillier.SlotTerm{dotTerms(cts, bs[i])})
+		if err != nil {
+			return fmt.Errorf("mpc: homomorphic dot product [%d]: %w", i, err)
 		}
 		replies[i] = acc
 		return nil
@@ -243,6 +238,16 @@ func SenderDotMany(conn transport.Conn, pub *paillier.PublicKey, bs [][]int64, v
 		return err
 	}
 	return transport.SendMsg(conn, transport.NewBuilder().PutBigs(replies))
+}
+
+// dotTerms pairs the uplink ciphertexts E(a_k) with one sender vector's
+// coordinates: the factors of Π_k E(a_k)^{b_k} = E(a·b).
+func dotTerms(cts []*big.Int, b []int64) []paillier.SlotTerm {
+	terms := make([]paillier.SlotTerm, len(cts))
+	for k, ct := range cts {
+		terms[k] = paillier.SlotTerm{Base: ct, Scalar: big.NewInt(b[k])}
+	}
+	return terms
 }
 
 // RandomMask draws a uniform mask in [0, bound) for sender-side use.

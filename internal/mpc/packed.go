@@ -366,11 +366,7 @@ func SenderDotManyPacked(conn transport.Conn, pub *paillier.PublicKey, bs [][]in
 	if err := paillier.ParallelFor(pool, groups, func(g int) error {
 		slots := make([][]paillier.SlotTerm, pk.GroupLen(len(bs), g))
 		for s := range slots {
-			i := g*pk.Slots() + s
-			slots[s] = make([]paillier.SlotTerm, len(cts))
-			for k, ct := range cts {
-				slots[s][k] = paillier.SlotTerm{Base: ct, Scalar: big.NewInt(bs[i][k])}
-			}
+			slots[s] = dotTerms(cts, bs[g*pk.Slots()+s])
 		}
 		acc, err := pub.SlotFold(masks[g], pk.Width(), slots)
 		if err != nil {
@@ -387,14 +383,24 @@ func SenderDotManyPacked(conn transport.Conn, pub *paillier.PublicKey, bs [][]in
 // SenderDotManyPackedRetain plays the exact SenderDotManyPacked wire
 // role — the receiver side cannot tell them apart, and the reply group
 // count is identical — but assembles each reply from retained
-// per-point dot ciphertexts D_i = E(v_i)·Π_k E(a_k)^{b_ik} = E(a·b_i +
-// v_i) instead of folding the dot products straight into the groups:
-// group g becomes E(Pack(0…0)) · Π_s D_{g·S+s}^{2^{w·s}}, where the
-// bias-only packed encryption supplies every slot's bias and the D_i
-// already carry the masks. The D_i are returned, never sent; the
+// per-point dot ciphertexts D_i = g^{v_i}·Π_k E(a_k)^{b_ik}, ciphertexts
+// of a·b_i + v_i, instead of folding the dot products straight into the
+// groups: group g becomes E(Pack(0…0)) · Π_s D_{g·S+s}^{2^{w·s}}, where
+// the bias-only packed encryption supplies every slot's bias and the
+// D_i already carry the masks. The D_i are returned, never sent; the
 // caller can later hand differences of them to the comparison engine's
 // derived-base batches (compare.DerivedBob), eliminating that round's
 // uplink ciphertexts entirely.
+//
+// Nonces: the mask enters each D_i unblinded (paillier.Unblinded, one
+// multiplication), so D_i's nonce is a fixed function of the nonces the
+// receiver chose for its own uplink. That is sound only because no D_i
+// and nothing computed from D_i alone may go on the wire: the bias
+// encryptions here and the packed mask terms of compare's derived
+// replies each carry a fresh uniform nonce, which makes every sent
+// ciphertext's nonce uniform and independent of the D_i (the argument is
+// in the paillier package comment). A caller that wants to send a D_i
+// must Randomize it first.
 func SenderDotManyPackedRetain(conn transport.Conn, pub *paillier.PublicKey, bs [][]int64, vs []*big.Int, pk *encoding.Packer, random io.Reader, pool *paillier.Pool) ([]*big.Int, error) {
 	if len(bs) != len(vs) {
 		return nil, fmt.Errorf("%w: %d vectors, %d masks", ErrLengthMismatch, len(bs), len(vs))
@@ -419,31 +425,19 @@ func SenderDotManyPackedRetain(conn transport.Conn, pub *paillier.PublicKey, bs 
 			return nil, fmt.Errorf("%w: vector %d has %d coordinates, receiver sent %d", ErrLengthMismatch, i, len(b), len(cts))
 		}
 	}
-	// The retained per-point ciphertexts: D_i = E(v_i)·Π_k E(a_k)^{b_ik}.
+	// The retained per-point ciphertexts D_i = g^{v_i}·Π_k E(a_k)^{b_ik}: a
+	// one-slot fold over the unblinded mask.
 	ds := make([]*big.Int, len(bs))
-	if err := func() error {
-		evs, err := pub.EncryptBatch(pool, random, vs)
+	if err := paillier.ParallelFor(pool, len(bs), func(i int) error {
+		gv, err := pub.Unblinded(vs[i])
 		if err != nil {
-			return fmt.Errorf("mpc: encrypting dot masks: %w", err)
+			return fmt.Errorf("mpc: retained dot mask [%d]: %w", i, err)
 		}
-		return paillier.ParallelFor(pool, len(bs), func(i int) error {
-			acc := evs[i]
-			for k, ct := range cts {
-				if bs[i][k] == 0 {
-					continue
-				}
-				term, err := pub.Mul(ct, big.NewInt(bs[i][k]))
-				if err != nil {
-					return fmt.Errorf("mpc: retained dot multiply [%d,%d]: %w", i, k, err)
-				}
-				if acc, err = pub.Add(acc, term); err != nil {
-					return fmt.Errorf("mpc: retained dot add [%d,%d]: %w", i, k, err)
-				}
-			}
-			ds[i] = acc
-			return nil
-		})
-	}(); err != nil {
+		if ds[i], err = pub.SlotFold(gv, 1, [][]paillier.SlotTerm{dotTerms(cts, bs[i])}); err != nil {
+			return fmt.Errorf("mpc: retained dot product [%d]: %w", i, err)
+		}
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	// Bias-only packed encryptions: the D_i already carry the masks, so

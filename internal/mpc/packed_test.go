@@ -2,10 +2,12 @@ package mpc
 
 import (
 	"crypto/rand"
+	"errors"
 	"math/big"
 	"testing"
 
 	"repro/internal/encoding"
+	"repro/internal/paillier"
 	"repro/internal/transport"
 )
 
@@ -299,6 +301,49 @@ func TestDotManyPackedRetainWireCompatible(t *testing.T) {
 		}
 		if di.Cmp(plain[i]) != 0 {
 			t.Fatalf("retained D_%d decrypts to %v, want %v", i, di, plain[i])
+		}
+	}
+}
+
+// TestDotSendersRangeCheckUnderZeroColumn: a hostile receiver uplinks an
+// out-of-range ciphertext in a coordinate where every sender vector holds
+// zero. The product would ignore it, but skipping its range check would
+// tell the receiver — error or no error — that the sender's column is all
+// zero, so every dot-product sender must reject it whatever the scalars.
+func TestDotSendersRangeCheckUnderZeroColumn(t *testing.T) {
+	k := testKey(t)
+	pub := &k.PublicKey
+	pk, err := encoding.NewSumPacker(k.PlaintextBound(), 2*63*63+1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const zeroCol = 2
+	bs := [][]int64{{1, 3, 0, 9}, {1, 5, 0, 25}, {1, 0, 0, 0}}
+	vs := []*big.Int{big.NewInt(11), big.NewInt(0), big.NewInt(1023)}
+	cts, err := k.EncryptInt64Batch(nil, rand.Reader, []int64{100, -14, -18, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts[zeroCol] = new(big.Int).Set(pub.NSquared) // one past the top of Z_{n²}
+	for name, sender := range map[string]func(transport.Conn) error{
+		"SenderDotMany": func(c transport.Conn) error {
+			return SenderDotMany(c, pub, bs, vs, rand.Reader, nil)
+		},
+		"SenderDotManyPacked": func(c transport.Conn) error {
+			return SenderDotManyPacked(c, pub, bs, vs, pk, rand.Reader, nil)
+		},
+		"SenderDotManyPackedRetain": func(c transport.Conn) error {
+			_, err := SenderDotManyPackedRetain(c, pub, bs, vs, pk, rand.Reader, nil)
+			return err
+		},
+	} {
+		// The pipe buffers, so the uplink can be queued before the sender runs.
+		recv, send := transport.Pipe()
+		if err := transport.SendMsg(recv, transport.NewBuilder().PutUint(uint64(len(bs))).PutBigs(cts)); err != nil {
+			t.Fatal(err)
+		}
+		if err := sender(send); !errors.Is(err, paillier.ErrCiphertextRange) {
+			t.Errorf("%s: error = %v, want paillier.ErrCiphertextRange", name, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package multiparty
 
 import (
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"math"
@@ -12,7 +13,10 @@ import (
 
 	"repro/internal/compare"
 	"repro/internal/core"
+	"repro/internal/metrics"
+	"repro/internal/paillier"
 	"repro/internal/transport"
+	"repro/internal/yao"
 )
 
 // Peer failure on the mesh, mirroring core's failure_test.go: a party
@@ -235,6 +239,117 @@ func TestRingDisagreementFailsEveryParty(t *testing.T) {
 				}
 				checkNoLeak(t, before, label)
 			}
+		}
+	}
+}
+
+// TestRingHandshakeRSAFollowsEngine: the coordinator generates an RSA pair,
+// and the token carries it, exactly under the YMPP engine — where the ring
+// then runs its comparisons on it; under masked the token's RSA fields are
+// empty and no party holds an RSA half.
+func TestRingHandshakeRSAFollowsEngine(t *testing.T) {
+	const k = 3
+	points := gridData(t, 12, 3, 11)
+	for _, engine := range []compare.EngineKind{compare.EngineMasked, compare.EngineYMPP} {
+		cfg := testCfg(engine)
+		parties := NewLocalRing(k)
+		sessions := make([]*RingSession, k)
+		results := make([]*Result, k)
+		errs := make([]error, k)
+		var wg sync.WaitGroup
+		for p := 0; p < k; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				defer parties[p].Next.Close()
+				defer parties[p].Prev.Close()
+				if sessions[p], errs[p] = NewRingSession(parties[p], cfg, splitColumns(points, k)[p]); errs[p] == nil {
+					results[p], errs[p] = sessions[p].Run()
+				}
+			}(p)
+		}
+		wg.Wait()
+		want := oracle(t, cfg, points)
+		for p, err := range errs {
+			if err != nil {
+				t.Fatalf("%s party %d: %v", engine, p, err)
+			}
+			if !metrics.ExactMatch(results[p].Labels, want.Labels) {
+				t.Errorf("%s party %d: labels diverge from plain DBSCAN", engine, p)
+			}
+			st := sessions[p].st
+			wantKey, wantPub := engine == compare.EngineYMPP && p == 0, engine == compare.EngineYMPP
+			if (st.rsaKey != nil) != wantKey || (st.rsaPub != nil) != wantPub {
+				t.Errorf("%s party %d: rsaKey present %v, rsaPub present %v; want %v, %v",
+					engine, p, st.rsaKey != nil, st.rsaPub != nil, wantKey, wantPub)
+			}
+		}
+	}
+}
+
+// TestRingTokenRejectsCoordinatorKeys is core's TestHandshakeRejectsPeerKeys
+// on the ring token: the test plays the coordinator of a two-party ring
+// and sends an otherwise agreeing token whose key fields do not fit the
+// agreed engine or cannot be keys. The party answers ErrHandshake
+// (wrapping the key package's error where there is one) and forwards
+// nothing.
+func TestRingTokenRejectsCoordinatorKeys(t *testing.T) {
+	pai, err := paillier.GenerateKey(rand.Reader, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsa, err := yao.GenerateRSAKey(rand.Reader, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paiPub := paillier.MarshalPublicKey(&pai.PublicKey)
+	rsaN, rsaE := yao.MarshalRSAPublicKey(&rsa.RSAPublicKey)
+	attrs := [][]float64{{1}, {2}, {3}}
+	for _, tc := range []struct {
+		name               string
+		engine             compare.EngineKind
+		paiPub, rsaN, rsaE []byte
+		cause              error
+	}{
+		{name: "masked, RSA key present", engine: compare.EngineMasked, paiPub: paiPub, rsaN: rsaN, rsaE: rsaE},
+		{name: "ympp, RSA key absent", engine: compare.EngineYMPP, paiPub: paiPub},
+		{name: "ympp, 33-bit RSA exponent", engine: compare.EngineYMPP, paiPub: paiPub, rsaN: rsaN, rsaE: []byte{1, 0, 0, 0, 1}, cause: yao.ErrPublicKey},
+		{name: "masked, oversized Paillier modulus", engine: compare.EngineMasked, paiPub: make([]byte, 1<<20), cause: paillier.ErrPublicKey},
+	} {
+		cfg := testCfg(tc.engine)
+		cc, err := cfg.core()
+		if err != nil {
+			t.Fatal(err)
+		}
+		params, err := cc.Params()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ring := NewLocalRing(2)
+		tok := handshakeToken{
+			version: ringHandshakeVersion, params: params, count: len(attrs), dimSum: 1, k: 2,
+			paiPub: tc.paiPub, rsaN: tc.rsaN, rsaE: tc.rsaE,
+		}
+		// The pipe buffers: the token is queued before the party starts.
+		if err := transport.SendMsg(ring[0].Next, encodeToken(tok)); err != nil {
+			t.Fatal(err)
+		}
+		errc := make(chan error, 1)
+		go func() {
+			_, err := NewRingSession(ring[1], cfg, attrs)
+			ring[1].Next.Close()
+			errc <- err
+		}()
+		select {
+		case err = <-errc:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("%s: party hung on the token", tc.name)
+		}
+		if !errors.Is(err, ErrHandshake) || (tc.cause != nil && !errors.Is(err, tc.cause)) {
+			t.Errorf("%s: error = %v, want ErrHandshake wrapping %v", tc.name, err, tc.cause)
+		}
+		if _, err := ring[0].Prev.Recv(); !errors.Is(err, transport.ErrClosed) {
+			t.Errorf("%s: the party forwarded a frame (%v), want a closed edge", tc.name, err)
 		}
 	}
 }

@@ -31,10 +31,10 @@
 //
 // Neither topology carries its own copy of a two-party building block.
 // The horizontal mesh (horizontal.go) is the paper's HDP sub-protocol on
-// each of its k·(k−1)/2 edges, and an edge is a core.Pair: core's v9
+// each of its k·(k−1)/2 edges, and an edge is a core.Pair: core's v10
 // handshake, index exchange, op frames and MP + comparison steps. The
 // ring is its own protocol, but its token carries core.Params (ring
-// handshake v8) — so every agreed parameter, CmpMaskBits and
+// handshake v9) — so every agreed parameter, CmpMaskBits and
 // ShareMaskBits included, is compared at establishment by the same
 // Params.Diff — its coordinator↔last comparison engines come from
 // compare.Edge, the one engine constructor, and its edges split into
@@ -220,8 +220,10 @@ var ErrHandshake = core.ErrHandshake
 // version 7 added the packed comparison uplink ("full" packing, a
 // per-batch moded wire form) and the uplink/downlink ciphertext split;
 // version 8 replaced the token's own parameter list with core.Params,
-// which also carries CmpMaskBits and ShareMaskBits.
-const ringHandshakeVersion = 8
+// which also carries CmpMaskBits and ShareMaskBits; version 9 made the
+// coordinator's RSA key conditional on the agreed engine (rsaN/rsaE
+// travel empty unless Engine is "ympp").
+const ringHandshakeVersion = 9
 
 // handshakeToken travels once around the ring accumulating checks.
 type handshakeToken struct {
@@ -231,7 +233,7 @@ type handshakeToken struct {
 	dimSum  int // Σ attribute counts
 	k       int
 	paiPub  []byte
-	rsaN    []byte
+	rsaN    []byte // with rsaE: empty unless params.Engine is YMPP
 	rsaE    []byte
 }
 
@@ -357,7 +359,8 @@ type state struct {
 	bound  int64 // m·MaxCoord²
 	shareV int64
 
-	// Coordinator-owned keys; every party holds the public halves.
+	// Coordinator-owned keys; every party holds the public halves. The
+	// RSA pair exists only under the YMPP engine.
 	paiKey *paillier.PrivateKey // coordinator only
 	rsaKey *yao.RSAKey          // coordinator only
 	paiPub *paillier.PublicKey
@@ -452,19 +455,22 @@ func (st *state) handshake() error {
 		return err
 	}
 	st.epsSq = params.EpsSq // finishDims clamps it once the total dimension is known
+	ympp := st.cfg.Engine == compare.EngineYMPP
 	var m int
 	if st.isCoordinator() {
 		st.paiKey, err = paillier.GenerateKey(st.random, st.cfg.PaillierBits)
 		if err != nil {
 			return err
 		}
-		st.rsaKey, err = yao.GenerateRSAKey(st.random, st.cfg.RSABits)
-		if err != nil {
-			return err
-		}
 		st.paiPub = &st.paiKey.PublicKey
-		st.rsaPub = &st.rsaKey.RSAPublicKey
-		rsaN, rsaE := yao.MarshalRSAPublicKey(st.rsaPub)
+		var rsaN, rsaE []byte
+		if ympp {
+			if st.rsaKey, err = yao.GenerateRSAKey(st.random, st.cfg.RSABits); err != nil {
+				return err
+			}
+			st.rsaPub = &st.rsaKey.RSAPublicKey
+			rsaN, rsaE = yao.MarshalRSAPublicKey(st.rsaPub)
+		}
 		tok := handshakeToken{
 			version: ringHandshakeVersion,
 			params:  params,
@@ -500,9 +506,9 @@ func (st *state) handshake() error {
 				return nil, err
 			}
 			if st.paiPub, err = paillier.UnmarshalPublicKey(tok.paiPub); err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%w: coordinator key: %w", ErrHandshake, err)
 			}
-			if st.rsaPub, err = yao.UnmarshalRSAPublicKey(tok.rsaN, tok.rsaE); err != nil {
+			if st.rsaPub, err = core.PeerRSAKey(ympp, tok.rsaN, tok.rsaE); err != nil {
 				return nil, err
 			}
 			tok.dimSum += st.ownDim
@@ -645,7 +651,7 @@ func (st *state) pairLE(i, j int) (bool, error) {
 	s := st.partial(i, j)
 
 	if st.isCoordinator() {
-		ct, err := st.paiPub.Encrypt(st.random, big.NewInt(s))
+		ct, err := st.paiKey.Encrypt(st.random, big.NewInt(s))
 		if err != nil {
 			return false, err
 		}
@@ -765,9 +771,9 @@ func (st *state) pairLEBatchOn(ch int, pairs [][2]int) ([]bool, error) {
 					return nil, err
 				}
 			}
-			cts, err = st.paiPub.EncryptBatch(st.pool, st.random, packed)
+			cts, err = st.paiKey.EncryptBatch(st.pool, st.random, packed)
 		} else {
-			cts, err = st.paiPub.EncryptInt64Batch(st.pool, st.random, partials)
+			cts, err = st.paiKey.EncryptInt64Batch(st.pool, st.random, partials)
 		}
 		if err != nil {
 			return nil, err

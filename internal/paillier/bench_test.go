@@ -37,6 +37,13 @@ func BenchmarkEncryptPublic1024(b *testing.B) {
 	benchEncrypt(b, k.PublicKey.Encrypt)
 }
 
+// BenchmarkUnblinded1024 is g^m with nonce 1: what a ciphertext that never
+// leaves the process costs instead of one of the two encryptions above.
+func BenchmarkUnblinded1024(b *testing.B) {
+	k := benchKey(b)
+	benchEncrypt(b, func(_ io.Reader, m *big.Int) (*big.Int, error) { return k.Unblinded(m) })
+}
+
 func benchEncrypt(b *testing.B, encrypt func(random io.Reader, m *big.Int) (*big.Int, error)) {
 	m := big.NewInt(123456)
 	b.ReportAllocs()

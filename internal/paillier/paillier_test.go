@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"errors"
+	"io"
 	"math/big"
 	"sync"
 	"testing"
@@ -319,6 +320,61 @@ func TestEncryptWithNonceDeterministic(t *testing.T) {
 	}
 	if _, err := k.EncryptWithNonce(big.NewInt(9), k.N); err == nil {
 		t.Error("nonce = n must be rejected")
+	}
+}
+
+// trapReader records that somebody asked it for randomness.
+type trapReader struct{ reads int }
+
+func (r *trapReader) Read([]byte) (int, error) {
+	r.reads++
+	return 0, errors.New("paillier test: randomness was read")
+}
+
+// TestUnblindedIsEncryptionWithUnitNonce: Unblinded(m) is the ciphertext
+// Encrypt would produce under the nonce r = 1 — it decrypts to m over the
+// whole signed range, refuses what Encrypt refuses, and draws no
+// randomness: it takes no reader, and a reader that fails on Read,
+// installed as the process default (what a nil reader falls back to)
+// around every call, is never touched. No test of this package runs in
+// parallel, so swapping the default is safe.
+func TestUnblindedIsEncryptionWithUnitNonce(t *testing.T) {
+	k := testKey(t, 256)
+	trap := &trapReader{}
+	unblinded := func(m *big.Int) (*big.Int, error) {
+		defer func(r io.Reader) { rand.Reader = r }(rand.Reader)
+		rand.Reader = trap
+		return k.PublicKey.Unblinded(m)
+	}
+	top := new(big.Int).Sub(k.PlaintextBound(), one) // largest |m| in range
+	for _, m := range []*big.Int{
+		big.NewInt(0), big.NewInt(1), big.NewInt(-1), big.NewInt(1 << 50), big.NewInt(-(1 << 50)),
+		top, new(big.Int).Neg(top),
+	} {
+		got, err := unblinded(m)
+		if err != nil {
+			t.Fatalf("Unblinded(%v): %v", m, err)
+		}
+		want, err := k.EncryptWithNonce(m, one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cmp(want) != 0 {
+			t.Errorf("Unblinded(%v) = %v, want EncryptWithNonce(m, 1) = %v", m, got, want)
+		}
+		if dec, err := k.DecryptSigned(got); err != nil || dec.Cmp(m) != 0 {
+			t.Errorf("Unblinded(%v) decrypts to %v (%v)", m, dec, err)
+		}
+	}
+	for _, m := range []*big.Int{k.PlaintextBound(), new(big.Int).Neg(k.PlaintextBound()), k.N} {
+		_, encErr := k.PublicKey.Encrypt(rand.Reader, m)
+		_, err := unblinded(m)
+		if !errors.Is(encErr, ErrMessageRange) || !errors.Is(err, ErrMessageRange) {
+			t.Errorf("m = %v: Encrypt error %v, Unblinded error %v, want ErrMessageRange from both", m, encErr, err)
+		}
+	}
+	if trap.reads != 0 {
+		t.Errorf("Unblinded read the random source %d times", trap.reads)
 	}
 }
 

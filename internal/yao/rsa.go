@@ -13,6 +13,7 @@ package yao
 
 import (
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"io"
 	"math/big"
@@ -35,7 +36,15 @@ type RSAPublicKey struct {
 }
 
 // MinRSABits is the smallest accepted modulus; test keys use 256 bits.
-const MinRSABits = 256
+// MaxRSABits is the largest modulus UnmarshalRSAPublicKey accepts from a
+// peer.
+const (
+	MinRSABits = 256
+	MaxRSABits = 8192
+)
+
+// ErrPublicKey reports a peer's RSA public key that cannot be one.
+var ErrPublicKey = errors.New("yao: invalid RSA public key")
 
 // GenerateRSAKey creates a textbook RSA key pair for YMPP.
 func GenerateRSAKey(random io.Reader, bits int) (*RSAKey, error) {
@@ -116,15 +125,27 @@ func MarshalRSAPublicKey(pk *RSAPublicKey) ([]byte, []byte) {
 	return pk.N.Bytes(), pk.E.Bytes()
 }
 
-// UnmarshalRSAPublicKey reverses MarshalRSAPublicKey.
+// UnmarshalRSAPublicKey reverses MarshalRSAPublicKey. The bytes come from
+// a peer and Bob raises to e mod N once per comparison, so both are
+// bounded by their length before any big-integer work: the modulus to
+// MaxRSABits, the exponent to 32 bits. An even modulus cannot be a product
+// of two odd primes, and an even exponent cannot be a unit mod φ(N).
 func UnmarshalRSAPublicKey(nb, eb []byte) (*RSAPublicKey, error) {
+	if len(nb) > MaxRSABits/8 {
+		return nil, fmt.Errorf("%w: modulus of %d bytes above the %d-bit maximum", ErrPublicKey, len(nb), MaxRSABits)
+	}
+	if len(eb) > 4 {
+		return nil, fmt.Errorf("%w: public exponent of %d bytes wider than 32 bits", ErrPublicKey, len(eb))
+	}
 	n := new(big.Int).SetBytes(nb)
 	e := new(big.Int).SetBytes(eb)
-	if n.BitLen() < MinRSABits {
-		return nil, fmt.Errorf("yao: unmarshaled modulus too small (%d bits)", n.BitLen())
-	}
-	if e.Cmp(big.NewInt(3)) < 0 {
-		return nil, fmt.Errorf("yao: invalid public exponent")
+	switch {
+	case n.BitLen() < MinRSABits:
+		return nil, fmt.Errorf("%w: modulus too small (%d bits)", ErrPublicKey, n.BitLen())
+	case n.Bit(0) == 0:
+		return nil, fmt.Errorf("%w: even modulus", ErrPublicKey)
+	case e.Cmp(big.NewInt(3)) < 0 || e.Bit(0) == 0:
+		return nil, fmt.Errorf("%w: public exponent %v is not an odd number ≥ 3", ErrPublicKey, e)
 	}
 	return &RSAPublicKey{N: n, E: e}, nil
 }

@@ -1,6 +1,7 @@
 package yao
 
 import (
+	"bytes"
 	"crypto/rand"
 	"errors"
 	"math/big"
@@ -75,14 +76,34 @@ func TestRSAPublicKeyMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRSAPublicKeyRejects: a peer's modulus must be at least
+// MinRSABits, at most MaxRSABits and odd, its exponent odd, ≥ 3 and at
+// most 32 bits — sizes checked on the encodings, before any arithmetic.
 func TestUnmarshalRSAPublicKeyRejects(t *testing.T) {
-	if _, err := UnmarshalRSAPublicKey(big.NewInt(99).Bytes(), big.NewInt(65537).Bytes()); err == nil {
-		t.Error("want error for tiny modulus")
-	}
 	k := testRSAKey(t)
-	nb, _ := MarshalRSAPublicKey(&k.RSAPublicKey)
-	if _, err := UnmarshalRSAPublicKey(nb, big.NewInt(1).Bytes()); err == nil {
-		t.Error("want error for exponent 1")
+	nb, eb := MarshalRSAPublicKey(&k.RSAPublicKey)
+	for _, tc := range []struct {
+		name   string
+		nb, eb []byte
+	}{
+		{"tiny modulus", big.NewInt(99).Bytes(), eb},
+		{"empty modulus", nil, eb},
+		{"even modulus", new(big.Int).Lsh(k.N, 1).Bytes(), eb},
+		{"oversized modulus", bytes.Repeat([]byte{0xff}, MaxRSABits/8+1), eb},
+		{"frame-sized modulus", bytes.Repeat([]byte{0xff}, 16<<20), eb},
+		{"exponent 1", nb, big.NewInt(1).Bytes()},
+		{"empty exponent", nb, nil},
+		{"even exponent", nb, big.NewInt(65536).Bytes()},
+		{"33-bit exponent", nb, new(big.Int).Lsh(big.NewInt(1), 32).Bytes()},
+		{"frame-sized exponent", nb, bytes.Repeat([]byte{0xff}, 16<<20)},
+	} {
+		if _, err := UnmarshalRSAPublicKey(tc.nb, tc.eb); !errors.Is(err, ErrPublicKey) {
+			t.Errorf("%s: error = %v, want ErrPublicKey", tc.name, err)
+		}
+	}
+	largest := bytes.Repeat([]byte{0xff}, MaxRSABits/8)
+	if _, err := UnmarshalRSAPublicKey(largest, []byte{0xff, 0xff, 0xff, 0xff}); err != nil {
+		t.Errorf("an odd %d-bit modulus with an odd 32-bit exponent must be accepted: %v", MaxRSABits, err)
 	}
 }
 
