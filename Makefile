@@ -1,23 +1,12 @@
 # Build, verify, and benchmark targets. `make verify` is the full gate
-# (format, vet, build, race-enabled tests); `make bench` records every
-# experiment suite in BENCH_SUITES to its BENCH_E<NN>.json (E11 end-to-end,
-# E14 grid pruning, E15 worker width, E16 session concurrency, E17
-# streaming appends, E18 sliding-window expiry, E19 retraction, E20
-# plaintext packing, E21 packed uplink, E22 shard scaling) so the
-# performance trajectory is tracked PR over PR; `make bench-e<NN>` records
-# one. Every bench file is stamped with the commit hash and Go version.
-# The whole-stack benchmark with regression bounds is bench/ (see
-# bench/README.md), not these suites.
+# (format, vet, build, race-enabled tests). `make bench` runs the one
+# benchmark, bench/ (six workloads; see bench/README.md), and
+# `make bench-check` diffs its exact counters against
+# bench/counters.json. The paper's tables are `ppdbscan experiments`.
 
 GO ?= go
 
-BENCH_SUITES := 11 14 15 16 17 18 19 20 21 22
-# Suites whose headline number is the full-size (n=48) workload rather
-# than the quick smoke.
-BENCH_FULL := 20 21
-BENCH_TARGETS := $(addprefix bench-e,$(BENCH_SUITES))
-
-.PHONY: all build test race vet fmt verify bench $(BENCH_TARGETS) fuzz clean
+.PHONY: all build test race vet fmt verify bench bench-check fuzz clean
 
 all: build
 
@@ -39,11 +28,11 @@ fmt:
 
 verify: fmt vet build race
 
-bench: $(BENCH_TARGETS)
+bench:
+	bash bench/run.sh -workload all
 
-$(BENCH_TARGETS): bench-e%:
-	$(GO) run ./cmd/ppdbscan bench -suite e$* $(if $(filter $*,$(BENCH_FULL)),,-quick) -out BENCH_E$*.json
-	@cat BENCH_E$*.json
+bench-check:
+	bash bench/run.sh -check
 
 # Short fuzz pass over the wire, batch-frame, mux-frame, and spatial-grid
 # codecs.
@@ -59,4 +48,4 @@ fuzz:
 	$(GO) test ./internal/compare -run NONE -fuzz FuzzPackedUplink -fuzztime 10s
 
 clean:
-	rm -f $(foreach s,$(BENCH_SUITES),BENCH_E$(s).json)
+	rm -rf .bench_build ppdbscan

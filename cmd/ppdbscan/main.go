@@ -3,7 +3,7 @@
 // real TCP between two processes (alice/bob modes for one-shot runs,
 // serve/client for long-lived sessions that amortize keygen, handshake,
 // and the grid-index exchange across many clustering requests), plus the
-// full experiment suite and a synthetic dataset generator. `serve` is a
+// paper's experiments (E1–E12) and a synthetic dataset generator. `serve` is a
 // concurrent multi-session server: it accepts any number of clients,
 // gives each its own session goroutine and traffic meter, shares one
 // bounded crypto pool across them (-workers), survives individual client
@@ -20,20 +20,14 @@
 //	ppdbscan client      -mode horizontal|enhanced|vertical -connect host:9000 -data a.csv -runs 3 [-session-key K] [-appends K -append-batch B [-window]] [-retract N] [flags]
 //	ppdbscan loadgen     -mode horizontal|enhanced|vertical -connect host:9000 -data a.csv -clients 4 -runs 2 [-session-key P -shed-retries N] [-appends K -append-batch B [-window]] [-retract N] [flags]
 //	ppdbscan gen         -kind blobs|moons|rings|bridged -n 200 -out points.csv [flags]
-//	ppdbscan experiments -id all|e1..e22 [-quick] [-seed N]
-//	ppdbscan bench       [-suite e11|e14|e15|e16|e17|e18|e19|e20|e21|e22] [-quick] [-seed N] [-out BENCH_E11.json]
+//	ppdbscan experiments -id all|e1..e12 [-quick] [-seed N]
+//	ppdbscan verify      [-seed N]
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"runtime"
-	"runtime/debug"
-	"strings"
 
 	"repro/internal/compare"
 	"repro/internal/core"
@@ -67,8 +61,6 @@ func main() {
 		err = cmdLoadgen(os.Args[2:])
 	case "experiments":
 		err = cmdExperiments(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "verify":
 		err = cmdVerify(os.Args[2:])
 	case "-h", "--help", "help":
@@ -99,39 +91,8 @@ commands:
   loadgen      drive C concurrent client sessions x R runs each against a server
                or dispatcher (per-shard breakdown in the summary)
   gen          generate a synthetic dataset CSV
-  experiments  regenerate the paper's evaluation tables (e1..e22 or all)
-  bench        run a benchmark suite (-suite e11|e14|e15|e16|e17|e18|e19|e20|e21|e22) and write JSON measurements
+  experiments  regenerate the paper's evaluation tables (e1..e12 or all)
   verify       audit every protocol family against its plaintext oracle
-
-E14 is the grid-pruning ablation: -pruning grid (default) buckets each
-party's data into an Eps-width candidate index so secure region queries
-touch only neighboring cells; -pruning off keeps the paper's exhaustive
-candidate sets for A/B comparison. E15 is the parallelism ablation:
--parallel W is the width of the one wave scheduler: W > 1 multiplexes W
-worker channels over the connection and runs up to W independent secure
-region queries per wave concurrently. E17 is the
-streaming ablation: client/loadgen -appends K -append-batch B feed a
-live session new points between runs; re-clustering reuses the session's
-cross-run comparison cache and exchanges only index deltas. E18 is the
-sliding-window ablation: adding -window makes every appended batch also
-expire the oldest live generation (tombstoned in both indices), so the
-session clusters a fixed-width window at incremental cost. E19 is the
-retraction ablation: client/loadgen -retract N withdraw the N oldest
-live points after the runs and re-cluster; masked slots keep their
-padded index footprint, so the peer never learns which cells shrank.
-E20 is the plaintext-packing ablation: -packing slots (default) packs S
-fixed-point values per Paillier plaintext (slot-shifted encoding), so
-the masked-product and comparison-reply frames carry ~S× fewer
-ciphertexts; -packing off keeps one value per ciphertext for A/B
-comparison. Labels and leakage are identical either way. E21 is the
-packed-uplink ablation: -packing full additionally packs the masked
-comparison uplink (grouped or derived per batch, with a per-instance
-fallback so full never costs more than slots), splitting every
-ciphertext count into uplink and downlink legs. E22 is the shard-scaling
-sweep: the dispatcher fans C concurrent sessions across N serve shards
-(consistent hashing on the session key, load-based shedding at the
-admission preamble), measuring aggregate runs/sec and per-run latency
-at fixed total work as the shard count grows.
 
 run 'ppdbscan <command> -h' for flags.
 `)
@@ -552,134 +513,13 @@ func cmdGen(args []string) error {
 
 func cmdExperiments(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
-	id := fs.String("id", "all", "experiment id (e1..e22) or all")
+	id := fs.String("id", "all", "experiment id (e1..e12) or all")
 	quick := fs.Bool("quick", false, "smaller sweeps")
 	seed := fs.Int64("seed", 1, "experiment seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	return experiments.Run(*id, os.Stdout, experiments.Options{Quick: *quick, Seed: *seed})
-}
-
-// benchFile is the envelope every bench suite writes: the measurement
-// rows stamped with the commit hash and Go version that produced them,
-// so the perf-trajectory artifacts are attributable PR over PR.
-type benchFile struct {
-	Suite     string `json:"suite"`
-	Commit    string `json:"commit"`
-	GoVersion string `json:"go_version"`
-	Rows      any    `json:"rows"`
-}
-
-// gitCommit resolves the commit that built this binary: the embedded VCS
-// stamp when present (installed binaries), else the working tree's HEAD
-// (`go run` from the repo, which embeds no stamp), else "unknown" (export
-// tarballs). The embedded stamp wins so a binary run from some unrelated
-// git repository is not mis-attributed to that repository's HEAD.
-func gitCommit() string {
-	if info, ok := debug.ReadBuildInfo(); ok {
-		for _, kv := range info.Settings {
-			if kv.Key == "vcs.revision" && kv.Value != "" {
-				if len(kv.Value) > 12 {
-					return kv.Value[:12]
-				}
-				return kv.Value
-			}
-		}
-	}
-	if out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
-		if rev := strings.TrimSpace(string(out)); rev != "" {
-			return rev
-		}
-	}
-	return "unknown"
-}
-
-// cmdBench measures a benchmark suite and writes the rows as JSON — the
-// perf-trajectory artifacts `make bench` stores in BENCH_E11.json (E11
-// end-to-end workload, both batching modes), BENCH_E14.json (grid-pruning
-// ablation), BENCH_E15.json (parallelism ablation: worker-width sweep
-// over a simulated WAN), and BENCH_E16.json (session-concurrency sweep:
-// C concurrent sessions on one shared-pool server). Every file is
-// stamped with the commit hash and Go version that produced it.
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	quick := fs.Bool("quick", false, "smaller workload")
-	seed := fs.Int64("seed", 1, "bench seed")
-	suite := fs.String("suite", "e11", "benchmark suite: e11|e14|e15|e16|e17|e18|e19|e20|e21|e22")
-	out := fs.String("out", "", "output JSON path (default stdout)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	opt := experiments.Options{Quick: *quick, Seed: *seed}
-	var rows any
-	var err error
-	switch *suite {
-	case "e11":
-		rows, err = experiments.BenchE11(opt)
-	case "e14":
-		rows, err = experiments.BenchE14(opt)
-	case "e15":
-		rows, err = experiments.BenchE15(opt)
-	case "e16":
-		rows, err = experiments.BenchE16(opt)
-	case "e17":
-		rows, err = experiments.BenchE17(opt)
-	case "e18":
-		rows, err = experiments.BenchE18(opt)
-	case "e19":
-		rows, err = experiments.BenchE19(opt)
-	case "e20":
-		rows, err = experiments.BenchE20(opt)
-	case "e21":
-		rows, err = experiments.BenchE21(opt)
-	case "e22":
-		rows, err = experiments.BenchE22(opt)
-	default:
-		return fmt.Errorf("unknown bench suite %q (want e11, e14, e15, e16, e17, e18, e19, e20, e21, or e22)", *suite)
-	}
-	if err != nil {
-		return fmt.Errorf("bench suite %s failed: %w", *suite, err)
-	}
-	blob, err := json.MarshalIndent(benchFile{
-		Suite:     *suite,
-		Commit:    gitCommit(),
-		GoVersion: runtime.Version(),
-		Rows:      rows,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	if *out != "" {
-		return writeFileAtomic(*out, blob)
-	}
-	_, err = os.Stdout.Write(blob)
-	return err
-}
-
-// writeFileAtomic writes blob to a temp file in the target's directory
-// and renames it into place, so the bench artifact on disk is always
-// either the complete new measurement or the untouched previous one —
-// a failed run never leaves a torn JSON behind for the perf-trajectory
-// tooling to choke on.
-func writeFileAtomic(path string, blob []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 func makeDataset(kind string, n int, seed int64) (dataset.Dataset, error) {

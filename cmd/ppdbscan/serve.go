@@ -34,7 +34,7 @@ import (
 // `ppdbscan loadgen` is the matching load driver: C concurrent client
 // sessions × R clustering runs each against one serve process, reporting
 // wall clock, aggregate bytes, runs/sec, and p50/p95 per-run latency —
-// the CLI face of experiment E16's session-concurrency sweep.
+// the CLI face of what the bench `serve` workload measures (ops_per_s).
 
 // cmdServe runs the concurrent session server as the serving party
 // (RoleBob): every accepted client gets its own session (keygen,

@@ -78,7 +78,8 @@ type Config struct {
 	// instead of every peer point — identical labels, ~O(n·k) instead of
 	// O(n·nPeer) secure comparisons per pass. The index disclosure is
 	// recorded in the Ledger's Index* classes. "off" keeps the exhaustive
-	// paper-literal candidate set for A/B measurement (experiment E14).
+	// paper-literal candidate set, the pruning equivalence harness's
+	// reference.
 	Pruning PruneMode
 
 	// PruneQuantum is the padding granularity of the disclosed per-cell
@@ -99,8 +100,8 @@ type Config struct {
 	// the packed comparison uplink (dedup-grouped base ciphertexts with
 	// per-slot multipliers, and derived bases — zero uplink ciphertexts —
 	// for the enhanced family's dot-product comparisons). "off" keeps the
-	// one-value-per-ciphertext wire format for A/B measurement
-	// (experiments E20/E21). Labels and non-index Ledgers are identical
+	// one-value-per-ciphertext wire format, the packing equivalence
+	// harness's reference. Labels and non-index Ledgers are identical
 	// in all modes — the packing equivalence harness enforces this.
 	// Requires the batched round structure; the sequential path always
 	// runs unpacked.
@@ -117,18 +118,6 @@ type Config struct {
 	// only frame interleaving does. Both parties must agree
 	// (handshake-checked). W > 1 requires the batched round structure.
 	Parallel int
-
-	// ServerWorkers bounds this session's crypto worker fan-out when no
-	// shared Pool is injected: ServerWorkers > 0 gives the session its own
-	// bounded paillier.Pool of that size; zero keeps the legacy per-call
-	// GOMAXPROCS fan-out. A multi-session server instead passes the value
-	// to NewSessionManager, whose Configure injects one process-shared
-	// pool (Pool below, which takes precedence) so N concurrent sessions
-	// contend for ServerWorkers crypto goroutines rather than fanning out
-	// N·GOMAXPROCS. Local resource knob only — it never crosses the wire
-	// and the handshake does not compare it, so the two parties may
-	// differ freely.
-	ServerWorkers int
 
 	// Pool, when non-nil, is the process-shared crypto worker pool this
 	// session's Paillier/RSA batch arithmetic runs on — normally injected
@@ -242,9 +231,6 @@ func (c Config) validate() error {
 	if c.Packing != PackOff && c.Batching != BatchModeBatched {
 		return fmt.Errorf("core: Packing %q requires Batching %q (only batched frames carry packed plaintexts)", c.Packing, BatchModeBatched)
 	}
-	if c.ServerWorkers < 0 {
-		return fmt.Errorf("core: ServerWorkers must be ≥ 0, got %d", c.ServerWorkers)
-	}
 	return nil
 }
 
@@ -314,8 +300,8 @@ const (
 	// slots wire form when grouping cannot win, so full never costs more
 	// ciphertexts than slots.
 	PackFull PackMode = "full"
-	// PackOff keeps one value per ciphertext — the A/B baseline the
-	// packing ablations (E20/E21) measure against.
+	// PackOff keeps one value per ciphertext — the reference the packing
+	// equivalence harness compares slots and full against.
 	PackOff PackMode = "off"
 )
 

@@ -38,7 +38,7 @@
 //	│ (registry.go)         concurrent sessions (ids, lifecycle  │
 //	│                       states, graceful drain, aggregate    │
 //	│                       snapshot) sharing one bounded crypto │
-//	│                       pool (Config.ServerWorkers); the     │
+//	│                       pool (injected as Config.Pool); the  │
 //	│                       accept loop of `ppdbscan serve`      │
 //	├────────────────────────────────────────────────────────────┤
 //	│ protocol families     horizontal · enhanced · vertical ·   │
@@ -156,8 +156,9 @@
 // stay in lock step, and labels, Ledgers, and comparison totals do not
 // depend on W (the parallel equivalence harness enforces this). W = 1 is
 // a one-worker wave, run inline on the session's bare connection; W > 1
-// multiplexes W channels over it. The win is round-trip overlap —
-// experiment E15 measures it over a simulated WAN. Responder workers draw
+// multiplexes W channels over it. The win is round-trip overlap — the
+// bench `wan` workload measures it over a delayed pipe as
+// core.sched_overlap_x. Responder workers draw
 // their permutations per channel, so with Selection=quickselect OrderBits
 // can shift with W (labels and CoreBits are unaffected); the scan default
 // is permutation-invariant.
@@ -174,9 +175,9 @@
 // schedules only pure big-integer arithmetic, never protocol state, so
 // every concurrent session's labels and Ledgers are byte-identical to
 // the same run on a solo server. The concurrency-equivalence harness
-// (registry_test.go) pins this at C ∈ {2, 4}, and experiment E16
-// measures the aggregate-throughput win of concurrency over a simulated
-// WAN. Session itself rejects misuse under concurrency: a second Run
+// (registry_test.go) pins this at C ∈ {2, 4}, and the bench `serve`
+// workload measures serving throughput (ops_per_s, core.manager_*).
+// Session itself rejects misuse under concurrency: a second Run
 // while one is in flight fails with ErrConcurrentRun, and Run after
 // Close fails with ErrSessionClosed.
 //
@@ -194,16 +195,17 @@
 // the client's hello, and then splices frames verbatim in both
 // directions — it never parses protocol traffic, which is what makes
 // routing protocol-transparent (labels and Ledgers through the
-// dispatcher are byte-identical to a direct connection; experiment E22
-// pins this for all four families). Admission is load-based: a shard
+// dispatcher are byte-identical to a direct connection;
+// dispatch.TestDispatcherTransparentForEveryFamily pins this for all
+// four families). Admission is load-based: a shard
 // at its in-flight cap (or failing pings) is skipped in ring-walk
 // order, and only when every shard is exhausted does the client see
 // the same typed refusals a solo server issues — ErrServerFull,
 // ErrDraining — before any keygen work. Draining the dispatcher drains
 // every shard and merges their ManagerSnapshots via MergeSnapshots
-// into one fleet rollup. Experiment E22 records the scaling claim:
-// with single-slot shards under WAN latency, aggregate runs/sec rises
-// strictly with the shard count at fixed total work.
+// into one fleet rollup. The bench `serve` workload measures the tier
+// end to end: ops_per_s through the dispatcher to two shards, with
+// dispatch.sheds and core.manager_* beside it.
 //
 // # Round structure and batching
 //
@@ -223,7 +225,8 @@
 //     a server, GOMAXPROCS for a solo run), so the round collapse comes
 //     with a wall-clock collapse on multi-core hosts.
 //   - sequential: the paper-literal schedule — one comparison sub-protocol
-//     per candidate pair — retained for A/B measurement (experiment E13).
+//     per candidate pair — retained as the equivalence harness's
+//     reference.
 //
 // The equivalence harness (equivalence_test.go) pins the contract: both
 // modes produce identical labels, cluster counts, and Ledger entries on
@@ -291,9 +294,10 @@
 // ring/mesh, W ∈ {1, 4}, pruning on/off, across Append/Expire/Retract,
 // for "slots" and "full" alike), and Result.CiphertextsSent records the
 // compression, split into CiphertextsUplink/CiphertextsDownlink —
-// experiments E20 ("slots") and E21 ("full") measure the ciphertext and
-// bytes-on-wire reduction at production key sizes. "off" (one value per
-// ciphertext) is retained for A/B measurement; packing requires the
+// every bench workload records both legs as core.cts_up / core.cts_down
+// (exact, gated by bench/counters.json) beside encoding.slots_product /
+// slots_compare. "off" (one value per ciphertext) is retained as the
+// harness's reference; packing requires the
 // batched round structure. The one disclosure "full" adds is batch-
 // local: a grouped frame shows the responder which instances of that
 // batch share an operand value (the value-equality partition, never the
@@ -334,9 +338,9 @@
 // with identical non-index Ledger classes. The index disclosure itself is
 // first-class Ledger state (IndexCells, IndexPaddedPoints,
 // IndexCellCoords, IndexQueryCells, IndexDeltaCells; see Ledger docs for
-// the budget semantics), and experiment E14 records the resulting
-// secure-comparison reduction (≥3× on clustered data) against the "off"
-// baseline.
+// the budget semantics); bench records the resulting reduction on every
+// grid workload as spatial.candidate_ratio (secure comparisons ÷
+// exhaustive pairs).
 //
 // # Streaming appends and the cross-run comparison cache
 //
@@ -377,8 +381,9 @@
 // session over the concatenated data (the incremental-equivalence
 // harness pins all four families plus the multiparty ring/mesh at
 // W ∈ {1, 4}), while Result.SecureComparisons shrinks toward
-// O(Δ·candidates) and Result.CachedComparisons records the reuse —
-// experiment E17 measures both against per-stage rebuilds.
+// O(Δ·candidates) and Result.CachedComparisons records the reuse — the
+// bench `live` workload measures both against rebuilds (rebuild_x,
+// core.append_step_s, core.cache_hit_ratio).
 //
 // # Sliding windows: expiry, tombstones, and cache invalidation
 //
@@ -421,8 +426,8 @@
 // byte-identical to a fresh session over exactly the window contents,
 // and slides cost strictly fewer secure comparisons than per-window
 // rebuilds (except the enhanced family, whose cleared cache makes a
-// slide cost exactly a rebuild) — experiment E18 measures the
-// reduction.
+// slide cost exactly a rebuild) — `live` times a slide as
+// core.window_step_s against core.rebuild_s.
 //
 // # Retraction: point tombstones, masked slots, and compaction
 //
@@ -467,8 +472,8 @@
 // costs strictly fewer secure comparisons than rebuilding (the
 // enhanced family under pruning is the deliberate exception — masked
 // dummies keep participating in its selection until compaction, so its
-// cost is bounded below by the rebuild's) — experiment E19 measures
-// the reduction.
+// cost is bounded below by the rebuild's) — `live` times a retraction
+// as core.retract_step_s against core.rebuild_s.
 //
 // The setup-class Ledger entries that record the streaming lifecycle,
 // side by side:

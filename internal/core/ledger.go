@@ -32,7 +32,8 @@ import (
 // same run with pruning off — the equivalence harness asserts this — while
 // its actual cryptographic exposure is strictly smaller (DotProducts in
 // particular upper-bounds the masked products a pruned responder really
-// received; the mechanical reduction is what experiment E14 measures).
+// received; bench records the mechanical reduction as
+// spatial.candidate_ratio).
 // What pruning adds is the index disclosure itself, tracked first-class in
 // the Index* entries:
 //
@@ -180,21 +181,22 @@ type Result struct {
 	Leakage Ledger
 	// SecureComparisons counts the comparison sub-protocol instances this
 	// party executed (one per decided predicate, batched or not) — the
-	// cryptographic-work metric the pruning ablation (E14) tracks.
+	// cryptographic-work metric bench gates exactly as core.secure_cmps.
 	SecureComparisons int64
 	// CachedComparisons counts the predicates this run answered from the
 	// session's cross-run comparison cache instead of executing a secure
 	// comparison: reused pair bits in the lockstep families, cached
 	// prefix memberships in the horizontal region queries, and reused
 	// core bits in the enhanced protocol. Zero on a session's first run;
-	// the streaming ablation (E17) tracks it against SecureComparisons.
+	// the bench `live` workload tracks it against SecureComparisons
+	// (core.cached_cmps, core.cache_hit_ratio).
 	CachedComparisons int64
 	// CiphertextsSent counts the Paillier ciphertexts this party put on
 	// the wire during the run — homomorphic payloads of the masked
 	// comparison engine and the masked-product/dot-product exchanges.
 	// This is the quantity slot packing (Config.Packing) compresses and
-	// the metric the packing ablations (E20/E21) track alongside bytes
-	// on the wire. YMPP RSA payloads are not counted. Always equal to
+	// the metric bench records per leg (core.cts_up, core.cts_down)
+	// alongside wire_mb. YMPP RSA payloads are not counted. Always equal to
 	// CiphertextsUplink + CiphertextsDownlink; retained as the
 	// compatibility sum.
 	CiphertextsSent int64

@@ -243,15 +243,7 @@ func establish(conn transport.Conn, cfg Config, role Role, proto string, ownDim,
 		random = transport.LockedReader(random)
 	}
 
-	// Crypto pool resolution: an injected shared pool (a multi-session
-	// server's SessionManager.Configure) wins; otherwise ServerWorkers > 0
-	// bounds this session's own fan-out; otherwise nil keeps the legacy
-	// per-call GOMAXPROCS behavior.
-	pool := cfg.Pool
-	if pool == nil && cfg.ServerWorkers > 0 {
-		pool = paillier.NewPool(cfg.ServerWorkers)
-	}
-	s := &Pair{cfg: cfg, role: role, epsSq: params.EpsSq, random: random, pool: pool, Conns: Channels(conn, cfg.Parallel)}
+	s := &Pair{cfg: cfg, role: role, epsSq: params.EpsSq, random: random, pool: cfg.Pool, Conns: Channels(conn, cfg.Parallel)}
 	s.paiKey, err = paillier.GenerateKey(random, cfg.PaillierBits)
 	if err != nil {
 		return nil, peerInfo{}, err

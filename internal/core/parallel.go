@@ -45,9 +45,9 @@ import (
 // pool. The CPU-heavy work inside a wave — batch encryption, decryption,
 // homomorphic arithmetic — reaches the pool through the engine and mpc
 // handles that carry the Pair's pool: on a multi-session server all W
-// workers of all sessions contend for one bounded pool
-// (Config.ServerWorkers) instead of fanning out W·GOMAXPROCS goroutines
-// per session.
+// workers of all sessions contend for the SessionManager's one bounded
+// pool (Config.Pool) instead of fanning out W·GOMAXPROCS goroutines per
+// session.
 
 // runWave executes one wave of n jobs concurrently (a single job runs
 // inline, with no goroutine). It returns the first root-cause error: when

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crypto/rand"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -13,32 +12,21 @@ import (
 // unpredictability of the permutation. math/rand is a linear generator
 // whose entire future stream can be reconstructed from a modest number of
 // observed outputs, so production sessions draw their Fisher–Yates swaps
-// from crypto/rand (CryptoPerm). Deterministic tests inject SeededPerm, a
-// splitmix64-backed source that is reproducible without ever linking
-// math/rand into protocol-visible code (CI greps for that).
+// from the pair's crypto randomness (cryptoPerm). Seeded sessions
+// (Config.Seed != 0: tests and reproducible experiments) get seededPerm,
+// a splitmix64-backed source that is reproducible without ever linking
+// math/rand into protocol-visible code (CI greps for that). Both are
+// built in one place, Pair.channelRng.
 
-// PermSource produces uniform random permutations; it is the injectable
-// seam between production (CryptoPerm) and deterministic tests
-// (SeededPerm).
+// PermSource produces uniform random permutations: what a responder's
+// serve function draws from, whichever of the two sources channelRng
+// picked.
 type PermSource interface {
 	Perm(n int) []int
 }
 
-// CryptoPerm returns a PermSource drawing Fisher–Yates swaps from random
-// via rejection sampling (unbiased). A nil reader falls back to
-// crypto/rand. The source is goroutine-safe exactly when the reader is.
-func CryptoPerm(random io.Reader) PermSource {
-	if random == nil {
-		random = rand.Reader
-	}
-	return cryptoPerm{r: random}
-}
-
-// SeededPerm returns a deterministic PermSource for tests: a splitmix64
-// stream feeding the same rejection-sampled Fisher–Yates as CryptoPerm.
-// Not for production use — its output is trivially predictable.
-func SeededPerm(seed uint64) PermSource { return newSeededPerm(seed) }
-
+// cryptoPerm draws Fisher–Yates swaps from r via rejection sampling
+// (unbiased). It is goroutine-safe exactly when the reader is.
 type cryptoPerm struct{ r io.Reader }
 
 func (p cryptoPerm) Perm(n int) []int {
@@ -63,7 +51,8 @@ func (p cryptoPerm) Perm(n int) []int {
 
 // seededPerm is a splitmix64 generator — tiny, full-period, and entirely
 // ours, so seeded determinism does not pull math/rand into the protocol
-// packages.
+// packages — feeding the same rejection-sampled Fisher–Yates as
+// cryptoPerm. Not for production use: its output is trivially predictable.
 type seededPerm struct{ state uint64 }
 
 func newSeededPerm(seed uint64) *seededPerm {

@@ -15,7 +15,7 @@ import (
 // independent privacy-preserving clustering sessions — each with its own
 // keys, grid index, Ledger, and Meter — while sharing the expensive
 // compute substrate: a SessionManager owns the process-wide bounded
-// crypto pool (Config.ServerWorkers) and tracks every live session's
+// crypto pool (injected as Config.Pool) and tracks every live session's
 // identity and lifecycle state, so `ppdbscan serve` can accept clients
 // in a loop, survive individual client failures, drain gracefully on
 // SIGINT, and report an aggregate traffic snapshot at shutdown.
@@ -162,8 +162,7 @@ type SessionManager struct {
 }
 
 // NewSessionManager builds a registry whose sessions share one bounded
-// crypto pool of `workers` slots (≤ 0: GOMAXPROCS — the
-// Config.ServerWorkers default).
+// crypto pool of `workers` slots (≤ 0: GOMAXPROCS).
 func NewSessionManager(workers int) *SessionManager {
 	return &SessionManager{
 		pool: paillier.NewPool(workers),

@@ -629,53 +629,3 @@ func runOneShot(t *Session, err error) (*Result, error) {
 	_ = t.Close()
 	return res, nil
 }
-
-// RunStream is the streaming variant of the one-shot wrappers for the
-// initiating party: it composes with any session constructor, executes an
-// initial Run, then one Append + Run per batch, and closes the session.
-// Results arrive in run order (len(batches)+1 of them). The serving peer
-// runs ServeStream (or any Run loop with an AppendSource).
-func RunStream(t *Session, err error, batches [][][]float64) ([]*Result, error) {
-	if err != nil {
-		return nil, err
-	}
-	res, err := t.Run()
-	if err != nil {
-		return nil, err
-	}
-	out := []*Result{res}
-	for i, batch := range batches {
-		if err := t.Append(batch); err != nil {
-			return out, fmt.Errorf("core: stream append %d: %w", i+1, err)
-		}
-		res, err := t.Run()
-		if err != nil {
-			return out, fmt.Errorf("core: stream run %d: %w", i+1, err)
-		}
-		out = append(out, res)
-	}
-	// The peer of a short stream may already have hung up after its last
-	// Run; a failed courtesy close is not a protocol failure.
-	_ = t.Close()
-	return out, nil
-}
-
-// ServeStream is RunStream's serving counterpart: it serves Run requests
-// (absorbing appends through the session's AppendSource) until the
-// initiating party closes, returning the per-run results in order.
-func ServeStream(t *Session, err error) ([]*Result, error) {
-	if err != nil {
-		return nil, err
-	}
-	var out []*Result
-	for {
-		res, err := t.Run()
-		if errors.Is(err, ErrSessionClosed) {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, res)
-	}
-}

@@ -417,50 +417,6 @@ func TestIncrementalEquivalenceSequential(t *testing.T) {
 	}
 }
 
-// TestRunStreamHelpers exercises the streaming one-shot wrappers: the
-// RunStream/ServeStream pair must reproduce the per-stage fresh labels.
-func TestRunStreamHelpers(t *testing.T) {
-	sc := streamHorizontalCase("horizontal", false)
-	cfg := testCfg(compare.EngineMasked)
-	ca, cb := transport.Pipe()
-	var resA, resB []*Result
-	var mu sync.Mutex
-	err := transport.RunPair(ca, cb,
-		func(transport.Conn) error {
-			sess, serr := NewHorizontalSession(ca, cfg, RoleAlice, testAlicePts)
-			out, err := RunStream(sess, serr,
-				[][][]float64{{{2, 0}, {0, 2}}, {{5, 5}, {7, 7}, {3, 3}}})
-			mu.Lock()
-			resA = out
-			mu.Unlock()
-			return err
-		},
-		func(transport.Conn) error {
-			sess, err := NewHorizontalSession(cb, cfg, RoleBob, testBobPts)
-			if err == nil {
-				src := sc.sourceB()
-				sess.SetAppendSource(src)
-			}
-			out, err := ServeStream(sess, err)
-			mu.Lock()
-			resB = out
-			mu.Unlock()
-			return err
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resA) != 3 || len(resB) != 3 {
-		t.Fatalf("stream produced %d/%d results, want 3/3", len(resA), len(resB))
-	}
-	for stage := 0; stage <= 2; stage++ {
-		fresh := sc.fresh(t, cfg, stage)
-		if !metrics.ExactMatch(resA[stage].Labels, fresh.ra.Labels) || !metrics.ExactMatch(resB[stage].Labels, fresh.rb.Labels) {
-			t.Errorf("stage %d: stream labels diverge from fresh session", stage)
-		}
-	}
-}
-
 // Misuse coverage for the append op: role, lifecycle, and concurrency
 // guards return the session's typed errors instead of racing.
 func TestAppendMisuse(t *testing.T) {

@@ -8,8 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/compare"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/dispatch"
+	"repro/internal/metrics"
+	"repro/internal/partition"
 	"repro/internal/transport"
 )
 
@@ -504,4 +508,236 @@ func TestBackendPreamble(t *testing.T) {
 	}
 	a.Close()
 	a2.Close()
+}
+
+// --- real protocol sessions through the tier ---
+
+// family opens one side of a long-lived session of one protocol family.
+type family struct {
+	name string
+	open func(conn transport.Conn, cfg core.Config, role core.Role) (*core.Session, error)
+}
+
+// fourFamilies builds the four two-party families over one small
+// quantized dataset, with seeded permutations so a session's labels,
+// Ledgers and counters do not depend on which connection carried it.
+// MinPts exceeds a party's share of a blob, so the enhanced family
+// cannot settle its core points locally and every family sends secure
+// traffic through the splice.
+func fourFamilies(t *testing.T) ([]family, core.Config) {
+	t.Helper()
+	q, scaleEps := dataset.Quantize(dataset.Blobs(24, 2, 0.08, 5), 64)
+	cfg := core.Config{
+		Eps: scaleEps(0.4), MinPts: 7, MaxCoord: 63,
+		PaillierBits: 256, RSABits: 256,
+		Engine: compare.EngineMasked, Seed: 5,
+	}
+	hs, err := partition.HorizontalRandom(q.Points, 0.5, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, err := partition.Vertical(q.Points, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	as, err := partition.ArbitraryRandom(q.Points, 0.5, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	side := func(role core.Role, alice, bob [][]float64) [][]float64 {
+		if role == core.RoleAlice {
+			return alice
+		}
+		return bob
+	}
+	return []family{
+		{"horizontal", func(conn transport.Conn, cfg core.Config, role core.Role) (*core.Session, error) {
+			return core.NewHorizontalSession(conn, cfg, role, side(role, hs.Alice, hs.Bob))
+		}},
+		{"enhanced", func(conn transport.Conn, cfg core.Config, role core.Role) (*core.Session, error) {
+			return core.NewEnhancedHorizontalSession(conn, cfg, role, side(role, hs.Alice, hs.Bob))
+		}},
+		{"vertical", func(conn transport.Conn, cfg core.Config, role core.Role) (*core.Session, error) {
+			return core.NewVerticalSession(conn, cfg, role, side(role, vs.Alice, vs.Bob))
+		}},
+		{"arbitrary", func(conn transport.Conn, cfg core.Config, role core.Role) (*core.Session, error) {
+			return core.NewArbitrarySession(conn, cfg, role, side(role, as.Alice, as.Bob), as.Owners)
+		}},
+	}, cfg
+}
+
+// sideOutcome is everything one party of a session decides or discloses.
+type sideOutcome struct {
+	setup core.Ledger
+	res   []*core.Result
+}
+
+// initiate is the client half: establish, runs clustering runs, close.
+func initiate(fam family, conn transport.Conn, cfg core.Config, runs int) (sideOutcome, error) {
+	var out sideOutcome
+	sess, err := fam.open(conn, cfg, core.RoleAlice)
+	if err != nil {
+		return out, err
+	}
+	out.setup = sess.SetupLeakage()
+	for r := 0; r < runs; r++ {
+		res, err := sess.Run()
+		if err != nil {
+			return out, err
+		}
+		out.res = append(out.res, res)
+	}
+	return out, sess.Close()
+}
+
+// respond is the serving half: establish, then run until the client
+// closes, calling ran after every completed run.
+func respond(fam family, conn transport.Conn, cfg core.Config, ran func()) (sideOutcome, error) {
+	var out sideOutcome
+	sess, err := fam.open(conn, cfg, core.RoleBob)
+	if err != nil {
+		return out, err
+	}
+	out.setup = sess.SetupLeakage()
+	for {
+		res, err := sess.Run()
+		if errors.Is(err, core.ErrSessionClosed) {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		ran()
+		out.res = append(out.res, res)
+	}
+}
+
+// TestDispatcherTransparentForEveryFamily is the routing-transparency
+// contract for real protocol traffic: for each of the four families, a
+// session routed client → Dispatcher.HandleConn → dialed conn →
+// Backend.Accept + SessionManager equals a session over a bare
+// transport.Pipe, run for run, in both parties' labels, run Ledgers,
+// set-up Ledgers and comparison/ciphertext counts (the second run
+// replays the session's comparison cache) — and the dispatcher's
+// fleet rollup afterwards accounts for exactly the sessions it routed.
+func TestDispatcherTransparentForEveryFamily(t *testing.T) {
+	const runs = 2
+	fams, cfg := fourFamilies(t)
+	for _, fam := range fams {
+		t.Run(fam.name, func(t *testing.T) {
+			var directA, directB sideOutcome
+			err := transport.Run2(
+				func(conn transport.Conn) (err error) {
+					directA, err = initiate(fam, conn, cfg, runs)
+					return err
+				},
+				func(conn transport.Conn) (err error) {
+					directB, err = respond(fam, conn, cfg, func() {})
+					return err
+				})
+			if err != nil {
+				t.Fatalf("direct session: %v", err)
+			}
+
+			mgr := core.NewSessionManager(0)
+			backend := &dispatch.Backend{Name: "shard-0", Mgr: mgr}
+			type served struct {
+				out sideOutcome
+				err error
+			}
+			servedc := make(chan served, 1)
+			d, err := dispatch.New(dispatch.Options{
+				Shards:         []string{backend.Name},
+				HealthInterval: -1,
+				Dial: func(string) (transport.Conn, error) {
+					a, b := transport.Pipe()
+					go func() {
+						h, ok, err := backend.Accept(b)
+						if !ok { // the rollup's stats pull, or a broken preamble
+							if err != nil {
+								servedc <- served{err: err}
+							}
+							return
+						}
+						defer b.Close()
+						h.Activate()
+						out, err := respond(fam, h.Meter(), mgr.Configure(cfg), h.RunDone)
+						h.End(err)
+						servedc <- served{out, err}
+					}()
+					return a, nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The routed session runs under a watchdog: a tier that
+			// swallows a frame must fail this test, not hang it.
+			client, shard, err, handled := connect(d, "key-"+fam.name)
+			if err != nil {
+				t.Fatalf("admission: %v", err)
+			}
+			watchdog := time.AfterFunc(30*time.Second, func() { client.Close() })
+			routedA, err := initiate(fam, client, cfg, runs)
+			client.Close()
+			if !watchdog.Stop() {
+				t.Fatal("routed session still running after 30 s")
+			}
+			if err != nil {
+				t.Fatalf("routed client: %v", err)
+			}
+			srv := <-servedc
+			if srv.err != nil {
+				t.Fatalf("routed server: %v", srv.err)
+			}
+			if err := <-handled; err != nil {
+				t.Fatalf("HandleConn: %v", err)
+			}
+			if shard != backend.Name {
+				t.Fatalf("admitted by %q, want %q", shard, backend.Name)
+			}
+
+			for _, side := range []struct {
+				who            string
+				direct, routed sideOutcome
+			}{{"client", directA, routedA}, {"server", directB, srv.out}} {
+				if side.routed.setup != side.direct.setup {
+					t.Errorf("%s: set-up Ledger differs through the dispatcher: %v vs %v", side.who, side.routed.setup, side.direct.setup)
+				}
+				if len(side.routed.res) != runs || len(side.direct.res) != runs {
+					t.Fatalf("%s: %d routed / %d direct results for %d runs", side.who, len(side.routed.res), len(side.direct.res), runs)
+				}
+				for r := 0; r < runs; r++ {
+					got, want := side.routed.res[r], side.direct.res[r]
+					if want.SecureComparisons+want.CachedComparisons == 0 {
+						t.Fatalf("%s run %d: no comparisons — the session is vacuous", side.who, r)
+					}
+					if !metrics.ExactMatch(got.Labels, want.Labels) {
+						t.Errorf("%s run %d: labels differ through the dispatcher", side.who, r)
+					}
+					if got.Leakage != want.Leakage {
+						t.Errorf("%s run %d: Ledger differs through the dispatcher: %v vs %v", side.who, r, got.Leakage, want.Leakage)
+					}
+					if got.SecureComparisons != want.SecureComparisons || got.CachedComparisons != want.CachedComparisons ||
+						got.CiphertextsSent != want.CiphertextsSent {
+						t.Errorf("%s run %d: %d secure / %d cached comparisons, %d ciphertexts routed; %d / %d, %d direct", side.who, r,
+							got.SecureComparisons, got.CachedComparisons, got.CiphertextsSent,
+							want.SecureComparisons, want.CachedComparisons, want.CiphertextsSent)
+					}
+				}
+			}
+
+			merged, rows := d.FleetSnapshot()
+			for _, row := range rows {
+				if row.Err != nil {
+					t.Fatalf("stats pull from %s: %v", row.Name, row.Err)
+				}
+			}
+			if merged.Opened != 1 || merged.Failed != 0 || merged.Runs != runs {
+				t.Fatalf("fleet rollup after 1 routed session of %d runs: opened %d, failed %d, runs %d",
+					runs, merged.Opened, merged.Failed, merged.Runs)
+			}
+		})
+	}
 }

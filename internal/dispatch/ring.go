@@ -104,14 +104,6 @@ func (r *Ring) Remove(shard string) {
 	r.points = kept
 }
 
-// Has reports whether the shard is currently on the ring.
-func (r *Ring) Has(shard string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.shards[shard]
-	return ok
-}
-
 // Shards returns the current members in sorted order.
 func (r *Ring) Shards() []string {
 	r.mu.RLock()

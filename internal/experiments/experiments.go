@@ -1,11 +1,13 @@
-// Package experiments regenerates every evaluation artifact of the
-// paper: the Figure 1 privacy attack, the partition-model checks,
-// the communication-complexity measurements of §4.2.2/§4.3.2/§5.1, the
-// correctness comparisons against single-party DBSCAN, and the ablations
-// (comparison engines, selection strategies, key sizes, end-to-end
-// scaling). Each experiment writes a self-describing table to an
-// io.Writer (README, "Experiments and benchmarks", lists how to run
-// them).
+// Package experiments regenerates the paper's evaluation artifacts,
+// E1–E12: the Figure 1 privacy attack, the partition-model checks, the
+// communication-complexity measurements of §4.2.2/§4.3.2/§5.1, the
+// correctness comparisons against single-party DBSCAN, the paper-level
+// ablations (comparison engines, selection strategies, key sizes,
+// end-to-end scaling) and the multi-party extension. Each experiment
+// writes a self-describing table to an io.Writer. Times and throughputs
+// of this repository's own extensions (pruning, packing, scheduling,
+// live sessions, serving) are not measured here: bench/ is the one
+// harness that records them (README, "Measuring").
 package experiments
 
 import (
@@ -53,16 +55,6 @@ func All() []Experiment {
 		{"e10", "Key size scaling", "per-operation cost of Paillier and raw RSA vs modulus size", runE10},
 		{"e11", "End-to-end scaling", "quadratic pair-protocol growth dominates all three protocols", runE11},
 		{"e12", "Multi-party extension (§1)", "the two-party vertical protocol extends to k parties with exact output and one extra hop per party", runE12},
-		{"e13", "Batching ablation", "batched comparison rounds cut frame counts by ~nPeer with identical labels, Ledgers, and bits", runE13},
-		{"e14", "Grid-pruning ablation", "the Eps-grid candidate index cuts secure comparisons ≥3× on clustered data with identical labels and non-index Ledger classes", runE14},
-		{"e15", "Parallelism ablation", "the W-worker query scheduler overlaps round trips the lockstep schedule serializes — ≥1.5× wall clock on the vertical family at W=4 over a simulated WAN, with identical labels and Ledgers", runE15},
-		{"e16", "Session-concurrency sweep", "one server holding C concurrent sessions over a shared bounded crypto pool raises aggregate runs/sec from C=1 to C=4 over a simulated WAN, with every session byte-identical to the solo server", runE16},
-		{"e17", "Streaming append sweep", "a live session absorbing appended batches re-clusters at O(\u0394\u00b7candidates) cost: the cross-run comparison cache and delta index exchange cut secure comparisons and WAN wall clock vs per-stage rebuilds, with byte-identical labels at every stage", runE17},
-		{"e18", "Sliding-window expiry sweep", "a live session sliding a W-generation window (WindowAppend = append + expire-oldest) re-clusters with strictly fewer secure comparisons than fresh per-window rebuilds: tombstoned generations compact away, caches invalidate only entries touching expired points, and labels stay byte-identical to a session over exactly the window contents", runE18},
-		{"e19", "Point-retraction sweep", "a live session retracting individual records (point tombstones masking index slots in place, exact cache invalidation) re-clusters with strictly fewer secure comparisons than fresh per-retraction rebuilds, with labels byte-identical to a session over exactly the surviving points and the disclosure on both setup ledgers (IndexRetractions)", runE19},
-		{"e20", "Plaintext-packing ablation", "slot-shifted encoding packs S fixed-point values per Paillier plaintext, cutting ciphertexts/query and bytes/query ≥2× at 512-bit keys with byte-identical labels and disclosure Ledgers", runE20},
-		{"e21", "Packed-uplink ablation", "\"full\" packing extends the slot scheme to the masked comparison uplink (grouped / derived / per-instance-fallback wire modes), pushing the compare-dominated families' ciphertext reduction toward ≥2.5× vs unpacked at 512-bit keys — uplink leg cut by ~the slot count — with byte-identical labels and disclosure Ledgers across off/slots/full", runE21},
-		{"e22", "Shard-scaling sweep", "a dispatcher consistent-hashing C concurrent sessions across N single-slot shard backends scales aggregate runs/sec strictly with N at fixed total work (admission capacity is the bottleneck under WAN latency), while routing stays protocol-transparent: all four families' labels and disclosure Ledgers byte-identical through the dispatcher vs a direct connection", runE22},
 	}
 }
 
@@ -73,7 +65,7 @@ func (e ErrUnknownExperiment) Error() string {
 	return fmt.Sprintf("experiments: unknown experiment %q", e.ID)
 }
 
-// Run executes one experiment by id ("e1".."e22") or "all".
+// Run executes one experiment by id ("e1".."e12") or "all".
 func Run(id string, w io.Writer, opt Options) error {
 	id = strings.ToLower(strings.TrimSpace(id))
 	if id == "all" {

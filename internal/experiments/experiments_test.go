@@ -10,8 +10,8 @@ import (
 
 func TestRegistryComplete(t *testing.T) {
 	all := All()
-	if len(all) != 22 {
-		t.Fatalf("registry has %d experiments, want 22", len(all))
+	if len(all) != 12 {
+		t.Fatalf("registry has %d experiments, want 12", len(all))
 	}
 	seen := map[string]bool{}
 	for _, e := range all {
@@ -25,11 +25,15 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// The registry ends at e12: this repository's own extensions are measured
+// by bench/, so e13..e22 must not resolve.
 func TestRunUnknownID(t *testing.T) {
-	err := Run("e99", io.Discard, Options{Quick: true})
-	var unknown ErrUnknownExperiment
-	if !errors.As(err, &unknown) {
-		t.Errorf("err = %v, want ErrUnknownExperiment", err)
+	for _, id := range []string{"e99", "e13", "e22"} {
+		err := Run(id, io.Discard, Options{Quick: true})
+		var unknown ErrUnknownExperiment
+		if !errors.As(err, &unknown) {
+			t.Errorf("%s: err = %v, want ErrUnknownExperiment", id, err)
+		}
 	}
 }
 

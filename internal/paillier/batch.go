@@ -10,8 +10,8 @@ import (
 // per-ciphertext work — the nonce and c^{p−1} modular exponentiations — is
 // embarrassingly parallel. Every batch op takes an explicit *Pool handle:
 // a server process shares one bounded Pool across all of its sessions
-// (core.SessionManager), while a nil pool keeps the legacy per-call
-// GOMAXPROCS fan-out for solo runs. EncryptBatch and DecryptBatch (and
+// (core.SessionManager), while a nil pool — the solo-session default —
+// fans each call out over GOMAXPROCS. EncryptBatch and DecryptBatch (and
 // their signed variants) are the entry points the MPC and comparison
 // layers use.
 //

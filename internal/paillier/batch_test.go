@@ -20,8 +20,8 @@ func batchTestKey(t *testing.T) *PrivateKey {
 	return key
 }
 
-// batchPools is the pool matrix every batch test runs against: the legacy
-// nil handle (GOMAXPROCS fan-out), a single-slot shared pool, and a wider
+// batchPools is the pool matrix every batch test runs against: the
+// nil handle (the solo-session default: per-call GOMAXPROCS fan-out), a single-slot shared pool, and a wider
 // shared pool.
 func batchPools() map[string]*Pool {
 	return map[string]*Pool{"nil": nil, "pool1": NewPool(1), "pool4": NewPool(4)}

@@ -15,9 +15,9 @@ import (
 // N·GOMAXPROCS — N sessions contend for the shared slots rather than
 // oversubscribing the CPU.
 //
-// A nil *Pool is valid everywhere a pool handle is accepted and selects
-// the legacy per-call fan-out: min(GOMAXPROCS, n) workers per batch,
-// the right default for a solo session that owns the whole process.
+// A nil *Pool is valid everywhere a pool handle is accepted and is the
+// solo-session default: each batch fans out over min(GOMAXPROCS, n)
+// workers of its own, right for a session that owns the whole process.
 //
 // Deadlock freedom: the calling goroutine always participates in its
 // own batch, and helper slots are acquired without blocking — a

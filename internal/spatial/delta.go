@@ -353,8 +353,7 @@ func (s *Stack) ResolveRange(from int, cells [][]int64) (members []int, nDummy i
 // [from, to) and resolves it to the member point indices (global,
 // generation-major) plus the number of dummy entries padding the batch to
 // the disclosed stacked counts. A cell must be occupied in at least one
-// live generation of the span, mirroring Directory.ResolveQuery's
-// occupancy check on the full index; expired generations contribute
+// live generation of the span; expired generations contribute
 // nothing. from and to are absolute, with 0 ≤ from ≤ to ≤ Gens().
 func (s *Stack) ResolveSpan(from, to int, cells [][]int64) (members []int, nDummy int, err error) {
 	if from < 0 || to > s.Gens() || from > to {

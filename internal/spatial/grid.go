@@ -265,31 +265,6 @@ func (d Directory) Count(cell []int64) int {
 	return d.byKey[Key(cell)]
 }
 
-// ResolveQuery validates an announced candidate-cell list against this
-// party's own grid and directory — canonical order, occupied cells only —
-// and resolves it to the member point indices (in cell order) plus the
-// number of dummy entries that pad the batch to the disclosed counts.
-// Every responder of a pruned region query uses this, so the driver's and
-// responder's batch sizes agree by construction.
-func (d Directory) ResolveQuery(g *Grid, cells [][]int64) (members []int, nDummy int, err error) {
-	prev := ""
-	total := 0
-	for i, c := range cells {
-		k := Key(c)
-		if i > 0 && k <= prev {
-			return nil, 0, fmt.Errorf("spatial: query cells out of canonical order")
-		}
-		prev = k
-		padded := d.byKey[k]
-		if padded == 0 {
-			return nil, 0, fmt.Errorf("spatial: query names unoccupied cell %v", c)
-		}
-		members = append(members, g.cells[k]...)
-		total += padded
-	}
-	return members, total - len(members), nil
-}
-
 // Encode appends the directory to a wire message: dim, cell count, then
 // per cell the coordinates and padded count.
 func (d Directory) Encode(b *transport.Builder) *transport.Builder {

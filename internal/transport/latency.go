@@ -7,9 +7,10 @@ import (
 
 // LatencyPipe is Pipe with a one-way delivery delay: every message
 // becomes receivable d after it was sent, modelling WAN latency without
-// throttling throughput (messages in flight overlap). The parallelism
-// ablation (experiment E15) uses it to measure how the query scheduler
-// hides round-trip time; the CPU cost of the cryptography is unchanged.
+// throttling throughput (messages in flight overlap). The bench `wan`
+// workload uses it to measure how the query scheduler hides round-trip
+// time (core.sched_overlap_x); the CPU cost of the cryptography is
+// unchanged.
 func LatencyPipe(d time.Duration) (Conn, Conn) {
 	const depth = 4096
 	ab := make(chan stamped, depth)

@@ -262,23 +262,3 @@ func BobLess(conn transport.Conn, pub *RSAPublicKey, b, bound int64, random io.R
 	}
 	return BobCompare(conn, pub, b+1, bound+1, random)
 }
-
-// SendPublicKey transmits Alice's RSA public key to Bob at session setup.
-func SendPublicKey(conn transport.Conn, pub *RSAPublicKey) error {
-	nb, eb := MarshalRSAPublicKey(pub)
-	return transport.SendMsg(conn, transport.NewBuilder().PutBytes(nb).PutBytes(eb))
-}
-
-// RecvPublicKey receives the RSA public key sent by SendPublicKey.
-func RecvPublicKey(conn transport.Conn) (*RSAPublicKey, error) {
-	r, err := transport.RecvMsg(conn)
-	if err != nil {
-		return nil, err
-	}
-	nb := r.Bytes()
-	eb := r.Bytes()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	return UnmarshalRSAPublicKey(nb, eb)
-}
