@@ -2,11 +2,17 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/compare"
 	"repro/internal/partition"
+	"repro/internal/testutil"
 	"repro/internal/transport"
 )
 
@@ -255,5 +261,87 @@ func TestHorizontalCoordOutOfRange(t *testing.T) {
 	}
 	if _, err := HorizontalAlice(conn, cfg, [][]float64{{-1, 0}}); err == nil {
 		t.Error("negative coordinate accepted")
+	}
+}
+
+// vanishingConn closes itself once its budget of received frames is spent.
+// The budget can be set while the connection is in use — so the peer can
+// be made to vanish inside a Run, whatever establishment took.
+type vanishingConn struct {
+	transport.Conn
+	remaining atomic.Int64
+}
+
+func (v *vanishingConn) Recv() ([]byte, error) {
+	if v.remaining.Add(-1) < 0 {
+		v.Conn.Close()
+		return nil, transport.ErrClosed
+	}
+	return v.Conn.Recv()
+}
+
+// TestSessionPeerVanishesMidRun: the initiating party's connection dies
+// inside a Run over a delayed link — the state in which the nonce filler is
+// at work beside the protocol. Both parties get the typed error in bounded
+// time, every goroutine the sessions started (mux readers, workers, nonce
+// fillers) is gone, and the sessions are closed for good.
+func TestSessionPeerVanishesMidRun(t *testing.T) {
+	for _, fam := range stockFamilies(t) {
+		if fam.name != "horizontal" && fam.name != "vertical" {
+			continue
+		}
+		for _, w := range []int{1, 4} {
+			for _, afterMsgs := range []int64{0, 3, 9} {
+				label := fmt.Sprintf("%s W=%d afterMsgs=%d", fam.name, w, afterMsgs)
+				before := runtime.NumGoroutine()
+				ca, cb := transport.LatencyPipe(time.Millisecond)
+				flaky := &vanishingConn{Conn: ca}
+				flaky.remaining.Store(math.MaxInt64)
+				cfg := parallelCfg(compare.EngineMasked, w, PruneGrid)
+				var sessions [2]*Session
+				var ready sync.WaitGroup
+				ready.Add(2)
+				errc := make(chan error, 2)
+				party := func(p int, conn transport.Conn, open func(transport.Conn, Config) (*Session, error)) {
+					sess, err := open(conn, cfg)
+					sessions[p] = sess
+					ready.Done()
+					if err == nil {
+						ready.Wait()
+						if p == 0 {
+							flaky.remaining.Store(afterMsgs)
+						}
+						_, err = sess.Run()
+					}
+					conn.Close()
+					errc <- err
+				}
+				go party(0, flaky, fam.newA)
+				go party(1, cb, fam.newB)
+				for i := 0; i < 2; i++ {
+					select {
+					case err := <-errc:
+						if !errors.Is(err, transport.ErrClosed) {
+							t.Errorf("%s: err = %v, want transport.ErrClosed", label, err)
+						}
+					case <-timeoutAfterProtocol(t):
+						t.Fatalf("%s: Run hung after the connection dropped", label)
+					}
+				}
+				testutil.CheckNoLeak(t, before, label)
+				for p, sess := range sessions {
+					if sess == nil {
+						t.Fatalf("%s: party %d never established", label, p)
+					}
+					if _, err := sess.Run(); !errors.Is(err, ErrSessionClosed) {
+						t.Errorf("%s: party %d: Run on the failed session = %v, want ErrSessionClosed", label, p, err)
+					}
+					if st := sess.NonceStats(); st.Produced != st.Hits+st.Discarded {
+						t.Errorf("%s: party %d: stock %+v does not balance after the failure", label, p, st)
+					}
+				}
+				testutil.CheckNoLeak(t, before, label+" after the refused Run")
+			}
+		}
 	}
 }

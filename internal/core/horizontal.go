@@ -110,15 +110,6 @@ func newHorizontalSession(conn transport.Conn, cfg Config, role Role, points [][
 	return t, nil
 }
 
-// newSession wraps an established Pair as a Session; the establishment
-// disclosures recorded so far become its setup ledger. The family wires
-// the hooks.
-func newSession(conn transport.Conn, s *Pair, proto string) *Session {
-	t := &Session{s: s, proto: proto, setup: s.takeLedger()}
-	t.idleCtl, _ = conn.(idleController)
-	return t
-}
-
 // NewPair establishes one HDP edge over a party's own generation table:
 // worker channels, keys and the v10 handshake (proto names the protocol;
 // role breaks the symmetry — it decides who sends first in every frame

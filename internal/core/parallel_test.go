@@ -214,3 +214,32 @@ func TestWaveDriveRejectsBadWidth(t *testing.T) {
 		}
 	}
 }
+
+// TestMuxBacklogOfHonestRuns records how deep a worker channel's receive
+// queue gets in a W = 4 Run — traffic is request/reply per channel, with
+// one frame of wave pipelining — and holds transport's backlog bound an
+// order of magnitude above that mark, so the bound that stops a flooding
+// peer (transport.ErrMuxBacklog) is nowhere near an honest one.
+func TestMuxBacklogOfHonestRuns(t *testing.T) {
+	for _, fam := range stockFamilies(t) {
+		if fam.name != "horizontal" && fam.name != "vertical" {
+			continue
+		}
+		a, b := runOverLatency(t, fam, parallelCfg(compare.EngineMasked, 4, PruneGrid))
+		deepest, most := 0, 0
+		for _, side := range []stockSide{a, b} {
+			for _, c := range side.sess.s.Conns {
+				frames, bytes := c.(interface{ BacklogHighWater() (int, int) }).BacklogHighWater()
+				deepest, most = max(deepest, frames), max(most, bytes)
+			}
+		}
+		t.Logf("%s W=4: deepest channel backlog %d frames, %d bytes", fam.name, deepest, most)
+		if deepest == 0 {
+			t.Errorf("%s: no channel ever queued a frame — nothing was measured", fam.name)
+		}
+		if 10*deepest > transport.MaxMuxBacklogFrames || 10*most > transport.MaxMuxBacklogBytes {
+			t.Errorf("%s: backlog of %d frames / %d bytes is within an order of magnitude of the bound (%d / %d)",
+				fam.name, deepest, most, transport.MaxMuxBacklogFrames, transport.MaxMuxBacklogBytes)
+		}
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/paillier"
+	"repro/internal/testutil"
 	"repro/internal/transport"
 	"repro/internal/yao"
 )
@@ -110,22 +111,8 @@ func TestMeshPeerDisappearsMidRun(t *testing.T) {
 					t.Errorf("W=%d afterMsgs=%d party %d: returned labels", w, afterMsgs, p)
 				}
 			}
-			checkNoLeak(t, before, fmt.Sprintf("W=%d afterMsgs=%d", w, afterMsgs))
+			testutil.CheckNoLeak(t, before, fmt.Sprintf("W=%d afterMsgs=%d", w, afterMsgs))
 		}
-	}
-}
-
-// checkNoLeak fails if more goroutines are alive than before the case
-// started. Mux readers and responder workers unwind once their edge is
-// closed; give the scheduler a moment to retire them.
-func checkNoLeak(t *testing.T, before int, label string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Errorf("%s: %d goroutines outlive the run (%d before)", label, n, before)
 	}
 }
 
@@ -237,7 +224,7 @@ func TestRingDisagreementFailsEveryParty(t *testing.T) {
 						t.Errorf("%s party %d: %v", label, p, err)
 					}
 				}
-				checkNoLeak(t, before, label)
+				testutil.CheckNoLeak(t, before, label)
 			}
 		}
 	}

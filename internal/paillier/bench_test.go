@@ -44,6 +44,48 @@ func BenchmarkUnblinded1024(b *testing.B) {
 	benchEncrypt(b, func(_ io.Reader, m *big.Int) (*big.Int, error) { return k.Unblinded(m) })
 }
 
+// BenchmarkEncryptBatchStocked1024 is one reply of eight ciphertexts under
+// the peer's key: "ready" with its nonces waiting on the shelf — what a
+// session pays between an uplink and its reply once the filler has used
+// the wire wait — and "empty" with the shelf bare, which is
+// BenchmarkEncryptPublic1024 eight times over. No filler runs; the shelf
+// is restocked off the clock.
+func BenchmarkEncryptBatchStocked1024(b *testing.B) {
+	const batch = 8
+	ms := bigs(make([]int64, batch))
+	for _, ready := range []bool{true, false} {
+		name := "empty"
+		if ready {
+			name = "ready"
+		}
+		b.Run(name, func(b *testing.B) {
+			_, pub, stock := stockedKey(b, 1024, nil)
+			want := uint64(0)
+			if ready {
+				order(stock, batch) // from here on each batch orders the next one's
+				want = uint64(batch * b.N)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if ready {
+					b.StopTimer()
+					stock.restock(nil)
+					b.StartTimer()
+				}
+				cts, err := pub.EncryptBatch(nil, rand.Reader, ms)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = cts[0]
+			}
+			if st := stock.Stats(false); st.Hits != want {
+				b.Fatalf("stats %+v over %d batches of %d: want %d hits on a shelf that is %s", st, b.N, batch, want, name)
+			}
+		})
+	}
+}
+
 func benchEncrypt(b *testing.B, encrypt func(random io.Reader, m *big.Int) (*big.Int, error)) {
 	m := big.NewInt(123456)
 	b.ReportAllocs()

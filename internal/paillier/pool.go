@@ -44,6 +44,33 @@ func (p *Pool) Workers() int {
 	return cap(p.sem)
 }
 
+// hold takes one helper slot for a background goroutine of the caller's
+// own, waiting until a slot is free, and reports false — no slot taken —
+// if stop closed first. A nil pool has no bound to count against, so only
+// stop is looked at. Every true is paired with one release.
+func (p *Pool) hold(stop <-chan struct{}) bool {
+	select {
+	case <-stop:
+		return false
+	default:
+	}
+	if p == nil {
+		return true
+	}
+	select {
+	case <-stop:
+		return false
+	case p.sem <- struct{}{}:
+		return true
+	}
+}
+
+func (p *Pool) release() {
+	if p != nil {
+		<-p.sem
+	}
+}
+
 // ParallelFor runs fn(0..n-1) across the caller plus as many pool
 // helpers as are free (nil pool: min(GOMAXPROCS, n) workers) and
 // returns the first error (remaining work is abandoned on error). fn

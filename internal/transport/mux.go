@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 )
@@ -29,6 +30,31 @@ import (
 // tag cannot balloon the channel table.
 const MaxMuxChannels = 64
 
+// A channel's backlog — frames the reader has delivered and nobody has
+// received yet — is bounded, because the peer chooses both the channel id
+// and when to send: without a bound, a peer flooding a channel nobody
+// reads makes the process buffer 16 MB frames until it dies. Honest
+// traffic is request/reply per channel: the worker channels of a W = 4 Run
+// never hold more than 2 frames (core's TestMuxBacklogOfHonestRuns records
+// the mark and holds the frame bound an order of magnitude above it), and
+// the deepest the test suites drive the control channel — a string of
+// one-way Expire and Retract ops ahead of a descheduled serving side — is
+// 5. The byte bound cannot follow a measurement down: one honest frame may
+// be MaxFrameSize, so it is two of those.
+const (
+	MaxMuxBacklogFrames = 64
+	MaxMuxBacklogBytes  = 2 * MaxFrameSize
+)
+
+// ErrMuxBacklog reports that the peer sent a channel more than it may
+// leave unread (MaxMuxBacklogFrames, MaxMuxBacklogBytes). It fails the
+// whole Mux: the reader stops, and every channel returns it once its
+// queue has drained. An honest peer can meet it only by streaming more
+// one-way frames than the bound at a receiver that does not read; every
+// exchange that waits for a reply (a Run, an Append) starts the count
+// again.
+var ErrMuxBacklog = errors.New("transport: mux channel backlog over its bound")
+
 // AppendMuxFrame encodes one channel-tagged frame: uvarint channel id
 // followed by the payload.
 func AppendMuxFrame(dst []byte, ch uint32, payload []byte) []byte {
@@ -54,6 +80,10 @@ func DecodeMuxFrame(b []byte) (ch uint32, payload []byte, err error) {
 type Mux struct {
 	base Conn
 
+	// backlogBytes is MaxMuxBacklogBytes, except in the test that lowers
+	// it to flood cheaply.
+	backlogBytes int
+
 	wmu sync.Mutex // serializes writes from concurrent channels
 
 	mu      sync.Mutex // guards chans, readErr, started, closed
@@ -67,7 +97,7 @@ type Mux struct {
 // direction from the first Recv on any channel; do not read base directly
 // afterwards. Closing the Mux closes base.
 func NewMux(base Conn) *Mux {
-	return &Mux{base: base, chans: make(map[uint32]*muxChan)}
+	return &Mux{base: base, chans: make(map[uint32]*muxChan), backlogBytes: MaxMuxBacklogBytes}
 }
 
 // Channel returns the logical channel with the given id, creating it on
@@ -127,7 +157,10 @@ func (m *Mux) readLoop() {
 		m.mu.Lock()
 		c := m.channelLocked(ch)
 		m.mu.Unlock()
-		c.push(payload)
+		if !c.push(payload) {
+			m.fail(fmt.Errorf("%w: channel %d", ErrMuxBacklog, ch))
+			return
+		}
 	}
 }
 
@@ -156,15 +189,35 @@ type muxChan struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  [][]byte
+	queued int   // bytes in queue
 	err    error // terminal receive error, delivered after the queue drains
 	closed bool
+
+	hiFrames, hiBytes int // deepest backlog so far
 }
 
-func (c *muxChan) push(b []byte) {
+// push queues one received frame, or reports false when the backlog is at
+// its bound.
+func (c *muxChan) push(b []byte) bool {
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.queue) >= MaxMuxBacklogFrames || c.queued+len(b) > c.m.backlogBytes {
+		return false
+	}
 	c.queue = append(c.queue, b)
+	c.queued += len(b)
+	c.hiFrames = max(c.hiFrames, len(c.queue))
+	c.hiBytes = max(c.hiBytes, c.queued)
 	c.cond.Signal()
-	c.mu.Unlock()
+	return true
+}
+
+// BacklogHighWater reports the deepest backlog this channel has held, in
+// frames and in bytes.
+func (c *muxChan) BacklogHighWater() (frames, bytes int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hiFrames, c.hiBytes
 }
 
 func (c *muxChan) failWith(err error) {
@@ -197,6 +250,7 @@ func (c *muxChan) Recv() ([]byte, error) {
 		if len(c.queue) > 0 {
 			b := c.queue[0]
 			c.queue = c.queue[1:]
+			c.queued -= len(b)
 			return b, nil
 		}
 		if c.closed {

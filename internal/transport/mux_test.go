@@ -105,6 +105,80 @@ func TestMuxSlowChannelDoesNotBlockOthers(t *testing.T) {
 	}
 }
 
+// TestMuxBacklogIsBounded floods channel 63 — an id the receiving side
+// never asked for — while its session channels wait. The Mux must stop
+// buffering at its bound, by frames and by bytes, and fail every channel
+// with ErrMuxBacklog; the flooded channel hands out what it queued first.
+func TestMuxBacklogIsBounded(t *testing.T) {
+	const byteBound = 64 << 10
+	for _, tc := range []struct {
+		name    string
+		payload int // bytes per flooding frame
+		frames  int // frames the bound admits
+	}{
+		{"frames", 16, MaxMuxBacklogFrames},
+		{"bytes", 10 << 10, byteBound / (10 << 10)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ma, mb := muxPair()
+			defer ma.Close()
+			defer mb.Close()
+			if tc.name == "bytes" {
+				mb.backlogBytes = byteBound
+			}
+			const session = 4
+			errc := make(chan error, session)
+			for ch := uint32(0); ch < session; ch++ {
+				go func(c Conn) {
+					_, err := c.Recv()
+					errc <- err
+				}(mb.Channel(ch))
+			}
+			flood, payload := ma.Channel(MaxMuxChannels-1), make([]byte, tc.payload)
+			for i := 0; i < tc.frames+8; i++ {
+				if err := flood.Send(payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for ch := 0; ch < session; ch++ {
+				select {
+				case err := <-errc:
+					if !errors.Is(err, ErrMuxBacklog) {
+						t.Errorf("session channel: err = %v, want ErrMuxBacklog", err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("a session channel is still waiting behind the flood")
+				}
+			}
+			flooded := mb.Channel(MaxMuxChannels - 1)
+			got := 0
+			for {
+				_, err := flooded.Recv()
+				if err != nil {
+					if !errors.Is(err, ErrMuxBacklog) {
+						t.Errorf("flooded channel: err = %v, want ErrMuxBacklog", err)
+					}
+					break
+				}
+				if got++; got > tc.frames {
+					t.Fatalf("flooded channel delivered more than the %d frames its bound admits", tc.frames)
+				}
+			}
+			if got != tc.frames {
+				t.Errorf("flooded channel delivered %d frames, want the %d its bound admits", got, tc.frames)
+			}
+			frames, bytes := flooded.(*muxChan).BacklogHighWater()
+			if frames > MaxMuxBacklogFrames || bytes > mb.backlogBytes {
+				t.Errorf("backlog reached %d frames / %d bytes, bounds %d / %d", frames, bytes, MaxMuxBacklogFrames, mb.backlogBytes)
+			}
+			// A channel first asked for after the failure inherits it.
+			if _, err := mb.Channel(9).Recv(); !errors.Is(err, ErrMuxBacklog) {
+				t.Errorf("late channel: err = %v, want ErrMuxBacklog", err)
+			}
+		})
+	}
+}
+
 func TestMuxCloseUnblocksChannels(t *testing.T) {
 	ma, mb := muxPair()
 	if err := ma.Channel(0).Send([]byte("x")); err != nil {
@@ -141,7 +215,8 @@ func TestMeterConcurrentChannelWriters(t *testing.T) {
 	defer ma.Close()
 	defer mb.Close()
 
-	const perChan = 200
+	// Nobody paces these senders, so they stay below MaxMuxBacklogFrames.
+	const perChan = 60
 	var wg sync.WaitGroup
 	recvDone := make(chan int64, 2)
 	for ch := uint32(0); ch < 2; ch++ {
