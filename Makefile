@@ -35,7 +35,7 @@ bench-check:
 	bash bench/run.sh -check
 
 # Short fuzz pass over the wire, batch-frame, mux-frame, and spatial-grid
-# codecs.
+# codecs, and yao's limb kernel against math/big.
 fuzz:
 	$(GO) test ./internal/transport -run NONE -fuzz FuzzBatchFrameCodec -fuzztime 10s
 	$(GO) test ./internal/transport -run NONE -fuzz FuzzReaderNeverPanics -fuzztime 10s
@@ -46,6 +46,7 @@ fuzz:
 	$(GO) test ./internal/spatial -run NONE -fuzz FuzzPointTombstone -fuzztime 10s
 	$(GO) test ./internal/encoding -run NONE -fuzz FuzzSlotPack -fuzztime 10s
 	$(GO) test ./internal/compare -run NONE -fuzz FuzzPackedUplink -fuzztime 10s
+	$(GO) test ./internal/yao -run NONE -fuzz FuzzMont4Exp -fuzztime 10s
 
 clean:
 	rm -rf .bench_build ppdbscan

@@ -90,7 +90,11 @@
 //	│                       consumption, same nonce per wire     │
 //	│                       ciphertext). Every packed reply and  │
 //	│                       dot product is folded by one kernel, │
-//	│                       SlotFold                             │
+//	│                       SlotFold. YMPP's Da runs its two CRT │
+//	│                       exponentiations on yao's own         │
+//	│                       four-limb Montgomery kernel whenever │
+//	│                       the RSA primes fit 256 bits (every   │
+//	│                       key up to 512), on math/big above    │
 //	├────────────────────────────────────────────────────────────┤
 //	│ transport mux         transport.Mux: W channel-tagged      │
 //	│ (internal/transport)  logical channels over one Conn,      │

@@ -60,7 +60,7 @@ func AliceCompareBatch(conn transport.Conn, key *RSAKey, is []int64, n0 int64, r
 			return nil, fmt.Errorf("yao: batch[%d] round-1 value outside Z_N", t)
 		}
 		ys := decryptRange(pool, key, base, int(n0))
-		p, zs, err := findSeparatingPrime(random, key.N.BitLen()/2, ys)
+		p, zs, err := findSeparatingPrime(random, key.sepPrimeBits(), ys)
 		if err != nil {
 			return nil, fmt.Errorf("yao: batch[%d]: %w", t, err)
 		}
@@ -140,11 +140,8 @@ func BobCompareBatch(conn transport.Conn, pub *RSAPublicKey, js []int64, n0 int6
 		if r.Err() != nil {
 			return nil, fmt.Errorf("yao: bob parse batch round 2 [%d]: %w", t, r.Err())
 		}
-		if int64(len(ws)) != n0 {
-			return nil, fmt.Errorf("%w: batch[%d] has %d numbers, want %d", ErrDomainMismatch, t, len(ws), n0)
-		}
-		if p.Sign() <= 0 {
-			return nil, fmt.Errorf("yao: batch[%d] invalid prime from alice", t)
+		if err := checkRound2(pub, p, ws, n0); err != nil {
+			return nil, fmt.Errorf("yao: batch[%d]: %w", t, err)
 		}
 		xModP := new(big.Int).Mod(xs[t], p)
 		bits[t] = ws[j-1].Cmp(xModP) != 0

@@ -333,23 +333,3 @@ func TestYMPPCommunicationShape(t *testing.T) {
 		t.Errorf("alice sent %d bytes, want ≤ %d (O(c2·n0))", got, maxBytes)
 	}
 }
-
-func BenchmarkYMPPDomain256(b *testing.B) {
-	k := testRSAKey(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		err := transport.Run2(
-			func(c transport.Conn) error {
-				_, err := AliceCompare(c, k, 100, 256, rand.Reader, nil)
-				return err
-			},
-			func(c transport.Conn) error {
-				_, err := BobCompare(c, &k.RSAPublicKey, 200, 256, rand.Reader)
-				return err
-			},
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}

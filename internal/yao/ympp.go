@@ -32,6 +32,11 @@ const maxPrimeAttempts = 256
 // ErrDomainMismatch reports that the two parties disagreed on n0.
 var ErrDomainMismatch = errors.New("yao: parties disagree on comparison domain n0")
 
+// ErrResidues reports a round-2 message Alice cannot have built by
+// Algorithm 1: a modulus p that is not half the length of N, or a w_u
+// outside [0, p).
+var ErrResidues = errors.New("yao: round-2 prime or residues out of range")
+
 func checkDomain(v, n0 int64) error {
 	if n0 < 1 || n0 > MaxDomain {
 		return fmt.Errorf("yao: domain n0=%d out of range [1,%d]", n0, int64(MaxDomain))
@@ -76,7 +81,7 @@ func AliceCompare(conn transport.Conn, key *RSAKey, i, n0 int64, random io.Reade
 
 	// Step 4: find a prime p with all z_u = y_u mod p pairwise ≥ 2 apart
 	// in the mod-p sense.
-	p, zs, err := findSeparatingPrime(random, key.N.BitLen()/2, ys)
+	p, zs, err := findSeparatingPrime(random, key.sepPrimeBits(), ys)
 	if err != nil {
 		return false, err
 	}
@@ -145,11 +150,8 @@ func BobCompare(conn transport.Conn, pub *RSAPublicKey, j, n0 int64, random io.R
 	if r.Err() != nil {
 		return false, fmt.Errorf("yao: bob parse round 2: %w", r.Err())
 	}
-	if int64(len(ws)) != n0 {
-		return false, fmt.Errorf("%w: got %d numbers, want %d", ErrDomainMismatch, len(ws), n0)
-	}
-	if p.Sign() <= 0 {
-		return false, fmt.Errorf("yao: invalid prime from alice")
+	if err := checkRound2(pub, p, ws, n0); err != nil {
+		return false, err
 	}
 	xModP := new(big.Int).Mod(x, p)
 	// w_j == x mod p ⇒ i ≥ j, otherwise i < j.
@@ -162,16 +164,38 @@ func BobCompare(conn transport.Conn, pub *RSAPublicKey, j, n0 int64, random io.R
 	return iLessJ, nil
 }
 
-// decryptRange computes Da(base + t mod N) for t = 0..count−1 on the
-// shared crypto pool (nil pool: GOMAXPROCS fan-out).
+// sepPrimeBits is the length of step 4's prime p, |N|/2 bits: what Alice
+// draws and the only length Bob accepts.
+func (pk *RSAPublicKey) sepPrimeBits() int { return pk.N.BitLen() / 2 }
+
+// checkRound2 holds Alice's step-5 message to what step 4 can produce
+// before Bob computes with it: n0 numbers, a p of exactly sepPrimeBits
+// bits and every w_u reduced mod p.
+// That p is prime is not checked: it is Alice's own secret-independent
+// choice, and whatever she sends, all she learns is one bit about
+// w_j ≟ x mod p.
+func checkRound2(pub *RSAPublicKey, p *big.Int, ws []*big.Int, n0 int64) error {
+	if int64(len(ws)) != n0 {
+		return fmt.Errorf("%w: got %d numbers, want %d", ErrDomainMismatch, len(ws), n0)
+	}
+	if p.Sign() <= 0 || p.BitLen() != pub.sepPrimeBits() {
+		return fmt.Errorf("%w: p of %d bits under a %d-bit key", ErrResidues, p.BitLen(), pub.N.BitLen())
+	}
+	for u, w := range ws {
+		if w.Sign() < 0 || w.Cmp(p) >= 0 {
+			return fmt.Errorf("%w: w_%d outside [0, p)", ErrResidues, u+1)
+		}
+	}
+	return nil
+}
+
+// decryptRange computes Da(base + t mod N) for t = 0..count−1, one value
+// per task on the shared crypto pool (nil pool: GOMAXPROCS fan-out).
+// base + t is not reduced first: Decrypt takes any y ≥ 0.
 func decryptRange(pool *paillier.Pool, key *RSAKey, base *big.Int, count int) []*big.Int {
 	ys := make([]*big.Int, count)
 	_ = paillier.ParallelFor(pool, count, func(t int) error {
-		v := new(big.Int).Add(base, big.NewInt(int64(t)))
-		if v.Cmp(key.N) >= 0 {
-			v.Sub(v, key.N)
-		}
-		ys[t] = key.Decrypt(v)
+		ys[t] = key.Decrypt(new(big.Int).Add(base, big.NewInt(int64(t))))
 		return nil
 	})
 	return ys
@@ -181,9 +205,6 @@ func decryptRange(pool *paillier.Pool, key *RSAKey, base *big.Int, count int) []
 // bit length until all y_u mod p differ pairwise by at least 2 in the
 // mod-p (circular) sense.
 func findSeparatingPrime(random io.Reader, bits int, ys []*big.Int) (*big.Int, []*big.Int, error) {
-	if bits < 16 {
-		bits = 16
-	}
 	zs := make([]*big.Int, len(ys))
 	sorted := make([]*big.Int, len(ys))
 	for attempt := 0; attempt < maxPrimeAttempts; attempt++ {
