@@ -2,7 +2,8 @@
 # (format, vet, build, race-enabled tests). `make bench` runs the one
 # benchmark, bench/ (six workloads; see bench/README.md), and
 # `make bench-check` diffs its exact counters against
-# bench/counters.json. The paper's tables are `ppdbscan experiments`.
+# bench/counters.json (four of the six workloads; see the target). The
+# paper's tables are `ppdbscan experiments`.
 
 GO ?= go
 
@@ -31,8 +32,13 @@ verify: fmt vet build race
 bench:
 	bash bench/run.sh -workload all
 
+# Not `wan` or `ympp`: PR 22 (the lockstep chunk schedule) moved their
+# transport.frames, core.cts_up and core.cts_down on purpose and could not
+# edit bench/; their rows of bench/counters.json are stale until the
+# `benchmark` PR of ROADMAP item 3 refreshes them, which puts this back to
+# one `bash bench/run.sh -check`.
 bench-check:
-	bash bench/run.sh -check
+	for w in bulk live serve mesh; do bash bench/run.sh -check -workload $$w || exit 1; done
 
 # Short fuzz pass over the wire, batch-frame, mux-frame, and spatial-grid
 # codecs, and yao's limb kernel against math/big.

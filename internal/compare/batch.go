@@ -2,6 +2,7 @@ package compare
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"fmt"
 	"math/big"
 
@@ -36,6 +37,35 @@ import (
 // derive batch lengths from shared deterministic protocol state (as every
 // caller in internal/core and internal/multiparty does).
 
+// FrameBytes is what one instance adds, at most, to the largest frame of
+// its batch. Both ends of an edge report the same number — it is a
+// function of the engine, the bound and the Alice side's public key, all
+// of which both hold — so it may size a jointly-computed schedule:
+// core.LockstepCluster's chunk rule reads it.
+//
+//   - YMPP: round 2 carries the whole domain per instance — the prime p
+//     and bound+2 residues below it, |N|/2 bits each, behind a count.
+//   - Masked: the uplink, one Paillier ciphertext in Z_{n²} per instance
+//     plus, in grouped mode, its class index.
+
+// wireBig is the most transport.Builder.PutBig spends on a value below
+// 2^bits: sign byte, length prefix, magnitude.
+func wireBig(bits int) int { return 3 + (bits+7)/8 }
+
+func ymppFrameBytes(bound int64, pub *yao.RSAPublicKey) int {
+	// bound+2 residues, p, and one more for the count prefix.
+	return int(bound+4) * wireBig(pub.N.BitLen()/2)
+}
+
+func maskedFrameBytes(pub *paillier.PublicKey) int {
+	return wireBig(pub.NSquared.BitLen()) + binary.MaxVarintLen32
+}
+
+func (a *YMPPAlice) FrameBytes() int   { return ymppFrameBytes(a.Max, &a.Key.RSAPublicKey) }
+func (b *YMPPBob) FrameBytes() int     { return ymppFrameBytes(b.Max, b.Pub) }
+func (a *MaskedAlice) FrameBytes() int { return maskedFrameBytes(&a.Key.PublicKey) }
+func (b *MaskedBob) FrameBytes() int   { return maskedFrameBytes(b.Pub) }
+
 // ---- YMPP engine ----
 
 // BatchLessEq decides a_t ≤ b_t for the whole batch in three frames.
@@ -46,6 +76,17 @@ func (a *YMPPAlice) BatchLessEq(conn transport.Conn, vs []int64) ([]bool, error)
 // BatchLess decides a_t < b_t for the whole batch in three frames.
 func (a *YMPPAlice) BatchLess(conn transport.Conn, vs []int64) ([]bool, error) {
 	return yao.AliceLessBatch(conn, a.Key, vs, a.Max, a.Random, a.Pool)
+}
+
+// BatchLessEqRows is BatchLessEq: Algorithm 1's frames do not depend on
+// which operands are equal, so YMPP has no use for the rows.
+func (a *YMPPAlice) BatchLessEqRows(conn transport.Conn, vs []int64, _ []int) ([]bool, error) {
+	return a.BatchLessEq(conn, vs)
+}
+
+// BatchLessRows is BatchLess; see BatchLessEqRows.
+func (a *YMPPAlice) BatchLessRows(conn transport.Conn, vs []int64, _ []int) ([]bool, error) {
+	return a.BatchLess(conn, vs)
 }
 
 // BatchLessEq is the Bob half of the Alice-side BatchLessEq.
@@ -63,11 +104,13 @@ func (b *YMPPBob) BatchLess(conn transport.Conn, vs []int64) ([]bool, error) {
 // runBatch is the Alice side of the batched masked-sign protocol:
 // one frame of E(a_t), one frame of masked differences back, one frame of
 // result bits out.
-func (a *MaskedAlice) runBatch(conn transport.Conn, vs []int64, pred byte) ([]bool, error) {
+func (a *MaskedAlice) runBatch(conn transport.Conn, vs []int64, rows []int, pred byte) ([]bool, error) {
 	if a.UplinkPacker != nil {
 		// "full" packing: the packed-uplink wire form (full.go) chooses
-		// per batch between grouped and per-instance uplinks.
-		return a.runBatchFull(conn, vs, pred)
+		// per batch between grouped and per-instance uplinks. It is the
+		// only form whose frames depend on equal operands, so the only
+		// one that reads rows.
+		return a.runBatchFull(conn, vs, rows, pred)
 	}
 	for t, v := range vs {
 		if err := checkInput(v, a.Max); err != nil {
@@ -127,12 +170,23 @@ func (a *MaskedAlice) runBatch(conn transport.Conn, vs []int64, pred byte) ([]bo
 
 // BatchLessEq decides a_t ≤ b_t for the whole batch in three frames.
 func (a *MaskedAlice) BatchLessEq(conn transport.Conn, vs []int64) ([]bool, error) {
-	return a.runBatch(conn, vs, predLessEq)
+	return a.runBatch(conn, vs, nil, predLessEq)
 }
 
 // BatchLess decides a_t < b_t for the whole batch in three frames.
 func (a *MaskedAlice) BatchLess(conn transport.Conn, vs []int64) ([]bool, error) {
-	return a.runBatch(conn, vs, predLess)
+	return a.runBatch(conn, vs, nil, predLess)
+}
+
+// BatchLessEqRows is BatchLessEq with the grouped uplink's dedup scoped
+// to rows (full.go): rows[t] names instance t's row.
+func (a *MaskedAlice) BatchLessEqRows(conn transport.Conn, vs []int64, rows []int) ([]bool, error) {
+	return a.runBatch(conn, vs, rows, predLessEq)
+}
+
+// BatchLessRows is the strict variant of BatchLessEqRows.
+func (a *MaskedAlice) BatchLessRows(conn transport.Conn, vs []int64, rows []int) ([]bool, error) {
+	return a.runBatch(conn, vs, rows, predLess)
 }
 
 // runBatch is the Bob side of the batched masked-sign protocol. Mask

@@ -241,3 +241,52 @@ func TestBatchPredicateMismatch(t *testing.T) {
 		t.Fatalf("err = %v, want ErrPredicateMismatch", err)
 	}
 }
+
+// TestFrameBytesBoundsLargestFrame: FrameBytes, which the lockstep driver
+// sizes its chunks by, is the same number at both ends of an edge and at
+// least what an instance really adds to the largest frame of its batch —
+// under YMPP, packed slots and the grouped uplink alike — and, where every
+// instance travels (the grouped uplink sends fewer), not loose by more than
+// a factor of two.
+func TestFrameBytesBoundsLargestFrame(t *testing.T) {
+	const bound = 200
+	yA, yB := enginePair(t, EngineYMPP, bound)
+	mA, mB := enginePair(t, EngineMasked, bound)
+	fA, fB := fullPair(t, bound, 32)
+	for _, tc := range []struct {
+		name  string
+		ae    Alice
+		be    Bob
+		tight bool
+	}{{"ympp", yA, yB, true}, {"masked", mA, mB, true}, {"masked, full packing", fA, fB, false}} {
+		if a, b := tc.ae.FrameBytes(), tc.be.FrameBytes(); a != b || a <= 0 {
+			t.Fatalf("%s: FrameBytes %d on Alice's side, %d on Bob's", tc.name, a, b)
+		}
+		as := []int64{0, bound, 7, 7, 9, 9, 9, 150, 31, 7}
+		bs := []int64{1, bound, 5, 8, 9, 0, 200, 2, 31, 7}
+		largest := 0
+		tap := func(c transport.Conn) transport.Conn { return &sizeTap{Conn: c, largest: &largest} }
+		err := transport.Run2(
+			func(c transport.Conn) error { _, err := tc.ae.BatchLess(tap(c), as); return err },
+			func(c transport.Conn) error { _, err := tc.be.BatchLess(tap(c), bs); return err },
+		)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if most := len(as) * tc.ae.FrameBytes(); largest > most || (tc.tight && 2*largest < most) {
+			t.Errorf("%s: the largest frame of %d instances is %d bytes, FrameBytes allows %d", tc.name, len(as), largest, most)
+		}
+	}
+}
+
+// sizeTap records the size of the largest frame sent through it. The two
+// parties of a batch alternate, so they may share one counter.
+type sizeTap struct {
+	transport.Conn
+	largest *int
+}
+
+func (c *sizeTap) Send(b []byte) error {
+	*c.largest = max(*c.largest, len(b))
+	return c.Conn.Send(b)
+}

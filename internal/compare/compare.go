@@ -47,8 +47,20 @@ type Alice interface {
 	BatchLessEq(conn transport.Conn, as []int64) ([]bool, error)
 	// BatchLess is the strict batched predicate; pairs with Bob BatchLess.
 	BatchLess(conn transport.Conn, as []int64) ([]bool, error)
+	// BatchLessEqRows is BatchLessEq over a batch that concatenates
+	// several independent rows — neighbourhoods of the lockstep driver —
+	// with rows[t] naming instance t's row: whatever an engine's frames
+	// let the peer see about equal operands, they let it see within a row
+	// only (the masked grouped uplink, full.go). Same decisions, same
+	// frame count; pairs with the Bob side's plain BatchLessEq.
+	BatchLessEqRows(conn transport.Conn, as []int64, rows []int) ([]bool, error)
+	// BatchLessRows is the strict variant; pairs with Bob BatchLess.
+	BatchLessRows(conn transport.Conn, as []int64, rows []int) ([]bool, error)
 	// Bound is the inclusive maximum input value.
 	Bound() int64
+	// FrameBytes bounds what one batch instance adds to the largest frame
+	// of its batch; the Bob side of the edge reports the same number.
+	FrameBytes() int
 	// Name identifies the engine for reports.
 	Name() string
 }
@@ -60,6 +72,7 @@ type Bob interface {
 	BatchLessEq(conn transport.Conn, bs []int64) ([]bool, error)
 	BatchLess(conn transport.Conn, bs []int64) ([]bool, error)
 	Bound() int64
+	FrameBytes() int
 	Name() string
 }
 

@@ -31,9 +31,9 @@ import (
 //     when the batch has no repeated operands, so "full" is never
 //     costlier in ciphertexts than "slots".
 //   - modeGrouped: the batch dedups — one uplink ciphertext per
-//     *distinct* operand plus a plain per-instance class index; Bob
-//     folds cas[classIdx[t]] with instance t's own r_t. Chosen whenever
-//     the batch holds at least one repeat.
+//     *distinct* operand of a row plus a plain per-instance class index;
+//     Bob folds cas[classIdx[t]] with instance t's own r_t. Chosen
+//     whenever some row of the batch holds at least one repeat.
 //   - modeDerived: zero uplink ciphertexts. Bob derives every
 //     instance's base E(a_t) from ciphertexts he already retains (e.g.
 //     differences of the dot-product ciphertexts he computed for an
@@ -41,12 +41,27 @@ import (
 //     reachable through the explicit Derived entry points, because the
 //     base material is protocol state the engine cannot know about.
 //
-// Leakage note: modeGrouped discloses the batch's value-equality
-// pattern (which instances share an operand) to Bob — not the values,
-// only the partition. Like the engine's masked magnitude-bits leakage
-// this is an engine-level disclosure documented here rather than a
-// Ledger class: it reveals structure of the querying side's own batch,
-// chosen by the querying side, never anything about the peer's data.
+// Leakage note: modeGrouped discloses a value-equality pattern (which
+// instances share an operand) to Bob — not the values, only the
+// partition. Like the engine's masked magnitude-bits leakage this is an
+// engine-level disclosure documented here rather than a Ledger class: it
+// reveals structure of the querying side's own batch, chosen by the
+// querying side, never anything about the peer's data.
+//
+// The scope of that pattern is a row, never the batch. A plain
+// BatchLess / BatchLessEq call is one row: one region query's candidates,
+// one neighbourhood. The lockstep driver (core.LockstepCluster) packs
+// many neighbourhoods into one batch and names each instance's row
+// through BatchLessRows / BatchLessEqRows; classes are keyed by
+// (row, value), so two instances in different rows never share a class
+// however equal their operands, and Bob learns exactly the within-one-
+// neighbourhood partitions he learned when every neighbourhood was its
+// own batch. Dedup over the whole batch would save a few ciphertexts
+// and must not be done: a lockstep operand is one party's partial
+// squared distance between two records, and the equalities of those
+// across all rows — |x_i − x_j| = |x_k − x_l| for every such quadruple —
+// pin a one-column party's whole column down to an affine map, where the
+// per-row pattern only says which records are equidistant from one.
 // Derived-base batches operate on *signed* operands (differences), so
 // their replies pack with the widened UplinkPacker
 // (encoding.NewUplinkComparePacker) while grouped and per-instance
@@ -193,13 +208,17 @@ func (a *MaskedAlice) unpackReplies(pk *encoding.Packer, n int, replies []*big.I
 }
 
 // runBatchFull is the Alice side of the packed-uplink batch: dedup the
-// operands, announce the chosen mode, uplink the base ciphertexts, and
-// read the packed replies back.
-func (a *MaskedAlice) runBatchFull(conn transport.Conn, vs []int64, pred byte) ([]bool, error) {
+// operands row by row, announce the chosen mode, uplink the base
+// ciphertexts, and read the packed replies back. rows, when non-nil,
+// names each instance's row (BatchLessRows); nil is a one-row batch.
+func (a *MaskedAlice) runBatchFull(conn transport.Conn, vs []int64, rows []int, pred byte) ([]bool, error) {
 	for t, v := range vs {
 		if err := checkInput(v, a.Max); err != nil {
 			return nil, fmt.Errorf("compare: batch[%d]: %w", t, err)
 		}
+	}
+	if rows != nil && len(rows) != len(vs) {
+		return nil, fmt.Errorf("compare: batch holds %d values in %d row entries", len(vs), len(rows))
 	}
 	if len(vs) == 0 {
 		return nil, nil
@@ -211,16 +230,25 @@ func (a *MaskedAlice) runBatchFull(conn transport.Conn, vs []int64, pred byte) (
 	if random == nil {
 		random = rand.Reader
 	}
-	// Dedup: repeated operands encrypt once and fan out by class index
-	// on the oracle's side.
+	// Dedup: an operand repeated within a row encrypts once and fans out
+	// by class index on the oracle's side. A class never spans two rows —
+	// see the leakage note above.
+	type class struct {
+		row int
+		v   int64
+	}
 	classIdx := make([]int64, len(vs))
-	classOf := make(map[int64]int, len(vs))
+	classOf := make(map[class]int, len(vs))
 	var distinct []int64
 	for t, v := range vs {
-		c, ok := classOf[v]
+		k := class{v: v}
+		if rows != nil {
+			k.row = rows[t]
+		}
+		c, ok := classOf[k]
 		if !ok {
 			c = len(distinct)
-			classOf[v] = c
+			classOf[k] = c
 			distinct = append(distinct, v)
 		}
 		classIdx[t] = int64(c)

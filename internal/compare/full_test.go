@@ -450,3 +450,116 @@ func TestFullUplinkNonUnitIsTypedError(t *testing.T) {
 		t.Fatalf("bob's error = %v, want paillier.ErrNotInvertible", bobErr)
 	}
 }
+
+// uplinkTap records the first frame its side receives — what Bob sees of
+// a batch's uplink — and passes every frame through.
+type uplinkTap struct {
+	transport.Conn
+	first []byte
+}
+
+func (c *uplinkTap) Recv() ([]byte, error) {
+	b, err := c.Conn.Recv()
+	if err == nil && c.first == nil {
+		c.first = append([]byte{}, b...)
+	}
+	return b, err
+}
+
+// TestGroupedUplinkNeverSpansRows: the grouped uplink's classes are keyed
+// by (row, value). Bob, reading the frame off the wire, sees two rows that
+// hold the same Alice value as two uplink ciphertexts with disjoint class
+// indices, sees the within-row repeats share one, and decides every
+// instance correctly; the same operands as one row dedup across the whole
+// batch; and a batch whose only repeats cross rows is not grouped at all.
+func TestGroupedUplinkNeverSpansRows(t *testing.T) {
+	const bound = 50
+	ae, be := fullPair(t, bound, 32)
+	as := []int64{5, 5, 9, 5, 9, 5}
+	bs := []int64{5, 6, 3, 40, 9, 0}
+	rows := []int{4, 4, 4, 7, 7, 9}
+
+	// uplink runs one strict batch and returns what Bob saw of its uplink.
+	uplink := func(as, bs []int64, rows []int) (mode byte, classIdx []int64, cts int) {
+		t.Helper()
+		ae.Sent.Store(0)
+		var tap *uplinkTap
+		var got []bool
+		err := transport.Run2(
+			func(c transport.Conn) (err error) {
+				got, err = ae.BatchLessRows(c, as, rows)
+				return err
+			},
+			func(c transport.Conn) error {
+				tap = &uplinkTap{Conn: c}
+				_, err := be.BatchLess(tap, bs)
+				return err
+			},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range as {
+			if want := as[i] < bs[i]; got[i] != want {
+				t.Errorf("batch[%d]: %d < %d = %v, want %v", i, as[i], bs[i], got[i], want)
+			}
+		}
+		r := transport.NewReader(tap.first)
+		if pred := byte(r.Uint()); pred != predLess {
+			t.Fatalf("uplink predicate byte %d, want %d", pred, predLess)
+		}
+		mode = byte(r.Uint())
+		if mode == modeGrouped {
+			classIdx = r.Ints()
+		}
+		cts = len(r.Bigs())
+		if err := r.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if sent := int(ae.Sent.Load()); sent != cts {
+			t.Fatalf("Alice counted %d uplink ciphertexts, the frame carries %d", sent, cts)
+		}
+		return mode, classIdx, cts
+	}
+
+	mode, classIdx, cts := uplink(as, bs, rows)
+	if mode != modeGrouped {
+		t.Fatalf("rows with repeats went up in mode %d, want grouped", mode)
+	}
+	// Row 4 holds {5, 9}, row 7 holds {5, 9}, row 9 holds {5}.
+	if cts != 5 {
+		t.Errorf("uplink carries %d ciphertexts, want 5: one per distinct value of each row", cts)
+	}
+	for i := range as {
+		for j := i + 1; j < len(as); j++ {
+			same := classIdx[i] == classIdx[j]
+			if want := rows[i] == rows[j] && as[i] == as[j]; same != want {
+				t.Errorf("instances %d (row %d, value %d) and %d (row %d, value %d): same class = %v, want %v",
+					i, rows[i], as[i], j, rows[j], as[j], same, want)
+			}
+		}
+	}
+
+	// The plain entry point is one row: the same operands dedup to the
+	// two distinct values.
+	if mode, _, cts := uplink(as, bs, nil); mode != modeGrouped || cts != 2 {
+		t.Errorf("one-row batch: mode %d with %d ciphertexts, want grouped with 2", mode, cts)
+	}
+	// Equal values in different rows only: nothing to group.
+	if mode, _, cts := uplink([]int64{5, 5, 5}, []int64{1, 5, 9}, []int{0, 1, 2}); mode != modePerInstance || cts != 3 {
+		t.Errorf("cross-row repeats only: mode %d with %d ciphertexts, want per-instance with 3", mode, cts)
+	}
+
+	// A rows slice of the wrong length is a caller bug, refused before
+	// any frame.
+	err := transport.Run2(
+		func(c transport.Conn) error {
+			_, err := ae.BatchLessRows(c, as, rows[:3])
+			return err
+		},
+		func(c transport.Conn) error { return nil },
+	)
+	if err == nil {
+		t.Error("rows of the wrong length accepted")
+	}
+}

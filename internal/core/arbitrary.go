@@ -27,11 +27,12 @@ import (
 // Alice_sum + Bob_sum ≤ Eps².
 //
 // Under the default batched round structure (Config.Batching) the
-// lockstep driver hands a whole neighborhood of pairs to batchLE: the
-// mixed-cell cross terms of every pair share one Multiplication Protocol
-// exchange and the threshold decisions share one BatchLess — a constant
-// number of adp.mp/adp.cmp frames per neighborhood instead of one
-// exchange per pair, with identical per-pair algebra and Ledger entries.
+// lockstep driver hands batchLE a chunk of the pair matrix — whole rows,
+// up to 256 undecided pairs (LockstepCluster): the mixed-cell cross terms
+// of every pair share one Multiplication Protocol exchange and the
+// threshold decisions share one BatchLess — a constant number of
+// adp.mp/adp.cmp frames per chunk instead of one exchange per pair, with
+// identical per-pair algebra and Ledger entries.
 func ArbitraryAlice(conn transport.Conn, cfg Config, values [][]float64, owners [][]partition.Owner) (*Result, error) {
 	return runOneShot(NewArbitrarySession(conn, cfg, RoleAlice, values, owners))
 }
@@ -366,7 +367,7 @@ func arbitraryRunOnce(t *Session, as *aStream) (*Result, error) {
 			return engB.Less(conn, s.responderOperand(engB.Bound(), ownSum))
 		})
 	}
-	labels, clusters, err := LockstepCluster(n, s.cfg.MinPts, s.cfg.Parallel,
+	labels, clusters, err := LockstepCluster(n, s.cfg.MinPts, s.cfg.Parallel, s.lockstepFrameBytes(engA, engB),
 		as.Cache, onCached, PrunedLocalDecider(as.CellRows, onPruned), batchOn)
 	if err != nil {
 		return nil, err
@@ -516,8 +517,8 @@ func (a *adpState) localAndCrossSum(conn transport.Conn, i, j int) (int64, error
 	return local - 2*cross, nil
 }
 
-// batchLE decides every pair of one lockstep neighborhood in a constant
-// number of round trips: the mixed-cell cross terms of all pairs ride one
+// batchLE decides every pair of one lockstep chunk in a constant number of
+// round trips: the mixed-cell cross terms of all pairs ride one
 // Multiplication Protocol exchange (zero-sum masks stay per-pair, so each
 // pair's share algebra is exactly the sequential protocol's), then one
 // BatchLess settles all the threshold comparisons.
@@ -605,7 +606,8 @@ func (a *adpState) batchLE(conn transport.Conn, pairs [][2]int, engA compare.Ali
 	setTag(conn, "adp.cmp")
 	s.led(func(l *Ledger) { l.PairDecisions += len(pairs) })
 	if a.role == RoleAlice {
-		return engA.BatchLess(conn, ownSums)
+		// A chunk holds whole rows; the grouped uplink dedups within one.
+		return engA.BatchLessRows(conn, ownSums, PairRows(pairs))
 	}
 	js := make([]int64, len(ownSums))
 	for t, v := range ownSums {

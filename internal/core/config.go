@@ -63,7 +63,7 @@ type Config struct {
 	Selection SelectionKind
 
 	// Batching selects between the batched round structure (default: one
-	// constant-round BatchLessEq per region query / lockstep neighborhood)
+	// constant-round BatchLessEq per region query / lockstep chunk)
 	// and the paper-literal sequential structure (one secure-comparison
 	// sub-protocol round trip per candidate pair), kept for A/B
 	// measurement. Both paths produce identical labels and identical
@@ -107,16 +107,17 @@ type Config struct {
 	// runs unpacked.
 	Packing PackMode
 
-	// Parallel is W, the width of the one wave scheduler every family runs
-	// on (parallel.go): each wave dispatches up to W independent secure
-	// sub-protocols — HDP/enhanced core queries, or lockstep pair batches
-	// for the vertical/arbitrary families — one per worker channel,
-	// overlapping their round trips. W = 1 (the default) is a one-worker
-	// wave on the session's bare connection; W > 1 multiplexes W logical
-	// channels over it (transport.Mux). Labels and non-index Ledgers do
-	// not depend on W (the parallel equivalence harness enforces this);
-	// only frame interleaving does. Both parties must agree
-	// (handshake-checked). W > 1 requires the batched round structure.
+	// Parallel is W, the width of the one query scheduler every family
+	// runs on (parallel.go): up to W independent secure sub-protocols —
+	// the HDP/enhanced core queries of a wave, or the chunks of the pair
+	// matrix for the vertical/arbitrary families — run at once, one per
+	// worker channel, overlapping their round trips. W = 1 (the default)
+	// is one worker on the session's bare connection; W > 1 multiplexes W
+	// logical channels over it (transport.Mux). Labels and non-index
+	// Ledgers do not depend on W (the parallel equivalence harness
+	// enforces this); only frame interleaving does. Both parties must
+	// agree (handshake-checked). W > 1 requires the batched round
+	// structure.
 	Parallel int
 
 	// Pool, when non-nil, is the process-shared crypto worker pool this
@@ -241,8 +242,8 @@ type BatchMode string
 const (
 	// BatchModeBatched packs the cryptographic payloads of all independent
 	// comparisons of one protocol step into single frames: a whole region
-	// query (or lockstep neighborhood) costs a constant number of round
-	// trips.
+	// query (or lockstep chunk of up to 256 pair decisions) costs a
+	// constant number of round trips.
 	BatchModeBatched BatchMode = "batched"
 	// BatchModeSequential runs one complete comparison sub-protocol per
 	// candidate pair — the paper-literal structure, kept as the A/B

@@ -46,10 +46,10 @@
 //	│  vertical/arbitrary)  one Run = one clustering             │
 //	├────────────────────────────────────────────────────────────┤
 //	│ query scheduler       Config.Parallel: waves of W          │
-//	│ (parallel.go,         independent region queries /         │
-//	│  lockstep.go)         lockstep pair batches, one worker    │
-//	│                       channel each; W=1 → one-worker waves │
-//	│                       on the bare connection               │
+//	│ (parallel.go,         independent region queries, or the   │
+//	│  lockstep.go)         pair matrix's chunks dealt over W    │
+//	│                       worker channels; W=1 → one worker on │
+//	│                       the bare connection                  │
 //	├────────────────────────────────────────────────────────────┤
 //	│ core.Session          lifecycle on one Pair: many Run      │
 //	│ (sess.go, gens.go)    calls; Append / Expire / Retract     │
@@ -66,7 +66,7 @@
 //	│                       only while a Run is in progress      │
 //	├────────────────────────────────────────────────────────────┤
 //	│ core.Pair             one edge's keys, agreed parameters   │
-//	│ (pair.go, params.go,  (core.Params, handshake v10), worker │
+//	│ (pair.go, params.go,  (core.Params, handshake v11), worker │
 //	│  hdp.go)              channels, pool and counters; the HDP │
 //	│                       steps and index exchange over        │
 //	│                       OwnGens / PeerGens. A Session wraps  │
@@ -119,7 +119,7 @@
 // splits the connection into its W worker channels, generates the keys
 // the agreed engine needs — a Paillier pair always, an RSA pair only
 // under YMPP, the one engine that reads it — and swaps one handshake
-// frame — version 10: proto, role, the agreed parameters, data
+// frame — version 11: proto, role, the agreed parameters, data
 // dimensions, public keys. The two RSA fields travel empty under the
 // masked engine; PeerRSAKey holds a peer to that (a key the engine does
 // not use, or none where it does, is ErrHandshake), and a peer key that
@@ -131,7 +131,7 @@
 // is a Pair (NewPair, proto "mesh", lower party index as RoleAlice)
 // running the same op frames, index exchange and HDP steps (HDPCount /
 // HDPServe) as a two-party horizontal Session, and the multiparty ring
-// embeds Params in its circulating token (ring handshake v9, the same
+// embeds Params in its circulating token (ring handshake v10, the same
 // RSA rule for the coordinator's key). Comparison
 // engines come from the one constructor compare.Edge — Pair.engines and
 // the ring's coordinator/last-party pair both call it.
@@ -153,21 +153,29 @@
 //
 // # Long-lived sessions and the wave scheduler
 //
-// There is one cluster-expansion driver per protocol shape, and
-// Config.Parallel = W is its width. WaveDrive (parallel.go) is Algorithm
-// 4 for the horizontal shape — basic, enhanced, and the multiparty mesh:
-// it prefetches the remote decisions of up to W seed-queue points
-// concurrently (every queued point is queried eventually, so prefetching
-// reorders nothing). LockstepCluster (lockstep.go) is Algorithm 6 for the
-// pair shape — vertical, arbitrary, and the multiparty ring: it claims
-// each still-undecided pair for exactly one of up to W concurrent worker
-// batches. The comparison and multiplication leaves under them are the
-// only thing that varies by family and by Config.Batching. Schedules are
-// pure functions of shared protocol state, so jointly-computed oracles
-// stay in lock step, and labels, Ledgers, and comparison totals do not
-// depend on W (the parallel equivalence harness enforces this). W = 1 is
-// a one-worker wave, run inline on the session's bare connection; W > 1
-// multiplexes W channels over it. The win is round-trip overlap — the
+// There is one driver per protocol shape, and Config.Parallel = W is its
+// width. WaveDrive (parallel.go) is Algorithm 4 for the horizontal shape —
+// basic, enhanced, and the multiparty mesh — and the one cluster-expansion
+// loop in this package: it prefetches the remote decisions of up to W
+// seed-queue points concurrently (every queued point is queried
+// eventually, so prefetching reorders nothing). LockstepCluster
+// (lockstep.go) is Algorithm 6 for the pair shape — vertical, arbitrary,
+// and the multiparty ring — and has no waves and no loop of its own:
+// DBSCAN queries every point once, so the pairs it will ask about are all
+// of them, known before the first frame. The driver settles the whole pair
+// matrix first — what the grid index or the cross-run cache does not
+// decide goes to the oracle in chunks of whole rows (a row is the
+// undecided pairs of one record against the records before it: an
+// appended record's neighbourhood), sized by one rule (chunkBound),
+// chunk c on worker channel c mod W — and then runs dbscan.ClusterGeneric,
+// the plaintext oracle's own expansion loop, over the result. The
+// comparison and multiplication leaves under the drivers are the only
+// thing that varies by family and by Config.Batching. Schedules are pure
+// functions of shared protocol state, so jointly-computed oracles stay in
+// lock step, and labels, Ledgers, and comparison totals do not depend on
+// W (the parallel equivalence harness enforces this). W = 1 is one
+// worker, run inline on the session's bare connection; W > 1 multiplexes
+// W channels over it. The win is round-trip overlap — the
 // bench `wan` workload measures it over a delayed pipe as
 // core.sched_overlap_x. What overlap leaves idle, the session's nonce
 // stock uses: every reply a party sends is encrypted under the peer's key
@@ -243,14 +251,16 @@
 //     mutually independent issues them as one compare.BatchLessEq /
 //     BatchLess — three frames per step regardless of how many predicates
 //     it settles. An HDP region query costs ≤ 3 hdp.cmp frames instead of
-//     3·nPeer; a lockstep neighborhood (vertical/arbitrary, via
-//     LockstepCluster) costs a constant number of vdp.cmp/adp.cmp
-//     frames instead of 3 per pair; the enhanced selection runs tournament
-//     (scan) or per-pivot (quickselect) batches. Underneath, all Paillier
-//     work rides the parallel pool (paillier.EncryptBatch/DecryptBatch on
-//     the session's paillier.Pool handle — process-shared and bounded on
-//     a server, GOMAXPROCS for a solo run), so the round collapse comes
-//     with a wall-clock collapse on multi-core hosts.
+//     3·nPeer; a lockstep chunk (vertical/arbitrary, via
+//     LockstepCluster: up to 256 pair decisions, whole rows) costs a
+//     constant number of vdp.cmp/adp.cmp frames instead of 3 per pair,
+//     and a cold Run is a handful of chunks; the enhanced selection runs
+//     tournament (scan) or per-pivot (quickselect) batches. Underneath,
+//     all Paillier work rides the parallel pool
+//     (paillier.EncryptBatch/DecryptBatch on the session's paillier.Pool
+//     handle — process-shared and bounded on a server, GOMAXPROCS for a
+//     solo run), so the round collapse comes with a wall-clock collapse
+//     on multi-core hosts.
 //   - sequential: the paper-literal schedule — one comparison sub-protocol
 //     per candidate pair — retained as the equivalence harness's
 //     reference.
@@ -396,7 +406,8 @@
 // core bit (counts are monotone) never change. Each family keeps the
 // matching cross-run cache: the lockstep families seed their drivers
 // with a PairCache (identical on all sides, since pair bits are public
-// to every participant, so oracle batch boundaries stay in lock step);
+// to every participant, so the chunks of the oracle's schedule stay in
+// lock step);
 // the basic horizontal family caches per-point prefix counts and scopes
 // each region query to the peer's uncached suffix generations (the
 // fromGen watermark on the op frame — the responder serves only those

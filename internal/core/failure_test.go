@@ -168,18 +168,87 @@ func TestPayloadCorruptionDoesNotHang(t *testing.T) {
 	}
 }
 
+// cleanRunFrames runs fam once, undisturbed, and reports how many frames
+// the initiating party receives while the session is established and how
+// many inside the Run. In the vertical family the initiator holds the left
+// operands, so the Run's count is one reply per chunk of the lockstep
+// schedule — the drop points of the vanishing-peer tests are derived from
+// it instead of being guessed.
+func cleanRunFrames(t *testing.T, fam sessionFamily, cfg Config) (est, run int) {
+	t.Helper()
+	ca, cb := transport.Pipe()
+	ma := transport.NewMeter(ca)
+	err := transport.RunPair(ma, cb,
+		func(transport.Conn) error {
+			sess, err := fam.newA(ma, cfg)
+			if err != nil {
+				return err
+			}
+			est = int(ma.Stats().MessagesRecv)
+			if _, err := sess.Run(); err != nil {
+				return err
+			}
+			run = int(ma.Stats().MessagesRecv) - est
+			return sess.Close()
+		},
+		func(c transport.Conn) error {
+			sess, err := fam.newB(c, cfg)
+			if err != nil {
+				return err
+			}
+			if _, err := sess.Run(); err != nil {
+				return err
+			}
+			if _, err := sess.Run(); !errors.Is(err, ErrSessionClosed) {
+				return fmt.Errorf("serving side after the close op: %v", err)
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est, run
+}
+
+// verticalDropPoints places three connection drops inside a vertical Run
+// of more than W chunks, counted in frames the initiator has received
+// since the Run began: at the first reply (the first uplink is out,
+// nothing is decided), between two chunks of a channel, and at the last
+// reply (its result frame never leaves).
+func verticalDropPoints(t *testing.T, w, run int) []int {
+	t.Helper()
+	if run <= w {
+		t.Fatalf("the vertical Run is %d chunks at W=%d: it has no middle to vanish in", run, w)
+	}
+	return []int{0, run / 2, run - 1}
+}
+
+func stockFamily(t *testing.T, name string) sessionFamily {
+	t.Helper()
+	for _, fam := range stockFamilies(t) {
+		if fam.name == name {
+			return fam
+		}
+	}
+	t.Fatalf("no %s family", name)
+	return sessionFamily{}
+}
+
 func TestVerticalPeerDisappears(t *testing.T) {
-	attrs := [][]float64{{1}, {2}, {3}, {4}}
+	fam := stockFamily(t, "vertical")
 	for _, w := range []int{1, 4} {
-		runWithDroppedConn(t, "vertical", w, 3,
-			func(c transport.Conn, cfg Config) error {
-				_, err := VerticalAlice(c, cfg, attrs)
-				return err
-			},
-			func(c transport.Conn, cfg Config) error {
-				_, err := VerticalBob(c, cfg, attrs)
-				return err
-			})
+		est, run := cleanRunFrames(t, fam, parallelCfg(compare.EngineMasked, w, PruneGrid))
+		for _, inRun := range verticalDropPoints(t, w, run) {
+			runWithDroppedConn(t, "vertical", w, est+inRun,
+				func(c transport.Conn, cfg Config) error {
+					_, err := runOneShot(fam.newA(c, cfg))
+					return err
+				},
+				func(c transport.Conn, cfg Config) error {
+					_, err := runOneShot(fam.newB(c, cfg))
+					return err
+				})
+		}
 	}
 }
 
@@ -291,13 +360,20 @@ func TestSessionPeerVanishesMidRun(t *testing.T) {
 			continue
 		}
 		for _, w := range []int{1, 4} {
-			for _, afterMsgs := range []int64{0, 3, 9} {
+			cfg := parallelCfg(compare.EngineMasked, w, PruneGrid)
+			drops := []int{0, 3, 9}
+			if fam.name == "vertical" {
+				// A vertical Run is a handful of chunks, not a frame per
+				// neighbourhood: 3 and 9 received frames may be past its end.
+				_, run := cleanRunFrames(t, fam, cfg)
+				drops = verticalDropPoints(t, w, run)
+			}
+			for _, afterMsgs := range drops {
 				label := fmt.Sprintf("%s W=%d afterMsgs=%d", fam.name, w, afterMsgs)
 				before := runtime.NumGoroutine()
 				ca, cb := transport.LatencyPipe(time.Millisecond)
 				flaky := &vanishingConn{Conn: ca}
 				flaky.remaining.Store(math.MaxInt64)
-				cfg := parallelCfg(compare.EngineMasked, w, PruneGrid)
 				var sessions [2]*Session
 				var ready sync.WaitGroup
 				ready.Add(2)
@@ -309,7 +385,7 @@ func TestSessionPeerVanishesMidRun(t *testing.T) {
 					if err == nil {
 						ready.Wait()
 						if p == 0 {
-							flaky.remaining.Store(afterMsgs)
+							flaky.remaining.Store(int64(afterMsgs))
 						}
 						_, err = sess.Run()
 					}

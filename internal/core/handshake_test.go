@@ -195,3 +195,52 @@ func TestHandshakeRejectsPeerKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestHandshakeRefusesOldSchedule: a peer still on handshake v10 — same
+// frame layout, same parameters, but the per-neighbourhood lockstep
+// schedule — is refused with ErrHandshake, on either role, having been
+// sent this party's handshake frame and nothing after it: no index, no run
+// op, no chunk that it would pair with a batch of another length.
+func TestHandshakeRefusesOldSchedule(t *testing.T) {
+	cfg, err := testCfg(compare.EngineMasked).Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, err := cfg.Params()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pai, err := paillier.GenerateKey(rand.Reader, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attrs := [][]float64{{1}, {2}, {3}, {4}}
+	for _, role := range []Role{RoleAlice, RoleBob} {
+		old := handshakeMsg("vertical", role.peer(), params, 1, len(attrs), paillier.MarshalPublicKey(&pai.PublicKey), nil, nil).Bytes()
+		if old[0] != handshakeVersion {
+			t.Fatalf("the frame opens with %d, not the version byte", old[0])
+		}
+		old[0] = 10
+		conn, peer := transport.Pipe()
+		if err := peer.Send(old); err != nil {
+			t.Fatal(err)
+		}
+		tap := &sentTap{Conn: conn}
+		errc := make(chan error, 1)
+		go func() {
+			_, err := NewVerticalSession(tap, cfg, role, attrs)
+			errc <- err
+		}()
+		select {
+		case err = <-errc:
+		case <-timeoutAfterProtocol(t):
+			t.Fatalf("%v: establishment against a v10 peer hung", role)
+		}
+		if !errors.Is(err, ErrHandshake) {
+			t.Errorf("%v: a v10 peer got %v, want ErrHandshake", role, err)
+		}
+		if len(tap.sent) != 1 {
+			t.Errorf("%v: %d frames sent to a v10 peer, want the handshake alone", role, len(tap.sent))
+		}
+	}
+}

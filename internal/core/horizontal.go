@@ -111,7 +111,7 @@ func newHorizontalSession(conn transport.Conn, cfg Config, role Role, points [][
 }
 
 // NewPair establishes one HDP edge over a party's own generation table:
-// worker channels, keys and the v10 handshake (proto names the protocol;
+// worker channels, keys and the v11 handshake (proto names the protocol;
 // role breaks the symmetry — it decides who sends first in every frame
 // swap, so a mesh maps the lower party index to RoleAlice), the common
 // record dimension, the masked-product packers, and — under grid pruning

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/dbscan"
+	"repro/internal/transport"
 )
 
 // PairCache is a session's cross-run pair-decision cache: pairwise
@@ -101,44 +103,73 @@ func retractRemap(ids []int) func(int) (int, bool) {
 	}
 }
 
-// LockstepCluster is the shared DBSCAN driver of Algorithms 5–6, the one
-// cluster-expansion loop of the pair-shaped protocols: every participant
-// executes this exact code with a jointly-computed pairwise decision
-// oracle, so their control flow — and therefore the sequence of
-// sub-protocol invocations — is identical, and all end with the same
-// labelling. The two-party vertical and arbitrary protocols use it, as
-// does the multi-party ring (internal/multiparty).
+// lockstepChunk caps a chunk of LockstepCluster's schedule, in pair
+// decisions. The cap trades round trips against idle worker channels: a
+// chunk costs its engine's fixed frame count whatever it holds, so fewer,
+// larger chunks mean fewer round trips, while a run needs at least W
+// chunks to keep W channels busy and a few more per channel for one
+// chunk's arithmetic to hide the next one's wire wait. It is measured, not
+// tuned: the bench `wan` workload (2 661 decisions, W = 4, 10 ms one way)
+// reads the same run time within its noise from 128 to 1024 and the
+// fewest wire bytes at 256 and 512 (CHANGES.md, PR 22); 256 is the smaller
+// of those, so that an input a quarter of `wan`'s still has a chunk for
+// every channel.
+const lockstepChunk = 256
+
+// chunkBound is the one sizing rule of the schedule: a chunk holds at most
+// lockstepChunk decisions, and fewer when cmpBytes — what one decision
+// adds to the largest frame of its chunk (compare.Alice.FrameBytes; under
+// YMPP the whole comparison domain in residues) — would take that frame
+// past a quarter of transport.MaxFrameSize. Never below one: a row is
+// never split, so a single row above the bound travels as one frame,
+// which is the limit the per-neighbourhood batches always had.
+func chunkBound(cmpBytes int) int {
+	return max(1, min(lockstepChunk, transport.MaxFrameSize/4/max(1, cmpBytes)))
+}
+
+// LockstepCluster is the shared DBSCAN driver of Algorithms 5–6 for the
+// pair-shaped protocols: every participant executes this exact code with
+// a jointly-computed pairwise decision oracle, so the sequence of
+// sub-protocol invocations is identical on all sides, and all end with the
+// same labelling. The two-party vertical and arbitrary protocols use it,
+// as does the multi-party ring (internal/multiparty).
 //
-// w is the wave width: each expansion round takes up to w queue items,
-// collects every still-undecided pair of their neighbourhoods into one
-// batch per item (pairs normalized i < j, each claimed by exactly one
-// batch), and runs the batches concurrently — batchOn(ch, pairs) decides
-// worker slot ch's batch, in order, on that slot's channel. At w = 1 a
-// wave is one neighbourhood's batch, run inline. decideLocal, when
-// non-nil, settles a pair without the oracle (the grid-pruning shortcut,
-// see PrunedLocalDecider). Waves, batches and channel assignments are
-// pure functions of the shared deterministic state, so the jointly-
-// computed oracles stay in lock step at every w, and the decided-pair
-// multiset — and with it the labels and every count-based Ledger class —
-// does not depend on w.
+// It runs in two steps, because DBSCAN queries every point: the set of
+// pairs the algorithm will ask about is every pair, known before the
+// first frame, and nothing about it waits on a result.
 //
-// prior, when non-nil, seeds the run with a cross-run PairCache. A pair
-// already in prior never reaches the oracle: the first time a run
-// consults it, onCached fires (the hook records the decision-level Ledger
-// budget and the cached-comparison counter) and the cached bit enters the
-// per-run view. Prior hits are folded in while batches are built — before
-// a pair could be claimed for a worker — and oracle results are written
-// back after each wave, both on the scheduling goroutine, so the cache
-// needs no locking and every participant derives identical waves from its
-// identical prior.
+// Step 1 settles the whole pair matrix. Every pair i < j is enumerated
+// once. decideLocal, when non-nil, settles a pair without the oracle (the
+// grid-pruning shortcut, see PrunedLocalDecider). prior, when non-nil,
+// seeds the run with a cross-run PairCache: a pair already in it never
+// reaches the oracle — onCached fires for it, once (the hook records the
+// decision-level Ledger budget and the cached-comparison counter). What is
+// left is grouped into rows by the higher-indexed endpoint — row j holds
+// the undecided pairs (i, j), i ascending, so an appended record's pairs
+// form one row: its neighbourhood — and whole rows are packed, in row
+// order, into chunks of at most chunkBound(cmpBytes) pairs (a row joins
+// the open chunk unless it would take it past the bound; a single larger
+// row is its own chunk). The chunks are dealt round-robin onto the w
+// worker channels: worker t runs chunks t, t+w, t+2w, … in order, each as
+// one batchOn(t, pairs) call on channel t, all w workers concurrently (at
+// w = 1, inline). batchOn reads each pair's row back with PairRows, which
+// is how the callers keep the grouped comparison uplink's dedup inside
+// one neighbourhood (compare/full.go). Oracle results are
+// written to the matrix and to prior after every worker has returned, on
+// the calling goroutine, so the cache needs no locking.
 //
-// Unlike waveExpand, lockstep waves keep a hard barrier: the next wave's
-// batches are built from the decided-pair view the current wave writes,
-// so issuing wave k+1's uplink before wave k settles would re-decide
-// already-settled pairs and change the batch contents — and every
-// participant must assemble identical batches, which it can only do from
-// identical post-wave state.
-func LockstepCluster(n, minPts, w int,
+// Rows, chunks and channel assignments are pure functions of state every
+// participant holds identically before the run — n, prior, the cell
+// matrix behind decideLocal, w and the engine behind cmpBytes — so the
+// jointly-computed oracles pair up chunk for chunk, and the decided-pair
+// multiset — with it the labels and every count-based Ledger class — does
+// not depend on w or on the bound. A cold run costs ⌈chunks/w⌉ dependent
+// round-trip groups instead of one per neighbourhood.
+//
+// Step 2 is plain DBSCAN over the settled matrix: dbscan.ClusterGeneric,
+// the same Algorithm-6 control flow the plaintext oracle runs, so the
+// labels are the single-party labels by construction.
+func LockstepCluster(n, minPts, w, cmpBytes int,
 	prior *PairCache, onCached func(pr [2]int, in bool),
 	decideLocal func(pr [2]int) (value, decided bool),
 	batchOn func(ch int, pairs [][2]int) ([]bool, error)) ([]int, int, error) {
@@ -148,162 +179,100 @@ func LockstepCluster(n, minPts, w int,
 	if w < 1 {
 		return nil, 0, fmt.Errorf("core: worker width %d < 1", w)
 	}
-	cache := make(map[[2]int]bool)
+	// near[i] is i's Eps-neighbourhood, itself included.
+	near := make([][]int, n)
+	for i := range near {
+		near[i] = []int{i}
+	}
+	settle := func(pr [2]int, in bool) {
+		if in {
+			near[pr[0]] = append(near[pr[0]], pr[1])
+			near[pr[1]] = append(near[pr[1]], pr[0])
+		}
+	}
 
-	// buildBatch collects point p's still-undecided pairs, settling
-	// locally-decidable ones and skipping pairs already claimed by an
-	// earlier batch of the same wave.
-	claimed := make(map[[2]int]bool)
-	buildBatch := func(p int) [][2]int {
-		var live [][2]int
-		for j := 0; j < n; j++ {
-			if j == p {
-				continue
-			}
-			a, b := p, j
-			if a > b {
-				a, b = b, a
-			}
-			key := [2]int{a, b}
-			if _, ok := cache[key]; ok || claimed[key] {
-				continue
-			}
+	bound := chunkBound(cmpBytes)
+	var chunks [][][2]int
+	var open [][2]int
+	for j := 1; j < n; j++ {
+		rowStart := len(open)
+		for i := 0; i < j; i++ {
+			pr := [2]int{i, j}
 			if decideLocal != nil {
-				if v, ok := decideLocal(key); ok {
-					cache[key] = v
+				if in, ok := decideLocal(pr); ok {
+					settle(pr, in)
 					continue
 				}
 			}
 			if prior != nil {
-				if v, ok := prior.m[key]; ok {
-					cache[key] = v
+				if in, ok := prior.m[pr]; ok {
+					settle(pr, in)
 					if onCached != nil {
-						onCached(key, v)
+						onCached(pr, in)
 					}
 					continue
 				}
 			}
-			claimed[key] = true
-			live = append(live, key)
+			open = append(open, pr)
 		}
-		return live
+		if rowStart > 0 && len(open) > bound {
+			chunks = append(chunks, open[:rowStart:rowStart])
+			open = open[rowStart:]
+		}
+	}
+	if len(open) > 0 {
+		chunks = append(chunks, open)
 	}
 
-	// wave decides the missing pairs of up to W points concurrently, one
-	// worker channel per point, in wave order.
-	wave := func(points []int) error {
-		batches := make([][][2]int, len(points))
-		for t, p := range points {
-			batches[t] = buildBatch(p)
-		}
-		results := make([][]bool, len(points))
-		if err := runWave(len(points), func(t int) error {
-			if len(batches[t]) == 0 {
-				return nil
-			}
-			res, err := batchOn(t, batches[t])
+	results := make([][]bool, len(chunks))
+	if err := runWave(min(w, len(chunks)), func(t int) error {
+		for c := t; c < len(chunks); c += w {
+			res, err := batchOn(t, chunks[c])
 			if err != nil {
 				return err
 			}
-			if len(res) != len(batches[t]) {
-				return fmt.Errorf("core: batch oracle returned %d results for %d pairs", len(res), len(batches[t]))
+			if len(res) != len(chunks[c]) {
+				return fmt.Errorf("core: batch oracle returned %d results for %d pairs", len(res), len(chunks[c]))
 			}
-			results[t] = res
-			return nil
-		}); err != nil {
-			return err
-		}
-		for t, batch := range batches {
-			for u, key := range batch {
-				cache[key] = results[t][u]
-				if prior != nil {
-					prior.m[key] = results[t][u]
-				}
-				delete(claimed, key)
-			}
+			results[c] = res
 		}
 		return nil
+	}); err != nil {
+		return nil, 0, err
 	}
+	for c, chunk := range chunks {
+		for u, pr := range chunk {
+			settle(pr, results[c][u])
+			if prior != nil {
+				prior.m[pr] = results[c][u]
+			}
+		}
+	}
+
+	for i := range near {
+		sort.Ints(near[i])
+	}
+	labels, clusters := dbscan.ClusterGeneric(n, func(i int) []int { return near[i] }, minPts)
+	return labels, clusters, nil
+}
 
-	neighborsOf := func(i int) []int {
-		out := []int{}
-		for j := 0; j < n; j++ {
-			if j == i {
-				out = append(out, j) // a point is always in its own neighbourhood
-				continue
-			}
-			a, b := i, j
-			if a > b {
-				a, b = b, a
-			}
-			if cache[[2]int{a, b}] {
-				out = append(out, j)
-			}
-		}
-		return out
+// PairRows names the row of every pair of a chunk — its higher-indexed
+// endpoint, the grouping LockstepCluster packs chunks by — in the form
+// compare.Alice's BatchLessRows / BatchLessEqRows take.
+func PairRows(pairs [][2]int) []int {
+	rows := make([]int, len(pairs))
+	for u, pr := range pairs {
+		rows[u] = pr[1]
 	}
-
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = dbscan.Unclassified
-	}
-	clusterID := 0
-	for i := 0; i < n; i++ {
-		if labels[i] != dbscan.Unclassified {
-			continue
-		}
-		if err := wave([]int{i}); err != nil {
-			return nil, 0, err
-		}
-		seeds := neighborsOf(i)
-		if len(seeds) < minPts {
-			labels[i] = dbscan.Noise
-			continue
-		}
-		clusterID++
-		for _, sd := range seeds {
-			labels[sd] = clusterID
-		}
-		queue := make([]int, 0, len(seeds))
-		for _, sd := range seeds {
-			if sd != i {
-				queue = append(queue, sd)
-			}
-		}
-		for len(queue) > 0 {
-			step := w
-			if step > len(queue) {
-				step = len(queue)
-			}
-			items := queue[:step:step]
-			queue = queue[step:]
-			if err := wave(items); err != nil {
-				return nil, 0, err
-			}
-			for _, cur := range items {
-				result := neighborsOf(cur)
-				if len(result) < minPts {
-					continue
-				}
-				for _, r := range result {
-					if labels[r] == dbscan.Unclassified || labels[r] == dbscan.Noise {
-						if labels[r] == dbscan.Unclassified {
-							queue = append(queue, r)
-						}
-						labels[r] = clusterID
-					}
-				}
-			}
-		}
-	}
-	return labels, clusterID, nil
+	return rows
 }
 
 // PerPairOracle adapts a one-pair oracle to LockstepCluster's batch hook:
-// the batch is decided one complete sub-protocol at a time, in batch
-// order. This is the whole of Config.Batching = "sequential" in the
-// lockstep families — the paper-literal round structure the equivalence
-// harnesses use as their reference; the driver above never sees it.
+// a chunk is decided one complete sub-protocol at a time, in chunk order.
+// This is the whole of Config.Batching = "sequential" in the lockstep
+// families — the paper-literal round structure the equivalence harnesses
+// use as their reference, over the same chunks; the driver above never
+// sees it.
 func PerPairOracle(pairLE func(i, j int) (bool, error)) func(ch int, pairs [][2]int) ([]bool, error) {
 	return func(_ int, pairs [][2]int) ([]bool, error) {
 		out := make([]bool, len(pairs))

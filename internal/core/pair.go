@@ -56,9 +56,14 @@ func (r Role) peer() Role {
 // frames); version 9 added the packed comparison uplink ("full"
 // packing, a per-batch moded wire form) and the uplink/downlink
 // ciphertext split; version 10 made the RSA key conditional on the agreed
-// engine (both RSA fields travel empty unless Engine is "ympp"). Mesh
-// edges (internal/multiparty) speak the same frame with proto "mesh".
-const handshakeVersion = 10
+// engine (both RSA fields travel empty unless Engine is "ympp"); version
+// 11 changed no frame layout but the lockstep schedule — which pairs share
+// a vdp.cmp / adp.mp / adp.cmp batch and which channel carries it
+// (LockstepCluster: whole-row chunks dealt over the W channels instead of
+// one batch per neighbourhood) — and a peer on the old schedule would pair
+// batches of different lengths. Mesh edges (internal/multiparty) speak the
+// same frame with proto "mesh".
+const handshakeVersion = 11
 
 // ErrHandshake reports parameter disagreement between the parties.
 var ErrHandshake = errors.New("core: handshake parameter mismatch")
@@ -458,6 +463,16 @@ func (c *countingAlice) BatchLess(conn transport.Conn, as []int64) ([]bool, erro
 	return c.inner.BatchLess(conn, as)
 }
 
+func (c *countingAlice) BatchLessEqRows(conn transport.Conn, as []int64, rows []int) ([]bool, error) {
+	c.n.Add(int64(len(as)))
+	return c.inner.BatchLessEqRows(conn, as, rows)
+}
+
+func (c *countingAlice) BatchLessRows(conn transport.Conn, as []int64, rows []int) ([]bool, error) {
+	c.n.Add(int64(len(as)))
+	return c.inner.BatchLessRows(conn, as, rows)
+}
+
 // BatchLessEqDerived forwards a derived-base batch (operands already
 // held encrypted by the peer; zero uplink ciphertexts). Only masked
 // engines with an UplinkPacker support it; callers gate on
@@ -481,8 +496,9 @@ func (c *countingAlice) BatchLessDerived(conn transport.Conn, as []int64) ([]boo
 	return d.BatchLessDerived(conn, as)
 }
 
-func (c *countingAlice) Bound() int64 { return c.inner.Bound() }
-func (c *countingAlice) Name() string { return c.inner.Name() }
+func (c *countingAlice) Bound() int64    { return c.inner.Bound() }
+func (c *countingAlice) FrameBytes() int { return c.inner.FrameBytes() }
+func (c *countingAlice) Name() string    { return c.inner.Name() }
 
 type countingBob struct {
 	inner compare.Bob
@@ -532,8 +548,9 @@ func (c *countingBob) BatchLessDerived(conn transport.Conn, bs []int64, base fun
 	return d.BatchLessDerived(conn, bs, base)
 }
 
-func (c *countingBob) Bound() int64 { return c.inner.Bound() }
-func (c *countingBob) Name() string { return c.inner.Name() }
+func (c *countingBob) Bound() int64    { return c.inner.Bound() }
+func (c *countingBob) FrameBytes() int { return c.inner.FrameBytes() }
+func (c *countingBob) Name() string    { return c.inner.Name() }
 
 // DistEngines returns comparators for the split-threshold predicate
 // a + b ≤ Eps² (driver holds a ∈ [0, bound], responder holds b ∈ [−bound,
@@ -542,6 +559,18 @@ func (c *countingBob) Name() string { return c.inner.Name() }
 // because a never exceeds bound.
 func (s *Pair) DistEngines() (compare.Alice, compare.Bob, error) {
 	return s.engines(s.bound + 1)
+}
+
+// lockstepFrameBytes is the chunk rule's input (LockstepCluster) for a run
+// decided on the DistEngines pair: the lockstep families fix the
+// comparison roles for the whole run — RoleAlice holds the left operands —
+// so her Alice engine and RoleBob's Bob engine sit on the same key and
+// report the same number.
+func (s *Pair) lockstepFrameBytes(a compare.Alice, b compare.Bob) int {
+	if s.role == RoleAlice {
+		return a.FrameBytes()
+	}
+	return b.FrameBytes()
 }
 
 // batched reports whether this session uses the batched round structure.

@@ -9,50 +9,55 @@ import (
 	"repro/internal/transport"
 )
 
-// The wave scheduler. Every protocol family, the ring and the mesh expand
-// clusters on it, through one driver per protocol shape: WaveDrive (below)
-// for the horizontal shape — HDP region queries and enhanced core queries
-// — and LockstepCluster (lockstep.go) for the pair shape — lockstep pair
-// batches of the vertical/arbitrary families and the multiparty ring.
-// Config.Parallel = W is its width: independent secure sub-protocols are
-// dispatched in waves of up to W across the session's W worker channels
-// and overlap their round trips. W = 1 is a one-worker wave: it runs
-// inline on the calling goroutine over the session's single bare
-// connection, with no multiplexer and no pipelining.
+// The query scheduler. Every protocol family, the ring and the mesh run
+// their secure sub-protocols on it, through one driver per protocol shape.
+// WaveDrive (below) is the horizontal shape's — HDP region queries and
+// enhanced core queries — and the only cluster-expansion loop in this
+// package: it dispatches independent queries in waves of up to W.
+// LockstepCluster (lockstep.go) is the pair shape's — the vertical and
+// arbitrary families and the multiparty ring — and has no waves: it
+// settles the whole pair matrix up front, dealing its chunks over the W
+// channels, and then clusters with dbscan.ClusterGeneric, the plaintext
+// oracle's loop. Config.Parallel = W is the width of both: independent
+// sub-protocols run on the session's W worker channels and overlap their
+// round trips. W = 1 runs inline on the calling goroutine over the
+// session's single bare connection, with no multiplexer and no
+// pipelining.
 //
 // Soundness rests on two invariants:
 //
 //   - Determinism of the schedule. Which queries form a wave, which pairs
-//     form a worker's batch, and which channel carries each batch are pure
-//     functions of shared protocol state (labels, the pair cache, the
-//     queue), never of goroutine timing — so in the jointly-computed
-//     families every participant runs the same wave schedule and the
-//     worker-channel traffic pairs up exactly.
-//   - Query independence. A wave only prefetches work whose execution is
-//     already inevitable at any width: every entry of Algorithm 4's
-//     seed queue is eventually queried exactly once, and a lockstep wave
-//     claims each undecided pair for exactly one worker batch. The
-//     multiset of executed sub-protocols — and therefore every
-//     count-based Ledger class, the comparison totals, and the labels —
-//     does not depend on W; only frame interleaving and the responder's
-//     permutation draws do. The parallel equivalence harness enforces
-//     this.
+//     form a chunk, and which channel carries each are pure functions of
+//     shared protocol state (labels and the queue; the pair cache, the
+//     cell matrix and the engine's frame size), never of goroutine timing
+//     — so in the jointly-computed families every participant runs the
+//     same schedule and the worker-channel traffic pairs up exactly.
+//   - Query independence. Nothing is run early that would not be run at
+//     any width: every entry of Algorithm 4's seed queue is eventually
+//     queried exactly once, and Algorithm 6 queries every point, so every
+//     pair the index and the cache leave undecided reaches the oracle —
+//     in exactly one chunk. The multiset of executed sub-protocols — and
+//     therefore every count-based Ledger class, the comparison totals,
+//     and the labels — does not depend on W; only frame interleaving and
+//     the responder's permutation draws do. The parallel equivalence
+//     harness enforces this.
 //
-// Compute discipline: wave workers are I/O waiters — they MUST all run
-// concurrently (each worker channel's traffic pairs with the peer's
-// matching worker, so capping wave goroutines below W could deadlock the
-// lockstep families) and are therefore never scheduled on the crypto
-// pool. The CPU-heavy work inside a wave — batch encryption, decryption,
-// homomorphic arithmetic — reaches the pool through the engine and mpc
-// handles that carry the Pair's pool: on a multi-session server all W
-// workers of all sessions contend for the SessionManager's one bounded
-// pool (Config.Pool) instead of fanning out W·GOMAXPROCS goroutines per
-// session.
+// Compute discipline: the workers of a wave or of a chunk schedule are I/O
+// waiters — they MUST all run concurrently (each worker channel's traffic
+// pairs with the peer's matching worker, so capping them below W could
+// deadlock the lockstep families) and are therefore never scheduled on the
+// crypto pool. The CPU-heavy work inside them — batch encryption,
+// decryption, homomorphic arithmetic — reaches the pool through the engine
+// and mpc handles that carry the Pair's pool: on a multi-session server
+// all W workers of all sessions contend for the SessionManager's one
+// bounded pool (Config.Pool) instead of fanning out W·GOMAXPROCS
+// goroutines per session.
 
-// runWave executes one wave of n jobs concurrently (a single job runs
-// inline, with no goroutine). It returns the first root-cause error: when
-// one worker fails and tears the channels down (Pair.Serve's failAll),
-// its siblings fail with induced connection-closed errors, so
+// runWave executes n jobs concurrently — one wave's queries, or the n
+// workers of a lockstep chunk schedule — and waits for all (a single job
+// runs inline, with no goroutine). It returns the first root-cause error:
+// when one worker fails and tears the channels down (Pair.Serve's
+// failAll), its siblings fail with induced connection-closed errors, so
 // non-ErrClosed errors take precedence.
 func runWave(n int, f func(t int) error) error {
 	if n <= 0 {

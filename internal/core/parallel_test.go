@@ -134,7 +134,7 @@ func TestDriversMatchPlaintextOracles(t *testing.T) {
 
 				pairs := map[[2]int]int{}
 				plain := plainBatchOracle(pts, epsSq)
-				labels, k, err := LockstepCluster(len(pts), minPts, w, nil, nil, nil,
+				labels, k, err := LockstepCluster(len(pts), minPts, w, 1, nil, nil, nil,
 					func(ch int, batch [][2]int) ([]bool, error) {
 						mu.Lock()
 						for _, pr := range batch {

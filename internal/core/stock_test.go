@@ -25,7 +25,11 @@ import (
 // stockFamilies binds the four two-party families to data on which every
 // one of them puts ciphertexts under the peer's key on the wire (the blob
 // sample, except that the enhanced family asks nothing remote on it and
-// takes the grid fixture).
+// takes the grid fixture). The vertical family takes a larger sample of
+// the same blobs: its Run is more than W = 4 chunks of the lockstep
+// schedule (cleanRunFrames' callers assert it), so every worker channel
+// runs a second chunk after its first — a Run has a middle to vanish in,
+// and a nonce stock is consulted after it was first ordered from.
 func stockFamilies(t *testing.T) []sessionFamily {
 	t.Helper()
 	blobs, _ := dataset.Quantize(dataset.Blobs(24, 2, 0.4, 7), 8)
@@ -33,7 +37,8 @@ func stockFamilies(t *testing.T) []sessionFamily {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vsplit, err := partition.Vertical(blobs.Points, 1)
+	wide, _ := dataset.Quantize(dataset.Blobs(80, 2, 0.4, 7), 8)
+	vsplit, err := partition.Vertical(wide.Points, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,15 +20,17 @@ import (
 // own columns and a single secure comparison decides
 // PA + PB ≤ Eps² per pair (Theorem 10's only disclosure).
 //
-// Round structure (Config.Batching): under the default batched mode the
-// lockstep driver submits every yet-undecided pair of one neighborhood
-// query as a single BatchLess — 3 vdp.cmp frames per neighborhood, O(n)
-// round trips for the whole run instead of the sequential O(n²). The
-// per-pair payloads, the decided predicates, and the PairDecisions Ledger
-// count are identical in both modes. The batches of up to W =
-// Config.Parallel upcoming neighborhoods ride separate worker channels
-// concurrently (LockstepCluster), overlapping their round trips with
-// identical decided pairs.
+// Round structure (Config.Batching): the lockstep driver settles the whole
+// pair matrix before it clusters (LockstepCluster). Under the default
+// batched mode the pairs that neither the grid index nor the pair cache
+// decides travel in chunks of whole rows — a row is one record's undecided
+// pairs against the records before it — each chunk one BatchLess: 3
+// vdp.cmp frames per chunk of up to 256 decisions, a handful of round
+// trips for a cold run instead of the sequential O(n²), and one chunk for
+// a run after a small Append. The per-pair payloads, the decided
+// predicates, and the PairDecisions Ledger count are identical in both
+// modes. Chunk c rides worker channel c mod W (W = Config.Parallel), so up
+// to W chunks overlap their round trips, with identical decided pairs.
 //
 // This is the one-shot form; NewVerticalSession establishes a long-lived
 // session whose index exchange and keys serve many Run calls.
@@ -275,7 +277,10 @@ func verticalRunOnce(t *Session, vs *vStream) (*Result, error) {
 		s.cmpCached.Add(1)
 	}
 	// Fixed comparison roles for the whole run: Alice always holds the
-	// left value (her partial sum PA), Bob the right (Eps² − PB).
+	// left value (her partial sum PA), Bob the right (Eps² − PB). A chunk
+	// holds whole rows; Alice names each pair's row, so equal partial sums
+	// share an uplink ciphertext within one neighbourhood only
+	// (compare/full.go).
 	batchOn := func(ch int, pairs [][2]int) ([]bool, error) {
 		conn := t.s.Conns[ch]
 		setTag(conn, "vdp.cmp")
@@ -290,7 +295,7 @@ func verticalRunOnce(t *Session, vs *vStream) (*Result, error) {
 			}
 		}
 		if role == RoleAlice {
-			return engA.BatchLess(conn, vals)
+			return engA.BatchLessRows(conn, vals, PairRows(pairs))
 		}
 		return engB.BatchLess(conn, vals)
 	}
@@ -306,7 +311,7 @@ func verticalRunOnce(t *Session, vs *vStream) (*Result, error) {
 			return engB.Less(conn, s.responderOperand(engB.Bound(), partial))
 		})
 	}
-	labels, clusters, err := LockstepCluster(len(enc), s.cfg.MinPts, s.cfg.Parallel,
+	labels, clusters, err := LockstepCluster(len(enc), s.cfg.MinPts, s.cfg.Parallel, s.lockstepFrameBytes(engA, engB),
 		vs.Cache, onCached, PrunedLocalDecider(vs.CellRows, onPruned), batchOn)
 	if err != nil {
 		return nil, err

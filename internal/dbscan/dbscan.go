@@ -64,7 +64,7 @@ func Cluster(points [][]float64, p Params) (Result, error) {
 		}
 		return out
 	}
-	labels, k := clusterGeneric(len(points), neighbors, p.MinPts)
+	labels, k := ClusterGeneric(len(points), neighbors, p.MinPts)
 	return Result{Labels: labels, NumClusters: k}, nil
 }
 
@@ -87,7 +87,7 @@ func ClusterInt(points [][]int64, epsSq int64, minPts int) (Result, error) {
 		}
 		return out
 	}
-	labels, k := clusterGeneric(len(points), neighbors, minPts)
+	labels, k := ClusterGeneric(len(points), neighbors, minPts)
 	return Result{Labels: labels, NumClusters: k}, nil
 }
 
@@ -100,15 +100,19 @@ func ClusterIndexed(points [][]float64, p Params) (Result, error) {
 	}
 	idx := newGridIndex(points, p.Eps)
 	neighbors := func(i int) []int { return idx.regionQuery(i) }
-	labels, k := clusterGeneric(len(points), neighbors, p.MinPts)
+	labels, k := ClusterGeneric(len(points), neighbors, p.MinPts)
 	return Result{Labels: labels, NumClusters: k}, nil
 }
 
-// clusterGeneric is the driver shared by all entry points and by the
-// lock-step private protocols: n points addressed by index, an opaque
-// region-query function, and the ExpandCluster control flow of the paper's
-// Algorithm 5/6 (whose single-party behaviour equals Ester et al.).
-func clusterGeneric(n int, neighbors func(i int) []int, minPts int) ([]int, int) {
+// ClusterGeneric is the driver shared by all entry points and by the
+// lock-step private protocols (core.LockstepCluster runs it over the pair
+// matrix the parties decided jointly): n points addressed by index, an
+// opaque region-query function, and the ExpandCluster control flow of the
+// paper's Algorithm 5/6 (whose single-party behaviour equals Ester et
+// al.). neighbors(i) lists i's Eps-neighbourhood, i included, in ascending
+// index order — border-point assignment depends on it — and minPts must be
+// at least 1. It returns the labels and the cluster count.
+func ClusterGeneric(n int, neighbors func(i int) []int, minPts int) ([]int, int) {
 	labels := make([]int, n)
 	for i := range labels {
 		labels[i] = Unclassified

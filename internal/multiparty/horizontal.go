@@ -19,7 +19,7 @@ import (
 // driver's own points and cluster ids are local to each party.
 //
 // The mesh is the paper's two-party HDP sub-protocol run on each of the
-// k·(k−1)/2 edges: an edge is a core.Pair — core's v10 handshake with proto
+// k·(k−1)/2 edges: an edge is a core.Pair — core's v11 handshake with proto
 // "mesh" and the lower party index as RoleAlice, core's index exchange,
 // op frames and MP + comparison steps — over one core.OwnGens per party
 // and one core.PeerGens per peer. What lives here is only what is

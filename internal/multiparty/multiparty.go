@@ -21,7 +21,12 @@
 // between coordinator (left: t) and last party (right: Eps² + v) — over
 // the existing ring edge, using either engine from internal/compare —
 // yields the within-Eps bit, which the coordinator then circulates around
-// the ring. All parties run core.LockstepCluster with this oracle.
+// the ring. All parties run core.LockstepCluster with this oracle: the
+// whole pair matrix is settled first — under the batched round structure
+// one accumulation lap, one batched comparison and one broadcast lap per
+// chunk of whole rows (up to 256 undecided pairs), chunk c on worker
+// channel c mod W of every ring edge — and each party then runs plain
+// DBSCAN over the public bits.
 //
 // With k = 2 the ring degenerates to the two-party vertical protocol
 // (party 1 is both accumulator and masker), which the tests use for
@@ -31,10 +36,10 @@
 //
 // Neither topology carries its own copy of a two-party building block.
 // The horizontal mesh (horizontal.go) is the paper's HDP sub-protocol on
-// each of its k·(k−1)/2 edges, and an edge is a core.Pair: core's v10
+// each of its k·(k−1)/2 edges, and an edge is a core.Pair: core's v11
 // handshake, index exchange, op frames and MP + comparison steps. The
 // ring is its own protocol, but its token carries core.Params (ring
-// handshake v9) — so every agreed parameter, CmpMaskBits and
+// handshake v10) — so every agreed parameter, CmpMaskBits and
 // ShareMaskBits included, is compared at establishment by the same
 // Params.Diff — its coordinator↔last comparison engines come from
 // compare.Edge, the one engine constructor, and its edges split into
@@ -91,9 +96,10 @@ type Config struct {
 	ShareMaskBits int // mask magnitude for the ring sums: v ∈ [0, 2^bits)
 
 	// Batching: under the default batched mode one ring circulation
-	// carries the ciphertexts of a whole lockstep neighborhood and the
-	// coordinator↔last comparison is one BatchLessEq, so a neighborhood
-	// costs O(k) messages instead of O(k·n). Sequential mode keeps one
+	// carries the ciphertexts of a whole lockstep chunk (up to 256
+	// undecided pairs, whole rows of the pair matrix) and the
+	// coordinator↔last comparison is one BatchLessEq, so a chunk costs
+	// O(k) messages instead of O(k) per pair. Sequential mode keeps one
 	// circulation per pair.
 	Batching core.BatchMode
 
@@ -116,8 +122,8 @@ type Config struct {
 	Pruning      core.PruneMode
 	PruneQuantum int
 
-	// Parallel is W, the width of the one wave scheduler. The ring runs
-	// core.LockstepCluster, circulating up to W independent pair batches
+	// Parallel is W, the width of the one query scheduler. The ring runs
+	// core.LockstepCluster, circulating up to W chunks of the pair matrix
 	// concurrently — per-worker accumulation, comparison, and broadcast —
 	// and the mesh runs core.WaveDrive, deciding up to W queue points per
 	// wave, worker t on channel t of every mesh edge. W = 1 is a
@@ -222,8 +228,11 @@ var ErrHandshake = core.ErrHandshake
 // version 8 replaced the token's own parameter list with core.Params,
 // which also carries CmpMaskBits and ShareMaskBits; version 9 made the
 // coordinator's RSA key conditional on the agreed engine (rsaN/rsaE
-// travel empty unless Engine is "ympp").
-const ringHandshakeVersion = 9
+// travel empty unless Engine is "ympp"); version 10 changed no token
+// field but the lockstep schedule of a Run (core.LockstepCluster:
+// whole-row chunks dealt over the W channels instead of one circulation
+// per neighbourhood).
+const ringHandshakeVersion = 10
 
 // handshakeToken travels once around the ring accumulating checks.
 type handshakeToken struct {
@@ -742,12 +751,12 @@ func (st *state) pairLE(i, j int) (bool, error) {
 }
 
 // pairLEBatchOn is the batched ring oracle on worker channel ch: one
-// circulation accumulates the ciphertexts of every pair in the batch
+// circulation accumulates the ciphertexts of every pair in the chunk
 // (encrypted, added, and decrypted on the parallel Paillier pool), one
-// BatchLessEq settles all thresholds between coordinator and last party,
-// and one circulation broadcasts the result bits. Message cost per
-// neighborhood: ~2k ring frames + 3 comparison frames, versus the
-// sequential path's per-pair circulations. Under the parallel scheduler
+// BatchLessEqRows settles all thresholds between coordinator and last
+// party, and one circulation broadcasts the result bits. Message cost per
+// chunk: ~2k ring frames + 3 comparison frames, versus the sequential
+// path's per-pair circulations. Under the parallel scheduler
 // (Config.Parallel) up to W such circulations — one per worker channel —
 // ride the multiplexed ring edges concurrently.
 func (st *state) pairLEBatchOn(ch int, pairs [][2]int) ([]bool, error) {
@@ -826,7 +835,8 @@ func (st *state) pairLEBatchOn(ch int, pairs [][2]int) ([]bool, error) {
 				return nil, fmt.Errorf("multiparty: masked sum %d outside [0,%d)", v, st.bound+st.shareV)
 			}
 		}
-		ins, err := st.cmpA.BatchLessEq(prev, vals)
+		// A chunk holds whole rows; the grouped uplink dedups within one.
+		ins, err := st.cmpA.BatchLessEqRows(prev, vals, core.PairRows(pairs))
 		if err != nil {
 			return nil, err
 		}

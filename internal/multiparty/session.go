@@ -191,7 +191,15 @@ func (rs *RingSession) run() (*Result, error) {
 	if cfg.Batching != core.BatchModeBatched {
 		batchOn = core.PerPairOracle(st.pairLE)
 	}
-	labels, clusters, err := core.LockstepCluster(len(st.enc), cfg.MinPts, cfg.Parallel,
+	// The comparison edge is the coordinator's: it holds the Alice engine,
+	// every other party the Bob engine over the same key and domain.
+	var cmpBytes int
+	if st.isCoordinator() {
+		cmpBytes = st.cmpA.FrameBytes()
+	} else {
+		cmpBytes = st.cmpB.FrameBytes()
+	}
+	labels, clusters, err := core.LockstepCluster(len(st.enc), cfg.MinPts, cfg.Parallel, cmpBytes,
 		rs.rows.Cache, onCached, core.PrunedLocalDecider(rs.rows.CellRows, onPruned), batchOn)
 	if err != nil {
 		return nil, err

@@ -56,6 +56,9 @@ func Pipe() (Conn, Conn) {
 }
 
 func (p *pipeHalf) Send(b []byte) error {
+	if err := checkFrameSize(len(b)); err != nil {
+		return err
+	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()

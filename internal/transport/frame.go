@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -11,6 +12,21 @@ import (
 // most a few ciphertexts plus headers; 16 MiB is far beyond any legitimate
 // frame and protects against corrupted length prefixes.
 const MaxFrameSize = 16 << 20
+
+// ErrFrameTooLarge reports a message above MaxFrameSize. Every Conn in
+// this package refuses such a message in Send — the in-process pipes and
+// the mux (whose limit is on the full frame, channel id included) exactly
+// like TCP framing — so a frame a socket would refuse fails the same way
+// in an in-process test.
+var ErrFrameTooLarge = errors.New("transport: frame exceeds MaxFrameSize")
+
+// checkFrameSize is the one Send-side size rule.
+func checkFrameSize(n int) error {
+	if n > MaxFrameSize {
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	}
+	return nil
+}
 
 // frameConn adapts a stream (net.Conn or any io.ReadWriteCloser) into a
 // message-oriented Conn using 4-byte big-endian length prefixes.
@@ -25,8 +41,8 @@ func NewFrameConn(rw io.ReadWriteCloser) Conn {
 }
 
 func (f *frameConn) Send(b []byte) error {
-	if len(b) > MaxFrameSize {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(b))
+	if err := checkFrameSize(len(b)); err != nil {
+		return err
 	}
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
@@ -48,7 +64,7 @@ func (f *frameConn) Recv() ([]byte, error) {
 	}
 	n := binary.BigEndian.Uint32(f.buf[:])
 	if n > MaxFrameSize {
-		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+		return nil, fmt.Errorf("%w: header announces %d bytes", ErrFrameTooLarge, n)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(f.rw, body); err != nil {

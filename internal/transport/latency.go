@@ -41,6 +41,9 @@ type latencyHalf struct {
 }
 
 func (p *latencyHalf) Send(b []byte) error {
+	if err := checkFrameSize(len(b)); err != nil {
+		return err
+	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()

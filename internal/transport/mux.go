@@ -237,6 +237,9 @@ func (c *muxChan) Send(b []byte) error {
 		return ErrClosed
 	}
 	frame := AppendMuxFrame(make([]byte, 0, len(b)+binary.MaxVarintLen32), c.id, b)
+	if err := checkFrameSize(len(frame)); err != nil {
+		return fmt.Errorf("transport: mux channel %d: %w", c.id, err)
+	}
 	c.m.wmu.Lock()
 	defer c.m.wmu.Unlock()
 	return c.m.base.Send(frame)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestPipeRoundTrip(t *testing.T) {
@@ -213,8 +214,76 @@ func TestFrameConnRejectsOversizedFrame(t *testing.T) {
 		c2.Write(hdr)
 		c2.Close()
 	}()
-	if _, err := fc.Recv(); err == nil {
-		t.Error("want error for oversized frame")
+	if _, err := fc.Recv(); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("Recv of an oversized header = %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// TestSendRefusesOversizeFrame: the frame limit is one rule on every Conn
+// — a message TCP framing would refuse is refused, with the same typed
+// error, by the in-process pipes, by a mux over either (whose limit counts
+// the channel id) and through a Meter; a message exactly at the limit
+// passes. Nothing oversize is ever delivered.
+func TestSendRefusesOversizeFrame(t *testing.T) {
+	addr, connc, errc, err := ListenAsync("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcp, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	select {
+	case server := <-connc:
+		defer server.Close()
+	case err := <-errc:
+		t.Fatal(err)
+	}
+	pipe, pipePeer := Pipe()
+	lat, latPeer := LatencyPipe(time.Millisecond)
+	muxBase, muxPeer := Pipe()
+	muxLatBase, _ := LatencyPipe(time.Millisecond)
+	metered, _ := Pipe()
+
+	over := make([]byte, MaxFrameSize+1)
+	for _, tc := range []struct {
+		name string
+		conn Conn
+		msg  []byte
+	}{
+		{"tcp", tcp, over},
+		{"pipe", pipe, over},
+		{"latency pipe", lat, over},
+		{"meter over pipe", NewMeter(metered), over},
+		// One byte of channel id puts a limit-sized payload over.
+		{"mux over pipe", NewMux(muxBase).Channel(3), over[:MaxFrameSize]},
+		{"mux over latency pipe", NewMux(muxLatBase).Channel(3), over[:MaxFrameSize]},
+	} {
+		if err := tc.conn.Send(tc.msg); !errors.Is(err, ErrFrameTooLarge) {
+			t.Errorf("%s: Send of %d bytes = %v, want ErrFrameTooLarge", tc.name, len(tc.msg), err)
+		}
+	}
+
+	// At the limit the frame travels, and it is the first thing the peer
+	// sees: the refused sends left nothing behind.
+	if err := pipe.Send(over[:MaxFrameSize]); err != nil {
+		t.Fatalf("pipe: limit-sized frame refused: %v", err)
+	}
+	if got, err := pipePeer.Recv(); err != nil || len(got) != MaxFrameSize {
+		t.Fatalf("pipe: limit-sized frame arrived as %d bytes, %v", len(got), err)
+	}
+	if err := lat.Send(over[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := latPeer.Recv(); err != nil || len(got) != 1 {
+		t.Fatalf("latency pipe: got %d bytes, %v after a refused send", len(got), err)
+	}
+	if err := NewMux(muxBase).Channel(3).Send(over[:MaxFrameSize-1]); err != nil {
+		t.Fatalf("mux: frame of exactly the limit refused: %v", err)
+	}
+	if got, err := muxPeer.Recv(); err != nil || len(got) != MaxFrameSize {
+		t.Fatalf("mux: limit-sized frame arrived as %d bytes, %v", len(got), err)
 	}
 }
 
