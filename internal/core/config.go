@@ -63,7 +63,8 @@ type Config struct {
 	Selection SelectionKind
 
 	// Batching selects between the batched round structure (default: one
-	// constant-round BatchLessEq per region query / lockstep chunk)
+	// constant-round BatchLessEq per HDP sub-query — per settle chunk
+	// under full packing — and per lockstep chunk)
 	// and the paper-literal sequential structure (one secure-comparison
 	// sub-protocol round trip per candidate pair), kept for A/B
 	// measurement. Both paths produce identical labels and identical
@@ -99,7 +100,9 @@ type Config struct {
 	// so both parties compute it identically. "full" extends slots with
 	// the packed comparison uplink (dedup-grouped base ciphertexts with
 	// per-slot multipliers, and derived bases — zero uplink ciphertexts —
-	// for the enhanced family's dot-product comparisons). "off" keeps the
+	// for the enhanced family's dot-product comparisons) and runs an HDP
+	// settle chunk as one exchange whose replies pack one exact dot
+	// product a slot (mpc's row-dot shape; hdp.go). "off" keeps the
 	// one-value-per-ciphertext wire format, the packing equivalence
 	// harness's reference. Labels and non-index Ledgers are identical
 	// in all modes — the packing equivalence harness enforces this.

@@ -3,10 +3,11 @@
 //
 //   - Horizontal (§4.2, Algorithms 3–4): each party owns complete records.
 //     Distance decisions against the peer's points use HDP — a batched
-//     Multiplication Protocol with zero-sum masks followed by one secure
-//     comparison against Eps² per pair. Each party labels only its own
-//     points, and cluster expansion walks only its own points, exactly as
-//     the paper specifies.
+//     Multiplication Protocol that hands the responder each cross dot
+//     product, followed by one secure comparison against Eps² per pair —
+//     settled for every own point before the cluster walk (settle.go).
+//     Each party labels only its own points, and cluster expansion walks
+//     only its own points, exactly as the paper specifies.
 //   - Vertical (§4.3, Algorithms 5–6): each party owns all records but a
 //     column slice. Both parties run the identical DBSCAN driver in lock
 //     step; each pairwise decision is one secure comparison (VDP), and
@@ -45,11 +46,11 @@
 //	│ (hdp/enhanced/        arbitrary (+ multiparty ring/mesh)   │
 //	│  vertical/arbitrary)  one Run = one clustering             │
 //	├────────────────────────────────────────────────────────────┤
-//	│ query scheduler       Config.Parallel: waves of W          │
-//	│ (parallel.go,         independent region queries, or the   │
-//	│  lockstep.go)         pair matrix's chunks dealt over W    │
-//	│                       worker channels; W=1 → one worker on │
-//	│                       the bare connection                  │
+//	│ query scheduler       Config.Parallel: the settle step's   │
+//	│ (parallel.go,         or the pair matrix's chunks dealt    │
+//	│  settle.go,           over W worker channels, or waves of  │
+//	│  lockstep.go)         W live core queries (enhanced); W=1  │
+//	│                       → one worker on the bare connection  │
 //	├────────────────────────────────────────────────────────────┤
 //	│ core.Session          lifecycle on one Pair: many Run      │
 //	│ (sess.go, gens.go)    calls; Append / Expire / Retract     │
@@ -66,9 +67,9 @@
 //	│                       only while a Run is in progress      │
 //	├────────────────────────────────────────────────────────────┤
 //	│ core.Pair             one edge's keys, agreed parameters   │
-//	│ (pair.go, params.go,  (core.Params, handshake v11), worker │
-//	│  hdp.go)              channels, pool and counters; the HDP │
-//	│                       steps and index exchange over        │
+//	│ (pair.go, params.go,  (core.Params, handshake v12), worker │
+//	│  hdp.go, settle.go)   channels, pool and counters; the HDP │
+//	│                       settle step and index exchange over  │
 //	│                       OwnGens / PeerGens. A Session wraps  │
 //	│                       one Pair; a k-party mesh holds one   │
 //	│                       per peer                             │
@@ -119,7 +120,7 @@
 // splits the connection into its W worker channels, generates the keys
 // the agreed engine needs — a Paillier pair always, an RSA pair only
 // under YMPP, the one engine that reads it — and swaps one handshake
-// frame — version 11: proto, role, the agreed parameters, data
+// frame — version 12: proto, role, the agreed parameters, data
 // dimensions, public keys. The two RSA fields travel empty under the
 // masked engine; PeerRSAKey holds a peer to that (a key the engine does
 // not use, or none where it does, is ErrHandshake), and a peer key that
@@ -129,8 +130,8 @@
 // an ErrHandshake that names the first field the parties disagree on.
 // There is one such stack, not one per topology: a multiparty mesh edge
 // is a Pair (NewPair, proto "mesh", lower party index as RoleAlice)
-// running the same op frames, index exchange and HDP steps (HDPCount /
-// HDPServe) as a two-party horizontal Session, and the multiparty ring
+// running the same index exchange and the same settle step (Settle /
+// SettleServe) as a two-party horizontal Session, and the multiparty ring
 // embeds Params in its circulating token (ring handshake v10, the same
 // RSA rule for the coordinator's key). Comparison
 // engines come from the one constructor compare.Edge — Pair.engines and
@@ -156,9 +157,21 @@
 // There is one driver per protocol shape, and Config.Parallel = W is its
 // width. WaveDrive (parallel.go) is Algorithm 4 for the horizontal shape —
 // basic, enhanced, and the multiparty mesh — and the one cluster-expansion
-// loop in this package: it prefetches the remote decisions of up to W
-// seed-queue points concurrently (every queued point is queried
-// eventually, so prefetching reorders nothing). LockstepCluster
+// loop in this package. The basic protocol and the mesh run it in two
+// steps, settle, then walk: Algorithm 4 queries every own point at least
+// once and a query's operands do not depend on labels, so Pair.Settle
+// (settle.go) first decides every (own point, peer generation) sub-query
+// the cross-run cache does not answer — enumerated in own-point order,
+// whole rows (one own point's sub-queries) packed into chunks under the
+// pair shape's chunkBound rule, chunk c on worker channel c mod W, one
+// exchange a chunk — and the walk then reads a cache that answers every
+// query: it touches no channel (a two-party driver reports its query
+// count on the done frame, for the responder's query-level Ledger; a mesh
+// driver reports nothing) and runs at width one. WaveDrive's waves carry
+// live queries for the enhanced protocol only, whose core decision
+// depends on the dataset sizes: there it prefetches the remote decisions
+// of up to W seed-queue points concurrently (every queued point is
+// queried eventually, so prefetching reorders nothing). LockstepCluster
 // (lockstep.go) is Algorithm 6 for the pair shape — vertical, arbitrary,
 // and the multiparty ring — and has no waves and no loop of its own:
 // DBSCAN queries every point once, so the pairs it will ask about are all
@@ -250,8 +263,9 @@
 //   - batched (default): every protocol step whose secure comparisons are
 //     mutually independent issues them as one compare.BatchLessEq /
 //     BatchLess — three frames per step regardless of how many predicates
-//     it settles. An HDP region query costs ≤ 3 hdp.cmp frames instead of
-//     3·nPeer; a lockstep chunk (vertical/arbitrary, via
+//     it settles. An HDP settle chunk costs 3 hdp.cmp frames under full
+//     packing, and 3 per sub-query — instead of 3 per candidate — in the
+//     reference forms; a lockstep chunk (vertical/arbitrary, via
 //     LockstepCluster: up to 256 pair decisions, whole rows) costs a
 //     constant number of vdp.cmp/adp.cmp frames instead of 3 per pair,
 //     and a cold Run is a handful of chunks; the enhanced selection runs
@@ -283,13 +297,19 @@
 // handshake; a mismatch is ErrHandshake) and the exchanged public keys,
 // so the packed layout needs no extra wire state.
 //
-// Three hot paths run over packed frames, each with its own slot sizing:
+// Four hot paths run over packed frames, each with its own slot sizing:
 //
-//   - Masked-product grids (hdp/adp): the responder's per-candidate
-//     coordinate products plus zero-sum mask shares ride
+//   - Masked-product grids (hdp under "slots", adp): the responder's
+//     per-candidate coordinate products plus zero-sum mask shares ride
 //     mpc.SenderGridMultiply/ReceiverGridMultiply (and the scatter forms
 //     for the arbitrary family) as ⌈nCand/S⌉·m ciphertexts instead of
 //     nCand·m, in both directions.
+//   - Row dot products (hdp under "full"): a settle chunk's coordinates
+//     go up packed per row, and mpc.SenderRowDot folds every row's column
+//     ciphertexts into reply ciphertexts shared by all rows, one exact
+//     dot product a slot — a slot a third as wide as a masked product's,
+//     no masks, one nonce a reply (hdp.go says why the responder's view is
+//     the same).
 //   - Dot products (enhanced/vertical): mpc.SenderDotManyPacked packs the
 //     per-pair share accumulation, whose small per-slot range gives the
 //     largest S.
@@ -307,8 +327,8 @@
 // moded wire forms (internal/compare, full.go): per-instance (the
 // slots-equivalent fallback, so full never sends more), grouped (one
 // ciphertext per distinct operand value; the responder folds each
-// instance from its class representative with a fresh r_i — the HDP
-// driver's constant batches collapse to one ciphertext, vertical's
+// instance from its class representative with a fresh r_i — an HDP
+// chunk's batch collapses to one ciphertext per own point, vertical's
 // repeating partial distances group), and derived (zero uplink
 // ciphertexts: the responder re-derives each E(a_i) homomorphically
 // from ciphertexts it already holds — the enhanced family's selection
@@ -354,14 +374,16 @@
 //     both parties disclose the per-record cell coordinates of the
 //     attributes they own (vdp.idx/adp.idx) and assemble the same full
 //     cell matrix.
-//   - Pruned region query (hdp). The driver announces the ≤3^d candidate
-//     cells adjacent to its query point's cell on the op frame, and the
-//     MP + comparison phases run over their padded occupancy only — the
-//     responder serves the real members plus always-out-of-range dummies,
-//     freshly permuted. When padding would not shrink the candidate set
-//     the query falls back to the exhaustive set (flagged on the op
-//     frame), so pruning never adds comparisons; empty candidate sets
-//     still announce the query so both Ledgers account it. The enhanced
+//   - Pruned region query (hdp). For each sub-query of a settle chunk the
+//     driver announces, on the chunk's op frame, the ≤3^d candidate cells
+//     adjacent to its query point's cell, and the MP + comparison phases
+//     run over their padded occupancy only — the responder serves the
+//     real members plus always-out-of-range dummies, freshly permuted per
+//     sub-query. When padding would not shrink the candidate set the
+//     sub-query falls back to the exhaustive generation (flagged on the
+//     op frame), so pruning never adds comparisons; a two-party driver
+//     still announces empty candidate sets so both Ledgers account them.
+//     The enhanced
 //     protocol prunes its share and selection phases the same way, with
 //     dummy shares pinned to the domain bound.
 //   - Pruned lockstep pair (vdp/adp). Pairs in non-adjacent cells are
@@ -408,10 +430,10 @@
 // with a PairCache (identical on all sides, since pair bits are public
 // to every participant, so the chunks of the oracle's schedule stay in
 // lock step);
-// the basic horizontal family caches per-point prefix counts and scopes
-// each region query to the peer's uncached suffix generations (the
-// fromGen watermark on the op frame — the responder serves only those
-// generations, padded to their stacked counts); the enhanced family
+// the basic horizontal family caches per-point, per-generation counts and
+// settles only the peer generations a point's cached chain does not reach
+// (each named on the chunk's op frame — the responder serves only those,
+// each padded to its own directory's counts); the enhanced family
 // skips whole core queries whose cached bit is still valid. Budget
 // accounting follows the pruning convention: a cache-served predicate
 // still records its decision-level Ledger entries, so an incremental
@@ -454,7 +476,7 @@
 // pair bit naming an expired record and remaps the survivors onto the
 // compacted indices (identically on all participants, keeping the
 // seeded drivers in lock step); the basic horizontal family's count
-// cache stores per-generation segments — region queries sweep one
+// cache stores per-generation segments — the settle step asks one
 // sub-query per live generation so cached segments align with
 // generation boundaries — and expiry trims dead and straddling segments
 // while the surviving chain keeps serving; the enhanced family's core

@@ -76,16 +76,63 @@ func runWithDroppedConn(t *testing.T, name string, w, afterMsgs int, alice, bob 
 	}
 }
 
+// wideHorizontal is a horizontal family whose Run has a middle to vanish
+// in: 40 points a side, pruning off and full packing (whatever the
+// configuration passed in says), so a driving pass is seven settle chunks
+// of six frames — more than W = 4, every channel runs a second chunk.
+func wideHorizontal() sessionFamily {
+	const n = 40
+	ptsA, ptsB := make([][]float64, n), make([][]float64, n)
+	for i := range ptsA {
+		ptsA[i], ptsB[i] = []float64{float64(i % 8), float64(i / 8)}, []float64{float64(7 - i%8), float64(i / 8)}
+	}
+	wide := func(cfg Config) Config {
+		cfg.Pruning, cfg.Packing = PruneOff, PackFull
+		return cfg
+	}
+	return sessionFamily{"horizontal",
+		func(c transport.Conn, cfg Config) (*Session, error) {
+			return NewHorizontalSession(c, wide(cfg), RoleAlice, ptsA)
+		},
+		func(c transport.Conn, cfg Config) (*Session, error) {
+			return NewHorizontalSession(c, wide(cfg), RoleBob, ptsB)
+		}}
+}
+
+// horizontalDropPoints places five connection drops inside a horizontal
+// Run of more than W chunks a pass, counted in frames the initiator has
+// received since the Run began. While she drives she receives two frames a
+// chunk (the encrypted coordinates, the comparison reply), while she
+// responds four (op, folded reply, comparison uplink, result bits) and the
+// W done frames; the walk between them is local. The drops: inside the
+// first chunk's MP (its op is out, the coordinates never arrive); between
+// that chunk's MP and its comparison; half-way through her driving pass,
+// where a channel is between two chunks; inside the first chunk she
+// serves; and as late as both parties are still sure to be exchanging —
+// the peer waits for no answer to a chunk's result bits or to a done
+// frame, so with one frame more than those outstanding, whatever order the
+// channels delivered in, one of them is a frame he does wait on.
+func horizontalDropPoints(t *testing.T, w, run int) []int {
+	t.Helper()
+	chunks := (run - w) / 6
+	if chunks*6+w != run || chunks <= w {
+		t.Fatalf("the horizontal Run is %d received frames at W=%d: not more than W chunks a pass of 2 + 4 frames, plus W done frames", run, w)
+	}
+	return []int{0, 1, chunks, 2*chunks + 2, run - (chunks + w + 1)}
+}
+
 func TestHorizontalPeerDisappearsMidProtocol(t *testing.T) {
+	fam := wideHorizontal()
 	for _, w := range []int{1, 4} {
-		for _, afterMsgs := range []int{0, 1, 2, 5} {
-			runWithDroppedConn(t, "horizontal", w, afterMsgs,
+		est, run := cleanRunFrames(t, fam, parallelCfg(compare.EngineMasked, w, PruneGrid))
+		for _, inRun := range horizontalDropPoints(t, w, run) {
+			runWithDroppedConn(t, "horizontal", w, est+inRun,
 				func(c transport.Conn, cfg Config) error {
-					_, err := HorizontalAlice(c, cfg, testAlicePts)
+					_, err := runOneShot(fam.newA(c, cfg))
 					return err
 				},
 				func(c transport.Conn, cfg Config) error {
-					_, err := HorizontalBob(c, cfg, testBobPts)
+					_, err := runOneShot(fam.newB(c, cfg))
 					return err
 				})
 		}
@@ -355,18 +402,15 @@ func (v *vanishingConn) Recv() ([]byte, error) {
 // time, every goroutine the sessions started (mux readers, workers, nonce
 // fillers) is gone, and the sessions are closed for good.
 func TestSessionPeerVanishesMidRun(t *testing.T) {
-	for _, fam := range stockFamilies(t) {
-		if fam.name != "horizontal" && fam.name != "vertical" {
-			continue
-		}
+	for _, fam := range []sessionFamily{wideHorizontal(), stockFamily(t, "vertical")} {
 		for _, w := range []int{1, 4} {
 			cfg := parallelCfg(compare.EngineMasked, w, PruneGrid)
-			drops := []int{0, 3, 9}
-			if fam.name == "vertical" {
-				// A vertical Run is a handful of chunks, not a frame per
-				// neighbourhood: 3 and 9 received frames may be past its end.
-				_, run := cleanRunFrames(t, fam, cfg)
-				drops = verticalDropPoints(t, w, run)
+			// A Run is a handful of chunks, not a frame per query or per
+			// neighbourhood: the drop points follow from its measured length.
+			_, run := cleanRunFrames(t, fam, cfg)
+			drops := verticalDropPoints(t, w, run)
+			if fam.name == "horizontal" {
+				drops = horizontalDropPoints(t, w, run)
 			}
 			for _, afterMsgs := range drops {
 				label := fmt.Sprintf("%s W=%d afterMsgs=%d", fam.name, w, afterMsgs)

@@ -245,6 +245,13 @@ type PeerGens struct {
 	mu  sync.Mutex
 	hdp *CountCache
 	enh map[int]enhEntry
+
+	// pre is per-run state of the settle step (settle.go): for each own
+	// point, the first generation its cached chain did not reach before
+	// this run's Settle — what the point's first walk query reports as
+	// cached. Settled advances it to the chain's end, so a re-query counts
+	// fully cached. The walk is sequential.
+	pre []int
 }
 
 // enhEntry caches one driver point's core bit plus the dataset sizes it
@@ -283,6 +290,17 @@ func (p *PeerGens) Extend(i, from, to, count int) {
 	p.mu.Lock()
 	p.hdp.Extend(i, from, to, count)
 	p.mu.Unlock()
+}
+
+// Settled answers one walk query of own point i from the cache a Settle of
+// this run completed: the count over every live generation, and how many
+// of the peer's live points were covered before that Settle ran — all of
+// them from the point's second query on.
+func (p *PeerGens) Settled(i, dead int) (count, cached int) {
+	count, upto := p.Covered(i, dead)
+	cached = p.N - p.Suffix(p.pre[i])
+	p.pre[i] = upto
+	return count, cached
 }
 
 func (p *PeerGens) getEnh(i int) (enhEntry, bool) {

@@ -196,11 +196,13 @@ func TestHandshakeRejectsPeerKeys(t *testing.T) {
 	}
 }
 
-// TestHandshakeRefusesOldSchedule: a peer still on handshake v10 — same
-// frame layout, same parameters, but the per-neighbourhood lockstep
-// schedule — is refused with ErrHandshake, on either role, having been
-// sent this party's handshake frame and nothing after it: no index, no run
-// op, no chunk that it would pair with a batch of another length.
+// TestHandshakeRefusesOldSchedule: a peer still on an older schedule — v10,
+// the per-neighbourhood lockstep batches, against a vertical session; v11,
+// the per-query horizontal sweeps, against a horizontal one; same frame
+// layout and parameters either time — is refused with ErrHandshake, on
+// either role, having been sent this party's handshake frame and nothing
+// after it: no index, no run op, no chunk that it would pair with a batch
+// of another length or take for an op it does not know.
 func TestHandshakeRefusesOldSchedule(t *testing.T) {
 	cfg, err := testCfg(compare.EngineMasked).Normalize()
 	if err != nil {
@@ -214,33 +216,42 @@ func TestHandshakeRefusesOldSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attrs := [][]float64{{1}, {2}, {3}, {4}}
-	for _, role := range []Role{RoleAlice, RoleBob} {
-		old := handshakeMsg("vertical", role.peer(), params, 1, len(attrs), paillier.MarshalPublicKey(&pai.PublicKey), nil, nil).Bytes()
-		if old[0] != handshakeVersion {
-			t.Fatalf("the frame opens with %d, not the version byte", old[0])
-		}
-		old[0] = 10
-		conn, peer := transport.Pipe()
-		if err := peer.Send(old); err != nil {
-			t.Fatal(err)
-		}
-		tap := &sentTap{Conn: conn}
-		errc := make(chan error, 1)
-		go func() {
-			_, err := NewVerticalSession(tap, cfg, role, attrs)
-			errc <- err
-		}()
-		select {
-		case err = <-errc:
-		case <-timeoutAfterProtocol(t):
-			t.Fatalf("%v: establishment against a v10 peer hung", role)
-		}
-		if !errors.Is(err, ErrHandshake) {
-			t.Errorf("%v: a v10 peer got %v, want ErrHandshake", role, err)
-		}
-		if len(tap.sent) != 1 {
-			t.Errorf("%v: %d frames sent to a v10 peer, want the handshake alone", role, len(tap.sent))
+	for _, old := range []struct {
+		version byte
+		proto   string
+		points  [][]float64
+		open    func(transport.Conn, Config, Role, [][]float64) (*Session, error)
+	}{
+		{10, "vertical", [][]float64{{1}, {2}, {3}, {4}}, NewVerticalSession},
+		{11, "horizontal", [][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}}, NewHorizontalSession},
+	} {
+		for _, role := range []Role{RoleAlice, RoleBob} {
+			frame := handshakeMsg(old.proto, role.peer(), params, len(old.points[0]), len(old.points), paillier.MarshalPublicKey(&pai.PublicKey), nil, nil).Bytes()
+			if frame[0] != handshakeVersion {
+				t.Fatalf("the frame opens with %d, not the version byte", frame[0])
+			}
+			frame[0] = old.version
+			conn, peer := transport.Pipe()
+			if err := peer.Send(frame); err != nil {
+				t.Fatal(err)
+			}
+			tap := &sentTap{Conn: conn}
+			errc := make(chan error, 1)
+			go func() {
+				_, err := old.open(tap, cfg, role, old.points)
+				errc <- err
+			}()
+			select {
+			case err = <-errc:
+			case <-timeoutAfterProtocol(t):
+				t.Fatalf("%v: establishment against a v%d peer hung", role, old.version)
+			}
+			if !errors.Is(err, ErrHandshake) {
+				t.Errorf("%v: a v%d peer got %v, want ErrHandshake", role, old.version, err)
+			}
+			if len(tap.sent) != 1 {
+				t.Errorf("%v: %d frames sent to a v%d peer, want the handshake alone", role, len(tap.sent), old.version)
+			}
 		}
 	}
 }

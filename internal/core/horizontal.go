@@ -3,20 +3,20 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/compare"
 	"repro/internal/partition"
 	"repro/internal/spatial"
 	"repro/internal/transport"
 )
 
 // Op codes for the driver→responder control channel of the horizontal
-// protocols. The driver announces each region query (or enhanced core
+// protocols. The driver announces each settle chunk (or enhanced core
 // query) before the corresponding sub-protocols begin; opDone, sent on
-// every worker channel, releases the responder at the end of a pass.
+// every worker channel, releases the responder at the end of a pass. Code
+// 1 was the per-query region-query op of handshake ≤ v11.
 const (
-	OpQuery uint64 = 1 // exported: mesh edges carry the same HDP op frames
-	opDone  uint64 = 2
-	opCore  uint64 = 3
+	opDone   uint64 = 2
+	opCore   uint64 = 3
+	OpSettle uint64 = 4 // exported: mesh edges serve the same settle chunks
 )
 
 // hFamily selects the horizontal-family variant a session runs.
@@ -62,29 +62,31 @@ func HorizontalBob(conn transport.Conn, cfg Config, points [][]float64) (*Result
 // cost (only delta index cells cross the wire, and re-clustering reuses
 // every cached region-count prefix).
 func NewHorizontalSession(conn transport.Conn, cfg Config, role Role, points [][]float64) (*Session, error) {
-	return newHorizontalSession(conn, cfg, role, points, "horizontal", hBasic)
+	t, _, err := newHorizontalSession(conn, cfg, role, points, "horizontal", hBasic)
+	return t, err
 }
 
 // NewEnhancedHorizontalSession is NewHorizontalSession for the §5
 // enhanced protocol.
 func NewEnhancedHorizontalSession(conn transport.Conn, cfg Config, role Role, points [][]float64) (*Session, error) {
-	return newHorizontalSession(conn, cfg, role, points, "enhanced-horizontal", hEnhanced)
+	t, _, err := newHorizontalSession(conn, cfg, role, points, "enhanced-horizontal", hEnhanced)
+	return t, err
 }
 
 // newHorizontalSession is the shared session establishment of the
-// horizontal family.
-func newHorizontalSession(conn transport.Conn, cfg Config, role Role, points [][]float64, proto string, fam hFamily) (*Session, error) {
+// horizontal family; it also hands back the session's generation tables.
+func newHorizontalSession(conn transport.Conn, cfg Config, role Role, points [][]float64, proto string, fam hFamily) (*Session, *hStream, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	own, err := NewOwnGens(cfg, points)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s, peer, err := newHPair(conn, cfg, role, proto, own, fam == hBasic)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	hs := &hStream{own: own, peer: peer}
 	t := newSession(conn, s, proto)
@@ -107,11 +109,11 @@ func newHorizontalSession(conn transport.Conn, cfg Config, role Role, points [][
 	}
 	t.retractInit = func(ids []int) (bool, error) { return horizontalRetractInit(t, hs, ids) }
 	t.retractServe = func(r *transport.Reader) error { return horizontalRetractServe(t, hs, r) }
-	return t, nil
+	return t, hs, nil
 }
 
 // NewPair establishes one HDP edge over a party's own generation table:
-// worker channels, keys and the v11 handshake (proto names the protocol;
+// worker channels, keys and the v12 handshake (proto names the protocol;
 // role breaks the symmetry — it decides who sends first in every frame
 // swap, so a mesh maps the lower party index to RoleAlice), the common
 // record dimension, the masked-product packers, and — under grid pruning
@@ -139,7 +141,10 @@ func newHPair(conn transport.Conn, cfg Config, role Role, proto string, own *Own
 		return nil, nil, err
 	}
 	if hdp {
-		if err := s.productPackers(); err != nil {
+		if err := s.productPackers(); err == nil {
+			err = s.rowDotPackers()
+		}
+		if err != nil {
 			return nil, nil, fmt.Errorf("core: product packer: %w", err)
 		}
 	}
@@ -306,42 +311,51 @@ func horizontalRunOnce(t *Session, hs *hStream, fam hFamily) (*Result, error) {
 
 // hPassDriver is the driving pass of the horizontal family (Algorithm 3/4,
 // and Algorithm 7/8 for the enhanced protocol — the control flow is the
-// same, only the core decision differs): WaveDrive over the session's
-// worker channels, worker slot w's decision running over channel w.
+// same, only the core decision differs). The basic protocol settles every
+// region sub-query first (Pair.Settle, over the W worker channels), so its
+// walk decides from the cache, touches no channel and runs at width one;
+// the enhanced protocol's core decision depends on the dataset sizes and
+// runs live: WaveDrive at width W, worker slot w's decision over channel
+// w.
 func hPassDriver(s *Pair, hs *hStream, fam hFamily) ([]int, int, error) {
 	conns := s.Conns
-	var decide func(w, point, ownCount int) (bool, error)
-	var opTag string
+	localRQ := func(i int) []int { return hs.own.RegionQuery(i, s.epsSq) }
 	switch fam {
 	case hBasic:
 		engA, _, err := s.DistEngines()
 		if err != nil {
 			return nil, 0, err
 		}
-		opTag = "hdp.op"
-		decide = func(w, point, ownCount int) (bool, error) {
-			count, err := remoteCount(s, hs, conns[w], point, engA)
-			if err != nil {
-				return false, err
-			}
-			return ownCount+count >= s.cfg.MinPts, nil
+		if err := s.Settle(hs.own, hs.peer, engA, true); err != nil {
+			return nil, 0, err
 		}
+		walked := 0
+		labels, clusters, err := WaveDrive(len(hs.own.Enc), 1, localRQ, func(_, point, ownCount int) (bool, error) {
+			if hs.peer.N == 0 {
+				// Nothing to ask: no query, no budget, nothing to report.
+				return ownCount >= s.cfg.MinPts, nil
+			}
+			walked++
+			return ownCount+remoteCount(s, hs, point) >= s.cfg.MinPts, nil
+		})
+		if err != nil {
+			return nil, 0, err
+		}
+		return labels, clusters, s.SendDone("hdp.op", uint64(walked))
 	case hEnhanced:
 		shareA, _, finalA, _, err := s.enhancedEngines()
 		if err != nil {
 			return nil, 0, err
 		}
-		opTag = "enh.op"
-		decide = func(w, point, ownCount int) (bool, error) {
+		labels, clusters, err := WaveDrive(len(hs.own.Enc), len(conns), localRQ, func(w, point, ownCount int) (bool, error) {
 			return enhancedIsCore(s, hs, conns[w], point, ownCount, shareA, finalA)
+		})
+		if err != nil {
+			return nil, 0, err
 		}
+		return labels, clusters, s.SendDone("enh.op")
 	}
-	localRQ := func(i int) []int { return hs.own.RegionQuery(i, s.epsSq) }
-	labels, clusters, err := WaveDrive(len(hs.own.Enc), len(conns), localRQ, decide)
-	if err != nil {
-		return nil, 0, err
-	}
-	return labels, clusters, s.SendDone(opTag)
+	return nil, 0, fmt.Errorf("core: unknown horizontal family %d", fam)
 }
 
 // hPassResponder serves a driving pass across the session's worker
@@ -353,115 +367,73 @@ func hPassResponder(s *Pair, hs *hStream, fam hFamily) error {
 		if err != nil {
 			return err
 		}
-		return s.Serve("hdp.op", OpQuery, func(conn transport.Conn, rng PermSource, r *transport.Reader) error {
-			return serveBasicQuery(s, conn, rng, engB, hs.own, r)
+		return s.Serve("hdp.op", map[uint64]OpServer{
+			OpSettle: func(conn transport.Conn, rng PermSource, r *transport.Reader) error {
+				return s.SettleServe(conn, rng, engB, hs.own, hs.peer, r)
+			},
+			opDone: func(conn transport.Conn, _ PermSource, r *transport.Reader) error {
+				if conn != s.Conns[0] {
+					return nil
+				}
+				return serveWalked(s, hs, r)
+			},
 		})
 	case hEnhanced:
 		_, shareB, _, finalB, err := s.enhancedEngines()
 		if err != nil {
 			return err
 		}
-		return s.Serve("enh.op", opCore, func(conn transport.Conn, rng PermSource, r *transport.Reader) error {
-			return serveEnhancedCore(s, conn, rng, shareB, finalB, hs.own, r)
+		return s.Serve("enh.op", map[uint64]OpServer{
+			opCore: func(conn transport.Conn, rng PermSource, r *transport.Reader) error {
+				return serveEnhancedCore(s, conn, rng, shareB, finalB, hs.own, r)
+			},
 		})
 	}
 	return fmt.Errorf("core: unknown horizontal family %d", fam)
 }
 
-// serveBasicQuery answers one already-announced HDP region sub-query.
-// The op frame opens with the driver's generation span [fromGen, toGen):
-// the cryptographic phases cover only our generations in the span — the
-// driver's cache already answers everything below it, and a sliding-
-// window driver sweeps one sub-query per generation so its cached
-// segments align with generation boundaries. The query-level disclosure
-// budget (DotProducts over the full own set, matching what a fresh
-// session's exhaustive accounting would record) fires once per logical
-// query, on the sub-query that closes the sweep (toGen == gens) — every
-// sweep ends there, including fully-cached ones whose single parity
-// frame carries an empty span and no crypto at all.
-func serveBasicQuery(s *Pair, conn transport.Conn, rng PermSource, engB compare.Bob, own *OwnGens, r *transport.Reader) error {
-	fromGen := int(r.Uint())
-	toGen := int(r.Uint())
+// serveWalked closes a basic pass: channel 0's done frame reports how many
+// region queries the driver's walk asked. Their sub-queries were served by
+// the settle step;
+// what the count is for is the query-level disclosure budget — DotProducts
+// over the full own set per logical query, what a fresh session's
+// exhaustive accounting records, re-queries of a point Algorithm 4 queues
+// twice included. Algorithm 4 asks about a point once when it is first
+// reached and once more per cluster that absorbs it as a seed, so a count
+// above n·(n+1) is no walk's.
+func serveWalked(s *Pair, hs *hStream, r *transport.Reader) error {
+	walked := r.Uint()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	gens := own.Gens()
-	if fromGen < 0 || toGen > gens || fromGen > toGen {
-		return fmt.Errorf("core: query span %d..%d of %d generations", fromGen, toGen, gens)
+	if n := uint64(hs.peer.N); walked > n*(n+1) {
+		return fmt.Errorf("%w: a walk of %d region queries over %d points", ErrQueryOp, walked, n)
 	}
-	if toGen == gens {
-		defer s.led(func(l *Ledger) { l.DotProducts += len(own.Enc) })
-	}
-	if fromGen == toGen {
-		// Empty span: the sweep-closing parity frame of a fully-cached
-		// query. Nothing to serve.
-		return nil
-	}
-	pts, nDummy, err := s.ReadPrunedOp(r, own, fromGen, toGen)
-	if err != nil {
-		return err
-	}
-	return s.HDPServe(conn, rng, engB, pts, nDummy)
+	s.led(func(l *Ledger) { l.DotProducts += int(walked) * len(hs.own.Enc) })
+	return nil
 }
 
-// remoteCount counts the peer's points within Eps of our point i via HDP
-// (seedsB := SetOfPointsOfBobPermutation.regionQuery — Algorithm 4 line 3).
-//
-// The cross-run cache splits the query at a generation watermark: the
-// count over the peer's live generations [dead, fromGen) comes from
-// previous runs of this session (distances are immutable, so the cached
-// segments are permanently exact for the ranges they cover), and the
-// uncovered tail is swept one generation per sub-query, each caching its
-// own [g, g+1) segment. Per-generation segments are what make the cache
-// survive a sliding window: an expiry drops exactly the dead
-// generations' segments and every survivor stays contiguous from the new
-// window edge — a single suffix-wide segment would straddle every expiry
-// boundary and die with it. Under grid pruning each sub-query announces
-// its candidate cells out of the peer's directory for that generation
-// and runs over their padded occupancy; when padding would make the
-// candidate set at least as large as the generation's exhaustive count,
-// the sub-query falls back to the exhaustive generation (flagged on the
-// op frame), so a pruned sweep never compares more than an unpruned one.
-// Every sweep ends with a sub-query whose span closes at the last
-// generation — an empty-span parity frame when everything is cached — so
-// the responder's query-level accounting, and with it the Ledger budget,
-// stays identical to a fresh session's.
-func remoteCount(s *Pair, hs *hStream, conn transport.Conn, i int, eng compare.Alice) (int, error) {
+// remoteCount answers the walk's region query of our point i — the peer's
+// points within Eps of it (seedsB := SetOfPointsOfBobPermutation
+// .regionQuery, Algorithm 4 line 3) — from the count cache, which this
+// pass's Settle completed: one [g, g+1) segment per peer generation, the
+// ones it did not already hold decided over HDP. Distances are immutable,
+// so a segment is permanently exact for the generation it covers, and
+// per-generation segments are what make the cache survive a sliding
+// window: an expiry drops exactly the dead generations' segments and every
+// survivor stays contiguous from the new window edge — a single
+// suffix-wide segment would straddle every expiry boundary and die with
+// it. The query is still a query: it records its decision-level budget
+// and counts as cached what the cache held before this run's Settle (all
+// of it, from the point's second query on), and the caller tallies it for
+// the responder (serveWalked).
+func remoteCount(s *Pair, hs *hStream, i int) int {
 	peer := hs.peer
-	if peer.N == 0 {
-		return 0, nil
-	}
-	count, fromGen := peer.Covered(i, hs.own.Dead)
-	gens := len(peer.Count)
+	count, cached := peer.Settled(i, hs.own.Dead)
 	s.led(func(l *Ledger) {
 		l.NeighborCounts++
 		l.MembershipBits += peer.N
 	})
-	s.cmpCached.Add(int64(peer.N - peer.Suffix(fromGen)))
-
-	p := hs.own.Enc[i]
-	if fromGen == gens {
-		// Fully cached: announce the empty-span query for budget parity,
-		// run nothing.
-		setTag(conn, "hdp.op")
-		msg := transport.NewBuilder().PutUint(OpQuery).PutUint(uint64(gens)).PutUint(uint64(gens))
-		return count, transport.SendMsg(conn, msg)
-	}
-	for g := fromGen; g < gens; g++ {
-		fresh := 0
-		// A dead or empty generation needs no wire work; record the zero
-		// segment so the sweep stays contiguous. The final generation
-		// always goes to the wire — its sub-query closes the sweep for the
-		// responder's budget parity.
-		if peer.Count[g] > 0 || g == gens-1 {
-			msg, nCand := s.QueryFrame(peer, p, g)
-			var err error
-			if fresh, err = s.HDPCount(conn, eng, msg, p, nCand); err != nil {
-				return 0, err
-			}
-		}
-		count += fresh
-		peer.Extend(i, g, g+1, fresh)
-	}
-	return count, nil
+	s.cmpCached.Add(int64(cached))
+	return count
 }

@@ -61,9 +61,13 @@ func (r Role) peer() Role {
 // a vdp.cmp / adp.mp / adp.cmp batch and which channel carries it
 // (LockstepCluster: whole-row chunks dealt over the W channels instead of
 // one batch per neighbourhood) — and a peer on the old schedule would pair
-// batches of different lengths. Mesh edges (internal/multiparty) speak the
-// same frame with proto "mesh".
-const handshakeVersion = 11
+// batches of different lengths; version 12 changed the horizontal schedule
+// the same way — the basic protocol and the mesh settle every region
+// sub-query up front, in whole-row chunks announced by a new op frame
+// (settle.go), and the walk sends parity frames only — so a peer on the
+// per-query schedule would be sent an op it does not know. Mesh edges
+// (internal/multiparty) speak the same frame with proto "mesh".
+const handshakeVersion = 12
 
 // ErrHandshake reports parameter disagreement between the parties.
 var ErrHandshake = errors.New("core: handshake parameter mismatch")
@@ -117,6 +121,13 @@ type Pair struct {
 	// productPackers; both ends agree because the geometry is a function
 	// of the exchanged keys and handshake-agreed parameters.
 	mpPeer, mpOwn *encoding.Packer
+
+	// rdPeer / rdOwn size the row-dot frames of a settle chunk (nil unless
+	// rowDot()): a slot holds one exact cross dot product, |Σ x·y| ≤ bound,
+	// under the peer's key (rdPeer, the replies we fold as driver) or our
+	// own (rdOwn, the coordinates we pack as responder). Derived once per
+	// pair by rowDotPackers.
+	rdPeer, rdOwn *encoding.Packer
 
 	// cmpCount tallies secure comparison instances executed by this party;
 	// cmpCached tallies predicates answered from the session's cross-run
@@ -385,6 +396,24 @@ func (s *Pair) productPackers() (err error) {
 	maxProduct := s.cfg.MaxCoord * s.cfg.MaxCoord
 	if s.mpPeer, err = encoding.NewProductPacker(s.peerPai.PlaintextBound(), maxProduct, s.zeroSumBound(), s.dim); err == nil {
 		s.mpOwn, err = encoding.NewProductPacker(s.paiKey.PlaintextBound(), maxProduct, s.zeroSumBound(), s.dim)
+	}
+	return err
+}
+
+// rowDot reports whether a settle chunk runs as one row-dot exchange
+// (settle.go): full packing, which Config.validate admits over batched
+// rounds only. Every other mode runs the chunk's sub-queries through the
+// reference forms, HDPCount / HDPServe.
+func (s *Pair) rowDot() bool { return s.cfg.Packing == PackFull }
+
+// rowDotPackers derives the pair's row-dot packers (a no-op unless
+// rowDot()); the HDP establishment calls it once, after setDimension.
+func (s *Pair) rowDotPackers() (err error) {
+	if !s.rowDot() {
+		return nil
+	}
+	if s.rdPeer, err = encoding.NewSumPacker(s.peerPai.PlaintextBound(), s.bound); err == nil {
+		s.rdOwn, err = encoding.NewSumPacker(s.paiKey.PlaintextBound(), s.bound)
 	}
 	return err
 }

@@ -11,30 +11,39 @@ import (
 
 // The query scheduler. Every protocol family, the ring and the mesh run
 // their secure sub-protocols on it, through one driver per protocol shape.
-// WaveDrive (below) is the horizontal shape's — HDP region queries and
-// enhanced core queries — and the only cluster-expansion loop in this
-// package: it dispatches independent queries in waves of up to W.
-// LockstepCluster (lockstep.go) is the pair shape's — the vertical and
+// WaveDrive (below) is the horizontal shape's and the only
+// cluster-expansion loop in this package. The basic protocol and the mesh
+// run it in two steps — settle, then walk: Pair.Settle (settle.go) decides
+// every region sub-query the walk will need up front, dealing its chunks
+// over the W channels, and the walk then reads the cache, at width one and
+// without a frame. The enhanced protocol's core decision cannot be settled
+// ahead (it depends on the dataset sizes), so its waves carry live
+// queries: WaveDrive dispatches independent core queries in waves of up to
+// W. LockstepCluster (lockstep.go) is the pair shape's — the vertical and
 // arbitrary families and the multiparty ring — and has no waves: it
 // settles the whole pair matrix up front, dealing its chunks over the W
 // channels, and then clusters with dbscan.ClusterGeneric, the plaintext
-// oracle's loop. Config.Parallel = W is the width of both: independent
-// sub-protocols run on the session's W worker channels and overlap their
-// round trips. W = 1 runs inline on the calling goroutine over the
-// session's single bare connection, with no multiplexer and no
+// oracle's loop. Config.Parallel = W is the width of all three:
+// independent sub-protocols run on the session's W worker channels and
+// overlap their round trips. W = 1 runs inline on the calling goroutine
+// over the session's single bare connection, with no multiplexer and no
 // pipelining.
 //
 // Soundness rests on two invariants:
 //
 //   - Determinism of the schedule. Which queries form a wave, which pairs
-//     form a chunk, and which channel carries each are pure functions of
-//     shared protocol state (labels and the queue; the pair cache, the
-//     cell matrix and the engine's frame size), never of goroutine timing
-//     — so in the jointly-computed families every participant runs the
-//     same schedule and the worker-channel traffic pairs up exactly.
+//     or sub-queries form a chunk, and which channel carries each are pure
+//     functions of protocol state (labels and the queue; the caches, the
+//     cell matrix or directories and the engine's frame size), never of
+//     goroutine timing — so in the jointly-computed families every
+//     participant runs the same schedule and the worker-channel traffic
+//     pairs up exactly, and a settle chunk's responder is told its content
+//     by the chunk's op frame.
 //   - Query independence. Nothing is run early that would not be run at
 //     any width: every entry of Algorithm 4's seed queue is eventually
-//     queried exactly once, and Algorithm 6 queries every point, so every
+//     queried exactly once and every own point is queried at least once,
+//     so every sub-query the count cache leaves open is settled — in
+//     exactly one chunk; and Algorithm 6 queries every point, so every
 //     pair the index and the cache leave undecided reaches the oracle —
 //     in exactly one chunk. The multiset of executed sub-protocols — and
 //     therefore every count-based Ledger class, the comparison totals,
@@ -101,10 +110,9 @@ func runWave(n int, f func(t int) error) error {
 // appends happen in Algorithm 4's order, so labels do not depend on
 // workers. decide answers the remote half of one core decision on worker
 // slot w: given ownCount own-side neighbours, is the point a core point?
-// The two-party families map a slot to one session channel (a
-// region-query count for basic HDP, the share–select–compare core bit for
-// the enhanced protocol); the multiparty mesh maps it to channel w of
-// every mesh edge.
+// The enhanced protocol maps a slot to one session channel (the
+// share–select–compare core bit); the basic protocol and the mesh, whose
+// decisions read a settled cache, run at width one.
 func WaveDrive(n, workers int, localRQ func(int) []int, decide func(worker, point, ownCount int) (bool, error)) ([]int, int, error) {
 	if workers < 1 {
 		return nil, 0, fmt.Errorf("core: worker width %d < 1", workers)
@@ -244,12 +252,18 @@ func waveExpand(workers int, localRQ func(int) []int, decide func(worker, point,
 	return true, nil
 }
 
+// OpServer answers one op frame of a driving pass on a responder worker:
+// conn is the worker's channel, rng its permutation source, r the frame
+// after its op code.
+type OpServer = func(conn transport.Conn, rng PermSource, r *transport.Reader) error
+
 // Serve runs the pair's W responder workers, one per channel, each
-// answering a driving pass's op frames — all of the one kind op — with
-// serve (rng is the worker's permutation source) until its channel's done
-// op. On a worker error every worker channel is closed so siblings
-// blocked in Recv unwind instead of deadlocking.
-func (s *Pair) Serve(opTag string, op uint64, serve func(conn transport.Conn, rng PermSource, r *transport.Reader) error) error {
+// answering a driving pass's op frames with the server registered for
+// their op code until its channel's done op (whose own server, if one is
+// registered, reads what the frame carries). On a worker error every
+// worker channel is closed so siblings blocked in Recv unwind instead of
+// deadlocking.
+func (s *Pair) Serve(opTag string, ops map[uint64]OpServer) error {
 	conns := s.Conns
 	var closeOnce sync.Once
 	failAll := func() {
@@ -269,30 +283,39 @@ func (s *Pair) Serve(opTag string, op uint64, serve func(conn transport.Conn, rn
 				failAll()
 				return fmt.Errorf("core: responder recv op: %w", err)
 			}
-			switch got := r.Uint(); {
+			got := r.Uint()
+			switch serve := ops[got]; {
 			case r.Err() != nil:
 				err = r.Err()
-			case got == opDone:
-				return nil
-			case got != op:
-				err = fmt.Errorf("core: responder got unexpected op %d on %s", got, opTag)
-			default:
+			case serve != nil:
 				err = serve(conn, rng, r)
+			case got != opDone:
+				err = fmt.Errorf("core: responder got unexpected op %d on %s", got, opTag)
 			}
 			if err != nil {
 				failAll()
 				return err
+			}
+			if got == opDone {
+				return nil
 			}
 		}
 	})
 }
 
 // SendDone releases the peer's responder workers at the end of a driving
-// pass.
-func (s *Pair) SendDone(tag string) error {
-	for _, c := range s.Conns {
+// pass. report, if any, rides on channel 0's done frame: what the driver
+// tells the responder's opDone server about the pass as a whole.
+func (s *Pair) SendDone(tag string, report ...uint64) error {
+	for w, c := range s.Conns {
+		msg := transport.NewBuilder().PutUint(opDone)
+		if w == 0 {
+			for _, v := range report {
+				msg.PutUint(v)
+			}
+		}
 		setTag(c, tag)
-		if err := transport.SendMsg(c, transport.NewBuilder().PutUint(opDone)); err != nil {
+		if err := transport.SendMsg(c, msg); err != nil {
 			return err
 		}
 	}

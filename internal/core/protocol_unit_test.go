@@ -76,7 +76,7 @@ func TestHDPSingleQuery(t *testing.T) {
 		go func() {
 			errc <- sB.HDPServe(cb, sB.channelRng(0), engB, responderPts, 0)
 		}()
-		got, err = sA.HDPCount(ca, engA, nil, driverPt, len(responderPts))
+		got, err = sA.HDPCount(ca, engA, driverPt, len(responderPts))
 		if err != nil {
 			t.Fatalf("%s: driver: %v", engine, err)
 		}
@@ -99,7 +99,7 @@ func TestHDPZeroPeerPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count, err := sA.HDPCount(ca, engA, nil, []int64{1, 1}, 0)
+	count, err := sA.HDPCount(ca, engA, []int64{1, 1}, 0)
 	if err != nil || count != 0 {
 		t.Errorf("zero-peer query: count=%d err=%v", count, err)
 	}

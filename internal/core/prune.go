@@ -116,28 +116,46 @@ func (s *Pair) candidateCells(peer *PeerGens, p []int64, from, to int) (cells []
 	return spatial.CandidatesSpan(peer.dirs, from, to, spatial.Bucket(p, s.cellW))
 }
 
-// QueryFrame builds the op frame of one HDP sub-query — our point p
-// against the peer's generation g, announced as the span [g, g+1) — and
-// reports how many candidate instances it commits both sides to. Under
-// grid pruning the frame names the candidate cells out of the peer's
-// generation-g directory and the query runs over their padded occupancy;
-// when padding would make that at least as large as the generation
-// itself the frame flags the exhaustive fallback instead, so a pruned
-// sweep never compares more than an unpruned one. Whether a frame
-// announcing zero candidates is sent at all is the caller's policy.
-func (s *Pair) QueryFrame(peer *PeerGens, p []int64, g int) (*transport.Builder, int) {
-	msg := transport.NewBuilder().PutUint(OpQuery).PutUint(uint64(g)).PutUint(uint64(g + 1))
-	nCand := peer.Count[g]
+// SubQuery is one HDP region sub-query: the driver's live point Point —
+// the row it belongs to — against the responder's generation Gen. NCand is
+// the number of candidate instances it commits both sides to: the whole
+// generation, or under grid pruning the padded occupancy of the candidate
+// cells out of the responder's generation-Gen directory.
+type SubQuery struct {
+	Point, Gen, NCand int
+
+	pruned bool      // pruning on: cells announced (else the exhaustive fallback)
+	cells  [][]int64 // the announced candidate cells, canonical order
+}
+
+// SubQuery resolves the sub-query of our point p (live index point)
+// against the peer's generation g. Under grid pruning it names the
+// candidate cells adjacent to p's cell and runs over their padded
+// occupancy; when padding would make that at least as large as the
+// generation itself it takes the exhaustive fallback instead, so a pruned
+// sweep never compares more than an unpruned one. Whether a sub-query of
+// zero candidates is announced at all is the caller's policy.
+func (s *Pair) SubQuery(peer *PeerGens, p []int64, point, g int) SubQuery {
+	q := SubQuery{Point: point, Gen: g, NCand: peer.Count[g]}
 	if s.pruneOn {
 		cells, total := s.candidateCells(peer, p, g, g+1)
-		usePrune := total < nCand
-		msg.PutBool(usePrune)
-		if usePrune {
-			nCand = total
-			spatial.EncodeCells(msg, cells)
+		if q.pruned = total < q.NCand; q.pruned {
+			q.NCand, q.cells = total, cells
 		}
 	}
-	return msg, nCand
+	return q
+}
+
+// Announce appends the sub-query's candidate fields to an op frame, in the
+// form ReadPrunedOp parses: nothing with pruning off, else the
+// pruned/exhaustive flag and, when pruned, the candidate cells.
+func (s *Pair) Announce(msg *transport.Builder, q SubQuery) {
+	if s.pruneOn {
+		msg.PutBool(q.pruned)
+		if q.pruned {
+			spatial.EncodeCells(msg, q.cells)
+		}
+	}
 }
 
 // ReadPrunedOp resolves the candidates of a region or core query op frame

@@ -11,10 +11,10 @@ import (
 	"repro/internal/transport"
 )
 
-// Slot-packed wire forms of the Multiplication Protocol. Three shapes
-// cover every masked-product phase in the repository; all preserve the
-// scalar semantics element-for-element (the packing equivalence harness
-// in internal/core asserts identical labels and ledgers against the
+// Slot-packed wire forms of the Multiplication Protocol. Four shapes
+// cover every product phase in the repository; all preserve the scalar
+// semantics element-for-element (the packing equivalence harness in
+// internal/core asserts identical labels and ledgers against the
 // unpacked forms above):
 //
 //   - Grid: the HDP layout — a rows×cols grid of products where the
@@ -37,10 +37,24 @@ import (
 //     E(a·b_i + v_i) pack by slot placement like the scatter form:
 //     count replies become ⌈count/S⌉.
 //
+//   - RowDot: the settled HDP layout (core's chunk exchange under full
+//     packing) — many grids at once, one per row, each with its own
+//     column scalars, where the receiver is owed only each instance's dot
+//     product Σ_k x_{i,k}·y_k. The uplink is the grid form's, row by row
+//     (⌈T_row/S⌉·cols ciphertexts); the sender folds a row's cols column
+//     ciphertexts, each raised to its scalar, into that row's slot offset
+//     of reply ciphertexts shared by all rows, so slot s decrypts to the
+//     exact dot product: no masks (the grid form's zero-sum masks cancel
+//     in exactly this sum, which is all its receiver keeps), one nonce
+//     per reply, and a slot as narrow as the largest dot product. Where
+//     each instance lands is RowLayout, a pure function of the row
+//     lengths and S that both ends compute.
+//
 // In every form exactly one side contributes the packer's bias (with
-// the masks), the uplink packs raw (bias-free) values, and the slot
-// width budgets the largest final value |x·y + v| — see the encoding
-// package for why carries cannot occur.
+// the masks, or alone in the row-dot form), the uplink packs raw
+// (bias-free) values, and the slot width budgets the largest final
+// value |x·y + v| — see the encoding package for why carries cannot
+// occur.
 
 // ReceiverGridMultiply is the packed form of ReceiverBatchMultiply for
 // a rows×cols grid laid out row-major (xs[i·cols+k] is row i, column k)
@@ -479,4 +493,188 @@ func SenderDotManyPackedRetain(conn transport.Conn, pub *paillier.PublicKey, bs 
 		return nil, err
 	}
 	return ds, nil
+}
+
+// RowGroup is one slot group of a row-dot exchange: Len ≤ S consecutive
+// instances of row Row, starting at instance Start of that row. The
+// receiver uplinks it as cols ciphertexts (column k packs the group's
+// k-th coordinates into slots 0…Len−1); the sender folds those into
+// slots Slot…Slot+Len−1 of reply ciphertext Reply.
+type RowGroup struct {
+	Row, Start, Len int
+	Reply, Slot     int
+}
+
+// RowLayout places every instance of a row-dot exchange: a row splits
+// into groups of at most S slots, groups go in order into reply
+// ciphertexts, and a group that does not fit the open reply starts the
+// next. Replies[r] is the number of slots reply r uses, from slot 0 up.
+type RowLayout struct {
+	Groups  []RowGroup
+	Replies []int
+}
+
+// LayoutRows lays rows of the given lengths (zero allowed: no group) out
+// over slots-wide ciphertexts.
+func LayoutRows(rowLens []int, slots int) RowLayout {
+	var lay RowLayout
+	for row, n := range rowLens {
+		for start := 0; start < n; start += slots {
+			g := RowGroup{Row: row, Start: start, Len: min(slots, n-start)}
+			if r := len(lay.Replies) - 1; r >= 0 && lay.Replies[r]+g.Len <= slots {
+				g.Reply, g.Slot = r, lay.Replies[r]
+				lay.Replies[r] += g.Len
+			} else {
+				g.Reply = len(lay.Replies)
+				lay.Replies = append(lay.Replies, g.Len)
+			}
+			lay.Groups = append(lay.Groups, g)
+		}
+	}
+	return lay
+}
+
+// rowOffsets returns where each row starts in the flat instance order.
+func rowOffsets(rowLens []int) (offs []int, total int) {
+	offs = make([]int, len(rowLens))
+	for row, n := range rowLens {
+		if n < 0 {
+			return nil, -1
+		}
+		offs[row] = total
+		total += n
+	}
+	return offs, total
+}
+
+// ReceiverRowDot is the receiving half of the row-dot form: xs holds every
+// instance's cols coordinates, rows concatenated (instance i of the flat
+// order is xs[i·cols:(i+1)·cols], all in [0, SlotMax]), rowLens the row
+// lengths. It returns the dot product of every instance with its row's
+// scalars, in the flat order.
+func ReceiverRowDot(conn transport.Conn, key *paillier.PrivateKey, xs []int64, rowLens []int, cols int, pk *encoding.Packer, random io.Reader, pool *paillier.Pool) ([]*big.Int, error) {
+	offs, total := rowOffsets(rowLens)
+	if cols < 1 || total < 1 || total*cols != len(xs) {
+		return nil, fmt.Errorf("mpc: rows of %d instances × %d columns do not hold %d values", total, cols, len(xs))
+	}
+	if random == nil {
+		random = rand.Reader
+	}
+	lay := LayoutRows(rowLens, pk.Slots())
+	plains := make([]*big.Int, len(lay.Groups)*cols)
+	for j, g := range lay.Groups {
+		first := offs[g.Row] + g.Start
+		for k := 0; k < cols; k++ {
+			vals := make([]*big.Int, g.Len)
+			for s := range vals {
+				vals[s] = big.NewInt(xs[(first+s)*cols+k])
+			}
+			// Raw (bias-free): the sender's reply carries the bias.
+			packed, err := pk.PackRaw(vals)
+			if err != nil {
+				return nil, fmt.Errorf("mpc: packing row %d column %d: %w", g.Row, k, err)
+			}
+			plains[j*cols+k] = packed
+		}
+	}
+	cts, err := key.EncryptBatch(pool, random, plains)
+	if err != nil {
+		return nil, fmt.Errorf("mpc: encrypting packed rows: %w", err)
+	}
+	if err := transport.SendMsg(conn, transport.NewBuilder().PutBigs(cts)); err != nil {
+		return nil, fmt.Errorf("mpc: row-dot receiver send: %w", err)
+	}
+	r, err := transport.RecvMsg(conn)
+	if err != nil {
+		return nil, fmt.Errorf("mpc: row-dot receiver recv: %w", err)
+	}
+	replies := r.Bigs()
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	if len(replies) != len(lay.Replies) {
+		return nil, fmt.Errorf("%w: want %d packed row replies, got %d", ErrLengthMismatch, len(lay.Replies), len(replies))
+	}
+	packed, err := key.DecryptBatch(pool, replies)
+	if err != nil {
+		return nil, fmt.Errorf("mpc: decrypting row replies: %w", err)
+	}
+	slots := make([][]*big.Int, len(packed))
+	for i, pv := range packed {
+		if slots[i], err = pk.Unpack(pv, lay.Replies[i]); err != nil {
+			return nil, fmt.Errorf("mpc: unpacking row reply %d: %w", i, err)
+		}
+	}
+	dots := make([]*big.Int, total)
+	for _, g := range lay.Groups {
+		copy(dots[offs[g.Row]+g.Start:], slots[g.Reply][g.Slot:g.Slot+g.Len])
+	}
+	return dots, nil
+}
+
+// SenderRowDot is the sending half of ReceiverRowDot: ys[row] holds row's
+// cols column scalars. Reply r starts as one encryption of its used
+// slots' bias — the reply's only nonce — and every group folds
+// Π_k E(column k)^{y_k·2^{w·Slot}} onto it: one scalar multiplication
+// scales the group's slots by y_k, the product over k sums the columns,
+// and the shift moves the group to its offset.
+func SenderRowDot(conn transport.Conn, pub *paillier.PublicKey, ys [][]int64, rowLens []int, cols int, pk *encoding.Packer, random io.Reader, pool *paillier.Pool) error {
+	if _, total := rowOffsets(rowLens); cols < 1 || total < 1 || len(ys) != len(rowLens) {
+		return fmt.Errorf("mpc: %d scalar rows for %d rows of %d instances × %d columns", len(ys), len(rowLens), total, cols)
+	}
+	for row, y := range ys {
+		if len(y) != cols {
+			return fmt.Errorf("%w: row %d has %d column scalars for %d columns", ErrLengthMismatch, row, len(y), cols)
+		}
+	}
+	if random == nil {
+		random = rand.Reader
+	}
+	r, err := transport.RecvMsg(conn)
+	if err != nil {
+		return fmt.Errorf("mpc: row-dot sender recv: %w", err)
+	}
+	cts := r.Bigs()
+	if r.Err() != nil {
+		return r.Err()
+	}
+	lay := LayoutRows(rowLens, pk.Slots())
+	if len(cts) != len(lay.Groups)*cols {
+		return fmt.Errorf("%w: received %d packed row columns, expect %d", ErrLengthMismatch, len(cts), len(lay.Groups)*cols)
+	}
+	folds := make([][][]paillier.SlotTerm, len(lay.Replies))
+	biasPlains := make([]*big.Int, len(lay.Replies))
+	for i, used := range lay.Replies {
+		folds[i] = make([][]paillier.SlotTerm, used)
+		zeros := make([]*big.Int, used)
+		for s := range zeros {
+			zeros[s] = new(big.Int)
+		}
+		if biasPlains[i], err = pk.Pack(zeros); err != nil {
+			return fmt.Errorf("mpc: packing row reply bias %d: %w", i, err)
+		}
+	}
+	for j, g := range lay.Groups {
+		terms := make([]paillier.SlotTerm, cols)
+		for k := range terms {
+			terms[k] = paillier.SlotTerm{Base: cts[j*cols+k], Scalar: big.NewInt(ys[g.Row][k])}
+		}
+		folds[g.Reply][g.Slot] = terms
+	}
+	biases, err := pub.EncryptBatch(pool, random, biasPlains)
+	if err != nil {
+		return fmt.Errorf("mpc: encrypting row reply biases: %w", err)
+	}
+	replies := make([]*big.Int, len(lay.Replies))
+	if err := paillier.ParallelFor(pool, len(replies), func(i int) error {
+		acc, err := pub.SlotFold(biases[i], pk.Width(), folds[i])
+		if err != nil {
+			return fmt.Errorf("mpc: row-dot fold reply %d: %w", i, err)
+		}
+		replies[i] = acc
+		return nil
+	}); err != nil {
+		return err
+	}
+	return transport.SendMsg(conn, transport.NewBuilder().PutBigs(replies))
 }

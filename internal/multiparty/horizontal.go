@@ -1,9 +1,9 @@
 package multiparty
 
 import (
+	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/compare"
 	"repro/internal/core"
@@ -19,12 +19,14 @@ import (
 // driver's own points and cluster ids are local to each party.
 //
 // The mesh is the paper's two-party HDP sub-protocol run on each of the
-// k·(k−1)/2 edges: an edge is a core.Pair — core's v11 handshake with proto
-// "mesh" and the lower party index as RoleAlice, core's index exchange,
-// op frames and MP + comparison steps — over one core.OwnGens per party
-// and one core.PeerGens per peer. What lives here is only what is
-// k-party: the per-peer sweep and cache policy, the pass order, and the
-// k-way agreement of the lifecycle operations.
+// k·(k−1)/2 edges: an edge is a core.Pair — core's v12 handshake with proto
+// "mesh" and the lower party index as RoleAlice, core's index exchange and
+// core's settle step (Pair.Settle / Pair.SettleServe: every region
+// sub-query of a pass decided up front, in whole-row chunks) — over one
+// core.OwnGens per party and one core.PeerGens per peer. What lives here
+// is only what is k-party: which peers a pass settles with, the walk over
+// their caches, the pass order, and the k-way agreement of the lifecycle
+// operations.
 //
 // Disclosure note: pairwise composition reveals per-peer
 // neighbour counts to the driver (finer-grained than the two-party
@@ -150,8 +152,7 @@ func (ms *MeshSession) Run() (res *HorizontalResult, err error) {
 
 func (ms *MeshSession) run() (*HorizontalResult, error) {
 	h := ms.h
-	h.queries.Store(0)
-	h.cached.Store(0)
+	h.queries, h.cached = 0, 0
 	h.eachPeer(func(_ int, sess *pairSession) error {
 		sess.ResetRun()
 		return nil
@@ -171,7 +172,7 @@ func (ms *MeshSession) run() (*HorizontalResult, error) {
 	}
 	ms.runs++
 	res := &HorizontalResult{Labels: labels, NumClusters: clusters,
-		RegionQueries: int(h.queries.Load()), CachedCounts: h.cached.Load()}
+		RegionQueries: h.queries, CachedCounts: h.cached}
 	h.eachPeer(func(_ int, sess *pairSession) error {
 		up, down := sess.Ciphertexts()
 		res.CiphertextsUplink += up
@@ -319,8 +320,8 @@ type hState struct {
 	own      *core.OwnGens
 	epsSq    int64          // Eps², clamped to the dist² bound (agreed on every edge)
 	sessions []*pairSession // indexed by peer; nil at our own index
-	queries  atomic.Int64   // region queries issued (wave workers count concurrently)
-	cached   atomic.Int64   // membership predicates served from cache this run
+	queries  int            // region queries the walk asked this run
+	cached   int64          // membership predicates served from cache this run
 }
 
 // newMeshState performs the mesh establishment: one core.Pair per peer,
@@ -377,20 +378,49 @@ func (h *hState) eachPeer(f func(q int, sess *pairSession) error) error {
 	return nil
 }
 
-// drive runs this party's Algorithm 3/4 pass, querying every peer, on the
-// shared wave scheduler (core.WaveDrive) at width W = Config.Parallel:
-// each wave decides up to W queue items concurrently — worker t querying
-// every peer on channel t of its mesh edge — and wave k's workers
-// pipeline wave k+1's queries while waiting on replies, exactly as in the
-// two-party horizontal family. The query multiset, the per-peer counts,
-// and every disclosure class do not depend on W; only round trips
-// overlap.
+// drive runs this party's Algorithm 3/4 pass in the horizontal shape's two
+// steps. Settle: against every peer, every region sub-query the edge's
+// cache does not answer — one per (own point, peer generation) with
+// candidates — is decided up front over the edge's W = Config.Parallel
+// channels (core.Pair.Settle); with W > 1 the edges settle concurrently,
+// each a complete two-party exchange, so the step costs the slowest
+// peer's chunks instead of the sum. Walk: core.WaveDrive, at width one,
+// over caches that now answer every query, so it sends nothing — a
+// fully-cached query, an empty generation and a sub-query without
+// candidates have never cost a mesh edge a frame, its responders keep no
+// per-query Ledger. The sub-query multiset, the per-peer counts, and every
+// disclosure class do not depend on W.
 func (h *hState) drive() ([]int, int, error) {
-	labels, clusters, err := core.WaveDrive(len(h.own.Enc), h.cfg.Parallel,
+	settle := func(q int, sess *pairSession) error {
+		if err := sess.Settle(h.own, sess.peer, sess.cmpA, false); err != nil {
+			return fmt.Errorf("settling with party %d: %w", q, err)
+		}
+		return nil
+	}
+	var err error
+	if h.cfg.Parallel == 1 {
+		err = h.eachPeer(settle)
+	} else {
+		errs := make([]error, h.party.K)
+		var wg sync.WaitGroup
+		h.eachPeer(func(q int, sess *pairSession) error {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[q] = settle(q, sess)
+			}()
+			return nil
+		})
+		wg.Wait()
+		err = errors.Join(errs...)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	labels, clusters, err := core.WaveDrive(len(h.own.Enc), 1,
 		func(i int) []int { return h.own.RegionQuery(i, h.epsSq) },
-		func(t, point, ownCount int) (bool, error) {
-			remote, err := h.totalCountOn(t, point)
-			return ownCount+remote >= h.cfg.MinPts, err
+		func(_, point, ownCount int) (bool, error) {
+			return ownCount+h.totalCount(point) >= h.cfg.MinPts, nil
 		})
 	if err != nil {
 		return nil, 0, err
@@ -398,104 +428,36 @@ func (h *hState) drive() ([]int, int, error) {
 	return labels, clusters, h.eachPeer(func(_ int, sess *pairSession) error { return sess.SendDone("hdp.op") })
 }
 
-// totalCountOn sums the query point's neighbours across all peers, on
-// worker slot t of every mesh edge. With Config.Parallel > 1 the
-// per-peer HDP sub-queries — each a complete two-party exchange on its
-// own mesh edge — run concurrently, so one region query costs the
-// slowest peer's round trips instead of the sum; the per-peer counts,
-// and therefore the total and every disclosure, are unchanged.
-func (h *hState) totalCountOn(t, i int) (int, error) {
-	h.queries.Add(1)
-	counts := make([]int, h.party.K)
-	errs := make([]error, h.party.K)
-	var wg sync.WaitGroup
-	h.eachPeer(func(q int, sess *pairSession) error {
-		if h.cfg.Parallel == 1 {
-			counts[q], errs[q] = h.queryPeer(sess, t, i)
-			return errs[q]
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			counts[q], errs[q] = h.queryPeer(sess, t, i)
-		}()
+// totalCount answers one region query of our point i: its neighbours
+// summed across all peers, each peer's count read from the edge's settled
+// cache (one [g, g+1) segment per peer generation, so an expiry drops
+// exactly the dead generations' segments and every survivor stays
+// contiguous from the new window edge). What the cache held before this
+// run's settle step counts as cached — all of it from the point's second
+// query on.
+func (h *hState) totalCount(i int) int {
+	h.queries++
+	total := 0
+	h.eachPeer(func(_ int, sess *pairSession) error {
+		count, cached := sess.peer.Settled(i, h.own.Dead)
+		h.cached += int64(cached)
+		total += count
 		return nil
 	})
-	wg.Wait()
-	total := 0
-	for q, err := range errs {
-		if err != nil {
-			return 0, fmt.Errorf("querying party %d: %w", q, err)
-		}
-		total += counts[q]
-	}
-	return total, nil
-}
-
-// queryPeer runs one HDP region query against one peer for our point i as
-// a sweep of per-generation sub-queries. The cross-run cache answers the
-// prefix (from the window's dead boundary up); each uncached generation
-// then runs the cryptographic phases on its own, announced as the span
-// [g, g+1) on the op frame, and its fresh count is cached as a segment
-// aligned with the generation boundary — so an expiry drops exactly the
-// dead generations' segments and every survivor stays contiguous from
-// the new window edge, where a single suffix-wide segment would straddle
-// every expiry boundary and die with it. Unlike the two-party sweep —
-// whose responder keeps a per-query Ledger and therefore needs every
-// sweep closed on the wire — a fully-cached query, an empty generation,
-// or a sub-query whose candidate cells are empty issues no frames at all.
-// Wave workers hit the same peer's cache concurrently, always for
-// distinct own points (each point is queried once per pass).
-func (h *hState) queryPeer(sess *pairSession, t, i int) (int, error) {
-	peer := sess.peer
-	if peer.N == 0 {
-		return 0, nil
-	}
-	count, fromGen := peer.Covered(i, h.own.Dead)
-	h.cached.Add(int64(peer.N - peer.Suffix(fromGen)))
-	x := h.own.Enc[i]
-	for g := fromGen; g < len(peer.Count); g++ {
-		fresh := 0
-		if msg, nCand := sess.QueryFrame(peer, x, g); nCand > 0 {
-			var err error
-			if fresh, err = sess.HDPCount(sess.Conns[t], sess.cmpA, msg, x, nCand); err != nil {
-				return 0, err
-			}
-		}
-		count += fresh
-		peer.Extend(i, g, g+1, fresh)
-	}
-	return count, nil
+	return total
 }
 
 // respond serves the driving party's pass: one responder worker per
-// channel of the edge (core.Pair.Serve) — the driver's wave worker t
-// sends on channel t, so each channel's traffic stays strictly
-// sequential.
+// channel of the edge (core.Pair.Serve), each answering the settle chunks
+// the driver dealt to its channel — chunk c travels on channel c mod W, so
+// each channel's traffic stays strictly sequential.
 func (h *hState) respond(driver int) error {
 	sess := h.sessions[driver]
-	return sess.Serve("hdp.op", core.OpQuery, func(conn transport.Conn, rng core.PermSource, r *transport.Reader) error {
-		return h.serveQuery(sess, conn, rng, r)
+	return sess.Serve("hdp.op", map[uint64]core.OpServer{
+		core.OpSettle: func(conn transport.Conn, rng core.PermSource, r *transport.Reader) error {
+			return sess.SettleServe(conn, rng, sess.cmpB, h.own, sess.peer, r)
+		},
 	})
-}
-
-// serveQuery answers one HDP sub-query over our own (permuted) points of
-// the generation span [fromGen, toGen) the driver announced — its cache
-// already covers everything outside the span.
-func (h *hState) serveQuery(sess *pairSession, conn transport.Conn, rng core.PermSource, r *transport.Reader) error {
-	fromGen := int(r.Uint())
-	toGen := int(r.Uint())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if gens := h.own.Gens(); fromGen < h.own.Dead || toGen > gens || fromGen >= toGen {
-		return fmt.Errorf("multiparty: query span %d..%d of %d generations (%d dead)", fromGen, toGen, gens, h.own.Dead)
-	}
-	pts, nDummy, err := sess.ReadPrunedOp(r, h.own, fromGen, toGen)
-	if err != nil {
-		return err
-	}
-	return sess.HDPServe(conn, rng, sess.cmpB, pts, nDummy)
 }
 
 // NewLocalMesh builds a full in-process mesh for k parties: mesh[p][q] is

@@ -36,8 +36,9 @@
 //
 // Neither topology carries its own copy of a two-party building block.
 // The horizontal mesh (horizontal.go) is the paper's HDP sub-protocol on
-// each of its k·(k−1)/2 edges, and an edge is a core.Pair: core's v11
-// handshake, index exchange, op frames and MP + comparison steps. The
+// each of its k·(k−1)/2 edges, and an edge is a core.Pair: core's v12
+// handshake, index exchange and settle step (chunk op frames, MP +
+// comparison exchanges). The
 // ring is its own protocol, but its token carries core.Params (ring
 // handshake v10) — so every agreed parameter, CmpMaskBits and
 // ShareMaskBits included, is compared at establishment by the same
@@ -125,13 +126,13 @@ type Config struct {
 	// Parallel is W, the width of the one query scheduler. The ring runs
 	// core.LockstepCluster, circulating up to W chunks of the pair matrix
 	// concurrently — per-worker accumulation, comparison, and broadcast —
-	// and the mesh runs core.WaveDrive, deciding up to W queue points per
-	// wave, worker t on channel t of every mesh edge. W = 1 is a
-	// one-worker wave on each edge's bare connection; W > 1 multiplexes
-	// every edge into W worker channels (transport.Mux) and additionally
-	// fans each mesh region query's per-peer HDP sub-queries out
-	// concurrently. W > 1 requires the batched round structure. Labels and
-	// disclosure counts do not depend on W.
+	// and the mesh settles every region sub-query of a pass up front
+	// (core.Pair.Settle), chunk c on channel c mod W of its mesh edge,
+	// before core.WaveDrive walks the settled caches. W = 1 is one worker
+	// on each edge's bare connection; W > 1 multiplexes every edge into W
+	// worker channels (transport.Mux) and additionally settles with all
+	// peers concurrently. W > 1 requires the batched round structure.
+	// Labels and disclosure counts do not depend on W.
 	Parallel int
 
 	// Pool, when non-nil, routes this party's Paillier/RSA batch
