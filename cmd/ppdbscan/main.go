@@ -124,7 +124,7 @@ func addProtocolFlags(fs *flag.FlagSet) *protocolFlags {
 	fs.StringVar(&p.batching, "batching", "batched", "comparison round structure: batched|sequential")
 	fs.StringVar(&p.packing, "packing", "slots", "plaintext encoding: slots (slot-packed ciphertext frames)|full (slots plus the packed comparison uplink)|off (one value per ciphertext)")
 	fs.StringVar(&p.pruning, "pruning", "grid", "candidate-set structure: grid (Eps-grid candidate index)|off (exhaustive)")
-	fs.IntVar(&p.parallel, "parallel", 1, "wave scheduler width W: up to W secure queries per wave (1 = one-worker waves on the bare connection; >1 multiplexes W channels)")
+	fs.IntVar(&p.parallel, "parallel", 1, "scheduler width W: each pass settles its secure decisions over W worker channels (1 = one worker on the bare connection; >1 multiplexes W channels)")
 	fs.Int64Var(&p.seed, "seed", 1, "seed for datasets and permutations")
 	return p
 }

@@ -111,10 +111,11 @@ type Config struct {
 	Packing PackMode
 
 	// Parallel is W, the width of the one query scheduler every family
-	// runs on (parallel.go): up to W independent secure sub-protocols —
-	// the HDP/enhanced core queries of a wave, or the chunks of the pair
-	// matrix for the vertical/arbitrary families — run at once, one per
-	// worker channel, overlapping their round trips. W = 1 (the default)
+	// runs on (parallel.go): a driving pass settles its secure decisions
+	// before its walk — the HDP settle chunks, the enhanced core queries,
+	// or the chunks of the pair matrix for the vertical/arbitrary families
+	// — dealt over W worker channels that run at once, overlapping their
+	// round trips. W = 1 (the default)
 	// is one worker on the session's bare connection; W > 1 multiplexes W
 	// logical channels over it (transport.Mux). Labels and non-index
 	// Ledgers do not depend on W (the parallel equivalence harness

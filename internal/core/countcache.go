@@ -20,7 +20,7 @@ package core
 // Generation indices here are in each stream's own numbering (the mesh
 // keeps per-edge caches); callers remap with Remap when their numbering
 // compacts. The cache is not goroutine-safe: the PeerGens that owns it
-// serialises wave workers' accesses with its own mutex.
+// serialises settle workers' accesses with its own mutex.
 type CountCache struct {
 	m map[int][]CountSeg
 }

@@ -46,11 +46,12 @@
 //	│ (hdp/enhanced/        arbitrary (+ multiparty ring/mesh)   │
 //	│  vertical/arbitrary)  one Run = one clustering             │
 //	├────────────────────────────────────────────────────────────┤
-//	│ query scheduler       Config.Parallel: the settle step's   │
-//	│ (parallel.go,         or the pair matrix's chunks dealt    │
-//	│  settle.go,           over W worker channels, or waves of  │
-//	│  lockstep.go)         W live core queries (enhanced); W=1  │
-//	│                       → one worker on the bare connection  │
+//	│ query scheduler       Config.Parallel: a pass settles its  │
+//	│ (parallel.go,         secure decisions first — chunks or   │
+//	│  settle.go,           core queries dealt over W worker     │
+//	│  lockstep.go)         channels — then walks them with      │
+//	│                       dbscan's ExpandCluster; W=1 → one    │
+//	│                       worker on the bare connection        │
 //	├────────────────────────────────────────────────────────────┤
 //	│ core.Session          lifecycle on one Pair: many Run      │
 //	│ (sess.go, gens.go)    calls; Append / Expire / Retract     │
@@ -152,43 +153,43 @@
 // with CompactRows; retractCounts is the one place retracted ids become
 // generation decrements, for PeerGens and RowGens alike.
 //
-// # Long-lived sessions and the wave scheduler
+// # Long-lived sessions and the query scheduler
 //
-// There is one driver per protocol shape, and Config.Parallel = W is its
-// width. WaveDrive (parallel.go) is Algorithm 4 for the horizontal shape —
-// basic, enhanced, and the multiparty mesh — and the one cluster-expansion
-// loop in this package. The basic protocol and the mesh run it in two
-// steps, settle, then walk: Algorithm 4 queries every own point at least
-// once and a query's operands do not depend on labels, so Pair.Settle
-// (settle.go) first decides every (own point, peer generation) sub-query
-// the cross-run cache does not answer — enumerated in own-point order,
-// whole rows (one own point's sub-queries) packed into chunks under the
-// pair shape's chunkBound rule, chunk c on worker channel c mod W, one
-// exchange a chunk — and the walk then reads a cache that answers every
-// query: it touches no channel (a two-party driver reports its query
-// count on the done frame, for the responder's query-level Ledger; a mesh
-// driver reports nothing) and runs at width one. WaveDrive's waves carry
-// live queries for the enhanced protocol only, whose core decision
-// depends on the dataset sizes: there it prefetches the remote decisions
-// of up to W seed-queue points concurrently (every queued point is
-// queried eventually, so prefetching reorders nothing). LockstepCluster
-// (lockstep.go) is Algorithm 6 for the pair shape — vertical, arbitrary,
-// and the multiparty ring — and has no waves and no loop of its own:
-// DBSCAN queries every point once, so the pairs it will ask about are all
-// of them, known before the first frame. The driver settles the whole pair
-// matrix first — what the grid index or the cross-run cache does not
-// decide goes to the oracle in chunks of whole rows (a row is the
-// undecided pairs of one record against the records before it: an
-// appended record's neighbourhood), sized by one rule (chunkBound),
-// chunk c on worker channel c mod W — and then runs dbscan.ClusterGeneric,
-// the plaintext oracle's own expansion loop, over the result. The
-// comparison and multiplication leaves under the drivers are the only
-// thing that varies by family and by Config.Batching. Schedules are pure
-// functions of shared protocol state, so jointly-computed oracles stay in
-// lock step, and labels, Ledgers, and comparison totals do not depend on
-// W (the parallel equivalence harness enforces this). W = 1 is one
-// worker, run inline on the session's bare connection; W > 1 multiplexes
-// W channels over it. The win is round-trip overlap — the
+// Every driving pass runs in two steps, settle, then walk, and
+// Config.Parallel = W is the width of its settle step; the walk is
+// dbscan's ExpandCluster, the plaintext oracle's own loop and the one
+// cluster-expansion loop outside the SimulateHorizontalPass oracle. The
+// horizontal shape — basic, enhanced, and the multiparty mesh — is
+// Algorithm 4: it queries every own point at least once, and what a query
+// asks the peer depends on no label, so the settle step decides every
+// first query up front. The basic protocol and the mesh run Pair.Settle
+// (settle.go) over every (own point, peer generation) sub-query the
+// cross-run cache does not answer — enumerated in own-point order, whole
+// rows (one own point's sub-queries) packed into chunks under the pair
+// shape's chunkBound rule, chunk c on worker channel c mod W, one exchange
+// a chunk; the enhanced protocol runs settleEnhanced (enhanced.go) over
+// every own point's core bit — k = MinPts − |own neighbours| depends on
+// the point and our own data only, and the dataset sizes are just the
+// cache's validity key — point i on worker channel i mod W. The walk,
+// dbscan.ClusterCore, then reads what was settled: it touches no channel
+// (a two-party basic driver reports its query count on the done frame, for
+// the responder's query-level Ledger; enhanced and mesh drivers report
+// nothing) and runs at width one. LockstepCluster (lockstep.go) is
+// Algorithm 6 for the pair shape — vertical, arbitrary, and the multiparty
+// ring: DBSCAN queries every point once, so the pairs it will ask about
+// are all of them, known before the first frame. The driver settles the
+// whole pair matrix first — what the grid index or the cross-run cache
+// does not decide goes to the oracle in chunks of whole rows (a row is the
+// undecided pairs of one record against the records before it: an appended
+// record's neighbourhood), sized by one rule (chunkBound), chunk c on
+// worker channel c mod W — and then runs dbscan.ClusterGeneric over the
+// result. The comparison and multiplication leaves under the drivers are
+// the only thing that varies by family and by Config.Batching. Schedules
+// are pure functions of shared protocol state, so jointly-computed oracles
+// stay in lock step, and labels, Ledgers, and comparison totals do not
+// depend on W (the parallel equivalence harness enforces this). W = 1 is
+// one worker, run inline on the session's bare connection; W > 1
+// multiplexes W channels over it. The win is round-trip overlap — the
 // bench `wan` workload measures it over a delayed pipe as
 // core.sched_overlap_x. What overlap leaves idle, the session's nonce
 // stock uses: every reply a party sends is encrypted under the peer's key

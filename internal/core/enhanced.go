@@ -66,6 +66,44 @@ func (s *Pair) enhancedEngines() (shareA compare.Alice, shareB compare.Bob, fina
 	return shareA, shareB, finalA, finalB, nil
 }
 
+// settleEnhanced is the enhanced protocol's settle step: every own point's
+// core bit, decided before the walk — rqs[i] is point i's own
+// neighbourhood — by enhancedIsCore, point i on worker channel i mod W,
+// each worker taking its points in order and all W concurrently. What a
+// core query asks depends on the point, our own data (k) and the peer's
+// directories, never on a label, and Algorithm 4 queries every own point,
+// so this is exactly the set of first queries the walk makes.
+func settleEnhanced(s *Pair, hs *hStream, rqs [][]int) ([]bool, error) {
+	shareA, _, finalA, _, err := s.enhancedEngines()
+	if err != nil {
+		return nil, err
+	}
+	w := len(s.Conns)
+	cores := make([]bool, len(rqs))
+	return cores, runWave(min(w, len(rqs)), func(t int) error {
+		for i := t; i < len(rqs); i += w {
+			core, err := enhancedIsCore(s, hs, s.Conns[t], i, len(rqs[i]), shareA, finalA)
+			if err != nil {
+				return err
+			}
+			cores[i] = core
+		}
+		return nil
+	})
+}
+
+// enhCached reads point's core bit from the cross-run cache when it is
+// still valid: neighbour counts only grow under appends, so a cached true
+// bit is valid forever, and any cached bit is valid while both datasets
+// are unchanged.
+func enhCached(hs *hStream, point int) (core, ok bool) {
+	e, ok := hs.peer.getEnh(point)
+	if !ok || !(e.core || (e.ownN == len(hs.own.Enc) && e.peerN == hs.peer.N)) {
+		return false, false
+	}
+	return e.core, true
+}
+
 // enhancedIsCore decides whether the driver's point is a core point given
 // it already has ownCount own-side neighbours. k = MinPts − ownCount peer
 // neighbours are still needed; the trivial cases never touch the network.
@@ -74,23 +112,19 @@ func (s *Pair) enhancedEngines() (shareA compare.Alice, shareB compare.Bob, fina
 // point, with dummy entries pinned to the maximal distance — a query
 // whose candidate cells cannot hold k points is decided locally.
 //
-// The cross-run cache short-circuits the whole exchange when it can:
-// neighbour counts only grow under appends, so a cached true bit is valid
-// forever, and any cached bit is valid while both datasets are unchanged.
-// A cached skip issues no frames at all — like the trivial local cases —
-// so the enhanced protocol's mechanical OrderBits/CoreBits record at most
-// a fresh run's (the pruning-equivalence convention).
+// The cross-run cache (enhCached) short-circuits the whole exchange when
+// it can. A cached skip issues no frames at all — like the trivial local
+// cases — so the enhanced protocol's mechanical OrderBits/CoreBits record
+// at most a fresh run's (the pruning-equivalence convention).
 func enhancedIsCore(s *Pair, hs *hStream, conn transport.Conn, point, ownCount int, shareA compare.Alice, finalA compare.Alice) (bool, error) {
 	own, nPeer := hs.own.Enc, hs.peer.N
 	k := s.cfg.MinPts - ownCount
 	if k <= 0 {
 		return true, nil
 	}
-	if e, ok := hs.peer.getEnh(point); ok {
-		if e.core || (e.ownN == len(own) && e.peerN == nPeer) {
-			s.cmpCached.Add(1)
-			return e.core, nil
-		}
+	if core, ok := enhCached(hs, point); ok {
+		s.cmpCached.Add(1)
+		return core, nil
 	}
 	var cells [][]int64
 	nCand := nPeer

@@ -240,8 +240,8 @@ type PeerGens struct {
 	N     int   // live peer count (Σ Count)
 	dirs  []spatial.Directory
 
-	// mu guards the caches: a wave's workers decide distinct points
-	// concurrently but share the maps.
+	// mu guards the caches: a settle step's workers decide distinct
+	// points concurrently but share the maps.
 	mu  sync.Mutex
 	hdp *CountCache
 	enh map[int]enhEntry

@@ -2,15 +2,17 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
+	"repro/internal/dbscan"
 	"repro/internal/partition"
 	"repro/internal/spatial"
 	"repro/internal/transport"
 )
 
 // Op codes for the driver→responder control channel of the horizontal
-// protocols. The driver announces each settle chunk (or enhanced core
-// query) before the corresponding sub-protocols begin; opDone, sent on
+// protocols. The driver announces each settle chunk (or settled enhanced
+// core query) before the corresponding sub-protocols begin; opDone, sent on
 // every worker channel, releases the responder at the end of a pass. Code
 // 1 was the per-query region-query op of handshake ≤ v11.
 const (
@@ -311,14 +313,14 @@ func horizontalRunOnce(t *Session, hs *hStream, fam hFamily) (*Result, error) {
 
 // hPassDriver is the driving pass of the horizontal family (Algorithm 3/4,
 // and Algorithm 7/8 for the enhanced protocol — the control flow is the
-// same, only the core decision differs). The basic protocol settles every
-// region sub-query first (Pair.Settle, over the W worker channels), so its
-// walk decides from the cache, touches no channel and runs at width one;
-// the enhanced protocol's core decision depends on the dataset sizes and
-// runs live: WaveDrive at width W, worker slot w's decision over channel
-// w.
+// same, only the core decision differs), in two steps. Settle, over the W
+// worker channels: the basic protocol decides every region sub-query the
+// count cache does not answer (Pair.Settle), the enhanced protocol every
+// own point's core bit (settleEnhanced). Walk: dbscan.ClusterCore over our
+// own points, reading the peer's half of each core test from what was
+// settled — it touches no channel.
 func hPassDriver(s *Pair, hs *hStream, fam hFamily) ([]int, int, error) {
-	conns := s.Conns
+	n := len(hs.own.Enc)
 	localRQ := func(i int) []int { return hs.own.RegionQuery(i, s.epsSq) }
 	switch fam {
 	case hBasic:
@@ -330,29 +332,39 @@ func hPassDriver(s *Pair, hs *hStream, fam hFamily) ([]int, int, error) {
 			return nil, 0, err
 		}
 		walked := 0
-		labels, clusters, err := WaveDrive(len(hs.own.Enc), 1, localRQ, func(_, point, ownCount int) (bool, error) {
+		labels, clusters := dbscan.ClusterCore(n, localRQ, func(i int, nbrs []int) bool {
 			if hs.peer.N == 0 {
 				// Nothing to ask: no query, no budget, nothing to report.
-				return ownCount >= s.cfg.MinPts, nil
+				return len(nbrs) >= s.cfg.MinPts
 			}
 			walked++
-			return ownCount+remoteCount(s, hs, point) >= s.cfg.MinPts, nil
+			return len(nbrs)+remoteCount(s, hs, i) >= s.cfg.MinPts
 		})
-		if err != nil {
-			return nil, 0, err
-		}
 		return labels, clusters, s.SendDone("hdp.op", uint64(walked))
 	case hEnhanced:
-		shareA, _, finalA, _, err := s.enhancedEngines()
+		rqs := make([][]int, n)
+		for i := range rqs {
+			rqs[i] = localRQ(i)
+		}
+		cores, err := settleEnhanced(s, hs, rqs)
 		if err != nil {
 			return nil, 0, err
 		}
-		labels, clusters, err := WaveDrive(len(hs.own.Enc), len(conns), localRQ, func(w, point, ownCount int) (bool, error) {
-			return enhancedIsCore(s, hs, conns[w], point, ownCount, shareA, finalA)
+		queried := make([]bool, n)
+		labels, clusters := dbscan.ClusterCore(n, func(i int) []int { return rqs[i] }, func(i int, _ []int) bool {
+			// Algorithm 4 queries a point again only if it is not core (a
+			// core point's neighbours are all labelled by its query), so a
+			// re-query counts as cached exactly when enhancedIsCore would
+			// answer it from the cache. It never reaches the wire: a first
+			// query that did left a valid entry behind.
+			if queried[i] {
+				if _, ok := enhCached(hs, i); ok {
+					s.cmpCached.Add(1)
+				}
+			}
+			queried[i] = true
+			return cores[i]
 		})
-		if err != nil {
-			return nil, 0, err
-		}
 		return labels, clusters, s.SendDone("enh.op")
 	}
 	return nil, 0, fmt.Errorf("core: unknown horizontal family %d", fam)
@@ -383,8 +395,14 @@ func hPassResponder(s *Pair, hs *hStream, fam hFamily) error {
 		if err != nil {
 			return err
 		}
+		// An honest driver settles each of its live points at most once a
+		// pass, so one count across the W workers bounds the pass.
+		var asked atomic.Int64
 		return s.Serve("enh.op", map[uint64]OpServer{
 			opCore: func(conn transport.Conn, rng PermSource, r *transport.Reader) error {
+				if q := asked.Add(1); q > int64(hs.peer.N) {
+					return fmt.Errorf("%w: core query %d of a pass over %d points", ErrQueryOp, q, hs.peer.N)
+				}
 				return serveEnhancedCore(s, conn, rng, shareB, finalB, hs.own, r)
 			},
 		})

@@ -15,12 +15,12 @@ import (
 
 // The parallel equivalence harness: every protocol family must produce
 // identical labels, cluster counts, full leakage Ledgers, and secure-
-// comparison totals whether its queries run as one-worker waves on the
+// comparison totals whether its settle step runs as one worker on the
 // bare connection (W = 1) or across W multiplexed worker channels. The
-// scheduler only prefetches work Algorithm 4 executes at any width, so
-// the executed sub-protocol multiset — and every count-based observable
-// — is invariant; this test pins that contract across W and both
-// pruning modes.
+// scheduler only settles work the walk asks for at any width, so the
+// executed sub-protocol multiset — and every count-based observable — is
+// invariant; this test pins that contract across W and both pruning
+// modes.
 
 func parallelCfg(engine compare.EngineKind, w int, pruning PruneMode) Config {
 	cfg := testCfg(engine)
@@ -100,14 +100,15 @@ func TestParallelRejectsSequentialBatching(t *testing.T) {
 }
 
 // TestDriversMatchPlaintextOracles is the differential test of the two
-// cluster-expansion drivers against real oracles: over random integer
-// point sets, MinPts values and wave widths, LockstepCluster's labels
-// equal plain DBSCAN's (dbscan.ClusterInt), WaveDrive's equal the
-// Algorithm 3/4 simulation's (SimulateHorizontalPass), every pair is
-// decided exactly once, and every point is queried at least once and
-// equally often at every width. (Not exactly once: Algorithm 4 queues a
-// new cluster's whole seed set, so a point an earlier seed query left as
-// noise or border is queried again — at every width alike.)
+// drivers' walks against real oracles: over random integer point sets,
+// MinPts values and (for the lockstep driver) widths, LockstepCluster's
+// labels equal plain DBSCAN's (dbscan.ClusterInt) at every W, every pair
+// is decided exactly once, and the horizontal walk — dbscan.ClusterCore
+// with the peer's count added to the core test — gives the Algorithm 3/4
+// simulation's labels (SimulateHorizontalPass) and queries every point at
+// least once, which both horizontal settle steps rely on. (Not exactly
+// once: Algorithm 4 queues a new cluster's whole seed set, so a point an
+// earlier seed query left as noise or border is queried again.)
 func TestDriversMatchPlaintextOracles(t *testing.T) {
 	const epsSq = 8
 	rng := rand.New(rand.NewSource(20120330))
@@ -126,12 +127,9 @@ func TestDriversMatchPlaintextOracles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantPass, wantPassK := SimulateHorizontalPass(pts, peer, epsSq, minPts)
-			var queriedAtOne []int
 			for _, w := range []int{1, 2, 3, 8} {
 				name := fmt.Sprintf("trial %d n=%d MinPts=%d W=%d", trial, len(pts), minPts, w)
-				var mu sync.Mutex // the hooks run on concurrent wave workers
-
+				var mu sync.Mutex // the oracle runs on concurrent chunk workers
 				pairs := map[[2]int]int{}
 				plain := plainBatchOracle(pts, epsSq)
 				labels, k, err := LockstepCluster(len(pts), minPts, w, 1, nil, nil, nil,
@@ -158,71 +156,50 @@ func TestDriversMatchPlaintextOracles(t *testing.T) {
 						t.Errorf("%s: pair %v decided %d times", name, pr, c)
 					}
 				}
+			}
 
-				queried := make([]int, len(pts))
-				localRQ := func(i int) []int {
-					var out []int
-					for j := range pts {
-						if fixedpoint.DistSq(pts[i], pts[j]) <= epsSq {
-							out = append(out, j)
-						}
+			name := fmt.Sprintf("trial %d n=%d MinPts=%d", trial, len(pts), minPts)
+			wantPass, wantPassK := SimulateHorizontalPass(pts, peer, epsSq, minPts)
+			queried := make([]int, len(pts))
+			localRQ := func(i int) []int {
+				var out []int
+				for j := range pts {
+					if fixedpoint.DistSq(pts[i], pts[j]) <= epsSq {
+						out = append(out, j)
 					}
-					return out
 				}
-				passLabels, passK, err := WaveDrive(len(pts), w, localRQ, func(worker, point, ownCount int) (bool, error) {
-					if worker < 0 || worker >= w {
-						return false, fmt.Errorf("worker slot %d outside [0,%d)", worker, w)
+				return out
+			}
+			passLabels, passK := dbscan.ClusterCore(len(pts), localRQ, func(i int, nbrs []int) bool {
+				queried[i]++
+				remote := 0
+				for _, q := range peer {
+					if fixedpoint.DistSq(pts[i], q) <= epsSq {
+						remote++
 					}
-					mu.Lock()
-					queried[point]++
-					mu.Unlock()
-					remote := 0
-					for _, q := range peer {
-						if fixedpoint.DistSq(pts[point], q) <= epsSq {
-							remote++
-						}
-					}
-					return ownCount+remote >= minPts, nil
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
 				}
-				if !metrics.ExactMatch(passLabels, wantPass) || passK != wantPassK {
-					t.Errorf("%s: wave labels %v (%d clusters), simulation %v (%d)", name, passLabels, passK, wantPass, wantPassK)
-				}
-				if w == 1 {
-					queriedAtOne = queried
-				}
-				for i, c := range queried {
-					if c < 1 || c != queriedAtOne[i] {
-						t.Errorf("%s: point %d queried %d times, %d at W=1", name, i, c, queriedAtOne[i])
-					}
+				return len(nbrs)+remote >= minPts
+			})
+			if !metrics.ExactMatch(passLabels, wantPass) || passK != wantPassK {
+				t.Errorf("%s: walk labels %v (%d clusters), simulation %v (%d)", name, passLabels, passK, wantPass, wantPassK)
+			}
+			for i, c := range queried {
+				if c < 1 {
+					t.Errorf("%s: point %d never queried", name, i)
 				}
 			}
 		}
 	}
 }
 
-// TestWaveDriveRejectsBadWidth: a width below one would take empty waves
-// off a non-empty queue forever; it must be an error instead.
-func TestWaveDriveRejectsBadWidth(t *testing.T) {
-	for _, w := range []int{0, -1} {
-		_, _, err := WaveDrive(2, w, func(int) []int { return []int{0, 1} },
-			func(int, int, int) (bool, error) { return true, nil })
-		if err == nil {
-			t.Errorf("worker width %d accepted", w)
-		}
-	}
-}
-
 // TestMuxBacklogOfHonestRuns records how deep a worker channel's receive
-// queue gets in a W = 4 Run — traffic is request/reply per channel, with
-// one frame of wave pipelining — and holds transport's backlog bound an
-// order of magnitude above that mark, so the bound that stops a flooding
-// peer (transport.ErrMuxBacklog) is nowhere near an honest one.
+// queue gets in a W = 4 Run — traffic is request/reply per channel — and
+// holds transport's backlog bound an order of magnitude above that mark,
+// so the bound that stops a flooding peer (transport.ErrMuxBacklog) is
+// nowhere near an honest one.
 func TestMuxBacklogOfHonestRuns(t *testing.T) {
 	for _, fam := range stockFamilies(t) {
-		if fam.name != "horizontal" && fam.name != "vertical" {
+		if fam.name != "horizontal" && fam.name != "enhanced" && fam.name != "vertical" {
 			continue
 		}
 		a, b := runOverLatency(t, fam, parallelCfg(compare.EngineMasked, 4, PruneGrid))

@@ -4,16 +4,18 @@ import (
 	"fmt"
 
 	"repro/internal/compare"
+	"repro/internal/dbscan"
 	"repro/internal/spatial"
 	"repro/internal/transport"
 )
 
 // The per-query driver of the basic horizontal protocol as it stood before
-// the settle step (handshake v11): one wave of region queries per
-// expansion step, every query a sweep of per-generation sub-queries, each
-// its own op frame + MP round + comparison round. Kept verbatim — apart
-// from the names, and from HDPCount's op-frame argument, which
-// perQueryHDPCount sends itself — as the oracle the settle differential
+// the settle step (handshake v11): one live region query at a time, every
+// query a sweep of per-generation sub-queries, each its own op frame + MP
+// round + comparison round. Kept verbatim — apart from the names, from
+// HDPCount's op-frame argument, which perQueryHDPCount sends itself, and
+// from the walk, dbscan.ClusterCore on channel 0 (labels, the Ledger and
+// the counters do not depend on W) — as the oracle the settle differential
 // (settle_test.go) runs the same lifecycles through: labels, cached
 // segments, every Ledger class and both comparison counters must come out
 // equal.
@@ -54,20 +56,19 @@ func perQueryRunOnce(t *Session, hs *hStream) (*Result, error) {
 }
 
 func perQueryPassDriver(s *Pair, hs *hStream) ([]int, int, error) {
-	conns := s.Conns
 	engA, _, err := s.DistEngines()
 	if err != nil {
 		return nil, 0, err
 	}
-	decide := func(w, point, ownCount int) (bool, error) {
-		count, err := perQueryRemoteCount(s, hs, conns[w], point, engA)
-		if err != nil {
-			return false, err
-		}
-		return ownCount+count >= s.cfg.MinPts, nil
-	}
 	localRQ := func(i int) []int { return hs.own.RegionQuery(i, s.epsSq) }
-	labels, clusters, err := WaveDrive(len(hs.own.Enc), len(conns), localRQ, decide)
+	labels, clusters := dbscan.ClusterCore(len(hs.own.Enc), localRQ, func(i int, nbrs []int) bool {
+		if err != nil {
+			return false
+		}
+		var count int
+		count, err = perQueryRemoteCount(s, hs, s.Conns[0], i, engA)
+		return len(nbrs)+count >= s.cfg.MinPts
+	})
 	if err != nil {
 		return nil, 0, err
 	}

@@ -15,7 +15,9 @@ import (
 // label. So a driving pass runs in two steps, like the pair shape's
 // LockstepCluster: Settle decides, before the walk, every (own point, peer
 // generation) sub-query the cross-run cache does not already answer, and
-// WaveDrive then walks a cache that answers every query.
+// the walk (dbscan.ClusterCore) then reads a cache that answers every
+// query. The enhanced protocol settles its core bits the same way
+// (settleEnhanced).
 //
 // Settle enumerates the sub-queries in own-point order: for each point the
 // generations its cached chain does not reach (PeerGens.Covered), ascending
@@ -38,9 +40,10 @@ import (
 // the grouped uplink's equality classes never span two own points
 // (compare/full.go).
 
-// ErrQueryOp reports an op frame of a basic pass the responder refuses: a
-// settle chunk that is not one an honest driver's schedule produces, or a
-// done frame reporting a walk no Algorithm 4 run takes.
+// ErrQueryOp reports an op frame of a horizontal pass the responder
+// refuses: a settle chunk that is not one an honest driver's schedule
+// produces, a done frame reporting a walk no Algorithm 4 run takes, or an
+// enhanced core query past the one per live driver point a pass asks.
 var ErrQueryOp = errors.New("core: malformed region-query op")
 
 // Settle runs the driver side of the settle step against one peer over the

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	mrand "math/rand"
 	"reflect"
 	"sync"
@@ -42,6 +43,7 @@ var settleGens = [2][][][]float64{
 type settleStage struct {
 	res  *Result
 	segs map[int][]CountSeg
+	enh  map[int]enhEntry
 }
 
 type sessionOpener func(conn transport.Conn, cfg Config, role Role, points [][]float64) (*Session, *hStream, error)
@@ -60,8 +62,9 @@ func runSettleLifecycle(t *testing.T, cfg Config, open sessionOpener) (stages [2
 		for i, ss := range hs.peer.hdp.m {
 			segs[i] = append([]CountSeg(nil), ss...)
 		}
+		enh := maps.Clone(hs.peer.enh)
 		mu.Lock()
-		stages[side] = append(stages[side], settleStage{res, segs})
+		stages[side] = append(stages[side], settleStage{res, segs, enh})
 		mu.Unlock()
 	}
 	ca, cb := transport.Pipe()

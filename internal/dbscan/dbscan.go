@@ -113,6 +113,17 @@ func ClusterIndexed(points [][]float64, p Params) (Result, error) {
 // index order — border-point assignment depends on it — and minPts must be
 // at least 1. It returns the labels and the cluster count.
 func ClusterGeneric(n int, neighbors func(i int) []int, minPts int) ([]int, int) {
+	return ClusterCore(n, neighbors, func(_ int, nbrs []int) bool { return len(nbrs) >= minPts })
+}
+
+// ClusterCore is ClusterGeneric with the core test passed in: core(i,
+// nbrs) decides whether point i, whose region query neighbors(i) just
+// returned nbrs, is a core point. It is called exactly once per region
+// query, right after it, in ExpandCluster order — the horizontal private
+// protocols (Algorithms 3–4 and 7–8) walk their own points through it,
+// adding the peer's side of the density test, and tally their queries in
+// it.
+func ClusterCore(n int, neighbors func(i int) []int, core func(i int, nbrs []int) bool) ([]int, int) {
 	labels := make([]int, n)
 	for i := range labels {
 		labels[i] = Unclassified
@@ -122,7 +133,7 @@ func ClusterGeneric(n int, neighbors func(i int) []int, minPts int) ([]int, int)
 		if labels[i] != Unclassified {
 			continue
 		}
-		if expandCluster(i, clusterID+1, labels, neighbors, minPts) {
+		if expandCluster(i, clusterID+1, labels, neighbors, core) {
 			clusterID++
 		}
 	}
@@ -130,9 +141,9 @@ func ClusterGeneric(n int, neighbors func(i int) []int, minPts int) ([]int, int)
 }
 
 // expandCluster mirrors Algorithm 6 line by line.
-func expandCluster(point, clusterID int, labels []int, neighbors func(i int) []int, minPts int) bool {
+func expandCluster(point, clusterID int, labels []int, neighbors func(i int) []int, core func(int, []int) bool) bool {
 	seeds := neighbors(point)
-	if len(seeds) < minPts {
+	if !core(point, seeds) {
 		labels[point] = Noise
 		return false
 	}
@@ -150,7 +161,7 @@ func expandCluster(point, clusterID int, labels []int, neighbors func(i int) []i
 		current := queue[0]
 		queue = queue[1:]
 		result := neighbors(current)
-		if len(result) < minPts {
+		if !core(current, result) {
 			continue
 		}
 		for _, r := range result {

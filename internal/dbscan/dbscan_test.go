@@ -334,6 +334,75 @@ func TestCoreChainConnectivity(t *testing.T) {
 	}
 }
 
+// TestClusterCoreOneTestPerQuery: ClusterCore calls core exactly once per
+// neighbors call, right after it, with the same point and the
+// neighbourhood just returned — the horizontal protocols' walks tally
+// their region queries (and the basic one its query-level Ledger) in core
+// — and only a point whose core test failed is queried again. With core a
+// per-point bit rather than a count threshold, so the expansion takes both
+// branches at every size.
+func TestClusterCoreOneTestPerQuery(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	requeries := 0 // vacuity guard: some point is queried twice
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(30)
+		points := make([][]float64, n)
+		coreBit := make([]bool, n)
+		for i := range points {
+			points[i] = []float64{float64(rng.Intn(8)), float64(rng.Intn(8))}
+			coreBit[i] = rng.Intn(3) > 0
+		}
+		var asked, tested []int
+		var pending []int // the neighbourhood of the last query not yet tested
+		neighbors := func(i int) []int {
+			if pending != nil {
+				t.Fatalf("trial %d: query of %d before the core test of the previous one", trial, i)
+			}
+			asked = append(asked, i)
+			var out []int
+			for j := range points {
+				if distSqFloat(points[i], points[j]) <= 2 {
+					out = append(out, j)
+				}
+			}
+			pending = out
+			return out
+		}
+		labels, k := ClusterCore(n, neighbors, func(i int, nbrs []int) bool {
+			if pending == nil || !metrics.ExactMatch(nbrs, pending) || asked[len(asked)-1] != i {
+				t.Fatalf("trial %d: core(%d, %v) after the query of %d returned %v", trial, i, nbrs, asked[len(asked)-1], pending)
+			}
+			tested, pending = append(tested, i), nil
+			return coreBit[i]
+		})
+		if pending != nil || len(asked) != len(tested) {
+			t.Fatalf("trial %d: %d queries, %d core tests", trial, len(asked), len(tested))
+		}
+		seen := make(map[int]bool)
+		for _, i := range asked {
+			if seen[i] {
+				requeries++
+				// The enhanced protocol's walk counts a re-query by this.
+				if coreBit[i] {
+					t.Errorf("trial %d: core point %d queried again", trial, i)
+				}
+			}
+			seen[i] = true
+		}
+		if len(seen) != n {
+			t.Errorf("trial %d: %d of %d points queried", trial, len(seen), n)
+		}
+		for i, l := range labels {
+			if coreBit[i] && (l < 1 || l > k) {
+				t.Errorf("trial %d: core point %d labelled %d of %d clusters", trial, i, l, k)
+			}
+		}
+	}
+	if requeries == 0 {
+		t.Error("vacuous: no point was queried twice")
+	}
+}
+
 func BenchmarkClusterBrute500(b *testing.B) {
 	d := dataset.Blobs(500, 4, 0.3, 1)
 	p := Params{Eps: 0.5, MinPts: 4}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/compare"
 	"repro/internal/core"
+	"repro/internal/dbscan"
 	"repro/internal/spatial"
 	"repro/internal/transport"
 )
@@ -384,11 +385,11 @@ func (h *hState) eachPeer(f func(q int, sess *pairSession) error) error {
 // candidates — is decided up front over the edge's W = Config.Parallel
 // channels (core.Pair.Settle); with W > 1 the edges settle concurrently,
 // each a complete two-party exchange, so the step costs the slowest
-// peer's chunks instead of the sum. Walk: core.WaveDrive, at width one,
-// over caches that now answer every query, so it sends nothing — a
-// fully-cached query, an empty generation and a sub-query without
-// candidates have never cost a mesh edge a frame, its responders keep no
-// per-query Ledger. The sub-query multiset, the per-peer counts, and every
+// peer's chunks instead of the sum. Walk: dbscan.ClusterCore over caches
+// that now answer every query, so it sends nothing — a fully-cached
+// query, an empty generation and a sub-query without candidates have
+// never cost a mesh edge a frame, its responders keep no per-query
+// Ledger. The sub-query multiset, the per-peer counts, and every
 // disclosure class do not depend on W.
 func (h *hState) drive() ([]int, int, error) {
 	settle := func(q int, sess *pairSession) error {
@@ -417,14 +418,9 @@ func (h *hState) drive() ([]int, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	labels, clusters, err := core.WaveDrive(len(h.own.Enc), 1,
+	labels, clusters := dbscan.ClusterCore(len(h.own.Enc),
 		func(i int) []int { return h.own.RegionQuery(i, h.epsSq) },
-		func(_, point, ownCount int) (bool, error) {
-			return ownCount+h.totalCount(point) >= h.cfg.MinPts, nil
-		})
-	if err != nil {
-		return nil, 0, err
-	}
+		func(i int, nbrs []int) bool { return len(nbrs)+h.totalCount(i) >= h.cfg.MinPts })
 	return labels, clusters, h.eachPeer(func(_ int, sess *pairSession) error { return sess.SendDone("hdp.op") })
 }
 

@@ -128,7 +128,7 @@ type Config struct {
 	// concurrently — per-worker accumulation, comparison, and broadcast —
 	// and the mesh settles every region sub-query of a pass up front
 	// (core.Pair.Settle), chunk c on channel c mod W of its mesh edge,
-	// before core.WaveDrive walks the settled caches. W = 1 is one worker
+	// before dbscan.ClusterCore walks the settled caches. W = 1 is one worker
 	// on each edge's bare connection; W > 1 multiplexes every edge into W
 	// worker channels (transport.Mux) and additionally settles with all
 	// peers concurrently. W > 1 requires the batched round structure.

@@ -8,18 +8,20 @@ import (
 
 	"repro/internal/compare"
 	"repro/internal/core"
+	"repro/internal/dbscan"
 	"repro/internal/metrics"
 	"repro/internal/transport"
 )
 
 // The per-query mesh driver as it stood before the settle step (core
-// handshake v11): one wave of region queries per expansion step, every
-// query a per-peer sweep of per-generation sub-queries, each its own op
-// frame + MP round + comparison round on the edge. Kept verbatim — apart
-// from the names, from the counters it now owns itself (hState's are no
-// longer atomic), and from the op frame, which core.Pair.QueryFrame built
-// and HDPCount sent — as the oracle TestMeshSettleMatchesPerQueryDriver
-// runs the same lifecycle through.
+// handshake v11): one live region query at a time, every query a per-peer
+// sweep of per-generation sub-queries, each its own op frame + MP round +
+// comparison round on the edge. Kept verbatim — apart from the names, from
+// the counters it now owns itself (hState's are no longer atomic), from
+// the op frame, which core.Pair.QueryFrame built and HDPCount sent, and
+// from the walk, dbscan.ClusterCore on channel 0 of every edge (labels and
+// the counters do not depend on W) — as the oracle
+// TestMeshSettleMatchesPerQueryDriver runs the same lifecycle through.
 
 // opPerQuery was core.OpQuery, op code 1.
 const opPerQuery uint64 = 1
@@ -58,11 +60,16 @@ func (m *perQueryMesh) run() (*HorizontalResult, error) {
 
 func (m *perQueryMesh) drive() ([]int, int, error) {
 	h := m.h
-	labels, clusters, err := core.WaveDrive(len(h.own.Enc), h.cfg.Parallel,
+	var err error
+	labels, clusters := dbscan.ClusterCore(len(h.own.Enc),
 		func(i int) []int { return h.own.RegionQuery(i, h.epsSq) },
-		func(t, point, ownCount int) (bool, error) {
-			remote, err := m.totalCountOn(t, point)
-			return ownCount+remote >= h.cfg.MinPts, err
+		func(i int, nbrs []int) bool {
+			if err != nil {
+				return false
+			}
+			var remote int
+			remote, err = m.totalCountOn(0, i)
+			return len(nbrs)+remote >= h.cfg.MinPts
 		})
 	if err != nil {
 		return nil, 0, err
