@@ -26,9 +26,9 @@ func nonceOf(key *paillier.PrivateKey, c *big.Int) *big.Int {
 // retained share ciphertexts D_i and the selection constant without
 // nonces (paillier.Unblinded); every ciphertext it SENDS must still carry
 // a fresh uniform one. The test plays the driver against the responder's
-// real steps — mpc.SenderDotManyPackedRetain, then derived selection and
+// real steps — mpc.SenderDotRows retaining, then derived selection and
 // final comparison batches on compare.MaskedBob with bases built as
-// enhancedServeCore builds them — and uplinks an unblinded E(a), so that
+// serveCoreChunk builds them — and uplinks an unblinded E(a), so that
 // every D_i has nonce exactly 1 and a reply that took no fresh factor of
 // its own would surface with nonce 1. It opens every reply with the
 // private key: no nonce is 1 and no two are equal.
@@ -112,7 +112,7 @@ func TestEnhancedWireCiphertextsAreBlinded(t *testing.T) {
 	if err := transport.SendMsg(driver, transport.NewBuilder().PutUint(n).PutBigs(uplink)); err != nil {
 		t.Fatal(err)
 	}
-	ds, err := mpc.SenderDotManyPackedRetain(responder, pub, bs, vs, dotPk, rand.Reader, nil)
+	ds, err := mpc.SenderDotRows(responder, pub, bs, []int{n}, vs, dotPk, true, rand.Reader, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,8 +47,8 @@
 //	│  vertical/arbitrary)  one Run = one clustering             │
 //	├────────────────────────────────────────────────────────────┤
 //	│ query scheduler       Config.Parallel: a pass settles its  │
-//	│ (parallel.go,         secure decisions first — chunks or   │
-//	│  settle.go,           core queries dealt over W worker     │
+//	│ (parallel.go,         secure decisions first — chunks of   │
+//	│  settle.go,           whole rows dealt over W worker       │
 //	│  lockstep.go)         channels — then walks them with      │
 //	│                       dbscan's ExpandCluster; W=1 → one    │
 //	│                       worker on the bare connection        │
@@ -68,7 +68,7 @@
 //	│                       only while a Run is in progress      │
 //	├────────────────────────────────────────────────────────────┤
 //	│ core.Pair             one edge's keys, agreed parameters   │
-//	│ (pair.go, params.go,  (core.Params, handshake v12), worker │
+//	│ (pair.go, params.go,  (core.Params, handshake v13), worker │
 //	│  hdp.go, settle.go)   channels, pool and counters; the HDP │
 //	│                       settle step and index exchange over  │
 //	│                       OwnGens / PeerGens. A Session wraps  │
@@ -162,15 +162,16 @@
 // horizontal shape — basic, enhanced, and the multiparty mesh — is
 // Algorithm 4: it queries every own point at least once, and what a query
 // asks the peer depends on no label, so the settle step decides every
-// first query up front. The basic protocol and the mesh run Pair.Settle
-// (settle.go) over every (own point, peer generation) sub-query the
-// cross-run cache does not answer — enumerated in own-point order, whole
-// rows (one own point's sub-queries) packed into chunks under the pair
-// shape's chunkBound rule, chunk c on worker channel c mod W, one exchange
-// a chunk; the enhanced protocol runs settleEnhanced (enhanced.go) over
-// every own point's core bit — k = MinPts − |own neighbours| depends on
-// the point and our own data only, and the dataset sizes are just the
-// cache's validity key — point i on worker channel i mod W. The walk,
+// first query up front, over the one schedule every settle step shares
+// (settleSchedule, lockstep.go): rows in order, whole rows packed into
+// chunks under the chunkBound rule, chunk c on worker channel c mod W, one
+// exchange a chunk. The basic protocol and the mesh run Pair.Settle
+// (settle.go), a row being one own point's (point, peer generation)
+// sub-queries the cross-run cache does not answer; the enhanced protocol
+// runs settleEnhanced (enhanced.go), a row being one own point's core
+// query the cache and the local cases leave open — k = MinPts − |own
+// neighbours| depends on the point and our own data only, and the dataset
+// sizes are just the cache's validity key. The walk,
 // dbscan.ClusterCore, then reads what was settled: it touches no channel
 // (a two-party basic driver reports its query count on the done frame, for
 // the responder's query-level Ledger; enhanced and mesh drivers report
@@ -179,10 +180,10 @@
 // ring: DBSCAN queries every point once, so the pairs it will ask about
 // are all of them, known before the first frame. The driver settles the
 // whole pair matrix first — what the grid index or the cross-run cache
-// does not decide goes to the oracle in chunks of whole rows (a row is the
-// undecided pairs of one record against the records before it: an appended
-// record's neighbourhood), sized by one rule (chunkBound), chunk c on
-// worker channel c mod W — and then runs dbscan.ClusterGeneric over the
+// does not decide goes to the oracle through the same settleSchedule, a
+// row being the undecided pairs of one record against the records before
+// it (an appended record's neighbourhood) — and then runs
+// dbscan.ClusterGeneric over the
 // result. The comparison and multiplication leaves under the drivers are
 // the only thing that varies by family and by Config.Batching. Schedules
 // are pure functions of shared protocol state, so jointly-computed oracles
@@ -269,15 +270,19 @@
 //     reference forms; a lockstep chunk (vertical/arbitrary, via
 //     LockstepCluster: up to 256 pair decisions, whole rows) costs a
 //     constant number of vdp.cmp/adp.cmp frames instead of 3 per pair,
-//     and a cold Run is a handful of chunks; the enhanced selection runs
-//     tournament (scan) or per-pivot (quickselect) batches. Underneath,
+//     and a cold Run is a handful of chunks; an enhanced chunk (up to 256
+//     candidates, whole core queries) costs one op frame, one share
+//     exchange, three frames a selection round — every query's step
+//     machine in lockstep, a tournament level (scan) or a pivot
+//     (quickselect) a round — and three for the final batch. Underneath,
 //     all Paillier work rides the parallel pool
 //     (paillier.EncryptBatch/DecryptBatch on the session's paillier.Pool
 //     handle — process-shared and bounded on a server, GOMAXPROCS for a
 //     solo run), so the round collapse comes with a wall-clock collapse
 //     on multi-core hosts.
 //   - sequential: the paper-literal schedule — one comparison sub-protocol
-//     per candidate pair — retained as the equivalence harness's
+//     per candidate pair, a batch's pairs asked one at a time in its order
+//     (PerPairOracle's rule) — retained as the equivalence harness's
 //     reference.
 //
 // The equivalence harness (equivalence_test.go) pins the contract: both
@@ -311,9 +316,9 @@
 //     dot product a slot — a slot a third as wide as a masked product's,
 //     no masks, one nonce a reply (hdp.go says why the responder's view is
 //     the same).
-//   - Dot products (enhanced/vertical): mpc.SenderDotManyPacked packs the
-//     per-pair share accumulation, whose small per-slot range gives the
-//     largest S.
+//   - Dot products (enhanced): mpc.SenderDotRows packs the share replies
+//     of a chunk's core queries across queries, whose small per-slot range
+//     gives the largest S.
 //   - Masked-comparison replies: the oracle's masked differences return as
 //     ⌈n/S⌉ ciphertexts. Under "slots" the querying direction stays
 //     unpacked deliberately — each comparison instance needs its own

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -121,11 +122,76 @@ func horizontalDropPoints(t *testing.T, w, run int) []int {
 	return []int{0, 1, chunks, 2*chunks + 2, run - (chunks + w + 1)}
 }
 
+// wideEnhancedPoints are an enhanced pair whose passes are five chunks
+// each under enhancedWide: Alice holds four copies of each point of
+// {0, 3, 6}², Bob four of each of {1, 4, 7}² but (7, 7). No two locations
+// of a side lie within Eps = 2, so every point has four own neighbours and,
+// at MinPts 5, asks its peer for k = 1 more — a query of all the peer's
+// points, 32 or 36, eight or seven to a chunk of 256. Alice's (6, 6) has no
+// peer point in range and is the one non-core location.
+func wideEnhancedPoints() (ptsA, ptsB [][]float64) {
+	for x := 0; x < 8; x++ {
+		for y := 0; y < 8; y++ {
+			for range 4 {
+				if x%3 == 0 && y%3 == 0 {
+					ptsA = append(ptsA, []float64{float64(x), float64(y)})
+				}
+				if x%3 == 1 && y%3 == 1 && x+y < 14 {
+					ptsB = append(ptsB, []float64{float64(x), float64(y)})
+				}
+			}
+		}
+	}
+	return ptsA, ptsB
+}
+
+// enhancedWide is the configuration wideEnhancedPoints are laid out for,
+// whatever the one passed in says: MinPts 5, pruning off, full packing.
+func enhancedWide(cfg Config) Config {
+	cfg.MinPts, cfg.Pruning, cfg.Packing = 5, PruneOff, PackFull
+	return cfg
+}
+
+// wideEnhanced is the enhanced family on wideEnhancedPoints.
+func wideEnhanced() sessionFamily {
+	ptsA, ptsB := wideEnhancedPoints()
+	return sessionFamily{"enhanced",
+		func(c transport.Conn, cfg Config) (*Session, error) {
+			return NewEnhancedHorizontalSession(c, enhancedWide(cfg), RoleAlice, ptsA)
+		},
+		func(c transport.Conn, cfg Config) (*Session, error) {
+			return NewEnhancedHorizontalSession(c, enhancedWide(cfg), RoleBob, ptsB)
+		}}
+}
+
+// enhancedDropPoints places four connection drops inside an enhanced Run,
+// read off the tags of the frames the initiator receives in a clean W = 1
+// Run (cleanRunFrames): while she drives, a chunk brings her its share
+// reply, one reply a selection round and the final reply; while she
+// responds, a chunk's op, E(a) uplink, both frames of every round and of
+// the final batch from the driver; then the done frame. The drops: inside
+// her first chunk's share exchange (its E(a) is out, the replies never
+// arrive); between that chunk's first two selection rounds; inside its
+// final batch; and half-way through the pass she serves. At W = 4 the
+// channels interleave, so the same counts land in the same stretch of the
+// Run rather than on the same frame.
+func enhancedDropPoints(t *testing.T, trace []string) []int {
+	t.Helper()
+	share := slices.Index(trace, "enh.share")
+	firstRound := slices.Index(trace, "enh.select")
+	final := slices.Index(trace, "enh.final")
+	served := slices.Index(trace, "enh.op")
+	if share != 0 || firstRound != 1 || trace[2] != "enh.select" || final <= 2 || served <= final || served >= len(trace)-2 {
+		t.Fatalf("the enhanced Run receives %v: not a driving pass of share reply, several selection rounds and a final reply, then a pass to serve", trace)
+	}
+	return []int{share, firstRound + 1, final, served + (len(trace)-served)/2}
+}
+
 func TestHorizontalPeerDisappearsMidProtocol(t *testing.T) {
 	fam := wideHorizontal()
 	for _, w := range []int{1, 4} {
 		est, run := cleanRunFrames(t, fam, parallelCfg(compare.EngineMasked, w, PruneGrid))
-		for _, inRun := range horizontalDropPoints(t, w, run) {
+		for _, inRun := range horizontalDropPoints(t, w, len(run)) {
 			runWithDroppedConn(t, "horizontal", w, est+inRun,
 				func(c transport.Conn, cfg Config) error {
 					_, err := runOneShot(fam.newA(c, cfg))
@@ -216,15 +282,19 @@ func TestPayloadCorruptionDoesNotHang(t *testing.T) {
 }
 
 // cleanRunFrames runs fam once, undisturbed, and reports how many frames
-// the initiating party receives while the session is established and how
-// many inside the Run. In the vertical family the initiator holds the left
-// operands, so the Run's count is one reply per chunk of the lockstep
-// schedule — the drop points of the vanishing-peer tests are derived from
-// it instead of being guessed.
-func cleanRunFrames(t *testing.T, fam sessionFamily, cfg Config) (est, run int) {
+// the initiating party receives while the session is established and,
+// frame by frame, what it receives inside the Run: the Meter tag each one
+// was read under, which at W = 1 — the Meter is then the pair's one
+// channel — names its protocol phase. In the vertical family the initiator
+// holds the left operands, so the Run's count is one reply per chunk of
+// the lockstep schedule — the drop points of the vanishing-peer tests are
+// derived from it instead of being guessed.
+func cleanRunFrames(t *testing.T, fam sessionFamily, cfg Config) (est int, run []string) {
 	t.Helper()
 	ca, cb := transport.Pipe()
-	ma := transport.NewMeter(ca)
+	trace := &tagTrace{Conn: ca}
+	ma := transport.NewMeter(trace)
+	trace.meter = ma
 	err := transport.RunPair(ma, cb,
 		func(transport.Conn) error {
 			sess, err := fam.newA(ma, cfg)
@@ -235,7 +305,7 @@ func cleanRunFrames(t *testing.T, fam sessionFamily, cfg Config) (est, run int) 
 			if _, err := sess.Run(); err != nil {
 				return err
 			}
-			run = int(ma.Stats().MessagesRecv) - est
+			run = trace.tags[est:int(ma.Stats().MessagesRecv)]
 			return sess.Close()
 		},
 		func(c transport.Conn) error {
@@ -255,6 +325,21 @@ func cleanRunFrames(t *testing.T, fam sessionFamily, cfg Config) (est, run int) 
 		t.Fatal(err)
 	}
 	return est, run
+}
+
+// tagTrace records the tag of its Meter as each frame is received.
+type tagTrace struct {
+	transport.Conn
+	meter *transport.Meter
+	tags  []string
+}
+
+func (c *tagTrace) Recv() ([]byte, error) {
+	b, err := c.Conn.Recv()
+	if err == nil {
+		c.tags = append(c.tags, c.meter.Tag())
+	}
+	return b, err
 }
 
 // verticalDropPoints places three connection drops inside a vertical Run
@@ -285,7 +370,7 @@ func TestVerticalPeerDisappears(t *testing.T) {
 	fam := stockFamily(t, "vertical")
 	for _, w := range []int{1, 4} {
 		est, run := cleanRunFrames(t, fam, parallelCfg(compare.EngineMasked, w, PruneGrid))
-		for _, inRun := range verticalDropPoints(t, w, run) {
+		for _, inRun := range verticalDropPoints(t, w, len(run)) {
 			runWithDroppedConn(t, "vertical", w, est+inRun,
 				func(c transport.Conn, cfg Config) error {
 					_, err := runOneShot(fam.newA(c, cfg))
@@ -402,15 +487,22 @@ func (v *vanishingConn) Recv() ([]byte, error) {
 // time, every goroutine the sessions started (mux readers, workers, nonce
 // fillers) is gone, and the sessions are closed for good.
 func TestSessionPeerVanishesMidRun(t *testing.T) {
-	for _, fam := range []sessionFamily{wideHorizontal(), stockFamily(t, "vertical")} {
+	for _, fam := range []sessionFamily{wideHorizontal(), stockFamily(t, "vertical"), wideEnhanced()} {
 		for _, w := range []int{1, 4} {
 			cfg := parallelCfg(compare.EngineMasked, w, PruneGrid)
 			// A Run is a handful of chunks, not a frame per query or per
-			// neighbourhood: the drop points follow from its measured length.
+			// neighbourhood: the drop points follow from its measured length
+			// or, for the enhanced family, from what it receives at W = 1.
 			_, run := cleanRunFrames(t, fam, cfg)
-			drops := verticalDropPoints(t, w, run)
-			if fam.name == "horizontal" {
-				drops = horizontalDropPoints(t, w, run)
+			var drops []int
+			switch fam.name {
+			case "horizontal":
+				drops = horizontalDropPoints(t, w, len(run))
+			case "enhanced":
+				_, serial := cleanRunFrames(t, fam, parallelCfg(compare.EngineMasked, 1, PruneGrid))
+				drops = enhancedDropPoints(t, serial)
+			default:
+				drops = verticalDropPoints(t, w, len(run))
 			}
 			for _, afterMsgs := range drops {
 				label := fmt.Sprintf("%s W=%d afterMsgs=%d", fam.name, w, afterMsgs)

@@ -11,10 +11,11 @@ import (
 )
 
 // Op codes for the driver→responder control channel of the horizontal
-// protocols. The driver announces each settle chunk (or settled enhanced
-// core query) before the corresponding sub-protocols begin; opDone, sent on
-// every worker channel, releases the responder at the end of a pass. Code
-// 1 was the per-query region-query op of handshake ≤ v11.
+// protocols. The driver announces each settle chunk — region sub-queries
+// (OpSettle) or enhanced core queries (opCore) — before its sub-protocols
+// begin; opDone, sent on every worker channel, releases the responder at
+// the end of a pass. Code 1 was the per-query region-query op of handshake
+// ≤ v11; up to v12, opCore announced one core query.
 const (
 	opDone   uint64 = 2
 	opCore   uint64 = 3
@@ -115,7 +116,7 @@ func newHorizontalSession(conn transport.Conn, cfg Config, role Role, points [][
 }
 
 // NewPair establishes one HDP edge over a party's own generation table:
-// worker channels, keys and the v12 handshake (proto names the protocol;
+// worker channels, keys and the v13 handshake (proto names the protocol;
 // role breaks the symmetry — it decides who sends first in every frame
 // swap, so a mesh maps the lower party index to RoleAlice), the common
 // record dimension, the masked-product packers, and — under grid pruning
@@ -354,9 +355,9 @@ func hPassDriver(s *Pair, hs *hStream, fam hFamily) ([]int, int, error) {
 		labels, clusters := dbscan.ClusterCore(n, func(i int) []int { return rqs[i] }, func(i int, _ []int) bool {
 			// Algorithm 4 queries a point again only if it is not core (a
 			// core point's neighbours are all labelled by its query), so a
-			// re-query counts as cached exactly when enhancedIsCore would
-			// answer it from the cache. It never reaches the wire: a first
-			// query that did left a valid entry behind.
+			// re-query counts as cached exactly when the cache answers it
+			// (enhCached). It never reaches the wire: a first query that did
+			// left a valid entry behind.
 			if queried[i] {
 				if _, ok := enhCached(hs, i); ok {
 					s.cmpCached.Add(1)
@@ -395,15 +396,12 @@ func hPassResponder(s *Pair, hs *hStream, fam hFamily) error {
 		if err != nil {
 			return err
 		}
-		// An honest driver settles each of its live points at most once a
-		// pass, so one count across the W workers bounds the pass.
-		var asked atomic.Int64
+		// An honest driver asks about each of its live points at most once a
+		// pass: one bitmap across the W workers holds it to that.
+		seen := make([]atomic.Bool, hs.peer.N)
 		return s.Serve("enh.op", map[uint64]OpServer{
 			opCore: func(conn transport.Conn, rng PermSource, r *transport.Reader) error {
-				if q := asked.Add(1); q > int64(hs.peer.N) {
-					return fmt.Errorf("%w: core query %d of a pass over %d points", ErrQueryOp, q, hs.peer.N)
-				}
-				return serveEnhancedCore(s, conn, rng, shareB, finalB, hs.own, r)
+				return s.serveCoreChunk(conn, rng, shareB, finalB, hs.own, seen, r)
 			},
 		})
 	}

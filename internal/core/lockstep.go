@@ -116,7 +116,7 @@ func retractRemap(ids []int) func(int) (int, bool) {
 // every channel.
 const lockstepChunk = 256
 
-// chunkBound is the one sizing rule of the schedule: a chunk holds at most
+// chunkBound is the one sizing rule of settleSchedule: a chunk holds at most
 // lockstepChunk decisions, and fewer when cmpBytes — what one decision
 // adds to the largest frame of its chunk (compare.Alice.FrameBytes; under
 // YMPP the whole comparison domain in residues) — would take that frame
@@ -125,6 +125,48 @@ const lockstepChunk = 256
 // which is the limit the per-neighbourhood batches always had.
 func chunkBound(cmpBytes int) int {
 	return max(1, min(lockstepChunk, transport.MaxFrameSize/4/max(1, cmpBytes)))
+}
+
+// settleSchedule is the one schedule of every settle step: LockstepCluster's
+// pair matrix, Pair.Settle's region sub-queries and settleEnhanced's core
+// queries. Whole rows are packed, in order, into chunks of at most bound
+// total weight — a row joins the open chunk unless it would take it past
+// the bound, and a single heavier row is its own chunk — and chunk c runs
+// on worker channel c mod w: worker t runs chunks t, t+w, … in order, all w
+// concurrently (at w = 1, inline), each as one run(t, chunk) call that
+// returns one result per item. The results come back chunk by chunk, for
+// the caller to write on its own goroutine once every worker has returned.
+// Rows, chunks and channels are a pure function of rows, weight, w and
+// bound, so every party that holds those runs the same schedule.
+func settleSchedule[T, R any](rows [][]T, weight func(row []T) int, w, bound int,
+	run func(ch int, chunk []T) ([]R, error)) (chunks [][]T, results [][]R, err error) {
+	var open []T
+	size := 0
+	for _, row := range rows {
+		rw := weight(row)
+		if size += rw; len(open) > 0 && size > bound {
+			chunks, open, size = append(chunks, open), nil, rw
+		}
+		open = append(open, row...)
+	}
+	if len(open) > 0 {
+		chunks = append(chunks, open)
+	}
+	results = make([][]R, len(chunks))
+	err = runWave(min(w, len(chunks)), func(t int) error {
+		for c := t; c < len(chunks); c += w {
+			res, err := run(t, chunks[c])
+			if err != nil {
+				return err
+			}
+			if len(res) != len(chunks[c]) {
+				return fmt.Errorf("core: settle chunk returned %d results for %d items", len(res), len(chunks[c]))
+			}
+			results[c] = res
+		}
+		return nil
+	})
+	return chunks, results, err
 }
 
 // LockstepCluster is the shared DBSCAN driver of Algorithms 5–6 for the
@@ -146,17 +188,14 @@ func chunkBound(cmpBytes int) int {
 // decision-level Ledger budget and the cached-comparison counter). What is
 // left is grouped into rows by the higher-indexed endpoint — row j holds
 // the undecided pairs (i, j), i ascending, so an appended record's pairs
-// form one row: its neighbourhood — and whole rows are packed, in row
-// order, into chunks of at most chunkBound(cmpBytes) pairs (a row joins
-// the open chunk unless it would take it past the bound; a single larger
-// row is its own chunk). The chunks are dealt round-robin onto the w
-// worker channels: worker t runs chunks t, t+w, t+2w, … in order, each as
-// one batchOn(t, pairs) call on channel t, all w workers concurrently (at
-// w = 1, inline). batchOn reads each pair's row back with PairRows, which
-// is how the callers keep the grouped comparison uplink's dedup inside
-// one neighbourhood (compare/full.go). Oracle results are
-// written to the matrix and to prior after every worker has returned, on
-// the calling goroutine, so the cache needs no locking.
+// form one row: its neighbourhood — and the rows go through settleSchedule,
+// a pair weighing one: chunks of whole rows, at most chunkBound(cmpBytes)
+// pairs unless a single row is larger, chunk c as one batchOn(c mod w,
+// pairs) call on that worker channel. batchOn reads each pair's row back
+// with PairRows, which is how the callers keep the grouped comparison
+// uplink's dedup inside one neighbourhood (compare/full.go). Oracle results
+// are written to the matrix and to prior after every worker has returned,
+// on the calling goroutine, so the cache needs no locking.
 //
 // Rows, chunks and channel assignments are pure functions of state every
 // participant holds identically before the run — n, prior, the cell
@@ -191,11 +230,8 @@ func LockstepCluster(n, minPts, w, cmpBytes int,
 		}
 	}
 
-	bound := chunkBound(cmpBytes)
-	var chunks [][][2]int
-	var open [][2]int
+	rows := make([][][2]int, n)
 	for j := 1; j < n; j++ {
-		rowStart := len(open)
 		for i := 0; i < j; i++ {
 			pr := [2]int{i, j}
 			if decideLocal != nil {
@@ -213,31 +249,11 @@ func LockstepCluster(n, minPts, w, cmpBytes int,
 					continue
 				}
 			}
-			open = append(open, pr)
-		}
-		if rowStart > 0 && len(open) > bound {
-			chunks = append(chunks, open[:rowStart:rowStart])
-			open = open[rowStart:]
+			rows[j] = append(rows[j], pr)
 		}
 	}
-	if len(open) > 0 {
-		chunks = append(chunks, open)
-	}
-
-	results := make([][]bool, len(chunks))
-	if err := runWave(min(w, len(chunks)), func(t int) error {
-		for c := t; c < len(chunks); c += w {
-			res, err := batchOn(t, chunks[c])
-			if err != nil {
-				return err
-			}
-			if len(res) != len(chunks[c]) {
-				return fmt.Errorf("core: batch oracle returned %d results for %d pairs", len(res), len(chunks[c]))
-			}
-			results[c] = res
-		}
-		return nil
-	}); err != nil {
+	chunks, results, err := settleSchedule(rows, func(row [][2]int) int { return len(row) }, w, chunkBound(cmpBytes), batchOn)
+	if err != nil {
 		return nil, 0, err
 	}
 	for c, chunk := range chunks {

@@ -3,9 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
@@ -380,173 +378,6 @@ func (tr *lockstepTrace) hooks(within, localOf map[[2]int]bool) (
 		return out, nil
 	}
 	return onCached, decideLocal, batchOn
-}
-
-// TestLockstepDecidesEveryPairOnce is the driver's property test: over
-// random graphs × random prior caches × random local deciders × widths ×
-// chunk bounds, every pair is offered to decideLocal once; a pair it
-// declines and the prior holds fires onCached once, with the cached bit,
-// and never reaches the oracle; every other pair reaches batchOn exactly
-// once, in exactly one chunk; chunks hold whole rows, in row order, packed
-// greedily under the bound; channel t runs chunks t, t+W, … in order; the
-// oracle's results land in the prior; and the labels are plain DBSCAN's on
-// the same graph and the old wave driver's on the same inputs — which also
-// settled exactly the same pairs through exactly the same hooks.
-func TestLockstepDecidesEveryPairOnce(t *testing.T) {
-	quarter := transport.MaxFrameSize / 4
-	rng := rand.New(rand.NewSource(22))
-	for trial := 0; trial < 30; trial++ {
-		n := rng.Intn(36)
-		if trial < 3 {
-			n = trial // the degenerate sizes, always
-		}
-		minPts := 1 + rng.Intn(5)
-		density := []float64{0.05, 0.2, 0.6}[rng.Intn(3)]
-		localFrac := []float64{0, 0.3, 0.9}[rng.Intn(3)]
-		priorFrac := []float64{0, 0.3, 1}[rng.Intn(3)]
-		within, localOf, priorOf := map[[2]int]bool{}, map[[2]int]bool{}, map[[2]int]bool{}
-		var all [][2]int
-		for j := 1; j < n; j++ {
-			for i := 0; i < j; i++ {
-				pr := [2]int{i, j}
-				all = append(all, pr)
-				within[pr] = rng.Float64() < density
-				localOf[pr] = rng.Float64() < localFrac
-				// The prior may hold locally decidable pairs too (a session
-				// never writes one, but the precedence is the driver's).
-				priorOf[pr] = rng.Float64() < priorFrac
-			}
-		}
-		near := make([][]int, n)
-		for i := range near {
-			for j := 0; j < n; j++ {
-				if i == j || within[[2]int{min(i, j), max(i, j)}] {
-					near[i] = append(near[i], j)
-				}
-			}
-		}
-		wantLabels, wantK := dbscan.ClusterGeneric(n, func(i int) []int { return near[i] }, minPts)
-		seedPrior := func() *PairCache {
-			if priorFrac == 0 {
-				return nil
-			}
-			c := NewPairCache()
-			for pr, held := range priorOf {
-				if held {
-					c.m[pr] = within[pr]
-				}
-			}
-			return c
-		}
-
-		for _, w := range []int{1, 2, 4, 7} {
-			for _, bound := range []int{1, 3, 17, lockstepChunk} {
-				name := fmt.Sprintf("trial %d n=%d MinPts=%d W=%d bound=%d", trial, n, minPts, w, bound)
-				cmpBytes := quarter / bound
-				if chunkBound(cmpBytes) != bound {
-					t.Fatalf("%s: chunkBound(%d) = %d", name, cmpBytes, chunkBound(cmpBytes))
-				}
-				var tr, old lockstepTrace
-				prior := seedPrior()
-				onCached, decideLocal, batchOn := tr.hooks(within, localOf)
-				labels, k, err := LockstepCluster(n, minPts, w, cmpBytes, prior, onCached, decideLocal, batchOn)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				oldPrior := seedPrior()
-				onCached, decideLocal, batchOn = old.hooks(within, localOf)
-				oldLabels, oldK, err := waveLockstepCluster(n, minPts, w, oldPrior, onCached, decideLocal, batchOn)
-				if err != nil {
-					t.Fatalf("%s: wave driver: %v", name, err)
-				}
-				if !slices.Equal(labels, wantLabels) || k != wantK {
-					t.Errorf("%s: labels %v (%d clusters), DBSCAN on the graph %v (%d)", name, labels, k, wantLabels, wantK)
-				}
-				if !slices.Equal(labels, oldLabels) || k != oldK {
-					t.Errorf("%s: labels %v (%d clusters), the wave driver %v (%d)", name, labels, k, oldLabels, oldK)
-				}
-
-				// Every pair through exactly one hook, once; the wave driver
-				// agrees pair by pair.
-				var undecided [][2]int
-				for _, pr := range all {
-					wantCached, wantOracle := 0, 0
-					switch {
-					case localOf[pr]:
-					case prior != nil && priorOf[pr]:
-						wantCached = 1
-					default:
-						wantOracle = 1
-						undecided = append(undecided, pr)
-					}
-					if tr.local[pr] != 1 || tr.cached[pr] != wantCached || tr.oracle[pr] != wantOracle {
-						t.Errorf("%s: pair %v: decideLocal ×%d, onCached ×%d, oracle ×%d; want 1, %d, %d",
-							name, pr, tr.local[pr], tr.cached[pr], tr.oracle[pr], wantCached, wantOracle)
-					}
-					if old.cached[pr] != wantCached || old.oracle[pr] != wantOracle {
-						t.Errorf("%s: pair %v: the wave driver cached ×%d, oracle ×%d; want %d, %d",
-							name, pr, old.cached[pr], old.oracle[pr], wantCached, wantOracle)
-					}
-					if prior != nil && !localOf[pr] {
-						if got, ok := prior.m[pr]; !ok || got != within[pr] {
-							t.Errorf("%s: pair %v is (%v, held %v) in the prior after the run, want %v", name, pr, got, ok, within[pr])
-						}
-					}
-				}
-				if prior != nil && !maps.Equal(prior.m, oldPrior.m) {
-					t.Errorf("%s: the run left a prior of %d pairs, the wave driver one of %d", name, prior.Len(), oldPrior.Len())
-				}
-
-				// The schedule. Channel t ran chunks t, t+W, …: read them
-				// back in chunk order.
-				total := 0
-				for ch, calls := range tr.calls {
-					if ch < 0 || ch >= w {
-						t.Fatalf("%s: batchOn on channel %d", name, ch)
-					}
-					total += len(calls)
-				}
-				var chunks [][][2]int
-				for c := 0; c < total; c++ {
-					if calls := tr.calls[c%w]; c/w < len(calls) {
-						chunks = append(chunks, calls[c/w])
-					} else {
-						t.Fatalf("%s: %d chunks, but channel %d ran only %d — not dealt round-robin", name, total, c%w, len(calls))
-					}
-				}
-				// all is in (row, column) order, and so is undecided: the
-				// chunks concatenate to exactly it.
-				if got := slices.Concat(chunks...); !slices.Equal(got, undecided) {
-					t.Errorf("%s: chunks hold %v, want the undecided pairs in row order %v", name, got, undecided)
-				}
-				for c, chunk := range chunks {
-					if len(chunk) == 0 {
-						t.Fatalf("%s: chunk %d is empty", name, c)
-					}
-					first, last := chunk[0][1], chunk[len(chunk)-1][1]
-					if len(chunk) > bound && first != last {
-						t.Errorf("%s: chunk %d holds %d pairs of rows %d–%d, over the bound", name, c, len(chunk), first, last)
-					}
-					if c+1 == len(chunks) {
-						continue
-					}
-					next := chunks[c+1]
-					if next[0][1] == last {
-						t.Errorf("%s: row %d is split across chunks %d and %d", name, last, c, c+1)
-					}
-					nextRow := 0
-					for _, pr := range next {
-						if pr[1] == next[0][1] {
-							nextRow++
-						}
-					}
-					if len(chunk)+nextRow <= bound {
-						t.Errorf("%s: chunk %d closed at %d pairs though row %d (%d pairs) fits under %d", name, c, len(chunk), next[0][1], nextRow, bound)
-					}
-				}
-			}
-		}
-	}
 }
 
 // packRows is the schedule's chunk count for rows of the given sizes,

@@ -65,9 +65,13 @@ func (r Role) peer() Role {
 // the same way — the basic protocol and the mesh settle every region
 // sub-query up front, in whole-row chunks announced by a new op frame
 // (settle.go), and the walk sends parity frames only — so a peer on the
-// per-query schedule would be sent an op it does not know. Mesh edges
+// per-query schedule would be sent an op it does not know; version 13
+// changed the enhanced schedule the same way — an op frame announces a
+// chunk of core queries, and the chunk runs one share exchange, lockstep
+// selection rounds and one final batch (enhanced.go) — so a peer on the
+// per-query form would misread every frame of it. Mesh edges
 // (internal/multiparty) speak the same frame with proto "mesh".
-const handshakeVersion = 12
+const handshakeVersion = 13
 
 // ErrHandshake reports parameter disagreement between the parties.
 var ErrHandshake = errors.New("core: handshake parameter mismatch")
@@ -435,8 +439,12 @@ func (s *Pair) derivedCompare() bool {
 }
 
 // dotPacker sizes slots for the §5 masked dot products: every reply
-// value lands in [0, bound + shareV), non-negative by construction.
+// value lands in [0, bound + shareV), non-negative by construction. With
+// packing off it is nil: one value a ciphertext.
 func (s *Pair) dotPacker(pub *paillier.PublicKey) (*encoding.Packer, error) {
+	if !s.packing() {
+		return nil, nil
+	}
 	return encoding.NewSumPacker(pub.PlaintextBound(), s.bound+s.shareV)
 }
 

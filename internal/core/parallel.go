@@ -13,16 +13,17 @@ import (
 // dbscan's ExpandCluster, the one cluster-expansion loop in the
 // repository. The settle step decides up front everything the walk will
 // ask the peer, dealing the work over the W worker channels; the walk then
-// runs locally, at width one and without a frame. The horizontal shape
-// settles per own point: the basic protocol and the mesh decide every
-// region sub-query the count cache does not answer (Pair.Settle,
-// settle.go: whole rows in chunks, chunk c on channel c mod W), the
-// enhanced protocol every own point's core bit (settleEnhanced,
-// enhanced.go: point i on channel i mod W), and the walk is
-// dbscan.ClusterCore with the peer's half of the density test read back
-// from what was settled. The pair shape — the vertical and arbitrary
-// families and the multiparty ring — settles the whole pair matrix
-// (LockstepCluster, lockstep.go) and clusters with dbscan.ClusterGeneric.
+// runs locally, at width one and without a frame. Every settle step deals
+// its work by one schedule, settleSchedule (lockstep.go): whole rows in
+// chunks, chunk c on channel c mod W. The horizontal shape settles per own
+// point: the basic protocol and the mesh decide every region sub-query the
+// count cache does not answer (Pair.Settle, settle.go), the enhanced
+// protocol every own point's core bit (settleEnhanced, enhanced.go), and
+// the walk is dbscan.ClusterCore with the peer's half of the density test
+// read back from what was settled. The pair shape — the vertical and
+// arbitrary families and the multiparty ring — settles the whole pair
+// matrix (LockstepCluster, lockstep.go) and clusters with
+// dbscan.ClusterGeneric.
 // Config.Parallel = W is the width of every settle step: independent
 // sub-protocols run on the session's W worker channels and overlap their
 // round trips. W = 1 runs inline on the calling goroutine over the

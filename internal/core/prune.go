@@ -170,31 +170,40 @@ func (s *Pair) Announce(msg *transport.Builder, q SubQuery) {
 // span), so it is accounted in IndexQueryCells alongside any announced
 // cells.
 func (s *Pair) ReadPrunedOp(r *transport.Reader, own *OwnGens, from, to int) (pts [][]int64, nDummy int, err error) {
+	pts, nDummy, cells, err := s.readPruned(r, own, from, to)
+	if cells > 0 {
+		s.led(func(l *Ledger) { l.IndexQueryCells += cells })
+	}
+	return pts, nDummy, err
+}
+
+// readPruned is ReadPrunedOp without the Ledger: it returns the
+// IndexQueryCells the op discloses instead of recording them, for a caller
+// that records only once the whole frame has passed its checks.
+func (s *Pair) readPruned(r *transport.Reader, own *OwnGens, from, to int) (pts [][]int64, nDummy, indexCells int, err error) {
 	if !s.pruneOn {
-		return own.Span(from, to), 0, nil
+		return own.Span(from, to), 0, 0, nil
 	}
 	pruned := r.Bool()
 	if err := r.Err(); err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	if !pruned {
-		s.led(func(l *Ledger) { l.IndexQueryCells++ })
-		return own.Span(from, to), 0, nil
+		return own.Span(from, to), 0, 1, nil
 	}
 	cells, err := spatial.DecodeCells(r, s.dim)
 	if err != nil {
-		return nil, 0, fmt.Errorf("core: query cells: %w", err)
+		return nil, 0, 0, fmt.Errorf("core: query cells: %w", err)
 	}
 	members, nDummy, err := own.stack.ResolveSpan(from, to, cells)
 	if err != nil {
-		return nil, 0, fmt.Errorf("core: query cells: %w", err)
+		return nil, 0, 0, fmt.Errorf("core: query cells: %w", err)
 	}
 	pts = make([][]int64, len(members))
 	for i, j := range members {
 		pts[i] = own.Enc[j]
 	}
-	s.led(func(l *Ledger) { l.IndexQueryCells += 1 + len(cells) })
-	return pts, nDummy, nil
+	return pts, nDummy, 1 + len(cells), nil
 }
 
 // ---- Pruned lockstep decisions ----

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 )
 
 // SelectionKind chooses the §5 k-th order statistic algorithm. The paper
@@ -25,41 +26,170 @@ func ParseSelection(s string) (SelectionKind, error) {
 	return "", fmt.Errorf("core: unknown selection strategy %q (want %q or %q)", s, SelectionScan, SelectionQuick)
 }
 
-// lessEqOracle answers "is item a's hidden value ≤ item b's?" via one
-// secure comparison. Both parties observe the same answer, so running the
-// same deterministic selection code keeps their states in lock step.
-type lessEqOracle func(a, b int) (bool, error)
+// selector is one k-th smallest selection over n hidden values as a step
+// machine: pairs holds its next round of questions "value(x) ≤ value(y)?"
+// (nil once idx holds the answer), and feed advances it by their answers.
+// Both parties run the same machine from the same n and k, so their rounds
+// pair up without a frame saying what they hold. A round is every
+// independent comparison of one selection step:
+//
+//   - scan: each of the k minimum extractions is a knockout tournament over
+//     the items left, one round of adjacent pairs per level (an odd item
+//     out goes through), so m items cost m − 1 comparisons — the paper's
+//     O(kn) count — in ⌈log₂ m⌉ rounds;
+//   - quickselect: one round per partition step, every item of the
+//     sub-range against its last, the pivot — deterministic, so both
+//     parties partition identically.
+//
+// A tie may resolve to another index than the paper's linear scan picks,
+// but only among items of equal value, so the k-th order value — all
+// either party acts on — is the same.
+type selector struct {
+	kind             SelectionKind
+	k                int   // scan: extractions left; quickselect: the rank sought in items
+	items            []int // scan: the items not yet extracted; quickselect: the sub-range
+	field            []int // scan: the open tournament's survivors
+	pairs            [][2]int
+	idx, comparisons int
+}
 
-// lessEqBatchOracle answers a whole vector of independent "value(a) ≤
-// value(b)?" questions in one constant-round sub-protocol (one
-// compare.BatchLessEq underneath). Determinism keeps both parties'
-// batches identical.
-type lessEqBatchOracle func(pairs [][2]int) ([]bool, error)
-
-// kthSmallest returns the index (0-based, into the original n items) of
-// the k-th smallest hidden value (k is 1-based) plus the number of oracle
-// calls consumed.
-func kthSmallest(n, k int, kind SelectionKind, le lessEqOracle) (idx, comparisons int, err error) {
+func newSelector(n, k int, kind SelectionKind) (*selector, error) {
 	if k < 1 || k > n {
-		return 0, 0, fmt.Errorf("core: selection k=%d outside [1,%d]", k, n)
+		return nil, fmt.Errorf("core: selection k=%d outside [1,%d]", k, n)
 	}
-	counted := func(a, b int) (bool, error) {
-		comparisons++
-		return le(a, b)
+	if kind != SelectionScan && kind != SelectionQuick {
+		return nil, fmt.Errorf("core: unknown selection strategy %q", kind)
 	}
-	switch kind {
-	case SelectionScan:
-		idx, err = kthSmallestScan(n, k, counted)
-	case SelectionQuick:
-		items := make([]int, n)
-		for i := range items {
-			items[i] = i
+	s := &selector{kind: kind, k: k, items: make([]int, n)}
+	for i := range s.items {
+		s.items[i] = i
+	}
+	s.step()
+	return s, nil
+}
+
+// step sets pairs to the next round, settling on the way every step that
+// needs no comparison.
+func (s *selector) step() {
+	if s.kind == SelectionQuick {
+		if len(s.items) == 1 {
+			s.idx, s.pairs = s.items[0], nil
+			return
 		}
-		idx, err = quickselect(items, k, counted)
-	default:
-		return 0, 0, fmt.Errorf("core: unknown selection strategy %q", kind)
+		pivot := s.items[len(s.items)-1]
+		s.pairs = make([][2]int, len(s.items)-1)
+		for t, it := range s.items[:len(s.items)-1] {
+			s.pairs[t] = [2]int{it, pivot}
+		}
+		return
 	}
-	return idx, comparisons, err
+	for len(s.field) < 2 {
+		if len(s.field) == 1 {
+			// A tournament is decided: its winner is the next minimum.
+			s.idx = s.field[0]
+			pos := slices.Index(s.items, s.idx)
+			s.items = slices.Delete(s.items, pos, pos+1)
+			if s.k--; s.k == 0 {
+				s.pairs = nil
+				return
+			}
+		}
+		s.field = slices.Clone(s.items)
+	}
+	s.pairs = make([][2]int, 0, len(s.field)/2)
+	for t := 0; t+1 < len(s.field); t += 2 {
+		s.pairs = append(s.pairs, [2]int{s.field[t], s.field[t+1]})
+	}
+}
+
+// feed answers the round in pairs, one bit per pair, and moves on.
+func (s *selector) feed(bits []bool) {
+	s.comparisons += len(bits)
+	if s.kind == SelectionQuick {
+		pivot := s.items[len(s.items)-1]
+		var lows, highs []int
+		for t, pr := range s.pairs {
+			if bits[t] {
+				lows = append(lows, pr[0])
+			} else {
+				highs = append(highs, pr[0])
+			}
+		}
+		switch {
+		case s.k <= len(lows):
+			s.items = lows
+		case s.k == len(lows)+1:
+			s.idx, s.pairs = pivot, nil
+			return
+		default:
+			s.k -= len(lows) + 1
+			s.items = highs
+		}
+	} else {
+		next := make([]int, 0, (len(s.field)+1)/2)
+		for t, pr := range s.pairs {
+			if bits[t] {
+				next = append(next, pr[0])
+			} else {
+				next = append(next, pr[1])
+			}
+		}
+		if len(s.field)%2 == 1 {
+			next = append(next, s.field[len(s.field)-1])
+		}
+		s.field = next
+	}
+	s.step()
+}
+
+// selectRows runs one selection per row in lockstep: row r picks the
+// ks[r]-th smallest of its ns[r] values, which sit at flat positions
+// offs[r], offs[r]+1, … of all rows laid end to end. Each round is one ask
+// call carrying every unfinished row's next pairs, rows in order, named by
+// flat position, with rows[t] the row of pair t. It returns each row's
+// pick as a flat position, and the comparisons all rows took.
+func selectRows(kind SelectionKind, ks, ns []int, ask func(pairs [][2]int, rows []int) ([]bool, error)) (kth []int, comparisons int, err error) {
+	sels := make([]*selector, len(ks))
+	offs := make([]int, len(ks))
+	off := 0
+	for r := range sels {
+		if sels[r], err = newSelector(ns[r], ks[r], kind); err != nil {
+			return nil, 0, err
+		}
+		offs[r], off = off, off+ns[r]
+	}
+	for {
+		var pairs [][2]int
+		var rows []int
+		for r, sel := range sels {
+			for _, pr := range sel.pairs {
+				pairs = append(pairs, [2]int{offs[r] + pr[0], offs[r] + pr[1]})
+				rows = append(rows, r)
+			}
+		}
+		if len(pairs) == 0 {
+			break
+		}
+		bits, err := ask(pairs, rows)
+		if err != nil {
+			return nil, 0, err
+		}
+		if len(bits) != len(pairs) {
+			return nil, 0, fmt.Errorf("core: selection round returned %d results for %d pairs", len(bits), len(pairs))
+		}
+		for _, sel := range sels {
+			if n := len(sel.pairs); n > 0 {
+				sel.feed(bits[:n])
+				bits = bits[n:]
+			}
+		}
+	}
+	kth = make([]int, len(sels))
+	for r, sel := range sels {
+		kth[r] = offs[r] + sel.idx
+		comparisons += sel.comparisons
+	}
+	return kth, comparisons, nil
 }
 
 // CountSelectionComparisons runs a selection strategy over plaintext
@@ -67,187 +197,12 @@ func kthSmallest(n, k int, kind SelectionKind, le lessEqOracle) (idx, comparison
 // protocol every comparison is a full secure sub-protocol, so this count
 // is the communication cost model for experiment E9.
 func CountSelectionComparisons(k int, kind SelectionKind, vals []int64) (int, error) {
-	le := func(a, b int) (bool, error) { return vals[a] <= vals[b], nil }
-	_, comparisons, err := kthSmallest(len(vals), k, kind, le)
+	_, comparisons, err := selectRows(kind, []int{k}, []int{len(vals)}, func(pairs [][2]int, _ []int) ([]bool, error) {
+		bits := make([]bool, len(pairs))
+		for t, pr := range pairs {
+			bits[t] = vals[pr[0]] <= vals[pr[1]]
+		}
+		return bits, nil
+	})
 	return comparisons, err
-}
-
-// kthSmallestBatch is kthSmallest restructured around a batched oracle:
-// the same selection strategies consume the same number of comparisons
-// (so OrderBits Ledger entries match the sequential path exactly), but
-// independent comparisons within one step travel together:
-//
-//   - scan: each of the k minimum-extraction rounds becomes a knockout
-//     tournament — ⌈log₂ n⌉ batched rounds of pairwise comparisons,
-//     still n−1 comparisons per round.
-//   - quickselect: all comparisons against one pivot form a single batch,
-//     one batched round per partition step.
-//
-// Ties may resolve to a different index than the sequential scan's
-// last-wins rule, but only among items with equal hidden values, so the
-// k-th order VALUE — all either party acts on — is unchanged.
-func kthSmallestBatch(n, k int, kind SelectionKind, leb lessEqBatchOracle) (idx, comparisons int, err error) {
-	if k < 1 || k > n {
-		return 0, 0, fmt.Errorf("core: selection k=%d outside [1,%d]", k, n)
-	}
-	counted := func(pairs [][2]int) ([]bool, error) {
-		comparisons += len(pairs)
-		return leb(pairs)
-	}
-	switch kind {
-	case SelectionScan:
-		idx, err = kthSmallestScanBatch(n, k, counted)
-	case SelectionQuick:
-		items := make([]int, n)
-		for i := range items {
-			items[i] = i
-		}
-		idx, err = quickselectBatch(items, k, counted)
-	default:
-		return 0, 0, fmt.Errorf("core: unknown selection strategy %q", kind)
-	}
-	return idx, comparisons, err
-}
-
-// kthSmallestScanBatch extracts the minimum k times, each time by a
-// knockout tournament of batched pairwise comparisons.
-func kthSmallestScanBatch(n, k int, leb lessEqBatchOracle) (int, error) {
-	remaining := make([]int, n)
-	for i := range remaining {
-		remaining[i] = i
-	}
-	var last int
-	for round := 0; round < k; round++ {
-		cand := append([]int(nil), remaining...)
-		for len(cand) > 1 {
-			pairs := make([][2]int, 0, len(cand)/2)
-			for t := 0; t+1 < len(cand); t += 2 {
-				pairs = append(pairs, [2]int{cand[t], cand[t+1]})
-			}
-			res, err := leb(pairs)
-			if err != nil {
-				return 0, err
-			}
-			if len(res) != len(pairs) {
-				return 0, fmt.Errorf("core: selection batch returned %d results for %d pairs", len(res), len(pairs))
-			}
-			next := make([]int, 0, (len(cand)+1)/2)
-			for t, pr := range pairs {
-				if res[t] {
-					next = append(next, pr[0])
-				} else {
-					next = append(next, pr[1])
-				}
-			}
-			if len(cand)%2 == 1 {
-				next = append(next, cand[len(cand)-1])
-			}
-			cand = next
-		}
-		last = cand[0]
-		for pos, it := range remaining {
-			if it == last {
-				remaining = append(remaining[:pos], remaining[pos+1:]...)
-				break
-			}
-		}
-	}
-	return last, nil
-}
-
-// quickselectBatch is quickselect with each partition round's pivot
-// comparisons submitted as one batch.
-func quickselectBatch(items []int, k int, leb lessEqBatchOracle) (int, error) {
-	for {
-		if len(items) == 1 {
-			return items[0], nil
-		}
-		pivot := items[len(items)-1]
-		pairs := make([][2]int, len(items)-1)
-		for t, it := range items[:len(items)-1] {
-			pairs[t] = [2]int{it, pivot}
-		}
-		res, err := leb(pairs)
-		if err != nil {
-			return 0, err
-		}
-		if len(res) != len(pairs) {
-			return 0, fmt.Errorf("core: selection batch returned %d results for %d pairs", len(res), len(pairs))
-		}
-		var lows, highs []int
-		for t, it := range items[:len(items)-1] {
-			if res[t] {
-				lows = append(lows, it)
-			} else {
-				highs = append(highs, it)
-			}
-		}
-		switch {
-		case k <= len(lows):
-			items = lows
-		case k == len(lows)+1:
-			return pivot, nil
-		default:
-			k -= len(lows) + 1
-			items = highs
-		}
-	}
-}
-
-// kthSmallestScan is the paper's first algorithm: k iterations, each
-// finding and removing the minimum of the remaining items.
-func kthSmallestScan(n, k int, le lessEqOracle) (int, error) {
-	remaining := make([]int, n)
-	for i := range remaining {
-		remaining[i] = i
-	}
-	var last int
-	for round := 0; round < k; round++ {
-		minPos := 0
-		for pos := 1; pos < len(remaining); pos++ {
-			isLE, err := le(remaining[pos], remaining[minPos])
-			if err != nil {
-				return 0, err
-			}
-			if isLE {
-				minPos = pos
-			}
-		}
-		last = remaining[minPos]
-		remaining = append(remaining[:minPos], remaining[minPos+1:]...)
-	}
-	return last, nil
-}
-
-// quickselect is the paper's second algorithm (quicksort-based selection,
-// [21]). The pivot is the last element of each sub-range — deterministic,
-// so both parties partition identically.
-func quickselect(items []int, k int, le lessEqOracle) (int, error) {
-	for {
-		if len(items) == 1 {
-			return items[0], nil
-		}
-		pivot := items[len(items)-1]
-		var lows, highs []int
-		for _, it := range items[:len(items)-1] {
-			isLE, err := le(it, pivot)
-			if err != nil {
-				return 0, err
-			}
-			if isLE {
-				lows = append(lows, it)
-			} else {
-				highs = append(highs, it)
-			}
-		}
-		switch {
-		case k <= len(lows):
-			items = lows
-		case k == len(lows)+1:
-			return pivot, nil
-		default:
-			k -= len(lows) + 1
-			items = highs
-		}
-	}
 }

@@ -16,18 +16,17 @@ import (
 // LockstepCluster: Settle decides, before the walk, every (own point, peer
 // generation) sub-query the cross-run cache does not already answer, and
 // the walk (dbscan.ClusterCore) then reads a cache that answers every
-// query. The enhanced protocol settles its core bits the same way
-// (settleEnhanced).
+// query. The enhanced protocol settles its core bits the same way, over
+// the same schedule (settleEnhanced).
 //
 // Settle enumerates the sub-queries in own-point order: for each point the
 // generations its cached chain does not reach (PeerGens.Covered), ascending
 // — exactly the sweep a live query of that point would run, with the same
 // candidate cells and the same exhaustive fallback (Pair.SubQuery). A
-// point's sub-queries are its row. Whole rows are packed, in order, into
-// chunks of at most chunkBound(cmpBytes) candidate instances (a row joins
-// the open chunk unless it would take it past the bound; a single larger
-// row is its own chunk), chunk c runs on worker channel c mod W — worker t
-// runs chunks t, t+W, … in order, all W concurrently — and each
+// point's sub-queries are its row, weighing its candidate instances, and
+// the rows go through settleSchedule (lockstep.go), the schedule the pair
+// shape and the enhanced protocol share: chunks of whole rows of at most
+// chunkBound(cmpBytes) instances, chunk c on worker channel c mod W. Each
 // sub-query's count is written into the cache as its own [g, g+1) segment,
 // on the calling goroutine, after every worker has returned. Rows, chunks
 // and channels are a pure function of the driver's state; the responder is
@@ -41,9 +40,9 @@ import (
 // (compare/full.go).
 
 // ErrQueryOp reports an op frame of a horizontal pass the responder
-// refuses: a settle chunk that is not one an honest driver's schedule
-// produces, a done frame reporting a walk no Algorithm 4 run takes, or an
-// enhanced core query past the one per live driver point a pass asks.
+// refuses: a settle chunk or a chunk of enhanced core queries that is not
+// one an honest driver's schedule produces (readSettleOp, readCoreOp), or
+// a done frame reporting a walk no Algorithm 4 run takes.
 var ErrQueryOp = errors.New("core: malformed region-query op")
 
 // Settle runs the driver side of the settle step against one peer over the
@@ -71,47 +70,26 @@ func (s *Pair) settle(own *OwnGens, peer *PeerGens, w, bound int, closeSweeps bo
 		// Nothing to ask, and the walk asks nothing either.
 		return nil
 	}
-	var chunks [][]SubQuery
-	var open []SubQuery
-	size := 0
+	rows := make([][]SubQuery, len(own.Enc))
 	for i, p := range own.Enc {
 		_, from := peer.Covered(i, own.Dead)
 		peer.pre[i] = from
-		rowStart, rowSize := len(open), 0
 		for g := from; g < gens; g++ {
 			if closeSweeps && peer.Count[g] == 0 && g != gens-1 {
 				continue
 			}
-			q := s.SubQuery(peer, p, i, g)
-			if !closeSweeps && q.NCand == 0 {
-				continue
+			if q := s.SubQuery(peer, p, i, g); closeSweeps || q.NCand > 0 {
+				rows[i] = append(rows[i], q)
 			}
-			open = append(open, q)
-			rowSize += q.NCand
-		}
-		if size += rowSize; rowStart > 0 && size > bound {
-			chunks = append(chunks, open[:rowStart:rowStart])
-			open, size = open[rowStart:], rowSize
 		}
 	}
-	if len(open) > 0 {
-		chunks = append(chunks, open)
-	}
-
-	counts := make([][]int, len(chunks))
-	if err := runWave(min(w, len(chunks)), func(t int) error {
-		for c := t; c < len(chunks); c += w {
-			res, err := run(t, chunks[c])
-			if err != nil {
-				return err
-			}
-			if len(res) != len(chunks[c]) {
-				return fmt.Errorf("core: settle chunk returned %d counts for %d sub-queries", len(res), len(chunks[c]))
-			}
-			counts[c] = res
+	chunks, counts, err := settleSchedule(rows, func(row []SubQuery) (n int) {
+		for _, q := range row {
+			n += q.NCand
 		}
-		return nil
-	}); err != nil {
+		return n
+	}, w, bound, run)
+	if err != nil {
 		return err
 	}
 

@@ -245,174 +245,6 @@ func randomGens(rng *mrand.Rand, n int) (gens [2][][][]float64) {
 	return gens
 }
 
-// TestSettleDecidesEverySubQueryOnce checks the schedule alone, with the
-// chunk runner replaced by a recorder: over random point sets, random
-// caches (nothing, a prefix, a prefix and a stale segment past a hole),
-// with and without an expired generation, both announcement policies,
-// pruning on and off, W ∈ {1, 2, 4, 7} and bounds {1, 3, 17, 256} — every
-// sub-query the cache leaves open is in exactly one chunk, rows are never
-// split, a chunk passes the bound only as a single row and never leaves
-// room its successor's first row would have fitted, channel t runs chunks
-// t, t + W, … in order, and afterwards the cache answers every point in
-// full with the counts the runner returned.
-func TestSettleDecidesEverySubQueryOnce(t *testing.T) {
-	rng := mrand.New(mrand.NewSource(24))
-	fake := func(q SubQuery) int { return (q.Point*31 + q.Gen*7) % (q.NCand + 1) }
-	secondRounds, oversize, stale := 0, 0, 0 // vacuity guards
-	for trial := 0; trial < 8; trial++ {
-		cfg := testCfg(compare.EngineMasked)
-		cfg.Pruning = []PruneMode{PruneGrid, PruneOff}[trial%2]
-		f := openSettleFixture(t, cfg, randomGens(rng, 1+rng.Intn(4)))
-		if _, live := f.hs[0].own.Window(); trial%4 >= 2 && live > 1 {
-			if err := f.sess[0].Expire(1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s, own, peer := f.sess[0].s, f.hs[0].own, f.hs[0].peer
-		gens := len(peer.Count)
-		// The cache before the settle: per point, what it already answers.
-		seed := NewCountCache()
-		known := make(map[[2]int]int)
-		for i := range own.Enc {
-			upto := own.Dead
-			if rng.Intn(3) > 0 {
-				upto += rng.Intn(gens - own.Dead + 1)
-			}
-			for g := own.Dead; g < upto; g++ {
-				known[[2]int{i, g}] = rng.Intn(4)
-				seed.Extend(i, g, g+1, known[[2]int{i, g}])
-			}
-			if upto+1 < gens && rng.Intn(2) == 0 {
-				seed.m[i] = append(seed.m[i], CountSeg{From: upto + 1, To: gens, Count: 99}) // stale, past a hole
-				stale++
-			}
-		}
-		for _, closeSweeps := range []bool{true, false} {
-			for _, w := range []int{1, 2, 4, 7} {
-				for _, bound := range []int{1, 3, 17, 256} {
-					at := fmt.Sprintf("trial %d pruning=%s closeSweeps=%v W=%d bound=%d", trial, cfg.Pruning, closeSweeps, w, bound)
-					peer.hdp = NewCountCache()
-					for i, segs := range seed.m {
-						peer.hdp.m[i] = append([]CountSeg(nil), segs...)
-					}
-					var mu sync.Mutex
-					perChannel := make([][][]SubQuery, w)
-					err := s.settle(own, peer, w, bound, closeSweeps, func(ch int, chunk []SubQuery) ([]int, error) {
-						mu.Lock()
-						perChannel[ch] = append(perChannel[ch], chunk)
-						mu.Unlock()
-						counts := make([]int, len(chunk))
-						for u, q := range chunk {
-							counts[u] = fake(q)
-						}
-						return counts, nil
-					})
-					if err != nil {
-						t.Fatalf("%s: %v", at, err)
-					}
-					// Dealing: chunk c is the c/W-th of channel c mod W, and the
-					// chunks in that order are in own-point order.
-					var chunks [][]SubQuery
-					for c := 0; ; c++ {
-						if ch := perChannel[c%w]; c/w < len(ch) {
-							chunks = append(chunks, ch[c/w])
-							continue
-						}
-						break
-					}
-					ran := 0
-					for _, ch := range perChannel {
-						ran += len(ch)
-					}
-					if len(chunks) > w {
-						secondRounds++
-					}
-					if ran != len(chunks) {
-						t.Fatalf("%s: %d chunks ran, the round-robin order accounts for %d", at, ran, len(chunks))
-					}
-					// What must be asked, independently.
-					var want []SubQuery
-					for i, p := range own.Enc {
-						from := own.Dead
-						for ; from < gens; from++ {
-							if _, ok := known[[2]int{i, from}]; !ok {
-								break
-							}
-						}
-						if peer.pre[i] != from {
-							t.Errorf("%s: point %d watermark %d, its cache reached %d", at, i, peer.pre[i], from)
-						}
-						for g := from; g < gens && peer.N > 0; g++ {
-							q := s.SubQuery(peer, p, i, g)
-							if (closeSweeps && (peer.Count[g] > 0 || g == gens-1)) || (!closeSweeps && q.NCand > 0) {
-								want = append(want, q)
-							}
-						}
-					}
-					var got []SubQuery
-					for c, chunk := range chunks {
-						size, rows := 0, 1
-						for u, q := range chunk {
-							size += q.NCand
-							if u > 0 && q.Point != chunk[u-1].Point {
-								rows++
-							}
-						}
-						if size > bound {
-							oversize++
-						}
-						if len(chunk) == 0 || (size > bound && rows > 1) {
-							t.Errorf("%s: chunk %d holds %d candidates in %d rows", at, c, size, rows)
-						}
-						if c+1 < len(chunks) {
-							next := chunks[c+1]
-							if next[0].Point == chunk[len(chunk)-1].Point {
-								t.Errorf("%s: point %d split over chunks %d and %d", at, next[0].Point, c, c+1)
-							}
-							first := 0
-							for _, q := range next {
-								if q.Point == next[0].Point {
-									first += q.NCand
-								}
-							}
-							if size+first <= bound {
-								t.Errorf("%s: chunk %d (%d candidates) left room for the next row (%d)", at, c, size, first)
-							}
-						}
-						got = append(got, chunk...)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: settled %v, the cache left open %v", at, got, want)
-					}
-					for i := range own.Enc {
-						if peer.N == 0 {
-							break
-						}
-						sum := 0
-						for g := own.Dead; g < gens; g++ {
-							if c, ok := known[[2]int{i, g}]; ok && g < peer.pre[i] {
-								sum += c
-							}
-						}
-						for _, q := range want {
-							if q.Point == i {
-								sum += fake(q)
-							}
-						}
-						if count, upto := peer.Covered(i, own.Dead); count != sum || upto != gens {
-							t.Errorf("%s: point %d cached %d up to generation %d, want %d up to %d", at, i, count, upto, sum, gens)
-						}
-					}
-				}
-			}
-		}
-		f.close(t)
-	}
-	if secondRounds == 0 || oversize == 0 || stale == 0 {
-		t.Errorf("vacuous: %d schedules gave a channel a second chunk, %d chunks were one row over the bound, %d caches held a stale segment", secondRounds, oversize, stale)
-	}
-}
-
 // TestSettleRunFramePin pins what the schedule puts on the wire under full
 // packing. A cold two-party Run is the run op plus, per pass, six frames a
 // chunk — op, encrypted coordinates, folded reply, three of comparison —
@@ -774,11 +606,11 @@ func TestReadSettleOpChunkBound(t *testing.T) {
 	}
 }
 
-// FuzzSettleOp: the settle op decoder is fed whatever a driver sends.
-// It must not panic, and what it returns is bounded by the frame and by
-// the session: no more sub-queries than the frame has bytes for, no more
-// candidates than sub-queries × own points.
-func FuzzSettleOp(f *testing.F) {
+// opFuzzFixture is the session state the op-decoder fuzzers read against:
+// a responder of three live points in two live generations behind an
+// expired one (the middle generation empty), under grid pruning, and a
+// driver's view of it that holds the same directories.
+func opFuzzFixture(f *testing.F) (*Pair, *OwnGens, *PeerGens) {
 	cfg, err := testCfg(compare.EngineMasked).Normalize()
 	if err != nil {
 		f.Fatal(err)
@@ -812,6 +644,15 @@ func FuzzSettleOp(f *testing.F) {
 		peer.Append(len(own.Span(g, g+1)))
 	}
 	peer.dirs = append([]spatial.Directory{{Dim: 2}}, peer.dirs...) // generation 0's husk
+	return s, own, peer
+}
+
+// FuzzSettleOp: the settle op decoder is fed whatever a driver sends.
+// It must not panic, and what it returns is bounded by the frame and by
+// the session: no more sub-queries than the frame has bytes for, no more
+// candidates than sub-queries × own points.
+func FuzzSettleOp(f *testing.F) {
+	s, own, peer := opFuzzFixture(f)
 	// Seeds: honest chunks over the fixture's own directories, pruned and
 	// exhaustive, and a few broken ones.
 	for _, p := range [][]int64{{2, 2}, {6, 6}, {0, 7}} {

@@ -13,17 +13,17 @@ import (
 
 // Per-layer microbenchmarks, benchstat-comparable:
 //
-//	go test ./internal/mpc -run NONE -bench SenderDotManyPackedRetain -benchtime 100x -count 10 -cpu 1
+//	go test ./internal/mpc -run NONE -bench SenderDotRowsRetain -benchtime 100x -count 10 -cpu 1
 //
 // CI runs them with -benchtime 1x so they cannot rot.
 
 var benchSink []*big.Int
 
-// BenchmarkSenderDotManyPackedRetain is the §5 responder's share phase
+// BenchmarkSenderDotRowsRetain is the §5 responder's share phase
 // alone — the receiver's uplink is encrypted once, outside the timer —
 // at the serve workload's shape: 9 candidate points of dimension m = 2
 // (4-coordinate extended vectors) on a 64-grid with 20-bit share masks.
-func BenchmarkSenderDotManyPackedRetain(b *testing.B) {
+func BenchmarkSenderDotRowsRetain(b *testing.B) {
 	for _, bits := range []int{512, 1024} {
 		b.Run(fmt.Sprintf("paillier%d", bits), func(b *testing.B) {
 			const points, maxCoord, shareV = 9, 63, 1 << 20
@@ -57,7 +57,7 @@ func BenchmarkSenderDotManyPackedRetain(b *testing.B) {
 				if err := transport.SendMsg(recv, uplink); err != nil {
 					b.Fatal(err)
 				}
-				ds, err := SenderDotManyPackedRetain(send, &k.PublicKey, bs, vs, pk, rand.Reader, nil)
+				ds, err := SenderDotRows(send, &k.PublicKey, bs, []int{points}, vs, pk, true, rand.Reader, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

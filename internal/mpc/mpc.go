@@ -23,8 +23,8 @@
 // g = n+1), which would void the protocol's own privacy claim, so — as in
 // the correctness proof's intent — nonces here stay private and every
 // ciphertext a party sends carries a fresh one. (The only ciphertexts
-// built without a nonce are SenderDotManyPackedRetain's retained D_i,
-// which are never sent.)
+// built without a nonce are SenderDotRows's retained D_t, which are
+// never sent.)
 package mpc
 
 import (

@@ -32,10 +32,11 @@ import (
 //     packed-mask encryption into a single reply. The reply direction
 //     shrinks from n to ⌈n/S⌉ ciphertexts.
 //
-//   - Dot: the §5 pattern — the m+2 uplink ciphertexts of E(a) are
-//     already shared across all points, and the per-point replies
-//     E(a·b_i + v_i) pack by slot placement like the scatter form:
-//     count replies become ⌈count/S⌉.
+//   - DotRows: the §5 pattern, many queries at once — each row's m+2
+//     uplink ciphertexts of E(a) are shared across all of that row's
+//     points, and the per-point replies E(a·b_i + v_i) pack by slot
+//     placement like the scatter form, across rows: Σcount replies
+//     become ⌈Σcount/S⌉.
 //
 //   - RowDot: the settled HDP layout (core's chunk exchange under full
 //     packing) — many grids at once, one per row, each with its own
@@ -286,203 +287,167 @@ func SenderScatterMultiply(conn transport.Conn, pub *paillier.PublicKey, ys []in
 	return transport.SendMsg(conn, transport.NewBuilder().PutBigs(replies))
 }
 
-// ReceiverDotManyPacked is ReceiverDotMany with packed replies: the
-// E(a) uplink is unchanged (already m+2 ciphertexts shared across all
-// points), the count masked dot products arrive as ⌈count/S⌉.
-func ReceiverDotManyPacked(conn transport.Conn, key *paillier.PrivateKey, a []int64, count int, pk *encoding.Packer, random io.Reader, pool *paillier.Pool) ([]*big.Int, error) {
-	if count < 1 {
-		return nil, fmt.Errorf("mpc: count %d < 1", count)
+// ReceiverDotRows is the receiving half of the §5 share exchange over many
+// query vectors at once: row r's vector as[r] goes up once, its len(as[r])
+// ciphertexts shared by all of the row's counts[r] sender points, and the
+// masked dot products u = as[r]·b + v come back, rows concatenated in
+// order. Under a packer pk the replies pack across rows — slot s of reply
+// g is instance g·S + s of the flat order, ⌈Σcounts/S⌉ ciphertexts; with a
+// nil pk every instance is one ciphertext. A single row is the shape of
+// ReceiverDotMany.
+func ReceiverDotRows(conn transport.Conn, key *paillier.PrivateKey, as [][]int64, counts []int, pk *encoding.Packer, random io.Reader, pool *paillier.Pool) ([]*big.Int, error) {
+	_, total := rowOffsets(counts)
+	if len(as) != len(counts) || total < 1 {
+		return nil, fmt.Errorf("mpc: %d query vectors for %d rows of %d dot products", len(as), len(counts), total)
 	}
 	if random == nil {
 		random = rand.Reader
 	}
-	cts, err := key.EncryptInt64Batch(pool, random, a)
-	if err != nil {
-		return nil, fmt.Errorf("mpc: encrypting a: %w", err)
+	var flat []int64
+	for _, a := range as {
+		if len(a) != len(as[0]) {
+			return nil, fmt.Errorf("%w: query vectors of %d and %d coordinates", ErrLengthMismatch, len(as[0]), len(a))
+		}
+		flat = append(flat, a...)
 	}
-	msg := transport.NewBuilder().PutUint(uint64(count)).PutBigs(cts)
-	if err := transport.SendMsg(conn, msg); err != nil {
-		return nil, fmt.Errorf("mpc: packed dot send: %w", err)
+	cts, err := key.EncryptInt64Batch(pool, random, flat)
+	if err != nil {
+		return nil, fmt.Errorf("mpc: encrypting query vectors: %w", err)
+	}
+	if err := transport.SendMsg(conn, transport.NewBuilder().PutUint(uint64(total)).PutBigs(cts)); err != nil {
+		return nil, fmt.Errorf("mpc: dot rows send: %w", err)
 	}
 	r, err := transport.RecvMsg(conn)
 	if err != nil {
-		return nil, fmt.Errorf("mpc: packed dot recv: %w", err)
+		return nil, fmt.Errorf("mpc: dot rows recv: %w", err)
 	}
 	replies := r.Bigs()
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	groups := pk.Groups(count)
-	if len(replies) != groups {
+	if pk == nil {
+		if len(replies) != total {
+			return nil, fmt.Errorf("%w: want %d dot products, got %d", ErrLengthMismatch, total, len(replies))
+		}
+		return key.DecryptSignedBatch(pool, replies)
+	}
+	if groups := pk.Groups(total); len(replies) != groups {
 		return nil, fmt.Errorf("%w: want %d packed dot products, got %d", ErrLengthMismatch, groups, len(replies))
 	}
 	packedUs, err := key.DecryptBatch(pool, replies)
 	if err != nil {
 		return nil, fmt.Errorf("mpc: decrypting packed us: %w", err)
 	}
-	us := make([]*big.Int, count)
+	us := make([]*big.Int, 0, total)
 	for g, pv := range packedUs {
-		slots, err := pk.Unpack(pv, pk.GroupLen(count, g))
+		slots, err := pk.Unpack(pv, pk.GroupLen(total, g))
 		if err != nil {
 			return nil, fmt.Errorf("mpc: unpacking dot group %d: %w", g, err)
 		}
-		for s, u := range slots {
-			us[g*pk.Slots()+s] = u
-		}
+		us = append(us, slots...)
 	}
 	return us, nil
 }
 
-// SenderDotManyPacked is the sending half of ReceiverDotManyPacked:
-// slot s of group g accumulates Π_k E(a_k)^{b_ik·2^{w·s}} — the dot
-// product placed into its slot — over one packed-mask encryption.
-// SenderDotManyPackedRetain is the wire-compatible variant that also
-// returns the per-point dot ciphertexts for later derived comparisons.
-func SenderDotManyPacked(conn transport.Conn, pub *paillier.PublicKey, bs [][]int64, vs []*big.Int, pk *encoding.Packer, random io.Reader, pool *paillier.Pool) error {
-	if len(bs) != len(vs) {
-		return fmt.Errorf("%w: %d vectors, %d masks", ErrLengthMismatch, len(bs), len(vs))
-	}
-	if random == nil {
-		random = rand.Reader
-	}
-	r, err := transport.RecvMsg(conn)
-	if err != nil {
-		return fmt.Errorf("mpc: packed dot sender recv: %w", err)
-	}
-	count := int(r.Uint())
-	cts := r.Bigs()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if count != len(bs) {
-		return fmt.Errorf("%w: receiver expects %d dot products, sender holds %d", ErrLengthMismatch, count, len(bs))
-	}
-	for i, b := range bs {
-		if len(b) != len(cts) {
-			return fmt.Errorf("%w: vector %d has %d coordinates, receiver sent %d", ErrLengthMismatch, i, len(b), len(cts))
-		}
-	}
-	groups := pk.Groups(len(bs))
-	maskPlains := make([]*big.Int, groups)
-	for g := range maskPlains {
-		n := pk.GroupLen(len(bs), g)
-		packed, err := pk.Pack(vs[g*pk.Slots() : g*pk.Slots()+n])
-		if err != nil {
-			return fmt.Errorf("mpc: packing dot masks group %d: %w", g, err)
-		}
-		maskPlains[g] = packed
-	}
-	masks, err := pub.EncryptBatch(pool, random, maskPlains)
-	if err != nil {
-		return fmt.Errorf("mpc: encrypting packed masks: %w", err)
-	}
-	replies := make([]*big.Int, groups)
-	if err := paillier.ParallelFor(pool, groups, func(g int) error {
-		slots := make([][]paillier.SlotTerm, pk.GroupLen(len(bs), g))
-		for s := range slots {
-			slots[s] = dotTerms(cts, bs[g*pk.Slots()+s])
-		}
-		acc, err := pub.SlotFold(masks[g], pk.Width(), slots)
-		if err != nil {
-			return fmt.Errorf("mpc: packed dot fold group %d: %w", g, err)
-		}
-		replies[g] = acc
-		return nil
-	}); err != nil {
-		return err
-	}
-	return transport.SendMsg(conn, transport.NewBuilder().PutBigs(replies))
-}
-
-// SenderDotManyPackedRetain plays the exact SenderDotManyPacked wire
-// role — the receiver side cannot tell them apart, and the reply group
-// count is identical — but assembles each reply from retained
-// per-point dot ciphertexts D_i = g^{v_i}·Π_k E(a_k)^{b_ik}, ciphertexts
-// of a·b_i + v_i, instead of folding the dot products straight into the
-// groups: group g becomes E(Pack(0…0)) · Π_s D_{g·S+s}^{2^{w·s}}, where
-// the bias-only packed encryption supplies every slot's bias and the
-// D_i already carry the masks. The D_i are returned, never sent; the
-// caller can later hand differences of them to the comparison engine's
-// derived-base batches (compare.DerivedBob), eliminating that round's
-// uplink ciphertexts entirely.
+// SenderDotRows is the sending half of ReceiverDotRows: bs[t] is instance
+// t's vector and vs[t] its mask, instances in row order, rowLens the row
+// lengths. Instance t's product folds its own row's uplink ciphertexts.
+// Unpacked (nil pk), its reply is E(v_t)·Π_k E(a_k)^{b_tk}. Packed, reply g
+// starts as one encryption of its slots' packed masks and bias, and slot s
+// folds in Π_k E(a_k)^{b_tk·2^{w·s}} for t = g·S + s.
 //
-// Nonces: the mask enters each D_i unblinded (paillier.Unblinded, one
-// multiplication), so D_i's nonce is a fixed function of the nonces the
-// receiver chose for its own uplink. That is sound only because no D_i
-// and nothing computed from D_i alone may go on the wire: the bias
-// encryptions here and the packed mask terms of compare's derived
-// replies each carry a fresh uniform nonce, which makes every sent
-// ciphertext's nonce uniform and independent of the D_i (the argument is
-// in the paillier package comment). A caller that wants to send a D_i
-// must Randomize it first.
-func SenderDotManyPackedRetain(conn transport.Conn, pub *paillier.PublicKey, bs [][]int64, vs []*big.Int, pk *encoding.Packer, random io.Reader, pool *paillier.Pool) ([]*big.Int, error) {
-	if len(bs) != len(vs) {
-		return nil, fmt.Errorf("%w: %d vectors, %d masks", ErrLengthMismatch, len(bs), len(vs))
+// retain (packed only) returns the per-instance dot ciphertexts D_t =
+// g^{v_t}·Π_k E(a_k)^{b_tk}, ciphertexts of a·b_t + v_t, for the derived
+// comparisons that follow (compare.DerivedBob), and builds the replies from
+// them instead — reply g is E(Pack(0…0))·Π_s D_{g·S+s}^{2^{w·s}}, the
+// bias-only encryption supplying every slot's bias — which the receiver
+// cannot tell apart. The masks enter the D_t unblinded (paillier.Unblinded,
+// one multiplication), so a D_t's nonce is a fixed function of the nonces
+// the receiver chose for its uplink. That is sound only because no D_t, and
+// nothing computed from D_t alone, goes on the wire: the bias encryptions
+// here and the packed mask terms of compare's derived replies each carry a
+// fresh uniform nonce, which makes every sent ciphertext's nonce uniform and
+// independent of the D_t (the argument is in the paillier package comment).
+// A caller that wants to send a D_t must Randomize it first.
+func SenderDotRows(conn transport.Conn, pub *paillier.PublicKey, bs [][]int64, rowLens []int, vs []*big.Int, pk *encoding.Packer, retain bool, random io.Reader, pool *paillier.Pool) ([]*big.Int, error) {
+	offs, total := rowOffsets(rowLens)
+	if total < 1 || total != len(bs) || len(bs) != len(vs) || (retain && pk == nil) {
+		return nil, fmt.Errorf("mpc: %d vectors and %d masks for rows of %d instances (retain %v, packer %v)", len(bs), len(vs), total, retain, pk != nil)
 	}
 	if random == nil {
 		random = rand.Reader
 	}
 	r, err := transport.RecvMsg(conn)
 	if err != nil {
-		return nil, fmt.Errorf("mpc: packed dot sender recv: %w", err)
+		return nil, fmt.Errorf("mpc: dot rows sender recv: %w", err)
 	}
 	count := int(r.Uint())
 	cts := r.Bigs()
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	if count != len(bs) {
-		return nil, fmt.Errorf("%w: receiver expects %d dot products, sender holds %d", ErrLengthMismatch, count, len(bs))
+	cols := len(cts) / len(rowLens)
+	if count != total || cols*len(rowLens) != len(cts) {
+		return nil, fmt.Errorf("%w: receiver expects %d dot products over %d ciphertexts, sender holds %d in %d rows", ErrLengthMismatch, count, len(cts), total, len(rowLens))
 	}
-	for i, b := range bs {
-		if len(b) != len(cts) {
-			return nil, fmt.Errorf("%w: vector %d has %d coordinates, receiver sent %d", ErrLengthMismatch, i, len(b), len(cts))
+	terms := make([][]paillier.SlotTerm, total)
+	for row, off := range offs {
+		for t := off; t < off+rowLens[row]; t++ {
+			if len(bs[t]) != cols {
+				return nil, fmt.Errorf("%w: vector %d has %d coordinates, receiver sent %d", ErrLengthMismatch, t, len(bs[t]), cols)
+			}
+			terms[t] = dotTerms(cts[row*cols:(row+1)*cols], bs[t])
 		}
 	}
-	// The retained per-point ciphertexts D_i = g^{v_i}·Π_k E(a_k)^{b_ik}: a
-	// one-slot fold over the unblinded mask.
-	ds := make([]*big.Int, len(bs))
-	if err := paillier.ParallelFor(pool, len(bs), func(i int) error {
-		gv, err := pub.Unblinded(vs[i])
-		if err != nil {
-			return fmt.Errorf("mpc: retained dot mask [%d]: %w", i, err)
+	var ds []*big.Int
+	if retain {
+		ds = make([]*big.Int, total)
+		if err := paillier.ParallelFor(pool, total, func(t int) error {
+			gv, err := pub.Unblinded(vs[t])
+			if err == nil {
+				ds[t], err = pub.SlotFold(gv, 1, [][]paillier.SlotTerm{terms[t]})
+			}
+			if err != nil {
+				return fmt.Errorf("mpc: retained dot product [%d]: %w", t, err)
+			}
+			terms[t] = []paillier.SlotTerm{{Base: ds[t], Scalar: big.NewInt(1)}}
+			return nil
+		}); err != nil {
+			return nil, err
 		}
-		if ds[i], err = pub.SlotFold(gv, 1, [][]paillier.SlotTerm{dotTerms(cts, bs[i])}); err != nil {
-			return fmt.Errorf("mpc: retained dot product [%d]: %w", i, err)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
 	}
-	// Bias-only packed encryptions: the D_i already carry the masks, so
-	// the wire groups only add each slot's bias (Pack of zeros).
-	groups := pk.Groups(len(bs))
-	biasPlains := make([]*big.Int, groups)
-	for g := range biasPlains {
-		n := pk.GroupLen(len(bs), g)
-		zeros := make([]*big.Int, n)
-		for s := range zeros {
-			zeros[s] = big.NewInt(0)
-		}
-		packed, err := pk.Pack(zeros)
-		if err != nil {
-			return nil, fmt.Errorf("mpc: packing bias group %d: %w", g, err)
-		}
-		biasPlains[g] = packed
+	// Unpacked, every instance is a group of one, its mask encrypted alone.
+	slots, width, groups := 1, uint(1), total
+	if pk != nil {
+		slots, width, groups = pk.Slots(), pk.Width(), pk.Groups(total)
 	}
-	biases, err := pub.EncryptBatch(pool, random, biasPlains)
+	plains := make([]*big.Int, groups)
+	for g := range plains {
+		if pk == nil {
+			plains[g] = vs[g]
+			continue
+		}
+		masks := vs[g*slots : g*slots+pk.GroupLen(total, g)]
+		if retain {
+			// The D_t already carry the masks: the groups add the bias only.
+			masks = make([]*big.Int, len(masks))
+			for s := range masks {
+				masks[s] = new(big.Int)
+			}
+		}
+		if plains[g], err = pk.Pack(masks); err != nil {
+			return nil, fmt.Errorf("mpc: packing dot masks group %d: %w", g, err)
+		}
+	}
+	starts, err := pub.EncryptBatch(pool, random, plains)
 	if err != nil {
-		return nil, fmt.Errorf("mpc: encrypting bias groups: %w", err)
+		return nil, fmt.Errorf("mpc: encrypting dot masks: %w", err)
 	}
 	replies := make([]*big.Int, groups)
 	if err := paillier.ParallelFor(pool, groups, func(g int) error {
-		slots := make([][]paillier.SlotTerm, pk.GroupLen(len(bs), g))
-		for s := range slots {
-			slots[s] = []paillier.SlotTerm{{Base: ds[g*pk.Slots()+s], Scalar: big.NewInt(1)}}
-		}
-		acc, err := pub.SlotFold(biases[g], pk.Width(), slots)
+		acc, err := pub.SlotFold(starts[g], width, terms[g*slots:min(total, (g+1)*slots)])
 		if err != nil {
-			return fmt.Errorf("mpc: retained dot fold group %d: %w", g, err)
+			return fmt.Errorf("mpc: dot fold group %d: %w", g, err)
 		}
 		replies[g] = acc
 		return nil

@@ -195,6 +195,24 @@ func TestScatterMultiplyMatchesUnpacked(t *testing.T) {
 	}
 }
 
+// dotRowsFixture is three §5 query vectors and their sender points: a first
+// row of S + 3 points, so one reply group is all that row's and the next
+// one starts inside it, then rows of one and two points that share the
+// groups the first row leaves open.
+func dotRowsFixture(slots int) (as [][]int64, counts []int, bs [][]int64, vs []*big.Int) {
+	as = [][]int64{{100, -2 * 7, -2 * 9, 1}, {0, 0, 0, 1}, {2 * 63 * 63, -2 * 63, -2 * 63, 1}}
+	counts = []int{slots + 3, 1, 2}
+	for i := 0; i < counts[0]+counts[1]+counts[2]; i++ {
+		x, y := int64(i%14), int64((i*3)%14)
+		bs = append(bs, []int64{1, x, y, x*x + y*y})
+		vs = append(vs, big.NewInt(int64(i*37%1024)))
+	}
+	return as, counts, bs, vs
+}
+
+// TestDotManyPackedMatchesUnpacked: the rows form, replies packed across
+// rows and unpacked alike, returns row by row exactly what ReceiverDotMany
+// returns for that row on its own.
 func TestDotManyPackedMatchesUnpacked(t *testing.T) {
 	k := testKey(t)
 	// The §5 dot products land in [0, bound+shareV): non-negative slots.
@@ -202,49 +220,53 @@ func TestDotManyPackedMatchesUnpacked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := []int64{100, -2 * 7, -2 * 9, 1}
-	count := pk.Slots() + 3
-	bs := make([][]int64, count)
-	vs := make([]*big.Int, count)
-	for i := range bs {
-		bs[i] = []int64{1, int64(i % 14), int64((i * 3) % 14), int64(i%14)*int64(i%14) + int64((i*3)%14)*int64((i*3)%14)}
-		vs[i] = big.NewInt(int64(i * 37 % 1024))
+	as, counts, bs, vs := dotRowsFixture(pk.Slots())
+	var want []*big.Int
+	off := 0
+	for r, a := range as {
+		n := counts[r]
+		if err := transport.Run2(
+			func(c transport.Conn) error {
+				us, err := ReceiverDotMany(c, k, a, n, rand.Reader, nil)
+				want = append(want, us...)
+				return err
+			},
+			func(c transport.Conn) error {
+				return SenderDotMany(c, &k.PublicKey, bs[off:off+n], vs[off:off+n], rand.Reader, nil)
+			},
+		); err != nil {
+			t.Fatal(err)
+		}
+		off += n
 	}
-	var plain, packed []*big.Int
-	if err := transport.Run2(
-		func(c transport.Conn) error {
-			us, err := ReceiverDotMany(c, k, a, count, rand.Reader, nil)
-			plain = us
-			return err
-		},
-		func(c transport.Conn) error {
-			return SenderDotMany(c, &k.PublicKey, bs, vs, rand.Reader, nil)
-		},
-	); err != nil {
-		t.Fatal(err)
-	}
-	if err := transport.Run2(
-		func(c transport.Conn) error {
-			us, err := ReceiverDotManyPacked(c, k, a, count, pk, rand.Reader, nil)
-			packed = us
-			return err
-		},
-		func(c transport.Conn) error {
-			return SenderDotManyPacked(c, &k.PublicKey, bs, vs, pk, rand.Reader, nil)
-		},
-	); err != nil {
-		t.Fatal(err)
-	}
-	for i := range plain {
-		if plain[i].Cmp(packed[i]) != 0 {
-			t.Fatalf("dot[%d]: packed %v ≠ unpacked %v", i, packed[i], plain[i])
+	for _, packer := range []*encoding.Packer{nil, pk} {
+		var got []*big.Int
+		if err := transport.Run2(
+			func(c transport.Conn) (err error) {
+				got, err = ReceiverDotRows(c, k, as, counts, packer, rand.Reader, nil)
+				return err
+			},
+			func(c transport.Conn) error {
+				_, err := SenderDotRows(c, &k.PublicKey, bs, counts, vs, packer, false, rand.Reader, nil)
+				return err
+			},
+		); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("packed %v: %d dot products, want %d", packer != nil, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Cmp(want[i]) != 0 {
+				t.Fatalf("packed %v: dot[%d] = %v, row by row %v", packer != nil, i, got[i], want[i])
+			}
 		}
 	}
 }
 
 // TestDotManyPackedRetainWireCompatible: the retaining sender must be
-// indistinguishable to the receiver from SenderDotManyPacked — same
-// reply groups, same decoded dot products — while the retained D_i
+// indistinguishable to the receiver from the plain packed one — same
+// reply groups, same decoded dot products — while the retained D_t
 // decrypt to exactly the masked dot products the receiver sees.
 func TestDotManyPackedRetainWireCompatible(t *testing.T) {
 	k := testKey(t)
@@ -252,56 +274,40 @@ func TestDotManyPackedRetainWireCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := []int64{100, -2 * 7, -2 * 9, 1}
-	count := pk.Slots() + 3
-	bs := make([][]int64, count)
-	vs := make([]*big.Int, count)
-	for i := range bs {
-		bs[i] = []int64{1, int64(i % 14), int64((i * 3) % 14), int64(i%14)*int64(i%14) + int64((i*3)%14)*int64((i*3)%14)}
-		vs[i] = big.NewInt(int64(i * 37 % 1024))
-	}
-	var plain, packed []*big.Int
-	var ds []*big.Int
-	if err := transport.Run2(
-		func(c transport.Conn) error {
-			us, err := ReceiverDotMany(c, k, a, count, rand.Reader, nil)
-			plain = us
-			return err
-		},
-		func(c transport.Conn) error {
-			return SenderDotMany(c, &k.PublicKey, bs, vs, rand.Reader, nil)
-		},
-	); err != nil {
-		t.Fatal(err)
-	}
-	if err := transport.Run2(
-		func(c transport.Conn) error {
-			us, err := ReceiverDotManyPacked(c, k, a, count, pk, rand.Reader, nil)
-			packed = us
-			return err
-		},
-		func(c transport.Conn) error {
-			var err error
-			ds, err = SenderDotManyPackedRetain(c, &k.PublicKey, bs, vs, pk, rand.Reader, nil)
-			return err
-		},
-	); err != nil {
-		t.Fatal(err)
-	}
-	if len(ds) != count {
-		t.Fatalf("retained %d ciphertexts, want %d", len(ds), count)
-	}
-	for i := range plain {
-		if plain[i].Cmp(packed[i]) != 0 {
-			t.Fatalf("dot[%d]: retain-packed %v ≠ unpacked %v", i, packed[i], plain[i])
+	as, counts, bs, vs := dotRowsFixture(pk.Slots())
+	var us [2][]*big.Int
+	var ds [2][]*big.Int
+	for i, retain := range []bool{false, true} {
+		if err := transport.Run2(
+			func(c transport.Conn) (err error) {
+				us[i], err = ReceiverDotRows(c, k, as, counts, pk, rand.Reader, nil)
+				return err
+			},
+			func(c transport.Conn) (err error) {
+				ds[i], err = SenderDotRows(c, &k.PublicKey, bs, counts, vs, pk, retain, rand.Reader, nil)
+				return err
+			},
+		); err != nil {
+			t.Fatal(err)
 		}
-		di, err := k.DecryptSigned(ds[i])
+	}
+	if ds[0] != nil || len(ds[1]) != len(bs) {
+		t.Fatalf("retained %d and %d ciphertexts, want none and %d", len(ds[0]), len(ds[1]), len(bs))
+	}
+	for i := range us[0] {
+		if us[1][i].Cmp(us[0][i]) != 0 {
+			t.Fatalf("dot[%d]: retain-packed %v ≠ packed %v", i, us[1][i], us[0][i])
+		}
+		di, err := k.DecryptSigned(ds[1][i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if di.Cmp(plain[i]) != 0 {
-			t.Fatalf("retained D_%d decrypts to %v, want %v", i, di, plain[i])
+		if di.Cmp(us[0][i]) != 0 {
+			t.Fatalf("retained D_%d decrypts to %v, want %v", i, di, us[0][i])
 		}
+	}
+	if _, err := SenderDotRows(nil, &k.PublicKey, bs, counts, vs, nil, true, rand.Reader, nil); err == nil {
+		t.Error("retaining without a packer accepted")
 	}
 }
 
@@ -325,17 +331,19 @@ func TestDotSendersRangeCheckUnderZeroColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	cts[zeroCol] = new(big.Int).Set(pub.NSquared) // one past the top of Z_{n²}
+	rows := func(pk *encoding.Packer, retain bool) func(transport.Conn) error {
+		return func(c transport.Conn) error {
+			_, err := SenderDotRows(c, pub, bs, []int{len(bs)}, vs, pk, retain, rand.Reader, nil)
+			return err
+		}
+	}
 	for name, sender := range map[string]func(transport.Conn) error{
 		"SenderDotMany": func(c transport.Conn) error {
 			return SenderDotMany(c, pub, bs, vs, rand.Reader, nil)
 		},
-		"SenderDotManyPacked": func(c transport.Conn) error {
-			return SenderDotManyPacked(c, pub, bs, vs, pk, rand.Reader, nil)
-		},
-		"SenderDotManyPackedRetain": func(c transport.Conn) error {
-			_, err := SenderDotManyPackedRetain(c, pub, bs, vs, pk, rand.Reader, nil)
-			return err
-		},
+		"SenderDotRows":              rows(nil, false),
+		"SenderDotRows packed":       rows(pk, false),
+		"SenderDotRows packed, kept": rows(pk, true),
 	} {
 		// The pipe buffers, so the uplink can be queued before the sender runs.
 		recv, send := transport.Pipe()

@@ -36,7 +36,7 @@
 //
 // Neither topology carries its own copy of a two-party building block.
 // The horizontal mesh (horizontal.go) is the paper's HDP sub-protocol on
-// each of its k·(k−1)/2 edges, and an edge is a core.Pair: core's v12
+// each of its k·(k−1)/2 edges, and an edge is a core.Pair: core's v13
 // handshake, index exchange and settle step (chunk op frames, MP +
 // comparison exchanges). The
 // ring is its own protocol, but its token carries core.Params (ring

@@ -40,7 +40,7 @@
 // computation, and Unblinded builds it as the bare g^m (nonce 1) for one
 // multiplication instead of an exponentiation. The two users are the §5
 // responder's retained share ciphertexts D_i = g^{v_i}·Π_k E(a_k)^{b_ik}
-// (mpc.SenderDotManyPackedRetain) and the constant E(shift) it adds to
+// (mpc.SenderDotRows, retaining) and the constant E(shift) it adds to
 // their differences (core's enhanced selection). Neither travels: every
 // ciphertext derived from them is multiplied, before it is sent, by an
 // encryption of its own — the bias group of the share reply, the packed
