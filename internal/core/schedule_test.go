@@ -15,7 +15,7 @@ import (
 )
 
 // scheduleStats counts, over many schedules, the cases that make
-// TestSettleScheduleDealsEveryRowOnce's properties bite: a channel that
+// checkSchedule's properties bite: a channel that
 // ran a second chunk (the dealing order), a chunk over the bound as a
 // single row, a chunk of several rows filled to the bound exactly (where
 // splitting at the bound instead of past it would show), and the rows.
@@ -104,27 +104,15 @@ func recordCalls[T, R any](w int, decide func(T) R) (calls [][][]T, run func(ch 
 }
 
 // TestSettleScheduleDealsEveryRowOnce is the property test of the one
-// settle schedule, run straight and through both of its two-party
-// callers, with checkSchedule reading every dealing back from the calls
-// each channel received: over W ∈ {1, 2, 4, 7} and bounds {1, 3, 17, 256},
-//
-//   - settleSchedule over random rows — empty ones, rows of zero weight,
-//     rows heavier than the bound — returns every item's result in its
-//     chunk's place;
-//   - LockstepCluster over random graphs × prior caches × local deciders:
-//     every pair is offered to decideLocal once; a pair it declines and the
-//     prior holds fires onCached once, with the cached bit, and never
-//     reaches the oracle; every other pair reaches batchOn exactly once; the
-//     oracle's results land in the prior; and the labels are plain DBSCAN's
-//     on the same graph and the old wave driver's on the same inputs, which
-//     also settled exactly the same pairs through the same hooks;
-//   - Pair.settle over random point sets and caches (nothing, a prefix, a
-//     prefix and a stale segment past a hole), with and without an expired
-//     generation, both announcement policies and pruning on and off: every
-//     sub-query the cache leaves open is a row item, and afterwards the
-//     cache answers every point in full with the counts the runner gave.
+// settle schedule, run straight, with checkSchedule reading every dealing
+// back from the calls each channel received: over random rows — empty
+// ones, rows of zero weight, rows heavier than the bound — W ∈ {1, 2, 4,
+// 7} and bounds {1, 3, 17, 256}, settleSchedule deals as checkSchedule
+// demands and returns every item's result in its chunk's place. Its two
+// two-party callers are held to the same property by
+// TestLockstepDecidesEveryPairOnce and TestSettleDecidesEverySubQueryOnce.
 func TestSettleScheduleDealsEveryRowOnce(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
+	rng := rand.New(rand.NewSource(26))
 	var st scheduleStats
 	for trial := 0; trial < 40; trial++ {
 		rows := make([][]int, rng.Intn(30))
@@ -162,16 +150,24 @@ func TestSettleScheduleDealsEveryRowOnce(t *testing.T) {
 			}
 		}
 	}
-	lockstepScheduleTrials(t, rng, &st)
-	settleScheduleTrials(t, rng, &st)
 	if st.secondRounds == 0 || st.oversize == 0 || st.exact == 0 {
 		t.Errorf("vacuous: %+v", st)
 	}
 }
 
-// lockstepScheduleTrials is TestSettleScheduleDealsEveryRowOnce's
-// LockstepCluster leg.
-func lockstepScheduleTrials(t *testing.T, rng *rand.Rand, st *scheduleStats) {
+// TestLockstepDecidesEveryPairOnce holds LockstepCluster to the settle
+// schedule's property: over random graphs × random prior caches × random
+// local deciders × widths × chunk bounds, every pair is offered to
+// decideLocal once; a pair it declines and the prior holds fires onCached
+// once, with the cached bit, and never reaches the oracle; every other
+// pair reaches batchOn exactly once, dealt as checkSchedule demands with a
+// row j of the pairs (i, j); the oracle's results land in the prior; and
+// the labels are plain DBSCAN's on the same graph and the old wave
+// driver's on the same inputs — which also settled exactly the same pairs
+// through exactly the same hooks.
+func TestLockstepDecidesEveryPairOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	var st scheduleStats
 	quarter := transport.MaxFrameSize / 4
 	for trial := 0; trial < 30; trial++ {
 		n := rng.Intn(36)
@@ -282,15 +278,26 @@ func lockstepScheduleTrials(t *testing.T, rng *rand.Rand, st *scheduleStats) {
 					}
 					calls[ch] = cs
 				}
-				checkSchedule(t, name, rows, func(row [][2]int) int { return len(row) }, w, bound, calls, st)
+				checkSchedule(t, name, rows, func(row [][2]int) int { return len(row) }, w, bound, calls, &st)
 			}
 		}
 	}
+	if st.secondRounds == 0 || st.oversize == 0 {
+		t.Errorf("vacuous: %+v", st)
+	}
 }
 
-// settleScheduleTrials is TestSettleScheduleDealsEveryRowOnce's Pair.settle
-// leg.
-func settleScheduleTrials(t *testing.T, rng *rand.Rand, st *scheduleStats) {
+// TestSettleDecidesEverySubQueryOnce holds Pair.settle to the settle
+// schedule's property, with the chunk runner replaced by a recorder: over
+// random point sets, random caches (nothing, a prefix, a prefix and a
+// stale segment past a hole), with and without an expired generation,
+// both announcement policies, pruning on and off, W ∈ {1, 2, 4, 7} and
+// bounds {1, 3, 17, 256} — every sub-query the cache leaves open is dealt
+// as checkSchedule demands with a row per own point, and afterwards the
+// cache answers every point in full with the counts the runner returned.
+func TestSettleDecidesEverySubQueryOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	var st scheduleStats
 	fake := func(q SubQuery) int { return (q.Point*31 + q.Gen*7) % (q.NCand + 1) }
 	stale := 0
 	for trial := 0; trial < 8; trial++ {
@@ -357,7 +364,7 @@ func settleScheduleTrials(t *testing.T, rng *rand.Rand, st *scheduleStats) {
 							n += q.NCand
 						}
 						return n
-					}, w, bound, calls, st)
+					}, w, bound, calls, &st)
 					for i := range own.Enc {
 						if peer.N == 0 {
 							break
@@ -380,7 +387,7 @@ func settleScheduleTrials(t *testing.T, rng *rand.Rand, st *scheduleStats) {
 		}
 		f.close(t)
 	}
-	if stale == 0 {
-		t.Error("vacuous: no cache held a stale segment")
+	if st.secondRounds == 0 || st.oversize == 0 || stale == 0 {
+		t.Errorf("vacuous: %+v, %d caches held a stale segment", st, stale)
 	}
 }
