@@ -122,7 +122,7 @@ func addProtocolFlags(fs *flag.FlagSet) *protocolFlags {
 	fs.StringVar(&p.engine, "engine", "masked", "secure comparison engine: ympp|masked")
 	fs.StringVar(&p.selection, "selection", "scan", "§5 selection strategy: scan|quickselect")
 	fs.StringVar(&p.batching, "batching", "batched", "comparison round structure: batched|sequential")
-	fs.StringVar(&p.packing, "packing", "slots", "plaintext encoding: slots (slot-packed ciphertext frames)|full (slots plus the packed comparison uplink)|off (one value per ciphertext)")
+	fs.StringVar(&p.packing, "packing", "", "plaintext encoding: slots (slot-packed ciphertext frames)|full (slots plus the packed comparison uplink)|off (one value per ciphertext); default slots, or off under -batching sequential")
 	fs.StringVar(&p.pruning, "pruning", "grid", "candidate-set structure: grid (Eps-grid candidate index)|off (exhaustive)")
 	fs.IntVar(&p.parallel, "parallel", 1, "scheduler width W: each pass settles its secure decisions over W worker channels (1 = one worker on the bare connection; >1 multiplexes W channels)")
 	fs.Int64Var(&p.seed, "seed", 1, "seed for datasets and permutations")
@@ -146,7 +146,7 @@ func (p *protocolFlags) config() (core.Config, error) {
 		}
 	}
 	packing := core.PackMode("")
-	if p.packing != "" { // empty defers to core's default (slots when batched)
+	if p.packing != "" { // empty defers to core's default (slots when batched, else off)
 		packing, err = core.ParsePackMode(p.packing)
 		if err != nil {
 			return core.Config{}, err

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestReadCSV(t *testing.T) {
@@ -73,6 +76,27 @@ func TestProtocolFlagsConfig(t *testing.T) {
 	p.selection = "bogus"
 	if _, err := p.config(); err == nil {
 		t.Error("bogus selection accepted")
+	}
+}
+
+// TestProtocolFlagsSequentialDefaultsPackingOff: `-batching sequential`
+// alone parses into a valid config, with core's default packing for the
+// sequential round structure ("off"), not the batched default.
+func TestProtocolFlagsSequentialDefaultsPackingOff(t *testing.T) {
+	fs := flag.NewFlagSet("demo", flag.ContinueOnError)
+	p := addProtocolFlags(fs)
+	if err := fs.Parse([]string{"-batching", "sequential"}); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := p.config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg, err = cfg.Normalize(); err != nil {
+		t.Fatalf("-batching sequential: %v", err)
+	}
+	if cfg.Batching != core.BatchModeSequential || cfg.Packing != core.PackOff {
+		t.Errorf("-batching sequential: batching %q packing %q, want %q and %q", cfg.Batching, cfg.Packing, core.BatchModeSequential, core.PackOff)
 	}
 }
 

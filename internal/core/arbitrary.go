@@ -6,6 +6,7 @@ import (
 	"math/big"
 
 	"repro/internal/compare"
+	"repro/internal/encoding"
 	"repro/internal/mpc"
 	"repro/internal/partition"
 	"repro/internal/spatial"
@@ -626,4 +627,37 @@ func sumInt64(us []*big.Int) (int64, error) {
 		return 0, fmt.Errorf("core: adp cross sum overflows int64")
 	}
 	return total.Int64(), nil
+}
+
+// zeroSumBound returns the zero-sum mask magnitude of the masked-product
+// phases. Unpacked, masks are drawn in (−2^62, 2^62), far inside the
+// Paillier plaintext space. The packed path needs a bound both parties
+// can derive from handshake-agreed parameters so they size identical
+// slots, and one that scales with the data so S slots plus their mask
+// headroom fit the plaintext space: B = MaxCoord²·2^CmpMaskBits, which
+// still hides each product statistically (|x·y| ≤ MaxCoord² and the mask
+// is 2^κ times larger).
+func (s *Pair) zeroSumBound() *big.Int {
+	if !s.packing() {
+		return new(big.Int).Lsh(big.NewInt(1), 62)
+	}
+	b := big.NewInt(s.cfg.MaxCoord * s.cfg.MaxCoord)
+	return b.Lsh(b, uint(s.cfg.CmpMaskBits))
+}
+
+// productPackers derives the pair's masked-product packers (a no-op with
+// packing off): each slot holds x·y + Σ masks with |x·y| ≤ MaxCoord² and
+// up to s.dim zero-sum mask terms of magnitude zeroSumBound (the last
+// ZeroSumMasks share is the negated sum of the others, so it can reach
+// (m−1)·B). The arbitrary-partition establishment calls it once, after
+// setDimension.
+func (s *Pair) productPackers() (err error) {
+	if !s.packing() {
+		return nil
+	}
+	maxProduct := s.cfg.MaxCoord * s.cfg.MaxCoord
+	if s.mpPeer, err = encoding.NewProductPacker(s.peerPai.PlaintextBound(), maxProduct, s.zeroSumBound(), s.dim); err == nil {
+		s.mpOwn, err = encoding.NewProductPacker(s.paiKey.PlaintextBound(), maxProduct, s.zeroSumBound(), s.dim)
+	}
+	return err
 }

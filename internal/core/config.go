@@ -63,10 +63,10 @@ type Config struct {
 	Selection SelectionKind
 
 	// Batching selects between the batched round structure (default: one
-	// constant-round BatchLessEq per HDP sub-query — per settle chunk
-	// under full packing — and per lockstep chunk)
-	// and the paper-literal sequential structure (one secure-comparison
-	// sub-protocol round trip per candidate pair), kept for A/B
+	// constant-round comparison batch per settle chunk, per lockstep chunk
+	// and per enhanced selection round) and the paper-literal sequential
+	// structure (one secure-comparison sub-protocol round trip per
+	// candidate pair), kept for A/B
 	// measurement. Both paths produce identical labels and identical
 	// leakage Ledgers; the equivalence harness in core_test enforces this.
 	Batching BatchMode
@@ -89,25 +89,25 @@ type Config struct {
 	// agree (handshake-checked); default DefaultPruneQuantum.
 	PruneQuantum int
 
-	// Packing selects the plaintext encoding of the Paillier phases. Under
-	// the default slots mode each batched masked-product reply (HDP grid
-	// queries, the arbitrary family's cross terms, the enhanced dot
-	// products, the masked comparison engine's replies, and the ring's
-	// accumulated shares) packs S values into one ciphertext via the
-	// slot-shifted encoding of internal/encoding, cutting ciphertexts and
-	// bytes on the wire by up to S× per frame; S derives from the session
-	// key's plaintext space and the handshake-agreed value/mask magnitudes,
-	// so both parties compute it identically. "full" extends slots with
-	// the packed comparison uplink (dedup-grouped base ciphertexts with
-	// per-slot multipliers, and derived bases — zero uplink ciphertexts —
-	// for the enhanced family's dot-product comparisons) and runs an HDP
-	// settle chunk as one exchange whose replies pack one exact dot
-	// product a slot (mpc's row-dot shape; hdp.go). "off" keeps the
-	// one-value-per-ciphertext wire format, the packing equivalence
-	// harness's reference. Labels and non-index Ledgers are identical
-	// in all modes — the packing equivalence harness enforces this.
-	// Requires the batched round structure; the sequential path always
-	// runs unpacked.
+	// Packing selects the plaintext encoding of the Paillier phases: the
+	// slot count S of one exchange that every mode runs alike. An HDP settle
+	// chunk is one row-dot exchange whose replies pack one exact dot
+	// product a slot (hdp.go), and an enhanced chunk one share exchange
+	// whose replies pack across queries. Under the default slots mode those
+	// replies, the arbitrary family's masked cross terms, the masked
+	// comparison engine's replies and the ring's accumulated shares pack S
+	// values into one ciphertext via the slot-shifted encoding of
+	// internal/encoding, cutting ciphertexts and bytes on the wire by up to
+	// S× per frame; S derives from the session key's plaintext space and the
+	// handshake-agreed value/mask magnitudes, so both parties compute it
+	// identically. "full" extends slots with the packed comparison uplink
+	// (dedup-grouped base ciphertexts with per-slot multipliers, and derived
+	// bases — zero uplink ciphertexts — for the enhanced family's
+	// dot-product comparisons). "off" is S = 1, one value per ciphertext,
+	// the packing equivalence harness's reference. Labels and non-index
+	// Ledgers are identical in all modes — the packing equivalence harness
+	// enforces this. slots and full require the batched round structure;
+	// the sequential structure runs "off", its default.
 	Packing PackMode
 
 	// Parallel is W, the width of the one query scheduler every family
@@ -305,8 +305,8 @@ const (
 	// slots wire form when grouping cannot win, so full never costs more
 	// ciphertexts than slots.
 	PackFull PackMode = "full"
-	// PackOff keeps one value per ciphertext — the reference the packing
-	// equivalence harness compares slots and full against.
+	// PackOff keeps one value per ciphertext (S = 1) — the reference the
+	// packing equivalence harness compares slots and full against.
 	PackOff PackMode = "off"
 )
 

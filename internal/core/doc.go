@@ -68,7 +68,7 @@
 //	│                       only while a Run is in progress      │
 //	├────────────────────────────────────────────────────────────┤
 //	│ core.Pair             one edge's keys, agreed parameters   │
-//	│ (pair.go, params.go,  (core.Params, handshake v13), worker │
+//	│ (pair.go, params.go,  (core.Params, handshake v14), worker │
 //	│  hdp.go, settle.go)   channels, pool and counters; the HDP │
 //	│                       settle step and index exchange over  │
 //	│                       OwnGens / PeerGens. A Session wraps  │
@@ -121,7 +121,7 @@
 // splits the connection into its W worker channels, generates the keys
 // the agreed engine needs — a Paillier pair always, an RSA pair only
 // under YMPP, the one engine that reads it — and swaps one handshake
-// frame — version 12: proto, role, the agreed parameters, data
+// frame — version 14: proto, role, the agreed parameters, data
 // dimensions, public keys. The two RSA fields travel empty under the
 // masked engine; PeerRSAKey holds a peer to that (a key the engine does
 // not use, or none where it does, is ErrHandshake), and a peer key that
@@ -265,9 +265,9 @@
 //   - batched (default): every protocol step whose secure comparisons are
 //     mutually independent issues them as one compare.BatchLessEq /
 //     BatchLess — three frames per step regardless of how many predicates
-//     it settles. An HDP settle chunk costs 3 hdp.cmp frames under full
-//     packing, and 3 per sub-query — instead of 3 per candidate — in the
-//     reference forms; a lockstep chunk (vertical/arbitrary, via
+//     it settles. An HDP settle chunk costs 3 hdp.cmp frames at every
+//     packing instead of 3 per candidate; a lockstep chunk
+//     (vertical/arbitrary, via
 //     LockstepCluster: up to 256 pair decisions, whole rows) costs a
 //     constant number of vdp.cmp/adp.cmp frames instead of 3 per pair,
 //     and a cold Run is a handful of chunks; an enhanced chunk (up to 256
@@ -305,20 +305,20 @@
 //
 // Four hot paths run over packed frames, each with its own slot sizing:
 //
-//   - Masked-product grids (hdp under "slots", adp): the responder's
-//     per-candidate coordinate products plus zero-sum mask shares ride
-//     mpc.SenderGridMultiply/ReceiverGridMultiply (and the scatter forms
-//     for the arbitrary family) as ⌈nCand/S⌉·m ciphertexts instead of
-//     nCand·m, in both directions.
-//   - Row dot products (hdp under "full"): a settle chunk's coordinates
-//     go up packed per row, and mpc.SenderRowDot folds every row's column
-//     ciphertexts into reply ciphertexts shared by all rows, one exact
-//     dot product a slot — a slot a third as wide as a masked product's,
-//     no masks, one nonce a reply (hdp.go says why the responder's view is
-//     the same).
+//   - Row dot products (hdp, at every packing): a settle chunk's
+//     coordinates go up packed per row, and mpc.SenderRowDot folds every
+//     row's column ciphertexts into reply ciphertexts shared by all rows,
+//     one exact dot product a slot — a slot a third as wide as a masked
+//     product's, no masks, one nonce a reply (hdp.go says why the
+//     responder's view is the paper's masked round's).
 //   - Dot products (enhanced): mpc.SenderDotRows packs the share replies
 //     of a chunk's core queries across queries, whose small per-slot range
 //     gives the largest S.
+//   - Masked products (adp only): the arbitrary family's mixed cross
+//     terms plus zero-sum mask shares ride mpc's scatter form, the replies
+//     as ⌈n/S⌉ ciphertexts instead of n. mpc's masked grid form serves no
+//     production path: HDP's per-sub-query masked round is the settle
+//     differential's oracle (perquery_test.go).
 //   - Masked-comparison replies: the oracle's masked differences return as
 //     ⌈n/S⌉ ciphertexts. Under "slots" the querying direction stays
 //     unpacked deliberately — each comparison instance needs its own
@@ -351,6 +351,14 @@
 // carry signed differences with the κ-bit mask folded into the slot, so
 // they ride a wider-slot uplink Packer (encoding.NewUplinkComparePacker).
 //
+// "off" is not a second code path but the degenerate packing: the row-dot
+// and share exchanges run at S = 1 (encoding.Packer.OneSlot, one biased
+// value a ciphertext), so the three modes differ only in S and in the
+// comparison uplink — grouped or derived under "full", one ciphertext an
+// instance otherwise. The other packed forms — the arbitrary family's
+// masked products, the comparison replies, the ring's shares — still run
+// unpacked under "off".
+//
 // Packing changes the frame layout only: labels, cluster counts, and the
 // full disclosure Ledger are byte-identical to Packing "off" (the packing
 // equivalence harness pins all four core families plus the multiparty
@@ -359,13 +367,12 @@
 // compression, split into CiphertextsUplink/CiphertextsDownlink —
 // every bench workload records both legs as core.cts_up / core.cts_down
 // (exact, gated by bench/counters.json) beside encoding.slots_product /
-// slots_compare. "off" (one value per ciphertext) is retained as the
-// harness's reference; packing requires the
-// batched round structure. The one disclosure "full" adds is batch-
-// local: a grouped frame shows the responder which instances of that
-// batch share an operand value (the value-equality partition, never the
-// values) — see compare/full.go for the leakage note and why it stays
-// outside the Ledger.
+// slots_compare. "off" is the harness's reference and the default under
+// sequential batching, the only packing that round structure admits. The
+// one disclosure "full" adds is batch-local: a grouped frame shows the
+// responder which instances of that batch share an operand value (the
+// value-equality partition, never the values) — see compare/full.go for
+// the leakage note and why it stays outside the Ledger.
 //
 // # Candidate pruning and the grid index
 //

@@ -381,11 +381,7 @@ func (s *Pair) serveCoreChunk(conn transport.Conn, rng PermSource, shareB, final
 		return fmt.Errorf("core: enhanced share phase: %w", err)
 	}
 	// Masked dot-product replies: response leg.
-	replies := len(bs)
-	if pk != nil {
-		replies = pk.Groups(len(bs))
-	}
-	s.ctsDown.Add(int64(replies))
+	s.ctsDown.Add(int64(pk.Groups(len(bs))))
 
 	setTag(conn, "enh.select")
 	shift := s.bound + s.shareV

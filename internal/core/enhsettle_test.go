@@ -297,11 +297,7 @@ func enhancedServeCore(s *Pair, conn transport.Conn, rng PermSource, pts [][]int
 	if err != nil {
 		return fmt.Errorf("core: enhanced share phase: %w", err)
 	}
-	if pk != nil {
-		s.ctsDown.Add(int64(pk.Groups(n)))
-	} else {
-		s.ctsDown.Add(int64(n))
-	}
+	s.ctsDown.Add(int64(pk.Groups(n)))
 
 	setTag(conn, "enh.select")
 	shift := s.bound + s.shareV

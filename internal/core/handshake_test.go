@@ -3,7 +3,9 @@ package core
 import (
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"math/big"
+	"strings"
 	"testing"
 
 	"repro/internal/compare"
@@ -198,8 +200,10 @@ func TestHandshakeRejectsPeerKeys(t *testing.T) {
 
 // TestHandshakeRefusesOldSchedule: a peer still on an older schedule — v10,
 // the per-neighbourhood lockstep batches, against a vertical session; v11,
-// the per-query horizontal sweeps, against a horizontal one; same frame
-// layout and parameters either time — is refused with ErrHandshake, on
+// the per-query horizontal sweeps, and v13, the per-sub-query masked round
+// of an "off" or "slots" settle chunk, against a horizontal one; same frame
+// layout and parameters every time — is refused with ErrHandshake naming
+// both versions, on
 // either role, having been sent this party's handshake frame and nothing
 // after it: no index, no run op, no chunk that it would pair with a batch
 // of another length or take for an op it does not know.
@@ -224,6 +228,7 @@ func TestHandshakeRefusesOldSchedule(t *testing.T) {
 	}{
 		{10, "vertical", [][]float64{{1}, {2}, {3}, {4}}, NewVerticalSession},
 		{11, "horizontal", [][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}}, NewHorizontalSession},
+		{13, "horizontal", [][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}}, NewHorizontalSession},
 	} {
 		for _, role := range []Role{RoleAlice, RoleBob} {
 			frame := handshakeMsg(old.proto, role.peer(), params, len(old.points[0]), len(old.points), paillier.MarshalPublicKey(&pai.PublicKey), nil, nil).Bytes()
@@ -246,8 +251,8 @@ func TestHandshakeRefusesOldSchedule(t *testing.T) {
 			case <-timeoutAfterProtocol(t):
 				t.Fatalf("%v: establishment against a v%d peer hung", role, old.version)
 			}
-			if !errors.Is(err, ErrHandshake) {
-				t.Errorf("%v: a v%d peer got %v, want ErrHandshake", role, old.version, err)
+			if want := fmt.Sprintf("version %d vs %d", handshakeVersion, old.version); !errors.Is(err, ErrHandshake) || !strings.Contains(fmt.Sprint(err), want) {
+				t.Errorf("%v: a v%d peer got %v, want ErrHandshake on %q", role, old.version, err, want)
 			}
 			if len(tap.sent) != 1 {
 				t.Errorf("%v: %d frames sent to a v%d peer, want the handshake alone", role, len(tap.sent), old.version)

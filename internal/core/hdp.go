@@ -39,164 +39,126 @@ import (
 // cluster walk, every (own point, peer generation) sub-query the cache
 // does not answer is enumerated, whole rows — one own point's sub-queries
 // — are packed into chunks, and a chunk is one exchange on one worker
-// channel. What a chunk's exchange looks like is the mode cube's business:
-//
-//	full packing: six frames whatever the chunk holds — the op frame
-//	    naming its sub-queries; the responder's encrypted coordinates,
-//	    permuted and padded per sub-query, packed per row (mpc's row-dot
-//	    shape); the driver's reply, in which every slot is one exact dot
-//	    product; then one BatchLessRows of three frames over all
-//	    instances, row = own point.
-//	any other mode: the op frame, then the chunk's sub-queries one after
-//	    another through HDPCount / HDPServe below — the reference forms:
-//	    the masked MP round of the paper (slot-packed grid under "slots",
-//	    the default; one ciphertext per product under "off") and one
-//	    BatchLess (batched) or one comparison sub-protocol per candidate
-//	    (sequential, the paper-literal schedule).
+// channel, the same at every packing: the op frame naming its sub-queries;
+// the responder's encrypted coordinates, permuted and padded per
+// sub-query, packed per row (mpc's row-dot shape); the driver's reply, in
+// which every slot is one exact dot product; then the comparisons, one
+// per instance, row = own point. The modes differ only in the slot count
+// S — the key's under "slots" and "full", S = 1 under "off" — and in the
+// comparison leg: one BatchLessRows of three frames (its uplink grouped
+// per own point under "full"), or one comparison sub-protocol per
+// instance under sequential batching (the paper-literal schedule).
 //
 // All modes run the same chunks and decide identical predicates, so labels
 // and leakage Ledgers are byte-for-byte equal; only frames and bytes
-// differ. The zero-sum masks belong to the reference forms. The row-dot
-// reply needs none: given their sum, the m masked shares of a candidate
-// are (to the statistical distance the mask width buys) uniform — the
-// first m−1 are pads and the last is fixed by the sum — so the dot product
-// is everything the responder's view of the masked round contains, and a
-// reply that decrypts to exactly that (under one fresh nonce) hands it the
-// same view at a third of the slot width.
+// differ. The paper's zero-sum masks are gone from the wire: given their
+// sum, the m masked shares of a candidate are (to the statistical distance
+// the mask width buys) uniform — the first m−1 are pads and the last is
+// fixed by the sum — so the dot product is everything the responder's view
+// of the masked round contains, and a reply that decrypts to exactly that
+// (under one fresh nonce) hands it the same view at a third of the slot
+// width. The masked round itself survives as the per-query test oracle the
+// settle differential checks every packing against.
 // The responder permutes and pads freshly per sub-query (Algorithm 4's
 // SetOfPointsOfBobPermutation), so the driver learns one in-range count
 // per (own point, peer generation), not which candidate answered.
 
-// HDPCount runs the driver side of one already-announced region sub-query
-// of point p in its reference form: the masked MP + comparison phases over
-// the nCand candidate instances the announcement committed to (none: no
-// frames), counting the in-range results. eng is the pair's Alice-side
-// split-threshold comparator (DistEngines).
-func (s *Pair) HDPCount(conn transport.Conn, eng compare.Alice, p []int64, nCand int) (int, error) {
-	if nCand == 0 {
-		return 0, nil
+// HDPCount runs the driver side of one already-announced settle chunk:
+// the row-dot exchange over every sub-query's candidate instances, then
+// one comparison each, and returns each sub-query's in-range count. own
+// holds our encoded points (a sub-query's Point indexes it); eng is the
+// pair's Alice-side split-threshold comparator (DistEngines).
+func (s *Pair) HDPCount(conn transport.Conn, eng compare.Alice, own [][]int64, chunk []SubQuery) ([]int, error) {
+	// One row per own point with candidates: its column scalars are the
+	// point's coordinates, its comparison operand Σp² on every instance.
+	counts := make([]int, len(chunk))
+	var rowLens, rows []int
+	var ys [][]int64
+	var vs []int64
+	for _, q := range chunk {
+		if q.NCand == 0 {
+			continue
+		}
+		p := own[q.Point]
+		if len(rows) == 0 || rows[len(rows)-1] != q.Point {
+			rowLens, ys = append(rowLens, 0), append(ys, p)
+		}
+		rowLens[len(rowLens)-1] += q.NCand
+		for sq, c := sumSq(p), 0; c < q.NCand; c++ {
+			vs, rows = append(vs, sq), append(rows, q.Point)
+		}
+	}
+	if len(vs) == 0 {
+		return counts, nil
 	}
 	setTag(conn, "hdp.mp")
-	// Batched MP: sender role. Masks are zero-sum within each candidate.
-	m := len(p)
-	mb := s.zeroSumBound()
-	vs := make([]*big.Int, 0, nCand*m)
-	for i := 0; i < nCand; i++ {
-		masks, err := mpc.ZeroSumMasks(s.random, m, mb)
-		if err != nil {
-			return 0, err
-		}
-		vs = append(vs, masks...)
+	if err := mpc.SenderRowDot(conn, s.peerPai, ys, rowLens, s.dim, s.rdPeer, s.random, s.pool); err != nil {
+		return nil, fmt.Errorf("core: hdp row multiplication: %w", err)
 	}
-	if pk := s.mpPeer; pk != nil {
-		// Grid shape: p's coordinate y_k is constant down column k, so
-		// both directions pack rows into slot groups.
-		if err := mpc.SenderGridMultiply(conn, s.peerPai, p, vs, nCand, m, pk, s.random, s.pool); err != nil {
-			return 0, fmt.Errorf("core: hdp packed multiplication: %w", err)
-		}
-		// Masked products answer the responder's encrypted operands:
-		// response leg.
-		s.ctsDown.Add(int64(pk.Groups(nCand) * m))
-	} else {
-		ys := make([]int64, 0, nCand*m)
-		for i := 0; i < nCand; i++ {
-			ys = append(ys, p...)
-		}
-		if err := mpc.SenderBatchMultiply(conn, s.peerPai, ys, vs, s.random, s.pool); err != nil {
-			return 0, fmt.Errorf("core: hdp multiplication: %w", err)
-		}
-		s.ctsDown.Add(int64(nCand * m))
-	}
-
-	// Comparison phase: we hold the left value Σp², identical for every
-	// instance of the query.
+	// The folded dot products answer the responder's encrypted operands:
+	// response leg.
+	s.ctsDown.Add(int64(len(mpc.LayoutRows(rowLens, s.rdPeer.Slots()).Replies)))
 	setTag(conn, "hdp.cmp")
-	ownSum := sumSq(p)
-	count := 0
+	var ins []bool
+	var err error
 	if s.batched() {
-		vs := make([]int64, nCand)
-		for i := range vs {
-			vs[i] = ownSum
-		}
-		ins, err := eng.BatchLess(conn, vs)
-		if err != nil {
-			return 0, fmt.Errorf("core: hdp batch comparison: %w", err)
-		}
-		for _, in := range ins {
-			if in {
-				count++
-			}
-		}
+		ins, err = eng.BatchLessRows(conn, vs, rows)
 	} else {
-		for i := 0; i < nCand; i++ {
-			in, err := eng.Less(conn, ownSum)
-			if err != nil {
-				return 0, fmt.Errorf("core: hdp comparison %d: %w", i, err)
-			}
+		ins, err = oneAtATime(vs, func(v int64) (bool, error) { return eng.Less(conn, v) })
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: hdp comparison: %w", err)
+	}
+	t := 0
+	for u, q := range chunk {
+		for _, in := range ins[t : t+q.NCand] {
 			if in {
-				count++
+				counts[u]++
 			}
 		}
+		t += q.NCand
 	}
-	return count, nil
+	return counts, nil
 }
 
-// HDPServe serves the responder side of HDPCount: the masked MP +
-// comparison phases over the given real candidate points plus nDummy
-// always-out-of-range padding entries, all freshly permuted together. The
-// driver's point never leaves the driver; the responder learns, per its
+// HDPServe serves the responder side of HDPCount. rows holds the chunk's
+// candidate instances row by row, each sub-query's already permuted with
+// its padding (a dummy is a nil point, never counted in range). The
+// driver's points never leave the driver; the responder learns, per its
 // own point, whether some driver point is within Eps (Algorithm 4 note:
 // "Bob only knows there is a record owned by Alice in the neighborhood").
 // eng is the pair's Bob-side split-threshold comparator (DistEngines).
-func (s *Pair) HDPServe(conn transport.Conn, rng PermSource, eng compare.Bob, pts [][]int64, nDummy int) error {
-	cands := permuteCandidates(rng, pts, nDummy)
-	total := len(cands)
-	if total == 0 {
+func (s *Pair) HDPServe(conn transport.Conn, eng compare.Bob, rows [][][]int64) error {
+	rowLens := make([]int, len(rows))
+	var cands [][]int64
+	for r, row := range rows {
+		rowLens[r], cands = len(row), append(cands, row...)
+	}
+	if len(cands) == 0 {
 		return nil
 	}
 	setTag(conn, "hdp.mp")
-	m := s.dim
-	xs := s.candidateCoords(nil, cands)
-	var us []*big.Int
-	var err error
-	if pk := s.mpOwn; pk != nil {
-		us, err = mpc.ReceiverGridMultiply(conn, s.paiKey, xs, total, m, pk, s.random, s.pool)
-		if err != nil {
-			return fmt.Errorf("core: hdp packed multiplication: %w", err)
-		}
-		// The receiver's encrypted coordinates open the MP sub-protocol:
-		// request leg.
-		s.ctsUp.Add(int64(pk.Groups(total) * m))
-	} else {
-		us, err = mpc.ReceiverBatchMultiply(conn, s.paiKey, xs, s.random, s.pool)
-		if err != nil {
-			return fmt.Errorf("core: hdp multiplication: %w", err)
-		}
-		s.ctsUp.Add(int64(total * m))
+	dots, err := mpc.ReceiverRowDot(conn, s.paiKey, s.candidateCoords(cands), rowLens, s.dim, s.rdOwn, s.random, s.pool)
+	if err != nil {
+		return fmt.Errorf("core: hdp row multiplication: %w", err)
 	}
-
+	// The receiver's encrypted coordinates open the MP exchange: request
+	// leg.
+	s.ctsUp.Add(int64(len(mpc.LayoutRows(rowLens, s.rdOwn.Slots()).Groups) * s.dim))
 	setTag(conn, "hdp.cmp")
-	js := make([]int64, total)
+	js := make([]int64, len(cands))
 	for i, pt := range cands {
-		// Σ_k (d_x,k·d_y,k + r_k): the zero-sum masks cancel.
-		dot := new(big.Int)
-		for k := 0; k < m; k++ {
-			dot.Add(dot, us[i*m+k])
-		}
-		if js[i], err = s.candidateOperand(eng.Bound(), pt, dot); err != nil {
+		if js[i], err = s.candidateOperand(eng.Bound(), pt, dots[i]); err != nil {
 			return err
 		}
 	}
 	if s.batched() {
-		if _, err := eng.BatchLess(conn, js); err != nil {
-			return fmt.Errorf("core: hdp batch comparison: %w", err)
-		}
+		_, err = eng.BatchLess(conn, js)
 	} else {
-		for i, j := range js {
-			if _, err := eng.Less(conn, j); err != nil {
-				return fmt.Errorf("core: hdp comparison %d: %w", i, err)
-			}
-		}
+		_, err = oneAtATime(js, func(j int64) (bool, error) { return eng.Less(conn, j) })
+	}
+	if err != nil {
+		return fmt.Errorf("core: hdp comparison: %w", err)
 	}
 	return nil
 }
@@ -213,10 +175,11 @@ func permuteCandidates(rng PermSource, pts [][]int64, nDummy int) [][]int64 {
 	return cands
 }
 
-// candidateCoords appends the candidates' coordinates, instance-major, to
-// xs: what the responder encrypts for the MP phase. A dummy enters with
-// zero coordinates, indistinguishable from a real candidate on the wire.
-func (s *Pair) candidateCoords(xs []int64, cands [][]int64) []int64 {
+// candidateCoords lists the candidates' coordinates, instance-major: what
+// the responder encrypts for the MP phase. A dummy enters with zero
+// coordinates, indistinguishable from a real candidate on the wire.
+func (s *Pair) candidateCoords(cands [][]int64) []int64 {
+	xs := make([]int64, 0, len(cands)*s.dim)
 	zero := make([]int64, s.dim)
 	for _, pt := range cands {
 		if pt == nil {
@@ -237,7 +200,7 @@ func (s *Pair) candidateOperand(bound int64, pt []int64, dot *big.Int) (int64, e
 		return 0, nil
 	}
 	if !dot.IsInt64() {
-		return 0, fmt.Errorf("core: hdp dot product overflows int64 (masks failed to cancel?)")
+		return 0, fmt.Errorf("core: hdp dot product overflows int64")
 	}
 	return s.responderOperand(bound, sumSq(pt)-2*dot.Int64()), nil
 }

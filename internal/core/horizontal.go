@@ -87,7 +87,7 @@ func newHorizontalSession(conn transport.Conn, cfg Config, role Role, points [][
 	if err != nil {
 		return nil, nil, err
 	}
-	s, peer, err := newHPair(conn, cfg, role, proto, own, fam == hBasic)
+	s, peer, err := NewPair(conn, cfg, role, proto, own)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -116,20 +116,13 @@ func newHorizontalSession(conn transport.Conn, cfg Config, role Role, points [][
 }
 
 // NewPair establishes one HDP edge over a party's own generation table:
-// worker channels, keys and the v13 handshake (proto names the protocol;
+// worker channels, keys and the v14 handshake (proto names the protocol;
 // role breaks the symmetry — it decides who sends first in every frame
 // swap, so a mesh maps the lower party index to RoleAlice), the common
-// record dimension, the masked-product packers, and — under grid pruning
-// — the candidate-index exchange. cfg must be normalised. The returned
+// record dimension, the row-dot packers, and — under grid pruning — the
+// candidate-index exchange. cfg must be normalised. The returned
 // PeerGens is this edge's view of the peer.
 func NewPair(conn transport.Conn, cfg Config, role Role, proto string, own *OwnGens) (*Pair, *PeerGens, error) {
-	return newHPair(conn, cfg, role, proto, own, true)
-}
-
-// newHPair is NewPair for the whole horizontal shape; hdp says whether the
-// edge will run HDP's masked products (the enhanced family runs none, and
-// must not fail on packers it never uses).
-func newHPair(conn transport.Conn, cfg Config, role Role, proto string, own *OwnGens, hdp bool) (*Pair, *PeerGens, error) {
 	s, peer, err := establish(conn, cfg, role, proto, own.dim, len(own.Enc))
 	if err != nil {
 		return nil, nil, err
@@ -143,13 +136,10 @@ func newHPair(conn transport.Conn, cfg Config, role Role, proto string, own *Own
 	if err := s.setDimension(own.dim); err != nil {
 		return nil, nil, err
 	}
-	if hdp {
-		if err := s.productPackers(); err == nil {
-			err = s.rowDotPackers()
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: product packer: %w", err)
-		}
+	// The enhanced family runs no row-dot exchange, but its share packer's
+	// slots are wider, so a key that fits those fits these.
+	if err := s.rowDotPackers(); err != nil {
+		return nil, nil, fmt.Errorf("core: row-dot packer: %w", err)
 	}
 	pg := newPeerGens(peer.Count)
 	if s.pruneOn {

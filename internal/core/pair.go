@@ -69,9 +69,12 @@ func (r Role) peer() Role {
 // changed the enhanced schedule the same way — an op frame announces a
 // chunk of core queries, and the chunk runs one share exchange, lockstep
 // selection rounds and one final batch (enhanced.go) — so a peer on the
-// per-query form would misread every frame of it. Mesh edges
-// (internal/multiparty) speak the same frame with proto "mesh".
-const handshakeVersion = 13
+// per-query form would misread every frame of it; version 14 runs a settle
+// chunk as the one row-dot exchange at every packing — under "off" and
+// "slots" too, where it was the per-sub-query masked round — so a peer on
+// the old wire would expect other frames. Mesh edges (internal/multiparty)
+// speak the same frame with proto "mesh".
+const handshakeVersion = 14
 
 // ErrHandshake reports parameter disagreement between the parties.
 var ErrHandshake = errors.New("core: handshake parameter mismatch")
@@ -119,18 +122,18 @@ type Pair struct {
 	cellW   int64
 	pruneOn bool
 
-	// mpPeer / mpOwn size the slot-packed masked-product frames (nil
-	// with packing off): mpPeer the frames sent under the peer's key,
-	// mpOwn the frames served under our own. Derived once per pair by
-	// productPackers; both ends agree because the geometry is a function
-	// of the exchanged keys and handshake-agreed parameters.
+	// mpPeer / mpOwn size the arbitrary family's slot-packed
+	// masked-product frames (nil with packing off): mpPeer the frames sent
+	// under the peer's key, mpOwn the frames served under our own. Derived
+	// once per pair by productPackers; both ends agree because the geometry
+	// is a function of the exchanged keys and handshake-agreed parameters.
 	mpPeer, mpOwn *encoding.Packer
 
-	// rdPeer / rdOwn size the row-dot frames of a settle chunk (nil unless
-	// rowDot()): a slot holds one exact cross dot product, |Σ x·y| ≤ bound,
-	// under the peer's key (rdPeer, the replies we fold as driver) or our
-	// own (rdOwn, the coordinates we pack as responder). Derived once per
-	// pair by rowDotPackers.
+	// rdPeer / rdOwn size the row-dot frames of a settle chunk: a slot
+	// holds one exact cross dot product, |Σ x·y| ≤ bound, under the peer's
+	// key (rdPeer, the replies we fold as driver) or our own (rdOwn, the
+	// coordinates we pack as responder). Derived once per horizontal pair
+	// by rowDotPackers.
 	rdPeer, rdOwn *encoding.Packer
 
 	// cmpCount tallies secure comparison instances executed by this party;
@@ -371,55 +374,24 @@ func (s *Pair) setDimension(m int) error {
 	return nil
 }
 
-// zeroSumBound returns the zero-sum mask magnitude of the masked-product
-// phases. Unpacked, masks are drawn in (−2^62, 2^62), far inside the
-// Paillier plaintext space. The packed path needs a bound both parties
-// can derive from handshake-agreed parameters so they size identical
-// slots, and one that scales with the data so S slots plus their mask
-// headroom fit the plaintext space: B = MaxCoord²·2^CmpMaskBits, which
-// still hides each product statistically (|x·y| ≤ MaxCoord² and the mask
-// is 2^κ times larger).
-func (s *Pair) zeroSumBound() *big.Int {
-	if !s.packing() {
-		return new(big.Int).Lsh(big.NewInt(1), 62)
-	}
-	b := big.NewInt(s.cfg.MaxCoord * s.cfg.MaxCoord)
-	return b.Lsh(b, uint(s.cfg.CmpMaskBits))
-}
-
-// productPackers derives the pair's masked-product packers (a no-op with
-// packing off): each slot holds x·y + Σ masks with |x·y| ≤ MaxCoord² and
-// up to s.dim zero-sum mask terms of magnitude zeroSumBound (the last
-// ZeroSumMasks share is the negated sum of the others, so it can reach
-// (m−1)·B). The HDP and arbitrary-partition establishments call it once,
+// rowDotPackers derives the pair's row-dot packers; NewPair calls it once,
 // after setDimension.
-func (s *Pair) productPackers() (err error) {
-	if !s.packing() {
-		return nil
-	}
-	maxProduct := s.cfg.MaxCoord * s.cfg.MaxCoord
-	if s.mpPeer, err = encoding.NewProductPacker(s.peerPai.PlaintextBound(), maxProduct, s.zeroSumBound(), s.dim); err == nil {
-		s.mpOwn, err = encoding.NewProductPacker(s.paiKey.PlaintextBound(), maxProduct, s.zeroSumBound(), s.dim)
+func (s *Pair) rowDotPackers() (err error) {
+	if s.rdPeer, err = s.sumPacker(s.peerPai, s.bound); err == nil {
+		s.rdOwn, err = s.sumPacker(&s.paiKey.PublicKey, s.bound)
 	}
 	return err
 }
 
-// rowDot reports whether a settle chunk runs as one row-dot exchange
-// (settle.go): full packing, which Config.validate admits over batched
-// rounds only. Every other mode runs the chunk's sub-queries through the
-// reference forms, HDPCount / HDPServe.
-func (s *Pair) rowDot() bool { return s.cfg.Packing == PackFull }
-
-// rowDotPackers derives the pair's row-dot packers (a no-op unless
-// rowDot()); the HDP establishment calls it once, after setDimension.
-func (s *Pair) rowDotPackers() (err error) {
-	if !s.rowDot() {
-		return nil
+// sumPacker sizes slots under pub for values that land in [0, bound]: the
+// key's full S when packing, and the degenerate S = 1 packing — one biased
+// value a ciphertext — under "off", so every mode runs the same exchange.
+func (s *Pair) sumPacker(pub *paillier.PublicKey, bound int64) (*encoding.Packer, error) {
+	pk, err := encoding.NewSumPacker(pub.PlaintextBound(), bound)
+	if err != nil || s.packing() {
+		return pk, err
 	}
-	if s.rdPeer, err = encoding.NewSumPacker(s.peerPai.PlaintextBound(), s.bound); err == nil {
-		s.rdOwn, err = encoding.NewSumPacker(s.paiKey.PlaintextBound(), s.bound)
-	}
-	return err
+	return pk.OneSlot(), nil
 }
 
 // packing reports whether this pair runs its batch Paillier rounds
@@ -439,13 +411,9 @@ func (s *Pair) derivedCompare() bool {
 }
 
 // dotPacker sizes slots for the §5 masked dot products: every reply
-// value lands in [0, bound + shareV), non-negative by construction. With
-// packing off it is nil: one value a ciphertext.
+// value lands in [0, bound + shareV), non-negative by construction.
 func (s *Pair) dotPacker(pub *paillier.PublicKey) (*encoding.Packer, error) {
-	if !s.packing() {
-		return nil, nil
-	}
-	return encoding.NewSumPacker(pub.PlaintextBound(), s.bound+s.shareV)
+	return s.sumPacker(pub, s.bound+s.shareV)
 }
 
 // engines builds a matched comparator pair for the given inclusive input

@@ -72,13 +72,14 @@ func TestParamsDiffNamesFirstField(t *testing.T) {
 // "horizontal", 5 points of dimension 2: the frame captured off a pipe at
 // the commit before core.Params existed, regenerated for version 10 —
 // the engine being masked, the two RSA fields that closed the v9 frame (a
-// 32-byte modulus and 65537) are empty — and carrying version byte 13:
-// versions 11 to 13 changed the lockstep, the horizontal and the enhanced
-// schedule and nothing else in this frame. The
+// 32-byte modulus and 65537) are empty — and carrying version byte 14:
+// versions 11 to 14 changed the lockstep, the horizontal and the enhanced
+// schedule and the off/slots settle chunk, and nothing else in this frame.
+// The
 // serving tier's frame and byte counters include this frame, so it must
 // not change shape: re-encoding the same parameters and the frame's own
 // public key has to reproduce it byte for byte.
-const goldenHandshake = "0d0a686f72697a6f6e74616c0008030e066d61736b6564280a047363616e076261746368656405736c6f747304677269640401020520e46b588088aca8c20a47af2f5b94a26f587cbc4f46e148fae049e047a54978a10000"
+const goldenHandshake = "0e0a686f72697a6f6e74616c0008030e066d61736b6564280a047363616e076261746368656405736c6f747304677269640401020520e46b588088aca8c20a47af2f5b94a26f587cbc4f46e148fae049e047a54978a10000"
 
 func TestHandshakeFrameGolden(t *testing.T) {
 	want, err := hex.DecodeString(goldenHandshake)

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math/big"
 
 	"repro/internal/compare"
 	"repro/internal/dbscan"
+	"repro/internal/mpc"
 	"repro/internal/spatial"
 	"repro/internal/transport"
 )
@@ -12,10 +14,13 @@ import (
 // The per-query driver of the basic horizontal protocol as it stood before
 // the settle step (handshake v11): one live region query at a time, every
 // query a sweep of per-generation sub-queries, each its own op frame + MP
-// round + comparison round. Kept verbatim — apart from the names, from
-// HDPCount's op-frame argument, which perQueryHDPCount sends itself, and
-// from the walk, dbscan.ClusterCore on channel 0 (labels, the Ledger and
-// the counters do not depend on W) — as the oracle the settle differential
+// round + comparison round — the paper's masked MP round (maskedHDPCount /
+// maskedHDPServe, which were HDPCount / HDPServe up to handshake v13: the
+// slot-packed grid under "slots" and "full", one ciphertext per product
+// under "off"). Kept verbatim — apart from the names, from HDPCount's
+// op-frame argument, which perQueryHDPCount sends itself, and from the
+// walk, dbscan.ClusterCore on channel 0 (labels, the Ledger and the
+// counters do not depend on W) — as the oracle the settle differential
 // (settle_test.go) runs the same lifecycles through: labels, cached
 // segments, every Ledger class and both comparison counters must come out
 // equal.
@@ -23,10 +28,13 @@ import (
 // opPerQuery was OpQuery, op code 1.
 const opPerQuery uint64 = 1
 
-// newPerQuerySession is NewHorizontalSession on the per-query driver.
+// newPerQuerySession is NewHorizontalSession on the per-query driver. The
+// masked round's product packers were derived by the HDP establishment
+// until the row-dot exchange replaced it; the oracle derives them itself.
 func newPerQuerySession(conn transport.Conn, cfg Config, role Role, points [][]float64) (*Session, *hStream, error) {
 	t, hs, err := newHorizontalSession(conn, cfg, role, points, "horizontal", hBasic)
 	if err == nil {
+		err = t.s.productPackers()
 		t.runOnce = func() (*Result, error) { return perQueryRunOnce(t, hs) }
 	}
 	return t, hs, err
@@ -109,7 +117,7 @@ func perQueryServe(s *Pair, conn transport.Conn, rng PermSource, engB compare.Bo
 	if err != nil {
 		return err
 	}
-	return s.HDPServe(conn, rng, engB, pts, nDummy)
+	return maskedHDPServe(s, conn, rng, engB, pts, nDummy)
 }
 
 func perQueryRemoteCount(s *Pair, hs *hStream, conn transport.Conn, i int, eng compare.Alice) (int, error) {
@@ -172,5 +180,139 @@ func perQueryHDPCount(s *Pair, conn transport.Conn, eng compare.Alice, op *trans
 	if err := transport.SendMsg(conn, op); err != nil {
 		return 0, err
 	}
-	return s.HDPCount(conn, eng, p, nCand)
+	return maskedHDPCount(s, conn, eng, p, nCand)
+}
+
+// maskedHDPCount runs the driver side of one already-announced region
+// sub-query of point p in its reference form: the masked MP + comparison
+// phases over the nCand candidate instances the announcement committed to
+// (none: no frames), counting the in-range results. eng is the pair's
+// Alice-side split-threshold comparator (DistEngines).
+func maskedHDPCount(s *Pair, conn transport.Conn, eng compare.Alice, p []int64, nCand int) (int, error) {
+	if nCand == 0 {
+		return 0, nil
+	}
+	setTag(conn, "hdp.mp")
+	// Batched MP: sender role. Masks are zero-sum within each candidate.
+	m := len(p)
+	mb := s.zeroSumBound()
+	vs := make([]*big.Int, 0, nCand*m)
+	for i := 0; i < nCand; i++ {
+		masks, err := mpc.ZeroSumMasks(s.random, m, mb)
+		if err != nil {
+			return 0, err
+		}
+		vs = append(vs, masks...)
+	}
+	if pk := s.mpPeer; pk != nil {
+		// Grid shape: p's coordinate y_k is constant down column k, so
+		// both directions pack rows into slot groups.
+		if err := mpc.SenderGridMultiply(conn, s.peerPai, p, vs, nCand, m, pk, s.random, s.pool); err != nil {
+			return 0, fmt.Errorf("core: hdp packed multiplication: %w", err)
+		}
+		// Masked products answer the responder's encrypted operands:
+		// response leg.
+		s.ctsDown.Add(int64(pk.Groups(nCand) * m))
+	} else {
+		ys := make([]int64, 0, nCand*m)
+		for i := 0; i < nCand; i++ {
+			ys = append(ys, p...)
+		}
+		if err := mpc.SenderBatchMultiply(conn, s.peerPai, ys, vs, s.random, s.pool); err != nil {
+			return 0, fmt.Errorf("core: hdp multiplication: %w", err)
+		}
+		s.ctsDown.Add(int64(nCand * m))
+	}
+
+	// Comparison phase: we hold the left value Σp², identical for every
+	// instance of the query.
+	setTag(conn, "hdp.cmp")
+	ownSum := sumSq(p)
+	count := 0
+	if s.batched() {
+		vs := make([]int64, nCand)
+		for i := range vs {
+			vs[i] = ownSum
+		}
+		ins, err := eng.BatchLess(conn, vs)
+		if err != nil {
+			return 0, fmt.Errorf("core: hdp batch comparison: %w", err)
+		}
+		for _, in := range ins {
+			if in {
+				count++
+			}
+		}
+	} else {
+		for i := 0; i < nCand; i++ {
+			in, err := eng.Less(conn, ownSum)
+			if err != nil {
+				return 0, fmt.Errorf("core: hdp comparison %d: %w", i, err)
+			}
+			if in {
+				count++
+			}
+		}
+	}
+	return count, nil
+}
+
+// maskedHDPServe serves the responder side of maskedHDPCount: the masked
+// MP + comparison phases over the given real candidate points plus nDummy
+// always-out-of-range padding entries, all freshly permuted together. The
+// driver's point never leaves the driver; the responder learns, per its
+// own point, whether some driver point is within Eps (Algorithm 4 note:
+// "Bob only knows there is a record owned by Alice in the neighborhood").
+// eng is the pair's Bob-side split-threshold comparator (DistEngines).
+func maskedHDPServe(s *Pair, conn transport.Conn, rng PermSource, eng compare.Bob, pts [][]int64, nDummy int) error {
+	cands := permuteCandidates(rng, pts, nDummy)
+	total := len(cands)
+	if total == 0 {
+		return nil
+	}
+	setTag(conn, "hdp.mp")
+	m := s.dim
+	xs := s.candidateCoords(cands)
+	var us []*big.Int
+	var err error
+	if pk := s.mpOwn; pk != nil {
+		us, err = mpc.ReceiverGridMultiply(conn, s.paiKey, xs, total, m, pk, s.random, s.pool)
+		if err != nil {
+			return fmt.Errorf("core: hdp packed multiplication: %w", err)
+		}
+		// The receiver's encrypted coordinates open the MP sub-protocol:
+		// request leg.
+		s.ctsUp.Add(int64(pk.Groups(total) * m))
+	} else {
+		us, err = mpc.ReceiverBatchMultiply(conn, s.paiKey, xs, s.random, s.pool)
+		if err != nil {
+			return fmt.Errorf("core: hdp multiplication: %w", err)
+		}
+		s.ctsUp.Add(int64(total * m))
+	}
+
+	setTag(conn, "hdp.cmp")
+	js := make([]int64, total)
+	for i, pt := range cands {
+		// Σ_k (d_x,k·d_y,k + r_k): the zero-sum masks cancel.
+		dot := new(big.Int)
+		for k := 0; k < m; k++ {
+			dot.Add(dot, us[i*m+k])
+		}
+		if js[i], err = s.candidateOperand(eng.Bound(), pt, dot); err != nil {
+			return err
+		}
+	}
+	if s.batched() {
+		if _, err := eng.BatchLess(conn, js); err != nil {
+			return fmt.Errorf("core: hdp batch comparison: %w", err)
+		}
+	} else {
+		for i, j := range js {
+			if _, err := eng.Less(conn, j); err != nil {
+				return fmt.Errorf("core: hdp comparison %d: %w", i, err)
+			}
+		}
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -30,6 +31,9 @@ func newTestSessions(t *testing.T, cfg Config, dim int) (*Pair, *Pair, transport
 		if err == nil {
 			err = s.productPackers()
 		}
+		if err == nil {
+			err = s.rowDotPackers()
+		}
 		return s, err
 	}
 	go func() {
@@ -45,51 +49,71 @@ func newTestSessions(t *testing.T, cfg Config, dim int) (*Pair, *Pair, transport
 }
 
 // TestHDPSingleQuery exercises one region query at the sub-protocol level
-// across both engines and checks the count against plaintext distances.
+// — the chunk exchange on a one-sub-query chunk at every packing, and the
+// paper's masked round it replaced — across both engines, and checks the
+// count against plaintext distances.
 func TestHDPSingleQuery(t *testing.T) {
+	driverPt := []int64{3, 3}
+	responderPts := [][]int64{{3, 4}, {0, 0}, {4, 4}, {7, 7}, {3, 3}}
 	for _, engine := range []compare.EngineKind{compare.EngineYMPP, compare.EngineMasked} {
-		cfg := testCfg(engine)
-		sA, sB, ca, cb := newTestSessions(t, cfg, 2)
-		defer ca.Close()
-		defer cb.Close()
+		for _, packing := range []PackMode{PackOff, PackSlots, PackFull} {
+			for _, masked := range []bool{false, true} {
+				cfg := testCfg(engine)
+				cfg.Packing = packing
+				sA, sB, ca, cb := newTestSessions(t, cfg, 2)
+				defer ca.Close()
+				defer cb.Close()
+				// eps=2 → epsSq=4: neighbours are (3,4), (4,4), (3,3) → 3.
+				wantCount := 0
+				for _, p := range responderPts {
+					if fixedpoint.DistSq(driverPt, p) <= sA.epsSq {
+						wantCount++
+					}
+				}
 
-		driverPt := []int64{3, 3}
-		responderPts := [][]int64{{3, 4}, {0, 0}, {4, 4}, {7, 7}, {3, 3}}
-		// eps=2 → epsSq=4: neighbours are (3,4), (4,4), (3,3) → 3.
-		wantCount := 0
-		for _, p := range responderPts {
-			if fixedpoint.DistSq(driverPt, p) <= sA.epsSq {
-				wantCount++
+				engA, _, err := sA.DistEngines()
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, engB, err := sB.DistEngines()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got int
+				errc := make(chan error, 1)
+				if masked {
+					go func() {
+						errc <- maskedHDPServe(sB, cb, sB.channelRng(0), engB, responderPts, 0)
+					}()
+					got, err = maskedHDPCount(sA, ca, engA, driverPt, len(responderPts))
+				} else {
+					go func() {
+						rows := [][][]int64{permuteCandidates(sB.channelRng(0), responderPts, 0)}
+						errc <- sB.HDPServe(cb, engB, rows)
+					}()
+					var counts []int
+					counts, err = sA.HDPCount(ca, engA, [][]int64{driverPt}, []SubQuery{{NCand: len(responderPts)}})
+					if err == nil {
+						got = counts[0]
+					}
+				}
+				at := fmt.Sprintf("%s/packing=%s/masked=%v", engine, packing, masked)
+				if err != nil {
+					t.Fatalf("%s: driver: %v", at, err)
+				}
+				if err := <-errc; err != nil {
+					t.Fatalf("%s: responder: %v", at, err)
+				}
+				if got != wantCount {
+					t.Errorf("%s: count = %d, want %d", at, got, wantCount)
+				}
 			}
-		}
-
-		engA, _, err := sA.DistEngines()
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, engB, err := sB.DistEngines()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got int
-		errc := make(chan error, 1)
-		go func() {
-			errc <- sB.HDPServe(cb, sB.channelRng(0), engB, responderPts, 0)
-		}()
-		got, err = sA.HDPCount(ca, engA, driverPt, len(responderPts))
-		if err != nil {
-			t.Fatalf("%s: driver: %v", engine, err)
-		}
-		if err := <-errc; err != nil {
-			t.Fatalf("%s: responder: %v", engine, err)
-		}
-		if got != wantCount {
-			t.Errorf("%s: count = %d, want %d", engine, got, wantCount)
 		}
 	}
 }
 
-// TestHDPZeroPeerPoints: the driver must short-circuit without protocol.
+// TestHDPZeroPeerPoints: a chunk whose sub-queries hold no candidates
+// must short-circuit without protocol.
 func TestHDPZeroPeerPoints(t *testing.T) {
 	cfg := testCfg(compare.EngineMasked)
 	sA, _, ca, cb := newTestSessions(t, cfg, 2)
@@ -99,9 +123,9 @@ func TestHDPZeroPeerPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count, err := sA.HDPCount(ca, engA, []int64{1, 1}, 0)
-	if err != nil || count != 0 {
-		t.Errorf("zero-peer query: count=%d err=%v", count, err)
+	counts, err := sA.HDPCount(ca, engA, [][]int64{{1, 1}}, []SubQuery{{}, {Gen: 1}})
+	if err != nil || fmt.Sprint(counts) != "[0 0]" {
+		t.Errorf("zero-peer chunk: counts=%v err=%v", counts, err)
 	}
 }
 

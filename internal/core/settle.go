@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/compare"
-	"repro/internal/mpc"
 	"repro/internal/transport"
 )
 
@@ -110,8 +109,9 @@ func (s *Pair) settle(own *OwnGens, peer *PeerGens, w, bound int, closeSweeps bo
 	return nil
 }
 
-// settleChunk runs the driver side of one chunk on conn and returns the
-// in-range count of each of its sub-queries.
+// settleChunk runs the driver side of one chunk on conn — its op frame,
+// then its exchange (HDPCount) — and returns the in-range count of each of
+// its sub-queries.
 func (s *Pair) settleChunk(conn transport.Conn, eng compare.Alice, own *OwnGens, chunk []SubQuery) ([]int, error) {
 	setTag(conn, "hdp.op")
 	msg := transport.NewBuilder().PutUint(OpSettle).PutUint(uint64(len(chunk)))
@@ -122,60 +122,7 @@ func (s *Pair) settleChunk(conn transport.Conn, eng compare.Alice, own *OwnGens,
 	if err := transport.SendMsg(conn, msg); err != nil {
 		return nil, err
 	}
-	counts := make([]int, len(chunk))
-	if !s.rowDot() {
-		for u, q := range chunk {
-			var err error
-			if counts[u], err = s.HDPCount(conn, eng, own.Enc[q.Point], q.NCand); err != nil {
-				return nil, err
-			}
-		}
-		return counts, nil
-	}
-
-	// One row per own point with candidates: its column scalars are the
-	// point's coordinates, its comparison operand Σp² on every instance.
-	var rowLens, rows []int
-	var ys [][]int64
-	var vs []int64
-	for _, q := range chunk {
-		if q.NCand == 0 {
-			continue
-		}
-		p := own.Enc[q.Point]
-		if len(rows) == 0 || rows[len(rows)-1] != q.Point {
-			rowLens, ys = append(rowLens, 0), append(ys, p)
-		}
-		rowLens[len(rowLens)-1] += q.NCand
-		for sq, c := sumSq(p), 0; c < q.NCand; c++ {
-			vs, rows = append(vs, sq), append(rows, q.Point)
-		}
-	}
-	if len(vs) == 0 {
-		return counts, nil
-	}
-	setTag(conn, "hdp.mp")
-	if err := mpc.SenderRowDot(conn, s.peerPai, ys, rowLens, s.dim, s.rdPeer, s.random, s.pool); err != nil {
-		return nil, fmt.Errorf("core: hdp row multiplication: %w", err)
-	}
-	// The folded dot products answer the responder's encrypted operands:
-	// response leg.
-	s.ctsDown.Add(int64(len(mpc.LayoutRows(rowLens, s.rdPeer.Slots()).Replies)))
-	setTag(conn, "hdp.cmp")
-	ins, err := eng.BatchLessRows(conn, vs, rows)
-	if err != nil {
-		return nil, fmt.Errorf("core: hdp batch comparison: %w", err)
-	}
-	t := 0
-	for u, q := range chunk {
-		for _, in := range ins[t : t+q.NCand] {
-			if in {
-				counts[u]++
-			}
-		}
-		t += q.NCand
-	}
-	return counts, nil
+	return s.HDPCount(conn, eng, own.Enc, chunk)
 }
 
 // servedQuery is one sub-query of a chunk as its responder resolved it.
@@ -246,20 +193,9 @@ func (s *Pair) SettleServe(conn transport.Conn, rng PermSource, eng compare.Bob,
 	if err != nil {
 		return err
 	}
-	if !s.rowDot() {
-		for _, q := range subs {
-			if err := s.HDPServe(conn, rng, eng, q.pts, q.nDummy); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	// Every sub-query draws its own permutation over its own padding; a
 	// row's sub-queries then share the row's slot groups.
-	var rowLens []int
-	var cands [][]int64
-	var xs []int64
+	var rows [][][]int64
 	last := -1
 	for _, q := range subs {
 		sub := permuteCandidates(rng, q.pts, q.nDummy)
@@ -267,31 +203,9 @@ func (s *Pair) SettleServe(conn transport.Conn, rng PermSource, eng compare.Bob,
 			continue
 		}
 		if q.point != last {
-			rowLens, last = append(rowLens, 0), q.point
+			rows, last = append(rows, nil), q.point
 		}
-		rowLens[len(rowLens)-1] += len(sub)
-		cands, xs = append(cands, sub...), s.candidateCoords(xs, sub)
+		rows[len(rows)-1] = append(rows[len(rows)-1], sub...)
 	}
-	if len(cands) == 0 {
-		return nil
-	}
-	setTag(conn, "hdp.mp")
-	dots, err := mpc.ReceiverRowDot(conn, s.paiKey, xs, rowLens, s.dim, s.rdOwn, s.random, s.pool)
-	if err != nil {
-		return fmt.Errorf("core: hdp row multiplication: %w", err)
-	}
-	// The receiver's encrypted coordinates open the MP exchange: request
-	// leg.
-	s.ctsUp.Add(int64(len(mpc.LayoutRows(rowLens, s.rdOwn.Slots()).Groups) * s.dim))
-	setTag(conn, "hdp.cmp")
-	js := make([]int64, len(cands))
-	for i, pt := range cands {
-		if js[i], err = s.candidateOperand(eng.Bound(), pt, dots[i]); err != nil {
-			return err
-		}
-	}
-	if _, err := eng.BatchLess(conn, js); err != nil {
-		return fmt.Errorf("core: hdp batch comparison: %w", err)
-	}
-	return nil
+	return s.HDPServe(conn, eng, rows)
 }

@@ -245,14 +245,14 @@ func randomGens(rng *mrand.Rand, n int) (gens [2][][][]float64) {
 	return gens
 }
 
-// TestSettleRunFramePin pins what the schedule puts on the wire under full
-// packing. A cold two-party Run is the run op plus, per pass, six frames a
-// chunk — op, encrypted coordinates, folded reply, three of comparison —
-// and the W done frames; the walk sends nothing. With 40 points a side and
-// pruning off a pass is more than four chunks, so at W = 4 every channel
-// runs a second one. The Run after Append(2) — two new rows a side against
-// the whole peer, every old row against the peer's two new points — is one
-// chunk a pass.
+// TestSettleRunFramePin pins what the schedule puts on the wire at every
+// batched packing: one exchange a chunk whatever S is. A cold two-party Run
+// is the run op plus, per pass, six frames a chunk — op, encrypted
+// coordinates, folded reply, three of comparison — and the W done frames;
+// the walk sends nothing. With 40 points a side and pruning off a pass is
+// more than four chunks, so at W = 4 every channel runs a second one. The
+// Run after Append(2) — two new rows a side against the whole peer, every
+// old row against the peer's two new points — is one chunk a pass.
 func TestSettleRunFramePin(t *testing.T) {
 	const n = 40
 	ptsA, ptsB := make([][]float64, n), make([][]float64, n)
@@ -267,9 +267,13 @@ func TestSettleRunFramePin(t *testing.T) {
 	if wantCold <= 4 {
 		t.Fatalf("the fixture is %d chunks a pass: it does not fill four channels", wantCold)
 	}
-	for _, w := range []int{1, 4} {
+	for _, tc := range []struct {
+		packing PackMode
+		w       int
+	}{{PackOff, 1}, {PackOff, 4}, {PackSlots, 1}, {PackSlots, 4}, {PackFull, 1}, {PackFull, 4}} {
+		w := tc.w
 		cfg := parallelCfg(compare.EngineMasked, w, PruneOff)
-		cfg.Packing = PackFull
+		cfg.Packing = tc.packing
 		ca, cb := transport.Pipe()
 		ma := transport.NewMeter(ca)
 		var cold, warm, coldCmps, warmCmps int64
@@ -312,13 +316,13 @@ func TestSettleRunFramePin(t *testing.T) {
 				return nil
 			})
 		if err != nil {
-			t.Fatalf("W=%d: %v", w, err)
+			t.Fatalf("packing=%s W=%d: %v", tc.packing, w, err)
 		}
 		if want := int64(1 + 2*(6*wantCold+w)); coldCmps != 2*n*n || cold != want {
-			t.Errorf("W=%d: cold Run: %d comparisons in %d frames, want %d in 1 + 2×(6×%d + %d)", w, coldCmps, cold, 2*n*n, wantCold, w)
+			t.Errorf("packing=%s W=%d: cold Run: %d comparisons in %d frames, want %d in 1 + 2×(6×%d + %d)", tc.packing, w, coldCmps, cold, 2*n*n, wantCold, w)
 		}
 		if want := int64(1 + 2*(6+w)); warmCmps != 2*(2*(n+2)+2*n) || warm != want {
-			t.Errorf("W=%d: Run after Append(2): %d comparisons in %d frames, want %d in 1 + 2×(6 + %d) (one chunk a pass)", w, warmCmps, warm, 2*(2*(n+2)+2*n), w)
+			t.Errorf("packing=%s W=%d: Run after Append(2): %d comparisons in %d frames, want %d in 1 + 2×(6 + %d) (one chunk a pass)", tc.packing, w, warmCmps, warm, 2*(2*(n+2)+2*n), w)
 		}
 	}
 }
@@ -365,7 +369,7 @@ func serveSettleChunks(f *settleFixture, conn transport.Conn, rng PermSource) er
 // one over a row or a chunk — which is what lets the driver attribute an
 // in-range count to a (point, generation) and to nothing finer; and the
 // counts it attributes are the plaintext ones. Run at every packing mode:
-// the row-dot exchange and the reference forms permute alike.
+// the row-dot exchange permutes alike at every S.
 func TestSettlePermutesPerSubQuery(t *testing.T) {
 	for _, packing := range []PackMode{PackFull, PackSlots, PackOff} {
 		cfg := testCfg(compare.EngineMasked)

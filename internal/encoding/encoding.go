@@ -33,8 +33,8 @@
 // S is chosen from the key: S = ⌊(|n/2| − 1) / w⌋ where |n/2| is the
 // bit length of the plaintext bound, so packed values cannot reach the
 // signed-encoding wrap at n/2. S = 1 is the degenerate packing (one
-// value per ciphertext, still biased); construction fails only when
-// even one slot does not fit.
+// value per ciphertext, still biased; Packer.OneSlot caps any packer to
+// it); construction fails only when even one slot does not fit.
 //
 // # Packed comparison uplink
 //
@@ -180,6 +180,14 @@ func NewSumPacker(plainBound *big.Int, bound int64) (*Packer, error) {
 		return nil, fmt.Errorf("encoding: sum packer needs bound ≥ 1")
 	}
 	return NewPacker(plainBound, big.NewInt(bound))
+}
+
+// OneSlot returns p capped at one slot: the degenerate S = 1 packing, one
+// biased value per ciphertext, with p's slot width and bias.
+func (p *Packer) OneSlot() *Packer {
+	one := *p
+	one.slots = 1
+	return &one
 }
 
 // Slots returns S, the number of values one plaintext carries.

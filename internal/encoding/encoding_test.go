@@ -182,23 +182,36 @@ func TestShiftPlacesSlot(t *testing.T) {
 }
 
 func TestDegenerateSingleSlot(t *testing.T) {
-	// A slot magnitude near the plaintext bound forces S = 1: packing
-	// still works, as one biased value per ciphertext.
-	slotMax := new(big.Int).Rsh(bound255(), 3)
-	p, err := NewPacker(bound255(), slotMax)
+	// A slot magnitude near the plaintext bound forces S = 1, and OneSlot
+	// caps a many-slot packer to it: packing still works, as one biased
+	// value per ciphertext.
+	forced, err := NewPacker(bound255(), new(big.Int).Rsh(bound255(), 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Slots() != 1 {
-		t.Fatalf("slots = %d, want 1", p.Slots())
-	}
-	packed, err := p.PackInt64([]int64{-42})
+	wide, err := NewPacker(bound255(), big.NewInt(1000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.UnpackInt64(packed, 1)
-	if err != nil || got[0] != -42 {
-		t.Fatalf("degenerate round trip: got %v, %v", got, err)
+	capped := wide.OneSlot()
+	if wide.Slots() < 2 || capped.Width() != wide.Width() || capped.Bias().Cmp(wide.Bias()) != 0 {
+		t.Fatalf("OneSlot of %d slots: width %d vs %d, bias %v vs %v", wide.Slots(), capped.Width(), wide.Width(), capped.Bias(), wide.Bias())
+	}
+	for _, p := range []*Packer{forced, capped} {
+		if p.Slots() != 1 || p.Groups(3) != 3 {
+			t.Fatalf("slots = %d, groups of 3 = %d, want 1 and 3", p.Slots(), p.Groups(3))
+		}
+		packed, err := p.PackInt64([]int64{-42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.UnpackInt64(packed, 1)
+		if err != nil || got[0] != -42 {
+			t.Fatalf("degenerate round trip: got %v, %v", got, err)
+		}
+		if _, err := p.PackInt64([]int64{1, 2}); err == nil {
+			t.Fatal("two values packed into one slot")
+		}
 	}
 }
 

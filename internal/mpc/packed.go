@@ -13,13 +13,14 @@ import (
 
 // Slot-packed wire forms of the Multiplication Protocol. Four shapes
 // cover every product phase in the repository; all preserve the scalar
-// semantics element-for-element (the packing equivalence harness in
-// internal/core asserts identical labels and ledgers against the
-// unpacked forms above):
+// semantics element-for-element (the mpc tests check each against the
+// unpacked forms above or against plaintext, S = 1 included):
 //
-//   - Grid: the HDP layout — a rows×cols grid of products where the
-//     sender's scalar y_k is constant down each column (the query
-//     point's k-th coordinate against every candidate). The receiver
+//   - Grid: the paper's masked HDP round — a rows×cols grid of products
+//     where the sender's scalar y_k is constant down each column (the
+//     query point's k-th coordinate against every candidate). Core runs
+//     HDP as the row-dot form below; the grid serves the bench's
+//     product probe and core's per-query test oracle. The receiver
 //     packs column k across slot groups of rows, so the homomorphic
 //     scalar multiplication by y_k acts on all S slots at once and BOTH
 //     directions shrink from rows·cols to ⌈rows/S⌉·cols ciphertexts.
@@ -38,12 +39,13 @@ import (
 //     placement like the scatter form, across rows: Σcount replies
 //     become ⌈Σcount/S⌉.
 //
-//   - RowDot: the settled HDP layout (core's chunk exchange under full
-//     packing) — many grids at once, one per row, each with its own
-//     column scalars, where the receiver is owed only each instance's dot
-//     product Σ_k x_{i,k}·y_k. The uplink is the grid form's, row by row
-//     (⌈T_row/S⌉·cols ciphertexts); the sender folds a row's cols column
-//     ciphertexts, each raised to its scalar, into that row's slot offset
+//   - RowDot: the settled HDP layout (core's chunk exchange at every
+//     packing, at S = 1 under "off") — many grids at once, one per row,
+//     each with its own column scalars, where the receiver is owed only
+//     each instance's dot product Σ_k x_{i,k}·y_k. The uplink is the grid
+//     form's, row by row (⌈T_row/S⌉·cols ciphertexts); the sender folds a
+//     row's cols column ciphertexts, each raised to its scalar, into that
+//     row's slot offset
 //     of reply ciphertexts shared by all rows, so slot s decrypts to the
 //     exact dot product: no masks (the grid form's zero-sum masks cancel
 //     in exactly this sum, which is all its receiver keeps), one nonce
@@ -291,10 +293,10 @@ func SenderScatterMultiply(conn transport.Conn, pub *paillier.PublicKey, ys []in
 // query vectors at once: row r's vector as[r] goes up once, its len(as[r])
 // ciphertexts shared by all of the row's counts[r] sender points, and the
 // masked dot products u = as[r]·b + v come back, rows concatenated in
-// order. Under a packer pk the replies pack across rows — slot s of reply
-// g is instance g·S + s of the flat order, ⌈Σcounts/S⌉ ciphertexts; with a
-// nil pk every instance is one ciphertext. A single row is the shape of
-// ReceiverDotMany.
+// order. The replies pack across rows under pk — slot s of reply g is
+// instance g·S + s of the flat order, ⌈Σcounts/S⌉ ciphertexts; at S = 1
+// (encoding.Packer.OneSlot) every instance is one ciphertext. A single row
+// is the shape of ReceiverDotMany.
 func ReceiverDotRows(conn transport.Conn, key *paillier.PrivateKey, as [][]int64, counts []int, pk *encoding.Packer, random io.Reader, pool *paillier.Pool) ([]*big.Int, error) {
 	_, total := rowOffsets(counts)
 	if len(as) != len(counts) || total < 1 {
@@ -325,12 +327,6 @@ func ReceiverDotRows(conn transport.Conn, key *paillier.PrivateKey, as [][]int64
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	if pk == nil {
-		if len(replies) != total {
-			return nil, fmt.Errorf("%w: want %d dot products, got %d", ErrLengthMismatch, total, len(replies))
-		}
-		return key.DecryptSignedBatch(pool, replies)
-	}
 	if groups := pk.Groups(total); len(replies) != groups {
 		return nil, fmt.Errorf("%w: want %d packed dot products, got %d", ErrLengthMismatch, groups, len(replies))
 	}
@@ -351,12 +347,11 @@ func ReceiverDotRows(conn transport.Conn, key *paillier.PrivateKey, as [][]int64
 
 // SenderDotRows is the sending half of ReceiverDotRows: bs[t] is instance
 // t's vector and vs[t] its mask, instances in row order, rowLens the row
-// lengths. Instance t's product folds its own row's uplink ciphertexts.
-// Unpacked (nil pk), its reply is E(v_t)·Π_k E(a_k)^{b_tk}. Packed, reply g
-// starts as one encryption of its slots' packed masks and bias, and slot s
-// folds in Π_k E(a_k)^{b_tk·2^{w·s}} for t = g·S + s.
+// lengths. Instance t's product folds its own row's uplink ciphertexts:
+// reply g starts as one encryption of its slots' packed masks and bias,
+// and slot s folds in Π_k E(a_k)^{b_tk·2^{w·s}} for t = g·S + s.
 //
-// retain (packed only) returns the per-instance dot ciphertexts D_t =
+// retain returns the per-instance dot ciphertexts D_t =
 // g^{v_t}·Π_k E(a_k)^{b_tk}, ciphertexts of a·b_t + v_t, for the derived
 // comparisons that follow (compare.DerivedBob), and builds the replies from
 // them instead — reply g is E(Pack(0…0))·Π_s D_{g·S+s}^{2^{w·s}}, the
@@ -371,8 +366,8 @@ func ReceiverDotRows(conn transport.Conn, key *paillier.PrivateKey, as [][]int64
 // A caller that wants to send a D_t must Randomize it first.
 func SenderDotRows(conn transport.Conn, pub *paillier.PublicKey, bs [][]int64, rowLens []int, vs []*big.Int, pk *encoding.Packer, retain bool, random io.Reader, pool *paillier.Pool) ([]*big.Int, error) {
 	offs, total := rowOffsets(rowLens)
-	if total < 1 || total != len(bs) || len(bs) != len(vs) || (retain && pk == nil) {
-		return nil, fmt.Errorf("mpc: %d vectors and %d masks for rows of %d instances (retain %v, packer %v)", len(bs), len(vs), total, retain, pk != nil)
+	if total < 1 || total != len(bs) || len(bs) != len(vs) {
+		return nil, fmt.Errorf("mpc: %d vectors and %d masks for rows of %d instances", len(bs), len(vs), total)
 	}
 	if random == nil {
 		random = rand.Reader
@@ -416,17 +411,9 @@ func SenderDotRows(conn transport.Conn, pub *paillier.PublicKey, bs [][]int64, r
 			return nil, err
 		}
 	}
-	// Unpacked, every instance is a group of one, its mask encrypted alone.
-	slots, width, groups := 1, uint(1), total
-	if pk != nil {
-		slots, width, groups = pk.Slots(), pk.Width(), pk.Groups(total)
-	}
+	slots, groups := pk.Slots(), pk.Groups(total)
 	plains := make([]*big.Int, groups)
 	for g := range plains {
-		if pk == nil {
-			plains[g] = vs[g]
-			continue
-		}
 		masks := vs[g*slots : g*slots+pk.GroupLen(total, g)]
 		if retain {
 			// The D_t already carry the masks: the groups add the bias only.
@@ -445,7 +432,7 @@ func SenderDotRows(conn transport.Conn, pub *paillier.PublicKey, bs [][]int64, r
 	}
 	replies := make([]*big.Int, groups)
 	if err := paillier.ParallelFor(pool, groups, func(g int) error {
-		acc, err := pub.SlotFold(starts[g], width, terms[g*slots:min(total, (g+1)*slots)])
+		acc, err := pub.SlotFold(starts[g], pk.Width(), terms[g*slots:min(total, (g+1)*slots)])
 		if err != nil {
 			return fmt.Errorf("mpc: dot fold group %d: %w", g, err)
 		}

@@ -211,7 +211,7 @@ func dotRowsFixture(slots int) (as [][]int64, counts []int, bs [][]int64, vs []*
 }
 
 // TestDotManyPackedMatchesUnpacked: the rows form, replies packed across
-// rows and unpacked alike, returns row by row exactly what ReceiverDotMany
+// rows and at S = 1 alike, returns row by row exactly what ReceiverDotMany
 // returns for that row on its own.
 func TestDotManyPackedMatchesUnpacked(t *testing.T) {
 	k := testKey(t)
@@ -239,7 +239,7 @@ func TestDotManyPackedMatchesUnpacked(t *testing.T) {
 		}
 		off += n
 	}
-	for _, packer := range []*encoding.Packer{nil, pk} {
+	for _, packer := range []*encoding.Packer{pk.OneSlot(), pk} {
 		var got []*big.Int
 		if err := transport.Run2(
 			func(c transport.Conn) (err error) {
@@ -254,60 +254,59 @@ func TestDotManyPackedMatchesUnpacked(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("packed %v: %d dot products, want %d", packer != nil, len(got), len(want))
+			t.Fatalf("S=%d: %d dot products, want %d", packer.Slots(), len(got), len(want))
 		}
 		for i := range want {
 			if got[i].Cmp(want[i]) != 0 {
-				t.Fatalf("packed %v: dot[%d] = %v, row by row %v", packer != nil, i, got[i], want[i])
+				t.Fatalf("S=%d: dot[%d] = %v, row by row %v", packer.Slots(), i, got[i], want[i])
 			}
 		}
 	}
 }
 
 // TestDotManyPackedRetainWireCompatible: the retaining sender must be
-// indistinguishable to the receiver from the plain packed one — same
-// reply groups, same decoded dot products — while the retained D_t
-// decrypt to exactly the masked dot products the receiver sees.
+// indistinguishable to the receiver from the plain one — same reply
+// groups, same decoded dot products — while the retained D_t decrypt to
+// exactly the masked dot products the receiver sees; packed and at S = 1.
 func TestDotManyPackedRetainWireCompatible(t *testing.T) {
 	k := testKey(t)
-	pk, err := encoding.NewSumPacker(k.PlaintextBound(), 2*63*63+1024)
+	packed, err := encoding.NewSumPacker(k.PlaintextBound(), 2*63*63+1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	as, counts, bs, vs := dotRowsFixture(pk.Slots())
-	var us [2][]*big.Int
-	var ds [2][]*big.Int
-	for i, retain := range []bool{false, true} {
-		if err := transport.Run2(
-			func(c transport.Conn) (err error) {
-				us[i], err = ReceiverDotRows(c, k, as, counts, pk, rand.Reader, nil)
-				return err
-			},
-			func(c transport.Conn) (err error) {
-				ds[i], err = SenderDotRows(c, &k.PublicKey, bs, counts, vs, pk, retain, rand.Reader, nil)
-				return err
-			},
-		); err != nil {
-			t.Fatal(err)
+	for _, pk := range []*encoding.Packer{packed, packed.OneSlot()} {
+		as, counts, bs, vs := dotRowsFixture(pk.Slots())
+		var us [2][]*big.Int
+		var ds [2][]*big.Int
+		for i, retain := range []bool{false, true} {
+			if err := transport.Run2(
+				func(c transport.Conn) (err error) {
+					us[i], err = ReceiverDotRows(c, k, as, counts, pk, rand.Reader, nil)
+					return err
+				},
+				func(c transport.Conn) (err error) {
+					ds[i], err = SenderDotRows(c, &k.PublicKey, bs, counts, vs, pk, retain, rand.Reader, nil)
+					return err
+				},
+			); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if ds[0] != nil || len(ds[1]) != len(bs) {
-		t.Fatalf("retained %d and %d ciphertexts, want none and %d", len(ds[0]), len(ds[1]), len(bs))
-	}
-	for i := range us[0] {
-		if us[1][i].Cmp(us[0][i]) != 0 {
-			t.Fatalf("dot[%d]: retain-packed %v ≠ packed %v", i, us[1][i], us[0][i])
+		if ds[0] != nil || len(ds[1]) != len(bs) {
+			t.Fatalf("S=%d: retained %d and %d ciphertexts, want none and %d", pk.Slots(), len(ds[0]), len(ds[1]), len(bs))
 		}
-		di, err := k.DecryptSigned(ds[1][i])
-		if err != nil {
-			t.Fatal(err)
+		for i := range us[0] {
+			if us[1][i].Cmp(us[0][i]) != 0 {
+				t.Fatalf("S=%d: dot[%d]: retaining %v ≠ plain %v", pk.Slots(), i, us[1][i], us[0][i])
+			}
+			di, err := k.DecryptSigned(ds[1][i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if di.Cmp(us[0][i]) != 0 {
+				t.Fatalf("S=%d: retained D_%d decrypts to %v, want %v", pk.Slots(), i, di, us[0][i])
+			}
 		}
-		if di.Cmp(us[0][i]) != 0 {
-			t.Fatalf("retained D_%d decrypts to %v, want %v", i, di, us[0][i])
-		}
-	}
-	if _, err := SenderDotRows(nil, &k.PublicKey, bs, counts, vs, nil, true, rand.Reader, nil); err == nil {
-		t.Error("retaining without a packer accepted")
 	}
 }
 
@@ -341,9 +340,10 @@ func TestDotSendersRangeCheckUnderZeroColumn(t *testing.T) {
 		"SenderDotMany": func(c transport.Conn) error {
 			return SenderDotMany(c, pub, bs, vs, rand.Reader, nil)
 		},
-		"SenderDotRows":              rows(nil, false),
-		"SenderDotRows packed":       rows(pk, false),
-		"SenderDotRows packed, kept": rows(pk, true),
+		"SenderDotRows one slot":       rows(pk.OneSlot(), false),
+		"SenderDotRows one slot, kept": rows(pk.OneSlot(), true),
+		"SenderDotRows packed":         rows(pk, false),
+		"SenderDotRows packed, kept":   rows(pk, true),
 	} {
 		// The pipe buffers, so the uplink can be queued before the sender runs.
 		recv, send := transport.Pipe()

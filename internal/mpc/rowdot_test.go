@@ -46,8 +46,9 @@ func runRowDot(t *testing.T, k *paillier.PrivateKey, pk *encoding.Packer, xs []i
 // TestRowDotMatchesPlaintext: every instance decodes to the plaintext dot
 // product of its coordinates with its own row's scalars — over empty rows,
 // one-instance rows, rows of exactly S and S + 1, a row of several
-// replies, zero and negative scalars — on the 256-bit test key, where S is
-// small, and on a 512-bit one.
+// replies, zero and negative scalars, and |dot| at the slot bound — on the
+// 256-bit test key, where S is small, on a 512-bit one, and at S = 1 (the
+// "off" packing: one biased dot product a ciphertext).
 func TestRowDotMatchesPlaintext(t *testing.T) {
 	const cols, maxCoord = 3, 63
 	wide, err := paillier.GenerateKey(rand.Reader, 512)
@@ -55,12 +56,39 @@ func TestRowDotMatchesPlaintext(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := mrand.New(mrand.NewSource(24))
-	for _, k := range []*paillier.PrivateKey{testKey(t), wide} {
-		pk := rowDotPacker(t, k, cols, maxCoord)
+	small := rowDotPacker(t, testKey(t), cols, maxCoord)
+	for _, tc := range []struct {
+		k  *paillier.PrivateKey
+		pk *encoding.Packer
+	}{
+		{testKey(t), small},
+		{wide, rowDotPacker(t, wide, cols, maxCoord)},
+		{testKey(t), small.OneSlot()},
+	} {
+		k, pk := tc.k, tc.pk
 		s := pk.Slots()
 		if k == testKey(t) && s > 16 {
 			t.Fatalf("the test key packs %d slots: not the small-S case", s)
 		}
+		t.Run(fmt.Sprintf("S=%d/|dot|=bound", s), func(t *testing.T) {
+			// Every coordinate at maxCoord against scalars of ±maxCoord:
+			// dot products of exactly +bound and −bound, the slot's extremes.
+			ys := [][]int64{{maxCoord, maxCoord, maxCoord}, {-maxCoord, -maxCoord, -maxCoord}}
+			xs := make([]int64, (s+1)*cols)
+			for i := range xs {
+				xs[i] = maxCoord
+			}
+			bound := int64(cols * maxCoord * maxCoord)
+			for i, dot := range runRowDot(t, k, pk, xs, ys, []int{s, 1}, cols) {
+				want := bound
+				if i == s {
+					want = -bound
+				}
+				if !dot.IsInt64() || dot.Int64() != want {
+					t.Fatalf("instance %d: decoded %v, plaintext %d", i, dot, want)
+				}
+			}
+		})
 		shapes := [][]int{
 			{1},
 			{s},
@@ -178,42 +206,49 @@ func TestLayoutRows(t *testing.T) {
 
 // TestRowDotWireCounts pins the frame sizes the layout promises: the uplink
 // is cols ciphertexts a group, the reply one ciphertext per layout reply —
-// short rows share replies, which is the point of the form.
+// short rows share replies, which is the point of the form — and at S = 1
+// both are one a value: cols ciphertexts up and one down per instance.
 func TestRowDotWireCounts(t *testing.T) {
 	const cols = 2
 	k := testKey(t)
-	pk := rowDotPacker(t, k, cols, 63)
-	s := pk.Slots()
-	rowLens := []int{1, 2, 1, s + 1, 1}
-	lay := LayoutRows(rowLens, s)
-	if want := 3; len(lay.Replies) != want { // 1+2+1 share one; s, then 1+1
-		t.Fatalf("layout of %v at S=%d takes %d replies, want %d", rowLens, s, len(lay.Replies), want)
-	}
+	packed := rowDotPacker(t, k, cols, 63)
+	rowLens := []int{1, 2, 1, packed.Slots() + 1, 1}
 	total := 0
 	for _, n := range rowLens {
 		total += n
 	}
-	ys := make([][]int64, len(rowLens))
-	for r := range ys {
-		ys[r] = []int64{int64(r), 1}
-	}
-	up, down := -1, -1
-	if err := transport.Run2(
-		func(c transport.Conn) error {
-			_, err := ReceiverRowDot(c, k, make([]int64, total*cols), rowLens, cols, pk, rand.Reader, nil)
-			return err
-		},
-		func(c transport.Conn) error {
-			tap := &countTap{Conn: c}
-			err := SenderRowDot(tap, &k.PublicKey, ys, rowLens, cols, pk, rand.Reader, nil)
-			up, down = tap.recv, tap.sent
-			return err
-		},
-	); err != nil {
-		t.Fatal(err)
-	}
-	if up != len(lay.Groups)*cols || down != len(lay.Replies) {
-		t.Errorf("wire carried %d uplink and %d reply ciphertexts, layout says %d and %d", up, down, len(lay.Groups)*cols, len(lay.Replies))
+	for _, pk := range []*encoding.Packer{packed, packed.OneSlot()} {
+		s := pk.Slots()
+		lay := LayoutRows(rowLens, s)
+		want := 3 // 1+2+1 share one; s, then 1+1
+		if s == 1 {
+			want = total
+		}
+		if len(lay.Replies) != want || (s == 1 && len(lay.Groups) != total) {
+			t.Fatalf("layout of %v at S=%d takes %d groups and %d replies, want %d replies", rowLens, s, len(lay.Groups), len(lay.Replies), want)
+		}
+		ys := make([][]int64, len(rowLens))
+		for r := range ys {
+			ys[r] = []int64{int64(r), 1}
+		}
+		up, down := -1, -1
+		if err := transport.Run2(
+			func(c transport.Conn) error {
+				_, err := ReceiverRowDot(c, k, make([]int64, total*cols), rowLens, cols, pk, rand.Reader, nil)
+				return err
+			},
+			func(c transport.Conn) error {
+				tap := &countTap{Conn: c}
+				err := SenderRowDot(tap, &k.PublicKey, ys, rowLens, cols, pk, rand.Reader, nil)
+				up, down = tap.recv, tap.sent
+				return err
+			},
+		); err != nil {
+			t.Fatal(err)
+		}
+		if up != len(lay.Groups)*cols || down != len(lay.Replies) {
+			t.Errorf("S=%d: wire carried %d uplink and %d reply ciphertexts, layout says %d and %d", s, up, down, len(lay.Groups)*cols, len(lay.Replies))
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // driver's own points and cluster ids are local to each party.
 //
 // The mesh is the paper's two-party HDP sub-protocol run on each of the
-// k·(k−1)/2 edges: an edge is a core.Pair — core's v13 handshake with proto
+// k·(k−1)/2 edges: an edge is a core.Pair — core's v14 handshake with proto
 // "mesh" and the lower party index as RoleAlice, core's index exchange and
 // core's settle step (Pair.Settle / Pair.SettleServe: every region
 // sub-query of a pass decided up front, in whole-row chunks) — over one

@@ -18,10 +18,14 @@ import (
 // sweep of per-generation sub-queries, each its own op frame + MP round +
 // comparison round on the edge. Kept verbatim — apart from the names, from
 // the counters it now owns itself (hState's are no longer atomic), from
-// the op frame, which core.Pair.QueryFrame built and HDPCount sent, and
-// from the walk, dbscan.ClusterCore on channel 0 of every edge (labels and
-// the counters do not depend on W) — as the oracle
-// TestMeshSettleMatchesPerQueryDriver runs the same lifecycle through.
+// the op frame, which core.Pair.QueryFrame built and HDPCount sent, from
+// the walk, dbscan.ClusterCore on channel 0 of every edge (labels and the
+// counters do not depend on W), and from the rounds after the op frame:
+// core's masked per-sub-query round left production (handshake v14), and
+// this package cannot reach the Pair state it ran on, so a sub-query runs
+// core's one chunk exchange (HDPCount / HDPServe) as a chunk of one — as
+// the oracle TestMeshSettleMatchesPerQueryDriver runs the same lifecycle
+// through.
 
 // opPerQuery was core.OpQuery, op code 1.
 const opPerQuery uint64 = 1
@@ -124,10 +128,11 @@ func (m *perQueryMesh) queryPeer(sess *pairSession, t, i int) (int, error) {
 			if err := transport.SendMsg(conn, msg); err != nil {
 				return 0, err
 			}
-			var err error
-			if fresh, err = sess.HDPCount(conn, sess.cmpA, x, q.NCand); err != nil {
+			counts, err := sess.HDPCount(conn, sess.cmpA, h.own.Enc, []core.SubQuery{q})
+			if err != nil {
 				return 0, err
 			}
+			fresh = counts[0]
 		}
 		count += fresh
 		peer.Extend(i, g, g+1, fresh)
@@ -158,7 +163,15 @@ func (m *perQueryMesh) serveQuery(sess *pairSession, conn transport.Conn, rng co
 	if err != nil {
 		return err
 	}
-	return sess.HDPServe(conn, rng, sess.cmpB, pts, nDummy)
+	// The sub-query's candidates and padding under one fresh permutation (a
+	// dummy is a nil point): the chunk's only row.
+	cands := make([][]int64, len(pts)+nDummy)
+	for i, pi := range rng.Perm(len(cands)) {
+		if pi < len(pts) {
+			cands[i] = pts[pi]
+		}
+	}
+	return sess.HDPServe(conn, sess.cmpB, [][][]int64{cands})
 }
 
 // countedAlice counts the comparison instances a driver decides on one
