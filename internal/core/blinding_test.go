@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"math/big"
 	"testing"
-	"time"
 
 	"repro/internal/compare"
 	"repro/internal/encoding"
@@ -32,11 +31,6 @@ func nonceOf(key *paillier.PrivateKey, c *big.Int) *big.Int {
 // every D_i has nonce exactly 1 and a reply that took no fresh factor of
 // its own would surface with nonce 1. It opens every reply with the
 // private key: no nonce is 1 and no two are equal.
-//
-// The responder's key carries a paillier.NonceStock, as a Session's peer
-// key does, stocked before the first reply so that every wire ciphertext
-// takes its nonce off the shelf: the same two properties then say that the
-// stock blinds, and that it hands no entry out twice.
 func TestEnhancedWireCiphertextsAreBlinded(t *testing.T) {
 	const (
 		n        = 7
@@ -59,20 +53,6 @@ func TestEnhancedWireCiphertextsAreBlinded(t *testing.T) {
 	dotPk, err := encoding.NewSumPacker(pub.PlaintextBound(), bound+shareV)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Sixteen discarded encryptions order sixteen nonces — more than the
-	// replies below will ask for.
-	const stocked = 16
-	stock := paillier.NewNonceStock(pub, nil)
-	if _, err := pub.EncryptInt64Batch(nil, rand.Reader, make([]int64, stocked)); err != nil {
-		t.Fatal(err)
-	}
-	stock.StartFiller()
-	defer stock.StopFiller()
-	for deadline := time.Now().Add(30 * time.Second); stock.Stats(false).Produced < stocked; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("the filler produced %d of %d ordered nonces", stock.Stats(false).Produced, stocked)
-		}
 	}
 	edge := compare.Edge{Kind: compare.EngineMasked, MaskBits: maskBits, Packed: true, Uplink: true, Key: key, Pub: pub}
 	shareA, shareB, err := edge.Engines(2 * (bound + shareV))
@@ -228,8 +208,5 @@ func TestEnhancedWireCiphertextsAreBlinded(t *testing.T) {
 			t.Errorf("wire ciphertexts %d and %d share a nonce", j, i)
 		}
 		seen[r.String()] = i
-	}
-	if st := stock.Stats(false); int(st.Hits) != len(wire) || st.Misses != stocked {
-		t.Errorf("stock %+v: want all %d wire ciphertexts served off the shelf and only the %d ordering encryptions missed", st, len(wire), stocked)
 	}
 }

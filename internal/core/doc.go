@@ -63,9 +63,7 @@
 //	│                       shape), RowGens (shared rows); the   │
 //	│                       cross-run comparison cache makes     │
 //	│                       re-clustering O(Δ·candidates); setup │
-//	│                       vs per-run Ledger split; a nonce     │
-//	│                       stock for the peer's key, filled     │
-//	│                       only while a Run is in progress      │
+//	│                       vs per-run Ledger split              │
 //	├────────────────────────────────────────────────────────────┤
 //	│ core.Pair             one edge's keys, agreed parameters   │
 //	│ (pair.go, params.go,  (core.Params, handshake v14), worker │
@@ -83,16 +81,13 @@
 //	│                       The key owner decrypts AND encrypts  │
 //	│                       by CRT (same nonce distribution, a   │
 //	│                       quarter of the work); a peer pays    │
-//	│                       r^n — once per ciphertext it SENDS:  │
-//	│                       one that stays in the process is     │
-//	│                       paillier.Unblinded (nonce 1), and a  │
-//	│                       Session raises it ahead of need,     │
-//	│                       while a frame is in flight           │
-//	│                       (paillier.NonceStock: bounded by     │
-//	│                       consumption, same nonce per wire     │
-//	│                       ciphertext). Every packed reply and  │
-//	│                       dot product is folded by one kernel, │
-//	│                       SlotFold. YMPP's Da runs its two CRT │
+//	│                       r^n — once per ciphertext it SENDS,  │
+//	│                       raised at the encryption: one that   │
+//	│                       stays in the process is              │
+//	│                       paillier.Unblinded (nonce 1). Every  │
+//	│                       packed reply and dot product is      │
+//	│                       folded by one kernel, SlotFold.      │
+//	│                       YMPP's Da runs its two CRT           │
 //	│                       exponentiations on yao's own         │
 //	│                       four-limb Montgomery kernel whenever │
 //	│                       the RSA primes fit 256 bits (every   │
@@ -192,23 +187,8 @@
 // one worker, run inline on the session's bare connection; W > 1
 // multiplexes W channels over it. The win is round-trip overlap — the
 // bench `wan` workload measures it over a delayed pipe as
-// core.sched_overlap_x. What overlap leaves idle, the session's nonce
-// stock uses: every reply a party sends is encrypted under the peer's key
-// and owes one r^n that does not depend on the data, so for the length of
-// each Run (started after ResetRun, stopped and joined on every way out,
-// before the Guard releases) one low-priority goroutine restocks a short
-// shelf of ready nonces for Pair.peerPai (paillier.NonceStock), one per
-// nonce the run has asked for and never more than its capacity, and the
-// encryptions in compare and mpc find them there — no call site names the
-// stock. Nothing runs during establishment, between operations or on an
-// idle registered session; leftovers stay for the session's next Run; the
-// filler holds a slot of the session's paillier.Pool for each
-// exponentiation; a session with Config.Random set has no stock; and
-// Session.NonceStats reports hits, misses, produced and discarded — counts
-// of ciphertexts CiphertextsDownlink already reports. Labels, Ledgers,
-// counters, frames and (to a byte in 256 per ciphertext) bytes do not
-// depend on it (TestNonceStockChangesTimeOnly). The multiparty ring and
-// mesh do not run one: measured on `mesh`, it cost 3.5 %. Responder workers draw
+// core.sched_overlap_x. Each reply's r^n under the peer's key is raised at
+// its encryption. Responder workers draw
 // their permutations per channel, so with Selection=quickselect OrderBits
 // can shift with W (labels and CoreBits are unaffected); the scan default
 // is permutation-invariant.

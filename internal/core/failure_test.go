@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/compare"
+	"repro/internal/dataset"
 	"repro/internal/partition"
 	"repro/internal/testutil"
 	"repro/internal/transport"
@@ -355,9 +356,97 @@ func verticalDropPoints(t *testing.T, w, run int) []int {
 	return []int{0, run / 2, run - 1}
 }
 
-func stockFamily(t *testing.T, name string) sessionFamily {
+// latencyFamilies binds the four two-party families to data on which every
+// one of them puts ciphertexts under the peer's key on the wire (the blob
+// sample, except that the enhanced family asks nothing remote on it and
+// takes the grid fixture). The vertical family takes a larger sample of
+// the same blobs: its Run is more than W = 4 chunks of the lockstep
+// schedule (cleanRunFrames' callers assert it), so every worker channel
+// runs a second chunk after its first — a Run has a middle to vanish in.
+func latencyFamilies(t *testing.T) []sessionFamily {
 	t.Helper()
-	for _, fam := range stockFamilies(t) {
+	blobs, _ := dataset.Quantize(dataset.Blobs(24, 2, 0.4, 7), 8)
+	hsplit, err := partition.HorizontalRandom(blobs.Points, 0.5, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, _ := dataset.Quantize(dataset.Blobs(80, 2, 0.4, 7), 8)
+	vsplit, err := partition.Vertical(wide.Points, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asplit, err := partition.ArbitraryRandom(blobs.Points, 0.5, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []sessionFamily{
+		{"horizontal",
+			func(c transport.Conn, cfg Config) (*Session, error) {
+				return NewHorizontalSession(c, cfg, RoleAlice, hsplit.Alice)
+			},
+			func(c transport.Conn, cfg Config) (*Session, error) {
+				return NewHorizontalSession(c, cfg, RoleBob, hsplit.Bob)
+			}},
+		{"enhanced",
+			func(c transport.Conn, cfg Config) (*Session, error) {
+				return NewEnhancedHorizontalSession(c, cfg, RoleAlice, testAlicePts)
+			},
+			func(c transport.Conn, cfg Config) (*Session, error) {
+				return NewEnhancedHorizontalSession(c, cfg, RoleBob, testBobPts)
+			}},
+		{"vertical",
+			func(c transport.Conn, cfg Config) (*Session, error) {
+				return NewVerticalSession(c, cfg, RoleAlice, vsplit.Alice)
+			},
+			func(c transport.Conn, cfg Config) (*Session, error) {
+				return NewVerticalSession(c, cfg, RoleBob, vsplit.Bob)
+			}},
+		{"arbitrary",
+			func(c transport.Conn, cfg Config) (*Session, error) {
+				return NewArbitrarySession(c, cfg, RoleAlice, asplit.Alice, asplit.Owners)
+			},
+			func(c transport.Conn, cfg Config) (*Session, error) {
+				return NewArbitrarySession(c, cfg, RoleBob, asplit.Bob, asplit.Owners)
+			}},
+	}
+}
+
+// runOverLatency establishes fam over a 1 ms LatencyPipe, runs it once,
+// closes it and returns both parties' sessions.
+func runOverLatency(t *testing.T, fam sessionFamily, cfg Config) (a, b *Session) {
+	t.Helper()
+	ca, cb := transport.LatencyPipe(time.Millisecond)
+	err := transport.RunPair(ca, cb,
+		func(c transport.Conn) (err error) {
+			if a, err = fam.newA(c, cfg); err != nil {
+				return err
+			}
+			if _, err = a.Run(); err != nil {
+				return err
+			}
+			return a.Close()
+		},
+		func(c transport.Conn) (err error) {
+			if b, err = fam.newB(c, cfg); err != nil {
+				return err
+			}
+			if _, err = b.Run(); err != nil {
+				return err
+			}
+			if _, err = b.Run(); !errors.Is(err, ErrSessionClosed) {
+				return fmt.Errorf("serving side after the close op: %v", err)
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, b
+}
+
+func latencyFamily(t *testing.T, name string) sessionFamily {
+	t.Helper()
+	for _, fam := range latencyFamilies(t) {
 		if fam.name == name {
 			return fam
 		}
@@ -367,7 +456,7 @@ func stockFamily(t *testing.T, name string) sessionFamily {
 }
 
 func TestVerticalPeerDisappears(t *testing.T) {
-	fam := stockFamily(t, "vertical")
+	fam := latencyFamily(t, "vertical")
 	for _, w := range []int{1, 4} {
 		est, run := cleanRunFrames(t, fam, parallelCfg(compare.EngineMasked, w, PruneGrid))
 		for _, inRun := range verticalDropPoints(t, w, len(run)) {
@@ -482,12 +571,11 @@ func (v *vanishingConn) Recv() ([]byte, error) {
 }
 
 // TestSessionPeerVanishesMidRun: the initiating party's connection dies
-// inside a Run over a delayed link — the state in which the nonce filler is
-// at work beside the protocol. Both parties get the typed error in bounded
-// time, every goroutine the sessions started (mux readers, workers, nonce
-// fillers) is gone, and the sessions are closed for good.
+// inside a Run over a delayed link. Both parties get the typed error in
+// bounded time, every goroutine the sessions started (mux readers,
+// workers) is gone, and the sessions are closed for good.
 func TestSessionPeerVanishesMidRun(t *testing.T) {
-	for _, fam := range []sessionFamily{wideHorizontal(), stockFamily(t, "vertical"), wideEnhanced()} {
+	for _, fam := range []sessionFamily{wideHorizontal(), latencyFamily(t, "vertical"), wideEnhanced()} {
 		for _, w := range []int{1, 4} {
 			cfg := parallelCfg(compare.EngineMasked, w, PruneGrid)
 			// A Run is a handful of chunks, not a frame per query or per
@@ -547,9 +635,6 @@ func TestSessionPeerVanishesMidRun(t *testing.T) {
 					}
 					if _, err := sess.Run(); !errors.Is(err, ErrSessionClosed) {
 						t.Errorf("%s: party %d: Run on the failed session = %v, want ErrSessionClosed", label, p, err)
-					}
-					if st := sess.NonceStats(); st.Produced != st.Hits+st.Discarded {
-						t.Errorf("%s: party %d: stock %+v does not balance after the failure", label, p, st)
 					}
 				}
 				testutil.CheckNoLeak(t, before, label+" after the refused Run")

@@ -198,14 +198,14 @@ func TestDriversMatchPlaintextOracles(t *testing.T) {
 // so the bound that stops a flooding peer (transport.ErrMuxBacklog) is
 // nowhere near an honest one.
 func TestMuxBacklogOfHonestRuns(t *testing.T) {
-	for _, fam := range stockFamilies(t) {
+	for _, fam := range latencyFamilies(t) {
 		if fam.name != "horizontal" && fam.name != "enhanced" && fam.name != "vertical" {
 			continue
 		}
 		a, b := runOverLatency(t, fam, parallelCfg(compare.EngineMasked, 4, PruneGrid))
 		deepest, most := 0, 0
-		for _, side := range []stockSide{a, b} {
-			for _, c := range side.sess.s.Conns {
+		for _, sess := range []*Session{a, b} {
+			for _, c := range sess.s.Conns {
 				frames, bytes := c.(interface{ BacklogHighWater() (int, int) }).BacklogHighWater()
 				deepest, most = max(deepest, frames), max(most, bytes)
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/paillier"
 	"repro/internal/partition"
 	"repro/internal/spatial"
 	"repro/internal/transport"
@@ -169,14 +168,6 @@ type Session struct {
 	// duration of each protocol run.
 	idleCtl idleController
 
-	// stock shelves ready nonces for the peer's key (s.peerPai), the one
-	// every reply this party puts on the wire is encrypted under; nil when
-	// Config.Random is set. Its filler runs for the length of a Run — the
-	// only time the session both computes and waits for the wire — so the
-	// peer's r^n is raised while a frame is in flight instead of between
-	// an uplink and its reply. Leftovers stay for the next Run.
-	stock *paillier.NonceStock
-
 	// guard serializes Run/Append/Expire/Retract/Close (ErrConcurrentRun)
 	// and latches once the session ended (ErrSessionClosed); runs counts
 	// completed Run calls and ops the absorbed lifecycle ops by op code.
@@ -187,15 +178,10 @@ type Session struct {
 
 // newSession wraps an established Pair as a Session; the establishment
 // disclosures recorded so far become its setup ledger. The family wires
-// the hooks. The peer's key gets a nonce stock (see Session.stock) unless
-// the caller supplied the randomness: Config.Random is not assumed
-// goroutine-safe, and tests rely on the order it is read in.
+// the hooks.
 func newSession(conn transport.Conn, s *Pair, proto string) *Session {
 	t := &Session{s: s, proto: proto, setup: s.takeLedger()}
 	t.idleCtl, _ = conn.(idleController)
-	if s.cfg.Random == nil {
-		t.stock = paillier.NewNonceStock(s.peerPai, s.pool)
-	}
 	return t
 }
 
@@ -532,10 +518,6 @@ func (t *Session) run() (*Result, error) {
 	// Per-run accounting starts clean; the setup ledger was moved aside at
 	// construction.
 	t.s.ResetRun()
-	// The filler is joined on every way out of the run, before the guard
-	// releases: an idle, failed or closed session owns no goroutine.
-	t.stock.StartFiller()
-	defer t.stock.StopFiller()
 	res, err := t.runOnce()
 	if err != nil {
 		return nil, err
@@ -616,16 +598,6 @@ func (t *Session) Close() error {
 // per-run Leakage ledgers. Read it between operations, not concurrently
 // with a Run or Append in flight.
 func (t *Session) SetupLeakage() Ledger { return t.setup }
-
-// NonceStats reports the session's nonce stock: how many of the peer-key
-// nonces its Runs asked for were ready (Hits) or raised on the spot
-// (Misses), how many the filler Produced, and — once the session has
-// ended — how many of those were never used (Discarded). Counts only: one
-// nonce per ciphertext the Ledger and the ciphertext counters already
-// account for. All zero for a session with Config.Random set.
-func (t *Session) NonceStats() paillier.NonceStats {
-	return t.stock.Stats(t.guard.closed.Load())
-}
 
 // Runs reports how many completed Run calls this session has served.
 func (t *Session) Runs() int { return int(t.runs.Load()) }

@@ -55,31 +55,6 @@
 // The condition a caller of Unblinded has to keep is the one stated above
 // — the value and everything computed from it alone stay off the wire —
 // and CI's grep gate confines the call to the two sites that keep it.
-//
-// And when it may be raised. The nonce owed to a wire ciphertext is a
-// function of the key and of fresh randomness, not of the plaintext, so it
-// can be raised before the plaintext exists. A NonceStock (stock.go) does
-// that for a peer's key: one goroutine draws r from crypto/rand and shelves
-// y = r^n, and Encrypt / EncryptBatch on that key take a shelved y where
-// they would have drawn and raised their own — g^m·y for one
-// multiplication. Every entry is drawn from the same source by the same
-// drawUnit/raiseNonce the unstocked path runs, independently of all data
-// and of every other entry, and leaves the shelf exactly once; each wire
-// ciphertext therefore still carries one fresh uniform nonce used once, and
-// the (plaintext, nonce) pair of every ciphertext on the wire, and the
-// joint distribution of all of them, is what it was. Only the moment of
-// the exponentiation moves: out of the gap between an uplink and its
-// reply, into the time the frame before it was in flight. Production is
-// bounded by consumption — the filler raises one nonce per nonce asked
-// for, up to a fixed capacity, and then sleeps — because a ready nonce
-// nobody takes is an exponentiation thrown away: a stock that worked ahead
-// would charge every short session a shelf of them, this one charges at
-// most the last round's worth. A caller that supplies its own randomness
-// (core's Config.Random) gets no stock: that reader is not assumed
-// goroutine-safe, a stocked nonce would not come from it, and tests rely on
-// the order in which it is read. The key owner's CRT nonces are not
-// stocked either; that was measured and costs short sessions more than it
-// saves long ones (ROADMAP, crypto item).
 package paillier
 
 import (
@@ -98,11 +73,6 @@ type PublicKey struct {
 	NSquared *big.Int // n², cached
 
 	halfN *big.Int // n/2, cached for signed decoding
-
-	// stock, when a NonceStock was built for this key, is where drawNonce
-	// looks for a ready nonce first. Set once by NewNonceStock, before the
-	// key is shared between goroutines.
-	stock *NonceStock
 }
 
 // PrivateKey holds the decryption key and CRT acceleration values.
@@ -240,9 +210,7 @@ func (pk *PublicKey) DecodeSigned(m *big.Int) *big.Int {
 }
 
 // nonceSeed is what one nonce draws from the random source: r ∈ Z*_n for
-// a public key, (x_p, x_q) ∈ Z*_p × Z*_q for the key owner — or, for a
-// public key with a NonceStock, (nil, y): a nonce taken ready off the
-// shelf, which raiseNonce passes through.
+// a public key, (x_p, x_q) ∈ Z*_p × Z*_q for the key owner.
 type nonceSeed [2]*big.Int
 
 // A noncer produces the uniform n-th residue that blinds a ciphertext, in
@@ -253,17 +221,8 @@ type noncer interface {
 	raiseNonce(seed nonceSeed) *big.Int
 }
 
-// drawNonce takes a ready nonce off the key's stock when it has one and
-// samples r ∈ Z*_n otherwise (always, for a key without a stock).
+// drawNonce samples r ∈ Z*_n.
 func (pk *PublicKey) drawNonce(random io.Reader) (nonceSeed, error) {
-	if y := pk.stock.take(); y != nil {
-		return nonceSeed{nil, y}, nil
-	}
-	return pk.drawUnit(random)
-}
-
-// drawUnit samples r ∈ Z*_n.
-func (pk *PublicKey) drawUnit(random io.Reader) (nonceSeed, error) {
 	for {
 		r, err := randomNonzero(random, pk.N)
 		if err != nil {
@@ -275,11 +234,8 @@ func (pk *PublicKey) drawUnit(random io.Reader) (nonceSeed, error) {
 	}
 }
 
-// raiseNonce is the peer's r^n mod n², or the stocked nonce as it is.
+// raiseNonce is the peer's r^n mod n².
 func (pk *PublicKey) raiseNonce(seed nonceSeed) *big.Int {
-	if seed[0] == nil {
-		return seed[1]
-	}
 	return new(big.Int).Exp(seed[0], pk.N, pk.NSquared)
 }
 

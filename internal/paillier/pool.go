@@ -19,10 +19,11 @@ import (
 // solo-session default: each batch fans out over min(GOMAXPROCS, n)
 // workers of its own, right for a session that owns the whole process.
 //
-// Deadlock freedom: the calling goroutine always participates in its
-// own batch, and helper slots are acquired without blocking — a
-// saturated pool degrades a batch to sequential execution on the
-// caller, it never waits on slots held by other sessions.
+// Deadlock freedom: ParallelFor is the only taker of slots, the calling
+// goroutine always participates in its own batch, and helper slots are
+// acquired without blocking — a saturated pool degrades a batch to
+// sequential execution on the caller, it never waits on slots held by
+// other sessions.
 type Pool struct {
 	sem chan struct{}
 }
@@ -42,33 +43,6 @@ func (p *Pool) Workers() int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return cap(p.sem)
-}
-
-// hold takes one helper slot for a background goroutine of the caller's
-// own, waiting until a slot is free, and reports false — no slot taken —
-// if stop closed first. A nil pool has no bound to count against, so only
-// stop is looked at. Every true is paired with one release.
-func (p *Pool) hold(stop <-chan struct{}) bool {
-	select {
-	case <-stop:
-		return false
-	default:
-	}
-	if p == nil {
-		return true
-	}
-	select {
-	case <-stop:
-		return false
-	case p.sem <- struct{}{}:
-		return true
-	}
-}
-
-func (p *Pool) release() {
-	if p != nil {
-		<-p.sem
-	}
 }
 
 // ParallelFor runs fn(0..n-1) across the caller plus as many pool

@@ -9,9 +9,8 @@ import (
 )
 
 // CheckNoLeak fails if more goroutines are alive than before the case
-// started. Mux readers, responder workers and nonce fillers unwind once
-// their edge is closed or their run returns; give the scheduler a moment
-// to retire them.
+// started. Mux readers and responder workers unwind once their edge is
+// closed or their run returns; give the scheduler a moment to retire them.
 func CheckNoLeak(t testing.TB, before int, label string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
