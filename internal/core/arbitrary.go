@@ -3,10 +3,8 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"math/big"
 
 	"repro/internal/compare"
-	"repro/internal/encoding"
 	"repro/internal/mpc"
 	"repro/internal/partition"
 	"repro/internal/spatial"
@@ -23,17 +21,24 @@ import (
 // distance per attribute (§4.4, Figure 4): cells owned by one party on
 // both records contribute locally (the vertical part); split cells
 // contribute a² to the a-owner, b² to the b-owner, and the −2ab cross term
-// through the HDP-style Multiplication Protocol with zero-sum masks (the
-// horizontal part, received by Bob). One secure comparison then decides
-// Alice_sum + Bob_sum ≤ Eps².
+// through the horizontal part, which the paper has Bob receive by HDP's
+// Multiplication Protocol with zero-sum masks. One secure comparison then
+// decides Alice_sum + Bob_sum ≤ Eps².
 //
-// Under the default batched round structure (Config.Batching) the
-// lockstep driver hands batchLE a chunk of the pair matrix — whole rows,
-// up to 256 undecided pairs (LockstepCluster): the mixed-cell cross terms
-// of every pair share one Multiplication Protocol exchange and the
-// threshold decisions share one BatchLess — a constant number of
-// adp.mp/adp.cmp frames per chunk instead of one exchange per pair, with
-// identical per-pair algebra and Ledger entries.
+// Bob keeps only the sum of a pair's masked cross products, and the
+// zero-sum masks cancel in it: what he keeps is the exact cross dot
+// product Σ a·b, so that is what this protocol hands him. The lockstep
+// driver hands batchLE a chunk of the pair matrix — whole rows, up to 256
+// undecided pairs (LockstepCluster). Bob uplinks one ciphertext per mixed
+// value of the chunk; Alice folds each pair's mixed terms into one slot of
+// a reply that starts as one bias encryption (mpc.SenderScatterDot: S
+// slots a reply under the pair's dot-product packer, one under "off"), and
+// Bob decrypts each pair's dot product and nothing else. hdp.go argues why
+// that view is the paper's masked round's, for the same exchange in HDP;
+// the Ledger's DotProducts entry per mixed pair records it. The
+// comparisons follow as in the vertical family (Pair.decidePairs): a chunk
+// is 2 adp.mp frames plus its comparison frames at every packing, with one
+// comparison at a time under sequential batching.
 func ArbitraryAlice(conn transport.Conn, cfg Config, values [][]float64, owners [][]partition.Owner) (*Result, error) {
 	return runOneShot(NewArbitrarySession(conn, cfg, RoleAlice, values, owners))
 }
@@ -47,42 +52,49 @@ func ArbitraryBob(conn transport.Conn, cfg Config, values [][]float64, owners []
 // keys, ownership verification, and (under grid pruning) the cell-matrix
 // exchange happen once; each Run executes one lockstep clustering.
 func NewArbitrarySession(conn transport.Conn, cfg Config, role Role, values [][]float64, owners [][]partition.Owner) (*Session, error) {
+	t, _, err := newArbitrarySession(conn, cfg, role, values, owners)
+	return t, err
+}
+
+// newArbitrarySession is NewArbitrarySession that also returns the
+// family's session state, which the per-pair test oracle runs on.
+func newArbitrarySession(conn transport.Conn, cfg Config, role Role, values [][]float64, owners [][]partition.Owner) (*Session, *aStream, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(values) == 0 {
-		return nil, fmt.Errorf("core: arbitrary protocol requires at least one record")
+		return nil, nil, fmt.Errorf("core: arbitrary protocol requires at least one record")
 	}
 	if len(owners) != len(values) {
-		return nil, fmt.Errorf("core: %d records but %d ownership rows", len(values), len(owners))
+		return nil, nil, fmt.Errorf("core: %d records but %d ownership rows", len(values), len(owners))
 	}
 	m := len(values[0])
 	for i := range values {
 		if len(values[i]) != m || len(owners[i]) != m {
-			return nil, fmt.Errorf("core: record %d has inconsistent width", i)
+			return nil, nil, fmt.Errorf("core: record %d has inconsistent width", i)
 		}
 	}
 	enc, err := cfg.encodeOwnedCells(values, owners, role)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s, peer, err := establish(conn, cfg, role, "arbitrary", m, len(values))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if peer.Dim != m || peer.Count != len(values) {
-		return nil, fmt.Errorf("%w: shape %dx%d vs %dx%d", ErrHandshake, len(values), m, peer.Count, peer.Dim)
+		return nil, nil, fmt.Errorf("%w: shape %dx%d vs %dx%d", ErrHandshake, len(values), m, peer.Count, peer.Dim)
 	}
 	if err := s.setDimension(m); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if err := s.productPackers(); err != nil {
-		return nil, fmt.Errorf("core: product packer: %w", err)
+	if err := s.rowDotPackers(); err != nil {
+		return nil, nil, fmt.Errorf("core: dot-product packer: %w", err)
 	}
 	conns := s.Conns
 	if err := verifyOwnership(conns[0], owners); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	a := &adpState{s: s, role: role, enc: enc, owners: owners}
 	// Grid pruning: every attribute cell coordinate is disclosed by the
@@ -98,10 +110,10 @@ func NewArbitrarySession(conn transport.Conn, cfg Config, role Role, values [][]
 		own := aOwnCoords(s, enc, owners)
 		r, err := s.SwapMsg(conns[0], "adp.idx", transport.NewBuilder().PutInts(own))
 		if err != nil {
-			return nil, fmt.Errorf("core: adp index exchange: %w", err)
+			return nil, nil, fmt.Errorf("core: adp index exchange: %w", err)
 		}
 		if cellRows, err = aCellRows(s, r, owners, own); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	as := &aStream{RowGens: NewRowGens(len(values), cellRows), a: a}
@@ -120,7 +132,7 @@ func NewArbitrarySession(conn transport.Conn, cfg Config, role Role, values [][]
 	t.rowRetract(as.RowGens, func(ids []int) {
 		a.enc, a.owners = CompactRows(a.enc, ids), CompactRows(a.owners, ids)
 	})
-	return t, nil
+	return t, as, nil
 }
 
 // aStream is the arbitrary family's mutable session state: the shared-row
@@ -324,51 +336,29 @@ func finishAAppend(t *Session, as *aStream, batch [][]int64, owners [][]partitio
 // session state, seeded with the cross-run pair cache. A cached pair
 // records the same decision-level budget the oracle would have: one
 // PairDecisions entry, plus the Bob-side DotProducts entry when the pair
-// has mixed cells (whose cross terms an earlier run's Multiplication
-// Protocol already paid for).
+// has mixed cells (whose cross dot product an earlier run's exchange
+// already disclosed).
 func arbitraryRunOnce(t *Session, as *aStream) (*Result, error) {
 	s := t.s
-	role := s.role
 	a := as.a
 	engA, engB, err := s.DistEngines()
 	if err != nil {
 		return nil, err
 	}
-	n := len(a.enc)
 	onPruned := func(pr [2]int) {
 		s.led(func(l *Ledger) {
 			l.PairDecisions++
-			if role == RoleBob && a.hasMixed(pr[0], pr[1]) {
+			if s.role == RoleBob && a.hasMixed(pr[0], pr[1]) {
 				l.DotProducts++
 			}
 		})
 	}
 	onCached := func(pr [2]int, in bool) {
-		s.led(func(l *Ledger) {
-			l.PairDecisions++
-			if role == RoleBob && a.hasMixed(pr[0], pr[1]) {
-				l.DotProducts++
-			}
-		})
+		onPruned(pr)
 		s.cmpCached.Add(1)
 	}
-	batchOn := func(ch int, pairs [][2]int) ([]bool, error) { return a.batchLE(t.s.Conns[ch], pairs, engA, engB) }
-	if !s.batched() {
-		batchOn = PerPairOracle(func(i, j int) (bool, error) {
-			conn := t.s.Conns[0]
-			ownSum, err := a.localAndCrossSum(conn, i, j)
-			if err != nil {
-				return false, err
-			}
-			setTag(conn, "adp.cmp")
-			s.led(func(l *Ledger) { l.PairDecisions++ })
-			if role == RoleAlice {
-				return engA.Less(conn, ownSum)
-			}
-			return engB.Less(conn, s.responderOperand(engB.Bound(), ownSum))
-		})
-	}
-	labels, clusters, err := LockstepCluster(n, s.cfg.MinPts, s.cfg.Parallel, s.lockstepFrameBytes(engA, engB),
+	batchOn := func(ch int, pairs [][2]int) ([]bool, error) { return a.batchLE(s.Conns[ch], pairs, engA, engB) }
+	labels, clusters, err := LockstepCluster(len(a.enc), s.cfg.MinPts, s.cfg.Parallel, s.lockstepFrameBytes(engA, engB),
 		as.Cache, onCached, PrunedLocalDecider(as.CellRows, onPruned), batchOn)
 	if err != nil {
 		return nil, err
@@ -483,181 +473,51 @@ func (a *adpState) hasMixed(i, j int) bool {
 	return false
 }
 
-// localAndCrossSum computes this party's additive share of dist²(d_i, d_j):
-// locally-owned attribute terms plus this party's side of the mixed-cell
-// cross terms, running one Multiplication Protocol exchange per pair.
-func (a *adpState) localAndCrossSum(conn transport.Conn, i, j int) (int64, error) {
-	local, mixedVals := a.pairTerms(i, j)
-	if len(mixedVals) == 0 {
-		return local, nil
-	}
-
-	// Cross terms −2ab, Bob receiving (the §4.4 convention: "use Protocol
-	// HDP to let Bob get" the horizontal part).
-	setTag(conn, "adp.mp")
-	if a.role == RoleAlice {
-		masks, err := mpc.ZeroSumMasks(a.s.random, len(mixedVals), a.s.zeroSumBound())
-		if err != nil {
-			return 0, err
-		}
-		if err := mpc.SenderBatchMultiply(conn, a.s.peerPai, mixedVals, masks, a.s.random, a.s.pool); err != nil {
-			return 0, fmt.Errorf("core: adp multiplication: %w", err)
-		}
-		// Zero-sum masks cancel: Alice's share needs no correction.
-		return local, nil
-	}
-	us, err := mpc.ReceiverBatchMultiply(conn, a.s.paiKey, mixedVals, a.s.random, a.s.pool)
-	if err != nil {
-		return 0, fmt.Errorf("core: adp multiplication: %w", err)
-	}
-	cross, err := sumInt64(us)
-	if err != nil {
-		return 0, err
-	}
-	a.s.led(func(l *Ledger) { l.DotProducts++ })
-	return local - 2*cross, nil
-}
-
 // batchLE decides every pair of one lockstep chunk in a constant number of
-// round trips: the mixed-cell cross terms of all pairs ride one
-// Multiplication Protocol exchange (zero-sum masks stay per-pair, so each
-// pair's share algebra is exactly the sequential protocol's), then one
-// BatchLess settles all the threshold comparisons.
+// round trips: the mixed-cell cross terms of all pairs ride one dot
+// exchange — Bob's uplink one ciphertext per mixed value, Alice's reply one
+// slot per pair with mixed cells — then Pair.decidePairs settles the
+// threshold comparisons. Each pair's share algebra is the paper's: Bob's
+// share is his local sum minus twice the cross dot product, which is all
+// the masked products' sum ever gave him.
 func (a *adpState) batchLE(conn transport.Conn, pairs [][2]int, engA compare.Alice, engB compare.Bob) ([]bool, error) {
 	s := a.s
-	ownSums := make([]int64, len(pairs))
-	mixedPerPair := make([][]int64, len(pairs))
+	shares := make([]int64, len(pairs))
+	var mixed [][]int64
+	var mixedAt []int // mixedAt[u] is the chunk index of mixed[u]'s pair
 	totalMixed := 0
 	for t, pr := range pairs {
 		local, mixedVals := a.pairTerms(pr[0], pr[1])
-		ownSums[t] = local
-		mixedPerPair[t] = mixedVals
-		totalMixed += len(mixedVals)
-	}
-
-	if totalMixed > 0 {
-		setTag(conn, "adp.mp")
-		if a.role == RoleAlice {
-			ys := make([]int64, 0, totalMixed)
-			vs := make([]*big.Int, 0, totalMixed)
-			mb := s.zeroSumBound()
-			for _, mixedVals := range mixedPerPair {
-				if len(mixedVals) == 0 {
-					continue
-				}
-				masks, err := mpc.ZeroSumMasks(s.random, len(mixedVals), mb)
-				if err != nil {
-					return nil, err
-				}
-				ys = append(ys, mixedVals...)
-				vs = append(vs, masks...)
-			}
-			if pk := s.mpPeer; pk != nil {
-				// Scatter shape: the per-element scalars differ, so only
-				// the reply direction packs.
-				if err := mpc.SenderScatterMultiply(conn, s.peerPai, ys, vs, pk, s.random, s.pool); err != nil {
-					return nil, fmt.Errorf("core: adp packed multiplication: %w", err)
-				}
-				// Masked products answering the peer's scattered operands:
-				// response leg.
-				s.ctsDown.Add(int64(pk.Groups(totalMixed)))
-			} else {
-				if err := mpc.SenderBatchMultiply(conn, s.peerPai, ys, vs, s.random, s.pool); err != nil {
-					return nil, fmt.Errorf("core: adp batch multiplication: %w", err)
-				}
-				s.ctsDown.Add(int64(totalMixed))
-			}
-		} else {
-			xs := make([]int64, 0, totalMixed)
-			for _, mixedVals := range mixedPerPair {
-				xs = append(xs, mixedVals...)
-			}
-			var us []*big.Int
-			var err error
-			if pk := s.mpOwn; pk != nil {
-				us, err = mpc.ReceiverScatterMultiply(conn, s.paiKey, xs, pk, s.random, s.pool)
-				if err != nil {
-					return nil, fmt.Errorf("core: adp packed multiplication: %w", err)
-				}
-			} else {
-				us, err = mpc.ReceiverBatchMultiply(conn, s.paiKey, xs, s.random, s.pool)
-				if err != nil {
-					return nil, fmt.Errorf("core: adp batch multiplication: %w", err)
-				}
-			}
-			// The receiver's uplink is one ciphertext per mixed value in
-			// every mode — its operands open the sub-protocol: request leg.
-			s.ctsUp.Add(int64(totalMixed))
-			off := 0
-			for t, mixedVals := range mixedPerPair {
-				if len(mixedVals) == 0 {
-					continue
-				}
-				cross, err := sumInt64(us[off : off+len(mixedVals)])
-				if err != nil {
-					return nil, err
-				}
-				off += len(mixedVals)
-				ownSums[t] -= 2 * cross
-				s.led(func(l *Ledger) { l.DotProducts++ })
-			}
+		shares[t] = local
+		if len(mixedVals) > 0 {
+			mixed, mixedAt = append(mixed, mixedVals), append(mixedAt, t)
+			totalMixed += len(mixedVals)
 		}
 	}
 
-	setTag(conn, "adp.cmp")
-	s.led(func(l *Ledger) { l.PairDecisions += len(pairs) })
-	if a.role == RoleAlice {
-		// A chunk holds whole rows; the grouped uplink dedups within one.
-		return engA.BatchLessRows(conn, ownSums, PairRows(pairs))
+	if len(mixed) > 0 {
+		setTag(conn, "adp.mp")
+		if a.role == RoleAlice {
+			if err := mpc.SenderScatterDot(conn, s.peerPai, mixed, s.rdPeer, s.random, s.pool); err != nil {
+				return nil, fmt.Errorf("core: adp dot exchange: %w", err)
+			}
+			// The folded dot products answer the peer's encrypted operands:
+			// response leg.
+			s.ctsDown.Add(int64(s.rdPeer.Groups(len(mixed))))
+		} else {
+			dots, err := mpc.ReceiverScatterDot(conn, s.paiKey, mixed, s.rdOwn, s.random, s.pool)
+			if err != nil {
+				return nil, fmt.Errorf("core: adp dot exchange: %w", err)
+			}
+			// The receiver's uplink is one ciphertext per mixed value — its
+			// operands open the sub-protocol: request leg.
+			s.ctsUp.Add(int64(totalMixed))
+			// A slot is at most 53 bits wide (bound ≤ 2^50): every dot fits int64.
+			for u, t := range mixedAt {
+				shares[t] -= 2 * dots[u].Int64()
+			}
+			s.led(func(l *Ledger) { l.DotProducts += len(mixed) })
+		}
 	}
-	js := make([]int64, len(ownSums))
-	for t, v := range ownSums {
-		js[t] = s.responderOperand(engB.Bound(), v)
-	}
-	return engB.BatchLess(conn, js)
-}
-
-// sumInt64 totals masked products, guarding against overflow.
-func sumInt64(us []*big.Int) (int64, error) {
-	total := new(big.Int)
-	for _, u := range us {
-		total.Add(total, u)
-	}
-	if !total.IsInt64() {
-		return 0, fmt.Errorf("core: adp cross sum overflows int64")
-	}
-	return total.Int64(), nil
-}
-
-// zeroSumBound returns the zero-sum mask magnitude of the masked-product
-// phases. Unpacked, masks are drawn in (−2^62, 2^62), far inside the
-// Paillier plaintext space. The packed path needs a bound both parties
-// can derive from handshake-agreed parameters so they size identical
-// slots, and one that scales with the data so S slots plus their mask
-// headroom fit the plaintext space: B = MaxCoord²·2^CmpMaskBits, which
-// still hides each product statistically (|x·y| ≤ MaxCoord² and the mask
-// is 2^κ times larger).
-func (s *Pair) zeroSumBound() *big.Int {
-	if !s.packing() {
-		return new(big.Int).Lsh(big.NewInt(1), 62)
-	}
-	b := big.NewInt(s.cfg.MaxCoord * s.cfg.MaxCoord)
-	return b.Lsh(b, uint(s.cfg.CmpMaskBits))
-}
-
-// productPackers derives the pair's masked-product packers (a no-op with
-// packing off): each slot holds x·y + Σ masks with |x·y| ≤ MaxCoord² and
-// up to s.dim zero-sum mask terms of magnitude zeroSumBound (the last
-// ZeroSumMasks share is the negated sum of the others, so it can reach
-// (m−1)·B). The arbitrary-partition establishment calls it once, after
-// setDimension.
-func (s *Pair) productPackers() (err error) {
-	if !s.packing() {
-		return nil
-	}
-	maxProduct := s.cfg.MaxCoord * s.cfg.MaxCoord
-	if s.mpPeer, err = encoding.NewProductPacker(s.peerPai.PlaintextBound(), maxProduct, s.zeroSumBound(), s.dim); err == nil {
-		s.mpOwn, err = encoding.NewProductPacker(s.paiKey.PlaintextBound(), maxProduct, s.zeroSumBound(), s.dim)
-	}
-	return err
+	return s.decidePairs(conn, "adp.cmp", engA, engB, pairs, shares)
 }

@@ -210,3 +210,72 @@ func TestEnhancedWireCiphertextsAreBlinded(t *testing.T) {
 		seen[r.String()] = i
 	}
 }
+
+// TestArbitraryRepliesAreBlinded: the arbitrary family's cross-term replies
+// (mpc.SenderScatterDot) are folded from the receiver's own ciphertexts, so
+// a reply that took no fresh factor of its own would carry a nonce fixed by
+// the receiver's uplink. The test uplinks every mixed value unblinded —
+// nonce exactly 1 — at the key's S and at S = 1, and opens every reply with
+// the private key: no nonce is 1 and no two are equal.
+func TestArbitraryRepliesAreBlinded(t *testing.T) {
+	const maxCoord = 15
+	key, err := paillier.GenerateKey(rand.Reader, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := paillier.UnmarshalPublicKey(paillier.MarshalPublicKey(&key.PublicKey))
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed, err := encoding.NewSumPacker(pub.PlaintextBound(), 2*maxCoord*maxCoord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pk := range []*encoding.Packer{packed, packed.OneSlot()} {
+		// Alice's mixed values per pair and Bob's, the same pair both ways.
+		var xs, ys [][]int64
+		for i := 0; i < 2*pk.Slots()+1; i++ {
+			xs = append(xs, []int64{int64(i % maxCoord), int64((3 * i) % maxCoord)}[:1+i%2])
+			ys = append(ys, []int64{int64((5 * i) % maxCoord), 7}[:1+i%2])
+		}
+		var uplink []*big.Int
+		for _, x := range xs {
+			for _, v := range x {
+				ct, err := key.Unblinded(big.NewInt(v))
+				if err != nil {
+					t.Fatal(err)
+				}
+				uplink = append(uplink, ct)
+			}
+		}
+		bob, pipe := transport.Pipe()
+		alice := &sentTap{Conn: pipe}
+		if err := transport.SendMsg(bob, transport.NewBuilder().PutBigs(uplink)); err != nil {
+			t.Fatal(err)
+		}
+		if err := mpc.SenderScatterDot(alice, pub, ys, pk, rand.Reader, nil); err != nil {
+			t.Fatal(err)
+		}
+		if len(alice.sent) != 1 {
+			t.Fatalf("S=%d: Alice sent %d frames, want 1", pk.Slots(), len(alice.sent))
+		}
+		r := transport.NewReader(alice.sent[0])
+		wire := r.Bigs()
+		if r.Err() != nil || len(wire) != pk.Groups(len(xs)) {
+			t.Fatalf("S=%d: reply holds %d ciphertexts (%v), want %d", pk.Slots(), len(wire), r.Err(), pk.Groups(len(xs)))
+		}
+		seen := make(map[string]int, len(wire))
+		for i, ct := range wire {
+			r := nonceOf(key, ct)
+			if r.Cmp(big.NewInt(1)) == 0 {
+				t.Errorf("S=%d: reply %d of %d left Alice with nonce 1", pk.Slots(), i, len(wire))
+			}
+			if j, dup := seen[r.String()]; dup {
+				t.Errorf("S=%d: replies %d and %d share a nonce", pk.Slots(), j, i)
+			}
+			seen[r.String()] = i
+		}
+		bob.Close()
+		pipe.Close()
+	}
+}

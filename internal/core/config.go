@@ -62,13 +62,14 @@ type Config struct {
 	// scan (default) or quickselect.
 	Selection SelectionKind
 
-	// Batching selects between the batched round structure (default: one
-	// constant-round comparison batch per settle chunk, per lockstep chunk
-	// and per enhanced selection round) and the paper-literal sequential
-	// structure (one secure-comparison sub-protocol round trip per
-	// candidate pair), kept for A/B
-	// measurement. Both paths produce identical labels and identical
-	// leakage Ledgers; the equivalence harness in core_test enforces this.
+	// Batching selects the comparison leg of every chunk: the batched
+	// round structure (default: one constant-round comparison batch per
+	// settle chunk, per lockstep chunk and per enhanced selection round)
+	// or the paper-literal sequential one (one secure-comparison
+	// sub-protocol round trip per candidate pair), kept for A/B
+	// measurement. Every other exchange of a chunk runs once a chunk in
+	// both. Both produce identical labels and identical leakage Ledgers;
+	// the equivalence harness in core_test enforces this.
 	Batching BatchMode
 
 	// Pruning selects the candidate-set structure of the secure distance
@@ -92,9 +93,10 @@ type Config struct {
 	// Packing selects the plaintext encoding of the Paillier phases: the
 	// slot count S of one exchange that every mode runs alike. An HDP settle
 	// chunk is one row-dot exchange whose replies pack one exact dot
-	// product a slot (hdp.go), and an enhanced chunk one share exchange
+	// product a slot (hdp.go), an arbitrary chunk one cross-dot exchange
+	// packed one pair a slot, and an enhanced chunk one share exchange
 	// whose replies pack across queries. Under the default slots mode those
-	// replies, the arbitrary family's masked cross terms, the masked
+	// replies, the masked
 	// comparison engine's replies and the ring's accumulated shares pack S
 	// values into one ciphertext via the slot-shifted encoding of
 	// internal/encoding, cutting ciphertexts and bytes on the wire by up to
@@ -250,8 +252,10 @@ const (
 	// constant number of round trips.
 	BatchModeBatched BatchMode = "batched"
 	// BatchModeSequential runs one complete comparison sub-protocol per
-	// candidate pair — the paper-literal structure, kept as the A/B
-	// baseline for the communication experiments.
+	// candidate pair — the paper-literal comparison leg, kept as the A/B
+	// baseline for the communication experiments — inside the same chunk
+	// exchange as batched: a chunk's multiplication or circulation still
+	// runs once.
 	BatchModeSequential BatchMode = "sequential"
 )
 

@@ -66,7 +66,7 @@
 //	│                       vs per-run Ledger split              │
 //	├────────────────────────────────────────────────────────────┤
 //	│ core.Pair             one edge's keys, agreed parameters   │
-//	│ (pair.go, params.go,  (core.Params, handshake v14), worker │
+//	│ (pair.go, params.go,  (core.Params, handshake v15), worker │
 //	│  hdp.go, settle.go)   channels, pool and counters; the HDP │
 //	│                       settle step and index exchange over  │
 //	│                       OwnGens / PeerGens. A Session wraps  │
@@ -116,7 +116,7 @@
 // splits the connection into its W worker channels, generates the keys
 // the agreed engine needs — a Paillier pair always, an RSA pair only
 // under YMPP, the one engine that reads it — and swaps one handshake
-// frame — version 14: proto, role, the agreed parameters, data
+// frame — version 15: proto, role, the agreed parameters, data
 // dimensions, public keys. The two RSA fields travel empty under the
 // masked engine; PeerRSAKey holds a peer to that (a key the engine does
 // not use, or none where it does, is ErrHandshake), and a peer key that
@@ -128,7 +128,7 @@
 // is a Pair (NewPair, proto "mesh", lower party index as RoleAlice)
 // running the same index exchange and the same settle step (Settle /
 // SettleServe) as a two-party horizontal Session, and the multiparty ring
-// embeds Params in its circulating token (ring handshake v10, the same
+// embeds Params in its circulating token (ring handshake v11, the same
 // RSA rule for the coordinator's key). Comparison
 // engines come from the one constructor compare.Edge — Pair.engines and
 // the ring's coordinator/last-party pair both call it.
@@ -179,8 +179,10 @@
 // row being the undecided pairs of one record against the records before
 // it (an appended record's neighbourhood) — and then runs
 // dbscan.ClusterGeneric over the
-// result. The comparison and multiplication leaves under the drivers are
-// the only thing that varies by family and by Config.Batching. Schedules
+// result, a chunk being one exchange at every batching and packing. The
+// comparison and multiplication leaves under the drivers are the only
+// thing that varies by family, and Config.Batching only switches the
+// comparison leg (batched, or one at a time). Schedules
 // are pure functions of shared protocol state, so jointly-computed oracles
 // stay in lock step, and labels, Ledgers, and comparison totals do not
 // depend on W (the parallel equivalence harness enforces this). W = 1 is
@@ -260,10 +262,16 @@
 //     handle — process-shared and bounded on a server, GOMAXPROCS for a
 //     solo run), so the round collapse comes with a wall-clock collapse
 //     on multi-core hosts.
-//   - sequential: the paper-literal schedule — one comparison sub-protocol
-//     per candidate pair, a batch's pairs asked one at a time in its order
-//     (PerPairOracle's rule) — retained as the equivalence harness's
-//     reference.
+//   - sequential: the paper-literal comparison leg — one comparison
+//     sub-protocol per candidate pair, a chunk's pairs asked one at a time
+//     in its order (OneAtATime) — retained as the equivalence harness's
+//     reference. Only the comparison leg changes: every other exchange of
+//     a chunk (HDP's row-dot round, arbitrary's dot exchange, the ring's
+//     circulation, enhanced's shares) is the batched mode's, once a chunk.
+//     The per-pair rounds it used to run — one masked Multiplication
+//     Protocol round per arbitrary pair, one ring circulation per pair —
+//     are test oracles now (perpair_test.go, and the ring's
+//     lockstep_oracle_test.go).
 //
 // The equivalence harness (equivalence_test.go) pins the contract: both
 // modes produce identical labels, cluster counts, and Ledger entries on
@@ -294,11 +302,14 @@
 //   - Dot products (enhanced): mpc.SenderDotRows packs the share replies
 //     of a chunk's core queries across queries, whose small per-slot range
 //     gives the largest S.
-//   - Masked products (adp only): the arbitrary family's mixed cross
-//     terms plus zero-sum mask shares ride mpc's scatter form, the replies
-//     as ⌈n/S⌉ ciphertexts instead of n. mpc's masked grid form serves no
-//     production path: HDP's per-sub-query masked round is the settle
-//     differential's oracle (perquery_test.go).
+//   - Cross dot products (adp, at every packing): a chunk's mixed values
+//     go up one ciphertext each, and mpc.SenderScatterDot folds each
+//     pair's terms into one slot of a bias-only reply, so Bob decrypts
+//     exactly each pair's cross dot product — all the paper's zero-sum
+//     masked products gave him — in ⌈pairs/S⌉ ciphertexts on the row-dot
+//     packers. mpc's masked grid and batch forms serve no production path:
+//     HDP's per-sub-query masked round and arbitrary's per-pair one are
+//     the differentials' oracles (perquery_test.go, perpair_test.go).
 //   - Masked-comparison replies: the oracle's masked differences return as
 //     ⌈n/S⌉ ciphertexts. Under "slots" the querying direction stays
 //     unpacked deliberately — each comparison instance needs its own
@@ -331,13 +342,13 @@
 // carry signed differences with the κ-bit mask folded into the slot, so
 // they ride a wider-slot uplink Packer (encoding.NewUplinkComparePacker).
 //
-// "off" is not a second code path but the degenerate packing: the row-dot
-// and share exchanges run at S = 1 (encoding.Packer.OneSlot, one biased
-// value a ciphertext), so the three modes differ only in S and in the
-// comparison uplink — grouped or derived under "full", one ciphertext an
-// instance otherwise. The other packed forms — the arbitrary family's
-// masked products, the comparison replies, the ring's shares — still run
-// unpacked under "off".
+// "off" is not a second code path but the degenerate packing: the row-dot,
+// share and cross-dot exchanges and the ring's circulation run at S = 1
+// (encoding.Packer.OneSlot, one biased value a ciphertext), so the three
+// modes differ only in S and in the comparison uplink — grouped or derived
+// under "full", one ciphertext an instance otherwise. The one form still
+// unpacked under "off" is the comparison replies (compare's nil-Packer
+// branch).
 //
 // Packing changes the frame layout only: labels, cluster counts, and the
 // full disclosure Ledger are byte-identical to Packing "off" (the packing

@@ -244,7 +244,7 @@ func (s *Pair) enhAsk(conn transport.Conn, eng compare.Alice, vals []int64, rows
 	case s.batched():
 		return eng.BatchLessEqRows(conn, vals, rows)
 	}
-	return oneAtATime(vals, func(v int64) (bool, error) { return eng.LessEq(conn, v) })
+	return OneAtATime(vals, func(v int64) (bool, error) { return eng.LessEq(conn, v) })
 }
 
 // enhAnswer is the responder's half of enhAsk: vals[t] is its operand t,
@@ -257,12 +257,13 @@ func (s *Pair) enhAnswer(conn transport.Conn, eng compare.Bob, vals []int64, bas
 	case s.batched():
 		return eng.BatchLessEq(conn, vals)
 	}
-	return oneAtATime(vals, func(v int64) (bool, error) { return eng.LessEq(conn, v) })
+	return OneAtATime(vals, func(v int64) (bool, error) { return eng.LessEq(conn, v) })
 }
 
-// oneAtATime decides vals in order, one complete comparison each — the
-// sequential round structure, PerPairOracle's rule.
-func oneAtATime(vals []int64, le func(v int64) (bool, error)) ([]bool, error) {
+// OneAtATime decides vals in order, one complete comparison each — the
+// comparison leg of every family under sequential batching, the ring's
+// (internal/multiparty) included.
+func OneAtATime(vals []int64, le func(v int64) (bool, error)) ([]bool, error) {
 	bits := make([]bool, len(vals))
 	for t, v := range vals {
 		var err error

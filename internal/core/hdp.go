@@ -99,13 +99,7 @@ func (s *Pair) HDPCount(conn transport.Conn, eng compare.Alice, own [][]int64, c
 	// response leg.
 	s.ctsDown.Add(int64(len(mpc.LayoutRows(rowLens, s.rdPeer.Slots()).Replies)))
 	setTag(conn, "hdp.cmp")
-	var ins []bool
-	var err error
-	if s.batched() {
-		ins, err = eng.BatchLessRows(conn, vs, rows)
-	} else {
-		ins, err = oneAtATime(vs, func(v int64) (bool, error) { return eng.Less(conn, v) })
-	}
+	ins, err := s.less(conn, eng, vs, rows)
 	if err != nil {
 		return nil, fmt.Errorf("core: hdp comparison: %w", err)
 	}
@@ -152,12 +146,7 @@ func (s *Pair) HDPServe(conn transport.Conn, eng compare.Bob, rows [][][]int64) 
 			return err
 		}
 	}
-	if s.batched() {
-		_, err = eng.BatchLess(conn, js)
-	} else {
-		_, err = oneAtATime(js, func(j int64) (bool, error) { return eng.Less(conn, j) })
-	}
-	if err != nil {
+	if _, err = s.lessServe(conn, eng, js); err != nil {
 		return fmt.Errorf("core: hdp comparison: %w", err)
 	}
 	return nil

@@ -193,9 +193,14 @@ func settleSchedule[T, R any](rows [][]T, weight func(row []T) int, w, bound int
 // pairs unless a single row is larger, chunk c as one batchOn(c mod w,
 // pairs) call on that worker channel. batchOn reads each pair's row back
 // with PairRows, which is how the callers keep the grouped comparison
-// uplink's dedup inside one neighbourhood (compare/full.go). Oracle results
-// are written to the matrix and to prior after every worker has returned,
-// on the calling goroutine, so the cache needs no locking.
+// uplink's dedup inside one neighbourhood (compare/full.go). Every family's
+// batchOn runs its chunk as one exchange at every batching and packing —
+// vertical its comparisons, arbitrary one cross-dot exchange and its
+// comparisons, the ring one circulation — and Config.Batching switches only
+// the comparison leg: one batch, or one comparison at a time in chunk
+// order. Oracle results are written to the matrix and to prior after every
+// worker has returned, on the calling goroutine, so the cache needs no
+// locking.
 //
 // Rows, chunks and channel assignments are pure functions of state every
 // participant holds identically before the run — n, prior, the cell
@@ -281,24 +286,4 @@ func PairRows(pairs [][2]int) []int {
 		rows[u] = pr[1]
 	}
 	return rows
-}
-
-// PerPairOracle adapts a one-pair oracle to LockstepCluster's batch hook:
-// a chunk is decided one complete sub-protocol at a time, in chunk order.
-// This is the whole of Config.Batching = "sequential" in the lockstep
-// families — the paper-literal round structure the equivalence harnesses
-// use as their reference, over the same chunks; the driver above never
-// sees it.
-func PerPairOracle(pairLE func(i, j int) (bool, error)) func(ch int, pairs [][2]int) ([]bool, error) {
-	return func(_ int, pairs [][2]int) ([]bool, error) {
-		out := make([]bool, len(pairs))
-		for t, pr := range pairs {
-			v, err := pairLE(pr[0], pr[1])
-			if err != nil {
-				return nil, err
-			}
-			out[t] = v
-		}
-		return out, nil
-	}
 }

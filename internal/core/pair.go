@@ -72,9 +72,14 @@ func (r Role) peer() Role {
 // per-query form would misread every frame of it; version 14 runs a settle
 // chunk as the one row-dot exchange at every packing — under "off" and
 // "slots" too, where it was the per-sub-query masked round — so a peer on
-// the old wire would expect other frames. Mesh edges (internal/multiparty)
-// speak the same frame with proto "mesh".
-const handshakeVersion = 14
+// the old wire would expect other frames; version 15 runs a lockstep chunk
+// as one exchange at every batching and packing — an arbitrary chunk's
+// cross terms are one per-pair dot exchange (mpc.SenderScatterDot), and
+// under sequential batching a vertical or arbitrary chunk is the same
+// exchange with one comparison at a time — so a peer on the old wire would
+// expect per-pair frames. Mesh edges (internal/multiparty) speak the same
+// frame with proto "mesh".
+const handshakeVersion = 15
 
 // ErrHandshake reports parameter disagreement between the parties.
 var ErrHandshake = errors.New("core: handshake parameter mismatch")
@@ -122,18 +127,13 @@ type Pair struct {
 	cellW   int64
 	pruneOn bool
 
-	// mpPeer / mpOwn size the arbitrary family's slot-packed
-	// masked-product frames (nil with packing off): mpPeer the frames sent
-	// under the peer's key, mpOwn the frames served under our own. Derived
-	// once per pair by productPackers; both ends agree because the geometry
-	// is a function of the exchanged keys and handshake-agreed parameters.
-	mpPeer, mpOwn *encoding.Packer
-
-	// rdPeer / rdOwn size the row-dot frames of a settle chunk: a slot
-	// holds one exact cross dot product, |Σ x·y| ≤ bound, under the peer's
-	// key (rdPeer, the replies we fold as driver) or our own (rdOwn, the
-	// coordinates we pack as responder). Derived once per horizontal pair
-	// by rowDotPackers.
+	// rdPeer / rdOwn size the dot-product frames of a settle chunk and of
+	// an arbitrary chunk's cross terms: a slot holds one exact cross dot
+	// product, |Σ x·y| ≤ bound, under the peer's key (rdPeer, the replies we
+	// fold as sender) or our own (rdOwn, the values we encrypt as
+	// receiver). Derived once per horizontal or arbitrary pair by
+	// rowDotPackers; both ends agree because the geometry is a function of
+	// the exchanged keys and handshake-agreed parameters.
 	rdPeer, rdOwn *encoding.Packer
 
 	// cmpCount tallies secure comparison instances executed by this party;
@@ -374,8 +374,8 @@ func (s *Pair) setDimension(m int) error {
 	return nil
 }
 
-// rowDotPackers derives the pair's row-dot packers; NewPair calls it once,
-// after setDimension.
+// rowDotPackers derives the pair's dot-product packers; NewPair and the
+// arbitrary establishment call it once, after setDimension.
 func (s *Pair) rowDotPackers() (err error) {
 	if s.rdPeer, err = s.sumPacker(s.peerPai, s.bound); err == nil {
 		s.rdOwn, err = s.sumPacker(&s.paiKey.PublicKey, s.bound)
@@ -580,6 +580,45 @@ func (s *Pair) lockstepFrameBytes(a compare.Alice, b compare.Bob) int {
 
 // batched reports whether this session uses the batched round structure.
 func (s *Pair) batched() bool { return s.cfg.Batching == BatchModeBatched }
+
+// less decides vals[t] < the responder's operand t for every t on conn, as
+// the pair's round structure says: one BatchLessRows — rows[t] names
+// instance t's row, so a grouped uplink's equality classes never span two
+// rows (compare/full.go) — or, under sequential batching, one complete
+// comparison at a time, in order.
+func (s *Pair) less(conn transport.Conn, eng compare.Alice, vals []int64, rows []int) ([]bool, error) {
+	if s.batched() {
+		return eng.BatchLessRows(conn, vals, rows)
+	}
+	return OneAtATime(vals, func(v int64) (bool, error) { return eng.Less(conn, v) })
+}
+
+// lessServe is the responder's half of less: js[t] is its operand t.
+func (s *Pair) lessServe(conn transport.Conn, eng compare.Bob, js []int64) ([]bool, error) {
+	if s.batched() {
+		return eng.BatchLess(conn, js)
+	}
+	return OneAtATime(js, func(j int64) (bool, error) { return eng.Less(conn, j) })
+}
+
+// decidePairs runs the comparison leg of one lockstep chunk (vertical and
+// arbitrary): shares[t] is this party's additive share of dist² for
+// pairs[t], and pair t is within Eps iff Alice's share plus Bob's is at most
+// Eps². The comparison roles are fixed for the whole run — RoleAlice holds
+// the left operands, RoleBob maps his shares through responderOperand — and
+// the frames carry tag.
+func (s *Pair) decidePairs(conn transport.Conn, tag string, engA compare.Alice, engB compare.Bob, pairs [][2]int, shares []int64) ([]bool, error) {
+	setTag(conn, tag)
+	s.led(func(l *Ledger) { l.PairDecisions += len(pairs) })
+	if s.role == RoleAlice {
+		return s.less(conn, engA, shares, PairRows(pairs))
+	}
+	js := make([]int64, len(shares))
+	for t, v := range shares {
+		js[t] = s.responderOperand(engB.Bound(), v)
+	}
+	return s.lessServe(conn, engB, js)
+}
 
 // responderOperand maps the responder's additive share into the strict
 // Less embedding of a + b ≤ Eps²: j = clamp(Eps² − b + 1, [0, bound]).

@@ -30,11 +30,11 @@ const opPerQuery uint64 = 1
 
 // newPerQuerySession is NewHorizontalSession on the per-query driver. The
 // masked round's product packers were derived by the HDP establishment
-// until the row-dot exchange replaced it; the oracle derives them itself.
+// until the row-dot exchange replaced it; the oracle derives them where it
+// uses them (productPackers, perpair_test.go).
 func newPerQuerySession(conn transport.Conn, cfg Config, role Role, points [][]float64) (*Session, *hStream, error) {
 	t, hs, err := newHorizontalSession(conn, cfg, role, points, "horizontal", hBasic)
 	if err == nil {
-		err = t.s.productPackers()
 		t.runOnce = func() (*Result, error) { return perQueryRunOnce(t, hs) }
 	}
 	return t, hs, err
@@ -204,7 +204,11 @@ func maskedHDPCount(s *Pair, conn transport.Conn, eng compare.Alice, p []int64, 
 		}
 		vs = append(vs, masks...)
 	}
-	if pk := s.mpPeer; pk != nil {
+	mpPeer, _, err := s.productPackers()
+	if err != nil {
+		return 0, err
+	}
+	if pk := mpPeer; pk != nil {
 		// Grid shape: p's coordinate y_k is constant down column k, so
 		// both directions pack rows into slot groups.
 		if err := mpc.SenderGridMultiply(conn, s.peerPai, p, vs, nCand, m, pk, s.random, s.pool); err != nil {
@@ -273,9 +277,12 @@ func maskedHDPServe(s *Pair, conn transport.Conn, rng PermSource, eng compare.Bo
 	setTag(conn, "hdp.mp")
 	m := s.dim
 	xs := s.candidateCoords(cands)
+	_, mpOwn, err := s.productPackers()
+	if err != nil {
+		return err
+	}
 	var us []*big.Int
-	var err error
-	if pk := s.mpOwn; pk != nil {
+	if pk := mpOwn; pk != nil {
 		us, err = mpc.ReceiverGridMultiply(conn, s.paiKey, xs, total, m, pk, s.random, s.pool)
 		if err != nil {
 			return fmt.Errorf("core: hdp packed multiplication: %w", err)

@@ -29,9 +29,6 @@ func newTestSessions(t *testing.T, cfg Config, dim int) (*Pair, *Pair, transport
 			err = s.setDimension(dim)
 		}
 		if err == nil {
-			err = s.productPackers()
-		}
-		if err == nil {
 			err = s.rowDotPackers()
 		}
 		return s, err

@@ -20,17 +20,18 @@ import (
 // own columns and a single secure comparison decides
 // PA + PB ≤ Eps² per pair (Theorem 10's only disclosure).
 //
-// Round structure (Config.Batching): the lockstep driver settles the whole
-// pair matrix before it clusters (LockstepCluster). Under the default
-// batched mode the pairs that neither the grid index nor the pair cache
-// decides travel in chunks of whole rows — a row is one record's undecided
-// pairs against the records before it — each chunk one BatchLess: 3
-// vdp.cmp frames per chunk of up to 256 decisions, a handful of round
-// trips for a cold run instead of the sequential O(n²), and one chunk for
-// a run after a small Append. The per-pair payloads, the decided
-// predicates, and the PairDecisions Ledger count are identical in both
-// modes. Chunk c rides worker channel c mod W (W = Config.Parallel), so up
-// to W chunks overlap their round trips, with identical decided pairs.
+// Round structure: the lockstep driver settles the whole pair matrix
+// before it clusters (LockstepCluster). The pairs that neither the grid
+// index nor the pair cache decides travel in chunks of whole rows — a row
+// is one record's undecided pairs against the records before it — and a
+// chunk is its comparisons (Pair.decidePairs): one BatchLess, 3 vdp.cmp
+// frames per chunk of up to 256 decisions — a handful of round trips for a
+// cold run, and one chunk for a run after a small Append — or, under
+// Config.Batching = "sequential", the same chunk one comparison at a time.
+// The per-pair payloads, the decided predicates, and the PairDecisions
+// Ledger count are identical in both modes. Chunk c rides worker channel c
+// mod W (W = Config.Parallel), so up to W chunks overlap their round
+// trips, with identical decided pairs.
 //
 // This is the one-shot form; NewVerticalSession establishes a long-lived
 // session whose index exchange and keys serve many Run calls.
@@ -47,35 +48,42 @@ func VerticalBob(conn transport.Conn, cfg Config, attrs [][]float64) (*Result, e
 // keys, and (under grid pruning) the per-record cell-matrix exchange
 // happen once; each Run executes one lockstep clustering.
 func NewVerticalSession(conn transport.Conn, cfg Config, role Role, attrs [][]float64) (*Session, error) {
+	t, _, err := newVerticalSession(conn, cfg, role, attrs)
+	return t, err
+}
+
+// newVerticalSession is NewVerticalSession that also returns the family's
+// session state, which the per-pair test oracle runs on.
+func newVerticalSession(conn transport.Conn, cfg Config, role Role, attrs [][]float64) (*Session, *vStream, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(attrs) == 0 {
-		return nil, fmt.Errorf("core: vertical protocol requires at least one record")
+		return nil, nil, fmt.Errorf("core: vertical protocol requires at least one record")
 	}
 	enc, err := cfg.EncodePoints(attrs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ownDim := len(enc[0])
 	for i, p := range enc {
 		if len(p) != ownDim {
-			return nil, fmt.Errorf("core: record %d has %d attributes, want %d", i, len(p), ownDim)
+			return nil, nil, fmt.Errorf("core: record %d has %d attributes, want %d", i, len(p), ownDim)
 		}
 	}
 	s, peer, err := establish(conn, cfg, role, "vertical", ownDim, len(enc))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if peer.Count != len(enc) {
-		return nil, fmt.Errorf("%w: record count %d vs %d", ErrHandshake, len(enc), peer.Count)
+		return nil, nil, fmt.Errorf("%w: record count %d vs %d", ErrHandshake, len(enc), peer.Count)
 	}
 	if peer.Dim < 1 {
-		return nil, fmt.Errorf("%w: peer owns no attributes", ErrHandshake)
+		return nil, nil, fmt.Errorf("%w: peer owns no attributes", ErrHandshake)
 	}
 	if err := s.setDimension(ownDim + peer.Dim); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Grid pruning: both parties disclose per-record cell coordinates over
 	// their own columns and assemble the same full cell matrix, so pairs
@@ -90,10 +98,10 @@ func NewVerticalSession(conn transport.Conn, cfg Config, role Role, attrs [][]fl
 		own := vBucket(s, enc)
 		r, err := s.SwapMsg(s.Conns[0], "vdp.idx", spatial.EncodeCells(transport.NewBuilder(), own))
 		if err != nil {
-			return nil, fmt.Errorf("core: vdp index exchange: %w", err)
+			return nil, nil, fmt.Errorf("core: vdp index exchange: %w", err)
 		}
 		if cellRows, err = vCellRows(s, r, own, peer.Dim); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	vs := &vStream{RowGens: NewRowGens(len(enc), cellRows), enc: enc, peerDim: peer.Dim}
@@ -109,7 +117,7 @@ func NewVerticalSession(conn transport.Conn, cfg Config, role Role, attrs [][]fl
 		return nil
 	}
 	t.rowRetract(vs.RowGens, func(ids []int) { vs.enc = CompactRows(vs.enc, ids) })
-	return t, nil
+	return t, vs, nil
 }
 
 // vStream is the vertical family's mutable session state: the shared-row
@@ -265,7 +273,6 @@ func encodeVBatch(s *Pair, values [][]float64, ownDim int) ([][]int64, error) {
 // their decision-level budget the first time each run consults them.
 func verticalRunOnce(t *Session, vs *vStream) (*Result, error) {
 	s := t.s
-	role := s.role
 	enc := vs.enc
 	engA, engB, err := s.DistEngines()
 	if err != nil {
@@ -276,40 +283,13 @@ func verticalRunOnce(t *Session, vs *vStream) (*Result, error) {
 		s.led(func(l *Ledger) { l.PairDecisions++ })
 		s.cmpCached.Add(1)
 	}
-	// Fixed comparison roles for the whole run: Alice always holds the
-	// left value (her partial sum PA), Bob the right (Eps² − PB). A chunk
-	// holds whole rows; Alice names each pair's row, so equal partial sums
-	// share an uplink ciphertext within one neighbourhood only
-	// (compare/full.go).
+	// Alice's share of a pair's dist² is her partial sum PA, Bob's his PB.
 	batchOn := func(ch int, pairs [][2]int) ([]bool, error) {
-		conn := t.s.Conns[ch]
-		setTag(conn, "vdp.cmp")
-		s.led(func(l *Ledger) { l.PairDecisions += len(pairs) })
-		vals := make([]int64, len(pairs))
+		shares := make([]int64, len(pairs))
 		for u, pr := range pairs {
-			partial := partialDistSq(enc, pr[0], pr[1])
-			if role == RoleAlice {
-				vals[u] = partial
-			} else {
-				vals[u] = s.responderOperand(engB.Bound(), partial)
-			}
+			shares[u] = partialDistSq(enc, pr[0], pr[1])
 		}
-		if role == RoleAlice {
-			return engA.BatchLessRows(conn, vals, PairRows(pairs))
-		}
-		return engB.BatchLess(conn, vals)
-	}
-	if !s.batched() {
-		batchOn = PerPairOracle(func(i, j int) (bool, error) {
-			conn := t.s.Conns[0]
-			setTag(conn, "vdp.cmp")
-			s.led(func(l *Ledger) { l.PairDecisions++ })
-			partial := partialDistSq(enc, i, j)
-			if role == RoleAlice {
-				return engA.Less(conn, partial)
-			}
-			return engB.Less(conn, s.responderOperand(engB.Bound(), partial))
-		})
+		return s.decidePairs(s.Conns[ch], "vdp.cmp", engA, engB, pairs, shares)
 	}
 	labels, clusters, err := LockstepCluster(len(enc), s.cfg.MinPts, s.cfg.Parallel, s.lockstepFrameBytes(engA, engB),
 		vs.Cache, onCached, PrunedLocalDecider(vs.CellRows, onPruned), batchOn)

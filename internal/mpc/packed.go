@@ -25,13 +25,14 @@ import (
 //     scalar multiplication by y_k acts on all S slots at once and BOTH
 //     directions shrink from rows·cols to ⌈rows/S⌉·cols ciphertexts.
 //
-//   - Scatter: arbitrary per-element scalars (the arbitrary family's
-//     mixed cross terms). A constant cannot multiply S different slots
-//     by S different scalars, so the uplink stays one ciphertext per
-//     element; the sender instead *places* each product into its slot —
-//     E(x_t)^{y_t·2^{w·s}} — and multiplies S placements plus one
-//     packed-mask encryption into a single reply. The reply direction
-//     shrinks from n to ⌈n/S⌉ ciphertexts.
+//   - ScatterDot: arbitrary per-element scalars, one dot product owed per
+//     instance (the arbitrary family's mixed cross terms, one instance a
+//     pair, at every packing — S = 1 under "off"). A constant cannot
+//     multiply S different slots by S different scalars, so the uplink
+//     stays one ciphertext per element; the sender instead *places* each
+//     instance's terms into its slot — Π_k E(x_k)^{y_k·2^{w·s}} — onto a
+//     bias-only encryption, so n instances come back as ⌈n/S⌉
+//     ciphertexts that decrypt to exactly their dot products.
 //
 //   - DotRows: the §5 pattern, many queries at once — each row's m+2
 //     uplink ciphertexts of E(a) are shared across all of that row's
@@ -54,7 +55,7 @@ import (
 //     lengths and S that both ends compute.
 //
 // In every form exactly one side contributes the packer's bias (with
-// the masks, or alone in the row-dot form), the uplink packs raw
+// the masks, or alone in the dot forms), the uplink packs raw
 // (bias-free) values, and the slot width budgets the largest final
 // value |x·y + v| — see the encoding package for why carries cannot
 // occur.
@@ -190,96 +191,108 @@ func SenderGridMultiply(conn transport.Conn, pub *paillier.PublicKey, ys []int64
 	return transport.SendMsg(conn, transport.NewBuilder().PutBigs(replies))
 }
 
-// ReceiverScatterMultiply is the packed form of ReceiverBatchMultiply
-// for arbitrary per-element sender scalars: the uplink stays one
-// ciphertext per element (a packed uplink would force one shared scalar
-// per slot group), the replies arrive packed as ⌈n/S⌉ ciphertexts.
-func ReceiverScatterMultiply(conn transport.Conn, key *paillier.PrivateKey, xs []int64, pk *encoding.Packer, random io.Reader, pool *paillier.Pool) ([]*big.Int, error) {
+// ReceiverScatterDot is the receiving half of the per-instance dot form:
+// instance t's vector xs[t] (any length, zero included; values in
+// [0, SlotMax]) goes up as one ciphertext per value — the sender's scalars
+// differ per value, so a packed uplink would force one shared scalar per
+// slot group — and what comes back is each instance's dot product with the
+// sender's vector of the same length, packed one instance a slot: ⌈n/S⌉
+// ciphertexts for n instances, n at S = 1 (encoding.Packer.OneSlot).
+func ReceiverScatterDot(conn transport.Conn, key *paillier.PrivateKey, xs [][]int64, pk *encoding.Packer, random io.Reader, pool *paillier.Pool) ([]*big.Int, error) {
 	if random == nil {
 		random = rand.Reader
 	}
-	cts, err := key.EncryptInt64Batch(pool, random, xs)
+	var flat []int64
+	for _, x := range xs {
+		flat = append(flat, x...)
+	}
+	cts, err := key.EncryptInt64Batch(pool, random, flat)
 	if err != nil {
 		return nil, fmt.Errorf("mpc: encrypting xs: %w", err)
 	}
 	if err := transport.SendMsg(conn, transport.NewBuilder().PutBigs(cts)); err != nil {
-		return nil, fmt.Errorf("mpc: scatter receiver send: %w", err)
+		return nil, fmt.Errorf("mpc: scatter dot receiver send: %w", err)
 	}
 	r, err := transport.RecvMsg(conn)
 	if err != nil {
-		return nil, fmt.Errorf("mpc: scatter receiver recv: %w", err)
+		return nil, fmt.Errorf("mpc: scatter dot receiver recv: %w", err)
 	}
 	replies := r.Bigs()
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	groups := pk.Groups(len(xs))
-	if len(replies) != groups {
-		return nil, fmt.Errorf("%w: sent %d, got %d packed replies (want %d)", ErrLengthMismatch, len(xs), len(replies), groups)
+	if groups := pk.Groups(len(xs)); len(replies) != groups {
+		return nil, fmt.Errorf("%w: %d instances, got %d packed replies (want %d)", ErrLengthMismatch, len(xs), len(replies), groups)
 	}
-	packedUs, err := key.DecryptBatch(pool, replies)
+	packed, err := key.DecryptBatch(pool, replies)
 	if err != nil {
-		return nil, fmt.Errorf("mpc: decrypting packed us: %w", err)
+		return nil, fmt.Errorf("mpc: decrypting packed dots: %w", err)
 	}
-	us := make([]*big.Int, len(xs))
-	for g, pv := range packedUs {
+	dots := make([]*big.Int, 0, len(xs))
+	for g, pv := range packed {
 		slots, err := pk.Unpack(pv, pk.GroupLen(len(xs), g))
 		if err != nil {
 			return nil, fmt.Errorf("mpc: unpacking reply group %d: %w", g, err)
 		}
-		for s, u := range slots {
-			us[g*pk.Slots()+s] = u
-		}
+		dots = append(dots, slots...)
 	}
-	return us, nil
+	return dots, nil
 }
 
-// SenderScatterMultiply is the sending half of ReceiverScatterMultiply:
-// E(x_t)^{y_t·2^{w·s}} places x_t·y_t into slot s of its group's reply,
-// and one packed-mask encryption supplies every slot's v_t and bias.
-func SenderScatterMultiply(conn transport.Conn, pub *paillier.PublicKey, ys []int64, vs []*big.Int, pk *encoding.Packer, random io.Reader, pool *paillier.Pool) error {
-	if len(ys) != len(vs) {
-		return fmt.Errorf("%w: %d multiplicands, %d masks", ErrLengthMismatch, len(ys), len(vs))
-	}
+// SenderScatterDot is the sending half of ReceiverScatterDot: ys[t] is
+// instance t's vector. Reply g starts as one encryption of its slots'
+// bias — the reply's only nonce, as in the row-dot form — and slot s folds
+// in Π_k E(x_{t,k})^{y_{t,k}·2^{w·s}} for t = g·S + s, so it decrypts to
+// exactly Σ_k x_{t,k}·y_{t,k}. An uplink whose count is not Σ len(ys[t])
+// is refused before anything is folded.
+func SenderScatterDot(conn transport.Conn, pub *paillier.PublicKey, ys [][]int64, pk *encoding.Packer, random io.Reader, pool *paillier.Pool) error {
 	if random == nil {
 		random = rand.Reader
 	}
 	r, err := transport.RecvMsg(conn)
 	if err != nil {
-		return fmt.Errorf("mpc: scatter sender recv: %w", err)
+		return fmt.Errorf("mpc: scatter dot sender recv: %w", err)
 	}
 	cts := r.Bigs()
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if len(cts) != len(ys) {
-		return fmt.Errorf("%w: received %d, hold %d", ErrLengthMismatch, len(cts), len(ys))
+	total := 0
+	for _, y := range ys {
+		total += len(y)
 	}
-	groups := pk.Groups(len(ys))
-	maskPlains := make([]*big.Int, groups)
-	for g := range maskPlains {
-		n := pk.GroupLen(len(ys), g)
-		packed, err := pk.Pack(vs[g*pk.Slots() : g*pk.Slots()+n])
-		if err != nil {
-			return fmt.Errorf("mpc: packing masks group %d: %w", g, err)
+	if len(cts) != total {
+		return fmt.Errorf("%w: received %d, hold %d", ErrLengthMismatch, len(cts), total)
+	}
+	terms := make([][]paillier.SlotTerm, len(ys))
+	for t, y := range ys {
+		terms[t] = make([]paillier.SlotTerm, len(y))
+		for k, v := range y {
+			// A zero y folds nothing in.
+			terms[t][k] = paillier.SlotTerm{Base: cts[k], Scalar: big.NewInt(v)}
 		}
-		maskPlains[g] = packed
+		cts = cts[len(y):]
 	}
-	masks, err := pub.EncryptBatch(pool, random, maskPlains)
+	slots, groups := pk.Slots(), pk.Groups(len(ys))
+	plains := make([]*big.Int, groups)
+	for g := range plains {
+		zeros := make([]*big.Int, pk.GroupLen(len(ys), g))
+		for s := range zeros {
+			zeros[s] = new(big.Int)
+		}
+		if plains[g], err = pk.Pack(zeros); err != nil {
+			return fmt.Errorf("mpc: packing reply bias %d: %w", g, err)
+		}
+	}
+	starts, err := pub.EncryptBatch(pool, random, plains)
 	if err != nil {
-		return fmt.Errorf("mpc: encrypting packed masks: %w", err)
+		return fmt.Errorf("mpc: encrypting reply biases: %w", err)
 	}
 	replies := make([]*big.Int, groups)
 	if err := paillier.ParallelFor(pool, groups, func(g int) error {
-		slots := make([][]paillier.SlotTerm, pk.GroupLen(len(ys), g))
-		for s := range slots {
-			t := g*pk.Slots() + s
-			// A zero y_t folds nothing in: the slot keeps v_t + bias.
-			slots[s] = []paillier.SlotTerm{{Base: cts[t], Scalar: big.NewInt(ys[t])}}
-		}
-		acc, err := pub.SlotFold(masks[g], pk.Width(), slots)
+		acc, err := pub.SlotFold(starts[g], pk.Width(), terms[g*slots:min(len(ys), (g+1)*slots)])
 		if err != nil {
-			return fmt.Errorf("mpc: scatter fold group %d: %w", g, err)
+			return fmt.Errorf("mpc: scatter dot fold group %d: %w", g, err)
 		}
 		replies[g] = acc
 		return nil

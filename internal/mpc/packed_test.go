@@ -3,6 +3,7 @@ package mpc
 import (
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"math/big"
 	"testing"
 
@@ -143,54 +144,94 @@ func TestGridMultiplyCiphertextCount(t *testing.T) {
 	}
 }
 
-func TestScatterMultiplyMatchesUnpacked(t *testing.T) {
+// runScatterDot runs one per-instance dot exchange over a pipe and returns
+// what the receiver decoded.
+func runScatterDot(t *testing.T, k *paillier.PrivateKey, pk *encoding.Packer, xs, ys [][]int64) []*big.Int {
+	t.Helper()
+	var dots []*big.Int
+	if err := transport.Run2(
+		func(c transport.Conn) (err error) {
+			dots, err = ReceiverScatterDot(c, k, xs, pk, rand.Reader, nil)
+			return err
+		},
+		func(c transport.Conn) error {
+			return SenderScatterDot(c, &k.PublicKey, ys, pk, rand.Reader, nil)
+		},
+	); err != nil {
+		t.Fatal(err)
+	}
+	return dots
+}
+
+// TestScatterDotMatchesPlaintext: every instance decodes to the plaintext
+// dot product of its own two vectors — instances of unequal lengths, an
+// empty one and zero scalars included, more instances than one reply holds
+// — at the key's S and at S = 1 (the "off" packing), and an instance whose
+// dot product is exactly the slot bound.
+func TestScatterDotMatchesPlaintext(t *testing.T) {
+	const m, maxCoord = 3, 63
 	k := testKey(t)
-	pk, maskBound := testPacker(t)
-	n := pk.Slots() + 2
-	xs := make([]int64, n)
-	ys := make([]int64, n)
-	vs := make([]*big.Int, n)
-	for i := range xs {
-		xs[i] = int64(i*13) % 64
-		ys[i] = int64(i*7) % 64 // distinct per-element scalars
-		v, err := RandomMask(rand.Reader, maskBound)
-		if err != nil {
+	packed := rowDotPacker(t, k, m, maxCoord)
+	for _, pk := range []*encoding.Packer{packed, packed.OneSlot()} {
+		t.Run(fmt.Sprintf("S=%d", pk.Slots()), func(t *testing.T) {
+			var xs, ys [][]int64
+			for i := 0; i < 2*pk.Slots()+3; i++ {
+				x, y := make([]int64, 1+i%m), make([]int64, 1+i%m)
+				for c := range x {
+					x[c], y[c] = int64(i*13+c*5)%(maxCoord+1), int64(i*7+c*11)%(maxCoord+1)
+				}
+				xs, ys = append(xs, x), append(ys, y)
+			}
+			ys[1][0] = 0
+			xs, ys = append(xs, nil), append(ys, nil)
+			dots := runScatterDot(t, k, pk, xs, ys)
+			if len(dots) != len(xs) {
+				t.Fatalf("%d dot products for %d instances", len(dots), len(xs))
+			}
+			for i := range xs {
+				var want int64
+				for c := range xs[i] {
+					want += xs[i][c] * ys[i][c]
+				}
+				if dots[i].Cmp(big.NewInt(want)) != 0 {
+					t.Errorf("instance %d (%d terms): dot %v, plaintext %d", i, len(xs[i]), dots[i], want)
+				}
+			}
+		})
+		t.Run(fmt.Sprintf("S=%d/|dot|=bound", pk.Slots()), func(t *testing.T) {
+			top := []int64{maxCoord, maxCoord, maxCoord}
+			dots := runScatterDot(t, k, pk, [][]int64{{1}, top}, [][]int64{{0}, top})
+			if want := pk.SlotMax(); dots[1].Cmp(want) != 0 || dots[0].Sign() != 0 {
+				t.Errorf("dots %v, want [0 %v]", dots, want)
+			}
+		})
+	}
+}
+
+// TestScatterDotRefusesMiscountedUplink: a sender handed an uplink whose
+// count is not the instances' total length refuses it with
+// ErrLengthMismatch before it folds anything — the uplink's out-of-range
+// ciphertext never reaches the fold — and sends no reply.
+func TestScatterDotRefusesMiscountedUplink(t *testing.T) {
+	k := testKey(t)
+	pub := &k.PublicKey
+	pk := rowDotPacker(t, k, 3, 63)
+	ys := [][]int64{{1, 2}, {}, {3}}
+	for _, n := range []int{2, 4} {
+		cts := make([]*big.Int, n)
+		for i := range cts {
+			cts[i] = new(big.Int).Set(pub.NSquared)
+		}
+		recv, send := transport.Pipe()
+		tap := &countTap{Conn: send}
+		if err := transport.SendMsg(recv, transport.NewBuilder().PutBigs(cts)); err != nil {
 			t.Fatal(err)
 		}
-		if i%3 == 0 {
-			v.Neg(v)
+		if err := SenderScatterDot(tap, pub, ys, pk, rand.Reader, nil); !errors.Is(err, ErrLengthMismatch) {
+			t.Errorf("uplink of %d for 3 values: error = %v, want ErrLengthMismatch", n, err)
 		}
-		vs[i] = v
-	}
-	ys[1] = 0 // zero scalar: slot must still carry its mask
-	var plain, packed []*big.Int
-	if err := transport.Run2(
-		func(c transport.Conn) error {
-			us, err := ReceiverBatchMultiply(c, k, xs, rand.Reader, nil)
-			plain = us
-			return err
-		},
-		func(c transport.Conn) error {
-			return SenderBatchMultiply(c, &k.PublicKey, ys, vs, rand.Reader, nil)
-		},
-	); err != nil {
-		t.Fatal(err)
-	}
-	if err := transport.Run2(
-		func(c transport.Conn) error {
-			us, err := ReceiverScatterMultiply(c, k, xs, pk, rand.Reader, nil)
-			packed = us
-			return err
-		},
-		func(c transport.Conn) error {
-			return SenderScatterMultiply(c, &k.PublicKey, ys, vs, pk, rand.Reader, nil)
-		},
-	); err != nil {
-		t.Fatal(err)
-	}
-	for i := range plain {
-		if plain[i].Cmp(packed[i]) != 0 {
-			t.Fatalf("scatter[%d]: packed %v ≠ unpacked %v", i, packed[i], plain[i])
+		if tap.sent != 0 {
+			t.Errorf("uplink of %d for 3 values: the sender replied with %d ciphertexts", n, tap.sent)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -340,5 +341,51 @@ func TestRingTokenRejectsCoordinatorKeys(t *testing.T) {
 		if _, err := ring[0].Prev.Recv(); !errors.Is(err, transport.ErrClosed) {
 			t.Errorf("%s: the party forwarded a frame (%v), want a closed edge", tc.name, err)
 		}
+	}
+}
+
+// TestRingTokenRefusesOldSchedule: a coordinator still on ring token v10 —
+// one circulation per pair under sequential batching, unpacked sums under
+// "off" — sends an otherwise agreeing token; the party answers
+// ErrHandshake naming both versions and forwards nothing.
+func TestRingTokenRefusesOldSchedule(t *testing.T) {
+	pai, err := paillier.GenerateKey(rand.Reader, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attrs := [][]float64{{1}, {2}, {3}}
+	cfg := testCfg(compare.EngineMasked)
+	cc, err := cfg.core()
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, err := cc.Params()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := NewLocalRing(2)
+	tok := handshakeToken{
+		version: 10, params: params, count: len(attrs), dimSum: 1, k: 2,
+		paiPub: paillier.MarshalPublicKey(&pai.PublicKey),
+	}
+	if err := transport.SendMsg(ring[0].Next, encodeToken(tok)); err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := NewRingSession(ring[1], cfg, attrs)
+		ring[1].Next.Close()
+		errc <- err
+	}()
+	select {
+	case err = <-errc:
+	case <-time.After(60 * time.Second):
+		t.Fatal("party hung on the token")
+	}
+	if want := fmt.Sprintf("version %d vs 10", ringHandshakeVersion); !errors.Is(err, ErrHandshake) || !strings.Contains(fmt.Sprint(err), want) {
+		t.Errorf("error = %v, want ErrHandshake on %q", err, want)
+	}
+	if _, err := ring[0].Prev.Recv(); !errors.Is(err, transport.ErrClosed) {
+		t.Errorf("the party forwarded a frame (%v), want a closed edge", err)
 	}
 }

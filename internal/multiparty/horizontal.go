@@ -20,7 +20,7 @@ import (
 // driver's own points and cluster ids are local to each party.
 //
 // The mesh is the paper's two-party HDP sub-protocol run on each of the
-// k·(k−1)/2 edges: an edge is a core.Pair — core's v14 handshake with proto
+// k·(k−1)/2 edges: an edge is a core.Pair — core's v15 handshake with proto
 // "mesh" and the lower party index as RoleAlice, core's index exchange and
 // core's settle step (Pair.Settle / Pair.SettleServe: every region
 // sub-query of a pass decided up front, in whole-row chunks) — over one
@@ -86,8 +86,8 @@ type HorizontalResult struct {
 	// exists to shrink (the driver's per-query comparison operands are
 	// all equal, so the grouped uplink collapses them to one ciphertext).
 	CiphertextsUplink int64
-	// CiphertextsDownlink is the response-leg share: the masked products
-	// this party sends against a peer's encrypted coordinates plus its
+	// CiphertextsDownlink is the response-leg share: the dot-product
+	// replies this party sends against a peer's encrypted coordinates plus its
 	// responding-side comparison replies — the leg "slots" packing
 	// shrinks.
 	CiphertextsDownlink int64

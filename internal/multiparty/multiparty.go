@@ -22,11 +22,11 @@
 // the existing ring edge, using either engine from internal/compare —
 // yields the within-Eps bit, which the coordinator then circulates around
 // the ring. All parties run core.LockstepCluster with this oracle: the
-// whole pair matrix is settled first — under the batched round structure
-// one accumulation lap, one batched comparison and one broadcast lap per
-// chunk of whole rows (up to 256 undecided pairs), chunk c on worker
-// channel c mod W of every ring edge — and each party then runs plain
-// DBSCAN over the public bits.
+// whole pair matrix is settled first — one accumulation lap, the
+// comparisons and one broadcast lap per chunk of whole rows (up to 256
+// undecided pairs), chunk c on worker channel c mod W of every ring edge,
+// at every batching and packing — and each party then runs plain DBSCAN
+// over the public bits.
 //
 // With k = 2 the ring degenerates to the two-party vertical protocol
 // (party 1 is both accumulator and masker), which the tests use for
@@ -36,11 +36,11 @@
 //
 // Neither topology carries its own copy of a two-party building block.
 // The horizontal mesh (horizontal.go) is the paper's HDP sub-protocol on
-// each of its k·(k−1)/2 edges, and an edge is a core.Pair: core's v14
+// each of its k·(k−1)/2 edges, and an edge is a core.Pair: core's v15
 // handshake, index exchange and settle step (chunk op frames, MP +
 // comparison exchanges). The
 // ring is its own protocol, but its token carries core.Params (ring
-// handshake v10) — so every agreed parameter, CmpMaskBits and
+// handshake v11) — so every agreed parameter, CmpMaskBits and
 // ShareMaskBits included, is compared at establishment by the same
 // Params.Diff — its coordinator↔last comparison engines come from
 // compare.Edge, the one engine constructor, and its edges split into
@@ -96,12 +96,12 @@ type Config struct {
 	CmpMaskBits   int
 	ShareMaskBits int // mask magnitude for the ring sums: v ∈ [0, 2^bits)
 
-	// Batching: under the default batched mode one ring circulation
-	// carries the ciphertexts of a whole lockstep chunk (up to 256
-	// undecided pairs, whole rows of the pair matrix) and the
-	// coordinator↔last comparison is one BatchLessEq, so a chunk costs
-	// O(k) messages instead of O(k) per pair. Sequential mode keeps one
-	// circulation per pair.
+	// Batching switches the comparison leg of a chunk only: one ring
+	// circulation carries the ciphertexts of a whole lockstep chunk (up to
+	// 256 undecided pairs, whole rows of the pair matrix) in every mode,
+	// and the coordinator↔last comparison is one BatchLessEq under the
+	// default batched mode — O(k) messages a chunk — or one LessEq per pair
+	// under sequential.
 	Batching core.BatchMode
 
 	// Packing: under the default "slots" mode a ring circulation packs S
@@ -110,8 +110,9 @@ type Config struct {
 	// masked comparison engine packs its reply direction the same way.
 	// "full" additionally turns on the masked engine's packed comparison
 	// uplink (per-batch moded wire form, never more ciphertexts than
-	// "slots"). "off" keeps one ciphertext per value. Any packing requires
-	// the batched round structure.
+	// "slots"). "off" runs the same circulation at S = 1, one ciphertext
+	// per value, and unpacked comparison replies. Any packing requires the
+	// batched round structure.
 	Packing core.PackMode
 
 	// Pruning: under the default grid mode each ring party discloses the
@@ -232,8 +233,11 @@ var ErrHandshake = core.ErrHandshake
 // travel empty unless Engine is "ympp"); version 10 changed no token
 // field but the lockstep schedule of a Run (core.LockstepCluster:
 // whole-row chunks dealt over the W channels instead of one circulation
-// per neighbourhood).
-const ringHandshakeVersion = 10
+// per neighbourhood); version 11 runs a chunk as one circulation at every
+// batching and packing — packed one sum a ciphertext under "off", and
+// under sequential batching the same circulation with one comparison a
+// pair instead of one circulation a pair.
+const ringHandshakeVersion = 11
 
 // handshakeToken travels once around the ring accumulating checks.
 type handshakeToken struct {
@@ -379,12 +383,12 @@ type state struct {
 	cmpA compare.Alice // coordinator side
 	cmpB compare.Bob   // last-party side
 
-	// ringPack packs S masked sums per plaintext in the batched ring
-	// circulation (nil with packing off): the coordinator packs its
-	// partials with the bias, every other party folds its contribution in
-	// bias-free (PackRaw), so each hop carries ⌈n/S⌉ ciphertexts and the
-	// coordinator unpacks the biased sums once. All parties derive it from
-	// the shared coordinator key and the handshake-agreed domain bound.
+	// ringPack packs S masked sums per plaintext in the ring circulation
+	// (S = 1 with packing off): the coordinator packs its partials with the
+	// bias, every other party folds its contribution in bias-free
+	// (PackRaw), so each hop carries ⌈n/S⌉ ciphertexts and the coordinator
+	// unpacks the biased sums once. All parties derive it from the shared
+	// coordinator key and the handshake-agreed domain bound.
 	ringPack  *encoding.Packer
 	pairCount atomic.Int64 // within-Eps bits revealed (workers count concurrently)
 	// ctsUp / ctsDown split this party's Paillier ciphertext account by
@@ -632,12 +636,14 @@ func (st *state) buildEngines() (err error) {
 	if st.cmpA, st.cmpB, err = edge.Engines(bound); err != nil {
 		return err
 	}
-	if packed {
-		// The ring accumulation packs under the coordinator's key; every
-		// slot's final value is one masked sum in [0, bound + V).
-		if st.ringPack, err = encoding.NewSumPacker(st.paiPub.PlaintextBound(), bound); err != nil {
-			return fmt.Errorf("multiparty: ring packer: %w", err)
-		}
+	// The ring accumulation packs under the coordinator's key; every slot's
+	// final value is one masked sum in [0, bound + V). Under "off" it packs
+	// one sum a ciphertext, so every mode runs the same circulation.
+	if st.ringPack, err = encoding.NewSumPacker(st.paiPub.PlaintextBound(), bound); err != nil {
+		return fmt.Errorf("multiparty: ring packer: %w", err)
+	}
+	if !packed {
+		st.ringPack = st.ringPack.OneSlot()
 	}
 	return nil
 }
@@ -653,138 +659,37 @@ func (st *state) partial(i, j int) int64 {
 	return s
 }
 
-// pairLE is the joint within-Eps oracle: ring accumulation, masked
-// decryption, coordinator↔last comparison, ring broadcast.
-func (st *state) pairLE(i, j int) (bool, error) {
-	st.pairCount.Add(1)
-	prev, next := st.prevs[0], st.nexts[0]
-	s := st.partial(i, j)
-
-	if st.isCoordinator() {
-		ct, err := st.paiKey.Encrypt(st.random, big.NewInt(s))
-		if err != nil {
-			return false, err
-		}
-		st.ctsUp.Add(1)
-		if err := transport.SendMsg(next, transport.NewBuilder().PutBig(ct)); err != nil {
-			return false, fmt.Errorf("multiparty: ring send: %w", err)
-		}
-		r, err := transport.RecvMsg(prev)
-		if err != nil {
-			return false, fmt.Errorf("multiparty: ring return: %w", err)
-		}
-		acc := r.Big()
-		if r.Err() != nil {
-			return false, r.Err()
-		}
-		t, err := st.paiKey.DecryptSigned(acc)
-		if err != nil {
-			return false, err
-		}
-		if t.Sign() < 0 || t.Int64() >= st.bound+st.shareV {
-			return false, fmt.Errorf("multiparty: masked sum %v outside [0,%d)", t, st.bound+st.shareV)
-		}
-		// t = dist² + v ≤ Eps² + v ⟺ dist² ≤ Eps².
-		in, err := st.cmpA.LessEq(prev, t.Int64())
-		if err != nil {
-			return false, err
-		}
-		// Broadcast the decision around the ring.
-		if err := transport.SendMsg(next, transport.NewBuilder().PutBool(in)); err != nil {
-			return false, err
-		}
-		return in, nil
-	}
-
-	// Non-coordinator: accumulate and forward.
-	r, err := transport.RecvMsg(prev)
-	if err != nil {
-		return false, fmt.Errorf("multiparty: ring recv: %w", err)
-	}
-	acc := r.Big()
-	if r.Err() != nil {
-		return false, r.Err()
-	}
-	add := s
-	var v int64
-	if st.isLast() {
-		mask, err := rand.Int(st.random, big.NewInt(st.shareV))
-		if err != nil {
-			return false, err
-		}
-		v = mask.Int64()
-		add += v
-	}
-	term, err := st.paiPub.Encrypt(st.random, big.NewInt(add))
-	if err != nil {
-		return false, err
-	}
-	acc, err = st.paiPub.Add(acc, term)
-	if err != nil {
-		return false, err
-	}
-	st.ctsUp.Add(1)
-	if err := transport.SendMsg(next, transport.NewBuilder().PutBig(acc)); err != nil {
-		return false, fmt.Errorf("multiparty: ring forward: %w", err)
-	}
-	if st.isLast() {
-		// Participate in the comparison with right side Eps² + v.
-		if _, err := st.cmpB.LessEq(next, st.epsSq+v); err != nil {
-			return false, err
-		}
-	}
-	// Receive the broadcast decision; forward unless the next hop is the
-	// coordinator (who originated it).
-	br, err := transport.RecvMsg(prev)
-	if err != nil {
-		return false, fmt.Errorf("multiparty: broadcast recv: %w", err)
-	}
-	in := br.Bool()
-	if br.Err() != nil {
-		return false, br.Err()
-	}
-	if !st.isLast() {
-		if err := transport.SendMsg(next, transport.NewBuilder().PutBool(in)); err != nil {
-			return false, err
-		}
-	}
-	return in, nil
-}
-
-// pairLEBatchOn is the batched ring oracle on worker channel ch: one
-// circulation accumulates the ciphertexts of every pair in the chunk
-// (encrypted, added, and decrypted on the parallel Paillier pool), one
-// BatchLessEqRows settles all thresholds between coordinator and last
-// party, and one circulation broadcasts the result bits. Message cost per
-// chunk: ~2k ring frames + 3 comparison frames, versus the sequential
-// path's per-pair circulations. Under the parallel scheduler
-// (Config.Parallel) up to W such circulations — one per worker channel —
-// ride the multiplexed ring edges concurrently.
-func (st *state) pairLEBatchOn(ch int, pairs [][2]int) ([]bool, error) {
+// chunkLE is the ring oracle of one lockstep chunk on worker channel ch:
+// one circulation accumulates the ciphertexts of every pair in the chunk
+// (encrypted, added, and decrypted on the parallel Paillier pool), packed
+// S masked sums a plaintext under ringPack — S = 1 under "off" — then the
+// coordinator↔last comparisons settle every threshold (lessEq), and one
+// circulation broadcasts the result bits. Message cost per chunk: ~2k ring
+// frames plus the comparison frames — 3 batched, 3 a pair under
+// sequential batching. Under the parallel scheduler (Config.Parallel) up
+// to W such circulations — one per worker channel — ride the multiplexed
+// ring edges concurrently.
+func (st *state) chunkLE(ch int, pairs [][2]int) ([]bool, error) {
 	st.pairCount.Add(int64(len(pairs)))
 	prev, next := st.prevs[ch], st.nexts[ch]
 	partials := make([]int64, len(pairs))
 	for t, pr := range pairs {
 		partials[t] = st.partial(pr[0], pr[1])
 	}
+	pk := st.ringPack
 
 	if st.isCoordinator() {
-		var cts []*big.Int
-		var err error
-		if pk := st.ringPack; pk != nil {
-			// Pack S partials per plaintext; the bias enters here, exactly
-			// once, and every later hop contributes bias-free.
-			packed := make([]*big.Int, pk.Groups(len(partials)))
-			for g := range packed {
-				lo := g * pk.Slots()
-				if packed[g], err = pk.PackInt64(partials[lo : lo+pk.GroupLen(len(partials), g)]); err != nil {
-					return nil, err
-				}
+		// Pack S partials per plaintext; the bias enters here, exactly
+		// once, and every later hop contributes bias-free.
+		packed := make([]*big.Int, pk.Groups(len(partials)))
+		for g := range packed {
+			lo := g * pk.Slots()
+			var err error
+			if packed[g], err = pk.PackInt64(partials[lo : lo+pk.GroupLen(len(partials), g)]); err != nil {
+				return nil, err
 			}
-			cts, err = st.paiKey.EncryptBatch(st.pool, st.random, packed)
-		} else {
-			cts, err = st.paiKey.EncryptInt64Batch(st.pool, st.random, partials)
 		}
+		cts, err := st.paiKey.EncryptBatch(st.pool, st.random, packed)
 		if err != nil {
 			return nil, err
 		}
@@ -803,32 +708,17 @@ func (st *state) pairLEBatchOn(ch int, pairs [][2]int) ([]bool, error) {
 		if len(accs) != len(cts) {
 			return nil, fmt.Errorf("multiparty: ring returned %d ciphertexts, want %d", len(accs), len(cts))
 		}
-		var vals []int64
-		if pk := st.ringPack; pk != nil {
-			plains, err := st.paiKey.DecryptBatch(st.pool, accs)
+		plains, err := st.paiKey.DecryptBatch(st.pool, accs)
+		if err != nil {
+			return nil, err
+		}
+		vals := make([]int64, 0, len(pairs))
+		for g, pt := range plains {
+			sv, err := pk.UnpackInt64(pt, pk.GroupLen(len(pairs), g))
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("multiparty: ring unpack: %w", err)
 			}
-			vals = make([]int64, 0, len(pairs))
-			for g, pt := range plains {
-				sv, err := pk.UnpackInt64(pt, pk.GroupLen(len(pairs), g))
-				if err != nil {
-					return nil, fmt.Errorf("multiparty: ring unpack: %w", err)
-				}
-				vals = append(vals, sv...)
-			}
-		} else {
-			ts, err := st.paiKey.DecryptSignedBatch(st.pool, accs)
-			if err != nil {
-				return nil, err
-			}
-			vals = make([]int64, len(ts))
-			for t, ti := range ts {
-				if ti.Sign() < 0 || ti.Int64() >= st.bound+st.shareV {
-					return nil, fmt.Errorf("multiparty: masked sum %v outside [0,%d)", ti, st.bound+st.shareV)
-				}
-				vals[t] = ti.Int64()
-			}
+			vals = append(vals, sv...)
 		}
 		for _, v := range vals {
 			// v = dist² + mask ≤ Eps² + mask ⟺ dist² ≤ Eps².
@@ -836,8 +726,7 @@ func (st *state) pairLEBatchOn(ch int, pairs [][2]int) ([]bool, error) {
 				return nil, fmt.Errorf("multiparty: masked sum %d outside [0,%d)", v, st.bound+st.shareV)
 			}
 		}
-		// A chunk holds whole rows; the grouped uplink dedups within one.
-		ins, err := st.cmpA.BatchLessEqRows(prev, vals, core.PairRows(pairs))
+		ins, err := st.lessEq(prev, vals, core.PairRows(pairs))
 		if err != nil {
 			return nil, err
 		}
@@ -857,11 +746,7 @@ func (st *state) pairLEBatchOn(ch int, pairs [][2]int) ([]bool, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	wantCts := len(pairs)
-	if st.ringPack != nil {
-		wantCts = st.ringPack.Groups(len(pairs))
-	}
-	if len(accs) != wantCts {
+	if len(accs) != pk.Groups(len(pairs)) {
 		return nil, fmt.Errorf("multiparty: ring carried %d ciphertexts for %d pairs", len(accs), len(pairs))
 	}
 	adds := partials
@@ -876,25 +761,20 @@ func (st *state) pairLEBatchOn(ch int, pairs [][2]int) ([]bool, error) {
 			adds[t] += masks[t]
 		}
 	}
-	var terms []*big.Int
-	if pk := st.ringPack; pk != nil {
-		// Mid-ring contribution: bias-free packing (the coordinator already
-		// supplied the one bias per slot).
-		packed := make([]*big.Int, pk.Groups(len(adds)))
-		for g := range packed {
-			lo := g * pk.Slots()
-			raw := make([]*big.Int, pk.GroupLen(len(adds), g))
-			for s := range raw {
-				raw[s] = big.NewInt(adds[lo+s])
-			}
-			if packed[g], err = pk.PackRaw(raw); err != nil {
-				return nil, err
-			}
+	// Mid-ring contribution: bias-free packing (the coordinator already
+	// supplied the one bias per slot).
+	packed := make([]*big.Int, pk.Groups(len(adds)))
+	for g := range packed {
+		lo := g * pk.Slots()
+		raw := make([]*big.Int, pk.GroupLen(len(adds), g))
+		for s := range raw {
+			raw[s] = big.NewInt(adds[lo+s])
 		}
-		terms, err = st.paiPub.EncryptBatch(st.pool, st.random, packed)
-	} else {
-		terms, err = st.paiPub.EncryptInt64Batch(st.pool, st.random, adds)
+		if packed[g], err = pk.PackRaw(raw); err != nil {
+			return nil, err
+		}
 	}
+	terms, err := st.paiPub.EncryptBatch(st.pool, st.random, packed)
 	if err != nil {
 		return nil, err
 	}
@@ -918,7 +798,7 @@ func (st *state) pairLEBatchOn(ch int, pairs [][2]int) ([]bool, error) {
 		for t := range rights {
 			rights[t] = st.epsSq + masks[t]
 		}
-		if _, err := st.cmpB.BatchLessEq(next, rights); err != nil {
+		if _, err := st.lessEqServe(next, rights); err != nil {
 			return nil, err
 		}
 	}
@@ -941,6 +821,25 @@ func (st *state) pairLEBatchOn(ch int, pairs [][2]int) ([]bool, error) {
 		}
 	}
 	return ins, nil
+}
+
+// lessEq is the coordinator's comparison leg of a chunk: vals[t] ≤ the
+// last party's operand t, as one BatchLessEqRows — a chunk holds whole
+// rows, and the grouped uplink dedups within one — or, under sequential
+// batching, one LessEq at a time, in order.
+func (st *state) lessEq(conn transport.Conn, vals []int64, rows []int) ([]bool, error) {
+	if st.cfg.Batching == core.BatchModeBatched {
+		return st.cmpA.BatchLessEqRows(conn, vals, rows)
+	}
+	return core.OneAtATime(vals, func(v int64) (bool, error) { return st.cmpA.LessEq(conn, v) })
+}
+
+// lessEqServe is the last party's half of lessEq.
+func (st *state) lessEqServe(conn transport.Conn, rights []int64) ([]bool, error) {
+	if st.cfg.Batching == core.BatchModeBatched {
+		return st.cmpB.BatchLessEq(conn, rights)
+	}
+	return core.OneAtATime(rights, func(v int64) (bool, error) { return st.cmpB.LessEq(conn, v) })
 }
 
 // NewLocalRing builds an in-process ring of k parties for tests, examples,

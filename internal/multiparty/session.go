@@ -168,13 +168,14 @@ func (rs *RingSession) Retract(ids []int) error {
 // Result.CachedPairs reports the cache's contribution.
 func (rs *RingSession) Run() (res *Result, err error) {
 	err = rs.guard.Do(func() (bool, error) {
-		res, err = rs.run()
+		res, err = rs.run(rs.st.chunkLE)
 		return true, err
 	})
 	return res, err
 }
 
-func (rs *RingSession) run() (*Result, error) {
+// run is one lockstep clustering whose chunks batchOn decides.
+func (rs *RingSession) run(batchOn func(ch int, pairs [][2]int) ([]bool, error)) (*Result, error) {
 	st := rs.st
 	cfg := st.cfg
 	startPairs := st.pairCount.Load()
@@ -187,10 +188,6 @@ func (rs *RingSession) run() (*Result, error) {
 		rs.cached.Add(1)
 	}
 
-	batchOn := st.pairLEBatchOn
-	if cfg.Batching != core.BatchModeBatched {
-		batchOn = core.PerPairOracle(st.pairLE)
-	}
 	// The comparison edge is the coordinator's: it holds the Alice engine,
 	// every other party the Bob engine over the same key and domain.
 	var cmpBytes int
