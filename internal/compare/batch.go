@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/big"
 
+	"repro/internal/encoding"
 	"repro/internal/paillier"
 	"repro/internal/transport"
 	"repro/internal/yao"
@@ -23,11 +24,13 @@ import (
 //     (internal/yao batch forms); local cost is unchanged at
 //     O(count·Bound) but rounds drop from 3·count to 3.
 //   - Masked: Alice packs E(a_1)…E(a_count) into one frame, Bob replies
-//     with the count masked differences computed on the parallel Paillier
-//     pool, and Alice returns the sign bits. O(count) ciphertexts in 3
-//     frames, with all modular exponentiation spread over the engine's
-//     crypto pool (the process-shared bounded pool on a multi-session
-//     server; GOMAXPROCS for a solo run with a nil Pool).
+//     with the count masked differences, S to a ciphertext (S = 1 under
+//     "off" packing), computed on the parallel Paillier pool, and Alice
+//     returns the sign bits. O(count) ciphertexts in 3 frames, with all
+//     modular exponentiation spread over the engine's crypto pool (the
+//     process-shared bounded pool on a multi-session server; GOMAXPROCS
+//     for a solo run with a nil Pool). A scalar LessEq or Less is the
+//     batch of one.
 //
 // An empty batch returns immediately on both sides without touching the
 // connection. The parties must agree on batch length: a mismatch between
@@ -101,21 +104,21 @@ func (b *YMPPBob) BatchLess(conn transport.Conn, vs []int64) ([]bool, error) {
 
 // ---- Masked-sign engine ----
 
-// runBatch is the Alice side of the batched masked-sign protocol:
-// one frame of E(a_t), one frame of masked differences back, one frame of
-// result bits out.
+// runBatch is the Alice side of the batched masked-sign protocol: one
+// frame of E(a_t), one frame of packed masked differences back, one frame
+// of result bits out. Under "full" packing (an UplinkPacker) the uplink
+// frame announces its mode and may dedup operands row by row (full.go):
+// rows, when non-nil, names each instance's row, nil is a one-row batch.
+// That is the only form whose frames depend on equal operands, so the
+// only one that reads rows.
 func (a *MaskedAlice) runBatch(conn transport.Conn, vs []int64, rows []int, pred byte) ([]bool, error) {
-	if a.UplinkPacker != nil {
-		// "full" packing: the packed-uplink wire form (full.go) chooses
-		// per batch between grouped and per-instance uplinks. It is the
-		// only form whose frames depend on equal operands, so the only
-		// one that reads rows.
-		return a.runBatchFull(conn, vs, rows, pred)
-	}
 	for t, v := range vs {
 		if err := checkInput(v, a.Max); err != nil {
 			return nil, fmt.Errorf("compare: batch[%d]: %w", t, err)
 		}
+	}
+	if rows != nil && len(rows) != len(vs) {
+		return nil, fmt.Errorf("compare: batch holds %d values in %d row entries", len(vs), len(rows))
 	}
 	if len(vs) == 0 {
 		return nil, nil
@@ -124,15 +127,25 @@ func (a *MaskedAlice) runBatch(conn transport.Conn, vs []int64, rows []int, pred
 	if random == nil {
 		random = rand.Reader
 	}
-	cts, err := a.Key.EncryptInt64Batch(a.Pool, random, vs)
+	msg := transport.NewBuilder().PutUint(uint64(pred))
+	uplink := vs
+	if a.UplinkPacker != nil {
+		uplink = announceUplink(msg, vs, rows)
+	}
+	cts, err := a.Key.EncryptInt64Batch(a.Pool, random, uplink)
 	if err != nil {
 		return nil, err
 	}
-	msg := transport.NewBuilder().PutUint(uint64(pred)).PutBigs(cts)
-	if err := transport.SendMsg(conn, msg); err != nil {
+	if err := transport.SendMsg(conn, msg.PutBigs(cts)); err != nil {
 		return nil, fmt.Errorf("compare: alice batch send: %w", err)
 	}
 	addSent(a.Sent, len(cts))
+	return a.finish(conn, a.Packer, len(vs))
+}
+
+// finish is the last two frames of every masked form on Alice's side:
+// read the packed replies, unpack the n sign bits under pk, send them.
+func (a *MaskedAlice) finish(conn transport.Conn, pk *encoding.Packer, n int) ([]bool, error) {
 	r, err := transport.RecvMsg(conn)
 	if err != nil {
 		return nil, fmt.Errorf("compare: alice batch recv: %w", err)
@@ -141,26 +154,9 @@ func (a *MaskedAlice) runBatch(conn transport.Conn, vs []int64, rows []int, pred
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	var les []bool
-	if a.Packer != nil {
-		// Packed replies: ⌈count/S⌉ ciphertexts, each carrying S biased
-		// masked differences.
-		if les, err = a.unpackReplies(a.Packer, len(vs), replies); err != nil {
-			return nil, err
-		}
-	} else {
-		if len(replies) != len(vs) {
-			return nil, fmt.Errorf("compare: batch sent %d values, got %d replies", len(vs), len(replies))
-		}
-		ts, err := a.Key.DecryptSignedBatch(a.Pool, replies)
-		if err != nil {
-			return nil, err
-		}
-		les = make([]bool, len(ts))
-		for t, ti := range ts {
-			// t_i = r·(b′_i−a_i) + r′ with 0 ≤ r′ < r, so t_i ≥ 0 ⟺ a_i ≤ b′_i.
-			les[t] = ti.Sign() >= 0
-		}
+	les, err := a.unpackReplies(pk, n, replies)
+	if err != nil {
+		return nil, err
 	}
 	if err := transport.SendMsg(conn, transport.NewBuilder().PutBools(les)); err != nil {
 		return nil, fmt.Errorf("compare: alice batch send result: %w", err)
@@ -189,16 +185,13 @@ func (a *MaskedAlice) BatchLessRows(conn transport.Conn, vs []int64, rows []int)
 	return a.runBatch(conn, vs, rows, predLess)
 }
 
-// runBatch is the Bob side of the batched masked-sign protocol. Mask
-// sampling is sequential (the configured reader need not be
-// goroutine-safe); the homomorphic arithmetic runs on the parallel
+// runBatch is the Bob side of the batched masked-sign protocol: parse the
+// uplink (under "full" packing, the mode Alice chose for it), resolve each
+// instance's base ciphertext, and fold the per-instance masks into the
+// packed replies. Mask sampling is sequential (the configured reader need
+// not be goroutine-safe); the homomorphic arithmetic runs on the parallel
 // Paillier pool.
 func (b *MaskedBob) runBatch(conn transport.Conn, vs []int64, pred byte) ([]bool, error) {
-	if b.UplinkPacker != nil {
-		// "full" packing: the packed-uplink wire form (full.go) parses
-		// the mode Alice chose for this batch.
-		return b.runBatchFull(conn, vs, pred)
-	}
 	for t, v := range vs {
 		if err := checkInput(v, b.Max); err != nil {
 			return nil, fmt.Errorf("compare: batch[%d]: %w", t, err)
@@ -216,6 +209,14 @@ func (b *MaskedBob) runBatch(conn transport.Conn, vs []int64, pred byte) ([]bool
 		return nil, fmt.Errorf("compare: bob batch recv: %w", err)
 	}
 	gotPred := byte(r.Uint())
+	mode := modePerInstance
+	if b.UplinkPacker != nil {
+		mode = byte(r.Uint())
+	}
+	var classIdx []int64
+	if mode == modeGrouped {
+		classIdx = r.Ints()
+	}
 	cas := r.Bigs()
 	if r.Err() != nil {
 		return nil, r.Err()
@@ -223,50 +224,24 @@ func (b *MaskedBob) runBatch(conn transport.Conn, vs []int64, pred byte) ([]bool
 	if gotPred != pred {
 		return nil, fmt.Errorf("%w: alice=%d bob=%d", ErrPredicateMismatch, gotPred, pred)
 	}
-	if len(cas) != len(vs) {
-		return nil, fmt.Errorf("compare: batch holds %d values, got %d ciphertexts", len(vs), len(cas))
+	base, err := uplinkBases(mode, classIdx, cas, len(vs))
+	if err != nil {
+		return nil, err
 	}
 	rMasks, plains, err := b.sampleMasks(vs, pred, random)
 	if err != nil {
 		return nil, err
 	}
-	var cts []*big.Int
-	if b.Packer != nil {
-		// Packed replies: one ciphertext per slot group. The plaintext
-		// part packs the S values b·r + r′ with the per-slot bias; each
-		// uplink ciphertext is then scaled by −r shifted into its slot,
-		// so slot s of group g decrypts to r·(b−a) + r′ + bias — always
-		// non-negative, never carrying into the neighbouring slot. The
-		// masks r, r′ stay independent per instance exactly as in the
-		// unpacked path; packing compresses the frame, not the masking.
-		cts, err = b.packedReplies(b.Packer, len(vs), rMasks, plains, random, func(t int) (*big.Int, error) {
-			return cas[t], nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		term2s, err := b.Pub.EncryptBatch(b.Pool, random, plains)
-		if err != nil {
-			return nil, err
-		}
-		cts = make([]*big.Int, len(vs))
-		if err := paillier.ParallelFor(b.Pool, len(vs), func(t int) error {
-			// E(t) = E(a)^(−r) · E(b·r + r′)
-			term1, err := b.Pub.Mul(cas[t], new(big.Int).Neg(rMasks[t]))
-			if err != nil {
-				return err
-			}
-			ct, err := b.Pub.Add(term1, term2s[t])
-			if err != nil {
-				return err
-			}
-			cts[t] = ct
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+	cts, err := b.packedReplies(b.Packer, len(vs), rMasks, plains, random, base)
+	if err != nil {
+		return nil, err
 	}
+	return b.reply(conn, cts, len(vs))
+}
+
+// reply is the last two frames of every masked form on Bob's side: send
+// the packed replies, read Alice's n result bits.
+func (b *MaskedBob) reply(conn transport.Conn, cts []*big.Int, n int) ([]bool, error) {
 	if err := transport.SendMsg(conn, transport.NewBuilder().PutBigs(cts)); err != nil {
 		return nil, fmt.Errorf("compare: bob batch send: %w", err)
 	}
@@ -279,8 +254,8 @@ func (b *MaskedBob) runBatch(conn transport.Conn, vs []int64, pred byte) ([]bool
 	if res.Err() != nil {
 		return nil, res.Err()
 	}
-	if len(les) != len(vs) {
-		return nil, fmt.Errorf("compare: batch holds %d values, got %d result bits", len(vs), len(les))
+	if len(les) != n {
+		return nil, fmt.Errorf("compare: batch holds %d values, got %d result bits", n, len(les))
 	}
 	return les, nil
 }

@@ -15,18 +15,19 @@
 //     log₂|b−a| masked magnitude bits. internal/privacy pins this bounded
 //     leakage (TestMaskedEngineMagnitudeLeakIsDetectable); the engine
 //     exists to make n-scaling experiments tractable and to serve as the
-//     E8 ablation baseline.
+//     E8 ablation baseline. It has one wire form (batch.go): a scalar
+//     call is a batch of one, and its replies always travel slot-packed,
+//     one slot a ciphertext when packing is off; "full" packing extends
+//     that form with a moded uplink (full.go).
 //
 // Engines are stateful about keys but stateless across calls; each call
 // performs one complete comparison sub-protocol on the supplied connection.
 package compare
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 	"sync/atomic"
 
 	"repro/internal/encoding"
@@ -175,22 +176,24 @@ var ErrPredicateMismatch = errors.New("compare: parties invoked different predic
 // when non-nil, routes the batch decryptions over the process-shared
 // crypto pool; nil keeps the per-call GOMAXPROCS fan-out.
 //
-// Packer, when non-nil, makes batch replies arrive slot-packed: Bob
-// packs S masked differences per ciphertext (encoding.NewComparePacker
-// over the same key and bound derives identical packers on both sides).
-// Under Packer alone ("slots" packing) only the reply direction packs —
-// the E(a_t) uplink stays one ciphertext per instance, because the
-// masking multiplier r must be independent per instance; sharing one r
-// across a packed slot group would hand Alice the exact magnitude
-// ratios of the differences. Scalar calls ignore the Packer.
+// Packer slot-packs every reply, scalar calls (a batch of one) included:
+// Bob packs S masked differences per ciphertext, each biased
+// non-negative (encoding.NewComparePacker over the same key and bound
+// derives identical packers on both sides; under "off" packing it is
+// capped at S = 1 by encoding.Packer.OneSlot). It must be set —
+// Edge.Engines and NewMaskedPair always set it. Under Packer alone only
+// the reply direction packs — the E(a_t) uplink stays one ciphertext per
+// instance, because the masking multiplier r must be independent per
+// instance; sharing one r across a packed slot group would hand Alice
+// the exact magnitude ratios of the differences.
 //
 // UplinkPacker, when additionally non-nil ("full" packing,
 // encoding.NewUplinkComparePacker on both sides), compresses the uplink
 // too — not by sharing multipliers, which stays forbidden, but by
 // restructuring the round so Bob applies each instance's fresh r_t
-// homomorphically per slot before the slot fold (see full.go). Batch
-// replies then pack with the widened UplinkPacker; the Packer is kept
-// for the per-instance fallback batches where grouping cannot win.
+// homomorphically per slot before the slot fold (see full.go).
+// Derived-base batches reply with the widened UplinkPacker; grouped and
+// per-instance batches keep the Packer.
 //
 // Sent, when non-nil, accumulates the Paillier ciphertexts this side
 // actually put on the wire, call by call — the engine owns the count
@@ -235,8 +238,9 @@ func addSent(c *atomic.Int64, n int) {
 // private halves (its Alice engines decrypt under them); Pub/RSAPub are
 // the peer's public halves (its Bob engines answer under them). A party
 // holding only one side of the edge leaves the other side nil and gets a
-// nil engine for it. Packed turns on slot-packed replies, Uplink the
-// packed comparison uplink as well; both ends derive identical packers
+// nil engine for it. The masked engines always reply through a packer:
+// Packed gives it the key's S slots, otherwise it holds one; Uplink adds
+// the packed comparison uplink. Both ends derive identical packers
 // because they are functions of the key, the bound and MaskBits alone.
 // Up/Down, when non-nil, receive the masked engines' ciphertext counts
 // (Alice's request leg, Bob's reply leg).
@@ -269,16 +273,16 @@ func (e Edge) Engines(bound int64) (Alice, Bob, error) {
 			b = &YMPPBob{Pub: e.RSAPub, Max: bound, Random: e.Random}
 		}
 	case EngineMasked:
-		// packers sizes the reply and uplink packers under one key.
+		// packers sizes the reply and uplink packers under one key. The
+		// reply packer is the one range check: it refuses a bound and κ
+		// whose masked difference does not fit one slot of the plaintext
+		// space. Without Packed it is capped at one slot a ciphertext.
 		packers := func(pub *paillier.PublicKey) (cp, up *encoding.Packer, err error) {
-			limit := new(big.Int).Lsh(big.NewInt(bound+2), uint(e.MaskBits))
-			if limit.Cmp(pub.PlaintextBound()) >= 0 {
-				return nil, nil, fmt.Errorf("compare: bound %d with %d mask bits overflows the %d-bit Paillier plaintext space", bound, e.MaskBits, pub.Bits())
+			if cp, err = encoding.NewComparePacker(pub.PlaintextBound(), bound, e.MaskBits); err != nil {
+				return nil, nil, fmt.Errorf("compare: comparison packer for bound %d with %d mask bits under a %d-bit key: %w", bound, e.MaskBits, pub.Bits(), err)
 			}
-			if e.Packed {
-				if cp, err = encoding.NewComparePacker(pub.PlaintextBound(), bound, e.MaskBits); err != nil {
-					return nil, nil, fmt.Errorf("compare: comparison packer: %w", err)
-				}
+			if !e.Packed {
+				cp = cp.OneSlot()
 			}
 			if e.Uplink {
 				if up, err = encoding.NewUplinkComparePacker(pub.PlaintextBound(), bound, e.MaskBits); err != nil {
@@ -308,8 +312,8 @@ func (e Edge) Engines(bound int64) (Alice, Bob, error) {
 }
 
 // NewMaskedPair builds both sides of a masked engine from one Paillier key
-// pair, validating that masked values cannot wrap the plaintext space:
-// 2^κ·(bound+1) must stay below n/2.
+// pair, replies one slot a ciphertext; the reply packer validates that
+// masked values cannot wrap the plaintext space.
 func NewMaskedPair(key *paillier.PrivateKey, bound int64, maskBits int) (*MaskedAlice, *MaskedBob, error) {
 	if maskBits <= 0 {
 		maskBits = DefaultMaskBits
@@ -324,134 +328,36 @@ func NewMaskedPair(key *paillier.PrivateKey, bound int64, maskBits int) (*Masked
 	return a.(*MaskedAlice), b.(*MaskedBob), nil
 }
 
-func (a *MaskedAlice) run(conn transport.Conn, v int64, pred byte) (bool, error) {
-	if err := checkInput(v, a.Max); err != nil {
-		return false, err
-	}
-	random := a.Random
-	if random == nil {
-		random = rand.Reader
-	}
-	ca, err := a.Key.Encrypt(random, big.NewInt(v))
-	if err != nil {
-		return false, err
-	}
-	msg := transport.NewBuilder().PutUint(uint64(pred)).PutBig(ca)
-	if err := transport.SendMsg(conn, msg); err != nil {
-		return false, fmt.Errorf("compare: alice send: %w", err)
-	}
-	addSent(a.Sent, 1)
-	r, err := transport.RecvMsg(conn)
-	if err != nil {
-		return false, fmt.Errorf("compare: alice recv: %w", err)
-	}
-	ct := r.Big()
-	if r.Err() != nil {
-		return false, r.Err()
-	}
-	t, err := a.Key.DecryptSigned(ct)
-	if err != nil {
-		return false, err
-	}
-	// t = r·(b′−a) + r′ with 0 ≤ r′ < r, so t ≥ 0 ⟺ a ≤ b′.
-	le := t.Sign() >= 0
-	if err := transport.SendMsg(conn, transport.NewBuilder().PutBool(le)); err != nil {
-		return false, fmt.Errorf("compare: alice send result: %w", err)
-	}
-	return le, nil
-}
-
-// LessEq decides a ≤ b.
+// LessEq decides a ≤ b: a batch of one, three frames and one ciphertext
+// each way.
 func (a *MaskedAlice) LessEq(conn transport.Conn, v int64) (bool, error) {
-	return a.run(conn, v, predLessEq)
+	return one(a.runBatch(conn, []int64{v}, nil, predLessEq))
 }
 
-// Less decides a < b.
+// Less decides a < b, a batch of one.
 func (a *MaskedAlice) Less(conn transport.Conn, v int64) (bool, error) {
-	return a.run(conn, v, predLess)
+	return one(a.runBatch(conn, []int64{v}, nil, predLess))
 }
 
 func (a *MaskedAlice) Bound() int64 { return a.Max }
 func (a *MaskedAlice) Name() string { return string(EngineMasked) }
 
-func (b *MaskedBob) run(conn transport.Conn, v int64, pred byte) (bool, error) {
-	if err := checkInput(v, b.Max); err != nil {
-		return false, err
-	}
-	random := b.Random
-	if random == nil {
-		random = rand.Reader
-	}
-	r, err := transport.RecvMsg(conn)
-	if err != nil {
-		return false, fmt.Errorf("compare: bob recv: %w", err)
-	}
-	gotPred := byte(r.Uint())
-	ca := r.Big()
-	if r.Err() != nil {
-		return false, r.Err()
-	}
-	if gotPred != pred {
-		return false, fmt.Errorf("%w: alice=%d bob=%d", ErrPredicateMismatch, gotPred, pred)
-	}
-	bVal := v
-	if pred == predLess {
-		// a < b ⟺ a ≤ b−1.
-		bVal = v - 1
-	}
-	maskBits := b.MaskBits
-	if maskBits <= 0 {
-		maskBits = DefaultMaskBits
-	}
-	// r ∈ [1, 2^κ), r′ ∈ [0, r): t = r·(b−a) + r′ keeps sign(b−a).
-	rMask, err := rand.Int(random, new(big.Int).Lsh(big.NewInt(1), uint(maskBits)))
-	if err != nil {
-		return false, err
-	}
-	rMask.Add(rMask, big.NewInt(1))
-	rPrime, err := rand.Int(random, rMask)
-	if err != nil {
-		return false, err
-	}
-	// E(t) = E(a)^(−r) · E(b·r + r′)
-	negR := new(big.Int).Neg(rMask)
-	term1, err := b.Pub.Mul(ca, negR)
-	if err != nil {
-		return false, err
-	}
-	plain := new(big.Int).Mul(big.NewInt(bVal), rMask)
-	plain.Add(plain, rPrime)
-	term2, err := b.Pub.Encrypt(random, plain)
-	if err != nil {
-		return false, err
-	}
-	ct, err := b.Pub.Add(term1, term2)
-	if err != nil {
-		return false, err
-	}
-	if err := transport.SendMsg(conn, transport.NewBuilder().PutBig(ct)); err != nil {
-		return false, fmt.Errorf("compare: bob send: %w", err)
-	}
-	addSent(b.Sent, 1)
-	res, err := transport.RecvMsg(conn)
-	if err != nil {
-		return false, fmt.Errorf("compare: bob recv result: %w", err)
-	}
-	le := res.Bool()
-	if res.Err() != nil {
-		return false, res.Err()
-	}
-	return le, nil
-}
-
-// LessEq decides a ≤ b.
+// LessEq is the Bob half of the Alice-side LessEq.
 func (b *MaskedBob) LessEq(conn transport.Conn, v int64) (bool, error) {
-	return b.run(conn, v, predLessEq)
+	return one(b.runBatch(conn, []int64{v}, predLessEq))
 }
 
-// Less decides a < b.
+// Less is the Bob half of the Alice-side Less.
 func (b *MaskedBob) Less(conn transport.Conn, v int64) (bool, error) {
-	return b.run(conn, v, predLess)
+	return one(b.runBatch(conn, []int64{v}, predLess))
+}
+
+// one unwraps the decision of a batch of one.
+func one(les []bool, err error) (bool, error) {
+	if err != nil {
+		return false, err
+	}
+	return les[0], nil
 }
 
 func (b *MaskedBob) Bound() int64 { return b.Max }

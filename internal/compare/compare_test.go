@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/paillier"
@@ -91,20 +92,71 @@ func runLess(t testing.TB, ae Alice, be Bob, a, b int64) bool {
 	return ra
 }
 
+// maskedEdge builds a masked engine pair over the shared test key at one
+// packing — one slot a reply (packed false), the key's slots, or the key's
+// slots plus the packed uplink — counting each side's ciphertexts into up
+// (Alice's uplink) and down (Bob's replies).
+func maskedEdge(t testing.TB, bound int64, packed, uplink bool, up, down *atomic.Int64) (Alice, Bob) {
+	t.Helper()
+	_, pk := keys(t)
+	a, b, err := Edge{Kind: EngineMasked, MaskBits: 32, Packed: packed, Uplink: uplink,
+		Key: pk, Pub: &pk.PublicKey, Up: up, Down: down}.Engines(bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, b
+}
+
+// TestEnginesExhaustiveSmallDomain decides every pair of a small domain
+// with each engine, the masked one at all three packings, and holds a
+// masked scalar call to its wire form: a batch of one, three frames and
+// one ciphertext each way at every packing.
 func TestEnginesExhaustiveSmallDomain(t *testing.T) {
 	const bound = 6
-	for _, kind := range []EngineKind{EngineYMPP, EngineMasked} {
-		ae, be := enginePair(t, kind, bound)
+	type engine struct {
+		name     string
+		a        Alice
+		b        Bob
+		up, down *atomic.Int64 // nil for YMPP, which sends no ciphertexts
+	}
+	ya, yb := enginePair(t, EngineYMPP, bound)
+	engines := []engine{{name: "ympp", a: ya, b: yb}}
+	for _, p := range []struct {
+		name           string
+		packed, uplink bool
+	}{{"masked/one-slot", false, false}, {"masked/slots", true, false}, {"masked/full", true, true}} {
+		e := engine{name: p.name, up: new(atomic.Int64), down: new(atomic.Int64)}
+		e.a, e.b = maskedEdge(t, bound, p.packed, p.uplink, e.up, e.down)
+		engines = append(engines, e)
+	}
+	for _, e := range engines {
 		for a := int64(0); a <= bound; a++ {
 			for b := int64(0); b <= bound; b++ {
-				ra, rb := runLessEq(t, ae, be, a, b)
+				ra, rb := runLessEq(t, e.a, e.b, a, b)
 				if want := a <= b; ra != want || rb != want {
-					t.Errorf("%s: LessEq(%d,%d) = (%v,%v), want %v", kind, a, b, ra, rb, want)
+					t.Errorf("%s: LessEq(%d,%d) = (%v,%v), want %v", e.name, a, b, ra, rb, want)
 				}
-				if got := runLess(t, ae, be, a, b); got != (a < b) {
-					t.Errorf("%s: Less(%d,%d) = %v", kind, a, b, got)
+				if got := runLess(t, e.a, e.b, a, b); got != (a < b) {
+					t.Errorf("%s: Less(%d,%d) = %v", e.name, a, b, got)
 				}
 			}
+		}
+		if e.up == nil {
+			continue
+		}
+		e.up.Store(0)
+		e.down.Store(0)
+		ca, cb := transport.Pipe()
+		ma := transport.NewMeter(ca)
+		err := transport.RunPair(ma, cb,
+			func(c transport.Conn) error { _, err := e.a.LessEq(c, 2); return err },
+			func(c transport.Conn) error { _, err := e.b.LessEq(c, 5); return err })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := ma.Stats(); st.MessagesSent != 2 || st.MessagesRecv != 1 || e.up.Load() != 1 || e.down.Load() != 1 {
+			t.Errorf("%s: a scalar LessEq sent %d and received %d frames, %d ciphertexts up and %d down; want 2, 1, 1, 1",
+				e.name, st.MessagesSent, st.MessagesRecv, e.up.Load(), e.down.Load())
 		}
 	}
 }

@@ -207,32 +207,13 @@ func (a *MaskedAlice) unpackReplies(pk *encoding.Packer, n int, replies []*big.I
 	return les, nil
 }
 
-// runBatchFull is the Alice side of the packed-uplink batch: dedup the
-// operands row by row, announce the chosen mode, uplink the base
-// ciphertexts, and read the packed replies back. rows, when non-nil,
-// names each instance's row (BatchLessRows); nil is a one-row batch.
-func (a *MaskedAlice) runBatchFull(conn transport.Conn, vs []int64, rows []int, pred byte) ([]bool, error) {
-	for t, v := range vs {
-		if err := checkInput(v, a.Max); err != nil {
-			return nil, fmt.Errorf("compare: batch[%d]: %w", t, err)
-		}
-	}
-	if rows != nil && len(rows) != len(vs) {
-		return nil, fmt.Errorf("compare: batch holds %d values in %d row entries", len(vs), len(rows))
-	}
-	if len(vs) == 0 {
-		return nil, nil
-	}
-	if a.Packer == nil {
-		return nil, fmt.Errorf("compare: full packing requires the reply packer")
-	}
-	random := a.Random
-	if random == nil {
-		random = rand.Reader
-	}
-	// Dedup: an operand repeated within a row encrypts once and fans out
-	// by class index on the oracle's side. A class never spans two rows —
-	// see the leakage note above.
+// announceUplink writes the packed-uplink mode of a batch into Alice's
+// frame and returns the operands to encrypt: one per distinct operand of
+// a row (modeGrouped, behind the per-instance class indices) when some row
+// holds a repeat, else every instance (modePerInstance), so "full" never
+// costs more uplink ciphertexts than "slots". A class never spans two
+// rows — see the leakage note above.
+func announceUplink(msg *transport.Builder, vs []int64, rows []int) []int64 {
 	type class struct {
 		row int
 		v   int64
@@ -253,121 +234,37 @@ func (a *MaskedAlice) runBatchFull(conn transport.Conn, vs []int64, rows []int, 
 		}
 		classIdx[t] = int64(c)
 	}
-	msg := transport.NewBuilder().PutUint(uint64(pred))
-	uplink := vs
 	if len(distinct) < len(vs) {
 		msg.PutUint(uint64(modeGrouped)).PutInts(classIdx)
-		uplink = distinct
-	} else {
-		// No repeats: grouping would only add the index frame.
-		msg.PutUint(uint64(modePerInstance))
+		return distinct
 	}
-	cts, err := a.Key.EncryptInt64Batch(a.Pool, random, uplink)
-	if err != nil {
-		return nil, err
-	}
-	msg.PutBigs(cts)
-	if err := transport.SendMsg(conn, msg); err != nil {
-		return nil, fmt.Errorf("compare: alice batch send: %w", err)
-	}
-	addSent(a.Sent, len(cts))
-	r, err := transport.RecvMsg(conn)
-	if err != nil {
-		return nil, fmt.Errorf("compare: alice batch recv: %w", err)
-	}
-	replies := r.Bigs()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	les, err := a.unpackReplies(a.Packer, len(vs), replies)
-	if err != nil {
-		return nil, err
-	}
-	if err := transport.SendMsg(conn, transport.NewBuilder().PutBools(les)); err != nil {
-		return nil, fmt.Errorf("compare: alice batch send result: %w", err)
-	}
-	return les, nil
+	// No repeats: grouping would only add the index frame.
+	msg.PutUint(uint64(modePerInstance))
+	return vs
 }
 
-// runBatchFull is the Bob side of the packed-uplink batch: parse the
-// mode Alice chose, resolve each instance's base ciphertext, and fold
-// the per-instance masks into the packed replies.
-func (b *MaskedBob) runBatchFull(conn transport.Conn, vs []int64, pred byte) ([]bool, error) {
-	for t, v := range vs {
-		if err := checkInput(v, b.Max); err != nil {
-			return nil, fmt.Errorf("compare: batch[%d]: %w", t, err)
-		}
-	}
-	if len(vs) == 0 {
-		return nil, nil
-	}
-	if b.Packer == nil {
-		return nil, fmt.Errorf("compare: full packing requires the reply packer")
-	}
-	random := b.Random
-	if random == nil {
-		random = rand.Reader
-	}
-	r, err := transport.RecvMsg(conn)
-	if err != nil {
-		return nil, fmt.Errorf("compare: bob batch recv: %w", err)
-	}
-	gotPred := byte(r.Uint())
-	mode := byte(r.Uint())
-	var classIdx []int64
-	if mode == modeGrouped {
-		classIdx = r.Ints()
-	}
-	cas := r.Bigs()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if gotPred != pred {
-		return nil, fmt.Errorf("%w: alice=%d bob=%d", ErrPredicateMismatch, gotPred, pred)
-	}
-	base := func(t int) (*big.Int, error) { return cas[t], nil }
+// uplinkBases resolves each of n instances' base ciphertext from the
+// uplink Bob parsed: cas itself per instance, or through the class
+// indices of a grouped uplink.
+func uplinkBases(mode byte, classIdx []int64, cas []*big.Int, n int) (func(t int) (*big.Int, error), error) {
 	switch mode {
 	case modePerInstance:
-		if len(cas) != len(vs) {
-			return nil, fmt.Errorf("compare: batch holds %d values, got %d ciphertexts", len(vs), len(cas))
+		if len(cas) != n {
+			return nil, fmt.Errorf("compare: batch holds %d values, got %d ciphertexts", n, len(cas))
 		}
+		return func(t int) (*big.Int, error) { return cas[t], nil }, nil
 	case modeGrouped:
-		if len(classIdx) != len(vs) {
-			return nil, fmt.Errorf("compare: batch holds %d values, got %d class indices", len(vs), len(classIdx))
+		if len(classIdx) != n {
+			return nil, fmt.Errorf("compare: batch holds %d values, got %d class indices", n, len(classIdx))
 		}
 		for t, c := range classIdx {
 			if c < 0 || c >= int64(len(cas)) {
 				return nil, fmt.Errorf("compare: batch[%d]: class index %d outside %d uplink ciphertexts", t, c, len(cas))
 			}
 		}
-		base = func(t int) (*big.Int, error) { return cas[classIdx[t]], nil }
-	default:
-		return nil, fmt.Errorf("compare: unknown packed-uplink mode %d", mode)
+		return func(t int) (*big.Int, error) { return cas[classIdx[t]], nil }, nil
 	}
-	rMasks, plains, err := b.sampleMasks(vs, pred, random)
-	if err != nil {
-		return nil, err
-	}
-	cts, err := b.packedReplies(b.Packer, len(vs), rMasks, plains, random, base)
-	if err != nil {
-		return nil, err
-	}
-	if err := transport.SendMsg(conn, transport.NewBuilder().PutBigs(cts)); err != nil {
-		return nil, fmt.Errorf("compare: bob batch send: %w", err)
-	}
-	addSent(b.Sent, len(cts))
-	res, err := transport.RecvMsg(conn)
-	if err != nil {
-		return nil, fmt.Errorf("compare: bob batch recv result: %w", err)
-	}
-	les := res.Bools()
-	if res.Err() != nil {
-		return nil, res.Err()
-	}
-	if len(les) != len(vs) {
-		return nil, fmt.Errorf("compare: batch holds %d values, got %d result bits", len(vs), len(les))
-	}
-	return les, nil
+	return nil, fmt.Errorf("compare: unknown packed-uplink mode %d", mode)
 }
 
 // runBatchDerived is the Alice side of a derived-base batch: no uplink
@@ -389,22 +286,7 @@ func (a *MaskedAlice) runBatchDerived(conn transport.Conn, vs []int64, pred byte
 	if err := transport.SendMsg(conn, msg); err != nil {
 		return nil, fmt.Errorf("compare: alice batch send: %w", err)
 	}
-	r, err := transport.RecvMsg(conn)
-	if err != nil {
-		return nil, fmt.Errorf("compare: alice batch recv: %w", err)
-	}
-	replies := r.Bigs()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	les, err := a.unpackReplies(a.UplinkPacker, len(vs), replies)
-	if err != nil {
-		return nil, err
-	}
-	if err := transport.SendMsg(conn, transport.NewBuilder().PutBools(les)); err != nil {
-		return nil, fmt.Errorf("compare: alice batch send result: %w", err)
-	}
-	return les, nil
+	return a.finish(conn, a.UplinkPacker, len(vs))
 }
 
 // runBatchDerived is the Bob side of a derived-base batch: every
@@ -454,22 +336,7 @@ func (b *MaskedBob) runBatchDerived(conn transport.Conn, vs []int64, base func(t
 	if err != nil {
 		return nil, err
 	}
-	if err := transport.SendMsg(conn, transport.NewBuilder().PutBigs(cts)); err != nil {
-		return nil, fmt.Errorf("compare: bob batch send: %w", err)
-	}
-	addSent(b.Sent, len(cts))
-	res, err := transport.RecvMsg(conn)
-	if err != nil {
-		return nil, fmt.Errorf("compare: bob batch recv result: %w", err)
-	}
-	les := res.Bools()
-	if res.Err() != nil {
-		return nil, res.Err()
-	}
-	if len(les) != len(vs) {
-		return nil, fmt.Errorf("compare: batch holds %d values, got %d result bits", len(vs), len(les))
-	}
-	return les, nil
+	return b.reply(conn, cts, len(vs))
 }
 
 // BatchLessEqDerived decides a_t ≤ b_t with Bob-derived left operands.

@@ -133,7 +133,7 @@ func TestFullBoundExtremes(t *testing.T) {
 
 // TestFullDegenerateSingleSlot forces S = 1 on the reply packer: the
 // full path's replies then carry one (biased) ciphertext per instance,
-// and must still decide exactly what the unpacked engine decides.
+// and must still decide exactly what the one-slot engine decides.
 func TestFullDegenerateSingleSlot(t *testing.T) {
 	const bound = 30
 	_, pk := keys(t)
@@ -156,7 +156,7 @@ func TestFullDegenerateSingleSlot(t *testing.T) {
 	got := runBatchLessEq(t, ae, be, as, bs)
 	for i := range as {
 		if got[i] != want[i] {
-			t.Errorf("degenerate full[%d]: got %v, unpacked engine %v", i, got[i], want[i])
+			t.Errorf("degenerate full[%d]: got %v, one-slot engine %v", i, got[i], want[i])
 		}
 	}
 }

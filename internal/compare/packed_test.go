@@ -58,7 +58,7 @@ func TestPackedBatchMatchesPlaintext(t *testing.T) {
 
 // TestPackedEqualsUnpacked asserts the equivalence contract at the
 // engine level: identical inputs decide identical predicate vectors
-// whether replies are packed or not.
+// whether replies pack the key's slots or one (NewMaskedPair's packer).
 func TestPackedEqualsUnpacked(t *testing.T) {
 	const bound = 50
 	_, pk := keys(t)
@@ -73,14 +73,14 @@ func TestPackedEqualsUnpacked(t *testing.T) {
 	got := runBatchLessEq(t, pa, pb, as, bs)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("packed and unpacked disagree at %d: packed %v, unpacked %v", i, got[i], want[i])
+			t.Fatalf("packed and one-slot disagree at %d: packed %v, one-slot %v", i, got[i], want[i])
 		}
 	}
 }
 
 // TestPackedDegenerateSingleSlot forces S = 1: the packed path then
 // sends one (biased) ciphertext per instance, and must still decide
-// exactly what the unpacked path decides.
+// exactly what the plaintext predicate says.
 func TestPackedDegenerateSingleSlot(t *testing.T) {
 	const bound = 30
 	_, pk := keys(t)

@@ -49,8 +49,8 @@ func ArbitraryBob(conn transport.Conn, cfg Config, values [][]float64, owners []
 }
 
 // NewArbitrarySession establishes a long-lived §4.4 session: handshake,
-// keys, ownership verification, and (under grid pruning) the cell-matrix
-// exchange happen once; each Run executes one lockstep clustering.
+// keys, ownership verification, and the cell-matrix exchange happen
+// once; each Run executes one lockstep clustering.
 func NewArbitrarySession(conn transport.Conn, cfg Config, role Role, values [][]float64, owners [][]partition.Owner) (*Session, error) {
 	t, _, err := newArbitrarySession(conn, cfg, role, values, owners)
 	return t, err
@@ -97,24 +97,24 @@ func newArbitrarySession(conn transport.Conn, cfg Config, role Role, values [][]
 		return nil, nil, err
 	}
 	a := &adpState{s: s, role: role, enc: enc, owners: owners}
-	// Grid pruning: every attribute cell coordinate is disclosed by the
-	// value's owner (adp.idx) and routed into full per-record cell rows via
-	// the public ownership matrix; non-adjacent pairs are decided locally.
-	// Pruned pairs keep their PairDecisions budget entry, and the Bob side
-	// keeps the DotProducts budget entry for pruned pairs with mixed cells
-	// (whose cross terms the index made unnecessary) — see Ledger docs.
-	// Session-level state: repeated Runs reuse the matrix, and an
-	// AppendOwned extends it by the new records' coordinates only.
-	var cellRows [][]int64
-	if s.pruneOn {
-		own := aOwnCoords(s, enc, owners)
-		r, err := s.SwapMsg(conns[0], "adp.idx", transport.NewBuilder().PutInts(own))
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: adp index exchange: %w", err)
-		}
-		if cellRows, err = aCellRows(s, r, owners, own); err != nil {
-			return nil, nil, err
-		}
+	// The index: every attribute cell coordinate on the candidate grid
+	// (CandidateGrid) is disclosed by the value's owner (adp.idx) and
+	// routed into full per-record cell rows via the public ownership
+	// matrix; non-adjacent pairs are decided locally, and on the one-cell
+	// grid there are none. Pruned pairs keep their PairDecisions budget
+	// entry, and the Bob side keeps the DotProducts budget entry for pruned
+	// pairs with mixed cells (whose cross terms the index made
+	// unnecessary) — see Ledger docs. Session-level state: repeated Runs
+	// reuse the matrix, and an AppendOwned extends it by the new records'
+	// coordinates only.
+	own := aOwnCoords(s, enc, owners)
+	r, err := s.SwapMsg(conns[0], "adp.idx", transport.NewBuilder().PutInts(own))
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: adp index exchange: %w", err)
+	}
+	cellRows, err := aCellRows(s, r, owners, own)
+	if err != nil {
+		return nil, nil, err
 	}
 	as := &aStream{RowGens: NewRowGens(len(values), cellRows), a: a}
 	t := newSession(conn, s, "arbitrary")
@@ -136,7 +136,7 @@ func newArbitrarySession(conn transport.Conn, cfg Config, role Role, values [][]
 }
 
 // aStream is the arbitrary family's mutable session state: the shared-row
-// generation table (cell matrix under pruning and the cross-run pair cache
+// generation table (cell matrix and the cross-run pair cache
 // included — pair bits are public to both parties, so the caches agree and
 // the seeded lockstep drivers stay in lock step) plus the matrices that
 // are this family's own, the growing (values, owners) pair inside
@@ -148,7 +148,7 @@ type aStream struct {
 
 // arbitraryAppendInit announces the appended records — their public
 // ownership rows travel with the count; the values never do — and
-// completes the per-cell coordinate swap under pruning.
+// completes the per-cell coordinate swap.
 func arbitraryAppendInit(t *Session, as *aStream, values [][]float64, owners [][]partition.Owner) (sent bool, err error) {
 	s := t.s
 	if owners == nil {
@@ -298,34 +298,28 @@ func aCellRows(s *Pair, r *transport.Reader, owners [][]partition.Owner, own []i
 }
 
 // appendACoords attaches this party's coordinates of the appended records
-// when pruning is on — the per-record payload of the construction-time
-// adp.idx exchange — and returns them.
+// — the per-record payload of the construction-time adp.idx exchange — and
+// returns them.
 func appendACoords(s *Pair, msg *transport.Builder, batch [][]int64, owners [][]partition.Owner) []int64 {
-	if !s.pruneOn {
-		return nil
-	}
 	own := aOwnCoords(s, batch, owners)
 	msg.PutInts(own)
 	return own
 }
 
-// finishAAppend validates the peer half (the already-parsed count; under
-// pruning its cell coordinates, routed through the appended ownership
-// rows — r is positioned at them) and extends the session state.
+// finishAAppend validates the peer half (the already-parsed count and its
+// cell coordinates, routed through the appended ownership rows — r is
+// positioned at them) and extends the session state.
 func finishAAppend(t *Session, as *aStream, batch [][]int64, owners [][]partition.Owner, own []int64, peerCount int, r *transport.Reader) error {
 	if peerCount != len(batch) {
 		return fmt.Errorf("core: append count %d vs peer %d (arbitrary records are shared)", len(batch), peerCount)
 	}
-	var cells [][]int64
-	if t.s.pruneOn {
-		var err error
-		if cells, err = aCellRows(t.s, r, owners, own); err != nil {
-			return err
-		}
-		// One delta entry per coordinate the peer disclosed: every cell of
-		// the batch that is not ours.
-		t.s.led(func(l *Ledger) { l.IndexDeltaCells += len(batch)*t.s.dim - len(own) })
+	cells, err := aCellRows(t.s, r, owners, own)
+	if err != nil {
+		return err
 	}
+	// One delta entry per coordinate the peer disclosed: every cell of the
+	// batch that is not ours.
+	t.s.led(func(l *Ledger) { l.IndexDeltaCells += len(batch)*t.s.dim - len(own) })
 	as.a.enc = append(as.a.enc, batch...)
 	as.a.owners = append(as.a.owners, owners...)
 	as.Append(len(batch), cells)

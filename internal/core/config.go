@@ -72,22 +72,27 @@ type Config struct {
 	// the equivalence harness in core_test enforces this.
 	Batching BatchMode
 
-	// Pruning selects the candidate-set structure of the secure distance
-	// phases. Under the default grid mode each party buckets its data into
-	// an Eps-width grid (internal/spatial), the parties exchange padded
-	// per-cell occupancy once per session, and every region query runs its
-	// cryptographic phases only against the ≤3^d adjacent candidate cells
-	// instead of every peer point — identical labels, ~O(n·k) instead of
-	// O(n·nPeer) secure comparisons per pass. The index disclosure is
-	// recorded in the Ledger's Index* classes. "off" keeps the exhaustive
-	// paper-literal candidate set, the pruning equivalence harness's
-	// reference.
+	// Pruning selects the grid the candidate sets of the secure distance
+	// phases are drawn from (CandidateGrid); every mode runs the same index
+	// exchange and the same queries over it. Under the default grid mode
+	// each party buckets its data into an Eps-width grid (internal/spatial),
+	// the parties exchange padded per-cell occupancy once per session, and
+	// every region query runs its cryptographic phases only against the
+	// ≤3^d adjacent candidate cells instead of every peer point — identical
+	// labels, ~O(n·k) instead of O(n·nPeer) secure comparisons per pass.
+	// "off" is the one-cell grid: one cell wider than the coordinate
+	// domain, so every query keeps the exhaustive paper-literal candidate
+	// set — the pruning equivalence harness's reference — and the index
+	// discloses only counts the handshake already carries. Grid mode falls
+	// back to the one-cell grid when Eps² reaches the dist² bound. The
+	// index disclosure is recorded in the Ledger's Index* classes.
 	Pruning PruneMode
 
 	// PruneQuantum is the padding granularity of the disclosed per-cell
-	// counts: occupancies are rounded up to the next multiple, so the index
-	// reveals cell occupancy only to quantum precision. Both parties must
-	// agree (handshake-checked); default DefaultPruneQuantum.
+	// counts on the Eps grid: occupancies are rounded up to the next
+	// multiple, so the index reveals cell occupancy only to quantum
+	// precision. The one-cell grid pads at 1 whatever it says. Both parties
+	// must agree (handshake-checked); default DefaultPruneQuantum.
 	PruneQuantum int
 
 	// Packing selects the plaintext encoding of the Paillier phases: the
@@ -278,7 +283,9 @@ const (
 	// exchange (recorded in the Ledger's Index* classes).
 	PruneGrid PruneMode = "grid"
 	// PruneOff keeps the exhaustive candidate set of the paper — every
-	// peer point (or every pair) enters the cryptographic phases.
+	// peer point (or every pair) enters the cryptographic phases — as the
+	// one-cell grid: the index exchange and the per-query flags still run,
+	// over one cell padded at 1, and nothing is ever pruned.
 	PruneOff PruneMode = "off"
 )
 

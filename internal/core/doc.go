@@ -66,7 +66,7 @@
 //	│                       vs per-run Ledger split              │
 //	├────────────────────────────────────────────────────────────┤
 //	│ core.Pair             one edge's keys, agreed parameters   │
-//	│ (pair.go, params.go,  (core.Params, handshake v15), worker │
+//	│ (pair.go, params.go,  (core.Params, handshake v16), worker │
 //	│  hdp.go, settle.go)   channels, pool and counters; the HDP │
 //	│                       settle step and index exchange over  │
 //	│                       OwnGens / PeerGens. A Session wraps  │
@@ -116,7 +116,7 @@
 // splits the connection into its W worker channels, generates the keys
 // the agreed engine needs — a Paillier pair always, an RSA pair only
 // under YMPP, the one engine that reads it — and swaps one handshake
-// frame — version 15: proto, role, the agreed parameters, data
+// frame — version 16: proto, role, the agreed parameters, data
 // dimensions, public keys. The two RSA fields travel empty under the
 // masked engine; PeerRSAKey holds a peer to that (a key the engine does
 // not use, or none where it does, is ErrHandshake), and a peer key that
@@ -128,7 +128,7 @@
 // is a Pair (NewPair, proto "mesh", lower party index as RoleAlice)
 // running the same index exchange and the same settle step (Settle /
 // SettleServe) as a two-party horizontal Session, and the multiparty ring
-// embeds Params in its circulating token (ring handshake v11, the same
+// embeds Params in its circulating token (ring handshake v12, the same
 // RSA rule for the coordinator's key). Comparison
 // engines come from the one constructor compare.Edge — Pair.engines and
 // the ring's coordinator/last-party pair both call it.
@@ -143,7 +143,7 @@
 // arbitrary, and the multiparty ring, whose parties all hold the same
 // records and learn the same public bit per record pair — keeps one
 // RowGens: live count per generation (dead prefix retained), the full
-// cell rows under pruning, and the PairCache. The record matrices stay
+// cell rows, and the PairCache. The record matrices stay
 // with the family, which follows an expiry with a slice and a retraction
 // with CompactRows; retractCounts is the one place retracted ids become
 // generation decrements, for PeerGens and RowGens alike.
@@ -343,12 +343,13 @@
 // they ride a wider-slot uplink Packer (encoding.NewUplinkComparePacker).
 //
 // "off" is not a second code path but the degenerate packing: the row-dot,
-// share and cross-dot exchanges and the ring's circulation run at S = 1
-// (encoding.Packer.OneSlot, one biased value a ciphertext), so the three
-// modes differ only in S and in the comparison uplink — grouped or derived
-// under "full", one ciphertext an instance otherwise. The one form still
-// unpacked under "off" is the comparison replies (compare's nil-Packer
-// branch).
+// share and cross-dot exchanges, the ring's circulation and the masked
+// comparison replies run at S = 1 (encoding.Packer.OneSlot, one biased
+// value a ciphertext), so the three modes differ only in S and in the
+// comparison uplink — grouped or derived under "full", one ciphertext an
+// instance otherwise. The masked engine has one wire form: a scalar
+// LessEq / Less, what sequential batching runs, is a batch of one — three
+// frames, one ciphertext each way.
 //
 // Packing changes the frame layout only: labels, cluster counts, and the
 // full disclosure Ledger are byte-identical to Packing "off" (the packing
@@ -367,9 +368,10 @@
 //
 // # Candidate pruning and the grid index
 //
-// Config.Pruning selects the candidate sets those comparisons run over.
-// Under the default grid mode (internal/spatial) each session adds one
-// index round after the handshake and the region queries shrink:
+// Config.Pruning selects the grid the candidate sets those comparisons run
+// over are drawn from (CandidateGrid); every session runs one index round
+// after the handshake and every query announces against it. Under the
+// default grid mode (internal/spatial) the region queries shrink:
 //
 //   - Index round. Horizontal family: both parties bucket their points
 //     into an Eps-width grid and exchange padded occupancy directories —
@@ -394,6 +396,18 @@
 //     decided out of range locally on every participant identically and
 //     never reach the oracle.
 //
+// "off" is not a second code path but the degenerate grid: one cell wider
+// than the coordinate domain, padded at 1, so the directory discloses only
+// the counts the handshake and the append ops already carry, the cell
+// matrix is all zeros, every pair is adjacent, and every query takes the
+// exhaustive fallback — the paper's candidate sets, with the comparison
+// counts they always had. Grid mode runs the same one-cell grid when Eps²
+// reaches the dist² bound (the geometric fallback), where no dummy could
+// stay strictly out of range. A driver prunes only when the padded total
+// is below the live count, never against one cell, and a responder
+// refuses a pruned announcement that is not (ErrPrunedSpan), so an
+// exhaustive query never carries a dummy.
+//
 // Cell width is the smallest W with W² ≥ Eps², so within-Eps neighbours
 // are always in adjacent cells: pruning removes only comparisons whose
 // outcome the index already implies, and labels are byte-identical to the
@@ -410,10 +424,10 @@
 // A live Session absorbs new points between runs: the initiating party
 // calls Append (AppendOwned for the arbitrary family), the serving
 // party's AppendSource contributes its own share of the batch, and the
-// append exchange ships counts plus — under pruning — one
-// spatial.GridDelta per side naming only the index cells the batch
-// touched (each append is a new generation of the session's
-// spatial.Stack; the delta is recorded in IndexDeltaCells). The data
+// append exchange ships counts plus one spatial.GridDelta per side naming
+// only the index cells the batch touched (each append is a new generation
+// of the session's spatial.Stack; the delta is recorded in
+// IndexDeltaCells). The data
 // itself never crosses the wire.
 //
 // Append, Expire and Retract are one control-op path (sess.go): the

@@ -113,15 +113,10 @@ func settleEnhanced(s *Pair, hs *hStream, rqs [][]int) ([]bool, error) {
 			cores[i] = core
 			continue
 		}
+		// The exhaustive query (flagged on the op frame) unless pruning
+		// shrinks it, so pruning never enlarges a selection.
 		q := coreQuery{SubQuery{Point: i, NCand: nPeer}, k}
-		if s.pruneOn {
-			// Prune only when the padded candidate set is actually smaller;
-			// otherwise take the exhaustive query (flagged on the op frame),
-			// so pruning never enlarges a selection.
-			if cells, total := s.candidateCells(hs.peer, own[i], 0, len(hs.peer.dirs)); total < nPeer {
-				q.pruned, q.cells, q.NCand = true, cells, total
-			}
-		}
+		s.narrow(&q.SubQuery, hs.peer, own[i], 0, len(hs.peer.dirs))
 		if k <= q.NCand {
 			rows = append(rows, []coreQuery{q})
 		}

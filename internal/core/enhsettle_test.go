@@ -148,29 +148,24 @@ func enhancedIsCore(s *Pair, hs *hStream, conn transport.Conn, point, ownCount i
 	var cells [][]int64
 	nCand := nPeer
 	usePrune := false
-	if s.pruneOn {
-		c, total := s.candidateCells(hs.peer, own[point], 0, len(hs.peer.dirs))
-		// Prune only when the padded candidate set is actually smaller;
-		// otherwise fall back to the exhaustive query (flagged on the op
-		// frame) so pruning never enlarges the selection.
-		if total < nPeer {
-			if k > total {
-				return false, nil
-			}
-			usePrune = true
-			cells, nCand = c, total
+	c, total := s.candidateCells(hs.peer, own[point], 0, len(hs.peer.dirs))
+	// Prune only when the padded candidate set is actually smaller;
+	// otherwise fall back to the exhaustive query (flagged on the op
+	// frame) so pruning never enlarges the selection.
+	if total < nPeer {
+		if k > total {
+			return false, nil
 		}
+		usePrune = true
+		cells, nCand = c, total
 	}
 	if !usePrune && k > nPeer {
 		return false, nil
 	}
 	setTag(conn, "enh.op")
-	msg := transport.NewBuilder().PutUint(opCore).PutUint(uint64(k))
-	if s.pruneOn {
-		msg.PutBool(usePrune)
-		if usePrune {
-			spatial.EncodeCells(msg, cells)
-		}
+	msg := transport.NewBuilder().PutUint(opCore).PutUint(uint64(k)).PutBool(usePrune)
+	if usePrune {
+		spatial.EncodeCells(msg, cells)
 	}
 	if err := transport.SendMsg(conn, msg); err != nil {
 		return false, err
@@ -433,7 +428,7 @@ func TestEnhancedSettleMatchesLiveWalk(t *testing.T) {
 func coreFrame(declared uint64, entries ...[2]uint64) *transport.Builder {
 	msg := transport.NewBuilder().PutUint(opCore).PutUint(declared)
 	for _, e := range entries {
-		msg.PutUint(e[0]).PutUint(e[1])
+		msg.PutUint(e[0]).PutUint(e[1]).PutBool(false) // the exhaustive fallback
 	}
 	return msg
 }
@@ -531,6 +526,7 @@ func TestResponderRefusesHostileCoreOps(t *testing.T) {
 				for i := range as {
 					as[i], counts = extendedQueryVector(f.hs.own.Enc[r.Uint()]), append(counts, 128)
 					r.Uint()
+					r.Bool()
 				}
 				pk, err := s.dotPacker(&s.paiKey.PublicKey)
 				if err == nil {

@@ -228,6 +228,14 @@ func indexDisclosed(l Ledger) bool {
 	return l.IndexCells+l.IndexPaddedPoints+l.IndexCellCoords+l.IndexQueryCells > 0
 }
 
+// oneCellIndex reports whether an exhaustive run's directory disclosure is
+// the one-cell grid's (CandidateGrid): a horizontal party receives one
+// cell padded to exactly the peer's size peerN, which the handshake already
+// carried, and a lockstep party no directory at all.
+func oneCellIndex(l Ledger, peerN int) bool {
+	return l.IndexCells <= 1 && l.IndexPaddedPoints == l.IndexCells*peerN
+}
+
 // prunedProtocols builds the protocol table over one dataset.
 func prunedProtocols(t *testing.T, d pruneDataset) []eqProtocol {
 	t.Helper()
@@ -282,7 +290,7 @@ func assertPrunedOutcome(t *testing.T, proto string, clustered bool, off, on eqO
 		t.Errorf("cluster counts diverge: pruned %d/%d, exhaustive %d/%d",
 			on.ra.NumClusters, on.rb.NumClusters, off.ra.NumClusters, off.rb.NumClusters)
 	}
-	for side, pair := range map[string][2]*Result{"alice": {off.ra, on.ra}, "bob": {off.rb, on.rb}} {
+	for side, pair := range map[string][3]*Result{"alice": {off.ra, on.ra, off.rb}, "bob": {off.rb, on.rb, off.ra}} {
 		offL, onL := pair[0].Leakage, pair[1].Leakage
 		if proto == "enhanced" {
 			if onL.OrderBits > offL.OrderBits || onL.CoreBits > offL.CoreBits {
@@ -291,8 +299,8 @@ func assertPrunedOutcome(t *testing.T, proto string, clustered bool, off, on eqO
 		} else if onL.NonIndex() != offL.NonIndex() {
 			t.Errorf("%s non-index ledgers diverge: pruned %v, exhaustive %v", side, onL, offL)
 		}
-		if indexDisclosed(offL) {
-			t.Errorf("%s exhaustive run recorded index disclosure: %v", side, offL)
+		if !oneCellIndex(offL, len(pair[2].Labels)) {
+			t.Errorf("%s exhaustive run disclosed more than the one-cell index: %v", side, offL)
 		}
 		if !indexDisclosed(onL) {
 			t.Errorf("%s pruned run recorded no index disclosure: %v", side, onL)

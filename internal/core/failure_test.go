@@ -14,6 +14,7 @@ import (
 	"repro/internal/compare"
 	"repro/internal/dataset"
 	"repro/internal/partition"
+	"repro/internal/spatial"
 	"repro/internal/testutil"
 	"repro/internal/transport"
 )
@@ -640,5 +641,65 @@ func TestSessionPeerVanishesMidRun(t *testing.T) {
 				testutil.CheckNoLeak(t, before, label+" after the refused Run")
 			}
 		}
+	}
+}
+
+// TestResponderRefusesPrunedWholeSpan: a hostile driver announces a pruned
+// query whose candidate cells pad to the whole span it names — under
+// pruning "off", the one cell of the one-cell grid, which an honest driver
+// never announces. Bob's Run fails with ErrQueryOp wrapping ErrPrunedSpan,
+// on an HDP settle chunk and on an enhanced core chunk alike, before he
+// has put a single frame of the pass on the wire: no dummy is padded in,
+// nothing is encrypted or compared.
+func TestResponderRefusesPrunedWholeSpan(t *testing.T) {
+	oneCell := func(msg *transport.Builder) *transport.Builder {
+		return spatial.EncodeCells(msg.PutBool(true), [][]int64{{0, 0}})
+	}
+	for _, tc := range []struct {
+		name  string
+		frame *transport.Builder
+		open  func(t *testing.T) (alice transport.Conn, tap *sentTap, done chan error)
+	}{
+		{"settle chunk", oneCell(transport.NewBuilder().PutUint(OpSettle).PutUint(1).PutUint(0).PutUint(1)),
+			func(t *testing.T) (transport.Conn, *sentTap, chan error) {
+				cfg := parallelCfg(compare.EngineMasked, 1, PruneOff)
+				f := openSettleFixture(t, cfg, [2][][][]float64{{{{0, 0}}, {{1, 1}}}, {{{1, 1}}, {{2, 2}, {6, 6}, {7, 7}}}})
+				// The expiry is answered, so Bob is between ops when his
+				// channel is tapped.
+				if err := f.sess[0].Expire(1); err != nil {
+					t.Fatal(err)
+				}
+				tap := &sentTap{Conn: f.sess[1].s.Conns[0]}
+				f.sess[1].s.Conns[0] = tap
+				if err := f.sess[0].sendOp(transport.NewBuilder().PutUint(sessOpRun)); err != nil {
+					t.Fatal(err)
+				}
+				return f.sess[0].s.Conns[0], tap, f.done
+			}},
+		{"core chunk", oneCell(transport.NewBuilder().PutUint(opCore).PutUint(1).PutUint(0).PutUint(1)),
+			func(t *testing.T) (transport.Conn, *sentTap, chan error) {
+				f := openCoreFixture(t, 1)
+				return f.alice.s.Conns[0], f.tap, f.done
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, tap, done := tc.open(t)
+			before := len(tap.sent)
+			if err := transport.SendMsg(conn, tc.frame); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrQueryOp) || !errors.Is(err, ErrPrunedSpan) {
+					t.Errorf("Bob's Run = %v, want ErrQueryOp wrapping ErrPrunedSpan", err)
+				}
+			case <-timeoutAfterProtocol(t):
+				t.Fatal("Bob's Run hung on a pruned whole-span announcement")
+			}
+			if n := len(tap.sent) - before; n != 0 {
+				t.Errorf("Bob sent %d frames in answer to a refused op", n)
+			}
+			conn.Close()
+		})
 	}
 }

@@ -35,9 +35,9 @@ import (
 // live window.
 
 // OwnGens is a party's own-side generation table: its encoded live
-// points, where each generation starts, the expired prefix, and (under
-// grid pruning) the one spatial.Stack of per-generation grids and padded
-// directories every peer is served from.
+// points, where each generation starts, the expired prefix, and the one
+// spatial.Stack of per-generation grids and padded directories every peer
+// is served from.
 type OwnGens struct {
 	Enc   [][]int64 // live points, window generations, append order
 	Start []int     // per-generation start in Enc (dead gens clamped to 0)
@@ -45,7 +45,7 @@ type OwnGens struct {
 
 	cfg   Config
 	dim   int
-	stack *spatial.Stack // nil until the first index exchange builds it
+	stack *spatial.Stack // built by the first index exchange (NewPair)
 }
 
 // NewOwnGens encodes a party's construction-time points as generation 0.
@@ -103,12 +103,13 @@ func (o *OwnGens) RegionQuery(i int, epsSq int64) []int {
 	return out
 }
 
-// index returns generation 0's padded directory, building the stack over
-// the current points on first use (a mesh party indexes once and serves
-// the same directory to every peer).
-func (o *OwnGens) index(cellW int64) (spatial.Directory, error) {
+// index returns generation 0's padded directory on the candidate grid of
+// the given cell width and padding quantum, building the stack over the
+// current points on first use (a mesh party indexes once and serves the
+// same directory to every peer).
+func (o *OwnGens) index(cellW int64, quantum int) (spatial.Directory, error) {
 	if o.stack == nil {
-		st, err := spatial.NewStack(cellW, o.dim, o.cfg.PruneQuantum)
+		st, err := spatial.NewStack(cellW, o.dim, quantum)
 		if err != nil {
 			return spatial.Directory{}, err
 		}
@@ -121,13 +122,10 @@ func (o *OwnGens) index(cellW int64) (spatial.Directory, error) {
 }
 
 // Append absorbs one encoded batch as the next generation and returns its
-// padded directory — the index delta the peers receive (zero when no
-// index is kept).
+// padded directory — the index delta the peers receive.
 func (o *OwnGens) Append(batch [][]int64) (delta spatial.Directory, err error) {
-	if o.stack != nil {
-		if delta, err = o.stack.Append(batch); err != nil {
-			return delta, fmt.Errorf("core: index delta build: %w", err)
-		}
+	if delta, err = o.stack.Append(batch); err != nil {
+		return delta, fmt.Errorf("core: index delta build: %w", err)
 	}
 	o.Start = append(o.Start, len(o.Enc))
 	o.Enc = append(o.Enc, batch...)
@@ -139,10 +137,8 @@ func (o *OwnGens) Append(batch [][]int64) (delta spatial.Directory, err error) {
 // returns how many own points left — what every peer table's cache remaps
 // by.
 func (o *OwnGens) Expire(gens int) (removed int, err error) {
-	if o.stack != nil {
-		if _, err := o.stack.Expire(gens); err != nil {
-			return 0, fmt.Errorf("core: expire index: %w", err)
-		}
+	if _, err := o.stack.Expire(gens); err != nil {
+		return 0, fmt.Errorf("core: expire index: %w", err)
 	}
 	end := o.Dead + gens
 	removed = len(o.Enc)
@@ -170,10 +166,8 @@ func (o *OwnGens) Retract(ids []int) error {
 	if len(ids) == 0 {
 		return nil
 	}
-	if o.stack != nil {
-		if err := o.stack.Retract(ids); err != nil {
-			return fmt.Errorf("core: retract index: %w", err)
-		}
+	if err := o.stack.Retract(ids); err != nil {
+		return fmt.Errorf("core: retract index: %w", err)
 	}
 	o.Enc = CompactRows(o.Enc, ids)
 	for g := o.Dead; g < len(o.Start); g++ {
@@ -231,8 +225,8 @@ func countBelow(ids []int, v int) int {
 }
 
 // PeerGens is one party's view of one peer's generations: the live point
-// count of each, the directories the peer disclosed (under grid pruning),
-// and the cross-run caches keyed by our own point index — the HDP
+// count of each, the directories the peer disclosed, and the cross-run
+// caches keyed by our own point index — the HDP
 // region-count segments over the peer's generations and the enhanced
 // protocol's core bits.
 type PeerGens struct {
@@ -331,9 +325,7 @@ func (p *PeerGens) Expire(from, gens, ownRemoved int) {
 	for g := from; g < from+gens; g++ {
 		p.N -= p.Count[g]
 		p.Count[g] = 0
-		if p.dirs != nil {
-			p.dirs[g] = spatial.Directory{Dim: p.dirs[g].Dim}
-		}
+		p.dirs[g] = spatial.Directory{Dim: p.dirs[g].Dim}
 	}
 	p.mu.Lock()
 	p.hdp.Remap(ownRemoved)
@@ -365,20 +357,20 @@ func (p *PeerGens) Retract(ownIDs, peerIDs []int) {
 // holds (its part of) the same records and learns the same public
 // within-Eps bit per record pair, so every party keeps an identical
 // table — the live record count of each generation, the full per-record
-// cell rows under grid pruning, and the cross-run PairCache — and applies
-// every lifecycle step identically. The record matrices themselves stay
+// cell rows on the candidate grid, and the cross-run PairCache — and
+// applies every lifecycle step identically. The record matrices themselves stay
 // with the family (their shapes differ); Expire and Retract tell it which
 // rows left and it follows with a slice or CompactRows.
 type RowGens struct {
 	Count    []int     // per-generation live record counts (dead gens zeroed)
 	Dead     int       // expired generations
 	N        int       // live records (Σ Count)
-	CellRows [][]int64 // per-record cell rows; nil with pruning off
+	CellRows [][]int64 // per-record cell rows on the candidate grid
 	Cache    *PairCache
 }
 
 // NewRowGens starts the table at generation 0: the n construction-time
-// records and, under grid pruning, their cell rows.
+// records and their cell rows.
 func NewRowGens(n int, cells [][]int64) *RowGens {
 	return &RowGens{Count: []int{n}, N: n, CellRows: cells, Cache: NewPairCache()}
 }
@@ -386,9 +378,9 @@ func NewRowGens(n int, cells [][]int64) *RowGens {
 // Window reports the expired prefix and the number of live generations.
 func (g *RowGens) Window() (dead, live int) { return g.Dead, len(g.Count) - g.Dead }
 
-// Append records the next generation of n records (cells: their cell rows
-// under pruning). Cached bits stay valid — distances are immutable — so
-// the next run pays only for pairs touching the new records.
+// Append records the next generation of n records and their cell rows.
+// Cached bits stay valid — distances are immutable — so the next run pays
+// only for pairs touching the new records.
 func (g *RowGens) Append(n int, cells [][]int64) {
 	g.Count = append(g.Count, n)
 	g.N += n
@@ -405,9 +397,7 @@ func (g *RowGens) Expire(gens int) (rows int) {
 		g.Count[g.Dead] = 0
 	}
 	g.N -= rows
-	if g.CellRows != nil {
-		g.CellRows = g.CellRows[rows:]
-	}
+	g.CellRows = g.CellRows[rows:]
 	g.Cache.Expire(rows)
 	return rows
 }

@@ -52,7 +52,7 @@ func (m *rowModel) keep(ok func(i int, r modelRow) bool) {
 
 // check compares g (and the family-owned matrix rows, compacted by the
 // caller the way a family would) against the model.
-func (m *rowModel) check(t *testing.T, step string, g *RowGens, rows []int, pruned bool) {
+func (m *rowModel) check(t *testing.T, step string, g *RowGens, rows []int) {
 	t.Helper()
 	counts := make([]int, m.gens)
 	for _, r := range m.survivors {
@@ -64,15 +64,15 @@ func (m *rowModel) check(t *testing.T, step string, g *RowGens, rows []int, prun
 	if dead, live := g.Window(); dead != m.dead || live != m.gens-m.dead {
 		t.Fatalf("%s: window (%d, %d), model (%d, %d)", step, dead, live, m.dead, m.gens-m.dead)
 	}
-	if len(rows) != len(m.survivors) || (pruned && len(g.CellRows) != len(m.survivors)) || (!pruned && g.CellRows != nil) {
-		t.Fatalf("%s: %d rows, %d cell rows (pruned=%v), model %d", step, len(rows), len(g.CellRows), pruned, len(m.survivors))
+	if len(rows) != len(m.survivors) || len(g.CellRows) != len(m.survivors) {
+		t.Fatalf("%s: %d rows, %d cell rows, model %d", step, len(rows), len(g.CellRows), len(m.survivors))
 	}
 	want := 0
 	for i, r := range m.survivors {
 		if rows[i] != r.id {
 			t.Fatalf("%s: row %d is record %d, model %d", step, i, rows[i], r.id)
 		}
-		if pruned && g.CellRows[i][0] != int64(r.id) {
+		if g.CellRows[i][0] != int64(r.id) {
 			t.Fatalf("%s: cell row %d is %v, model %d", step, i, g.CellRows[i], r.id)
 		}
 		// A bit survives iff both endpoints survive, at their renumbered
@@ -99,82 +99,77 @@ func (m *rowModel) check(t *testing.T, step string, g *RowGens, rows []int, prun
 // piece of lifecycle state against the rebuild-from-survivors model after
 // every step.
 func TestRowGensMatchesModel(t *testing.T) {
-	for _, pruned := range []bool{true, false} {
-		for seed := int64(1); seed <= 40; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			m := &rowModel{bits: make(map[[2]int]bool)}
-			cellsOf := func(ids []int) [][]int64 {
-				if !pruned {
-					return nil
-				}
-				cells := make([][]int64, len(ids))
-				for i, id := range ids {
-					cells[i] = []int64{int64(id)}
-				}
-				return cells
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := &rowModel{bits: make(map[[2]int]bool)}
+		cellsOf := func(ids []int) [][]int64 {
+			cells := make([][]int64, len(ids))
+			for i, id := range ids {
+				cells[i] = []int64{int64(id)}
 			}
-			rows := m.append(1 + rng.Intn(4))
-			g := NewRowGens(len(rows), cellsOf(rows))
-			for step := 0; step < 60; step++ {
-				// Decide a few fresh pairs, as a Run would.
-				for d := rng.Intn(6); d > 0 && len(rows) >= 2; d-- {
-					i, j := rng.Intn(len(rows)), rng.Intn(len(rows))
-					if i == j {
-						continue
-					}
-					if i > j {
-						i, j = j, i
-					}
-					v := rng.Intn(2) == 0
-					g.Cache.m[[2]int{i, j}] = v
-					m.bits[[2]int{rows[i], rows[j]}] = v
+			return cells
+		}
+		rows := m.append(1 + rng.Intn(4))
+		g := NewRowGens(len(rows), cellsOf(rows))
+		for step := 0; step < 60; step++ {
+			// Decide a few fresh pairs, as a Run would.
+			for d := rng.Intn(6); d > 0 && len(rows) >= 2; d-- {
+				i, j := rng.Intn(len(rows)), rng.Intn(len(rows))
+				if i == j {
+					continue
 				}
-				var name string
-				_, live := g.Window()
-				switch op := rng.Intn(8); {
-				case op >= 5 && len(rows) > 0:
-					var ids []int
-					switch rng.Intn(3) {
-					case 0: // every record of one live generation
-						gen := g.Dead + rng.Intn(live)
-						for i, r := range m.survivors {
-							if r.gen == gen {
-								ids = append(ids, i)
-							}
-						}
-					case 1: // a run of neighbours, usually straddling a boundary
-						lo := rng.Intn(len(rows))
-						ids = []int{lo}
-						for i := lo + 1; i < len(rows) && i < lo+4; i++ {
+				if i > j {
+					i, j = j, i
+				}
+				v := rng.Intn(2) == 0
+				g.Cache.m[[2]int{i, j}] = v
+				m.bits[[2]int{rows[i], rows[j]}] = v
+			}
+			var name string
+			_, live := g.Window()
+			switch op := rng.Intn(8); {
+			case op >= 5 && len(rows) > 0:
+				var ids []int
+				switch rng.Intn(3) {
+				case 0: // every record of one live generation
+					gen := g.Dead + rng.Intn(live)
+					for i, r := range m.survivors {
+						if r.gen == gen {
 							ids = append(ids, i)
 						}
-					default:
-						for i := range rows {
-							if rng.Intn(3) == 0 {
-								ids = append(ids, i)
-							}
+					}
+				case 1: // a run of neighbours, usually straddling a boundary
+					lo := rng.Intn(len(rows))
+					ids = []int{lo}
+					for i := lo + 1; i < len(rows) && i < lo+4; i++ {
+						ids = append(ids, i)
+					}
+				default:
+					for i := range rows {
+						if rng.Intn(3) == 0 {
+							ids = append(ids, i)
 						}
 					}
-					m.retract(ids)
-					g.Retract(ids)
-					rows = CompactRows(rows, ids)
-					name = "retract"
-				case op >= 3 && live > 0:
-					gens := 1 + rng.Intn(live)
-					if rng.Intn(4) == 0 {
-						gens = live // expire-all
-					}
-					m.expire(gens)
-					rows = rows[g.Expire(gens):]
-					name = "expire"
-				default:
-					ids := m.append(rng.Intn(4)) // empty batches included
-					g.Append(len(ids), cellsOf(ids))
-					rows = append(rows, ids...)
-					name = "append"
 				}
-				m.check(t, name, g, rows, pruned)
+				m.retract(ids)
+				g.Retract(ids)
+				rows = CompactRows(rows, ids)
+				name = "retract"
+			case op >= 3 && live > 0:
+				gens := 1 + rng.Intn(live)
+				if rng.Intn(4) == 0 {
+					gens = live // expire-all
+				}
+				m.expire(gens)
+				rows = rows[g.Expire(gens):]
+				name = "expire"
+			default:
+				ids := m.append(rng.Intn(4)) // empty batches included
+				g.Append(len(ids), cellsOf(ids))
+				rows = append(rows, ids...)
+				name = "append"
 			}
+			m.check(t, name, g, rows)
 		}
 	}
 }

@@ -203,8 +203,10 @@ func TestHandshakeRejectsPeerKeys(t *testing.T) {
 // the per-query horizontal sweeps, and v13, the per-sub-query masked round
 // of an "off" or "slots" settle chunk, against a horizontal one; v14, the
 // per-pair sequential rounds and the masked cross-term products, against a
-// vertical and an arbitrary one; same frame layout and parameters every
-// time — is refused with ErrHandshake naming both versions, on
+// vertical and an arbitrary one; v15, no index exchange and no pruned flag
+// under pruning "off" and unpacked masked replies under packing "off",
+// against a horizontal and a vertical one; same frame layout and
+// parameters every time — is refused with ErrHandshake naming both versions, on
 // either role, having been sent this party's handshake frame and nothing
 // after it: no index, no run op, no chunk that it would pair with a batch
 // of another length or take for an op it does not know.
@@ -234,6 +236,8 @@ func TestHandshakeRefusesOldSchedule(t *testing.T) {
 		{14, "arbitrary", [][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}}, func(c transport.Conn, cfg Config, role Role, values [][]float64) (*Session, error) {
 			return NewArbitrarySession(c, cfg, role, values, streamOwners(values, 0))
 		}},
+		{15, "horizontal", [][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}}, NewHorizontalSession},
+		{15, "vertical", [][]float64{{1}, {2}, {3}, {4}}, NewVerticalSession},
 	} {
 		for _, role := range []Role{RoleAlice, RoleBob} {
 			frame := handshakeMsg(old.proto, role.peer(), params, len(old.points[0]), len(old.points), paillier.MarshalPublicKey(&pai.PublicKey), nil, nil).Bytes()

@@ -25,13 +25,13 @@ import (
 //	           driver holding i = Σd_x² and the responder holding
 //	           j' = Σd_y² − 2·dot (tag hdp.cmp).
 //
-// The candidate count nCand is every responder point when Config.Pruning
-// is off (the paper-literal exhaustive query), or the padded occupancy of
-// the ≤3^d grid cells adjacent to P's cell under the default grid pruning
-// — see prune.go. Pruned queries mix the real cell members with
-// always-out-of-range dummy entries up to the disclosed padded counts, so
-// a sub-query's batch size carries no information beyond the session's
-// index exchange.
+// The candidate count nCand is every responder point on the one-cell grid
+// of Config.Pruning "off" (the paper-literal exhaustive query), or the
+// padded occupancy of the ≤3^d grid cells adjacent to P's cell under the
+// default grid pruning — see prune.go. Pruned queries mix the real cell
+// members with always-out-of-range dummy entries up to the disclosed
+// padded counts, so a sub-query's batch size carries no information
+// beyond the session's index exchange.
 //
 // Round structure. Algorithm 4 queries every own point at least once and
 // a query's operands do not depend on labels, so the rounds are not paid

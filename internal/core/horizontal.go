@@ -59,9 +59,9 @@ func HorizontalBob(conn transport.Conn, cfg Config, points [][]float64) (*Result
 }
 
 // NewHorizontalSession establishes a long-lived §4.2 session: keys,
-// handshake, and (under grid pruning) the candidate-index exchange happen
-// here, once; each subsequent Run executes one two-pass clustering over
-// the established state, and Append absorbs new points at incremental
+// handshake, and the candidate-index exchange happen here, once; each
+// subsequent Run executes one two-pass clustering over the established
+// state, and Append absorbs new points at incremental
 // cost (only delta index cells cross the wire, and re-clustering reuses
 // every cached region-count prefix).
 func NewHorizontalSession(conn transport.Conn, cfg Config, role Role, points [][]float64) (*Session, error) {
@@ -116,12 +116,12 @@ func newHorizontalSession(conn transport.Conn, cfg Config, role Role, points [][
 }
 
 // NewPair establishes one HDP edge over a party's own generation table:
-// worker channels, keys and the v15 handshake (proto names the protocol;
+// worker channels, keys and the v16 handshake (proto names the protocol;
 // role breaks the symmetry — it decides who sends first in every frame
 // swap, so a mesh maps the lower party index to RoleAlice), the common
-// record dimension, the row-dot packers, and — under grid pruning — the
-// candidate-index exchange. cfg must be normalised. The returned
-// PeerGens is this edge's view of the peer.
+// record dimension, the row-dot packers, and the candidate-index exchange
+// (on the one-cell grid when not pruning; CandidateGrid). cfg must be
+// normalised. The returned PeerGens is this edge's view of the peer.
 func NewPair(conn transport.Conn, cfg Config, role Role, proto string, own *OwnGens) (*Pair, *PeerGens, error) {
 	s, peer, err := establish(conn, cfg, role, proto, own.dim, len(own.Enc))
 	if err != nil {
@@ -142,10 +142,8 @@ func NewPair(conn transport.Conn, cfg Config, role Role, proto string, own *OwnG
 		return nil, nil, fmt.Errorf("core: row-dot packer: %w", err)
 	}
 	pg := newPeerGens(peer.Count)
-	if s.pruneOn {
-		if err := s.exchangeIndex(s.Conns[0], own, pg); err != nil {
-			return nil, nil, err
-		}
+	if err := s.exchangeIndex(s.Conns[0], own, pg); err != nil {
+		return nil, nil, err
 	}
 	return s, pg, nil
 }
@@ -208,8 +206,8 @@ func finishHRetract(t *Session, hs *hStream, ownIDs, peerIDs []int) error {
 }
 
 // horizontalAppendInit is the initiating side of one horizontal-family
-// append: announce our batch size, learn the peer's, and (under pruning)
-// swap index deltas. The batches themselves never cross the wire.
+// append: announce our batch size, learn the peer's, and swap index
+// deltas. The batches themselves never cross the wire.
 func horizontalAppendInit(t *Session, hs *hStream, values [][]float64, owners [][]partition.Owner) (sent bool, err error) {
 	if owners != nil {
 		return false, fmt.Errorf("core: %s protocol takes Append, not AppendOwned", t.proto)
@@ -261,16 +259,14 @@ func horizontalAppendServe(t *Session, hs *hStream, r *transport.Reader) error {
 }
 
 // finishHAppend runs the symmetric tail of an append on either side:
-// own-side bookkeeping, index-delta swap under pruning, then the peer's.
+// own-side bookkeeping, index-delta swap, then the peer's.
 func finishHAppend(t *Session, hs *hStream, batch [][]int64, peerCount int) error {
 	delta, err := hs.own.Append(batch)
 	if err != nil {
 		return err
 	}
-	if t.s.pruneOn {
-		if err := t.s.appendIndexDelta(t.s.Conns[0], hs.own.Gens(), delta, hs.peer); err != nil {
-			return err
-		}
+	if err := t.s.appendIndexDelta(t.s.Conns[0], hs.own.Gens(), delta, hs.peer); err != nil {
+		return err
 	}
 	hs.peer.Append(peerCount)
 	return nil

@@ -34,8 +34,12 @@ import (
 // particular upper-bounds the masked products a pruned responder really
 // received; bench records the mechanical reduction as
 // spatial.candidate_ratio).
-// What pruning adds is the index disclosure itself, tracked first-class in
-// the Index* entries:
+// What the index adds is its disclosure, tracked first-class in the Index*
+// entries. Every mode runs the index exchange; under pruning "off" (and the
+// geometric fallback) it is the one-cell grid's — one cell per directory
+// padded to the exact count the handshake or the append op already
+// carried, all-zero cell coordinates, and the fallback flag of every
+// query — so those entries count frames that say nothing new:
 //
 //   - IndexCells / IndexPaddedPoints: the one-time candidate-index
 //     exchange — how many occupied Eps-grid cells the peer disclosed and

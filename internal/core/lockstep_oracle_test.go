@@ -18,7 +18,21 @@ import (
 // the per-pair drivers it replaced (perpair_test.go), and everything a
 // party can count must come out equal at every Run: labels, every Ledger
 // class (PairDecisions and DotProducts included), SecureComparisons and
-// CachedComparisons, on both sides.
+// CachedComparisons, on both sides. It does so for every candidate-set
+// input (pruneInputs): the Eps grid, pruning off and the geometric
+// fallback.
+
+// pruneInputs are the candidate-set inputs the differentials run over: the
+// Eps grid, pruning off, and the geometric fallback — grid pruning with
+// Eps² beyond the dist² bound of the two-dimensional test domain
+// (2·7² = 98) — the last two on the one-cell grid (CandidateGrid).
+// Subtests name the input by sub; the Eps grid's keep their unsegmented
+// names.
+var pruneInputs = []struct {
+	sub     string
+	pruning PruneMode
+	eps     float64
+}{{"", PruneGrid, 2}, {"off/", PruneOff, 2}, {"fallback/", PruneGrid, 10}}
 
 var lockstepOracleGens = [][][]float64{
 	{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {6, 6}, {6, 5}, {5, 6}, {3, 3}},
@@ -143,39 +157,41 @@ func TestLockstepMatchesPerPairOracle(t *testing.T) {
 		}
 	}
 	for _, fam := range lockstepFamilies() {
-		oracleCfg := testCfg(compare.EngineMasked)
-		oracleCfg.Batching = BatchModeSequential
-		want := runLockstepLifecycle(t, fam, oracleCfg, true)
-		for _, m := range modes {
-			t.Run(fmt.Sprintf("%s/%s/packing=%s/W=%d", fam.name, m.batching, m.packing, m.w), func(t *testing.T) {
-				cfg := parallelCfg(compare.EngineMasked, m.w, PruneGrid)
-				cfg.Batching, cfg.Packing = m.batching, m.packing
-				got := runLockstepLifecycle(t, fam, cfg, false)
-				cached := int64(0)
-				for side, role := range []Role{RoleAlice, RoleBob} {
-					if len(got[side]) != len(want[side]) || len(got[side]) != 6 {
-						t.Fatalf("%v: %d stages on the chunk exchange, %d per pair, want 6", role, len(got[side]), len(want[side]))
+		for _, in := range pruneInputs {
+			oracleCfg := parallelCfg(compare.EngineMasked, 1, in.pruning)
+			oracleCfg.Batching, oracleCfg.Eps = BatchModeSequential, in.eps
+			want := runLockstepLifecycle(t, fam, oracleCfg, true)
+			for _, m := range modes {
+				t.Run(fmt.Sprintf("%s/%s%s/packing=%s/W=%d", fam.name, in.sub, m.batching, m.packing, m.w), func(t *testing.T) {
+					cfg := parallelCfg(compare.EngineMasked, m.w, in.pruning)
+					cfg.Batching, cfg.Packing, cfg.Eps = m.batching, m.packing, in.eps
+					got := runLockstepLifecycle(t, fam, cfg, false)
+					cached := int64(0)
+					for side, role := range []Role{RoleAlice, RoleBob} {
+						if len(got[side]) != len(want[side]) || len(got[side]) != 6 {
+							t.Fatalf("%v: %d stages on the chunk exchange, %d per pair, want 6", role, len(got[side]), len(want[side]))
+						}
+						for stage := range got[side] {
+							g, w := got[side][stage], want[side][stage]
+							at := fmt.Sprintf("%v stage %d", role, stage)
+							if !metrics.ExactMatch(g.Labels, w.Labels) || g.NumClusters != w.NumClusters {
+								t.Errorf("%s: labels %v (%d clusters), per pair %v (%d)", at, g.Labels, g.NumClusters, w.Labels, w.NumClusters)
+							}
+							if g.Leakage != w.Leakage {
+								t.Errorf("%s: ledger %v, per pair %v", at, g.Leakage, w.Leakage)
+							}
+							if g.SecureComparisons != w.SecureComparisons || g.CachedComparisons != w.CachedComparisons {
+								t.Errorf("%s: %d secure + %d cached comparisons, per pair %d + %d", at,
+									g.SecureComparisons, g.CachedComparisons, w.SecureComparisons, w.CachedComparisons)
+							}
+							cached += g.CachedComparisons
+						}
 					}
-					for stage := range got[side] {
-						g, w := got[side][stage], want[side][stage]
-						at := fmt.Sprintf("%v stage %d", role, stage)
-						if !metrics.ExactMatch(g.Labels, w.Labels) || g.NumClusters != w.NumClusters {
-							t.Errorf("%s: labels %v (%d clusters), per pair %v (%d)", at, g.Labels, g.NumClusters, w.Labels, w.NumClusters)
-						}
-						if g.Leakage != w.Leakage {
-							t.Errorf("%s: ledger %v, per pair %v", at, g.Leakage, w.Leakage)
-						}
-						if g.SecureComparisons != w.SecureComparisons || g.CachedComparisons != w.CachedComparisons {
-							t.Errorf("%s: %d secure + %d cached comparisons, per pair %d + %d", at,
-								g.SecureComparisons, g.CachedComparisons, w.SecureComparisons, w.CachedComparisons)
-						}
-						cached += g.CachedComparisons
+					if cached == 0 {
+						t.Error("no stage answered anything from the cache: the lifecycle compared cold runs only")
 					}
-				}
-				if cached == 0 {
-					t.Error("no stage answered anything from the cache: the lifecycle compared cold runs only")
-				}
-			})
+				})
+			}
 		}
 	}
 }

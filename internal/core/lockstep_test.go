@@ -174,9 +174,6 @@ func TestPrunedPairsNeverReachOracle(t *testing.T) {
 			}
 		}
 	}
-	if PrunedLocalDecider(nil, nil) != nil {
-		t.Error("pruning off must yield a nil decider")
-	}
 }
 
 // TestChunkBound pins the one sizing rule: the cap where frames are small,

@@ -77,9 +77,15 @@ func (r Role) peer() Role {
 // cross terms are one per-pair dot exchange (mpc.SenderScatterDot), and
 // under sequential batching a vertical or arbitrary chunk is the same
 // exchange with one comparison at a time — so a peer on the old wire would
-// expect per-pair frames. Mesh edges (internal/multiparty) speak the same
-// frame with proto "mesh".
-const handshakeVersion = 15
+// expect per-pair frames; version 16 runs the index exchange under pruning
+// "off" and the geometric fallback too, on the one-cell grid
+// (CandidateGrid), so every op frame carries the per-query pruned flag,
+// and the masked engine has one wire form — replies are biased one-slot
+// plaintexts under "off", and a scalar comparison is a batch of one with
+// its count prefix — so a peer on the old wire would misread the index
+// and comparison frames of those modes. Mesh edges (internal/multiparty)
+// speak the same frame with proto "mesh".
+const handshakeVersion = 16
 
 // ErrHandshake reports parameter disagreement between the parties.
 var ErrHandshake = errors.New("core: handshake parameter mismatch")
@@ -118,14 +124,12 @@ type Pair struct {
 
 	random io.Reader
 
-	// Grid-pruning state (Config.Pruning): cellW is the Eps-grid cell
-	// width; pruneOn reports whether pruning is active for this pair —
-	// requested by config AND geometrically useful (epsSq < bound; at
-	// epsSq = bound a single cell covers the whole domain and dummy
-	// padding could not stay strictly out of range). The generational
+	// The candidate grid (CandidateGrid): cellW is its cell width and
+	// quantum the padding granularity of its directories — the Eps grid
+	// under grid pruning, the one-cell grid otherwise. The generational
 	// index state itself lives in OwnGens / PeerGens (gens.go).
 	cellW   int64
-	pruneOn bool
+	quantum int
 
 	// rdPeer / rdOwn size the dot-product frames of a settle chunk and of
 	// an arbitrary chunk's cross terms: a slot holds one exact cross dot
@@ -193,10 +197,6 @@ func (s *Pair) ResetRun() {
 // EpsSq returns the integer threshold dist² is compared against (Eps²,
 // clamped to the dist² bound).
 func (s *Pair) EpsSq() int64 { return s.epsSq }
-
-// PruneOn reports whether the edge runs grid-pruned queries and index
-// exchanges.
-func (s *Pair) PruneOn() bool { return s.pruneOn }
 
 // Ciphertexts reports the Paillier ciphertexts this party put on the
 // edge since ResetRun, split by leg.
@@ -366,12 +366,28 @@ func (s *Pair) setDimension(m int) error {
 	if s.epsSq > s.bound {
 		s.epsSq = s.bound
 	}
-	// Grid pruning engages only when the Eps ball is strictly smaller than
-	// the coordinate domain; both parties derive this from handshake-agreed
-	// values, so they agree on whether the index phases run.
-	s.cellW = spatial.CellWidth(s.epsSq)
-	s.pruneOn = s.cfg.Pruning == PruneGrid && s.epsSq < s.bound
+	s.cellW, s.quantum = CandidateGrid(s.cfg, s.epsSq, s.bound)
 	return nil
+}
+
+// CandidateGrid picks the grid every candidate set is drawn from, for a
+// two-party pair and the ring alike, from handshake-agreed values only, so
+// every party derives the same one. Under grid pruning with the Eps ball
+// strictly inside the dist² bound it is the Eps grid, cells of
+// spatial.CellWidth(epsSq) padded at cfg.PruneQuantum. Otherwise — pruning
+// off, or the geometric fallback epsSq ≥ bound, where no dummy could stay
+// strictly out of range — it is the one-cell grid: cells wider than the
+// coordinate domain [0, MaxCoord], so every point buckets into the one
+// cell, padded at 1, so its directory discloses only the counts the
+// handshake and the append ops already carry. A query against it is the
+// exhaustive one: an honest driver never prunes against one cell
+// (Pair.narrow), and a responder refuses an announcement that tries
+// (ErrPrunedSpan).
+func CandidateGrid(cfg Config, epsSq, bound int64) (width int64, quantum int) {
+	if cfg.Pruning == PruneGrid && epsSq < bound {
+		return spatial.CellWidth(epsSq), cfg.PruneQuantum
+	}
+	return cfg.MaxCoord + 1, 1
 }
 
 // rowDotPackers derives the pair's dot-product packers; NewPair and the

@@ -163,14 +163,12 @@ func perQueryRemoteCount(s *Pair, hs *hStream, conn transport.Conn, i int, eng c
 func perQueryFrame(s *Pair, peer *PeerGens, p []int64, g int) (*transport.Builder, int) {
 	msg := transport.NewBuilder().PutUint(opPerQuery).PutUint(uint64(g)).PutUint(uint64(g + 1))
 	nCand := peer.Count[g]
-	if s.pruneOn {
-		cells, total := s.candidateCells(peer, p, g, g+1)
-		usePrune := total < nCand
-		msg.PutBool(usePrune)
-		if usePrune {
-			nCand = total
-			spatial.EncodeCells(msg, cells)
-		}
+	cells, total := s.candidateCells(peer, p, g, g+1)
+	usePrune := total < nCand
+	msg.PutBool(usePrune)
+	if usePrune {
+		nCand = total
+		spatial.EncodeCells(msg, cells)
 	}
 	return msg, nCand
 }

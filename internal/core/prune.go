@@ -1,16 +1,20 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/spatial"
 	"repro/internal/transport"
 )
 
-// Grid pruning (Config.Pruning = "grid") — the candidate-index layer.
-//
-// One index exchange per session replaces the exhaustive candidate sets of
-// the secure distance phases:
+// The candidate-index layer. Every session runs one index exchange on its
+// candidate grid (CandidateGrid): the Eps grid under grid pruning
+// (Config.Pruning = "grid"), which replaces the exhaustive candidate sets
+// of the secure distance phases as below, or the one-cell grid under
+// "off" and the geometric fallback, on which every candidate set is the
+// exhaustive one — a directory of one cell padded to the exact count, an
+// all-zero cell matrix, and a fallback flag on every query:
 //
 //   - Horizontal family: each party buckets its points into an Eps-width
 //     grid and sends the peer a padded occupancy directory (tag hdp.idx).
@@ -60,7 +64,7 @@ func (s *Pair) SwapMsg(conn transport.Conn, tag string, msg *transport.Builder) 
 // 0 of its spatial.Stack) and records what the peer disclosed. Appends
 // extend both sides one generation at a time via appendIndexDelta.
 func (s *Pair) exchangeIndex(conn transport.Conn, own *OwnGens, peer *PeerGens) error {
-	ownDir, err := own.index(s.cellW)
+	ownDir, err := own.index(s.cellW, s.quantum)
 	if err != nil {
 		return fmt.Errorf("core: index build: %w", err)
 	}
@@ -68,7 +72,7 @@ func (s *Pair) exchangeIndex(conn transport.Conn, own *OwnGens, peer *PeerGens) 
 	if err != nil {
 		return fmt.Errorf("core: index exchange: %w", err)
 	}
-	peerDir, err := spatial.DecodeDirectory(r, s.dim, s.cfg.PruneQuantum)
+	peerDir, err := spatial.DecodeDirectory(r, s.dim, s.quantum)
 	if err != nil {
 		return fmt.Errorf("core: index decode: %w", err)
 	}
@@ -94,7 +98,7 @@ func (s *Pair) appendIndexDelta(conn transport.Conn, gen int, delta spatial.Dire
 // extends our view of its directories; the disclosure is recorded in the
 // delta-index Ledger classes.
 func (s *Pair) ReadIndexDelta(r *transport.Reader, peer *PeerGens) error {
-	d, err := spatial.DecodeGridDelta(r, s.dim, s.cfg.PruneQuantum, len(peer.dirs)+1)
+	d, err := spatial.DecodeGridDelta(r, s.dim, s.quantum, len(peer.dirs)+1)
 	if err != nil {
 		return fmt.Errorf("core: index delta decode: %w", err)
 	}
@@ -119,56 +123,68 @@ func (s *Pair) candidateCells(peer *PeerGens, p []int64, from, to int) (cells []
 // SubQuery is one HDP region sub-query: the driver's live point Point —
 // the row it belongs to — against the responder's generation Gen. NCand is
 // the number of candidate instances it commits both sides to: the whole
-// generation, or under grid pruning the padded occupancy of the candidate
-// cells out of the responder's generation-Gen directory.
+// generation, or when pruned the padded occupancy of the candidate cells
+// out of the responder's generation-Gen directory.
 type SubQuery struct {
 	Point, Gen, NCand int
 
-	pruned bool      // pruning on: cells announced (else the exhaustive fallback)
+	pruned bool      // cells announced (else the exhaustive fallback)
 	cells  [][]int64 // the announced candidate cells, canonical order
 }
 
 // SubQuery resolves the sub-query of our point p (live index point)
-// against the peer's generation g. Under grid pruning it names the
-// candidate cells adjacent to p's cell and runs over their padded
-// occupancy; when padding would make that at least as large as the
-// generation itself it takes the exhaustive fallback instead, so a pruned
-// sweep never compares more than an unpruned one. Whether a sub-query of
-// zero candidates is announced at all is the caller's policy.
+// against the peer's generation g: the candidate cells adjacent to p's
+// cell, run over their padded occupancy — or, when padding would make that
+// at least as large as the generation itself, the exhaustive fallback, so
+// a pruned sweep never compares more than an unpruned one. On the one-cell
+// grid (CandidateGrid) the fallback is every sub-query. Whether a
+// sub-query of zero candidates is announced at all is the caller's policy.
 func (s *Pair) SubQuery(peer *PeerGens, p []int64, point, g int) SubQuery {
 	q := SubQuery{Point: point, Gen: g, NCand: peer.Count[g]}
-	if s.pruneOn {
-		cells, total := s.candidateCells(peer, p, g, g+1)
-		if q.pruned = total < q.NCand; q.pruned {
-			q.NCand, q.cells = total, cells
-		}
-	}
+	s.narrow(&q, peer, p, g, g+1)
 	return q
 }
 
-// Announce appends the sub-query's candidate fields to an op frame, in the
-// form ReadPrunedOp parses: nothing with pruning off, else the
-// pruned/exhaustive flag and, when pruned, the candidate cells.
-func (s *Pair) Announce(msg *transport.Builder, q SubQuery) {
-	if s.pruneOn {
-		msg.PutBool(q.pruned)
-		if q.pruned {
-			spatial.EncodeCells(msg, q.cells)
-		}
+// narrow is the one pruning rule, for region sub-queries and core queries
+// alike: q, over the peer's live count q.NCand, takes the candidate cells
+// adjacent to p's cell in the peer's generations [from, to) only when
+// their padded occupancy is below that count. On the one-cell grid it
+// never is, so the query stays exhaustive.
+func (s *Pair) narrow(q *SubQuery, peer *PeerGens, p []int64, from, to int) {
+	cells, total := s.candidateCells(peer, p, from, to)
+	if q.pruned = total < q.NCand; q.pruned {
+		q.NCand, q.cells = total, cells
 	}
 }
+
+// Announce appends the sub-query's candidate fields to an op frame, in the
+// form ReadPrunedOp parses: the pruned/exhaustive flag and, when pruned,
+// the candidate cells.
+func (s *Pair) Announce(msg *transport.Builder, q SubQuery) {
+	msg.PutBool(q.pruned)
+	if q.pruned {
+		spatial.EncodeCells(msg, q.cells)
+	}
+}
+
+// ErrPrunedSpan reports a pruned announcement an honest driver never
+// makes: one whose candidate cells pad to at least the live count of the
+// span it names. A driver prunes only below that count (Pair.narrow), so
+// the refusal costs an honest run nothing, and on the one-cell grid —
+// where the padded total always covers the span — it is what keeps an
+// exhaustive query free of dummies.
+var ErrPrunedSpan = errors.New("core: pruned announcement does not shrink its span")
 
 // ReadPrunedOp resolves the candidates of a region or core query op frame
 // scoped to our own generations [from, to): the candidate points
 // (generation-major) plus how many dummy entries pad the batch to the
-// disclosed stacked counts. With pruning off that is the span itself.
-// With pruning on the driver appended the exhaustive-fallback flag and,
-// for pruned queries, the candidate cells (spatial.Stack.ResolveSpan
-// validates them); on fallback the result is again the span with no
-// dummies. The flag itself is an index signal (it tells the responder
-// whether the query's candidate cells cover at least the exhaustive
-// span), so it is accounted in IndexQueryCells alongside any announced
-// cells.
+// disclosed stacked counts. The driver appended the exhaustive-fallback
+// flag and, for pruned queries, the candidate cells
+// (spatial.Stack.ResolveSpan validates them); on fallback the result is
+// the span with no dummies. The flag itself is an index signal (it tells
+// the responder whether the query's candidate cells cover at least the
+// exhaustive span), so it is accounted in IndexQueryCells alongside any
+// announced cells.
 func (s *Pair) ReadPrunedOp(r *transport.Reader, own *OwnGens, from, to int) (pts [][]int64, nDummy int, err error) {
 	pts, nDummy, cells, err := s.readPruned(r, own, from, to)
 	if cells > 0 {
@@ -179,17 +195,17 @@ func (s *Pair) ReadPrunedOp(r *transport.Reader, own *OwnGens, from, to int) (pt
 
 // readPruned is ReadPrunedOp without the Ledger: it returns the
 // IndexQueryCells the op discloses instead of recording them, for a caller
-// that records only once the whole frame has passed its checks.
+// that records only once the whole frame has passed its checks. A pruned
+// announcement whose cells pad to at least the span's live count is
+// refused with ErrPrunedSpan.
 func (s *Pair) readPruned(r *transport.Reader, own *OwnGens, from, to int) (pts [][]int64, nDummy, indexCells int, err error) {
-	if !s.pruneOn {
-		return own.Span(from, to), 0, 0, nil
-	}
 	pruned := r.Bool()
 	if err := r.Err(); err != nil {
 		return nil, 0, 0, err
 	}
+	span := own.Span(from, to)
 	if !pruned {
-		return own.Span(from, to), 0, 1, nil
+		return span, 0, 1, nil
 	}
 	cells, err := spatial.DecodeCells(r, s.dim)
 	if err != nil {
@@ -198,6 +214,9 @@ func (s *Pair) readPruned(r *transport.Reader, own *OwnGens, from, to int) (pts 
 	members, nDummy, err := own.stack.ResolveSpan(from, to, cells)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("core: query cells: %w", err)
+	}
+	if padded := len(members) + nDummy; padded >= len(span) {
+		return nil, 0, 0, fmt.Errorf("%w: %d cells pad to %d of %d live points", ErrPrunedSpan, len(cells), padded, len(span))
 	}
 	pts = make([][]int64, len(members))
 	for i, j := range members {
@@ -209,17 +228,14 @@ func (s *Pair) readPruned(r *transport.Reader, own *OwnGens, from, to int) (pts 
 // ---- Pruned lockstep decisions ----
 
 // PrunedLocalDecider adapts a cell matrix to LockstepCluster's local
-// decision hook: nil when pruning is off (cellRows == nil), otherwise
-// pairs in non-adjacent cells are decided out-of-range locally (onPruned,
-// when non-nil, runs their Ledger budget accounting) and only the
-// remaining pairs reach the oracle. Every participant decides
+// decision hook: pairs in non-adjacent cells are decided out-of-range
+// locally (onPruned, when non-nil, runs their Ledger budget accounting)
+// and only the remaining pairs reach the oracle — none are decided on the
+// one-cell grid. Every participant decides
 // identically over the shared cell matrix, so batch boundaries stay in
 // lock step. The vertical/arbitrary families and the multiparty ring all
 // share it, so the pruning contract has one source of truth.
 func PrunedLocalDecider(cellRows [][]int64, onPruned func(pr [2]int)) func(pr [2]int) (value, decided bool) {
-	if cellRows == nil {
-		return nil
-	}
 	return func(pr [2]int) (bool, bool) {
 		if spatial.Adjacent(cellRows[pr[0]], cellRows[pr[1]]) {
 			return false, false

@@ -125,41 +125,43 @@ func runSettleLifecycle(t *testing.T, cfg Config, open sessionOpener) (stages [2
 
 func TestSettleMatchesPerQueryDriver(t *testing.T) {
 	for _, engine := range []compare.EngineKind{compare.EngineMasked, compare.EngineYMPP} {
-		for _, packing := range []PackMode{PackOff, PackSlots, PackFull} {
-			for _, w := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/packing=%s/W=%d", engine, packing, w), func(t *testing.T) {
-					cfg := parallelCfg(engine, w, PruneGrid)
-					cfg.Packing = packing
-					got := runSettleLifecycle(t, cfg, settleSessionOpener)
-					want := runSettleLifecycle(t, cfg, newPerQuerySession)
-					cached := int64(0)
-					for side, role := range []Role{RoleAlice, RoleBob} {
-						if len(got[side]) != len(want[side]) || len(got[side]) != 7 {
-							t.Fatalf("%v: %d stages on the settle schedule, %d per query, want 7", role, len(got[side]), len(want[side]))
+		for _, in := range pruneInputs {
+			for _, packing := range []PackMode{PackOff, PackSlots, PackFull} {
+				for _, w := range []int{1, 4} {
+					t.Run(fmt.Sprintf("%s/%spacking=%s/W=%d", engine, in.sub, packing, w), func(t *testing.T) {
+						cfg := parallelCfg(engine, w, in.pruning)
+						cfg.Packing, cfg.Eps = packing, in.eps
+						got := runSettleLifecycle(t, cfg, settleSessionOpener)
+						want := runSettleLifecycle(t, cfg, newPerQuerySession)
+						cached := int64(0)
+						for side, role := range []Role{RoleAlice, RoleBob} {
+							if len(got[side]) != len(want[side]) || len(got[side]) != 7 {
+								t.Fatalf("%v: %d stages on the settle schedule, %d per query, want 7", role, len(got[side]), len(want[side]))
+							}
+							for stage := range got[side] {
+								g, w := got[side][stage], want[side][stage]
+								at := fmt.Sprintf("%v stage %d", role, stage)
+								if !metrics.ExactMatch(g.res.Labels, w.res.Labels) || g.res.NumClusters != w.res.NumClusters {
+									t.Errorf("%s: labels %v (%d clusters), per query %v (%d)", at, g.res.Labels, g.res.NumClusters, w.res.Labels, w.res.NumClusters)
+								}
+								if g.res.Leakage != w.res.Leakage {
+									t.Errorf("%s: ledger %v, per query %v", at, g.res.Leakage, w.res.Leakage)
+								}
+								if g.res.SecureComparisons != w.res.SecureComparisons || g.res.CachedComparisons != w.res.CachedComparisons {
+									t.Errorf("%s: %d secure + %d cached comparisons, per query %d + %d", at,
+										g.res.SecureComparisons, g.res.CachedComparisons, w.res.SecureComparisons, w.res.CachedComparisons)
+								}
+								if !reflect.DeepEqual(g.segs, w.segs) {
+									t.Errorf("%s: cached segments %v, per query %v", at, g.segs, w.segs)
+								}
+								cached += g.res.CachedComparisons
+							}
 						}
-						for stage := range got[side] {
-							g, w := got[side][stage], want[side][stage]
-							at := fmt.Sprintf("%v stage %d", role, stage)
-							if !metrics.ExactMatch(g.res.Labels, w.res.Labels) || g.res.NumClusters != w.res.NumClusters {
-								t.Errorf("%s: labels %v (%d clusters), per query %v (%d)", at, g.res.Labels, g.res.NumClusters, w.res.Labels, w.res.NumClusters)
-							}
-							if g.res.Leakage != w.res.Leakage {
-								t.Errorf("%s: ledger %v, per query %v", at, g.res.Leakage, w.res.Leakage)
-							}
-							if g.res.SecureComparisons != w.res.SecureComparisons || g.res.CachedComparisons != w.res.CachedComparisons {
-								t.Errorf("%s: %d secure + %d cached comparisons, per query %d + %d", at,
-									g.res.SecureComparisons, g.res.CachedComparisons, w.res.SecureComparisons, w.res.CachedComparisons)
-							}
-							if !reflect.DeepEqual(g.segs, w.segs) {
-								t.Errorf("%s: cached segments %v, per query %v", at, g.segs, w.segs)
-							}
-							cached += g.res.CachedComparisons
+						if cached == 0 {
+							t.Error("no stage answered anything from the cache: the lifecycle compared cold runs only")
 						}
-					}
-					if cached == 0 {
-						t.Error("no stage answered anything from the cache: the lifecycle compared cold runs only")
-					}
-				})
+					})
+				}
 			}
 		}
 	}
@@ -482,7 +484,7 @@ func TestSettleUplinkClassesStayInsideOnePoint(t *testing.T) {
 func hostileChunk(declared uint64, entries ...[2]uint64) *transport.Builder {
 	msg := transport.NewBuilder().PutUint(OpSettle).PutUint(declared)
 	for _, e := range entries {
-		msg.PutUint(e[0]).PutUint(e[1])
+		msg.PutUint(e[0]).PutUint(e[1]).PutBool(false) // the exhaustive fallback
 	}
 	return msg
 }
@@ -589,10 +591,16 @@ func TestReadSettleOpChunkBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := &Pair{cfg: cfg}
+	if err := s.setDimension(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := own.index(s.cellW, s.quantum); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := own.Append([][]int64{{3, 3}, {4, 4}}); err != nil {
 		t.Fatal(err)
 	}
-	s := &Pair{cfg: cfg, dim: 2}
 	read := func(bound int, entries ...[2]uint64) error {
 		r := transport.NewReader(hostileChunk(uint64(len(entries)), entries...).Bytes())
 		r.Uint() // the op code Serve consumes
@@ -624,10 +632,10 @@ func opFuzzFixture(f *testing.F) (*Pair, *OwnGens, *PeerGens) {
 		f.Fatal(err)
 	}
 	s := &Pair{cfg: cfg, dim: 2, epsSq: 4, bound: 98}
-	if err := s.setDimension(2); err != nil || !s.pruneOn {
-		f.Fatalf("fixture: pruning %v, %v", s.pruneOn, err)
+	if err := s.setDimension(2); err != nil || s.quantum != cfg.PruneQuantum {
+		f.Fatalf("fixture: not on the Eps grid (quantum %d), %v", s.quantum, err)
 	}
-	if _, err := own.index(s.cellW); err != nil {
+	if _, err := own.index(s.cellW, s.quantum); err != nil {
 		f.Fatal(err)
 	}
 	for _, batch := range [][][]int64{{{2, 2}, {5, 5}}, {}, {{7, 7}}} {
@@ -638,7 +646,7 @@ func opFuzzFixture(f *testing.F) (*Pair, *OwnGens, *PeerGens) {
 	if _, err := own.Expire(1); err != nil {
 		f.Fatal(err)
 	}
-	peer := newPeerGens(3)
+	peer := newPeerGens(0) // generation 0 expired: a husk of no live points
 	for g := 1; g < own.Gens(); g++ {
 		dir, err := own.stack.Dir(g)
 		if err != nil {

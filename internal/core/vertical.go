@@ -45,8 +45,8 @@ func VerticalBob(conn transport.Conn, cfg Config, attrs [][]float64) (*Result, e
 }
 
 // NewVerticalSession establishes a long-lived §4.3 session: handshake,
-// keys, and (under grid pruning) the per-record cell-matrix exchange
-// happen once; each Run executes one lockstep clustering.
+// keys, and the per-record cell-matrix exchange happen once; each Run
+// executes one lockstep clustering.
 func NewVerticalSession(conn transport.Conn, cfg Config, role Role, attrs [][]float64) (*Session, error) {
 	t, _, err := newVerticalSession(conn, cfg, role, attrs)
 	return t, err
@@ -85,24 +85,23 @@ func newVerticalSession(conn transport.Conn, cfg Config, role Role, attrs [][]fl
 	if err := s.setDimension(ownDim + peer.Dim); err != nil {
 		return nil, nil, err
 	}
-	// Grid pruning: both parties disclose per-record cell coordinates over
-	// their own columns and assemble the same full cell matrix, so pairs
-	// in non-adjacent cells are decided out of range locally — on both
-	// sides identically — and never reach the comparison oracle. Pruned
-	// pairs keep their PairDecisions budget entry (the index implies the
-	// decision; see Ledger docs). The exchange is session-level state:
+	// The index: both parties disclose per-record cell coordinates over
+	// their own columns on the candidate grid (CandidateGrid) and assemble
+	// the same full cell matrix, so pairs in non-adjacent cells are decided
+	// out of range locally — on both sides identically — and never reach
+	// the comparison oracle; on the one-cell grid every pair is adjacent.
+	// Pruned pairs keep their PairDecisions budget entry (the index implies
+	// the decision; see Ledger docs). The exchange is session-level state:
 	// repeated Runs reuse the matrix without disclosing it again, and an
 	// Append extends it by the new rows only.
-	var cellRows [][]int64
-	if s.pruneOn {
-		own := vBucket(s, enc)
-		r, err := s.SwapMsg(s.Conns[0], "vdp.idx", spatial.EncodeCells(transport.NewBuilder(), own))
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: vdp index exchange: %w", err)
-		}
-		if cellRows, err = vCellRows(s, r, own, peer.Dim); err != nil {
-			return nil, nil, err
-		}
+	own := vBucket(s, enc)
+	r, err := s.SwapMsg(s.Conns[0], "vdp.idx", spatial.EncodeCells(transport.NewBuilder(), own))
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: vdp index exchange: %w", err)
+	}
+	cellRows, err := vCellRows(s, r, own, peer.Dim)
+	if err != nil {
+		return nil, nil, err
 	}
 	vs := &vStream{RowGens: NewRowGens(len(enc), cellRows), enc: enc, peerDim: peer.Dim}
 	t := newSession(conn, s, "vertical")
@@ -121,7 +120,7 @@ func newVerticalSession(conn transport.Conn, cfg Config, role Role, attrs [][]fl
 }
 
 // vStream is the vertical family's mutable session state: the shared-row
-// generation table (cell matrix under pruning and the cross-run pair cache
+// generation table (cell matrix and the cross-run pair cache
 // included — pair bits are public to both parties (Theorem 10), so both
 // hold identical caches and the seeded lockstep drivers stay in lock step)
 // plus the one matrix that is this family's own, the growing record matrix
@@ -221,32 +220,26 @@ func vCellRows(s *Pair, r *transport.Reader, own [][]int64, peerDim int) ([][]in
 }
 
 // appendVCoords attaches this party's own-column cell coordinates of the
-// appended rows when pruning is on (tagged index disclosure, exactly the
-// per-row payload of the construction-time exchange) and returns them.
+// appended rows (tagged index disclosure, exactly the per-row payload of
+// the construction-time exchange) and returns them.
 func appendVCoords(s *Pair, msg *transport.Builder, batch [][]int64) [][]int64 {
-	if !s.pruneOn {
-		return nil
-	}
 	own := vBucket(s, batch)
 	spatial.EncodeCells(msg, own)
 	return own
 }
 
 // finishVAppend validates the peer half of the exchange (the already-
-// parsed count, and under pruning the peer's cell coordinates of the
-// same rows — r is positioned at them) and extends the session state.
+// parsed count and the peer's cell coordinates of the same rows — r is
+// positioned at them) and extends the session state.
 func finishVAppend(t *Session, vs *vStream, batch, own [][]int64, peerCount int, r *transport.Reader) error {
 	if peerCount != len(batch) {
 		return fmt.Errorf("core: append count %d vs peer %d (vertical records are shared)", len(batch), peerCount)
 	}
-	var cells [][]int64
-	if t.s.pruneOn {
-		var err error
-		if cells, err = vCellRows(t.s, r, own, vs.peerDim); err != nil {
-			return err
-		}
-		t.s.led(func(l *Ledger) { l.IndexDeltaCells += len(cells) })
+	cells, err := vCellRows(t.s, r, own, vs.peerDim)
+	if err != nil {
+		return err
 	}
+	t.s.led(func(l *Ledger) { l.IndexDeltaCells += len(cells) })
 	vs.enc = append(vs.enc, batch...)
 	vs.Append(len(batch), cells)
 	return nil

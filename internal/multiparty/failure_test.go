@@ -344,10 +344,13 @@ func TestRingTokenRejectsCoordinatorKeys(t *testing.T) {
 	}
 }
 
-// TestRingTokenRefusesOldSchedule: a coordinator still on ring token v10 —
-// one circulation per pair under sequential batching, unpacked sums under
-// "off" — sends an otherwise agreeing token; the party answers
-// ErrHandshake naming both versions and forwards nothing.
+// TestRingTokenRefusesOldSchedule: a ring peer still on an older token —
+// v10, one circulation per pair under sequential batching and unpacked
+// sums under "off"; v11, no index circulation under pruning "off" and
+// unpacked masked replies — is refused on both roles, with ErrHandshake
+// naming both versions and nothing forwarded: a party handed an otherwise
+// agreeing token by a stale coordinator, and a coordinator whose token
+// comes back from a stale party.
 func TestRingTokenRefusesOldSchedule(t *testing.T) {
 	pai, err := paillier.GenerateKey(rand.Reader, 256)
 	if err != nil {
@@ -363,29 +366,51 @@ func TestRingTokenRefusesOldSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := NewLocalRing(2)
-	tok := handshakeToken{
-		version: 10, params: params, count: len(attrs), dimSum: 1, k: 2,
-		paiPub: paillier.MarshalPublicKey(&pai.PublicKey),
-	}
-	if err := transport.SendMsg(ring[0].Next, encodeToken(tok)); err != nil {
-		t.Fatal(err)
-	}
-	errc := make(chan error, 1)
-	go func() {
-		_, err := NewRingSession(ring[1], cfg, attrs)
-		ring[1].Next.Close()
-		errc <- err
-	}()
-	select {
-	case err = <-errc:
-	case <-time.After(60 * time.Second):
-		t.Fatal("party hung on the token")
-	}
-	if want := fmt.Sprintf("version %d vs 10", ringHandshakeVersion); !errors.Is(err, ErrHandshake) || !strings.Contains(fmt.Sprint(err), want) {
-		t.Errorf("error = %v, want ErrHandshake on %q", err, want)
-	}
-	if _, err := ring[0].Prev.Recv(); !errors.Is(err, transport.ErrClosed) {
-		t.Errorf("the party forwarded a frame (%v), want a closed edge", err)
+	for _, old := range []int{10, 11} {
+		for _, coordinator := range []bool{false, true} {
+			label := fmt.Sprintf("v%d token, coordinator %v", old, coordinator)
+			ring := NewLocalRing(2)
+			// me is the party under test, peer the stale one.
+			me, peer := ring[1], ring[0]
+			if coordinator {
+				me, peer = ring[0], ring[1]
+			}
+			errc := make(chan error, 1)
+			go func() {
+				_, err := NewRingSession(me, cfg, attrs)
+				me.Next.Close()
+				errc <- err
+			}()
+			tok := handshakeToken{
+				version: old, params: params, count: len(attrs), dimSum: 1, k: 2,
+				paiPub: paillier.MarshalPublicKey(&pai.PublicKey),
+			}
+			if coordinator {
+				// The stale party hands the coordinator's token back as its
+				// own version.
+				r, err := transport.RecvMsg(peer.Prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tok, err = decodeToken(r); err != nil {
+					t.Fatal(err)
+				}
+				tok.version, tok.dimSum = old, tok.dimSum+1
+			}
+			if err := transport.SendMsg(peer.Next, encodeToken(tok)); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err = <-errc:
+			case <-time.After(60 * time.Second):
+				t.Fatalf("%s: party hung on the token", label)
+			}
+			if want := fmt.Sprintf("version %d vs %d", ringHandshakeVersion, old); !errors.Is(err, ErrHandshake) || !strings.Contains(fmt.Sprint(err), want) {
+				t.Errorf("%s: error = %v, want ErrHandshake on %q", label, err, want)
+			}
+			if _, err := peer.Prev.Recv(); !errors.Is(err, transport.ErrClosed) {
+				t.Errorf("%s: the party forwarded a frame (%v), want a closed edge", label, err)
+			}
+		}
 	}
 }

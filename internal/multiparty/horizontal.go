@@ -20,7 +20,7 @@ import (
 // driver's own points and cluster ids are local to each party.
 //
 // The mesh is the paper's two-party HDP sub-protocol run on each of the
-// k·(k−1)/2 edges: an edge is a core.Pair — core's v15 handshake with proto
+// k·(k−1)/2 edges: an edge is a core.Pair — core's v16 handshake with proto
 // "mesh" and the lower party index as RoleAlice, core's index exchange and
 // core's settle step (Pair.Settle / Pair.SettleServe: every region
 // sub-query of a pass decided up front, in whole-row chunks) — over one
@@ -186,8 +186,8 @@ func (ms *MeshSession) run() (*HorizontalResult, error) {
 
 // Append absorbs this party's appended batch: every party calls Append
 // concurrently with its own new points (any count, including none). Each
-// mesh edge swaps the batch count plus — under pruning — a
-// spatial.GridDelta of the touched cells, lower-indexed party first; the
+// mesh edge swaps the batch count plus a spatial.GridDelta of the touched
+// cells, lower-indexed party first; the
 // points themselves never cross the wire, and cached prefix counts stay
 // valid because appended generations only extend the suffix.
 func (ms *MeshSession) Append(points [][]float64) error {
@@ -203,9 +203,7 @@ func (ms *MeshSession) Append(points [][]float64) error {
 		}
 		return true, h.eachPeer(func(q int, sess *pairSession) error {
 			msg := transport.NewBuilder().PutUint(uint64(len(batch)))
-			if sess.PruneOn() {
-				spatial.GridDelta{Gen: h.own.Gens(), Dir: delta}.Encode(msg)
-			}
+			spatial.GridDelta{Gen: h.own.Gens(), Dir: delta}.Encode(msg)
 			r, err := sess.SwapMsg(sess.Conns[0], "hdp.idx", msg)
 			if err != nil {
 				return fmt.Errorf("multiparty: append exchange with %d: %w", q, err)
@@ -217,10 +215,8 @@ func (ms *MeshSession) Append(points [][]float64) error {
 			if peerCount < 0 {
 				return fmt.Errorf("multiparty: party %d appends %d points", q, peerCount)
 			}
-			if sess.PruneOn() {
-				if err := sess.ReadIndexDelta(r, sess.peer); err != nil {
-					return fmt.Errorf("multiparty: append delta from %d: %w", q, err)
-				}
+			if err := sess.ReadIndexDelta(r, sess.peer); err != nil {
+				return fmt.Errorf("multiparty: append delta from %d: %w", q, err)
 			}
 			sess.peer.Append(peerCount)
 			return nil

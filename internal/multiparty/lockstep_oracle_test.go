@@ -211,37 +211,52 @@ func TestLockstepMatchesPerPairOracle(t *testing.T) {
 			modes = append(modes, mode{core.BatchModeBatched, packing, w})
 		}
 	}
+	// The candidate-set inputs: the Eps grid, pruning off, and the
+	// geometric fallback — grid pruning with Eps² beyond the dist² bound of
+	// the three-column records (3·15² = 675) — the last two on the one-cell
+	// grid (core.CandidateGrid).
+	// Subtests name the input by sub; the Eps grid's keep their
+	// unsegmented names.
+	inputs := []struct {
+		sub     string
+		pruning core.PruneMode
+		eps     float64
+	}{{"", core.PruneGrid, 3}, {"off/", core.PruneOff, 3}, {"fallback/", core.PruneGrid, 30}}
 	for _, k := range []int{2, 3} {
-		oracleCfg := testCfg(compare.EngineMasked)
-		oracleCfg.Batching, oracleCfg.Packing = core.BatchModeSequential, core.PackOff
-		want := runRingLifecycle(t, oracleCfg, k, true)
-		for _, m := range modes {
-			t.Run(fmt.Sprintf("ring/k=%d/%s/packing=%s/W=%d", k, m.batching, m.packing, m.w), func(t *testing.T) {
-				cfg := testCfg(compare.EngineMasked)
-				cfg.Batching, cfg.Packing, cfg.Parallel = m.batching, m.packing, m.w
-				got := runRingLifecycle(t, cfg, k, false)
-				cached := 0
-				for p := range got {
-					if len(got[p]) != len(want[p]) || len(got[p]) != 6 {
-						t.Fatalf("party %d: %d stages on the chunk circulation, %d per pair, want 6", p, len(got[p]), len(want[p]))
-					}
-					for stage := range got[p] {
-						g, w := got[p][stage], want[p][stage]
-						at := fmt.Sprintf("party %d stage %d", p, stage)
-						if !metrics.ExactMatch(g.Labels, w.Labels) || g.NumClusters != w.NumClusters {
-							t.Errorf("%s: labels %v (%d clusters), per pair %v (%d)", at, g.Labels, g.NumClusters, w.Labels, w.NumClusters)
+		for _, in := range inputs {
+			oracleCfg := testCfg(compare.EngineMasked)
+			oracleCfg.Batching, oracleCfg.Packing = core.BatchModeSequential, core.PackOff
+			oracleCfg.Pruning, oracleCfg.Eps = in.pruning, in.eps
+			want := runRingLifecycle(t, oracleCfg, k, true)
+			for _, m := range modes {
+				t.Run(fmt.Sprintf("ring/k=%d/%s%s/packing=%s/W=%d", k, in.sub, m.batching, m.packing, m.w), func(t *testing.T) {
+					cfg := testCfg(compare.EngineMasked)
+					cfg.Batching, cfg.Packing, cfg.Parallel = m.batching, m.packing, m.w
+					cfg.Pruning, cfg.Eps = in.pruning, in.eps
+					got := runRingLifecycle(t, cfg, k, false)
+					cached := 0
+					for p := range got {
+						if len(got[p]) != len(want[p]) || len(got[p]) != 6 {
+							t.Fatalf("party %d: %d stages on the chunk circulation, %d per pair, want 6", p, len(got[p]), len(want[p]))
 						}
-						if g.PairDecisions != w.PairDecisions || g.CachedPairs != w.CachedPairs || g.IndexCellCoords != w.IndexCellCoords {
-							t.Errorf("%s: %d pair decisions, %d cached, %d index coordinates; per pair %d, %d, %d", at,
-								g.PairDecisions, g.CachedPairs, g.IndexCellCoords, w.PairDecisions, w.CachedPairs, w.IndexCellCoords)
+						for stage := range got[p] {
+							g, w := got[p][stage], want[p][stage]
+							at := fmt.Sprintf("party %d stage %d", p, stage)
+							if !metrics.ExactMatch(g.Labels, w.Labels) || g.NumClusters != w.NumClusters {
+								t.Errorf("%s: labels %v (%d clusters), per pair %v (%d)", at, g.Labels, g.NumClusters, w.Labels, w.NumClusters)
+							}
+							if g.PairDecisions != w.PairDecisions || g.CachedPairs != w.CachedPairs || g.IndexCellCoords != w.IndexCellCoords {
+								t.Errorf("%s: %d pair decisions, %d cached, %d index coordinates; per pair %d, %d, %d", at,
+									g.PairDecisions, g.CachedPairs, g.IndexCellCoords, w.PairDecisions, w.CachedPairs, w.IndexCellCoords)
+							}
+							cached += g.CachedPairs
 						}
-						cached += g.CachedPairs
 					}
-				}
-				if cached == 0 {
-					t.Error("no stage answered anything from the cache: the lifecycle compared cold runs only")
-				}
-			})
+					if cached == 0 {
+						t.Error("no stage answered anything from the cache: the lifecycle compared cold runs only")
+					}
+				})
+			}
 		}
 	}
 }

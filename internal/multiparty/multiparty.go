@@ -36,11 +36,11 @@
 //
 // Neither topology carries its own copy of a two-party building block.
 // The horizontal mesh (horizontal.go) is the paper's HDP sub-protocol on
-// each of its k·(k−1)/2 edges, and an edge is a core.Pair: core's v15
+// each of its k·(k−1)/2 edges, and an edge is a core.Pair: core's v16
 // handshake, index exchange and settle step (chunk op frames, MP +
 // comparison exchanges). The
 // ring is its own protocol, but its token carries core.Params (ring
-// handshake v11) — so every agreed parameter, CmpMaskBits and
+// handshake v12) — so every agreed parameter, CmpMaskBits and
 // ShareMaskBits included, is compared at establishment by the same
 // Params.Diff — its coordinator↔last comparison engines come from
 // compare.Edge, the one engine constructor, and its edges split into
@@ -110,9 +110,9 @@ type Config struct {
 	// masked comparison engine packs its reply direction the same way.
 	// "full" additionally turns on the masked engine's packed comparison
 	// uplink (per-batch moded wire form, never more ciphertexts than
-	// "slots"). "off" runs the same circulation at S = 1, one ciphertext
-	// per value, and unpacked comparison replies. Any packing requires the
-	// batched round structure.
+	// "slots"). "off" runs the same circulation and comparison replies at
+	// S = 1, one ciphertext per value. Any packing requires the batched
+	// round structure.
 	Packing core.PackMode
 
 	// Pruning: under the default grid mode each ring party discloses the
@@ -120,7 +120,10 @@ type Config struct {
 	// ring circulations, tag ring.idx); all parties assemble the same full
 	// cell matrix and decide non-adjacent pairs out of range locally, so
 	// those pairs never circulate. Mesh edges exchange padded occupancy
-	// directories instead, at PruneQuantum granularity.
+	// directories instead, at PruneQuantum granularity. Under "off" (and
+	// when Eps² reaches the dist² bound) the same exchanges run on the
+	// one-cell grid (core.CandidateGrid): every coordinate is the one cell,
+	// directories pad at 1, and nothing is pruned.
 	Pruning      core.PruneMode
 	PruneQuantum int
 
@@ -193,8 +196,9 @@ type Result struct {
 	// core.Result.CachedComparisons.
 	CachedPairs int
 	// IndexCellCoords counts the per-record cell coordinates this party
-	// received in the grid-pruning index circulations so far (0 with
-	// pruning off) — the ring analogue of core.Ledger.IndexCellCoords.
+	// received in the index circulations so far (on the one-cell grid
+	// under pruning off, every one the one cell) — the ring analogue of
+	// core.Ledger.IndexCellCoords.
 	IndexCellCoords int
 	// CiphertextsSent counts the Paillier ciphertexts this party put on
 	// the wire during the run (ring circulation frames plus its side of
@@ -236,8 +240,12 @@ var ErrHandshake = core.ErrHandshake
 // per neighbourhood); version 11 runs a chunk as one circulation at every
 // batching and packing — packed one sum a ciphertext under "off", and
 // under sequential batching the same circulation with one comparison a
-// pair instead of one circulation a pair.
-const ringHandshakeVersion = 11
+// pair instead of one circulation a pair; version 12 circulates the cell
+// index under pruning "off" and the geometric fallback too, on the
+// one-cell grid (core.CandidateGrid), and the masked engine's replies are
+// biased one-slot plaintexts and its scalar calls batches of one — so a
+// peer on the old wire would miss the ring.idx laps.
+const ringHandshakeVersion = 12
 
 // handshakeToken travels once around the ring accumulating checks.
 type handshakeToken struct {
@@ -289,8 +297,7 @@ func Run(party Party, cfg Config, attrs [][]float64) (*Result, error) {
 }
 
 // newRingState performs the ring session establishment: validation,
-// encoding, handshake, engines, and (under pruning) the initial cell
-// circulation.
+// encoding, handshake, engines, and the initial cell circulation.
 func newRingState(party Party, cfg Config, attrs [][]float64) (*state, [][]int64, error) {
 	if err := party.validate(); err != nil {
 		return nil, nil, err
@@ -323,16 +330,15 @@ func newRingState(party Party, cfg Config, attrs [][]float64) (*state, [][]int64
 	if err := st.buildEngines(); err != nil {
 		return nil, nil, err
 	}
-	// Grid pruning: circulate the per-record cell matrix (each party's
-	// own-column cells, tag ring.idx), then decide non-adjacent pairs out
-	// of range locally on every party identically — those pairs never
-	// circulate. Pruned pairs still count as pair decisions (the index
-	// implies the bit), so PairDecisions is identical across modes.
-	var cellRows [][]int64
-	if st.pruneOn() {
-		if cellRows, err = st.circulateCells(st.enc); err != nil {
-			return nil, nil, err
-		}
+	// The index: circulate the per-record cell matrix on the candidate grid
+	// (each party's own-column cells, tag ring.idx), then decide
+	// non-adjacent pairs out of range locally on every party identically —
+	// those pairs never circulate; on the one-cell grid there are none.
+	// Pruned pairs still count as pair decisions (the index implies the
+	// bit), so PairDecisions is identical across modes.
+	cellRows, err := st.circulateCells(st.enc)
+	if err != nil {
+		return nil, nil, err
 	}
 	return st, cellRows, nil
 }
@@ -346,12 +352,6 @@ func (st *state) encode(attrs [][]float64) ([][]int64, error) {
 		}
 	}
 	return st.cfg.EncodePoints(attrs)
-}
-
-// pruneOn mirrors the two-party criterion: requested and geometrically
-// useful.
-func (st *state) pruneOn() bool {
-	return st.cfg.Pruning == core.PruneGrid && st.epsSq < st.bound
 }
 
 // state is one party's runtime for the ring protocol.
@@ -498,6 +498,9 @@ func (st *state) handshake() error {
 		// The returning token carries the total dimension; lap 2 broadcasts it.
 		err = st.circulate("handshake", encodeToken(tok), func(r *transport.Reader) (*transport.Builder, error) {
 			got, err := decodeToken(r)
+			if err == nil && got.version != ringHandshakeVersion {
+				err = fmt.Errorf("%w: version %d vs %d", ErrHandshake, ringHandshakeVersion, got.version)
+			}
 			m = got.dimSum
 			return transport.NewBuilder().PutUint(uint64(m)), err
 		}, nil)
@@ -554,9 +557,9 @@ func (st *state) finishDims(m int) error {
 	return nil
 }
 
-// circulateCells circulates the grid-pruning index of one batch of this
-// party's rows (the whole dataset at establishment; just the appended rows
-// for a streaming delta): lap 1 accumulates each party's own-column cell
+// circulateCells circulates the candidate-grid index (core.CandidateGrid,
+// the two-party rule) of one batch of this party's rows (the whole dataset
+// at establishment; just the appended rows for a streaming delta): lap 1 accumulates each party's own-column cell
 // coordinates per record (in party order, matching the virtual column
 // order), lap 2 broadcasts the completed matrix, so every party prunes
 // over identical cell rows. Row-count validation doubles as the ring-wide
@@ -565,7 +568,7 @@ func (st *state) circulateCells(batch [][]int64) (full [][]int64, err error) {
 	if len(batch) == 0 {
 		return nil, nil
 	}
-	w := spatial.CellWidth(st.epsSq)
+	w, _ := core.CandidateGrid(st.cfg, st.epsSq, st.bound)
 	own := make([][]int64, len(batch))
 	for i, row := range batch {
 		own[i] = spatial.Bucket(row, w)

@@ -59,8 +59,8 @@ func (rs *RingSession) Runs() int { return rs.runs }
 
 // Append absorbs one batch of appended records: every party calls Append
 // concurrently with its own column slice of the same new records (counts
-// are verified ring-wide). Under pruning the new rows' cell coordinates
-// circulate exactly like the establishment matrix, extending every
+// are verified ring-wide). The new rows' cell coordinates circulate
+// exactly like the establishment matrix, extending every
 // party's copy identically; decided-pair bits for existing records stay
 // valid (distances are immutable), so the next Run pays only for pairs
 // involving new records.
@@ -82,11 +82,9 @@ func (rs *RingSession) Append(attrs [][]float64) error {
 		if err != nil {
 			return true, err
 		}
-		var cells [][]int64
-		if st.pruneOn() {
-			if cells, err = st.circulateCells(enc); err != nil {
-				return true, err
-			}
+		cells, err := st.circulateCells(enc)
+		if err != nil {
+			return true, err
 		}
 		st.enc = append(st.enc, enc...)
 		rs.rows.Append(len(enc), cells)

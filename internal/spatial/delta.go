@@ -248,7 +248,7 @@ func (s *Stack) Expire(k int) (removed int, err error) {
 // ValidateRetractIDs checks a retraction id list against a live point
 // count: strictly ascending indices inside [0, total). Every retraction
 // consumer — Stack.Retract, the wire decoder, and the protocol layers
-// without a stack of their own (pruning off, lockstep families) — shares
+// without a stack of their own (the lockstep families) — shares
 // this rule, so over-retraction surfaces as the same typed error
 // everywhere.
 func ValidateRetractIDs(ids []int, total int) error {
