@@ -500,3 +500,38 @@ func TestMeterTagsCoverProtocolPhases(t *testing.T) {
 		}
 	}
 }
+
+// TestOneCellGridHighDimension runs the horizontal and enhanced families
+// at d = 16 under pruning "off" and under the geometric fallback: the
+// one-cell grid answers every candidate lookup with one cell test, not a
+// walk of the 3^16 neighbour offsets, so both stay as cheap as at d = 2.
+func TestOneCellGridHighDimension(t *testing.T) {
+	const dim = 16
+	pts := func(seed, n int) [][]float64 {
+		out := make([][]float64, n)
+		for i := range out {
+			out[i] = make([]float64, dim)
+			for j := range out[i] {
+				out[i][j] = float64((seed*7 + i*(i%3) + j*(i%2)) % 8)
+			}
+		}
+		return out
+	}
+	alicePts, bobPts := pts(1, 6), pts(2, 5)
+	for _, mode := range []struct {
+		name    string
+		pruning PruneMode
+		eps     float64
+	}{{"off", PruneOff, 2}, {"fallback", PruneGrid, 100}} {
+		cfg := testCfg(compare.EngineMasked)
+		cfg.Pruning, cfg.Eps, cfg.MinPts = mode.pruning, mode.eps, 2
+		t.Run(mode.name+"/horizontal", func(t *testing.T) {
+			ra, rb := runHorizontal(t, cfg, HorizontalAlice, HorizontalBob, alicePts, bobPts)
+			assertMatchesSimulation(t, cfg, ra, rb, alicePts, bobPts)
+		})
+		t.Run(mode.name+"/enhanced", func(t *testing.T) {
+			ra, rb := runHorizontal(t, cfg, EnhancedHorizontalAlice, EnhancedHorizontalBob, alicePts, bobPts)
+			assertMatchesSimulation(t, cfg, ra, rb, alicePts, bobPts)
+		})
+	}
+}

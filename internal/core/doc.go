@@ -406,7 +406,9 @@
 // stay strictly out of range. A driver prunes only when the padded total
 // is below the live count, never against one cell, and a responder
 // refuses a pruned announcement that is not (ErrPrunedSpan), so an
-// exhaustive query never carries a dummy.
+// exhaustive query never carries a dummy. A candidate lookup costs
+// min(3^d, occupied cells) cell tests (spatial.Directory.Candidates), so
+// on the one-cell grid it is one test at any dimension.
 //
 // Cell width is the smallest W with W² ≥ Eps², so within-Eps neighbours
 // are always in adjacent cells: pruning removes only comparisons whose

@@ -2,7 +2,8 @@
 // Config.Pruning: points bucketed into axis-aligned cells of side
 // CellWidth(Eps²), padded per-cell occupancy directories that parties may
 // exchange, and the neighbor-cell enumeration that turns a region query
-// into a candidate set of at most 3^d cells.
+// into a candidate set of at most 3^d cells (found in at most
+// min(3^d, occupied cells) cell tests).
 //
 // The geometric contract every consumer relies on: with cell width
 // W = CellWidth(epsSq), two points with dist² ≤ epsSq always land in
@@ -215,12 +216,35 @@ func (d Directory) PaddedTotal() int {
 // Candidates returns the directory cells adjacent to the query cell, in
 // the directory's canonical order, plus their padded occupancy total —
 // the exact size of the candidate set a pruned region query runs against.
-// Cost is O(3^d) map probes per query, independent of the directory size.
+// Cost is O(min(3^d, occupied cells)) cell tests per query: a directory
+// with fewer occupied cells than the 3^d neighbourhood (the one-cell grid
+// at any d, a sparse Eps grid at high d) is scanned in place, otherwise
+// the neighbour offsets are probed.
 func (d Directory) Candidates(cell []int64) (cells [][]int64, total int) {
 	if len(cell) != d.Dim {
 		return nil, 0
 	}
-	// Odometer over the 3^d neighbor offsets, probing the byKey map.
+	if fewerThanNeighbours(len(d.Cells), d.Dim) {
+		return d.scan(cell)
+	}
+	return d.probe(cell)
+}
+
+// scan is Candidates by one Adjacent test per occupied cell; the
+// directory's own order is the canonical one.
+func (d Directory) scan(cell []int64) (cells [][]int64, total int) {
+	for _, c := range d.Cells {
+		if Adjacent(c.Coord, cell) {
+			cells = append(cells, append([]int64{}, c.Coord...))
+			total += c.Count
+		}
+	}
+	return cells, total
+}
+
+// probe is Candidates by an odometer over the 3^d neighbour offsets,
+// probing the byKey map.
+func (d Directory) probe(cell []int64) (cells [][]int64, total int) {
 	offs := make([]int64, len(cell))
 	for i := range offs {
 		offs[i] = -1
@@ -258,6 +282,16 @@ func (d Directory) Candidates(cell []int64) (cells [][]int64, total int) {
 	}
 	sort.Slice(cells, func(a, b int) bool { return Key(cells[a]) < Key(cells[b]) })
 	return cells, total
+}
+
+// fewerThanNeighbours reports whether n < 3^dim, without overflowing for
+// any dim.
+func fewerThanNeighbours(n, dim int) bool {
+	span := 1
+	for i := 0; i < dim && span <= n; i++ {
+		span *= 3
+	}
+	return n < span
 }
 
 // Count returns the padded occupancy of the given cell (0 when absent).

@@ -2,6 +2,8 @@ package spatial
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/transport"
@@ -207,5 +209,54 @@ func TestPadCount(t *testing.T) {
 		if got := PadCount(c.n, c.q); got != c.want {
 			t.Errorf("PadCount(%d,%d) = %d, want %d", c.n, c.q, got, c.want)
 		}
+	}
+}
+
+// The occupied-cell scan and the neighbour-offset probe behind Candidates
+// agree on random directories, whichever of them Candidates picks.
+func TestCandidatesScanMatchesProbe(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		dim := 1 + rng.Intn(4)
+		pts := make([][]int64, 1+rng.Intn(40))
+		for i := range pts {
+			pts[i] = make([]int64, dim)
+			for j := range pts[i] {
+				pts[i][j] = rng.Int63n(24) - 8
+			}
+		}
+		g, err := NewGrid(pts, 1+rng.Int63n(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := g.Directory(1 + rng.Intn(3))
+		q := make([]int64, dim)
+		for j := range q {
+			q[j] = rng.Int63n(10) - 5
+		}
+		sc, st := d.scan(q)
+		pc, pt := d.probe(q)
+		if st != pt || !reflect.DeepEqual(sc, pc) {
+			t.Fatalf("dim %d query %v: scan %v (total %d), probe %v (total %d)", dim, q, sc, st, pc, pt)
+		}
+	}
+}
+
+// Candidates on a one-cell directory is a single cell test at any
+// dimension, where the 3^d neighbourhood would be out of reach.
+func TestCandidatesOneCellHighDim(t *testing.T) {
+	const dim = 40
+	pts := [][]int64{make([]int64, dim), make([]int64, dim)}
+	pts[1][dim-1] = 99
+	g, err := NewGrid(pts, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, total := g.Directory(1).Candidates(make([]int64, dim))
+	if len(cells) != 1 || total != 2 {
+		t.Fatalf("candidates = %v (total %d), want the one cell of 2 points", cells, total)
+	}
+	if !fewerThanNeighbours(1<<40, dim) || fewerThanNeighbours(9, 2) || !fewerThanNeighbours(8, 2) {
+		t.Error("fewerThanNeighbours disagrees with n < 3^dim")
 	}
 }
