@@ -23,11 +23,12 @@ import (
 //   - YMPP: the batch frames carry `count` Algorithm 1 payloads
 //     (internal/yao batch forms); local cost is unchanged at
 //     O(count·Bound) but rounds drop from 3·count to 3.
-//   - Masked: Alice packs E(a_1)…E(a_count) into one frame, Bob replies
-//     with the count masked differences, S to a ciphertext (S = 1 under
-//     "off" packing), computed on the parallel Paillier pool, and Alice
-//     returns the sign bits. O(count) ciphertexts in 3 frames, with all
-//     modular exponentiation spread over the engine's crypto pool (the
+//   - Masked: Alice packs E(a_1)…E(a_count), each pre-shifted to its
+//     reply slot, into one frame, Bob replies with the count masked
+//     differences, S to a ciphertext (S = 1 under "off" packing) laid
+//     out column by column (full.go), computed on the parallel Paillier
+//     pool, and Alice returns the sign bits. O(count) ciphertexts in 3
+//     frames, with all modular exponentiation spread over the engine's crypto pool (the
 //     process-shared bounded pool on a multi-session server; GOMAXPROCS
 //     for a solo run with a nil Pool). A scalar LessEq or Less is the
 //     batch of one.
@@ -105,12 +106,12 @@ func (b *YMPPBob) BatchLess(conn transport.Conn, vs []int64) ([]bool, error) {
 // ---- Masked-sign engine ----
 
 // runBatch is the Alice side of the batched masked-sign protocol: one
-// frame of E(a_t), one frame of packed masked differences back, one frame
-// of result bits out. Under "full" packing (an UplinkPacker) the uplink
-// frame announces its mode and may dedup operands row by row (full.go):
-// rows, when non-nil, names each instance's row, nil is a one-row batch.
-// That is the only form whose frames depend on equal operands, so the
-// only one that reads rows.
+// frame of pre-shifted E(a_t·2^{w·σ}), one frame of packed masked
+// differences back, one frame of result bits out. Under "full" packing
+// (an UplinkPacker) the uplink frame announces its mode and may dedup
+// operands row by row (full.go): rows, when non-nil, names each
+// instance's row, nil is a one-row batch. That is the only form whose
+// frames depend on equal operands, so the only one that reads rows.
 func (a *MaskedAlice) runBatch(conn transport.Conn, vs []int64, rows []int, pred byte) ([]bool, error) {
 	for t, v := range vs {
 		if err := checkInput(v, a.Max); err != nil {
@@ -128,11 +129,21 @@ func (a *MaskedAlice) runBatch(conn transport.Conn, vs []int64, rows []int, pred
 		random = rand.Reader
 	}
 	msg := transport.NewBuilder().PutUint(uint64(pred))
-	uplink := vs
+	operands, classIdx := vs, []int64(nil)
 	if a.UplinkPacker != nil {
-		uplink = announceUplink(msg, vs, rows)
+		operands, classIdx = announceUplink(msg, vs, rows)
 	}
-	cts, err := a.Key.EncryptInt64Batch(a.Pool, random, uplink)
+	// Each operand goes up pre-shifted to the lowest reply slot of its
+	// class (full.go), so Bob's fold need not shift it there.
+	sigma, _, err := newReplyLayout(a.Packer, len(vs)).shifts(classIdx, len(operands))
+	if err != nil {
+		return nil, err
+	}
+	plains := make([]*big.Int, len(operands))
+	for c, v := range operands {
+		plains[c] = new(big.Int).Lsh(big.NewInt(v), a.Packer.Width()*uint(sigma[c]))
+	}
+	cts, err := a.Key.EncryptBatch(a.Pool, random, plains)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +235,7 @@ func (b *MaskedBob) runBatch(conn transport.Conn, vs []int64, pred byte) ([]bool
 	if gotPred != pred {
 		return nil, fmt.Errorf("%w: alice=%d bob=%d", ErrPredicateMismatch, gotPred, pred)
 	}
-	base, err := uplinkBases(mode, classIdx, cas, len(vs))
+	base, lift, err := uplinkBases(newReplyLayout(b.Packer, len(vs)), mode, classIdx, cas)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +243,7 @@ func (b *MaskedBob) runBatch(conn transport.Conn, vs []int64, pred byte) ([]bool
 	if err != nil {
 		return nil, err
 	}
-	cts, err := b.packedReplies(b.Packer, len(vs), rMasks, plains, random, base)
+	cts, err := b.packedReplies(b.Packer, len(vs), rMasks, plains, random, base, lift)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,11 @@
 //     E8 ablation baseline. It has one wire form (batch.go): a scalar
 //     call is a batch of one, and its replies always travel slot-packed,
 //     one slot a ciphertext when packing is off; "full" packing extends
-//     that form with a moded uplink (full.go).
+//     that form with a moded uplink (full.go). The replies have one
+//     layout, column by column, and Alice encrypts each uplink operand
+//     pre-shifted to the lowest reply slot it serves, so Bob's
+//     homomorphic fold raises it by its mask and a short relative shift
+//     rather than by the whole width of the reply.
 //
 // Engines are stateful about keys but stateless across calls; each call
 // performs one complete comparison sub-protocol on the supplied connection.

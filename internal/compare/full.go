@@ -2,6 +2,7 @@ package compare
 
 import (
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"io"
 	"math/big"
@@ -19,10 +20,30 @@ import (
 // slot group would hand Alice the exact magnitude ratios of the
 // differences. The full form keeps the per-instance masks and instead
 // restructures the round so the masking happens on the homomorphic side
-// *before* slot aggregation: Bob scales each instance's E(a_t) by its
-// own −r_t shifted into its slot (E(a_t)^{−r_t·2^{w·s}}) and folds the
-// results into the packed reply, so no slot ever shares a multiplier.
-// What shrinks is the set of base ciphertexts that uplink must carry.
+// *before* slot aggregation: Bob scales each instance's uplink
+// ciphertext by its own −r_t and folds the results into the packed
+// reply, so no slot ever shares a multiplier.
+//
+// The slot shift rides in the uplink plaintext, not in Bob's exponent.
+// Replies are laid out column by column (replyLayout): of G = ⌈n/S⌉
+// replies, instance t is slot s = ⌊t/G⌋ of reply t mod G. Every uplink
+// ciphertext c — one per instance, or one per class of a grouped
+// uplink — is a fresh encryption of its operand pre-shifted to σ(c),
+// the lowest slot of any instance of c: E(a_c·2^{w·σ(c)}). Bob
+// recomputes σ from the public layout and the class indices, never from
+// the wire, and folds E(a_c·2^{w·σ(c)})^{−r_t·2^{w·d}} in at the
+// relative slot d = s − σ(c) ≥ 0, which places −r_t·a_t into slot s.
+// A reply's shared squaring chain then spans (max d)·w + κ+1 bits
+// instead of (S−1)·w + κ+1: one slot for a per-instance batch, at most
+// ⌈L/G⌉+1 for a batch of rows of L instances. Pre-shifting discloses
+// nothing new — each uplink ciphertext is still one fresh encryption,
+// per class, of a public function of the same operand, and every slot
+// Alice decrypts is still r_t·(b′_t−a_t) + r′_t + bias for its own
+// instance; only which reply and slot carries an instance changes.
+// Derived-base batches have no uplink, so their σ is 0 and d = s.
+//
+// What "full" packing shrinks is the set of base ciphertexts the uplink
+// must carry.
 // Alice chooses per batch between three modes, announced by a mode byte
 // after the predicate byte:
 //
@@ -135,18 +156,104 @@ func (b *MaskedBob) sampleMasks(vs []int64, pred byte, random io.Reader) (rMasks
 	return rMasks, plains, nil
 }
 
-// packedReplies builds the packed masked-difference reply ciphertexts:
-// group g's plaintext term packs the S values b′·r + r′ with the
-// per-slot bias, then every slot s folds base(t)^{−r_t·2^{w·s}} in, so
-// slot s of group g decrypts to r_t·(b′_t−a_t) + r′_t + bias. The
-// masks stay independent per instance; packing compresses the frame,
-// never the masking.
-func (b *MaskedBob) packedReplies(pk *encoding.Packer, n int, rMasks, plains []*big.Int, random io.Reader, base func(t int) (*big.Int, error)) ([]*big.Int, error) {
-	groups := pk.Groups(n)
-	packedPlains := make([]*big.Int, groups)
+// ErrUplinkClass reports a grouped uplink ciphertext that no instance's
+// class index names — one an honest Alice never sends, whose pre-shift σ
+// is undefined.
+var ErrUplinkClass = errors.New("compare: grouped uplink carries a ciphertext no instance names")
+
+// replyLayout places the n instances of a masked batch in its G = ⌈n/S⌉
+// packed replies column by column: instance t is slot ⌊t/G⌋ of reply
+// t mod G. Bob's pack and fold and Alice's unpack all read it, so the
+// two sides cannot disagree on where an instance travels.
+type replyLayout struct{ n, groups int }
+
+func newReplyLayout(pk *encoding.Packer, n int) replyLayout {
+	return replyLayout{n: n, groups: pk.Groups(n)}
+}
+
+// slot returns instance t's slot; its reply is t mod G.
+func (l replyLayout) slot(t int) int { return t / l.groups }
+
+// members returns reply g's instances in slot order: g, g+G, g+2G, …
+func (l replyLayout) members(g int) []int {
+	ts := make([]int, 0, (l.n-g+l.groups-1)/l.groups)
+	for t := g; t < l.n; t += l.groups {
+		ts = append(ts, t)
+	}
+	return ts
+}
+
+// shifts returns σ(c) for each of k uplink ciphertexts — the lowest
+// slot of any instance whose class is c: classIdx[t], or t itself when
+// classIdx is nil (the per-instance uplink) — and lift[t] = σ of
+// instance t's class, the slot its operand went up pre-shifted to. σ is
+// defined only for a class some instance names, so k above n, or a
+// ciphertext no index names, is ErrUplinkClass; class indices must
+// already lie in [0, k).
+func (l replyLayout) shifts(classIdx []int64, k int) (sigma, lift []int, err error) {
+	if k > l.n {
+		return nil, nil, fmt.Errorf("%w: %d ciphertexts for %d instances", ErrUplinkClass, k, l.n)
+	}
+	sigma = make([]int, k)
+	for c := range sigma {
+		sigma[c] = -1
+	}
+	lift = make([]int, l.n)
+	for t := range lift {
+		c := t
+		if classIdx != nil {
+			c = int(classIdx[t])
+		}
+		// Instances come in slot order, so a class's first is its lowest.
+		if sigma[c] < 0 {
+			sigma[c] = l.slot(t)
+		}
+		lift[t] = sigma[c]
+	}
+	for c, s := range sigma {
+		if s < 0 {
+			return nil, nil, fmt.Errorf("%w: ciphertext %d of %d", ErrUplinkClass, c, k)
+		}
+	}
+	return sigma, lift, nil
+}
+
+// foldSlots files reply g's instances under the relative slots of its
+// fold: instance t at slot s goes under d = s − lift[t], lift[t] being
+// the slot its uplink operand was pre-shifted to (lift nil: none was, d
+// = s). The fold's chain is (len−1)·w + κ+1 squarings long.
+func (l replyLayout) foldSlots(g int, lift []int) [][]int {
+	var ds [][]int
+	for _, t := range l.members(g) {
+		d := l.slot(t)
+		if lift != nil {
+			d -= lift[t]
+		}
+		for len(ds) <= d {
+			ds = append(ds, nil)
+		}
+		ds[d] = append(ds[d], t)
+	}
+	return ds
+}
+
+// packedReplies builds the packed masked-difference reply ciphertexts
+// in the column layout: reply g's plaintext term packs the values
+// b′·r + r′ of its instances with the per-slot bias, then every
+// instance t folds base(t)^{−r_t·2^{w·d}} in at its relative slot d
+// (foldSlots over lift), so slot s of reply g decrypts to
+// r_t·(b′_t−a_t) + r′_t + bias. The masks stay independent per
+// instance; packing compresses the frame, never the masking.
+func (b *MaskedBob) packedReplies(pk *encoding.Packer, n int, rMasks, plains []*big.Int, random io.Reader, base func(t int) (*big.Int, error), lift []int) ([]*big.Int, error) {
+	l := newReplyLayout(pk, n)
+	packedPlains := make([]*big.Int, l.groups)
 	for g := range packedPlains {
-		m := pk.GroupLen(n, g)
-		packed, err := pk.Pack(plains[g*pk.Slots() : g*pk.Slots()+m])
+		ts := l.members(g)
+		vals := make([]*big.Int, len(ts))
+		for s, t := range ts {
+			vals[s] = plains[t]
+		}
+		packed, err := pk.Pack(vals)
 		if err != nil {
 			return nil, fmt.Errorf("compare: packing reply group %d: %w", g, err)
 		}
@@ -156,17 +263,18 @@ func (b *MaskedBob) packedReplies(pk *encoding.Packer, n int, rMasks, plains []*
 	if err != nil {
 		return nil, err
 	}
-	cts := make([]*big.Int, groups)
-	if err := paillier.ParallelFor(b.Pool, groups, func(g int) error {
-		// E(a_t)^(−r_t·2^{w·s}) places −r_t·a_t into slot s.
-		slots := make([][]paillier.SlotTerm, pk.GroupLen(n, g))
-		for s := range slots {
-			t := g*pk.Slots() + s
-			ca, err := base(t)
-			if err != nil {
-				return err
+	cts := make([]*big.Int, l.groups)
+	if err := paillier.ParallelFor(b.Pool, l.groups, func(g int) error {
+		ds := l.foldSlots(g, lift)
+		slots := make([][]paillier.SlotTerm, len(ds))
+		for d, ts := range ds {
+			for _, t := range ts {
+				ca, err := base(t)
+				if err != nil {
+					return err
+				}
+				slots[d] = append(slots[d], paillier.SlotTerm{Base: ca, Scalar: new(big.Int).Neg(rMasks[t])})
 			}
-			slots[s] = []paillier.SlotTerm{{Base: ca, Scalar: new(big.Int).Neg(rMasks[t])}}
 		}
 		ct, err := b.Pub.SlotFold(term2s[g], pk.Width(), slots)
 		if err != nil {
@@ -183,8 +291,9 @@ func (b *MaskedBob) packedReplies(pk *encoding.Packer, n int, rMasks, plains []*
 // unpackReplies decrypts and unpacks a packed reply frame into the
 // per-instance sign bits.
 func (a *MaskedAlice) unpackReplies(pk *encoding.Packer, n int, replies []*big.Int) ([]bool, error) {
-	if groups := pk.Groups(n); len(replies) != groups {
-		return nil, fmt.Errorf("compare: batch sent %d values, got %d packed replies (want %d)", n, len(replies), groups)
+	l := newReplyLayout(pk, n)
+	if len(replies) != l.groups {
+		return nil, fmt.Errorf("compare: batch sent %d values, got %d packed replies (want %d)", n, len(replies), l.groups)
 	}
 	// The packed value is non-negative by construction (< n/2), so
 	// plain decryption applies; Unpack removes the bias and restores
@@ -195,30 +304,32 @@ func (a *MaskedAlice) unpackReplies(pk *encoding.Packer, n int, replies []*big.I
 	}
 	les := make([]bool, n)
 	for g, pv := range packed {
-		slots, err := pk.Unpack(pv, pk.GroupLen(n, g))
+		ts := l.members(g)
+		slots, err := pk.Unpack(pv, len(ts))
 		if err != nil {
 			return nil, fmt.Errorf("compare: packed reply %d: %w", g, err)
 		}
 		for s, ti := range slots {
 			// t_i = r·(b′_i−a_i) + r′ with 0 ≤ r′ < r, so t_i ≥ 0 ⟺ a_i ≤ b′_i.
-			les[g*pk.Slots()+s] = ti.Sign() >= 0
+			les[ts[s]] = ti.Sign() >= 0
 		}
 	}
 	return les, nil
 }
 
 // announceUplink writes the packed-uplink mode of a batch into Alice's
-// frame and returns the operands to encrypt: one per distinct operand of
-// a row (modeGrouped, behind the per-instance class indices) when some row
-// holds a repeat, else every instance (modePerInstance), so "full" never
-// costs more uplink ciphertexts than "slots". A class never spans two
-// rows — see the leakage note above.
-func announceUplink(msg *transport.Builder, vs []int64, rows []int) []int64 {
+// frame and returns the operands to encrypt with their class indices:
+// one per distinct operand of a row (modeGrouped, behind the
+// per-instance class indices) when some row holds a repeat, else every
+// instance (modePerInstance, classIdx nil), so "full" never costs more
+// uplink ciphertexts than "slots". A class never spans two rows — see
+// the leakage note above.
+func announceUplink(msg *transport.Builder, vs []int64, rows []int) (operands, classIdx []int64) {
 	type class struct {
 		row int
 		v   int64
 	}
-	classIdx := make([]int64, len(vs))
+	classIdx = make([]int64, len(vs))
 	classOf := make(map[class]int, len(vs))
 	var distinct []int64
 	for t, v := range vs {
@@ -236,35 +347,42 @@ func announceUplink(msg *transport.Builder, vs []int64, rows []int) []int64 {
 	}
 	if len(distinct) < len(vs) {
 		msg.PutUint(uint64(modeGrouped)).PutInts(classIdx)
-		return distinct
+		return distinct, classIdx
 	}
 	// No repeats: grouping would only add the index frame.
 	msg.PutUint(uint64(modePerInstance))
-	return vs
+	return vs, nil
 }
 
 // uplinkBases resolves each of n instances' base ciphertext from the
-// uplink Bob parsed: cas itself per instance, or through the class
-// indices of a grouped uplink.
-func uplinkBases(mode byte, classIdx []int64, cas []*big.Int, n int) (func(t int) (*big.Int, error), error) {
+// uplink Bob parsed — cas itself per instance (classIdx nil), or through
+// the class indices of a grouped uplink — and lift[t], the slot instance
+// t's base was pre-shifted to. Every check runs before any
+// exponentiation.
+func uplinkBases(l replyLayout, mode byte, classIdx []int64, cas []*big.Int) (base func(t int) (*big.Int, error), lift []int, err error) {
 	switch mode {
 	case modePerInstance:
-		if len(cas) != n {
-			return nil, fmt.Errorf("compare: batch holds %d values, got %d ciphertexts", n, len(cas))
+		if len(cas) != l.n {
+			return nil, nil, fmt.Errorf("compare: batch holds %d values, got %d ciphertexts", l.n, len(cas))
 		}
-		return func(t int) (*big.Int, error) { return cas[t], nil }, nil
+		base = func(t int) (*big.Int, error) { return cas[t], nil }
 	case modeGrouped:
-		if len(classIdx) != n {
-			return nil, fmt.Errorf("compare: batch holds %d values, got %d class indices", n, len(classIdx))
+		if len(classIdx) != l.n {
+			return nil, nil, fmt.Errorf("compare: batch holds %d values, got %d class indices", l.n, len(classIdx))
 		}
 		for t, c := range classIdx {
 			if c < 0 || c >= int64(len(cas)) {
-				return nil, fmt.Errorf("compare: batch[%d]: class index %d outside %d uplink ciphertexts", t, c, len(cas))
+				return nil, nil, fmt.Errorf("compare: batch[%d]: class index %d outside %d uplink ciphertexts", t, c, len(cas))
 			}
 		}
-		return func(t int) (*big.Int, error) { return cas[classIdx[t]], nil }, nil
+		base = func(t int) (*big.Int, error) { return cas[classIdx[t]], nil }
+	default:
+		return nil, nil, fmt.Errorf("compare: unknown packed-uplink mode %d", mode)
 	}
-	return nil, fmt.Errorf("compare: unknown packed-uplink mode %d", mode)
+	if _, lift, err = l.shifts(classIdx, len(cas)); err != nil {
+		return nil, nil, err
+	}
+	return base, lift, nil
 }
 
 // runBatchDerived is the Alice side of a derived-base batch: no uplink
@@ -332,7 +450,7 @@ func (b *MaskedBob) runBatchDerived(conn transport.Conn, vs []int64, base func(t
 	if err != nil {
 		return nil, err
 	}
-	cts, err := b.packedReplies(b.UplinkPacker, len(vs), rMasks, plains, random, base)
+	cts, err := b.packedReplies(b.UplinkPacker, len(vs), rMasks, plains, random, base, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package compare
 
 import (
+	"crypto/rand"
 	"errors"
 	"math/big"
 	"sync/atomic"
@@ -375,17 +376,26 @@ func TestFullPerSlotMasksIndependent(t *testing.T) {
 }
 
 // FuzzPackedUplink round-trips arbitrary batches through the
-// packed-uplink wire form: whatever the operands, repeats, and
-// predicate, both parties must decide exactly the plaintext predicate.
+// packed-uplink wire form, up to four replies' worth of slots and with a
+// drawn row length, so grouped classes span columns of the reply layout.
+// Whatever the operands, repeats, rows and predicate, both parties must
+// decide exactly the plaintext predicate; Alice's pre-shift σ — what her
+// uplink ciphertexts decrypt to — must be the one Bob derives from the
+// layout and the class indices he read; and every instance's relative
+// fold slot must lie in [0, S).
 func FuzzPackedUplink(f *testing.F) {
-	f.Add(int64(0), int64(0), int64(1), int64(2), uint8(3), false)
-	f.Add(int64(20), int64(0), int64(0), int64(20), uint8(7), true)
-	f.Add(int64(13), int64(13), int64(13), int64(13), uint8(1), false)
-	f.Add(int64(5), int64(19), int64(5), int64(4), uint8(12), true)
-	f.Fuzz(func(t *testing.T, a0, a1, b0, b1 int64, nRaw uint8, strict bool) {
+	f.Add(int64(0), int64(0), int64(1), int64(2), uint8(3), uint8(0), false)
+	f.Add(int64(20), int64(0), int64(0), int64(20), uint8(7), uint8(255), true)
+	f.Add(int64(13), int64(13), int64(13), int64(13), uint8(1), uint8(0), false)
+	f.Add(int64(5), int64(19), int64(5), int64(4), uint8(12), uint8(4), true)
+	f.Add(int64(3), int64(8), int64(11), int64(2), uint8(23), uint8(6), false)
+	f.Add(int64(1), int64(2), int64(3), int64(4), uint8(200), uint8(9), true)
+	f.Fuzz(func(t *testing.T, a0, a1, b0, b1 int64, nRaw, rowRaw uint8, strict bool) {
 		const bound = 20
 		ae, be := fullPair(t, bound, 32)
-		n := int(nRaw)%(ae.Packer.Slots()*2+1) + 1
+		pk := ae.Packer
+		n := int(nRaw)%(pk.Slots()*4+1) + 1
+		rowLen := int(rowRaw)%n + 1
 		clamp := func(v int64) int64 {
 			v %= bound + 1
 			if v < 0 {
@@ -395,16 +405,36 @@ func FuzzPackedUplink(f *testing.F) {
 		}
 		as := make([]int64, n)
 		bs := make([]int64, n)
+		rows := make([]int, n)
 		seeds := [4]int64{a0, a1, b0, b1}
 		for i := range as {
 			as[i] = clamp(seeds[i%2] + int64(i/2))
 			bs[i] = clamp(seeds[2+i%2] + int64(i*3/4))
+			rows[i] = i / rowLen
 		}
 		var got []bool
-		if strict {
-			got = runBatchLess(t, ae, be, as, bs)
-		} else {
-			got = runBatchLessEq(t, ae, be, as, bs)
+		tap := &uplinkTap{}
+		err := transport.Run2(
+			func(c transport.Conn) (err error) {
+				if strict {
+					got, err = ae.BatchLessRows(c, as, rows)
+				} else {
+					got, err = ae.BatchLessEqRows(c, as, rows)
+				}
+				return err
+			},
+			func(c transport.Conn) (err error) {
+				tap.Conn = c
+				if strict {
+					_, err = be.BatchLess(tap, bs)
+				} else {
+					_, err = be.BatchLessEq(tap, bs)
+				}
+				return err
+			},
+		)
+		if err != nil {
+			t.Fatal(err)
 		}
 		for i := range as {
 			want := as[i] <= bs[i]
@@ -415,10 +445,154 @@ func FuzzPackedUplink(f *testing.F) {
 				t.Fatalf("fuzz batch[%d]: a=%d b=%d strict=%v got %v want %v", i, as[i], bs[i], strict, got[i], want)
 			}
 		}
-		if up, down := ae.Sent.Load(), be.Sent.Load(); up > int64(n) || down != int64(ae.Packer.Groups(n)) {
-			t.Fatalf("fuzz batch sent up=%d down=%d for n=%d (slots=%d)", up, down, n, ae.Packer.Slots())
+		if up, down := ae.Sent.Load(), be.Sent.Load(); up > int64(n) || down != int64(pk.Groups(n)) {
+			t.Fatalf("fuzz batch sent up=%d down=%d for n=%d (slots=%d)", up, down, n, pk.Slots())
+		}
+
+		r := transport.NewReader(tap.first)
+		r.Uint()
+		mode := byte(r.Uint())
+		var classIdx []int64
+		if mode == modeGrouped {
+			classIdx = r.Ints()
+		}
+		cts := r.Bigs()
+		if err := r.Err(); err != nil {
+			t.Fatal(err)
+		}
+		l := newReplyLayout(pk, n)
+		base, lift, err := uplinkBases(l, mode, classIdx, cts)
+		if err != nil {
+			t.Fatalf("Bob refuses an honest uplink: %v", err)
+		}
+		for i, a := range as {
+			ct, err := base(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := ae.Key.Decrypt(ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := new(big.Int).Lsh(big.NewInt(a), pk.Width()*uint(lift[i])); m.Cmp(want) != 0 {
+				t.Fatalf("instance %d (a=%d): its uplink decrypts to %v, want a pre-shifted to Bob's σ = %d", i, a, m, lift[i])
+			}
+			if d := l.slot(i) - lift[i]; d < 0 || d >= pk.Slots() {
+				t.Fatalf("instance %d: relative fold slot %d outside [0, %d)", i, d, pk.Slots())
+			}
 		}
 	})
+}
+
+// TestFullUplinkUnnamedClassIsTypedError plays a hostile Alice whose
+// grouped uplink carries a ciphertext no class index names — in one case
+// beside as many as there are instances, in the other one more than
+// there are instances. Such a ciphertext has no lowest slot to be
+// pre-shifted to; Bob must refuse it with ErrUplinkClass before drawing a
+// mask or a nonce, and reply nothing.
+func TestFullUplinkUnnamedClassIsTypedError(t *testing.T) {
+	const bound = 20
+	_, be := fullPair(t, bound, 32)
+	_, key := keys(t)
+	cts := make([]*big.Int, 3)
+	for i := range cts {
+		ct, err := key.Encrypt(nil, big.NewInt(int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cts[i] = ct
+	}
+	for _, tc := range []struct {
+		name     string
+		classIdx []int64
+		cts      []*big.Int
+	}{
+		{"unnamed ciphertext", []int64{0, 0}, cts[:2]},
+		{"more ciphertexts than instances", []int64{0, 1}, cts},
+	} {
+		draws := &countingReader{}
+		be.Random = draws
+		var bobErr error
+		var replied bool
+		_ = transport.Run2(
+			func(c transport.Conn) error {
+				msg := transport.NewBuilder().PutUint(uint64(predLessEq)).PutUint(uint64(modeGrouped)).
+					PutInts(tc.classIdx).PutBigs(tc.cts)
+				if err := transport.SendMsg(c, msg); err != nil {
+					return err
+				}
+				_, err := c.Recv()
+				replied = err == nil
+				return nil
+			},
+			func(c transport.Conn) error {
+				_, bobErr = be.BatchLessEq(c, []int64{5, 7})
+				c.Close()
+				return bobErr
+			},
+		)
+		if !errors.Is(bobErr, ErrUplinkClass) {
+			t.Errorf("%s: bob's error = %v, want ErrUplinkClass", tc.name, bobErr)
+		}
+		if draws.n != 0 || replied || be.Sent.Load() != 0 {
+			t.Errorf("%s: bob drew %d random bytes and replied %v (%d ciphertexts) before refusing", tc.name, draws.n, replied, be.Sent.Load())
+		}
+	}
+}
+
+// countingReader is crypto/rand counting the bytes it hands out.
+type countingReader struct{ n int }
+
+func (r *countingReader) Read(p []byte) (int, error) {
+	k, err := rand.Read(p)
+	r.n += k
+	return k, err
+}
+
+// TestMaskedFoldSpan holds the reply layout to its purpose on the
+// lockstep shape — rows of L instances, each row's repeats one class, a
+// batch many times S: filed under relative slots, no reply's fold spans
+// more than ⌈L/G⌉+1 of them, where the row-major layout spanned up to S.
+// A per-instance batch folds every reply within one slot.
+func TestMaskedFoldSpan(t *testing.T) {
+	plainBound := new(big.Int).Lsh(big.NewInt(1), 1023) // a 1024-bit key
+	pk, err := encoding.NewComparePacker(plainBound, 63*63*2+2, DefaultMaskBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	S := pk.Slots()
+	span := func(l replyLayout, lift []int) (most int) {
+		for g := 0; g < l.groups; g++ {
+			most = max(most, len(l.foldSlots(g, lift)))
+		}
+		return most
+	}
+	for _, shape := range []struct{ rows, L int }{{40, 7}, {16, 30}, {9, 100}, {200, 1}} {
+		n := shape.rows * shape.L
+		vs := make([]int64, n)
+		rows := make([]int, n)
+		for i := range vs {
+			rows[i] = i / shape.L
+			vs[i] = int64(i%shape.L) % 5 // five distinct operands a row
+		}
+		l := newReplyLayout(pk, n)
+		operands, classIdx := announceUplink(transport.NewBuilder(), vs, rows)
+		_, lift, err := l.shifts(classIdx, len(operands))
+		if err != nil {
+			t.Fatal(err)
+		}
+		limit := (shape.L+l.groups-1)/l.groups + 1
+		if got := span(l, lift); got > limit || got > S {
+			t.Errorf("rows of %d, n = %d over S = %d: a reply folds across %d relative slots, want ≤ %d", shape.L, n, S, got, limit)
+		}
+		_, perInstance, err := l.shifts(nil, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := span(l, perInstance); got != 1 {
+			t.Errorf("n = %d: a per-instance reply folds across %d relative slots, want 1", n, got)
+		}
+	}
 }
 
 // TestFullUplinkNonUnitIsTypedError plays a hostile Alice whose uplink

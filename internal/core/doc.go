@@ -66,7 +66,7 @@
 //	│                       vs per-run Ledger split              │
 //	├────────────────────────────────────────────────────────────┤
 //	│ core.Pair             one edge's keys, agreed parameters   │
-//	│ (pair.go, params.go,  (core.Params, handshake v16), worker │
+//	│ (pair.go, params.go,  (core.Params, handshake v17), worker │
 //	│  hdp.go, settle.go)   channels, pool and counters; the HDP │
 //	│                       settle step and index exchange over  │
 //	│                       OwnGens / PeerGens. A Session wraps  │
@@ -116,7 +116,7 @@
 // splits the connection into its W worker channels, generates the keys
 // the agreed engine needs — a Paillier pair always, an RSA pair only
 // under YMPP, the one engine that reads it — and swaps one handshake
-// frame — version 16: proto, role, the agreed parameters, data
+// frame — version 17: proto, role, the agreed parameters, data
 // dimensions, public keys. The two RSA fields travel empty under the
 // masked engine; PeerRSAKey holds a peer to that (a key the engine does
 // not use, or none where it does, is ErrHandshake), and a peer key that
@@ -128,7 +128,7 @@
 // is a Pair (NewPair, proto "mesh", lower party index as RoleAlice)
 // running the same index exchange and the same settle step (Settle /
 // SettleServe) as a two-party horizontal Session, and the multiparty ring
-// embeds Params in its circulating token (ring handshake v12, the same
+// embeds Params in its circulating token (ring handshake v13, the same
 // RSA rule for the coordinator's key). Comparison
 // engines come from the one constructor compare.Edge — Pair.engines and
 // the ring's coordinator/last-party pair both call it.

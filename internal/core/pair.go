@@ -83,9 +83,12 @@ func (r Role) peer() Role {
 // and the masked engine has one wire form — replies are biased one-slot
 // plaintexts under "off", and a scalar comparison is a batch of one with
 // its count prefix — so a peer on the old wire would misread the index
-// and comparison frames of those modes. Mesh edges (internal/multiparty)
-// speak the same frame with proto "mesh".
-const handshakeVersion = 16
+// and comparison frames of those modes; version 17 lays the masked
+// replies out column by column and pre-shifts every comparison uplink
+// operand to the lowest reply slot it serves (compare/full.go), so a
+// peer on the old wire would decide wrong bits without noticing. Mesh
+// edges (internal/multiparty) speak the same frame with proto "mesh".
+const handshakeVersion = 17
 
 // ErrHandshake reports parameter disagreement between the parties.
 var ErrHandshake = errors.New("core: handshake parameter mismatch")

@@ -40,9 +40,9 @@
 //
 // The packed-uplink comparison form ("full" packing) goes one step
 // further than packed replies: the oracle folds an independent κ-bit
-// multiplier r_t into every slot homomorphically (ct^{−r_t·2^{w·s}}
-// per slot, merged by the group operation) instead of packing finished
-// masked values. NewUplinkComparePacker derives the slot width for that
+// multiplier r_t into every slot homomorphically (ct^{−r_t·2^{w·d}},
+// ct pre-shifted by its sender to d slots below t's slot, merged by
+// the group operation) instead of packing finished masked values. NewUplinkComparePacker derives the slot width for that
 // shape — the κ-bit mask lives *inside* the slot arithmetic and the
 // uplink base may itself be a signed difference of retained
 // ciphertexts, so the width is re-derived with the mask multiplied into
@@ -127,8 +127,10 @@ func NewComparePacker(plainBound *big.Int, max int64, maskBits int) (*Packer, er
 // NewUplinkComparePacker sizes slots for the packed-uplink ("full")
 // comparison form: the reply still decrypts to t = r·(b−a) + r′ per
 // slot, but the κ-bit multiplier r is applied homomorphically inside
-// the slot (ct^{−r·2^{w·s}}) rather than multiplied into a finished
-// plaintext before packing.
+// the slot rather than multiplied into a finished plaintext before
+// packing: the uplink ciphertext ct = E(a·2^{w·σ}) arrives pre-shifted
+// to a slot σ at or below the instance's slot s, and ct^{−r·2^{w·(s−σ)}}
+// places −r·a into slot s.
 //
 // # Per-slot-mask slot-width derivation
 //

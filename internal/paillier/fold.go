@@ -20,10 +20,13 @@ type SlotTerm struct {
 // bias folds).
 //
 // The product is evaluated as Horner's rule on the exponent bits, from
-// the top slot down: one shared chain of squarings, about width·len(slots)
-// of them, and each term multiplies its base in where its scalar has a
-// bit — instead of one exponentiation of up to width·len(slots) bits per
-// term. Bases with a negative scalar are inverted together, with one
+// the top slot down: one shared chain of squarings,
+// (len(slots)−1)·width plus the widest scalar's bits of them, and each
+// term multiplies its base in where its scalar has a bit — instead of
+// one exponentiation of up to that many bits per term. The chain is the
+// bill, so a caller whose bases already carry part of their shift (a
+// comparison uplink pre-shifted by its sender) files each term under its
+// slot relative to that shift and keeps len(slots) short. Bases with a negative scalar are inverted together, with one
 // modular inversion for the whole fold; when one of them (or their
 // product) is not a unit mod n² — a malformed peer ciphertext — the
 // result is ErrNotInvertible.
