@@ -23,7 +23,7 @@ import (
 //   - YMPP: the batch frames carry `count` Algorithm 1 payloads
 //     (internal/yao batch forms); local cost is unchanged at
 //     O(count·Bound) but rounds drop from 3·count to 3.
-//   - Masked: Alice packs E(a_1)…E(a_count), each pre-shifted to its
+//   - Masked: Alice packs E(−a_1)…E(−a_count), each pre-shifted to its
 //     reply slot, into one frame, Bob replies with the count masked
 //     differences, S to a ciphertext (S = 1 under "off" packing) laid
 //     out column by column (full.go), computed on the parallel Paillier
@@ -106,7 +106,7 @@ func (b *YMPPBob) BatchLess(conn transport.Conn, vs []int64) ([]bool, error) {
 // ---- Masked-sign engine ----
 
 // runBatch is the Alice side of the batched masked-sign protocol: one
-// frame of pre-shifted E(a_t·2^{w·σ}), one frame of packed masked
+// frame of negated, pre-shifted E(−a_t·2^{w·σ}), one frame of packed masked
 // differences back, one frame of result bits out. Under "full" packing
 // (an UplinkPacker) the uplink frame announces its mode and may dedup
 // operands row by row (full.go): rows, when non-nil, names each
@@ -133,15 +133,16 @@ func (a *MaskedAlice) runBatch(conn transport.Conn, vs []int64, rows []int, pred
 	if a.UplinkPacker != nil {
 		operands, classIdx = announceUplink(msg, vs, rows)
 	}
-	// Each operand goes up pre-shifted to the lowest reply slot of its
-	// class (full.go), so Bob's fold need not shift it there.
+	// Each operand goes up negated and pre-shifted to the lowest reply
+	// slot of its class (full.go), so Bob's fold need neither invert nor
+	// shift it there.
 	sigma, _, err := newReplyLayout(a.Packer, len(vs)).shifts(classIdx, len(operands))
 	if err != nil {
 		return nil, err
 	}
 	plains := make([]*big.Int, len(operands))
 	for c, v := range operands {
-		plains[c] = new(big.Int).Lsh(big.NewInt(v), a.Packer.Width()*uint(sigma[c]))
+		plains[c] = a.Packer.Shift(big.NewInt(-v), sigma[c])
 	}
 	cts, err := a.Key.EncryptBatch(a.Pool, random, plains)
 	if err != nil {
@@ -238,6 +239,12 @@ func (b *MaskedBob) runBatch(conn transport.Conn, vs []int64, pred byte) ([]bool
 	base, lift, err := uplinkBases(newReplyLayout(b.Packer, len(vs)), mode, classIdx, cas)
 	if err != nil {
 		return nil, err
+	}
+	// The fold raises every uplink base to a positive r_t and never
+	// inverts, so a base no honest encryption produces — a non-unit — is
+	// refused here, before any mask or nonce is drawn.
+	if err := b.Pub.CheckUnits(cas); err != nil {
+		return nil, fmt.Errorf("compare: uplink: %w", err)
 	}
 	rMasks, plains, err := b.sampleMasks(vs, pred, random)
 	if err != nil {

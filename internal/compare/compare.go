@@ -20,9 +20,10 @@
 //     one slot a ciphertext when packing is off; "full" packing extends
 //     that form with a moded uplink (full.go). The replies have one
 //     layout, column by column, and Alice encrypts each uplink operand
-//     pre-shifted to the lowest reply slot it serves, so Bob's
-//     homomorphic fold raises it by its mask and a short relative shift
-//     rather than by the whole width of the reply.
+//     negated and pre-shifted to the lowest reply slot it serves, so
+//     Bob's homomorphic fold raises it by its positive mask and a short
+//     relative shift — no inversion, and not the whole width of the
+//     reply.
 //
 // Engines are stateful about keys but stateless across calls; each call
 // performs one complete comparison sub-protocol on the supplied connection.
@@ -186,7 +187,7 @@ var ErrPredicateMismatch = errors.New("compare: parties invoked different predic
 // derives identical packers on both sides; under "off" packing it is
 // capped at S = 1 by encoding.Packer.OneSlot). It must be set —
 // Edge.Engines and NewMaskedPair always set it. Under Packer alone only
-// the reply direction packs — the E(a_t) uplink stays one ciphertext per
+// the reply direction packs — the E(−a_t) uplink stays one ciphertext per
 // instance, because the masking multiplier r must be independent per
 // instance; sharing one r across a packed slot group would hand Alice
 // the exact magnitude ratios of the differences.

@@ -14,33 +14,39 @@ import (
 
 // Packed-uplink ("full" packing) wire forms for the masked-sign engine.
 //
-// "slots" packing compresses only the reply direction: the E(a_t)
+// "slots" packing compresses only the reply direction: the E(−a_t)
 // uplink stays one ciphertext per instance, because every instance
 // needs its own fresh multiplier r_t and sharing one r across a packed
 // slot group would hand Alice the exact magnitude ratios of the
 // differences. The full form keeps the per-instance masks and instead
 // restructures the round so the masking happens on the homomorphic side
 // *before* slot aggregation: Bob scales each instance's uplink
-// ciphertext by its own −r_t and folds the results into the packed
+// ciphertext by its own r_t and folds the results into the packed
 // reply, so no slot ever shares a multiplier.
 //
-// The slot shift rides in the uplink plaintext, not in Bob's exponent.
-// Replies are laid out column by column (replyLayout): of G = ⌈n/S⌉
-// replies, instance t is slot s = ⌊t/G⌋ of reply t mod G. Every uplink
-// ciphertext c — one per instance, or one per class of a grouped
-// uplink — is a fresh encryption of its operand pre-shifted to σ(c),
-// the lowest slot of any instance of c: E(a_c·2^{w·σ(c)}). Bob
-// recomputes σ from the public layout and the class indices, never from
-// the wire, and folds E(a_c·2^{w·σ(c)})^{−r_t·2^{w·d}} in at the
-// relative slot d = s − σ(c) ≥ 0, which places −r_t·a_t into slot s.
-// A reply's shared squaring chain then spans (max d)·w + κ+1 bits
-// instead of (S−1)·w + κ+1: one slot for a per-instance batch, at most
-// ⌈L/G⌉+1 for a batch of rows of L instances. Pre-shifting discloses
-// nothing new — each uplink ciphertext is still one fresh encryption,
-// per class, of a public function of the same operand, and every slot
-// Alice decrypts is still r_t·(b′_t−a_t) + r′_t + bias for its own
-// instance; only which reply and slot carries an instance changes.
-// Derived-base batches have no uplink, so their σ is 0 and d = s.
+// The slot shift and the sign ride in the uplink plaintext, not in Bob's
+// exponent. Replies are laid out column by column (replyLayout): of
+// G = ⌈n/S⌉ replies, instance t is slot s = ⌊t/G⌋ of reply t mod G.
+// Every uplink ciphertext c — one per instance, or one per class of a
+// grouped uplink — is a fresh encryption of its operand negated and
+// pre-shifted to σ(c), the lowest slot of any instance of c:
+// E(−a_c·2^{w·σ(c)}). Bob recomputes σ from the public layout and the
+// class indices, never from the wire, and folds
+// E(−a_c·2^{w·σ(c)})^{r_t·2^{w·d}} in at the relative slot
+// d = s − σ(c) ≥ 0, which places −r_t·a_t into slot s. A reply's shared
+// squaring chain then spans (max d)·w + κ+1 bits instead of
+// (S−1)·w + κ+1 — one slot for a per-instance batch, at most ⌈L/G⌉+1
+// for a batch of rows of L instances — and, every exponent being
+// positive, no base is inverted. A non-unit uplink ciphertext, which no
+// honest encryption is, Bob refuses with one batched check
+// (paillier.CheckUnits) before he draws any mask. Negating and
+// pre-shifting disclose nothing new: each uplink ciphertext is still one
+// fresh encryption, by the owner of its key, per class, of a public
+// bijection of the same operand, and every slot Alice decrypts is still
+// r_t·(b′_t−a_t) + r′_t + bias for its own instance; only which reply
+// and slot carries an instance changes. Derived-base batches have no
+// uplink — their bases encrypt a_t itself — so their σ is 0, d = s and
+// the exponent is −r_t·2^{w·s}.
 //
 // What "full" packing shrinks is the set of base ciphertexts the uplink
 // must carry.
@@ -240,11 +246,12 @@ func (l replyLayout) foldSlots(g int, lift []int) [][]int {
 // packedReplies builds the packed masked-difference reply ciphertexts
 // in the column layout: reply g's plaintext term packs the values
 // b′·r + r′ of its instances with the per-slot bias, then every
-// instance t folds base(t)^{−r_t·2^{w·d}} in at its relative slot d
-// (foldSlots over lift), so slot s of reply g decrypts to
+// instance t folds base(t)^{scalars[t]·2^{w·d}} in at its relative slot
+// d (foldSlots over lift) — scalars[t] is r_t for a negated uplink base,
+// −r_t for a derived one — so slot s of reply g decrypts to
 // r_t·(b′_t−a_t) + r′_t + bias. The masks stay independent per
 // instance; packing compresses the frame, never the masking.
-func (b *MaskedBob) packedReplies(pk *encoding.Packer, n int, rMasks, plains []*big.Int, random io.Reader, base func(t int) (*big.Int, error), lift []int) ([]*big.Int, error) {
+func (b *MaskedBob) packedReplies(pk *encoding.Packer, n int, scalars, plains []*big.Int, random io.Reader, base func(t int) (*big.Int, error), lift []int) ([]*big.Int, error) {
 	l := newReplyLayout(pk, n)
 	packedPlains := make([]*big.Int, l.groups)
 	for g := range packedPlains {
@@ -273,7 +280,7 @@ func (b *MaskedBob) packedReplies(pk *encoding.Packer, n int, rMasks, plains []*
 				if err != nil {
 					return err
 				}
-				slots[d] = append(slots[d], paillier.SlotTerm{Base: ca, Scalar: new(big.Int).Neg(rMasks[t])})
+				slots[d] = append(slots[d], paillier.SlotTerm{Base: ca, Scalar: scalars[t]})
 			}
 		}
 		ct, err := b.Pub.SlotFold(term2s[g], pk.Width(), slots)
@@ -449,6 +456,10 @@ func (b *MaskedBob) runBatchDerived(conn transport.Conn, vs []int64, base func(t
 	rMasks, plains, err := b.sampleMasks(vs, pred, random)
 	if err != nil {
 		return nil, err
+	}
+	// A derived base encrypts a_t itself, not its negation.
+	for _, r := range rMasks {
+		r.Neg(r)
 	}
 	cts, err := b.packedReplies(b.UplinkPacker, len(vs), rMasks, plains, random, base, nil)
 	if err != nil {

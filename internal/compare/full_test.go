@@ -4,11 +4,13 @@ import (
 	"crypto/rand"
 	"errors"
 	"math/big"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/encoding"
 	"repro/internal/paillier"
+	"repro/internal/testutil"
 	"repro/internal/transport"
 )
 
@@ -379,10 +381,10 @@ func TestFullPerSlotMasksIndependent(t *testing.T) {
 // packed-uplink wire form, up to four replies' worth of slots and with a
 // drawn row length, so grouped classes span columns of the reply layout.
 // Whatever the operands, repeats, rows and predicate, both parties must
-// decide exactly the plaintext predicate; Alice's pre-shift σ — what her
-// uplink ciphertexts decrypt to — must be the one Bob derives from the
-// layout and the class indices he read; and every instance's relative
-// fold slot must lie in [0, S).
+// decide exactly the plaintext predicate; every uplink ciphertext must
+// decrypt to its operand negated and pre-shifted, −a·2^{w·σ}, by the σ
+// Bob derives from the layout and the class indices he read; and every
+// instance's relative fold slot must lie in [0, S).
 func FuzzPackedUplink(f *testing.F) {
 	f.Add(int64(0), int64(0), int64(1), int64(2), uint8(3), uint8(0), false)
 	f.Add(int64(20), int64(0), int64(0), int64(20), uint8(7), uint8(255), true)
@@ -470,12 +472,12 @@ func FuzzPackedUplink(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := ae.Key.Decrypt(ct)
+			m, err := ae.Key.DecryptSigned(ct)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := new(big.Int).Lsh(big.NewInt(a), pk.Width()*uint(lift[i])); m.Cmp(want) != 0 {
-				t.Fatalf("instance %d (a=%d): its uplink decrypts to %v, want a pre-shifted to Bob's σ = %d", i, a, m, lift[i])
+			if want := new(big.Int).Lsh(big.NewInt(-a), pk.Width()*uint(lift[i])); m.Cmp(want) != 0 {
+				t.Fatalf("instance %d (a=%d): its uplink decrypts to %v, want −a pre-shifted to Bob's σ = %d", i, a, m, lift[i])
 			}
 			if d := l.slot(i) - lift[i]; d < 0 || d >= pk.Slots() {
 				t.Fatalf("instance %d: relative fold slot %d outside [0, %d)", i, d, pk.Slots())
@@ -595,34 +597,91 @@ func TestMaskedFoldSpan(t *testing.T) {
 	}
 }
 
-// TestFullUplinkNonUnitIsTypedError plays a hostile Alice whose uplink
-// ciphertext is a multiple of a prime factor of n (n itself: p·q) — in
-// range, but not a unit mod n². Bob must scale it by −r_t, which needs
-// its inverse; the slot fold has to answer with paillier.ErrNotInvertible
-// rather than dereference a nil inverse.
+// TestFullUplinkNonUnitIsTypedError plays a hostile uplink: an honest
+// Alice's frame with one ciphertext swapped on the wire for a non-unit
+// mod n² — a multiple of a prime factor of n (n itself: p·q), or 0 — in
+// range, but no encryption of anything. Bob folds every uplink base by a
+// positive mask and never inverts, so his batched unit check must refuse
+// it with paillier.ErrNotInvertible before drawing a mask or a nonce, in
+// a per-instance and a grouped uplink alike; Alice, left without a
+// reply, returns the closed-connection error; and neither side leaves a
+// goroutine behind.
 func TestFullUplinkNonUnitIsTypedError(t *testing.T) {
 	const bound = 20
-	_, be := fullPair(t, bound, 32)
+	ae, be := fullPair(t, bound, 32)
 	_, key := keys(t)
-	good, err := key.Encrypt(nil, big.NewInt(3))
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		as   []int64
+		bad  *big.Int
+		mode byte
+	}{
+		{"per-instance, n", []int64{3, 9}, key.N, modePerInstance},
+		{"per-instance, zero", []int64{3, 9}, new(big.Int), modePerInstance},
+		{"grouped, n", []int64{3, 3, 9}, key.N, modeGrouped},
+		{"grouped, zero", []int64{3, 9, 9}, new(big.Int), modeGrouped},
+	} {
+		before := runtime.NumGoroutine()
+		draws := &countingReader{}
+		be.Random = draws
+		be.Sent.Store(0)
+		var aliceErr, bobErr error
+		var mode byte
+		_ = transport.Run2(
+			func(c transport.Conn) error {
+				tamper := &uplinkTamper{Conn: c, bad: tc.bad, mode: &mode}
+				_, aliceErr = ae.BatchLessEq(tamper, tc.as)
+				return aliceErr
+			},
+			func(c transport.Conn) error {
+				_, bobErr = be.BatchLessEq(c, []int64{5, 7, 11}[:len(tc.as)])
+				return bobErr
+			},
+		)
+		if mode != tc.mode {
+			t.Fatalf("%s: the uplink went up in mode %d, want %d", tc.name, mode, tc.mode)
+		}
+		if !errors.Is(bobErr, paillier.ErrNotInvertible) {
+			t.Errorf("%s: bob's error = %v, want paillier.ErrNotInvertible", tc.name, bobErr)
+		}
+		if !errors.Is(aliceErr, transport.ErrClosed) {
+			t.Errorf("%s: alice's error = %v, want transport.ErrClosed", tc.name, aliceErr)
+		}
+		if draws.n != 0 || be.Sent.Load() != 0 {
+			t.Errorf("%s: bob drew %d random bytes and sent %d ciphertexts before refusing", tc.name, draws.n, be.Sent.Load())
+		}
+		testutil.CheckNoLeak(t, before, tc.name)
 	}
-	var bobErr error
-	_ = transport.Run2(
-		func(c transport.Conn) error {
-			msg := transport.NewBuilder().PutUint(uint64(predLessEq)).PutUint(uint64(modePerInstance)).
-				PutBigs([]*big.Int{good, new(big.Int).Set(key.N)})
-			return transport.SendMsg(c, msg)
-		},
-		func(c transport.Conn) error {
-			_, bobErr = be.BatchLessEq(c, []int64{5, 7})
-			return bobErr
-		},
-	)
-	if !errors.Is(bobErr, paillier.ErrNotInvertible) {
-		t.Fatalf("bob's error = %v, want paillier.ErrNotInvertible", bobErr)
+}
+
+// uplinkTamper passes frames through, except that it rewrites the first
+// one it sends — a masked uplink — with its last ciphertext replaced by
+// bad, and records the uplink's mode.
+type uplinkTamper struct {
+	transport.Conn
+	bad  *big.Int
+	mode *byte
+	done bool
+}
+
+func (c *uplinkTamper) Send(b []byte) error {
+	if c.done {
+		return c.Conn.Send(b)
 	}
+	c.done = true
+	r := transport.NewReader(b)
+	msg := transport.NewBuilder().PutUint(r.Uint())
+	*c.mode = byte(r.Uint())
+	msg.PutUint(uint64(*c.mode))
+	if *c.mode == modeGrouped {
+		msg.PutInts(r.Ints())
+	}
+	cts := r.Bigs()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	cts[len(cts)-1] = c.bad
+	return c.Conn.Send(msg.PutBigs(cts).Bytes())
 }
 
 // uplinkTap records the first frame its side receives — what Bob sees of

@@ -66,7 +66,7 @@
 //	│                       vs per-run Ledger split              │
 //	├────────────────────────────────────────────────────────────┤
 //	│ core.Pair             one edge's keys, agreed parameters   │
-//	│ (pair.go, params.go,  (core.Params, handshake v17), worker │
+//	│ (pair.go, params.go,  (core.Params, handshake v18), worker │
 //	│  hdp.go, settle.go)   channels, pool and counters; the HDP │
 //	│                       settle step and index exchange over  │
 //	│                       OwnGens / PeerGens. A Session wraps  │
@@ -116,7 +116,7 @@
 // splits the connection into its W worker channels, generates the keys
 // the agreed engine needs — a Paillier pair always, an RSA pair only
 // under YMPP, the one engine that reads it — and swaps one handshake
-// frame — version 17: proto, role, the agreed parameters, data
+// frame — version 18: proto, role, the agreed parameters, data
 // dimensions, public keys. The two RSA fields travel empty under the
 // masked engine; PeerRSAKey holds a peer to that (a key the engine does
 // not use, or none where it does, is ErrHandshake), and a peer key that
@@ -128,7 +128,7 @@
 // is a Pair (NewPair, proto "mesh", lower party index as RoleAlice)
 // running the same index exchange and the same settle step (Settle /
 // SettleServe) as a two-party horizontal Session, and the multiparty ring
-// embeds Params in its circulating token (ring handshake v13, the same
+// embeds Params in its circulating token (ring handshake v14, the same
 // RSA rule for the coordinator's key). Comparison
 // engines come from the one constructor compare.Edge — Pair.engines and
 // the ring's coordinator/last-party pair both call it.
@@ -294,11 +294,13 @@
 // Four hot paths run over packed frames, each with its own slot sizing:
 //
 //   - Row dot products (hdp, at every packing): a settle chunk's
-//     coordinates go up packed per row, and mpc.SenderRowDot folds every
-//     row's column ciphertexts into reply ciphertexts shared by all rows,
-//     one exact dot product a slot — a slot a third as wide as a masked
-//     product's, no masks, one nonce a reply (hdp.go says why the
-//     responder's view is the paper's masked round's).
+//     coordinates go up packed per row, each slot group already shifted
+//     by its owner to its slots in the reply, and mpc.SenderRowDot folds
+//     every row's column ciphertexts, raised by their scalars alone, into
+//     reply ciphertexts shared by all rows, one exact dot product a slot —
+//     a slot a third as wide as a masked product's, no masks, one nonce a
+//     reply, a fold chain as long as the widest coordinate (hdp.go says
+//     why the responder's view is the paper's masked round's).
 //   - Dot products (enhanced): mpc.SenderDotRows packs the share replies
 //     of a chunk's core queries across queries, whose small per-slot range
 //     gives the largest S.

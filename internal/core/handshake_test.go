@@ -207,6 +207,8 @@ func TestHandshakeRejectsPeerKeys(t *testing.T) {
 // under pruning "off" and unpacked masked replies under packing "off",
 // against a horizontal and a vertical one; v16, row-major masked replies
 // over an unshifted comparison uplink, against a horizontal and a
+// vertical one; v17, a comparison uplink that is not negated and a
+// row-dot uplink that is not pre-shifted, against a horizontal and a
 // vertical one; same frame layout and
 // parameters every time — is refused with ErrHandshake naming both versions, on
 // either role, having been sent this party's handshake frame and nothing
@@ -242,6 +244,8 @@ func TestHandshakeRefusesOldSchedule(t *testing.T) {
 		{15, "vertical", [][]float64{{1}, {2}, {3}, {4}}, NewVerticalSession},
 		{16, "horizontal", [][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}}, NewHorizontalSession},
 		{16, "vertical", [][]float64{{1}, {2}, {3}, {4}}, NewVerticalSession},
+		{17, "horizontal", [][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}}, NewHorizontalSession},
+		{17, "vertical", [][]float64{{1}, {2}, {3}, {4}}, NewVerticalSession},
 	} {
 		for _, role := range []Role{RoleAlice, RoleBob} {
 			frame := handshakeMsg(old.proto, role.peer(), params, len(old.points[0]), len(old.points), paillier.MarshalPublicKey(&pai.PublicKey), nil, nil).Bytes()

@@ -41,7 +41,8 @@ import (
 // — are packed into chunks, and a chunk is one exchange on one worker
 // channel, the same at every packing: the op frame naming its sub-queries;
 // the responder's encrypted coordinates, permuted and padded per
-// sub-query, packed per row (mpc's row-dot shape); the driver's reply, in
+// sub-query, packed per row and shifted to their reply slots (mpc's
+// row-dot shape); the driver's reply, in
 // which every slot is one exact dot product; then the comparisons, one
 // per instance, row = own point. The modes differ only in the slot count
 // S — the key's under "slots" and "full", S = 1 under "off" — and in the

@@ -116,7 +116,7 @@ func newHorizontalSession(conn transport.Conn, cfg Config, role Role, points [][
 }
 
 // NewPair establishes one HDP edge over a party's own generation table:
-// worker channels, keys and the v17 handshake (proto names the protocol;
+// worker channels, keys and the v18 handshake (proto names the protocol;
 // role breaks the symmetry — it decides who sends first in every frame
 // swap, so a mesh maps the lower party index to RoleAlice), the common
 // record dimension, the row-dot packers, and the candidate-index exchange

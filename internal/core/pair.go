@@ -86,9 +86,13 @@ func (r Role) peer() Role {
 // and comparison frames of those modes; version 17 lays the masked
 // replies out column by column and pre-shifts every comparison uplink
 // operand to the lowest reply slot it serves (compare/full.go), so a
-// peer on the old wire would decide wrong bits without noticing. Mesh
-// edges (internal/multiparty) speak the same frame with proto "mesh".
-const handshakeVersion = 17
+// peer on the old wire would decide wrong bits without noticing; version
+// 18 sends the masked comparison uplink negated and the row-dot uplink
+// pre-shifted to its reply slots (mpc.ReceiverRowDot), so a peer on the
+// old wire would get wrong dot products and wrong bits without noticing.
+// Mesh edges (internal/multiparty) speak the same frame with proto
+// "mesh".
+const handshakeVersion = 18
 
 // ErrHandshake reports parameter disagreement between the parties.
 var ErrHandshake = errors.New("core: handshake parameter mismatch")

@@ -40,9 +40,11 @@
 //
 // The packed-uplink comparison form ("full" packing) goes one step
 // further than packed replies: the oracle folds an independent κ-bit
-// multiplier r_t into every slot homomorphically (ct^{−r_t·2^{w·d}},
-// ct pre-shifted by its sender to d slots below t's slot, merged by
-// the group operation) instead of packing finished masked values. NewUplinkComparePacker derives the slot width for that
+// multiplier r_t into every slot homomorphically (ct^{r_t·2^{w·d}}, ct
+// an encryption of the negated operand pre-shifted by its sender to d
+// slots below t's slot, merged by the group operation; a derived base,
+// which has no sender, takes −r_t·2^{w·d}) instead of packing finished
+// masked values. NewUplinkComparePacker derives the slot width for that
 // shape — the κ-bit mask lives *inside* the slot arithmetic and the
 // uplink base may itself be a signed difference of retained
 // ciphertexts, so the width is re-derived with the mask multiplied into
@@ -128,9 +130,10 @@ func NewComparePacker(plainBound *big.Int, max int64, maskBits int) (*Packer, er
 // comparison form: the reply still decrypts to t = r·(b−a) + r′ per
 // slot, but the κ-bit multiplier r is applied homomorphically inside
 // the slot rather than multiplied into a finished plaintext before
-// packing: the uplink ciphertext ct = E(a·2^{w·σ}) arrives pre-shifted
-// to a slot σ at or below the instance's slot s, and ct^{−r·2^{w·(s−σ)}}
-// places −r·a into slot s.
+// packing: the uplink ciphertext ct = E(−a·2^{w·σ}) arrives negated and
+// pre-shifted to a slot σ at or below the instance's slot s, and
+// ct^{r·2^{w·(s−σ)}} places −r·a into slot s (a derived base E(a) is
+// raised to −r·2^{w·s} instead).
 //
 // # Per-slot-mask slot-width derivation
 //
@@ -305,10 +308,12 @@ func (p *Packer) UnpackInt64(packed *big.Int, count int) ([]int64, error) {
 	return vals, nil
 }
 
-// Shift returns v·2^{w·slot}: the scalar that places a value (times v)
-// into the given slot of a packed result. Homomorphic placement does not
-// go through it — paillier.SlotFold takes the width and the unshifted
-// scalars, so the shifted exponents are never materialised.
+// Shift returns v·2^{w·slot}: v placed into the given slot of a packed
+// plaintext — how an uplink sender pre-shifts its operands (mpc's row-dot
+// columns, compare's masked operands) so the folding peer need not.
+// Homomorphic placement does not go through it — paillier.SlotFold takes
+// the width and the unshifted scalars, so shifted exponents are never
+// materialised.
 func (p *Packer) Shift(v *big.Int, slot int) *big.Int {
 	return new(big.Int).Lsh(v, p.width*uint(slot))
 }

@@ -44,15 +44,15 @@ import (
 //     packing, at S = 1 under "off") — many grids at once, one per row,
 //     each with its own column scalars, where the receiver is owed only
 //     each instance's dot product Σ_k x_{i,k}·y_k. The uplink is the grid
-//     form's, row by row (⌈T_row/S⌉·cols ciphertexts); the sender folds a
-//     row's cols column ciphertexts, each raised to its scalar, into that
-//     row's slot offset
-//     of reply ciphertexts shared by all rows, so slot s decrypts to the
-//     exact dot product: no masks (the grid form's zero-sum masks cancel
-//     in exactly this sum, which is all its receiver keeps), one nonce
-//     per reply, and a slot as narrow as the largest dot product. Where
-//     each instance lands is RowLayout, a pure function of the row
-//     lengths and S that both ends compute.
+//     form's, row by row (⌈T_row/S⌉·cols ciphertexts), each group's
+//     columns already shifted by the receiver to the group's slot offset
+//     in the reply ciphertexts shared by all rows; the sender folds a
+//     row's cols column ciphertexts, each raised to its scalar, into its
+//     reply, so slot s decrypts to the exact dot product: no masks (the
+//     grid form's zero-sum masks cancel in exactly this sum, which is all
+//     its receiver keeps), one nonce per reply, and a slot as narrow as
+//     the largest dot product. Where each instance lands is RowLayout, a
+//     pure function of the row lengths and S that both ends compute.
 //
 // In every form exactly one side contributes the packer's bias (with
 // the masks, or alone in the dot forms), the uplink packs raw
@@ -461,10 +461,11 @@ func SenderDotRows(conn transport.Conn, pub *paillier.PublicKey, bs [][]int64, r
 }
 
 // RowGroup is one slot group of a row-dot exchange: Len ≤ S consecutive
-// instances of row Row, starting at instance Start of that row. The
-// receiver uplinks it as cols ciphertexts (column k packs the group's
-// k-th coordinates into slots 0…Len−1); the sender folds those into
-// slots Slot…Slot+Len−1 of reply ciphertext Reply.
+// instances of row Row, starting at instance Start of that row, which
+// land in slots Slot…Slot+Len−1 of reply ciphertext Reply. The receiver
+// uplinks it as cols ciphertexts, column k packing the group's k-th
+// coordinates into those slots already (PackRaw·2^{w·Slot}), so the
+// sender folds them into reply Reply without a shift of its own.
 type RowGroup struct {
 	Row, Start, Len int
 	Reply, Slot     int
@@ -515,8 +516,10 @@ func rowOffsets(rowLens []int) (offs []int, total int) {
 // ReceiverRowDot is the receiving half of the row-dot form: xs holds every
 // instance's cols coordinates, rows concatenated (instance i of the flat
 // order is xs[i·cols:(i+1)·cols], all in [0, SlotMax]), rowLens the row
-// lengths. It returns the dot product of every instance with its row's
-// scalars, in the flat order.
+// lengths. Every group's columns go up pre-shifted to the group's reply
+// slots, so the sender's fold raises a base by its scalar alone. It
+// returns the dot product of every instance with its row's scalars, in
+// the flat order.
 func ReceiverRowDot(conn transport.Conn, key *paillier.PrivateKey, xs []int64, rowLens []int, cols int, pk *encoding.Packer, random io.Reader, pool *paillier.Pool) ([]*big.Int, error) {
 	offs, total := rowOffsets(rowLens)
 	if cols < 1 || total < 1 || total*cols != len(xs) {
@@ -539,7 +542,7 @@ func ReceiverRowDot(conn transport.Conn, key *paillier.PrivateKey, xs []int64, r
 			if err != nil {
 				return nil, fmt.Errorf("mpc: packing row %d column %d: %w", g.Row, k, err)
 			}
-			plains[j*cols+k] = packed
+			plains[j*cols+k] = pk.Shift(packed, g.Slot)
 		}
 	}
 	cts, err := key.EncryptBatch(pool, random, plains)
@@ -580,9 +583,11 @@ func ReceiverRowDot(conn transport.Conn, key *paillier.PrivateKey, xs []int64, r
 // SenderRowDot is the sending half of ReceiverRowDot: ys[row] holds row's
 // cols column scalars. Reply r starts as one encryption of its used
 // slots' bias — the reply's only nonce — and every group folds
-// Π_k E(column k)^{y_k·2^{w·Slot}} onto it: one scalar multiplication
-// scales the group's slots by y_k, the product over k sums the columns,
-// and the shift moves the group to its offset.
+// Π_k E(column k)^{y_k} onto it: one scalar multiplication scales the
+// group's slots by y_k and the product over k sums the columns. The
+// receiver shifted each group to its offset, so every term of a reply
+// sits at relative slot 0 and the fold's squaring chain is the widest
+// scalar's bits, not (used−1)·w more.
 func SenderRowDot(conn transport.Conn, pub *paillier.PublicKey, ys [][]int64, rowLens []int, cols int, pk *encoding.Packer, random io.Reader, pool *paillier.Pool) error {
 	if _, total := rowOffsets(rowLens); cols < 1 || total < 1 || len(ys) != len(rowLens) {
 		return fmt.Errorf("mpc: %d scalar rows for %d rows of %d instances × %d columns", len(ys), len(rowLens), total, cols)
@@ -607,10 +612,9 @@ func SenderRowDot(conn transport.Conn, pub *paillier.PublicKey, ys [][]int64, ro
 	if len(cts) != len(lay.Groups)*cols {
 		return fmt.Errorf("%w: received %d packed row columns, expect %d", ErrLengthMismatch, len(cts), len(lay.Groups)*cols)
 	}
-	folds := make([][][]paillier.SlotTerm, len(lay.Replies))
+	folds := make([][]paillier.SlotTerm, len(lay.Replies))
 	biasPlains := make([]*big.Int, len(lay.Replies))
 	for i, used := range lay.Replies {
-		folds[i] = make([][]paillier.SlotTerm, used)
 		zeros := make([]*big.Int, used)
 		for s := range zeros {
 			zeros[s] = new(big.Int)
@@ -620,11 +624,9 @@ func SenderRowDot(conn transport.Conn, pub *paillier.PublicKey, ys [][]int64, ro
 		}
 	}
 	for j, g := range lay.Groups {
-		terms := make([]paillier.SlotTerm, cols)
-		for k := range terms {
-			terms[k] = paillier.SlotTerm{Base: cts[j*cols+k], Scalar: big.NewInt(ys[g.Row][k])}
+		for k, y := range ys[g.Row] {
+			folds[g.Reply] = append(folds[g.Reply], paillier.SlotTerm{Base: cts[j*cols+k], Scalar: big.NewInt(y)})
 		}
-		folds[g.Reply][g.Slot] = terms
 	}
 	biases, err := pub.EncryptBatch(pool, random, biasPlains)
 	if err != nil {
@@ -632,7 +634,7 @@ func SenderRowDot(conn transport.Conn, pub *paillier.PublicKey, ys [][]int64, ro
 	}
 	replies := make([]*big.Int, len(lay.Replies))
 	if err := paillier.ParallelFor(pool, len(replies), func(i int) error {
-		acc, err := pub.SlotFold(biases[i], pk.Width(), folds[i])
+		acc, err := pub.SlotFold(biases[i], pk.Width(), [][]paillier.SlotTerm{folds[i]})
 		if err != nil {
 			return fmt.Errorf("mpc: row-dot fold reply %d: %w", i, err)
 		}

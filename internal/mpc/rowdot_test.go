@@ -143,19 +143,37 @@ func TestRowDotMatchesPlaintext(t *testing.T) {
 	}
 }
 
+// layoutCase is one row shape laid out over slots-wide replies.
+type layoutCase struct {
+	rowLens []int
+	slots   int
+}
+
+// layoutCases draws the shapes TestLayoutRows and
+// TestRowDotUplinkPreShifted check: S from 1 to 9, up to eight rows of up
+// to 3S+1 instances, empty rows and shapes with no instance included.
+func layoutCases() []layoutCase {
+	rng := mrand.New(mrand.NewSource(7))
+	cases := make([]layoutCase, 300)
+	for i := range cases {
+		slots := 1 + rng.Intn(9)
+		rowLens := make([]int, rng.Intn(9))
+		for r := range rowLens {
+			rowLens[r] = rng.Intn(3*slots + 2)
+		}
+		cases[i] = layoutCase{rowLens, slots}
+	}
+	return cases
+}
+
 // TestLayoutRows checks the layout function alone: every instance of every
 // row sits in exactly one slot, a group never crosses a reply, a reply's
 // used slots are claimed exactly once from slot 0 up, groups keep row
 // order, and the function is deterministic — which is all "both ends
 // compute it" needs.
 func TestLayoutRows(t *testing.T) {
-	rng := mrand.New(mrand.NewSource(7))
-	for trial := 0; trial < 300; trial++ {
-		slots := 1 + rng.Intn(9)
-		rowLens := make([]int, rng.Intn(9))
-		for r := range rowLens {
-			rowLens[r] = rng.Intn(3*slots + 2)
-		}
+	for _, tc := range layoutCases() {
+		rowLens, slots := tc.rowLens, tc.slots
 		lay := LayoutRows(rowLens, slots)
 		if again := LayoutRows(rowLens, slots); fmt.Sprint(again) != fmt.Sprint(lay) {
 			t.Fatalf("%v at S=%d: two calls disagree: %v vs %v", rowLens, slots, lay, again)
@@ -202,6 +220,108 @@ func TestLayoutRows(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRowDotUplinkPreShifted: the receiver shifts every group's columns to
+// the group's reply slots before encrypting them, so the sender's fold
+// needs no shift of its own. Over TestLayoutRows' shapes, on packers of
+// exactly their S (S = 1 included), every (group, column) ciphertext of
+// the uplink decrypts to PackRaw(the group's k-th coordinates)·2^{w·Slot},
+// and the exchange still decodes every exact dot product.
+func TestRowDotUplinkPreShifted(t *testing.T) {
+	const cols, maxCoord = 2, 63
+	k := testKey(t)
+	rng := mrand.New(mrand.NewSource(11))
+	packers := map[int]*encoding.Packer{}
+	for _, tc := range layoutCases() {
+		offs, total := rowOffsets(tc.rowLens)
+		if total < 1 {
+			continue
+		}
+		pk := packers[tc.slots]
+		if pk == nil {
+			pk = packerWithSlots(t, k, cols, maxCoord, tc.slots)
+			packers[tc.slots] = pk
+		}
+		xs := make([]int64, total*cols)
+		for i := range xs {
+			xs[i] = int64(rng.Intn(maxCoord + 1))
+		}
+		ys := make([][]int64, len(tc.rowLens))
+		for r := range ys {
+			ys[r] = []int64{int64(rng.Intn(maxCoord + 1)), int64(rng.Intn(maxCoord + 1))}
+		}
+		var dots []*big.Int
+		var uplink []byte
+		if err := transport.Run2(
+			func(c transport.Conn) (err error) {
+				dots, err = ReceiverRowDot(c, k, xs, tc.rowLens, cols, pk, rand.Reader, nil)
+				return err
+			},
+			func(c transport.Conn) error {
+				tap := &countTap{Conn: c}
+				err := SenderRowDot(tap, &k.PublicKey, ys, tc.rowLens, cols, pk, rand.Reader, nil)
+				uplink = tap.frame
+				return err
+			},
+		); err != nil {
+			t.Fatalf("%v at S=%d: %v", tc.rowLens, tc.slots, err)
+		}
+		cts := transport.NewReader(uplink).Bigs()
+		lay := LayoutRows(tc.rowLens, tc.slots)
+		if len(cts) != len(lay.Groups)*cols {
+			t.Fatalf("%v at S=%d: uplink of %d ciphertexts for %d groups", tc.rowLens, tc.slots, len(cts), len(lay.Groups))
+		}
+		for j, g := range lay.Groups {
+			for c := 0; c < cols; c++ {
+				vals := make([]*big.Int, g.Len)
+				for s := range vals {
+					vals[s] = big.NewInt(xs[(offs[g.Row]+g.Start+s)*cols+c])
+				}
+				raw, err := pk.PackRaw(vals)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := k.Decrypt(cts[j*cols+c])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := new(big.Int).Lsh(raw, pk.Width()*uint(g.Slot)); m.Cmp(want) != 0 {
+					t.Fatalf("%v at S=%d: group %+v column %d decrypts to %v, want PackRaw·2^{w·%d} = %v", tc.rowLens, tc.slots, g, c, m, g.Slot, want)
+				}
+			}
+		}
+		for r, off := range offs {
+			for i := off; i < off+tc.rowLens[r]; i++ {
+				want := xs[i*cols]*ys[r][0] + xs[i*cols+1]*ys[r][1]
+				if !dots[i].IsInt64() || dots[i].Int64() != want {
+					t.Fatalf("%v at S=%d: row %d instance %d decoded %v, plaintext %d", tc.rowLens, tc.slots, r, i, dots[i], want)
+				}
+			}
+		}
+	}
+}
+
+// packerWithSlots is rowDotPacker widened until it packs exactly slots
+// values a plaintext; at S = 1 it is the "off" packing, OneSlot.
+func packerWithSlots(t *testing.T, k *paillier.PrivateKey, cols int, maxCoord int64, slots int) *encoding.Packer {
+	t.Helper()
+	if slots == 1 {
+		return rowDotPacker(t, k, cols, maxCoord).OneSlot()
+	}
+	bound := big.NewInt(int64(cols) * maxCoord * maxCoord)
+	for {
+		pk, err := encoding.NewPacker(k.PlaintextBound(), bound)
+		if err != nil || pk.Slots() < slots {
+			break
+		}
+		if pk.Slots() == slots {
+			return pk
+		}
+		bound.Lsh(bound, 1)
+	}
+	t.Fatalf("no packer of exactly %d slots on a %d-bit key", slots, k.N.BitLen())
+	return nil
 }
 
 // TestRowDotWireCounts pins the frame sizes the layout promises: the uplink
@@ -253,16 +373,18 @@ func TestRowDotWireCounts(t *testing.T) {
 }
 
 // countTap counts the ciphertexts of the one frame it receives and the one
-// it sends.
+// it sends, and keeps the frame it receives.
 type countTap struct {
 	transport.Conn
 	recv, sent int
+	frame      []byte
 }
 
 func (c *countTap) Recv() ([]byte, error) {
 	b, err := c.Conn.Recv()
 	if err == nil {
 		c.recv = len(transport.NewReader(b).Bigs())
+		c.frame = append([]byte{}, b...)
 	}
 	return b, err
 }

@@ -36,11 +36,11 @@
 //
 // Neither topology carries its own copy of a two-party building block.
 // The horizontal mesh (horizontal.go) is the paper's HDP sub-protocol on
-// each of its k·(k−1)/2 edges, and an edge is a core.Pair: core's v17
+// each of its k·(k−1)/2 edges, and an edge is a core.Pair: core's v18
 // handshake, index exchange and settle step (chunk op frames, MP +
 // comparison exchanges). The
 // ring is its own protocol, but its token carries core.Params (ring
-// handshake v13) — so every agreed parameter, CmpMaskBits and
+// handshake v14) — so every agreed parameter, CmpMaskBits and
 // ShareMaskBits included, is compared at establishment by the same
 // Params.Diff — its coordinator↔last comparison engines come from
 // compare.Edge, the one engine constructor, and its edges split into
@@ -247,8 +247,9 @@ var ErrHandshake = core.ErrHandshake
 // peer on the old wire would miss the ring.idx laps; version 13 lays the
 // masked replies out column by column over a pre-shifted comparison
 // uplink (compare/full.go), so a peer on the old wire would decide wrong
-// bits.
-const ringHandshakeVersion = 13
+// bits; version 14 sends that uplink negated, so a peer on the old wire
+// would decide wrong bits again.
+const ringHandshakeVersion = 14
 
 // handshakeToken travels once around the ring accumulating checks.
 type handshakeToken struct {

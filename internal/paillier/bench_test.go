@@ -74,24 +74,47 @@ func BenchmarkDecrypt1024(b *testing.B) {
 	}
 }
 
-// BenchmarkSlotFold18x56 is one packed comparison reply at the bulk
-// workload's shape: 18 slots of 56 bits, one base per slot, every scalar
-// a negated 40-bit mask.
-func BenchmarkSlotFold18x56(b *testing.B) {
+// BenchmarkSlotFoldMasked18x55 is one packed comparison reply at the bulk
+// workload's shape: 18 slots of 55 bits, each instance's uplink base
+// negated and pre-shifted by its sender, so the fold raises it by a
+// positive 40-bit mask at relative slot 0 or 1 and inverts nothing.
+func BenchmarkSlotFoldMasked18x55(b *testing.B) {
 	k := benchKey(b)
-	slots := make([][]SlotTerm, 18)
-	for s := range slots {
-		r, err := rand.Int(rand.Reader, new(big.Int).Lsh(one, 40))
-		if err != nil {
-			b.Fatal(err)
-		}
-		slots[s] = []SlotTerm{{Base: randomCiphertext(b, k), Scalar: r.Neg(r)}}
+	slots := make([][]SlotTerm, 2)
+	for t := 0; t < 18; t++ {
+		slots[t%2] = append(slots[t%2], SlotTerm{Base: randomCiphertext(b, k), Scalar: randomScalar(b, 40)})
 	}
+	benchSlotFold(b, k, 55, slots)
+}
+
+// BenchmarkSlotFoldRowDot17x2 is one row-dot reply at the bulk workload's
+// shape: 17 groups of 2 column ciphertexts, each pre-shifted by the
+// receiver to its group's slots, so every term sits at slot 0 under its
+// 6-bit coordinate scalar and the chain is 6 squarings, whatever the
+// 15-bit slots the groups fill.
+func BenchmarkSlotFoldRowDot17x2(b *testing.B) {
+	k := benchKey(b)
+	terms := make([]SlotTerm, 17*2)
+	for i := range terms {
+		terms[i] = SlotTerm{Base: randomCiphertext(b, k), Scalar: randomScalar(b, 6)}
+	}
+	benchSlotFold(b, k, 15, [][]SlotTerm{terms})
+}
+
+func randomScalar(b *testing.B, bits uint) *big.Int {
+	r, err := rand.Int(rand.Reader, new(big.Int).Lsh(one, bits))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
+
+func benchSlotFold(b *testing.B, k *PrivateKey, width uint, slots [][]SlotTerm) {
 	init := randomCiphertext(b, k)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := k.SlotFold(init, 56, slots)
+		c, err := k.SlotFold(init, width, slots)
 		if err != nil {
 			b.Fatal(err)
 		}

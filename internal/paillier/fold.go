@@ -26,10 +26,14 @@ type SlotTerm struct {
 // one exponentiation of up to that many bits per term. The chain is the
 // bill, so a caller whose bases already carry part of their shift (a
 // comparison uplink pre-shifted by its sender) files each term under its
-// slot relative to that shift and keeps len(slots) short. Bases with a negative scalar are inverted together, with one
-// modular inversion for the whole fold; when one of them (or their
-// product) is not a unit mod n² — a malformed peer ciphertext — the
-// result is ErrNotInvertible.
+// slot relative to that shift and keeps len(slots) short. A sender can
+// carry the sign too: a masked comparison uplink goes up negated, so of
+// the comparison folds only compare's derived batches — bases the folder
+// built itself, with no sender — still take negative scalars. Negative
+// scalars stay legal for every caller: bases with one are inverted
+// together, with one modular inversion for the whole fold; when one of
+// them (or their product) is not a unit mod n² — a malformed ciphertext
+// — the result is ErrNotInvertible.
 func (pk *PublicKey) SlotFold(init *big.Int, width uint, slots [][]SlotTerm) (*big.Int, error) {
 	if err := pk.validCiphertext(init); err != nil {
 		return nil, err
@@ -126,5 +130,27 @@ func (pk *PublicKey) invertAll(xs []*big.Int) error {
 		xs[i].Set(xi)
 	}
 	xs[0].Set(inv)
+	return nil
+}
+
+// CheckUnits reports whether every c in cs is a ciphertext in Z_{n²} and
+// a unit mod n² — ErrCiphertextRange or ErrNotInvertible if not — with one
+// gcd for the batch: c is a unit mod n² exactly when gcd(c, n) = 1, and
+// that holds for all of them when it holds for their product mod n. A
+// fold whose scalars are all non-negative never inverts, so this is how
+// its caller refuses a peer ciphertext no honest encryption produces
+// before doing any work on it.
+func (pk *PublicKey) CheckUnits(cs []*big.Int) error {
+	prod := big.NewInt(1)
+	for _, c := range cs {
+		if err := pk.validCiphertext(c); err != nil {
+			return err
+		}
+		prod.Mul(prod, c)
+		prod.Mod(prod, pk.N)
+	}
+	if new(big.Int).GCD(nil, nil, prod, pk.N).Cmp(one) != 0 {
+		return ErrNotInvertible
+	}
 	return nil
 }

@@ -138,7 +138,9 @@ func TestSlotFoldPlacesSlots(t *testing.T) {
 
 // TestSlotFoldRejects: a base that is no unit mod n² under a negative
 // scalar — alone or among good ones — is ErrNotInvertible, never a nil
-// inverse; range and width violations are errors too.
+// inverse; range and width violations are errors too. CheckUnits, the
+// batched check a fold without negative scalars is guarded by, refuses
+// the same bases with the same errors.
 func TestSlotFoldRejects(t *testing.T) {
 	k := testKey(t, 256)
 	pk := &k.PublicKey
@@ -159,6 +161,20 @@ func TestSlotFoldRejects(t *testing.T) {
 		if _, err := pk.SlotFold(good, 16, tc.slots); !errors.Is(err, tc.want) {
 			t.Errorf("%s: error = %v, want %v", tc.name, err, tc.want)
 		}
+		// CheckUnits gives the fold's verdict on the same bases whatever
+		// their scalars' signs.
+		var bases []*big.Int
+		for _, terms := range tc.slots {
+			for _, term := range terms {
+				bases = append(bases, term.Base)
+			}
+		}
+		if err := pk.CheckUnits(bases); !errors.Is(err, tc.want) {
+			t.Errorf("%s: CheckUnits error = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	if err := pk.CheckUnits([]*big.Int{good, randomCiphertext(t, k)}); err != nil {
+		t.Errorf("CheckUnits refuses two encryptions: %v", err)
 	}
 	if _, err := pk.SlotFold(k.NSquared, 16, nil); !errors.Is(err, ErrCiphertextRange) {
 		t.Errorf("init ≥ n²: error = %v, want ErrCiphertextRange", err)
