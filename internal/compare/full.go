@@ -45,8 +45,8 @@ import (
 // bijection of the same operand, and every slot Alice decrypts is still
 // r_t·(b′_t−a_t) + r′_t + bias for its own instance; only which reply
 // and slot carries an instance changes. Derived-base batches have no
-// uplink — their bases encrypt a_t itself — so their σ is 0, d = s and
-// the exponent is −r_t·2^{w·s}.
+// uplink, so their σ is 0 and d = s; their folder builds each base
+// negated, E(−a_t), so the exponent is r_t·2^{w·s} there too.
 //
 // What "full" packing shrinks is the set of base ciphertexts the uplink
 // must carry.
@@ -62,7 +62,7 @@ import (
 //     Bob folds cas[classIdx[t]] with instance t's own r_t. Chosen
 //     whenever some row of the batch holds at least one repeat.
 //   - modeDerived: zero uplink ciphertexts. Bob derives every
-//     instance's base E(a_t) from ciphertexts he already retains (e.g.
+//     instance's base E(−a_t) from ciphertexts he already retains (e.g.
 //     differences of the dot-product ciphertexts he computed for an
 //     earlier round), supplied by the caller as a base function. Only
 //     reachable through the explicit Derived entry points, because the
@@ -110,10 +110,11 @@ type DerivedAlice interface {
 	BatchLessDerived(conn transport.Conn, as []int64) ([]bool, error)
 }
 
-// DerivedBob is the Bob half of DerivedAlice: base(t) returns the
-// ciphertext of instance t's left operand under the peer's key. base
-// must be safe for concurrent calls — the slot fold runs on the
-// parallel Paillier pool.
+// DerivedBob is the Bob half of DerivedAlice: base(t) returns E(−a_t),
+// the ciphertext of instance t's left operand negated, under the peer's
+// key — negated like an uplink operand, so the fold raises it by a
+// positive mask. base must be safe for concurrent calls — the slot fold
+// runs on the parallel Paillier pool.
 type DerivedBob interface {
 	BatchLessEqDerived(conn transport.Conn, bs []int64, base func(t int) (*big.Int, error)) ([]bool, error)
 	BatchLessDerived(conn transport.Conn, bs []int64, base func(t int) (*big.Int, error)) ([]bool, error)
@@ -246,12 +247,12 @@ func (l replyLayout) foldSlots(g int, lift []int) [][]int {
 // packedReplies builds the packed masked-difference reply ciphertexts
 // in the column layout: reply g's plaintext term packs the values
 // b′·r + r′ of its instances with the per-slot bias, then every
-// instance t folds base(t)^{scalars[t]·2^{w·d}} in at its relative slot
-// d (foldSlots over lift) — scalars[t] is r_t for a negated uplink base,
-// −r_t for a derived one — so slot s of reply g decrypts to
+// instance t folds base(t)^{r_t·2^{w·d}} in at its relative slot d
+// (foldSlots over lift) — every base, uplinked or derived, encrypts −a_t
+// — so slot s of reply g decrypts to
 // r_t·(b′_t−a_t) + r′_t + bias. The masks stay independent per
 // instance; packing compresses the frame, never the masking.
-func (b *MaskedBob) packedReplies(pk *encoding.Packer, n int, scalars, plains []*big.Int, random io.Reader, base func(t int) (*big.Int, error), lift []int) ([]*big.Int, error) {
+func (b *MaskedBob) packedReplies(pk *encoding.Packer, n int, rMasks, plains []*big.Int, random io.Reader, base func(t int) (*big.Int, error), lift []int) ([]*big.Int, error) {
 	l := newReplyLayout(pk, n)
 	packedPlains := make([]*big.Int, l.groups)
 	for g := range packedPlains {
@@ -280,7 +281,7 @@ func (b *MaskedBob) packedReplies(pk *encoding.Packer, n int, scalars, plains []
 				if err != nil {
 					return err
 				}
-				slots[d] = append(slots[d], paillier.SlotTerm{Base: ca, Scalar: scalars[t]})
+				slots[d] = append(slots[d], paillier.SlotTerm{Base: ca, Scalar: rMasks[t]})
 			}
 		}
 		ct, err := b.Pub.SlotFold(term2s[g], pk.Width(), slots)
@@ -415,7 +416,7 @@ func (a *MaskedAlice) runBatchDerived(conn transport.Conn, vs []int64, pred byte
 }
 
 // runBatchDerived is the Bob side of a derived-base batch: every
-// instance's E(a_t) comes from base(t) — ciphertexts Bob already holds
+// instance's E(−a_t) comes from base(t) — ciphertexts Bob already holds
 // — and the replies pack with the widened UplinkPacker because both
 // operands may be signed differences.
 func (b *MaskedBob) runBatchDerived(conn transport.Conn, vs []int64, base func(t int) (*big.Int, error), pred byte) ([]bool, error) {
@@ -456,10 +457,6 @@ func (b *MaskedBob) runBatchDerived(conn transport.Conn, vs []int64, base func(t
 	rMasks, plains, err := b.sampleMasks(vs, pred, random)
 	if err != nil {
 		return nil, err
-	}
-	// A derived base encrypts a_t itself, not its negation.
-	for _, r := range rMasks {
-		r.Neg(r)
 	}
 	cts, err := b.packedReplies(b.UplinkPacker, len(vs), rMasks, plains, random, base, nil)
 	if err != nil {

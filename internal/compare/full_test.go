@@ -186,7 +186,7 @@ func TestFullDerivedBatch(t *testing.T) {
 	as[1], bs[1] = bound, -bound // maximal negative difference
 	as[2], bs[2] = -bound, -bound
 
-	// Bob's retained bases: E(a_t) under Alice's key, negatives built
+	// Bob's retained bases: E(−a_t) under Alice's key, negatives built
 	// homomorphically as E(|a|)^(−1) the way protocol state would be.
 	bases := make([]*big.Int, n)
 	for i, a := range as {
@@ -198,7 +198,7 @@ func TestFullDerivedBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a < 0 {
+		if a > 0 {
 			if ct, err = be.Pub.Mul(ct, big.NewInt(-1)); err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/rand"
 	"math/big"
+	mrand "math/rand"
 	"testing"
 
 	"repro/internal/compare"
@@ -129,7 +130,7 @@ func TestEnhancedWireCiphertextsAreBlinded(t *testing.T) {
 	for i := 0; i+1 < n; i++ {
 		pairs = append(pairs, [2]int{i, i + 1})
 	}
-	encShift, err := pub.Unblinded(big.NewInt(shift))
+	neg, err := newNegShares(pub, ds, shift)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestEnhancedWireCiphertextsAreBlinded(t *testing.T) {
 		},
 		func() error {
 			_, err := shareB.(compare.DerivedBob).BatchLessEqDerived(responder, responderOps, func(i int) (*big.Int, error) {
-				return derivedShareDiff(pub, ds, encShift, pairs[i])
+				return neg.selection(pairs[i])
 			})
 			return err
 		},
@@ -164,7 +165,7 @@ func TestEnhancedWireCiphertextsAreBlinded(t *testing.T) {
 		}
 	}
 
-	// Final shape: Dist_κ ≤ Eps² on the retained D_κ itself.
+	// Final shape: Dist_κ ≤ Eps² on the retained D_κ, inverted.
 	const kth = 3
 	var core []bool
 	if err := both(
@@ -174,7 +175,7 @@ func TestEnhancedWireCiphertextsAreBlinded(t *testing.T) {
 		},
 		func() error {
 			_, err := finalB.(compare.DerivedBob).BatchLessEqDerived(responder, []int64{epsSq + vals[kth]},
-				func(int) (*big.Int, error) { return ds[kth], nil })
+				func(int) (*big.Int, error) { return neg.inv[kth], nil })
 			return err
 		},
 	); err != nil {
@@ -208,6 +209,90 @@ func TestEnhancedWireCiphertextsAreBlinded(t *testing.T) {
 			t.Errorf("wire ciphertexts %d and %d share a nonce", j, i)
 		}
 		seen[r.String()] = i
+	}
+}
+
+// TestNegSharesInvertEachChunk: the derived comparison bases of a chunk
+// are built negated from its retained share ciphertexts, inverted once
+// for the chunk (newNegShares). Over chunks of one to several core
+// queries, dummies included, every D_i times its inverse is 1 mod n², and
+// every selection base decrypts to its operand negated, u_y − u_x − shift.
+func TestNegSharesInvertEachChunk(t *testing.T) {
+	const (
+		dim      = 2
+		maxCoord = 15
+		bound    = 2 * maxCoord * maxCoord
+		shareV   = 1 << 10
+		shift    = bound + shareV
+	)
+	key, err := paillier.GenerateKey(rand.Reader, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := paillier.UnmarshalPublicKey(paillier.MarshalPublicKey(&key.PublicKey))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dotPk, err := encoding.NewSumPacker(pub.PlaintextBound(), bound+shareV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := mrand.New(mrand.NewSource(34))
+	point := func() []int64 { return []int64{rng.Int63n(maxCoord + 1), rng.Int63n(maxCoord + 1)} }
+	for _, counts := range [][]int{{1}, {6}, {3, 5, 2}} {
+		as := make([][]int64, len(counts))
+		var bs [][]int64
+		var vs []*big.Int
+		for r, c := range counts {
+			as[r] = extendedQueryVector(point())
+			for i := 0; i < c; i++ {
+				b := extendedDataVector(point())
+				if i == c-1 && c > 1 {
+					b = dummyDataVector(dim, bound)
+				}
+				v, err := mpc.RandomMask(rand.Reader, big.NewInt(shareV))
+				if err != nil {
+					t.Fatal(err)
+				}
+				bs, vs = append(bs, b), append(vs, v)
+			}
+		}
+		var us, ds []*big.Int
+		if err := transport.Run2(
+			func(c transport.Conn) (err error) {
+				us, err = mpc.ReceiverDotRows(c, key, as, counts, dotPk, rand.Reader, nil)
+				return
+			},
+			func(c transport.Conn) (err error) {
+				ds, err = mpc.SenderDotRows(c, pub, bs, counts, vs, dotPk, true, rand.Reader, nil)
+				return
+			},
+		); err != nil {
+			t.Fatal(err)
+		}
+		neg, err := newNegShares(pub, ds, shift)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range ds {
+			if p := new(big.Int).Mul(d, neg.inv[i]); p.Mod(p, pub.NSquared).Cmp(big.NewInt(1)) != 0 {
+				t.Fatalf("chunk %v: D_%d·D_%d⁻¹ = %v mod n², want 1", counts, i, i, p)
+			}
+		}
+		for x := range ds {
+			y := (x + 1) % len(ds)
+			base, err := neg.selection([2]int{x, y})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := key.DecryptSigned(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := new(big.Int).Sub(us[y], us[x]); got.Cmp(want.Sub(want, big.NewInt(shift))) != 0 {
+				t.Fatalf("chunk %v: selection base (%d, %d) decrypts to %v, want %v", counts, x, y, got, want)
+			}
+		}
 	}
 }
 

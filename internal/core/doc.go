@@ -329,15 +329,16 @@
 // instance from its class representative with a fresh r_i — an HDP
 // chunk's batch collapses to one ciphertext per own point, vertical's
 // repeating partial distances group), and derived (zero uplink
-// ciphertexts: the responder re-derives each E(a_i) homomorphically
+// ciphertexts: the responder re-derives each E(−a_i) homomorphically
 // from ciphertexts it already holds — the enhanced family's selection
 // and final comparisons, where the share-phase dot products retain
-// exactly those ciphertexts). The retained ciphertexts D_i and the
-// constant added to their differences are built without nonces
-// (paillier.Unblinded): they never travel, and each reply computed from
-// them is multiplied by a freshly blinded encryption of its own — the
-// share reply's bias group, the comparison reply's packed mask term — so
-// every ciphertext on the wire has the nonce distribution it always had
+// exactly those ciphertexts, which it inverts once a chunk). The
+// retained ciphertexts D_i and the constant added to their differences
+// are built without nonces (paillier.Unblinded): they never travel, and
+// each reply computed from them is multiplied by a freshly blinded
+// encryption of its own — the share reply's bias group, the comparison
+// reply's packed mask term — so every ciphertext on the wire has the
+// nonce distribution it always had
 // (package paillier, "When a nonce is owed";
 // TestEnhancedWireCiphertextsAreBlinded opens every reply of a query
 // with the private key and finds a fresh nonce in each). Derived replies

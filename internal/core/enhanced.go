@@ -243,8 +243,8 @@ func (s *Pair) enhAsk(conn transport.Conn, eng compare.Alice, vals []int64, rows
 }
 
 // enhAnswer is the responder's half of enhAsk: vals[t] is its operand t,
-// and base(t), read under derived comparisons only, the retained
-// ciphertext of the driver's.
+// and base(t), read under derived comparisons only, the driver's operand
+// negated, built from the retained share ciphertexts (negShares).
 func (s *Pair) enhAnswer(conn transport.Conn, eng compare.Bob, vals []int64, base func(t int) (*big.Int, error)) ([]bool, error) {
 	switch {
 	case s.derivedCompare():
@@ -381,14 +381,9 @@ func (s *Pair) serveCoreChunk(conn transport.Conn, rng PermSource, shareB, final
 
 	setTag(conn, "enh.select")
 	shift := s.bound + s.shareV
-	// encShift (derived comparisons only): g^shift under the driver's key,
-	// the constant term of every derived selection operand E(u_x − u_y +
-	// shift). Unblinded, like the retained ds it is added to: the derived
-	// bases never travel, and every reply is freshly randomized by its own
-	// packed encryption (see "When a nonce is owed" in package paillier).
-	var encShift *big.Int
+	var neg *negShares // derived comparisons only
 	if s.derivedCompare() {
-		if encShift, err = s.peerPai.Unblinded(big.NewInt(shift)); err != nil {
+		if neg, err = newNegShares(s.peerPai, ds, shift); err != nil {
 			return err
 		}
 	}
@@ -398,7 +393,7 @@ func (s *Pair) serveCoreChunk(conn transport.Conn, rng PermSource, shareB, final
 			ops[t] = vals[pr[0]] - vals[pr[1]] + shift
 		}
 		return s.enhAnswer(conn, shareB, ops, func(t int) (*big.Int, error) {
-			return derivedShareDiff(s.peerPai, ds, encShift, pairs[t])
+			return neg.selection(pairs[t])
 		})
 	})
 	if err != nil {
@@ -411,26 +406,48 @@ func (s *Pair) serveCoreChunk(conn transport.Conn, rng PermSource, shareB, final
 	for u, t := range kth {
 		ops[u] = s.epsSq + vals[t]
 	}
-	if _, err := s.enhAnswer(conn, finalB, ops, func(u int) (*big.Int, error) { return ds[kth[u]], nil }); err != nil {
+	if _, err := s.enhAnswer(conn, finalB, ops, func(u int) (*big.Int, error) { return neg.inv[kth[u]], nil }); err != nil {
 		return fmt.Errorf("core: enhanced final comparison: %w", err)
 	}
 	s.led(func(l *Ledger) { l.CoreBits += len(qs) })
 	return nil
 }
 
-// derivedShareDiff builds the derived selection operand E(u_x − u_y +
-// shift) for pr = (x, y) from the retained share ciphertexts:
-// ds[x]·ds[y]⁻¹·encShift.
-func derivedShareDiff(pub *paillier.PublicKey, ds []*big.Int, encShift *big.Int, pr [2]int) (*big.Int, error) {
-	neg, err := pub.Mul(ds[pr[1]], big.NewInt(-1))
+// negShares is what a chunk's derived comparison bases are built from:
+// a derived base encrypts its left operand negated (compare.DerivedBob),
+// so the chunk's retained share ciphertexts ds, D_i = E(u_i), are
+// inverted once, together (paillier.Inverses: one modular inversion a
+// chunk), and the constant g^{−shift} is made once. g^{−shift} is
+// Unblinded, like the retained ds it joins: the derived bases never
+// travel, and every reply is freshly randomized by its own packed
+// encryption (see "When a nonce is owed" in package paillier).
+type negShares struct {
+	pub      *paillier.PublicKey // the driver's key
+	ds, inv  []*big.Int          // inv[i] = D_i⁻¹ = E(−u_i): the final comparison's base
+	negShift *big.Int            // g^{−shift}
+}
+
+func newNegShares(pub *paillier.PublicKey, ds []*big.Int, shift int64) (*negShares, error) {
+	inv, err := pub.Inverses(ds)
 	if err != nil {
 		return nil, err
 	}
-	diff, err := pub.Add(ds[pr[0]], neg)
+	negShift, err := pub.Unblinded(big.NewInt(-shift))
 	if err != nil {
 		return nil, err
 	}
-	return pub.Add(diff, encShift)
+	return &negShares{pub: pub, ds: ds, inv: inv, negShift: negShift}, nil
+}
+
+// selection builds the derived selection base for pr = (x, y), the
+// operand u_x − u_y + shift negated: E(u_y − u_x − shift) =
+// D_y·D_x⁻¹·g^{−shift}.
+func (n *negShares) selection(pr [2]int) (*big.Int, error) {
+	diff, err := n.pub.Add(n.ds[pr[1]], n.inv[pr[0]])
+	if err != nil {
+		return nil, err
+	}
+	return n.pub.Add(diff, n.negShift)
 }
 
 // extendedQueryVector builds the §5 query-side vector

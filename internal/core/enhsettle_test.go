@@ -296,9 +296,9 @@ func enhancedServeCore(s *Pair, conn transport.Conn, rng PermSource, pts [][]int
 
 	setTag(conn, "enh.select")
 	shift := s.bound + s.shareV
-	var encShift *big.Int
+	var neg *negShares
 	if s.derivedCompare() {
-		if encShift, err = s.peerPai.Unblinded(big.NewInt(shift)); err != nil {
+		if neg, err = newNegShares(s.peerPai, ds, shift); err != nil {
 			return err
 		}
 	}
@@ -311,7 +311,7 @@ func enhancedServeCore(s *Pair, conn transport.Conn, rng PermSource, pts [][]int
 			}
 			if s.derivedCompare() {
 				base := func(t int) (*big.Int, error) {
-					return derivedShareDiff(s.peerPai, ds, encShift, pairs[t])
+					return neg.selection(pairs[t])
 				}
 				return shareB.(compare.DerivedBob).BatchLessEqDerived(conn, ops, base)
 			}
@@ -331,7 +331,7 @@ func enhancedServeCore(s *Pair, conn transport.Conn, rng PermSource, pts [][]int
 
 	setTag(conn, "enh.final")
 	if s.derivedCompare() {
-		base := func(int) (*big.Int, error) { return ds[kth], nil }
+		base := func(int) (*big.Int, error) { return neg.inv[kth], nil }
 		if _, err := finalB.(compare.DerivedBob).BatchLessEqDerived(conn, []int64{s.epsSq + vals[kth]}, base); err != nil {
 			return fmt.Errorf("core: enhanced final comparison: %w", err)
 		}

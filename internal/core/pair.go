@@ -554,7 +554,7 @@ func (c *countingBob) BatchLess(conn transport.Conn, bs []int64) ([]bool, error)
 }
 
 // BatchLessEqDerived is the Bob half of the Alice-side derived-base
-// batch: base supplies E(a_t) under Bob's view of the peer key, so no
+// batch: base supplies E(−a_t) under Bob's view of the peer key, so no
 // uplink frame carries operands. base must be goroutine-safe (the reply
 // fold runs on the parallel Paillier pool).
 func (c *countingBob) BatchLessEqDerived(conn transport.Conn, bs []int64, base func(t int) (*big.Int, error)) ([]bool, error) {

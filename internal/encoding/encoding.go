@@ -43,7 +43,8 @@
 // multiplier r_t into every slot homomorphically (ct^{r_t·2^{w·d}}, ct
 // an encryption of the negated operand pre-shifted by its sender to d
 // slots below t's slot, merged by the group operation; a derived base,
-// which has no sender, takes −r_t·2^{w·d}) instead of packing finished
+// which has no sender, is built negated by its folder and sits at d = 0
+// below its slot) instead of packing finished
 // masked values. NewUplinkComparePacker derives the slot width for that
 // shape — the κ-bit mask lives *inside* the slot arithmetic and the
 // uplink base may itself be a signed difference of retained
@@ -132,8 +133,8 @@ func NewComparePacker(plainBound *big.Int, max int64, maskBits int) (*Packer, er
 // the slot rather than multiplied into a finished plaintext before
 // packing: the uplink ciphertext ct = E(−a·2^{w·σ}) arrives negated and
 // pre-shifted to a slot σ at or below the instance's slot s, and
-// ct^{r·2^{w·(s−σ)}} places −r·a into slot s (a derived base E(a) is
-// raised to −r·2^{w·s} instead).
+// ct^{r·2^{w·(s−σ)}} places −r·a into slot s (a derived base E(−a),
+// built negated by the folder, is raised to r·2^{w·s}).
 //
 // # Per-slot-mask slot-width derivation
 //

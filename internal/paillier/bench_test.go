@@ -15,9 +15,11 @@ import (
 
 var benchSink *big.Int
 
-func benchKey(b *testing.B) *PrivateKey {
+func benchKey(b *testing.B) *PrivateKey { return benchKeyBits(b, 1024) }
+
+func benchKeyBits(b *testing.B, bits int) *PrivateKey {
 	b.Helper()
-	k, err := GenerateKey(rand.Reader, 1024)
+	k, err := GenerateKey(rand.Reader, bits)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -79,12 +81,37 @@ func BenchmarkDecrypt1024(b *testing.B) {
 // negated and pre-shifted by its sender, so the fold raises it by a
 // positive 40-bit mask at relative slot 0 or 1 and inverts nothing.
 func BenchmarkSlotFoldMasked18x55(b *testing.B) {
-	k := benchKey(b)
+	benchMaskedFold(b, benchKey(b), 18)
+}
+
+// BenchmarkSlotFoldMasked9x55Key512 is the same reply at the wan
+// workload's shape: 9 slots of 55 bits under a 512-bit key.
+func BenchmarkSlotFoldMasked9x55Key512(b *testing.B) {
+	benchMaskedFold(b, benchKeyBits(b, 512), 9)
+}
+
+// benchMaskedFold folds n instances' uplink bases under positive 40-bit
+// masks, alternately at relative slot 0 and 1.
+func benchMaskedFold(b *testing.B, k *PrivateKey, n int) {
 	slots := make([][]SlotTerm, 2)
-	for t := 0; t < 18; t++ {
+	for t := 0; t < n; t++ {
 		slots[t%2] = append(slots[t%2], SlotTerm{Base: randomCiphertext(b, k), Scalar: randomScalar(b, 40)})
 	}
 	benchSlotFold(b, k, 55, slots)
+}
+
+// BenchmarkSlotFoldDerived6x60Key512 is one derived comparison reply at
+// the serve workload's shape: 6 slots of the widened 60-bit uplink packer
+// under a 512-bit key, one base a slot — built negated by the folder, so
+// its mask is positive — and no uplink shift, so the chain runs the full
+// 5·60 + 40 bits.
+func BenchmarkSlotFoldDerived6x60Key512(b *testing.B) {
+	k := benchKeyBits(b, 512)
+	slots := make([][]SlotTerm, 6)
+	for s := range slots {
+		slots[s] = []SlotTerm{{Base: randomCiphertext(b, k), Scalar: randomScalar(b, 40)}}
+	}
+	benchSlotFold(b, k, 60, slots)
 }
 
 // BenchmarkSlotFoldRowDot17x2 is one row-dot reply at the bulk workload's

@@ -3,6 +3,8 @@ package paillier
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
+	"sync"
 )
 
 // SlotTerm is one factor Base^Scalar of a slot's contribution to a packed
@@ -21,16 +23,32 @@ type SlotTerm struct {
 //
 // The product is evaluated as Horner's rule on the exponent bits, from
 // the top slot down: one shared chain of squarings,
-// (len(slots)−1)·width plus the widest scalar's bits of them, and each
-// term multiplies its base in where its scalar has a bit — instead of
+// (len(slots)−1)·width plus the widest scalar's bits of them, instead of
 // one exponentiation of up to that many bits per term. The chain is the
 // bill, so a caller whose bases already carry part of their shift (a
 // comparison uplink pre-shifted by its sender) files each term under its
-// slot relative to that shift and keeps len(slots) short. A sender can
-// carry the sign too: a masked comparison uplink goes up negated, so of
-// the comparison folds only compare's derived batches — bases the folder
-// built itself, with no sender — still take negative scalars. Negative
-// scalars stay legal for every caller: bases with one are inverted
+// slot relative to that shift and keeps len(slots) short.
+//
+// Every step of the chain — a squaring or a multiply-in — is one
+// Montgomery multiplication mod n² (see montMul), three math/big
+// products and no division, against the constants the key's constructor
+// computed. Each base enters Montgomery form once, and init joins last by
+// one Montgomery multiplication against its normal form, which lands the
+// result back in normal form: the residue is exactly the one a
+// multiply-and-reduce chain returns.
+//
+// Within a slot, the terms are taken g at a time (Straus): each group
+// multiplies out its 2^g − 1 subset products once, and at every bit of
+// the chain multiplies in the one entry its scalars' bits select, instead
+// of one base per set bit. g is 3 when the widest scalar has 16 bits or
+// more (a comparison reply's masks), where the tables pay for themselves
+// many times over, and 1 below that (a row-dot's coordinates), where
+// they would cost more than they save.
+//
+// A base can carry the sign of its scalar in its plaintext — a masked
+// comparison uplink goes up negated, and a derived base is built negated
+// by its folder — so every comparison fold raises by positive masks.
+// Negative scalars stay legal for every caller: bases with one are inverted
 // together, with one modular inversion for the whole fold; when one of
 // them (or their product) is not a unit mod n² — a malformed ciphertext
 // — the result is ErrNotInvertible.
@@ -41,66 +59,180 @@ func (pk *PublicKey) SlotFold(init *big.Int, width uint, slots [][]SlotTerm) (*b
 	if width == 0 {
 		return nil, fmt.Errorf("paillier: slot fold needs a positive slot width")
 	}
-	// Per term: |scalar| and the factor to multiply in — the base, or its
-	// inverse under a negative scalar.
-	type factor struct{ abs, base *big.Int }
-	factors := make([][]factor, len(slots))
-	var negs []*big.Int // the factors' bases awaiting inversion, in place
+	var negs []*big.Int // copies of the bases under negative scalars, inverted in place
 	maxBits := 0
-	for s, terms := range slots {
-		factors[s] = make([]factor, len(terms))
-		for i, t := range terms {
+	for _, terms := range slots {
+		for _, t := range terms {
 			if err := pk.validCiphertext(t.Base); err != nil {
 				return nil, err
 			}
-			f := factor{abs: new(big.Int).Abs(t.Scalar), base: t.Base}
 			if t.Scalar.Sign() < 0 {
-				f.base = new(big.Int).Set(t.Base)
-				negs = append(negs, f.base)
+				negs = append(negs, new(big.Int).Set(t.Base))
 			}
-			if n := f.abs.BitLen(); n > maxBits {
-				maxBits = n
-			}
-			factors[s][i] = f
+			maxBits = max(maxBits, t.Scalar.BitLen())
 		}
 	}
 	if err := pk.invertAll(negs); err != nil {
 		return nil, err
 	}
-
-	var prod, quo big.Int // scratch, so the chain allocates nothing per step
-	mulMod := func(z, x, y *big.Int) {
-		prod.Mul(x, y)
-		quo.QuoRem(&prod, pk.NSquared, z)
+	if maxBits == 0 {
+		return new(big.Int).Set(init), nil
 	}
-	// chain is the product of the terms seen so far. It starts at the
-	// first set bit, which skips the leading squarings of 1, and init
-	// joins at the end because it must not be raised.
-	var chain *big.Int
+	g := 1
+	if maxBits >= 16 {
+		g = maxGroup
+	}
+
+	a := foldArenas.Get().(*foldArena)
+	defer foldArenas.Put(a)
+	a.groups, a.slotStart, a.used = a.groups[:0], a.slotStart[:0], 0
+	for _, terms := range slots {
+		a.slotStart = append(a.slotStart, len(a.groups))
+		var grp *foldGroup // the slot's open group, until it holds g terms
+		for _, t := range terms {
+			base := t.Base
+			if t.Scalar.Sign() < 0 {
+				base, negs = negs[0], negs[1:]
+			}
+			if t.Scalar.Sign() == 0 {
+				continue
+			}
+			if grp == nil || grp.n == g {
+				a.groups = append(a.groups, foldGroup{table: a.used})
+				grp = &a.groups[len(a.groups)-1]
+				a.used += 1<<g - 1
+			}
+			// Entry 2^i − 1 is base i in Montgomery form: base·R² · R⁻¹.
+			pk.montMul(a, a.entry(grp.table+1<<grp.n-1), base, pk.montRR)
+			grp.scalars[grp.n] = t.Scalar.Bits() // |scalar|, whatever its sign
+			grp.n++
+		}
+	}
+	a.slotStart = append(a.slotStart, len(a.groups))
+	// Entry mask − 1 is the product of the bases in mask: its lowest base
+	// times the entry of the rest.
+	for i := range a.groups {
+		grp := &a.groups[i]
+		for mask := 3; mask < 1<<grp.n; mask++ {
+			if low := mask & -mask; low != mask {
+				pk.montMul(a, a.entry(grp.table+mask-1), a.entry(grp.table+low-1), a.entry(grp.table+mask-low-1))
+			}
+		}
+	}
+
+	// chain is the product of the terms seen so far, in Montgomery form.
+	// It starts at the first set bit, which skips the leading squarings
+	// of 1, and init joins at the end because it must not be raised.
+	chain, started := &a.chain, false
 	w := int(width)
 	for b := (len(slots)-1)*w + maxBits - 1; b >= 0; b-- {
-		if chain != nil {
-			mulMod(chain, chain, chain)
+		if started {
+			pk.montMul(a, chain, chain, chain)
 		}
 		// The slots whose scalars reach global bit b: only b/w, unless a
 		// scalar is wider than its slot.
 		for s := min(b/w, len(slots)-1); s >= 0 && b-s*w < maxBits; s-- {
-			for _, f := range factors[s] {
+			for i := a.slotStart[s]; i < a.slotStart[s+1]; i++ {
+				grp := &a.groups[i]
+				mask := 0
+				for j, ws := range grp.scalars[:grp.n] {
+					mask |= int(wordBit(ws, b-s*w)) << j
+				}
 				switch {
-				case f.abs.Bit(b-s*w) == 0:
-				case chain == nil:
-					chain = new(big.Int).Set(f.base)
+				case mask == 0:
+				case !started:
+					chain.Set(a.entry(grp.table + mask - 1))
+					started = true
 				default:
-					mulMod(chain, chain, f.base)
+					pk.montMul(a, chain, chain, a.entry(grp.table+mask-1))
 				}
 			}
 		}
 	}
-	if chain == nil {
-		return new(big.Int).Set(init), nil
+	out := new(big.Int)
+	pk.montMul(a, out, chain, init)
+	return out, nil
+}
+
+// foldArena is one fold's scratch, pooled so that a fold allocates only
+// its result (and the copies of any bases it inverts): the Montgomery
+// multiplication's intermediates, the chain, the groups and their tables.
+type foldArena struct {
+	prod, lo, m, u, chain big.Int
+	groups                []foldGroup
+	slotStart             []int      // slot s's groups are groups[slotStart[s]:slotStart[s+1]]
+	entries               []*big.Int // every group's table, in Montgomery form
+	used                  int        // entries the fold has claimed
+}
+
+// maxGroup is the most terms a fold multiplies in together, from a
+// table of 2^maxGroup − 1 subset products.
+const maxGroup = 3
+
+// foldGroup is up to maxGroup terms of one slot, multiplied in together:
+// entry table+mask−1 of the arena holds the product of the bases whose
+// bit is set in mask, and scalars[i] the words of term i's |scalar|.
+type foldGroup struct {
+	scalars [maxGroup][]big.Word
+	n       int
+	table   int
+}
+
+var foldArenas = sync.Pool{New: func() any { return new(foldArena) }}
+
+// entry returns table entry i, growing the arena as a fold needs.
+func (a *foldArena) entry(i int) *big.Int {
+	for len(a.entries) <= i {
+		a.entries = append(a.entries, new(big.Int))
 	}
-	mulMod(chain, chain, init)
-	return chain, nil
+	return a.entries[i]
+}
+
+// wordBit is bit j of the natural number with little-endian words ws.
+func wordBit(ws []big.Word, j int) big.Word {
+	if i := j / bits.UintSize; i < len(ws) {
+		return ws[i] >> (j % bits.UintSize) & 1
+	}
+	return 0
+}
+
+// montMul sets z = x·y·R⁻¹ mod n² for x, y < n² (Montgomery's REDC, R =
+// 2^{W·montK}), from three math/big products: T = x·y, m = (T mod R)·m′
+// mod R with m′ = −(n²)⁻¹ mod R, and m·n². T + m·n² is divisible by R and
+// below 2·n²·R, so a word shift and at most one subtraction finish it. z
+// may alias x or y; a holds the intermediates.
+func (pk *PublicKey) montMul(a *foldArena, z, x, y *big.Int) {
+	k := pk.montK
+	a.prod.Mul(x, y)
+	t := a.prod.Bits()
+	a.lo.SetBits(t[:min(len(t), k)]) // reads prod's low words in place
+	a.m.Mul(&a.lo, pk.montNeg)
+	mw := a.m.Bits()
+	a.m.SetBits(mw[:min(len(mw), k)])
+	a.u.Mul(&a.m, pk.NSquared)
+	a.u.Add(&a.u, &a.prod)
+	z.Rsh(&a.u, uint(k*bits.UintSize))
+	if z.Cmp(pk.NSquared) >= 0 {
+		z.Sub(z, pk.NSquared)
+	}
+}
+
+// Inverses returns c⁻¹ mod n² for every ciphertext c in cs, with one
+// modular inversion for the batch (invertAll) — ErrCiphertextRange or
+// ErrNotInvertible when some c is no unit of Z_{n²}. A folder that
+// builds its own negated bases pays for their inversions here, once.
+func (pk *PublicKey) Inverses(cs []*big.Int) ([]*big.Int, error) {
+	inv := make([]*big.Int, len(cs))
+	for i, c := range cs {
+		if err := pk.validCiphertext(c); err != nil {
+			return nil, err
+		}
+		inv[i] = new(big.Int).Set(c)
+	}
+	if err := pk.invertAll(inv); err != nil {
+		return nil, err
+	}
+	return inv, nil
 }
 
 // invertAll replaces every x in xs by x⁻¹ mod n² with one modular

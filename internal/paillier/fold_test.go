@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/big"
 	mrand "math/rand"
+	"sync"
 	"testing"
 )
 
@@ -40,61 +41,149 @@ func randomCiphertext(t testing.TB, k *PrivateKey) *big.Int {
 	return c
 }
 
-// TestSlotFoldMatchesPerSlotProduct is the differential test: over random
-// slot counts, widths, signs, zero scalars, empty slots, several terms per
-// slot (the dot-many shape), repeated bases (the grouped-uplink shape) and
-// scalars wider than their slot, the kernel returns the very residue the
+// TestSlotFoldMatchesPerSlotProduct is the differential test: over keys
+// whose n² spans 8, 10, 16 and 32 words (each also rebuilt from its
+// wire form, so both constructors' Montgomery constants are used),
+// random slot counts, widths, signs, zero scalars, empty slots, 1–20
+// terms per slot (the dot-many and comparison-reply shapes), scalars of
+// up to 100 bits on both sides of the group-size rule and wider than
+// their slot, repeated bases (the grouped-uplink shape) and non-unit
+// bases under positive scalars, the kernel returns the very residue the
 // per-slot product does.
 func TestSlotFoldMatchesPerSlotProduct(t *testing.T) {
-	k := testKey(t, 256)
-	pk := &k.PublicKey
 	rng := mrand.New(mrand.NewSource(14))
-	pool := make([]*big.Int, 6)
-	for i := range pool {
-		pool[i] = randomCiphertext(t, k)
-	}
-	for round := 0; round < 60; round++ {
-		nSlots := 1 + rng.Intn(24)
-		width := uint(1 + rng.Intn(64))
-		scalarBits := int(width)
-		if round%7 == 0 {
-			scalarBits += 1 + rng.Intn(70) // overflows into the next slots
-		}
-		signs := round % 3 // all negative, all positive, mixed
-		slots := make([][]SlotTerm, nSlots)
-		for s := range slots {
-			nTerms := 1
-			if round%4 == 0 {
-				nTerms = rng.Intn(4) // dot-many; 0 leaves the slot empty
-			}
-			for i := 0; i < nTerms; i++ {
-				scalar := new(big.Int).Rand(rng, new(big.Int).Lsh(one, uint(1+rng.Intn(scalarBits))))
-				if signs == 0 || signs == 2 && rng.Intn(2) == 0 {
-					scalar.Neg(scalar)
-				}
-				if rng.Intn(8) == 0 {
-					scalar.SetInt64(0)
-				}
-				base := pool[rng.Intn(len(pool))]
-				if round%5 == 0 {
-					base = randomCiphertext(t, k)
-				}
-				slots[s] = append(slots[s], SlotTerm{Base: base, Scalar: scalar})
-			}
-		}
-		init := randomCiphertext(t, k)
-		want, err := perSlotFold(pk, init, width, slots)
+	for _, tc := range []struct{ bits, rounds, maxSlots int }{
+		{256, 60, 24}, {320, 40, 24}, {512, 24, 8}, {1024, 12, 4},
+	} {
+		k := testKey(t, tc.bits)
+		rebuilt, err := UnmarshalPublicKey(MarshalPublicKey(&k.PublicKey))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := pk.SlotFold(init, width, slots)
-		if err != nil {
-			t.Fatalf("round %d (S=%d w=%d): %v", round, nSlots, width, err)
+		pool := make([]*big.Int, 6)
+		for i := range pool {
+			pool[i] = randomCiphertext(t, k)
 		}
-		if got.Cmp(want) != 0 {
-			t.Fatalf("round %d (S=%d w=%d): kernel and per-slot product differ", round, nSlots, width)
+		nonUnit := new(big.Int).Mul(k.q, pool[0]) // a multiple of q below n²
+		nonUnit.Mod(nonUnit, k.NSquared)
+		for round := 0; round < tc.rounds; round++ {
+			pk := &k.PublicKey
+			if round%2 == 1 {
+				pk = rebuilt
+			}
+			slots, init := randomFold(t, rng, k, pool, nonUnit, round, tc.maxSlots)
+			want, err := perSlotFold(pk, init, slots.width, slots.terms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := pk.SlotFold(init, slots.width, slots.terms)
+			if err != nil {
+				t.Fatalf("%d bits, round %d (S=%d w=%d): %v", tc.bits, round, len(slots.terms), slots.width, err)
+			}
+			if got.Cmp(want) != 0 {
+				t.Fatalf("%d bits, round %d (S=%d w=%d): kernel and per-slot product differ", tc.bits, round, len(slots.terms), slots.width)
+			}
 		}
 	}
+}
+
+// foldInput is one SlotFold's slots and width.
+type foldInput struct {
+	terms [][]SlotTerm
+	width uint
+}
+
+// randomFold draws round's fold input over k and its init. Rounds take
+// turns at scalars below the 16 bits at which SlotFold starts grouping
+// its terms and at scalars of 16 to 100 bits, at signs (all negative,
+// all positive, mixed), at a few terms per slot or 1–20, and at bases
+// from pool (so repeated) or fresh; a non-unit base joins some rounds
+// under a positive scalar, the only sign it has a fold under.
+func randomFold(t *testing.T, rng *mrand.Rand, k *PrivateKey, pool []*big.Int, nonUnit *big.Int, round, maxSlots int) (foldInput, *big.Int) {
+	t.Helper()
+	nSlots := 1 + rng.Intn(maxSlots)
+	width := uint(1 + rng.Intn(64))
+	scalarBits := 1 + rng.Intn(15)
+	if round%2 == 0 {
+		scalarBits = 16 + rng.Intn(85)
+	}
+	signs := round % 3 // all negative, all positive, mixed
+	slots := make([][]SlotTerm, nSlots)
+	for s := range slots {
+		nTerms := rng.Intn(4) // 0 leaves the slot empty
+		if round%4 < 2 {
+			nTerms = 1 + rng.Intn(20)
+		}
+		for i := 0; i < nTerms; i++ {
+			scalar := new(big.Int).Rand(rng, new(big.Int).Lsh(one, uint(1+rng.Intn(scalarBits))))
+			if signs == 0 || signs == 2 && rng.Intn(2) == 0 {
+				scalar.Neg(scalar)
+			}
+			if rng.Intn(8) == 0 {
+				scalar.SetInt64(0)
+			}
+			base := pool[rng.Intn(len(pool))]
+			if round%5 == 0 {
+				base = randomCiphertext(t, k)
+			}
+			if scalar.Sign() > 0 && round%6 == 1 && rng.Intn(4) == 0 {
+				base = nonUnit
+			}
+			slots[s] = append(slots[s], SlotTerm{Base: base, Scalar: scalar})
+		}
+	}
+	return foldInput{slots, width}, randomCiphertext(t, k)
+}
+
+// TestSlotFoldConcurrent folds from several goroutines at once, on two
+// keys of different sizes whose folds share the pooled scratch, and
+// checks every result against the per-slot product.
+func TestSlotFoldConcurrent(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(34))
+	type job struct {
+		pk   *PublicKey
+		in   foldInput
+		init *big.Int
+		want *big.Int
+	}
+	var jobs []job
+	for _, bits := range []int{256, 512} {
+		k := testKey(t, bits)
+		pool := make([]*big.Int, 4)
+		for i := range pool {
+			pool[i] = randomCiphertext(t, k)
+		}
+		nonUnit := new(big.Int).Mul(k.p, pool[0])
+		nonUnit.Mod(nonUnit, k.NSquared)
+		for round := 0; round < 6; round++ {
+			in, init := randomFold(t, rng, k, pool, nonUnit, round, 4)
+			want, err := perSlotFold(&k.PublicKey, init, in.width, in.terms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, job{&k.PublicKey, in, init, want})
+		}
+	}
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range jobs {
+				j := jobs[(i+w)%len(jobs)]
+				got, err := j.pk.SlotFold(j.init, j.in.width, j.in.terms)
+				if err != nil {
+					t.Errorf("worker %d, job %d: %v", w, (i+w)%len(jobs), err)
+					return
+				}
+				if got.Cmp(j.want) != 0 {
+					t.Errorf("worker %d, job %d: kernel and per-slot product differ", w, (i+w)%len(jobs))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // TestSlotFoldPlacesSlots checks the plaintext meaning once, end to end:

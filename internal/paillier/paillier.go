@@ -40,13 +40,14 @@
 // computation, and Unblinded builds it as the bare g^m (nonce 1) for one
 // multiplication instead of an exponentiation. The two users are the §5
 // responder's retained share ciphertexts D_i = g^{v_i}·Π_k E(a_k)^{b_ik}
-// (mpc.SenderDotRows, retaining) and the constant E(shift) it adds to
-// their differences (core's enhanced selection). Neither travels: every
-// ciphertext derived from them is multiplied, before it is sent, by an
-// encryption of its own — the bias group of the share reply, the packed
-// mask term of a comparison reply — blinded by a fresh y = ρ^n. y is a
-// uniform element of the group of n-th residues, drawn independently of
-// everything else, so y·z is uniform in that group and independent of z
+// (mpc.SenderDotRows, retaining) and the constant E(−shift) it adds to
+// their negated differences (core's enhanced selection). Neither
+// travels: every ciphertext derived from them is multiplied, before it
+// is sent, by an encryption of its own — the bias group of the share
+// reply, the packed mask term of a comparison reply — blinded by a fresh
+// y = ρ^n. y is a uniform element of the group of n-th residues, drawn
+// independently of everything else, so y·z is uniform in that group and
+// independent of z
 // for ANY n-th residue z, whether z was itself built from fresh nonces
 // (before this rule) or is a fixed function of the nonces the peer put
 // into its own uplink (now). The (plaintext, nonce) pair of every
@@ -55,6 +56,22 @@
 // The condition a caller of Unblinded has to keep is the one stated above
 // — the value and everything computed from it alone stay off the wire —
 // and CI's grep gate confines the call to the two sites that keep it.
+//
+// The homomorphic side. Every packed reply and dot product is one
+// SlotFold: a multi-base product Π b_i^{e_i} mod n² over one shared chain
+// of squarings. The chain runs in Montgomery form mod n², and a step
+// costs three math/big products — x·y, its low words times m′, that times
+// n² — plus an add, a word shift and at most one subtraction: no division,
+// where a multiply-and-reduce step would spend a long division worth
+// about three products. The constants live on the key: GenerateKey and
+// UnmarshalPublicKey compute, for R = 2^{W·k} with k the words of n², the
+// word count k, m′ = −(n²)⁻¹ mod R and R² mod n² (n is odd, so n² is).
+// Within a slot the fold multiplies its bases in three at a time from a
+// table of their seven subset products when the widest scalar has 16 bits
+// or more (a comparison reply's masks) and one at a time below that (a
+// row-dot's coordinates). Exponentiations with one base — nonces,
+// decryption, Mul — stay on big.Int.Exp, which has its own Montgomery
+// loop.
 package paillier
 
 import (
@@ -63,6 +80,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 )
 
 var one = big.NewInt(1)
@@ -73,6 +91,29 @@ type PublicKey struct {
 	NSquared *big.Int // n², cached
 
 	halfN *big.Int // n/2, cached for signed decoding
+
+	// Montgomery arithmetic mod n² for SlotFold, with R = 2^{W·montK}
+	// for the word size W: montK is the number of words of n², montNeg
+	// is m′ = −(n²)⁻¹ mod R and montRR is R² mod n².
+	montK           int
+	montNeg, montRR *big.Int
+}
+
+// newPublicKey derives every cached value of the public key for an odd
+// modulus n: an even one has no Montgomery form mod n².
+func newPublicKey(n *big.Int) PublicKey {
+	nn := new(big.Int).Mul(n, n)
+	k := len(nn.Bits())
+	r := new(big.Int).Lsh(one, uint(k*bits.UintSize))
+	neg := new(big.Int).ModInverse(nn, r)
+	return PublicKey{
+		N:        n,
+		NSquared: nn,
+		halfN:    new(big.Int).Rsh(n, 1),
+		montK:    k,
+		montNeg:  neg.Sub(r, neg),
+		montRR:   new(big.Int).Mod(new(big.Int).Lsh(one, uint(2*k*bits.UintSize)), nn),
+	}
 }
 
 // PrivateKey holds the decryption key and CRT acceleration values.
@@ -135,15 +176,11 @@ func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
 			continue
 		}
 		key := &PrivateKey{
-			PublicKey: PublicKey{
-				N:        n,
-				NSquared: new(big.Int).Mul(n, n),
-				halfN:    new(big.Int).Rsh(n, 1),
-			},
-			Lambda: lambda,
-			Mu:     mu,
-			p:      p,
-			q:      q,
+			PublicKey: newPublicKey(n),
+			Lambda:    lambda,
+			Mu:        mu,
+			p:         p,
+			q:         q,
 		}
 		key.pSquared = new(big.Int).Mul(p, p)
 		key.qSquared = new(big.Int).Mul(q, q)
@@ -469,8 +506,8 @@ func MarshalPublicKey(pk *PublicKey) []byte {
 // UnmarshalPublicKey reconstructs a public key from MarshalPublicKey
 // output. The bytes come from a peer, so the modulus is bounded before it
 // is squared and must be odd: an even n cannot be a product of two odd
-// primes and would take every later math/big operation off its Montgomery
-// path.
+// primes, has no Montgomery form mod n² for SlotFold, and would take
+// every later math/big operation off its Montgomery path.
 func UnmarshalPublicKey(b []byte) (*PublicKey, error) {
 	if len(b) > MaxKeyBits/8 {
 		return nil, fmt.Errorf("%w: modulus of %d bytes above the %d-bit maximum", ErrPublicKey, len(b), MaxKeyBits)
@@ -482,9 +519,6 @@ func UnmarshalPublicKey(b []byte) (*PublicKey, error) {
 	if n.Bit(0) == 0 {
 		return nil, fmt.Errorf("%w: even modulus", ErrPublicKey)
 	}
-	return &PublicKey{
-		N:        n,
-		NSquared: new(big.Int).Mul(n, n),
-		halfN:    new(big.Int).Rsh(n, 1),
-	}, nil
+	pk := newPublicKey(n)
+	return &pk, nil
 }
