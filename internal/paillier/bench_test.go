@@ -26,6 +26,20 @@ func benchKeyBits(b *testing.B, bits int) *PrivateKey {
 	return k
 }
 
+// BenchmarkGenerateKey1024 is one 1024-bit key: two 512-bit prime draws
+// and the key's inverses, what every session pays per party before its
+// handshake.
+func BenchmarkGenerateKey1024(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		k, err := GenerateKey(rand.Reader, 1024)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = k.N
+	}
+}
+
 // BenchmarkEncryptOwner1024 is what the key owner pays per ciphertext.
 func BenchmarkEncryptOwner1024(b *testing.B) {
 	k := benchKey(b)

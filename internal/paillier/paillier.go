@@ -1,6 +1,7 @@
 // Package paillier implements the Paillier additively homomorphic
 // cryptosystem (Paillier, EUROCRYPT 1999) exactly as reviewed in §3.7 of
-// the reproduced paper, on top of math/big and crypto/rand only.
+// the reproduced paper, on top of math/big, crypto/rand and
+// internal/prime only.
 //
 // Supported homomorphic operations:
 //
@@ -16,6 +17,12 @@
 // single modular multiplication (1 + m·n mod n²), and the key owner's
 // factorisation wherever it helps: decryption is CRT-accelerated, and so
 // is encryption by the party that holds the *PrivateKey.
+//
+// Keys. GenerateKey draws p and q with prime.Draw, which makes and accepts
+// candidates exactly as crypto/rand.Prime does but rejects most composites
+// by trial division before any exponentiation, so keys keep their
+// distribution. The CRT decryption constants are closed forms of inverses
+// the key needs anyway, not exponentiations mod p² and q² (GenerateKey).
 //
 // A ciphertext is g^m·y with y a uniform n-th residue mod n². A peer that
 // holds only the *PublicKey (UnmarshalPublicKey) draws r ∈ Z*_n and pays
@@ -81,6 +88,8 @@ import (
 	"io"
 	"math/big"
 	"math/bits"
+
+	"repro/internal/prime"
 )
 
 var one = big.NewInt(1)
@@ -125,7 +134,7 @@ type PrivateKey struct {
 	p, q       *big.Int // prime factors
 	pSquared   *big.Int
 	qSquared   *big.Int
-	hp, hq     *big.Int // CRT decryption precomputation
+	hp, hq     *big.Int // CRT decryption constants: p − q⁻¹ mod p, q − p⁻¹ mod q
 	pOrderInv  *big.Int // q⁻¹ mod p for CRT recombination
 	qSqInv     *big.Int // (q²)⁻¹ mod p² for CRT recombination of owner nonces
 	plainBound *big.Int // n/2: |signed plaintext| must stay below this
@@ -140,7 +149,14 @@ const (
 )
 
 // GenerateKey creates a Paillier key pair with an n of the given bit size.
-// random is typically crypto/rand.Reader.
+// random is typically crypto/rand.Reader. Both primes come from
+// prime.Draw, which keeps crypto/rand.Prime's candidates and acceptance
+// test.
+//
+// The CRT decryption constants are closed forms of inverses the key needs
+// anyway. With g = n+1, g^{p−1} ≡ 1 + (p−1)·n ≡ 1 + p·(−q mod p) mod p²,
+// so L_p(g^{p−1} mod p²) = −q mod p and hp = (−q)⁻¹ mod p = p − q⁻¹ mod p;
+// likewise hq = q − p⁻¹ mod q. No exponentiation mod p² or q² is needed.
 func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
 	if bits < MinKeyBits {
 		return nil, fmt.Errorf("paillier: key size %d below minimum %d", bits, MinKeyBits)
@@ -149,11 +165,11 @@ func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
 		random = rand.Reader
 	}
 	for {
-		p, err := rand.Prime(random, bits/2)
+		p, err := prime.Draw(random, bits/2)
 		if err != nil {
 			return nil, fmt.Errorf("paillier: generating p: %w", err)
 		}
-		q, err := rand.Prime(random, bits-bits/2)
+		q, err := prime.Draw(random, bits-bits/2)
 		if err != nil {
 			return nil, fmt.Errorf("paillier: generating q: %w", err)
 		}
@@ -185,29 +201,16 @@ func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
 		key.pSquared = new(big.Int).Mul(p, p)
 		key.qSquared = new(big.Int).Mul(q, q)
 		key.plainBound = new(big.Int).Rsh(n, 1)
-		// CRT precomputation: hp = L_p(g^{p−1} mod p²)⁻¹ mod p, with
-		// g = n+1 so g^{p−1} mod p² = 1 + (p−1)·n mod p².
-		key.hp = crtH(n, p, key.pSquared)
-		key.hq = crtH(n, q, key.qSquared)
-		if key.hp == nil || key.hq == nil {
-			continue
-		}
 		key.pOrderInv = new(big.Int).ModInverse(q, p)
+		pInv := new(big.Int).ModInverse(p, q)
 		key.qSqInv = new(big.Int).ModInverse(key.qSquared, key.pSquared)
-		if key.pOrderInv == nil || key.qSqInv == nil {
+		if key.pOrderInv == nil || pInv == nil || key.qSqInv == nil {
 			continue
 		}
+		key.hp = new(big.Int).Sub(p, key.pOrderInv)
+		key.hq = pInv.Sub(q, pInv)
 		return key, nil
 	}
-}
-
-// crtH computes L_r(g^{r−1} mod r²)⁻¹ mod r for prime factor r, g = n+1.
-func crtH(n, r, rSquared *big.Int) *big.Int {
-	rm1 := new(big.Int).Sub(r, one)
-	g := new(big.Int).Add(n, one)
-	u := new(big.Int).Exp(g, rm1, rSquared)
-	l := lFunc(u, r)
-	return new(big.Int).ModInverse(l, r)
 }
 
 // lFunc is Paillier's L(u) = (u−1)/r.

@@ -189,6 +189,56 @@ func TestCRTDecryptMatchesSlowPath(t *testing.T) {
 	}
 }
 
+// crtH is the exponentiation formula for a CRT decryption constant,
+// L_r(g^{r−1} mod r²)⁻¹ mod r for the prime factor r and g = n+1: the
+// oracle for the closed forms GenerateKey stores.
+func crtH(n, r, rSquared *big.Int) *big.Int {
+	rm1 := new(big.Int).Sub(r, one)
+	g := new(big.Int).Add(n, one)
+	u := new(big.Int).Exp(g, rm1, rSquared)
+	l := lFunc(u, r)
+	return new(big.Int).ModInverse(l, r)
+}
+
+// TestCRTConstantsMatchExpFormula checks hp = p − q⁻¹ mod p and
+// hq = q − p⁻¹ mod q against crtH over many fresh keys at 256, 512 and
+// 1024 bits, and CRT decryption against textbook decryption on each.
+func TestCRTConstantsMatchExpFormula(t *testing.T) {
+	for _, tc := range []struct{ bits, keys int }{{256, 60}, {512, 25}, {1024, 8}} {
+		keys := tc.keys
+		if testing.Short() {
+			keys = 2
+		}
+		for i := 0; i < keys; i++ {
+			k, err := GenerateKey(rand.Reader, tc.bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hp := crtH(k.N, k.p, k.pSquared); hp == nil || hp.Cmp(k.hp) != 0 {
+				t.Fatalf("%d-bit key %d: hp = %v, Exp formula gives %v", tc.bits, i, k.hp, hp)
+			}
+			if hq := crtH(k.N, k.q, k.qSquared); hq == nil || hq.Cmp(k.hq) != 0 {
+				t.Fatalf("%d-bit key %d: hq = %v, Exp formula gives %v", tc.bits, i, k.hq, hq)
+			}
+			m, err := rand.Int(rand.Reader, k.PlaintextBound())
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := k.Encrypt(rand.Reader, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := k.Decrypt(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Cmp(m) != 0 || got.Cmp(k.decryptSlow(c)) != 0 {
+				t.Fatalf("%d-bit key %d: Decrypt = %v, want %v", tc.bits, i, got, m)
+			}
+		}
+	}
+}
+
 // nonceOf strips g^m off a ciphertext of m: c·(1 − m·n) mod n², because
 // (1 + m·n)(1 − m·n) ≡ 1 (mod n²).
 func nonceOf(k *PrivateKey, c, m *big.Int) *big.Int {

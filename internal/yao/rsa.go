@@ -43,6 +43,8 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+
+	"repro/internal/prime"
 )
 
 var one = big.NewInt(1)
@@ -113,7 +115,8 @@ const (
 // ErrPublicKey reports a peer's RSA public key that cannot be one.
 var ErrPublicKey = errors.New("yao: invalid RSA public key")
 
-// GenerateRSAKey creates a textbook RSA key pair for YMPP.
+// GenerateRSAKey creates a textbook RSA key pair for YMPP. Both primes
+// come from prime.Draw, with crypto/rand.Prime's distribution.
 func GenerateRSAKey(random io.Reader, bits int) (*RSAKey, error) {
 	if bits < MinRSABits {
 		return nil, fmt.Errorf("yao: RSA key size %d below minimum %d", bits, MinRSABits)
@@ -123,11 +126,11 @@ func GenerateRSAKey(random io.Reader, bits int) (*RSAKey, error) {
 	}
 	e := big.NewInt(65537)
 	for {
-		p, err := rand.Prime(random, bits/2)
+		p, err := prime.Draw(random, bits/2)
 		if err != nil {
 			return nil, fmt.Errorf("yao: generating p: %w", err)
 		}
-		q, err := rand.Prime(random, bits-bits/2)
+		q, err := prime.Draw(random, bits-bits/2)
 		if err != nil {
 			return nil, fmt.Errorf("yao: generating q: %w", err)
 		}

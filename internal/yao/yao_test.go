@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/big"
 	mrand "math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -33,6 +34,43 @@ func testRSAKey(t testing.TB) *RSAKey {
 func TestRSAKeyRejectsSmall(t *testing.T) {
 	if _, err := GenerateRSAKey(rand.Reader, 128); err == nil {
 		t.Error("want error for tiny key")
+	}
+}
+
+// TestSeparatingPrimeHasSepPrimeBits checks step 4's draw on a real
+// decrypted range: p is prime, exactly sepPrimeBits long (the only length
+// Bob's checkRound2 accepts), and every z_u is y_u mod p with the z_u
+// pairwise at least 2 apart, circularly.
+func TestSeparatingPrimeHasSepPrimeBits(t *testing.T) {
+	k := testRSAKey(t)
+	base, err := rand.Int(rand.Reader, k.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ys := decryptRange(nil, k, base, 40)
+	for trial := 0; trial < 8; trial++ {
+		p, zs, err := findSeparatingPrime(rand.Reader, k.sepPrimeBits(), ys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.BitLen() != k.sepPrimeBits() || !p.ProbablyPrime(20) {
+			t.Fatalf("p = %v: %d bits (want %d), prime %v", p, p.BitLen(), k.sepPrimeBits(), p.ProbablyPrime(20))
+		}
+		sorted := make([]*big.Int, len(zs))
+		for u, z := range zs {
+			if z.Cmp(new(big.Int).Mod(ys[u], p)) != 0 {
+				t.Fatalf("z_%d = %v is not y_%d mod p", u+1, z, u+1)
+			}
+			sorted[u] = z
+		}
+		sort.Slice(sorted, func(a, b int) bool { return sorted[a].Cmp(sorted[b]) < 0 })
+		gap := new(big.Int).Sub(new(big.Int).Add(sorted[0], p), sorted[len(sorted)-1])
+		for u := 1; u < len(sorted) && gap.Cmp(two) >= 0; u++ {
+			gap.Sub(sorted[u], sorted[u-1])
+		}
+		if gap.Cmp(two) < 0 {
+			t.Fatalf("residues mod %v are not pairwise 2 apart", p)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"repro/internal/paillier"
+	"repro/internal/prime"
 	"repro/internal/transport"
 )
 
@@ -80,7 +81,8 @@ func AliceCompare(conn transport.Conn, key *RSAKey, i, n0 int64, random io.Reade
 	ys := decryptRange(pool, key, base, int(n0))
 
 	// Step 4: find a prime p with all z_u = y_u mod p pairwise ≥ 2 apart
-	// in the mod-p sense.
+	// in the mod-p sense. Each try is a prime.Draw, so p keeps
+	// crypto/rand.Prime's distribution.
 	p, zs, err := findSeparatingPrime(random, key.sepPrimeBits(), ys)
 	if err != nil {
 		return false, err
@@ -203,12 +205,14 @@ func decryptRange(pool *paillier.Pool, key *RSAKey, base *big.Int, count int) []
 
 // findSeparatingPrime implements step 4: draw random primes of the given
 // bit length until all y_u mod p differ pairwise by at least 2 in the
-// mod-p (circular) sense.
+// mod-p (circular) sense. Each prime comes from prime.Draw, which makes and
+// accepts exactly the candidates crypto/rand.Prime does, so p has
+// crypto/rand.Prime's distribution.
 func findSeparatingPrime(random io.Reader, bits int, ys []*big.Int) (*big.Int, []*big.Int, error) {
 	zs := make([]*big.Int, len(ys))
 	sorted := make([]*big.Int, len(ys))
 	for attempt := 0; attempt < maxPrimeAttempts; attempt++ {
-		p, err := rand.Prime(random, bits)
+		p, err := prime.Draw(random, bits)
 		if err != nil {
 			return nil, nil, fmt.Errorf("yao: generating prime: %w", err)
 		}
