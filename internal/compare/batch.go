@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/big"
+	"sync/atomic"
 
 	"repro/internal/encoding"
 	"repro/internal/paillier"
@@ -18,11 +19,11 @@ import (
 // sub-protocol per value. This is what collapses the per-region-query
 // round count of the distance protocols from O(nPeer) to O(1).
 //
-// Both engines keep their scalar semantics element-wise:
+// Both engines decide element-wise:
 //
 //   - YMPP: the batch frames carry `count` Algorithm 1 payloads
-//     (internal/yao batch forms); local cost is unchanged at
-//     O(count·Bound) but rounds drop from 3·count to 3.
+//     (internal/yao's one wire form); local cost is O(count·Bound) in
+//     three rounds.
 //   - Masked: Alice packs E(−a_1)…E(−a_count), each pre-shifted to its
 //     reply slot, into one frame, Bob replies with the count masked
 //     differences, S to a ciphertext (S = 1 under "off" packing) laid
@@ -30,8 +31,10 @@ import (
 //     pool, and Alice returns the sign bits. O(count) ciphertexts in 3
 //     frames, with all modular exponentiation spread over the engine's crypto pool (the
 //     process-shared bounded pool on a multi-session server; GOMAXPROCS
-//     for a solo run with a nil Pool). A scalar LessEq or Less is the
-//     batch of one.
+//     for a solo run with a nil Pool).
+//
+// Under Edge.Sequential an engine runs a batch of k as k batches of one,
+// in order (rounds.run): 3·k frames, the same decisions.
 //
 // An empty batch returns immediately on both sides without touching the
 // connection. The parties must agree on batch length: a mismatch between
@@ -70,16 +73,46 @@ func (b *YMPPBob) FrameBytes() int     { return ymppFrameBytes(b.Max, b.Pub) }
 func (a *MaskedAlice) FrameBytes() int { return maskedFrameBytes(&a.Key.PublicKey) }
 func (b *MaskedBob) FrameBytes() int   { return maskedFrameBytes(b.Pub) }
 
+// rounds is what an engine takes from its Edge: the round structure and
+// the instance count. Every batch entry point runs through run.
+type rounds struct {
+	sequential bool
+	count      *atomic.Int64
+}
+
+// run decides an n-instance batch, where batch(lo, hi) decides instances
+// [lo, hi) in one three-frame exchange: all n at once, or under
+// sequential one at a time, in order. It counts n instances either way.
+func (r rounds) run(n int, batch func(lo, hi int) ([]bool, error)) ([]bool, error) {
+	tally(r.count, n)
+	if !r.sequential {
+		return batch(0, n)
+	}
+	bits := make([]bool, 0, n)
+	for t := 0; t < n; t++ {
+		one, err := batch(t, t+1)
+		if err != nil {
+			return nil, err
+		}
+		bits = append(bits, one...)
+	}
+	return bits, nil
+}
+
 // ---- YMPP engine ----
 
 // BatchLessEq decides a_t ≤ b_t for the whole batch in three frames.
 func (a *YMPPAlice) BatchLessEq(conn transport.Conn, vs []int64) ([]bool, error) {
-	return yao.AliceLessEqBatch(conn, a.Key, vs, a.Max, a.Random, a.Pool)
+	return a.run(len(vs), func(lo, hi int) ([]bool, error) {
+		return yao.AliceLessEqBatch(conn, a.Key, vs[lo:hi], a.Max, a.Random, a.Pool)
+	})
 }
 
 // BatchLess decides a_t < b_t for the whole batch in three frames.
 func (a *YMPPAlice) BatchLess(conn transport.Conn, vs []int64) ([]bool, error) {
-	return yao.AliceLessBatch(conn, a.Key, vs, a.Max, a.Random, a.Pool)
+	return a.run(len(vs), func(lo, hi int) ([]bool, error) {
+		return yao.AliceLessBatch(conn, a.Key, vs[lo:hi], a.Max, a.Random, a.Pool)
+	})
 }
 
 // BatchLessEqRows is BatchLessEq: Algorithm 1's frames do not depend on
@@ -95,12 +128,16 @@ func (a *YMPPAlice) BatchLessRows(conn transport.Conn, vs []int64, _ []int) ([]b
 
 // BatchLessEq is the Bob half of the Alice-side BatchLessEq.
 func (b *YMPPBob) BatchLessEq(conn transport.Conn, vs []int64) ([]bool, error) {
-	return yao.BobLessEqBatch(conn, b.Pub, vs, b.Max, b.Random)
+	return b.run(len(vs), func(lo, hi int) ([]bool, error) {
+		return yao.BobLessEqBatch(conn, b.Pub, vs[lo:hi], b.Max, b.Random)
+	})
 }
 
 // BatchLess is the Bob half of the Alice-side BatchLess.
 func (b *YMPPBob) BatchLess(conn transport.Conn, vs []int64) ([]bool, error) {
-	return yao.BobLessBatch(conn, b.Pub, vs, b.Max, b.Random)
+	return b.run(len(vs), func(lo, hi int) ([]bool, error) {
+		return yao.BobLessBatch(conn, b.Pub, vs[lo:hi], b.Max, b.Random)
+	})
 }
 
 // ---- Masked-sign engine ----
@@ -117,9 +154,6 @@ func (a *MaskedAlice) runBatch(conn transport.Conn, vs []int64, rows []int, pred
 		if err := checkInput(v, a.Max); err != nil {
 			return nil, fmt.Errorf("compare: batch[%d]: %w", t, err)
 		}
-	}
-	if rows != nil && len(rows) != len(vs) {
-		return nil, fmt.Errorf("compare: batch holds %d values in %d row entries", len(vs), len(rows))
 	}
 	if len(vs) == 0 {
 		return nil, nil
@@ -151,7 +185,7 @@ func (a *MaskedAlice) runBatch(conn transport.Conn, vs []int64, rows []int, pred
 	if err := transport.SendMsg(conn, msg.PutBigs(cts)); err != nil {
 		return nil, fmt.Errorf("compare: alice batch send: %w", err)
 	}
-	addSent(a.Sent, len(cts))
+	tally(a.Sent, len(cts))
 	return a.finish(conn, a.Packer, len(vs))
 }
 
@@ -176,25 +210,39 @@ func (a *MaskedAlice) finish(conn transport.Conn, pk *encoding.Packer, n int) ([
 	return les, nil
 }
 
+// batch runs a masked batch through the edge's round structure; rows,
+// when non-nil, splits with it.
+func (a *MaskedAlice) batch(conn transport.Conn, vs []int64, rows []int, pred byte) ([]bool, error) {
+	if rows != nil && len(rows) != len(vs) {
+		return nil, fmt.Errorf("compare: batch holds %d values in %d row entries", len(vs), len(rows))
+	}
+	return a.run(len(vs), func(lo, hi int) ([]bool, error) {
+		if rows != nil {
+			return a.runBatch(conn, vs[lo:hi], rows[lo:hi], pred)
+		}
+		return a.runBatch(conn, vs[lo:hi], nil, pred)
+	})
+}
+
 // BatchLessEq decides a_t ≤ b_t for the whole batch in three frames.
 func (a *MaskedAlice) BatchLessEq(conn transport.Conn, vs []int64) ([]bool, error) {
-	return a.runBatch(conn, vs, nil, predLessEq)
+	return a.batch(conn, vs, nil, predLessEq)
 }
 
 // BatchLess decides a_t < b_t for the whole batch in three frames.
 func (a *MaskedAlice) BatchLess(conn transport.Conn, vs []int64) ([]bool, error) {
-	return a.runBatch(conn, vs, nil, predLess)
+	return a.batch(conn, vs, nil, predLess)
 }
 
 // BatchLessEqRows is BatchLessEq with the grouped uplink's dedup scoped
 // to rows (full.go): rows[t] names instance t's row.
 func (a *MaskedAlice) BatchLessEqRows(conn transport.Conn, vs []int64, rows []int) ([]bool, error) {
-	return a.runBatch(conn, vs, rows, predLessEq)
+	return a.batch(conn, vs, rows, predLessEq)
 }
 
 // BatchLessRows is the strict variant of BatchLessEqRows.
 func (a *MaskedAlice) BatchLessRows(conn transport.Conn, vs []int64, rows []int) ([]bool, error) {
-	return a.runBatch(conn, vs, rows, predLess)
+	return a.batch(conn, vs, rows, predLess)
 }
 
 // runBatch is the Bob side of the batched masked-sign protocol: parse the
@@ -263,7 +311,7 @@ func (b *MaskedBob) reply(conn transport.Conn, cts []*big.Int, n int) ([]bool, e
 	if err := transport.SendMsg(conn, transport.NewBuilder().PutBigs(cts)); err != nil {
 		return nil, fmt.Errorf("compare: bob batch send: %w", err)
 	}
-	addSent(b.Sent, len(cts))
+	tally(b.Sent, len(cts))
 	res, err := transport.RecvMsg(conn)
 	if err != nil {
 		return nil, fmt.Errorf("compare: bob batch recv result: %w", err)
@@ -278,12 +326,17 @@ func (b *MaskedBob) reply(conn transport.Conn, cts []*big.Int, n int) ([]bool, e
 	return les, nil
 }
 
+// batch runs a masked batch through the edge's round structure.
+func (b *MaskedBob) batch(conn transport.Conn, vs []int64, pred byte) ([]bool, error) {
+	return b.run(len(vs), func(lo, hi int) ([]bool, error) { return b.runBatch(conn, vs[lo:hi], pred) })
+}
+
 // BatchLessEq is the Bob half of the Alice-side BatchLessEq.
 func (b *MaskedBob) BatchLessEq(conn transport.Conn, vs []int64) ([]bool, error) {
-	return b.runBatch(conn, vs, predLessEq)
+	return b.batch(conn, vs, predLessEq)
 }
 
 // BatchLess is the Bob half of the Alice-side BatchLess.
 func (b *MaskedBob) BatchLess(conn transport.Conn, vs []int64) ([]bool, error) {
-	return b.runBatch(conn, vs, predLess)
+	return b.batch(conn, vs, predLess)
 }

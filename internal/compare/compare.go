@@ -15,18 +15,26 @@
 //     log₂|b−a| masked magnitude bits. internal/privacy pins this bounded
 //     leakage (TestMaskedEngineMagnitudeLeakIsDetectable); the engine
 //     exists to make n-scaling experiments tractable and to serve as the
-//     E8 ablation baseline. It has one wire form (batch.go): a scalar
-//     call is a batch of one, and its replies always travel slot-packed,
-//     one slot a ciphertext when packing is off; "full" packing extends
-//     that form with a moded uplink (full.go). The replies have one
+//     E8 ablation baseline. Its replies always travel slot-packed, one
+//     slot a ciphertext when packing is off; "full" packing extends that
+//     form with a moded uplink (full.go). The replies have one
 //     layout, column by column, and Alice encrypts each uplink operand
 //     negated and pre-shifted to the lowest reply slot it serves, so
 //     Bob's homomorphic fold raises it by its positive mask and a short
 //     relative shift — no inversion, and not the whole width of the
 //     reply.
 //
+// A comparison has one call shape: a batch (batch.go). Both engines have
+// one wire form, a batch of any length in three frames, so a single
+// comparison is a batch of one. How a batch meets the wire is the
+// engine's, set once by Edge, the one engine constructor: Edge.Sequential
+// runs every batch as batches of one, in order — 3·k frames for k
+// instances instead of 3 — and Edge.Count tallies every instance a batch
+// entry point decides, derived batches included. Callers call the engine
+// and branch on neither.
+//
 // Engines are stateful about keys but stateless across calls; each call
-// performs one complete comparison sub-protocol on the supplied connection.
+// performs complete comparison sub-protocols on the supplied connection.
 package compare
 
 import (
@@ -43,13 +51,9 @@ import (
 
 // Alice is the comparison interface for the party holding the left value.
 type Alice interface {
-	// LessEq decides a ≤ b; must pair with the Bob side's LessEq.
-	LessEq(conn transport.Conn, a int64) (bool, error)
-	// Less decides a < b; must pair with the Bob side's Less.
-	Less(conn transport.Conn, a int64) (bool, error)
-	// BatchLessEq decides a_t ≤ b_t for every t in a constant number of
-	// message rounds; must pair with the Bob side's BatchLessEq with the
-	// same batch length. An empty batch touches no network.
+	// BatchLessEq decides a_t ≤ b_t for every t — three frames, or 3·k
+	// under Edge.Sequential; must pair with the Bob side's BatchLessEq
+	// with the same batch length. An empty batch touches no network.
 	BatchLessEq(conn transport.Conn, as []int64) ([]bool, error)
 	// BatchLess is the strict batched predicate; pairs with Bob BatchLess.
 	BatchLess(conn transport.Conn, as []int64) ([]bool, error)
@@ -73,8 +77,6 @@ type Alice interface {
 
 // Bob is the comparison interface for the party holding the right value.
 type Bob interface {
-	LessEq(conn transport.Conn, b int64) (bool, error)
-	Less(conn transport.Conn, b int64) (bool, error)
 	BatchLessEq(conn transport.Conn, bs []int64) ([]bool, error)
 	BatchLess(conn transport.Conn, bs []int64) ([]bool, error)
 	Bound() int64
@@ -119,6 +121,7 @@ type YMPPAlice struct {
 	Max    int64
 	Random io.Reader
 	Pool   *paillier.Pool
+	rounds
 }
 
 // YMPPBob adapts the yao package to the Bob interface. Bob's half does
@@ -127,38 +130,11 @@ type YMPPBob struct {
 	Pub    *yao.RSAPublicKey
 	Max    int64
 	Random io.Reader
-}
-
-func (a *YMPPAlice) LessEq(conn transport.Conn, v int64) (bool, error) {
-	if err := checkInput(v, a.Max); err != nil {
-		return false, err
-	}
-	return yao.AliceLessEq(conn, a.Key, v, a.Max, a.Random, a.Pool)
-}
-
-func (a *YMPPAlice) Less(conn transport.Conn, v int64) (bool, error) {
-	if err := checkInput(v, a.Max); err != nil {
-		return false, err
-	}
-	return yao.AliceLess(conn, a.Key, v, a.Max, a.Random, a.Pool)
+	rounds
 }
 
 func (a *YMPPAlice) Bound() int64 { return a.Max }
 func (a *YMPPAlice) Name() string { return string(EngineYMPP) }
-
-func (b *YMPPBob) LessEq(conn transport.Conn, v int64) (bool, error) {
-	if err := checkInput(v, b.Max); err != nil {
-		return false, err
-	}
-	return yao.BobLessEq(conn, b.Pub, v, b.Max, b.Random)
-}
-
-func (b *YMPPBob) Less(conn transport.Conn, v int64) (bool, error) {
-	if err := checkInput(v, b.Max); err != nil {
-		return false, err
-	}
-	return yao.BobLess(conn, b.Pub, v, b.Max, b.Random)
-}
 
 func (b *YMPPBob) Bound() int64 { return b.Max }
 func (b *YMPPBob) Name() string { return string(EngineYMPP) }
@@ -174,14 +150,14 @@ const (
 )
 
 // ErrPredicateMismatch reports that the two parties invoked different
-// predicates (LessEq on one side, Less on the other).
+// predicates (a LessEq batch on one side, a Less batch on the other).
 var ErrPredicateMismatch = errors.New("compare: parties invoked different predicates")
 
 // MaskedAlice is the decrypting side of the masked-sign engine. Pool,
 // when non-nil, routes the batch decryptions over the process-shared
 // crypto pool; nil keeps the per-call GOMAXPROCS fan-out.
 //
-// Packer slot-packs every reply, scalar calls (a batch of one) included:
+// Packer slot-packs every reply, a batch of one included:
 // Bob packs S masked differences per ciphertext, each biased
 // non-negative (encoding.NewComparePacker over the same key and bound
 // derives identical packers on both sides; under "off" packing it is
@@ -213,6 +189,7 @@ type MaskedAlice struct {
 	Packer       *encoding.Packer
 	UplinkPacker *encoding.Packer
 	Sent         *atomic.Int64
+	rounds
 }
 
 // MaskedBob is the homomorphic side of the masked-sign engine. Pool
@@ -229,10 +206,11 @@ type MaskedBob struct {
 	Packer       *encoding.Packer
 	UplinkPacker *encoding.Packer
 	Sent         *atomic.Int64
+	rounds
 }
 
-// addSent accumulates n ciphertexts into a nil-safe counter.
-func addSent(c *atomic.Int64, n int) {
+// tally adds n to a nil-safe counter.
+func tally(c *atomic.Int64, n int) {
 	if c != nil {
 		c.Add(int64(n))
 	}
@@ -248,7 +226,9 @@ func addSent(c *atomic.Int64, n int) {
 // the packed comparison uplink. Both ends derive identical packers
 // because they are functions of the key, the bound and MaskBits alone.
 // Up/Down, when non-nil, receive the masked engines' ciphertext counts
-// (Alice's request leg, Bob's reply leg).
+// (Alice's request leg, Bob's reply leg). Sequential and Count are the
+// round structure and the instance count every engine of the edge takes
+// (rounds).
 type Edge struct {
 	Kind           EngineKind
 	MaskBits       int
@@ -260,22 +240,29 @@ type Edge struct {
 	Random         io.Reader
 	Pool           *paillier.Pool
 	Up, Down       *atomic.Int64
+	// Sequential runs every batch as batches of one, in order: one
+	// complete three-frame comparison per instance.
+	Sequential bool
+	// Count, when non-nil, receives the number of instances every batch
+	// decides, on either side of the edge.
+	Count *atomic.Int64
 }
 
 // Engines builds the edge's comparator pair over [0, bound].
 func (e Edge) Engines(bound int64) (Alice, Bob, error) {
 	var a Alice
 	var b Bob
+	r := rounds{sequential: e.Sequential, count: e.Count}
 	switch e.Kind {
 	case EngineYMPP:
 		if bound+2 > yao.MaxDomain {
 			return nil, nil, fmt.Errorf("compare: comparison domain %d exceeds YMPP limit %d; use the masked engine or a smaller grid", bound+2, int64(yao.MaxDomain))
 		}
 		if e.RSAKey != nil {
-			a = &YMPPAlice{Key: e.RSAKey, Max: bound, Random: e.Random, Pool: e.Pool}
+			a = &YMPPAlice{Key: e.RSAKey, Max: bound, Random: e.Random, Pool: e.Pool, rounds: r}
 		}
 		if e.RSAPub != nil {
-			b = &YMPPBob{Pub: e.RSAPub, Max: bound, Random: e.Random}
+			b = &YMPPBob{Pub: e.RSAPub, Max: bound, Random: e.Random, rounds: r}
 		}
 	case EngineMasked:
 		// packers sizes the reply and uplink packers under one key. The
@@ -301,14 +288,14 @@ func (e Edge) Engines(bound int64) (Alice, Bob, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			a = &MaskedAlice{Key: e.Key, Max: bound, Random: e.Random, Pool: e.Pool, Packer: cp, UplinkPacker: up, Sent: e.Up}
+			a = &MaskedAlice{Key: e.Key, Max: bound, Random: e.Random, Pool: e.Pool, Packer: cp, UplinkPacker: up, Sent: e.Up, rounds: r}
 		}
 		if e.Pub != nil {
 			cp, up, err := packers(e.Pub)
 			if err != nil {
 				return nil, nil, err
 			}
-			b = &MaskedBob{Pub: e.Pub, Max: bound, MaskBits: e.MaskBits, Random: e.Random, Pool: e.Pool, Packer: cp, UplinkPacker: up, Sent: e.Down}
+			b = &MaskedBob{Pub: e.Pub, Max: bound, MaskBits: e.MaskBits, Random: e.Random, Pool: e.Pool, Packer: cp, UplinkPacker: up, Sent: e.Down, rounds: r}
 		}
 	default:
 		return nil, nil, fmt.Errorf("compare: unknown engine %q", e.Kind)
@@ -333,37 +320,8 @@ func NewMaskedPair(key *paillier.PrivateKey, bound int64, maskBits int) (*Masked
 	return a.(*MaskedAlice), b.(*MaskedBob), nil
 }
 
-// LessEq decides a ≤ b: a batch of one, three frames and one ciphertext
-// each way.
-func (a *MaskedAlice) LessEq(conn transport.Conn, v int64) (bool, error) {
-	return one(a.runBatch(conn, []int64{v}, nil, predLessEq))
-}
-
-// Less decides a < b, a batch of one.
-func (a *MaskedAlice) Less(conn transport.Conn, v int64) (bool, error) {
-	return one(a.runBatch(conn, []int64{v}, nil, predLess))
-}
-
 func (a *MaskedAlice) Bound() int64 { return a.Max }
 func (a *MaskedAlice) Name() string { return string(EngineMasked) }
-
-// LessEq is the Bob half of the Alice-side LessEq.
-func (b *MaskedBob) LessEq(conn transport.Conn, v int64) (bool, error) {
-	return one(b.runBatch(conn, []int64{v}, predLessEq))
-}
-
-// Less is the Bob half of the Alice-side Less.
-func (b *MaskedBob) Less(conn transport.Conn, v int64) (bool, error) {
-	return one(b.runBatch(conn, []int64{v}, predLess))
-}
-
-// one unwraps the decision of a batch of one.
-func one(les []bool, err error) (bool, error) {
-	if err != nil {
-		return false, err
-	}
-	return les[0], nil
-}
 
 func (b *MaskedBob) Bound() int64 { return b.Max }
 func (b *MaskedBob) Name() string { return string(EngineMasked) }

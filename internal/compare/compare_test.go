@@ -3,6 +3,7 @@ package compare
 import (
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,18 +52,30 @@ func enginePair(t testing.TB, kind EngineKind, bound int64) (Alice, Bob) {
 	return nil, nil
 }
 
+// first unwraps the decision of a batch of one.
+func first(bits []bool, err error) (bool, error) {
+	if err == nil && len(bits) != 1 {
+		err = fmt.Errorf("%d decisions from a batch of one", len(bits))
+	}
+	if err != nil {
+		return false, err
+	}
+	return bits[0], nil
+}
+
+// runLessEq decides a ≤ b as a batch of one.
 func runLessEq(t testing.TB, ae Alice, be Bob, a, b int64) (bool, bool) {
 	t.Helper()
 	var ra, rb bool
 	err := transport.Run2(
 		func(c transport.Conn) error {
 			var err error
-			ra, err = ae.LessEq(c, a)
+			ra, err = first(ae.BatchLessEq(c, []int64{a}))
 			return err
 		},
 		func(c transport.Conn) error {
 			var err error
-			rb, err = be.LessEq(c, b)
+			rb, err = first(be.BatchLessEq(c, []int64{b}))
 			return err
 		},
 	)
@@ -72,17 +85,18 @@ func runLessEq(t testing.TB, ae Alice, be Bob, a, b int64) (bool, bool) {
 	return ra, rb
 }
 
+// runLess decides a < b as a batch of one.
 func runLess(t testing.TB, ae Alice, be Bob, a, b int64) bool {
 	t.Helper()
 	var ra bool
 	err := transport.Run2(
 		func(c transport.Conn) error {
 			var err error
-			ra, err = ae.Less(c, a)
+			ra, err = first(ae.BatchLess(c, []int64{a}))
 			return err
 		},
 		func(c transport.Conn) error {
-			_, err := be.Less(c, b)
+			_, err := be.BatchLess(c, []int64{b})
 			return err
 		},
 	)
@@ -109,8 +123,8 @@ func maskedEdge(t testing.TB, bound int64, packed, uplink bool, up, down *atomic
 
 // TestEnginesExhaustiveSmallDomain decides every pair of a small domain
 // with each engine, the masked one at all three packings, and holds a
-// masked scalar call to its wire form: a batch of one, three frames and
-// one ciphertext each way at every packing.
+// masked batch of one to its wire form: three frames and one ciphertext
+// each way at every packing.
 func TestEnginesExhaustiveSmallDomain(t *testing.T) {
 	const bound = 6
 	type engine struct {
@@ -149,13 +163,13 @@ func TestEnginesExhaustiveSmallDomain(t *testing.T) {
 		ca, cb := transport.Pipe()
 		ma := transport.NewMeter(ca)
 		err := transport.RunPair(ma, cb,
-			func(c transport.Conn) error { _, err := e.a.LessEq(c, 2); return err },
-			func(c transport.Conn) error { _, err := e.b.LessEq(c, 5); return err })
+			func(c transport.Conn) error { _, err := e.a.BatchLessEq(c, []int64{2}); return err },
+			func(c transport.Conn) error { _, err := e.b.BatchLessEq(c, []int64{5}); return err })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st := ma.Stats(); st.MessagesSent != 2 || st.MessagesRecv != 1 || e.up.Load() != 1 || e.down.Load() != 1 {
-			t.Errorf("%s: a scalar LessEq sent %d and received %d frames, %d ciphertexts up and %d down; want 2, 1, 1, 1",
+			t.Errorf("%s: a batch of one sent %d and received %d frames, %d ciphertexts up and %d down; want 2, 1, 1, 1",
 				e.name, st.MessagesSent, st.MessagesRecv, e.up.Load(), e.down.Load())
 		}
 	}
@@ -179,13 +193,13 @@ func TestInputValidation(t *testing.T) {
 	for _, kind := range []EngineKind{EngineYMPP, EngineMasked} {
 		ae, be := enginePair(t, kind, 10)
 		conn, peer := transport.Pipe()
-		if _, err := ae.LessEq(conn, -1); err == nil {
+		if _, err := ae.BatchLessEq(conn, []int64{-1}); err == nil {
 			t.Errorf("%s: negative accepted", kind)
 		}
-		if _, err := ae.LessEq(conn, 11); err == nil {
+		if _, err := ae.BatchLessEq(conn, []int64{11}); err == nil {
 			t.Errorf("%s: overflow accepted", kind)
 		}
-		if _, err := be.LessEq(conn, 11); err == nil {
+		if _, err := be.BatchLessEq(conn, []int64{11}); err == nil {
 			t.Errorf("%s: bob overflow accepted", kind)
 		}
 		conn.Close()
@@ -197,11 +211,11 @@ func TestMaskedPredicateMismatchDetected(t *testing.T) {
 	ae, be := enginePair(t, EngineMasked, 10)
 	err := transport.Run2(
 		func(c transport.Conn) error {
-			_, err := ae.LessEq(c, 5)
+			_, err := ae.BatchLessEq(c, []int64{5})
 			return err
 		},
 		func(c transport.Conn) error {
-			_, err := be.Less(c, 5)
+			_, err := be.BatchLess(c, []int64{5})
 			return err
 		},
 	)
@@ -279,8 +293,8 @@ func TestMaskedCheaperThanYMPP(t *testing.T) {
 		ca, cb := transport.Pipe()
 		mca, mcb := transport.NewMeter(ca), transport.NewMeter(cb)
 		err := transport.RunPair(mca, mcb,
-			func(c transport.Conn) error { _, err := ae.LessEq(c, 250); return err },
-			func(c transport.Conn) error { _, err := be.LessEq(c, 300); return err },
+			func(c transport.Conn) error { _, err := ae.BatchLessEq(c, []int64{250}); return err },
+			func(c transport.Conn) error { _, err := be.BatchLessEq(c, []int64{300}); return err },
 		)
 		if err != nil {
 			t.Fatal(err)

@@ -465,24 +465,37 @@ func (b *MaskedBob) runBatchDerived(conn transport.Conn, vs []int64, base func(t
 	return b.reply(conn, cts, len(vs))
 }
 
+// derived runs a derived-base batch through the edge's round structure.
+func (a *MaskedAlice) derived(conn transport.Conn, vs []int64, pred byte) ([]bool, error) {
+	return a.run(len(vs), func(lo, hi int) ([]bool, error) { return a.runBatchDerived(conn, vs[lo:hi], pred) })
+}
+
+// derived is the Bob half of the Alice-side derived: a sub-batch from lo
+// reads base from lo.
+func (b *MaskedBob) derived(conn transport.Conn, vs []int64, base func(t int) (*big.Int, error), pred byte) ([]bool, error) {
+	return b.run(len(vs), func(lo, hi int) ([]bool, error) {
+		return b.runBatchDerived(conn, vs[lo:hi], func(t int) (*big.Int, error) { return base(lo + t) }, pred)
+	})
+}
+
 // BatchLessEqDerived decides a_t ≤ b_t with Bob-derived left operands.
 func (a *MaskedAlice) BatchLessEqDerived(conn transport.Conn, vs []int64) ([]bool, error) {
-	return a.runBatchDerived(conn, vs, predLessEq)
+	return a.derived(conn, vs, predLessEq)
 }
 
 // BatchLessDerived decides a_t < b_t with Bob-derived left operands.
 func (a *MaskedAlice) BatchLessDerived(conn transport.Conn, vs []int64) ([]bool, error) {
-	return a.runBatchDerived(conn, vs, predLess)
+	return a.derived(conn, vs, predLess)
 }
 
 // BatchLessEqDerived is the Bob half of the Alice-side BatchLessEqDerived.
 func (b *MaskedBob) BatchLessEqDerived(conn transport.Conn, vs []int64, base func(t int) (*big.Int, error)) ([]bool, error) {
-	return b.runBatchDerived(conn, vs, base, predLessEq)
+	return b.derived(conn, vs, base, predLessEq)
 }
 
 // BatchLessDerived is the Bob half of the Alice-side BatchLessDerived.
 func (b *MaskedBob) BatchLessDerived(conn transport.Conn, vs []int64, base func(t int) (*big.Int, error)) ([]bool, error) {
-	return b.runBatchDerived(conn, vs, base, predLess)
+	return b.derived(conn, vs, base, predLess)
 }
 
 var (

@@ -67,9 +67,11 @@ type Config struct {
 	// settle chunk, per lockstep chunk and per enhanced selection round)
 	// or the paper-literal sequential one (one secure-comparison
 	// sub-protocol round trip per candidate pair), kept for A/B
-	// measurement. Every other exchange of a chunk runs once a chunk in
-	// both. Both produce identical labels and identical leakage Ledgers;
-	// the equivalence harness in core_test enforces this.
+	// measurement. The comparison engine runs the sequential leg
+	// (compare.Edge.Sequential: a batch as batches of one, in order); no
+	// call site branches on it. Every other exchange of a chunk runs once
+	// a chunk in both. Both produce identical labels and identical leakage
+	// Ledgers; the equivalence harness in core_test enforces this.
 	Batching BatchMode
 
 	// Pruning selects the grid the candidate sets of the secure distance

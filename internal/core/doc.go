@@ -182,7 +182,8 @@
 // result, a chunk being one exchange at every batching and packing. The
 // comparison and multiplication leaves under the drivers are the only
 // thing that varies by family, and Config.Batching only switches the
-// comparison leg (batched, or one at a time). Schedules
+// comparison leg (batched, or one at a time — the engine's business,
+// compare.Edge.Sequential). Schedules
 // are pure functions of shared protocol state, so jointly-computed oracles
 // stay in lock step, and labels, Ledgers, and comparison totals do not
 // depend on W (the parallel equivalence harness enforces this). W = 1 is
@@ -264,8 +265,11 @@
 //     on multi-core hosts.
 //   - sequential: the paper-literal comparison leg — one comparison
 //     sub-protocol per candidate pair, a chunk's pairs asked one at a time
-//     in its order (OneAtATime) — retained as the equivalence harness's
-//     reference. Only the comparison leg changes: every other exchange of
+//     in its order — retained as the equivalence harness's reference. The
+//     engine runs it: Pair.engines sets compare.Edge.Sequential from
+//     Config.Batching, and every call site issues the same batch in both
+//     modes, which the engine runs as batches of one, in order (3 frames
+//     each). Only the comparison leg changes: every other exchange of
 //     a chunk (HDP's row-dot round, arbitrary's dot exchange, the ring's
 //     circulation, enhanced's shares) is the batched mode's, once a chunk.
 //     The per-pair rounds it used to run — one masked Multiplication
@@ -350,9 +354,10 @@
 // comparison replies run at S = 1 (encoding.Packer.OneSlot, one biased
 // value a ciphertext), so the three modes differ only in S and in the
 // comparison uplink — grouped or derived under "full", one ciphertext an
-// instance otherwise. The masked engine has one wire form: a scalar
-// LessEq / Less, what sequential batching runs, is a batch of one — three
-// frames, one ciphertext each way.
+// instance otherwise. Both engines have one wire form, the batch, and no
+// scalar call: what sequential batching runs is a batch of one — three
+// frames, one ciphertext each way under the masked engine, one Algorithm
+// 1 instance behind a count of one under YMPP.
 //
 // Packing changes the frame layout only: labels, cluster counts, and the
 // full disclosure Ledger are byte-identical to Packing "off" (the packing

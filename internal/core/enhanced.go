@@ -225,48 +225,27 @@ func (s *Pair) coreChunk(conn transport.Conn, shareA, finalA compare.Alice, own 
 	return cores, nil
 }
 
-// enhAsk decides vals[t] ≤ the responder's operand t for every t on conn,
-// as the pair's round structure says: one derived batch under full packing
-// with the masked engine (the responder rebuilds every operand's ciphertext
-// from the share ciphertexts it retained, so nothing goes up), one batch
-// otherwise — rows[t] names instance t's query, so a grouped uplink's
-// equality classes never span two own points (compare/full.go) — and one
-// complete comparison at a time, in order, under sequential batching.
+// enhAsk decides vals[t] ≤ the responder's operand t for every t on conn:
+// one derived batch under full packing with the masked engine (the
+// responder rebuilds every operand's ciphertext from the share ciphertexts
+// it retained, so nothing goes up), one batch otherwise — rows[t] names
+// instance t's query, so a grouped uplink's equality classes never span
+// two own points (compare/full.go).
 func (s *Pair) enhAsk(conn transport.Conn, eng compare.Alice, vals []int64, rows []int) ([]bool, error) {
-	switch {
-	case s.derivedCompare():
+	if s.derivedCompare() {
 		return eng.(compare.DerivedAlice).BatchLessEqDerived(conn, vals)
-	case s.batched():
-		return eng.BatchLessEqRows(conn, vals, rows)
 	}
-	return OneAtATime(vals, func(v int64) (bool, error) { return eng.LessEq(conn, v) })
+	return eng.BatchLessEqRows(conn, vals, rows)
 }
 
 // enhAnswer is the responder's half of enhAsk: vals[t] is its operand t,
 // and base(t), read under derived comparisons only, the driver's operand
 // negated, built from the retained share ciphertexts (negShares).
 func (s *Pair) enhAnswer(conn transport.Conn, eng compare.Bob, vals []int64, base func(t int) (*big.Int, error)) ([]bool, error) {
-	switch {
-	case s.derivedCompare():
+	if s.derivedCompare() {
 		return eng.(compare.DerivedBob).BatchLessEqDerived(conn, vals, base)
-	case s.batched():
-		return eng.BatchLessEq(conn, vals)
 	}
-	return OneAtATime(vals, func(v int64) (bool, error) { return eng.LessEq(conn, v) })
-}
-
-// OneAtATime decides vals in order, one complete comparison each — the
-// comparison leg of every family under sequential batching, the ring's
-// (internal/multiparty) included.
-func OneAtATime(vals []int64, le func(v int64) (bool, error)) ([]bool, error) {
-	bits := make([]bool, len(vals))
-	for t, v := range vals {
-		var err error
-		if bits[t], err = le(v); err != nil {
-			return nil, err
-		}
-	}
-	return bits, nil
+	return eng.BatchLessEq(conn, vals)
 }
 
 // servedCore is one core query of a chunk as its responder resolved it.

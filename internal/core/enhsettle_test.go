@@ -196,7 +196,7 @@ func enhancedIsCore(s *Pair, hs *hStream, conn transport.Conn, point, ownCount i
 	setTag(conn, "enh.select")
 	shift := s.bound + s.shareV
 	var kth, comparisons int
-	if s.batched() {
+	if s.cfg.Batching == BatchModeBatched {
 		leb := func(pairs [][2]int) ([]bool, error) {
 			vals := make([]int64, len(pairs))
 			for t, pr := range pairs {
@@ -212,7 +212,7 @@ func enhancedIsCore(s *Pair, hs *hStream, conn transport.Conn, point, ownCount i
 	} else {
 		le := func(x, y int) (bool, error) {
 			// Dist_x ≤ Dist_y ⟺ u_x − u_y ≤ v_x − v_y.
-			return shareA.LessEq(conn, us[x]-us[y]+shift)
+			return lessEqOne(conn, shareA, us[x]-us[y]+shift)
 		}
 		kth, comparisons, err = kthSmallest(nCand, k, s.cfg.Selection, le)
 	}
@@ -234,7 +234,7 @@ func enhancedIsCore(s *Pair, hs *hStream, conn transport.Conn, point, ownCount i
 		}
 		core = bits[0]
 	} else {
-		core, err = finalA.LessEq(conn, us[kth])
+		core, err = lessEqOne(conn, finalA, us[kth])
 		if err != nil {
 			return false, fmt.Errorf("core: enhanced final comparison: %w", err)
 		}
@@ -303,7 +303,7 @@ func enhancedServeCore(s *Pair, conn transport.Conn, rng PermSource, pts [][]int
 		}
 	}
 	var kth, comparisons int
-	if s.batched() {
+	if s.cfg.Batching == BatchModeBatched {
 		leb := func(pairs [][2]int) ([]bool, error) {
 			ops := make([]int64, len(pairs))
 			for t, pr := range pairs {
@@ -320,7 +320,7 @@ func enhancedServeCore(s *Pair, conn transport.Conn, rng PermSource, pts [][]int
 		kth, comparisons, err = kthSmallestBatch(n, k, s.cfg.Selection, leb)
 	} else {
 		le := func(x, y int) (bool, error) {
-			return shareB.LessEq(conn, vals[x]-vals[y]+shift)
+			return lessEqOne(conn, shareB, vals[x]-vals[y]+shift)
 		}
 		kth, comparisons, err = kthSmallest(n, k, s.cfg.Selection, le)
 	}
@@ -335,7 +335,7 @@ func enhancedServeCore(s *Pair, conn transport.Conn, rng PermSource, pts [][]int
 		if _, err := finalB.(compare.DerivedBob).BatchLessEqDerived(conn, []int64{s.epsSq + vals[kth]}, base); err != nil {
 			return fmt.Errorf("core: enhanced final comparison: %w", err)
 		}
-	} else if _, err := finalB.LessEq(conn, s.epsSq+vals[kth]); err != nil {
+	} else if _, err := lessEqOne(conn, finalB, s.epsSq+vals[kth]); err != nil {
 		return fmt.Errorf("core: enhanced final comparison: %w", err)
 	}
 	s.led(func(l *Ledger) { l.CoreBits++ })

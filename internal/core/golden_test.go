@@ -127,7 +127,7 @@ var goldenDigests = map[string]string{
 	"horizontal/ympp/Append":           "0b92f0a1357068d6 4875316a5b76c98c",
 	"horizontal/ympp/Expire":           "66e787f843ad1af5 1e68f505cdf8f58e",
 	"horizontal/ympp/Retract":          "061acf5258536ddc 1efc7cc59a182ba1",
-	"horizontal/ympp/sequential-Run":   "061f7ad69550a05f e91bb988fcbc9b42",
+	"horizontal/ympp/sequential-Run":   "523457a061caf7d6 a0fc4e99d18e06f2",
 	"horizontal/masked/Run":            "b06e5f3ec25d1035 807e73fa94e851ae",
 	"horizontal/masked/Append":         "348ba7005a261e94 8d077d9bce301b23",
 	"horizontal/masked/Expire":         "50810db4e08c0c59 9c90ba01f3735a65",
@@ -137,7 +137,7 @@ var goldenDigests = map[string]string{
 	"enhanced/ympp/Append":             "d432233d5e1dba0c 9e4587f84067233c",
 	"enhanced/ympp/Expire":             "a955b8a48d6cf8ed 365457d2e81685e9",
 	"enhanced/ympp/Retract":            "995cbb98116d778e f4b97e56ce16c9c6",
-	"enhanced/ympp/sequential-Run":     "06b532de6dd9a5f5 4b21a4fb1f31246d",
+	"enhanced/ympp/sequential-Run":     "e35e90206c2e51d3 57260bdd568b8407",
 	"enhanced/masked/Run":              "58b28293154dbef1 2c7b72dbe2250021",
 	"enhanced/masked/Append":           "a09b37eb77ecf229 27915d01cfdce8dd",
 	"enhanced/masked/Expire":           "6eee6460e326daca 2d1de0d35356cd5f",
@@ -147,7 +147,7 @@ var goldenDigests = map[string]string{
 	"vertical/ympp/Append":             "db535f85a9dda97d 6b2a31b1b8925ad4",
 	"vertical/ympp/Expire":             "b3e25656462be0d9 6b2a31b1b8925ad4",
 	"vertical/ympp/Retract":            "b46249cd21024f75 9d04b66dab88d371",
-	"vertical/ympp/sequential-Run":     "5f58f9738916dc05 56fc2ccf6c45c0e1",
+	"vertical/ympp/sequential-Run":     "5f58f9738916dc05 91b1408d31369672",
 	"vertical/masked/Run":              "602cae2999bdc14d f6bf076313558184",
 	"vertical/masked/Append":           "ebedf8a4750f03b2 82ae0b80c7739724",
 	"vertical/masked/Expire":           "41c483e0f536274f 82ae0b80c7739724",
@@ -157,7 +157,7 @@ var goldenDigests = map[string]string{
 	"arbitrary/ympp/Append":            "757434747517fc77 3ad8ad8dc7852571",
 	"arbitrary/ympp/Expire":            "3d09e7fe2e0cd724 3ad8ad8dc7852571",
 	"arbitrary/ympp/Retract":           "5a8d1ee900c943fb 7cea069818b2f447",
-	"arbitrary/ympp/sequential-Run":    "87e488e1d10298f9 41c3eed57d70cba5",
+	"arbitrary/ympp/sequential-Run":    "87e488e1d10298f9 5597e9bf23dd0274",
 	"arbitrary/masked/Run":             "d9f6fafad1f456af 10f11f8baa146ce4",
 	"arbitrary/masked/Append":          "761d7e4802d303d2 f439cc62fab37220",
 	"arbitrary/masked/Expire":          "022a46bf9b1cea6a f439cc62fab37220",

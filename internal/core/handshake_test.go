@@ -96,8 +96,8 @@ func TestHandshakeRSAFollowsEngine(t *testing.T) {
 		}
 		var le bool
 		if err := both(
-			func() (err error) { le, err = engA.LessEq(ca, 3); return },
-			func() (err error) { _, err = engB.LessEq(cb, 5); return },
+			func() (err error) { le, err = lessEqOne(ca, engA, 3); return },
+			func() (err error) { _, err = lessEqOne(cb, engB, 5); return },
 		); err != nil || !le || engA.Name() != string(compare.EngineYMPP) {
 			t.Errorf("ympp comparison on the exchanged key: %s says 3 ≤ 5 is %v (%v)", engA.Name(), le, err)
 		}
@@ -209,7 +209,9 @@ func TestHandshakeRejectsPeerKeys(t *testing.T) {
 // over an unshifted comparison uplink, against a horizontal and a
 // vertical one; v17, a comparison uplink that is not negated and a
 // row-dot uplink that is not pre-shifted, against a horizontal and a
-// vertical one; same frame layout and
+// vertical one; v18, sequential YMPP comparisons on the scalar wire form
+// without a count prefix, against a horizontal and a vertical one; same
+// frame layout and
 // parameters every time — is refused with ErrHandshake naming both versions, on
 // either role, having been sent this party's handshake frame and nothing
 // after it: no index, no run op, no chunk that it would pair with a batch
@@ -246,6 +248,8 @@ func TestHandshakeRefusesOldSchedule(t *testing.T) {
 		{16, "vertical", [][]float64{{1}, {2}, {3}, {4}}, NewVerticalSession},
 		{17, "horizontal", [][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}}, NewHorizontalSession},
 		{17, "vertical", [][]float64{{1}, {2}, {3}, {4}}, NewVerticalSession},
+		{18, "horizontal", [][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}}, NewHorizontalSession},
+		{18, "vertical", [][]float64{{1}, {2}, {3}, {4}}, NewVerticalSession},
 	} {
 		for _, role := range []Role{RoleAlice, RoleBob} {
 			frame := handshakeMsg(old.proto, role.peer(), params, len(old.points[0]), len(old.points), paillier.MarshalPublicKey(&pai.PublicKey), nil, nil).Bytes()

@@ -46,9 +46,10 @@ import (
 // which every slot is one exact dot product; then the comparisons, one
 // per instance, row = own point. The modes differ only in the slot count
 // S — the key's under "slots" and "full", S = 1 under "off" — and in the
-// comparison leg: one BatchLessRows of three frames (its uplink grouped
-// per own point under "full"), or one comparison sub-protocol per
-// instance under sequential batching (the paper-literal schedule).
+// comparison leg: one BatchLessRows — rows name own points, so a grouped
+// uplink under "full" dedups within one — of three frames, or, under
+// sequential batching, the engine runs it one comparison sub-protocol per
+// instance (the paper-literal schedule).
 //
 // All modes run the same chunks and decide identical predicates, so labels
 // and leakage Ledgers are byte-for-byte equal; only frames and bytes
@@ -100,7 +101,7 @@ func (s *Pair) HDPCount(conn transport.Conn, eng compare.Alice, own [][]int64, c
 	// response leg.
 	s.ctsDown.Add(int64(len(mpc.LayoutRows(rowLens, s.rdPeer.Slots()).Replies)))
 	setTag(conn, "hdp.cmp")
-	ins, err := s.less(conn, eng, vs, rows)
+	ins, err := eng.BatchLessRows(conn, vs, rows)
 	if err != nil {
 		return nil, fmt.Errorf("core: hdp comparison: %w", err)
 	}
@@ -147,7 +148,7 @@ func (s *Pair) HDPServe(conn transport.Conn, eng compare.Bob, rows [][][]int64) 
 			return err
 		}
 	}
-	if _, err = s.lessServe(conn, eng, js); err != nil {
+	if _, err = eng.BatchLess(conn, js); err != nil {
 		return fmt.Errorf("core: hdp comparison: %w", err)
 	}
 	return nil

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 	"sync"
 	"sync/atomic"
 
@@ -89,10 +88,14 @@ func (r Role) peer() Role {
 // peer on the old wire would decide wrong bits without noticing; version
 // 18 sends the masked comparison uplink negated and the row-dot uplink
 // pre-shifted to its reply slots (mpc.ReceiverRowDot), so a peer on the
-// old wire would get wrong dot products and wrong bits without noticing.
+// old wire would get wrong dot products and wrong bits without noticing;
+// version 19 gives YMPP one wire form — a comparison is always a batch,
+// and under sequential batching the engine runs batches of one, each with
+// its count prefix — so a sequential YMPP peer on the old wire would
+// misread every comparison frame.
 // Mesh edges (internal/multiparty) speak the same frame with proto
 // "mesh".
-const handshakeVersion = 18
+const handshakeVersion = 19
 
 // ErrHandshake reports parameter disagreement between the parties.
 var ErrHandshake = errors.New("core: handshake parameter mismatch")
@@ -444,141 +447,18 @@ func (s *Pair) dotPacker(pub *paillier.PublicKey) (*encoding.Packer, error) {
 // (left-value holder, decryptor) uses this party's private keys; the
 // "bob" side uses the peer's public keys — so in any sub-protocol, the
 // party holding the left value uses its cmpAlice and the peer
-// simultaneously uses its cmpBob. Both halves are wrapped in counters
-// feeding Result.SecureComparisons; the masked engines count their own
-// wire traffic into ctsUp (Alice's request leg) and ctsDown (Bob's
-// replies).
+// simultaneously uses its cmpBob. The edge runs Config.Batching's round
+// structure and counts every instance either side decides into cmpCount
+// (Result.SecureComparisons); the masked engines count their own wire
+// traffic into ctsUp (Alice's request leg) and ctsDown (Bob's replies).
 func (s *Pair) engines(bound int64) (compare.Alice, compare.Bob, error) {
-	a, b, err := compare.Edge{
+	return compare.Edge{
 		Kind: s.cfg.Engine, MaskBits: s.cfg.CmpMaskBits, Packed: s.packing(), Uplink: s.cfg.Packing == PackFull,
 		Key: s.paiKey, RSAKey: s.rsaKey, Pub: s.peerPai, RSAPub: s.peerRSA,
 		Random: s.random, Pool: s.pool, Up: &s.ctsUp, Down: &s.ctsDown,
+		Sequential: s.cfg.Batching == BatchModeSequential, Count: &s.cmpCount,
 	}.Engines(bound)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &countingAlice{inner: a, n: &s.cmpCount}, &countingBob{inner: b, n: &s.cmpCount}, nil
 }
-
-// countingAlice/countingBob wrap a comparison engine and tally executed
-// instances (one per predicate, so a batch of k counts k) into the
-// session's cmpCount — the Result.SecureComparisons metric. Ciphertext
-// accounting lives in the engines themselves (MaskedAlice/MaskedBob
-// Sent hooks wired by compare.Edge); YMPP engines send no Paillier
-// payloads and count nothing.
-type countingAlice struct {
-	inner compare.Alice
-	n     *atomic.Int64
-}
-
-func (c *countingAlice) LessEq(conn transport.Conn, a int64) (bool, error) {
-	c.n.Add(1)
-	return c.inner.LessEq(conn, a)
-}
-
-func (c *countingAlice) Less(conn transport.Conn, a int64) (bool, error) {
-	c.n.Add(1)
-	return c.inner.Less(conn, a)
-}
-
-func (c *countingAlice) BatchLessEq(conn transport.Conn, as []int64) ([]bool, error) {
-	c.n.Add(int64(len(as)))
-	return c.inner.BatchLessEq(conn, as)
-}
-
-func (c *countingAlice) BatchLess(conn transport.Conn, as []int64) ([]bool, error) {
-	c.n.Add(int64(len(as)))
-	return c.inner.BatchLess(conn, as)
-}
-
-func (c *countingAlice) BatchLessEqRows(conn transport.Conn, as []int64, rows []int) ([]bool, error) {
-	c.n.Add(int64(len(as)))
-	return c.inner.BatchLessEqRows(conn, as, rows)
-}
-
-func (c *countingAlice) BatchLessRows(conn transport.Conn, as []int64, rows []int) ([]bool, error) {
-	c.n.Add(int64(len(as)))
-	return c.inner.BatchLessRows(conn, as, rows)
-}
-
-// BatchLessEqDerived forwards a derived-base batch (operands already
-// held encrypted by the peer; zero uplink ciphertexts). Only masked
-// engines with an UplinkPacker support it; callers gate on
-// Pair.derivedCompare(), so a failed assertion is a programming error.
-func (c *countingAlice) BatchLessEqDerived(conn transport.Conn, as []int64) ([]bool, error) {
-	d, ok := c.inner.(compare.DerivedAlice)
-	if !ok {
-		return nil, fmt.Errorf("core: engine %s does not support derived-base batches", c.inner.Name())
-	}
-	c.n.Add(int64(len(as)))
-	return d.BatchLessEqDerived(conn, as)
-}
-
-// BatchLessDerived is the strict variant of BatchLessEqDerived.
-func (c *countingAlice) BatchLessDerived(conn transport.Conn, as []int64) ([]bool, error) {
-	d, ok := c.inner.(compare.DerivedAlice)
-	if !ok {
-		return nil, fmt.Errorf("core: engine %s does not support derived-base batches", c.inner.Name())
-	}
-	c.n.Add(int64(len(as)))
-	return d.BatchLessDerived(conn, as)
-}
-
-func (c *countingAlice) Bound() int64    { return c.inner.Bound() }
-func (c *countingAlice) FrameBytes() int { return c.inner.FrameBytes() }
-func (c *countingAlice) Name() string    { return c.inner.Name() }
-
-type countingBob struct {
-	inner compare.Bob
-	n     *atomic.Int64
-}
-
-func (c *countingBob) LessEq(conn transport.Conn, b int64) (bool, error) {
-	c.n.Add(1)
-	return c.inner.LessEq(conn, b)
-}
-
-func (c *countingBob) Less(conn transport.Conn, b int64) (bool, error) {
-	c.n.Add(1)
-	return c.inner.Less(conn, b)
-}
-
-func (c *countingBob) BatchLessEq(conn transport.Conn, bs []int64) ([]bool, error) {
-	c.n.Add(int64(len(bs)))
-	return c.inner.BatchLessEq(conn, bs)
-}
-
-func (c *countingBob) BatchLess(conn transport.Conn, bs []int64) ([]bool, error) {
-	c.n.Add(int64(len(bs)))
-	return c.inner.BatchLess(conn, bs)
-}
-
-// BatchLessEqDerived is the Bob half of the Alice-side derived-base
-// batch: base supplies E(−a_t) under Bob's view of the peer key, so no
-// uplink frame carries operands. base must be goroutine-safe (the reply
-// fold runs on the parallel Paillier pool).
-func (c *countingBob) BatchLessEqDerived(conn transport.Conn, bs []int64, base func(t int) (*big.Int, error)) ([]bool, error) {
-	d, ok := c.inner.(compare.DerivedBob)
-	if !ok {
-		return nil, fmt.Errorf("core: engine %s does not support derived-base batches", c.inner.Name())
-	}
-	c.n.Add(int64(len(bs)))
-	return d.BatchLessEqDerived(conn, bs, base)
-}
-
-// BatchLessDerived is the strict variant of BatchLessEqDerived.
-func (c *countingBob) BatchLessDerived(conn transport.Conn, bs []int64, base func(t int) (*big.Int, error)) ([]bool, error) {
-	d, ok := c.inner.(compare.DerivedBob)
-	if !ok {
-		return nil, fmt.Errorf("core: engine %s does not support derived-base batches", c.inner.Name())
-	}
-	c.n.Add(int64(len(bs)))
-	return d.BatchLessDerived(conn, bs, base)
-}
-
-func (c *countingBob) Bound() int64    { return c.inner.Bound() }
-func (c *countingBob) FrameBytes() int { return c.inner.FrameBytes() }
-func (c *countingBob) Name() string    { return c.inner.Name() }
 
 // DistEngines returns comparators for the split-threshold predicate
 // a + b ≤ Eps² (driver holds a ∈ [0, bound], responder holds b ∈ [−bound,
@@ -601,29 +481,6 @@ func (s *Pair) lockstepFrameBytes(a compare.Alice, b compare.Bob) int {
 	return b.FrameBytes()
 }
 
-// batched reports whether this session uses the batched round structure.
-func (s *Pair) batched() bool { return s.cfg.Batching == BatchModeBatched }
-
-// less decides vals[t] < the responder's operand t for every t on conn, as
-// the pair's round structure says: one BatchLessRows — rows[t] names
-// instance t's row, so a grouped uplink's equality classes never span two
-// rows (compare/full.go) — or, under sequential batching, one complete
-// comparison at a time, in order.
-func (s *Pair) less(conn transport.Conn, eng compare.Alice, vals []int64, rows []int) ([]bool, error) {
-	if s.batched() {
-		return eng.BatchLessRows(conn, vals, rows)
-	}
-	return OneAtATime(vals, func(v int64) (bool, error) { return eng.Less(conn, v) })
-}
-
-// lessServe is the responder's half of less: js[t] is its operand t.
-func (s *Pair) lessServe(conn transport.Conn, eng compare.Bob, js []int64) ([]bool, error) {
-	if s.batched() {
-		return eng.BatchLess(conn, js)
-	}
-	return OneAtATime(js, func(j int64) (bool, error) { return eng.Less(conn, j) })
-}
-
 // decidePairs runs the comparison leg of one lockstep chunk (vertical and
 // arbitrary): shares[t] is this party's additive share of dist² for
 // pairs[t], and pair t is within Eps iff Alice's share plus Bob's is at most
@@ -634,13 +491,15 @@ func (s *Pair) decidePairs(conn transport.Conn, tag string, engA compare.Alice, 
 	setTag(conn, tag)
 	s.led(func(l *Ledger) { l.PairDecisions += len(pairs) })
 	if s.role == RoleAlice {
-		return s.less(conn, engA, shares, PairRows(pairs))
+		// rows name pairs' left points, so a grouped uplink's equality
+		// classes never span two rows (compare/full.go).
+		return engA.BatchLessRows(conn, shares, PairRows(pairs))
 	}
 	js := make([]int64, len(shares))
 	for t, v := range shares {
 		js[t] = s.responderOperand(engB.Bound(), v)
 	}
-	return s.lessServe(conn, engB, js)
+	return engB.BatchLess(conn, js)
 }
 
 // responderOperand maps the responder's additive share into the strict

@@ -21,6 +21,31 @@ import (
 // the lockstep differential (lockstep_oracle_test.go) runs the same
 // lifecycles through.
 
+// lessOne and lessEqOne decide one comparison on an engine of either
+// side: a batch of one, three frames.
+func lessOne(conn transport.Conn, eng interface {
+	BatchLess(transport.Conn, []int64) ([]bool, error)
+}, v int64) (bool, error) {
+	return firstBit(eng.BatchLess(conn, []int64{v}))
+}
+
+func lessEqOne(conn transport.Conn, eng interface {
+	BatchLessEq(transport.Conn, []int64) ([]bool, error)
+}, v int64) (bool, error) {
+	return firstBit(eng.BatchLessEq(conn, []int64{v}))
+}
+
+// firstBit unwraps the decision of a batch of one.
+func firstBit(bits []bool, err error) (bool, error) {
+	if err == nil && len(bits) != 1 {
+		err = fmt.Errorf("core: %d decisions from a batch of one", len(bits))
+	}
+	if err != nil {
+		return false, err
+	}
+	return bits[0], nil
+}
+
 // PerPairOracle adapts a one-pair oracle to LockstepCluster's batch hook:
 // a chunk is decided one complete sub-protocol at a time, in chunk order.
 // This is the whole of Config.Batching = "sequential" in the lockstep
@@ -69,9 +94,9 @@ func perPairVerticalRunOnce(t *Session, vs *vStream) (*Result, error) {
 		s.led(func(l *Ledger) { l.PairDecisions++ })
 		partial := partialDistSq(enc, i, j)
 		if role == RoleAlice {
-			return engA.Less(conn, partial)
+			return lessOne(conn, engA, partial)
 		}
-		return engB.Less(conn, s.responderOperand(engB.Bound(), partial))
+		return lessOne(conn, engB, s.responderOperand(engB.Bound(), partial))
 	})
 	labels, clusters, err := LockstepCluster(len(enc), s.cfg.MinPts, s.cfg.Parallel, s.lockstepFrameBytes(engA, engB),
 		vs.Cache, onCached, PrunedLocalDecider(vs.CellRows, onPruned), batchOn)
@@ -125,9 +150,9 @@ func perPairArbitraryRunOnce(t *Session, as *aStream) (*Result, error) {
 		setTag(conn, "adp.cmp")
 		s.led(func(l *Ledger) { l.PairDecisions++ })
 		if role == RoleAlice {
-			return engA.Less(conn, ownSum)
+			return lessOne(conn, engA, ownSum)
 		}
-		return engB.Less(conn, s.responderOperand(engB.Bound(), ownSum))
+		return lessOne(conn, engB, s.responderOperand(engB.Bound(), ownSum))
 	})
 	labels, clusters, err := LockstepCluster(n, s.cfg.MinPts, s.cfg.Parallel, s.lockstepFrameBytes(engA, engB),
 		as.Cache, onCached, PrunedLocalDecider(as.CellRows, onPruned), batchOn)

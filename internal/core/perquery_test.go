@@ -231,7 +231,7 @@ func maskedHDPCount(s *Pair, conn transport.Conn, eng compare.Alice, p []int64, 
 	setTag(conn, "hdp.cmp")
 	ownSum := sumSq(p)
 	count := 0
-	if s.batched() {
+	if s.cfg.Batching == BatchModeBatched {
 		vs := make([]int64, nCand)
 		for i := range vs {
 			vs[i] = ownSum
@@ -247,7 +247,7 @@ func maskedHDPCount(s *Pair, conn transport.Conn, eng compare.Alice, p []int64, 
 		}
 	} else {
 		for i := 0; i < nCand; i++ {
-			in, err := eng.Less(conn, ownSum)
+			in, err := lessOne(conn, eng, ownSum)
 			if err != nil {
 				return 0, fmt.Errorf("core: hdp comparison %d: %w", i, err)
 			}
@@ -308,13 +308,13 @@ func maskedHDPServe(s *Pair, conn transport.Conn, rng PermSource, eng compare.Bo
 			return err
 		}
 	}
-	if s.batched() {
+	if s.cfg.Batching == BatchModeBatched {
 		if _, err := eng.BatchLess(conn, js); err != nil {
 			return fmt.Errorf("core: hdp batch comparison: %w", err)
 		}
 	} else {
 		for i, j := range js {
-			if _, err := eng.Less(conn, j); err != nil {
+			if _, err := lessOne(conn, eng, j); err != nil {
 				return fmt.Errorf("core: hdp comparison %d: %w", i, err)
 			}
 		}

@@ -17,9 +17,10 @@ import (
 	"repro/internal/yao"
 )
 
-// runE8 measures one secure comparison under each engine across domain
-// sizes: YMPP's O(n0) bits and decryptions versus the masked engine's
-// constant two ciphertexts.
+// runE8 measures one secure comparison — a batch of one, the only call
+// shape either engine has — under each engine across domain sizes: YMPP's
+// O(n0) bits and decryptions versus the masked engine's constant two
+// ciphertexts.
 func runE8(w io.Writer, opt Options) error {
 	rsaKey, err := yao.GenerateRSAKey(rand.Reader, 256)
 	if err != nil {
@@ -43,11 +44,11 @@ func runE8(w io.Writer, opt Options) error {
 			ma, mb := transport.NewMeter(ca), transport.NewMeter(cb)
 			err := transport.RunPair(ma, mb,
 				func(transport.Conn) error {
-					_, err := a.LessEq(ma, bound/3)
+					_, err := a.BatchLessEq(ma, []int64{bound / 3})
 					return err
 				},
 				func(transport.Conn) error {
-					_, err := b.LessEq(mb, bound/2)
+					_, err := b.BatchLessEq(mb, []int64{bound / 2})
 					return err
 				},
 			)

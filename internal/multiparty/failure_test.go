@@ -349,7 +349,8 @@ func TestRingTokenRejectsCoordinatorKeys(t *testing.T) {
 // sums under "off"; v11, no index circulation under pruning "off" and
 // unpacked masked replies; v12, row-major masked replies over an
 // unshifted comparison uplink; v13, a comparison uplink that is not
-// negated — is refused on both roles, with ErrHandshake
+// negated; v14, sequential YMPP comparisons on the scalar wire form
+// without a count prefix — is refused on both roles, with ErrHandshake
 // naming both versions and nothing forwarded: a party handed an otherwise
 // agreeing token by a stale coordinator, and a coordinator whose token
 // comes back from a stale party.
@@ -368,7 +369,7 @@ func TestRingTokenRefusesOldSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, old := range []int{10, 11, 12, 13} {
+	for _, old := range []int{10, 11, 12, 13, 14} {
 		for _, coordinator := range []bool{false, true} {
 			label := fmt.Sprintf("v%d token, coordinator %v", old, coordinator)
 			ring := NewLocalRing(2)

@@ -72,7 +72,7 @@ func (st *state) pairLE(i, j int) (bool, error) {
 			return false, fmt.Errorf("multiparty: masked sum %v outside [0,%d)", t, st.bound+st.shareV)
 		}
 		// t = dist² + v ≤ Eps² + v ⟺ dist² ≤ Eps².
-		in, err := st.cmpA.LessEq(prev, t.Int64())
+		in, err := lessEqOne(prev, st.cmpA, t.Int64())
 		if err != nil {
 			return false, err
 		}
@@ -116,7 +116,7 @@ func (st *state) pairLE(i, j int) (bool, error) {
 	}
 	if st.isLast() {
 		// Participate in the comparison with right side Eps² + v.
-		if _, err := st.cmpB.LessEq(next, st.epsSq+v); err != nil {
+		if _, err := lessEqOne(next, st.cmpB, st.epsSq+v); err != nil {
 			return false, err
 		}
 	}
@@ -259,4 +259,19 @@ func TestLockstepMatchesPerPairOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// lessEqOne decides one comparison on an engine of either side: a batch
+// of one, three frames.
+func lessEqOne(conn transport.Conn, eng interface {
+	BatchLessEq(transport.Conn, []int64) ([]bool, error)
+}, v int64) (bool, error) {
+	bits, err := eng.BatchLessEq(conn, []int64{v})
+	if err == nil && len(bits) != 1 {
+		err = fmt.Errorf("multiparty: %d decisions from a batch of one", len(bits))
+	}
+	if err != nil {
+		return false, err
+	}
+	return bits[0], nil
 }

@@ -99,9 +99,10 @@ type Config struct {
 	// Batching switches the comparison leg of a chunk only: one ring
 	// circulation carries the ciphertexts of a whole lockstep chunk (up to
 	// 256 undecided pairs, whole rows of the pair matrix) in every mode,
-	// and the coordinator↔last comparison is one BatchLessEq under the
-	// default batched mode — O(k) messages a chunk — or one LessEq per pair
-	// under sequential.
+	// and the coordinator↔last comparison is one batch, whose round
+	// structure the engine runs (compare.Edge.Sequential): three frames
+	// under the default batched mode — O(k) messages a chunk — or three a
+	// pair under sequential.
 	Batching core.BatchMode
 
 	// Packing: under the default "slots" mode a ring circulation packs S
@@ -248,8 +249,11 @@ var ErrHandshake = core.ErrHandshake
 // masked replies out column by column over a pre-shifted comparison
 // uplink (compare/full.go), so a peer on the old wire would decide wrong
 // bits; version 14 sends that uplink negated, so a peer on the old wire
-// would decide wrong bits again.
-const ringHandshakeVersion = 14
+// would decide wrong bits again; version 15 gives YMPP one wire form, a
+// comparison always a batch — under sequential batching a batch of one a
+// pair, with its count prefix — so a sequential YMPP peer on the old wire
+// would misread the comparison frames.
+const ringHandshakeVersion = 15
 
 // handshakeToken travels once around the ring accumulating checks.
 type handshakeToken struct {
@@ -627,13 +631,15 @@ func (st *state) circulateCells(batch [][]int64) (full [][]int64, err error) {
 // the coordinator holds the private keys (the Alice side), every other
 // party their public halves — both comparison roles live on the
 // coordinator's key, so both endpoints derive the same packers — and
-// only the last party's Bob engine is ever used.
+// only the last party's Bob engine is ever used. The engines run
+// Config.Batching's round structure.
 func (st *state) buildEngines() (err error) {
 	bound := st.bound + st.shareV
 	packed := st.cfg.Packing != core.PackOff
 	edge := compare.Edge{
 		Kind: st.cfg.Engine, MaskBits: st.cfg.CmpMaskBits, Packed: packed, Uplink: st.cfg.Packing == core.PackFull,
 		Random: st.random, Pool: st.pool, Up: &st.ctsUp, Down: &st.ctsDown,
+		Sequential: st.cfg.Batching == core.BatchModeSequential,
 	}
 	if st.isCoordinator() {
 		edge.Key, edge.RSAKey = st.paiKey, st.rsaKey
@@ -733,7 +739,9 @@ func (st *state) chunkLE(ch int, pairs [][2]int) ([]bool, error) {
 				return nil, fmt.Errorf("multiparty: masked sum %d outside [0,%d)", v, st.bound+st.shareV)
 			}
 		}
-		ins, err := st.lessEq(prev, vals, core.PairRows(pairs))
+		// A chunk holds whole rows, and the grouped uplink dedups within
+		// one.
+		ins, err := st.cmpA.BatchLessEqRows(prev, vals, core.PairRows(pairs))
 		if err != nil {
 			return nil, err
 		}
@@ -805,7 +813,7 @@ func (st *state) chunkLE(ch int, pairs [][2]int) ([]bool, error) {
 		for t := range rights {
 			rights[t] = st.epsSq + masks[t]
 		}
-		if _, err := st.lessEqServe(next, rights); err != nil {
+		if _, err := st.cmpB.BatchLessEq(next, rights); err != nil {
 			return nil, err
 		}
 	}
@@ -828,25 +836,6 @@ func (st *state) chunkLE(ch int, pairs [][2]int) ([]bool, error) {
 		}
 	}
 	return ins, nil
-}
-
-// lessEq is the coordinator's comparison leg of a chunk: vals[t] ≤ the
-// last party's operand t, as one BatchLessEqRows — a chunk holds whole
-// rows, and the grouped uplink dedups within one — or, under sequential
-// batching, one LessEq at a time, in order.
-func (st *state) lessEq(conn transport.Conn, vals []int64, rows []int) ([]bool, error) {
-	if st.cfg.Batching == core.BatchModeBatched {
-		return st.cmpA.BatchLessEqRows(conn, vals, rows)
-	}
-	return core.OneAtATime(vals, func(v int64) (bool, error) { return st.cmpA.LessEq(conn, v) })
-}
-
-// lessEqServe is the last party's half of lessEq.
-func (st *state) lessEqServe(conn transport.Conn, rights []int64) ([]bool, error) {
-	if st.cfg.Batching == core.BatchModeBatched {
-		return st.cmpB.BatchLessEq(conn, rights)
-	}
-	return core.OneAtATime(rights, func(v int64) (bool, error) { return st.cmpB.LessEq(conn, v) })
 }
 
 // NewLocalRing builds an in-process ring of k parties for tests, examples,

@@ -181,11 +181,6 @@ type countedAlice struct {
 	n *atomic.Int64
 }
 
-func (c countedAlice) Less(conn transport.Conn, a int64) (bool, error) {
-	c.n.Add(1)
-	return c.Alice.Less(conn, a)
-}
-
 func (c countedAlice) BatchLess(conn transport.Conn, as []int64) ([]bool, error) {
 	c.n.Add(int64(len(as)))
 	return c.Alice.BatchLess(conn, as)

@@ -10,17 +10,19 @@ import (
 	"repro/internal/transport"
 )
 
-// Batched YMPP: `count` independent Algorithm 1 instances over one shared
-// domain n0 with the per-instance payloads packed into single frames, so a
-// whole batch costs the same three message rounds as one comparison:
+// Batched YMPP, the one wire form: `count` independent Algorithm 1
+// instances over one shared domain n0 with the per-instance payloads
+// packed into single frames, so a whole batch costs the same three
+// message rounds as one comparison:
 //
 //	Bob → Alice: n0 ‖ count ‖ (k_1 − j_1 + 1) … (k_count − j_count + 1)
 //	Alice → Bob: p_1 ‖ w_1,1..w_1,n0 ‖ … ‖ p_count ‖ w_count,1..w_count,n0
 //	Bob → Alice: result bits
 //
-// Local work is unchanged — O(count·n0) RSA decryptions, spread over the
-// shared crypto pool by decryptRange — only the round count drops from
-// 3·count messages to 3.
+// Local work is O(count·n0) RSA decryptions, spread over the shared
+// crypto pool by decryptRange. A single comparison is a batch of one;
+// compare's sequential engines run a batch as batches of one, in order,
+// 3·count messages.
 
 // AliceCompareBatch runs Alice's side of `len(is)` batched Algorithm 1
 // instances; is[t] pairs with Bob's js[t]. Returns i_t < j_t for every t.
@@ -37,6 +39,7 @@ func AliceCompareBatch(conn transport.Conn, key *RSAKey, is []int64, n0 int64, r
 		random = rand.Reader
 	}
 
+	// Step 2 (receive): Bob's k_t − j_t + 1.
 	r, err := transport.RecvMsg(conn)
 	if err != nil {
 		return nil, fmt.Errorf("yao: alice recv batch round 1: %w", err)
@@ -59,11 +62,14 @@ func AliceCompareBatch(conn transport.Conn, key *RSAKey, is []int64, n0 int64, r
 		if base.Sign() < 0 || base.Cmp(key.N) >= 0 {
 			return nil, fmt.Errorf("yao: batch[%d] round-1 value outside Z_N", t)
 		}
+		// Step 3: y_u = Da(k − j + u) for u = 1..n0. Step 4: a prime p
+		// with all z_u = y_u mod p pairwise ≥ 2 apart, mod p.
 		ys := decryptRange(pool, key, base, int(n0))
 		p, zs, err := findSeparatingPrime(random, key.sepPrimeBits(), ys)
 		if err != nil {
 			return nil, fmt.Errorf("yao: batch[%d]: %w", t, err)
 		}
+		// Step 5: z_1..z_i, then z_{i+1}+1 .. z_{n0}+1 (mod p).
 		ws := make([]*big.Int, n0)
 		for u := int64(1); u <= n0; u++ {
 			w := new(big.Int).Set(zs[u-1])
@@ -81,6 +87,7 @@ func AliceCompareBatch(conn transport.Conn, key *RSAKey, is []int64, n0 int64, r
 		return nil, fmt.Errorf("yao: alice send batch round 2: %w", err)
 	}
 
+	// Step 7: Bob tells Alice the conclusions.
 	res, err := transport.RecvMsg(conn)
 	if err != nil {
 		return nil, fmt.Errorf("yao: alice recv batch result: %w", err)
@@ -113,6 +120,7 @@ func BobCompareBatch(conn transport.Conn, pub *RSAPublicKey, js []int64, n0 int6
 	xs := make([]*big.Int, len(js))
 	msg := transport.NewBuilder().PutUint(uint64(n0)).PutUint(uint64(len(js)))
 	bases := make([]*big.Int, len(js))
+	// Steps 1–2: random x_t, k_t = Ea(x_t), send k_t − j_t + 1 mod N.
 	for t, j := range js {
 		x, err := rand.Int(random, pub.N)
 		if err != nil {
@@ -143,6 +151,7 @@ func BobCompareBatch(conn transport.Conn, pub *RSAPublicKey, js []int64, n0 int6
 		if err := checkRound2(pub, p, ws, n0); err != nil {
 			return nil, fmt.Errorf("yao: batch[%d]: %w", t, err)
 		}
+		// Step 6: w_j == x mod p ⇒ i ≥ j, otherwise i < j.
 		xModP := new(big.Int).Mod(xs[t], p)
 		bits[t] = ws[j-1].Cmp(xModP) != 0
 	}
@@ -166,7 +175,7 @@ func shiftAll(vs []int64, bound, delta int64) ([]int64, error) {
 }
 
 // AliceLessEqBatch decides a_t ≤ b_t for every a_t ∈ [0, bound]; pairs
-// with BobLessEqBatch. Same embedding as AliceLessEq.
+// with BobLessEqBatch: a ≤ b ⟺ a+1 < b+2 over n0 = bound+2.
 func AliceLessEqBatch(conn transport.Conn, key *RSAKey, as []int64, bound int64, random io.Reader, pool *paillier.Pool) ([]bool, error) {
 	is, err := shiftAll(as, bound, 1)
 	if err != nil {
@@ -184,7 +193,8 @@ func BobLessEqBatch(conn transport.Conn, pub *RSAPublicKey, bs []int64, bound in
 	return BobCompareBatch(conn, pub, js, bound+2, random)
 }
 
-// AliceLessBatch decides a_t < b_t strictly; pairs with BobLessBatch.
+// AliceLessBatch decides a_t < b_t strictly; pairs with BobLessBatch:
+// a < b ⟺ a+1 < b+1 over n0 = bound+1.
 func AliceLessBatch(conn transport.Conn, key *RSAKey, as []int64, bound int64, random io.Reader, pool *paillier.Pool) ([]bool, error) {
 	is, err := shiftAll(as, bound, 1)
 	if err != nil {

@@ -30,8 +30,8 @@ func runYMPPBatch(t *testing.T, is, js []int64, n0 int64) (aliceGot, bobGot []bo
 }
 
 // TestYMPPBatchMatchesPerInstance: every (i, j) of a small domain in one
-// batch gives both parties what one AliceCompare/BobCompare per pair
-// gives, which is i < j.
+// batch gives both parties what a batch of one per pair gives, which is
+// i < j.
 func TestYMPPBatchMatchesPerInstance(t *testing.T) {
 	const n0 = 6
 	var is, js []int64
@@ -83,8 +83,8 @@ func TestYMPPBatchMismatchDetected(t *testing.T) {
 
 // TestBobRejectsHostileRound2 scripts an Alice whose round-2 message is
 // not one Algorithm 1 can produce. Bob must refuse it with a typed error
-// before computing with it, in the single and in the batched form (where
-// the bad instance is the second of two); the unmodified script, a prime of
+// before computing with it, in a batch of one and in a batch of two (where
+// the bad instance is the second); the unmodified script, a prime of
 // |N|/2 bits over reduced residues, must be accepted.
 func TestBobRejectsHostileRound2(t *testing.T) {
 	k := testRSAKey(t)
@@ -150,10 +150,10 @@ func TestBobRejectsHostileRound2(t *testing.T) {
 				return nil
 			}
 		}
-		check("single", transport.Run2(
+		check("batch of one", transport.Run2(
 			script(transport.NewBuilder().PutBig(tc.p).PutBigs(tc.ws)),
 			func(c transport.Conn) error {
-				_, err := BobCompare(c, &k.RSAPublicKey, 3, n0, rand.Reader)
+				_, err := BobCompareBatch(c, &k.RSAPublicKey, []int64{3}, n0, rand.Reader)
 				return err
 			}))
 		check("batch", transport.Run2(

@@ -69,11 +69,11 @@ func BenchmarkYMPPDomain256(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		err := transport.Run2(
 			func(c transport.Conn) error {
-				_, err := AliceCompare(c, k, 100, 256, rand.Reader, nil)
+				_, err := AliceCompareBatch(c, k, []int64{100}, 256, rand.Reader, nil)
 				return err
 			},
 			func(c transport.Conn) error {
-				_, err := BobCompare(c, &k.RSAPublicKey, 200, 256, rand.Reader)
+				_, err := BobCompareBatch(c, &k.RSAPublicKey, []int64{200}, 256, rand.Reader)
 				return err
 			},
 		)

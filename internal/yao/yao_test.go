@@ -145,28 +145,69 @@ func TestUnmarshalRSAPublicKeyRejects(t *testing.T) {
 	}
 }
 
-// runYMPP executes one protocol instance in-process and returns both
-// parties' conclusions.
+// runYMPP executes one protocol instance in-process, a batch of one, and
+// returns both parties' conclusions.
 func runYMPP(t testing.TB, i, j, n0 int64) (aliceGot, bobGot bool) {
 	t.Helper()
 	k := testRSAKey(t)
-	var aRes, bRes bool
+	var aRes, bRes []bool
 	err := transport.Run2(
 		func(c transport.Conn) error {
 			var err error
-			aRes, err = AliceCompare(c, k, i, n0, rand.Reader, nil)
+			aRes, err = AliceCompareBatch(c, k, []int64{i}, n0, rand.Reader, nil)
 			return err
 		},
 		func(c transport.Conn) error {
 			var err error
-			bRes, err = BobCompare(c, &k.RSAPublicKey, j, n0, rand.Reader)
+			bRes, err = BobCompareBatch(c, &k.RSAPublicKey, []int64{j}, n0, rand.Reader)
 			return err
 		},
 	)
 	if err != nil {
 		t.Fatalf("YMPP(i=%d, j=%d, n0=%d): %v", i, j, n0, err)
 	}
-	return aRes, bRes
+	if len(aRes) != 1 || len(bRes) != 1 {
+		t.Fatalf("YMPP(i=%d, j=%d, n0=%d): %d and %d results for a batch of one", i, j, n0, len(aRes), len(bRes))
+	}
+	return aRes[0], bRes[0]
+}
+
+// lessOne runs a batch of one through a LessEq or Less batch pair and
+// returns both parties' conclusions.
+func lessOne(t testing.TB, alice func(c transport.Conn, k *RSAKey, as []int64) ([]bool, error),
+	bob func(c transport.Conn, pub *RSAPublicKey, bs []int64) ([]bool, error), a, b int64) (aliceGot, bobGot bool) {
+	t.Helper()
+	k := testRSAKey(t)
+	var aRes, bRes []bool
+	err := transport.Run2(
+		func(c transport.Conn) (err error) { aRes, err = alice(c, k, []int64{a}); return },
+		func(c transport.Conn) (err error) { bRes, err = bob(c, &k.RSAPublicKey, []int64{b}); return },
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(aRes) != 1 || len(bRes) != 1 {
+		t.Fatalf("%d and %d results for a batch of one", len(aRes), len(bRes))
+	}
+	return aRes[0], bRes[0]
+}
+
+// lessEqBatch and lessBatch bind the LessEq and Less batch forms to a
+// bound.
+func lessEqBatch(bound int64) (func(transport.Conn, *RSAKey, []int64) ([]bool, error), func(transport.Conn, *RSAPublicKey, []int64) ([]bool, error)) {
+	return func(c transport.Conn, k *RSAKey, as []int64) ([]bool, error) {
+			return AliceLessEqBatch(c, k, as, bound, rand.Reader, nil)
+		}, func(c transport.Conn, pub *RSAPublicKey, bs []int64) ([]bool, error) {
+			return BobLessEqBatch(c, pub, bs, bound, rand.Reader)
+		}
+}
+
+func lessBatch(bound int64) (func(transport.Conn, *RSAKey, []int64) ([]bool, error), func(transport.Conn, *RSAPublicKey, []int64) ([]bool, error)) {
+	return func(c transport.Conn, k *RSAKey, as []int64) ([]bool, error) {
+			return AliceLessBatch(c, k, as, bound, rand.Reader, nil)
+		}, func(c transport.Conn, pub *RSAPublicKey, bs []int64) ([]bool, error) {
+			return BobLessBatch(c, pub, bs, bound, rand.Reader)
+		}
 }
 
 func TestYMPPExhaustiveSmallDomain(t *testing.T) {
@@ -207,13 +248,13 @@ func TestYMPPInputValidation(t *testing.T) {
 	conn, peer := transport.Pipe()
 	defer conn.Close()
 	defer peer.Close()
-	if _, err := AliceCompare(conn, k, 0, 10, rand.Reader, nil); err == nil {
+	if _, err := AliceCompareBatch(conn, k, []int64{0}, 10, rand.Reader, nil); err == nil {
 		t.Error("i=0 accepted")
 	}
-	if _, err := AliceCompare(conn, k, 11, 10, rand.Reader, nil); err == nil {
+	if _, err := AliceCompareBatch(conn, k, []int64{11}, 10, rand.Reader, nil); err == nil {
 		t.Error("i>n0 accepted")
 	}
-	if _, err := BobCompare(conn, &k.RSAPublicKey, 5, MaxDomain+1, rand.Reader); err == nil {
+	if _, err := BobCompareBatch(conn, &k.RSAPublicKey, []int64{5}, MaxDomain+1, rand.Reader); err == nil {
 		t.Error("n0 over cap accepted")
 	}
 }
@@ -222,11 +263,11 @@ func TestYMPPDomainMismatchDetected(t *testing.T) {
 	k := testRSAKey(t)
 	err := transport.Run2(
 		func(c transport.Conn) error {
-			_, err := AliceCompare(c, k, 3, 10, rand.Reader, nil)
+			_, err := AliceCompareBatch(c, k, []int64{3}, 10, rand.Reader, nil)
 			return err
 		},
 		func(c transport.Conn) error {
-			_, err := BobCompare(c, &k.RSAPublicKey, 3, 12, rand.Reader)
+			_, err := BobCompareBatch(c, &k.RSAPublicKey, []int64{3}, 12, rand.Reader)
 			return err
 		},
 	)
@@ -236,26 +277,11 @@ func TestYMPPDomainMismatchDetected(t *testing.T) {
 }
 
 func TestLessEqWrappers(t *testing.T) {
-	k := testRSAKey(t)
 	const bound = 12
+	alice, bob := lessEqBatch(bound)
 	for a := int64(0); a <= bound; a += 3 {
 		for b := int64(0); b <= bound; b += 3 {
-			var aGot, bGot bool
-			err := transport.Run2(
-				func(c transport.Conn) error {
-					var err error
-					aGot, err = AliceLessEq(c, k, a, bound, rand.Reader, nil)
-					return err
-				},
-				func(c transport.Conn) error {
-					var err error
-					bGot, err = BobLessEq(c, &k.RSAPublicKey, b, bound, rand.Reader)
-					return err
-				},
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
+			aGot, bGot := lessOne(t, alice, bob, a, b)
 			want := a <= b
 			if aGot != want || bGot != want {
 				t.Errorf("LessEq(%d,%d) = (%v,%v), want %v", a, b, aGot, bGot, want)
@@ -265,25 +291,11 @@ func TestLessEqWrappers(t *testing.T) {
 }
 
 func TestLessWrappers(t *testing.T) {
-	k := testRSAKey(t)
 	const bound = 10
+	alice, bob := lessBatch(bound)
 	for _, pair := range [][2]int64{{0, 0}, {0, 1}, {1, 0}, {5, 5}, {4, 5}, {10, 10}, {9, 10}, {10, 9}} {
 		a, b := pair[0], pair[1]
-		var aGot bool
-		err := transport.Run2(
-			func(c transport.Conn) error {
-				var err error
-				aGot, err = AliceLess(c, k, a, bound, rand.Reader, nil)
-				return err
-			},
-			func(c transport.Conn) error {
-				_, err := BobLess(c, &k.RSAPublicKey, b, bound, rand.Reader)
-				return err
-			},
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
+		aGot, _ := lessOne(t, alice, bob, a, b)
 		if aGot != (a < b) {
 			t.Errorf("Less(%d,%d) = %v", a, b, aGot)
 		}
@@ -295,17 +307,17 @@ func TestWrapperInputValidation(t *testing.T) {
 	conn, peer := transport.Pipe()
 	defer conn.Close()
 	defer peer.Close()
-	if _, err := AliceLessEq(conn, k, -1, 10, rand.Reader, nil); err == nil {
+	if _, err := AliceLessEqBatch(conn, k, []int64{-1}, 10, rand.Reader, nil); err == nil {
 		t.Error("negative value accepted")
 	}
-	if _, err := BobLessEq(conn, &k.RSAPublicKey, 11, 10, rand.Reader); err == nil {
+	if _, err := BobLessEqBatch(conn, &k.RSAPublicKey, []int64{11}, 10, rand.Reader); err == nil {
 		t.Error("out-of-bound value accepted")
 	}
-	if _, err := AliceLess(conn, k, 11, 10, rand.Reader, nil); err == nil {
-		t.Error("out-of-bound value accepted by AliceLess")
+	if _, err := AliceLessBatch(conn, k, []int64{11}, 10, rand.Reader, nil); err == nil {
+		t.Error("out-of-bound value accepted by AliceLessBatch")
 	}
-	if _, err := BobLess(conn, &k.RSAPublicKey, -2, 10, rand.Reader); err == nil {
-		t.Error("negative value accepted by BobLess")
+	if _, err := BobLessBatch(conn, &k.RSAPublicKey, []int64{-2}, 10, rand.Reader); err == nil {
+		t.Error("negative value accepted by BobLessBatch")
 	}
 }
 
@@ -317,19 +329,19 @@ func TestYMPPProperty(t *testing.T) {
 		bound := int64(rng.Intn(40) + 1)
 		a := int64(rng.Intn(int(bound + 1)))
 		b := int64(rng.Intn(int(bound + 1)))
-		var got bool
+		var got []bool
 		err := transport.Run2(
 			func(c transport.Conn) error {
 				var err error
-				got, err = AliceLessEq(c, k, a, bound, rand.Reader, nil)
+				got, err = AliceLessEqBatch(c, k, []int64{a}, bound, rand.Reader, nil)
 				return err
 			},
 			func(c transport.Conn) error {
-				_, err := BobLessEq(c, &k.RSAPublicKey, b, bound, rand.Reader)
+				_, err := BobLessEqBatch(c, &k.RSAPublicKey, []int64{b}, bound, rand.Reader)
 				return err
 			},
 		)
-		return err == nil && got == (a <= b)
+		return err == nil && len(got) == 1 && got[0] == (a <= b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -337,7 +349,8 @@ func TestYMPPProperty(t *testing.T) {
 }
 
 // The communication pattern must match the paper's O(c2·n0) accounting:
-// Alice's round-2 message carries exactly n0 residues mod a (N/2)-bit prime.
+// in a batch of one, Alice's round-2 message carries exactly n0 residues
+// mod a (N/2)-bit prime.
 func TestYMPPCommunicationShape(t *testing.T) {
 	k := testRSAKey(t)
 	ca, cb := transport.Pipe()
@@ -345,11 +358,11 @@ func TestYMPPCommunicationShape(t *testing.T) {
 	const n0 = 50
 	err := transport.RunPair(ma, mb,
 		func(c transport.Conn) error {
-			_, err := AliceCompare(c, k, 25, n0, rand.Reader, nil)
+			_, err := AliceCompareBatch(c, k, []int64{25}, n0, rand.Reader, nil)
 			return err
 		},
 		func(c transport.Conn) error {
-			_, err := BobCompare(c, &k.RSAPublicKey, 25, n0, rand.Reader)
+			_, err := BobCompareBatch(c, &k.RSAPublicKey, []int64{25}, n0, rand.Reader)
 			return err
 		},
 	)
@@ -357,7 +370,7 @@ func TestYMPPCommunicationShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Alice sends one message (p + n0 residues); Bob sends two (round 1,
-	// result bit).
+	// result bits).
 	if got := ma.Stats().MessagesSent; got != 1 {
 		t.Errorf("alice sent %d messages, want 1", got)
 	}

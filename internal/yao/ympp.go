@@ -1,7 +1,6 @@
 package yao
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
@@ -10,17 +9,19 @@ import (
 
 	"repro/internal/paillier"
 	"repro/internal/prime"
-	"repro/internal/transport"
 )
 
-// The YMPP wire protocol follows Algorithm 1 step by step:
+// A YMPP comparison is always a batch (batch.go): count independent
+// Algorithm 1 instances over one shared domain n0 in three frames, so a
+// single comparison is a batch of one. Per instance the frames follow
+// Algorithm 1 step by step:
 //
-//	Bob → Alice: n0 ‖ (k − j + 1 mod N)         where k = Ea(x)
+//	Bob → Alice: k − j + 1 mod N                 where k = Ea(x)
 //	Alice → Bob: p ‖ w_1 … w_n0                  w_u = z_u (+1 if u > i) mod p
 //	Bob → Alice: result bit (step 7: "Bob tells Alice what the conclusion is")
 //
-// Communication is O(c2·n0) bits with c2 = |p| = N/2 bits, matching the
-// complexity the paper charges per YMPP invocation.
+// Communication is O(c2·n0) bits per instance with c2 = |p| = N/2 bits,
+// matching the complexity the paper charges per YMPP invocation.
 
 // MaxDomain caps n0 to keep a corrupted header from forcing absurd
 // allocations. The paper's analysis already makes n0 the dominant cost, so
@@ -46,124 +47,6 @@ func checkDomain(v, n0 int64) error {
 		return fmt.Errorf("yao: input %d outside [1,%d]", v, n0)
 	}
 	return nil
-}
-
-// AliceCompare runs Alice's side of Algorithm 1. Alice holds i ∈ [1, n0]
-// and the RSA key pair. Returns whether i < j. pool bounds the local
-// decryption fan-out (nil: GOMAXPROCS); only Alice does O(n0) local
-// work, so Bob's half takes no pool handle.
-func AliceCompare(conn transport.Conn, key *RSAKey, i, n0 int64, random io.Reader, pool *paillier.Pool) (bool, error) {
-	if err := checkDomain(i, n0); err != nil {
-		return false, err
-	}
-	if random == nil {
-		random = rand.Reader
-	}
-
-	// Step 2 (receive): Bob's k − j + 1.
-	r, err := transport.RecvMsg(conn)
-	if err != nil {
-		return false, fmt.Errorf("yao: alice recv round 1: %w", err)
-	}
-	bobN0 := int64(r.Uint())
-	base := r.Big()
-	if r.Err() != nil {
-		return false, fmt.Errorf("yao: alice parse round 1: %w", r.Err())
-	}
-	if bobN0 != n0 {
-		return false, fmt.Errorf("%w: alice=%d bob=%d", ErrDomainMismatch, n0, bobN0)
-	}
-	if base.Sign() < 0 || base.Cmp(key.N) >= 0 {
-		return false, fmt.Errorf("yao: round-1 value outside Z_N")
-	}
-
-	// Step 3: y_u = Da(k − j + u) for u = 1..n0.
-	ys := decryptRange(pool, key, base, int(n0))
-
-	// Step 4: find a prime p with all z_u = y_u mod p pairwise ≥ 2 apart
-	// in the mod-p sense. Each try is a prime.Draw, so p keeps
-	// crypto/rand.Prime's distribution.
-	p, zs, err := findSeparatingPrime(random, key.sepPrimeBits(), ys)
-	if err != nil {
-		return false, err
-	}
-
-	// Step 5: send z_1..z_i, then z_{i+1}+1 .. z_{n0}+1 (mod p).
-	ws := make([]*big.Int, n0)
-	for u := int64(1); u <= n0; u++ {
-		w := new(big.Int).Set(zs[u-1])
-		if u > i {
-			w.Add(w, one)
-			if w.Cmp(p) >= 0 {
-				w.Sub(w, p)
-			}
-		}
-		ws[u-1] = w
-	}
-	out := transport.NewBuilder().PutBig(p).PutBigs(ws)
-	if err := transport.SendMsg(conn, out); err != nil {
-		return false, fmt.Errorf("yao: alice send round 2: %w", err)
-	}
-
-	// Step 7: Bob tells Alice the conclusion.
-	res, err := transport.RecvMsg(conn)
-	if err != nil {
-		return false, fmt.Errorf("yao: alice recv result: %w", err)
-	}
-	iLessJ := res.Bool()
-	if res.Err() != nil {
-		return false, res.Err()
-	}
-	return iLessJ, nil
-}
-
-// BobCompare runs Bob's side of Algorithm 1. Bob holds j ∈ [1, n0] and
-// Alice's public key. Returns whether i < j.
-func BobCompare(conn transport.Conn, pub *RSAPublicKey, j, n0 int64, random io.Reader) (bool, error) {
-	if err := checkDomain(j, n0); err != nil {
-		return false, err
-	}
-	if random == nil {
-		random = rand.Reader
-	}
-
-	// Step 1: random x, k = Ea(x).
-	x, err := rand.Int(random, pub.N)
-	if err != nil {
-		return false, fmt.Errorf("yao: sampling x: %w", err)
-	}
-	k := pub.Encrypt(x)
-
-	// Step 2: send k − j + 1 mod N.
-	base := new(big.Int).Sub(k, big.NewInt(j-1))
-	base.Mod(base, pub.N)
-	msg := transport.NewBuilder().PutUint(uint64(n0)).PutBig(base)
-	if err := transport.SendMsg(conn, msg); err != nil {
-		return false, fmt.Errorf("yao: bob send round 1: %w", err)
-	}
-
-	// Step 6: inspect the j-th number.
-	r, err := transport.RecvMsg(conn)
-	if err != nil {
-		return false, fmt.Errorf("yao: bob recv round 2: %w", err)
-	}
-	p := r.Big()
-	ws := r.Bigs()
-	if r.Err() != nil {
-		return false, fmt.Errorf("yao: bob parse round 2: %w", r.Err())
-	}
-	if err := checkRound2(pub, p, ws, n0); err != nil {
-		return false, err
-	}
-	xModP := new(big.Int).Mod(x, p)
-	// w_j == x mod p ⇒ i ≥ j, otherwise i < j.
-	iLessJ := ws[j-1].Cmp(xModP) != 0
-
-	// Step 7: tell Alice the conclusion.
-	if err := transport.SendMsg(conn, transport.NewBuilder().PutBool(iLessJ)); err != nil {
-		return false, fmt.Errorf("yao: bob send result: %w", err)
-	}
-	return iLessJ, nil
 }
 
 // sepPrimeBits is the length of step 4's prime p, |N|/2 bits: what Alice
@@ -246,44 +129,3 @@ func findSeparatingPrime(random io.Reader, bits int, ys []*big.Int) (*big.Int, [
 }
 
 var two = big.NewInt(2)
-
-// ---- Convenience predicates over non-negative values ----
-//
-// The DBSCAN protocols compare non-negative quantities a (held by Alice)
-// and b (held by Bob), both bounded by a publicly known `bound`. The
-// mappings below embed those predicates into Algorithm 1's strict i < j
-// over [1, n0]. Each call still costs O(n0) = O(bound) work and bits.
-
-// AliceLessEq decides a ≤ b for a ∈ [0, bound]; pairs with BobLessEq.
-func AliceLessEq(conn transport.Conn, key *RSAKey, a, bound int64, random io.Reader, pool *paillier.Pool) (bool, error) {
-	if a < 0 || a > bound {
-		return false, fmt.Errorf("yao: value %d outside [0,%d]", a, bound)
-	}
-	// a ≤ b  ⟺  a+1 < b+2  over n0 = bound+2.
-	return AliceCompare(conn, key, a+1, bound+2, random, pool)
-}
-
-// BobLessEq is the Bob half of AliceLessEq; b ∈ [0, bound].
-func BobLessEq(conn transport.Conn, pub *RSAPublicKey, b, bound int64, random io.Reader) (bool, error) {
-	if b < 0 || b > bound {
-		return false, fmt.Errorf("yao: value %d outside [0,%d]", b, bound)
-	}
-	return BobCompare(conn, pub, b+2, bound+2, random)
-}
-
-// AliceLess decides a < b strictly; pairs with BobLess.
-func AliceLess(conn transport.Conn, key *RSAKey, a, bound int64, random io.Reader, pool *paillier.Pool) (bool, error) {
-	if a < 0 || a > bound {
-		return false, fmt.Errorf("yao: value %d outside [0,%d]", a, bound)
-	}
-	// a < b ⟺ a+1 < b+1 over n0 = bound+1.
-	return AliceCompare(conn, key, a+1, bound+1, random, pool)
-}
-
-// BobLess is the Bob half of AliceLess.
-func BobLess(conn transport.Conn, pub *RSAPublicKey, b, bound int64, random io.Reader) (bool, error) {
-	if b < 0 || b > bound {
-		return false, fmt.Errorf("yao: value %d outside [0,%d]", b, bound)
-	}
-	return BobCompare(conn, pub, b+1, bound+1, random)
-}
