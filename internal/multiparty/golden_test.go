@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash"
 	"io"
 	"math/rand/v2"
@@ -19,8 +20,10 @@ import (
 // Config.Random a seeded stream, each party SHA-256-hashes every frame it
 // sends after its session constructor returns, one hash per connection,
 // and its row reads the first 16 hex digits of the hash of those hashes
-// in connection order. A change that claims the wire did not move leaves
-// the table as it is.
+// in connection order. The lifecycle rows script core's goldenScripts on
+// the retraction tests' generations (ringRetractGens, meshRetractGens);
+// the Run rows run the stream tests' initial records. A change that
+// claims the wire did not move leaves the table as it is.
 
 // digestConn hashes every frame sent through it once armed.
 type digestConn struct {
@@ -71,8 +74,69 @@ func seededStream(party int) io.Reader {
 }
 
 var goldenDigests = map[string][3]string{
-	"ring/masked/Run": {"9e17b0f52d25f78a", "40c786efa54eb998", "2e474a5a89d64d76"},
-	"mesh/masked/Run": {"c739e0d155c36bcf", "bf1dc1c70b3e3ea6", "a26cbf37baf5c853"},
+	"ring/masked/Run":     {"9e17b0f52d25f78a", "40c786efa54eb998", "2e474a5a89d64d76"},
+	"ring/masked/Append":  {"4c3c6d833006256c", "dfa86d1dcc6539e8", "1d756089dcd87598"},
+	"ring/masked/Expire":  {"114cbef8d342a940", "12bffb2b339a1713", "5acfa0090b664073"},
+	"ring/masked/Retract": {"cf0b54e2520a17d5", "f4734f05114ba2eb", "eb01bbf5fda39dca"},
+	"ring/ympp/Run":       {"712e26e7fb9c4fa5", "cc2bb292c3340e8f", "f4a1d453c27edcc0"},
+	"mesh/masked/Run":     {"c739e0d155c36bcf", "bf1dc1c70b3e3ea6", "a26cbf37baf5c853"},
+	"mesh/masked/Append":  {"58657321f1579dd4", "c11a13a31ad854d3", "10d4bee2151f7444"},
+	"mesh/masked/Expire":  {"acb5098d7655f76c", "45edf5c9d714e424", "7da06fab29f8237f"},
+	"mesh/masked/Retract": {"40b6c93f096fd580", "9e3f5a665ac9a72f", "bcdb0afd2191edb9"},
+	"mesh/ympp/Run":       {"f2cc8a6c32ba4f7c", "b96f3bb65058f7a7", "23f5e2017f620caa"},
+}
+
+// goldenSession is one party's session as the scripts drive it: append
+// adds generation gen of the lifecycle records, retract runs the first
+// scripted retraction.
+type goldenSession struct {
+	run     func() error
+	append  func(gen int) error
+	expire  func(gens int) error
+	retract func() error
+	gens    int // generations of the lifecycle records
+}
+
+// goldenScripts are core's goldenScripts over a k-party session: every
+// party runs the same script, as every k-party operation is a group
+// operation.
+var goldenScripts = []struct {
+	op  string
+	run func(s goldenSession) error
+}{
+	{"Run", func(s goldenSession) error { return s.run() }},
+	{"Append", func(s goldenSession) error {
+		if err := s.append(1); err != nil {
+			return err
+		}
+		return s.run()
+	}},
+	{"Expire", func(s goldenSession) error {
+		if err := s.append(1); err != nil {
+			return err
+		}
+		if err := s.run(); err != nil {
+			return err
+		}
+		if err := s.expire(1); err != nil {
+			return err
+		}
+		return s.run()
+	}},
+	{"Retract", func(s goldenSession) error {
+		for gen := 1; gen < s.gens; gen++ {
+			if err := s.append(gen); err != nil {
+				return err
+			}
+		}
+		if err := s.run(); err != nil {
+			return err
+		}
+		if err := s.retract(); err != nil {
+			return err
+		}
+		return s.run()
+	}},
 }
 
 // runParties runs body for each of k parties concurrently and fails on
@@ -103,73 +167,125 @@ func checkGolden(t *testing.T, row string, got [3]string) {
 	}
 }
 
-func TestGoldenTranscriptDigests(t *testing.T) {
+// goldenRing runs one scripted row on a 3-party ring and returns each
+// party's digest. The Run row starts from streamRows.init, every other
+// row from ringRetractGens[0].
+func goldenRing(t *testing.T, eng compare.EngineKind, op string, script func(goldenSession) error) [3]string {
 	const k = 3
-	t.Run("ring/masked/Run", func(t *testing.T) {
-		parties := NewLocalRing(k)
-		conns := make([][]*digestConn, k)
-		for p := range parties {
-			prev, next := newDigestConn(parties[p].Prev), newDigestConn(parties[p].Next)
-			parties[p].Prev, parties[p].Next = prev, next
-			conns[p] = []*digestConn{prev, next}
-		}
-		runParties(t, k, func(p int) error {
-			defer parties[p].Next.Close()
-			defer parties[p].Prev.Close()
-			cfg := testCfg(compare.EngineMasked)
-			cfg.Random = seededStream(p)
-			rs, err := NewRingSession(parties[p], cfg, splitColumns(streamRows.init, k)[p])
-			if err != nil {
-				return err
-			}
-			for _, d := range conns[p] {
-				d.arm()
-			}
-			_, err = rs.Run()
+	parties := NewLocalRing(k)
+	conns := make([][]*digestConn, k)
+	for p := range parties {
+		prev, next := newDigestConn(parties[p].Prev), newDigestConn(parties[p].Next)
+		parties[p].Prev, parties[p].Next = prev, next
+		conns[p] = []*digestConn{prev, next}
+	}
+	init := streamRows.init
+	if op != "Run" {
+		init = ringRetractGens[0]
+	}
+	runParties(t, k, func(p int) error {
+		defer parties[p].Next.Close()
+		defer parties[p].Prev.Close()
+		cfg := testCfg(eng)
+		cfg.Random = seededStream(p)
+		rs, err := NewRingSession(parties[p], cfg, splitColumns(init, k)[p])
+		if err != nil {
 			return err
-		})
-		var got [3]string
-		for p := range got {
-			got[p] = partyDigest(conns[p])
 		}
-		checkGolden(t, "ring/masked/Run", got)
+		for _, d := range conns[p] {
+			d.arm()
+		}
+		return script(goldenSession{
+			run: func() error {
+				_, err := rs.Run()
+				return err
+			},
+			append:  func(gen int) error { return rs.Append(splitColumns(ringRetractGens[gen], k)[p]) },
+			expire:  rs.Expire,
+			retract: func() error { return rs.Retract(ringRetractSteps[0]) },
+			gens:    len(ringRetractGens),
+		})
 	})
-	t.Run("mesh/masked/Run", func(t *testing.T) {
-		mesh := NewLocalMesh(k)
-		conns := make([][]*digestConn, k)
-		for p := range mesh {
+	var got [3]string
+	for p := range got {
+		got[p] = partyDigest(conns[p])
+	}
+	return got
+}
+
+// goldenMesh is goldenRing on a 3-party mesh: the Run row starts from
+// meshStream.init, every other row from meshRetractGens[0].
+func goldenMesh(t *testing.T, eng compare.EngineKind, op string, script func(goldenSession) error) [3]string {
+	const k = 3
+	mesh := NewLocalMesh(k)
+	conns := make([][]*digestConn, k)
+	for p := range mesh {
+		for q, c := range mesh[p] {
+			if q != p {
+				d := newDigestConn(c)
+				mesh[p][q] = d
+				conns[p] = append(conns[p], d)
+			}
+		}
+	}
+	init := meshStream.init
+	if op != "Run" {
+		init = meshRetractGens[0]
+	}
+	runParties(t, k, func(p int) error {
+		defer func() {
 			for q, c := range mesh[p] {
 				if q != p {
-					d := newDigestConn(c)
-					mesh[p][q] = d
-					conns[p] = append(conns[p], d)
+					c.Close()
 				}
 			}
-		}
-		runParties(t, k, func(p int) error {
-			defer func() {
-				for q, c := range mesh[p] {
-					if q != p {
-						c.Close()
-					}
-				}
-			}()
-			cfg := testCfg(compare.EngineMasked)
-			cfg.Random = seededStream(p)
-			ms, err := NewMeshSession(HorizontalParty{Index: p, K: k, Conns: mesh[p]}, cfg, meshStream.init[p])
-			if err != nil {
-				return err
-			}
-			for _, d := range conns[p] {
-				d.arm()
-			}
-			_, err = ms.Run()
+		}()
+		cfg := testCfg(eng)
+		cfg.Random = seededStream(p)
+		ms, err := NewMeshSession(HorizontalParty{Index: p, K: k, Conns: mesh[p]}, cfg, init[p])
+		if err != nil {
 			return err
-		})
-		var got [3]string
-		for p := range got {
-			got[p] = partyDigest(conns[p])
 		}
-		checkGolden(t, "mesh/masked/Run", got)
+		for _, d := range conns[p] {
+			d.arm()
+		}
+		return script(goldenSession{
+			run: func() error {
+				_, err := ms.Run()
+				return err
+			},
+			append:  func(gen int) error { return ms.Append(meshRetractGens[gen][p]) },
+			expire:  ms.Expire,
+			retract: func() error { return ms.Retract(meshRetractSteps[0][p]) },
+			gens:    len(meshRetractGens),
+		})
 	})
+	var got [3]string
+	for p := range got {
+		got[p] = partyDigest(conns[p])
+	}
+	return got
+}
+
+// TestGoldenTranscriptDigests pins ring and mesh × every script under
+// masked, and the Run under YMPP.
+func TestGoldenTranscriptDigests(t *testing.T) {
+	topologies := []struct {
+		name string
+		run  func(t *testing.T, eng compare.EngineKind, op string, script func(goldenSession) error) [3]string
+	}{{"ring", goldenRing}, {"mesh", goldenMesh}}
+	for _, top := range topologies {
+		for _, sc := range goldenScripts {
+			for _, eng := range []compare.EngineKind{compare.EngineMasked, compare.EngineYMPP} {
+				if eng == compare.EngineYMPP && sc.op != "Run" {
+					continue
+				}
+				row := fmt.Sprintf("%s/%s/%s", top.name, eng, sc.op)
+				top, sc, eng := top, sc, eng
+				t.Run(row, func(t *testing.T) {
+					checkGolden(t, row, top.run(t, eng, sc.op, sc.run))
+				})
+			}
+		}
+	}
 }
