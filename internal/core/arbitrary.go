@@ -79,7 +79,11 @@ func newArbitrarySession(conn transport.Conn, cfg Config, role Role, values [][]
 	if err != nil {
 		return nil, nil, err
 	}
-	s, peer, err := establish(conn, cfg, role, "arbitrary", m, len(values))
+	keys, err := DrawKeySet(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	s, peer, err := establish(conn, cfg, keys, role, "arbitrary", m, len(values))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -65,13 +65,16 @@
 //	│                       re-clustering O(Δ·candidates); setup │
 //	│                       vs per-run Ledger split              │
 //	├────────────────────────────────────────────────────────────┤
-//	│ core.Pair             one edge's keys, agreed parameters   │
-//	│ (pair.go, params.go,  (core.Params, handshake v18), worker │
-//	│  hdp.go, settle.go)   channels, pool and counters; the HDP │
-//	│                       settle step and index exchange over  │
+//	│ core.Pair             one edge's keys (a KeySet handed to  │
+//	│ (pair.go, params.go,  establish: keys.go), agreed          │
+//	│  hdp.go, settle.go,   parameters (core.Params,             │
+//	│  keys.go)             handshakeVersion), worker channels,  │
+//	│                       pool and counters; the HDP settle    │
+//	│                       step and index exchange over         │
 //	│                       OwnGens / PeerGens. A Session wraps  │
 //	│                       one Pair; a k-party mesh holds one   │
-//	│                       per peer                             │
+//	│                       per peer, all on the party's one     │
+//	│                       KeySet                               │
 //	├────────────────────────────────────────────────────────────┤
 //	│ crypto pool           paillier.Pool: bounded worker slots  │
 //	│ (internal/paillier)   for all batch encryption/decryption/ │
@@ -113,11 +116,24 @@
 // # Pairs and the handshake
 //
 // Everything two parties share lives in one Pair (pair.go): establish
-// splits the connection into its W worker channels, generates the keys
-// the agreed engine needs — a Paillier pair always, an RSA pair only
+// splits the connection into its W worker channels, takes the party's
+// keys as a KeySet (keys.go) — a Paillier pair always, an RSA pair only
 // under YMPP, the one engine that reads it — and swaps one handshake
-// frame — version 18: proto, role, the agreed parameters, data
-// dimensions, public keys. The two RSA fields travel empty under the
+// frame — version handshakeVersion: proto, role, the agreed parameters,
+// data dimensions, public keys. establish is handed its keys instead of
+// drawing them: DrawKeySet is the one place a protocol key is generated,
+// Paillier first and RSA second, from the stream establish reads
+// (Config.Reader). A two-party family draws its set right before it
+// establishes, so a session still draws one set and reads the same bytes
+// it always did; a mesh party draws one set before its edge loop and
+// hands it to all k−1 of its Pairs, k keys per mesh instead of k·(k−1);
+// the ring's coordinator draws the ring's one set. Under the paper's
+// semi-honest model a party's key on several edges discloses nothing
+// new: each peer sees only ciphertexts under it, semantically secure
+// however many share the key, and the public key tells a peer nothing
+// it cannot compute from the key alone — that its edge and another one
+// run on the same key says only that both end at the same party, which
+// the topology already names. The two RSA fields travel empty under the
 // masked engine; PeerRSAKey holds a peer to that (a key the engine does
 // not use, or none where it does, is ErrHandshake), and a peer key that
 // does not parse is ErrHandshake wrapping the key package's error.
@@ -128,7 +144,8 @@
 // is a Pair (NewPair, proto "mesh", lower party index as RoleAlice)
 // running the same index exchange and the same settle step (Settle /
 // SettleServe) as a two-party horizontal Session, and the multiparty ring
-// embeds Params in its circulating token (ring handshake v14, the same
+// embeds Params in its circulating token (at multiparty's
+// ringHandshakeVersion, the same
 // RSA rule for the coordinator's key). Comparison
 // engines come from the one constructor compare.Edge — Pair.engines and
 // the ring's coordinator/last-party pair both call it.

@@ -52,8 +52,8 @@ func TestHandshakeRSAFollowsEngine(t *testing.T) {
 		taps := [2]*sentTap{{Conn: ca}, {Conn: cb}}
 		var pairs [2]*Pair
 		if err := both(
-			func() (err error) { pairs[0], _, err = establish(taps[0], cfg, RoleAlice, "unit", 2, 5); return },
-			func() (err error) { pairs[1], _, err = establish(taps[1], cfg, RoleBob, "unit", 2, 5); return },
+			func() (err error) { pairs[0], _, err = establishDrawn(taps[0], cfg, RoleAlice, "unit", 2, 5); return },
+			func() (err error) { pairs[1], _, err = establishDrawn(taps[1], cfg, RoleBob, "unit", 2, 5); return },
 		); err != nil {
 			t.Fatalf("%s: establish: %v", engine, err)
 		}
@@ -115,11 +115,11 @@ func TestHandshakeEngineDisagreement(t *testing.T) {
 		defer close(done)
 		both(
 			func() error {
-				_, _, errs[0] = establish(ca, testCfg(compare.EngineMasked).withDefaults(), RoleAlice, "unit", 2, 5)
+				_, _, errs[0] = establishDrawn(ca, testCfg(compare.EngineMasked).withDefaults(), RoleAlice, "unit", 2, 5)
 				return nil
 			},
 			func() error {
-				_, _, errs[1] = establish(cb, testCfg(compare.EngineYMPP).withDefaults(), RoleBob, "unit", 2, 5)
+				_, _, errs[1] = establishDrawn(cb, testCfg(compare.EngineYMPP).withDefaults(), RoleBob, "unit", 2, 5)
 				return nil
 			},
 		)
@@ -183,7 +183,7 @@ func TestHandshakeRejectsPeerKeys(t *testing.T) {
 			}
 			errc := make(chan error, 1)
 			go func() {
-				_, _, err := establish(conn, cfg, role, "unit", 2, 5)
+				_, _, err := establishDrawn(conn, cfg, role, "unit", 2, 5)
 				errc <- err
 			}()
 			select {

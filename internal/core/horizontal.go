@@ -87,7 +87,11 @@ func newHorizontalSession(conn transport.Conn, cfg Config, role Role, points [][
 	if err != nil {
 		return nil, nil, err
 	}
-	s, peer, err := NewPair(conn, cfg, role, proto, own)
+	keys, err := DrawKeySet(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	s, peer, err := NewPair(conn, cfg, keys, role, proto, own)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -115,15 +119,17 @@ func newHorizontalSession(conn transport.Conn, cfg Config, role Role, points [][
 	return t, hs, nil
 }
 
-// NewPair establishes one HDP edge over a party's own generation table:
-// worker channels, keys and the v18 handshake (proto names the protocol;
-// role breaks the symmetry — it decides who sends first in every frame
-// swap, so a mesh maps the lower party index to RoleAlice), the common
-// record dimension, the row-dot packers, and the candidate-index exchange
-// (on the one-cell grid when not pruning; CandidateGrid). cfg must be
-// normalised. The returned PeerGens is this edge's view of the peer.
-func NewPair(conn transport.Conn, cfg Config, role Role, proto string, own *OwnGens) (*Pair, *PeerGens, error) {
-	s, peer, err := establish(conn, cfg, role, proto, own.dim, len(own.Enc))
+// NewPair establishes one HDP edge over a party's own generation table
+// and its key set (DrawKeySet; a mesh party hands the same set to every
+// edge): worker channels, the handshake at handshakeVersion (proto names
+// the protocol; role breaks the symmetry — it decides who sends first in
+// every frame swap, so a mesh maps the lower party index to RoleAlice),
+// the common record dimension, the row-dot packers, and the
+// candidate-index exchange (on the one-cell grid when not pruning;
+// CandidateGrid). cfg must be normalised. The returned PeerGens is this
+// edge's view of the peer.
+func NewPair(conn transport.Conn, cfg Config, keys KeySet, role Role, proto string, own *OwnGens) (*Pair, *PeerGens, error) {
+	s, peer, err := establish(conn, cfg, keys, role, proto, own.dim, len(own.Enc))
 	if err != nil {
 		return nil, nil, err
 	}

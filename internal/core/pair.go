@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
@@ -254,39 +253,26 @@ func handshakeMsg(proto string, role Role, p Params, ownDim, ownCount int, paiPu
 	return p.Encode(b).PutUint(uint64(ownDim)).PutUint(uint64(ownCount)).PutBytes(paiPub).PutBytes(rsaN).PutBytes(rsaE)
 }
 
-// establish splits conn into the edge's worker channels, generates the
-// keys the agreed engine needs (a Paillier pair always, an RSA pair only
-// under YMPP), exchanges public keys, and verifies that both parties agree
-// on every protocol parameter. cfg must be normalised (Config.Normalize).
-// proto names the protocol ("horizontal", "vertical", "mesh", ...) so
+// establish splits conn into the edge's worker channels, exchanges the
+// public halves of keys (a Paillier pair always, an RSA pair only under
+// YMPP: DrawKeySet), and verifies that both parties agree on every
+// protocol parameter. cfg must be normalised (Config.Normalize). proto
+// names the protocol ("horizontal", "vertical", "mesh", ...) so
 // mismatched invocations fail fast. ownDim/ownCount describe this
 // party's data and are shared with the peer.
-func establish(conn transport.Conn, cfg Config, role Role, proto string, ownDim, ownCount int) (*Pair, peerInfo, error) {
+func establish(conn transport.Conn, cfg Config, keys KeySet, role Role, proto string, ownDim, ownCount int) (*Pair, peerInfo, error) {
 	params, err := cfg.Params()
 	if err != nil {
 		return nil, peerInfo{}, err
 	}
-	random := cfg.Random
-	if random == nil {
-		random = rand.Reader
-	}
-	if cfg.Parallel > 1 {
-		// Parallel workers sample masks and nonces concurrently; the
-		// configured reader is not assumed goroutine-safe.
-		random = transport.LockedReader(random)
-	}
-
-	s := &Pair{cfg: cfg, role: role, epsSq: params.EpsSq, random: random, pool: cfg.Pool, Conns: Channels(conn, cfg.Parallel)}
-	s.paiKey, err = paillier.GenerateKey(random, cfg.PaillierBits)
-	if err != nil {
-		return nil, peerInfo{}, err
-	}
 	ympp := cfg.Engine == compare.EngineYMPP
+	if keys.Paillier == nil || ympp != (keys.RSA != nil) {
+		return nil, peerInfo{}, errors.New("core: key set does not fit the engine")
+	}
+	s := &Pair{cfg: cfg, role: role, epsSq: params.EpsSq, random: cfg.Reader(), pool: cfg.Pool, Conns: Channels(conn, cfg.Parallel),
+		paiKey: keys.Paillier, rsaKey: keys.RSA}
 	var rsaN, rsaE []byte
 	if ympp {
-		if s.rsaKey, err = yao.GenerateRSAKey(random, cfg.RSABits); err != nil {
-			return nil, peerInfo{}, err
-		}
 		rsaN, rsaE = yao.MarshalRSAPublicKey(&s.rsaKey.RSAPublicKey)
 	}
 
@@ -333,6 +319,13 @@ func establish(conn transport.Conn, cfg Config, role Role, proto string, ownDim,
 
 	s.shareV = int64(1) << uint(cfg.ShareMaskBits)
 	return s, peer, nil
+}
+
+// Keys returns the keys the edge runs on: the party's own set, as handed
+// to establish, and the public halves the peer sent at the handshake
+// (peerRSA is nil unless the engine is YMPP).
+func (s *Pair) Keys() (own KeySet, peerPai *paillier.PublicKey, peerRSA *yao.RSAPublicKey) {
+	return KeySet{Paillier: s.paiKey, RSA: s.rsaKey}, s.peerPai, s.peerRSA
 }
 
 // PeerRSAKey parses the RSA fields of a peer's handshake against the

@@ -24,7 +24,7 @@ func newTestSessions(t *testing.T, cfg Config, dim int) (*Pair, *Pair, transport
 	}
 	ch := make(chan out, 2)
 	setup := func(conn transport.Conn, role Role) (*Pair, error) {
-		s, _, err := establish(conn, cfg, role, "unit", dim, 1)
+		s, _, err := establishDrawn(conn, cfg, role, "unit", dim, 1)
 		if err == nil {
 			err = s.setDimension(dim)
 		}
@@ -290,4 +290,14 @@ func TestCodecExported(t *testing.T) {
 	if codec.Scale() != 1 {
 		t.Errorf("default scale = %v", codec.Scale())
 	}
+}
+
+// establishDrawn draws cfg's key set and establishes with it, as the
+// two-party families do.
+func establishDrawn(conn transport.Conn, cfg Config, role Role, proto string, ownDim, ownCount int) (*Pair, peerInfo, error) {
+	keys, err := DrawKeySet(cfg)
+	if err != nil {
+		return nil, peerInfo{}, err
+	}
+	return establish(conn, cfg, keys, role, proto, ownDim, ownCount)
 }

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/paillier"
 	"repro/internal/partition"
 	"repro/internal/spatial"
 	"repro/internal/transport"
+	"repro/internal/yao"
 )
 
 // Long-lived sessions. A Session amortizes the fixed per-run costs of the
@@ -604,6 +606,12 @@ func (t *Session) Runs() int { return int(t.runs.Load()) }
 
 // Parallel reports the session's scheduler width W.
 func (t *Session) Parallel() int { return t.s.cfg.Parallel }
+
+// Keys returns the session's own key set and the peer's public halves
+// (Pair.Keys).
+func (t *Session) Keys() (own KeySet, peerPai *paillier.PublicKey, peerRSA *yao.RSAPublicKey) {
+	return t.s.Keys()
+}
 
 // result assembles a Result from the session's per-run accounting.
 func (t *Session) result(labels []int, clusters int) *Result {

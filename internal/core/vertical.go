@@ -72,7 +72,11 @@ func newVerticalSession(conn transport.Conn, cfg Config, role Role, attrs [][]fl
 			return nil, nil, fmt.Errorf("core: record %d has %d attributes, want %d", i, len(p), ownDim)
 		}
 	}
-	s, peer, err := establish(conn, cfg, role, "vertical", ownDim, len(enc))
+	keys, err := DrawKeySet(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	s, peer, err := establish(conn, cfg, keys, role, "vertical", ownDim, len(enc))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -79,11 +79,11 @@ var goldenDigests = map[string][3]string{
 	"ring/masked/Expire":  {"114cbef8d342a940", "12bffb2b339a1713", "5acfa0090b664073"},
 	"ring/masked/Retract": {"cf0b54e2520a17d5", "f4734f05114ba2eb", "eb01bbf5fda39dca"},
 	"ring/ympp/Run":       {"712e26e7fb9c4fa5", "cc2bb292c3340e8f", "f4a1d453c27edcc0"},
-	"mesh/masked/Run":     {"c739e0d155c36bcf", "bf1dc1c70b3e3ea6", "a26cbf37baf5c853"},
-	"mesh/masked/Append":  {"58657321f1579dd4", "c11a13a31ad854d3", "10d4bee2151f7444"},
-	"mesh/masked/Expire":  {"acb5098d7655f76c", "45edf5c9d714e424", "7da06fab29f8237f"},
-	"mesh/masked/Retract": {"40b6c93f096fd580", "9e3f5a665ac9a72f", "bcdb0afd2191edb9"},
-	"mesh/ympp/Run":       {"f2cc8a6c32ba4f7c", "b96f3bb65058f7a7", "23f5e2017f620caa"},
+	"mesh/masked/Run":     {"8ef069083e59fff7", "d762af8764ce23bc", "0814cdd6b6ac1572"},
+	"mesh/masked/Append":  {"7cd52204fe6ae402", "04df230c58002415", "c5ce4a1db685a222"},
+	"mesh/masked/Expire":  {"0e618c23102eca18", "b8b5dc6cf7f4a888", "824e3e4066dec44d"},
+	"mesh/masked/Retract": {"c1d53b4838e6b9a1", "9718da99b033f524", "4a17d3605404223f"},
+	"mesh/ympp/Run":       {"3d80daa5862283b7", "15b259f4d38fc0ac", "fc7533ac00dc3a41"},
 }
 
 // goldenSession is one party's session as the scripts drive it: append

@@ -20,19 +20,27 @@ import (
 // driver's own points and cluster ids are local to each party.
 //
 // The mesh is the paper's two-party HDP sub-protocol run on each of the
-// k·(k−1)/2 edges: an edge is a core.Pair — core's v18 handshake with proto
-// "mesh" and the lower party index as RoleAlice, core's index exchange and
-// core's settle step (Pair.Settle / Pair.SettleServe: every region
-// sub-query of a pass decided up front, in whole-row chunks) — over one
-// core.OwnGens per party and one core.PeerGens per peer. What lives here
-// is only what is k-party: which peers a pass settles with, the walk over
-// their caches, the pass order, and the k-way agreement of the lifecycle
-// operations.
+// k·(k−1)/2 edges: an edge is a core.Pair — core's handshake (at core's
+// handshakeVersion) with proto "mesh" and the lower party index as
+// RoleAlice, core's index exchange and core's settle step (Pair.Settle /
+// Pair.SettleServe: every region sub-query of a pass decided up front, in
+// whole-row chunks) — over one core.OwnGens per party, one core.PeerGens
+// per peer, and one core.KeySet per party: core.NewPair is handed its
+// keys, and a party draws its set once (core.DrawKeySet) and hands it to
+// all k−1 of its edges, so a mesh runs on k keys, not k·(k−1). What lives
+// here is only what is k-party: which peers a pass settles with, the walk
+// over their caches, the pass order, and the k-way agreement of the
+// lifecycle operations.
 //
 // Disclosure note: pairwise composition reveals per-peer
 // neighbour counts to the driver (finer-grained than the two-party
 // protocol's single count), plus the HDP dot products to each responder —
 // the natural cost of composing the paper's two-party building block.
+// One key set per party adds nothing to that in the semi-honest model:
+// each peer sees only semantically secure ciphertexts under the party's
+// key, however many edges share it, and the public key tells a peer
+// nothing it cannot compute from the key alone — that two edges end at
+// one party, the topology says already.
 
 // HorizontalParty describes one participant in the k-party horizontal
 // protocol, connected to every other party.
@@ -321,8 +329,10 @@ type hState struct {
 	cached   int64          // membership predicates served from cache this run
 }
 
-// newMeshState performs the mesh establishment: one core.Pair per peer,
-// in party order, all over the one own-side generation table.
+// newMeshState performs the mesh establishment: one key set for the
+// party (core.DrawKeySet, drawn once before the edge loop), then one
+// core.Pair per peer, in party order, all over that key set and the one
+// own-side generation table — k keys per mesh, not k·(k−1).
 func newMeshState(party HorizontalParty, cfg Config, points [][]float64) (*hState, error) {
 	if err := party.validate(); err != nil {
 		return nil, err
@@ -340,6 +350,10 @@ func newMeshState(party HorizontalParty, cfg Config, points [][]float64) (*hStat
 	if err != nil {
 		return nil, err
 	}
+	keys, err := core.DrawKeySet(cc)
+	if err != nil {
+		return nil, err
+	}
 	h := &hState{party: party, cfg: cc, own: own, sessions: make([]*pairSession, party.K)}
 	for q, conn := range party.Conns {
 		if q == party.Index {
@@ -350,7 +364,7 @@ func newMeshState(party HorizontalParty, cfg Config, points [][]float64) (*hStat
 			role = core.RoleBob
 		}
 		sess := &pairSession{}
-		if sess.Pair, sess.peer, err = core.NewPair(conn, cc, role, "mesh", own); err == nil {
+		if sess.Pair, sess.peer, err = core.NewPair(conn, cc, keys, role, "mesh", own); err == nil {
 			sess.cmpA, sess.cmpB, err = sess.DistEngines()
 		}
 		if err != nil {

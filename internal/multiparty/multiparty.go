@@ -36,14 +36,16 @@
 //
 // Neither topology carries its own copy of a two-party building block.
 // The horizontal mesh (horizontal.go) is the paper's HDP sub-protocol on
-// each of its k·(k−1)/2 edges, and an edge is a core.Pair: core's v18
-// handshake, index exchange and settle step (chunk op frames, MP +
-// comparison exchanges). The
-// ring is its own protocol, but its token carries core.Params (ring
-// handshake v14) — so every agreed parameter, CmpMaskBits and
-// ShareMaskBits included, is compared at establishment by the same
-// Params.Diff — its coordinator↔last comparison engines come from
-// compare.Edge, the one engine constructor, and its edges split into
+// each of its k·(k−1)/2 edges, and an edge is a core.Pair: core's
+// handshake (at core's handshakeVersion), index exchange and settle step
+// (chunk op frames, MP + comparison exchanges). A Pair is handed its keys
+// (core.KeySet), and a mesh party draws one set for all of its edges with
+// core.DrawKeySet, the one key draw, which the ring's coordinator calls
+// too. The ring is its own protocol, but its token carries core.Params
+// (ring handshake at ringHandshakeVersion) — so every agreed parameter,
+// CmpMaskBits and ShareMaskBits included, is compared at establishment by
+// the same Params.Diff — its coordinator↔last comparison engines come
+// from compare.Edge, the one engine constructor, and its edges split into
 // worker channels with core.Channels. Config converts to core.Config and
 // is normalised there. The long-lived sessions share core's lifecycle
 // state too: a RingSession's window is a core.RowGens (the two-party
@@ -317,18 +319,12 @@ func newRingState(party Party, cfg Config, attrs [][]float64) (*state, [][]int64
 	if len(attrs) == 0 {
 		return nil, nil, fmt.Errorf("multiparty: party %d holds no records", party.Index)
 	}
-	st := &state{party: party, cfg: cc, ownDim: len(attrs[0]), random: cc.Random, pool: cc.Pool}
+	st := &state{party: party, cfg: cc, ownDim: len(attrs[0]), random: cc.Reader(), pool: cc.Pool}
 	if st.enc, err = st.encode(attrs); err != nil {
 		return nil, nil, err
 	}
 	if st.ownDim < 1 {
 		return nil, nil, fmt.Errorf("multiparty: party %d owns no attributes", party.Index)
-	}
-	if st.random == nil {
-		st.random = rand.Reader
-	}
-	if cc.Parallel > 1 {
-		st.random = transport.LockedReader(st.random)
 	}
 	st.prevs = core.Channels(party.Prev, cc.Parallel)
 	st.nexts = core.Channels(party.Next, cc.Parallel)
@@ -480,16 +476,14 @@ func (st *state) handshake() error {
 	ympp := st.cfg.Engine == compare.EngineYMPP
 	var m int
 	if st.isCoordinator() {
-		st.paiKey, err = paillier.GenerateKey(st.random, st.cfg.PaillierBits)
-		if err != nil {
+		var keys core.KeySet
+		if keys, err = core.DrawKeySet(st.cfg); err != nil {
 			return err
 		}
+		st.paiKey, st.rsaKey = keys.Paillier, keys.RSA
 		st.paiPub = &st.paiKey.PublicKey
 		var rsaN, rsaE []byte
 		if ympp {
-			if st.rsaKey, err = yao.GenerateRSAKey(st.random, st.cfg.RSABits); err != nil {
-				return err
-			}
 			st.rsaPub = &st.rsaKey.RSAPublicKey
 			rsaN, rsaE = yao.MarshalRSAPublicKey(st.rsaPub)
 		}
