@@ -18,11 +18,12 @@
 // factorisation wherever it helps: decryption is CRT-accelerated, and so
 // is encryption by the party that holds the *PrivateKey.
 //
-// Keys. GenerateKey draws p and q with prime.Draw, which makes and accepts
-// candidates exactly as crypto/rand.Prime does but rejects most composites
-// by trial division before any exponentiation, so keys keep their
-// distribution. The CRT decryption constants are closed forms of inverses
-// the key needs anyway, not exponentiations mod p² and q² (GenerateKey).
+// Keys. GenerateKey draws p and q with prime.Draw, which makes candidates
+// exactly as crypto/rand.Prime does, rejects most composites by trial
+// division before any exponentiation and accepts on Baillie–PSW, so keys
+// keep crypto/rand.Prime's distribution. The CRT decryption constants are
+// closed forms of inverses the key needs anyway, not exponentiations mod
+// p² and q² (GenerateKey).
 //
 // A ciphertext is g^m·y with y a uniform n-th residue mod n². A peer that
 // holds only the *PublicKey (UnmarshalPublicKey) draws r ∈ Z*_n and pays
@@ -150,8 +151,7 @@ const (
 
 // GenerateKey creates a Paillier key pair with an n of the given bit size.
 // random is typically crypto/rand.Reader. Both primes come from
-// prime.Draw, which keeps crypto/rand.Prime's candidates and acceptance
-// test.
+// prime.Draw: crypto/rand.Prime's candidates, accepted on Baillie–PSW.
 //
 // The CRT decryption constants are closed forms of inverses the key needs
 // anyway. With g = n+1, g^{p−1} ≡ 1 + (p−1)·n ≡ 1 + p·(−q mod p) mod p²,

@@ -2,23 +2,23 @@
 // primes of every key (§3.7), both primes of YMPP's RSA key and the prime
 // p of Algorithm 1 step 4 come from Draw.
 //
-// Draw is crypto/rand.Prime with cheaper rejections. A candidate is made
-// exactly as crypto/rand.Prime makes it — ⌈bits/8⌉ fresh bytes, masked to
-// bits, top two bits and bit 0 set; one read per candidate and never an
-// upward search from a random start, which would favour primes that follow
-// long gaps — and it is returned only if big.Int.ProbablyPrime(20) accepts
-// it, as there. What changes is where a composite dies. crypto/rand.Prime
-// hands every candidate 3…53 do not divide to ProbablyPrime(20), whose
-// first Miller–Rabin round costs a full exponentiation and a fresh
-// math/rand source. Draw first tries every odd prime below bound as a
-// divisor, one word remainder per machine-word product of them, and then
-// runs one base-2 strong probable-prime test. Neither can reject a prime
-// (every candidate exceeds bound, and a prime is a strong probable prime
-// to every base), and ProbablyPrime(20) runs the base-2 test itself, so
-// Draw and crypto/rand.Prime accept the same numbers and, fed the same
-// bytes, return the same prime. The one difference is crypto/rand.Prime's
-// MaybeReadByte, which randomly skips a byte of the reader and is not a
-// check.
+// Draw makes a candidate exactly as crypto/rand.Prime does — ⌈bits/8⌉
+// fresh bytes, masked to bits, top two bits and bit 0 set; one read per
+// candidate and never an upward search from a random start, which would
+// favour primes that follow long gaps. A composite dies cheaply: every odd
+// prime below bound is tried as a divisor, one word remainder per
+// machine-word product of them, then one base-2 strong probable-prime test
+// runs. Neither rejects a prime (every candidate exceeds bound, and a prime
+// is a strong probable prime to every base). A survivor is accepted on
+// Baillie–PSW, big.Int.ProbablyPrime(0): no Baillie–PSW pseudoprime is
+// known, and none exists below 2⁶⁴. crypto/rand.Prime's test adds 20
+// random-base Miller–Rabin rounds, a guard against crafted numbers. These
+// are random: Go's own FIPS 186-5 Appendix B.3 RSA keygen (isPrime in
+// crypto/internal/fips140/rsa) accepts a random candidate of 476 bits or
+// more after 5 such rounds and no Lucas test. So, fed the same bytes, Draw
+// returns crypto/rand.Prime's prime unless it draws a Baillie–PSW
+// pseudoprime; the other difference is crypto/rand.Prime's MaybeReadByte,
+// which randomly skips a byte of the reader and is not a check.
 //
 // Draw refuses to run whenever FIPS 140 mode is enabled: crypto/rand.Prime
 // refuses in FIPS 140-only mode, so Draw is never looser, and stricter only
@@ -120,7 +120,7 @@ func Draw(random io.Reader, bits int) (*big.Int, error) {
 		}
 		bytes[len(bytes)-1] |= 1
 		p.SetBytes(bytes)
-		if !hasSmallFactor(p) && strongBase2(p) && p.ProbablyPrime(20) {
+		if !hasSmallFactor(p) && strongBase2(p) && p.ProbablyPrime(0) {
 			return p, nil
 		}
 	}

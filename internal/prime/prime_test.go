@@ -168,30 +168,77 @@ func TestStrongBase2(t *testing.T) {
 	}
 }
 
-// TestDrawLeavesThePseudoprimeToProbablyPrime feeds Draw a base-2 strong
-// pseudoprime with no factor below bound, then a prime. Both pre-filters
-// pass the pseudoprime, so only ProbablyPrime(20) can refuse it, and
-// Draw must return the prime.
-func TestDrawLeavesThePseudoprimeToProbablyPrime(t *testing.T) {
-	const psp = 2141 * 6421 // 13 747 361: 24 bits, top two set, odd
-	if 2141 <= bound {
-		t.Fatalf("bound %d reaches the pseudoprime's factor 2141: pick a pseudoprime whose factors exceed it", bound)
+// TestDrawRefusesStrongPseudoprimes feeds Draw, at each pseudoprime's own
+// length, a composite that passes both pre-filters, then a prime: only
+// Draw's Baillie–PSW test can refuse the composite, and Draw must skip it
+// and return the prime. 13 747 361 is a base-2 strong pseudoprime;
+// 3 825 123 056 546 413 051 is a strong pseudoprime to all nine prime bases
+// 2…23, so no Miller–Rabin round on a small fixed base refuses it. Each has
+// its top two bits set and no factor below bound.
+func TestDrawRefusesStrongPseudoprimes(t *testing.T) {
+	cases := []struct {
+		bits    int
+		factors []int64
+	}{
+		{24, []int64{2141, 6421}},
+		{62, []int64{149491, 747451, 34233211}},
 	}
-	n := big.NewInt(psp)
-	if hasSmallFactor(n) || !strongBase2(n) {
-		t.Fatalf("%d does not pass both pre-filters", psp)
+	for _, c := range cases {
+		n := big.NewInt(1)
+		for _, f := range c.factors {
+			if f <= bound {
+				t.Fatalf("bound %d reaches the factor %d: pick a pseudoprime whose factors exceed it", bound, f)
+			}
+			n.Mul(n, big.NewInt(f))
+		}
+		if n.BitLen() != c.bits || n.Bit(c.bits-2) != 1 || n.Bit(0) != 1 {
+			t.Fatalf("%v is not an odd %d-bit candidate with its top two bits set", n, c.bits)
+		}
+		if hasSmallFactor(n) || !strongBase2(n) {
+			t.Fatalf("%v does not pass both pre-filters", n)
+		}
+		p := new(big.Int).Lsh(big.NewInt(3), uint(c.bits-2))
+		p.SetBit(p, 0, 1)
+		for !p.ProbablyPrime(20) {
+			p.Add(p, big.NewInt(2))
+		}
+		stream := bytes.NewReader(append(n.Bytes(), p.Bytes()...))
+		got, err := Draw(stream, c.bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cmp(p) != 0 {
+			t.Fatalf("%d bits: Draw = %v, want the prime %v after the pseudoprime %v", c.bits, got, p, n)
+		}
+		if stream.Len() != 0 {
+			t.Fatalf("%d bits: Draw left %d bytes of the stream unread", c.bits, stream.Len())
+		}
 	}
-	p := big.NewInt(0xC00001)
-	for !p.ProbablyPrime(20) {
-		p.Add(p, big.NewInt(2))
-	}
-	stream := append(n.Bytes(), p.Bytes()...)
-	got, err := Draw(bytes.NewReader(stream), 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cmp(p) != 0 {
-		t.Fatalf("Draw = %v, want the prime %v after the pseudoprime %d", got, p, psp)
+}
+
+// TestAcceptanceMatchesProbablyPrime20 draws seeded odd candidates with
+// their top two bits set at the protocol lengths and below, keeps those
+// that pass trial division and strongBase2, and checks that Draw's final
+// test, ProbablyPrime(0), decides each one as ProbablyPrime(20) does.
+func TestAcceptanceMatchesProbablyPrime20(t *testing.T) {
+	counts := []struct{ bits, n int }{{64, 4000}, {128, 2000}, {256, 400}, {512, 80}}
+	for _, c := range counts {
+		if testing.Short() {
+			c.n /= 10
+		}
+		rng := mrand.New(mrand.NewSource(int64(c.bits)))
+		limit := new(big.Int).Lsh(big.NewInt(1), uint(c.bits))
+		for kept := 0; kept < c.n; {
+			p := new(big.Int).Rand(rng, limit)
+			p.SetBit(p, c.bits-1, 1).SetBit(p, c.bits-2, 1).SetBit(p, 0, 1)
+			if hasSmallFactor(p) || !strongBase2(p) {
+				continue
+			}
+			kept++
+			if got, want := p.ProbablyPrime(0), p.ProbablyPrime(20); got != want {
+				t.Fatalf("%d bits: ProbablyPrime(0) = %v, ProbablyPrime(20) = %v on %v", c.bits, got, want, p)
+			}
+		}
 	}
 }
 

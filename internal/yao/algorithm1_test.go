@@ -51,8 +51,8 @@ func AliceCompare(conn transport.Conn, key *RSAKey, i, n0 int64, random io.Reade
 	ys := decryptRange(pool, key, base, int(n0))
 
 	// Step 4: find a prime p with all z_u = y_u mod p pairwise ≥ 2 apart
-	// in the mod-p sense. Each try is a prime.Draw, so p keeps
-	// crypto/rand.Prime's distribution.
+	// in the mod-p sense. Each try is a prime.Draw: crypto/rand.Prime's
+	// candidates, accepted on Baillie–PSW.
 	p, zs, err := findSeparatingPrime(random, key.sepPrimeBits(), ys)
 	if err != nil {
 		return false, err

@@ -116,7 +116,7 @@ const (
 var ErrPublicKey = errors.New("yao: invalid RSA public key")
 
 // GenerateRSAKey creates a textbook RSA key pair for YMPP. Both primes
-// come from prime.Draw, with crypto/rand.Prime's distribution.
+// come from prime.Draw, accepted on Baillie–PSW.
 func GenerateRSAKey(random io.Reader, bits int) (*RSAKey, error) {
 	if bits < MinRSABits {
 		return nil, fmt.Errorf("yao: RSA key size %d below minimum %d", bits, MinRSABits)

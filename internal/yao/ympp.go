@@ -88,8 +88,8 @@ func decryptRange(pool *paillier.Pool, key *RSAKey, base *big.Int, count int) []
 
 // findSeparatingPrime implements step 4: draw random primes of the given
 // bit length until all y_u mod p differ pairwise by at least 2 in the
-// mod-p (circular) sense. Each prime comes from prime.Draw, which makes and
-// accepts exactly the candidates crypto/rand.Prime does, so p has
+// mod-p (circular) sense. Each prime comes from prime.Draw, which makes
+// crypto/rand.Prime's candidates and accepts on Baillie–PSW, so p has
 // crypto/rand.Prime's distribution.
 func findSeparatingPrime(random io.Reader, bits int, ys []*big.Int) (*big.Int, []*big.Int, error) {
 	zs := make([]*big.Int, len(ys))
