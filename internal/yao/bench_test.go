@@ -35,6 +35,30 @@ func benchKey(b *testing.B, bits int) *RSAKey {
 	return k
 }
 
+// BenchmarkMont4Mul is one Montgomery multiply modulo a 256-bit prime,
+// chained so each waits for the last: mont4.mul (assembly on amd64) and
+// mul8 followed by reduce.
+func BenchmarkMont4Mul(b *testing.B) {
+	c := newMont4(benchKey(b, 512).p)
+	x := c.rr
+	b.Run("mul", func(b *testing.B) {
+		z := x
+		for i := 0; i < b.N; i++ {
+			c.mul(&z, &z, &x)
+		}
+		sink4 = z
+	})
+	b.Run("mul8+reduce", func(b *testing.B) {
+		z := x
+		for i := 0; i < b.N; i++ {
+			z = mulOracle(c, &z, &x)
+		}
+		sink4 = z
+	})
+}
+
+var sink4 limbs4
+
 // BenchmarkRSADecrypt512 is one Da at DefaultRSABits on the four-limb
 // kernel and, with the kernel taken off the same key, on math/big.
 func BenchmarkRSADecrypt512(b *testing.B) {

@@ -6,14 +6,15 @@ import (
 )
 
 // The four-limb kernel: Montgomery arithmetic modulo one odd m < 2^256 on
-// [4]uint64 stack arrays (little-endian limbs, R = 2^256), fully unrolled
-// over math/bits: a product into eight limbs, then one Montgomery
-// reduction. It exists for one caller, the CRT halves of
-// RSAKey.Decrypt, and for one width: at four limbs math/big's per-call
-// set-up costs as much as its arithmetic, from eight limbs up its assembly
-// wins (measurements in ROADMAP), so everything is written out limb by
-// limb and nothing takes a width. Like math/big's Exp it is not
-// constant-time (see the package comment).
+// [4]uint64 stack arrays (little-endian limbs, R = 2^256), fully unrolled:
+// on amd64 one assembly CIOS multiply (mont_amd64.s), elsewhere a product
+// into eight limbs over math/bits, then one Montgomery reduction. It
+// exists for one caller, the CRT halves of RSA decryption, and for one
+// width: at four limbs math/big's per-call set-up costs as much as its
+// arithmetic, from eight limbs up its assembly wins (measurements in
+// ROADMAP), so everything is written out limb by limb and nothing takes a
+// width. Like math/big's Exp it is not constant-time (see the package
+// comment).
 
 type limbs4 = [4]uint64
 
@@ -128,18 +129,19 @@ func mul8(t *[8]uint64, x, y *limbs4) {
 	*t = [8]uint64{t0, t1, t2, t3, t4, t5, t6, t7}
 }
 
-// reduce sets z = t·R⁻¹ mod m, fully reduced, for any t < m·R. Four
-// rounds, one per low limb: add the multiple q·m that zeroes the limb, low
-// words in one carry chain and high words in a second. m may have its top
-// bit set, so what the chains carry out of the five limbs a round touches
-// is kept in e and enters the next round one limb up; after the last round
-// (e, t7…t4) < 2m and one conditional subtraction finishes.
-func (c *mont4) reduce(z *limbs4, t *[8]uint64) {
-	m0, m1, m2, m3 := c.m[0], c.m[1], c.m[2], c.m[3]
+// reduce sets z = t·R⁻¹ mod m, fully reduced, for any t < m·R, where
+// k0 = −m⁻¹ mod 2^64. Four rounds, one per low limb: add the multiple q·m
+// that zeroes the limb, low words in one carry chain and high words in a
+// second. m may have its top bit set, so what the chains carry out of the
+// five limbs a round touches is kept in e and enters the next round one
+// limb up; after the last round (e, t7…t4) < 2m and one conditional
+// subtraction finishes.
+func reduce(z *limbs4, t *[8]uint64, m *limbs4, k0 uint64) {
+	m0, m1, m2, m3 := m[0], m[1], m[2], m[3]
 	t0, t1, t2, t3, t4, t5, t6, t7 := t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7]
 	var e, cy uint64
 
-	q := t0 * c.k0
+	q := t0 * k0
 	h0, l0 := bits.Mul64(q, m0)
 	h1, l1 := bits.Mul64(q, m1)
 	h2, l2 := bits.Mul64(q, m2)
@@ -155,7 +157,7 @@ func (c *mont4) reduce(z *limbs4, t *[8]uint64) {
 	t4, cy = bits.Add64(t4, h3, cy)
 	e += cy
 
-	q = t1 * c.k0
+	q = t1 * k0
 	h0, l0 = bits.Mul64(q, m0)
 	h1, l1 = bits.Mul64(q, m1)
 	h2, l2 = bits.Mul64(q, m2)
@@ -171,7 +173,7 @@ func (c *mont4) reduce(z *limbs4, t *[8]uint64) {
 	t5, cy = bits.Add64(t5, h3, cy)
 	e += cy
 
-	q = t2 * c.k0
+	q = t2 * k0
 	h0, l0 = bits.Mul64(q, m0)
 	h1, l1 = bits.Mul64(q, m1)
 	h2, l2 = bits.Mul64(q, m2)
@@ -187,7 +189,7 @@ func (c *mont4) reduce(z *limbs4, t *[8]uint64) {
 	t6, cy = bits.Add64(t6, h3, cy)
 	e += cy
 
-	q = t3 * c.k0
+	q = t3 * k0
 	h0, l0 = bits.Mul64(q, m0)
 	h1, l1 = bits.Mul64(q, m1)
 	h2, l2 = bits.Mul64(q, m2)
@@ -217,11 +219,29 @@ func (c *mont4) reduce(z *limbs4, t *[8]uint64) {
 
 // mul sets z = x·y·R⁻¹ mod m for any x·y < m·R — in particular for any
 // x < 2^256 against a reduced y, which is how an unreduced value enters
-// Montgomery form. z may alias x or y.
+// Montgomery form. z may alias x or y. The assembly mulMont4 returns the
+// same bits as mul8 followed by reduce for every input.
 func (c *mont4) mul(z, x, y *limbs4) {
-	var t [8]uint64
-	mul8(&t, x, y)
-	c.reduce(z, &t)
+	mulMont4(z, x, y, &c.m, c.k0)
+}
+
+// add sets z = x + y mod m for reduced x and y.
+func (c *mont4) add(z, x, y *limbs4) {
+	var carry, b uint64
+	var s, d limbs4
+	s[0], carry = bits.Add64(x[0], y[0], 0)
+	s[1], carry = bits.Add64(x[1], y[1], carry)
+	s[2], carry = bits.Add64(x[2], y[2], carry)
+	s[3], carry = bits.Add64(x[3], y[3], carry)
+	d[0], b = bits.Sub64(s[0], c.m[0], 0)
+	d[1], b = bits.Sub64(s[1], c.m[1], b)
+	d[2], b = bits.Sub64(s[2], c.m[2], b)
+	d[3], b = bits.Sub64(s[3], c.m[3], b)
+	if carry == 0 && b != 0 {
+		*z = s
+	} else {
+		*z = d
+	}
 }
 
 // sub sets z = x − y mod m for reduced x and y.

@@ -35,9 +35,29 @@ func edgeModuli() []*big.Int {
 	}
 }
 
+// mulOracle is mont4.mul as mul8 followed by reduce: the !amd64 multiply,
+// and the reference the amd64 assembly must match bit for bit.
+func mulOracle(c *mont4, x, y *limbs4) (z limbs4) {
+	var t [8]uint64
+	mul8(&t, x, y)
+	reduce(&z, &t, &c.m, c.k0)
+	return z
+}
+
+// checkMul holds c.mul to mulOracle on (x, y), whatever their size.
+func checkMul(t *testing.T, c *mont4, x, y limbs4) {
+	t.Helper()
+	want := mulOracle(c, &x, &y)
+	var z limbs4
+	if c.mul(&z, &x, &y); z != want {
+		t.Fatalf("mul(%v, %v) mod %v = %v, mul8+reduce gives %v", store4(&x), store4(&y), store4(&c.m), store4(&z), store4(&want))
+	}
+}
+
 // checkMont4 compares the kernel with math/big on one (m, x, y, e): exp,
 // and mul with an unreduced left factor — the contract crt4 relies on to
-// carry a residue mod q into p's Montgomery form.
+// carry a residue mod q into p's Montgomery form. mul is also held to
+// mul8+reduce on (x, y mod m) and on the unreduced (x, y).
 func checkMont4(t *testing.T, m, x, y, e *big.Int) {
 	t.Helper()
 	c := newMont4(m)
@@ -55,6 +75,8 @@ func checkMont4(t *testing.T, m, x, y, e *big.Int) {
 	}
 	// mul(x, y mod m)·R ≡ x·y (mod m), with the result fully reduced.
 	yl := load4(new(big.Int).Mod(y, m))
+	checkMul(t, c, xl, yl)
+	checkMul(t, c, xl, load4(y))
 	c.mul(&z, &xl, &yl)
 	got := store4(&z)
 	if got.Cmp(m) >= 0 {
@@ -118,8 +140,43 @@ func TestNewMont4Rejects(t *testing.T) {
 	}
 }
 
-// TestMont4Helpers covers what crt4 composes around the exponentiations:
-// sub, and mul8 followed by add8.
+// TestMont4MulAliasing: mul writes z only after it has read x and y, so
+// z = x = y, z = x and z = y give what separate arrays give — also for the
+// unreduced 2^256 − 1 squared, which is past mul's x·y < m·R contract and
+// so is held to mul8+reduce and to the residue, not to full reduction.
+func TestMont4MulAliasing(t *testing.T) {
+	all1 := pow2(256, -1)
+	for _, m := range edgeModuli() {
+		c := newMont4(m)
+		xs := []*big.Int{all1, new(big.Int).Sub(m, one), new(big.Int).Rsh(m, 1)}
+		for _, xb := range xs {
+			x := load4(xb)
+			want := mulOracle(c, &x, &x)
+			z := x
+			if c.mul(&z, &z, &z); z != want {
+				t.Fatalf("mul(z, z, z) with z = %v mod %v = %v, want %v", xb, m, store4(&z), store4(&want))
+			}
+			lhs := new(big.Int).Mul(store4(&z), r256)
+			rhs := new(big.Int).Mul(xb, xb)
+			if lhs.Mod(lhs, m).Cmp(rhs.Mod(rhs, m)) != 0 {
+				t.Fatalf("mul(z, z, z) with z = %v mod %v = %v: wrong residue", xb, m, store4(&z))
+			}
+			y := load4(new(big.Int).Sub(m, two))
+			want = mulOracle(c, &x, &y)
+			z = x
+			if c.mul(&z, &z, &y); z != want {
+				t.Fatalf("mul(z, z, y) with z = %v mod %v = %v, want %v", xb, m, store4(&z), store4(&want))
+			}
+			z = y
+			if c.mul(&z, &x, &z); z != want {
+				t.Fatalf("mul(z, x, z) with x = %v mod %v = %v, want %v", xb, m, store4(&z), store4(&want))
+			}
+		}
+	}
+}
+
+// TestMont4Helpers covers what crt4 and decryptRange compose around the
+// exponentiations: add, sub, and mul8 followed by add8.
 func TestMont4Helpers(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(12))
 	for _, m := range edgeModuli() {
@@ -135,6 +192,11 @@ func TestMont4Helpers(t *testing.T) {
 			want := new(big.Int).Sub(pair[0], pair[1])
 			if got := store4(&z); got.Cmp(want.Mod(want, m)) != 0 {
 				t.Errorf("sub(%v, %v) mod %v = %v, want %v", pair[0], pair[1], m, got, want)
+			}
+			c.add(&z, &x, &y)
+			want.Add(pair[0], pair[1])
+			if got := store4(&z); got.Cmp(want.Mod(want, m)) != 0 {
+				t.Errorf("add(%v, %v) mod %v = %v, want %v", pair[0], pair[1], m, got, want)
 			}
 		}
 	}

@@ -17,22 +17,30 @@
 // by default has primes of at most 256 bits — four machine words, where
 // math/big's per-call set-up, normalisation and scratch allocation cost as
 // much as its arithmetic. mont.go therefore holds one unexported kernel:
-// Montgomery multiplication on [4]uint64 stack arrays, unrolled over
-// math/bits, under a fixed four-bit-window exponentiation. RSAKey.Decrypt
-// runs both CRT halves on it whenever p and q each fit four limbs — a
-// property of the key, fixed at generation; there is no switch — and on
-// big.Int.Exp for wider keys, with bit-for-bit the same results
-// (FuzzMont4Exp, TestDecryptMatchesReference). The kernel has one width on
-// purpose: from eight limbs up math/big's assembly wins, so it is not
-// generalised and not offered to Paillier.
+// Montgomery multiplication on [4]uint64 stack arrays under a fixed
+// four-bit-window exponentiation. On amd64 the multiply is one assembly
+// CIOS routine (mont_amd64.s, adapted from Go's own P-256 scalar
+// multiply); elsewhere it is the same product unrolled over math/bits,
+// which stays the tests' oracle for the assembly (FuzzMont4Exp,
+// TestMont4Random). RSAKey.Decrypt runs both CRT halves on the kernel
+// whenever p and q each fit four limbs — a property of the key, fixed at
+// generation; there is no switch — and on big.Int.Exp for wider keys,
+// with bit-for-bit the same results (TestDecryptMatchesReference). A
+// comparison's range of n0 consecutive values reduces its base mod p and
+// mod q once and steps each residue by one addition per value
+// (decryptRange). The kernel has one width on purpose: from eight limbs up
+// math/big's assembly wins, so it is not generalised and not offered to
+// Paillier.
 //
 // Timing: neither path is constant-time, and the kernel adds no signal
 // math/big lacks. Its sequence of squarings and multiplications depends
 // only on the exponent's bit length, as math/big's windowed Montgomery
-// ladder's does — a zero window still multiplies, by the Montgomery 1 —
-// while the table index, the final conditional subtraction of each
-// reduction and the CPU's multiplier remain data-dependent on both paths.
-// YMPP runs between the two data holders over a link only they see; a
+// ladder's does — a zero window still multiplies, by the Montgomery 1.
+// The assembly multiply ends in a CMOV subtraction, but the window's
+// table index stays data-dependent (a secret-indexed load), so does the
+// pure-Go reduction's final subtraction off amd64, and so does the CPU's
+// multiplier on both paths: the kernel is still not constant-time. YMPP
+// runs between the two data holders over a link only they see; a
 // deployment that exposes decryption timing to anyone else needs a
 // constant-time RSA, which neither math/big nor this kernel is.
 package yao
@@ -78,14 +86,14 @@ func newCRT4(k *RSAKey) *crt4 {
 	return &crt4{p: mp, q: mq, dp: load4(k.dp), dq: load4(k.dq), qInv: load4(k.qInv)}
 }
 
-// decrypt returns y^D mod N from the residues xp = y mod p and xq = y mod
-// q.
+// decryptResidues returns y^D mod N from the residues xp = y mod p and
+// xq = y mod q.
 //
 // The CRT of Decrypt with the steps arranged so that nothing leaves limbs:
 // m1 stays in Montgomery form, m2 is carried into p's Montgomery form (it
 // is below q, not below p, which mont4.mul allows), and the multiplication
 // by the plain q⁻¹ takes the R back out — h = (m1 − m2)·q⁻¹ mod p.
-func (f *crt4) decrypt(xp, xq *limbs4) *big.Int {
+func (f *crt4) decryptResidues(xp, xq *limbs4) *big.Int {
 	var m1, m2, h limbs4
 	f.p.expMont(&m1, xp, &f.dp)
 	f.q.exp(&m2, xq, &f.dq)
@@ -181,12 +189,19 @@ func (k *RSAKey) Decrypt(y *big.Int) *big.Int {
 		var r big.Int
 		xp := load4(r.Mod(y, k.p))
 		xq := load4(r.Mod(y, k.q))
-		return k.fast.decrypt(&xp, &xq)
+		return k.fast.decryptResidues(&xp, &xq)
 	}
-	// m1 = y^dp mod p, m2 = y^dq mod q, h = qInv·(m1−m2) mod p,
+	return k.decryptResidues(new(big.Int).Mod(y, k.p), new(big.Int).Mod(y, k.q))
+}
+
+// decryptResidues returns y^D mod N from xp = y mod p and xq = y mod q on
+// math/big: the CRT step that Decrypt and decryptRange share when the key
+// has no kernel (crt4.decryptResidues is the kernel's).
+func (k *RSAKey) decryptResidues(xp, xq *big.Int) *big.Int {
+	// m1 = xp^dp mod p, m2 = xq^dq mod q, h = qInv·(m1−m2) mod p,
 	// m = m2 + h·q < N.
-	m1 := new(big.Int).Exp(y, k.dp, k.p)
-	m2 := new(big.Int).Exp(y, k.dq, k.q)
+	m1 := new(big.Int).Exp(xp, k.dp, k.p)
+	m2 := new(big.Int).Exp(xq, k.dq, k.q)
 	h := m1.Sub(m1, m2)
 	h.Mul(h, k.qInv)
 	h.Mod(h, k.p)

@@ -66,24 +66,37 @@ func TestDecryptMatchesReference(t *testing.T) {
 }
 
 // TestDecryptRangeMatchesDecrypt: the range equals one reference Da per
-// value of base + t mod N, over a range that wraps past N, on both paths.
+// value of base + t mod N, on both paths, for ranges that start at 0, that
+// wrap past N, and whose residues wrap past p or past q — up to the 452
+// values of one bench ympp comparison.
 func TestDecryptRangeMatchesDecrypt(t *testing.T) {
 	for _, bits := range []int{256, 512, 768} {
 		k, err := GenerateRSAKey(rand.Reader, bits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, count := range []int{1, 2, 37} {
-			base := new(big.Int).Sub(k.N, big.NewInt(int64((count+1)/2)))
-			for _, key := range []*RSAKey{k, withoutKernel(k)} {
-				ys := decryptRange(nil, key, base, count)
-				if len(ys) != count {
-					t.Fatalf("%d bits: %d values, want %d", bits, len(ys), count)
-				}
-				for i, y := range ys {
+		for _, count := range []int{1, 2, 37, 452} {
+			half := big.NewInt(int64((count + 1) / 2))
+			for _, base := range []*big.Int{
+				new(big.Int),
+				new(big.Int).Sub(k.N, half),
+				new(big.Int).Sub(k.p, half),
+				new(big.Int).Sub(k.q, half),
+			} {
+				want := make([]*big.Int, count)
+				for i := range want {
 					v := new(big.Int).Add(base, big.NewInt(int64(i)))
-					if want := k.decryptSlow(v.Mod(v, k.N)); y.Cmp(want) != 0 {
-						t.Fatalf("%d bits, count %d: ys[%d] = %v, want %v", bits, count, i, y, want)
+					want[i] = k.decryptSlow(v.Mod(v, k.N))
+				}
+				for _, key := range []*RSAKey{k, withoutKernel(k)} {
+					ys := decryptRange(nil, key, base, count)
+					if len(ys) != count {
+						t.Fatalf("%d bits: %d values, want %d", bits, len(ys), count)
+					}
+					for i, y := range ys {
+						if y.Cmp(want[i]) != 0 {
+							t.Fatalf("%d bits, base %v, count %d: ys[%d] = %v, want %v", bits, base, count, i, y, want[i])
+						}
 					}
 				}
 			}

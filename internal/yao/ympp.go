@@ -75,15 +75,39 @@ func checkRound2(pub *RSAPublicKey, p *big.Int, ws []*big.Int, n0 int64) error {
 }
 
 // decryptRange computes Da(base + t mod N) for t = 0..count−1, one value
-// per task on the shared crypto pool (nil pool: GOMAXPROCS fan-out).
-// base + t is not reduced first: Decrypt takes any y ≥ 0.
+// per task on the shared crypto pool (nil pool: GOMAXPROCS fan-out). base
+// is reduced mod p and mod q once; task t adds t to each residue with one
+// conditional subtraction, which needs t < p and t < q: count ≤ MaxDomain
+// is far below the 128-bit primes of the smallest key.
 func decryptRange(pool *paillier.Pool, key *RSAKey, base *big.Int, count int) []*big.Int {
 	ys := make([]*big.Int, count)
+	bp, bq := new(big.Int).Mod(base, key.p), new(big.Int).Mod(base, key.q)
+	if f := key.fast; f != nil {
+		lp, lq := load4(bp), load4(bq)
+		_ = paillier.ParallelFor(pool, count, func(t int) error {
+			var xp, xq limbs4
+			step := limbs4{uint64(t)}
+			f.p.add(&xp, &lp, &step)
+			f.q.add(&xq, &lq, &step)
+			ys[t] = f.decryptResidues(&xp, &xq)
+			return nil
+		})
+		return ys
+	}
 	_ = paillier.ParallelFor(pool, count, func(t int) error {
-		ys[t] = key.Decrypt(new(big.Int).Add(base, big.NewInt(int64(t))))
+		ys[t] = key.decryptResidues(addSmall(bp, t, key.p), addSmall(bq, t, key.q))
 		return nil
 	})
 	return ys
+}
+
+// addSmall returns x + t mod m for a reduced x and 0 ≤ t < m.
+func addSmall(x *big.Int, t int, m *big.Int) *big.Int {
+	z := new(big.Int).Add(x, big.NewInt(int64(t)))
+	if z.Cmp(m) >= 0 {
+		z.Sub(z, m)
+	}
+	return z
 }
 
 // findSeparatingPrime implements step 4: draw random primes of the given
