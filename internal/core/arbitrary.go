@@ -96,8 +96,7 @@ func newArbitrarySession(conn transport.Conn, cfg Config, role Role, values [][]
 	if err := s.rowDotPackers(); err != nil {
 		return nil, nil, fmt.Errorf("core: dot-product packer: %w", err)
 	}
-	conns := s.Conns
-	if err := verifyOwnership(conns[0], owners); err != nil {
+	if err := s.verifyOwnership(owners); err != nil {
 		return nil, nil, err
 	}
 	a := &adpState{s: s, role: role, enc: enc, owners: owners}
@@ -112,7 +111,7 @@ func newArbitrarySession(conn transport.Conn, cfg Config, role Role, values [][]
 	// reuse the matrix, and an AppendOwned extends it by the new records'
 	// coordinates only.
 	own := aOwnCoords(s, enc, owners)
-	r, err := s.SwapMsg(conns[0], "adp.idx", transport.NewBuilder().PutInts(own))
+	r, err := s.Swap("adp.idx", transport.NewBuilder().PutInts(own))
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: adp index exchange: %w", err)
 	}
@@ -404,13 +403,9 @@ func (c Config) encodeOwnedCells(values [][]float64, owners [][]partition.Owner,
 // verifyOwnership exchanges the public ownership matrix and confirms both
 // parties hold identical copies — the matrix is public protocol input, so
 // disagreement is a configuration error, not a privacy event.
-func verifyOwnership(conn transport.Conn, owners [][]partition.Owner) error {
-	setTag(conn, "adp.owners")
+func (s *Pair) verifyOwnership(owners [][]partition.Owner) error {
 	flat := flattenOwners(owners)
-	if err := transport.SendMsg(conn, transport.NewBuilder().PutBytes(flat)); err != nil {
-		return err
-	}
-	r, err := transport.RecvMsg(conn)
+	r, err := s.Swap("adp.owners", transport.NewBuilder().PutBytes(flat))
 	if err != nil {
 		return err
 	}

@@ -150,6 +150,15 @@
 // engines come from the one constructor compare.Edge — Pair.engines and
 // the ring's coordinator/last-party pair both call it.
 //
+// Set-up is counted in one-way legs, each a wait over a delayed link.
+// Every set-up swap sends while it receives (Pair.Swap, over
+// transport.Exchange), so it is one leg whichever party reaches it
+// first: the hello, then the index (hdp.idx, vdp.idx) — 2 legs for
+// horizontal, enhanced, vertical and each mesh edge — and 3 for
+// arbitrary, whose adp.owners check comes between. The index does not
+// ride in the hello: it would leave before the handshake is checked, and
+// CandidateGrid's fallback width depends on the peer's dimension.
+//
 // Generational state lives in three tables (gens.go), each the only
 // place its shape's Append / Expire / Retract arithmetic is written. The
 // horizontal shape splits by whose points a table describes: one OwnGens

@@ -122,8 +122,8 @@ func newHorizontalSession(conn transport.Conn, cfg Config, role Role, points [][
 // NewPair establishes one HDP edge over a party's own generation table
 // and its key set (DrawKeySet; a mesh party hands the same set to every
 // edge): worker channels, the handshake at handshakeVersion (proto names
-// the protocol; role breaks the symmetry — it decides who sends first in
-// every frame swap, so a mesh maps the lower party index to RoleAlice),
+// the protocol; role names the side, and the handshake refuses two
+// parties of one role, so a mesh maps the lower party index to RoleAlice),
 // the common record dimension, the row-dot packers, and the
 // candidate-index exchange (on the one-cell grid when not pruning;
 // CandidateGrid). cfg must be normalised. The returned PeerGens is this
@@ -148,7 +148,7 @@ func NewPair(conn transport.Conn, cfg Config, keys KeySet, role Role, proto stri
 		return nil, nil, fmt.Errorf("core: row-dot packer: %w", err)
 	}
 	pg := newPeerGens(peer.Count)
-	if err := s.exchangeIndex(s.Conns[0], own, pg); err != nil {
+	if err := s.exchangeIndex(own, pg); err != nil {
 		return nil, nil, err
 	}
 	return s, pg, nil
@@ -271,7 +271,7 @@ func finishHAppend(t *Session, hs *hStream, batch [][]int64, peerCount int) erro
 	if err != nil {
 		return err
 	}
-	if err := t.s.appendIndexDelta(t.s.Conns[0], hs.own.Gens(), delta, hs.peer); err != nil {
+	if err := t.s.appendIndexDelta(hs.own.Gens(), delta, hs.peer); err != nil {
 		return err
 	}
 	hs.peer.Append(peerCount)

@@ -276,15 +276,10 @@ func establish(conn transport.Conn, cfg Config, keys KeySet, role Role, proto st
 		rsaN, rsaE = yao.MarshalRSAPublicKey(&s.rsaKey.RSAPublicKey)
 	}
 
-	conn = s.Conns[0]
-	setTag(conn, "handshake")
 	msg := handshakeMsg(proto, role, params, ownDim, ownCount, paillier.MarshalPublicKey(&s.paiKey.PublicKey), rsaN, rsaE)
-	if err := transport.SendMsg(conn, msg); err != nil {
-		return nil, peerInfo{}, fmt.Errorf("core: handshake send: %w", err)
-	}
-	r, err := transport.RecvMsg(conn)
+	r, err := s.Swap("handshake", msg)
 	if err != nil {
-		return nil, peerInfo{}, fmt.Errorf("core: handshake recv: %w", err)
+		return nil, peerInfo{}, fmt.Errorf("core: handshake exchange: %w", err)
 	}
 	pVersion := r.Uint()
 	pProto := r.String()

@@ -36,39 +36,26 @@ import (
 // disclosure is accounted in the Ledger's Index* classes; the non-index
 // classes keep their decision-level budgets (see Ledger docs).
 
-// SwapMsg exchanges one frame with the peer, accounted to the given Meter
-// tag, without a simultaneous-send deadlock: Alice sends first while Bob
-// receives first, so arbitrarily large index frames never block both
-// directions at once (the in-process pipe is buffered, a TCP socket is
-// not).
-func (s *Pair) SwapMsg(conn transport.Conn, tag string, msg *transport.Builder) (*transport.Reader, error) {
-	setTag(conn, tag)
-	if s.role == RoleAlice {
-		if err := transport.SendMsg(conn, msg); err != nil {
-			return nil, err
-		}
-		return transport.RecvMsg(conn)
-	}
-	r, err := transport.RecvMsg(conn)
-	if err != nil {
-		return nil, err
-	}
-	if err := transport.SendMsg(conn, msg); err != nil {
-		return nil, err
-	}
-	return r, nil
+// Swap exchanges one frame with the peer on the edge's first channel,
+// accounted to the given Meter tag: both parties send and receive at once
+// (transport.Exchange), so the swap costs one one-way delay whichever
+// side reaches it first, and frames of any size cannot block both
+// directions.
+func (s *Pair) Swap(tag string, msg *transport.Builder) (*transport.Reader, error) {
+	setTag(s.Conns[0], tag)
+	return transport.Exchange(s.Conns[0], msg)
 }
 
 // exchangeIndex runs the horizontal-shape index exchange: each party
 // sends the padded directory of its construction-time dataset (generation
 // 0 of its spatial.Stack) and records what the peer disclosed. Appends
 // extend both sides one generation at a time via appendIndexDelta.
-func (s *Pair) exchangeIndex(conn transport.Conn, own *OwnGens, peer *PeerGens) error {
+func (s *Pair) exchangeIndex(own *OwnGens, peer *PeerGens) error {
 	ownDir, err := own.index(s.cellW, s.quantum)
 	if err != nil {
 		return fmt.Errorf("core: index build: %w", err)
 	}
-	r, err := s.SwapMsg(conn, "hdp.idx", ownDir.Encode(transport.NewBuilder()))
+	r, err := s.Swap("hdp.idx", ownDir.Encode(transport.NewBuilder()))
 	if err != nil {
 		return fmt.Errorf("core: index exchange: %w", err)
 	}
@@ -86,8 +73,8 @@ func (s *Pair) exchangeIndex(conn transport.Conn, own *OwnGens, peer *PeerGens) 
 
 // appendIndexDelta runs one streaming index round: the parties swap
 // GridDeltas naming only the cells their gen-th generation touched.
-func (s *Pair) appendIndexDelta(conn transport.Conn, gen int, delta spatial.Directory, peer *PeerGens) error {
-	r, err := s.SwapMsg(conn, "hdp.idx", spatial.GridDelta{Gen: gen, Dir: delta}.Encode(transport.NewBuilder()))
+func (s *Pair) appendIndexDelta(gen int, delta spatial.Directory, peer *PeerGens) error {
+	r, err := s.Swap("hdp.idx", spatial.GridDelta{Gen: gen, Dir: delta}.Encode(transport.NewBuilder()))
 	if err != nil {
 		return fmt.Errorf("core: index delta exchange: %w", err)
 	}

@@ -99,7 +99,7 @@ func newVerticalSession(conn transport.Conn, cfg Config, role Role, attrs [][]fl
 	// repeated Runs reuse the matrix without disclosing it again, and an
 	// Append extends it by the new rows only.
 	own := vBucket(s, enc)
-	r, err := s.SwapMsg(s.Conns[0], "vdp.idx", spatial.EncodeCells(transport.NewBuilder(), own))
+	r, err := s.Swap("vdp.idx", spatial.EncodeCells(transport.NewBuilder(), own))
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: vdp index exchange: %w", err)
 	}

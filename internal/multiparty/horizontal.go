@@ -195,9 +195,9 @@ func (ms *MeshSession) run() (*HorizontalResult, error) {
 // Append absorbs this party's appended batch: every party calls Append
 // concurrently with its own new points (any count, including none). Each
 // mesh edge swaps the batch count plus a spatial.GridDelta of the touched
-// cells, lower-indexed party first; the
-// points themselves never cross the wire, and cached prefix counts stay
-// valid because appended generations only extend the suffix.
+// cells, both parties sending at once (core.Pair.Swap); the points
+// themselves never cross the wire, and cached prefix counts stay valid
+// because appended generations only extend the suffix.
 func (ms *MeshSession) Append(points [][]float64) error {
 	h := ms.h
 	return ms.guard.Do(func() (bool, error) {
@@ -212,7 +212,7 @@ func (ms *MeshSession) Append(points [][]float64) error {
 		return true, h.eachPeer(func(q int, sess *pairSession) error {
 			msg := transport.NewBuilder().PutUint(uint64(len(batch)))
 			spatial.GridDelta{Gen: h.own.Gens(), Dir: delta}.Encode(msg)
-			r, err := sess.SwapMsg(sess.Conns[0], "hdp.idx", msg)
+			r, err := sess.Swap("hdp.idx", msg)
 			if err != nil {
 				return fmt.Errorf("multiparty: append exchange with %d: %w", q, err)
 			}
@@ -235,11 +235,12 @@ func (ms *MeshSession) Append(points [][]float64) error {
 // Expire slides the mesh window: the oldest gens generations leave on
 // every party at once. All parties must call Expire concurrently with
 // the same argument — like Append, the exchange is symmetric. Each mesh
-// edge swaps a spatial.TombstoneDelta pinned to the shared dead prefix,
-// so an endpoint that drifted out of generation lockstep fails loudly
-// instead of silently diverging; the expiry applies only after every edge
-// agreed (core.OwnGens.Expire / core.PeerGens.Expire: expired generations
-// become husks, generation numbers are never reused).
+// edge swaps a spatial.TombstoneDelta, both parties sending at once,
+// pinned to the shared dead prefix, so an endpoint that drifted out of
+// generation lockstep fails loudly instead of silently diverging; the
+// expiry applies only after every edge agreed (core.OwnGens.Expire /
+// core.PeerGens.Expire: expired generations become husks, generation
+// numbers are never reused).
 func (ms *MeshSession) Expire(gens int) error {
 	h := ms.h
 	return ms.guard.Do(func() (bool, error) {
@@ -249,7 +250,7 @@ func (ms *MeshSession) Expire(gens int) error {
 		}
 		td := spatial.TombstoneDelta{From: dead, N: gens}
 		if err := h.eachPeer(func(q int, sess *pairSession) error {
-			r, err := sess.SwapMsg(sess.Conns[0], "session.op", td.Encode(transport.NewBuilder()))
+			r, err := sess.Swap("session.op", td.Encode(transport.NewBuilder()))
 			if err != nil {
 				return fmt.Errorf("multiparty: tombstone exchange with %d: %w", q, err)
 			}
@@ -279,9 +280,9 @@ func (ms *MeshSession) Expire(gens int) error {
 // party calls Retract concurrently with the strictly ascending live
 // indices of its *own* points to delete (any count, including none —
 // a party with nothing to retract participates with an empty list).
-// Each mesh edge swaps a validated spatial.PointTombstone, lower-indexed
-// party first; the retraction applies only after every edge agreed, so a
-// malformed tombstone fails the exchange loudly before any state
+// Each mesh edge swaps a validated spatial.PointTombstone, both parties
+// sending at once; the retraction applies only after every edge agreed,
+// so a malformed tombstone fails the exchange loudly before any state
 // changes (core.OwnGens.Retract / core.PeerGens.Retract: own rows compact
 // to the numbering a fresh session over the survivors would use, and the
 // cached region-count segments die exactly where a retracted point could
@@ -295,7 +296,7 @@ func (ms *MeshSession) Retract(ids []int) error {
 		peerIDs := make([][]int, h.party.K)
 		if err := h.eachPeer(func(q int, sess *pairSession) error {
 			msg := spatial.PointTombstone{IDs: ids}.Encode(transport.NewBuilder())
-			r, err := sess.SwapMsg(sess.Conns[0], "session.op", msg)
+			r, err := sess.Swap("session.op", msg)
 			if err != nil {
 				return fmt.Errorf("multiparty: retract exchange with %d: %w", q, err)
 			}

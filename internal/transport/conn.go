@@ -12,8 +12,10 @@ import (
 )
 
 // Conn is a reliable, ordered, message-oriented duplex channel between the
-// two parties of a protocol. Each Conn is used by exactly one goroutine
-// (one party); Send and Recv never need external locking.
+// two parties of a protocol. One Send and one Recv may run at once
+// (Exchange does); two Sends, or two Recvs, need the caller's own
+// ordering unless the implementation says otherwise (Meter and mux
+// channels take concurrent writers).
 type Conn interface {
 	// Send transmits one message to the peer. The slice is not retained.
 	Send(b []byte) error
@@ -21,8 +23,9 @@ type Conn interface {
 	// ErrClosed after the peer closes its side and all queued messages
 	// have been consumed.
 	Recv() ([]byte, error)
-	// Close releases the connection. Pending messages already sent remain
-	// receivable by the peer.
+	// Close releases the connection and ends a Recv or Send pending on
+	// it (a mux channel's Send ends when its Mux closes). Pending
+	// messages already sent remain receivable by the peer.
 	Close() error
 }
 
@@ -71,6 +74,8 @@ func (p *pipeHalf) Send(b []byte) error {
 	case p.send <- msg:
 		return nil
 	case <-p.peerDone:
+		return ErrClosed
+	case <-p.done:
 		return ErrClosed
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"syscall"
 )
 
 // MaxFrameSize bounds a single framed message. Protocol messages are at
@@ -47,20 +48,20 @@ func (f *frameConn) Send(b []byte) error {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
 	if _, err := f.rw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("transport: send header: %w", err)
+		return streamErr("send header", err)
 	}
 	if _, err := f.rw.Write(b); err != nil {
-		return fmt.Errorf("transport: send body: %w", err)
+		return streamErr("send body", err)
 	}
 	return nil
 }
 
 func (f *frameConn) Recv() ([]byte, error) {
 	if _, err := io.ReadFull(f.rw, f.buf[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
+		if err == io.EOF {
 			return nil, ErrClosed
 		}
-		return nil, fmt.Errorf("transport: recv header: %w", err)
+		return nil, streamErr("recv header", err)
 	}
 	n := binary.BigEndian.Uint32(f.buf[:])
 	if n > MaxFrameSize {
@@ -68,12 +69,25 @@ func (f *frameConn) Recv() ([]byte, error) {
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(f.rw, body); err != nil {
-		return nil, fmt.Errorf("transport: recv body: %w", err)
+		return nil, streamErr("recv body", err)
 	}
 	return body, nil
 }
 
 func (f *frameConn) Close() error { return f.rw.Close() }
+
+// streamErr wraps a failed stream read or write. One that means the
+// connection is gone — the peer's end of stream inside a frame, a reset or
+// broken pipe, this side's own Close — also wraps ErrClosed, so a peer
+// that drops a socket fails with the same typed error as one that closes
+// a pipe.
+func streamErr(op string, err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) ||
+		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) {
+		return fmt.Errorf("transport: %s: %w: %w", op, ErrClosed, err)
+	}
+	return fmt.Errorf("transport: %s: %w", op, err)
+}
 
 // Listen accepts exactly one peer connection on addr and returns the framed
 // connection plus the bound address (useful when addr has port 0).

@@ -56,6 +56,8 @@ func (p *latencyHalf) Send(b []byte) error {
 		return nil
 	case <-p.peerDone:
 		return ErrClosed
+	case <-p.done:
+		return ErrClosed
 	}
 }
 

@@ -268,3 +268,22 @@ func RecvMsg(conn Conn) (*Reader, error) {
 	}
 	return NewReader(b), nil
 }
+
+// Exchange is the one symmetric swap: both parties send one message and
+// receive the other's. It sends on its own goroutine while it receives,
+// so the two frames cross the wire at once — one one-way delay, not the
+// two of a receive-then-send — and two frames larger than the stream's
+// buffers cannot block both senders. A receive error returns at once; the
+// pending send then ends when the caller closes conn.
+func Exchange(conn Conn, msg *Builder) (*Reader, error) {
+	sent := make(chan error, 1)
+	go func() { sent <- SendMsg(conn, msg) }()
+	r, err := RecvMsg(conn)
+	if err != nil {
+		return nil, err
+	}
+	if err := <-sent; err != nil {
+		return nil, err
+	}
+	return r, nil
+}
