@@ -1,80 +1,22 @@
-// Package kumar models the disclosure profile of the prior privacy-
+// Package kumar models what the adversary learns under the prior privacy-
 // preserving DBSCAN protocol of Kumar and Rangan (ADMA 2007) — reference
 // [14] of the reproduced paper — which the paper criticizes in its
 // introduction and Figure 1.
 //
-// This package does not re-implement their cryptographic machinery; it
-// implements the information each party ends up holding, which is what
-// the Figure 1 attack (experiment E1) consumes:
-//
-//   - Kumar-style (linked): for each of Bob's points, Bob learns WHICH of
-//     Alice's records lie in its Eps-neighbourhood, with stable identities
-//     across queries. Intersecting the neighbourhoods that share a victim
-//     identity yields the "small gray region".
-//   - This paper (unlinked): for each of Bob's points, Bob learns only
-//     whether/how many Alice records lie in its neighbourhood; fresh
-//     per-query permutations prevent linking the same record across
-//     neighbourhoods.
+// It does not re-implement their cryptographic machinery. In their
+// protocol Bob learns, for each of his points, which of Alice's records lie
+// in its Eps-neighbourhood, with identities that stay stable across
+// queries. So for one victim record Bob can collect every neighbourhood
+// that contains it (VictimNeighbourhoods) and intersect those disks: that
+// intersection is the "small gray region" of Figure 1, which experiment E1
+// measures against the union area left to an adversary of this paper's
+// protocol, whose fresh per-query permutations prevent the linking.
 package kumar
-
-import (
-	"fmt"
-)
-
-// LinkedDisclosure returns, per Bob point, the identities (indices) of
-// Alice's points within eps — the Kumar-style adversary view.
-func LinkedDisclosure(alice, bob [][]float64, eps float64) ([][]int, error) {
-	if err := checkPlanar(alice, bob); err != nil {
-		return nil, err
-	}
-	epsSq := eps * eps
-	out := make([][]int, len(bob))
-	for i, b := range bob {
-		for j, a := range alice {
-			if distSq(a, b) <= epsSq {
-				out[i] = append(out[i], j)
-			}
-		}
-	}
-	return out, nil
-}
-
-// UnlinkedDisclosure returns, per Bob point, only the count of Alice's
-// points within eps — the adversary view under the reproduced paper's
-// basic horizontal protocol (Theorem 9).
-func UnlinkedDisclosure(alice, bob [][]float64, eps float64) ([]int, error) {
-	linked, err := LinkedDisclosure(alice, bob, eps)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, len(linked))
-	for i, ids := range linked {
-		out[i] = len(ids)
-	}
-	return out, nil
-}
-
-// CoreBitDisclosure returns, per Bob point, only whether Alice contributes
-// at least k records to its neighbourhood — the §5 enhanced protocol's
-// view for threshold k.
-func CoreBitDisclosure(alice, bob [][]float64, eps float64, k int) ([]bool, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("kumar: threshold k must be ≥ 1, got %d", k)
-	}
-	counts, err := UnlinkedDisclosure(alice, bob, eps)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]bool, len(counts))
-	for i, c := range counts {
-		out[i] = c >= k
-	}
-	return out, nil
-}
 
 // VictimNeighbourhoods returns the indices of Bob's points whose
 // Eps-neighbourhood contains the given Alice point — the disk set the
-// linked adversary intersects in Figure 1.
+// linked adversary intersects in Figure 1. A Bob point of another
+// dimension is in no neighbourhood.
 func VictimNeighbourhoods(victim []float64, bob [][]float64, eps float64) []int {
 	epsSq := eps * eps
 	var out []int
@@ -84,24 +26,6 @@ func VictimNeighbourhoods(victim []float64, bob [][]float64, eps float64) []int 
 		}
 	}
 	return out
-}
-
-func checkPlanar(alice, bob [][]float64) error {
-	if len(alice) == 0 || len(bob) == 0 {
-		return fmt.Errorf("kumar: both parties need at least one point")
-	}
-	dim := len(alice[0])
-	for _, p := range alice {
-		if len(p) != dim {
-			return fmt.Errorf("kumar: inconsistent dimensions in alice's data")
-		}
-	}
-	for _, p := range bob {
-		if len(p) != dim {
-			return fmt.Errorf("kumar: inconsistent dimensions across parties")
-		}
-	}
-	return nil
 }
 
 func distSq(a, b []float64) float64 {

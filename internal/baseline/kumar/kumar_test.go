@@ -1,62 +1,8 @@
 package kumar
 
-import (
-	"testing"
+import "testing"
 
-	"repro/internal/dataset"
-)
-
-var (
-	alice = [][]float64{{0, 0}, {0.5, 0}, {5, 5}}
-	bob   = [][]float64{{0.3, 0}, {5, 5.2}, {9, 9}}
-)
-
-func TestLinkedDisclosure(t *testing.T) {
-	got, err := LinkedDisclosure(alice, bob, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// bob[0] at (0.3,0): alice 0 (d=0.3) and alice 1 (d=0.2) in range.
-	if len(got[0]) != 2 || got[0][0] != 0 || got[0][1] != 1 {
-		t.Errorf("bob[0] view = %v, want [0 1]", got[0])
-	}
-	// bob[1]: alice 2 only.
-	if len(got[1]) != 1 || got[1][0] != 2 {
-		t.Errorf("bob[1] view = %v, want [2]", got[1])
-	}
-	if len(got[2]) != 0 {
-		t.Errorf("bob[2] view = %v, want empty", got[2])
-	}
-}
-
-func TestUnlinkedDisclosureIsCountsOnly(t *testing.T) {
-	counts, err := UnlinkedDisclosure(alice, bob, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{2, 1, 0}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Errorf("counts[%d] = %d, want %d", i, counts[i], want[i])
-		}
-	}
-}
-
-func TestCoreBitDisclosure(t *testing.T) {
-	bits, err := CoreBitDisclosure(alice, bob, 1.0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []bool{true, false, false}
-	for i := range want {
-		if bits[i] != want[i] {
-			t.Errorf("bits[%d] = %v, want %v", i, bits[i], want[i])
-		}
-	}
-	if _, err := CoreBitDisclosure(alice, bob, 1.0, 0); err == nil {
-		t.Error("k=0 accepted")
-	}
-}
+var bob = [][]float64{{0.3, 0}, {5, 5.2}, {9, 9}}
 
 func TestVictimNeighbourhoods(t *testing.T) {
 	got := VictimNeighbourhoods([]float64{0, 0}, bob, 1.0)
@@ -69,40 +15,12 @@ func TestVictimNeighbourhoods(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := LinkedDisclosure(nil, bob, 1); err == nil {
-		t.Error("empty alice accepted")
+	if got := VictimNeighbourhoods([]float64{0, 0}, nil, 1); len(got) != 0 {
+		t.Errorf("no Bob points: disks = %v, want none", got)
 	}
-	if _, err := LinkedDisclosure([][]float64{{1, 2}, {1}}, bob, 1); err == nil {
-		t.Error("ragged alice accepted")
-	}
-	if _, err := LinkedDisclosure(alice, [][]float64{{1, 2, 3}}, 1); err == nil {
-		t.Error("dimension mismatch accepted")
-	}
-}
-
-// Information-ordering sanity check: the linked view determines the
-// unlinked view, which determines the core bits — never the other way.
-func TestDisclosureHierarchy(t *testing.T) {
-	d := dataset.Blobs(40, 2, 0.5, 3)
-	a, b := d.Points[:20], d.Points[20:]
-	linked, err := LinkedDisclosure(a, b, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts, err := UnlinkedDisclosure(a, b, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bits, err := CoreBitDisclosure(a, b, 0.8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range linked {
-		if len(linked[i]) != counts[i] {
-			t.Fatalf("count %d inconsistent with linked view %v", counts[i], linked[i])
-		}
-		if bits[i] != (counts[i] >= 3) {
-			t.Fatalf("core bit inconsistent with count at %d", i)
-		}
+	// A point of another dimension is skipped, not compared on a prefix.
+	mixed := [][]float64{{0.3, 0, 0}, {0.3}, {0.3, 0}}
+	if got := VictimNeighbourhoods([]float64{0, 0}, mixed, 1); len(got) != 1 || got[0] != 2 {
+		t.Errorf("mixed dimensions: disks = %v, want [2]", got)
 	}
 }

@@ -30,8 +30,8 @@ import (
 //     out column by column (full.go), computed on the parallel Paillier
 //     pool, and Alice returns the sign bits. O(count) ciphertexts in 3
 //     frames, with all modular exponentiation spread over the engine's crypto pool (the
-//     process-shared bounded pool on a multi-session server; GOMAXPROCS
-//     for a solo run with a nil Pool).
+//     process-shared bounded pool on a multi-session server; paillier's
+//     process-wide default for a solo run with a nil Pool).
 //
 // Under Edge.Sequential an engine runs a batch of k as k batches of one,
 // in order (rounds.run): 3·k frames, the same decisions.

@@ -115,7 +115,7 @@ func checkInput(v, bound int64) error {
 // YMPPAlice adapts the yao package to the Alice interface. Pool, when
 // non-nil, bounds the O(Bound) local decryption fan-out on the
 // process-shared crypto pool (a multi-session server hands every engine
-// the same pool); nil keeps the per-call GOMAXPROCS fan-out.
+// the same pool); nil is paillier's process-wide default pool.
 type YMPPAlice struct {
 	Key    *yao.RSAKey
 	Max    int64
@@ -155,7 +155,7 @@ var ErrPredicateMismatch = errors.New("compare: parties invoked different predic
 
 // MaskedAlice is the decrypting side of the masked-sign engine. Pool,
 // when non-nil, routes the batch decryptions over the process-shared
-// crypto pool; nil keeps the per-call GOMAXPROCS fan-out.
+// crypto pool; nil is paillier's process-wide default pool.
 //
 // Packer slot-packs every reply, a batch of one included:
 // Bob packs S masked differences per ciphertext, each biased

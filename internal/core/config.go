@@ -136,8 +136,9 @@ type Config struct {
 	// Pool, when non-nil, is the process-shared crypto worker pool this
 	// session's Paillier/RSA batch arithmetic runs on — normally injected
 	// by SessionManager.Configure so all sessions of one server share one
-	// bounded pool. Nil keeps the solo-session default: per-call
-	// GOMAXPROCS fan-out. Local resource only; not handshake-checked.
+	// bounded pool. Nil is the solo-session default: paillier's
+	// process-wide pool of GOMAXPROCS helper slots, shared by every
+	// nil-pool caller. Local resource only; not handshake-checked.
 	Pool *paillier.Pool
 
 	// Seed, when non-zero, makes the per-query permutations of Algorithm 4

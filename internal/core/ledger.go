@@ -58,7 +58,10 @@ import (
 //     the cells the appended batch touched (one generation of the
 //     spatial.Stack), so IndexDeltaCells is the incremental analogue of
 //     IndexCells. Delta padded counts also accumulate into
-//     IndexPaddedPoints.
+//     IndexPaddedPoints. Under the vertical and arbitrary families an
+//     append discloses the appended records' cell coordinates instead, and
+//     IndexDeltaCells counts them in IndexCellCoords' unit: one per
+//     coordinate received.
 //   - IndexTombstones: generations tombstoned by Session.Expire — one
 //     entry per expired generation. A tombstone names only *which*
 //     generations left the sliding window; their per-cell padded

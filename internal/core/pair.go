@@ -127,8 +127,8 @@ type Pair struct {
 
 	// pool is the crypto worker pool every batch op of this pair runs
 	// on: the process-shared bounded pool on a multi-session server
-	// (Config.Pool, injected by SessionManager.Configure), or nil for the
-	// solo-session GOMAXPROCS fan-out.
+	// (Config.Pool, injected by SessionManager.Configure), or nil for
+	// paillier's process-wide default pool.
 	pool *paillier.Pool
 
 	random io.Reader
@@ -506,9 +506,10 @@ func (s *Pair) responderOperand(bound, peerSum int64) int64 {
 }
 
 // setTag routes byte accounting to a protocol phase when the connection is
-// metered; plain connections ignore tagging.
+// metered — a Meter, or at W > 1 a mux channel, which forwards the tag to a
+// Meter under the mux; plain connections ignore tagging.
 func setTag(conn transport.Conn, tag string) {
-	if m, ok := conn.(*transport.Meter); ok {
+	if m, ok := conn.(interface{ SetTag(string) string }); ok {
 		m.SetTag(tag)
 	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -61,6 +63,32 @@ func TestParallelEquivalenceAcrossWorkerWidths(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestMeterTagsAtEveryWidth: at W > 1 every settle chunk travels on a mux
+// channel over the Meter, and each channel forwards its phase tag to it,
+// so a run reads the same per-phase tag set at W = 2 as at W = 1 and
+// nothing lands "untagged".
+func TestMeterTagsAtEveryWidth(t *testing.T) {
+	tags := func(o eqOutcome) []string {
+		var out []string
+		for tag, st := range o.tagStats {
+			if st.Messages() > 0 {
+				out = append(out, tag)
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+	for _, proto := range equivalenceProtocols(t) {
+		t.Run(proto.name, func(t *testing.T) {
+			one := tags(proto.run(t, parallelCfg(compare.EngineMasked, 1, PruneGrid)))
+			two := tags(proto.run(t, parallelCfg(compare.EngineMasked, 2, PruneGrid)))
+			if slices.Contains(one, "untagged") || !slices.Equal(one, two) {
+				t.Errorf("tags at W = 1: %v; at W = 2: %v", one, two)
+			}
+		})
 	}
 }
 

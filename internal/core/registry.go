@@ -76,7 +76,6 @@ type SessionHandle struct {
 	mu    sync.Mutex
 	state SessionState
 	runs  int64
-	err   error
 }
 
 // ID returns the registry-unique session id (1, 2, … in accept order).
@@ -84,27 +83,6 @@ func (h *SessionHandle) ID() uint64 { return h.id }
 
 // Meter returns the session's traffic meter.
 func (h *SessionHandle) Meter() *transport.Meter { return h.meter }
-
-// State reports the current lifecycle state.
-func (h *SessionHandle) State() SessionState {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.state
-}
-
-// Err returns the terminal error of a failed session (nil otherwise).
-func (h *SessionHandle) Err() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.err
-}
-
-// Runs reports how many clustering runs this session has completed.
-func (h *SessionHandle) Runs() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.runs
-}
 
 // Activate marks establishment complete: the session now serves runs.
 func (h *SessionHandle) Activate() {
@@ -135,7 +113,6 @@ func (h *SessionHandle) End(err error) {
 		h.state = StateClosed
 	} else {
 		h.state = StateFailed
-		h.err = err
 	}
 	runs := h.runs
 	failed := h.state == StateFailed

@@ -604,9 +604,6 @@ func (t *Session) SetupLeakage() Ledger { return t.setup }
 // Runs reports how many completed Run calls this session has served.
 func (t *Session) Runs() int { return int(t.runs.Load()) }
 
-// Parallel reports the session's scheduler width W.
-func (t *Session) Parallel() int { return t.s.cfg.Parallel }
-
 // Keys returns the session's own key set and the peer's public halves
 // (Pair.Keys).
 func (t *Session) Keys() (own KeySet, peerPai *paillier.PublicKey, peerRSA *yao.RSAPublicKey) {

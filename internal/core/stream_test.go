@@ -576,3 +576,100 @@ func TestSessionCacheReducesFrames(t *testing.T) {
 		})
 	}
 }
+
+// TestAppendIndexDeltaMatchesCellCoords: the shared-row families count an
+// append's index delta in the unit of the construction-time exchange, one
+// entry per cell coordinate received. So on each side an Append raises
+// IndexDeltaCells by exactly as much as the appended records raise
+// IndexCellCoords when a session is established over them. Bob holds two
+// of the three vertical columns, so a per-record count reads short on
+// Alice's side.
+func TestAppendIndexDeltaMatchesCellCoords(t *testing.T) {
+	init := [][]float64{{0, 0, 1}, {1, 0, 0}, {0, 1, 1}, {6, 6, 5}, {6, 5, 6}, {3, 3, 3}}
+	batch := [][]float64{{2, 1, 1}, {7, 6, 6}, {4, 0, 2}}
+	all := append(append([][]float64{}, init...), batch...)
+	cols := func(rows [][]float64, role Role) [][]float64 {
+		out := make([][]float64, len(rows))
+		for i, r := range rows {
+			if role == RoleAlice {
+				out[i] = r[:1]
+			} else {
+				out[i] = r[1:]
+			}
+		}
+		return out
+	}
+	owners := func(rows [][]float64) [][]partition.Owner { return streamOwners(rows, 0) }
+	families := []struct {
+		name     string
+		newSess  func(conn transport.Conn, cfg Config, role Role, rows [][]float64) (*Session, error)
+		appendTo func(sess *Session) error
+		source   AppendSource
+	}{
+		{"vertical",
+			func(conn transport.Conn, cfg Config, role Role, rows [][]float64) (*Session, error) {
+				return NewVerticalSession(conn, cfg, role, cols(rows, role))
+			},
+			func(sess *Session) error { return sess.Append(cols(batch, RoleAlice)) },
+			func(AppendRequest) ([][]float64, error) { return cols(batch, RoleBob), nil }},
+		{"arbitrary",
+			func(conn transport.Conn, cfg Config, role Role, rows [][]float64) (*Session, error) {
+				return NewArbitrarySession(conn, cfg, role, rows, owners(rows))
+			},
+			func(sess *Session) error { return sess.AppendOwned(batch, owners(all)[len(init):]) },
+			func(AppendRequest) ([][]float64, error) { return batch, nil }},
+	}
+	cfg := testCfg(compare.EngineMasked)
+	for _, f := range families {
+		t.Run(f.name, func(t *testing.T) {
+			// setup establishes a session pair over rows, appends the batch
+			// when asked, and returns both sides' setup ledgers.
+			setup := func(rows [][]float64, appendBatch bool) [2]Ledger {
+				var led [2]Ledger
+				ca, cb := transport.Pipe()
+				err := transport.RunPair(ca, cb,
+					func(transport.Conn) error {
+						sess, err := f.newSess(ca, cfg, RoleAlice, rows)
+						if err != nil {
+							return err
+						}
+						if appendBatch {
+							if err := f.appendTo(sess); err != nil {
+								return err
+							}
+						}
+						led[0] = sess.SetupLeakage()
+						return sess.Close()
+					},
+					func(transport.Conn) error {
+						sess, err := f.newSess(cb, cfg, RoleBob, rows)
+						if err != nil {
+							return err
+						}
+						sess.SetAppendSource(f.source)
+						for {
+							if _, err := sess.Run(); errors.Is(err, ErrSessionClosed) {
+								led[1] = sess.SetupLeakage()
+								return nil
+							} else if err != nil {
+								return err
+							}
+						}
+					})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return led
+			}
+			appended, before, after := setup(init, true), setup(init, false), setup(all, false)
+			for side, name := range []string{"alice", "bob"} {
+				delta := appended[side].IndexDeltaCells - before[side].IndexDeltaCells
+				coords := after[side].IndexCellCoords - before[side].IndexCellCoords
+				if delta != coords || delta == 0 {
+					t.Errorf("%s: the append raised IndexDeltaCells by %d, the records raise IndexCellCoords by %d",
+						name, delta, coords)
+				}
+			}
+		})
+	}
+}

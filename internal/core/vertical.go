@@ -243,7 +243,10 @@ func finishVAppend(t *Session, vs *vStream, batch, own [][]int64, peerCount int,
 	if err != nil {
 		return err
 	}
-	t.s.led(func(l *Ledger) { l.IndexDeltaCells += len(cells) })
+	// One delta entry per coordinate the peer disclosed, as arbitrary
+	// counts them and as IndexCellCoords counts the construction-time
+	// exchange.
+	t.s.led(func(l *Ledger) { l.IndexDeltaCells += len(cells) * vs.peerDim })
 	vs.enc = append(vs.enc, batch...)
 	vs.Append(len(batch), cells)
 	return nil

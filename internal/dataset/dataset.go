@@ -155,11 +155,6 @@ func Bridged(n int, seed int64) Dataset {
 	return Dataset{Name: fmt.Sprintf("bridged(n=%d)", n), Points: points, Labels: labels}
 }
 
-// UniformNoise scatters n points uniformly over [lo, hi]² with label -1.
-func UniformNoise(n int, lo, hi float64, seed int64) Dataset {
-	return UniformNoiseDim(n, 2, lo, hi, seed)
-}
-
 // UniformNoiseDim scatters n points uniformly over [lo, hi]^dim with
 // label -1.
 func UniformNoiseDim(n, dim int, lo, hi float64, seed int64) Dataset {
@@ -266,23 +261,6 @@ func Concat(name string, ds ...Dataset) Dataset {
 			if maxLabel > offset {
 				offset = maxLabel
 			}
-		}
-	}
-	return out
-}
-
-// Shuffle returns a record-permuted copy (points and labels together).
-func Shuffle(d Dataset, seed int64) Dataset {
-	rng := rand.New(rand.NewSource(seed))
-	idx := rng.Perm(len(d.Points))
-	out := Dataset{Name: d.Name, Points: make([][]float64, len(d.Points))}
-	if d.Labels != nil {
-		out.Labels = make([]int, len(d.Labels))
-	}
-	for to, from := range idx {
-		out.Points[to] = d.Points[from]
-		if d.Labels != nil {
-			out.Labels[to] = d.Labels[from]
 		}
 	}
 	return out

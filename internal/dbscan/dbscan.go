@@ -14,7 +14,6 @@ package dbscan
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Label values. Cluster identifiers are 1-based, matching the paper's
@@ -88,19 +87,6 @@ func ClusterInt(points [][]int64, epsSq int64, minPts int) (Result, error) {
 		return out
 	}
 	labels, k := ClusterGeneric(len(points), neighbors, minPts)
-	return Result{Labels: labels, NumClusters: k}, nil
-}
-
-// ClusterIndexed runs DBSCAN over float points using a uniform grid index
-// for region queries; output is identical to Cluster but region queries
-// cost O(neighbours) instead of O(n) for well-spread data.
-func ClusterIndexed(points [][]float64, p Params) (Result, error) {
-	if err := p.Validate(); err != nil {
-		return Result{}, err
-	}
-	idx := newGridIndex(points, p.Eps)
-	neighbors := func(i int) []int { return idx.regionQuery(i) }
-	labels, k := ClusterGeneric(len(points), neighbors, p.MinPts)
 	return Result{Labels: labels, NumClusters: k}, nil
 }
 
@@ -192,99 +178,4 @@ func distSqInt(a, b []int64) int64 {
 		s += d * d
 	}
 	return s
-}
-
-// gridIndex is a uniform grid over the data with cell side Eps; a region
-// query scans the 3^dim surrounding cells.
-type gridIndex struct {
-	points [][]float64
-	eps    float64
-	epsSq  float64
-	dim    int
-	cells  map[string][]int
-}
-
-func newGridIndex(points [][]float64, eps float64) *gridIndex {
-	g := &gridIndex{
-		points: points,
-		eps:    eps,
-		epsSq:  eps * eps,
-		cells:  make(map[string][]int),
-	}
-	if len(points) > 0 {
-		g.dim = len(points[0])
-	}
-	for i, p := range points {
-		key := g.cellKey(p)
-		g.cells[key] = append(g.cells[key], i)
-	}
-	return g
-}
-
-func (g *gridIndex) cellCoord(p []float64) []int {
-	c := make([]int, len(p))
-	for i, x := range p {
-		c[i] = int(math.Floor(x / g.eps))
-	}
-	return c
-}
-
-func (g *gridIndex) cellKey(p []float64) string {
-	c := g.cellCoord(p)
-	key := make([]byte, 0, len(c)*10)
-	for _, v := range c {
-		key = appendInt(key, v)
-		key = append(key, ';')
-	}
-	return string(key)
-}
-
-func appendInt(b []byte, v int) []byte {
-	if v < 0 {
-		b = append(b, '-')
-		v = -v
-	}
-	if v >= 10 {
-		b = appendInt(b, v/10)
-	}
-	return append(b, byte('0'+v%10))
-}
-
-func (g *gridIndex) regionQuery(i int) []int {
-	p := g.points[i]
-	base := g.cellCoord(p)
-	var out []int
-	// Enumerate neighbouring cells in all dimensions.
-	offsets := make([]int, g.dim)
-	for i := range offsets {
-		offsets[i] = -1
-	}
-	for {
-		cell := make([]byte, 0, g.dim*10)
-		for d := 0; d < g.dim; d++ {
-			cell = appendInt(cell, base[d]+offsets[d])
-			cell = append(cell, ';')
-		}
-		for _, j := range g.cells[string(cell)] {
-			if distSqFloat(p, g.points[j]) <= g.epsSq {
-				out = append(out, j)
-			}
-		}
-		// Advance the odometer.
-		d := 0
-		for ; d < g.dim; d++ {
-			offsets[d]++
-			if offsets[d] <= 1 {
-				break
-			}
-			offsets[d] = -1
-		}
-		if d == g.dim {
-			break
-		}
-	}
-	// Border-point assignment depends on visit order; sorting makes the
-	// indexed path label-identical to the brute-force path.
-	sort.Ints(out)
-	return out
 }

@@ -177,24 +177,6 @@ func TestClusterIntValidation(t *testing.T) {
 	}
 }
 
-func TestIndexedMatchesBruteForce(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		d := dataset.WithNoise(dataset.Moons(200, 0.05, seed), 20, seed+100)
-		p := Params{Eps: 0.25, MinPts: 4}
-		brute, err := Cluster(d.Points, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		indexed, err := ClusterIndexed(d.Points, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !metrics.ExactMatch(brute.Labels, indexed.Labels) {
-			t.Errorf("seed %d: indexed labels diverge from brute force", seed)
-		}
-	}
-}
-
 func TestMoonsSeparated(t *testing.T) {
 	d := dataset.Moons(300, 0.04, 7)
 	res, err := Cluster(d.Points, Params{Eps: 0.2, MinPts: 4})
@@ -409,17 +391,6 @@ func BenchmarkClusterBrute500(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Cluster(d.Points, p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkClusterIndexed500(b *testing.B) {
-	d := dataset.Blobs(500, 4, 0.3, 1)
-	p := Params{Eps: 0.5, MinPts: 4}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ClusterIndexed(d.Points, p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -104,18 +104,6 @@ func (r *Ring) Remove(shard string) {
 	r.points = kept
 }
 
-// Shards returns the current members in sorted order.
-func (r *Ring) Shards() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.shards))
-	for s := range r.shards {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Pick maps a key to its owning shard. ok is false on an empty ring.
 func (r *Ring) Pick(key string) (shard string, ok bool) {
 	w := r.Walk(key)

@@ -51,8 +51,7 @@
 // ciphertexts, so the width is re-derived with the mask multiplied into
 // the doubled operand spread (see the constructor's derivation note),
 // and construction fails loudly when the widened slot would push S to 0
-// on a small key. SlotIndex and FoldShift are the slot-group fold
-// primitives that shape shares with its plaintext mirror.
+// on a small key.
 package encoding
 
 import (
@@ -222,13 +221,6 @@ func (p *Packer) GroupLen(n, g int) int {
 	return p.slots
 }
 
-// SlotIndex maps instance i of a flat batch onto its packed position:
-// group g = i/S, slot s = i%S — the inverse of the g·S+s flattening
-// Groups/GroupLen imply.
-func (p *Packer) SlotIndex(i int) (group, slot int) {
-	return i / p.slots, i % p.slots
-}
-
 // Pack encodes up to S values, |v| ≤ SlotMax each, into one biased
 // plaintext. Slots beyond len(vals) stay zero (no bias), so a short
 // final group packs cleanly.
@@ -317,19 +309,4 @@ func (p *Packer) UnpackInt64(packed *big.Int, count int) ([]int64, error) {
 // materialised.
 func (p *Packer) Shift(v *big.Int, slot int) *big.Int {
 	return new(big.Int).Lsh(v, p.width*uint(slot))
-}
-
-// FoldShift folds per-slot contributions into one raw packed integer,
-// Σ_s vals[s]·2^{w·s} — the plaintext mirror of the homomorphic slot
-// fold Π_s ct_s^{2^{w·s}} the packed-uplink forms use. Unlike
-// Pack/PackRaw it adds no bias and performs no range checks: the
-// per-slot values are mid-protocol partials (possibly negative, exact
-// in ℤ_n) whose final in-range value the engine's own operand checks
-// establish.
-func (p *Packer) FoldShift(vals []*big.Int) *big.Int {
-	packed := new(big.Int)
-	for s, v := range vals {
-		packed.Add(packed, p.Shift(v, s))
-	}
-	return packed
 }

@@ -319,29 +319,9 @@ func TestUplinkPackerRejectsZeroSlots(t *testing.T) {
 	}
 }
 
-// TestSlotIndexMatchesGrouping: SlotIndex must invert the g·S+s
-// flattening Groups/GroupLen imply, for every index of a two-group
-// batch including the short tail.
-func TestSlotIndexMatchesGrouping(t *testing.T) {
-	p, err := NewPacker(bound255(), big.NewInt(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := p.Slots() + 2
-	for i := 0; i < n; i++ {
-		g, s := p.SlotIndex(i)
-		if g*p.Slots()+s != i {
-			t.Fatalf("SlotIndex(%d) = (%d, %d): does not invert the flattening", i, g, s)
-		}
-		if g >= p.Groups(n) || s >= p.GroupLen(n, g) {
-			t.Fatalf("SlotIndex(%d) = (%d, %d): outside Groups/GroupLen bounds", i, g, s)
-		}
-	}
-}
-
-// TestFoldShiftMirrorsPack: folding biased per-slot values must equal
-// Pack, and folding raw non-negative values must equal PackRaw — the
-// plaintext identity the homomorphic slot fold relies on.
+// TestFoldShiftMirrorsPack: folding biased per-slot values, Σ_s v_s·2^{w·s},
+// must equal Pack, and folding raw non-negative values must equal PackRaw —
+// the plaintext identity the homomorphic slot fold relies on.
 func TestFoldShiftMirrorsPack(t *testing.T) {
 	p, err := NewPacker(bound255(), big.NewInt(1<<16))
 	if err != nil {
@@ -356,16 +336,23 @@ func TestFoldShiftMirrorsPack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fold := p.FoldShift(biased); fold.Cmp(packed) != 0 {
-		t.Fatalf("FoldShift(biased) = %v, Pack = %v", fold, packed)
+	fold := func(vals []*big.Int) *big.Int {
+		sum := new(big.Int)
+		for s, v := range vals {
+			sum.Add(sum, p.Shift(v, s))
+		}
+		return sum
+	}
+	if f := fold(biased); f.Cmp(packed) != 0 {
+		t.Fatalf("fold(biased) = %v, Pack = %v", f, packed)
 	}
 	raws := []*big.Int{big.NewInt(7), big.NewInt(0), big.NewInt(99)}
 	rawPacked, err := p.PackRaw(raws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fold := p.FoldShift(raws); fold.Cmp(rawPacked) != 0 {
-		t.Fatalf("FoldShift(raw) = %v, PackRaw = %v", fold, rawPacked)
+	if f := fold(raws); f.Cmp(rawPacked) != 0 {
+		t.Fatalf("fold(raw) = %v, PackRaw = %v", f, rawPacked)
 	}
 }
 

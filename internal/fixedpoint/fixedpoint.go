@@ -36,21 +36,8 @@ func New(scale, offset float64) (*Codec, error) {
 	return &Codec{scale: scale, offset: offset, maxAbs: float64(math.MaxInt32)}, nil
 }
 
-// MustNew is New that panics on error, for use in tests and examples
-// with known-good constants.
-func MustNew(scale, offset float64) *Codec {
-	c, err := New(scale, offset)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Scale returns the multiplicative scale factor.
 func (c *Codec) Scale() float64 { return c.scale }
-
-// Offset returns the additive offset applied before scaling.
-func (c *Codec) Offset() float64 { return c.offset }
 
 // ErrOutOfRange reports a coordinate that cannot be encoded without
 // overflowing the protocol integer domain.
@@ -137,18 +124,4 @@ func DistSq(a, b []int64) int64 {
 // YMPP n0 parameter).
 func MaxDistSqBound(maxCoord int64, dim int) int64 {
 	return int64(dim) * maxCoord * maxCoord
-}
-
-// MaxCoord returns the largest encoded coordinate across a dataset, or 0 if
-// the dataset is empty.
-func MaxCoord(ps [][]int64) int64 {
-	var m int64
-	for _, p := range ps {
-		for _, v := range p {
-			if v > m {
-				m = v
-			}
-		}
-	}
-	return m
 }

@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+func mustNew(t *testing.T, scale, offset float64) *Codec {
+	t.Helper()
+	c, err := New(scale, offset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestNewRejectsBadScale(t *testing.T) {
 	for _, s := range []float64{0, -1, math.Inf(1), math.NaN()} {
 		if _, err := New(s, 0); err == nil {
@@ -19,7 +28,7 @@ func TestNewRejectsBadScale(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	c := MustNew(100, 10)
+	c := mustNew(t, 100, 10)
 	for _, x := range []float64{-10, -9.99, 0, 0.005, 3.14159, 1000} {
 		v, err := c.Encode(x)
 		if err != nil {
@@ -33,14 +42,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestEncodeRejectsNegativeMapping(t *testing.T) {
-	c := MustNew(10, 0)
+	c := mustNew(t, 10, 0)
 	if _, err := c.Encode(-1); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("Encode(-1) = %v, want ErrOutOfRange", err)
 	}
 }
 
 func TestEncodeRejectsNonFinite(t *testing.T) {
-	c := MustNew(10, 0)
+	c := mustNew(t, 10, 0)
 	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := c.Encode(x); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("Encode(%v) = %v, want ErrOutOfRange", x, err)
@@ -49,14 +58,14 @@ func TestEncodeRejectsNonFinite(t *testing.T) {
 }
 
 func TestEncodeRejectsOverflow(t *testing.T) {
-	c := MustNew(1e6, 0)
+	c := mustNew(t, 1e6, 0)
 	if _, err := c.Encode(1e12); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("want ErrOutOfRange, got %v", err)
 	}
 }
 
 func TestEncodePointPropagatesIndex(t *testing.T) {
-	c := MustNew(10, 0)
+	c := mustNew(t, 10, 0)
 	_, err := c.EncodePoint([]float64{1, -5, 2})
 	if err == nil {
 		t.Fatal("want error for negative coordinate")
@@ -65,7 +74,7 @@ func TestEncodePointPropagatesIndex(t *testing.T) {
 
 func TestEpsSquaredExactOnGrid(t *testing.T) {
 	// With scale 1 and integer eps, EpsSquared must be exactly eps².
-	c := MustNew(1, 0)
+	c := mustNew(t, 1, 0)
 	for eps := 0; eps <= 50; eps++ {
 		got, err := c.EpsSquared(float64(eps))
 		if err != nil {
@@ -78,7 +87,7 @@ func TestEpsSquaredExactOnGrid(t *testing.T) {
 }
 
 func TestEpsSquaredScaled(t *testing.T) {
-	c := MustNew(10, 0)
+	c := mustNew(t, 10, 0)
 	got, err := c.EpsSquared(1.5) // (1.5·10)² = 225
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +98,7 @@ func TestEpsSquaredScaled(t *testing.T) {
 }
 
 func TestEpsSquaredRejectsBad(t *testing.T) {
-	c := MustNew(10, 0)
+	c := mustNew(t, 10, 0)
 	for _, e := range []float64{-1, math.Inf(1), math.NaN()} {
 		if _, err := c.EpsSquared(e); err == nil {
 			t.Errorf("EpsSquared(%v): want error", e)
@@ -126,15 +135,6 @@ func TestMaxDistSqBound(t *testing.T) {
 	}
 }
 
-func TestMaxCoord(t *testing.T) {
-	if got := MaxCoord(nil); got != 0 {
-		t.Errorf("MaxCoord(nil) = %d, want 0", got)
-	}
-	if got := MaxCoord([][]int64{{1, 9}, {4, 2}}); got != 9 {
-		t.Errorf("got %d, want 9", got)
-	}
-}
-
 // Property: distance decisions on the encoded grid are symmetric and obey
 // the triangle-ish bound DistSq(a,c) ≤ 2·(DistSq(a,b)+DistSq(b,c)).
 func TestDistSqProperties(t *testing.T) {
@@ -155,7 +155,7 @@ func TestDistSqProperties(t *testing.T) {
 // Property: encoding is monotone — larger raw coordinates never produce
 // smaller encoded values.
 func TestEncodeMonotone(t *testing.T) {
-	c := MustNew(37.5, 100)
+	c := mustNew(t, 37.5, 100)
 	f := func(x, y float64) bool {
 		x = math.Mod(math.Abs(x), 1000)
 		y = math.Mod(math.Abs(y), 1000)

@@ -1,7 +1,7 @@
 // Package metrics provides clustering-agreement measures used to compare
 // private protocol outputs against the plaintext DBSCAN oracle and against
-// ground truth: the Adjusted Rand Index, purity, and exact label-set
-// equality up to cluster renaming. Noise (label −1) is treated as its own
+// ground truth: the Adjusted Rand Index, normalized mutual information,
+// and exact label-set equality up to cluster renaming. Noise (label −1) is treated as its own
 // class by all measures, since DBSCAN's noise set is part of its output
 // (Definition 4 of the paper).
 package metrics
@@ -62,56 +62,6 @@ func ARI(a, b []int) (float64, error) {
 		return 0, nil
 	}
 	return (sumJoint - expected) / (maxIndex - expected), nil
-}
-
-// RandIndex computes the unadjusted Rand index in [0, 1].
-func RandIndex(a, b []int) (float64, error) {
-	joint, ca, cb, err := contingency(a, b)
-	if err != nil {
-		return 0, err
-	}
-	n := len(a)
-	if n < 2 {
-		return 1, nil
-	}
-	var sumJoint, sumA, sumB float64
-	for _, c := range joint {
-		sumJoint += choose2(c)
-	}
-	for _, c := range ca {
-		sumA += choose2(c)
-	}
-	for _, c := range cb {
-		sumB += choose2(c)
-	}
-	total := choose2(n)
-	// agreements = pairs together in both + pairs apart in both
-	agree := sumJoint + (total - sumA - sumB + sumJoint)
-	return agree / total, nil
-}
-
-// Purity computes the fraction of points whose predicted cluster's
-// majority ground-truth class matches their own. Noise predictions count
-// as singleton clusters.
-func Purity(pred, truth []int) (float64, error) {
-	joint, _, _, err := contingency(pred, truth)
-	if err != nil {
-		return 0, err
-	}
-	if len(pred) == 0 {
-		return 1, nil
-	}
-	best := make(map[int]int)
-	for key, c := range joint {
-		if c > best[key[0]] {
-			best[key[0]] = c
-		}
-	}
-	var sum int
-	for _, c := range best {
-		sum += c
-	}
-	return float64(sum) / float64(len(pred)), nil
 }
 
 // Canonicalize renames cluster ids (> 0) in first-appearance order
@@ -195,17 +145,6 @@ func NMI(a, b []int) (float64, error) {
 		nmi = 0
 	}
 	return nmi, nil
-}
-
-// NumClusters counts distinct positive labels.
-func NumClusters(labels []int) int {
-	seen := make(map[int]bool)
-	for _, l := range labels {
-		if l > 0 {
-			seen[l] = true
-		}
-	}
-	return len(seen)
 }
 
 // NoiseCount counts points labelled −1.

@@ -6,16 +6,16 @@
 //   - BatchMultiply: m independent multiplications sharing one message
 //     round; this is how the horizontal distance protocol (HDP, §4.2)
 //     computes its per-coordinate masked products with O(c1·m) bits.
-//   - Dot: the secret-shared dot product of §5, u = a·b + v, used by the
-//     enhanced protocol to share Dist²(A, B_i) between the parties with a
-//     single ciphertext per point.
+//   - DotMany: the secret-shared dot products of §5, u_i = a·b_i + v_i,
+//     used by the enhanced protocol to share Dist²(A, B_i) between the
+//     parties with a single ciphertext per point.
 //
 // All batch forms route their Paillier arithmetic through the parallel
 // layer (paillier.EncryptBatch / DecryptSignedBatch / ParallelFor) via an
 // explicit *paillier.Pool handle, so a batch of m instances costs one
 // round trip and m/workers sequential modular exponentiations. A server
 // process holding many sessions passes its shared bounded pool; a nil
-// pool keeps the per-call GOMAXPROCS fan-out.
+// pool is paillier's process-wide default pool.
 //
 // Fidelity note: Algorithm 2 step 3 literally
 // says Alice sends the encryption nonce r to Bob. Publishing a Paillier
@@ -61,7 +61,7 @@ func SenderMultiply(conn transport.Conn, pub *paillier.PublicKey, y int64, v *bi
 // ReceiverBatchMultiply performs m independent multiplications in one
 // round trip: the receiver holds xs and obtains u_k = xs[k]·ys[k] + vs[k].
 // pool routes the Paillier arithmetic over the process-shared crypto pool
-// (nil: per-call GOMAXPROCS fan-out), as on every batch form below.
+// (nil: paillier's process-wide default), as on every batch form below.
 func ReceiverBatchMultiply(conn transport.Conn, key *paillier.PrivateKey, xs []int64, random io.Reader, pool *paillier.Pool) ([]*big.Int, error) {
 	if random == nil {
 		random = rand.Reader
@@ -135,23 +135,6 @@ func SenderBatchMultiply(conn transport.Conn, pub *paillier.PublicKey, ys []int6
 		return err
 	}
 	return transport.SendMsg(conn, transport.NewBuilder().PutBigs(replies))
-}
-
-// ReceiverDot obtains u = a·b + v where the caller holds vector a.
-// The caller sends one ciphertext per coordinate and receives one back,
-// so a session that scores n sender points against the same a should use
-// ReceiverDotMany instead.
-func ReceiverDot(conn transport.Conn, key *paillier.PrivateKey, a []int64, random io.Reader) (*big.Int, error) {
-	us, err := ReceiverDotMany(conn, key, a, 1, random, nil)
-	if err != nil {
-		return nil, err
-	}
-	return us[0], nil
-}
-
-// SenderDot is the sending half of ReceiverDot.
-func SenderDot(conn transport.Conn, pub *paillier.PublicKey, b []int64, v *big.Int, random io.Reader) error {
-	return SenderDotMany(conn, pub, [][]int64{b}, []*big.Int{v}, random, nil)
 }
 
 // ReceiverDotMany sends the encrypted coordinates of a once and receives

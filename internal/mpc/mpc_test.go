@@ -155,23 +155,23 @@ func TestDotProduct(t *testing.T) {
 	a := []int64{2, -3, 4}
 	b := []int64{5, 6, -7}
 	v := big.NewInt(1000)
-	var u *big.Int
+	var us []*big.Int
 	err := transport.Run2(
 		func(c transport.Conn) error {
 			var err error
-			u, err = ReceiverDot(c, k, a, rand.Reader)
+			us, err = ReceiverDotMany(c, k, a, 1, rand.Reader, nil)
 			return err
 		},
 		func(c transport.Conn) error {
-			return SenderDot(c, &k.PublicKey, b, v, rand.Reader)
+			return SenderDotMany(c, &k.PublicKey, [][]int64{b}, []*big.Int{v}, rand.Reader, nil)
 		},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := int64(2*5+(-3)*6+4*(-7)) + 1000
-	if u.Int64() != want {
-		t.Errorf("u = %v, want %d", u, want)
+	if len(us) != 1 || us[0].Int64() != want {
+		t.Errorf("u = %v, want [%d]", us, want)
 	}
 }
 

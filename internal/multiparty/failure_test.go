@@ -307,7 +307,7 @@ func TestRingTokenRejectsCoordinatorKeys(t *testing.T) {
 		{name: "masked, oversized Paillier modulus", engine: compare.EngineMasked, paiPub: make([]byte, 1<<20), cause: paillier.ErrPublicKey},
 	} {
 		cfg := testCfg(tc.engine)
-		cc, err := cfg.core()
+		cc, err := cfg.Normalize()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +361,7 @@ func TestRingTokenRefusesOldSchedule(t *testing.T) {
 	}
 	attrs := [][]float64{{1}, {2}, {3}}
 	cfg := testCfg(compare.EngineMasked)
-	cc, err := cfg.core()
+	cc, err := cfg.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -338,7 +338,7 @@ func newMeshState(party HorizontalParty, cfg Config, points [][]float64) (*hStat
 	if err := party.validate(); err != nil {
 		return nil, err
 	}
-	cc, err := cfg.core()
+	cc, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
 	}

@@ -90,7 +90,7 @@ func checkMeshKeys(t *testing.T, k int, cfg Config) {
 // checkSessionKeys establishes one two-party horizontal Session per side
 // and checks that each holds its own key and the other's public half.
 func checkSessionKeys(t *testing.T, cfg Config) {
-	cc, err := cfg.core()
+	cc, err := cfg.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}

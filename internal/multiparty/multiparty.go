@@ -46,16 +46,60 @@
 // CmpMaskBits and ShareMaskBits included, is compared at establishment by
 // the same Params.Diff — its coordinator↔last comparison engines come
 // from compare.Edge, the one engine constructor, and its edges split into
-// worker channels with core.Channels. Config converts to core.Config and
-// is normalised there. The long-lived sessions share core's lifecycle
-// state too: a RingSession's window is a core.RowGens (the two-party
-// vertical family's table: per-generation counts, cell rows, PairCache),
-// a MeshSession's is core.OwnGens + one core.PeerGens per peer, and both
-// run every operation under core.Guard. What the ring owns is how k
+// worker channels with core.Channels. Config is core.Config itself. The
+// long-lived sessions share core's lifecycle state too: a RingSession's
+// window is a core.RowGens (the two-party vertical family's table:
+// per-generation counts, cell rows, PairCache), a MeshSession's is
+// core.OwnGens + one core.PeerGens per peer, and both run every operation
+// under core.Guard. What the ring owns is how k
 // parties agree: state.circulate, the one two-lap token pass, which the
 // handshake, the cell-row circulation and the append / expire / retract
 // agreements each call with the closures that build and check their
 // frames.
+//
+// # Configuration
+//
+// Config is core.Config. All parties must agree on every field but Pool
+// and Random; the ring token and the mesh edges' handshakes verify this
+// through core.Params. Where a field means something particular to k
+// parties:
+//
+//   - ShareMaskBits sizes the ring's sum masks: v ∈ [0, 2^ShareMaskBits).
+//   - Batching switches the comparison leg of a chunk only. One ring
+//     circulation carries the ciphertexts of a whole lockstep chunk (up to
+//     256 undecided pairs, whole rows of the pair matrix) in every mode,
+//     and the coordinator↔last comparison is one batch, whose round
+//     structure the engine runs (compare.Edge.Sequential): three frames
+//     under the default batched mode — O(k) messages a chunk — or three a
+//     pair under sequential.
+//   - Packing: under the default "slots" mode a ring circulation packs S
+//     masked sums per Paillier plaintext (internal/encoding), so a batch of
+//     n pairs costs ⌈n/S⌉ ciphertexts per hop instead of n, and the masked
+//     comparison engine packs its reply direction the same way. "full"
+//     adds the masked engine's packed comparison uplink. "off" runs the
+//     same circulation and comparison replies at S = 1, one ciphertext per
+//     value.
+//   - Pruning: under the default grid mode each ring party discloses the
+//     Eps-grid cell coordinates of every record over its own columns (two
+//     ring circulations, tag ring.idx); all parties assemble the same full
+//     cell matrix and decide non-adjacent pairs out of range locally, so
+//     those pairs never circulate. Mesh edges exchange padded occupancy
+//     directories instead, at PruneQuantum granularity. Under "off" (and
+//     when Eps² reaches the dist² bound) the same exchanges run on the
+//     one-cell grid (core.CandidateGrid): every coordinate is the one cell,
+//     directories pad at 1, and nothing is pruned.
+//   - Parallel is W. The ring circulates up to W chunks of the pair matrix
+//     concurrently (per-worker accumulation, comparison and broadcast);
+//     the mesh settles every region sub-query of a pass up front
+//     (core.Pair.Settle), chunk c on channel c mod W of its edge, and at
+//     W > 1 settles with all peers concurrently. W > 1 multiplexes every
+//     edge into W worker channels (transport.Mux). Labels and disclosure
+//     counts do not depend on W.
+//   - Pool is the crypto worker pool of this party's Paillier/RSA batch
+//     arithmetic; nil is paillier's process-wide default pool.
+//   - Seed seeds a mesh edge's per-query permutations as it does a
+//     two-party session's; the ring draws none. Selection is the enhanced
+//     family's and plays no part here.
 //
 // # Disclosure
 //
@@ -82,88 +126,11 @@ import (
 	"repro/internal/yao"
 )
 
-// Config carries the parameters of the k-party protocols. All parties
-// must agree on every field but Pool and Random; the ring token and the
-// mesh edges' handshakes verify this through core.Params.
-type Config struct {
-	Eps      float64
-	MinPts   int
-	Scale    float64
-	Offset   float64
-	MaxCoord int64
-
-	PaillierBits  int
-	RSABits       int
-	Engine        compare.EngineKind
-	CmpMaskBits   int
-	ShareMaskBits int // mask magnitude for the ring sums: v ∈ [0, 2^bits)
-
-	// Batching switches the comparison leg of a chunk only: one ring
-	// circulation carries the ciphertexts of a whole lockstep chunk (up to
-	// 256 undecided pairs, whole rows of the pair matrix) in every mode,
-	// and the coordinator↔last comparison is one batch, whose round
-	// structure the engine runs (compare.Edge.Sequential): three frames
-	// under the default batched mode — O(k) messages a chunk — or three a
-	// pair under sequential.
-	Batching core.BatchMode
-
-	// Packing: under the default "slots" mode a ring circulation packs S
-	// masked sums per Paillier plaintext (internal/encoding), so a batch
-	// of n pairs costs ⌈n/S⌉ ciphertexts per hop instead of n, and the
-	// masked comparison engine packs its reply direction the same way.
-	// "full" additionally turns on the masked engine's packed comparison
-	// uplink (per-batch moded wire form, never more ciphertexts than
-	// "slots"). "off" runs the same circulation and comparison replies at
-	// S = 1, one ciphertext per value. Any packing requires the batched
-	// round structure.
-	Packing core.PackMode
-
-	// Pruning: under the default grid mode each ring party discloses the
-	// Eps-grid cell coordinates of every record over its own columns (two
-	// ring circulations, tag ring.idx); all parties assemble the same full
-	// cell matrix and decide non-adjacent pairs out of range locally, so
-	// those pairs never circulate. Mesh edges exchange padded occupancy
-	// directories instead, at PruneQuantum granularity. Under "off" (and
-	// when Eps² reaches the dist² bound) the same exchanges run on the
-	// one-cell grid (core.CandidateGrid): every coordinate is the one cell,
-	// directories pad at 1, and nothing is pruned.
-	Pruning      core.PruneMode
-	PruneQuantum int
-
-	// Parallel is W, the width of the one query scheduler. The ring runs
-	// core.LockstepCluster, circulating up to W chunks of the pair matrix
-	// concurrently — per-worker accumulation, comparison, and broadcast —
-	// and the mesh settles every region sub-query of a pass up front
-	// (core.Pair.Settle), chunk c on channel c mod W of its mesh edge,
-	// before dbscan.ClusterCore walks the settled caches. W = 1 is one worker
-	// on each edge's bare connection; W > 1 multiplexes every edge into W
-	// worker channels (transport.Mux) and additionally settles with all
-	// peers concurrently. W > 1 requires the batched round structure.
-	// Labels and disclosure counts do not depend on W.
-	Parallel int
-
-	// Pool, when non-nil, routes this party's Paillier/RSA batch
-	// arithmetic over a process-shared bounded worker pool instead of a
-	// per-call GOMAXPROCS fan-out — the knob a host process serving many
-	// concurrent clustering sessions uses to keep the CPU subscribed
-	// rather than oversubscribed. Local resource only; never compared.
-	Pool *paillier.Pool
-
-	Random io.Reader
-}
-
-// core converts to the two-party configuration — defaults filled in and
-// validated by core's normaliser — that the ring state, every mesh edge
-// and the agreed-parameter codec work on.
-func (c Config) core() (core.Config, error) {
-	return core.Config{
-		Eps: c.Eps, MinPts: c.MinPts, Scale: c.Scale, Offset: c.Offset, MaxCoord: c.MaxCoord,
-		PaillierBits: c.PaillierBits, RSABits: c.RSABits, Engine: c.Engine,
-		CmpMaskBits: c.CmpMaskBits, ShareMaskBits: c.ShareMaskBits,
-		Batching: c.Batching, Packing: c.Packing, Pruning: c.Pruning, PruneQuantum: c.PruneQuantum,
-		Parallel: c.Parallel, Pool: c.Pool, Random: c.Random,
-	}.Normalize()
-}
+// Config is core.Config: a ring or mesh party is configured, defaulted and
+// validated exactly as a two-party session is (Config.Normalize). What the
+// fields mean for the ring and the mesh is under "Configuration" in the
+// package comment.
+type Config = core.Config
 
 // Party describes one participant's position in the ring.
 type Party struct {
@@ -312,7 +279,7 @@ func newRingState(party Party, cfg Config, attrs [][]float64) (*state, [][]int64
 	if err := party.validate(); err != nil {
 		return nil, nil, err
 	}
-	cc, err := cfg.core()
+	cc, err := cfg.Normalize()
 	if err != nil {
 		return nil, nil, err
 	}

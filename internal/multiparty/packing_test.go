@@ -272,7 +272,7 @@ func TestPackingRequiresBatched(t *testing.T) {
 	for _, mode := range []core.PackMode{core.PackSlots, core.PackFull} {
 		cfg := packCfg(mode)
 		cfg.Batching = core.BatchModeSequential
-		if _, err := cfg.core(); err == nil {
+		if _, err := cfg.Normalize(); err == nil {
 			t.Fatalf("sequential batching with %s packing validated", mode)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 // embarrassingly parallel. Every batch op takes an explicit *Pool handle:
 // a server process shares one bounded Pool across all of its sessions
 // (core.SessionManager), while a nil pool — the solo-session default —
-// fans each call out over GOMAXPROCS. EncryptBatch and DecryptBatch (and
+// is the process-wide pool (see Pool). EncryptBatch and DecryptBatch (and
 // their signed variants) are the entry points the MPC and comparison
 // layers use.
 //

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func batchTestKey(t *testing.T) *PrivateKey {
@@ -21,8 +22,8 @@ func batchTestKey(t *testing.T) *PrivateKey {
 }
 
 // batchPools is the pool matrix every batch test runs against: the
-// nil handle (the solo-session default: per-call GOMAXPROCS fan-out), a single-slot shared pool, and a wider
-// shared pool.
+// nil handle (the solo-session default: the process-wide pool), a
+// single-slot shared pool, and a wider shared pool.
 func batchPools() map[string]*Pool {
 	return map[string]*Pool{"nil": nil, "pool1": NewPool(1), "pool4": NewPool(4)}
 }
@@ -193,6 +194,41 @@ func TestPoolBoundsHelperGoroutines(t *testing.T) {
 	wg.Wait()
 	if got := peak.Load(); got > callers+slots {
 		t.Fatalf("peak concurrency %d exceeds callers %d + pool slots %d", got, callers, slots)
+	}
+}
+
+// TestNilPoolSharesOneBound: a nil pool is one process-wide pool, not a
+// fan-out per call, so concurrent nil-pool batches run at most Workers()
+// helpers between them. Every call sleeps so that every worker a batch
+// starts is inside fn at once; GOMAXPROCS is raised so that a per-call
+// fan-out would overshoot the bound on any host.
+func TestNilPoolSharesOneBound(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const callers = 4
+	var active, peak atomic.Int32
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = ParallelFor(nil, 16, func(i int) error {
+				cur := active.Add(1)
+				for {
+					p := peak.Load()
+					if cur <= p || peak.CompareAndSwap(p, cur) {
+						break
+					}
+				}
+				time.Sleep(2 * time.Millisecond)
+				active.Add(-1)
+				return nil
+			})
+		}()
+	}
+	wg.Wait()
+	var p *Pool
+	if got, bound := int(peak.Load()), callers+p.Workers(); got > bound {
+		t.Fatalf("peak concurrency %d exceeds callers %d + the shared pool's %d slots", got, callers, p.Workers())
 	}
 }
 

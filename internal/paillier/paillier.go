@@ -450,20 +450,6 @@ func (pk *PublicKey) Add(c1, c2 *big.Int) (*big.Int, error) {
 	return out.Mod(out, pk.NSquared), nil
 }
 
-// AddPlain returns a ciphertext of m1+k given a ciphertext of m1 and a
-// signed plaintext k.
-func (pk *PublicKey) AddPlain(c, k *big.Int) (*big.Int, error) {
-	if err := pk.validCiphertext(c); err != nil {
-		return nil, err
-	}
-	gk, err := pk.Unblinded(k)
-	if err != nil {
-		return nil, err
-	}
-	gk.Mul(gk, c)
-	return gk.Mod(gk, pk.NSquared), nil
-}
-
 // Mul returns a ciphertext of m·k given a ciphertext of m and a signed
 // plaintext scalar k (negative k uses the modular inverse of c).
 func (pk *PublicKey) Mul(c, k *big.Int) (*big.Int, error) {

@@ -118,16 +118,23 @@ func TestHomomorphicAdd(t *testing.T) {
 	}
 }
 
+// TestHomomorphicAddPlain: a plaintext is added to a ciphertext as a
+// product with its unblinded encryption, as the enhanced protocol adds its
+// selection shift.
 func TestHomomorphicAddPlain(t *testing.T) {
 	k := testKey(t, 256)
 	c, _ := k.Encrypt(rand.Reader, big.NewInt(50))
-	c2, err := k.AddPlain(c, big.NewInt(-75))
+	g, err := k.Unblinded(big.NewInt(-75))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := k.Add(c, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, _ := k.DecryptSigned(c2)
 	if got.Int64() != -25 {
-		t.Errorf("AddPlain = %v, want -25", got)
+		t.Errorf("E(50)·g^-75 decrypts to %v, want -25", got)
 	}
 }
 
@@ -315,11 +322,7 @@ func TestOwnerAndPublicCiphertextsMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shifted, err := pub.AddPlain(scaled, big.NewInt(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := pub.Randomize(rand.Reader, shifted)
+	again, err := pub.Randomize(rand.Reader, scaled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +330,7 @@ func TestOwnerAndPublicCiphertextsMix(t *testing.T) {
 		name string
 		c    *big.Int
 		want int64
-	}{{"Add", sum, -259}, {"Mul", scaled, 1813}, {"AddPlain", shifted, 1818}, {"Randomize", again, 1818}} {
+	}{{"Add", sum, -259}, {"Mul", scaled, 1813}, {"Randomize", again, 1813}} {
 		got, err := k.DecryptSigned(tc.c)
 		if err != nil {
 			t.Fatal(err)

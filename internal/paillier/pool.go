@@ -16,8 +16,9 @@ import (
 // oversubscribing the CPU.
 //
 // A nil *Pool is valid everywhere a pool handle is accepted and is the
-// solo-session default: each batch fans out over min(GOMAXPROCS, n)
-// workers of its own, right for a session that owns the whole process.
+// solo-session default: it stands for one process-wide pool, NewPool(0),
+// made on first use, so batches from any number of nil-pool callers
+// share GOMAXPROCS helper slots.
 //
 // Deadlock freedom: ParallelFor is the only taker of slots, the calling
 // goroutine always participates in its own batch, and helper slots are
@@ -37,18 +38,26 @@ func NewPool(workers int) *Pool {
 	return &Pool{sem: make(chan struct{}, workers)}
 }
 
+// defaultPool is the pool a nil *Pool stands for.
+var defaultPool = sync.OnceValue(func() *Pool { return NewPool(0) })
+
+// orDefault resolves a nil pool to the process-wide default.
+func (p *Pool) orDefault() *Pool {
+	if p == nil {
+		return defaultPool()
+	}
+	return p
+}
+
 // Workers reports the pool's helper-slot bound.
 func (p *Pool) Workers() int {
-	if p == nil {
-		return runtime.GOMAXPROCS(0)
-	}
-	return cap(p.sem)
+	return cap(p.orDefault().sem)
 }
 
 // ParallelFor runs fn(0..n-1) across the caller plus as many pool
-// helpers as are free (nil pool: min(GOMAXPROCS, n) workers) and
-// returns the first error (remaining work is abandoned on error). fn
-// must not touch shared mutable state; index-sliced outputs are safe.
+// helpers as are free and returns the first error (remaining work is
+// abandoned on error). fn must not touch shared mutable state;
+// index-sliced outputs are safe.
 func ParallelFor(p *Pool, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -56,6 +65,7 @@ func ParallelFor(p *Pool, n int, fn func(i int) error) error {
 	if n == 1 {
 		return fn(0)
 	}
+	p = p.orDefault()
 	var (
 		next    atomic.Int64
 		failed  atomic.Bool
@@ -80,34 +90,20 @@ func ParallelFor(p *Pool, n int, fn func(i int) error) error {
 			}
 		}
 	}
-	if p == nil {
-		helpers := runtime.GOMAXPROCS(0)
-		if helpers > n {
-			helpers = n
-		}
-		for h := 1; h < helpers; h++ {
+	// Try-acquire keeps the process-wide crypto goroutine count at the
+	// pool bound and never blocks the caller on other sessions.
+acquire:
+	for h := 1; h < n; h++ {
+		select {
+		case p.sem <- struct{}{}:
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				defer func() { <-p.sem }()
 				work()
 			}()
-		}
-	} else {
-		// Try-acquire keeps the process-wide crypto goroutine count at
-		// the pool bound and never blocks the caller on other sessions.
-	acquire:
-		for h := 1; h < n; h++ {
-			select {
-			case p.sem <- struct{}{}:
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer func() { <-p.sem }()
-					work()
-				}()
-			default:
-				break acquire
-			}
+		default:
+			break acquire
 		}
 	}
 	work()

@@ -343,11 +343,6 @@ func (s *Stack) GenOf(id int) (int, error) {
 	return 0, fmt.Errorf("%w: point %d outside live range [0,%d)", ErrGenRange, id, s.Total())
 }
 
-// ResolveRange is ResolveSpan over the open suffix [from, Gens()).
-func (s *Stack) ResolveRange(from int, cells [][]int64) (members []int, nDummy int, err error) {
-	return s.ResolveSpan(from, s.Gens(), cells)
-}
-
 // ResolveSpan is the responder half of a generation-scoped pruned query:
 // it validates an announced candidate-cell list against the generations
 // [from, to) and resolves it to the member point indices (global,
@@ -399,11 +394,6 @@ func (s *Stack) ResolveSpan(from, to int, cells [][]int64) (members []int, nDumm
 		}
 	}
 	return members, padded - len(members), nil
-}
-
-// CandidatesRange is CandidatesSpan over the open suffix [from, len(dirs)).
-func CandidatesRange(dirs []Directory, from int, cell []int64) (cells [][]int64, total int) {
-	return CandidatesSpan(dirs, from, len(dirs), cell)
 }
 
 // CandidatesSpan is the driver half over a peer's generation

@@ -28,7 +28,7 @@ func TestStackAppendAssignsGlobalIndices(t *testing.T) {
 		t.Fatalf("gens=%d total=%d, want 2/4", s.Gens(), s.Total())
 	}
 	// Cell (0,0) holds points 0,1 from gen 0 and point 3 from gen 1.
-	members, dummy, err := s.ResolveRange(0, [][]int64{{0, 0}})
+	members, dummy, err := s.ResolveSpan(0, s.Gens(), [][]int64{{0, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestStackAppendAssignsGlobalIndices(t *testing.T) {
 	}
 
 	// Range [1, 2): only the generation-1 member, padded to the quantum.
-	members, dummy, err = s.ResolveRange(1, [][]int64{{0, 0}})
+	members, dummy, err = s.ResolveSpan(1, s.Gens(), [][]int64{{0, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,16 +61,16 @@ func TestStackResolveRangeRejectsBadQueries(t *testing.T) {
 	if _, err := s.Append([][]int64{{0, 0}, {9, 9}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.ResolveRange(0, [][]int64{{5, 5}}); err == nil {
+	if _, _, err := s.ResolveSpan(0, s.Gens(), [][]int64{{5, 5}}); err == nil {
 		t.Error("unoccupied cell accepted")
 	}
-	if _, _, err := s.ResolveRange(0, [][]int64{{2, 2}, {0, 0}}); err == nil {
+	if _, _, err := s.ResolveSpan(0, s.Gens(), [][]int64{{2, 2}, {0, 0}}); err == nil {
 		t.Error("out-of-order cells accepted")
 	}
-	if _, _, err := s.ResolveRange(3, nil); err == nil {
+	if _, _, err := s.ResolveSpan(3, s.Gens(), nil); err == nil {
 		t.Error("out-of-range generation accepted")
 	}
-	if _, _, err := s.ResolveRange(1, [][]int64{{0, 0}}); err == nil {
+	if _, _, err := s.ResolveSpan(1, s.Gens(), [][]int64{{0, 0}}); err == nil {
 		t.Error("cell occupied only before the range accepted")
 	}
 	if _, err := s.Append([][]int64{{1, 1, 1}}); err == nil {
@@ -85,15 +85,15 @@ func TestCandidatesRangeUnionsGenerations(t *testing.T) {
 	d2, _ := s.Append([][]int64{{20, 20}})       // cell (5,5): not adjacent to (0,0)
 	dirs := []Directory{d0, d1, d2}
 
-	cells, total := CandidatesRange(dirs, 0, []int64{0, 0})
+	cells, total := CandidatesSpan(dirs, 0, len(dirs), []int64{0, 0})
 	if len(cells) != 2 || total != 4 {
 		t.Fatalf("full range candidates=%v total=%d, want 2 cells / 4", cells, total)
 	}
-	cells, total = CandidatesRange(dirs, 1, []int64{0, 0})
+	cells, total = CandidatesSpan(dirs, 1, len(dirs), []int64{0, 0})
 	if len(cells) != 1 || total != 2 {
 		t.Fatalf("suffix candidates=%v total=%d, want cell (1,1) / 2", cells, total)
 	}
-	cells, total = CandidatesRange(dirs, 2, []int64{0, 0})
+	cells, total = CandidatesSpan(dirs, 2, len(dirs), []int64{0, 0})
 	if len(cells) != 0 || total != 0 {
 		t.Fatalf("disjoint suffix candidates=%v total=%d, want none", cells, total)
 	}
@@ -118,9 +118,9 @@ func TestStackDirGenStartBounds(t *testing.T) {
 	if n, err := s.GenStart(1); err != nil || n != 1 {
 		t.Fatalf("GenStart(Gens()) = %d, %v, want 1, nil", n, err)
 	}
-	// ResolveRange with from == Gens() accepts an empty query.
-	if _, _, err := s.ResolveRange(s.Gens(), nil); err != nil {
-		t.Fatalf("ResolveRange(Gens(), nil): %v", err)
+	// ResolveSpan over the empty span [Gens(), Gens()) accepts an empty query.
+	if _, _, err := s.ResolveSpan(s.Gens(), s.Gens(), nil); err != nil {
+		t.Fatalf("ResolveSpan(Gens(), Gens(), nil): %v", err)
 	}
 }
 
@@ -159,7 +159,7 @@ func TestStackExpireRebasesSurvivors(t *testing.T) {
 	// Cell (0,0): gen-1 point (now index 0) + gen-2 point (now index 1);
 	// the expired gen-0 members are gone. Quantum 2 pads each live
 	// generation's single member to 2.
-	members, dummy, err := s.ResolveRange(0, [][]int64{{0, 0}})
+	members, dummy, err := s.ResolveSpan(0, s.Gens(), [][]int64{{0, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestStackExpireRebasesSurvivors(t *testing.T) {
 		}
 	}
 	// A from inside the dead prefix behaves like from == dead.
-	m2, d2, err := s.ResolveRange(1, [][]int64{{0, 0}})
+	m2, d2, err := s.ResolveSpan(1, s.Gens(), [][]int64{{0, 0}})
 	if err != nil || len(m2) != len(members) || d2 != dummy {
 		t.Fatalf("from inside dead prefix: %v/%d, %v", m2, d2, err)
 	}

@@ -110,7 +110,7 @@ func FuzzGridDelta(f *testing.F) {
 		}
 		// The batch members must resolve against the stacked index with
 		// exactly the padded counts the delta disclosed.
-		members, dummy, err := s.ResolveRange(0, dirCoords(d))
+		members, dummy, err := s.ResolveSpan(0, s.Gens(), dirCoords(d))
 		if err != nil {
 			t.Fatalf("resolve over own delta cells: %v", err)
 		}

@@ -45,7 +45,7 @@ func TestStackRetractMasksWithoutShrinkingFootprint(t *testing.T) {
 		t.Fatalf("retraction changed the disclosed directory: %+v vs %+v", after, before)
 	}
 	// The masked slot answers as one more dummy; the member count drops.
-	members, dummy, err := s.ResolveRange(0, [][]int64{{0, 0}})
+	members, dummy, err := s.ResolveSpan(0, s.Gens(), [][]int64{{0, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestStackRetractCompactsBelowThreshold(t *testing.T) {
 	// The survivor keeps serving queries under its rebased index, and a
 	// post-compaction retraction addresses the rebased numbering. All
 	// four appended points bucket into cell (0,0) on the width-4 grid.
-	members, _, err := s.ResolveRange(0, [][]int64{{0, 0}})
+	members, _, err := s.ResolveSpan(0, s.Gens(), [][]int64{{0, 0}})
 	if err != nil || len(members) != 1 || members[0] != 0 {
 		t.Fatalf("post-compaction resolve = %v, %v, want [0]", members, err)
 	}
@@ -114,7 +114,7 @@ func TestStackRetractZeroOccupancyGeneration(t *testing.T) {
 	// Point {5,5} buckets into cell (1,1) on the width-4 grid; the
 	// disclosed directory still lists that cell, so the query stays
 	// valid after the retraction compacted the generation empty.
-	members, dummy, err := s.ResolveRange(1, [][]int64{{1, 1}})
+	members, dummy, err := s.ResolveSpan(1, s.Gens(), [][]int64{{1, 1}})
 	if err != nil || len(members) != 0 || dummy < 1 {
 		t.Fatalf("zero-occupancy resolve = %d members / %d dummies, %v, want all dummies", len(members), dummy, err)
 	}

@@ -67,9 +67,6 @@ func TestListenerAcceptsManyPeers(t *testing.T) {
 	}
 	wg.Wait()
 
-	if group.Len() != peers {
-		t.Errorf("group tracked %d meters, want %d", group.Len(), peers)
-	}
 	agg := group.Stats()
 	if agg.MessagesRecv != peers || agg.MessagesSent != peers {
 		t.Errorf("aggregate messages %d/%d, want %d/%d", agg.MessagesSent, agg.MessagesRecv, peers, peers)

@@ -161,13 +161,6 @@ func (g *MeterGroup) New(conn Conn) *Meter {
 	return m
 }
 
-// Len reports how many meters the group has handed out.
-func (g *MeterGroup) Len() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.meters)
-}
-
 // Stats returns the aggregate counters summed over every meter.
 func (g *MeterGroup) Stats() Stats {
 	g.mu.Lock()
@@ -177,14 +170,6 @@ func (g *MeterGroup) Stats() Stats {
 		total = total.Add(m.Stats())
 	}
 	return total
-}
-
-// TagStats returns the merged per-tag counters across every meter.
-func (g *MeterGroup) TagStats() map[string]Stats {
-	g.mu.Lock()
-	ms := append([]*Meter(nil), g.meters...)
-	g.mu.Unlock()
-	return Merge(ms...)
 }
 
 // FormatTagStats renders per-tag stats as an aligned table, sorted by tag.

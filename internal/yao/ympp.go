@@ -75,7 +75,7 @@ func checkRound2(pub *RSAPublicKey, p *big.Int, ws []*big.Int, n0 int64) error {
 }
 
 // decryptRange computes Da(base + t mod N) for t = 0..count−1, one value
-// per task on the shared crypto pool (nil pool: GOMAXPROCS fan-out). base
+// per task on the shared crypto pool (nil: paillier's default pool). base
 // is reduced mod p and mod q once; task t adds t to each residue with one
 // conditional subtraction, which needs t < p and t < q: count ≤ MaxDomain
 // is far below the 128-bit primes of the smallest key.
