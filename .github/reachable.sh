@@ -61,11 +61,11 @@ if [ -n "$bad" ]; then
 fi
 
 # Unreached: defined, not linked, and covered by no allowlist entry.
-unreached="$(awk 'FILENAME == ARGV[1] { linked[$1] = 1; next } !($2 in linked)' "$tmp/linked" "$tmp/defined")"
-missing="$(printf '%s\n' "$unreached" | awk 'FILENAME == ARGV[1] { ok[$1] = 1; next } NF && !($1 in ok) && !($2 in ok) { print $2 "  (" $1 ")" }' "$tmp/allow" -)"
+awk 'FILENAME == ARGV[1] { linked[$1] = 1; next } !($2 in linked)' "$tmp/linked" "$tmp/defined" >"$tmp/unreached"
+missing="$(awk 'FILENAME == ARGV[1] { ok[$1] = 1; next } !($1 in ok) && !($2 in ok) { print $2 "  (" $1 ")" }' "$tmp/allow" "$tmp/unreached")"
 # Stale: an allowlisted symbol that is linked or no longer defined, or a
 # file entry with nothing unreached left in it.
-stale="$(printf '%s\n' "$unreached" | awk 'FILENAME == ARGV[1] { if (NF) { u[$1] = 1; u[$2] = 1 }; next } !($1 in u) { print $1 }' - "$tmp/allow")"
+stale="$(awk 'FILENAME == ARGV[1] { u[$1] = 1; u[$2] = 1; next } !($1 in u) { print $1 }' "$tmp/unreached" "$tmp/allow")"
 
 status=0
 if [ -n "$missing" ]; then

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 	"testing"
 
@@ -78,7 +77,7 @@ func TestMeterTagsAtEveryWidth(t *testing.T) {
 				out = append(out, tag)
 			}
 		}
-		sort.Strings(out)
+		slices.Sort(out)
 		return out
 	}
 	for _, proto := range equivalenceProtocols(t) {
