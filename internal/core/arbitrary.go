@@ -122,10 +122,43 @@ func newArbitrarySession(conn transport.Conn, cfg Config, role Role, values [][]
 	as := &aStream{RowGens: NewRowGens(len(values), cellRows), a: a}
 	t := newSession(conn, s, "arbitrary")
 	t.runOnce = func() (*Result, error) { return arbitraryRunOnce(t, as) }
-	t.appendInit = func(values [][]float64, owners [][]partition.Owner) (bool, error) {
-		return arbitraryAppendInit(t, as, values, owners)
+	// An append announces the records' public ownership rows (the values
+	// never travel), and its index payload is this party's cell coordinates
+	// of them — the per-record payload of the construction-time exchange.
+	t.appends = appendHooks{
+		shared:  true,
+		live:    func() int { return as.N },
+		request: func(r *transport.Reader, count int) ([][]partition.Owner, error) { return readOwners(r, count, m) },
+		encode: func(values [][]float64, owners [][]partition.Owner) ([][]int64, error) {
+			if len(owners) != len(values) {
+				return nil, fmt.Errorf("core: %d appended records but %d ownership rows", len(values), len(owners))
+			}
+			for i := range values {
+				if len(values[i]) != m || len(owners[i]) != m {
+					return nil, fmt.Errorf("core: appended record %d has inconsistent width (want %d)", i, m)
+				}
+			}
+			return cfg.encodeOwnedCells(values, owners, role)
+		},
+		put: func(msg *transport.Builder, batch [][]int64, owners [][]partition.Owner) error {
+			msg.PutInts(aOwnCoords(s, batch, owners))
+			return nil
+		},
+		absorb: func(r *transport.Reader, batch [][]int64, owners [][]partition.Owner, _ int) error {
+			own := aOwnCoords(s, batch, owners)
+			cells, err := aCellRows(s, r, owners, own)
+			if err != nil {
+				return err
+			}
+			// One delta entry per coordinate the peer disclosed: every cell of
+			// the batch that is not ours.
+			s.led(func(l *Ledger) { l.IndexDeltaCells += len(batch)*m - len(own) })
+			a.enc = append(a.enc, batch...)
+			a.owners = append(a.owners, owners...)
+			as.Append(len(batch), cells)
+			return nil
+		},
 	}
-	t.appendServe = func(r *transport.Reader) error { return arbitraryAppendServe(t, as, r) }
 	t.window = as.Window
 	t.expire = func(gens int) error {
 		rows := as.Expire(gens)
@@ -149,92 +182,31 @@ type aStream struct {
 	a *adpState
 }
 
-// arbitraryAppendInit announces the appended records — their public
-// ownership rows travel with the count; the values never do — and
-// completes the per-cell coordinate swap.
-func arbitraryAppendInit(t *Session, as *aStream, values [][]float64, owners [][]partition.Owner) (sent bool, err error) {
-	s := t.s
-	if owners == nil {
-		return false, fmt.Errorf("core: arbitrary protocol takes AppendOwned, not Append")
-	}
-	if len(owners) != len(values) {
-		return false, fmt.Errorf("core: %d appended records but %d ownership rows", len(values), len(owners))
-	}
-	for i := range values {
-		if len(values[i]) != s.dim || len(owners[i]) != s.dim {
-			return false, fmt.Errorf("core: appended record %d has inconsistent width (want %d)", i, s.dim)
-		}
-	}
-	batch, err := s.cfg.encodeOwnedCells(values, owners, s.role)
-	if err != nil {
-		return false, err
-	}
-	msg := transport.NewBuilder().PutUint(sessOpAppend).PutUint(uint64(len(batch)))
-	msg.PutBytes(flattenOwners(owners))
-	own := appendACoords(s, msg, batch, owners)
-	if err := t.sendOp(msg); err != nil {
-		return true, fmt.Errorf("core: session append op: %w", err)
-	}
-	r, err := transport.RecvMsg(s.Conns[0])
-	if err != nil {
-		return true, fmt.Errorf("core: session append reply: %w", err)
-	}
-	peerCount := int(r.Uint())
+// readOwners parses the ownership rows an append announces for count
+// records of dim cells (the flattenOwners encoding).
+func readOwners(r *transport.Reader, count, dim int) ([][]partition.Owner, error) {
+	flat := r.Bytes()
 	if err := r.Err(); err != nil {
-		return true, err
+		return nil, err
 	}
-	return true, finishAAppend(t, as, batch, owners, own, peerCount, r)
-}
-
-// arbitraryAppendServe is the serving side: parse the announced ownership
-// rows, obtain our cells of the new records from the append source, and
-// swap coordinates.
-func arbitraryAppendServe(t *Session, as *aStream, r *transport.Reader) error {
-	s := t.s
-	peerCount := int(r.Uint())
-	ownersFlat := r.Bytes()
-	if err := r.Err(); err != nil {
-		return err
+	// Validate by division: a product count·dim could wrap and slip past an
+	// equality check.
+	if len(flat)%dim != 0 || len(flat)/dim != count {
+		return nil, fmt.Errorf("core: append announces %d records with %d ownership cells", count, len(flat))
 	}
-	// Validate by division: a hostile count near 2^63 would wrap the
-	// product peerCount·dim and slip past an equality check.
-	if peerCount < 0 || len(ownersFlat)%s.dim != 0 || len(ownersFlat)/s.dim != peerCount {
-		return fmt.Errorf("core: append announces %d records with %d ownership cells", peerCount, len(ownersFlat))
-	}
-	owners := make([][]partition.Owner, peerCount)
+	owners := make([][]partition.Owner, count)
 	for i := range owners {
-		row := make([]partition.Owner, s.dim)
+		row := make([]partition.Owner, dim)
 		for k := range row {
-			o := partition.Owner(ownersFlat[i*s.dim+k])
+			o := partition.Owner(flat[i*dim+k])
 			if o != partition.Alice && o != partition.Bob {
-				return fmt.Errorf("core: append ownership cell (%d,%d) is %d", i, k, o)
+				return nil, fmt.Errorf("core: append ownership cell (%d,%d) is %d", i, k, o)
 			}
 			row[k] = o
 		}
 		owners[i] = row
 	}
-	values, err := t.appendSource()(AppendRequest{PeerCount: peerCount, Owners: owners})
-	if err != nil {
-		return fmt.Errorf("core: append source: %w", err)
-	}
-	if len(values) != peerCount {
-		return fmt.Errorf("core: append source returned %d records, want %d (arbitrary records are shared)", len(values), peerCount)
-	}
-	for i := range values {
-		if len(values[i]) != s.dim {
-			return fmt.Errorf("core: append source record %d has %d attributes, want %d", i, len(values[i]), s.dim)
-		}
-	}
-	batch, err := s.cfg.encodeOwnedCells(values, owners, s.role)
-	if err != nil {
-		return err
-	}
-	msg := transport.NewBuilder().PutUint(uint64(len(batch)))
-	own := appendACoords(s, msg, batch, owners)
-	if err := t.sendOp(msg); err != nil {
-		return fmt.Errorf("core: session append reply: %w", err)
-	}
-	return finishAAppend(t, as, batch, owners, own, peerCount, r)
+	return owners, nil
 }
 
 // flattenOwners serializes ownership rows for the wire (one byte per
@@ -298,35 +270,6 @@ func aCellRows(s *Pair, r *transport.Reader, owners [][]partition.Owner, own []i
 		full[i] = row
 	}
 	return full, nil
-}
-
-// appendACoords attaches this party's coordinates of the appended records
-// — the per-record payload of the construction-time adp.idx exchange — and
-// returns them.
-func appendACoords(s *Pair, msg *transport.Builder, batch [][]int64, owners [][]partition.Owner) []int64 {
-	own := aOwnCoords(s, batch, owners)
-	msg.PutInts(own)
-	return own
-}
-
-// finishAAppend validates the peer half (the already-parsed count and its
-// cell coordinates, routed through the appended ownership rows — r is
-// positioned at them) and extends the session state.
-func finishAAppend(t *Session, as *aStream, batch [][]int64, owners [][]partition.Owner, own []int64, peerCount int, r *transport.Reader) error {
-	if peerCount != len(batch) {
-		return fmt.Errorf("core: append count %d vs peer %d (arbitrary records are shared)", len(batch), peerCount)
-	}
-	cells, err := aCellRows(t.s, r, owners, own)
-	if err != nil {
-		return err
-	}
-	// One delta entry per coordinate the peer disclosed: every cell of the
-	// batch that is not ours.
-	t.s.led(func(l *Ledger) { l.IndexDeltaCells += len(batch)*t.s.dim - len(own) })
-	as.a.enc = append(as.a.enc, batch...)
-	as.a.owners = append(as.a.owners, owners...)
-	as.Append(len(batch), cells)
-	return nil
 }
 
 // arbitraryRunOnce executes one lockstep clustering over the established

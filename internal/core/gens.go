@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fixedpoint"
 	"repro/internal/spatial"
+	"repro/internal/transport"
 )
 
 // Generation tables. A session's dataset grows by appends (one generation
@@ -121,15 +122,18 @@ func (o *OwnGens) index(cellW int64, quantum int) (spatial.Directory, error) {
 	return o.stack.Dir(0)
 }
 
-// Append absorbs one encoded batch as the next generation and returns its
-// padded directory — the index delta the peers receive.
-func (o *OwnGens) Append(batch [][]int64) (delta spatial.Directory, err error) {
-	if delta, err = o.stack.Append(batch); err != nil {
-		return delta, fmt.Errorf("core: index delta build: %w", err)
+// AppendDelta absorbs one encoded batch as the next generation and writes
+// its padded directory to msg as a GridDelta — the index payload of a
+// horizontal-shape append, which the peers read with Pair.ReadIndexDelta.
+func (o *OwnGens) AppendDelta(msg *transport.Builder, batch [][]int64) error {
+	delta, err := o.stack.Append(batch)
+	if err != nil {
+		return fmt.Errorf("core: index delta build: %w", err)
 	}
 	o.Start = append(o.Start, len(o.Enc))
 	o.Enc = append(o.Enc, batch...)
-	return delta, nil
+	spatial.GridDelta{Gen: o.Gens(), Dir: delta}.Encode(msg)
+	return nil
 }
 
 // Expire retires the gens oldest live generations: their points compact

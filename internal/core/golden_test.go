@@ -124,24 +124,24 @@ var goldenScripts = []struct {
 // goldenDigests maps "family/engine/op" to "alice bob" digests.
 var goldenDigests = map[string]string{
 	"horizontal/ympp/Run":              "342e11f015593d38 87d07e525ffa0368",
-	"horizontal/ympp/Append":           "0b92f0a1357068d6 4875316a5b76c98c",
-	"horizontal/ympp/Expire":           "66e787f843ad1af5 1e68f505cdf8f58e",
-	"horizontal/ympp/Retract":          "061acf5258536ddc 1efc7cc59a182ba1",
+	"horizontal/ympp/Append":           "40ce91c0b9debda6 db7ea4905434e100",
+	"horizontal/ympp/Expire":           "648702d5e6067f5d 590ea1ea9f25e88d",
+	"horizontal/ympp/Retract":          "1cd3ac5ca64dd281 8d2623b608008a9a",
 	"horizontal/ympp/sequential-Run":   "523457a061caf7d6 a0fc4e99d18e06f2",
 	"horizontal/masked/Run":            "b06e5f3ec25d1035 807e73fa94e851ae",
-	"horizontal/masked/Append":         "348ba7005a261e94 8d077d9bce301b23",
-	"horizontal/masked/Expire":         "50810db4e08c0c59 9c90ba01f3735a65",
-	"horizontal/masked/Retract":        "4a003241f2a69ef4 bb653cc6a05f9d23",
+	"horizontal/masked/Append":         "a6e42f3887fcc137 08afc90014dd298d",
+	"horizontal/masked/Expire":         "dd899592610f485a 8cec212ce209daed",
+	"horizontal/masked/Retract":        "5e479efe132016aa 87d24b19576baf9d",
 	"horizontal/masked/sequential-Run": "9016a1c79939190c 5f41b08a93cf07e1",
 	"enhanced/ympp/Run":                "fea85d136d37bbe4 ba6c068a22cfae76",
-	"enhanced/ympp/Append":             "d432233d5e1dba0c 9e4587f84067233c",
-	"enhanced/ympp/Expire":             "a955b8a48d6cf8ed 365457d2e81685e9",
-	"enhanced/ympp/Retract":            "995cbb98116d778e f4b97e56ce16c9c6",
+	"enhanced/ympp/Append":             "68d21aafd337a50f a408925aa5a0d969",
+	"enhanced/ympp/Expire":             "5be060cc2400b911 8089b8bdbf2fd3df",
+	"enhanced/ympp/Retract":            "76f3a938da32f270 0cc1270e4d1b661a",
 	"enhanced/ympp/sequential-Run":     "e35e90206c2e51d3 57260bdd568b8407",
 	"enhanced/masked/Run":              "58b28293154dbef1 2c7b72dbe2250021",
-	"enhanced/masked/Append":           "a09b37eb77ecf229 27915d01cfdce8dd",
-	"enhanced/masked/Expire":           "6eee6460e326daca 2d1de0d35356cd5f",
-	"enhanced/masked/Retract":          "94c2b3f8b6a2f2e1 87babd2f4b234024",
+	"enhanced/masked/Append":           "3e60a5cf7b68c77c fd4529900a3d1b5d",
+	"enhanced/masked/Expire":           "c5dfe58be4e0305e 49beca0a199d74af",
+	"enhanced/masked/Retract":          "a2b886c73172e31f 3116dd18cf048ebb",
 	"enhanced/masked/sequential-Run":   "be478ddf4c2f50de 91bb9815e033b018",
 	"vertical/ympp/Run":                "4322f2a0dcef3c96 6a4f8c1bce0b7f16",
 	"vertical/ympp/Append":             "db535f85a9dda97d 6b2a31b1b8925ad4",

@@ -98,10 +98,20 @@ func newHorizontalSession(conn transport.Conn, cfg Config, role Role, points [][
 	hs := &hStream{own: own, peer: peer}
 	t := newSession(conn, s, proto)
 	t.runOnce = func() (*Result, error) { return horizontalRunOnce(t, hs, fam) }
-	t.appendInit = func(values [][]float64, owners [][]partition.Owner) (bool, error) {
-		return horizontalAppendInit(t, hs, values, owners)
+	// An append's index payload is the GridDelta of the new generation:
+	// only the cells the batch touched cross the wire.
+	t.appends = appendHooks{
+		live: func() int { return peer.N },
+		encode: func(values [][]float64, _ [][]partition.Owner) ([][]int64, error) {
+			return own.Encode(values)
+		},
+		put: func(msg *transport.Builder, batch [][]int64, _ [][]partition.Owner) error {
+			return own.AppendDelta(msg, batch)
+		},
+		absorb: func(r *transport.Reader, _ [][]int64, _ [][]partition.Owner, peerCount int) error {
+			return s.ReadIndexDelta(r, peer, peerCount)
+		},
 	}
-	t.appendServe = func(r *transport.Reader) error { return horizontalAppendServe(t, hs, r) }
 	t.window = own.Window
 	// An expiry tombstones the own generations (index included), husks the
 	// peer's dead directories (their cells no longer answer candidate
@@ -208,73 +218,6 @@ func finishHRetract(t *Session, hs *hStream, ownIDs, peerIDs []int) error {
 	}
 	hs.peer.Retract(ownIDs, peerIDs)
 	t.s.led(func(l *Ledger) { l.IndexRetractions += len(ownIDs) + len(peerIDs) })
-	return nil
-}
-
-// horizontalAppendInit is the initiating side of one horizontal-family
-// append: announce our batch size, learn the peer's, and swap index
-// deltas. The batches themselves never cross the wire.
-func horizontalAppendInit(t *Session, hs *hStream, values [][]float64, owners [][]partition.Owner) (sent bool, err error) {
-	if owners != nil {
-		return false, fmt.Errorf("core: %s protocol takes Append, not AppendOwned", t.proto)
-	}
-	batch, err := hs.own.Encode(values)
-	if err != nil {
-		return false, err
-	}
-	if err := t.sendOp(transport.NewBuilder().PutUint(sessOpAppend).PutUint(uint64(len(batch)))); err != nil {
-		return true, fmt.Errorf("core: session append op: %w", err)
-	}
-	r, err := transport.RecvMsg(t.s.Conns[0])
-	if err != nil {
-		return true, fmt.Errorf("core: session append reply: %w", err)
-	}
-	peerCount := int(r.Uint())
-	if err := r.Err(); err != nil {
-		return true, err
-	}
-	if peerCount < 0 {
-		return true, fmt.Errorf("core: peer append count %d", peerCount)
-	}
-	return true, finishHAppend(t, hs, batch, peerCount)
-}
-
-// horizontalAppendServe is the serving side: the peer announced an
-// append; ask the session's append source for our own batch, reply with
-// its size, and complete the index-delta exchange.
-func horizontalAppendServe(t *Session, hs *hStream, r *transport.Reader) error {
-	peerCount := int(r.Uint())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if peerCount < 0 {
-		return fmt.Errorf("core: peer append count %d", peerCount)
-	}
-	values, err := t.appendSource()(AppendRequest{PeerCount: peerCount})
-	if err != nil {
-		return fmt.Errorf("core: append source: %w", err)
-	}
-	batch, err := hs.own.Encode(values)
-	if err != nil {
-		return err
-	}
-	if err := t.sendOp(transport.NewBuilder().PutUint(uint64(len(batch)))); err != nil {
-		return fmt.Errorf("core: session append reply: %w", err)
-	}
-	return finishHAppend(t, hs, batch, peerCount)
-}
-
-// finishHAppend runs the symmetric tail of an append on either side:
-// own-side bookkeeping, index-delta swap, then the peer's.
-func finishHAppend(t *Session, hs *hStream, batch [][]int64, peerCount int) error {
-	delta, err := hs.own.Append(batch)
-	if err != nil {
-		return err
-	}
-	if err := t.s.appendIndexDelta(hs.own.Gens(), delta, hs.peer); err != nil {
-		return err
-	}
-	hs.peer.Append(peerCount)
 	return nil
 }
 

@@ -91,13 +91,46 @@ func (r Role) peer() Role {
 // version 19 gives YMPP one wire form — a comparison is always a batch,
 // and under sequential batching the engine runs batches of one, each with
 // its count prefix — so a sequential YMPP peer on the old wire would
-// misread every comparison frame.
+// misread every comparison frame; version 20 makes a horizontal or
+// enhanced append one announce/reply pair — the GridDelta of the new
+// generation rides in the append op and its reply instead of a separate
+// index swap — so a peer on the old wire would wait for a swap that never
+// comes.
 // Mesh edges (internal/multiparty) speak the same frame with proto
 // "mesh".
-const handshakeVersion = 19
+const handshakeVersion = 20
 
 // ErrHandshake reports parameter disagreement between the parties.
 var ErrHandshake = errors.New("core: handshake parameter mismatch")
+
+// MaxPoints bounds the live points (records) a party may hold on one edge:
+// every point count a peer declares — at the handshake and with every
+// append — is checked against it before anything is sized from it, so a
+// hostile count fails with ErrPointCount. It is far beyond what the
+// quadratic secure-comparison budget of any family can cluster.
+const MaxPoints = 1 << 22
+
+// ErrPointCount reports a declared point count past MaxPoints.
+var ErrPointCount = errors.New("core: declared point count exceeds MaxPoints")
+
+// checkCount converts a point count the peer declared, as it arrived, on
+// top of the live points the edge already holds for it.
+func checkCount(n uint64, live int) (int, error) {
+	if live < 0 || live > MaxPoints || n > uint64(MaxPoints-live) {
+		return 0, fmt.Errorf("%w: %d points on top of %d live, limit %d", ErrPointCount, n, live, MaxPoints)
+	}
+	return int(n), nil
+}
+
+// ReadCount reads a point count the peer declared in an append frame and
+// checks it (checkCount); live is what the peer already holds.
+func ReadCount(r *transport.Reader, live int) (int, error) {
+	n := r.Uint()
+	if err := r.Err(); err != nil {
+		return 0, err
+	}
+	return checkCount(n, live)
+}
 
 // Pair is one party's half of one two-party edge: the keys, agreed
 // parameters, worker channels, crypto pool, randomness and per-run
@@ -285,7 +318,8 @@ func establish(conn transport.Conn, cfg Config, keys KeySet, role Role, proto st
 	pProto := r.String()
 	pRole := Role(r.Uint())
 	pParams := DecodeParams(r)
-	peer := peerInfo{Dim: int(r.Uint()), Count: int(r.Uint())}
+	peer := peerInfo{Dim: int(r.Uint())}
+	count := r.Uint()
 	paiB := r.Bytes()
 	rsaNB := r.Bytes()
 	rsaEB := r.Bytes()
@@ -303,6 +337,9 @@ func establish(conn transport.Conn, cfg Config, keys KeySet, role Role, proto st
 	}
 	if err := params.Diff(pParams); err != nil {
 		return nil, peerInfo{}, err
+	}
+	if peer.Count, err = checkCount(count, 0); err != nil {
+		return nil, peerInfo{}, fmt.Errorf("core: handshake: %w", err)
 	}
 
 	if s.peerPai, err = paillier.UnmarshalPublicKey(paiB); err != nil {

@@ -72,17 +72,18 @@ func TestParamsDiffNamesFirstField(t *testing.T) {
 // "horizontal", 5 points of dimension 2: the frame captured off a pipe at
 // the commit before core.Params existed, regenerated for version 10 —
 // the engine being masked, the two RSA fields that closed the v9 frame (a
-// 32-byte modulus and 65537) are empty — and carrying version byte 19:
-// versions 11 to 19 changed the lockstep, the horizontal and the enhanced
+// 32-byte modulus and 65537) are empty — and carrying version byte 20:
+// versions 11 to 20 changed the lockstep, the horizontal and the enhanced
 // schedule, the off/slots settle chunk, the lockstep chunk exchange, the
 // off/sequential index and comparison frames, the masked reply layout,
-// the sign and shift of the comparison and row-dot uplinks and the
-// sequential YMPP comparison frames, and nothing else in this frame.
+// the sign and shift of the comparison and row-dot uplinks, the
+// sequential YMPP comparison frames and the horizontal append exchange,
+// and nothing else in this frame.
 // The
 // serving tier's frame and byte counters include this frame, so it must
 // not change shape: re-encoding the same parameters and the frame's own
 // public key has to reproduce it byte for byte.
-const goldenHandshake = "130a686f72697a6f6e74616c0008030e066d61736b6564280a047363616e076261746368656405736c6f747304677269640401020520e46b588088aca8c20a47af2f5b94a26f587cbc4f46e148fae049e047a54978a10000"
+const goldenHandshake = "140a686f72697a6f6e74616c0008030e066d61736b6564280a047363616e076261746368656405736c6f747304677269640401020520e46b588088aca8c20a47af2f5b94a26f587cbc4f46e148fae049e047a54978a10000"
 
 func TestHandshakeFrameGolden(t *testing.T) {
 	want, err := hex.DecodeString(goldenHandshake)

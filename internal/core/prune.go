@@ -49,7 +49,8 @@ func (s *Pair) Swap(tag string, msg *transport.Builder) (*transport.Reader, erro
 // exchangeIndex runs the horizontal-shape index exchange: each party
 // sends the padded directory of its construction-time dataset (generation
 // 0 of its spatial.Stack) and records what the peer disclosed. Appends
-// extend both sides one generation at a time via appendIndexDelta.
+// extend both sides one generation at a time: each append frame carries
+// its batch's GridDelta (OwnGens.AppendDelta, ReadIndexDelta).
 func (s *Pair) exchangeIndex(own *OwnGens, peer *PeerGens) error {
 	ownDir, err := own.index(s.cellW, s.quantum)
 	if err != nil {
@@ -71,25 +72,16 @@ func (s *Pair) exchangeIndex(own *OwnGens, peer *PeerGens) error {
 	return nil
 }
 
-// appendIndexDelta runs one streaming index round: the parties swap
-// GridDeltas naming only the cells their gen-th generation touched.
-func (s *Pair) appendIndexDelta(gen int, delta spatial.Directory, peer *PeerGens) error {
-	r, err := s.Swap("hdp.idx", spatial.GridDelta{Gen: gen, Dir: delta}.Encode(transport.NewBuilder()))
-	if err != nil {
-		return fmt.Errorf("core: index delta exchange: %w", err)
-	}
-	return s.ReadIndexDelta(r, peer)
-}
-
-// ReadIndexDelta decodes the peer's GridDelta for its next generation and
-// extends our view of its directories; the disclosure is recorded in the
-// delta-index Ledger classes.
-func (s *Pair) ReadIndexDelta(r *transport.Reader, peer *PeerGens) error {
+// ReadIndexDelta decodes the peer's GridDelta for its next generation, of
+// count points (ReadCount), and extends our view of its generations; the
+// disclosure is recorded in the delta-index Ledger classes.
+func (s *Pair) ReadIndexDelta(r *transport.Reader, peer *PeerGens, count int) error {
 	d, err := spatial.DecodeGridDelta(r, s.dim, s.quantum, len(peer.dirs)+1)
 	if err != nil {
 		return fmt.Errorf("core: index delta decode: %w", err)
 	}
 	peer.dirs = append(peer.dirs, d.Dir)
+	peer.Append(count)
 	s.led(func(l *Ledger) {
 		l.IndexDeltaCells += len(d.Dir.Cells)
 		l.IndexPaddedPoints += d.Dir.PaddedTotal()

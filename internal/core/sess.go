@@ -142,13 +142,12 @@ type Session struct {
 	// Lifecycle hooks, wired by the family constructors; every op runs
 	// through initiate on the driving side and Run's control loop on the
 	// serving side (one path: guard, poison rule, setup ledger, counter).
-	// appendInit is the initiating side of one append exchange (announce +
-	// swap); its sent flag reports whether any frame reached the wire.
-	// appendServe is the serving side; appendSrc supplies this party's own
-	// batch when the peer initiates (see SetAppendSource).
-	appendInit  func(values [][]float64, owners [][]partition.Owner) (sent bool, err error)
-	appendServe func(r *transport.Reader) error
-	appendSrc   AppendSource
+	// Append is one announce/reply pair for every family
+	// (announceAppend/serveAppend below), appends its family's part;
+	// appendSrc supplies this party's own batch when the peer initiates
+	// (see SetAppendSource).
+	appends   appendHooks
+	appendSrc AppendSource
 
 	// Expiry is one announce/validate pair for every family
 	// (announceExpire/serveExpire below): window reports the family's
@@ -212,21 +211,44 @@ type AppendSource func(req AppendRequest) ([][]float64, error)
 // party's share of the new records).
 func (t *Session) SetAppendSource(fn AppendSource) { t.appendSrc = fn }
 
-// appendSource resolves the configured source or the family default.
+// appendSource resolves the configured source or the family default:
+// append nothing, which a shared-row family accepts only when the peer
+// appends nothing either.
 func (t *Session) appendSource() AppendSource {
 	if t.appendSrc != nil {
 		return t.appendSrc
 	}
 	return func(req AppendRequest) ([][]float64, error) {
-		switch t.proto {
-		case "horizontal", "enhanced-horizontal":
-			return nil, nil
+		if t.appends.shared && req.PeerCount > 0 {
+			return nil, fmt.Errorf("core: %s session needs an AppendSource to serve %d appended records", t.proto, req.PeerCount)
 		}
-		if req.PeerCount == 0 {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("core: %s session needs an AppendSource to serve %d appended records", t.proto, req.PeerCount)
+		return nil, nil
 	}
+}
+
+// appendHooks is one family's part in the append exchange; the exchange
+// itself — the announce [sessOpAppend, count, request fields, index
+// payload] and the reply [count, index payload], the source, the order of
+// the checks — is announceAppend and serveAppend.
+type appendHooks struct {
+	// shared: both parties append the same records (vertical, arbitrary),
+	// so the two counts must agree.
+	shared bool
+	// live is the peer's live point count a declared count adds to
+	// (ReadCount).
+	live func() int
+	// request parses the announce's request fields after its count — the
+	// arbitrary family's ownership rows, which AppendOwned sends (one byte
+	// a cell, flattenOwners) — and is nil for a family that takes Append.
+	request func(r *transport.Reader, count int) ([][]partition.Owner, error)
+	// encode validates and encodes this party's batch; owners are the
+	// records' ownership rows (nil unless request is set).
+	encode func(values [][]float64, owners [][]partition.Owner) ([][]int64, error)
+	// put writes this party's index payload of the encoded batch.
+	put func(msg *transport.Builder, batch [][]int64, owners [][]partition.Owner) error
+	// absorb reads the peer's index payload of peerCount records and
+	// extends the session state by both batches.
+	absorb func(r *transport.Reader, batch [][]int64, owners [][]partition.Owner, peerCount int) error
 }
 
 // RetractRequest describes a peer-initiated retraction the serving party
@@ -289,7 +311,84 @@ func (t *Session) AppendOwned(values [][]float64, owners [][]partition.Owner) er
 }
 
 func (t *Session) append(values [][]float64, owners [][]partition.Owner) error {
-	return t.initiate(sessOpAppend, func() (bool, error) { return t.appendInit(values, owners) })
+	return t.initiate(sessOpAppend, func() (bool, error) { return t.announceAppend(values, owners) })
+}
+
+// announceAppend is the initiating side of every family's append: validate
+// and encode the batch — a failure here is local, no frame sent — then
+// announce its count, request fields and index payload, and absorb the
+// peer's reply. The batches themselves never cross the wire.
+func (t *Session) announceAppend(values [][]float64, owners [][]partition.Owner) (sent bool, err error) {
+	h := t.appends
+	switch {
+	case h.request == nil && owners != nil:
+		return false, fmt.Errorf("core: %s protocol takes Append, not AppendOwned", t.proto)
+	case h.request != nil && owners == nil:
+		return false, fmt.Errorf("core: %s protocol takes AppendOwned, not Append", t.proto)
+	}
+	batch, err := h.encode(values, owners)
+	if err != nil {
+		return false, err
+	}
+	msg := transport.NewBuilder().PutUint(sessOpAppend).PutUint(uint64(len(batch)))
+	if owners != nil {
+		msg.PutBytes(flattenOwners(owners))
+	}
+	if err := h.put(msg, batch, owners); err != nil {
+		return false, err
+	}
+	if err := t.sendOp(msg); err != nil {
+		return true, fmt.Errorf("core: session append op: %w", err)
+	}
+	r, err := transport.RecvMsg(t.s.Conns[0])
+	if err != nil {
+		return true, fmt.Errorf("core: session append reply: %w", err)
+	}
+	peerCount, err := ReadCount(r, h.live())
+	if err != nil {
+		return true, fmt.Errorf("core: session append reply: %w", err)
+	}
+	if h.shared && peerCount != len(batch) {
+		return true, fmt.Errorf("core: append count %d vs peer %d (%s records are shared)", len(batch), peerCount, t.proto)
+	}
+	return true, h.absorb(r, batch, owners, peerCount)
+}
+
+// serveAppend is the serving side: parse the announce, ask the append
+// source for this party's batch (a shared-row family's must be the
+// announced records), reply with its count and index payload, and absorb
+// the announce's.
+func (t *Session) serveAppend(r *transport.Reader) error {
+	h := t.appends
+	peerCount, err := ReadCount(r, h.live())
+	if err != nil {
+		return fmt.Errorf("core: session append op: %w", err)
+	}
+	req := AppendRequest{PeerCount: peerCount}
+	if h.request != nil {
+		if req.Owners, err = h.request(r, peerCount); err != nil {
+			return fmt.Errorf("core: session append op: %w", err)
+		}
+	}
+	values, err := t.appendSource()(req)
+	if err != nil {
+		return fmt.Errorf("core: append source: %w", err)
+	}
+	if h.shared && len(values) != peerCount {
+		return fmt.Errorf("core: append source returned %d records, want %d (%s records are shared)", len(values), peerCount, t.proto)
+	}
+	batch, err := h.encode(values, req.Owners)
+	if err != nil {
+		return fmt.Errorf("core: append source: %w", err)
+	}
+	msg := transport.NewBuilder().PutUint(uint64(len(batch)))
+	if err := h.put(msg, batch, req.Owners); err != nil {
+		return err
+	}
+	if err := t.sendOp(msg); err != nil {
+		return fmt.Errorf("core: session append reply: %w", err)
+	}
+	return h.absorb(r, batch, req.Owners, peerCount)
 }
 
 // initiate drives one lifecycle op from the initiating party: the guard,
@@ -556,7 +655,7 @@ func (t *Session) serveOps() error {
 		case sessOpClose:
 			return ErrSessionClosed
 		case sessOpAppend:
-			serve = t.appendServe
+			serve = t.serveAppend
 		case sessOpExpire:
 			serve = t.serveExpire
 		case sessOpRetract:

@@ -598,7 +598,7 @@ func TestReadSettleOpChunkBound(t *testing.T) {
 	if _, err := own.index(s.cellW, s.quantum); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := own.Append([][]int64{{3, 3}, {4, 4}}); err != nil {
+	if err := own.AppendDelta(transport.NewBuilder(), [][]int64{{3, 3}, {4, 4}}); err != nil {
 		t.Fatal(err)
 	}
 	read := func(bound int, entries ...[2]uint64) error {
@@ -639,7 +639,7 @@ func opFuzzFixture(f *testing.F) (*Pair, *OwnGens, *PeerGens) {
 		f.Fatal(err)
 	}
 	for _, batch := range [][][]int64{{{2, 2}, {5, 5}}, {}, {{7, 7}}} {
-		if _, err := own.Append(batch); err != nil {
+		if err := own.AppendDelta(transport.NewBuilder(), batch); err != nil {
 			f.Fatal(err)
 		}
 	}

@@ -110,10 +110,33 @@ func newVerticalSession(conn transport.Conn, cfg Config, role Role, attrs [][]fl
 	vs := &vStream{RowGens: NewRowGens(len(enc), cellRows), enc: enc, peerDim: peer.Dim}
 	t := newSession(conn, s, "vertical")
 	t.runOnce = func() (*Result, error) { return verticalRunOnce(t, vs) }
-	t.appendInit = func(values [][]float64, owners [][]partition.Owner) (bool, error) {
-		return verticalAppendInit(t, vs, values, owners)
+	// An append's index payload is this party's own-column cell coordinates
+	// of the appended records, exactly the per-row payload of the
+	// construction-time exchange.
+	t.appends = appendHooks{
+		shared: true,
+		live:   func() int { return vs.N },
+		encode: func(values [][]float64, _ [][]partition.Owner) ([][]int64, error) {
+			return encodeVBatch(s, values, ownDim)
+		},
+		put: func(msg *transport.Builder, batch [][]int64, _ [][]partition.Owner) error {
+			spatial.EncodeCells(msg, vBucket(s, batch))
+			return nil
+		},
+		absorb: func(r *transport.Reader, batch [][]int64, _ [][]partition.Owner, _ int) error {
+			cells, err := vCellRows(s, r, vBucket(s, batch), vs.peerDim)
+			if err != nil {
+				return err
+			}
+			// One delta entry per coordinate the peer disclosed, as arbitrary
+			// counts them and as IndexCellCoords counts the construction-time
+			// exchange.
+			s.led(func(l *Ledger) { l.IndexDeltaCells += len(cells) * vs.peerDim })
+			vs.enc = append(vs.enc, batch...)
+			vs.Append(len(batch), cells)
+			return nil
+		},
 	}
-	t.appendServe = func(r *transport.Reader) error { return verticalAppendServe(t, vs, r) }
 	t.window = vs.Window
 	t.expire = func(gens int) error {
 		vs.enc = vs.enc[vs.Expire(gens):]
@@ -133,61 +156,6 @@ type vStream struct {
 	*RowGens
 	enc     [][]int64
 	peerDim int
-}
-
-// verticalAppendInit announces this party's columns of the appended
-// records and completes the cell-coordinate swap; the record count must
-// match on both sides (the records are shared, column-split).
-func verticalAppendInit(t *Session, vs *vStream, values [][]float64, owners [][]partition.Owner) (sent bool, err error) {
-	s := t.s
-	if owners != nil {
-		return false, fmt.Errorf("core: vertical protocol takes Append, not AppendOwned")
-	}
-	batch, err := encodeVBatch(s, values, s.dim-vs.peerDim)
-	if err != nil {
-		return false, err
-	}
-	msg := transport.NewBuilder().PutUint(sessOpAppend).PutUint(uint64(len(batch)))
-	own := appendVCoords(s, msg, batch)
-	if err := t.sendOp(msg); err != nil {
-		return true, fmt.Errorf("core: session append op: %w", err)
-	}
-	r, err := transport.RecvMsg(s.Conns[0])
-	if err != nil {
-		return true, fmt.Errorf("core: session append reply: %w", err)
-	}
-	peerCount := int(r.Uint())
-	if err := r.Err(); err != nil {
-		return true, err
-	}
-	return true, finishVAppend(t, vs, batch, own, peerCount, r)
-}
-
-// verticalAppendServe is the serving side: the source must supply this
-// party's columns of exactly the announced records.
-func verticalAppendServe(t *Session, vs *vStream, r *transport.Reader) error {
-	s := t.s
-	peerCount := int(r.Uint())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	values, err := t.appendSource()(AppendRequest{PeerCount: peerCount})
-	if err != nil {
-		return fmt.Errorf("core: append source: %w", err)
-	}
-	if len(values) != peerCount {
-		return fmt.Errorf("core: append source returned %d records, want %d (vertical records are shared)", len(values), peerCount)
-	}
-	batch, err := encodeVBatch(s, values, s.dim-vs.peerDim)
-	if err != nil {
-		return err
-	}
-	msg := transport.NewBuilder().PutUint(uint64(len(batch)))
-	own := appendVCoords(s, msg, batch)
-	if err := t.sendOp(msg); err != nil {
-		return fmt.Errorf("core: session append reply: %w", err)
-	}
-	return finishVAppend(t, vs, batch, own, peerCount, r)
 }
 
 // vBucket is this party's own-column cell coordinates of a batch of rows
@@ -221,35 +189,6 @@ func vCellRows(s *Pair, r *transport.Reader, own [][]int64, peerDim int) ([][]in
 		full[i] = append(append(make([]int64, 0, len(a)+len(b)), a...), b...)
 	}
 	return full, nil
-}
-
-// appendVCoords attaches this party's own-column cell coordinates of the
-// appended rows (tagged index disclosure, exactly the per-row payload of
-// the construction-time exchange) and returns them.
-func appendVCoords(s *Pair, msg *transport.Builder, batch [][]int64) [][]int64 {
-	own := vBucket(s, batch)
-	spatial.EncodeCells(msg, own)
-	return own
-}
-
-// finishVAppend validates the peer half of the exchange (the already-
-// parsed count and the peer's cell coordinates of the same rows — r is
-// positioned at them) and extends the session state.
-func finishVAppend(t *Session, vs *vStream, batch, own [][]int64, peerCount int, r *transport.Reader) error {
-	if peerCount != len(batch) {
-		return fmt.Errorf("core: append count %d vs peer %d (vertical records are shared)", len(batch), peerCount)
-	}
-	cells, err := vCellRows(t.s, r, own, vs.peerDim)
-	if err != nil {
-		return err
-	}
-	// One delta entry per coordinate the peer disclosed, as arbitrary
-	// counts them and as IndexCellCoords counts the construction-time
-	// exchange.
-	t.s.led(func(l *Ledger) { l.IndexDeltaCells += len(cells) * vs.peerDim })
-	vs.enc = append(vs.enc, batch...)
-	vs.Append(len(batch), cells)
-	return nil
 }
 
 // encodeVBatch validates and encodes appended rows of this party's

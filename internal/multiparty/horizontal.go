@@ -195,7 +195,9 @@ func (ms *MeshSession) run() (*HorizontalResult, error) {
 // Append absorbs this party's appended batch: every party calls Append
 // concurrently with its own new points (any count, including none). Each
 // mesh edge swaps the batch count plus a spatial.GridDelta of the touched
-// cells, both parties sending at once (core.Pair.Swap); the points
+// cells, both parties sending at once (core.Pair.Swap) — the payload of a
+// two-party horizontal append's announce and reply (core.ReadCount,
+// core.OwnGens.AppendDelta, core.Pair.ReadIndexDelta); the points
 // themselves never cross the wire, and cached prefix counts stay valid
 // because appended generations only extend the suffix.
 func (ms *MeshSession) Append(points [][]float64) error {
@@ -205,28 +207,22 @@ func (ms *MeshSession) Append(points [][]float64) error {
 		if err != nil {
 			return false, err
 		}
-		delta, err := h.own.Append(batch)
-		if err != nil {
+		msg := transport.NewBuilder().PutUint(uint64(len(batch)))
+		if err := h.own.AppendDelta(msg, batch); err != nil {
 			return false, err
 		}
 		return true, h.eachPeer(func(q int, sess *pairSession) error {
-			msg := transport.NewBuilder().PutUint(uint64(len(batch)))
-			spatial.GridDelta{Gen: h.own.Gens(), Dir: delta}.Encode(msg)
 			r, err := sess.Swap("hdp.idx", msg)
 			if err != nil {
 				return fmt.Errorf("multiparty: append exchange with %d: %w", q, err)
 			}
-			peerCount := int(r.Uint())
-			if err := r.Err(); err != nil {
-				return err
+			peerCount, err := core.ReadCount(r, sess.peer.N)
+			if err != nil {
+				return fmt.Errorf("multiparty: append count from %d: %w", q, err)
 			}
-			if peerCount < 0 {
-				return fmt.Errorf("multiparty: party %d appends %d points", q, peerCount)
-			}
-			if err := sess.ReadIndexDelta(r, sess.peer); err != nil {
+			if err := sess.ReadIndexDelta(r, sess.peer, peerCount); err != nil {
 				return fmt.Errorf("multiparty: append delta from %d: %w", q, err)
 			}
-			sess.peer.Append(peerCount)
 			return nil
 		})
 	})
