@@ -530,10 +530,10 @@
 // pair bit naming an expired record and remaps the survivors onto the
 // compacted indices (identically on all participants, keeping the
 // seeded drivers in lock step); the basic horizontal family's count
-// cache stores per-generation segments — the settle step asks one
-// sub-query per live generation so cached segments align with
-// generation boundaries — and expiry trims dead and straddling segments
-// while the surviving chain keeps serving; the enhanced family's core
+// cache holds one count per (own point, live peer generation) — the
+// settle step asks one sub-query per live generation — and expiry
+// re-slices the rows past the dead generations while the surviving
+// counts keep serving; the enhanced family's core
 // bits are cleared outright (a count that was ≥ MinPts may not be after
 // points leave). The windowed-equivalence harness pins the contract:
 // after any slide, labels and non-index Ledger classes are
@@ -577,7 +577,7 @@
 // rebased indices), while the disclosed directory still never shrinks.
 // Cache invalidation is exact, as for expiry: the lockstep PairCache
 // drops pairs naming a retracted record and remaps survivors
-// identically on all sides, the basic horizontal count segments are
+// identically on all sides, the basic horizontal region counts are
 // re-derived for generations with masked slots, and the enhanced core
 // bits are cleared. The retraction-equivalence harness pins the
 // contract: post-retraction labels are byte-identical to a fresh

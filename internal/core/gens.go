@@ -24,16 +24,16 @@ import (
 //
 // Cache soundness rests on distance immutability and count monotonicity:
 // appends only add points, so (a) the number of peer points within Eps of
-// an unchanged point, restricted to an unchanged peer generation range,
-// never changes — the hdp CountCache's per-run segments are permanently
-// valid for the ranges they cover — and (b) neighbour counts only grow
+// an unchanged point, restricted to an unchanged peer generation, never
+// changes — the region-count cache's per-generation counts are
+// permanently valid — and (b) neighbour counts only grow
 // under appends, so an enhanced core bit that was true stays true, while
 // a false bit is reusable only while both datasets are unchanged (enh
 // entries carry the sizes they were decided under). Expiry and retraction
 // break the monotone direction — removing points can flip a true core bit
-// false — so they clear enh entirely, drop hdp segments that include
-// removed peer points, and remap own point indices onto the compacted
-// live window.
+// false — so they clear enh entirely, forget the region counts of
+// generations that lost peer points, and remap own point indices onto the
+// compacted live window.
 
 // OwnGens is a party's own-side generation table: its encoded live
 // points, where each generation starts, the expired prefix, and the one
@@ -230,27 +230,35 @@ func countBelow(ids []int, v int) int {
 
 // PeerGens is one party's view of one peer's generations: the live point
 // count of each, the directories the peer disclosed, and the cross-run
-// caches keyed by our own point index — the HDP
-// region-count segments over the peer's generations and the enhanced
-// protocol's core bits.
+// caches keyed by our own point index — the HDP region counts over the
+// peer's generations and the enhanced protocol's core bits.
 type PeerGens struct {
 	Count []int // per-generation live peer counts (dead gens zeroed)
 	N     int   // live peer count (Σ Count)
+	dead  int   // expired generations, on both sides alike
 	dirs  []spatial.Directory
 
 	// mu guards the caches: a settle step's workers decide distinct
-	// points concurrently but share the maps.
-	mu  sync.Mutex
-	hdp *CountCache
+	// points concurrently but share them.
+	mu sync.Mutex
+	// hdp is the region-count cache: hdp[i][k] is own point i's in-range
+	// count over peer generation dead+k, or unknown. The HDP exchange
+	// discloses one count per (own point, peer generation) — never a finer
+	// split — so that is what a row holds. Rows start at the live edge, so
+	// an expiry re-slices them and a sliding window does not grow them.
+	hdp [][]int
 	enh map[int]enhEntry
 
 	// pre is per-run state of the settle step (settle.go): for each own
-	// point, the first generation its cached chain did not reach before
-	// this run's Settle — what the point's first walk query reports as
-	// cached. Settled advances it to the chain's end, so a re-query counts
-	// fully cached. The walk is sequential.
+	// point, the first generation its cached run did not reach before this
+	// run's Settle — what the point's first walk query reports as cached.
+	// Settled advances it to the run's end, so a re-query counts fully
+	// cached. The walk is sequential.
 	pre []int
 }
+
+// unknown marks a generation whose region count the cache does not hold.
+const unknown = -1
 
 // enhEntry caches one driver point's core bit plus the dataset sizes it
 // was decided under (see the monotonicity note above).
@@ -261,7 +269,7 @@ type enhEntry struct {
 }
 
 func newPeerGens(n int) *PeerGens {
-	return &PeerGens{Count: []int{n}, N: n, hdp: NewCountCache(), enh: make(map[int]enhEntry)}
+	return &PeerGens{Count: []int{n}, N: n, enh: make(map[int]enhEntry)}
 }
 
 // Suffix counts the live peer points in generations [from, …).
@@ -273,29 +281,46 @@ func (p *PeerGens) Suffix(from int) int {
 	return n
 }
 
-// Covered reads the region-count cache for own point i: the cached count
-// over the live generation prefix [dead, upto) plus the first uncovered
-// generation.
-func (p *PeerGens) Covered(i, dead int) (count, upto int) {
+// Covered reads the region-count cache for own point i: the summed count
+// of its known generations from the live edge on, and the first
+// generation that run does not reach.
+func (p *PeerGens) Covered(i int) (count, upto int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.hdp.Covered(i, dead)
+	upto = p.dead
+	if i < len(p.hdp) {
+		for _, c := range p.hdp[i] {
+			if c == unknown {
+				break
+			}
+			count += c
+			upto++
+		}
+	}
+	return count, upto
 }
 
-// Extend records a fresh count for own point i over generations
-// [from, to).
-func (p *PeerGens) Extend(i, from, to, count int) {
+// Record caches own point i's fresh count over the live peer generation g.
+func (p *PeerGens) Record(i, g, count int) {
 	p.mu.Lock()
-	p.hdp.Extend(i, from, to, count)
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	if i >= len(p.hdp) {
+		p.hdp = append(p.hdp, make([][]int, i+1-len(p.hdp))...)
+	}
+	row := p.hdp[i]
+	for len(row) <= g-p.dead {
+		row = append(row, unknown)
+	}
+	row[g-p.dead] = count
+	p.hdp[i] = row
 }
 
 // Settled answers one walk query of own point i from the cache a Settle of
 // this run completed: the count over every live generation, and how many
 // of the peer's live points were covered before that Settle ran — all of
 // them from the point's second query on.
-func (p *PeerGens) Settled(i, dead int) (count, cached int) {
-	count, upto := p.Covered(i, dead)
+func (p *PeerGens) Settled(i int) (count, cached int) {
+	count, upto := p.Covered(i)
 	cached = p.N - p.Suffix(p.pre[i])
 	p.pre[i] = upto
 	return count, cached
@@ -320,19 +345,24 @@ func (p *PeerGens) Append(count int) {
 	p.N += count
 }
 
-// Expire absorbs an expiry of generations [from, from+gens) on both
+// Expire absorbs an expiry of the gens oldest live generations on both
 // sides: the peer's dead generations answer as empty husks from now on,
-// and the caches follow our own ownRemoved compacted points — hdp entries
-// rebase, and the enhanced core bits (which expiry can flip false, and
-// whose recorded sizes no longer describe the window) clear.
-func (p *PeerGens) Expire(from, gens, ownRemoved int) {
-	for g := from; g < from+gens; g++ {
+// the region counts follow — our own ownRemoved expired points' rows go,
+// and every row drops the dead generations' counts — and the enhanced
+// core bits (which expiry can flip false, and whose recorded sizes no
+// longer describe the window) clear.
+func (p *PeerGens) Expire(gens, ownRemoved int) {
+	for g := p.dead; g < p.dead+gens; g++ {
 		p.N -= p.Count[g]
 		p.Count[g] = 0
 		p.dirs[g] = spatial.Directory{Dim: p.dirs[g].Dim}
 	}
+	p.dead += gens
 	p.mu.Lock()
-	p.hdp.Remap(ownRemoved)
+	p.hdp = p.hdp[min(ownRemoved, len(p.hdp)):]
+	for i, row := range p.hdp {
+		p.hdp[i] = row[min(gens, len(row)):]
+	}
 	p.enh = make(map[int]enhEntry)
 	p.mu.Unlock()
 }
@@ -340,10 +370,10 @@ func (p *PeerGens) Expire(from, gens, ownRemoved int) {
 // Retract absorbs one retraction on both sides (id lists validated:
 // strictly ascending, in live range): the peer's retracted points
 // decrement their generations' live counts, and every cache entry
-// touching a retracted point dies — hdp entries of our own retracted
-// points vanish and survivors remap by rank, cached segments covering a
-// peer generation that lost points are dropped for re-derivation, and
-// the enhanced core bits, not monotone under deletion, clear.
+// touching a retracted point dies — the rows of our own retracted points
+// go and the survivors compact by rank, the counts of the peer
+// generations that lost points turn unknown for re-derivation, and the
+// enhanced core bits, not monotone under deletion, clear.
 func (p *PeerGens) Retract(ownIDs, peerIDs []int) {
 	if len(ownIDs) == 0 && len(peerIDs) == 0 {
 		return
@@ -351,8 +381,14 @@ func (p *PeerGens) Retract(ownIDs, peerIDs []int) {
 	affected := retractCounts(p.Count, peerIDs)
 	p.N -= len(peerIDs)
 	p.mu.Lock()
-	p.hdp.RetractOwn(ownIDs)
-	p.hdp.DropGens(affected)
+	p.hdp = CompactRows(p.hdp, ownIDs)
+	for _, row := range p.hdp {
+		for g := range affected {
+			if k := g - p.dead; k < len(row) {
+				row[k] = unknown
+			}
+		}
+	}
 	p.enh = make(map[int]enhEntry)
 	p.mu.Unlock()
 }

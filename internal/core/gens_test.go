@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/spatial"
 )
 
 // rowModel is the reference the RowGens differential test rebuilds from:
@@ -172,4 +174,121 @@ func TestRowGensMatchesModel(t *testing.T) {
 			m.check(t, name, g, rows)
 		}
 	}
+}
+
+// The region-count cache's edge semantics under expiry and retraction:
+// one count per (own point, live peer generation), summed from the live
+// edge up to the first unknown generation. The windowed and retraction
+// harnesses prove it end to end; these tests pin the edges the settle
+// step relies on.
+
+// testPeerGens is a peer table of generations of the given live counts.
+func testPeerGens(counts ...int) *PeerGens {
+	p := newPeerGens(counts[0])
+	p.dirs = []spatial.Directory{{}}
+	for _, c := range counts[1:] {
+		p.Append(c)
+		p.dirs = append(p.dirs, spatial.Directory{})
+	}
+	return p
+}
+
+func TestCountCacheCoveredChain(t *testing.T) {
+	p := testPeerGens(1, 1, 1, 1)
+	for g, c := range []int{2, 5, 1, 0} {
+		p.Record(3, g, c)
+	}
+	if count, upto := p.Covered(3); count != 8 || upto != 4 {
+		t.Errorf("full run: count %d upto %d, want 8 upto 4", count, upto)
+	}
+	// Expire generation 0: its count goes, the rest keep serving.
+	p.Expire(1, 0)
+	if count, upto := p.Covered(3); count != 6 || upto != 4 {
+		t.Errorf("after expiry at 1: count %d upto %d, want 6 upto 4", count, upto)
+	}
+	// The live edge moved past generation 1 too, and the row with it.
+	p.Expire(1, 0)
+	if count, upto := p.Covered(3); count != 1 || upto != 4 {
+		t.Errorf("after expiry at 2: count %d upto %d, want 1 upto 4", count, upto)
+	}
+	if len(p.hdp[3]) != 2 {
+		t.Errorf("row holds %d counts for 2 live generations", len(p.hdp[3]))
+	}
+	// An uncached point answers nothing.
+	if count, upto := p.Covered(9); count != 0 || upto != 2 {
+		t.Errorf("uncached point: count %d upto %d, want 0 upto 2", count, upto)
+	}
+}
+
+// An unknown generation stops coverage; the count beyond it is kept for a
+// future live edge, not summed early.
+func TestCountCacheHole(t *testing.T) {
+	p := testPeerGens(1, 1, 1, 1)
+	p.Expire(1, 0)
+	p.Record(1, 1, 3)
+	p.Record(1, 3, 9) // generation 2 unknown, as after a peer retraction
+	if count, upto := p.Covered(1); count != 3 || upto != 2 {
+		t.Errorf("hole: count %d upto %d, want 3 upto 2", count, upto)
+	}
+	p.Expire(2, 0)
+	if count, upto := p.Covered(1); count != 9 || upto != 4 {
+		t.Errorf("post-hole head: count %d upto %d, want 9 upto 4", count, upto)
+	}
+}
+
+// An own expiry drops the expired points' rows and shifts the survivors
+// onto the compacted indices.
+func TestCountCacheRemap(t *testing.T) {
+	p := testPeerGens(1, 1)
+	p.Record(0, 1, 4)
+	p.Record(2, 1, 6)
+	p.Expire(1, 2)
+	if len(p.hdp) != 1 {
+		t.Fatalf("expiry kept %d rows, want 1", len(p.hdp))
+	}
+	if count, upto := p.Covered(0); count != 6 || upto != 2 {
+		t.Errorf("remapped point 2→0: count %d upto %d, want 6 upto 2", count, upto)
+	}
+}
+
+// A retraction compacts the rows of our own retracted points away and
+// turns unknown the counts of every peer generation that lost a point.
+func TestCountCacheRetract(t *testing.T) {
+	p := testPeerGens(2, 2)
+	for i, row := range [][]int{{1, 2}, {1, 1}, {0, 2}} {
+		for g, c := range row {
+			p.Record(i, g, c)
+		}
+	}
+	p.Retract([]int{1}, []int{2}) // peer id 2 is generation 1's first point
+	if !slices.Equal(p.Count, []int{2, 1}) || p.N != 3 {
+		t.Errorf("peer counts %v (N %d), want [2 1] (3)", p.Count, p.N)
+	}
+	for i, want := range [][2]int{{1, 1}, {0, 1}} {
+		if count, upto := p.Covered(i); count != want[0] || upto != want[1] {
+			t.Errorf("point %d: count %d upto %d, want %d upto %d", i, count, upto, want[0], want[1])
+		}
+	}
+}
+
+// PairCache.Expire drops every bit touching an expired record and
+// shifts the survivors; a nil cache tolerates the call.
+func TestPairCacheExpire(t *testing.T) {
+	c := NewPairCache()
+	c.m[[2]int{0, 3}] = true  // touches expired record 0 — dropped
+	c.m[[2]int{1, 2}] = false // touches expired record 1 — dropped
+	c.m[[2]int{2, 4}] = true  // survives as {0, 2}
+	c.m[[2]int{3, 4}] = false // survives as {1, 2}
+	c.Expire(2)
+	if c.Len() != 2 {
+		t.Fatalf("expire kept %d pairs, want 2", c.Len())
+	}
+	if v, ok := c.m[[2]int{0, 2}]; !ok || !v {
+		t.Errorf("pair {2,4} did not survive as {0,2}=true: %v %v", v, ok)
+	}
+	if v, ok := c.m[[2]int{1, 2}]; !ok || v {
+		t.Errorf("pair {3,4} did not survive as {1,2}=false: %v %v", v, ok)
+	}
+	var nilCache *PairCache
+	nilCache.Expire(1) // must not panic
 }

@@ -117,10 +117,9 @@ func newHorizontalSession(conn transport.Conn, cfg Config, role Role, points [][
 	// peer's dead directories (their cells no longer answer candidate
 	// queries), and compacts the caches.
 	t.expire = func(gens int) error {
-		from := own.Dead
 		removed, err := own.Expire(gens)
 		if err == nil {
-			peer.Expire(from, gens, removed)
+			peer.Expire(gens, removed)
 		}
 		return err
 	}
@@ -367,20 +366,18 @@ func serveWalked(s *Pair, hs *hStream, r *transport.Reader) error {
 // remoteCount answers the walk's region query of our point i — the peer's
 // points within Eps of it (seedsB := SetOfPointsOfBobPermutation
 // .regionQuery, Algorithm 4 line 3) — from the count cache, which this
-// pass's Settle completed: one [g, g+1) segment per peer generation, the
-// ones it did not already hold decided over HDP. Distances are immutable,
-// so a segment is permanently exact for the generation it covers, and
-// per-generation segments are what make the cache survive a sliding
-// window: an expiry drops exactly the dead generations' segments and every
-// survivor stays contiguous from the new window edge — a single
-// suffix-wide segment would straddle every expiry boundary and die with
-// it. The query is still a query: it records its decision-level budget
+// pass's Settle completed: one count per peer generation, the ones it did
+// not already hold decided over HDP. Distances are immutable, so a count
+// is permanently exact for its generation, and per-generation counts are
+// what make the cache survive a sliding window: an expiry drops exactly
+// the dead generations' counts and every survivor stays contiguous from
+// the new window edge. The query is still a query: it records its decision-level budget
 // and counts as cached what the cache held before this run's Settle (all
 // of it, from the point's second query on), and the caller tallies it for
 // the responder (serveWalked).
 func remoteCount(s *Pair, hs *hStream, i int) int {
 	peer := hs.peer
-	count, cached := peer.Settled(i, hs.own.Dead)
+	count, cached := peer.Settled(i)
 	s.led(func(l *Ledger) {
 		l.NeighborCounts++
 		l.MembershipBits += peer.N

@@ -125,7 +125,7 @@ func perQueryRemoteCount(s *Pair, hs *hStream, conn transport.Conn, i int, eng c
 	if peer.N == 0 {
 		return 0, nil
 	}
-	count, fromGen := peer.Covered(i, hs.own.Dead)
+	count, fromGen := peer.Covered(i)
 	gens := len(peer.Count)
 	s.led(func(l *Ledger) {
 		l.NeighborCounts++
@@ -144,7 +144,7 @@ func perQueryRemoteCount(s *Pair, hs *hStream, conn transport.Conn, i int, eng c
 	for g := fromGen; g < gens; g++ {
 		fresh := 0
 		// A dead or empty generation needs no wire work; record the zero
-		// segment so the sweep stays contiguous. The final generation
+		// count so the sweep stays contiguous. The final generation
 		// always goes to the wire — its sub-query closes the sweep for the
 		// responder's budget parity.
 		if peer.Count[g] > 0 || g == gens-1 {
@@ -155,7 +155,7 @@ func perQueryRemoteCount(s *Pair, hs *hStream, conn transport.Conn, i int, eng c
 			}
 		}
 		count += fresh
-		peer.Extend(i, g, g+1, fresh)
+		peer.Record(i, g, fresh)
 	}
 	return count, nil
 }

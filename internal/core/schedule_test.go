@@ -290,7 +290,7 @@ func TestLockstepDecidesEveryPairOnce(t *testing.T) {
 // TestSettleDecidesEverySubQueryOnce holds Pair.settle to the settle
 // schedule's property, with the chunk runner replaced by a recorder: over
 // random point sets, random caches (nothing, a prefix, a prefix and a
-// stale segment past a hole), with and without an expired generation,
+// stale count past a hole), with and without an expired generation,
 // both announcement policies, pruning on and off, W ∈ {1, 2, 4, 7} and
 // bounds {1, 3, 17, 256} — every sub-query the cache leaves open is dealt
 // as checkSchedule demands with a row per own point, and afterwards the
@@ -312,7 +312,7 @@ func TestSettleDecidesEverySubQueryOnce(t *testing.T) {
 		s, own, peer := f.sess[0].s, f.hs[0].own, f.hs[0].peer
 		gens := len(peer.Count)
 		// The cache before the settle: per point, what it already answers.
-		seed := NewCountCache()
+		seed := make([][]int, len(own.Enc)) // rows from the live edge
 		known := make(map[[2]int]int)
 		for i := range own.Enc {
 			upto := own.Dead
@@ -321,10 +321,10 @@ func TestSettleDecidesEverySubQueryOnce(t *testing.T) {
 			}
 			for g := own.Dead; g < upto; g++ {
 				known[[2]int{i, g}] = rng.Intn(4)
-				seed.Extend(i, g, g+1, known[[2]int{i, g}])
+				seed[i] = append(seed[i], known[[2]int{i, g}])
 			}
 			if upto+1 < gens && rng.Intn(2) == 0 {
-				seed.m[i] = append(seed.m[i], CountSeg{From: upto + 1, To: gens, Count: 99}) // stale, past a hole
+				seed[i] = append(seed[i], unknown, 99) // stale, past a hole
 				stale++
 			}
 		}
@@ -332,9 +332,9 @@ func TestSettleDecidesEverySubQueryOnce(t *testing.T) {
 			for _, w := range []int{1, 2, 4, 7} {
 				for _, bound := range []int{1, 3, 17, 256} {
 					at := fmt.Sprintf("settle trial %d pruning=%s closeSweeps=%v W=%d bound=%d", trial, cfg.Pruning, closeSweeps, w, bound)
-					peer.hdp = NewCountCache()
-					for i, segs := range seed.m {
-						peer.hdp.m[i] = append([]CountSeg(nil), segs...)
+					peer.hdp = make([][]int, len(seed))
+					for i, row := range seed {
+						peer.hdp[i] = append([]int(nil), row...)
 					}
 					calls, run := recordCalls(w, fake)
 					if err := s.settle(own, peer, w, bound, closeSweeps, run); err != nil {
@@ -378,7 +378,7 @@ func TestSettleDecidesEverySubQueryOnce(t *testing.T) {
 						for _, q := range rows[i] {
 							sum += fake(q)
 						}
-						if count, upto := peer.Covered(i, own.Dead); count != sum || upto != gens {
+						if count, upto := peer.Covered(i); count != sum || upto != gens {
 							t.Errorf("%s: point %d cached %d up to generation %d, want %d up to %d", at, i, count, upto, sum, gens)
 						}
 					}
@@ -388,6 +388,6 @@ func TestSettleDecidesEverySubQueryOnce(t *testing.T) {
 		f.close(t)
 	}
 	if st.secondRounds == 0 || st.oversize == 0 || stale == 0 {
-		t.Errorf("vacuous: %+v, %d caches held a stale segment", st, stale)
+		t.Errorf("vacuous: %+v, %d caches held a stale count", st, stale)
 	}
 }

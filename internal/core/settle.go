@@ -19,14 +19,14 @@ import (
 // the same schedule (settleEnhanced).
 //
 // Settle enumerates the sub-queries in own-point order: for each point the
-// generations its cached chain does not reach (PeerGens.Covered), ascending
+// generations its cached run does not reach (PeerGens.Covered), ascending
 // — exactly the sweep a live query of that point would run, with the same
 // candidate cells and the same exhaustive fallback (Pair.SubQuery). A
 // point's sub-queries are its row, weighing its candidate instances, and
 // the rows go through settleSchedule (lockstep.go), the schedule the pair
 // shape and the enhanced protocol share: chunks of whole rows of at most
 // chunkBound(cmpBytes) instances, chunk c on worker channel c mod W. Each
-// sub-query's count is written into the cache as its own [g, g+1) segment,
+// sub-query's count is written into the cache as its generation's count,
 // on the calling goroutine, after every worker has returned. Rows, chunks
 // and channels are a pure function of the driver's state; the responder is
 // told each chunk's content by its op frame and checks it (readSettleOp).
@@ -71,7 +71,7 @@ func (s *Pair) settle(own *OwnGens, peer *PeerGens, w, bound int, closeSweeps bo
 	}
 	rows := make([][]SubQuery, len(own.Enc))
 	for i, p := range own.Enc {
-		_, from := peer.Covered(i, own.Dead)
+		_, from := peer.Covered(i)
 		peer.pre[i] = from
 		for g := from; g < gens; g++ {
 			if closeSweeps && peer.Count[g] == 0 && g != gens-1 {
@@ -92,9 +92,9 @@ func (s *Pair) settle(own *OwnGens, peer *PeerGens, w, bound int, closeSweeps bo
 		return err
 	}
 
-	// One [g, g+1) segment per generation of every sweep, announced or not
-	// (a generation that was not asked holds no candidate), ascending —
-	// Extend drops what a later-starting stale segment still claimed.
+	// One count per generation of every sweep, announced or not (a
+	// generation that was not asked holds no candidate) — overwriting what
+	// a stale count past a hole still claimed.
 	fresh := make(map[[2]int]int)
 	for c, chunk := range chunks {
 		for u, q := range chunk {
@@ -103,7 +103,7 @@ func (s *Pair) settle(own *OwnGens, peer *PeerGens, w, bound int, closeSweeps bo
 	}
 	for i, from := range peer.pre {
 		for g := from; g < gens; g++ {
-			peer.Extend(i, g, g+1, fresh[[2]int{i, g}])
+			peer.Record(i, g, fresh[[2]int{i, g}])
 		}
 	}
 	return nil

@@ -21,7 +21,7 @@ import (
 // Retract, a re-Run, Expire — runs once on the settle schedule and once on
 // the per-query driver it replaced (perquery_test.go), and everything a
 // party can count must come out equal at every Run: labels, the cached
-// (point, generation) segments, every Ledger class, SecureComparisons and
+// (point, generation) counts, every Ledger class, SecureComparisons and
 // CachedComparisons, on both sides.
 
 var settleGens = [2][][][]float64{
@@ -41,9 +41,9 @@ var settleGens = [2][][][]float64{
 
 // settleStage is what one party holds after one Run of the lifecycle.
 type settleStage struct {
-	res  *Result
-	segs map[int][]CountSeg
-	enh  map[int]enhEntry
+	res    *Result
+	counts [][]int // the region-count cache's rows
+	enh    map[int]enhEntry
 }
 
 type sessionOpener func(conn transport.Conn, cfg Config, role Role, points [][]float64) (*Session, *hStream, error)
@@ -58,13 +58,13 @@ func runSettleLifecycle(t *testing.T, cfg Config, open sessionOpener) (stages [2
 	t.Helper()
 	var mu sync.Mutex
 	record := func(side int, hs *hStream, res *Result) {
-		segs := make(map[int][]CountSeg, len(hs.peer.hdp.m))
-		for i, ss := range hs.peer.hdp.m {
-			segs[i] = append([]CountSeg(nil), ss...)
+		counts := make([][]int, len(hs.peer.hdp))
+		for i, row := range hs.peer.hdp {
+			counts[i] = append([]int(nil), row...)
 		}
 		enh := maps.Clone(hs.peer.enh)
 		mu.Lock()
-		stages[side] = append(stages[side], settleStage{res, segs, enh})
+		stages[side] = append(stages[side], settleStage{res, counts, enh})
 		mu.Unlock()
 	}
 	ca, cb := transport.Pipe()
@@ -151,8 +151,8 @@ func TestSettleMatchesPerQueryDriver(t *testing.T) {
 									t.Errorf("%s: %d secure + %d cached comparisons, per query %d + %d", at,
 										g.res.SecureComparisons, g.res.CachedComparisons, w.res.SecureComparisons, w.res.CachedComparisons)
 								}
-								if !reflect.DeepEqual(g.segs, w.segs) {
-									t.Errorf("%s: cached segments %v, per query %v", at, g.segs, w.segs)
+								if !reflect.DeepEqual(g.counts, w.counts) {
+									t.Errorf("%s: cached counts %v, per query %v", at, g.counts, w.counts)
 								}
 								cached += g.res.CachedComparisons
 							}
@@ -418,11 +418,9 @@ func TestSettlePermutesPerSubQuery(t *testing.T) {
 						truth++
 					}
 				}
-				var got int
-				for _, seg := range peer.hdp.m[i] {
-					if seg.From == g && seg.To == g+1 {
-						got = seg.Count
-					}
+				got := unknown
+				if k := g - peer.dead; i < len(peer.hdp) && k < len(peer.hdp[i]) {
+					got = peer.hdp[i][k]
 				}
 				if got != truth {
 					t.Errorf("packing=%s: point %d generation %d cached %d in range, plaintext %d", packing, i, g, got, truth)

@@ -103,7 +103,7 @@ type HorizontalResult struct {
 
 // pairSession is one mesh edge: the core.Pair shared with one specific
 // peer, our view of that peer's generations (with the driver-side cache
-// of region-count segments keyed by our point index), and the edge's
+// of per-generation region counts keyed by our point index), and the edge's
 // split-threshold comparators.
 type pairSession struct {
 	*core.Pair
@@ -266,7 +266,7 @@ func (ms *MeshSession) Expire(gens int) error {
 			return true, err
 		}
 		return true, h.eachPeer(func(_ int, sess *pairSession) error {
-			sess.peer.Expire(dead, gens, removed)
+			sess.peer.Expire(gens, removed)
 			return nil
 		})
 	})
@@ -281,8 +281,8 @@ func (ms *MeshSession) Expire(gens int) error {
 // so a malformed tombstone fails the exchange loudly before any state
 // changes (core.OwnGens.Retract / core.PeerGens.Retract: own rows compact
 // to the numbering a fresh session over the survivors would use, and the
-// cached region-count segments die exactly where a retracted point could
-// sit inside them).
+// cached region counts die exactly where a retracted point could sit
+// inside them).
 func (ms *MeshSession) Retract(ids []int) error {
 	h := ms.h
 	return ms.guard.Do(func() (bool, error) {
@@ -433,16 +433,16 @@ func (h *hState) drive() ([]int, int, error) {
 
 // totalCount answers one region query of our point i: its neighbours
 // summed across all peers, each peer's count read from the edge's settled
-// cache (one [g, g+1) segment per peer generation, so an expiry drops
-// exactly the dead generations' segments and every survivor stays
-// contiguous from the new window edge). What the cache held before this
+// cache (one count per peer generation, so an expiry drops exactly the
+// dead generations' counts and every survivor stays contiguous from the
+// new window edge). What the cache held before this
 // run's settle step counts as cached — all of it from the point's second
 // query on.
 func (h *hState) totalCount(i int) int {
 	h.queries++
 	total := 0
 	h.eachPeer(func(_ int, sess *pairSession) error {
-		count, cached := sess.peer.Settled(i, h.own.Dead)
+		count, cached := sess.peer.Settled(i)
 		h.cached += int64(cached)
 		total += count
 		return nil

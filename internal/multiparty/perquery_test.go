@@ -116,7 +116,7 @@ func (m *perQueryMesh) queryPeer(sess *pairSession, t, i int) (int, error) {
 	if peer.N == 0 {
 		return 0, nil
 	}
-	count, fromGen := peer.Covered(i, h.own.Dead)
+	count, fromGen := peer.Covered(i)
 	m.cached.Add(int64(peer.N - peer.Suffix(fromGen)))
 	x := h.own.Enc[i]
 	for g := fromGen; g < len(peer.Count); g++ {
@@ -135,7 +135,7 @@ func (m *perQueryMesh) queryPeer(sess *pairSession, t, i int) (int, error) {
 			fresh = counts[0]
 		}
 		count += fresh
-		peer.Extend(i, g, g+1, fresh)
+		peer.Record(i, g, fresh)
 	}
 	return count, nil
 }
@@ -270,7 +270,7 @@ func runMeshLifecycle(t *testing.T, cfg Config, perQuery bool) (stages [][]meshS
 			// per edge and own point, what is covered from the live edge.
 			ms.h.eachPeer(func(_ int, sess *pairSession) error {
 				for i := range ms.h.own.Enc {
-					count, upto := sess.peer.Covered(i, ms.h.own.Dead)
+					count, upto := sess.peer.Covered(i)
 					caches[p] = append(caches[p], [2]int{count, upto})
 				}
 				return nil
