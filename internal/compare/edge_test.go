@@ -61,13 +61,6 @@ func TestEdgeSequentialAndCount(t *testing.T) {
 			bob: func(b Bob, c transport.Conn) ([]bool, error) {
 				return b.(DerivedBob).BatchLessEqDerived(c, bs, base)
 			}},
-		{name: "masked/derived-strict", kind: EngineMasked, uplink: true, strict: true,
-			alice: func(a Alice, c transport.Conn) ([]bool, error) {
-				return a.(DerivedAlice).BatchLessDerived(c, as)
-			},
-			bob: func(b Bob, c transport.Conn) ([]bool, error) {
-				return b.(DerivedBob).BatchLessDerived(c, bs, base)
-			}},
 	}
 	for _, l := range legs {
 		for _, seq := range []bool{false, true} {

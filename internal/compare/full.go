@@ -107,7 +107,6 @@ const (
 // batch sizing only — no ciphertext of them goes on the wire.
 type DerivedAlice interface {
 	BatchLessEqDerived(conn transport.Conn, as []int64) ([]bool, error)
-	BatchLessDerived(conn transport.Conn, as []int64) ([]bool, error)
 }
 
 // DerivedBob is the Bob half of DerivedAlice: base(t) returns E(−a_t),
@@ -117,7 +116,6 @@ type DerivedAlice interface {
 // runs on the parallel Paillier pool.
 type DerivedBob interface {
 	BatchLessEqDerived(conn transport.Conn, bs []int64, base func(t int) (*big.Int, error)) ([]bool, error)
-	BatchLessDerived(conn transport.Conn, bs []int64, base func(t int) (*big.Int, error)) ([]bool, error)
 }
 
 // checkInputSigned admits the signed operand range of derived batches.
@@ -396,7 +394,7 @@ func uplinkBases(l replyLayout, mode byte, classIdx []int64, cas []*big.Int) (ba
 // runBatchDerived is the Alice side of a derived-base batch: no uplink
 // ciphertexts at all — only the predicate, the mode, and the batch size
 // go out, and the widened-slot packed replies come back.
-func (a *MaskedAlice) runBatchDerived(conn transport.Conn, vs []int64, pred byte) ([]bool, error) {
+func (a *MaskedAlice) runBatchDerived(conn transport.Conn, vs []int64) ([]bool, error) {
 	for t, v := range vs {
 		if err := checkInputSigned(v, a.Max); err != nil {
 			return nil, fmt.Errorf("compare: batch[%d]: %w", t, err)
@@ -408,7 +406,7 @@ func (a *MaskedAlice) runBatchDerived(conn transport.Conn, vs []int64, pred byte
 	if a.UplinkPacker == nil {
 		return nil, fmt.Errorf("compare: derived comparisons need full packing")
 	}
-	msg := transport.NewBuilder().PutUint(uint64(pred)).PutUint(uint64(modeDerived)).PutUint(uint64(len(vs)))
+	msg := transport.NewBuilder().PutUint(uint64(predLessEq)).PutUint(uint64(modeDerived)).PutUint(uint64(len(vs)))
 	if err := transport.SendMsg(conn, msg); err != nil {
 		return nil, fmt.Errorf("compare: alice batch send: %w", err)
 	}
@@ -419,7 +417,7 @@ func (a *MaskedAlice) runBatchDerived(conn transport.Conn, vs []int64, pred byte
 // instance's E(−a_t) comes from base(t) — ciphertexts Bob already holds
 // — and the replies pack with the widened UplinkPacker because both
 // operands may be signed differences.
-func (b *MaskedBob) runBatchDerived(conn transport.Conn, vs []int64, base func(t int) (*big.Int, error), pred byte) ([]bool, error) {
+func (b *MaskedBob) runBatchDerived(conn transport.Conn, vs []int64, base func(t int) (*big.Int, error)) ([]bool, error) {
 	for t, v := range vs {
 		if err := checkInputSigned(v, b.Max); err != nil {
 			return nil, fmt.Errorf("compare: batch[%d]: %w", t, err)
@@ -445,8 +443,8 @@ func (b *MaskedBob) runBatchDerived(conn transport.Conn, vs []int64, base func(t
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	if gotPred != pred {
-		return nil, fmt.Errorf("%w: alice=%d bob=%d", ErrPredicateMismatch, gotPred, pred)
+	if gotPred != predLessEq {
+		return nil, fmt.Errorf("%w: alice=%d bob=%d", ErrPredicateMismatch, gotPred, predLessEq)
 	}
 	if mode != modeDerived {
 		return nil, fmt.Errorf("compare: expected derived-base batch, got mode %d", mode)
@@ -454,7 +452,7 @@ func (b *MaskedBob) runBatchDerived(conn transport.Conn, vs []int64, base func(t
 	if count != len(vs) {
 		return nil, fmt.Errorf("compare: batch holds %d values, peer announced %d", len(vs), count)
 	}
-	rMasks, plains, err := b.sampleMasks(vs, pred, random)
+	rMasks, plains, err := b.sampleMasks(vs, predLessEq, random)
 	if err != nil {
 		return nil, err
 	}
@@ -465,37 +463,18 @@ func (b *MaskedBob) runBatchDerived(conn transport.Conn, vs []int64, base func(t
 	return b.reply(conn, cts, len(vs))
 }
 
-// derived runs a derived-base batch through the edge's round structure.
-func (a *MaskedAlice) derived(conn transport.Conn, vs []int64, pred byte) ([]bool, error) {
-	return a.run(len(vs), func(lo, hi int) ([]bool, error) { return a.runBatchDerived(conn, vs[lo:hi], pred) })
-}
-
-// derived is the Bob half of the Alice-side derived: a sub-batch from lo
-// reads base from lo.
-func (b *MaskedBob) derived(conn transport.Conn, vs []int64, base func(t int) (*big.Int, error), pred byte) ([]bool, error) {
-	return b.run(len(vs), func(lo, hi int) ([]bool, error) {
-		return b.runBatchDerived(conn, vs[lo:hi], func(t int) (*big.Int, error) { return base(lo + t) }, pred)
-	})
-}
-
-// BatchLessEqDerived decides a_t ≤ b_t with Bob-derived left operands.
+// BatchLessEqDerived decides a_t ≤ b_t with Bob-derived left operands,
+// through the edge's round structure.
 func (a *MaskedAlice) BatchLessEqDerived(conn transport.Conn, vs []int64) ([]bool, error) {
-	return a.derived(conn, vs, predLessEq)
+	return a.run(len(vs), func(lo, hi int) ([]bool, error) { return a.runBatchDerived(conn, vs[lo:hi]) })
 }
 
-// BatchLessDerived decides a_t < b_t with Bob-derived left operands.
-func (a *MaskedAlice) BatchLessDerived(conn transport.Conn, vs []int64) ([]bool, error) {
-	return a.derived(conn, vs, predLess)
-}
-
-// BatchLessEqDerived is the Bob half of the Alice-side BatchLessEqDerived.
+// BatchLessEqDerived is the Bob half of the Alice-side BatchLessEqDerived:
+// a sub-batch from lo reads base from lo.
 func (b *MaskedBob) BatchLessEqDerived(conn transport.Conn, vs []int64, base func(t int) (*big.Int, error)) ([]bool, error) {
-	return b.derived(conn, vs, base, predLessEq)
-}
-
-// BatchLessDerived is the Bob half of the Alice-side BatchLessDerived.
-func (b *MaskedBob) BatchLessDerived(conn transport.Conn, vs []int64, base func(t int) (*big.Int, error)) ([]bool, error) {
-	return b.derived(conn, vs, base, predLess)
+	return b.run(len(vs), func(lo, hi int) ([]bool, error) {
+		return b.runBatchDerived(conn, vs[lo:hi], func(t int) (*big.Int, error) { return base(lo + t) })
+	})
 }
 
 var (

@@ -164,10 +164,10 @@ func TestFullDegenerateSingleSlot(t *testing.T) {
 	}
 }
 
-// TestFullDerivedBatch exercises modeDerived end to end: Bob supplies
-// every base ciphertext from retained material (zero uplink
-// ciphertexts), operands are signed on both sides, and extremes span
-// the widened uplink slots.
+// TestFullDerivedBatch exercises modeDerived end to end under the ≤
+// predicate, the one derived batches run: Bob supplies every base
+// ciphertext from retained material (zero uplink ciphertexts), operands
+// are signed on both sides, and extremes span the widened uplink slots.
 func TestFullDerivedBatch(t *testing.T) {
 	const bound = 500
 	ae, be := fullPair(t, bound, 32)
@@ -233,26 +233,6 @@ func TestFullDerivedBatch(t *testing.T) {
 	}
 	if down := be.Sent.Load(); down != int64(up2groups(ae, n)) {
 		t.Fatalf("derived batch replied %d ciphertexts, want %d", down, up2groups(ae, n))
-	}
-
-	err = transport.Run2(
-		func(c transport.Conn) error {
-			var err error
-			got, err = ae.BatchLessDerived(c, as)
-			return err
-		},
-		func(c transport.Conn) error {
-			_, err := be.BatchLessDerived(c, bs, base)
-			return err
-		},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range as {
-		if want := as[i] < bs[i]; got[i] != want {
-			t.Errorf("derived strict[%d]: %d < %d = %v, want %v", i, as[i], bs[i], got[i], want)
-		}
 	}
 }
 
