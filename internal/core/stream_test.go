@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -671,5 +672,60 @@ func TestAppendIndexDeltaMatchesCellCoords(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAppendFrames pins the append exchange to one announce and one reply
+// on the control channel for every two-party family, at W = 1 and W = 4:
+// the horizontal families' GridDelta rides in those two frames, as the
+// shared-row families' cell coordinates do. The initiator's Meter sees
+// every frame of the edge, so its count across each Append call is the
+// exchange's.
+func TestAppendFrames(t *testing.T) {
+	for _, rc := range retractCases() {
+		for _, w := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/W=%d", rc.name, w), func(t *testing.T) {
+				cfg := parallelCfg(compare.EngineMasked, w, PruneGrid)
+				if rc.tweak != nil {
+					cfg = rc.tweak(cfg)
+				}
+				ca, cb := transport.Pipe()
+				ma := transport.NewMeter(ca)
+				err := transport.RunPair(ma, cb,
+					func(transport.Conn) error {
+						sess, err := rc.newSess(ma, cfg, RoleAlice)
+						if err != nil {
+							return err
+						}
+						for gen := 1; gen < rc.gens; gen++ {
+							before := ma.Stats().Messages()
+							if err := rc.appendGen(sess, gen); err != nil {
+								return err
+							}
+							if got := ma.Stats().Messages() - before; got != 2 {
+								t.Errorf("append of generation %d took %d frames, want 2", gen, got)
+							}
+						}
+						return sess.Close()
+					},
+					func(transport.Conn) error {
+						sess, err := rc.newSess(cb, cfg, RoleBob)
+						if err != nil {
+							return err
+						}
+						sess.SetAppendSource(rc.sourceB())
+						for {
+							if _, err := sess.Run(); errors.Is(err, ErrSessionClosed) {
+								return nil
+							} else if err != nil {
+								return err
+							}
+						}
+					})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
