@@ -458,13 +458,24 @@
 // # Streaming appends and the cross-run comparison cache
 //
 // A live Session absorbs new points between runs: the initiating party
-// calls Append (AppendOwned for the arbitrary family), the serving
-// party's AppendSource contributes its own share of the batch, and the
-// append exchange ships counts plus one spatial.GridDelta per side naming
-// only the index cells the batch touched (each append is a new generation
-// of the session's spatial.Stack; the delta is recorded in
-// IndexDeltaCells). The data
-// itself never crosses the wire.
+// calls Append (AppendOwned for the arbitrary family), and the serving
+// party's AppendSource contributes its own share of the batch. Every
+// family's append is one exchange on the control channel, written once
+// (Session.announceAppend / serveAppend): the announce [sessOpAppend,
+// count, request fields, index payload] and the reply [count, index
+// payload] — 2 frames at every W. A family supplies only its hooks
+// (appendHooks): encode and validate a batch, parse the request fields
+// (the arbitrary family's public ownership rows), write its index payload,
+// absorb the peer's. The horizontal families' payload is one
+// spatial.GridDelta naming only the index cells the batch touched (each
+// append is a new generation of the session's spatial.Stack), the same
+// [count, GridDelta] a mesh edge swaps; the shared-row families' payload
+// is this party's cell coordinates of the new records. Either is recorded
+// in IndexDeltaCells. The initiator validates its batch before it touches
+// its own state or the wire, so a bad batch leaves the session usable,
+// and every declared count is checked against MaxPoints before anything
+// is sized from it (ErrPointCount). The data itself never crosses the
+// wire.
 //
 // Append, Expire and Retract are one control-op path (sess.go): the
 // initiating side enters through Session.initiate — the Guard
@@ -485,7 +496,7 @@
 // to every participant, so the chunks of the oracle's schedule stay in
 // lock step);
 // the basic horizontal family caches per-point, per-generation counts and
-// settles only the peer generations a point's cached chain does not reach
+// settles only the peer generations a point's cached run does not reach
 // (each named on the chunk's op frame — the responder serves only those,
 // each padded to its own directory's counts); the enhanced family
 // skips whole core queries whose cached bit is still valid. Budget
