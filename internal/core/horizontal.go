@@ -371,10 +371,10 @@ func serveWalked(s *Pair, hs *hStream, r *transport.Reader) error {
 // is permanently exact for its generation, and per-generation counts are
 // what make the cache survive a sliding window: an expiry drops exactly
 // the dead generations' counts and every survivor stays contiguous from
-// the new window edge. The query is still a query: it records its decision-level budget
-// and counts as cached what the cache held before this run's Settle (all
-// of it, from the point's second query on), and the caller tallies it for
-// the responder (serveWalked).
+// the new window edge. The query is still a query: it records its
+// decision-level budget and counts as cached what the cache held before
+// this run's Settle (all of it, from the point's second query on), and
+// the caller tallies it for the responder (serveWalked).
 func remoteCount(s *Pair, hs *hStream, i int) int {
 	peer := hs.peer
 	count, cached := peer.Settled(i)

@@ -143,9 +143,9 @@ type Session struct {
 	// through initiate on the driving side and Run's control loop on the
 	// serving side (one path: guard, poison rule, setup ledger, counter).
 	// Append is one announce/reply pair for every family
-	// (announceAppend/serveAppend below), appends its family's part;
-	// appendSrc supplies this party's own batch when the peer initiates
-	// (see SetAppendSource).
+	// (announceAppend/serveAppend below): appends holds the family's part
+	// of it, and appendSrc supplies this party's own batch when the peer
+	// initiates (see SetAppendSource).
 	appends   appendHooks
 	appendSrc AppendSource
 

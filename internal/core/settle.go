@@ -92,18 +92,17 @@ func (s *Pair) settle(own *OwnGens, peer *PeerGens, w, bound int, closeSweeps bo
 		return err
 	}
 
-	// One count per generation of every sweep, announced or not (a
-	// generation that was not asked holds no candidate) — overwriting what
-	// a stale count past a hole still claimed.
-	fresh := make(map[[2]int]int)
-	for c, chunk := range chunks {
-		for u, q := range chunk {
-			fresh[[2]int{q.Point, q.Gen}] = counts[c][u]
-		}
-	}
+	// One count per generation of every sweep, announced or not: a
+	// generation that was not asked holds no candidate, so it counts zero —
+	// overwriting what a stale count past a hole still claimed.
 	for i, from := range peer.pre {
 		for g := from; g < gens; g++ {
-			peer.Record(i, g, fresh[[2]int{i, g}])
+			peer.Record(i, g, 0)
+		}
+	}
+	for c, chunk := range chunks {
+		for u, q := range chunk {
+			peer.Record(q.Point, q.Gen, counts[c][u])
 		}
 	}
 	return nil
