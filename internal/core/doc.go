@@ -461,7 +461,7 @@
 // calls Append (AppendOwned for the arbitrary family), and the serving
 // party's AppendSource contributes its own share of the batch. Every
 // family's append is one exchange on the control channel, written once
-// (Session.announceAppend / serveAppend): the announce [sessOpAppend,
+// (Session.announceAppend / serveAppend): the announce [append op,
 // count, request fields, index payload] and the reply [count, index
 // payload] — 2 frames at every W. A family supplies only its hooks
 // (appendHooks): encode and validate a batch, parse the request fields
