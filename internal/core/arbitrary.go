@@ -297,8 +297,8 @@ func arbitraryRunOnce(t *Session, as *aStream) (*Result, error) {
 		onPruned(pr)
 		s.cmpCached.Add(1)
 	}
-	batchOn := func(ch int, pairs [][2]int) ([]bool, error) { return a.batchLE(s.Conns[ch], pairs, engA, engB) }
-	labels, clusters, err := LockstepCluster(len(a.enc), s.cfg.MinPts, s.cfg.Parallel, s.lockstepFrameBytes(engA, engB),
+	batchOn := func(ch int, pairs [][2]int) ([]bool, error) { return a.batchLE(ch, pairs, engA[ch], engB[ch]) }
+	labels, clusters, err := LockstepCluster(len(a.enc), s.cfg.MinPts, s.cfg.Parallel, s.lockstepFrameBytes(engA[0], engB[0]),
 		as.Cache, onCached, PrunedLocalDecider(as.CellRows, onPruned), batchOn)
 	if err != nil {
 		return nil, err
@@ -415,9 +415,11 @@ func (a *adpState) hasMixed(i, j int) bool {
 // slot per pair with mixed cells — then Pair.decidePairs settles the
 // threshold comparisons. Each pair's share algebra is the paper's: Bob's
 // share is his local sum minus twice the cross dot product, which is all
-// the masked products' sum ever gave him.
-func (a *adpState) batchLE(conn transport.Conn, pairs [][2]int, engA compare.Alice, engB compare.Bob) ([]bool, error) {
+// the masked products' sum ever gave him. The chunk runs on worker channel
+// ch, on that channel's engines.
+func (a *adpState) batchLE(ch int, pairs [][2]int, engA compare.Alice, engB compare.Bob) ([]bool, error) {
 	s := a.s
+	conn := s.Conns[ch]
 	shares := make([]int64, len(pairs))
 	var mixed [][]int64
 	var mixedAt []int // mixedAt[u] is the chunk index of mixed[u]'s pair
@@ -434,14 +436,14 @@ func (a *adpState) batchLE(conn transport.Conn, pairs [][2]int, engA compare.Ali
 	if len(mixed) > 0 {
 		setTag(conn, "adp.mp")
 		if a.role == RoleAlice {
-			if err := mpc.SenderScatterDot(conn, s.peerPai, mixed, s.rdPeer, s.random, s.pool); err != nil {
+			if err := mpc.SenderScatterDot(conn, s.peerPai, mixed, s.rdPeer, s.streams[ch], s.pool); err != nil {
 				return nil, fmt.Errorf("core: adp dot exchange: %w", err)
 			}
 			// The folded dot products answer the peer's encrypted operands:
 			// response leg.
 			s.ctsDown.Add(int64(s.rdPeer.Groups(len(mixed))))
 		} else {
-			dots, err := mpc.ReceiverScatterDot(conn, s.paiKey, mixed, s.rdOwn, s.random, s.pool)
+			dots, err := mpc.ReceiverScatterDot(conn, s.paiKey, mixed, s.rdOwn, s.streams[ch], s.pool)
 			if err != nil {
 				return nil, fmt.Errorf("core: adp dot exchange: %w", err)
 			}

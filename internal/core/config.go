@@ -147,6 +147,9 @@ type Config struct {
 	Seed int64
 
 	// Random supplies cryptographic randomness; nil means crypto/rand.
+	// The keys and worker channel 0 read it, and at W > 1 each further
+	// channel a stream keyed from it (ChannelStreams), so a seeded Random
+	// makes a session a pure function of its inputs at every W.
 	Random io.Reader
 }
 

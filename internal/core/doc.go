@@ -122,21 +122,15 @@
 // frame — version handshakeVersion: proto, role, the agreed parameters,
 // data dimensions, public keys. establish is handed its keys instead of
 // drawing them: DrawKeySet is the one place a protocol key is generated,
-// Paillier first and RSA second, from the stream establish reads
-// (Config.Reader). A two-party family draws its set right before it
-// establishes, so a session still draws one set and reads the same bytes
-// it always did; a mesh party draws one set before its edge loop and
-// hands it to all k−1 of its Pairs, k keys per mesh instead of k·(k−1);
-// the ring's coordinator draws the ring's one set. Under the paper's
-// semi-honest model a party's key on several edges discloses nothing
-// new: each peer sees only ciphertexts under it, semantically secure
-// however many share the key, and the public key tells a peer nothing
-// it cannot compute from the key alone — that its edge and another one
-// run on the same key says only that both end at the same party, which
-// the topology already names. The two RSA fields travel empty under the
-// masked engine; PeerRSAKey holds a peer to that (a key the engine does
-// not use, or none where it does, is ErrHandshake), and a peer key that
-// does not parse is ErrHandshake wrapping the key package's error.
+// Paillier first and RSA second, from Config.Random. A two-party family
+// draws its set right before it establishes; a mesh party draws one set
+// before its edge loop and hands it to all k−1 of its Pairs, k keys per
+// mesh instead of k·(k−1) (KeySet says why sharing it discloses nothing
+// new); the ring's coordinator draws the ring's one set. The two RSA
+// fields travel empty under the masked engine; PeerRSAKey holds a peer to
+// that (a key the engine does not use, or none where it does, is
+// ErrHandshake), and a peer key that does not parse is ErrHandshake
+// wrapping the key package's error.
 // The agreed parameters are one codec, Params (params.go: Eps² …
 // Parallel in wire order, Encode / DecodeParams / Diff); Diff returns
 // an ErrHandshake that names the first field the parties disagree on.
@@ -173,6 +167,21 @@
 // with the family, which follows an expiry with a slice and a retraction
 // with CompactRows; retractCounts is the one place retracted ids become
 // generation decrements, for PeerGens and RowGens alike.
+//
+// # Randomness
+//
+// Each worker channel has one randomness stream (ChannelStreams, set up
+// by establish once the keys are drawn), and every draw a worker makes
+// on it reads that stream: masks, nonces, Algorithm 4's permutations
+// (unless Config.Seed is set) and the engines' draws — Pair.engines
+// builds each channel its own. Channel 0 reads Config.Random, channel
+// c ≥ 1 AES-CTR under a key read from it; with Random nil every channel
+// reads crypto/rand. A channel runs its chunks in schedule order and
+// every batch draws before the crypto pool fans out, so under a seeded
+// Random each channel's frames are a pure function of the inputs at
+// every W — only their interleaving on the connection is not, which is
+// why the golden tables hash each channel apart. At W = 1 nothing is
+// derived: one stream, read in the order it always was.
 //
 // # Long-lived sessions and the query scheduler
 //

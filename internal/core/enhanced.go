@@ -61,19 +61,14 @@ func EnhancedHorizontalBob(conn transport.Conn, cfg Config, points [][]float64) 
 	return runOneShot(NewEnhancedHorizontalSession(conn, cfg, RoleBob, points))
 }
 
-// enhancedEngines builds the two comparator pairs the §5 protocol needs:
-// share-difference comparisons over [0, 2(bound+V)] and the final
-// threshold comparison over [0, bound+V].
-func (s *Pair) enhancedEngines() (shareA compare.Alice, shareB compare.Bob, finalA compare.Alice, finalB compare.Bob, err error) {
-	shareA, shareB, err = s.engines(2 * (s.bound + s.shareV))
-	if err != nil {
-		return nil, nil, nil, nil, err
+// enhancedEngines builds the two comparator pairs the §5 protocol needs,
+// one of each per worker channel: share-difference comparisons over
+// [0, 2(bound+V)] and the final threshold comparison over [0, bound+V].
+func (s *Pair) enhancedEngines() (shareA []compare.Alice, shareB []compare.Bob, finalA []compare.Alice, finalB []compare.Bob, err error) {
+	if shareA, shareB, err = s.engines(2 * (s.bound + s.shareV)); err == nil {
+		finalA, finalB, err = s.engines(s.bound + s.shareV)
 	}
-	finalA, finalB, err = s.engines(s.bound + s.shareV)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	return shareA, shareB, finalA, finalB, nil
+	return shareA, shareB, finalA, finalB, err
 }
 
 // coreQuery is one own point's core query, a row of the enhanced settle
@@ -122,9 +117,9 @@ func settleEnhanced(s *Pair, hs *hStream, rqs [][]int) ([]bool, error) {
 		}
 	}
 	chunks, bits, err := settleSchedule(rows, func(row []coreQuery) int { return row[0].NCand },
-		len(s.Conns), chunkBound(shareA.FrameBytes()),
+		len(s.Conns), chunkBound(shareA[0].FrameBytes()),
 		func(ch int, chunk []coreQuery) ([]bool, error) {
-			return s.coreChunk(s.Conns[ch], shareA, finalA, own, chunk)
+			return s.coreChunk(ch, shareA[ch], finalA[ch], own, chunk)
 		})
 	if err != nil {
 		return nil, err
@@ -155,9 +150,10 @@ func enhCached(hs *hStream, point int) (core, ok bool) {
 	return e.core, true
 }
 
-// coreChunk runs the driver side of one chunk of core queries on conn and
-// returns their core bits.
-func (s *Pair) coreChunk(conn transport.Conn, shareA, finalA compare.Alice, own [][]int64, chunk []coreQuery) ([]bool, error) {
+// coreChunk runs the driver side of one chunk of core queries on worker
+// channel ch, on that channel's engines, and returns their core bits.
+func (s *Pair) coreChunk(ch int, shareA, finalA compare.Alice, own [][]int64, chunk []coreQuery) ([]bool, error) {
+	conn := s.Conns[ch]
 	setTag(conn, "enh.op")
 	msg := transport.NewBuilder().PutUint(opCore).PutUint(uint64(len(chunk)))
 	as := make([][]int64, len(chunk))
@@ -178,7 +174,7 @@ func (s *Pair) coreChunk(conn transport.Conn, shareA, finalA compare.Alice, own 
 	if err != nil {
 		return nil, err
 	}
-	usBig, err := mpc.ReceiverDotRows(conn, s.paiKey, as, ns, pk, s.random, s.pool)
+	usBig, err := mpc.ReceiverDotRows(conn, s.paiKey, as, ns, pk, s.streams[ch], s.pool)
 	if err != nil {
 		return nil, fmt.Errorf("core: enhanced share phase: %w", err)
 	}
@@ -310,15 +306,17 @@ func (s *Pair) readCoreOp(r *transport.Reader, own *OwnGens, bound int, seen []a
 	return qs, nil
 }
 
-// serveCoreChunk answers one chunk of core queries, whose op code Serve
-// has consumed: the responder side of settleEnhanced. Every query draws
+// serveCoreChunk answers one chunk of core queries on worker channel ch,
+// on that channel's engines, whose op code Serve has consumed: the
+// responder side of settleEnhanced. Every query draws
 // its own permutation, in query order, over its own candidates and
 // padding, as in Algorithm 4: the selection then runs on permuted indices
 // on both sides alike, and the driver sees only the permuted order. A
 // dummy's data vector pins its shared distance to the domain bound —
 // strictly beyond Eps² whenever pruning is active — so a dummy is never
 // selected as within range.
-func (s *Pair) serveCoreChunk(conn transport.Conn, rng PermSource, shareB, finalB compare.Bob, own *OwnGens, seen []atomic.Bool, r *transport.Reader) error {
+func (s *Pair) serveCoreChunk(ch int, rng PermSource, shareB, finalB compare.Bob, own *OwnGens, seen []atomic.Bool, r *transport.Reader) error {
+	conn, random := s.Conns[ch], s.streams[ch]
 	qs, err := s.readCoreOp(r, own, chunkBound(shareB.FrameBytes()), seen)
 	if err != nil {
 		return err
@@ -331,7 +329,7 @@ func (s *Pair) serveCoreChunk(conn transport.Conn, rng PermSource, shareB, final
 	for u, q := range qs {
 		ks[u], ns[u] = q.k, len(q.pts)+q.nDummy
 		for _, pi := range rng.Perm(ns[u]) {
-			v, err := mpc.RandomMask(s.random, vBound)
+			v, err := mpc.RandomMask(random, vBound)
 			if err != nil {
 				return err
 			}
@@ -351,7 +349,7 @@ func (s *Pair) serveCoreChunk(conn transport.Conn, rng PermSource, shareB, final
 	// ds (derived comparisons only): every candidate's share ciphertext
 	// E(u_i), computed but never sent on its own — retained so the selection
 	// and final comparisons re-derive their operands without any uplink.
-	ds, err := mpc.SenderDotRows(conn, s.peerPai, bs, ns, vs, pk, s.derivedCompare(), s.random, s.pool)
+	ds, err := mpc.SenderDotRows(conn, s.peerPai, bs, ns, vs, pk, s.derivedCompare(), random, s.pool)
 	if err != nil {
 		return fmt.Errorf("core: enhanced share phase: %w", err)
 	}

@@ -87,7 +87,7 @@ func liveEnhancedDriver(s *Pair, hs *hStream) ([]int, int, error) {
 	}
 	ask := func(i int) (core bool) {
 		if err == nil {
-			core, err = enhancedIsCore(s, hs, s.Conns[0], i, len(rqs[i]), shareA, finalA)
+			core, err = enhancedIsCore(s, hs, 0, i, len(rqs[i]), shareA[0], finalA[0])
 		}
 		return core
 	}
@@ -119,8 +119,8 @@ func liveEnhancedResponder(s *Pair, hs *hStream) error {
 		return err
 	}
 	return s.Serve("enh.op", map[uint64]OpServer{
-		opCore: func(conn transport.Conn, rng PermSource, r *transport.Reader) error {
-			return serveEnhancedCore(s, conn, rng, shareB, finalB, hs.own, r)
+		opCore: func(ch int, rng PermSource, r *transport.Reader) error {
+			return serveEnhancedCore(s, ch, rng, shareB[ch], finalB[ch], hs.own, r)
 		},
 	})
 }
@@ -135,7 +135,8 @@ func liveEnhancedResponder(s *Pair, hs *hStream) error {
 // cross-run cache (enhCached) short-circuits the whole exchange when it
 // can. The share phase is one row of the settle step's exchange, which is
 // the wire form this query's own exchange always had.
-func enhancedIsCore(s *Pair, hs *hStream, conn transport.Conn, point, ownCount int, shareA compare.Alice, finalA compare.Alice) (bool, error) {
+func enhancedIsCore(s *Pair, hs *hStream, ch, point, ownCount int, shareA compare.Alice, finalA compare.Alice) (bool, error) {
+	conn := s.Conns[ch]
 	own, nPeer := hs.own.Enc, hs.peer.N
 	k := s.cfg.MinPts - ownCount
 	if k <= 0 {
@@ -178,7 +179,7 @@ func enhancedIsCore(s *Pair, hs *hStream, conn transport.Conn, point, ownCount i
 	if err != nil {
 		return false, err
 	}
-	usBig, err := mpc.ReceiverDotRows(conn, s.paiKey, [][]int64{a}, []int{nCand}, pk, s.random, s.pool)
+	usBig, err := mpc.ReceiverDotRows(conn, s.paiKey, [][]int64{a}, []int{nCand}, pk, s.streams[ch], s.pool)
 	if err != nil {
 		return false, fmt.Errorf("core: enhanced share phase: %w", err)
 	}
@@ -246,7 +247,7 @@ func enhancedIsCore(s *Pair, hs *hStream, conn transport.Conn, point, ownCount i
 
 // serveEnhancedCore parses one announced core query (k plus the pruning
 // fields) and answers it.
-func serveEnhancedCore(s *Pair, conn transport.Conn, rng PermSource, shareB, finalB compare.Bob, own *OwnGens, r *transport.Reader) error {
+func serveEnhancedCore(s *Pair, ch int, rng PermSource, shareB, finalB compare.Bob, own *OwnGens, r *transport.Reader) error {
 	k := int(r.Uint())
 	if r.Err() != nil {
 		return r.Err()
@@ -255,12 +256,13 @@ func serveEnhancedCore(s *Pair, conn transport.Conn, rng PermSource, shareB, fin
 	if err != nil {
 		return err
 	}
-	return enhancedServeCore(s, conn, rng, pts, nDummy, k, shareB, finalB)
+	return enhancedServeCore(s, ch, rng, pts, nDummy, k, shareB, finalB)
 }
 
 // enhancedServeCore answers one core query against the given candidate
 // points plus nDummy padding entries.
-func enhancedServeCore(s *Pair, conn transport.Conn, rng PermSource, pts [][]int64, nDummy, k int, shareB compare.Bob, finalB compare.Bob) error {
+func enhancedServeCore(s *Pair, ch int, rng PermSource, pts [][]int64, nDummy, k int, shareB compare.Bob, finalB compare.Bob) error {
+	conn, random := s.Conns[ch], s.streams[ch]
 	n := len(pts) + nDummy
 	if k < 1 || k > n {
 		return fmt.Errorf("core: driver requested k=%d of %d points", k, n)
@@ -272,7 +274,7 @@ func enhancedServeCore(s *Pair, conn transport.Conn, rng PermSource, pts [][]int
 	bs := make([][]int64, n)
 	vals := make([]int64, n)
 	for i, pi := range perm {
-		v, err := mpc.RandomMask(s.random, big.NewInt(s.shareV))
+		v, err := mpc.RandomMask(random, big.NewInt(s.shareV))
 		if err != nil {
 			return err
 		}
@@ -288,7 +290,7 @@ func enhancedServeCore(s *Pair, conn transport.Conn, rng PermSource, pts [][]int
 	if err != nil {
 		return err
 	}
-	ds, err := mpc.SenderDotRows(conn, s.peerPai, bs, []int{n}, vs, pk, s.derivedCompare(), s.random, s.pool)
+	ds, err := mpc.SenderDotRows(conn, s.peerPai, bs, []int{n}, vs, pk, s.derivedCompare(), random, s.pool)
 	if err != nil {
 		return fmt.Errorf("core: enhanced share phase: %w", err)
 	}
@@ -530,7 +532,7 @@ func TestResponderRefusesHostileCoreOps(t *testing.T) {
 				}
 				pk, err := s.dotPacker(&s.paiKey.PublicKey)
 				if err == nil {
-					_, err = mpc.ReceiverDotRows(conn, s.paiKey, as, counts, pk, s.random, s.pool)
+					_, err = mpc.ReceiverDotRows(conn, s.paiKey, as, counts, pk, s.streams[0], s.pool)
 				}
 				if err != nil {
 					t.Fatalf("an honest frame was not served: %v", err)
@@ -569,7 +571,7 @@ func TestResponderRefusesHostileCoreOps(t *testing.T) {
 			aliceErr <- runWave(w, func(t int) error {
 				for q := t; q <= n; q += w {
 					query := coreQuery{SubQuery{Point: q % n, NCand: f.hs.peer.N}, 1}
-					if _, err := s.coreChunk(s.Conns[t], shareA, finalA, f.hs.own.Enc, []coreQuery{query}); err != nil {
+					if _, err := s.coreChunk(t, shareA[t], finalA[t], f.hs.own.Enc, []coreQuery{query}); err != nil {
 						return err
 					}
 				}
@@ -783,7 +785,7 @@ func TestEnhancedYMPPChunksStayUnderFrameLimit(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			cmpBytes, weight = shareA.FrameBytes(), len(hs.own.Enc)*hs.peer.N
+			cmpBytes, weight = shareA[0].FrameBytes(), len(hs.own.Enc)*hs.peer.N
 			sizes.sent = nil
 			if _, err := sess.Run(); err != nil {
 				return err
@@ -799,7 +801,7 @@ func TestEnhancedYMPPChunksStayUnderFrameLimit(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			peerBytes = shareB.FrameBytes()
+			peerBytes = shareB[0].FrameBytes()
 			if _, err = sess.Run(); err != nil {
 				return err
 			}

@@ -86,14 +86,15 @@ func TestHandshakeRSAFollowsEngine(t *testing.T) {
 			continue
 		}
 		// Used: Alice's 3 ≤ Bob's 5 decided on the exchanged RSA key.
-		engA, _, err := pairs[0].engines(10)
+		engAs, _, err := pairs[0].engines(10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, engB, err := pairs[1].engines(10)
+		_, engBs, err := pairs[1].engines(10)
 		if err != nil {
 			t.Fatal(err)
 		}
+		engA, engB := engAs[0], engBs[0]
 		var le bool
 		if err := both(
 			func() (err error) { le, err = lessEqOne(ca, engA, 3); return },

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/compare"
 	"repro/internal/mpc"
-	"repro/internal/transport"
 )
 
 // HDP — the horizontally-partitioned distance protocol of §4.2 — decides,
@@ -65,12 +64,13 @@ import (
 // SetOfPointsOfBobPermutation), so the driver learns one in-range count
 // per (own point, peer generation), not which candidate answered.
 
-// HDPCount runs the driver side of one already-announced settle chunk:
-// the row-dot exchange over every sub-query's candidate instances, then
-// one comparison each, and returns each sub-query's in-range count. own
-// holds our encoded points (a sub-query's Point indexes it); eng is the
-// pair's Alice-side split-threshold comparator (DistEngines).
-func (s *Pair) HDPCount(conn transport.Conn, eng compare.Alice, own [][]int64, chunk []SubQuery) ([]int, error) {
+// HDPCount runs the driver side of one already-announced settle chunk on
+// worker channel ch: the row-dot exchange over every sub-query's candidate
+// instances, then one comparison each, and returns each sub-query's
+// in-range count. own holds our encoded points (a sub-query's Point
+// indexes it); eng is channel ch's Alice-side split-threshold comparator
+// (DistEngines).
+func (s *Pair) HDPCount(ch int, eng compare.Alice, own [][]int64, chunk []SubQuery) ([]int, error) {
 	// One row per own point with candidates: its column scalars are the
 	// point's coordinates, its comparison operand Σp² on every instance.
 	counts := make([]int, len(chunk))
@@ -93,8 +93,9 @@ func (s *Pair) HDPCount(conn transport.Conn, eng compare.Alice, own [][]int64, c
 	if len(vs) == 0 {
 		return counts, nil
 	}
+	conn := s.Conns[ch]
 	setTag(conn, "hdp.mp")
-	if err := mpc.SenderRowDot(conn, s.peerPai, ys, rowLens, s.dim, s.rdPeer, s.random, s.pool); err != nil {
+	if err := mpc.SenderRowDot(conn, s.peerPai, ys, rowLens, s.dim, s.rdPeer, s.streams[ch], s.pool); err != nil {
 		return nil, fmt.Errorf("core: hdp row multiplication: %w", err)
 	}
 	// The folded dot products answer the responder's encrypted operands:
@@ -123,8 +124,9 @@ func (s *Pair) HDPCount(conn transport.Conn, eng compare.Alice, own [][]int64, c
 // driver's points never leave the driver; the responder learns, per its
 // own point, whether some driver point is within Eps (Algorithm 4 note:
 // "Bob only knows there is a record owned by Alice in the neighborhood").
-// eng is the pair's Bob-side split-threshold comparator (DistEngines).
-func (s *Pair) HDPServe(conn transport.Conn, eng compare.Bob, rows [][][]int64) error {
+// It runs on worker channel ch; eng is that channel's Bob-side
+// split-threshold comparator (DistEngines).
+func (s *Pair) HDPServe(ch int, eng compare.Bob, rows [][][]int64) error {
 	rowLens := make([]int, len(rows))
 	var cands [][]int64
 	for r, row := range rows {
@@ -133,8 +135,9 @@ func (s *Pair) HDPServe(conn transport.Conn, eng compare.Bob, rows [][][]int64) 
 	if len(cands) == 0 {
 		return nil
 	}
+	conn := s.Conns[ch]
 	setTag(conn, "hdp.mp")
-	dots, err := mpc.ReceiverRowDot(conn, s.paiKey, s.candidateCoords(cands), rowLens, s.dim, s.rdOwn, s.random, s.pool)
+	dots, err := mpc.ReceiverRowDot(conn, s.paiKey, s.candidateCoords(cands), rowLens, s.dim, s.rdOwn, s.streams[ch], s.pool)
 	if err != nil {
 		return fmt.Errorf("core: hdp row multiplication: %w", err)
 	}

@@ -315,11 +315,11 @@ func hPassResponder(s *Pair, hs *hStream, fam hFamily) error {
 			return err
 		}
 		return s.Serve("hdp.op", map[uint64]OpServer{
-			OpSettle: func(conn transport.Conn, rng PermSource, r *transport.Reader) error {
-				return s.SettleServe(conn, rng, engB, hs.own, hs.peer, r)
+			OpSettle: func(ch int, rng PermSource, r *transport.Reader) error {
+				return s.SettleServe(ch, rng, engB[ch], hs.own, hs.peer, r)
 			},
-			opDone: func(conn transport.Conn, _ PermSource, r *transport.Reader) error {
-				if conn != s.Conns[0] {
+			opDone: func(ch int, _ PermSource, r *transport.Reader) error {
+				if ch != 0 {
 					return nil
 				}
 				return serveWalked(s, hs, r)
@@ -334,8 +334,8 @@ func hPassResponder(s *Pair, hs *hStream, fam hFamily) error {
 		// pass: one bitmap across the W workers holds it to that.
 		seen := make([]atomic.Bool, hs.peer.N)
 		return s.Serve("enh.op", map[uint64]OpServer{
-			opCore: func(conn transport.Conn, rng PermSource, r *transport.Reader) error {
-				return s.serveCoreChunk(conn, rng, shareB, finalB, hs.own, seen, r)
+			opCore: func(ch int, rng PermSource, r *transport.Reader) error {
+				return s.serveCoreChunk(ch, rng, shareB[ch], finalB[ch], hs.own, seen, r)
 			},
 		})
 	}

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"cmp"
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/rand"
+	"fmt"
 	"io"
 
 	"repro/internal/compare"
 	"repro/internal/paillier"
-	"repro/internal/transport"
 	"repro/internal/yao"
 )
 
@@ -23,26 +26,11 @@ type KeySet struct {
 	RSA      *yao.RSAKey // nil unless the engine is YMPP
 }
 
-// Reader returns the randomness a party draws from: Config.Random, or
-// crypto/rand when it is nil, behind a lock when W = Parallel > 1, since
-// the workers sample masks and nonces concurrently and the configured
-// reader is not assumed goroutine-safe.
-func (c Config) Reader() io.Reader {
-	random := c.Random
-	if random == nil {
-		random = rand.Reader
-	}
-	if c.Parallel > 1 {
-		random = transport.LockedReader(random)
-	}
-	return random
-}
-
-// DrawKeySet draws a party's key set from cfg.Reader(): the Paillier pair
-// first, then the RSA pair under YMPP only. It is the one place a
-// protocol key is generated; cfg must be normalised.
+// DrawKeySet draws a party's key set from cfg.Random (crypto/rand when it
+// is nil): the Paillier pair first, then the RSA pair under YMPP only. It
+// is the one place a protocol key is generated; cfg must be normalised.
 func DrawKeySet(cfg Config) (KeySet, error) {
-	random := cfg.Reader()
+	random := cmp.Or(cfg.Random, rand.Reader)
 	var keys KeySet
 	var err error
 	if keys.Paillier, err = paillier.GenerateKey(random, cfg.PaillierBits); err != nil {
@@ -54,4 +42,51 @@ func DrawKeySet(cfg Config) (KeySet, error) {
 		}
 	}
 	return keys, nil
+}
+
+// ChannelStreams returns the randomness of each of an edge's w worker
+// channels: the one stream every draw a worker makes on its channel
+// reads. With random nil each channel reads crypto/rand, which is safe
+// for concurrent use. Otherwise channel 0 reads random and channel c ≥ 1
+// the stream under the c-th key read from random (DeriveStream): what a
+// seeded channel draws depends on its own work alone, never on how the
+// workers are scheduled. At w = 1 nothing is read.
+func ChannelStreams(random io.Reader, w int) ([]io.Reader, error) {
+	streams := []io.Reader{cmp.Or(random, rand.Reader)}
+	for len(streams) < w {
+		next := rand.Reader
+		if random != nil {
+			var err error
+			if next, err = DeriveStream(random); err != nil {
+				return nil, err
+			}
+		}
+		streams = append(streams, next)
+	}
+	return streams, nil
+}
+
+// DeriveStream reads a 32-byte key from random and returns the AES-256
+// keystream under it in counter mode, from a zero counter: a stream no
+// other holder of random's later bytes can predict, and a pure function
+// of the key.
+func DeriveStream(random io.Reader) (io.Reader, error) {
+	key := make([]byte, 32)
+	if _, err := io.ReadFull(random, key); err != nil {
+		return nil, fmt.Errorf("core: drawing a stream key: %w", err)
+	}
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		return nil, err
+	}
+	return keystream{cipher.NewCTR(block, make([]byte, aes.BlockSize))}, nil
+}
+
+// keystream reads a cipher's keystream: the encryption of zeros.
+type keystream struct{ cipher.Stream }
+
+func (k keystream) Read(p []byte) (int, error) {
+	clear(p)
+	k.XORKeyStream(p, p)
+	return len(p), nil
 }

@@ -500,7 +500,7 @@ func TestYMPPChunksStayUnderFrameLimit(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			cmpBytes = engA.FrameBytes()
+			cmpBytes = engA[0].FrameBytes()
 			sizes.sent = nil
 			if res, err = sess.Run(); err != nil {
 				return err
@@ -516,7 +516,7 @@ func TestYMPPChunksStayUnderFrameLimit(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			peerBytes = engB.FrameBytes()
+			peerBytes = engB[0].FrameBytes()
 			if _, err = sess.Run(); err != nil {
 				return err
 			}

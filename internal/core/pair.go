@@ -164,7 +164,9 @@ type Pair struct {
 	// paillier's process-wide default pool.
 	pool *paillier.Pool
 
-	random io.Reader
+	// streams[c] is what every draw on worker channel c reads (the doc's
+	// "Randomness").
+	streams []io.Reader
 
 	// The candidate grid (CandidateGrid): cellW is its cell width and
 	// quantum the padding granularity of its directories — the Eps grid
@@ -250,13 +252,13 @@ func (s *Pair) Ciphertexts() (up, down int64) { return s.ctsUp.Load(), s.ctsDown
 // permutations only hide which peer point answered which slot, so labels
 // and count-based Ledger classes do not depend on how the draws are
 // split. Seeded sessions (tests) get a deterministic source; production
-// draws from the pair's crypto randomness, never math/rand — response
+// draws from the channel's crypto stream, never math/rand — response
 // permutations are responder-hiding state.
 func (s *Pair) channelRng(ch int) PermSource {
 	if s.cfg.Seed != 0 {
 		return newSeededPerm(uint64(s.cfg.Seed+int64(s.role)+1) + 7919*uint64(ch+1))
 	}
-	return cryptoPerm{r: s.random}
+	return cryptoPerm{r: s.streams[ch]}
 }
 
 // peerInfo is what the handshake learns about the other side.
@@ -286,7 +288,8 @@ func handshakeMsg(proto string, role Role, p Params, ownDim, ownCount int, paiPu
 	return p.Encode(b).PutUint(uint64(ownDim)).PutUint(uint64(ownCount)).PutBytes(paiPub).PutBytes(rsaN).PutBytes(rsaE)
 }
 
-// establish splits conn into the edge's worker channels, exchanges the
+// establish splits conn into the edge's worker channels, gives each its
+// randomness stream (ChannelStreams over cfg.Random), exchanges the
 // public halves of keys (a Paillier pair always, an RSA pair only under
 // YMPP: DrawKeySet), and verifies that both parties agree on every
 // protocol parameter. cfg must be normalised (Config.Normalize). proto
@@ -302,7 +305,11 @@ func establish(conn transport.Conn, cfg Config, keys KeySet, role Role, proto st
 	if keys.Paillier == nil || ympp != (keys.RSA != nil) {
 		return nil, peerInfo{}, errors.New("core: key set does not fit the engine")
 	}
-	s := &Pair{cfg: cfg, role: role, epsSq: params.EpsSq, random: cfg.Reader(), pool: cfg.Pool, Conns: Channels(conn, cfg.Parallel),
+	streams, err := ChannelStreams(cfg.Random, cfg.Parallel)
+	if err != nil {
+		return nil, peerInfo{}, err
+	}
+	s := &Pair{cfg: cfg, role: role, epsSq: params.EpsSq, streams: streams, pool: cfg.Pool, Conns: Channels(conn, cfg.Parallel),
 		paiKey: keys.Paillier, rsaKey: keys.RSA}
 	var rsaN, rsaE []byte
 	if ympp {
@@ -467,30 +474,37 @@ func (s *Pair) dotPacker(pub *paillier.PublicKey) (*encoding.Packer, error) {
 	return s.sumPacker(pub, s.bound+s.shareV)
 }
 
-// engines builds a matched comparator pair for the given inclusive input
-// bound (compare.Edge is the one engine constructor). The "alice" side
-// (left-value holder, decryptor) uses this party's private keys; the
-// "bob" side uses the peer's public keys — so in any sub-protocol, the
-// party holding the left value uses its cmpAlice and the peer
-// simultaneously uses its cmpBob. The edge runs Config.Batching's round
+// engines builds, for every worker channel c, a matched comparator pair
+// for the given inclusive input bound, as[c] and bs[c], that draws from
+// channel c's stream (compare.Edge is the one engine constructor). The
+// "alice" side (left-value holder, decryptor) uses this party's private
+// keys; the "bob" side uses the peer's public keys — so in any
+// sub-protocol, the party holding the left value uses its cmpAlice and
+// the peer simultaneously uses its cmpBob. The edge runs Config.Batching's round
 // structure and counts every instance either side decides into cmpCount
 // (Result.SecureComparisons); the masked engines count their own wire
 // traffic into ctsUp (Alice's request leg) and ctsDown (Bob's replies).
-func (s *Pair) engines(bound int64) (compare.Alice, compare.Bob, error) {
-	return compare.Edge{
-		Kind: s.cfg.Engine, MaskBits: s.cfg.CmpMaskBits, Packed: s.packing(), Uplink: s.cfg.Packing == PackFull,
-		Key: s.paiKey, RSAKey: s.rsaKey, Pub: s.peerPai, RSAPub: s.peerRSA,
-		Random: s.random, Pool: s.pool, Up: &s.ctsUp, Down: &s.ctsDown,
-		Sequential: s.cfg.Batching == BatchModeSequential, Count: &s.cmpCount,
-	}.Engines(bound)
+func (s *Pair) engines(bound int64) (as []compare.Alice, bs []compare.Bob, err error) {
+	as, bs = make([]compare.Alice, len(s.streams)), make([]compare.Bob, len(s.streams))
+	for c, random := range s.streams {
+		if as[c], bs[c], err = (compare.Edge{
+			Kind: s.cfg.Engine, MaskBits: s.cfg.CmpMaskBits, Packed: s.packing(), Uplink: s.cfg.Packing == PackFull,
+			Key: s.paiKey, RSAKey: s.rsaKey, Pub: s.peerPai, RSAPub: s.peerRSA,
+			Random: random, Pool: s.pool, Up: &s.ctsUp, Down: &s.ctsDown,
+			Sequential: s.cfg.Batching == BatchModeSequential, Count: &s.cmpCount,
+		}).Engines(bound); err != nil {
+			return nil, nil, err
+		}
+	}
+	return as, bs, nil
 }
 
-// DistEngines returns comparators for the split-threshold predicate
-// a + b ≤ Eps² (driver holds a ∈ [0, bound], responder holds b ∈ [−bound,
-// bound]). Implemented as strict Less over [0, bound+1] with the responder
+// DistEngines returns each worker channel's comparators for the
+// split-threshold predicate a + b ≤ Eps² (driver holds a ∈ [0, bound],
+// responder holds b ∈ [−bound, bound]). Implemented as strict Less over [0, bound+1] with the responder
 // clamping Eps² − b + 1 into the domain, which preserves the predicate
 // because a never exceeds bound.
-func (s *Pair) DistEngines() (compare.Alice, compare.Bob, error) {
+func (s *Pair) DistEngines() ([]compare.Alice, []compare.Bob, error) {
 	return s.engines(s.bound + 1)
 }
 

@@ -103,9 +103,9 @@ func runWave(n int, f func(t int) error) error {
 }
 
 // OpServer answers one op frame of a driving pass on a responder worker:
-// conn is the worker's channel, rng its permutation source, r the frame
-// after its op code.
-type OpServer = func(conn transport.Conn, rng PermSource, r *transport.Reader) error
+// ch is the worker's channel (Pair.Conns[ch]), rng its permutation source,
+// r the frame after its op code.
+type OpServer = func(ch int, rng PermSource, r *transport.Reader) error
 
 // Serve runs the pair's W responder workers, one per channel, each
 // answering a driving pass's op frames with the server registered for
@@ -138,7 +138,7 @@ func (s *Pair) Serve(opTag string, ops map[uint64]OpServer) error {
 			case r.Err() != nil:
 				err = r.Err()
 			case serve != nil:
-				err = serve(conn, rng, r)
+				err = serve(w, rng, r)
 			case got != opDone:
 				err = fmt.Errorf("core: responder got unexpected op %d on %s", got, opTag)
 			}

@@ -6,17 +6,12 @@ import (
 	"io"
 )
 
-// Response-permutation sources. Algorithm 4's SetOfPointsOfBobPermutation
-// (and its enhanced/ring analogues) hides which responder point answered
-// which slot of a region query; that hiding is only as strong as the
-// unpredictability of the permutation. math/rand is a linear generator
-// whose entire future stream can be reconstructed from a modest number of
-// observed outputs, so production sessions draw their Fisher–Yates swaps
-// from the pair's crypto randomness (cryptoPerm). Seeded sessions
-// (Config.Seed != 0: tests and reproducible experiments) get seededPerm,
-// a splitmix64-backed source that is reproducible without ever linking
-// math/rand into protocol-visible code (CI greps for that). Both are
-// built in one place, Pair.channelRng.
+// Response-permutation sources (Pair.channelRng). Algorithm 4's
+// SetOfPointsOfBobPermutation hides which responder point answered which
+// slot of a region query only as well as the permutation is
+// unpredictable, so a session draws its Fisher–Yates swaps from its
+// channel's crypto stream (cryptoPerm), never from math/rand, whose
+// future a few outputs reveal; Config.Seed != 0 selects seededPerm.
 
 // PermSource produces uniform random permutations: what a responder's
 // serve function draws from, whichever of the two sources channelRng

@@ -94,11 +94,11 @@ func perPairVerticalRunOnce(t *Session, vs *vStream) (*Result, error) {
 		s.led(func(l *Ledger) { l.PairDecisions++ })
 		partial := partialDistSq(enc, i, j)
 		if role == RoleAlice {
-			return lessOne(conn, engA, partial)
+			return lessOne(conn, engA[0], partial)
 		}
-		return lessOne(conn, engB, s.responderOperand(engB.Bound(), partial))
+		return lessOne(conn, engB[0], s.responderOperand(engB[0].Bound(), partial))
 	})
-	labels, clusters, err := LockstepCluster(len(enc), s.cfg.MinPts, s.cfg.Parallel, s.lockstepFrameBytes(engA, engB),
+	labels, clusters, err := LockstepCluster(len(enc), s.cfg.MinPts, s.cfg.Parallel, s.lockstepFrameBytes(engA[0], engB[0]),
 		vs.Cache, onCached, PrunedLocalDecider(vs.CellRows, onPruned), batchOn)
 	if err != nil {
 		return nil, err
@@ -150,11 +150,11 @@ func perPairArbitraryRunOnce(t *Session, as *aStream) (*Result, error) {
 		setTag(conn, "adp.cmp")
 		s.led(func(l *Ledger) { l.PairDecisions++ })
 		if role == RoleAlice {
-			return lessOne(conn, engA, ownSum)
+			return lessOne(conn, engA[0], ownSum)
 		}
-		return lessOne(conn, engB, s.responderOperand(engB.Bound(), ownSum))
+		return lessOne(conn, engB[0], s.responderOperand(engB[0].Bound(), ownSum))
 	})
-	labels, clusters, err := LockstepCluster(n, s.cfg.MinPts, s.cfg.Parallel, s.lockstepFrameBytes(engA, engB),
+	labels, clusters, err := LockstepCluster(n, s.cfg.MinPts, s.cfg.Parallel, s.lockstepFrameBytes(engA[0], engB[0]),
 		as.Cache, onCached, PrunedLocalDecider(as.CellRows, onPruned), batchOn)
 	if err != nil {
 		return nil, err
@@ -175,17 +175,17 @@ func (a *adpState) localAndCrossSum(conn transport.Conn, i, j int) (int64, error
 	// HDP to let Bob get" the horizontal part).
 	setTag(conn, "adp.mp")
 	if a.role == RoleAlice {
-		masks, err := mpc.ZeroSumMasks(a.s.random, len(mixedVals), a.s.zeroSumBound())
+		masks, err := mpc.ZeroSumMasks(a.s.streams[0], len(mixedVals), a.s.zeroSumBound())
 		if err != nil {
 			return 0, err
 		}
-		if err := mpc.SenderBatchMultiply(conn, a.s.peerPai, mixedVals, masks, a.s.random, a.s.pool); err != nil {
+		if err := mpc.SenderBatchMultiply(conn, a.s.peerPai, mixedVals, masks, a.s.streams[0], a.s.pool); err != nil {
 			return 0, fmt.Errorf("core: adp multiplication: %w", err)
 		}
 		// Zero-sum masks cancel: Alice's share needs no correction.
 		return local, nil
 	}
-	us, err := mpc.ReceiverBatchMultiply(conn, a.s.paiKey, mixedVals, a.s.random, a.s.pool)
+	us, err := mpc.ReceiverBatchMultiply(conn, a.s.paiKey, mixedVals, a.s.streams[0], a.s.pool)
 	if err != nil {
 		return 0, fmt.Errorf("core: adp multiplication: %w", err)
 	}

@@ -74,7 +74,7 @@ func perQueryPassDriver(s *Pair, hs *hStream) ([]int, int, error) {
 			return false
 		}
 		var count int
-		count, err = perQueryRemoteCount(s, hs, s.Conns[0], i, engA)
+		count, err = perQueryRemoteCount(s, hs, 0, i, engA[0])
 		return len(nbrs)+count >= s.cfg.MinPts
 	})
 	if err != nil {
@@ -89,13 +89,13 @@ func perQueryPassResponder(s *Pair, hs *hStream) error {
 		return err
 	}
 	return s.Serve("hdp.op", map[uint64]OpServer{
-		opPerQuery: func(conn transport.Conn, rng PermSource, r *transport.Reader) error {
-			return perQueryServe(s, conn, rng, engB, hs.own, r)
+		opPerQuery: func(ch int, rng PermSource, r *transport.Reader) error {
+			return perQueryServe(s, ch, rng, engB[ch], hs.own, r)
 		},
 	})
 }
 
-func perQueryServe(s *Pair, conn transport.Conn, rng PermSource, engB compare.Bob, own *OwnGens, r *transport.Reader) error {
+func perQueryServe(s *Pair, ch int, rng PermSource, engB compare.Bob, own *OwnGens, r *transport.Reader) error {
 	fromGen := int(r.Uint())
 	toGen := int(r.Uint())
 	if err := r.Err(); err != nil {
@@ -117,10 +117,11 @@ func perQueryServe(s *Pair, conn transport.Conn, rng PermSource, engB compare.Bo
 	if err != nil {
 		return err
 	}
-	return maskedHDPServe(s, conn, rng, engB, pts, nDummy)
+	return maskedHDPServe(s, ch, rng, engB, pts, nDummy)
 }
 
-func perQueryRemoteCount(s *Pair, hs *hStream, conn transport.Conn, i int, eng compare.Alice) (int, error) {
+func perQueryRemoteCount(s *Pair, hs *hStream, ch, i int, eng compare.Alice) (int, error) {
+	conn := s.Conns[ch]
 	peer := hs.peer
 	if peer.N == 0 {
 		return 0, nil
@@ -150,7 +151,7 @@ func perQueryRemoteCount(s *Pair, hs *hStream, conn transport.Conn, i int, eng c
 		if peer.Count[g] > 0 || g == gens-1 {
 			msg, nCand := perQueryFrame(s, peer, p, g)
 			var err error
-			if fresh, err = perQueryHDPCount(s, conn, eng, msg, p, nCand); err != nil {
+			if fresh, err = perQueryHDPCount(s, ch, eng, msg, p, nCand); err != nil {
 				return 0, err
 			}
 		}
@@ -173,12 +174,13 @@ func perQueryFrame(s *Pair, peer *PeerGens, p []int64, g int) (*transport.Builde
 	return msg, nCand
 }
 
-func perQueryHDPCount(s *Pair, conn transport.Conn, eng compare.Alice, op *transport.Builder, p []int64, nCand int) (int, error) {
+func perQueryHDPCount(s *Pair, ch int, eng compare.Alice, op *transport.Builder, p []int64, nCand int) (int, error) {
+	conn := s.Conns[ch]
 	setTag(conn, "hdp.op")
 	if err := transport.SendMsg(conn, op); err != nil {
 		return 0, err
 	}
-	return maskedHDPCount(s, conn, eng, p, nCand)
+	return maskedHDPCount(s, ch, eng, p, nCand)
 }
 
 // maskedHDPCount runs the driver side of one already-announced region
@@ -186,7 +188,8 @@ func perQueryHDPCount(s *Pair, conn transport.Conn, eng compare.Alice, op *trans
 // phases over the nCand candidate instances the announcement committed to
 // (none: no frames), counting the in-range results. eng is the pair's
 // Alice-side split-threshold comparator (DistEngines).
-func maskedHDPCount(s *Pair, conn transport.Conn, eng compare.Alice, p []int64, nCand int) (int, error) {
+func maskedHDPCount(s *Pair, ch int, eng compare.Alice, p []int64, nCand int) (int, error) {
+	conn, random := s.Conns[ch], s.streams[ch]
 	if nCand == 0 {
 		return 0, nil
 	}
@@ -196,7 +199,7 @@ func maskedHDPCount(s *Pair, conn transport.Conn, eng compare.Alice, p []int64, 
 	mb := s.zeroSumBound()
 	vs := make([]*big.Int, 0, nCand*m)
 	for i := 0; i < nCand; i++ {
-		masks, err := mpc.ZeroSumMasks(s.random, m, mb)
+		masks, err := mpc.ZeroSumMasks(random, m, mb)
 		if err != nil {
 			return 0, err
 		}
@@ -209,7 +212,7 @@ func maskedHDPCount(s *Pair, conn transport.Conn, eng compare.Alice, p []int64, 
 	if pk := mpPeer; pk != nil {
 		// Grid shape: p's coordinate y_k is constant down column k, so
 		// both directions pack rows into slot groups.
-		if err := mpc.SenderGridMultiply(conn, s.peerPai, p, vs, nCand, m, pk, s.random, s.pool); err != nil {
+		if err := mpc.SenderGridMultiply(conn, s.peerPai, p, vs, nCand, m, pk, random, s.pool); err != nil {
 			return 0, fmt.Errorf("core: hdp packed multiplication: %w", err)
 		}
 		// Masked products answer the responder's encrypted operands:
@@ -220,7 +223,7 @@ func maskedHDPCount(s *Pair, conn transport.Conn, eng compare.Alice, p []int64, 
 		for i := 0; i < nCand; i++ {
 			ys = append(ys, p...)
 		}
-		if err := mpc.SenderBatchMultiply(conn, s.peerPai, ys, vs, s.random, s.pool); err != nil {
+		if err := mpc.SenderBatchMultiply(conn, s.peerPai, ys, vs, random, s.pool); err != nil {
 			return 0, fmt.Errorf("core: hdp multiplication: %w", err)
 		}
 		s.ctsDown.Add(int64(nCand * m))
@@ -266,7 +269,8 @@ func maskedHDPCount(s *Pair, conn transport.Conn, eng compare.Alice, p []int64, 
 // own point, whether some driver point is within Eps (Algorithm 4 note:
 // "Bob only knows there is a record owned by Alice in the neighborhood").
 // eng is the pair's Bob-side split-threshold comparator (DistEngines).
-func maskedHDPServe(s *Pair, conn transport.Conn, rng PermSource, eng compare.Bob, pts [][]int64, nDummy int) error {
+func maskedHDPServe(s *Pair, ch int, rng PermSource, eng compare.Bob, pts [][]int64, nDummy int) error {
+	conn, random := s.Conns[ch], s.streams[ch]
 	cands := permuteCandidates(rng, pts, nDummy)
 	total := len(cands)
 	if total == 0 {
@@ -281,7 +285,7 @@ func maskedHDPServe(s *Pair, conn transport.Conn, rng PermSource, eng compare.Bo
 	}
 	var us []*big.Int
 	if pk := mpOwn; pk != nil {
-		us, err = mpc.ReceiverGridMultiply(conn, s.paiKey, xs, total, m, pk, s.random, s.pool)
+		us, err = mpc.ReceiverGridMultiply(conn, s.paiKey, xs, total, m, pk, random, s.pool)
 		if err != nil {
 			return fmt.Errorf("core: hdp packed multiplication: %w", err)
 		}
@@ -289,7 +293,7 @@ func maskedHDPServe(s *Pair, conn transport.Conn, rng PermSource, eng compare.Bo
 		// request leg.
 		s.ctsUp.Add(int64(pk.Groups(total) * m))
 	} else {
-		us, err = mpc.ReceiverBatchMultiply(conn, s.paiKey, xs, s.random, s.pool)
+		us, err = mpc.ReceiverBatchMultiply(conn, s.paiKey, xs, random, s.pool)
 		if err != nil {
 			return fmt.Errorf("core: hdp multiplication: %w", err)
 		}

@@ -80,16 +80,16 @@ func TestHDPSingleQuery(t *testing.T) {
 				errc := make(chan error, 1)
 				if masked {
 					go func() {
-						errc <- maskedHDPServe(sB, cb, sB.channelRng(0), engB, responderPts, 0)
+						errc <- maskedHDPServe(sB, 0, sB.channelRng(0), engB[0], responderPts, 0)
 					}()
-					got, err = maskedHDPCount(sA, ca, engA, driverPt, len(responderPts))
+					got, err = maskedHDPCount(sA, 0, engA[0], driverPt, len(responderPts))
 				} else {
 					go func() {
 						rows := [][][]int64{permuteCandidates(sB.channelRng(0), responderPts, 0)}
-						errc <- sB.HDPServe(cb, engB, rows)
+						errc <- sB.HDPServe(0, engB[0], rows)
 					}()
 					var counts []int
-					counts, err = sA.HDPCount(ca, engA, [][]int64{driverPt}, []SubQuery{{NCand: len(responderPts)}})
+					counts, err = sA.HDPCount(0, engA[0], [][]int64{driverPt}, []SubQuery{{NCand: len(responderPts)}})
 					if err == nil {
 						got = counts[0]
 					}
@@ -120,7 +120,7 @@ func TestHDPZeroPeerPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts, err := sA.HDPCount(ca, engA, [][]int64{{1, 1}}, []SubQuery{{}, {Gen: 1}})
+	counts, err := sA.HDPCount(0, engA[0], [][]int64{{1, 1}}, []SubQuery{{}, {Gen: 1}})
 	if err != nil || fmt.Sprint(counts) != "[0 0]" {
 		t.Errorf("zero-peer chunk: counts=%v err=%v", counts, err)
 	}

@@ -45,16 +45,17 @@ import (
 var ErrQueryOp = errors.New("core: malformed region-query op")
 
 // Settle runs the driver side of the settle step against one peer over the
-// pair's worker channels. closeSweeps selects which sub-queries are
-// announced: a two-party session (true) announces every non-empty
-// generation, with or without candidates, plus the last generation — the
-// sub-queries its responder's index accounting has always seen; a mesh
-// edge (false) announces only those with candidates. Every generation a
-// point's sweep passes is cached either way.
-func (s *Pair) Settle(own *OwnGens, peer *PeerGens, eng compare.Alice, closeSweeps bool) error {
-	return s.settle(own, peer, len(s.Conns), chunkBound(eng.FrameBytes()), closeSweeps,
+// pair's worker channels, channel c deciding on engs[c] (DistEngines).
+// closeSweeps selects which sub-queries are announced: a two-party session
+// (true) announces every non-empty generation, with or without
+// candidates, plus the last generation — the sub-queries its responder's
+// index accounting has always seen; a mesh edge (false) announces only
+// those with candidates. Every generation a point's sweep passes is cached
+// either way.
+func (s *Pair) Settle(own *OwnGens, peer *PeerGens, engs []compare.Alice, closeSweeps bool) error {
+	return s.settle(own, peer, len(s.Conns), chunkBound(engs[0].FrameBytes()), closeSweeps,
 		func(ch int, chunk []SubQuery) ([]int, error) {
-			return s.settleChunk(s.Conns[ch], eng, own, chunk)
+			return s.settleChunk(ch, engs[ch], own, chunk)
 		})
 }
 
@@ -108,10 +109,11 @@ func (s *Pair) settle(own *OwnGens, peer *PeerGens, w, bound int, closeSweeps bo
 	return nil
 }
 
-// settleChunk runs the driver side of one chunk on conn — its op frame,
-// then its exchange (HDPCount) — and returns the in-range count of each of
-// its sub-queries.
-func (s *Pair) settleChunk(conn transport.Conn, eng compare.Alice, own *OwnGens, chunk []SubQuery) ([]int, error) {
+// settleChunk runs the driver side of one chunk on worker channel ch — its
+// op frame, then its exchange (HDPCount) — and returns the in-range count
+// of each of its sub-queries.
+func (s *Pair) settleChunk(ch int, eng compare.Alice, own *OwnGens, chunk []SubQuery) ([]int, error) {
+	conn := s.Conns[ch]
 	setTag(conn, "hdp.op")
 	msg := transport.NewBuilder().PutUint(OpSettle).PutUint(uint64(len(chunk)))
 	for _, q := range chunk {
@@ -121,7 +123,7 @@ func (s *Pair) settleChunk(conn transport.Conn, eng compare.Alice, own *OwnGens,
 	if err := transport.SendMsg(conn, msg); err != nil {
 		return nil, err
 	}
-	return s.HDPCount(conn, eng, own.Enc, chunk)
+	return s.HDPCount(ch, eng, own.Enc, chunk)
 }
 
 // servedQuery is one sub-query of a chunk as its responder resolved it.
@@ -183,11 +185,12 @@ func (s *Pair) readSettleOp(r *transport.Reader, own *OwnGens, driverN, bound in
 	return subs, nil
 }
 
-// SettleServe answers one settle chunk, whose op code Serve has consumed:
-// the responder side of Settle. own is our generation table, peer our view
-// of the driver (its live point count bounds the rows it may name), eng
-// the pair's Bob-side split-threshold comparator (DistEngines).
-func (s *Pair) SettleServe(conn transport.Conn, rng PermSource, eng compare.Bob, own *OwnGens, peer *PeerGens, r *transport.Reader) error {
+// SettleServe answers one settle chunk on worker channel ch, whose op code
+// Serve has consumed: the responder side of Settle. own is our generation
+// table, peer our view of the driver (its live point count bounds the rows
+// it may name), eng channel ch's Bob-side split-threshold comparator
+// (DistEngines).
+func (s *Pair) SettleServe(ch int, rng PermSource, eng compare.Bob, own *OwnGens, peer *PeerGens, r *transport.Reader) error {
 	subs, err := s.readSettleOp(r, own, peer.N, chunkBound(eng.FrameBytes()))
 	if err != nil {
 		return err
@@ -206,5 +209,5 @@ func (s *Pair) SettleServe(conn transport.Conn, rng PermSource, eng compare.Bob,
 		}
 		rows[len(rows)-1] = append(rows[len(rows)-1], sub...)
 	}
-	return s.HDPServe(conn, eng, rows)
+	return s.HDPServe(ch, eng, rows)
 }

@@ -340,10 +340,11 @@ func (p *recordingPerm) Perm(n int) []int {
 	return p.PermSource.Perm(n)
 }
 
-// serveSettleChunks plays the responder of one driving pass on conn with
-// the given permutation source, until the done frame.
-func serveSettleChunks(f *settleFixture, conn transport.Conn, rng PermSource) error {
+// serveSettleChunks plays the responder of one driving pass on channel 0
+// with the given permutation source, until the done frame.
+func serveSettleChunks(f *settleFixture, rng PermSource) error {
 	s := f.sess[1].s
+	conn := s.Conns[0]
 	_, engB, err := s.DistEngines()
 	if err != nil {
 		return err
@@ -357,7 +358,7 @@ func serveSettleChunks(f *settleFixture, conn transport.Conn, rng PermSource) er
 		case opDone:
 			return nil
 		case OpSettle:
-			if err := s.SettleServe(conn, rng, engB, f.hs[1].own, f.hs[1].peer, r); err != nil {
+			if err := s.SettleServe(0, rng, engB[0], f.hs[1].own, f.hs[1].peer, r); err != nil {
 				return err
 			}
 		default:
@@ -389,16 +390,16 @@ func TestSettlePermutesPerSubQuery(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				err = sA.settle(own, peer, 1, chunkBound(engA.FrameBytes()), true, func(ch int, chunk []SubQuery) ([]int, error) {
+				err = sA.settle(own, peer, 1, chunkBound(engA[0].FrameBytes()), true, func(ch int, chunk []SubQuery) ([]int, error) {
 					asked = append(asked, chunk...)
-					return sA.settleChunk(sA.Conns[ch], engA, own, chunk)
+					return sA.settleChunk(ch, engA[ch], own, chunk)
 				})
 				if err != nil {
 					return err
 				}
 				return sA.SendDone("hdp.op")
 			},
-			func() error { return serveSettleChunks(f, f.sess[1].s.Conns[0], rng) })
+			func() error { return serveSettleChunks(f, rng) })
 		if err != nil {
 			t.Fatalf("packing=%s: %v", packing, err)
 		}

@@ -228,9 +228,9 @@ func verticalRunOnce(t *Session, vs *vStream) (*Result, error) {
 		for u, pr := range pairs {
 			shares[u] = partialDistSq(enc, pr[0], pr[1])
 		}
-		return s.decidePairs(s.Conns[ch], "vdp.cmp", engA, engB, pairs, shares)
+		return s.decidePairs(s.Conns[ch], "vdp.cmp", engA[ch], engB[ch], pairs, shares)
 	}
-	labels, clusters, err := LockstepCluster(len(enc), s.cfg.MinPts, s.cfg.Parallel, s.lockstepFrameBytes(engA, engB),
+	labels, clusters, err := LockstepCluster(len(enc), s.cfg.MinPts, s.cfg.Parallel, s.lockstepFrameBytes(engA[0], engB[0]),
 		vs.Cache, onCached, PrunedLocalDecider(vs.CellRows, onPruned), batchOn)
 	if err != nil {
 		return nil, err

@@ -108,8 +108,8 @@ type HorizontalResult struct {
 type pairSession struct {
 	*core.Pair
 	peer *core.PeerGens
-	cmpA compare.Alice // we drive: we hold the left value
-	cmpB compare.Bob   // we respond: peer holds the left value
+	cmpA []compare.Alice // we drive: we hold the left value (one per channel)
+	cmpB []compare.Bob   // we respond: peer holds the left value (one per channel)
 }
 
 // RunHorizontal executes the k-party horizontal protocol for one party.
@@ -338,11 +338,6 @@ func newMeshState(party HorizontalParty, cfg Config, points [][]float64) (*hStat
 	if err != nil {
 		return nil, err
 	}
-	if cc.Parallel > 1 && cc.Random != nil {
-		// The driving pass queries all peers concurrently, each over its
-		// own Pair; the configured reader is not assumed goroutine-safe.
-		cc.Random = transport.LockedReader(cc.Random)
-	}
 	own, err := core.NewOwnGens(cc, points)
 	if err != nil {
 		return nil, err
@@ -360,8 +355,16 @@ func newMeshState(party HorizontalParty, cfg Config, points [][]float64) (*hStat
 		if q < party.Index {
 			role = core.RoleBob
 		}
+		ec := cc
+		if cc.Parallel > 1 && cc.Random != nil {
+			// The edges settle concurrently: each reads a stream of its
+			// own, keyed from the party's reader in party order.
+			if ec.Random, err = core.DeriveStream(cc.Random); err != nil {
+				return nil, err
+			}
+		}
 		sess := &pairSession{}
-		if sess.Pair, sess.peer, err = core.NewPair(conn, cc, keys, role, "mesh", own); err == nil {
+		if sess.Pair, sess.peer, err = core.NewPair(conn, ec, keys, role, "mesh", own); err == nil {
 			sess.cmpA, sess.cmpB, err = sess.DistEngines()
 		}
 		if err != nil {
@@ -457,8 +460,8 @@ func (h *hState) totalCount(i int) int {
 func (h *hState) respond(driver int) error {
 	sess := h.sessions[driver]
 	return sess.Serve("hdp.op", map[uint64]core.OpServer{
-		core.OpSettle: func(conn transport.Conn, rng core.PermSource, r *transport.Reader) error {
-			return sess.SettleServe(conn, rng, sess.cmpB, h.own, sess.peer, r)
+		core.OpSettle: func(ch int, rng core.PermSource, r *transport.Reader) error {
+			return sess.SettleServe(ch, rng, sess.cmpB[ch], h.own, sess.peer, r)
 		},
 	})
 }

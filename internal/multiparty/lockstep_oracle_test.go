@@ -44,11 +44,11 @@ func PerPairOracle(pairLE func(i, j int) (bool, error)) func(ch int, pairs [][2]
 // decryption, coordinator↔last comparison, ring broadcast.
 func (st *state) pairLE(i, j int) (bool, error) {
 	st.pairCount.Add(1)
-	prev, next := st.prevs[0], st.nexts[0]
+	prev, next, random := st.prevs[0], st.nexts[0], st.streams[0]
 	s := st.partial(i, j)
 
 	if st.isCoordinator() {
-		ct, err := st.paiKey.Encrypt(st.random, big.NewInt(s))
+		ct, err := st.paiKey.Encrypt(random, big.NewInt(s))
 		if err != nil {
 			return false, err
 		}
@@ -72,7 +72,7 @@ func (st *state) pairLE(i, j int) (bool, error) {
 			return false, fmt.Errorf("multiparty: masked sum %v outside [0,%d)", t, st.bound+st.shareV)
 		}
 		// t = dist² + v ≤ Eps² + v ⟺ dist² ≤ Eps².
-		in, err := lessEqOne(prev, st.cmpA, t.Int64())
+		in, err := lessEqOne(prev, st.cmpA[0], t.Int64())
 		if err != nil {
 			return false, err
 		}
@@ -95,14 +95,14 @@ func (st *state) pairLE(i, j int) (bool, error) {
 	add := s
 	var v int64
 	if st.isLast() {
-		mask, err := rand.Int(st.random, big.NewInt(st.shareV))
+		mask, err := rand.Int(random, big.NewInt(st.shareV))
 		if err != nil {
 			return false, err
 		}
 		v = mask.Int64()
 		add += v
 	}
-	term, err := st.paiPub.Encrypt(st.random, big.NewInt(add))
+	term, err := st.paiPub.Encrypt(random, big.NewInt(add))
 	if err != nil {
 		return false, err
 	}
@@ -116,7 +116,7 @@ func (st *state) pairLE(i, j int) (bool, error) {
 	}
 	if st.isLast() {
 		// Participate in the comparison with right side Eps² + v.
-		if _, err := lessEqOne(next, st.cmpB, st.epsSq+v); err != nil {
+		if _, err := lessEqOne(next, st.cmpB[0], st.epsSq+v); err != nil {
 			return false, err
 		}
 	}

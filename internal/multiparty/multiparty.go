@@ -286,7 +286,7 @@ func newRingState(party Party, cfg Config, attrs [][]float64) (*state, [][]int64
 	if len(attrs) == 0 {
 		return nil, nil, fmt.Errorf("multiparty: party %d holds no records", party.Index)
 	}
-	st := &state{party: party, cfg: cc, ownDim: len(attrs[0]), random: cc.Reader(), pool: cc.Pool}
+	st := &state{party: party, cfg: cc, ownDim: len(attrs[0]), pool: cc.Pool}
 	if st.enc, err = st.encode(attrs); err != nil {
 		return nil, nil, err
 	}
@@ -296,6 +296,9 @@ func newRingState(party Party, cfg Config, attrs [][]float64) (*state, [][]int64
 	st.prevs = core.Channels(party.Prev, cc.Parallel)
 	st.nexts = core.Channels(party.Next, cc.Parallel)
 	if err := st.handshake(); err != nil {
+		return nil, nil, err
+	}
+	if st.streams, err = core.ChannelStreams(cc.Random, cc.Parallel); err != nil {
 		return nil, nil, err
 	}
 	if err := st.buildEngines(); err != nil {
@@ -332,8 +335,11 @@ type state struct {
 	enc    [][]int64 // live records, this party's columns
 	ownDim int       // this party's column count, fixed at establishment (enc may empty out)
 	epsSq  int64
-	random io.Reader
 	pool   *paillier.Pool
+
+	// streams[c] is what every draw on ring channel c reads, chunkLE's
+	// and channel c's engines' (core.ChannelStreams).
+	streams []io.Reader
 
 	// prevs/nexts are the per-worker ring edges: the bare connections for
 	// W = 1, or the W channels of the multiplexed edges (prevs[0]/nexts[0]
@@ -351,8 +357,8 @@ type state struct {
 	paiPub *paillier.PublicKey
 	rsaPub *yao.RSAPublicKey
 
-	cmpA compare.Alice // coordinator side
-	cmpB compare.Bob   // last-party side
+	cmpA []compare.Alice // coordinator side, one per channel
+	cmpB []compare.Bob   // last-party side, one per channel
 
 	// ringPack packs S masked sums per plaintext in the ring circulation
 	// (S = 1 with packing off): the coordinator packs its partials with the
@@ -587,8 +593,9 @@ func (st *state) circulateCells(batch [][]int64) (full [][]int64, err error) {
 	return full, nil
 }
 
-// buildEngines constructs the coordinator↔last comparison pair over the
-// masked-sum domain [0, bound + V) with the shared engine constructor:
+// buildEngines constructs the coordinator↔last comparison pair of every
+// ring channel, over that channel's stream, on the masked-sum domain
+// [0, bound + V) with the shared engine constructor:
 // the coordinator holds the private keys (the Alice side), every other
 // party their public halves — both comparison roles live on the
 // coordinator's key, so both endpoints derive the same packers — and
@@ -597,18 +604,21 @@ func (st *state) circulateCells(batch [][]int64) (full [][]int64, err error) {
 func (st *state) buildEngines() (err error) {
 	bound := st.bound + st.shareV
 	packed := st.cfg.Packing != core.PackOff
-	edge := compare.Edge{
-		Kind: st.cfg.Engine, MaskBits: st.cfg.CmpMaskBits, Packed: packed, Uplink: st.cfg.Packing == core.PackFull,
-		Random: st.random, Pool: st.pool, Up: &st.ctsUp, Down: &st.ctsDown,
-		Sequential: st.cfg.Batching == core.BatchModeSequential,
-	}
-	if st.isCoordinator() {
-		edge.Key, edge.RSAKey = st.paiKey, st.rsaKey
-	} else {
-		edge.Pub, edge.RSAPub = st.paiPub, st.rsaPub
-	}
-	if st.cmpA, st.cmpB, err = edge.Engines(bound); err != nil {
-		return err
+	st.cmpA, st.cmpB = make([]compare.Alice, len(st.streams)), make([]compare.Bob, len(st.streams))
+	for c, random := range st.streams {
+		edge := compare.Edge{
+			Kind: st.cfg.Engine, MaskBits: st.cfg.CmpMaskBits, Packed: packed, Uplink: st.cfg.Packing == core.PackFull,
+			Random: random, Pool: st.pool, Up: &st.ctsUp, Down: &st.ctsDown,
+			Sequential: st.cfg.Batching == core.BatchModeSequential,
+		}
+		if st.isCoordinator() {
+			edge.Key, edge.RSAKey = st.paiKey, st.rsaKey
+		} else {
+			edge.Pub, edge.RSAPub = st.paiPub, st.rsaPub
+		}
+		if st.cmpA[c], st.cmpB[c], err = edge.Engines(bound); err != nil {
+			return err
+		}
 	}
 	// The ring accumulation packs under the coordinator's key; every slot's
 	// final value is one masked sum in [0, bound + V). Under "off" it packs
@@ -645,7 +655,7 @@ func (st *state) partial(i, j int) int64 {
 // ring edges concurrently.
 func (st *state) chunkLE(ch int, pairs [][2]int) ([]bool, error) {
 	st.pairCount.Add(int64(len(pairs)))
-	prev, next := st.prevs[ch], st.nexts[ch]
+	prev, next, random := st.prevs[ch], st.nexts[ch], st.streams[ch]
 	partials := make([]int64, len(pairs))
 	for t, pr := range pairs {
 		partials[t] = st.partial(pr[0], pr[1])
@@ -663,7 +673,7 @@ func (st *state) chunkLE(ch int, pairs [][2]int) ([]bool, error) {
 				return nil, err
 			}
 		}
-		cts, err := st.paiKey.EncryptBatch(st.pool, st.random, packed)
+		cts, err := st.paiKey.EncryptBatch(st.pool, random, packed)
 		if err != nil {
 			return nil, err
 		}
@@ -702,7 +712,7 @@ func (st *state) chunkLE(ch int, pairs [][2]int) ([]bool, error) {
 		}
 		// A chunk holds whole rows, and the grouped uplink dedups within
 		// one.
-		ins, err := st.cmpA.BatchLessEqRows(prev, vals, core.PairRows(pairs))
+		ins, err := st.cmpA[ch].BatchLessEqRows(prev, vals, core.PairRows(pairs))
 		if err != nil {
 			return nil, err
 		}
@@ -729,7 +739,7 @@ func (st *state) chunkLE(ch int, pairs [][2]int) ([]bool, error) {
 	masks := make([]int64, len(pairs))
 	if st.isLast() {
 		for t := range adds {
-			mask, err := rand.Int(st.random, big.NewInt(st.shareV))
+			mask, err := rand.Int(random, big.NewInt(st.shareV))
 			if err != nil {
 				return nil, err
 			}
@@ -750,7 +760,7 @@ func (st *state) chunkLE(ch int, pairs [][2]int) ([]bool, error) {
 			return nil, err
 		}
 	}
-	terms, err := st.paiPub.EncryptBatch(st.pool, st.random, packed)
+	terms, err := st.paiPub.EncryptBatch(st.pool, random, packed)
 	if err != nil {
 		return nil, err
 	}
@@ -774,7 +784,7 @@ func (st *state) chunkLE(ch int, pairs [][2]int) ([]bool, error) {
 		for t := range rights {
 			rights[t] = st.epsSq + masks[t]
 		}
-		if _, err := st.cmpB.BatchLessEq(next, rights); err != nil {
+		if _, err := st.cmpB[ch].BatchLessEq(next, rights); err != nil {
 			return nil, err
 		}
 	}

@@ -128,7 +128,7 @@ func (m *perQueryMesh) queryPeer(sess *pairSession, t, i int) (int, error) {
 			if err := transport.SendMsg(conn, msg); err != nil {
 				return 0, err
 			}
-			counts, err := sess.HDPCount(conn, sess.cmpA, h.own.Enc, []core.SubQuery{q})
+			counts, err := sess.HDPCount(t, sess.cmpA[t], h.own.Enc, []core.SubQuery{q})
 			if err != nil {
 				return 0, err
 			}
@@ -143,13 +143,13 @@ func (m *perQueryMesh) queryPeer(sess *pairSession, t, i int) (int, error) {
 func (m *perQueryMesh) respond(driver int) error {
 	sess := m.h.sessions[driver]
 	return sess.Serve("hdp.op", map[uint64]core.OpServer{
-		opPerQuery: func(conn transport.Conn, rng core.PermSource, r *transport.Reader) error {
-			return m.serveQuery(sess, conn, rng, r)
+		opPerQuery: func(ch int, rng core.PermSource, r *transport.Reader) error {
+			return m.serveQuery(sess, ch, rng, r)
 		},
 	})
 }
 
-func (m *perQueryMesh) serveQuery(sess *pairSession, conn transport.Conn, rng core.PermSource, r *transport.Reader) error {
+func (m *perQueryMesh) serveQuery(sess *pairSession, ch int, rng core.PermSource, r *transport.Reader) error {
 	h := m.h
 	fromGen := int(r.Uint())
 	toGen := int(r.Uint())
@@ -171,7 +171,7 @@ func (m *perQueryMesh) serveQuery(sess *pairSession, conn transport.Conn, rng co
 			cands[i] = pts[pi]
 		}
 	}
-	return sess.HDPServe(conn, sess.cmpB, [][][]int64{cands})
+	return sess.HDPServe(ch, sess.cmpB[ch], [][][]int64{cands})
 }
 
 // countedAlice counts the comparison instances a driver decides on one
@@ -233,7 +233,9 @@ func runMeshLifecycle(t *testing.T, cfg Config, perQuery bool) (stages [][]meshS
 			}
 			var cmps atomic.Int64
 			ms.h.eachPeer(func(_ int, sess *pairSession) error {
-				sess.cmpA = countedAlice{sess.cmpA, &cmps}
+				for c, eng := range sess.cmpA {
+					sess.cmpA[c] = countedAlice{eng, &cmps}
+				}
 				return nil
 			})
 			oracle := &perQueryMesh{h: ms.h}

@@ -190,9 +190,9 @@ func (rs *RingSession) run(batchOn func(ch int, pairs [][2]int) ([]bool, error))
 	// every other party the Bob engine over the same key and domain.
 	var cmpBytes int
 	if st.isCoordinator() {
-		cmpBytes = st.cmpA.FrameBytes()
+		cmpBytes = st.cmpA[0].FrameBytes()
 	} else {
-		cmpBytes = st.cmpB.FrameBytes()
+		cmpBytes = st.cmpB[0].FrameBytes()
 	}
 	labels, clusters, err := core.LockstepCluster(len(st.enc), cfg.MinPts, cfg.Parallel, cmpBytes,
 		rs.rows.Cache, onCached, core.PrunedLocalDecider(rs.rows.CellRows, onPruned), batchOn)
