@@ -1,7 +1,6 @@
 package compare
 
 import (
-	"crypto/rand"
 	"encoding/binary"
 	"fmt"
 	"math/big"
@@ -158,10 +157,6 @@ func (a *MaskedAlice) runBatch(conn transport.Conn, vs []int64, rows []int, pred
 	if len(vs) == 0 {
 		return nil, nil
 	}
-	random := a.Random
-	if random == nil {
-		random = rand.Reader
-	}
 	msg := transport.NewBuilder().PutUint(uint64(pred))
 	operands, classIdx := vs, []int64(nil)
 	if a.UplinkPacker != nil {
@@ -178,7 +173,7 @@ func (a *MaskedAlice) runBatch(conn transport.Conn, vs []int64, rows []int, pred
 	for c, v := range operands {
 		plains[c] = a.Packer.Shift(big.NewInt(-v), sigma[c])
 	}
-	cts, err := a.Key.EncryptBatch(a.Pool, random, plains)
+	cts, err := a.Key.EncryptBatch(a.Pool, a.Random, plains)
 	if err != nil {
 		return nil, err
 	}
@@ -260,10 +255,6 @@ func (b *MaskedBob) runBatch(conn transport.Conn, vs []int64, pred byte) ([]bool
 	if len(vs) == 0 {
 		return nil, nil
 	}
-	random := b.Random
-	if random == nil {
-		random = rand.Reader
-	}
 	r, err := transport.RecvMsg(conn)
 	if err != nil {
 		return nil, fmt.Errorf("compare: bob batch recv: %w", err)
@@ -294,11 +285,11 @@ func (b *MaskedBob) runBatch(conn transport.Conn, vs []int64, pred byte) ([]bool
 	if err := b.Pub.CheckUnits(cas); err != nil {
 		return nil, fmt.Errorf("compare: uplink: %w", err)
 	}
-	rMasks, plains, err := b.sampleMasks(vs, pred, random)
+	rMasks, plains, err := b.sampleMasks(vs, pred, b.Random)
 	if err != nil {
 		return nil, err
 	}
-	cts, err := b.packedReplies(b.Packer, len(vs), rMasks, plains, random, base, lift)
+	cts, err := b.packedReplies(b.Packer, len(vs), rMasks, plains, b.Random, base, lift)
 	if err != nil {
 		return nil, err
 	}

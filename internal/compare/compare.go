@@ -38,6 +38,7 @@
 package compare
 
 import (
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
@@ -228,7 +229,8 @@ func tally(c *atomic.Int64, n int) {
 // Up/Down, when non-nil, receive the masked engines' ciphertext counts
 // (Alice's request leg, Bob's reply leg). Sequential and Count are the
 // round structure and the instance count every engine of the edge takes
-// (rounds).
+// (rounds). Random is the stream every engine draw reads, crypto/rand
+// when nil; a masked engine built by hand must set its own.
 type Edge struct {
 	Kind           EngineKind
 	MaskBits       int
@@ -252,6 +254,9 @@ type Edge struct {
 func (e Edge) Engines(bound int64) (Alice, Bob, error) {
 	var a Alice
 	var b Bob
+	if e.Random == nil {
+		e.Random = rand.Reader
+	}
 	r := rounds{sequential: e.Sequential, count: e.Count}
 	switch e.Kind {
 	case EngineYMPP:

@@ -40,7 +40,7 @@ func enginePair(t testing.TB, kind EngineKind, bound int64) (Alice, Bob) {
 	rk, pk := keys(t)
 	switch kind {
 	case EngineYMPP:
-		return &YMPPAlice{Key: rk, Max: bound}, &YMPPBob{Pub: &rk.RSAPublicKey, Max: bound}
+		return &YMPPAlice{Key: rk, Max: bound, Random: rand.Reader}, &YMPPBob{Pub: &rk.RSAPublicKey, Max: bound, Random: rand.Reader}
 	case EngineMasked:
 		a, b, err := NewMaskedPair(pk, bound, 32)
 		if err != nil {

@@ -429,10 +429,6 @@ func (b *MaskedBob) runBatchDerived(conn transport.Conn, vs []int64, base func(t
 	if b.UplinkPacker == nil {
 		return nil, fmt.Errorf("compare: derived comparisons need full packing")
 	}
-	random := b.Random
-	if random == nil {
-		random = rand.Reader
-	}
 	r, err := transport.RecvMsg(conn)
 	if err != nil {
 		return nil, fmt.Errorf("compare: bob batch recv: %w", err)
@@ -452,11 +448,11 @@ func (b *MaskedBob) runBatchDerived(conn transport.Conn, vs []int64, base func(t
 	if count != len(vs) {
 		return nil, fmt.Errorf("compare: batch holds %d values, peer announced %d", len(vs), count)
 	}
-	rMasks, plains, err := b.sampleMasks(vs, predLessEq, random)
+	rMasks, plains, err := b.sampleMasks(vs, predLessEq, b.Random)
 	if err != nil {
 		return nil, err
 	}
-	cts, err := b.packedReplies(b.UplinkPacker, len(vs), rMasks, plains, random, base, nil)
+	cts, err := b.packedReplies(b.UplinkPacker, len(vs), rMasks, plains, b.Random, base, nil)
 	if err != nil {
 		return nil, err
 	}

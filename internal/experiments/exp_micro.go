@@ -63,8 +63,8 @@ func runE8(w io.Writer, opt Options) error {
 	var t table
 	t.add("domain(n0)", "ymppBytes", "ymppLatency", "maskedBytes", "maskedLatency")
 	for _, d := range domains {
-		ya := &compare.YMPPAlice{Key: rsaKey, Max: d}
-		yb := &compare.YMPPBob{Pub: &rsaKey.RSAPublicKey, Max: d}
+		ya := &compare.YMPPAlice{Key: rsaKey, Max: d, Random: rand.Reader}
+		yb := &compare.YMPPBob{Pub: &rsaKey.RSAPublicKey, Max: d, Random: rand.Reader}
 		yBytes, yLat, err := measure(ya, yb, d)
 		if err != nil {
 			return err

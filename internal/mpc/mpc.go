@@ -15,7 +15,9 @@
 // explicit *paillier.Pool handle, so a batch of m instances costs one
 // round trip and m/workers sequential modular exponentiations. A server
 // process holding many sessions passes its shared bounded pool; a nil
-// pool is paillier's process-wide default pool.
+// pool is paillier's process-wide default pool. Randomness has no
+// default: every mask and nonce reads the random the caller hands in,
+// one worker channel's stream (core.ChannelStreams), in call order.
 //
 // Fidelity note: Algorithm 2 step 3 literally
 // says Alice sends the encryption nonce r to Bob. Publishing a Paillier
@@ -63,9 +65,6 @@ func SenderMultiply(conn transport.Conn, pub *paillier.PublicKey, y int64, v *bi
 // pool routes the Paillier arithmetic over the process-shared crypto pool
 // (nil: paillier's process-wide default), as on every batch form below.
 func ReceiverBatchMultiply(conn transport.Conn, key *paillier.PrivateKey, xs []int64, random io.Reader, pool *paillier.Pool) ([]*big.Int, error) {
-	if random == nil {
-		random = rand.Reader
-	}
 	cts, err := key.EncryptInt64Batch(pool, random, xs)
 	if err != nil {
 		return nil, fmt.Errorf("mpc: encrypting xs: %w", err)
@@ -98,9 +97,6 @@ func ReceiverBatchMultiply(conn transport.Conn, key *paillier.PrivateKey, xs []i
 func SenderBatchMultiply(conn transport.Conn, pub *paillier.PublicKey, ys []int64, vs []*big.Int, random io.Reader, pool *paillier.Pool) error {
 	if len(ys) != len(vs) {
 		return fmt.Errorf("%w: %d multiplicands, %d masks", ErrLengthMismatch, len(ys), len(vs))
-	}
-	if random == nil {
-		random = rand.Reader
 	}
 	r, err := transport.RecvMsg(conn)
 	if err != nil {
@@ -145,9 +141,6 @@ func ReceiverDotMany(conn transport.Conn, key *paillier.PrivateKey, a []int64, c
 	if count < 1 {
 		return nil, fmt.Errorf("mpc: count %d < 1", count)
 	}
-	if random == nil {
-		random = rand.Reader
-	}
 	cts, err := key.EncryptInt64Batch(pool, random, a)
 	if err != nil {
 		return nil, fmt.Errorf("mpc: encrypting a: %w", err)
@@ -179,9 +172,6 @@ func ReceiverDotMany(conn transport.Conn, key *paillier.PrivateKey, a []int64, c
 func SenderDotMany(conn transport.Conn, pub *paillier.PublicKey, bs [][]int64, vs []*big.Int, random io.Reader, pool *paillier.Pool) error {
 	if len(bs) != len(vs) {
 		return fmt.Errorf("%w: %d vectors, %d masks", ErrLengthMismatch, len(bs), len(vs))
-	}
-	if random == nil {
-		random = rand.Reader
 	}
 	r, err := transport.RecvMsg(conn)
 	if err != nil {
@@ -235,9 +225,6 @@ func dotTerms(cts []*big.Int, b []int64) []paillier.SlotTerm {
 
 // RandomMask draws a uniform mask in [0, bound) for sender-side use.
 func RandomMask(random io.Reader, bound *big.Int) (*big.Int, error) {
-	if random == nil {
-		random = rand.Reader
-	}
 	if bound.Sign() <= 0 {
 		return nil, fmt.Errorf("mpc: mask bound must be positive")
 	}
@@ -252,9 +239,6 @@ func ZeroSumMasks(random io.Reader, m int, bound *big.Int) ([]*big.Int, error) {
 	}
 	if bound.Sign() <= 0 {
 		return nil, fmt.Errorf("mpc: mask bound must be positive")
-	}
-	if random == nil {
-		random = rand.Reader
 	}
 	masks := make([]*big.Int, m)
 	sum := new(big.Int)

@@ -1,7 +1,6 @@
 package mpc
 
 import (
-	"crypto/rand"
 	"fmt"
 	"io"
 	"math/big"
@@ -69,9 +68,6 @@ func ReceiverGridMultiply(conn transport.Conn, key *paillier.PrivateKey, xs []in
 	if rows < 1 || cols < 1 || rows*cols != len(xs) {
 		return nil, fmt.Errorf("mpc: grid %d×%d does not hold %d values", rows, cols, len(xs))
 	}
-	if random == nil {
-		random = rand.Reader
-	}
 	groups := pk.Groups(rows)
 	plains := make([]*big.Int, groups*cols)
 	for g := 0; g < groups; g++ {
@@ -136,9 +132,6 @@ func SenderGridMultiply(conn transport.Conn, pub *paillier.PublicKey, ys []int64
 	if rows < 1 || cols < 1 || rows*cols != len(vs) {
 		return fmt.Errorf("mpc: grid %d×%d does not hold %d masks", rows, cols, len(vs))
 	}
-	if random == nil {
-		random = rand.Reader
-	}
 	r, err := transport.RecvMsg(conn)
 	if err != nil {
 		return fmt.Errorf("mpc: packed sender recv: %w", err)
@@ -199,9 +192,6 @@ func SenderGridMultiply(conn transport.Conn, pub *paillier.PublicKey, ys []int64
 // sender's vector of the same length, packed one instance a slot: ⌈n/S⌉
 // ciphertexts for n instances, n at S = 1 (encoding.Packer.OneSlot).
 func ReceiverScatterDot(conn transport.Conn, key *paillier.PrivateKey, xs [][]int64, pk *encoding.Packer, random io.Reader, pool *paillier.Pool) ([]*big.Int, error) {
-	if random == nil {
-		random = rand.Reader
-	}
 	var flat []int64
 	for _, x := range xs {
 		flat = append(flat, x...)
@@ -246,9 +236,6 @@ func ReceiverScatterDot(conn transport.Conn, key *paillier.PrivateKey, xs [][]in
 // exactly Σ_k x_{t,k}·y_{t,k}. An uplink whose count is not Σ len(ys[t])
 // is refused before anything is folded.
 func SenderScatterDot(conn transport.Conn, pub *paillier.PublicKey, ys [][]int64, pk *encoding.Packer, random io.Reader, pool *paillier.Pool) error {
-	if random == nil {
-		random = rand.Reader
-	}
 	r, err := transport.RecvMsg(conn)
 	if err != nil {
 		return fmt.Errorf("mpc: scatter dot sender recv: %w", err)
@@ -315,9 +302,6 @@ func ReceiverDotRows(conn transport.Conn, key *paillier.PrivateKey, as [][]int64
 	if len(as) != len(counts) || total < 1 {
 		return nil, fmt.Errorf("mpc: %d query vectors for %d rows of %d dot products", len(as), len(counts), total)
 	}
-	if random == nil {
-		random = rand.Reader
-	}
 	var flat []int64
 	for _, a := range as {
 		if len(a) != len(as[0]) {
@@ -381,9 +365,6 @@ func SenderDotRows(conn transport.Conn, pub *paillier.PublicKey, bs [][]int64, r
 	offs, total := rowOffsets(rowLens)
 	if total < 1 || total != len(bs) || len(bs) != len(vs) {
 		return nil, fmt.Errorf("mpc: %d vectors and %d masks for rows of %d instances", len(bs), len(vs), total)
-	}
-	if random == nil {
-		random = rand.Reader
 	}
 	r, err := transport.RecvMsg(conn)
 	if err != nil {
@@ -525,9 +506,6 @@ func ReceiverRowDot(conn transport.Conn, key *paillier.PrivateKey, xs []int64, r
 	if cols < 1 || total < 1 || total*cols != len(xs) {
 		return nil, fmt.Errorf("mpc: rows of %d instances × %d columns do not hold %d values", total, cols, len(xs))
 	}
-	if random == nil {
-		random = rand.Reader
-	}
 	lay := LayoutRows(rowLens, pk.Slots())
 	plains := make([]*big.Int, len(lay.Groups)*cols)
 	for j, g := range lay.Groups {
@@ -596,9 +574,6 @@ func SenderRowDot(conn transport.Conn, pub *paillier.PublicKey, ys [][]int64, ro
 		if len(y) != cols {
 			return fmt.Errorf("%w: row %d has %d column scalars for %d columns", ErrLengthMismatch, row, len(y), cols)
 		}
-	}
-	if random == nil {
-		random = rand.Reader
 	}
 	r, err := transport.RecvMsg(conn)
 	if err != nil {

@@ -35,9 +35,6 @@ func AliceCompareBatch(conn transport.Conn, key *RSAKey, is []int64, n0 int64, r
 	if len(is) == 0 {
 		return nil, nil
 	}
-	if random == nil {
-		random = rand.Reader
-	}
 
 	// Step 2 (receive): Bob's k_t − j_t + 1.
 	r, err := transport.RecvMsg(conn)
@@ -112,9 +109,6 @@ func BobCompareBatch(conn transport.Conn, pub *RSAPublicKey, js []int64, n0 int6
 	}
 	if len(js) == 0 {
 		return nil, nil
-	}
-	if random == nil {
-		random = rand.Reader
 	}
 
 	xs := make([]*big.Int, len(js))
