@@ -28,25 +28,52 @@ import (
 // a change that moves the wire updates the rows it moves, in the same
 // commit as its version bump. A mismatch prints the row as it now reads.
 
-// digestConn hashes every frame sent through it once armed.
+// digestConn hashes every frame sent through it once armed. Under a
+// W > 1 session's Mux it splits each frame by its channel tag
+// (transport.DecodeMuxFrame) and hashes every channel apart, so the digest
+// does not depend on how the channels interleave; work counts each
+// channel's frames that carry more than an op code.
 type digestConn struct {
 	transport.Conn
-	mu  sync.Mutex
-	on  bool
-	sum hash.Hash
+	mu    sync.Mutex
+	on    bool
+	muxed bool
+	sums  []hash.Hash
+	work  []int
 }
 
-func newDigestConn(c transport.Conn) *digestConn {
-	return &digestConn{Conn: c, sum: sha256.New()}
+// workFrame is the size above which a frame carries more than an op code:
+// a done frame is one byte, a 256-bit Paillier ciphertext 64.
+const workFrame = 32
+
+func newDigestConn(c transport.Conn, w int) *digestConn {
+	d := &digestConn{Conn: c, muxed: w > 1, sums: make([]hash.Hash, w), work: make([]int, w)}
+	for ch := range d.sums {
+		d.sums[ch] = sha256.New()
+	}
+	return d
 }
 
 func (d *digestConn) Send(b []byte) error {
+	ch, payload := uint32(0), b
+	if d.muxed {
+		var err error
+		if ch, payload, err = transport.DecodeMuxFrame(b); err != nil {
+			return err
+		}
+		if int(ch) >= len(d.sums) {
+			return fmt.Errorf("frame on channel %d of %d", ch, len(d.sums))
+		}
+	}
 	d.mu.Lock()
 	if d.on {
 		var n [8]byte
-		binary.BigEndian.PutUint64(n[:], uint64(len(b)))
-		d.sum.Write(n[:])
-		d.sum.Write(b)
+		binary.BigEndian.PutUint64(n[:], uint64(len(payload)))
+		d.sums[ch].Write(n[:])
+		d.sums[ch].Write(payload)
+		if len(payload) > workFrame {
+			d.work[ch]++
+		}
 	}
 	d.mu.Unlock()
 	return d.Conn.Send(b)
@@ -58,11 +85,20 @@ func (d *digestConn) arm() {
 	d.mu.Unlock()
 }
 
-// digest is the first 16 hex digits of the armed frames' hash.
+// digest is the first 16 hex digits of the armed frames' hash; under a
+// Mux, of the hash of every channel's hash in channel order.
 func (d *digestConn) digest() string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return hex.EncodeToString(d.sum.Sum(nil))[:16]
+	sum := d.sums[0].Sum(nil)
+	if d.muxed {
+		all := sha256.New()
+		for _, h := range d.sums {
+			all.Write(h.Sum(nil))
+		}
+		sum = all.Sum(nil)
+	}
+	return hex.EncodeToString(sum)[:16]
 }
 
 // seededStream is one party's deterministic randomness.
@@ -172,7 +208,8 @@ func runGolden(t *testing.T, rc retractCase, cfg Config, script goldenScript) st
 		cfg = rc.tweak(cfg)
 	}
 	ca, cb := transport.Pipe()
-	da, db := newDigestConn(ca), newDigestConn(cb)
+	w := max(cfg.Parallel, 1)
+	da, db := newDigestConn(ca, w), newDigestConn(cb, w)
 	err := transport.RunPair(da, db,
 		func(transport.Conn) error {
 			c := cfg
@@ -210,6 +247,13 @@ func runGolden(t *testing.T, rc retractCase, cfg Config, script goldenScript) st
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, d := range []*digestConn{da, db} {
+		for ch, n := range d.work[1:] {
+			if n == 0 {
+				t.Errorf("channel %d of %d carried no settle frame: the inputs fit fewer chunks than channels", ch+1, len(d.work))
+			}
+		}
+	}
 	return da.digest() + " " + db.digest()
 }
 
@@ -221,7 +265,7 @@ func TestGoldenTranscriptDigests(t *testing.T) {
 				row := fmt.Sprintf("%s/%s/%s", rc.name, eng, sc.op)
 				rc, sc := rc, sc
 				t.Run(row, func(t *testing.T) {
-					checkGolden(t, row, runGolden(t, rc, testCfg(eng), sc.run))
+					checkGolden(t, goldenDigests, row, runGolden(t, rc, testCfg(eng), sc.run))
 				})
 			}
 			row := fmt.Sprintf("%s/%s/sequential-Run", rc.name, eng)
@@ -230,15 +274,136 @@ func TestGoldenTranscriptDigests(t *testing.T) {
 				cfg := testCfg(eng)
 				cfg.Batching = BatchModeSequential
 				cfg.Packing = PackOff
-				checkGolden(t, row, runGolden(t, rc, cfg, goldenScripts[0].run))
+				checkGolden(t, goldenDigests, row, runGolden(t, rc, cfg, goldenScripts[0].run))
 			})
 		}
 	}
 }
 
-func checkGolden(t *testing.T, row, got string) {
+func checkGolden(t *testing.T, table map[string]string, row, got string) {
 	t.Helper()
-	if want := goldenDigests[row]; got != want {
+	if want := table[row]; got != want {
 		t.Errorf("transcript moved:\n\t%q: %q, // was %q", row, got, want)
+	}
+}
+
+// Golden transcript digests at W = 4. Every worker channel draws from its
+// own stream (ChannelStreams), so a seeded session is a pure function of
+// its inputs at every W: each channel's frames are. These rows script the
+// same lifecycles on inputs whose settle step spans more chunks than
+// channels — runGolden fails a row in which channels 1–3 carry no settle
+// frame — with the permutations drawn from the streams too (Seed 0), and
+// hash each channel apart (digestConn).
+var goldenDigestsW4 = map[string]string{
+	"horizontal/ympp/Run":       "36ec3ec202deb535 1f0c1f296ff15707",
+	"horizontal/ympp/Append":    "088c8d82b32dc782 e0c0d53e1ccc8caa",
+	"horizontal/ympp/Expire":    "7e4283269411f46f 3f33ed93f486177d",
+	"horizontal/ympp/Retract":   "3fdab20483be1aa6 a49db7b41fb952a0",
+	"horizontal/masked/Run":     "eee93719d0c83893 ad7eebfaebbb8347",
+	"horizontal/masked/Append":  "345766ba2d19b9e7 bcfbf9ceaedd17f3",
+	"horizontal/masked/Expire":  "350ba5896b79cbe5 84babec2f608efb2",
+	"horizontal/masked/Retract": "8af891c5e9f74869 03fb18049f280300",
+	"enhanced/ympp/Run":         "3c272d941dc192d4 1b2836cc36e59797",
+	"enhanced/ympp/Append":      "878867c60b06899e bb0316551ba783f4",
+	"enhanced/ympp/Expire":      "a20441f7ceb488c1 b9f1819b00c9d4d5",
+	"enhanced/ympp/Retract":     "b71194c64408d3b4 1e913b1c8be14a2f",
+	"enhanced/masked/Run":       "7f5ad99034209d41 259b5df09a845c5f",
+	"enhanced/masked/Append":    "c280a7a410d8467d 98ddbfca7ff6c385",
+	"enhanced/masked/Expire":    "4e796f89dae0d0e7 2b023ec2cd3bed98",
+	"enhanced/masked/Retract":   "ba5607f3840bcaea 91735db067d711a2",
+	"vertical/ympp/Run":         "3472be2b912dd0a0 c3ce7b0f7c91c45e",
+	"vertical/ympp/Append":      "e4323612dbb39545 393a50fd6b7b8602",
+	"vertical/ympp/Expire":      "9497e90d9d19b08a 393a50fd6b7b8602",
+	"vertical/ympp/Retract":     "273de91473fa8aaa 57e64690d2279658",
+	"vertical/masked/Run":       "89be1b279af55699 5ada8f6d7c642d26",
+	"vertical/masked/Append":    "62ee13a777375b4b 09ecff52a8d21ad3",
+	"vertical/masked/Expire":    "f88d01fd9097088e 09ecff52a8d21ad3",
+	"vertical/masked/Retract":   "20cd7ead10b1da44 4e74fdcef9330940",
+	"arbitrary/ympp/Run":        "33ce79cea7131889 7d95293f6c581ffe",
+	"arbitrary/ympp/Append":     "5ee87e43f3f37c23 366730fc24f25f3a",
+	"arbitrary/ympp/Expire":     "4d93677997680fbf 366730fc24f25f3a",
+	"arbitrary/ympp/Retract":    "bf8a2167fbf176c3 dfa041fb8da72792",
+	"arbitrary/masked/Run":      "dade5e1286d2abc5 0039bbf5003fa433",
+	"arbitrary/masked/Append":   "2831a5f81a0454bc 0bafa6332a03001f",
+	"arbitrary/masked/Expire":   "93ab8f442fbf345c 0bafa6332a03001f",
+	"arbitrary/masked/Retract":  "ed0acfe970bffb82 8529c2b139ac16b6",
+}
+
+// wideCfg is the W = 4 rows' configuration: the one-cell grid, so every
+// candidate is asked, on a 4 × 4 grid, which keeps YMPP's comparison
+// domain small.
+func wideCfg(eng compare.EngineKind) Config {
+	cfg := testCfg(eng)
+	cfg.Parallel = 4
+	cfg.Pruning = PruneOff
+	cfg.Seed = 0
+	cfg.MaxCoord = 3
+	cfg.Eps = 1
+	cfg.ShareMaskBits = 3
+	return cfg
+}
+
+// widePoints returns n points drawn from cells, a pure function of seed.
+func widePoints(n int, seed uint64, cells ...[]float64) [][]float64 {
+	r := rand.New(rand.NewPCG(seed, 0))
+	pts := make([][]float64, n)
+	for i := range pts {
+		pts[i] = cells[r.IntN(len(cells))]
+	}
+	return pts
+}
+
+// wideGrid is every cell of the 4 × 4 grid.
+func wideGrid() [][]float64 {
+	var cells [][]float64
+	for x := range 4 {
+		for y := range 4 {
+			cells = append(cells, []float64{float64(x), float64(y)})
+		}
+	}
+	return cells
+}
+
+// wideCases are the four families on three generations each, the
+// retraction confined to the newest. The enhanced family runs on the
+// 2 × 2 grid, where YMPP's selections are cheap: Alice's points crowd
+// three cells and are all core locally, Bob's first ten sit on the fourth,
+// one neighbour short of MinPts, so each of them is one core query — one
+// row — over all of Alice's points, and his later ones sit apart.
+func wideCases() []retractCase {
+	grid := wideGrid()
+	gens := func(seed uint64, sizes ...int) [][][]float64 {
+		out := make([][][]float64, len(sizes))
+		for g, n := range sizes {
+			out[g] = widePoints(n, seed+uint64(g), grid...)
+		}
+		return out
+	}
+	a, b, c, d := []float64{0, 0}, []float64{0, 1}, []float64{1, 0}, []float64{1, 1}
+	enhAlice := [][][]float64{widePoints(80, 10, a, b, c), widePoints(3, 11, a, b, c), widePoints(4, 12, a, b, c)}
+	enhBob := [][][]float64{widePoints(10, 13, d), widePoints(3, 14, a), widePoints(3, 15, a)}
+	rowSteps := []retractStep{{initIDs: []int{45, 47}}}
+	return []retractCase{
+		horizontalCase("horizontal", false, gens(1, 30, 3, 4), gens(4, 30, 3, 3), []retractStep{{initIDs: []int{33, 35}, srcIDs: []int{34}}}, nil),
+		horizontalCase("enhanced", true, enhAlice, enhBob, []retractStep{{initIDs: []int{83, 85}, srcIDs: []int{14}}}, func(cfg Config) Config {
+			cfg.MaxCoord, cfg.MinPts = 1, 11
+			return cfg
+		}),
+		verticalCase(gens(7, 42, 3, 4), rowSteps),
+		arbitraryCase(gens(7, 42, 3, 4), rowSteps),
+	}
+}
+
+func TestGoldenTranscriptDigestsW4(t *testing.T) {
+	for _, rc := range wideCases() {
+		for _, eng := range []compare.EngineKind{compare.EngineYMPP, compare.EngineMasked} {
+			for _, sc := range goldenScripts {
+				row := fmt.Sprintf("%s/%s/%s", rc.name, eng, sc.op)
+				rc, sc := rc, sc
+				t.Run(row, func(t *testing.T) {
+					checkGolden(t, goldenDigestsW4, row, runGolden(t, rc, wideCfg(eng), sc.run))
+				})
+			}
+		}
 	}
 }

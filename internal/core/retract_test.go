@@ -140,6 +140,12 @@ func retractHorizontalCase(name string, enhanced bool) retractCase {
 			return cfg
 		}
 	}
+	return horizontalCase(name, enhanced, aliceGens, bobGens, steps, tweak)
+}
+
+// horizontalCase binds the basic or enhanced horizontal family to each
+// party's generation batches and the scripted retraction steps.
+func horizontalCase(name string, enhanced bool, aliceGens, bobGens [][][]float64, steps []retractStep, tweak func(Config) Config) retractCase {
 	newSess, oneA, oneB := NewHorizontalSession, HorizontalAlice, HorizontalBob
 	if enhanced {
 		newSess, oneA, oneB = NewEnhancedHorizontalSession, EnhancedHorizontalAlice, EnhancedHorizontalBob
@@ -204,38 +210,43 @@ var retractRowSteps = []retractStep{
 	{initIDs: []int{8}},
 }
 
-func retractRowSurvivors() [][][]float64 {
-	perStep := make([][]int, len(retractRowSteps))
-	for i, st := range retractRowSteps {
+// initSteps is the initiating party's ids of every step.
+func initSteps(steps []retractStep) [][]int {
+	perStep := make([][]int, len(steps))
+	for i, st := range steps {
 		perStep[i] = st.initIDs
 	}
-	return survivorsAt(concatGens(retractRowGens, 0, len(retractRowGens)), perStep)
+	return perStep
 }
 
-func retractVerticalCase() retractCase {
-	rowsAt := retractRowSurvivors()
+func retractVerticalCase() retractCase { return verticalCase(retractRowGens, retractRowSteps) }
+
+// verticalCase binds the vertical family to a shared record stream, one
+// batch per generation, Alice holding column 0 and Bob column 1.
+func verticalCase(rowGens [][][]float64, steps []retractStep) retractCase {
+	rowsAt := survivorsAt(concatGens(rowGens, 0, len(rowGens)), initSteps(steps))
 	return retractCase{
 		name: "vertical",
-		gens: len(retractRowGens),
+		gens: len(rowGens),
 		newSess: func(conn transport.Conn, cfg Config, role Role) (*Session, error) {
 			col := 0
 			if role == RoleBob {
 				col = 1
 			}
-			return NewVerticalSession(conn, cfg, role, column(retractRowGens[0], col))
+			return NewVerticalSession(conn, cfg, role, column(rowGens[0], col))
 		},
 		appendGen: func(sess *Session, gen int) error {
-			return sess.Append(column(retractRowGens[gen], 0))
+			return sess.Append(column(rowGens[gen], 0))
 		},
 		sourceB: func() AppendSource {
 			gen := 1
 			return func(req AppendRequest) ([][]float64, error) {
-				b := column(retractRowGens[gen], 1)
+				b := column(rowGens[gen], 1)
 				gen++
 				return b, nil
 			}
 		},
-		steps: retractRowSteps,
+		steps: steps,
 		fresh: func(t *testing.T, cfg Config, stage int) eqOutcome {
 			rows := rowsAt[stage]
 			return runMeteredPair(t,
@@ -245,39 +256,40 @@ func retractVerticalCase() retractCase {
 	}
 }
 
-func retractArbitraryCase() retractCase {
-	genOwners := make([][][]partition.Owner, len(retractRowGens))
-	for g := range retractRowGens {
-		genOwners[g] = streamOwners(retractRowGens[g], g)
+func retractArbitraryCase() retractCase { return arbitraryCase(retractRowGens, retractRowSteps) }
+
+// arbitraryCase binds the arbitrary family to a shared record stream, one
+// batch per generation, cell ownership alternating (streamOwners).
+func arbitraryCase(rowGens [][][]float64, steps []retractStep) retractCase {
+	genOwners := make([][][]partition.Owner, len(rowGens))
+	for g := range rowGens {
+		genOwners[g] = streamOwners(rowGens[g], g)
 	}
 	var ownersFull [][]partition.Owner
 	for _, o := range genOwners {
 		ownersFull = append(ownersFull, o...)
 	}
-	perStep := make([][]int, len(retractRowSteps))
-	for i, st := range retractRowSteps {
-		perStep[i] = st.initIDs
-	}
-	rowsAt := retractRowSurvivors()
+	perStep := initSteps(steps)
+	rowsAt := survivorsAt(concatGens(rowGens, 0, len(rowGens)), perStep)
 	ownersAt := survivorsAt(ownersFull, perStep)
 	return retractCase{
 		name: "arbitrary",
-		gens: len(retractRowGens),
+		gens: len(rowGens),
 		newSess: func(conn transport.Conn, cfg Config, role Role) (*Session, error) {
-			return NewArbitrarySession(conn, cfg, role, retractRowGens[0], genOwners[0])
+			return NewArbitrarySession(conn, cfg, role, rowGens[0], genOwners[0])
 		},
 		appendGen: func(sess *Session, gen int) error {
-			return sess.AppendOwned(retractRowGens[gen], genOwners[gen])
+			return sess.AppendOwned(rowGens[gen], genOwners[gen])
 		},
 		sourceB: func() AppendSource {
 			gen := 1
 			return func(req AppendRequest) ([][]float64, error) {
-				b := retractRowGens[gen]
+				b := rowGens[gen]
 				gen++
 				return b, nil
 			}
 		},
-		steps: retractRowSteps,
+		steps: steps,
 		fresh: func(t *testing.T, cfg Config, stage int) eqOutcome {
 			rows, owners := rowsAt[stage], ownersAt[stage]
 			return runMeteredPair(t,
