@@ -520,15 +520,19 @@ func (d PointTombstone) Encode(b *transport.Builder) *transport.Builder {
 // the sender's live point count as the receiver tracks it: at most total
 // ids, strictly ascending, inside [0, total). A hostile or stale frame
 // surfaces as an error on the serving goroutine, never as a panic or a
-// silent index divergence.
+// silent index divergence, and the declared count is held to total
+// before anything is sized from it.
 func DecodePointTombstone(r *transport.Reader, total int) (PointTombstone, error) {
-	n := int(r.Uint())
+	n := r.Uint()
 	if err := r.Err(); err != nil {
 		return PointTombstone{}, err
 	}
+	if n > uint64(total) {
+		return PointTombstone{}, fmt.Errorf("%w: retract %d of %d live points", ErrGenRange, n, total)
+	}
 	// Each id needs at least one byte, so a count beyond the buffer is a
-	// corrupt frame, not a giant allocation.
-	if n < 0 || n > r.Remaining() {
+	// corrupt frame.
+	if n > uint64(r.Remaining()) {
 		return PointTombstone{}, fmt.Errorf("spatial: tombstone id count %d exceeds message size", n)
 	}
 	ids := make([]int, n)

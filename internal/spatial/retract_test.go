@@ -2,6 +2,7 @@ package spatial
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/transport"
@@ -186,6 +187,29 @@ func TestPointTombstoneCodec(t *testing.T) {
 	b := PointTombstone{IDs: []int{0, 1, 2}}.Encode(transport.NewBuilder())
 	if _, err := DecodePointTombstone(transport.NewReader(b.Bytes()), 2); !errors.Is(err, ErrGenRange) {
 		t.Errorf("oversized tombstone err = %v, want ErrGenRange", err)
+	}
+}
+
+// TestPointTombstoneCountBeforeAlloc: a frame declaring more ids than the
+// receiver holds live points is refused before the id slice is sized from
+// it — a 1 MB frame of 2^20 one-byte ids against 4 live points allocates
+// next to nothing, where sizing first would allocate 8 MB.
+func TestPointTombstoneCountBeforeAlloc(t *testing.T) {
+	const n = 1 << 20
+	b := transport.NewBuilder().PutUint(n)
+	for range n {
+		b.PutUint(0)
+	}
+	frame := b.Bytes()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodePointTombstone(transport.NewReader(frame), 4)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrGenRange) {
+		t.Errorf("err = %v, want ErrGenRange", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Errorf("decoding allocated %d bytes before refusing the count", got)
 	}
 }
 
