@@ -6,9 +6,11 @@ package examples
 
 import (
 	"context"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -36,10 +38,33 @@ func exampleDirs(t *testing.T) []string {
 	return dirs
 }
 
+// statSources stats every non-test Go file of the module outside bench/.
+// go test caches a result keyed on the files the test stats, so an edit
+// to any package the examples build re-runs them instead of reading
+// "(cached)".
+func statSources(t *testing.T) {
+	t.Helper()
+	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != ".." && (d.Name() == "bench" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go"):
+			_, err = os.Stat(path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestExamplesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("examples spawn go run; skipped in -short mode")
 	}
+	statSources(t)
 	for _, dir := range exampleDirs(t) {
 		dir := dir
 		t.Run(dir, func(t *testing.T) {
