@@ -230,7 +230,7 @@ func tally(c *atomic.Int64, n int) {
 // (Alice's request leg, Bob's reply leg). Sequential and Count are the
 // round structure and the instance count every engine of the edge takes
 // (rounds). Random is the stream every engine draw reads, crypto/rand
-// when nil; a masked engine built by hand must set its own.
+// when nil; an engine built by hand must set its own.
 type Edge struct {
 	Kind           EngineKind
 	MaskBits       int

@@ -330,8 +330,8 @@ var goldenDigestsW4 = map[string]string{
 }
 
 // wideCfg is the W = 4 rows' configuration: the one-cell grid, so every
-// candidate is asked, on a 4 × 4 grid, which keeps YMPP's comparison
-// domain small.
+// candidate is asked, on a 4 × 4 grid with 3-bit share masks, which keeps
+// YMPP's comparison domains small.
 func wideCfg(eng compare.EngineKind) Config {
 	cfg := testCfg(eng)
 	cfg.Parallel = 4
@@ -348,7 +348,7 @@ func widePoints(n int, seed uint64, cells ...[]float64) [][]float64 {
 	r := rand.New(rand.NewPCG(seed, 0))
 	pts := make([][]float64, n)
 	for i := range pts {
-		pts[i] = cells[r.IntN(len(cells))]
+		pts[i] = append([]float64(nil), cells[r.IntN(len(cells))]...)
 	}
 	return pts
 }

@@ -1,12 +1,12 @@
 package core
 
 import (
-	"cmp"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/compare"
 	"repro/internal/paillier"
@@ -30,7 +30,10 @@ type KeySet struct {
 // is nil): the Paillier pair first, then the RSA pair under YMPP only. It
 // is the one place a protocol key is generated; cfg must be normalised.
 func DrawKeySet(cfg Config) (KeySet, error) {
-	random := cmp.Or(cfg.Random, rand.Reader)
+	random := cfg.Random
+	if random == nil {
+		random = rand.Reader
+	}
 	var keys KeySet
 	var err error
 	if keys.Paillier, err = paillier.GenerateKey(random, cfg.PaillierBits); err != nil {
@@ -52,14 +55,14 @@ func DrawKeySet(cfg Config) (KeySet, error) {
 // seeded channel draws depends on its own work alone, never on how the
 // workers are scheduled. At w = 1 nothing is read.
 func ChannelStreams(random io.Reader, w int) ([]io.Reader, error) {
-	streams := []io.Reader{cmp.Or(random, rand.Reader)}
+	if random == nil {
+		return slices.Repeat([]io.Reader{rand.Reader}, w), nil
+	}
+	streams := []io.Reader{random}
 	for len(streams) < w {
-		next := rand.Reader
-		if random != nil {
-			var err error
-			if next, err = DeriveStream(random); err != nil {
-				return nil, err
-			}
+		next, err := DeriveStream(random)
+		if err != nil {
+			return nil, err
 		}
 		streams = append(streams, next)
 	}
@@ -75,10 +78,7 @@ func DeriveStream(random io.Reader) (io.Reader, error) {
 	if _, err := io.ReadFull(random, key); err != nil {
 		return nil, fmt.Errorf("core: drawing a stream key: %w", err)
 	}
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, err
-	}
+	block, _ := aes.NewCipher(key) // a 32-byte key is always a valid AES key
 	return keystream{cipher.NewCTR(block, make([]byte, aes.BlockSize))}, nil
 }
 
