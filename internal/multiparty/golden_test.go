@@ -21,10 +21,11 @@ import (
 // seeded stream, each party SHA-256-hashes every frame it sends after its
 // session constructor returns, one hash per connection (at W > 1, one per
 // mux channel of it, hashed together in channel order), and its row reads
-// the first 16 hex digits of the hash of those hashes in connection order. The lifecycle rows script core's goldenScripts on
-// the retraction tests' generations (ringRetractGens, meshRetractGens);
-// the Run rows run the stream tests' initial records. A change that
-// claims the wire did not move leaves the table as it is.
+// the first 16 hex digits of the hash of those hashes in connection
+// order. The lifecycle rows script core's goldenScripts on the retraction
+// tests' generations (ringRetractGens, meshRetractGens); the Run rows run
+// the stream tests' initial records. A change that claims the wire did not
+// move leaves the table as it is.
 
 // digestConn hashes every frame sent through it once armed. Under a
 // W > 1 session's Mux it splits each frame by its channel tag
