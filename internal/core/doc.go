@@ -483,8 +483,9 @@
 // in IndexDeltaCells. The initiator validates its batch before it touches
 // its own state or the wire, so a bad batch leaves the session usable,
 // and every declared count is checked against MaxPoints before anything
-// is sized from it (ErrPointCount). The data itself never crosses the
-// wire.
+// is sized from it (ErrPointCount) — a horizontal-shape count also against
+// its GridDelta, whose cells padded to c hold c − (quantum − 1) to c
+// points each. The data itself never crosses the wire.
 //
 // Append, Expire and Retract are one control-op path (sess.go): the
 // initiating side enters through Session.initiate — the Guard

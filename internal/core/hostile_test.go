@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/compare"
+	"repro/internal/spatial"
 	"repro/internal/transport"
 )
 
@@ -148,6 +149,75 @@ func TestHostileAppendCount(t *testing.T) {
 					})
 				if !errors.Is(served, ErrPointCount) {
 					t.Fatalf("serving session absorbed an append of %d points: %v, want ErrPointCount", count, served)
+				}
+			})
+		}
+	}
+}
+
+// deltaCount rewrites an append op's point count to one its own GridDelta
+// cannot pad to: pick reads the delta's padded total and occupied cells
+// and returns the count to declare. The delta is the first append's, of
+// generation 2 (the construction-time index is generation 1).
+func deltaCount(quantum int, pick func(padded, cells int) uint64) func([]byte) []byte {
+	return func(b []byte) []byte {
+		r := transport.NewReader(b)
+		op := r.Uint()
+		r.Uint()
+		rest := b[len(b)-r.Remaining():]
+		d, err := spatial.DecodeGridDelta(r, 2, quantum, 2)
+		if err != nil || op != sessOpAppend {
+			panic("not the first append op of a horizontal session")
+		}
+		count := pick(d.Dir.PaddedTotal(), len(d.Dir.Cells))
+		return append(transport.NewBuilder().PutUint(op).PutUint(count).Bytes(), rest...)
+	}
+}
+
+// TestHostileAppendDeltaCount: an append op whose count is rewritten to one
+// past its GridDelta's padded total, or one below what its padded cells
+// must hold — both far under MaxPoints — fails the serving session's Run
+// loop with ErrPointCount.
+func TestHostileAppendDeltaCount(t *testing.T) {
+	cases := map[string]func(padded, cells int) uint64{
+		"over":  func(padded, _ int) uint64 { return uint64(padded + 1) },
+		"under": func(padded, cells int) uint64 { return uint64(padded - cells*(DefaultPruneQuantum-1) - 1) },
+	}
+	for _, fam := range hostileFamilies {
+		for name, pick := range cases {
+			t.Run(fam.name+"/"+name, func(t *testing.T) {
+				cfg := testCfg(compare.EngineMasked)
+				ca, cb := transport.Pipe()
+				hostile := &rewriteConn{Conn: ca}
+				var served error
+				transport.RunPair(hostile, cb,
+					func(transport.Conn) error {
+						sess, err := fam.open(hostile, cfg, RoleAlice, testAlicePts)
+						if err != nil {
+							return err
+						}
+						hostile.arm(deltaCount(DefaultPruneQuantum, pick))
+						// Fails once the server hangs up; only the server's error counts.
+						if err := sess.Append([][]float64{{1, 1}, {1, 2}}); err != nil {
+							return err
+						}
+						_, err = sess.Run()
+						return err
+					},
+					func(transport.Conn) error {
+						sess, err := fam.open(cb, cfg, RoleBob, testBobPts)
+						if err != nil {
+							served = err
+							return err
+						}
+						for {
+							if _, served = sess.Run(); served != nil {
+								return served
+							}
+						}
+					})
+				if !errors.Is(served, ErrPointCount) {
+					t.Fatalf("serving session absorbed an append its index delta contradicts: %v, want ErrPointCount", served)
 				}
 			})
 		}

@@ -110,8 +110,9 @@ var ErrHandshake = errors.New("core: handshake parameter mismatch")
 // quadratic secure-comparison budget of any family can cluster.
 const MaxPoints = 1 << 22
 
-// ErrPointCount reports a declared point count past MaxPoints.
-var ErrPointCount = errors.New("core: declared point count exceeds MaxPoints")
+// ErrPointCount reports a declared point count past MaxPoints, or one the
+// padded index delta declared beside it contradicts (ReadIndexDelta).
+var ErrPointCount = errors.New("core: declared point count out of range")
 
 // checkCount converts a point count the peer declared, as it arrived, on
 // top of the live points the edge already holds for it.

@@ -74,11 +74,16 @@ func (s *Pair) exchangeIndex(own *OwnGens, peer *PeerGens) error {
 
 // ReadIndexDelta decodes the peer's GridDelta for its next generation, of
 // count points (ReadCount), and extends our view of its generations; the
-// disclosure is recorded in the delta-index Ledger classes.
+// disclosure is recorded in the delta-index Ledger classes. The count must
+// be one the delta's padding can hide (checkDeltaCount), or the append
+// fails with ErrPointCount before the generation is recorded.
 func (s *Pair) ReadIndexDelta(r *transport.Reader, peer *PeerGens, count int) error {
 	d, err := spatial.DecodeGridDelta(r, s.dim, s.quantum, len(peer.dirs)+1)
 	if err != nil {
 		return fmt.Errorf("core: index delta decode: %w", err)
+	}
+	if err := checkDeltaCount(count, d.Dir, s.quantum); err != nil {
+		return err
 	}
 	peer.dirs = append(peer.dirs, d.Dir)
 	peer.Append(count)
@@ -86,6 +91,23 @@ func (s *Pair) ReadIndexDelta(r *transport.Reader, peer *PeerGens, count int) er
 		l.IndexDeltaCells += len(d.Dir.Cells)
 		l.IndexPaddedPoints += d.Dir.PaddedTotal()
 	})
+	return nil
+}
+
+// checkDeltaCount holds an append's declared count against the padded
+// directory of the same batch: a cell padded to c holds between
+// c − (quantum − 1) and c points, so the count lies in
+// [PaddedTotal − cells·(quantum − 1), PaddedTotal]. Each term is capped at
+// count + quantum, which keeps a hostile directory's sum from overflowing
+// and, since such a cell alone holds more than count points, still fails.
+func checkDeltaCount(count int, dir spatial.Directory, quantum int) error {
+	padded := 0
+	for _, c := range dir.Cells {
+		padded += min(c.Count, count+quantum)
+	}
+	if count > padded || count < padded-len(dir.Cells)*(quantum-1) {
+		return fmt.Errorf("%w: %d points declared beside an index delta of %d cells padded to %d", ErrPointCount, count, len(dir.Cells), padded)
+	}
 	return nil
 }
 
