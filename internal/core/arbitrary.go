@@ -119,7 +119,7 @@ func newArbitrarySession(conn transport.Conn, cfg Config, role Role, values [][]
 	if err != nil {
 		return nil, nil, err
 	}
-	as := &aStream{RowGens: NewRowGens(len(values), cellRows), a: a}
+	as := &aStream{RowGens: NewRowGens(len(values), cellRows), a: a, domain: s.arbitraryDomain()}
 	t := newSession(conn, s, "arbitrary")
 	t.runOnce = func() (*Result, error) { return arbitraryRunOnce(t, as) }
 	// An append announces the records' public ownership rows (the values
@@ -176,10 +176,11 @@ func newArbitrarySession(conn transport.Conn, cfg Config, role Role, values [][]
 // included — pair bits are public to both parties, so the caches agree and
 // the seeded lockstep drivers stay in lock step) plus the matrices that
 // are this family's own, the growing (values, owners) pair inside
-// adpState.
+// adpState, and the session's comparison domain.
 type aStream struct {
 	*RowGens
-	a *adpState
+	a      *adpState
+	domain int64 // arbitraryDomain: RoleAlice's shifted shares lie in [0, domain]
 }
 
 // readOwners parses the ownership rows an append announces for count
@@ -281,7 +282,7 @@ func aCellRows(s *Pair, r *transport.Reader, owners [][]partition.Owner, own []i
 func arbitraryRunOnce(t *Session, as *aStream) (*Result, error) {
 	s := t.s
 	a := as.a
-	engA, engB, err := s.DistEngines()
+	engA, engB, err := s.engines(as.domain + 1)
 	if err != nil {
 		return nil, err
 	}
@@ -297,7 +298,9 @@ func arbitraryRunOnce(t *Session, as *aStream) (*Result, error) {
 		onPruned(pr)
 		s.cmpCached.Add(1)
 	}
-	batchOn := func(ch int, pairs [][2]int) ([]bool, error) { return a.batchLE(ch, pairs, engA[ch], engB[ch]) }
+	batchOn := func(ch int, pairs [][2]int) ([]bool, error) {
+		return a.batchLE(ch, pairs, as.CellRows, engA[ch], engB[ch])
+	}
 	labels, clusters, err := LockstepCluster(len(a.enc), s.cfg.MinPts, s.cfg.Parallel, s.lockstepFrameBytes(engA[0], engB[0]),
 		as.Cache, onCached, PrunedLocalDecider(as.CellRows, onPruned), batchOn)
 	if err != nil {
@@ -397,6 +400,27 @@ func (a *adpState) pairTerms(i, j int) (local int64, mixedVals []int64) {
 	return local, mixedVals
 }
 
+// splitShift is the pair's public shift L = Σ (c·W)² over its split
+// attributes, c the cell of the value RoleAlice owns (cells is the shared
+// cell matrix). Her term u² of such an attribute less (cW)² lies in
+// [0, min((c+1)W − 1, M)² − (cW)²] (arbitraryDomain); on the one-cell grid
+// every c is 0, so L is too.
+func (a *adpState) splitShift(cells [][]int64, i, j int) int64 {
+	var l int64
+	for k := 0; k < a.s.dim; k++ {
+		if a.owners[i][k] == a.owners[j][k] {
+			continue
+		}
+		r := i
+		if a.owners[j][k] == partition.Alice {
+			r = j
+		}
+		lo := cells[r][k] * a.s.cellW
+		l += lo * lo
+	}
+	return l
+}
+
 // hasMixed reports whether the pair has any split attribute (owned by
 // different parties on the two records) — the allocation-free test the
 // pruned-pair Ledger accounting uses.
@@ -417,7 +441,13 @@ func (a *adpState) hasMixed(i, j int) bool {
 // share is his local sum minus twice the cross dot product, which is all
 // the masked products' sum ever gave him. The chunk runs on worker channel
 // ch, on that channel's engines.
-func (a *adpState) batchLE(ch int, pairs [][2]int, engA compare.Alice, engB compare.Bob) ([]bool, error) {
+//
+// Before the comparison each pair's shares move by its public shift L
+// (splitShift): RoleAlice's less L, RoleBob's plus L, so their sum and the
+// predicate stay and RoleAlice's operand fits the session's domain. An
+// equal shifted operand under two shifts would tell Bob a₁ − a₂, so the
+// grouped uplink dedups within (row, L) only (shiftRows).
+func (a *adpState) batchLE(ch int, pairs [][2]int, cells [][]int64, engA compare.Alice, engB compare.Bob) ([]bool, error) {
 	s := a.s
 	conn := s.Conns[ch]
 	shares := make([]int64, len(pairs))
@@ -457,5 +487,14 @@ func (a *adpState) batchLE(ch int, pairs [][2]int, engA compare.Alice, engB comp
 			s.led(func(l *Ledger) { l.DotProducts += len(mixed) })
 		}
 	}
-	return s.decidePairs(conn, "adp.cmp", engA, engB, pairs, shares)
+	shifts := make([]int64, len(pairs))
+	for t, pr := range pairs {
+		shifts[t] = a.splitShift(cells, pr[0], pr[1])
+		if a.role == RoleAlice {
+			shares[t] -= shifts[t]
+		} else {
+			shares[t] += shifts[t]
+		}
+	}
+	return s.decidePairs(conn, "adp.cmp", engA, engB, shiftRows(pairs, shifts), shares)
 }

@@ -179,26 +179,26 @@ var goldenDigests = map[string]string{
 	"enhanced/masked/Expire":           "c5dfe58be4e0305e 49beca0a199d74af",
 	"enhanced/masked/Retract":          "a2b886c73172e31f 3116dd18cf048ebb",
 	"enhanced/masked/sequential-Run":   "be478ddf4c2f50de 91bb9815e033b018",
-	"vertical/ympp/Run":                "4322f2a0dcef3c96 6a4f8c1bce0b7f16",
-	"vertical/ympp/Append":             "db535f85a9dda97d 6b2a31b1b8925ad4",
-	"vertical/ympp/Expire":             "b3e25656462be0d9 6b2a31b1b8925ad4",
-	"vertical/ympp/Retract":            "b46249cd21024f75 9d04b66dab88d371",
-	"vertical/ympp/sequential-Run":     "5f58f9738916dc05 91b1408d31369672",
-	"vertical/masked/Run":              "602cae2999bdc14d f6bf076313558184",
-	"vertical/masked/Append":           "ebedf8a4750f03b2 82ae0b80c7739724",
-	"vertical/masked/Expire":           "41c483e0f536274f 82ae0b80c7739724",
-	"vertical/masked/Retract":          "55836b65e4c79a49 a5812f571ecb76f1",
-	"vertical/masked/sequential-Run":   "47ba2bb677f078d5 343e363d53f0098b",
-	"arbitrary/ympp/Run":               "d12ef6a21e889e6e 0faecbd8e44bdfdf",
-	"arbitrary/ympp/Append":            "757434747517fc77 3ad8ad8dc7852571",
-	"arbitrary/ympp/Expire":            "3d09e7fe2e0cd724 3ad8ad8dc7852571",
-	"arbitrary/ympp/Retract":           "5a8d1ee900c943fb 7cea069818b2f447",
-	"arbitrary/ympp/sequential-Run":    "87e488e1d10298f9 5597e9bf23dd0274",
-	"arbitrary/masked/Run":             "d9f6fafad1f456af 10f11f8baa146ce4",
-	"arbitrary/masked/Append":          "761d7e4802d303d2 f439cc62fab37220",
-	"arbitrary/masked/Expire":          "022a46bf9b1cea6a f439cc62fab37220",
-	"arbitrary/masked/Retract":         "aa8f7ca65852b6a1 0a8df56836e16b79",
-	"arbitrary/masked/sequential-Run":  "f907637964809e64 ed49630c06f4870b",
+	"vertical/ympp/Run":                "6be71cab9918302c b93475f2c288851d",
+	"vertical/ympp/Append":             "e620d557f4e08757 a3d2b6d3bc696817",
+	"vertical/ympp/Expire":             "64a8e4557713bc4f a3d2b6d3bc696817",
+	"vertical/ympp/Retract":            "f9df4c9ed94aaaa7 56e965ee1771063f",
+	"vertical/ympp/sequential-Run":     "192bf73402156f3c 1939b12b06ee921f",
+	"vertical/masked/Run":              "702df893374b15e3 6384e3d20e1180bb",
+	"vertical/masked/Append":           "e7a1dc72596c7790 9c89b55930d586c6",
+	"vertical/masked/Expire":           "df3db7de7c0d808e 9c89b55930d586c6",
+	"vertical/masked/Retract":          "af4418aaf5e4359d 45002058db94e920",
+	"vertical/masked/sequential-Run":   "47ba2bb677f078d5 ed0d775ad9399721",
+	"arbitrary/ympp/Run":               "95b5831ee68bedac 9bb0922e7ce1a10c",
+	"arbitrary/ympp/Append":            "b00b44c7059653af 1551acfe51aac114",
+	"arbitrary/ympp/Expire":            "494f0d9b775477ea 1551acfe51aac114",
+	"arbitrary/ympp/Retract":           "e39354e74a57a7fd 874d9eb482e4153d",
+	"arbitrary/ympp/sequential-Run":    "583eb9d2f8f665d9 83facce46477e496",
+	"arbitrary/masked/Run":             "d9f6fafad1f456af 12e3f4b0747187c6",
+	"arbitrary/masked/Append":          "5850a888d2516d7c 3e57601f1e72f37a",
+	"arbitrary/masked/Expire":          "3c78b02b5260885b 3e57601f1e72f37a",
+	"arbitrary/masked/Retract":         "a072b26f9b6ee77c acdbb0f9f806ba39",
+	"arbitrary/masked/sequential-Run":  "f907637964809e64 bd579242337c5d33",
 }
 
 // runGolden runs one scripted row and returns "alice bob" digests.

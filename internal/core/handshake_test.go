@@ -211,8 +211,9 @@ func TestHandshakeRejectsPeerKeys(t *testing.T) {
 // vertical one; v17, a comparison uplink that is not negated and a
 // row-dot uplink that is not pre-shifted, against a horizontal and a
 // vertical one; v18, sequential YMPP comparisons on the scalar wire form
-// without a count prefix, against a horizontal and a vertical one; same
-// frame layout and
+// without a count prefix, against a horizontal and a vertical one; v20,
+// lockstep comparisons over the whole dist² bound with unshifted shares,
+// against a vertical and an arbitrary one; same frame layout and
 // parameters every time — is refused with ErrHandshake naming both versions, on
 // either role, having been sent this party's handshake frame and nothing
 // after it: no index, no run op, no chunk that it would pair with a batch
@@ -251,6 +252,10 @@ func TestHandshakeRefusesOldSchedule(t *testing.T) {
 		{17, "vertical", [][]float64{{1}, {2}, {3}, {4}}, NewVerticalSession},
 		{18, "horizontal", [][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}}, NewHorizontalSession},
 		{18, "vertical", [][]float64{{1}, {2}, {3}, {4}}, NewVerticalSession},
+		{20, "vertical", [][]float64{{1}, {2}, {3}, {4}}, NewVerticalSession},
+		{20, "arbitrary", [][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}}, func(c transport.Conn, cfg Config, role Role, values [][]float64) (*Session, error) {
+			return NewArbitrarySession(c, cfg, role, values, streamOwners(values, 0))
+		}},
 	} {
 		for _, role := range []Role{RoleAlice, RoleBob} {
 			frame := handshakeMsg(old.proto, role.peer(), params, len(old.points[0]), len(old.points), paillier.MarshalPublicKey(&pai.PublicKey), nil, nil).Bytes()

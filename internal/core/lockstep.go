@@ -287,3 +287,23 @@ func PairRows(pairs [][2]int) []int {
 	}
 	return rows
 }
+
+// shiftRows refines PairRows by a public per-pair shift: two instances
+// share a row iff they share the pair's row and its shift, rows numbered
+// in order of first appearance. Within one such row equal shifted operands
+// are equal operands, so a grouped uplink over it discloses no more than
+// over PairRows.
+func shiftRows(pairs [][2]int, shifts []int64) []int {
+	ids := make(map[[2]int64]int)
+	rows := make([]int, len(pairs))
+	for u, pr := range pairs {
+		k := [2]int64{int64(pr[1]), shifts[u]}
+		id, ok := ids[k]
+		if !ok {
+			id = len(ids)
+			ids[k] = id
+		}
+		rows[u] = id
+	}
+	return rows
+}

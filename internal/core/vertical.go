@@ -107,7 +107,11 @@ func newVerticalSession(conn transport.Conn, cfg Config, role Role, attrs [][]fl
 	if err != nil {
 		return nil, nil, err
 	}
-	vs := &vStream{RowGens: NewRowGens(len(enc), cellRows), enc: enc, peerDim: peer.Dim}
+	aliceDim := ownDim
+	if role == RoleBob {
+		aliceDim = peer.Dim
+	}
+	vs := &vStream{RowGens: NewRowGens(len(enc), cellRows), enc: enc, peerDim: peer.Dim, domain: s.verticalDomain(aliceDim)}
 	t := newSession(conn, s, "vertical")
 	t.runOnce = func() (*Result, error) { return verticalRunOnce(t, vs) }
 	// An append's index payload is this party's own-column cell coordinates
@@ -151,11 +155,12 @@ func newVerticalSession(conn transport.Conn, cfg Config, role Role, attrs [][]fl
 // included — pair bits are public to both parties (Theorem 10), so both
 // hold identical caches and the seeded lockstep drivers stay in lock step)
 // plus the one matrix that is this family's own, the growing record matrix
-// of this party's columns.
+// of this party's columns, and the session's comparison domain.
 type vStream struct {
 	*RowGens
 	enc     [][]int64
 	peerDim int
+	domain  int64 // verticalDomain: RoleAlice's partial sums lie in [0, domain]
 }
 
 // vBucket is this party's own-column cell coordinates of a batch of rows
@@ -213,7 +218,7 @@ func encodeVBatch(s *Pair, values [][]float64, ownDim int) ([][]int64, error) {
 func verticalRunOnce(t *Session, vs *vStream) (*Result, error) {
 	s := t.s
 	enc := vs.enc
-	engA, engB, err := s.DistEngines()
+	engA, engB, err := s.engines(vs.domain + 1)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +233,7 @@ func verticalRunOnce(t *Session, vs *vStream) (*Result, error) {
 		for u, pr := range pairs {
 			shares[u] = partialDistSq(enc, pr[0], pr[1])
 		}
-		return s.decidePairs(s.Conns[ch], "vdp.cmp", engA[ch], engB[ch], pairs, shares)
+		return s.decidePairs(s.Conns[ch], "vdp.cmp", engA[ch], engB[ch], PairRows(pairs), shares)
 	}
 	labels, clusters, err := LockstepCluster(len(enc), s.cfg.MinPts, s.cfg.Parallel, s.lockstepFrameBytes(engA[0], engB[0]),
 		vs.Cache, onCached, PrunedLocalDecider(vs.CellRows, onPruned), batchOn)
