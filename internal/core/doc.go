@@ -437,7 +437,32 @@
 //     dummy shares pinned to the domain bound.
 //   - Pruned lockstep pair (vdp/adp). Pairs in non-adjacent cells are
 //     decided out of range locally on every participant identically and
-//     never reach the oracle.
+//     never reach the oracle. The pairs that do are adjacent on every
+//     attribute, so the comparison runs over a domain D both parties
+//     derive from handshake-checked parameters, not over the dist² bound
+//     (W the cell width, M = MaxCoord): vertical's D is
+//     m_A·min(2W − 1, M)², m_A RoleAlice's column count (Pair.verticalDomain),
+//     which bounds her partial sum. An arbitrary pair's split attribute
+//     gives RoleAlice u², which adjacency does not bound, so batchLE first
+//     moves the pair's public shift L = Σ (cW)² over its split attributes,
+//     c the cell of the value RoleAlice owns (adpState.splitShift), from
+//     her share to RoleBob's: the sum and the predicate stay, and her term
+//     u² − (cW)² ≤ min((c+1)W − 1, M)² − (cW)², so
+//     D = m·max(min(2W − 1, M)², max_c[min((c+1)W − 1, M)² − (cW)²])
+//     (Pair.arbitraryDomain). RoleBob's operand is clamped to [0, D+1]
+//     (responderOperand), exact because her share never leaves [0, D]. A
+//     YMPP comparison then costs D + 2 values instead of bound + 2 — 60,
+//     not 452, on bench's ympp grid (W = 2, M = 15) — and a masked reply
+//     packs more slots. On the one-cell grid (W > M: pruning off or the
+//     geometric fallback) D is the bound and L is 0, so those runs compare
+//     exactly as the paper's. Nothing new is disclosed: L and D are
+//     functions of the cell matrix both parties already hold (the
+//     IndexCellCoords they were charged for); predicates, labels and
+//     Ledger counts do not move; a masked reply still encodes
+//     T + 1 − dist² wherever no clamp binds. Equal shifted operands under
+//     two shifts would tell Bob a₁ − a₂, so the grouped uplink's classes
+//     are keyed within (row, L) (shiftRows), a refinement of the
+//     (row, a) partition PairRows gave it.
 //
 // "off" is not a second code path but the degenerate grid: one cell wider
 // than the coordinate domain, padded at 1, so the directory discloses only

@@ -561,7 +561,7 @@ func (s *Pair) arbitraryDomain() int64 {
 }
 
 // lockstepFrameBytes is the chunk rule's input (LockstepCluster) for a run
-// decided on the DistEngines pair: the lockstep families fix the
+// decided on one engine pair over one domain: the lockstep families fix the
 // comparison roles for the whole run — RoleAlice holds the left operands —
 // so her Alice engine and RoleBob's Bob engine sit on the same key and
 // report the same number.

@@ -73,7 +73,9 @@ func BenchmarkRSADecrypt1024(b *testing.B) {
 }
 
 // BenchmarkDecryptRange512 is Alice's step 3 for one comparison of the
-// bench ympp workload: 452 consecutive values on the caller alone.
+// bench ympp workload's data (m = 2, M = 15) on the one-cell grid: 452
+// consecutive values on the caller alone. On its Eps grid the lockstep
+// domain makes it 60.
 func BenchmarkDecryptRange512(b *testing.B) {
 	k := benchKey(b, 512)
 	base, err := rand.Int(rand.Reader, k.N)
