@@ -266,7 +266,7 @@ func (b *MaskedBob) runBatch(conn transport.Conn, vs []int64, pred byte) ([]bool
 	}
 	var classIdx []int64
 	if mode == modeGrouped {
-		classIdx = r.Ints()
+		classIdx = r.Ints(len(vs))
 	}
 	cas := r.Bigs()
 	if r.Err() != nil {

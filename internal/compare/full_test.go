@@ -436,7 +436,7 @@ func FuzzPackedUplink(f *testing.F) {
 		mode := byte(r.Uint())
 		var classIdx []int64
 		if mode == modeGrouped {
-			classIdx = r.Ints()
+			classIdx = r.Ints(n)
 		}
 		cts := r.Bigs()
 		if err := r.Err(); err != nil {
@@ -654,7 +654,7 @@ func (c *uplinkTamper) Send(b []byte) error {
 	*c.mode = byte(r.Uint())
 	msg.PutUint(uint64(*c.mode))
 	if *c.mode == modeGrouped {
-		msg.PutInts(r.Ints())
+		msg.PutInts(r.Ints(r.Remaining()))
 	}
 	cts := r.Bigs()
 	if err := r.Err(); err != nil {
@@ -723,7 +723,7 @@ func TestGroupedUplinkNeverSpansRows(t *testing.T) {
 		}
 		mode = byte(r.Uint())
 		if mode == modeGrouped {
-			classIdx = r.Ints()
+			classIdx = r.Ints(len(as))
 		}
 		cts = len(r.Bigs())
 		if err := r.Err(); err != nil {

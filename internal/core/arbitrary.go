@@ -245,13 +245,13 @@ func aOwnCoords(s *Pair, enc [][]int64, owners [][]partition.Owner) []int64 {
 // routes it, with our own, through the public ownership rows into the
 // full per-record cell rows.
 func aCellRows(s *Pair, r *transport.Reader, owners [][]partition.Owner, own []int64) ([][]int64, error) {
-	theirs := r.Ints()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
 	want := -len(own)
 	for _, row := range owners {
 		want += len(row)
+	}
+	theirs := r.Ints(want)
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	if len(theirs) != want {
 		return nil, fmt.Errorf("core: adp index carries %d coordinates, want %d", len(theirs), want)

@@ -396,8 +396,8 @@
 //
 // Packing changes the frame layout only: labels, cluster counts, and the
 // full disclosure Ledger are byte-identical to Packing "off" (the packing
-// equivalence harness pins all four core families plus the multiparty
-// ring/mesh, W ∈ {1, 4}, pruning on/off, across Append/Expire/Retract,
+// equivalence harness pins all four core families across Append / Expire /
+// Retract plus a multiparty ring/mesh Run, W ∈ {1, 4}, pruning on/off,
 // for "slots" and "full" alike), and Result.CiphertextsSent records the
 // compression, split into CiphertextsUplink/CiphertextsDownlink —
 // every bench workload records both legs as core.cts_up / core.cts_down
@@ -520,7 +520,8 @@
 // Session.absorb (the op's disclosures move to the setup Ledger, its
 // counter ticks), and on both a failure after a frame was sent poisons
 // the session while a purely local validation failure leaves it usable.
-// The same Guard serializes the multiparty RingSession and MeshSession.
+// The same Guard serializes the Run of the multiparty RingSession and
+// MeshSession, which are establishment plus Run and have no control ops.
 //
 // Re-clustering after an append is incremental because decided
 // predicates are immutable — appends only add points, so a pairwise
@@ -539,11 +540,11 @@
 // still records its decision-level Ledger entries, so an incremental
 // run's labels and non-index classes are byte-identical to a fresh
 // session over the concatenated data (the incremental-equivalence
-// harness pins all four families plus the multiparty ring/mesh at
-// W ∈ {1, 4}), while Result.SecureComparisons shrinks toward
-// O(Δ·candidates) and Result.CachedComparisons records the reuse — the
-// bench `live` workload measures both against rebuilds (rebuild_x,
-// core.append_step_s, core.cache_hit_ratio).
+// harness pins all four families at W ∈ {1, 4}), while
+// Result.SecureComparisons shrinks toward O(Δ·candidates) and
+// Result.CachedComparisons records the reuse — the bench `live` workload
+// measures both against rebuilds (rebuild_x, core.append_step_s,
+// core.cache_hit_ratio).
 //
 // # Sliding windows: expiry, tombstones, and cache invalidation
 //
@@ -609,9 +610,7 @@
 // there (Session.rowRetract: the records are shared, so the initiator's
 // tombstone binds both sides, which compact the same rows and call
 // RowGens.Retract); the horizontal family swaps a second tombstone back,
-// the serving party's own ids. The ring/mesh sessions demand id-for-id
-// agreement (same ids everywhere on the ring, each mesh party retracting
-// its own).
+// the serving party's own ids.
 //
 // A masked slot is not erased from the disclosed index: the directory
 // keeps the padded counts announced at append time, and the slot keeps

@@ -264,7 +264,7 @@ func TestArbitraryUplinkClassesKeyedByShift(t *testing.T) {
 	if pred, mode := r.Uint(), r.Uint(); mode != 2 {
 		t.Fatalf("uplink mode %d (predicate %d), want the grouped mode 2: the chunk holds no repeat", mode, pred)
 	}
-	classIdx := r.Ints()
+	classIdx := r.Ints(6)
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -221,5 +222,24 @@ func TestHostileAppendDeltaCount(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestHostileQueryCellCount: a pruned announcement in a 1 MB frame that
+// declares a million cells — a query names at most its cell's 3^dim
+// neighbours — is refused before anything is sized from the count.
+func TestHostileQueryCellCount(t *testing.T) {
+	s, own, _ := opFuzzFixture(t)
+	const n = 1 << 20
+	frame := append(transport.NewBuilder().PutBool(true).PutUint(n).Bytes(), make([]byte, n)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err := s.readPruned(transport.NewReader(frame), own, 1, own.Gens())
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("an announcement of %d cells accepted", n)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("refusing %d cells allocated %d bytes first", n, d)
 	}
 }

@@ -208,7 +208,12 @@ func (s *Pair) readPruned(r *transport.Reader, own *OwnGens, from, to int) (pts 
 	if !pruned {
 		return span, 0, 1, nil
 	}
-	cells, err := spatial.DecodeCells(r, s.dim)
+	// A query names at most its cell's 3^dim neighbours.
+	most := 1
+	for i := 0; i < s.dim && most < r.Remaining(); i++ {
+		most *= 3
+	}
+	cells, err := spatial.DecodeCells(r, most, s.dim)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("core: query cells: %w", err)
 	}

@@ -466,7 +466,7 @@ func TestSettleUplinkClassesStayInsideOnePoint(t *testing.T) {
 	if uplink == nil {
 		t.Fatal("no settle chunk among the driver's frames")
 	}
-	_, mode, classes, cts := uplink.Uint(), uplink.Uint(), uplink.Ints(), uplink.Bigs()
+	_, mode, classes, cts := uplink.Uint(), uplink.Uint(), uplink.Ints(uplink.Remaining()), uplink.Bigs()
 	if err := uplink.Err(); err != nil || mode != 2 {
 		t.Fatalf("comparison uplink: mode %d (want 2, grouped), parse error %v", mode, err)
 	}
@@ -621,7 +621,7 @@ func TestReadSettleOpChunkBound(t *testing.T) {
 // a responder of three live points in two live generations behind an
 // expired one (the middle generation empty), under grid pruning, and a
 // driver's view of it that holds the same directories.
-func opFuzzFixture(f *testing.F) (*Pair, *OwnGens, *PeerGens) {
+func opFuzzFixture(f testing.TB) (*Pair, *OwnGens, *PeerGens) {
 	cfg, err := testCfg(compare.EngineMasked).Normalize()
 	if err != nil {
 		f.Fatal(err)

@@ -177,7 +177,7 @@ func vBucket(s *Pair, batch [][]int64) [][]int64 {
 // bucketed as own and assembles the full per-record cell rows, Alice's
 // columns leading — matching the virtual record layout.
 func vCellRows(s *Pair, r *transport.Reader, own [][]int64, peerDim int) ([][]int64, error) {
-	peer, err := spatial.DecodeCells(r, peerDim)
+	peer, err := spatial.DecodeCells(r, len(own), peerDim)
 	if err != nil {
 		return nil, fmt.Errorf("core: vdp index decode: %w", err)
 	}

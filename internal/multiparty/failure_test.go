@@ -119,20 +119,29 @@ func TestMeshPeerDisappearsMidRun(t *testing.T) {
 	}
 }
 
-// Disagreement on the ring: one table over the five users of
-// state.circulate — the handshake token, the cell-row circulation, and
-// the append / expire / retract agreements — with the odd party out at
-// the coordinator, in the middle and at the end of the ring. Every party
-// must come back with an error in bounded time, leak nothing, and (where
-// a session was established) refuse every later call: the ring is
-// desynchronised.
+// ringFailureRecords are the disagreement table's shared records (3-D,
+// so a 3-party ring owns one column each).
+var ringFailureRecords = [][]float64{
+	{1, 1, 1}, {2, 1, 1}, {9, 9, 9}, {9, 8, 9},
+	{1, 2, 1}, {8, 9, 8}, {5, 5, 5},
+}
+
+type errExpected string
+
+func (e errExpected) Error() string { return string(e) }
+
+// Disagreement on the ring: one table over the two users of
+// state.circulate — the handshake token and the cell-row circulation —
+// with the odd party out at the coordinator, in the middle and at the end
+// of the ring. Every party must come back with an error in bounded time,
+// leak nothing, and (where a session was established) refuse every later
+// call: the ring is desynchronised.
 func TestRingDisagreementFailsEveryParty(t *testing.T) {
 	const k = 3
-	cols := func(g, p int) [][]float64 { return splitColumns(ringWindowGens[g], k)[p] }
 	rows := []struct {
 		name string
-		cfg  func(cfg Config, odd bool) Config            // establishment-time disagreement
-		op   func(rs *RingSession, p int, odd bool) error // disagreement on a live session (two generations)
+		cfg  func(cfg Config, odd bool) Config     // establishment-time disagreement
+		op   func(rs *RingSession, odd bool) error // disagreement on an established session
 	}{
 		{name: "handshake parameter", cfg: func(cfg Config, odd bool) Config {
 			if odd {
@@ -140,36 +149,19 @@ func TestRingDisagreementFailsEveryParty(t *testing.T) {
 			}
 			return cfg
 		}},
-		{name: "cell-row count", op: func(rs *RingSession, p int, odd bool) error {
-			// Unreachable through Append, whose count agreement runs first:
-			// drive the circulation the way Append does.
-			batch := rs.st.enc[:2]
+		{name: "cell-row count", op: func(rs *RingSession, odd bool) error {
+			// The handshake agrees on the record count, so honest parties
+			// never circulate a different number of rows: this is a hostile
+			// peer's frame. Circulate the establishment records again, one
+			// short at the odd party.
+			batch := rs.st.enc
 			if odd {
-				batch = batch[:1]
+				batch = batch[:len(batch)-1]
 			}
 			return rs.guard.Do(func() (bool, error) {
 				_, err := rs.st.circulateCells(batch)
 				return true, err
 			})
-		}},
-		{name: "append count", op: func(rs *RingSession, p int, odd bool) error {
-			batch := cols(2, p)
-			if odd {
-				batch = batch[:1]
-			}
-			return rs.Append(batch)
-		}},
-		{name: "expire generations", op: func(rs *RingSession, p int, odd bool) error {
-			if odd {
-				return rs.Expire(2)
-			}
-			return rs.Expire(1)
-		}},
-		{name: "retract ids", op: func(rs *RingSession, p int, odd bool) error {
-			if odd {
-				return rs.Retract([]int{1})
-			}
-			return rs.Retract([]int{2})
 		}},
 	}
 	for _, w := range []int{1, 4} {
@@ -191,21 +183,18 @@ func TestRingDisagreementFailsEveryParty(t *testing.T) {
 						if row.cfg != nil {
 							cfg = row.cfg(cfg, p == odd)
 						}
-						rs, err := NewRingSession(parties[p], cfg, cols(0, p))
+						rs, err := NewRingSession(parties[p], cfg, splitColumns(ringFailureRecords, k)[p])
 						if row.op == nil {
 							if err == nil {
 								errs[p] = errExpected("mismatched establishment succeeded")
 							}
 							return
 						}
-						if err == nil {
-							err = rs.Append(cols(1, p))
-						}
 						if err != nil {
 							errs[p] = err
 							return
 						}
-						if err := row.op(rs, p, p == odd); err == nil {
+						if err := row.op(rs, p == odd); err == nil {
 							errs[p] = errExpected("disagreement went unnoticed")
 						} else if _, err := rs.Run(); !errors.Is(err, core.ErrSessionClosed) {
 							errs[p] = errExpected("follow-up Run: " + fmt.Sprint(err))

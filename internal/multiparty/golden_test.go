@@ -22,10 +22,9 @@ import (
 // session constructor returns, one hash per connection (at W > 1, one per
 // mux channel of it, hashed together in channel order), and its row reads
 // the first 16 hex digits of the hash of those hashes in connection
-// order. The lifecycle rows script core's goldenScripts on the retraction
-// tests' generations (ringRetractGens, meshRetractGens); the Run rows run
-// the stream tests' initial records. A change that claims the wire did not
-// move leaves the table as it is.
+// order. Each row is one Run after establishment — what a ring or mesh
+// session runs — on goldenRingRecords or goldenMeshPoints. A change that
+// claims the wire did not move leaves the table as it is.
 
 // digestConn hashes every frame sent through it once armed. Under a
 // W > 1 session's Mux it splits each frame by its channel tag
@@ -134,69 +133,25 @@ func seededStream(party int) io.Reader {
 }
 
 var goldenDigests = map[string][3]string{
-	"ring/masked/Run":     {"9e17b0f52d25f78a", "40c786efa54eb998", "2e474a5a89d64d76"},
-	"ring/masked/Append":  {"4c3c6d833006256c", "dfa86d1dcc6539e8", "1d756089dcd87598"},
-	"ring/masked/Expire":  {"114cbef8d342a940", "12bffb2b339a1713", "5acfa0090b664073"},
-	"ring/masked/Retract": {"cf0b54e2520a17d5", "f4734f05114ba2eb", "eb01bbf5fda39dca"},
-	"ring/ympp/Run":       {"712e26e7fb9c4fa5", "cc2bb292c3340e8f", "f4a1d453c27edcc0"},
-	"mesh/masked/Run":     {"8ef069083e59fff7", "d762af8764ce23bc", "0814cdd6b6ac1572"},
-	"mesh/masked/Append":  {"7cd52204fe6ae402", "04df230c58002415", "c5ce4a1db685a222"},
-	"mesh/masked/Expire":  {"0e618c23102eca18", "b8b5dc6cf7f4a888", "824e3e4066dec44d"},
-	"mesh/masked/Retract": {"c1d53b4838e6b9a1", "9718da99b033f524", "4a17d3605404223f"},
-	"mesh/ympp/Run":       {"3d80daa5862283b7", "15b259f4d38fc0ac", "fc7533ac00dc3a41"},
+	"ring/masked/Run": {"9e17b0f52d25f78a", "40c786efa54eb998", "2e474a5a89d64d76"},
+	"ring/ympp/Run":   {"712e26e7fb9c4fa5", "cc2bb292c3340e8f", "f4a1d453c27edcc0"},
+	"mesh/masked/Run": {"8ef069083e59fff7", "d762af8764ce23bc", "0814cdd6b6ac1572"},
+	"mesh/ympp/Run":   {"3d80daa5862283b7", "15b259f4d38fc0ac", "fc7533ac00dc3a41"},
 }
 
-// goldenSession is one party's session as the scripts drive it: append
-// adds generation gen of the lifecycle records, retract runs the first
-// scripted retraction.
-type goldenSession struct {
-	run     func() error
-	append  func(gen int) error
-	expire  func(gens int) error
-	retract func() error
-	gens    int // generations of the lifecycle records
+// goldenRingRecords are the ring rows' shared records (3-D, so a 3-party
+// ring owns one column each).
+var goldenRingRecords = [][]float64{
+	{1, 1, 1}, {2, 1, 1}, {1, 2, 1}, {2, 2, 2},
+	{9, 9, 9}, {9, 8, 9}, {8, 9, 8}, {5, 5, 5},
 }
 
-// goldenScripts are core's goldenScripts over a k-party session: every
-// party runs the same script, as every k-party operation is a group
-// operation.
-var goldenScripts = []struct {
-	op  string
-	run func(s goldenSession) error
-}{
-	{"Run", func(s goldenSession) error { return s.run() }},
-	{"Append", func(s goldenSession) error {
-		if err := s.append(1); err != nil {
-			return err
-		}
-		return s.run()
-	}},
-	{"Expire", func(s goldenSession) error {
-		if err := s.append(1); err != nil {
-			return err
-		}
-		if err := s.run(); err != nil {
-			return err
-		}
-		if err := s.expire(1); err != nil {
-			return err
-		}
-		return s.run()
-	}},
-	{"Retract", func(s goldenSession) error {
-		for gen := 1; gen < s.gens; gen++ {
-			if err := s.append(gen); err != nil {
-				return err
-			}
-		}
-		if err := s.run(); err != nil {
-			return err
-		}
-		if err := s.retract(); err != nil {
-			return err
-		}
-		return s.run()
-	}},
+// goldenMeshPoints are the mesh rows' points, [party][point]: every party
+// holds complete records.
+var goldenMeshPoints = [][][]float64{
+	{{1, 1}, {2, 1}, {9, 9}},
+	{{1, 2}, {9, 8}, {5, 5}},
+	{{2, 2}, {8, 9}, {12, 2}},
 }
 
 // runParties runs body for each of k parties concurrently and fails on
@@ -227,20 +182,9 @@ func checkGolden(t *testing.T, table map[string][3]string, row string, got [3]st
 	}
 }
 
-// goldenRing runs one scripted row on a 3-party ring and returns each
-// party's digest. The Run row starts from streamRows.init, every other
-// row from ringRetractGens[0].
-func goldenRing(t *testing.T, eng compare.EngineKind, op string, script func(goldenSession) error) [3]string {
-	init := streamRows.init
-	if op != "Run" {
-		init = ringRetractGens[0]
-	}
-	return ringDigests(t, testCfg(eng), init, script)
-}
-
-// ringDigests runs script on a 3-party ring from the records init under
-// cfg and returns each party's digest.
-func ringDigests(t *testing.T, cfg Config, init [][]float64, script func(goldenSession) error) [3]string {
+// ringDigests runs one Run on a 3-party ring of the records init under cfg
+// and returns each party's digest.
+func ringDigests(t *testing.T, cfg Config, init [][]float64) [3]string {
 	const k = 3
 	parties := NewLocalRing(k)
 	conns := make([][]*digestConn, k)
@@ -262,16 +206,8 @@ func ringDigests(t *testing.T, cfg Config, init [][]float64, script func(goldenS
 		for _, d := range conns[p] {
 			d.arm()
 		}
-		return script(goldenSession{
-			run: func() error {
-				_, err := rs.Run()
-				return err
-			},
-			append:  func(gen int) error { return rs.Append(splitColumns(ringRetractGens[gen], k)[p]) },
-			expire:  rs.Expire,
-			retract: func() error { return rs.Retract(ringRetractSteps[0]) },
-			gens:    len(ringRetractGens),
-		})
+		_, err = rs.Run()
+		return err
 	})
 	checkWork(t, conns)
 	var got [3]string
@@ -281,19 +217,9 @@ func ringDigests(t *testing.T, cfg Config, init [][]float64, script func(goldenS
 	return got
 }
 
-// goldenMesh is goldenRing on a 3-party mesh: the Run row starts from
-// meshStream.init, every other row from meshRetractGens[0].
-func goldenMesh(t *testing.T, eng compare.EngineKind, op string, script func(goldenSession) error) [3]string {
-	init := meshStream.init
-	if op != "Run" {
-		init = meshRetractGens[0]
-	}
-	return meshDigests(t, testCfg(eng), init, script)
-}
-
-// meshDigests runs script on a 3-party mesh, party p starting from the
-// points init[p] under cfg, and returns each party's digest.
-func meshDigests(t *testing.T, cfg Config, init [][][]float64, script func(goldenSession) error) [3]string {
+// meshDigests runs one Run on a 3-party mesh, party p holding the points
+// init[p], under cfg and returns each party's digest.
+func meshDigests(t *testing.T, cfg Config, init [][][]float64) [3]string {
 	const k = 3
 	mesh := NewLocalMesh(k)
 	conns := make([][]*digestConn, k)
@@ -323,16 +249,8 @@ func meshDigests(t *testing.T, cfg Config, init [][][]float64, script func(golde
 		for _, d := range conns[p] {
 			d.arm()
 		}
-		return script(goldenSession{
-			run: func() error {
-				_, err := ms.Run()
-				return err
-			},
-			append:  func(gen int) error { return ms.Append(meshRetractGens[gen][p]) },
-			expire:  ms.Expire,
-			retract: func() error { return ms.Retract(meshRetractSteps[0][p]) },
-			gens:    len(meshRetractGens),
-		})
+		_, err = ms.Run()
+		return err
 	})
 	checkWork(t, conns)
 	var got [3]string
@@ -342,26 +260,16 @@ func meshDigests(t *testing.T, cfg Config, init [][][]float64, script func(golde
 	return got
 }
 
-// TestGoldenTranscriptDigests pins ring and mesh × every script under
-// masked, and the Run under YMPP.
+// TestGoldenTranscriptDigests pins a ring and a mesh Run under both
+// engines.
 func TestGoldenTranscriptDigests(t *testing.T) {
-	topologies := []struct {
-		name string
-		run  func(t *testing.T, eng compare.EngineKind, op string, script func(goldenSession) error) [3]string
-	}{{"ring", goldenRing}, {"mesh", goldenMesh}}
-	for _, top := range topologies {
-		for _, sc := range goldenScripts {
-			for _, eng := range []compare.EngineKind{compare.EngineMasked, compare.EngineYMPP} {
-				if eng == compare.EngineYMPP && sc.op != "Run" {
-					continue
-				}
-				row := fmt.Sprintf("%s/%s/%s", top.name, eng, sc.op)
-				top, sc, eng := top, sc, eng
-				t.Run(row, func(t *testing.T) {
-					checkGolden(t, goldenDigests, row, top.run(t, eng, sc.op, sc.run))
-				})
-			}
-		}
+	for _, eng := range []compare.EngineKind{compare.EngineMasked, compare.EngineYMPP} {
+		t.Run(fmt.Sprintf("ring/%s/Run", eng), func(t *testing.T) {
+			checkGolden(t, goldenDigests, fmt.Sprintf("ring/%s/Run", eng), ringDigests(t, testCfg(eng), goldenRingRecords))
+		})
+		t.Run(fmt.Sprintf("mesh/%s/Run", eng), func(t *testing.T) {
+			checkGolden(t, goldenDigests, fmt.Sprintf("mesh/%s/Run", eng), meshDigests(t, testCfg(eng), goldenMeshPoints))
+		})
 	}
 }
 
@@ -398,12 +306,11 @@ func widePoints(n, dim int, seed uint64) [][]float64 {
 }
 
 func TestGoldenTranscriptDigestsW4(t *testing.T) {
-	run := func(s goldenSession) error { return s.run() }
 	t.Run("ring/masked/Run", func(t *testing.T) {
-		checkGolden(t, goldenDigestsW4, "ring/masked/Run", ringDigests(t, wideCfg(), widePoints(42, 3, 1), run))
+		checkGolden(t, goldenDigestsW4, "ring/masked/Run", ringDigests(t, wideCfg(), widePoints(42, 3, 1)))
 	})
 	t.Run("mesh/masked/Run", func(t *testing.T) {
 		init := [][][]float64{widePoints(30, 2, 2), widePoints(30, 2, 3), widePoints(30, 2, 4)}
-		checkGolden(t, goldenDigestsW4, "mesh/masked/Run", meshDigests(t, wideCfg(), init, run))
+		checkGolden(t, goldenDigestsW4, "mesh/masked/Run", meshDigests(t, wideCfg(), init))
 	})
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/compare"
 	"repro/internal/core"
 	"repro/internal/dbscan"
-	"repro/internal/spatial"
 	"repro/internal/transport"
 )
 
@@ -29,8 +28,7 @@ import (
 // keys, and a party draws its set once (core.DrawKeySet) and hands it to
 // all k−1 of its edges, so a mesh runs on k keys, not k·(k−1). What lives
 // here is only what is k-party: which peers a pass settles with, the walk
-// over their caches, the pass order, and the k-way agreement of the
-// lifecycle operations.
+// over their caches and the pass order.
 //
 // Disclosure note: pairwise composition reveals per-peer
 // neighbour counts to the driver (finer-grained than the two-party
@@ -112,10 +110,9 @@ type pairSession struct {
 	cmpB []compare.Bob   // we respond: peer holds the left value (one per channel)
 }
 
-// RunHorizontal executes the k-party horizontal protocol for one party.
-// All parties must call it concurrently over a consistent mesh. This is
-// the one-shot form; NewMeshSession adds streaming appends and cross-run
-// caching.
+// RunHorizontal executes the k-party horizontal protocol for one party:
+// NewMeshSession and one MeshSession.Run. All parties must call it
+// concurrently over a consistent mesh.
 func RunHorizontal(party HorizontalParty, cfg Config, points [][]float64) (*HorizontalResult, error) {
 	ms, err := NewMeshSession(party, cfg, points)
 	if err != nil {
@@ -124,15 +121,14 @@ func RunHorizontal(party HorizontalParty, cfg Config, points [][]float64) (*Hori
 	return ms.Run()
 }
 
-// MeshSession is one party's long-lived mesh (k-party horizontal)
-// session: establishment once, many Run calls, Append between them —
-// every party calls the same method sequence concurrently, under the
-// same misuse guard as core.Session and RingSession (one operation at a
-// time; a failure after any edge exchange began closes the session).
+// MeshSession is one party's mesh (k-party horizontal) session:
+// establishment once, then Run — every party calls it concurrently, under
+// the same misuse guard as core.Session and RingSession (one Run at a
+// time; a failed Run closes the session). A second Run answers every
+// region count from the edges' caches.
 type MeshSession struct {
 	h     *hState
 	guard core.Guard
-	runs  int
 }
 
 // NewMeshSession establishes the pairwise key/handshake/index state with
@@ -144,9 +140,6 @@ func NewMeshSession(party HorizontalParty, cfg Config, points [][]float64) (*Mes
 	}
 	return &MeshSession{h: h}, nil
 }
-
-// Runs reports the completed Run calls.
-func (ms *MeshSession) Runs() int { return ms.runs }
 
 // Run executes one k-pass clustering (each party drives once, in index
 // order) over the session state, reusing every cached region-count
@@ -179,7 +172,6 @@ func (ms *MeshSession) run() (*HorizontalResult, error) {
 			return nil, fmt.Errorf("multiparty: pass %d: %w", pass, err)
 		}
 	}
-	ms.runs++
 	res := &HorizontalResult{Labels: labels, NumClusters: clusters,
 		RegionQueries: h.queries, CachedCounts: h.cached}
 	h.eachPeer(func(_ int, sess *pairSession) error {
@@ -190,129 +182,6 @@ func (ms *MeshSession) run() (*HorizontalResult, error) {
 	})
 	res.CiphertextsSent = res.CiphertextsUplink + res.CiphertextsDownlink
 	return res, nil
-}
-
-// Append absorbs this party's appended batch: every party calls Append
-// concurrently with its own new points (any count, including none). Each
-// mesh edge swaps the batch count plus a spatial.GridDelta of the touched
-// cells, both parties sending at once (core.Pair.Swap) — the payload of a
-// two-party horizontal append's announce and reply (core.ReadCount,
-// core.OwnGens.AppendDelta, core.Pair.ReadIndexDelta); the points
-// themselves never cross the wire, and cached prefix counts stay valid
-// because appended generations only extend the suffix.
-func (ms *MeshSession) Append(points [][]float64) error {
-	h := ms.h
-	return ms.guard.Do(func() (bool, error) {
-		batch, err := h.own.Encode(points)
-		if err != nil {
-			return false, err
-		}
-		msg := transport.NewBuilder().PutUint(uint64(len(batch)))
-		if err := h.own.AppendDelta(msg, batch); err != nil {
-			return false, err
-		}
-		return true, h.eachPeer(func(q int, sess *pairSession) error {
-			r, err := sess.Swap("hdp.idx", msg)
-			if err != nil {
-				return fmt.Errorf("multiparty: append exchange with %d: %w", q, err)
-			}
-			peerCount, err := core.ReadCount(r, sess.peer.N)
-			if err != nil {
-				return fmt.Errorf("multiparty: append count from %d: %w", q, err)
-			}
-			if err := sess.ReadIndexDelta(r, sess.peer, peerCount); err != nil {
-				return fmt.Errorf("multiparty: append delta from %d: %w", q, err)
-			}
-			return nil
-		})
-	})
-}
-
-// Expire slides the mesh window: the oldest gens generations leave on
-// every party at once. All parties must call Expire concurrently with
-// the same argument — like Append, the exchange is symmetric. Each mesh
-// edge swaps a spatial.TombstoneDelta, both parties sending at once,
-// pinned to the shared dead prefix, so an endpoint that drifted out of
-// generation lockstep fails loudly instead of silently diverging; the
-// expiry applies only after every edge agreed (core.OwnGens.Expire /
-// core.PeerGens.Expire: expired generations become husks, generation
-// numbers are never reused).
-func (ms *MeshSession) Expire(gens int) error {
-	h := ms.h
-	return ms.guard.Do(func() (bool, error) {
-		dead, live := h.own.Window()
-		if gens < 1 || gens > live {
-			return false, fmt.Errorf("multiparty: expire %d of %d live generations", gens, live)
-		}
-		td := spatial.TombstoneDelta{From: dead, N: gens}
-		if err := h.eachPeer(func(q int, sess *pairSession) error {
-			r, err := sess.Swap("session.op", td.Encode(transport.NewBuilder()))
-			if err != nil {
-				return fmt.Errorf("multiparty: tombstone exchange with %d: %w", q, err)
-			}
-			peerTd, err := spatial.DecodeTombstoneDelta(r, dead, live)
-			if err != nil {
-				return fmt.Errorf("multiparty: tombstone from %d: %w", q, err)
-			}
-			if peerTd.N != gens {
-				return fmt.Errorf("multiparty: party %d expires %d generations, we expire %d", q, peerTd.N, gens)
-			}
-			return nil
-		}); err != nil {
-			return true, err
-		}
-		removed, err := h.own.Expire(gens)
-		if err != nil {
-			return true, err
-		}
-		return true, h.eachPeer(func(_ int, sess *pairSession) error {
-			sess.peer.Expire(gens, removed)
-			return nil
-		})
-	})
-}
-
-// Retract deletes individual records from the live mesh window: every
-// party calls Retract concurrently with the strictly ascending live
-// indices of its *own* points to delete (any count, including none —
-// a party with nothing to retract participates with an empty list).
-// Each mesh edge swaps a validated spatial.PointTombstone, both parties
-// sending at once; the retraction applies only after every edge agreed,
-// so a malformed tombstone fails the exchange loudly before any state
-// changes (core.OwnGens.Retract / core.PeerGens.Retract: own rows compact
-// to the numbering a fresh session over the survivors would use, and the
-// cached region counts die exactly where a retracted point could sit
-// inside them).
-func (ms *MeshSession) Retract(ids []int) error {
-	h := ms.h
-	return ms.guard.Do(func() (bool, error) {
-		if err := spatial.ValidateRetractIDs(ids, len(h.own.Enc)); err != nil {
-			return false, fmt.Errorf("multiparty: retract: %w", err)
-		}
-		peerIDs := make([][]int, h.party.K)
-		if err := h.eachPeer(func(q int, sess *pairSession) error {
-			msg := spatial.PointTombstone{IDs: ids}.Encode(transport.NewBuilder())
-			r, err := sess.Swap("session.op", msg)
-			if err != nil {
-				return fmt.Errorf("multiparty: retract exchange with %d: %w", q, err)
-			}
-			tomb, err := spatial.DecodePointTombstone(r, sess.peer.N)
-			if err != nil {
-				return fmt.Errorf("multiparty: retract tombstone from %d: %w", q, err)
-			}
-			peerIDs[q] = tomb.IDs
-			return nil
-		}); err != nil {
-			return true, err
-		}
-		if err := h.own.Retract(ids); err != nil {
-			return true, err
-		}
-		return true, h.eachPeer(func(q int, sess *pairSession) error {
-			sess.peer.Retract(ids, peerIDs[q])
-			return nil
-		})
-	})
 }
 
 // hState is one party's runtime for the k-party horizontal protocol.
@@ -436,9 +305,7 @@ func (h *hState) drive() ([]int, int, error) {
 
 // totalCount answers one region query of our point i: its neighbours
 // summed across all peers, each peer's count read from the edge's settled
-// cache (one count per peer generation, so an expiry drops exactly the
-// dead generations' counts and every survivor stays contiguous from the
-// new window edge). What the cache held before this
+// cache (one count per peer generation). What the cache held before this
 // run's settle step counts as cached — all of it from the point's second
 // query on.
 func (h *hState) totalCount(i int) int {

@@ -14,8 +14,8 @@ import (
 )
 
 // The ring leg of the lockstep differential (core's lives in
-// internal/core/lockstep_oracle_test.go): the same ring session lifecycle
-// — cold Run, two Appends, Retract, a re-Run, Expire — runs once on the
+// internal/core/lockstep_oracle_test.go): the same ring session — a cold
+// Run, then a re-Run the cross-run cache answers whole — runs once on the
 // chunk circulation at every valid batching × packing (and W ∈ {1, 4}
 // where batched) and once on the per-pair oracle it replaced, pairLE
 // below: one complete circulation per pair, as sequential batching ran
@@ -138,8 +138,17 @@ func (st *state) pairLE(i, j int) (bool, error) {
 	return in, nil
 }
 
-// runRingLifecycle drives k concurrent RingSessions through the lifecycle
-// and returns every party's Results; oracle runs each Run on pairLE.
+// oracleRingRecords are the differential's shared records (3-D, so a
+// 3-party ring owns one column each).
+var oracleRingRecords = [][]float64{
+	{1, 1, 1}, {2, 1, 1}, {9, 9, 9}, {9, 8, 9},
+	{1, 2, 1}, {8, 9, 8}, {5, 5, 5},
+	{2, 2, 2}, {9, 9, 8}, {8, 8, 6}, {1, 1, 2},
+}
+
+// runRingLifecycle runs k concurrent RingSessions twice — cold, then the
+// re-Run — and returns every party's Results; oracle runs each Run on
+// pairLE.
 func runRingLifecycle(t *testing.T, cfg Config, k int, oracle bool) [][]*Result {
 	t.Helper()
 	parties := NewLocalRing(k)
@@ -152,8 +161,7 @@ func runRingLifecycle(t *testing.T, cfg Config, k int, oracle bool) [][]*Result 
 			defer wg.Done()
 			defer parties[p].Next.Close()
 			defer parties[p].Prev.Close()
-			slice := func(gen int) [][]float64 { return splitColumns(ringRetractGens[gen], k)[p] }
-			rs, err := NewRingSession(parties[p], cfg, slice(0))
+			rs, err := NewRingSession(parties[p], cfg, splitColumns(oracleRingRecords, k)[p])
 			if err != nil {
 				errs[p] = err
 				return
@@ -168,19 +176,7 @@ func runRingLifecycle(t *testing.T, cfg Config, k int, oracle bool) [][]*Result 
 					return res, err
 				}
 			}
-			steps := []func() error{
-				func() error { return nil }, // cold
-				func() error { return rs.Append(slice(1)) },
-				func() error { return rs.Append(slice(2)) },
-				func() error { return rs.Retract([]int{1, 8}) },
-				func() error { return nil }, // re-Run: everything cached
-				func() error { return rs.Expire(1) },
-			}
-			for i, step := range steps {
-				if err := step(); err != nil {
-					errs[p] = fmt.Errorf("party %d step %d: %w", p, i, err)
-					return
-				}
+			for i := range 2 {
 				res, err := run()
 				if err != nil {
 					errs[p] = fmt.Errorf("party %d run %d: %w", p, i, err)
@@ -234,10 +230,9 @@ func TestLockstepMatchesPerPairOracle(t *testing.T) {
 					cfg.Batching, cfg.Packing, cfg.Parallel = m.batching, m.packing, m.w
 					cfg.Pruning, cfg.Eps = in.pruning, in.eps
 					got := runRingLifecycle(t, cfg, k, false)
-					cached := 0
 					for p := range got {
-						if len(got[p]) != len(want[p]) || len(got[p]) != 6 {
-							t.Fatalf("party %d: %d stages on the chunk circulation, %d per pair, want 6", p, len(got[p]), len(want[p]))
+						if len(got[p]) != len(want[p]) || len(got[p]) != 2 {
+							t.Fatalf("party %d: %d runs on the chunk circulation, %d per pair, want 2", p, len(got[p]), len(want[p]))
 						}
 						for stage := range got[p] {
 							g, w := got[p][stage], want[p][stage]
@@ -249,11 +244,19 @@ func TestLockstepMatchesPerPairOracle(t *testing.T) {
 								t.Errorf("%s: %d pair decisions, %d cached, %d index coordinates; per pair %d, %d, %d", at,
 									g.PairDecisions, g.CachedPairs, g.IndexCellCoords, w.PairDecisions, w.CachedPairs, w.IndexCellCoords)
 							}
-							cached += g.CachedPairs
 						}
-					}
-					if cached == 0 {
-						t.Error("no stage answered anything from the cache: the lifecycle compared cold runs only")
+						// The re-Run decides no pair over the wire: it sends no
+						// ciphertext, and the cache answers every pair the grid
+						// does not prune — on the one-cell grid, every pair.
+						cold, re := got[p][0], got[p][1]
+						cached := re.CachedPairs > 0
+						if in.sub != "" {
+							cached = re.CachedPairs == re.PairDecisions
+						}
+						if re.CiphertextsSent != 0 || !cached || re.PairDecisions != cold.PairDecisions {
+							t.Errorf("party %d re-Run: %d ciphertexts sent, %d of %d pair decisions cached (cold Run %d); want none sent, the cache answering",
+								p, re.CiphertextsSent, re.CachedPairs, re.PairDecisions, cold.PairDecisions)
+						}
 					}
 				})
 			}

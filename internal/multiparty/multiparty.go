@@ -47,14 +47,15 @@
 // the same Params.Diff — its coordinator↔last comparison engines come
 // from compare.Edge, the one engine constructor, and its edges split into
 // worker channels with core.Channels. Config is core.Config itself. The
-// long-lived sessions share core's lifecycle state too: a RingSession's
-// window is a core.RowGens (the two-party vertical family's table:
-// per-generation counts, cell rows, PairCache), a MeshSession's is
-// core.OwnGens + one core.PeerGens per peer, and both run every operation
-// under core.Guard. What the ring owns is how k
-// parties agree: state.circulate, the one two-lap token pass, which the
-// handshake, the cell-row circulation and the append / expire / retract
-// agreements each call with the closures that build and check their
+// sessions share core's session state too: a RingSession holds a
+// core.RowGens (the two-party vertical family's table: record count, cell
+// rows, PairCache), a MeshSession core.OwnGens + one core.PeerGens per
+// peer, and both run under core.Guard. A ring or mesh session is
+// establishment plus Run, the one-shot clustering of the paper's
+// extension; a second Run on one session answers from the cross-run
+// caches. What the ring owns is how k parties agree: state.circulate, the
+// one two-lap token pass, which the handshake and the cell-row
+// circulation each call with the closures that build and check their
 // frames.
 //
 // # Configuration
@@ -260,11 +261,9 @@ func decodeToken(r *transport.Reader) (handshakeToken, error) {
 	return t, r.Err()
 }
 
-// Run executes the k-party vertical protocol for one party. attrs is this
-// party's n × ownDim column slice. Every party must call Run concurrently
-// with a consistent ring. This is the one-shot form — streaming arrival
-// uses NewRingSession, whose Append absorbs new records and whose
-// repeated Run calls reuse the cross-run pair cache.
+// Run executes the k-party vertical protocol for one party: NewRingSession
+// and one RingSession.Run. attrs is this party's n × ownDim column slice.
+// Every party must call Run concurrently with a consistent ring.
 func Run(party Party, cfg Config, attrs [][]float64) (*Result, error) {
 	rs, err := NewRingSession(party, cfg, attrs)
 	if err != nil {
@@ -287,7 +286,12 @@ func newRingState(party Party, cfg Config, attrs [][]float64) (*state, [][]int64
 		return nil, nil, fmt.Errorf("multiparty: party %d holds no records", party.Index)
 	}
 	st := &state{party: party, cfg: cc, ownDim: len(attrs[0]), pool: cc.Pool}
-	if st.enc, err = st.encode(attrs); err != nil {
+	for i, row := range attrs {
+		if len(row) != st.ownDim {
+			return nil, nil, fmt.Errorf("multiparty: record %d has %d attributes, want %d", i, len(row), st.ownDim)
+		}
+	}
+	if st.enc, err = cc.EncodePoints(attrs); err != nil {
 		return nil, nil, err
 	}
 	if st.ownDim < 1 {
@@ -317,23 +321,16 @@ func newRingState(party Party, cfg Config, attrs [][]float64) (*state, [][]int64
 	return st, cellRows, nil
 }
 
-// encode fixed-point encodes and range-checks a batch of this party's
-// column slices, each ownDim wide.
-func (st *state) encode(attrs [][]float64) ([][]int64, error) {
-	for i, row := range attrs {
-		if len(row) != st.ownDim {
-			return nil, fmt.Errorf("multiparty: record %d has %d attributes, want %d", i, len(row), st.ownDim)
-		}
-	}
-	return st.cfg.EncodePoints(attrs)
-}
-
 // state is one party's runtime for the ring protocol.
 type state struct {
 	party  Party
 	cfg    core.Config
-	enc    [][]int64 // live records, this party's columns
-	ownDim int       // this party's column count, fixed at establishment (enc may empty out)
+	enc    [][]int64 // the records, this party's columns
+	ownDim int       // this party's column count
+	// preDim is the column count of the parties before this one in ring
+	// order (the handshake token's dimension sum as it arrived): the width
+	// of the cell rows lap 1 of circulateCells brings.
+	preDim int
 	epsSq  int64
 	pool   *paillier.Pool
 
@@ -428,15 +425,6 @@ func (st *state) circulate(what string, start *transport.Builder, lap1, lap2 lap
 	return nil
 }
 
-// agree circulates a frame every party must already hold identically —
-// an appended record count, a tombstone: each party checks the
-// coordinator's copy against its own on lap 1 and the release on lap 2,
-// so no party mutates state the others are not mutating too.
-func (st *state) agree(what string, frame *transport.Builder, check func(r *transport.Reader) error) error {
-	step := func(r *transport.Reader) (*transport.Builder, error) { return frame, check(r) }
-	return st.circulate(what, frame, step, step)
-}
-
 // handshake passes a parameter token around the ring twice: first to
 // verify agreement and accumulate the total dimension, then to broadcast
 // the final dimension back out.
@@ -503,6 +491,7 @@ func (st *state) handshake() error {
 			if st.rsaPub, err = core.PeerRSAKey(ympp, tok.rsaN, tok.rsaE); err != nil {
 				return nil, err
 			}
+			st.preDim = tok.dimSum
 			tok.dimSum += st.ownDim
 			return encodeToken(tok), nil
 		}, func(r *transport.Reader) (*transport.Builder, error) {
@@ -533,16 +522,14 @@ func (st *state) finishDims(m int) error {
 }
 
 // circulateCells circulates the candidate-grid index (core.CandidateGrid,
-// the two-party rule) of one batch of this party's rows (the whole dataset
-// at establishment; just the appended rows for a streaming delta): lap 1 accumulates each party's own-column cell
-// coordinates per record (in party order, matching the virtual column
-// order), lap 2 broadcasts the completed matrix, so every party prunes
-// over identical cell rows. Row-count validation doubles as the ring-wide
-// agreement check that every party appended the same records.
+// the two-party rule) of this party's rows at establishment: lap 1
+// accumulates each party's own-column cell coordinates per record (in
+// party order, matching the virtual column order), lap 2 broadcasts the
+// completed matrix, so every party prunes over identical cell rows. Every
+// frame must hold one row per record, each as wide as the columns it has
+// gathered — the record count the handshake agreed bounds the decode, so a
+// hostile frame is refused before anything is sized from it.
 func (st *state) circulateCells(batch [][]int64) (full [][]int64, err error) {
-	if len(batch) == 0 {
-		return nil, nil
-	}
 	w, _ := core.CandidateGrid(st.cfg, st.epsSq, st.bound)
 	own := make([][]int64, len(batch))
 	for i, row := range batch {
@@ -552,19 +539,11 @@ func (st *state) circulateCells(batch [][]int64) (full [][]int64, err error) {
 		return spatial.EncodeCells(transport.NewBuilder(), rows)
 	}
 	decode := func(r *transport.Reader, dim int) ([][]int64, error) {
-		rows, err := spatial.DecodeCells(r, dim)
-		if err != nil {
-			return nil, err
+		rows, err := spatial.DecodeCells(r, len(own), dim)
+		if err == nil && len(rows) != len(own) {
+			err = fmt.Errorf("%d rows, want %d", len(rows), len(own))
 		}
-		if len(rows) != len(own) {
-			return nil, fmt.Errorf("%d rows, want %d", len(rows), len(own))
-		}
-		for i, row := range rows {
-			if len(row) != len(rows[0]) {
-				return nil, fmt.Errorf("row %d has %d cells, want %d", i, len(row), len(rows[0]))
-			}
-		}
-		return rows, nil
+		return rows, err
 	}
 	learn := func(r *transport.Reader) (*transport.Builder, error) {
 		if full, err = decode(r, st.m); err != nil {
@@ -576,7 +555,7 @@ func (st *state) circulateCells(batch [][]int64) (full [][]int64, err error) {
 		err = st.circulate("ring index", encode(own), learn, nil)
 	} else {
 		err = st.circulate("ring index", nil, func(r *transport.Reader) (*transport.Builder, error) {
-			soFar, err := decode(r, -1)
+			soFar, err := decode(r, st.preDim)
 			if err != nil {
 				return nil, err
 			}

@@ -24,7 +24,7 @@ import (
 // core's masked per-sub-query round left production (handshake v14), and
 // this package cannot reach the Pair state it ran on, so a sub-query runs
 // core's one chunk exchange (HDPCount / HDPServe) as a chunk of one — as
-// the oracle TestMeshSettleMatchesPerQueryDriver runs the same lifecycle
+// the oracle TestMeshSettleMatchesPerQueryDriver runs the same session
 // through.
 
 // opPerQuery was core.OpQuery, op code 1.
@@ -191,23 +191,23 @@ func (c countedAlice) BatchLessRows(conn transport.Conn, as []int64, rows []int)
 	return c.Alice.BatchLessRows(conn, as, rows)
 }
 
-// meshStage is what one party can count after one Run of the lifecycle.
+// meshStage is what one party can count after one Run.
 type meshStage struct {
 	res  *HorizontalResult
 	cmps int64 // comparison instances it decided as a driver, all edges
 }
 
-// meshDiffGens is the lifecycle's data: three generations a party.
-var meshDiffGens = [][][][]float64{ // [gen][party]
-	{{{1, 1}, {2, 1}}, {{1, 2}, {9, 8}}, {{2, 2}, {8, 9}}},
-	{{{9, 9}, {3, 3}}, {}, {{2, 3}}},
-	{{{3, 2}, {9, 7}}, {{8, 8}, {1, 3}}, {}},
+// meshDiffPoints is the differential's data, [party][point].
+var meshDiffPoints = [][][]float64{
+	{{1, 1}, {2, 1}, {9, 9}, {3, 3}},
+	{{1, 2}, {9, 8}},
+	{{2, 2}, {8, 9}, {2, 3}},
 }
 
-// runMeshLifecycle drives a three-party mesh through cold Run, Append,
-// Append + Expire, Retract and a re-Run, on the settle schedule or on the
-// per-query driver, and returns each party's stages and, at the end, what
-// its cache answers for every own point on every edge.
+// runMeshLifecycle runs a three-party mesh twice — cold, then a re-Run the
+// caches answer whole — on the settle schedule or on the per-query driver,
+// and returns each party's stages and, at the end, what its cache answers
+// for every own point on every edge.
 func runMeshLifecycle(t *testing.T, cfg Config, perQuery bool) (stages [][]meshStage, caches [][][2]int) {
 	t.Helper()
 	const k = 3
@@ -226,7 +226,7 @@ func runMeshLifecycle(t *testing.T, cfg Config, perQuery bool) (stages [][]meshS
 					}
 				}
 			}()
-			ms, err := NewMeshSession(HorizontalParty{Index: p, K: k, Conns: mesh[p]}, cfg, meshDiffGens[0][p])
+			ms, err := NewMeshSession(HorizontalParty{Index: p, K: k, Conns: mesh[p]}, cfg, meshDiffPoints[p])
 			if err != nil {
 				errs[p] = err
 				return
@@ -239,23 +239,7 @@ func runMeshLifecycle(t *testing.T, cfg Config, perQuery bool) (stages [][]meshS
 				return nil
 			})
 			oracle := &perQueryMesh{h: ms.h}
-			steps := []func() error{
-				func() error { return nil }, // cold
-				func() error { return ms.Append(meshDiffGens[1][p]) },
-				func() error {
-					if err := ms.Append(meshDiffGens[2][p]); err != nil {
-						return err
-					}
-					return ms.Expire(1)
-				},
-				func() error { return ms.Retract([][]int{{1}, {0}, {}}[p]) },
-				func() error { return nil }, // re-Run: everything cached
-			}
-			for i, step := range steps {
-				if errs[p] = step(); errs[p] != nil {
-					errs[p] = fmt.Errorf("step %d: %w", i, errs[p])
-					return
-				}
+			for i := range 2 {
 				cmps.Store(0)
 				run := ms.Run
 				if perQuery {
@@ -268,7 +252,7 @@ func runMeshLifecycle(t *testing.T, cfg Config, perQuery bool) (stages [][]meshS
 				}
 				stages[p] = append(stages[p], meshStage{res, cmps.Load()})
 			}
-			// The caches, read destructively now that the lifecycle is over:
+			// The caches, read destructively now that both Runs are over:
 			// per edge and own point, what is covered from the live edge.
 			ms.h.eachPeer(func(_ int, sess *pairSession) error {
 				for i := range ms.h.own.Enc {
@@ -290,11 +274,12 @@ func runMeshLifecycle(t *testing.T, cfg Config, perQuery bool) (stages [][]meshS
 
 // TestMeshSettleMatchesPerQueryDriver is the mesh half of the settle
 // differential (core's TestSettleMatchesPerQueryDriver is the two-party
-// half): on every party and at every Run of the lifecycle the settle
+// half): on every party, at the cold Run and at the re-Run, the settle
 // schedule gives the labels, the region-query and cached-count tallies and
 // the number of comparison instances of the per-query driver it replaced,
-// and it leaves the same caches behind. A mesh edge keeps no Ledger a
-// party could read, so there is none to compare.
+// and it leaves the same caches behind; the re-Run asks no region query
+// over the wire. A mesh edge keeps no Ledger a party could read, so there
+// is none to compare.
 func TestMeshSettleMatchesPerQueryDriver(t *testing.T) {
 	for _, engine := range []compare.EngineKind{compare.EngineMasked, compare.EngineYMPP} {
 		for _, packing := range []core.PackMode{core.PackOff, core.PackSlots, core.PackFull} {
@@ -318,12 +303,15 @@ func TestMeshSettleMatchesPerQueryDriver(t *testing.T) {
 							}
 							cached, cmps = cached+g.res.CachedCounts, cmps+g.cmps
 						}
+						if re := got[p][1]; re.cmps != 0 || re.res.CachedCounts == 0 {
+							t.Errorf("party %d re-Run: %d comparisons, %d cached counts; want none compared, the cache answering", p, re.cmps, re.res.CachedCounts)
+						}
 						if fmt.Sprint(gotCaches[p]) != fmt.Sprint(wantCaches[p]) {
 							t.Errorf("party %d: caches end at %v, per query %v", p, gotCaches[p], wantCaches[p])
 						}
 					}
 					if cached == 0 || cmps == 0 {
-						t.Errorf("vacuous: %d cached counts and %d comparisons over the whole lifecycle", cached, cmps)
+						t.Errorf("vacuous: %d cached counts and %d comparisons over both Runs", cached, cmps)
 					}
 				})
 			}

@@ -330,7 +330,7 @@ func DecodeDirectory(r *transport.Reader, dim, quantum int) (Directory, error) {
 	}
 	prev := ""
 	for i := 0; i < n; i++ {
-		coord := r.Ints()
+		coord := r.Ints(dim)
 		count := int(r.Uint())
 		if err := r.Err(); err != nil {
 			return Directory{}, err
@@ -362,28 +362,27 @@ func EncodeCells(b *transport.Builder, cells [][]int64) *transport.Builder {
 	return b
 }
 
-// DecodeCells parses a cell-coordinate list of the given dimension; a
-// negative dim accepts any width (callers validate consistency).
-func DecodeCells(r *transport.Reader, dim int) ([][]int64, error) {
-	n := int(r.Uint())
+// DecodeCells parses a list of at most maxCells cells of dim coordinates
+// each. Both bounds come from the caller and are checked before anything
+// is sized from a declared count, so a hostile count costs no allocation.
+func DecodeCells(r *transport.Reader, maxCells, dim int) ([][]int64, error) {
+	n := r.Uint()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	// Each cell needs at least one byte; reject counts a corrupt frame
-	// cannot back before allocating for them.
-	if n < 0 || n > r.Remaining() {
-		return nil, fmt.Errorf("spatial: cell count %d exceeds message size", n)
+	// Each cell needs at least one byte of the frame as well.
+	if n > uint64(r.Remaining()) || int(n) > maxCells {
+		return nil, fmt.Errorf("spatial: cell count %d exceeds the limit %d or the message size", n, maxCells)
 	}
-	out := make([][]int64, 0, n)
-	for i := 0; i < n; i++ {
-		c := r.Ints()
+	out := make([][]int64, n)
+	for i := range out {
+		out[i] = r.Ints(dim)
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		if dim >= 0 && len(c) != dim {
-			return nil, fmt.Errorf("spatial: cell %d has %d coordinates, want %d", i, len(c), dim)
+		if len(out[i]) != dim {
+			return nil, fmt.Errorf("spatial: cell %d has %d coordinates, want %d", i, len(out[i]), dim)
 		}
-		out = append(out, c)
 	}
 	return out, nil
 }

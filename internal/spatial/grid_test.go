@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/transport"
@@ -169,16 +170,34 @@ func TestDecodeDirectoryRejectsMalformed(t *testing.T) {
 func TestDecodeCellsRejectsHugeCounts(t *testing.T) {
 	for _, count := range []uint64{1 << 61, 1 << 63} {
 		b := transport.NewBuilder().PutUint(count)
-		if _, err := DecodeCells(transport.NewReader(b.Bytes()), 2); err == nil {
+		if _, err := DecodeCells(transport.NewReader(b.Bytes()), math.MaxInt, 2); err == nil {
 			t.Errorf("cell count %d accepted", count)
 		}
+	}
+}
+
+// TestDecodeCellsRefusesCountBeforeAllocating: a 1 MB frame whose count
+// declares a million (empty) cells, above the caller's limit, is refused
+// before anything is sized from the count.
+func TestDecodeCellsRefusesCountBeforeAllocating(t *testing.T) {
+	const n = 1 << 20
+	frame := append(transport.NewBuilder().PutUint(n).Bytes(), make([]byte, n)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeCells(transport.NewReader(frame), 8, 2)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("%d cells accepted at a limit of 8", n)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("refusing %d cells allocated %d bytes first", n, d)
 	}
 }
 
 func TestCellsCodecRoundTrip(t *testing.T) {
 	cells := [][]int64{{-3, 7}, {0, 0}, {1 << 40, -(1 << 40)}}
 	b := EncodeCells(transport.NewBuilder(), cells)
-	got, err := DecodeCells(transport.NewReader(b.Bytes()), 2)
+	got, err := DecodeCells(transport.NewReader(b.Bytes()), len(cells), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +209,11 @@ func TestCellsCodecRoundTrip(t *testing.T) {
 			t.Fatalf("cell %d: %v vs %v", i, got[i], cells[i])
 		}
 	}
-	if _, err := DecodeCells(transport.NewReader(b.Bytes()), 3); err == nil {
+	if _, err := DecodeCells(transport.NewReader(b.Bytes()), len(cells), 3); err == nil {
 		t.Error("dimension mismatch not rejected")
+	}
+	if _, err := DecodeCells(transport.NewReader(b.Bytes()), len(cells)-1, 2); err == nil {
+		t.Error("a cell count above the limit not rejected")
 	}
 }
 

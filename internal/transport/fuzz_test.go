@@ -30,7 +30,7 @@ func FuzzReaderNeverPanics(f *testing.F) {
 		_ = r.Bytes()
 		_ = r.Big()
 		_ = r.Bigs()
-		_ = r.Ints()
+		_ = r.Ints(r.Remaining())
 		_ = r.String()
 		_ = r.Remaining()
 		_ = r.Err()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/big"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -405,7 +406,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if len(bs) != 2 || bs[0].Sign() != 0 || bs[1].Int64() != 99 {
 		t.Errorf("Bigs = %v", bs)
 	}
-	is := r.Ints()
+	is := r.Ints(3)
 	if len(is) != 3 || is[0] != -1 || is[2] != 1 {
 		t.Errorf("Ints = %v", is)
 	}
@@ -417,6 +418,32 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	if r.Remaining() != 0 {
 		t.Errorf("Remaining = %d", r.Remaining())
+	}
+}
+
+// TestWireIntsLimit: Ints refuses a declared length above the caller's
+// limit even when the frame could back it, and in a 1 MB frame declaring a
+// million integers it refuses before the list is allocated.
+func TestWireIntsLimit(t *testing.T) {
+	msg := NewBuilder().PutInts([]int64{1, 2, 3}).Bytes()
+	if r := NewReader(msg); len(r.Ints(3)) != 3 || r.Err() != nil {
+		t.Fatalf("three integers at a limit of 3: %v", r.Err())
+	}
+	if r := NewReader(msg); r.Ints(2) != nil || r.Err() == nil {
+		t.Error("three integers accepted at a limit of 2")
+	}
+	const n = 1 << 20
+	frame := append(NewBuilder().PutUint(n).Bytes(), make([]byte, n)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewReader(frame)
+	r.Ints(4)
+	runtime.ReadMemStats(&after)
+	if r.Err() == nil {
+		t.Fatalf("%d integers accepted at a limit of 4", n)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("refusing %d integers allocated %d bytes first", n, d)
 	}
 }
 
@@ -438,7 +465,7 @@ func TestWireEmptyReader(t *testing.T) {
 	// Error is sticky; subsequent reads do not panic.
 	r.Big()
 	r.Bigs()
-	r.Ints()
+	r.Ints(1)
 	if r.Int() != 0 || r.Bool() {
 		t.Error("post-error reads should return zero values")
 	}

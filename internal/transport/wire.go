@@ -217,14 +217,21 @@ func (r *Reader) Bigs() []*big.Int {
 	return out
 }
 
-// Ints reads a count-prefixed list of signed integers.
-func (r *Reader) Ints() []int64 {
+// Ints reads a count-prefixed list of at most limit signed integers — the
+// caller's bound, a dimension or an expected length. A longer declared
+// count is refused before anything is sized from it, as is one the frame's
+// remaining bytes cannot back.
+func (r *Reader) Ints(limit int) []int64 {
 	n := r.Uint()
 	if r.err != nil {
 		return nil
 	}
 	if n > uint64(len(r.buf)) {
 		r.fail(ErrTruncated)
+		return nil
+	}
+	if n > uint64(max(limit, 0)) {
+		r.fail(fmt.Errorf("transport: %d integers declared, limit %d", n, limit))
 		return nil
 	}
 	out := make([]int64, n)
