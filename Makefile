@@ -40,10 +40,13 @@ bench:
 # `wan` and `ympp`, the horizontal settle step moved transport.frames and
 # the cts / frames counters of `bulk`, `live` and `mesh`, and the enhanced
 # chunk schedule moved `serve`'s transport.frames 265 → 46 and
-# core.cts_down 39 → 10; no comparison, cache or Ledger counter moved. The
-# `benchmark` change of ROADMAP item 1(a) refreshes them (the fresh JSON
-# lines are in CHANGES.md) and puts this back to one
-# `bash bench/run.sh -check`.
+# core.cts_down 39 → 10; none of those moved a comparison, cache or Ledger
+# counter. The lockstep wave planner, which decides only the pairs the
+# labels need, moved `wan`'s: core.secure_cmps 2661 → 774,
+# core.ledger_total 16256 → 12482, core.cts_up 531 → 472, core.cts_down
+# 301 → 79 and transport.frames 37 → 13. The `benchmark` change of ROADMAP
+# item 1(a) refreshes them (the fresh JSON lines are in CHANGES.md) and
+# puts this back to one `bash bench/run.sh -check`.
 bench-check:
 	@out="$$(bash bench/run.sh -check -workload serve)"; echo "$$out"; \
 	for c in core.secure_cmps core.ledger_total core.cts_up; do \
@@ -53,8 +56,9 @@ bench-check:
 	if [ -n "$$bad" ]; then echo "bench-check: counters differ:"; echo "$$bad"; exit 1; fi
 
 # Short fuzz pass over the wire, batch-frame, mux-frame, and spatial-grid
-# codecs, yao's limb kernel against math/big, and core's settle and
-# enhanced-chunk op decoders.
+# codecs, yao's limb kernel against math/big, core's settle and
+# enhanced-chunk op decoders, and the lockstep wave planner against its
+# plaintext replay.
 fuzz:
 	$(GO) test ./internal/transport -run NONE -fuzz FuzzBatchFrameCodec -fuzztime 10s
 	$(GO) test ./internal/transport -run NONE -fuzz FuzzReaderNeverPanics -fuzztime 10s
@@ -68,6 +72,7 @@ fuzz:
 	$(GO) test ./internal/yao -run NONE -fuzz FuzzMont4Exp -fuzztime 10s
 	$(GO) test ./internal/core -run NONE -fuzz FuzzSettleOp -fuzztime 10s
 	$(GO) test ./internal/core -run NONE -fuzz FuzzCoreOp -fuzztime 10s
+	$(GO) test ./internal/core -run NONE -fuzz FuzzLockstepPlan -fuzztime 10s
 
 clean:
 	rm -rf .bench_build ppdbscan

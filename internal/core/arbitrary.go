@@ -28,8 +28,8 @@ import (
 // Bob keeps only the sum of a pair's masked cross products, and the
 // zero-sum masks cancel in it: what he keeps is the exact cross dot
 // product Σ a·b, so that is what this protocol hands him. The lockstep
-// driver hands batchLE a chunk of the pair matrix — whole rows, up to 256
-// undecided pairs (LockstepCluster). Bob uplinks one ciphertext per mixed
+// driver hands batchLE a chunk of one of its waves — whole rows, up to 256
+// pairs the labels need (LockstepCluster). Bob uplinks one ciphertext per mixed
 // value of the chunk; Alice folds each pair's mixed terms into one slot of
 // a reply that starts as one bias encryption (mpc.SenderScatterDot: S
 // slots a reply under the pair's dot-product packer, one under "off"), and

@@ -207,21 +207,32 @@
 // the responder's query-level Ledger; enhanced and mesh drivers report
 // nothing) and runs at width one. LockstepCluster (lockstep.go) is
 // Algorithm 6 for the pair shape — vertical, arbitrary, and the multiparty
-// ring: DBSCAN queries every point once, so the pairs it will ask about
-// are all of them, known before the first frame. The driver settles the
-// whole pair matrix first — what the grid index or the cross-run cache
-// does not decide goes to the oracle through the same settleSchedule, a
-// row being the undecided pairs of one record against the records before
-// it (an appended record's neighbourhood) — and then runs
-// dbscan.ClusterGeneric over the
-// result, a chunk being one exchange at every batching and packing. The
+// ring. The labels need which points are core, which core points connect
+// and the whole neighbourhood of every point that is not core, so the
+// driver decides pairs in waves until no pair they need is left: what the
+// grid index or the cross-run cache does not decide is a candidate, and
+// planWave names each wave's candidates from the bits decided so far — a
+// point short of core asks for twice the positives it lacks, then one
+// pair for each two core components not yet joined, and all that is still
+// relevant once it fits one round-trip group (chunkBound·W). Every wave
+// goes to the oracle through the same settleSchedule, a row being a
+// record's asked pairs against the records before it (an appended
+// record's neighbourhood), and the driver then runs dbscan.ClusterGeneric
+// over the decided positive pairs, a chunk being one exchange at every
+// batching and packing. A wave depends only on the cell matrix, the cache
+// and bits every party already learnt (Theorem 10), and the pairs decided
+// are a subset of the whole matrix, so the run discloses no more than one
+// that decides every pair. The
 // comparison and multiplication leaves under the drivers are the only
 // thing that varies by family, and Config.Batching only switches the
 // comparison leg (batched, or one at a time — the engine's business,
 // compare.Edge.Sequential). Schedules
 // are pure functions of shared protocol state, so jointly-computed oracles
-// stay in lock step, and labels, Ledgers, and comparison totals do not
-// depend on W (the parallel equivalence harness enforces this). W = 1 is
+// stay in lock step, and labels do not depend on W; nor do Ledgers and
+// comparison totals (the parallel equivalence harness enforces this),
+// except a lockstep Run's, whose tail rule asks every relevant pair once
+// they fit W chunks: a Run with more than 256 relevant pairs can decide
+// more of them at a wider W, and its PairDecisions grows with them. W = 1 is
 // one worker, run inline on the session's bare connection; W > 1
 // multiplexes W channels over it. The win is round-trip overlap — the
 // bench `wan` workload measures it over a delayed pipe as
@@ -288,7 +299,8 @@
 //     (vertical/arbitrary, via
 //     LockstepCluster: up to 256 pair decisions, whole rows) costs a
 //     constant number of vdp.cmp/adp.cmp frames instead of 3 per pair,
-//     and a cold Run is a handful of chunks; an enhanced chunk (up to 256
+//     and a cold Run is a handful of chunks over a few waves — the pairs
+//     the labels need, not the whole matrix; an enhanced chunk (up to 256
 //     candidates, whole core queries) costs one op frame, one share
 //     exchange, three frames a selection round — every query's step
 //     machine in lockstep, a tournament level (scan) or a pivot

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -296,7 +297,7 @@ func assertPrunedOutcome(t *testing.T, proto string, clustered bool, off, on eqO
 			if onL.OrderBits > offL.OrderBits || onL.CoreBits > offL.CoreBits {
 				t.Errorf("%s enhanced disclosure grew: pruned %v, exhaustive %v", side, onL, offL)
 			}
-		} else if onL.NonIndex() != offL.NonIndex() {
+		} else if proto == "horizontal" && onL.NonIndex() != offL.NonIndex() {
 			t.Errorf("%s non-index ledgers diverge: pruned %v, exhaustive %v", side, onL, offL)
 		}
 		if !oneCellIndex(offL, len(pair[2].Labels)) {
@@ -307,9 +308,10 @@ func assertPrunedOutcome(t *testing.T, proto string, clustered bool, off, on eqO
 		}
 	}
 	offCmp, onCmp := comparisons(off), comparisons(on)
-	// The lockstep protocols prune pairs outright and the basic HDP query
-	// falls back to the exhaustive set whenever padding would not shrink
-	// it, so neither can ever compare more. The enhanced selection's
+	// The basic HDP query falls back to the exhaustive set whenever padding
+	// would not shrink it, so it can never compare more; the lockstep
+	// planner asks adjacent-cell candidates only, and on these fixtures no
+	// more of them than of the whole matrix. The enhanced selection's
 	// comparison count is not exactly monotone in the candidate-set size
 	// (quickselect pivots shift), so its guarantee is the clustered-data
 	// reduction.
@@ -321,13 +323,46 @@ func assertPrunedOutcome(t *testing.T, proto string, clustered bool, off, on eqO
 	}
 }
 
+// TestPruningEquivalenceGridVsOff runs every family with grid pruning and
+// without. The labels must match. The horizontal family's non-index
+// Ledgers must match too; the lockstep families decide only the pairs the
+// labels need, and which those are depends on the candidates, so each
+// mode's Ledger must equal the planner's plaintext replay for that mode
+// (replayRun): a PairDecisions entry per pair pruned or compared, and
+// Bob's DotProducts one per such pair with mixed cells.
 func TestPruningEquivalenceGridVsOff(t *testing.T) {
 	for _, d := range pruneDatasets() {
+		asplit, err := partition.ArbitraryRandom(d.points, 0.5, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mixed := func(pr [2]int) bool { return !slices.Equal(asplit.Owners[pr[0]], asplit.Owners[pr[1]]) }
 		for _, proto := range prunedProtocols(t, d) {
 			t.Run(d.name+"/"+proto.name, func(t *testing.T) {
-				off := proto.run(t, pruneCfg(compare.EngineMasked, d.grid, BatchModeBatched, PruneOff))
-				on := proto.run(t, pruneCfg(compare.EngineMasked, d.grid, BatchModeBatched, PruneGrid))
+				offCfg := pruneCfg(compare.EngineMasked, d.grid, BatchModeBatched, PruneOff)
+				onCfg := pruneCfg(compare.EngineMasked, d.grid, BatchModeBatched, PruneGrid)
+				off, on := proto.run(t, offCfg), proto.run(t, onCfg)
 				assertPrunedOutcome(t, proto.name, d.clustered, off, on)
+				if proto.name != "vertical" && proto.name != "arbitrary" {
+					return
+				}
+				for _, m := range []struct {
+					cfg Config
+					o   eqOutcome
+				}{{offCfg, off}, {onCfg, on}} {
+					want := replayRun(t, m.cfg, d.points, NewPairCache())
+					wantA := Ledger{PairDecisions: want.pairDecisions()}
+					wantB := wantA
+					if proto.name == "arbitrary" {
+						wantB.DotProducts = want.count(mixed)
+					}
+					if got := m.o.ra.Leakage.NonIndex(); got != wantA {
+						t.Errorf("pruning %s: alice ledger %v, the replay %v", m.cfg.Pruning, got, wantA)
+					}
+					if got := m.o.rb.Leakage.NonIndex(); got != wantB {
+						t.Errorf("pruning %s: bob ledger %v, the replay %v", m.cfg.Pruning, got, wantB)
+					}
+				}
 			})
 		}
 	}

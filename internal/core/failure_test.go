@@ -345,25 +345,40 @@ func (c *tagTrace) Recv() ([]byte, error) {
 }
 
 // verticalDropPoints places three connection drops inside a vertical Run
-// of more than W chunks, counted in frames the initiator has received
-// since the Run began: at the first reply (the first uplink is out,
-// nothing is decided), between two chunks of a channel, and at the last
-// reply (its result frame never leaves).
-func verticalDropPoints(t *testing.T, w, run int) []int {
+// at cfg over latencyVertical's records, counted in frames the initiator
+// has received since the Run began — one a chunk (run, measured) — at the
+// first reply (the first uplink is out, nothing is decided), between the
+// planner's first wave and its second (every bit of the first is decided,
+// the second is planned from them), and at the last reply (its result
+// frame never leaves). The wave boundary comes from the planner's
+// plaintext replay (replayRun), which must take at least two waves and
+// account for every frame.
+func verticalDropPoints(t *testing.T, cfg Config, run int) []int {
 	t.Helper()
-	if run <= w {
-		t.Fatalf("the vertical Run is %d chunks at W=%d: it has no middle to vanish in", run, w)
+	want := replayRun(t, cfg, latencyVertical(), NewPairCache())
+	if len(want.waves) < 2 {
+		t.Fatalf("the vertical Run is %d wave(s) at W=%d: it has no point between two waves to vanish at", len(want.waves), cfg.Parallel)
 	}
-	return []int{0, run / 2, run - 1}
+	if run != want.chunks() {
+		t.Fatalf("the vertical Run received %d frames at W=%d, the replay deals %d chunks", run, cfg.Parallel, want.chunks())
+	}
+	return []int{0, len(waveChunks(want.waves[0], want.bound)), run - 1}
+}
+
+// latencyVertical is the vertical family's records: 80 points in three
+// loose blobs on the 8 × 8 grid, on which a Run takes several waves of
+// the planner at W = 1 and W = 4 alike.
+func latencyVertical() [][]float64 {
+	d, _ := dataset.Quantize(dataset.Blobs(80, 3, 2, 7), 8)
+	return d.Points
 }
 
 // latencyFamilies binds the four two-party families to data on which every
 // one of them puts ciphertexts under the peer's key on the wire (the blob
 // sample, except that the enhanced family asks nothing remote on it and
-// takes the grid fixture). The vertical family takes a larger sample of
-// the same blobs: its Run is more than W = 4 chunks of the lockstep
-// schedule (cleanRunFrames' callers assert it), so every worker channel
-// runs a second chunk after its first — a Run has a middle to vanish in.
+// takes the grid fixture). The vertical family takes latencyVertical: its
+// Run takes several waves of the lockstep planner (verticalDropPoints
+// asserts it), so a Run has a point between two waves to vanish at.
 func latencyFamilies(t *testing.T) []sessionFamily {
 	t.Helper()
 	blobs, _ := dataset.Quantize(dataset.Blobs(24, 2, 0.4, 7), 8)
@@ -371,8 +386,7 @@ func latencyFamilies(t *testing.T) []sessionFamily {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, _ := dataset.Quantize(dataset.Blobs(80, 2, 0.4, 7), 8)
-	vsplit, err := partition.Vertical(wide.Points, 1)
+	vsplit, err := partition.Vertical(latencyVertical(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,8 +473,9 @@ func latencyFamily(t *testing.T, name string) sessionFamily {
 func TestVerticalPeerDisappears(t *testing.T) {
 	fam := latencyFamily(t, "vertical")
 	for _, w := range []int{1, 4} {
-		est, run := cleanRunFrames(t, fam, parallelCfg(compare.EngineMasked, w, PruneGrid))
-		for _, inRun := range verticalDropPoints(t, w, len(run)) {
+		cfg := parallelCfg(compare.EngineMasked, w, PruneGrid)
+		est, run := cleanRunFrames(t, fam, cfg)
+		for _, inRun := range verticalDropPoints(t, cfg, len(run)) {
 			runWithDroppedConn(t, "vertical", w, est+inRun,
 				func(c transport.Conn, cfg Config) error {
 					_, err := runOneShot(fam.newA(c, cfg))
@@ -591,7 +606,7 @@ func TestSessionPeerVanishesMidRun(t *testing.T) {
 				_, serial := cleanRunFrames(t, fam, parallelCfg(compare.EngineMasked, 1, PruneGrid))
 				drops = enhancedDropPoints(t, serial)
 			default:
-				drops = verticalDropPoints(t, w, len(run))
+				drops = verticalDropPoints(t, cfg, len(run))
 			}
 			for _, afterMsgs := range drops {
 				label := fmt.Sprintf("%s W=%d afterMsgs=%d", fam.name, w, afterMsgs)

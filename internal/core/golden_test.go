@@ -314,19 +314,19 @@ var goldenDigestsW4 = map[string]string{
 	"vertical/ympp/Run":         "3472be2b912dd0a0 c3ce7b0f7c91c45e",
 	"vertical/ympp/Append":      "e4323612dbb39545 393a50fd6b7b8602",
 	"vertical/ympp/Expire":      "9497e90d9d19b08a 393a50fd6b7b8602",
-	"vertical/ympp/Retract":     "273de91473fa8aaa 57e64690d2279658",
+	"vertical/ympp/Retract":     "da72d1789cc296e5 ea88eca6ec512a81",
 	"vertical/masked/Run":       "89be1b279af55699 5ada8f6d7c642d26",
 	"vertical/masked/Append":    "62ee13a777375b4b 09ecff52a8d21ad3",
 	"vertical/masked/Expire":    "f88d01fd9097088e 09ecff52a8d21ad3",
-	"vertical/masked/Retract":   "20cd7ead10b1da44 4e74fdcef9330940",
+	"vertical/masked/Retract":   "80e6dcf798f0ad7c 55c07cda5fda8315",
 	"arbitrary/ympp/Run":        "33ce79cea7131889 7d95293f6c581ffe",
 	"arbitrary/ympp/Append":     "5ee87e43f3f37c23 366730fc24f25f3a",
 	"arbitrary/ympp/Expire":     "4d93677997680fbf 366730fc24f25f3a",
-	"arbitrary/ympp/Retract":    "bf8a2167fbf176c3 dfa041fb8da72792",
+	"arbitrary/ympp/Retract":    "c71224b60fd62af1 f63d4a7e3719252b",
 	"arbitrary/masked/Run":      "dade5e1286d2abc5 0039bbf5003fa433",
 	"arbitrary/masked/Append":   "2831a5f81a0454bc 0bafa6332a03001f",
 	"arbitrary/masked/Expire":   "93ab8f442fbf345c 0bafa6332a03001f",
-	"arbitrary/masked/Retract":  "ed0acfe970bffb82 8529c2b139ac16b6",
+	"arbitrary/masked/Retract":  "eb15ea813ffb8f8f a79dad74a86c21cc",
 }
 
 // wideCfg is the W = 4 rows' configuration: the one-cell grid, so every

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dbscan"
@@ -127,8 +128,8 @@ func chunkBound(cmpBytes int) int {
 	return max(1, min(lockstepChunk, transport.MaxFrameSize/4/max(1, cmpBytes)))
 }
 
-// settleSchedule is the one schedule of every settle step: LockstepCluster's
-// pair matrix, Pair.Settle's region sub-queries and settleEnhanced's core
+// settleSchedule is the one schedule of every settle step: each of
+// LockstepCluster's waves, Pair.Settle's region sub-queries and settleEnhanced's core
 // queries. Whole rows are packed, in order, into chunks of at most bound
 // total weight — a row joins the open chunk unless it would take it past
 // the bound, and a single heavier row is its own chunk — and chunk c runs
@@ -169,6 +170,13 @@ func settleSchedule[T, R any](rows [][]T, weight func(row []T) int, w, bound int
 	return chunks, results, err
 }
 
+// lockstepAsk is the planner's phase-1 multiplier: a point still short of
+// core asks for lockstepAsk times the positives it lacks. It is measured,
+// not a knob: on the bench `wan` workload k = 1 decided the fewest pairs
+// but took more waves, k = 4 decided half again as many as k = 2, and
+// k = 2 read the lowest run time of the three (CHANGES.md).
+const lockstepAsk = 2
+
 // LockstepCluster is the shared DBSCAN driver of Algorithms 5–6 for the
 // pair-shaped protocols: every participant executes this exact code with
 // a jointly-computed pairwise decision oracle, so the sequence of
@@ -176,43 +184,53 @@ func settleSchedule[T, R any](rows [][]T, weight func(row []T) int, w, bound int
 // same labelling. The two-party vertical and arbitrary protocols use it,
 // as does the multi-party ring (internal/multiparty).
 //
-// It runs in two steps, because DBSCAN queries every point: the set of
-// pairs the algorithm will ask about is every pair, known before the
-// first frame, and nothing about it waits on a result.
+// DBSCAN's labels need three things of the pair matrix: which points are
+// core, which core points connect, and the whole neighbourhood of every
+// point that is not core. So step 1 decides pairs in waves until no pair
+// is left that the labels need, and the rest of the matrix is never
+// compared.
 //
-// Step 1 settles the whole pair matrix. Every pair i < j is enumerated
-// once. decideLocal, when non-nil, settles a pair without the oracle (the
-// grid-pruning shortcut, see PrunedLocalDecider). prior, when non-nil,
-// seeds the run with a cross-run PairCache: a pair already in it never
-// reaches the oracle — onCached fires for it, once (the hook records the
+// Every pair i < j is offered once, before the first wave. decideLocal,
+// when non-nil, settles a pair without the oracle (the grid-pruning
+// shortcut, see PrunedLocalDecider). prior, when non-nil, seeds the run
+// with a cross-run PairCache: a pair already in it never reaches the
+// oracle — onCached fires for it, once (the hook records the
 // decision-level Ledger budget and the cached-comparison counter). What is
-// left is grouped into rows by the higher-indexed endpoint — row j holds
-// the undecided pairs (i, j), i ascending, so an appended record's pairs
-// form one row: its neighbourhood — and the rows go through settleSchedule,
-// a pair weighing one: chunks of whole rows, at most chunkBound(cmpBytes)
-// pairs unless a single row is larger, chunk c as one batchOn(c mod w,
-// pairs) call on that worker channel. batchOn reads each pair's row back
-// with PairRows, which is how the callers keep the grouped comparison
-// uplink's dedup inside one neighbourhood (compare/full.go). Every family's
-// batchOn runs its chunk as one exchange at every batching and packing —
-// vertical its comparisons, arbitrary one cross-dot exchange and its
-// comparisons, the ring one circulation — and Config.Batching switches only
-// the comparison leg: one batch, or one comparison at a time in chunk
-// order. Oracle results are written to the matrix and to prior after every
-// worker has returned, on the calling goroutine, so the cache needs no
-// locking.
+// left are the undecided candidates, and each wave asks some of them:
+// planWave names the wave's pairs, grouped into rows by the
+// higher-indexed endpoint — row j holds the wave's pairs (i, j), i
+// ascending, so an appended record's pairs form one row: its
+// neighbourhood — and the rows go through settleSchedule, a pair weighing
+// one: chunks of whole rows, at most chunkBound(cmpBytes) pairs unless a
+// single row is larger, chunk c as one batchOn(c mod w, pairs) call on
+// that worker channel. batchOn reads each pair's row back with PairRows,
+// which is how the callers keep the grouped comparison uplink's dedup
+// inside one neighbourhood (compare/full.go). Every family's batchOn runs
+// its chunk as one exchange at every batching and packing — vertical its
+// comparisons, arbitrary one cross-dot exchange and its comparisons, the
+// ring one circulation — and Config.Batching switches only the comparison
+// leg: one batch, or one comparison at a time in chunk order. Oracle
+// results are written to the matrix and to prior after every worker has
+// returned, on the calling goroutine, so the cache needs no locking.
 //
-// Rows, chunks and channel assignments are pure functions of state every
-// participant holds identically before the run — n, prior, the cell
-// matrix behind decideLocal, w and the engine behind cmpBytes — so the
-// jointly-computed oracles pair up chunk for chunk, and the decided-pair
-// multiset — with it the labels and every count-based Ledger class — does
-// not depend on w or on the bound. A cold run costs ⌈chunks/w⌉ dependent
-// round-trip groups instead of one per neighbourhood.
+// A wave is a pure function of what every participant holds identically:
+// the candidates left after decideLocal and prior, MinPts, the bits
+// decided so far — which every participant learns (Theorem 10) — w and the
+// engine behind cmpBytes. So the jointly-computed oracles pair up wave for
+// wave and chunk for chunk, the decided pairs — with them the labels and
+// every count-based Ledger class — do not depend on w beyond the tail
+// rule's group size, and what a run discloses is a subset of the whole
+// pair matrix: the pairs asked depend on nothing but bits already
+// disclosed.
 //
-// Step 2 is plain DBSCAN over the settled matrix: dbscan.ClusterGeneric,
-// the same Algorithm-6 control flow the plaintext oracle runs, so the
-// labels are the single-party labels by construction.
+// Step 2 is plain DBSCAN over the decided positive pairs:
+// dbscan.ClusterGeneric, the same Algorithm-6 control flow the plaintext
+// oracle runs. Its labels are the full matrix's: a point is core iff its
+// decided positives reach MinPts — a point is left short only once its
+// every candidate is decided; two core points share a component iff they
+// do over the full matrix — no undecided pair joins two components; and a
+// point that is not core has its whole neighbourhood decided, so it
+// borders the same clusters.
 func LockstepCluster(n, minPts, w, cmpBytes int,
 	prior *PairCache, onCached func(pr [2]int, in bool),
 	decideLocal func(pr [2]int) (value, decided bool),
@@ -223,11 +241,13 @@ func LockstepCluster(n, minPts, w, cmpBytes int,
 	if w < 1 {
 		return nil, 0, fmt.Errorf("core: worker width %d < 1", w)
 	}
-	// near[i] is i's Eps-neighbourhood, itself included.
+	// near[i] is i's decided Eps-neighbourhood, itself included; open[i]
+	// its undecided candidates, ascending.
 	near := make([][]int, n)
 	for i := range near {
 		near[i] = []int{i}
 	}
+	open := make([][]int, n)
 	settle := func(pr [2]int, in bool) {
 		if in {
 			near[pr[0]] = append(near[pr[0]], pr[1])
@@ -235,7 +255,6 @@ func LockstepCluster(n, minPts, w, cmpBytes int,
 		}
 	}
 
-	rows := make([][][2]int, n)
 	for j := 1; j < n; j++ {
 		for i := 0; i < j; i++ {
 			pr := [2]int{i, j}
@@ -254,19 +273,32 @@ func LockstepCluster(n, minPts, w, cmpBytes int,
 					continue
 				}
 			}
-			rows[j] = append(rows[j], pr)
+			open[i] = append(open[i], j)
+			open[j] = append(open[j], i)
 		}
 	}
-	chunks, results, err := settleSchedule(rows, func(row [][2]int) int { return len(row) }, w, chunkBound(cmpBytes), batchOn)
-	if err != nil {
-		return nil, 0, err
-	}
-	for c, chunk := range chunks {
-		for u, pr := range chunk {
-			settle(pr, results[c][u])
-			if prior != nil {
-				prior.m[pr] = results[c][u]
+	bound := chunkBound(cmpBytes)
+	for {
+		rows := planWave(minPts, bound*w, near, open)
+		if rows == nil {
+			break
+		}
+		chunks, results, err := settleSchedule(rows, func(row [][2]int) int { return len(row) }, w, bound, batchOn)
+		if err != nil {
+			return nil, 0, err
+		}
+		asked := make(map[[2]int]bool)
+		for c, chunk := range chunks {
+			for u, pr := range chunk {
+				settle(pr, results[c][u])
+				if prior != nil {
+					prior.m[pr] = results[c][u]
+				}
+				asked[pr] = true
 			}
+		}
+		for i, part := range open {
+			open[i] = slices.DeleteFunc(part, func(j int) bool { return asked[[2]int{min(i, j), max(i, j)}] })
 		}
 	}
 
@@ -275,6 +307,101 @@ func LockstepCluster(n, minPts, w, cmpBytes int,
 	}
 	labels, clusters := dbscan.ClusterGeneric(n, func(i int) []int { return near[i] }, minPts)
 	return labels, clusters, nil
+}
+
+// planWave names LockstepCluster's next wave, as rows of pairs (row j the
+// pairs (i, j), i ascending), or nil once the labels need no more pairs.
+// near[i] is i's decided neighbourhood (itself included), open[i] its
+// undecided candidates ascending; a point is core once len(near[i]) ≥
+// minPts, and core points joined by decided positive pairs form one
+// component. A pair is still relevant unless both its ends are core points
+// of one component: its bit could change no label.
+//
+//   - Tail: when the relevant pairs number at most group — one round-trip
+//     group, chunkBound·W — the wave is all of them.
+//   - Phase 1: otherwise each point not yet core asks for its first
+//     lockstepAsk × (minPts − len(near[i])) undecided candidates.
+//   - Phase 2: when no point short of core has an undecided candidate, the
+//     wave is one pair — the first in (i, j) order — for each pair of core
+//     components an undecided pair still runs between.
+//
+// Every wave holds at least one pair while a relevant pair is left, so the
+// loop ends; the wave is a function of its arguments only.
+func planWave(minPts, group int, near, open [][]int) [][][2]int {
+	n := len(near)
+	core := func(i int) bool { return len(near[i]) >= minPts }
+	comp := make([]int, n)
+	for i := range comp {
+		comp[i] = i
+	}
+	find := func(i int) int {
+		for comp[i] != i {
+			comp[i] = comp[comp[i]]
+			i = comp[i]
+		}
+		return i
+	}
+	for i, nb := range near {
+		if core(i) {
+			for _, j := range nb {
+				if j > i && core(j) {
+					comp[find(j)] = find(i)
+				}
+			}
+		}
+	}
+	relevant := func(i, j int) bool { return !core(i) || !core(j) || find(i) != find(j) }
+	count := 0
+	for i, part := range open {
+		for _, j := range part {
+			if j > i && relevant(i, j) {
+				count++
+			}
+		}
+	}
+	if count == 0 {
+		return nil
+	}
+
+	// pick adds the relevant pairs ask names to the wave, scanned in (i, j)
+	// order so that every row comes out ascending.
+	rows := make([][][2]int, n)
+	pick := func(ask func(i, j int) bool) (picked bool) {
+		for i, part := range open {
+			for _, j := range part {
+				if j > i && relevant(i, j) && ask(i, j) {
+					rows[j] = append(rows[j], [2]int{i, j})
+					picked = true
+				}
+			}
+		}
+		return picked
+	}
+	if count <= group {
+		pick(func(int, int) bool { return true })
+		return rows
+	}
+	// Phase 1: last[i] is the largest partner i asks for, -1 for none.
+	last := make([]int, n)
+	for i, part := range open {
+		last[i] = -1
+		if lack := minPts - len(near[i]); lack > 0 && len(part) > 0 {
+			last[i] = part[min(lockstepAsk*lack, len(part))-1]
+		}
+	}
+	if pick(func(i, j int) bool { return j <= last[i] || i <= last[j] }) {
+		return rows
+	}
+	joined := make(map[[2]int]bool)
+	pick(func(i, j int) bool {
+		k := [2]int{min(find(i), find(j)), max(find(i), find(j))}
+		if joined[k] {
+			return false
+		}
+		joined[k] = true
+		return true
+	})
+	return rows
 }
 
 // PairRows names the row of every pair of a chunk — its higher-indexed

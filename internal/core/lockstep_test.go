@@ -398,22 +398,18 @@ func packRows(rows []int, bound int) (chunks int) {
 }
 
 // TestLockstepRunFramePin pins what the schedule puts on the wire: a cold
-// vertical Run is the run op plus three vdp.cmp frames per chunk, at W = 1
-// and W = 4 alike, and a Run after Append(2) — two new rows, everything
-// else served by the pair cache — is one chunk.
+// vertical Run is the run op plus three vdp.cmp frames per chunk, summed
+// over the waves the planner's plaintext replay names (replayRun) — at
+// least two of them at W = 1 and at W = 4 — and a Run after Append(2) —
+// two new rows, every pair the labels needed before answered by the pair
+// cache — is one chunk.
 func TestLockstepRunFramePin(t *testing.T) {
 	const n = 60
 	colA, colB := make([][]float64, n), make([][]float64, n)
+	live := make([][]float64, n)
 	for i := range colA {
 		colA[i], colB[i] = []float64{float64(i % 8)}, []float64{float64(i / 8)}
-	}
-	rows := make([]int, n)
-	for j := range rows {
-		rows[j] = j // pruning off: row j is every (i, j), i < j
-	}
-	wantCold := packRows(rows, lockstepChunk)
-	if wantCold <= 4 {
-		t.Fatalf("the fixture is %d chunks: it does not fill four channels", wantCold)
+		live[i] = []float64{float64(i % 8), float64(i / 8)}
 	}
 	for _, w := range []int{1, 4} {
 		cfg := parallelCfg(compare.EngineMasked, w, PruneOff)
@@ -462,11 +458,20 @@ func TestLockstepRunFramePin(t *testing.T) {
 		if err != nil {
 			t.Fatalf("W=%d: %v", w, err)
 		}
-		if coldCmps != n*(n-1)/2 || cold != int64(1+3*wantCold) {
-			t.Errorf("W=%d: cold Run: %d comparisons in %d frames, want %d in 1 + 3×%d", w, coldCmps, cold, n*(n-1)/2, wantCold)
+		cache := NewPairCache()
+		want := replayRun(t, cfg, live, cache)
+		if len(want.waves) < 2 || want.chunks() <= 4 {
+			t.Fatalf("W=%d: the fixture is %d chunks in %d waves: want several waves that fill four channels", w, want.chunks(), len(want.waves))
 		}
-		if warmCmps != n+n+1 || warm != 1+3 {
-			t.Errorf("W=%d: Run after Append(2): %d comparisons in %d frames, want %d in 1 + 3 (one chunk)", w, warmCmps, warm, n+n+1)
+		if coldCmps != int64(want.decided()) || cold != int64(1+3*want.chunks()) {
+			t.Errorf("W=%d: cold Run: %d comparisons in %d frames, want %d in 1 + 3×%d", w, coldCmps, cold, want.decided(), want.chunks())
+		}
+		want = replayRun(t, cfg, append(live, []float64{3, 3}, []float64{4, 5}), cache)
+		if want.chunks() != 1 {
+			t.Fatalf("W=%d: the Run after Append(2) replays as %d chunks, want one", w, want.chunks())
+		}
+		if warmCmps != int64(want.decided()) || warm != 1+3 {
+			t.Errorf("W=%d: Run after Append(2): %d comparisons in %d frames, want %d in 1 + 3 (one chunk)", w, warmCmps, warm, want.decided())
 		}
 	}
 }

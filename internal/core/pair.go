@@ -99,10 +99,13 @@ func (r Role) peer() Role {
 // public cell matrix (verticalDomain, arbitraryDomain) and shifts
 // arbitrary's shares by each pair's public L (splitShift), so a peer on
 // the old wire would refuse every YMPP comparison's domain and decide
-// wrong masked bits.
+// wrong masked bits; version 22 changed no frame layout but which pairs
+// a vertical or arbitrary Run compares — LockstepCluster decides in waves
+// only the pairs the labels need (planWave) instead of every undecided
+// pair — so a peer on the old schedule would pair chunks of other pairs.
 // Mesh edges (internal/multiparty) speak the same frame with proto
 // "mesh".
-const handshakeVersion = 21
+const handshakeVersion = 22
 
 // ErrHandshake reports parameter disagreement between the parties.
 var ErrHandshake = errors.New("core: handshake parameter mismatch")

@@ -21,8 +21,8 @@ import (
 // protocol every own point's core bit (settleEnhanced, enhanced.go), and
 // the walk is dbscan.ClusterCore with the peer's half of the density test
 // read back from what was settled. The pair shape — the vertical and
-// arbitrary families and the multiparty ring — settles the whole pair
-// matrix (LockstepCluster, lockstep.go) and clusters with
+// arbitrary families and the multiparty ring — decides the pairs the labels
+// need in waves (LockstepCluster, lockstep.go) and clusters with
 // dbscan.ClusterGeneric.
 // Config.Parallel = W is the width of every settle step: independent
 // sub-protocols run on the session's W worker channels and overlap their

@@ -129,8 +129,9 @@ func TestParallelRejectsSequentialBatching(t *testing.T) {
 // TestDriversMatchPlaintextOracles is the differential test of the two
 // drivers' walks against real oracles: over random integer point sets,
 // MinPts values and (for the lockstep driver) widths, LockstepCluster's
-// labels equal plain DBSCAN's (dbscan.ClusterInt) at every W, every pair
-// is decided exactly once, and the horizontal walk — dbscan.ClusterCore
+// labels equal plain DBSCAN's (dbscan.ClusterInt) at every W, it decides
+// exactly the pairs the planner's plaintext replay names, each once, and
+// the horizontal walk — dbscan.ClusterCore
 // with the peer's count added to the core test — gives the Algorithm 3/4
 // simulation's labels (SimulateHorizontalPass) and queries every point at
 // least once, which both horizontal settle steps rely on. (Not exactly
@@ -174,14 +175,21 @@ func TestDriversMatchPlaintextOracles(t *testing.T) {
 				if !metrics.ExactMatch(labels, want.Labels) || k != want.NumClusters {
 					t.Errorf("%s: lockstep labels %v (%d clusters), DBSCAN %v (%d)", name, labels, k, want.Labels, want.NumClusters)
 				}
-				// Lockstep DBSCAN queries every point, so every pair is decided.
-				if n := len(pts); len(pairs) != n*(n-1)/2 {
-					t.Errorf("%s: %d distinct pairs decided, want %d", name, len(pairs), n*(n-1)/2)
-				}
-				for pr, c := range pairs {
-					if c != 1 {
-						t.Errorf("%s: pair %v decided %d times", name, pr, c)
+				// The planner decides what the labels need: the pairs its
+				// plaintext replay names, each once.
+				asked := 0
+				for _, wave := range replayPlan(len(pts), minPts, lockstepAsk, lockstepChunk*w,
+					func([2]int) bool { return true },
+					func(pr [2]int) bool { return fixedpoint.DistSq(pts[pr[0]], pts[pr[1]]) <= epsSq }) {
+					for _, pr := range wave {
+						if pairs[pr] != 1 {
+							t.Errorf("%s: pair %v decided %d times, the replay asks it once", name, pr, pairs[pr])
+						}
+						asked++
 					}
+				}
+				if len(pairs) != asked {
+					t.Errorf("%s: %d distinct pairs decided, the replay asks %d", name, len(pairs), asked)
 				}
 			}
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -10,8 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/compare"
-	"repro/internal/dbscan"
-	"repro/internal/transport"
 )
 
 // scheduleStats counts, over many schedules, the cases that make
@@ -156,129 +153,37 @@ func TestSettleScheduleDealsEveryRowOnce(t *testing.T) {
 }
 
 // TestLockstepDecidesEveryPairOnce holds LockstepCluster to the settle
-// schedule's property: over random graphs × random prior caches × random
-// local deciders × widths × chunk bounds, every pair is offered to
-// decideLocal once; a pair it declines and the prior holds fires onCached
-// once, with the cached bit, and never reaches the oracle; every other
-// pair reaches batchOn exactly once, dealt as checkSchedule demands with a
-// row j of the pairs (i, j); the oracle's results land in the prior; and
-// the labels are plain DBSCAN's on the same graph and the old wave
-// driver's on the same inputs — which also settled exactly the same pairs
-// through exactly the same hooks.
+// schedule's property, wave by wave: over random graphs × random prior
+// caches × random local deciders × widths × chunk bounds, every pair is
+// offered to decideLocal once; a pair it declines and the prior holds
+// fires onCached once, with the cached bit, and never reaches the oracle;
+// every other pair reaches batchOn at most once — exactly the pairs a
+// plaintext replay of the planner names (replayPlan), each wave dealt as
+// checkSchedule demands with a row j of the pairs (i, j); the oracle's
+// results land in the prior (checkLockstepPlan); and the labels are plain
+// DBSCAN's on the same graph and the old wave driver's on the same inputs.
 func TestLockstepDecidesEveryPairOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	var st scheduleStats
-	quarter := transport.MaxFrameSize / 4
 	for trial := 0; trial < 30; trial++ {
-		n := rng.Intn(36)
+		c := randomPlanCase(rng, 36)
 		if trial < 3 {
-			n = trial // the degenerate sizes, always
+			c = randomPlanCase(rng, 1) // the degenerate size, always
+			c.n = trial
 		}
-		minPts := 1 + rng.Intn(5)
-		density := []float64{0.05, 0.2, 0.6}[rng.Intn(3)]
-		localFrac := []float64{0, 0.3, 0.9}[rng.Intn(3)]
-		priorFrac := []float64{0, 0.3, 1}[rng.Intn(3)]
-		within, localOf, priorOf := map[[2]int]bool{}, map[[2]int]bool{}, map[[2]int]bool{}
-		var all [][2]int
-		for j := 1; j < n; j++ {
-			for i := 0; i < j; i++ {
-				pr := [2]int{i, j}
-				all = append(all, pr)
-				within[pr] = rng.Float64() < density
-				localOf[pr] = rng.Float64() < localFrac
-				// The prior may hold locally decidable pairs too (a session
-				// never writes one, but the precedence is the driver's).
-				priorOf[pr] = rng.Float64() < priorFrac
-			}
-		}
-		near := make([][]int, n)
-		for i := range near {
-			for j := 0; j < n; j++ {
-				if i == j || within[[2]int{min(i, j), max(i, j)}] {
-					near[i] = append(near[i], j)
-				}
-			}
-		}
-		wantLabels, wantK := dbscan.ClusterGeneric(n, func(i int) []int { return near[i] }, minPts)
-		seedPrior := func() *PairCache {
-			if priorFrac == 0 {
-				return nil
-			}
-			c := NewPairCache()
-			for pr, held := range priorOf {
-				if held {
-					c.m[pr] = within[pr]
-				}
-			}
-			return c
-		}
-
 		for _, w := range []int{1, 2, 4, 7} {
 			for _, bound := range []int{1, 3, 17, lockstepChunk} {
-				name := fmt.Sprintf("lockstep trial %d n=%d MinPts=%d W=%d bound=%d", trial, n, minPts, w, bound)
-				cmpBytes := quarter / bound
-				if chunkBound(cmpBytes) != bound {
-					t.Fatalf("%s: chunkBound(%d) = %d", name, cmpBytes, chunkBound(cmpBytes))
-				}
-				var tr, old lockstepTrace
-				prior := seedPrior()
-				onCached, decideLocal, batchOn := tr.hooks(within, localOf)
-				labels, k, err := LockstepCluster(n, minPts, w, cmpBytes, prior, onCached, decideLocal, batchOn)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				oldPrior := seedPrior()
-				onCached, decideLocal, batchOn = old.hooks(within, localOf)
-				oldLabels, oldK, err := waveLockstepCluster(n, minPts, w, oldPrior, onCached, decideLocal, batchOn)
+				name := fmt.Sprintf("lockstep trial %d n=%d MinPts=%d W=%d bound=%d", trial, c.n, c.minPts, w, bound)
+				labels, k, _ := checkLockstepPlan(t, name, c, w, bound, &st)
+				var old lockstepTrace
+				onCached, decideLocal, batchOn := old.hooks(c.within, c.localOf)
+				oldLabels, oldK, err := waveLockstepCluster(c.n, c.minPts, w, c.prior(), onCached, decideLocal, batchOn)
 				if err != nil {
 					t.Fatalf("%s: wave driver: %v", name, err)
-				}
-				if !slices.Equal(labels, wantLabels) || k != wantK {
-					t.Errorf("%s: labels %v (%d clusters), DBSCAN on the graph %v (%d)", name, labels, k, wantLabels, wantK)
 				}
 				if !slices.Equal(labels, oldLabels) || k != oldK {
 					t.Errorf("%s: labels %v (%d clusters), the wave driver %v (%d)", name, labels, k, oldLabels, oldK)
 				}
-
-				// Every pair through exactly one hook, once; the wave driver
-				// agrees pair by pair. What reaches the oracle is row j's
-				// pairs (i, j), i ascending, rows in order.
-				rows := make([][][2]int, n)
-				for _, pr := range all {
-					wantCached, wantOracle := 0, 0
-					switch {
-					case localOf[pr]:
-					case prior != nil && priorOf[pr]:
-						wantCached = 1
-					default:
-						wantOracle = 1
-						rows[pr[1]] = append(rows[pr[1]], pr)
-					}
-					if tr.local[pr] != 1 || tr.cached[pr] != wantCached || tr.oracle[pr] != wantOracle {
-						t.Errorf("%s: pair %v: decideLocal ×%d, onCached ×%d, oracle ×%d; want 1, %d, %d",
-							name, pr, tr.local[pr], tr.cached[pr], tr.oracle[pr], wantCached, wantOracle)
-					}
-					if old.cached[pr] != wantCached || old.oracle[pr] != wantOracle {
-						t.Errorf("%s: pair %v: the wave driver cached ×%d, oracle ×%d; want %d, %d",
-							name, pr, old.cached[pr], old.oracle[pr], wantCached, wantOracle)
-					}
-					if prior != nil && !localOf[pr] {
-						if got, ok := prior.m[pr]; !ok || got != within[pr] {
-							t.Errorf("%s: pair %v is (%v, held %v) in the prior after the run, want %v", name, pr, got, ok, within[pr])
-						}
-					}
-				}
-				if prior != nil && !maps.Equal(prior.m, oldPrior.m) {
-					t.Errorf("%s: the run left a prior of %d pairs, the wave driver one of %d", name, prior.Len(), oldPrior.Len())
-				}
-				calls := make([][][][2]int, w)
-				for ch, cs := range tr.calls {
-					if ch < 0 || ch >= w {
-						t.Fatalf("%s: batchOn on channel %d", name, ch)
-					}
-					calls[ch] = cs
-				}
-				checkSchedule(t, name, rows, func(row [][2]int) int { return len(row) }, w, bound, calls, &st)
 			}
 		}
 	}

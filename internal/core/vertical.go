@@ -20,13 +20,16 @@ import (
 // own columns and a single secure comparison decides
 // PA + PB ≤ Eps² per pair (Theorem 10's only disclosure).
 //
-// Round structure: the lockstep driver settles the whole pair matrix
-// before it clusters (LockstepCluster). The pairs that neither the grid
-// index nor the pair cache decides travel in chunks of whole rows — a row
-// is one record's undecided pairs against the records before it — and a
-// chunk is its comparisons (Pair.decidePairs): one BatchLess, 3 vdp.cmp
-// frames per chunk of up to 256 decisions — a handful of round trips for a
-// cold run, and one chunk for a run after a small Append — or, under
+// Round structure: the lockstep driver decides, in waves, the pairs the
+// labels need before it clusters (LockstepCluster) — every candidate of a
+// point that is not core, enough to make the others core, and enough to
+// join their components — each wave planned from the bits both parties
+// already learnt. Of the pairs that neither the grid index nor the pair
+// cache decides, a wave's travel in chunks of whole rows — a row is one
+// record's asked pairs against the records before it — and a chunk is its
+// comparisons (Pair.decidePairs): one BatchLess, 3 vdp.cmp frames per
+// chunk of up to 256 decisions — a handful of round trips for a cold run,
+// and one chunk for a run after a small Append — or, under
 // Config.Batching = "sequential", the same chunk one comparison at a time.
 // The per-pair payloads, the decided predicates, and the PairDecisions
 // Ledger count are identical in both modes. Chunk c rides worker channel c

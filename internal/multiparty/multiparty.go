@@ -22,11 +22,12 @@
 // the existing ring edge, using either engine from internal/compare —
 // yields the within-Eps bit, which the coordinator then circulates around
 // the ring. All parties run core.LockstepCluster with this oracle: the
-// whole pair matrix is settled first — one accumulation lap, the
-// comparisons and one broadcast lap per chunk of whole rows (up to 256
-// undecided pairs), chunk c on worker channel c mod W of every ring edge,
-// at every batching and packing — and each party then runs plain DBSCAN
-// over the public bits.
+// pairs the labels need are decided first, in waves planned from the bits
+// every party already holds — one accumulation lap, the comparisons and
+// one broadcast lap per chunk of whole rows (up to 256 pairs of a wave),
+// chunk c on worker channel c mod W of every ring edge, at every batching
+// and packing — and each party then runs plain DBSCAN over the public
+// bits.
 //
 // With k = 2 the ring degenerates to the two-party vertical protocol
 // (party 1 is both accumulator and masker), which the tests use for
@@ -222,8 +223,11 @@ var ErrHandshake = core.ErrHandshake
 // would decide wrong bits again; version 15 gives YMPP one wire form, a
 // comparison always a batch — under sequential batching a batch of one a
 // pair, with its count prefix — so a sequential YMPP peer on the old wire
-// would misread the comparison frames.
-const ringHandshakeVersion = 15
+// would misread the comparison frames; version 16 changed no token field
+// but which pairs a Run circulates — core.LockstepCluster decides in waves
+// only the pairs the labels need — so a peer on the old schedule would
+// pair circulations of other pairs.
+const ringHandshakeVersion = 16
 
 // handshakeToken travels once around the ring accumulating checks.
 type handshakeToken struct {
