@@ -213,8 +213,9 @@
 // grid index or the cross-run cache does not decide is a candidate, and
 // planWave names each wave's candidates from the bits decided so far — a
 // point short of core asks for twice the positives it lacks, then one
-// pair for each two core components not yet joined, and all that is still
-// relevant once it fits one round-trip group (chunkBound·W). Every wave
+// pair for each two core components not yet joined, and a wave smaller
+// than one chunk (chunkBound) is filled up with the next relevant pairs, so
+// every wave before the last decides a chunk's worth. Every wave
 // goes to the oracle through the same settleSchedule, a row being a
 // record's asked pairs against the records before it (an appended
 // record's neighbourhood), and the driver then runs dbscan.ClusterGeneric
@@ -229,10 +230,8 @@
 // compare.Edge.Sequential). Schedules
 // are pure functions of shared protocol state, so jointly-computed oracles
 // stay in lock step, and labels do not depend on W; nor do Ledgers and
-// comparison totals (the parallel equivalence harness enforces this),
-// except a lockstep Run's, whose tail rule asks every relevant pair once
-// they fit W chunks: a Run with more than 256 relevant pairs can decide
-// more of them at a wider W, and its PairDecisions grows with them. W = 1 is
+// comparison totals (the parallel equivalence harness enforces this) — a
+// lockstep wave is planned from a chunk's size, not W's. W = 1 is
 // one worker, run inline on the session's bare connection; W > 1
 // multiplexes W channels over it. The win is round-trip overlap — the
 // bench `wan` workload measures it over a delayed pipe as

@@ -311,22 +311,22 @@ var goldenDigestsW4 = map[string]string{
 	"enhanced/masked/Append":    "c280a7a410d8467d 98ddbfca7ff6c385",
 	"enhanced/masked/Expire":    "4e796f89dae0d0e7 2b023ec2cd3bed98",
 	"enhanced/masked/Retract":   "ba5607f3840bcaea 91735db067d711a2",
-	"vertical/ympp/Run":         "3472be2b912dd0a0 c3ce7b0f7c91c45e",
-	"vertical/ympp/Append":      "e4323612dbb39545 393a50fd6b7b8602",
-	"vertical/ympp/Expire":      "9497e90d9d19b08a 393a50fd6b7b8602",
-	"vertical/ympp/Retract":     "da72d1789cc296e5 ea88eca6ec512a81",
-	"vertical/masked/Run":       "89be1b279af55699 5ada8f6d7c642d26",
-	"vertical/masked/Append":    "62ee13a777375b4b 09ecff52a8d21ad3",
-	"vertical/masked/Expire":    "f88d01fd9097088e 09ecff52a8d21ad3",
-	"vertical/masked/Retract":   "80e6dcf798f0ad7c 55c07cda5fda8315",
-	"arbitrary/ympp/Run":        "33ce79cea7131889 7d95293f6c581ffe",
-	"arbitrary/ympp/Append":     "5ee87e43f3f37c23 366730fc24f25f3a",
-	"arbitrary/ympp/Expire":     "4d93677997680fbf 366730fc24f25f3a",
-	"arbitrary/ympp/Retract":    "c71224b60fd62af1 f63d4a7e3719252b",
-	"arbitrary/masked/Run":      "dade5e1286d2abc5 0039bbf5003fa433",
-	"arbitrary/masked/Append":   "2831a5f81a0454bc 0bafa6332a03001f",
-	"arbitrary/masked/Expire":   "93ab8f442fbf345c 0bafa6332a03001f",
-	"arbitrary/masked/Retract":  "eb15ea813ffb8f8f a79dad74a86c21cc",
+	"vertical/ympp/Run":         "1f3b2043524f2cd3 6ecdfd908447f088",
+	"vertical/ympp/Append":      "4e2b429048a2d922 eb3d1dcdd6e5da57",
+	"vertical/ympp/Expire":      "2a8f59241dfe365d eb3d1dcdd6e5da57",
+	"vertical/ympp/Retract":     "739a2317fbb91399 b09ee176ccb74737",
+	"vertical/masked/Run":       "f45c904e3ed18e6e 63d97617f8376206",
+	"vertical/masked/Append":    "88484099b1562b4b 7a7ce1aeb409d0ef",
+	"vertical/masked/Expire":    "0415b28cdfe1f883 7a7ce1aeb409d0ef",
+	"vertical/masked/Retract":   "21c7e26249b1cef3 820e3ff93b459447",
+	"arbitrary/ympp/Run":        "0fd3e6dbfae1ce7a ac2ccd2c62444c63",
+	"arbitrary/ympp/Append":     "9e6383afe8708c56 542789969beee845",
+	"arbitrary/ympp/Expire":     "adcafd7dc56ce381 542789969beee845",
+	"arbitrary/ympp/Retract":    "c570a92dd159924c a71360d03a50bef3",
+	"arbitrary/masked/Run":      "03665faece31ceaf ed6595cd17b2e54a",
+	"arbitrary/masked/Append":   "4969370d0e6e010f 4487223f8c7004ba",
+	"arbitrary/masked/Expire":   "34398707479bc096 4487223f8c7004ba",
+	"arbitrary/masked/Retract":  "b5b8efd5ea9be92e 7d4f4f22c06905ba",
 }
 
 // wideCfg is the W = 4 rows' configuration: the one-cell grid, so every
@@ -383,14 +383,24 @@ func wideCases() []retractCase {
 	enhAlice := [][][]float64{widePoints(80, 10, a, b, c), widePoints(3, 11, a, b, c), widePoints(4, 12, a, b, c)}
 	enhBob := [][][]float64{widePoints(10, 13, d), widePoints(3, 14, a), widePoints(3, 15, a)}
 	rowSteps := []retractStep{{initIDs: []int{45, 47}}}
+	// The lockstep planner's waves do not grow with W, and at MinPts 3 each
+	// is one chunk; at MinPts 16 a point short of core asks for 30
+	// candidates, so the first wave spans four chunks, one a channel.
+	lockstep := func(rc retractCase) retractCase {
+		rc.tweak = func(cfg Config) Config {
+			cfg.MinPts = 16
+			return cfg
+		}
+		return rc
+	}
 	return []retractCase{
 		horizontalCase("horizontal", false, gens(1, 30, 3, 4), gens(4, 30, 3, 3), []retractStep{{initIDs: []int{33, 35}, srcIDs: []int{34}}}, nil),
 		horizontalCase("enhanced", true, enhAlice, enhBob, []retractStep{{initIDs: []int{83, 85}, srcIDs: []int{14}}}, func(cfg Config) Config {
 			cfg.MaxCoord, cfg.MinPts = 1, 11
 			return cfg
 		}),
-		verticalCase(gens(7, 42, 3, 4), rowSteps),
-		arbitraryCase(gens(7, 42, 3, 4), rowSteps),
+		lockstep(verticalCase(gens(7, 42, 3, 4), rowSteps)),
+		lockstep(arbitraryCase(gens(7, 42, 3, 4), rowSteps)),
 	}
 }
 

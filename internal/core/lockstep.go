@@ -215,13 +215,14 @@ const lockstepAsk = 2
 //
 // A wave is a pure function of what every participant holds identically:
 // the candidates left after decideLocal and prior, MinPts, the bits
-// decided so far — which every participant learns (Theorem 10) — w and the
+// decided so far — which every participant learns (Theorem 10) — and the
 // engine behind cmpBytes. So the jointly-computed oracles pair up wave for
 // wave and chunk for chunk, the decided pairs — with them the labels and
-// every count-based Ledger class — do not depend on w beyond the tail
-// rule's group size, and what a run discloses is a subset of the whole
-// pair matrix: the pairs asked depend on nothing but bits already
-// disclosed.
+// every count-based Ledger class — do not depend on w, and what a run
+// discloses is a subset of the whole pair matrix: the pairs asked depend
+// on nothing but bits already disclosed. A wave short of one chunk is
+// topped up to a chunk (planWave), so a Run takes at most one wave per
+// chunk's worth of undecided candidates, plus one.
 //
 // Step 2 is plain DBSCAN over the decided positive pairs:
 // dbscan.ClusterGeneric, the same Algorithm-6 control flow the plaintext
@@ -279,7 +280,7 @@ func LockstepCluster(n, minPts, w, cmpBytes int,
 	}
 	bound := chunkBound(cmpBytes)
 	for {
-		rows := planWave(minPts, bound*w, near, open)
+		rows := planWave(minPts, bound, near, open)
 		if rows == nil {
 			break
 		}
@@ -317,16 +318,19 @@ func LockstepCluster(n, minPts, w, cmpBytes int,
 // component. A pair is still relevant unless both its ends are core points
 // of one component: its bit could change no label.
 //
-//   - Tail: when the relevant pairs number at most group — one round-trip
-//     group, chunkBound·W — the wave is all of them.
-//   - Phase 1: otherwise each point not yet core asks for its first
+//   - Phase 1: each point not yet core asks for its first
 //     lockstepAsk × (minPts − len(near[i])) undecided candidates.
 //   - Phase 2: when no point short of core has an undecided candidate, the
 //     wave is one pair — the first in (i, j) order — for each pair of core
 //     components an undecided pair still runs between.
+//   - Top-up: a wave of fewer than group pairs — one chunk — is filled up
+//     to group with the further relevant pairs in (i, j) order, so a chunk
+//     the wave pays a round trip for is never left part empty. When the
+//     relevant pairs number at most group, the wave is all of them.
 //
-// Every wave holds at least one pair while a relevant pair is left, so the
-// loop ends; the wave is a function of its arguments only.
+// Every wave but the last holds at least group pairs, so a Run takes at
+// most ⌊undecided candidates / group⌋ + 1 waves; the wave is a function of
+// its arguments only.
 func planWave(minPts, group int, near, open [][]int) [][][2]int {
 	n := len(near)
 	core := func(i int) bool { return len(near[i]) >= minPts }
@@ -350,37 +354,20 @@ func planWave(minPts, group int, near, open [][]int) [][][2]int {
 			}
 		}
 	}
-	relevant := func(i, j int) bool { return !core(i) || !core(j) || find(i) != find(j) }
-	count := 0
+	// relevant lists the relevant pairs in (i, j) order, so that every row
+	// built from it comes out ascending.
+	var relevant [][2]int
 	for i, part := range open {
 		for _, j := range part {
-			if j > i && relevant(i, j) {
-				count++
+			if j > i && (!core(i) || !core(j) || find(i) != find(j)) {
+				relevant = append(relevant, [2]int{i, j})
 			}
 		}
 	}
-	if count == 0 {
+	if len(relevant) == 0 {
 		return nil
 	}
 
-	// pick adds the relevant pairs ask names to the wave, scanned in (i, j)
-	// order so that every row comes out ascending.
-	rows := make([][][2]int, n)
-	pick := func(ask func(i, j int) bool) (picked bool) {
-		for i, part := range open {
-			for _, j := range part {
-				if j > i && relevant(i, j) && ask(i, j) {
-					rows[j] = append(rows[j], [2]int{i, j})
-					picked = true
-				}
-			}
-		}
-		return picked
-	}
-	if count <= group {
-		pick(func(int, int) bool { return true })
-		return rows
-	}
 	// Phase 1: last[i] is the largest partner i asks for, -1 for none.
 	last := make([]int, n)
 	for i, part := range open {
@@ -389,18 +376,35 @@ func planWave(minPts, group int, near, open [][]int) [][][2]int {
 			last[i] = part[min(lockstepAsk*lack, len(part))-1]
 		}
 	}
-	if pick(func(i, j int) bool { return j <= last[i] || i <= last[j] }) {
-		return rows
-	}
-	joined := make(map[[2]int]bool)
-	pick(func(i, j int) bool {
-		k := [2]int{min(find(i), find(j)), max(find(i), find(j))}
-		if joined[k] {
-			return false
+	ask := make([]bool, len(relevant))
+	asked := 0
+	for u, pr := range relevant {
+		if pr[1] <= last[pr[0]] || pr[0] <= last[pr[1]] {
+			ask[u] = true
+			asked++
 		}
-		joined[k] = true
-		return true
-	})
+	}
+	if asked == 0 {
+		joined := make(map[[2]int]bool)
+		for u, pr := range relevant {
+			ci, cj := find(pr[0]), find(pr[1])
+			if k := [2]int{min(ci, cj), max(ci, cj)}; !joined[k] {
+				joined[k] = true
+				ask[u] = true
+				asked++
+			}
+		}
+	}
+	rows := make([][][2]int, n)
+	for u, pr := range relevant {
+		if !ask[u] && asked < group {
+			ask[u] = true
+			asked++
+		}
+		if ask[u] {
+			rows[pr[1]] = append(rows[pr[1]], pr)
+		}
+	}
 	return rows
 }
 

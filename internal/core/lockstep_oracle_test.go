@@ -21,9 +21,8 @@ import (
 // the per-pair drivers it replaced (perpair_test.go), and everything a
 // party can count must come out equal at every Run: labels, every Ledger
 // class (PairDecisions and DotProducts included), SecureComparisons and
-// CachedComparisons, on both sides — the counts at W = 1, where both run
-// the planner's waves at the same group size. At every W the counts must
-// equal the planner's plaintext replay (replayLockstepLifecycle). It does
+// CachedComparisons, on both sides — and the counts must also equal the
+// planner's plaintext replay (replayLockstepLifecycle). It does
 // so for every candidate-set input (pruneInputs): the Eps grid, pruning
 // off and the geometric fallback, on two inputs: a small one the planner
 // settles in one wave, and lockstepWaveGens, which takes several.
@@ -46,7 +45,7 @@ var lockstepOracleGens = [][][]float64{
 	{{0, 2}, {6, 7}, {4, 0}},
 }
 
-// lockstepWaveGens is a lifecycle input whose cold Run at W = 1 takes two
+// lockstepWaveGens is a lifecycle input whose cold Run takes two
 // waves or more of the planner on the Eps grid and with pruning off: 48
 // points in three loose blobs on the 8 × 8 grid, then two small
 // generations. (On the fallback every pair is within Eps, and phase 1's
@@ -261,11 +260,9 @@ func TestLockstepMatchesPerPairOracle(t *testing.T) {
 						cfg := parallelCfg(compare.EngineMasked, m.w, in.pruning)
 						cfg.Batching, cfg.Packing, cfg.Eps = m.batching, m.packing, in.eps
 						got := runLockstepLifecycle(t, fam, cfg, false, lockstepLifecycle)
-						// The tail rule's group is W chunks, so the per-pair
-						// drivers (W = 1) decide the same pairs at W = 1 only.
-						checkLockstepLifecycle(t, got, want, m.w == 1)
+						checkLockstepLifecycle(t, got, want)
 						replay := replayLockstepLifecycle(t, cfg, input.gens, lockstepLifecycle)
-						if input.sub != "" && in.sub != "fallback/" && m.w == 1 && len(replay[0].run.waves) < 2 {
+						if input.sub != "" && in.sub != "fallback/" && len(replay[0].run.waves) < 2 {
 							t.Fatalf("the cold Run replays as %d wave(s): the input takes one", len(replay[0].run.waves))
 						}
 						for stage, st := range replay {
@@ -294,7 +291,7 @@ func TestLockstepMatchesPerPairOracle(t *testing.T) {
 // per-pair drivers' stage by stage: labels, every Ledger class,
 // SecureComparisons and CachedComparisons on both sides, with the cache
 // answering something somewhere.
-func checkLockstepLifecycle(t *testing.T, got, want [2][]*Result, counts bool) {
+func checkLockstepLifecycle(t *testing.T, got, want [2][]*Result) {
 	t.Helper()
 	cached := int64(0)
 	for side, role := range []Role{RoleAlice, RoleBob} {
@@ -306,10 +303,6 @@ func checkLockstepLifecycle(t *testing.T, got, want [2][]*Result, counts bool) {
 			at := fmt.Sprintf("%v stage %d", role, stage)
 			if !metrics.ExactMatch(g.Labels, w.Labels) || g.NumClusters != w.NumClusters {
 				t.Errorf("%s: labels %v (%d clusters), per pair %v (%d)", at, g.Labels, g.NumClusters, w.Labels, w.NumClusters)
-			}
-			if !counts {
-				cached += g.CachedComparisons
-				continue
 			}
 			if g.Leakage != w.Leakage {
 				t.Errorf("%s: ledger %v, per pair %v", at, g.Leakage, w.Leakage)

@@ -44,9 +44,10 @@ import (
 //     and, in the enhanced protocol, k = MinPts − |own neighbours| — depends
 //     on no label, so every sub-query the count cache leaves open is
 //     settled in exactly one chunk and every core bit the cache does not
-//     answer exactly once; Algorithm 6 queries every point, so every pair
-//     the index and the cache leave undecided reaches the oracle — in
-//     exactly one chunk. The multiset of executed sub-protocols — and
+//     answer exactly once; the lockstep planner's waves are planned from
+//     decided bits and the chunk size, not from W, so every pair a wave
+//     asks reaches the oracle in exactly one chunk at every width. The
+//     multiset of executed sub-protocols — and
 //     therefore every count-based Ledger class, the comparison totals, and
 //     the labels — does not depend on W; only frame interleaving and the
 //     responder's permutation draws do. The parallel equivalence harness

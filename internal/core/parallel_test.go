@@ -178,7 +178,7 @@ func TestDriversMatchPlaintextOracles(t *testing.T) {
 				// The planner decides what the labels need: the pairs its
 				// plaintext replay names, each once.
 				asked := 0
-				for _, wave := range replayPlan(len(pts), minPts, lockstepAsk, lockstepChunk*w,
+				for _, wave := range replayPlan(len(pts), minPts, lockstepAsk, lockstepChunk,
 					func([2]int) bool { return true },
 					func(pr [2]int) bool { return fixedpoint.DistSq(pts[pr[0]], pts[pr[1]]) <= epsSq }) {
 					for _, pr := range wave {

@@ -16,8 +16,8 @@ import (
 // replayPlan is LockstepCluster's wave planner written out a second time,
 // the slow way, over a plaintext graph: pending names the pairs that reach
 // the oracle at all (neither decided locally nor cached), within is every
-// pair's bit, k the phase-1 multiplier and group the tail rule's
-// round-trip group. It returns the waves, each in the order the driver
+// pair's bit, k the phase-1 multiplier and group the size a wave is
+// topped up to. It returns the waves, each in the order the driver
 // deals it — row j's pairs (i, j), i ascending, rows ascending.
 func replayPlan(n, minPts, k, group int, pending, within func(pr [2]int) bool) (waves [][][2]int) {
 	decided := map[[2]int]bool{}
@@ -67,35 +67,45 @@ func replayPlan(n, minPts, k, group int, pending, within func(pr [2]int) bool) (
 		if len(relevant) == 0 {
 			return waves
 		}
-		wave := relevant
-		if len(relevant) > group {
-			asks := map[[2]int]bool{}
-			for i := 0; i < n; i++ {
-				if core(i) {
-					continue
-				}
-				quota := k * (minPts - deg[i])
-				for j := 0; j < n && quota > 0; j++ {
-					if _, ok := decided[pair(i, j)]; j != i && !ok {
-						asks[pair(i, j)] = true
-						quota--
-					}
+		asks := map[[2]int]bool{}
+		for i := 0; i < n; i++ {
+			if core(i) {
+				continue
+			}
+			quota := k * (minPts - deg[i])
+			for j := 0; j < n && quota > 0; j++ {
+				if _, ok := decided[pair(i, j)]; j != i && !ok {
+					asks[pair(i, j)] = true
+					quota--
 				}
 			}
-			wave = nil
+		}
+		var wave [][2]int
+		for _, pr := range relevant {
+			if asks[pr] {
+				wave = append(wave, pr)
+			}
+		}
+		if len(wave) == 0 {
+			joined := map[[2]int]bool{}
 			for _, pr := range relevant {
-				if asks[pr] {
+				if c := pair(comp[pr[0]], comp[pr[1]]); !joined[c] {
+					joined[c] = true
 					wave = append(wave, pr)
 				}
 			}
-			if len(wave) == 0 {
-				joined := map[[2]int]bool{}
-				for _, pr := range relevant {
-					if c := pair(comp[pr[0]], comp[pr[1]]); !joined[c] {
-						joined[c] = true
-						wave = append(wave, pr)
-					}
-				}
+		}
+		// The top-up: further relevant pairs, in (i, j) order, up to group.
+		inWave := map[[2]int]bool{}
+		for _, pr := range wave {
+			inWave[pr] = true
+		}
+		for _, pr := range relevant {
+			if len(wave) >= group {
+				break
+			}
+			if !inWave[pr] {
+				wave = append(wave, pr)
 			}
 		}
 		wave = slices.Clone(wave)
@@ -212,7 +222,7 @@ func replayRun(t *testing.T, cfg Config, live [][]float64, cache *PairCache) loc
 	pending := func(pr [2]int) bool {
 		return !slices.Contains(r.pruned, pr) && !slices.Contains(r.cached, pr)
 	}
-	r.waves = replayPlan(len(enc), cfg.MinPts, lockstepAsk, lockstepChunk*cfg.Parallel, pending, within)
+	r.waves = replayPlan(len(enc), cfg.MinPts, lockstepAsk, lockstepChunk, pending, within)
 	for _, wave := range r.waves {
 		for _, pr := range wave {
 			cache.m[pr] = within(pr)
@@ -277,7 +287,7 @@ func (c planCase) wantLabels() ([]int, int) {
 	return dbscan.ClusterGeneric(c.n, func(i int) []int { return near[i] }, c.minPts)
 }
 
-// replay is the planner's waves for the case at one round-trip group.
+// replay is the planner's waves for the case at one top-up group.
 func (c planCase) replay(k, group int) [][][2]int {
 	return replayPlan(c.n, c.minPts, k, group, c.pending, func(pr [2]int) bool { return c.within[pr] })
 }
@@ -319,7 +329,7 @@ func checkLockstepPlan(t *testing.T, at string, c planCase, w, bound int, st *sc
 	if wantLabels, wantK := c.wantLabels(); !slices.Equal(labels, wantLabels) || k != wantK {
 		t.Errorf("%s: labels %v (%d clusters), DBSCAN on the graph %v (%d)", at, labels, k, wantLabels, wantK)
 	}
-	waves = c.replay(lockstepAsk, bound*w)
+	waves = c.replay(lockstepAsk, bound)
 	asked := map[[2]int]bool{}
 	for _, wave := range waves {
 		for _, pr := range wave {
@@ -381,46 +391,47 @@ func checkLockstepPlan(t *testing.T, at string, c planCase, w, bound int, st *sc
 	return labels, k, waves
 }
 
-// TestLockstepPlan is the planner's property test, checkLockstepPlan over
-// seeded random cases, with bounds small enough that a case takes several
-// waves. It also reports what the phase-1 multiplier buys: the replay's
-// decisions and waves summed over the cases at k ∈ {1, 2, 4}.
-func TestLockstepPlan(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	var st scheduleStats
-	multiWave := 0
-	sums := map[int][2]int{}
-	for trial := 0; trial < 40; trial++ {
-		c := randomPlanCase(rng, 40)
-		for _, w := range []int{1, 3} {
-			for _, bound := range []int{1, 4, 17} {
-				at := fmt.Sprintf("plan trial %d n=%d MinPts=%d W=%d bound=%d", trial, c.n, c.minPts, w, bound)
-				if _, _, waves := checkLockstepPlan(t, at, c, w, bound, &st); len(waves) >= 2 {
-					multiWave++
-				}
-				for _, k := range []int{1, 2, 4} {
-					waves := c.replay(k, bound*w)
-					s := sums[k]
-					s[0] += len(waves)
-					for _, wave := range waves {
-						s[1] += len(wave)
-					}
-					sums[k] = s
-				}
-			}
+// TestLockstepPlanSeparatedClusters pins the planner's wave count where
+// phase 2 alone would crawl: three clusters of 40 points, every pair within
+// a cluster within Eps and none across, and every pair a candidate — as on
+// the one-cell grid. Phase 2 asks one pair per pair of unjoined components,
+// so without the top-up the 4800 negative cross pairs take 1408 waves (the
+// replay at a group of one); filled to a chunk each, a wave before the
+// last decides at least 256 pairs, and the Run takes at most
+// ⌊7140/256⌋ + 1 = 28 — 19, deciding 5145 pairs, at every W, since the
+// waves do not depend on it.
+func TestLockstepPlanSeparatedClusters(t *testing.T) {
+	const n, clusters = 120, 3
+	c := planCase{n: n, minPts: 4, within: map[[2]int]bool{}, localOf: map[[2]int]bool{}, priorOf: map[[2]int]bool{}}
+	for j := 1; j < n; j++ {
+		for i := 0; i < j; i++ {
+			c.within[[2]int{i, j}] = i%clusters == j%clusters
 		}
 	}
-	if multiWave == 0 {
-		t.Error("vacuous: no case took two waves")
-	}
-	for _, k := range []int{1, 2, 4} {
-		t.Logf("k=%d: %d decisions in %d waves over the cases", k, sums[k][1], sums[k][0])
+	var st scheduleStats
+	for _, w := range []int{1, 4} {
+		labels, k, waves := checkLockstepPlan(t, fmt.Sprintf("separated W=%d", w), c, w, lockstepChunk, &st)
+		if k != clusters || slices.Contains(labels, -1) {
+			t.Errorf("W=%d: %d clusters (labels %v), want %d and no noise", w, k, labels, clusters)
+		}
+		decided := 0
+		for _, wave := range waves[:len(waves)-1] {
+			if len(wave) < lockstepChunk {
+				t.Errorf("W=%d: a wave before the last holds %d pairs, fewer than a chunk", w, len(wave))
+			}
+		}
+		for _, wave := range waves {
+			decided += len(wave)
+		}
+		if bound := n*(n-1)/2/lockstepChunk + 1; len(waves) > bound || len(waves) != 19 || decided != 5145 {
+			t.Errorf("W=%d: %d waves deciding %d pairs; want 19 (at most %d) deciding 5145", w, len(waves), decided, bound)
+		}
 	}
 }
 
 // FuzzLockstepPlan is checkLockstepPlan over fuzzed cases: a seed for the
 // graph, MinPts, local decider and prior, a width and a chunk bound small
-// enough that the tail rule waits for the last waves.
+// enough that a case takes several waves.
 func FuzzLockstepPlan(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(3))
 	f.Add(int64(47), uint8(1), uint8(1))

@@ -162,19 +162,36 @@ func TestSettleScheduleDealsEveryRowOnce(t *testing.T) {
 // checkSchedule demands with a row j of the pairs (i, j); the oracle's
 // results land in the prior (checkLockstepPlan); and the labels are plain
 // DBSCAN's on the same graph and the old wave driver's on the same inputs.
+// It also reports what the phase-1 multiplier buys: the replay's decisions
+// and waves summed over the cases at k ∈ {1, 2, 4}.
 func TestLockstepDecidesEveryPairOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	var st scheduleStats
+	multiWave := 0
+	sums := map[int][2]int{}
 	for trial := 0; trial < 30; trial++ {
 		c := randomPlanCase(rng, 36)
 		if trial < 3 {
 			c = randomPlanCase(rng, 1) // the degenerate size, always
 			c.n = trial
 		}
+		for _, bound := range []int{1, 3, 17, lockstepChunk} {
+			for _, k := range []int{1, 2, 4} {
+				s := sums[k]
+				for _, wave := range c.replay(k, bound) {
+					s[0]++
+					s[1] += len(wave)
+				}
+				sums[k] = s
+			}
+		}
 		for _, w := range []int{1, 2, 4, 7} {
 			for _, bound := range []int{1, 3, 17, lockstepChunk} {
 				name := fmt.Sprintf("lockstep trial %d n=%d MinPts=%d W=%d bound=%d", trial, c.n, c.minPts, w, bound)
-				labels, k, _ := checkLockstepPlan(t, name, c, w, bound, &st)
+				labels, k, waves := checkLockstepPlan(t, name, c, w, bound, &st)
+				if len(waves) >= 2 {
+					multiWave++
+				}
 				var old lockstepTrace
 				onCached, decideLocal, batchOn := old.hooks(c.within, c.localOf)
 				oldLabels, oldK, err := waveLockstepCluster(c.n, c.minPts, w, c.prior(), onCached, decideLocal, batchOn)
@@ -187,8 +204,11 @@ func TestLockstepDecidesEveryPairOnce(t *testing.T) {
 			}
 		}
 	}
-	if st.secondRounds == 0 || st.oversize == 0 {
-		t.Errorf("vacuous: %+v", st)
+	if st.secondRounds == 0 || st.oversize == 0 || multiWave == 0 {
+		t.Errorf("vacuous: %+v, %d runs of two waves or more", st, multiWave)
+	}
+	for _, k := range []int{1, 2, 4} {
+		t.Logf("k=%d: %d decisions in %d waves over the cases", k, sums[k][1], sums[k][0])
 	}
 }
 
